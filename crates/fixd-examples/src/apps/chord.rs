@@ -535,7 +535,14 @@ impl Program for ChordNode {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(64);
+        // Sized once (the Investigator snapshots on every explored
+        // transition): 56 bytes, plus a 52-byte block and 16 bytes per
+        // stored pair when the keyed workload is on.
+        let keyed = match self.puts_total {
+            0 => 0,
+            _ => 52 + 16 * (self.expected.len() + self.kv.len()),
+        };
+        let mut b = Vec::with_capacity(56 + keyed);
         b.extend_from_slice(&self.id.to_le_bytes());
         b.extend_from_slice(&self.succ.0.to_le_bytes());
         b.extend_from_slice(&self.pred.map_or(u32::MAX, |p| p.0).to_le_bytes());
@@ -564,6 +571,7 @@ impl Program for ChordNode {
                 }
             }
         }
+        debug_assert_eq!(b.len(), 56 + keyed);
         b
     }
 

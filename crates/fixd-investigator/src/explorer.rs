@@ -16,7 +16,7 @@
 //! * optional sleep-set partial-order reduction (heuristic; see
 //!   [`ExploreConfig::use_reduction`]).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::invariant::Invariant;
 pub use crate::search::SearchOrder;
@@ -187,22 +187,18 @@ impl<'a, T: TransitionSystem> Explorer<'a, T> {
         invariants.iter().find(|i| !i.holds(s))
     }
 
+    /// `parents` is the visited set and the reachability tree in one:
+    /// every visited fingerprint maps to its in-edge, the root to `None`.
     fn trail(
-        parents: &HashMap<u64, (u64, T::Label)>,
-        root_fp: u64,
+        parents: &HashMap<u64, Option<(u64, T::Label)>>,
         end_fp: u64,
         violation: &str,
     ) -> Trail<T::Label> {
         let mut labels = Vec::new();
         let mut at = end_fp;
-        while at != root_fp {
-            match parents.get(&at) {
-                Some((prev, l)) => {
-                    labels.push(l.clone());
-                    at = *prev;
-                }
-                None => break, // disconnected (shouldn't happen)
-            }
+        while let Some(Some((prev, l))) = parents.get(&at) {
+            labels.push(l.clone());
+            at = *prev;
         }
         labels.reverse();
         Trail {
@@ -225,14 +221,13 @@ impl<'a, T: TransitionSystem> Explorer<'a, T> {
         };
         let init = self.sys.initial();
         let root_fp = self.sys.fingerprint(&init);
-        let mut visited: HashMap<u64, ()> = HashMap::new();
-        let mut parents: HashMap<u64, (u64, T::Label)> = HashMap::new();
-        visited.insert(root_fp, ());
+        let mut parents: HashMap<u64, Option<(u64, T::Label)>> = HashMap::new();
+        parents.insert(root_fp, None);
         report.states = 1;
         if let Some(inv) = Self::violated(&self.invariants, &init) {
             report
                 .violations
-                .push(Self::trail(&parents, root_fp, root_fp, &inv.name));
+                .push(Self::trail(&parents, root_fp, &inv.name));
             if self.cfg.stop_at_first_violation {
                 return report;
             }
@@ -251,13 +246,12 @@ impl<'a, T: TransitionSystem> Explorer<'a, T> {
                 if self.cfg.detect_deadlocks && !self.sys.is_expected_terminal(&node.state) {
                     report
                         .deadlocks
-                        .push(Self::trail(&parents, root_fp, node.fp, "deadlock"));
+                        .push(Self::trail(&parents, node.fp, "deadlock"));
                 }
                 for t in &self.terminal_checks {
                     if !t.holds(&node.state) {
                         report.violations.push(Self::trail(
                             &parents,
-                            root_fp,
                             node.fp,
                             &format!("eventually: {}", t.name),
                         ));
@@ -297,18 +291,17 @@ impl<'a, T: TransitionSystem> Explorer<'a, T> {
                 if self.cfg.use_reduction {
                     done.push(l.clone());
                 }
-                if visited.contains_key(&nfp) {
-                    continue;
-                }
-                visited.insert(nfp, ());
-                parents.insert(nfp, (node.fp, l));
+                match parents.entry(nfp) {
+                    Entry::Occupied(_) => continue,
+                    Entry::Vacant(slot) => slot.insert(Some((node.fp, l))),
+                };
                 report.states += 1;
                 let ndepth = node.depth + 1;
                 report.max_depth_reached = report.max_depth_reached.max(ndepth);
                 if let Some(inv) = Self::violated(&self.invariants, &next) {
                     report
                         .violations
-                        .push(Self::trail(&parents, root_fp, nfp, &inv.name));
+                        .push(Self::trail(&parents, nfp, &inv.name));
                     if self.cfg.stop_at_first_violation
                         || report.violations.len() >= self.cfg.max_violations
                     {

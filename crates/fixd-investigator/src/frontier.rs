@@ -657,26 +657,32 @@ fn process_key<P, St, Q>(
     St: StateStore<P::State>,
     Q: WorkQueue<u64>,
 {
-    let (state, depth, first) = {
+    // The one-time accounting is claimed in the critical section that
+    // reads it: between two sections, a depth relaxation could requeue
+    // the key and a second worker would also see it unexpanded. A state
+    // at the depth cap is not expanded, so it stays unclaimed for the
+    // improver's requeue to account.
+    let (state, depth, mut first) = {
         let mut shard = infos.shard(key).lock();
         let info = shard.get_mut(&key).expect("queued key has an info entry");
         info.queued = false;
         let first = !info.expanded;
+        if info.depth < cfg.max_depth {
+            info.expanded = true;
+        }
         (info.state.clone(), info.depth, first)
     };
 
     let succs = provider.successors(&state);
     if succs.is_empty() {
-        if first {
-            infos
-                .shard(key)
-                .lock()
-                .get_mut(&key)
-                .expect("entry")
-                .expanded = true;
-            if cfg.detect_deadlocks && !provider.expected_terminal(&state) {
-                deadlocks.lock().push(key);
-            }
+        if depth >= cfg.max_depth {
+            // A terminal state is accounted at any depth; claim it now.
+            let mut shard = infos.shard(key).lock();
+            let info = shard.get_mut(&key).expect("entry");
+            first = !std::mem::replace(&mut info.expanded, true);
+        }
+        if first && cfg.detect_deadlocks && !provider.expected_terminal(&state) {
+            deadlocks.lock().push(key);
         }
         return;
     }
@@ -690,10 +696,6 @@ fn process_key<P, St, Q>(
         *transitions += succs.len() as u64;
     } else {
         reexpansions.fetch_add(1, Ordering::Relaxed);
-    }
-    {
-        let mut shard = infos.shard(key).lock();
-        shard.get_mut(&key).expect("entry").expanded = true;
     }
 
     let child_depth = depth + 1;

@@ -14,9 +14,10 @@
 //! a timer, plus whatever fault branches the [`NetModel`] enables.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use fixd_runtime::wire::{fnv1a, fnv_mix};
-use fixd_runtime::{Payload, Pid, Program, SharedMessage, SoloHarness, TimerId};
+use fixd_runtime::{Effects, Payload, Pid, Program, SharedMessage, SoloHarness, TimerId};
 
 use crate::envmodel::NetModel;
 use crate::system::TransitionSystem;
@@ -52,35 +53,75 @@ impl ModelAction {
     }
 }
 
+/// One process of the application under investigation: everything a
+/// transition *at this pid* can change, behind one shared handle.
+struct Proc {
+    program: Box<dyn Program>,
+    harness: SoloHarness,
+    /// Pending timers, oldest first.
+    timers: VecDeque<TimerId>,
+    started: bool,
+    crashed: bool,
+    /// `fnv1a(program.snapshot())`. Only a handler changes a program, so
+    /// [`WorldState::run_handler`] is the one place that refreshes it.
+    snapshot_hash: u64,
+}
+
+impl Proc {
+    fn new(program: Box<dyn Program>, harness: SoloHarness, started: bool) -> Self {
+        Self {
+            snapshot_hash: fnv1a(&program.snapshot()),
+            program,
+            harness,
+            timers: VecDeque::new(),
+            started,
+            crashed: false,
+        }
+    }
+}
+
+impl Clone for Proc {
+    fn clone(&self) -> Self {
+        Self {
+            program: self.program.clone_program(),
+            harness: self.harness.clone(),
+            timers: self.timers.clone(),
+            started: self.started,
+            crashed: self.crashed,
+            snapshot_hash: self.snapshot_hash,
+        }
+    }
+}
+
+/// The messages queued on one FIFO channel. `fingerprints[i]` is
+/// `queue[i].content_fingerprint()`, computed once when the message is
+/// enqueued.
+#[derive(Clone, Default)]
+struct Chan {
+    queue: VecDeque<SharedMessage>,
+    fingerprints: VecDeque<u64>,
+}
+
+/// What [`WorldState::channel`] shows for a channel with nothing queued.
+static NO_MAIL: VecDeque<SharedMessage> = VecDeque::new();
+
 /// Global state of the application under investigation.
+///
+/// A state is a set of handles: cloning one copies no process and no
+/// queue. A transition copies (`Arc::make_mut`) only what it changes —
+/// the acting process, the channels it pops from or sends into, and the
+/// output list when its handler emits — so a successor shares every
+/// other part with its parent.
+#[derive(Clone)]
 pub struct WorldState {
-    procs: Vec<Box<dyn Program>>,
-    harnesses: Vec<SoloHarness>,
-    /// FIFO channels, indexed `src * width + dst`.
-    channels: Vec<VecDeque<SharedMessage>>,
-    /// Pending timers per process, oldest first.
-    timers: Vec<VecDeque<TimerId>>,
-    started: Vec<bool>,
-    crashed: Vec<bool>,
+    procs: Vec<Arc<Proc>>,
+    /// FIFO channels, indexed `src * width + dst`; an empty channel is
+    /// `None` and owns nothing.
+    channels: Vec<Option<Arc<Chan>>>,
     crashes_used: usize,
     /// Collected outputs (flat, for invariants over observable behavior).
     /// Shared handles aliasing the producing handlers' effects.
-    outputs: Vec<(Pid, Payload)>,
-}
-
-impl Clone for WorldState {
-    fn clone(&self) -> Self {
-        Self {
-            procs: self.procs.iter().map(|p| p.clone_program()).collect(),
-            harnesses: self.harnesses.clone(),
-            channels: self.channels.clone(),
-            timers: self.timers.clone(),
-            started: self.started.clone(),
-            crashed: self.crashed.clone(),
-            crashes_used: self.crashes_used,
-            outputs: self.outputs.clone(),
-        }
-    }
+    outputs: Arc<Vec<(Pid, Payload)>>,
 }
 
 impl std::fmt::Debug for WorldState {
@@ -89,13 +130,23 @@ impl std::fmt::Debug for WorldState {
             f,
             "WorldState(n={}, mail={}, timers={})",
             self.procs.len(),
-            self.channels.iter().map(VecDeque::len).sum::<usize>(),
-            self.timers.iter().map(VecDeque::len).sum::<usize>()
+            self.mail_count(),
+            self.procs.iter().map(|p| p.timers.len()).sum::<usize>()
         )
     }
 }
 
 impl WorldState {
+    fn new(procs: Vec<Proc>) -> Self {
+        let n = procs.len();
+        Self {
+            procs: procs.into_iter().map(Arc::new).collect(),
+            channels: vec![None; n * n],
+            crashes_used: 0,
+            outputs: Arc::default(),
+        }
+    }
+
     /// Number of processes.
     pub fn width(&self) -> usize {
         self.procs.len()
@@ -103,27 +154,34 @@ impl WorldState {
 
     /// Typed view of a process's program (for invariants).
     pub fn program<P: 'static>(&self, pid: Pid) -> Option<&P> {
-        self.procs.get(pid.idx())?.as_any().downcast_ref::<P>()
+        self.procs
+            .get(pid.idx())?
+            .program
+            .as_any()
+            .downcast_ref::<P>()
     }
 
     /// Messages queued on channel `src → dst`.
     pub fn channel(&self, src: Pid, dst: Pid) -> &VecDeque<SharedMessage> {
-        &self.channels[src.idx() * self.procs.len() + dst.idx()]
+        match &self.channels[src.idx() * self.procs.len() + dst.idx()] {
+            Some(ch) => &ch.queue,
+            None => &NO_MAIL,
+        }
     }
 
     /// Total undelivered messages.
     pub fn mail_count(&self) -> usize {
-        self.channels.iter().map(VecDeque::len).sum()
+        self.channels.iter().flatten().map(|c| c.queue.len()).sum()
     }
 
     /// Has `pid` crashed (in this explored branch)?
     pub fn is_crashed(&self, pid: Pid) -> bool {
-        self.crashed[pid.idx()]
+        self.procs[pid.idx()].crashed
     }
 
     /// Has `pid` started?
     pub fn is_started(&self, pid: Pid) -> bool {
-        self.started[pid.idx()]
+        self.procs[pid.idx()].started
     }
 
     /// Outputs emitted along this branch, in order.
@@ -133,7 +191,65 @@ impl WorldState {
 
     /// Pending timer count of `pid`.
     pub fn timer_count(&self, pid: Pid) -> usize {
-        self.timers[pid.idx()].len()
+        self.procs[pid.idx()].timers.len()
+    }
+
+    fn channel_slot(&mut self, src: Pid, dst: Pid) -> &mut Option<Arc<Chan>> {
+        let n = self.procs.len();
+        &mut self.channels[src.idx() * n + dst.idx()]
+    }
+
+    fn push_mail(&mut self, msg: SharedMessage) {
+        let slot = self.channel_slot(msg.src, msg.dst);
+        let ch = Arc::make_mut(slot.get_or_insert_with(Arc::default));
+        ch.fingerprints.push_back(msg.content_fingerprint());
+        ch.queue.push_back(msg);
+    }
+
+    /// Dequeue the head of `src → dst`. Taking the last message drops
+    /// this state's handle instead of copying the queue to empty it.
+    fn pop_mail(&mut self, src: Pid, dst: Pid) -> Option<SharedMessage> {
+        let slot = self.channel_slot(src, dst);
+        if slot.as_ref()?.queue.len() == 1 {
+            return slot.take()?.queue.front().cloned();
+        }
+        let ch = Arc::make_mut(slot.as_mut()?);
+        ch.fingerprints.pop_front();
+        ch.queue.pop_front()
+    }
+
+    fn duplicate_head(&mut self, src: Pid, dst: Pid) {
+        if let Some(ch) = self.channel_slot(src, dst).as_mut().map(Arc::make_mut) {
+            ch.queue.extend(ch.queue.front().cloned());
+            ch.fingerprints.extend(ch.fingerprints.front().copied());
+        }
+    }
+
+    /// Run one handler of `pid` on a private copy of the process and
+    /// route what it did into this state.
+    fn run_handler(&mut self, pid: Pid, handler: impl FnOnce(&mut Proc) -> Effects) {
+        let n = self.procs.len();
+        let proc = Arc::make_mut(&mut self.procs[pid.idx()]);
+        let effects = handler(proc);
+        proc.snapshot_hash = fnv1a(&proc.program.snapshot());
+        for (t, _fire_at) in effects.timers_set {
+            proc.timers.push_back(t);
+        }
+        for t in effects.timers_cancelled {
+            proc.timers.retain(|x| *x != t);
+        }
+        if effects.crashed {
+            proc.crashed = true;
+            proc.timers.clear();
+        }
+        for m in effects.sends {
+            if m.dst.idx() < n {
+                self.push_mail(m);
+            }
+        }
+        if !effects.outputs.is_empty() {
+            Arc::make_mut(&mut self.outputs).extend(effects.outputs.into_iter().map(|o| (pid, o)));
+        }
     }
 }
 
@@ -142,7 +258,7 @@ pub struct WorldModel {
     width: usize,
     seed: u64,
     net: NetModel,
-    factory: std::sync::Arc<dyn Fn() -> Vec<Box<dyn Program>> + Send + Sync>,
+    factory: Arc<dyn Fn() -> Vec<Box<dyn Program>> + Send + Sync>,
     init_from: Option<WorldState>,
     /// Include clocks/RNG positions in fingerprints. Off by default:
     /// states that differ only in clock values merge, which is what you
@@ -164,7 +280,7 @@ impl WorldModel {
             width,
             seed,
             net,
-            factory: std::sync::Arc::new(factory),
+            factory: Arc::new(factory),
             init_from: None,
             strict_fingerprint: false,
         }
@@ -179,7 +295,7 @@ impl WorldModel {
             width: state.width(),
             seed,
             net,
-            factory: std::sync::Arc::new(Vec::new),
+            factory: Arc::new(Vec::new),
             init_from: Some(state),
             strict_fingerprint: false,
         }
@@ -209,49 +325,20 @@ impl WorldModel {
         inflight: Vec<SharedMessage>,
         timers: Vec<(Pid, TimerId)>,
     ) -> WorldState {
-        let n = programs.len();
-        assert_eq!(harnesses.len(), n);
-        let mut channels = vec![VecDeque::new(); n * n];
-        for m in inflight {
-            let idx = m.src.idx() * n + m.dst.idx();
-            channels[idx].push_back(m);
-        }
-        let mut tq = vec![VecDeque::new(); n];
+        assert_eq!(harnesses.len(), programs.len());
+        let mut procs: Vec<Proc> = programs
+            .into_iter()
+            .zip(harnesses)
+            .map(|(p, h)| Proc::new(p, h, true)) // restored processes are mid-run
+            .collect();
         for (pid, t) in timers {
-            tq[pid.idx()].push_back(t);
+            procs[pid.idx()].timers.push_back(t);
         }
-        WorldState {
-            procs: programs,
-            harnesses,
-            channels,
-            timers: tq,
-            started: vec![true; n], // restored processes are mid-run
-            crashed: vec![false; n],
-            crashes_used: 0,
-            outputs: Vec::new(),
+        let mut state = WorldState::new(procs);
+        for m in inflight {
+            state.push_mail(m);
         }
-    }
-
-    fn route_effects(&self, s: &mut WorldState, pid: Pid, effects: fixd_runtime::Effects) {
-        let n = s.procs.len();
-        for m in effects.sends {
-            if m.dst.idx() < n {
-                s.channels[m.src.idx() * n + m.dst.idx()].push_back(m);
-            }
-        }
-        for (t, _fire_at) in effects.timers_set {
-            s.timers[pid.idx()].push_back(t);
-        }
-        for t in effects.timers_cancelled {
-            s.timers[pid.idx()].retain(|x| *x != t);
-        }
-        for o in effects.outputs {
-            s.outputs.push((pid, o));
-        }
-        if effects.crashed {
-            s.crashed[pid.idx()] = true;
-            s.timers[pid.idx()].clear();
-        }
+        state
     }
 }
 
@@ -263,44 +350,43 @@ impl TransitionSystem for WorldModel {
         if let Some(s) = &self.init_from {
             return s.clone();
         }
-        let procs = (self.factory)();
-        let n = procs.len();
-        WorldState {
-            harnesses: (0..n)
-                .map(|i| SoloHarness::new(Pid(i as u32), n, self.seed))
+        let programs = (self.factory)();
+        let n = programs.len();
+        WorldState::new(
+            programs
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| Proc::new(p, SoloHarness::new(Pid(i as u32), n, self.seed), false))
                 .collect(),
-            procs,
-            channels: vec![VecDeque::new(); n * n],
-            timers: vec![VecDeque::new(); n],
-            started: vec![false; n],
-            crashed: vec![false; n],
-            crashes_used: 0,
-            outputs: Vec::new(),
-        }
+        )
     }
 
     fn fingerprint(&self, s: &WorldState) -> u64 {
         let mut h = FINGERPRINT_SEED;
-        for (i, p) in s.procs.iter().enumerate() {
-            h = fnv_mix(h, fnv1a(&p.snapshot()));
-            h = fnv_mix(h, u64::from(s.started[i]) | (u64::from(s.crashed[i]) << 1));
-            h = fnv_mix(h, s.timers[i].len() as u64);
+        for p in &s.procs {
+            h = fnv_mix(h, p.snapshot_hash);
+            h = fnv_mix(h, u64::from(p.started) | (u64::from(p.crashed) << 1));
+            h = fnv_mix(h, p.timers.len() as u64);
         }
         for ch in &s.channels {
-            h = fnv_mix(h, ch.len() as u64);
-            for m in ch {
-                h = fnv_mix(h, m.content_fingerprint());
+            let Some(ch) = ch else {
+                h = fnv_mix(h, 0);
+                continue;
+            };
+            h = fnv_mix(h, ch.fingerprints.len() as u64);
+            for &fp in &ch.fingerprints {
+                h = fnv_mix(h, fp);
             }
         }
         if self.strict_fingerprint {
-            for hs in &s.harnesses {
-                for (p, c) in hs.vc().entries() {
-                    h = fnv_mix(h, u64::from(p.0));
+            for p in &s.procs {
+                for (pid, c) in p.harness.vc().entries() {
+                    h = fnv_mix(h, u64::from(pid.0));
                     h = fnv_mix(h, c);
                 }
             }
-            for tq in &s.timers {
-                for t in tq {
+            for p in &s.procs {
+                for t in &p.timers {
                     h = fnv_mix(h, t.0);
                 }
             }
@@ -310,17 +396,16 @@ impl TransitionSystem for WorldModel {
 
     fn enabled(&self, s: &WorldState) -> Vec<ModelAction> {
         let n = s.procs.len();
+        let live = |i: usize| s.procs[i].started && !s.procs[i].crashed;
         let mut out = Vec::new();
-        for i in 0..n {
-            let pid = Pid(i as u32);
-            if !s.started[i] && !s.crashed[i] {
-                out.push(ModelAction::Start { pid });
+        for (i, p) in s.procs.iter().enumerate() {
+            if !p.started && !p.crashed {
+                out.push(ModelAction::Start { pid: Pid(i as u32) });
             }
         }
         for src in 0..n {
             for dst in 0..n {
-                let ch = &s.channels[src * n + dst];
-                if ch.is_empty() || s.crashed[dst] || !s.started[dst] {
+                if s.channels[src * n + dst].is_none() || !live(dst) {
                     continue;
                 }
                 let (src, dst) = (Pid(src as u32), Pid(dst as u32));
@@ -334,13 +419,13 @@ impl TransitionSystem for WorldModel {
             }
         }
         for i in 0..n {
-            if s.started[i] && !s.crashed[i] && !s.timers[i].is_empty() {
+            if live(i) && !s.procs[i].timers.is_empty() {
                 out.push(ModelAction::FireTimer { pid: Pid(i as u32) });
             }
         }
         if s.crashes_used < self.net.crash_budget {
             for i in 0..n {
-                if s.started[i] && !s.crashed[i] {
+                if live(i) {
                     out.push(ModelAction::Crash { pid: Pid(i as u32) });
                 }
             }
@@ -350,49 +435,30 @@ impl TransitionSystem for WorldModel {
 
     fn apply(&self, s: &WorldState, l: &ModelAction) -> WorldState {
         let mut next = s.clone();
-        let n = next.procs.len();
-        match l {
-            ModelAction::Start { pid } => {
-                next.started[pid.idx()] = true;
-                let eff = {
-                    let (h, p) = (&mut next.harnesses[pid.idx()], &mut next.procs[pid.idx()]);
-                    h.start(p.as_mut())
-                };
-                self.route_effects(&mut next, *pid, eff);
-            }
+        match *l {
+            ModelAction::Start { pid } => next.run_handler(pid, |p| {
+                p.started = true;
+                p.harness.start(p.program.as_mut())
+            }),
             ModelAction::Deliver { src, dst } => {
-                let msg = next.channels[src.idx() * n + dst.idx()]
-                    .pop_front()
+                let msg = next
+                    .pop_mail(src, dst)
                     .expect("guard ensured nonempty channel");
-                let eff = {
-                    let (h, p) = (&mut next.harnesses[dst.idx()], &mut next.procs[dst.idx()]);
-                    h.deliver(p.as_mut(), &msg)
-                };
-                self.route_effects(&mut next, *dst, eff);
+                next.run_handler(dst, |p| p.harness.deliver(p.program.as_mut(), &msg));
             }
-            ModelAction::FireTimer { pid } => {
-                let t = next.timers[pid.idx()]
-                    .pop_front()
-                    .expect("guard ensured pending timer");
-                let eff = {
-                    let (h, p) = (&mut next.harnesses[pid.idx()], &mut next.procs[pid.idx()]);
-                    h.timer(p.as_mut(), t)
-                };
-                self.route_effects(&mut next, *pid, eff);
-            }
+            ModelAction::FireTimer { pid } => next.run_handler(pid, |p| {
+                let t = p.timers.pop_front().expect("guard ensured pending timer");
+                p.harness.timer(p.program.as_mut(), t)
+            }),
             ModelAction::DropHead { src, dst } => {
-                next.channels[src.idx() * n + dst.idx()].pop_front();
+                next.pop_mail(src, dst);
             }
-            ModelAction::DupHead { src, dst } => {
-                let ch = &mut next.channels[src.idx() * n + dst.idx()];
-                if let Some(head) = ch.front().cloned() {
-                    ch.push_back(head);
-                }
-            }
+            ModelAction::DupHead { src, dst } => next.duplicate_head(src, dst),
             ModelAction::Crash { pid } => {
-                next.crashed[pid.idx()] = true;
+                let p = Arc::make_mut(&mut next.procs[pid.idx()]);
+                p.crashed = true;
+                p.timers.clear();
                 next.crashes_used += 1;
-                next.timers[pid.idx()].clear();
             }
         }
         next
@@ -658,5 +724,199 @@ mod tests {
         assert!(s.is_started(Pid(0)), "restored processes are mid-run");
         assert_eq!(s.channel(Pid(0), Pid(1)).len(), 1);
         assert_eq!(s.timer_count(Pid(0)), 1);
+
+        // Fingerprint literals produced by the layout that deep-copied
+        // every process per transition (pinned from that commit): the
+        // cached hashes fold to the same values.
+        let mut m = WorldModel::from_state(7, NetModel::reliable(), s.clone());
+        assert_eq!(m.fingerprint(&s), 0x0a62_0923_cfd9_90e8);
+        m.strict_fingerprint = true;
+        assert_eq!(m.fingerprint(&s), 0xa52d_c127_fe50_e656);
+        let deliver = ModelAction::Deliver {
+            src: Pid(0),
+            dst: Pid(1),
+        };
+        assert_eq!(m.fingerprint(&m.apply(&s, &deliver)), 0xa445_6eae_9098_d7da);
+    }
+
+    /// [`TransitionSystem::fingerprint`] with nothing cached: snapshot
+    /// every program, re-hash every queued message.
+    fn fingerprint_from_scratch(m: &WorldModel, s: &WorldState) -> u64 {
+        let mut h = FINGERPRINT_SEED;
+        for p in &s.procs {
+            h = fnv_mix(h, fnv1a(&p.program.snapshot()));
+            h = fnv_mix(h, u64::from(p.started) | (u64::from(p.crashed) << 1));
+            h = fnv_mix(h, p.timers.len() as u64);
+        }
+        for i in 0..s.width() * s.width() {
+            let (src, dst) = (Pid((i / s.width()) as u32), Pid((i % s.width()) as u32));
+            h = fnv_mix(h, s.channel(src, dst).len() as u64);
+            for msg in s.channel(src, dst) {
+                h = fnv_mix(h, msg.content_fingerprint());
+            }
+        }
+        if m.strict_fingerprint {
+            for p in &s.procs {
+                for (pid, c) in p.harness.vc().entries() {
+                    h = fnv_mix(h, u64::from(pid.0));
+                    h = fnv_mix(h, c);
+                }
+            }
+            for t in s.procs.iter().flat_map(|p| &p.timers) {
+                h = fnv_mix(h, t.0);
+            }
+        }
+        h
+    }
+
+    /// The example applications as models: a token ring whose node 1
+    /// duplicates the token (timers, outputs, two tokens in flight), the
+    /// buggy two-phase commit, and the Chord keyed store of the
+    /// `explore-chordkv` benchmark workload.
+    fn example_models(net: NetModel) -> [WorldModel; 3] {
+        use fixd_examples::chord::{ChordNode, ChordRing};
+        use fixd_examples::token_ring::RingNode;
+        let ring = WorldModel::new(11, net, || {
+            vec![
+                Box::new(RingNode::correct()) as Box<dyn Program>,
+                Box::new(RingNode::buggy(7)),
+                Box::new(RingNode::correct()),
+            ]
+        });
+        let tpc = WorldModel::new(
+            12,
+            net,
+            fixd_examples::two_phase_commit::tpc_factory(vec![true, false, true], true),
+        );
+        let chord = WorldModel::new(13, net, || {
+            let ring = Arc::new(ChordRing::new(&[Pid(0), Pid(1), Pid(2)]));
+            (0..3)
+                .map(|_| {
+                    Box::new(ChordNode::new(Arc::clone(&ring), 0, 0).with_kv_workload(2))
+                        as Box<dyn Program>
+                })
+                .collect()
+        });
+        [ring, tpc, chord]
+    }
+
+    /// Seeded random walks over every example model under every
+    /// environment model, loose and strict: at each state on a walk,
+    /// `check(model, parent, action, child)` sees every enabled action
+    /// applied, then the walk follows one of them.
+    fn for_each_walked_transition(
+        mut check: impl FnMut(&WorldModel, &WorldState, &ModelAction, &WorldState),
+    ) {
+        let nets = [
+            NetModel::reliable(),
+            NetModel::lossy(),
+            NetModel::duplicating(),
+            NetModel::crashy(1),
+        ];
+        let mut transitions = 0;
+        for (net, strict) in nets.into_iter().flat_map(|n| [(n, false), (n, true)]) {
+            for mut model in example_models(net) {
+                model.strict_fingerprint = strict;
+                for seed in 0..4 {
+                    let mut rng = fixd_runtime::DetRng::derive(seed, 0x3A1C);
+                    let mut state = model.initial();
+                    for _ in 0..48 {
+                        let enabled = model.enabled(&state);
+                        if enabled.is_empty() {
+                            break;
+                        }
+                        let mut children: Vec<WorldState> = enabled
+                            .iter()
+                            .map(|l| {
+                                let child = model.apply(&state, l);
+                                check(&model, &state, l, &child);
+                                child
+                            })
+                            .collect();
+                        transitions += children.len();
+                        state = children.swap_remove(rng.below(children.len() as u64) as usize);
+                    }
+                }
+            }
+        }
+        assert!(transitions > 10_000, "walks too short: {transitions}");
+    }
+
+    #[test]
+    fn cached_fingerprint_equals_recomputation_after_every_apply() {
+        for_each_walked_transition(|model, _parent, l, child| {
+            assert_eq!(
+                model.fingerprint(child),
+                fingerprint_from_scratch(model, child),
+                "after {l:?}"
+            );
+        });
+    }
+
+    /// Everything observable about a state, copied out.
+    fn observe(m: &WorldModel, s: &WorldState) -> impl PartialEq + std::fmt::Debug {
+        let pids = || (0..s.width() as u32).map(Pid);
+        (
+            (m.fingerprint(s), fingerprint_from_scratch(m, s)),
+            s.outputs().to_vec(),
+            pids()
+                .flat_map(|src| pids().map(move |dst| s.channel(src, dst).clone()))
+                .collect::<Vec<_>>(),
+            pids()
+                .map(|p| (s.is_started(p), s.is_crashed(p), s.timer_count(p)))
+                .collect::<Vec<_>>(),
+            s.procs
+                .iter()
+                .map(|p| (p.program.snapshot(), p.harness.vc().clone()))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn apply_leaves_its_input_unchanged_and_shares_what_it_does_not_touch() {
+        for_each_walked_transition(|model, parent, l, child| {
+            // (The walk applies every enabled action to `parent` in
+            // turn, so each call also re-checks it after the previous
+            // siblings.)
+            let before = observe(model, parent);
+            let again = model.apply(parent, l);
+            assert_eq!(observe(model, parent), before, "{l:?} changed its input");
+            assert_eq!(model.fingerprint(&again), model.fingerprint(child));
+
+            let n = parent.width();
+            let (acting, popped) = match *l {
+                ModelAction::Start { pid }
+                | ModelAction::FireTimer { pid }
+                | ModelAction::Crash { pid } => (Some(pid), None),
+                ModelAction::Deliver { src, dst } => (Some(dst), Some((src, dst))),
+                ModelAction::DropHead { src, dst } | ModelAction::DupHead { src, dst } => {
+                    (None, Some((src, dst)))
+                }
+            };
+            for i in 0..n {
+                let shared = Arc::ptr_eq(&parent.procs[i], &child.procs[i]);
+                assert_eq!(
+                    shared,
+                    acting != Some(Pid(i as u32)),
+                    "proc {i} after {l:?}"
+                );
+            }
+            for (i, (a, b)) in parent.channels.iter().zip(&child.channels).enumerate() {
+                let (src, dst) = (Pid((i / n) as u32), Pid((i % n) as u32));
+                let shared = match (a, b) {
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    (None, None) => true,
+                    _ => false,
+                };
+                if popped == Some((src, dst)) {
+                    assert!(!shared, "channel {src}→{dst} after {l:?}");
+                } else if acting != Some(src) {
+                    // Only the acting process sends.
+                    assert!(shared, "channel {src}→{dst} after {l:?}");
+                }
+            }
+            let emitted = child.outputs().len() > parent.outputs().len();
+            assert_eq!(Arc::ptr_eq(&parent.outputs, &child.outputs), !emitted);
+        });
     }
 }

@@ -66,6 +66,45 @@ fn verdicts(
     v
 }
 
+/// Regression for a schedule-dependent `transitions` count: a state
+/// requeued by a depth relaxation between the engine reading "not yet
+/// expanded" and writing "expanded" was accounted twice. This is the
+/// shape `stealing_equals_serial` caught it on (the transfers make
+/// depths relax); four explorations at once on up to eight workers each
+/// keep far more threads runnable than the host has cores, so workers
+/// are preempted between their critical sections.
+#[test]
+fn counts_hold_under_oversubscription() {
+    let sys = random_system(vec![3, 2, 2, 1], vec![(2, 1), (0, 3)]);
+    let inv = Invariant::new("sum-bound", |s: &Vec<u8>| {
+        s.iter().map(|&v| u32::from(v)).sum::<u32>() < 6
+    });
+    let seq = Explorer::new(&sys, uncapped()).invariant(inv.clone()).run();
+    assert_eq!((seq.states, seq.transitions), (67, 217));
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                for round in 0..100 {
+                    for workers in [1usize, 2, 4, 8] {
+                        let par = explore_parallel(
+                            &sys,
+                            std::slice::from_ref(&inv),
+                            &uncapped(),
+                            workers,
+                        );
+                        assert_eq!(
+                            (seq.states, seq.transitions, seq.deadlocks.len()),
+                            (par.states, par.transitions, par.deadlocks.len()),
+                            "workers={workers} round={round}"
+                        );
+                        assert_eq!(verdicts(&seq), verdicts(&par), "workers={workers}");
+                    }
+                }
+            });
+        }
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -112,7 +112,8 @@ impl StepArena {
         }
     }
 
-    /// Disable pooling (the feature-gated clone-per-step baseline).
+    /// Disable pooling (the feature-gated clone-per-step baseline, and
+    /// throwaway arenas whose pools nothing would draw from).
     pub(crate) fn set_baseline(&mut self, baseline: bool) {
         self.baseline = baseline;
     }

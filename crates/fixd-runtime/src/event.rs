@@ -57,13 +57,20 @@ pub struct Message {
 impl Message {
     /// Stable content fingerprint (ignores `id` and timing, so replayed or
     /// re-executed sends of the same logical message match).
+    ///
+    /// The value is FNV-1a over `varint(src) varint(dst) varint(tag)
+    /// varint(len) payload`, streamed rather than staged in a buffer.
     pub fn content_fingerprint(&self) -> u64 {
-        let mut buf = Vec::with_capacity(self.payload.len() + 16);
-        wire::put_varint(&mut buf, u64::from(self.src.0));
-        wire::put_varint(&mut buf, u64::from(self.dst.0));
-        wire::put_varint(&mut buf, u64::from(self.tag));
-        wire::put_bytes(&mut buf, &self.payload);
-        wire::fnv1a(&buf)
+        let header = [
+            u64::from(self.src.0),
+            u64::from(self.dst.0),
+            u64::from(self.tag),
+            self.payload.len() as u64,
+        ];
+        let h = header
+            .into_iter()
+            .fold(wire::fnv1a(&[]), wire::fnv1a_varint);
+        fixd_store::fnv1a_extend(h, &self.payload)
     }
 }
 
@@ -366,6 +373,33 @@ mod tests {
         let mut c = a.clone();
         c.payload = b"y".into();
         assert_ne!(a.content_fingerprint(), c.content_fingerprint());
+    }
+
+    /// The streamed fingerprint is the hash of the staged encoding —
+    /// multi-byte varints (pid, tag, and a length over 127) included.
+    #[test]
+    fn content_fingerprint_matches_buffered_encoding() {
+        let mut rng = crate::rng::DetRng::derive(0xF1D, 0);
+        let lens = [0usize, 1, 127, 128, 300, 20_000];
+        for case in 0..200 {
+            let len = match lens.get(case) {
+                Some(&l) => l,
+                None => rng.below(400) as usize,
+            };
+            let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let m = msg(
+                (rng.next_u64() >> rng.below(64)) as u32,
+                (rng.next_u64() >> rng.below(64)) as u32,
+                (rng.next_u64() >> rng.below(64)) as u16,
+                &payload,
+            );
+            let mut buf = Vec::new();
+            wire::put_varint(&mut buf, u64::from(m.src.0));
+            wire::put_varint(&mut buf, u64::from(m.dst.0));
+            wire::put_varint(&mut buf, u64::from(m.tag));
+            wire::put_bytes(&mut buf, &m.payload);
+            assert_eq!(m.content_fingerprint(), wire::fnv1a(&buf), "case {case}");
+        }
     }
 
     #[test]

@@ -71,9 +71,10 @@ impl SoloHarness {
         program: &mut dyn Program,
         call: impl FnOnce(&mut dyn Program, &mut Context),
     ) -> Effects {
-        // Local playback is cold path: a throwaway arena per run keeps
-        // the harness allocation behaviour identical to pre-arena code.
+        // A throwaway arena per run, with pooling off: nothing would
+        // ever draw what this run returned to its pools.
         let mut arena = crate::arena::StepArena::new();
+        arena.set_baseline(true);
         let mut ctx = Context::new(
             self.pid,
             self.now,

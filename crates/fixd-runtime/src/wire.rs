@@ -107,6 +107,19 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fixd_store::fnv1a(bytes)
 }
 
+/// Continue an FNV-1a hash over the LEB128 encoding of `v`: the bytes
+/// [`put_varint`] would append, hashed without a buffer to append to.
+pub(crate) fn fnv1a_varint(mut h: u64, mut v: u64) -> u64 {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            return fixd_store::fnv1a_extend(h, &[byte]);
+        }
+        h = fixd_store::fnv1a_extend(h, &[byte | 0x80]);
+    }
+}
+
 /// Combine two fingerprints order-dependently.
 pub fn fnv_mix(a: u64, b: u64) -> u64 {
     let mut h = a ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_add(b);
