@@ -38,25 +38,12 @@ pub trait Program: Send + Sync {
     /// Called when a timer set by this process fires.
     fn on_timer(&mut self, _ctx: &mut Context, _timer: TimerId) {}
 
-    /// Complete, deterministic byte image of the process state.
+    /// Complete, deterministic byte image of the process state. How the
+    /// bytes are stored — inline, or paged into a content-addressed
+    /// store against the previous checkpoint — is the checkpointing
+    /// layer's decision ([`crate::World::checkpoint_process_in`]), not
+    /// the program's.
     fn snapshot(&self) -> Vec<u8>;
-
-    /// Snapshot directly into a content-addressed page store: the
-    /// returned [`SnapshotImage`] holds page handles, so every page whose
-    /// content is already interned — by a previous checkpoint, another
-    /// process, or a speculation branch — costs a refcount bump, not an
-    /// allocation. The default pages the [`Program::snapshot`] bytes;
-    /// programs with naturally chunked state may override it to skip the
-    /// intermediate `Vec` entirely.
-    ///
-    /// [`SnapshotImage`]: fixd_store::SnapshotImage
-    fn snapshot_into(
-        &self,
-        store: &fixd_store::PageStore,
-        page_size: usize,
-    ) -> fixd_store::SnapshotImage {
-        fixd_store::SnapshotImage::paged(store, &self.snapshot(), page_size)
-    }
 
     /// Restore from a byte image produced by [`Program::snapshot`].
     fn restore(&mut self, bytes: &[u8]);

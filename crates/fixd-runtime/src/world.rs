@@ -919,14 +919,26 @@ impl World {
     /// Take a full per-process checkpoint whose state pages straight
     /// into `store`: unchanged pages — relative to *anything* already
     /// interned, not just this process's previous checkpoint — cost a
-    /// refcount, not an allocation. This is the Time Machine's path.
+    /// refcount, not an allocation. `prev`, the image of the process's
+    /// previous checkpoint when the caller has one, is where unchanged
+    /// pages are looked for first (a byte comparison per page instead of
+    /// a hash and a lookup); the resulting image and every store counter
+    /// are the same with or without it. This is the Time Machine's path.
     pub fn checkpoint_process_in(
         &self,
         pid: Pid,
         store: &fixd_store::PageStore,
         page_size: usize,
+        prev: Option<&fixd_store::PagedImage>,
     ) -> ProcCheckpoint {
-        self.checkpoint_with(pid, |p| p.snapshot_into(store, page_size))
+        self.checkpoint_with(pid, |p| {
+            fixd_store::SnapshotImage::Paged(fixd_store::PagedImage::from_bytes_after(
+                store,
+                &p.snapshot(),
+                page_size,
+                prev,
+            ))
+        })
     }
 
     fn checkpoint_with(

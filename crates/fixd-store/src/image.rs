@@ -1,7 +1,7 @@
 //! Paged byte images over the content-addressed store, and the
 //! [`SnapshotImage`] wrapper program snapshots travel in.
 
-use crate::store::{PageHandle, PageStore};
+use crate::store::{Page, PageStore};
 
 /// Default page size in bytes. Small enough that localized mutations
 /// dirty few pages, large enough that page overhead stays negligible.
@@ -33,10 +33,15 @@ impl PageStats {
 /// An immutable byte image chunked into content-addressed pages. Every
 /// page lives in a [`PageStore`]; equal pages — across checkpoint
 /// generations, across processes, across speculation branches — are
-/// stored once. Cloning an image bumps per-page refcounts only.
-#[derive(Clone, Debug)]
+/// stored once. Cloning an image bumps per-page refcounts only, and an
+/// image is built, cloned and dropped under one acquisition of the
+/// store's lock, however many pages it has.
+#[derive(Debug)]
 pub struct PagedImage {
-    pages: Vec<PageHandle>,
+    /// The store every page is interned in (`None`: the pageless
+    /// [`PagedImage::empty`]).
+    store: Option<PageStore>,
+    pages: Vec<Page>,
     len: usize,
     page_size: usize,
     stats: PageStats,
@@ -46,6 +51,7 @@ impl PagedImage {
     /// A zero-length image holding no pages (GC tombstones).
     pub fn empty() -> Self {
         Self {
+            store: None,
             pages: Vec::new(),
             len: 0,
             page_size: DEFAULT_PAGE_SIZE,
@@ -60,21 +66,54 @@ impl PagedImage {
 
     /// Page `bytes` into `store` with an explicit page size.
     pub fn from_bytes_with(store: &PageStore, bytes: &[u8], page_size: usize) -> Self {
+        Self::from_bytes_after(store, bytes, page_size, None)
+    }
+
+    /// Page `bytes` into `store` as the successor of `prev` — the copy-
+    /// on-write step. Chunk *i* is first compared with `prev`'s page *i*;
+    /// when they are equal that page is shared again, and only chunks
+    /// that differ are hashed and looked up. The result — pages, keys,
+    /// [`PageStats`] and every [`StoreStats`] counter — is the one
+    /// paging from scratch gives: a shared page counts as the intern
+    /// hit it would have been. A `prev` that cannot line up (another
+    /// store, another page size) is ignored.
+    ///
+    /// [`StoreStats`]: crate::StoreStats
+    pub fn from_bytes_after(
+        store: &PageStore,
+        bytes: &[u8],
+        page_size: usize,
+        prev: Option<&PagedImage>,
+    ) -> Self {
         assert!(page_size > 0, "page size must be positive");
+        let prev_pages = match prev {
+            Some(p) if p.page_size == page_size && p.is_in(store) => p.pages.as_slice(),
+            _ => &[],
+        };
         let mut stats = PageStats::default();
-        let pages = bytes
-            .chunks(page_size)
-            .map(|c| {
-                let (h, fresh) = store.intern(c);
-                if fresh {
-                    stats.fresh += 1;
-                } else {
+        let mut pages = Vec::with_capacity(bytes.len().div_ceil(page_size));
+        let mut inner = store.lock();
+        for (i, chunk) in bytes.chunks(page_size).enumerate() {
+            let page = match prev_pages.get(i) {
+                Some(p) if *p.data == *chunk => {
                     stats.reused += 1;
+                    inner.reshare(p)
                 }
-                h
-            })
-            .collect();
+                _ => {
+                    let (page, fresh) = inner.intern(chunk);
+                    if fresh {
+                        stats.fresh += 1;
+                    } else {
+                        stats.reused += 1;
+                    }
+                    page
+                }
+            };
+            pages.push(page);
+        }
+        drop(inner);
         Self {
+            store: Some(store.clone()),
             pages,
             len: bytes.len(),
             page_size,
@@ -82,11 +121,15 @@ impl PagedImage {
         }
     }
 
+    fn is_in(&self, store: &PageStore) -> bool {
+        self.store.as_ref().is_some_and(|s| s.ptr_eq(store))
+    }
+
     /// Reassemble the full byte image.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);
         for p in &self.pages {
-            out.extend_from_slice(p);
+            out.extend_from_slice(&p.data);
         }
         debug_assert_eq!(out.len(), self.len);
         out
@@ -119,14 +162,14 @@ impl PagedImage {
 
     /// Content keys of the pages (identity-based memory accounting).
     pub fn page_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.pages.iter().map(PageHandle::key)
+        self.pages.iter().map(|p| p.key)
     }
 
     /// Streaming FNV-1a over the logical bytes (no reassembly).
     pub fn content_fnv1a(&self) -> u64 {
         self.pages
             .iter()
-            .fold(crate::fnv1a(&[]), |h, p| crate::fnv1a_extend(h, p))
+            .fold(crate::fnv1a(&[]), |h, p| crate::fnv1a_extend(h, &p.data))
     }
 
     /// Hash identity of the image: FNV-1a over the length and the page
@@ -153,8 +196,8 @@ impl PagedImage {
         let mut total = 0usize;
         for img in images {
             for p in &img.pages {
-                if seen.insert(p.key()) {
-                    total += p.len();
+                if seen.insert(p.key) {
+                    total += p.data.len();
                 }
             }
         }
@@ -170,7 +213,39 @@ impl PartialEq for PagedImage {
                 .pages
                 .iter()
                 .zip(&other.pages)
-                .all(|(a, b)| a.key() == b.key() && a.as_slice() == b.as_slice())
+                .all(|(a, b)| a.key == b.key && a.data == b.data)
+    }
+}
+
+impl Clone for PagedImage {
+    fn clone(&self) -> Self {
+        let pages = match &self.store {
+            Some(store) => {
+                let mut inner = store.lock();
+                self.pages.iter().map(|p| inner.share(p)).collect()
+            }
+            None => Vec::new(),
+        };
+        Self {
+            store: self.store.clone(),
+            pages,
+            len: self.len,
+            page_size: self.page_size,
+            stats: self.stats,
+        }
+    }
+}
+
+impl Drop for PagedImage {
+    fn drop(&mut self) {
+        if let Some(store) = &self.store {
+            let mut inner = store.lock();
+            for p in &self.pages {
+                inner.release(p);
+            }
+        }
+        // The `Page`s themselves (no `Drop` of their own) go after the
+        // lock is released, so freeing page memory is not serialized.
     }
 }
 

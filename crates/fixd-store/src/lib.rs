@@ -10,7 +10,10 @@
 //! checkpoints of one process* to *any two equal pages anywhere*:
 //!
 //! * consecutive checkpoints of one process share unchanged pages
-//!   (classic COW);
+//!   (classic COW) — found by comparing each chunk with the page the
+//!   previous checkpoint holds at that offset, so only chunks that
+//!   changed are hashed and looked up
+//!   ([`PagedImage::from_bytes_after`]);
 //! * checkpoints of **different processes** running the same code over
 //!   similar state share pages (replicas, initial states);
 //! * **speculation branches** (cloned Time Machines) share everything
@@ -27,6 +30,8 @@
 //! [`SnapshotImage`] is the checkpoint-facing wrapper that is either a
 //! plain inline byte vector (no store in play) or a paged image interned
 //! in a store.
+
+#![forbid(unsafe_code)]
 
 pub mod image;
 pub mod store;

@@ -1,9 +1,10 @@
 //! The [`PageStore`]: interned, refcounted, content-addressed pages.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Content key of a page: FNV-1a over the bytes, mixed with the length
 /// (so a page of `n` zero bytes and one of `m` zero bytes never probe
@@ -48,10 +49,123 @@ struct Slot {
     refs: u64,
 }
 
+/// Pass-through hasher for the slot map: its keys are [`page_hash`]
+/// outputs (or [`next_probe`]s of them), already avalanched, so
+/// SipHashing them again on every probe buys nothing. No key comes from
+/// outside the program, and the content a key stands for is compared on
+/// every intern.
 #[derive(Default)]
-struct Inner {
-    slots: HashMap<u64, Slot>,
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("slot keys are u64 and hash through write_u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The store behind its lock. Every change to a refcount or a counter
+/// is one of the four methods below, so an image can be built, shared
+/// or released page by page under a single acquisition.
+//
+// INVARIANT: a slot is present exactly while something holds it, and
+// `refs` counts the holders: every live `PageHandle`, and every page of
+// a live `PagedImage`, names a present slot with `refs >= 1`. The four
+// methods `debug_assert!` it wherever they touch a refcount; release
+// builds step past a breach instead of panicking inside a `Drop`.
+#[derive(Default)]
+pub(crate) struct Inner {
+    slots: HashMap<u64, Slot, BuildHasherDefault<KeyHasher>>,
     stats: StoreStats,
+}
+
+impl Inner {
+    /// Intern `bytes`: one more reference to the slot holding that
+    /// content, inserting it when absent (`fresh`).
+    pub(crate) fn intern(&mut self, bytes: &[u8]) -> (Page, bool) {
+        let mut key = page_hash(bytes);
+        loop {
+            match self.slots.get_mut(&key) {
+                Some(slot) if slot.data.as_ref() == bytes => {
+                    debug_assert!(slot.refs >= 1, "present slot without a holder");
+                    slot.refs += 1;
+                    let data = Arc::clone(&slot.data);
+                    self.stats.hits += 1;
+                    self.stats.deduped_bytes += bytes.len() as u64;
+                    return (Page { key, data }, false);
+                }
+                Some(_) => {
+                    // True 64-bit collision: probe deterministically.
+                    key = next_probe(key);
+                }
+                None => {
+                    let data: Arc<[u8]> = Arc::from(bytes);
+                    self.slots.insert(
+                        key,
+                        Slot {
+                            data: Arc::clone(&data),
+                            refs: 1,
+                        },
+                    );
+                    self.stats.misses += 1;
+                    self.stats.live_pages += 1;
+                    self.stats.live_bytes += bytes.len();
+                    return (Page { key, data }, true);
+                }
+            }
+        }
+    }
+
+    /// One more reference to the slot `page` already holds: a share, not
+    /// an intern, so `hits`/`deduped_bytes` (content-level dedup) stay.
+    pub(crate) fn share(&mut self, page: &Page) -> Page {
+        match self.slots.get_mut(&page.key) {
+            Some(slot) => {
+                debug_assert!(slot.refs >= 1, "shared a page nobody holds");
+                slot.refs += 1;
+            }
+            None => debug_assert!(false, "shared a page whose slot is gone"),
+        }
+        Page {
+            key: page.key,
+            data: Arc::clone(&page.data),
+        }
+    }
+
+    /// [`Inner::share`] for a page found equal, byte for byte, to the
+    /// content being interned: what [`Inner::intern`] of those bytes
+    /// would have done on its hit path, without hashing them.
+    pub(crate) fn reshare(&mut self, page: &Page) -> Page {
+        self.stats.hits += 1;
+        self.stats.deduped_bytes += page.data.len() as u64;
+        self.share(page)
+    }
+
+    /// Give back the reference `page` held; the last one frees the slot.
+    pub(crate) fn release(&mut self, page: &Page) {
+        let Some(slot) = self.slots.get_mut(&page.key) else {
+            debug_assert!(false, "released a page whose slot is gone");
+            return;
+        };
+        debug_assert!(slot.refs >= 1, "released a page nobody holds");
+        slot.refs = slot.refs.saturating_sub(1);
+        if slot.refs == 0 {
+            let len = slot.data.len();
+            self.slots.remove(&page.key);
+            self.stats.live_pages -= 1;
+            self.stats.live_bytes -= len;
+            self.stats.freed_bytes += len as u64;
+        }
+    }
 }
 
 impl std::fmt::Debug for Inner {
@@ -61,6 +175,18 @@ impl std::fmt::Debug for Inner {
             .field("live_bytes", &self.stats.live_bytes)
             .finish()
     }
+}
+
+/// One reference to an interned page, without the means to give it
+/// back: whoever owns a `Page` ([`PageHandle`], [`PagedImage`]) also
+/// knows the store and releases it there. Reads never lock — the `Arc`
+/// to the bytes is cached here.
+///
+/// [`PagedImage`]: crate::PagedImage
+#[derive(Debug)]
+pub(crate) struct Page {
+    pub(crate) key: u64,
+    pub(crate) data: Arc<[u8]>,
 }
 
 /// A shared content-addressed page store. Cloning the store handle
@@ -83,78 +209,44 @@ impl PageStore {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
+    /// The store's lock, for callers that touch many pages at once.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock()
+    }
+
     /// Intern `bytes` as a page. Returns the handle and whether the page
     /// was `fresh` (inserted now) as opposed to already present.
     pub fn intern(&self, bytes: &[u8]) -> (PageHandle, bool) {
-        let mut key = page_hash(bytes);
-        let mut inner = self.inner.lock();
-        loop {
-            match inner.slots.get_mut(&key) {
-                Some(slot) if slot.data.as_ref() == bytes => {
-                    slot.refs += 1;
-                    let data = Arc::clone(&slot.data);
-                    inner.stats.hits += 1;
-                    inner.stats.deduped_bytes += bytes.len() as u64;
-                    drop(inner);
-                    return (
-                        PageHandle {
-                            store: Arc::clone(&self.inner),
-                            key,
-                            data,
-                        },
-                        false,
-                    );
-                }
-                Some(_) => {
-                    // True 64-bit collision: probe deterministically.
-                    key = next_probe(key);
-                }
-                None => {
-                    let data: Arc<[u8]> = Arc::from(bytes);
-                    inner.slots.insert(
-                        key,
-                        Slot {
-                            data: Arc::clone(&data),
-                            refs: 1,
-                        },
-                    );
-                    inner.stats.misses += 1;
-                    inner.stats.live_pages += 1;
-                    inner.stats.live_bytes += bytes.len();
-                    drop(inner);
-                    return (
-                        PageHandle {
-                            store: Arc::clone(&self.inner),
-                            key,
-                            data,
-                        },
-                        true,
-                    );
-                }
-            }
-        }
+        let (page, fresh) = self.lock().intern(bytes);
+        (
+            PageHandle {
+                store: self.clone(),
+                page,
+            },
+            fresh,
+        )
     }
 
     /// Bytes currently interned, each distinct page counted once — the
     /// resident footprint of everything referencing this store.
     pub fn unique_bytes(&self) -> usize {
-        self.inner.lock().stats.live_bytes
+        self.lock().stats.live_bytes
     }
 
     /// Pages currently interned.
     pub fn page_count(&self) -> usize {
-        self.inner.lock().stats.live_pages
+        self.lock().stats.live_pages
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> StoreStats {
-        self.inner.lock().stats
+        self.lock().stats
     }
 
     /// Reference count of the page under `key` (0 when absent) —
     /// accounting introspection for GC tests.
     pub fn refs_of(&self, key: u64) -> u64 {
-        self.inner.lock().slots.get(&key).map_or(0, |s| s.refs)
+        self.lock().slots.get(&key).map_or(0, |s| s.refs)
     }
 }
 
@@ -163,32 +255,31 @@ impl PageStore {
 /// its bytes as freed. Reads never lock: the handle caches the `Arc` to
 /// the page bytes.
 pub struct PageHandle {
-    store: Arc<Mutex<Inner>>,
-    key: u64,
-    data: Arc<[u8]>,
+    store: PageStore,
+    page: Page,
 }
 
 impl PageHandle {
     /// The page's content key in its store.
     pub fn key(&self) -> u64 {
-        self.key
+        self.page.key
     }
 
     /// The page bytes.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        &self.data
+        &self.page.data
     }
 
     /// Page length in bytes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.page.data.len()
     }
 
     /// True for the (unusual) zero-length page.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.page.data.is_empty()
     }
 }
 
@@ -196,46 +287,29 @@ impl std::ops::Deref for PageHandle {
     type Target = [u8];
     #[inline]
     fn deref(&self) -> &[u8] {
-        &self.data
+        &self.page.data
     }
 }
 
 impl std::fmt::Debug for PageHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PageHandle({:#018x}, {}B)", self.key, self.data.len())
+        write!(f, "PageHandle({:#018x}, {}B)", self.page.key, self.len())
     }
 }
 
 impl Clone for PageHandle {
     fn clone(&self) -> Self {
-        // A clone is a share, not an intern: bump the refcount only
-        // (hits/deduped_bytes track content-level dedup at intern time).
-        let mut inner = self.store.lock();
-        if let Some(slot) = inner.slots.get_mut(&self.key) {
-            slot.refs += 1;
-        }
-        drop(inner);
+        let page = self.store.lock().share(&self.page);
         Self {
-            store: Arc::clone(&self.store),
-            key: self.key,
-            data: Arc::clone(&self.data),
+            store: self.store.clone(),
+            page,
         }
     }
 }
 
 impl Drop for PageHandle {
     fn drop(&mut self) {
-        let mut inner = self.store.lock();
-        if let Some(slot) = inner.slots.get_mut(&self.key) {
-            slot.refs -= 1;
-            if slot.refs == 0 {
-                let len = slot.data.len();
-                inner.slots.remove(&self.key);
-                inner.stats.live_pages -= 1;
-                inner.stats.live_bytes -= len;
-                inner.stats.freed_bytes += len as u64;
-            }
-        }
+        self.store.lock().release(&self.page);
     }
 }
 

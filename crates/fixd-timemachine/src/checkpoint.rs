@@ -29,8 +29,14 @@ pub struct TmCheckpoint {
     /// Handler events this process had executed when the checkpoint was
     /// taken (rollback-depth accounting for F6).
     pub events_at: u64,
-    /// Page-sharing stats of this checkpoint relative to its predecessor.
+    /// Page-sharing stats of this checkpoint: pages found already
+    /// interned (in its predecessor or anywhere else in the store) versus
+    /// pages inserted.
     pub stats: PageStats,
+    /// False once garbage collection has dropped the image: the entry
+    /// keeps its index (message metadata refers to indices) but can no
+    /// longer be restored, nor serve as the predecessor of a new image.
+    pub live: bool,
 }
 
 impl TmCheckpoint {
@@ -90,15 +96,19 @@ impl CheckpointStore {
     /// Take a checkpoint of `pid`'s current state in `world`, interning
     /// pages into the shared store (any page already present — from this
     /// history, another process, or another branch — is reused without a
-    /// copy). Returns the new index.
+    /// copy). Pages unchanged since the latest checkpoint are found by
+    /// comparing against its image; when that one is gone (GC'd, or there
+    /// is none yet) every page goes through the store's hash lookup,
+    /// with the same result. Returns the new index.
     pub fn take(&mut self, world: &World, events_at: u64) -> u64 {
-        let pc = world.checkpoint_process_in(self.pid, &self.pages, self.page_size);
+        let prev = self.latest().filter(|c| c.live).map(|c| &c.image);
+        let pc = world.checkpoint_process_in(self.pid, &self.pages, self.page_size, prev);
         let image = match pc.state {
             SnapshotImage::Paged(img) => img,
             // Unreachable with checkpoint_process_in, but harmless: page
             // inline bytes now.
             SnapshotImage::Inline(bytes) => {
-                PagedImage::from_bytes_with(&self.pages, &bytes, self.page_size)
+                PagedImage::from_bytes_after(&self.pages, &bytes, self.page_size, prev)
             }
         };
         let stats = image.build_stats();
@@ -117,6 +127,7 @@ impl CheckpointStore {
             next_timer_id: pc.next_timer_id,
             events_at,
             stats,
+            live: true,
         });
         index
     }
@@ -158,39 +169,25 @@ impl CheckpointStore {
     }
 
     /// Drop checkpoints with `index < keep_from` (garbage collection).
-    /// Indices of retained checkpoints are preserved by keeping a sparse
-    /// offset — implemented simply by replacing dropped entries' storage.
-    /// Returns the number of checkpoints dropped.
+    /// Entries stay in place so the indices of retained checkpoints do
+    /// not move; a dropped entry gives up its image — releasing its page
+    /// refcounts, so pages referenced nowhere else are freed by the store
+    /// and counted in `StoreStats::freed_bytes` — and is marked not
+    /// `live`. Returns the number of checkpoints dropped.
     pub fn gc_before(&mut self, keep_from: u64) -> usize {
-        // Keep indices stable: we can't renumber (message metadata
-        // references indices), so we drop page data by replacing the image
-        // with an empty one and marking the slot unusable via a tombstone
-        // approach: cheapest correct approach is to keep the entries but
-        // shrink their images. We instead retain entries >= keep_from and
-        // remember the offset.
         let drop_n = (keep_from as usize).min(self.checkpoints.len());
-        if drop_n == 0 {
-            return 0;
-        }
-        // Replace dropped checkpoints' images with empty ones; restore of
-        // a GC'd index returns None via the emptied marker.
         let mut dropped = 0;
-        for ck in &mut self.checkpoints[..drop_n] {
-            if !ck.image.is_empty() || ck.next_msg_id != u64::MAX {
-                // Dropping the image releases its page refcounts; pages
-                // no longer referenced anywhere are freed by the store
-                // (and counted in `StoreStats::freed_bytes`).
-                ck.image = PagedImage::empty();
-                ck.next_msg_id = u64::MAX; // tombstone marker
-                dropped += 1;
-            }
+        for ck in self.checkpoints[..drop_n].iter_mut().filter(|c| c.live) {
+            ck.image = PagedImage::empty();
+            ck.live = false;
+            dropped += 1;
         }
         dropped
     }
 
     /// Is checkpoint `index` still restorable (not GC'd)?
     pub fn is_live(&self, index: u64) -> bool {
-        self.get(index).is_some_and(|c| c.next_msg_id != u64::MAX)
+        self.get(index).is_some_and(|c| c.live)
     }
 
     /// Distinct bytes held by the whole history (content-dedup-aware,
@@ -339,6 +336,158 @@ mod tests {
         assert_eq!(store.get(3).unwrap().index, 3);
         // Second gc is a no-op.
         assert_eq!(store.gc_before(2), 0);
+    }
+
+    /// The same history paged from scratch in a store of its own: what
+    /// every `take` must equal, whichever predecessor it found its
+    /// unchanged pages in.
+    struct FromScratch {
+        pages: PageStore,
+        images: Vec<PagedImage>,
+    }
+
+    impl FromScratch {
+        fn new() -> Self {
+            Self {
+                pages: PageStore::new(),
+                images: Vec::new(),
+            }
+        }
+
+        fn take(&mut self, w: &World) {
+            let bytes = w.with_program(Pid(1), |p| p.snapshot());
+            self.images
+                .push(PagedImage::from_bytes_with(&self.pages, &bytes, 256));
+        }
+
+        fn assert_matches(&self, store: &CheckpointStore) {
+            let ck = store.latest().unwrap();
+            let mine = self.images.last().unwrap();
+            assert!(ck.image.page_keys().eq(mine.page_keys()));
+            assert_eq!(ck.image, *mine);
+            assert_eq!(ck.stats, mine.build_stats());
+            assert_eq!(store.page_store().stats(), self.pages.stats());
+        }
+    }
+
+    /// `world()` with position-dependent buffer content, so that no two
+    /// pages of an image are equal and a shifted layout shares nothing.
+    fn patterned_world() -> World {
+        let mut w = world();
+        for pid in [Pid(0), Pid(1)] {
+            let p = w.program_mut::<BigState>(pid).unwrap();
+            for (i, b) in p.buf.iter_mut().enumerate() {
+                *b = (i * 7 + i / 256) as u8;
+            }
+        }
+        w
+    }
+
+    #[test]
+    fn take_after_gc_never_diffs_against_a_dropped_image() {
+        let mut w = patterned_world();
+        let mut store = CheckpointStore::new(Pid(1), 256);
+        let mut scratch = FromScratch::new();
+        for i in 0..3 {
+            store.take(&w, i);
+            scratch.take(&w);
+            scratch.assert_matches(&store);
+            w.run_steps(2);
+        }
+        // Collect everything, the latest checkpoint included: the next
+        // take has no live predecessor and must page from scratch.
+        assert_eq!(store.gc_before(3), 3);
+        scratch.images.clear();
+        assert!(!store.latest().unwrap().live);
+        assert_eq!(store.page_store().stats(), scratch.pages.stats());
+        assert_eq!(store.page_store().unique_bytes(), 0);
+        w.run_steps(2);
+        let idx = store.take(&w, 8);
+        scratch.take(&w);
+        assert_eq!(idx, 3, "indices survive collection");
+        scratch.assert_matches(&store);
+        let ck = store.latest().unwrap();
+        assert_eq!(ck.stats.reused, 0, "nothing of the dropped history is left");
+        assert_eq!(ck.stats.fresh, ck.image.page_count());
+        // And the one after that diffs against it again.
+        w.run_steps(1);
+        store.take(&w, 9);
+        scratch.take(&w);
+        scratch.assert_matches(&store);
+        assert!(store.latest().unwrap().stats.reused > 0);
+    }
+
+    #[test]
+    fn take_after_restore_diffs_against_the_restored_checkpoint() {
+        let mut w = patterned_world();
+        let mut store = CheckpointStore::new(Pid(1), 256);
+        let mut scratch = FromScratch::new();
+        for i in 0..4 {
+            store.take(&w, i);
+            scratch.take(&w);
+            w.run_steps(2);
+        }
+        store.restore(&mut w, 1).unwrap();
+        scratch.images.truncate(2);
+        assert_eq!(store.page_store().stats(), scratch.pages.stats());
+        // The state is checkpoint 1's again, and checkpoint 1 is the
+        // latest: the new image is all of its pages, none hashed anew.
+        store.take(&w, 1);
+        scratch.take(&w);
+        scratch.assert_matches(&store);
+        let ck = store.latest().unwrap();
+        assert_eq!(ck.index, 2);
+        assert_eq!(ck.stats.fresh, 0);
+        assert_eq!(ck.image, store.get(1).unwrap().image);
+    }
+
+    /// `BigState` after a patch that changed its snapshot layout: a
+    /// version tag in front moves every byte to a different page offset.
+    struct PatchedBigState(BigState);
+    impl Program for PatchedBigState {
+        fn snapshot(&self) -> Vec<u8> {
+            let mut b = b"v2!".to_vec();
+            b.extend_from_slice(&self.0.snapshot());
+            b
+        }
+        fn restore(&mut self, b: &[u8]) {
+            self.0.restore(&b[3..]);
+        }
+        fn clone_program(&self) -> Box<dyn Program> {
+            Box::new(PatchedBigState(BigState {
+                buf: self.0.buf.clone(),
+                writes: self.0.writes,
+            }))
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn take_after_a_layout_changing_patch_falls_back_page_by_page() {
+        let mut w = patterned_world();
+        let mut store = CheckpointStore::new(Pid(1), 256);
+        let mut scratch = FromScratch::new();
+        w.run_steps(3);
+        store.take(&w, 3);
+        scratch.take(&w);
+        let old = w.program::<BigState>(Pid(1)).unwrap();
+        let patched = PatchedBigState(BigState {
+            buf: old.buf.clone(),
+            writes: old.writes,
+        });
+        w.replace_program(Pid(1), Box::new(patched));
+        store.take(&w, 3);
+        scratch.take(&w);
+        scratch.assert_matches(&store);
+        let ck = store.latest().unwrap();
+        assert_eq!(ck.stats.reused, 0, "every page moved");
+        assert_eq!(ck.image.len(), store.get(0).unwrap().image.len() + 3);
+        assert_eq!(ck.image.to_bytes()[..3], *b"v2!");
     }
 
     #[test]

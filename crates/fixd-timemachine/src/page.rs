@@ -3,7 +3,11 @@
 //! A process state snapshot (an opaque byte image) is chunked into
 //! fixed-size pages interned in a shared [`PageStore`] keyed by a 64-bit
 //! content hash. Building checkpoint *k+1* from checkpoint *k* reuses
-//! every page whose content is unchanged — the user-level analogue of
+//! every page whose content is unchanged, and finds those the cheap
+//! way: each chunk of the new snapshot is compared with the page
+//! checkpoint *k* holds at the same offset, and only chunks that differ
+//! are hashed and looked up in the store
+//! ([`PagedImage::from_bytes_after`]) — the user-level analogue of
 //! the kernel-level copy-on-write "shadow process" mechanism of
 //! Flashback and of the speculation checkpoints of \[6\], which
 //! experiment **F2** measures against eager full copies. Content

@@ -79,7 +79,7 @@ pub fn coordinated_snapshot_in(
     GlobalCheckpoint {
         at: world.now(),
         ckpts: (0..world.num_procs())
-            .map(|i| world.checkpoint_process_in(Pid(i as u32), store, page_size))
+            .map(|i| world.checkpoint_process_in(Pid(i as u32), store, page_size, None))
             .collect(),
         inflight: world.inflight_messages(),
         timers: world.pending_timers(),
