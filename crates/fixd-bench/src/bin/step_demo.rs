@@ -34,42 +34,10 @@
 //!
 //! [`StepArena`]: fixd_runtime::ArenaStats
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use fixd_bench::{alloc_events, CountingAlloc};
 use fixd_runtime::{Context, Message, Payload, Pid, Program, TimerId, World, WorldConfig};
-
-/// Allocation *events* (alloc + alloc_zeroed + realloc), maintained by
-/// [`CountingAlloc`]. Counts, not bytes: the gate is "the steady-state
-/// step loop does not call the allocator", and a count catches even a
-/// 1-byte slip that a byte-threshold would hide.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// A counting wrapper over the system allocator. Frees are not
-/// counted — recycling is about *not allocating*, and a free in the
-/// hot loop would imply a paired allocation somewhere anyway.
-struct CountingAlloc;
-
-// SAFETY: delegates every operation to `System` unchanged; only the
-// event counter is maintained on the side.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout)
-    }
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(p, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -181,10 +149,10 @@ fn run_once(seed: u64, clone_baseline: bool) -> RunResult {
         black_box(&rec);
         steps += 1;
         if steps == WARM_STEPS {
-            window_open = ALLOCS.load(Ordering::Relaxed);
+            window_open = alloc_events();
         }
     }
-    let window_close = ALLOCS.load(Ordering::Relaxed);
+    let window_close = alloc_events();
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
     assert!(steps > WARM_STEPS, "workload must outlast the warm-up");
     let pay = w.payload_stats();

@@ -5,7 +5,49 @@
 //! the criterion benches and the printed tables measure the same
 //! workloads.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use fixd_runtime::{Context, Message, NetworkConfig, Pid, Program, World, WorldConfig};
+
+/// Allocation *events* (alloc + alloc_zeroed + realloc), maintained by
+/// [`CountingAlloc`]. Counts, not bytes: the gates built on this are
+/// "this loop does not call the allocator" (`step_demo`) and "this
+/// operation calls it exactly once" (`tests/clock_allocs.rs`), and a
+/// count catches even a 1-byte slip that a byte-threshold would hide.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// A counting wrapper over the system allocator; a binary or test
+/// installs it with `#[global_allocator]` and reads [`alloc_events`].
+/// Frees are not counted — recycling is about *not allocating*, and a
+/// free in a hot loop would imply a paired allocation somewhere anyway.
+pub struct CountingAlloc;
+
+// SAFETY: delegates every operation to `System` unchanged; only the
+// event counter is maintained on the side.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout)
+    }
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(p, layout, new_size)
+    }
+}
+
+/// Allocation events since process start, on every thread (zero
+/// forever unless [`CountingAlloc`] is the global allocator).
+pub fn alloc_events() -> u64 {
+    ALLOCS.load(Ordering::Relaxed)
+}
 
 /// A gossip workload: P0 seeds `ttl`-hop rumors to every neighbor; each
 /// receipt mutates a `state_size`-byte buffer sparsely and forwards until

@@ -1,0 +1,72 @@
+//! The vector clock's allocation claims, counted: mutating a spilled
+//! clock through its only handle never calls the allocator, mutating it
+//! through one of several calls it exactly once (the copy-on-write
+//! copy — one block, not a buffer plus a header), and handing the clock
+//! on never does.
+//!
+//! One `#[test]` on purpose: the counter is process-wide, and a second
+//! test running on another thread would count into this one's windows.
+
+use fixd_bench::{alloc_events, CountingAlloc};
+use fixd_runtime::{Pid, VectorClock};
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocation events `f` causes.
+fn allocs(f: impl FnOnce()) -> u64 {
+    let before = alloc_events();
+    f();
+    alloc_events() - before
+}
+
+#[test]
+fn clock_ops_allocate_only_the_copy_on_write_copy() {
+    // `steady-wide`'s width: a 96-component clock over the even pids.
+    let pairs = |count: u64| (0..96u32).map(|i| (2 * i, count)).collect::<Vec<_>>();
+    let subset = VectorClock::from_pairs(pairs(7).into_iter().step_by(3).collect());
+    let mut new_pids = pairs(7);
+    new_pids.extend([(1, 1), (95, 1), (301, 1)]);
+    let superset = VectorClock::from_pairs(new_pids);
+    let mut vc = VectorClock::from_pairs(pairs(5));
+
+    // Sole holder: tick and merge of a subset write in place.
+    assert_eq!(allocs(|| _ = vc.tick(Pid(40))), 0);
+    assert_eq!(allocs(|| vc.merge(&subset)), 0);
+    assert_eq!(vc.get(Pid(6)), 7, "the merge did raise components");
+
+    // Handing the clock on is a refcount bump.
+    let mut held = VectorClock::ZERO;
+    assert_eq!(allocs(|| held = vc.clone()), 0);
+    assert!(held.shares_storage_with(&vc));
+
+    // Shared, nothing new to learn: no copy at all.
+    assert_eq!(allocs(|| vc.merge(&subset)), 0);
+    assert!(held.shares_storage_with(&vc));
+
+    // Shared and written: exactly the copy, in one block.
+    assert_eq!(allocs(|| _ = vc.tick(Pid(40))), 1);
+    assert!(!held.shares_storage_with(&vc));
+    held = vc.clone();
+    let ahead = VectorClock::from_pairs(pairs(9));
+    assert_eq!(allocs(|| vc.merge(&ahead)), 1);
+    assert_eq!((vc.get(Pid(0)), held.get(Pid(0))), (9, 7));
+
+    // New pids: one block for the grown clock, shared or not.
+    held = vc.clone();
+    assert_eq!(allocs(|| vc.merge(&superset)), 1);
+    assert_eq!(vc.nnz(), 99);
+    let mut sole = VectorClock::from_pairs(pairs(5));
+    assert_eq!(allocs(|| sole.merge(&superset)), 1);
+    assert_eq!(sole.nnz(), 99);
+
+    // A pooled shell that solely holds a big enough buffer is
+    // re-stamped in place; afterwards the source is still sole holder
+    // of its own buffer, so its next tick is free too.
+    let mut shell = VectorClock::from_pairs(superset.entries().map(|(p, _)| (p.0, 1)).collect());
+    assert_eq!(allocs(|| shell.clone_from(&sole)), 0);
+    assert!(!shell.shares_storage_with(&sole));
+    assert_eq!(shell, sole);
+    assert_eq!(allocs(|| _ = sole.tick(Pid(40))), 0);
+    drop(held);
+}

@@ -59,8 +59,9 @@ pub struct ArenaStats {
     /// Randoms draw buffers currently resting in the pool.
     pub randoms_pooled: usize,
     /// Estimated heap bytes pinned by pooled message shells (`Arc`
-    /// header + shell + retained spilled-clock capacity; payloads are
-    /// released on recycle).
+    /// header + shell + the spilled clock each solely holds — a buffer
+    /// some other holder shares is let go on recycle, so none is counted
+    /// twice; payloads are released on recycle too).
     pub msg_bytes: usize,
     /// Estimated heap bytes pinned by pooled record shells (effects are
     /// stripped out on recycle, so this is header + shell).
@@ -124,7 +125,7 @@ impl StepArena {
         let msg_bytes = self
             .msgs
             .iter()
-            .map(|m| ARC_HEADER + std::mem::size_of::<Message>() + m.vc.heap_bytes())
+            .map(|m| ARC_HEADER + std::mem::size_of::<Message>() + m.vc.resident_bytes())
             .sum::<usize>()
             + self.msgs.capacity() * std::mem::size_of::<Arc<Message>>();
         let record_bytes = self.records.len() * (ARC_HEADER + std::mem::size_of::<StepRecord>())
@@ -172,8 +173,9 @@ impl StepArena {
     // -- messages ------------------------------------------------------
 
     /// Build a stamped message, reusing a pooled shell when one exists
-    /// (the shell's clock keeps its spilled `Vec` capacity across
-    /// reuse, so re-stamping is also allocation-free for wide clocks).
+    /// (the shell's clock keeps the spilled buffer it solely holds
+    /// across reuse, so re-stamping is also allocation-free for wide
+    /// clocks). A fresh shell's clock is a handle on `vc`'s buffer.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn make_message(
         &mut self,
@@ -228,8 +230,10 @@ impl StepArena {
             return false;
         }
         // Release the payload bytes now (they may alias a large shared
-        // buffer); keep the clock for its capacity.
+        // buffer); keep the clock's buffer for its capacity unless some
+        // other holder (the sender, a checkpoint) still shares it.
         m.payload = Payload::empty();
+        m.vc.release_shared();
         self.msgs.push(arc);
         true
     }
@@ -347,5 +351,55 @@ impl StepArena {
         let give = donor.msgs.len().min(room);
         let at = donor.msgs.len() - give;
         self.msgs.extend(donor.msgs.drain(at..));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fresh shell's clock is a handle on the sender's buffer. On
+    /// recycle the shell keeps that buffer only if nobody else holds it
+    /// any more, so the census counts each pooled buffer exactly once.
+    #[test]
+    fn recycled_shell_never_pins_a_shared_clock_buffer() {
+        let mut arena = StepArena::new();
+        let sender = VectorClock::from_vec(vec![1; 8]);
+        let send = |arena: &mut StepArena, vc: &VectorClock| {
+            arena.make_message(
+                1,
+                Pid(0),
+                Pid(1),
+                0,
+                Payload::empty(),
+                0,
+                vc,
+                crate::event::MsgMeta::default(),
+            )
+        };
+
+        // The sender still holds the buffer: the shell lets go of it.
+        let msg = send(&mut arena, &sender);
+        assert!(msg.vc.shares_storage_with(&sender));
+        assert!(arena.recycle_message(msg));
+        let pooled = arena.stats();
+        assert_eq!(pooled.msgs_pooled, 1);
+
+        // Re-stamped from the pool (a zero clock has no buffer to copy
+        // into, so it shares again); this time the sender lets go first
+        // and the shell, now sole holder, keeps the buffer.
+        let msg = send(&mut arena, &sender);
+        assert_eq!(arena.stats().msgs_recycled, 1);
+        let bytes = sender.resident_bytes();
+        drop(sender);
+        assert!(arena.recycle_message(msg));
+        assert_eq!(arena.stats().msg_bytes, pooled.msg_bytes + bytes);
+
+        // And the kept buffer is what makes the next stamp copy in
+        // place instead of sharing.
+        let next = VectorClock::from_vec(vec![2; 8]);
+        let msg = send(&mut arena, &next);
+        assert_eq!(msg.vc, next);
+        assert!(!msg.vc.shares_storage_with(&next));
     }
 }

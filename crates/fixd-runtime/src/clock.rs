@@ -14,10 +14,22 @@
 //! world. That is what lets a message or scroll entry in a 10^6-process
 //! world carry a clock of a handful of entries instead of an 8 MB vector,
 //! and it is the load-bearing change behind the `scale_demo` gate
-//! (steps/sec independent of world width). All operations keep semantics
-//! identical to the classic dense fixed-width implementation; the
-//! equivalence is pinned by a property test against a dense reference
-//! model in `tests/prop_runtime.rs`.
+//! (steps/sec independent of world width).
+//!
+//! Past the inline tier the pairs sit in an immutable shared buffer and
+//! the clock is a **copy-on-write handle** on it: `clone` bumps a
+//! refcount, `tick`/`merge` write in place through the only handle and
+//! copy once through one of several. A message, the checkpoint taken
+//! before its delivery and the Scroll entry of the step that sent it are
+//! then three handles on one buffer instead of three copies of it.
+//! Handles are values — no write is ever visible through another handle
+//! — and `Send + Sync` like the `Arc` inside them.
+//!
+//! All operations keep semantics identical to the classic dense
+//! fixed-width implementation; the equivalence is pinned by a property
+//! test against a dense reference model in `tests/prop_runtime.rs`.
+
+use std::sync::Arc;
 
 use crate::Pid;
 
@@ -68,9 +80,9 @@ pub enum Causality {
     Concurrent,
 }
 
-/// Pairs held inline before spilling to a heap vector. Three pairs cover
-/// the overwhelmingly common case (a process that has only exchanged
-/// messages with one or two peers) without any allocation.
+/// Pairs held inline before spilling to a shared heap buffer. Three
+/// pairs cover the overwhelmingly common case (a process that has only
+/// exchanged messages with one or two peers) without any allocation.
 ///
 /// Capacity picked from measured delivery censuses (the `clock_nnz`
 /// histogram in `BENCH_scale.json` and the census line `shard_demo`
@@ -78,14 +90,20 @@ pub enum Causality {
 /// clocks (a fourth pair adds only +2.8%, at +12 bytes on *every*
 /// clock — messages, pooled arena shells, records), and in the gossip
 /// workload 9.7% (max nnz 27). Busy processes' clocks spill regardless
-/// of any affordable cap, and once spilled the arena recycles their
-/// heap capacity (`clone_from` reuses the `Vec`, `merge` maxes in
-/// place), so spilling costs no steady-state allocation — the inline
+/// of any affordable cap. A spilled clock is a handle on an immutable
+/// shared buffer: copying it is a refcount bump, mutating it writes in
+/// place when the handle is the only one and copies once otherwise, and
+/// the arena's recycled shells copy into the buffer they solely hold
+/// (`clone_from`). So spilling costs no steady-state allocation on the
+/// bare path and one copy per delivery under supervision — the inline
 /// tier only needs to catch protocol startup and sparse edges, which
 /// three pairs do.
 pub const INLINE_PAIRS: usize = 3;
 
-/// Sparse storage: either a few inline pairs or a sorted heap vector.
+/// One nonzero component.
+type Pair = (u32, u64);
+
+/// Sparse storage: either a few inline pairs or a shared sorted buffer.
 /// Invariant (both variants): pids strictly increasing, all counts > 0.
 #[derive(Clone, Debug)]
 enum Repr {
@@ -94,7 +112,12 @@ enum Repr {
         pids: [u32; INLINE_PAIRS],
         counts: [u64; INLINE_PAIRS],
     },
-    Heap(Vec<(u32, u64)>),
+    /// `buf[..len]` are the pairs; `buf[len..]` is spare capacity with
+    /// unspecified contents. Copy-on-write: a buffer is written only
+    /// through `Arc::get_mut`, i.e. while exactly one handle exists, so
+    /// the pairs another handle sees never change and every handle on
+    /// one buffer carries the same `len`.
+    Heap { len: u32, buf: Arc<[Pair]> },
 }
 
 /// A sparse vector clock over the processes of a world.
@@ -105,32 +128,127 @@ enum Repr {
 /// width, so clocks from worlds of different widths compare meaningfully
 /// (the dense implementation's width-mismatch panic is gone along with
 /// the widths themselves).
+///
+/// A clock is a value: `clone` of a spilled clock shares its buffer, but
+/// no mutation of one handle is ever visible through another.
 #[derive(Debug)]
 pub struct VectorClock {
     repr: Repr,
 }
 
 impl Clone for VectorClock {
+    /// A refcount bump for a spilled clock, a 40-byte copy otherwise.
     fn clone(&self) -> Self {
         Self {
             repr: self.repr.clone(),
         }
     }
 
-    /// Clone into an existing clock, reusing a heap-spilled target's
-    /// `Vec` capacity — the arena's message shells lean on this so a
-    /// recycled send stamps its clock without reallocating.
+    /// Clone into an existing clock. A target that solely holds a large
+    /// enough buffer is overwritten in place and shares nothing with
+    /// `source` afterwards — the arena's pooled message shells lean on
+    /// this, so a recycled send stamps its clock without allocating and
+    /// without making the sender's next `tick` copy. Any other target
+    /// becomes a handle on `source`'s buffer.
     fn clone_from(&mut self, source: &Self) {
-        match (&mut self.repr, &source.repr) {
-            (Repr::Heap(dst), Repr::Heap(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
+        if let (Repr::Heap { len, buf }, Repr::Heap { len: n, buf: src }) =
+            (&mut self.repr, &source.repr)
+        {
+            if let Some(dst) = Arc::get_mut(buf).and_then(|d| d.get_mut(..*n as usize)) {
+                dst.copy_from_slice(&src[..*n as usize]);
+                *len = *n;
+                return;
+            }
         }
+        self.repr = source.repr.clone();
     }
 }
 
 impl Default for VectorClock {
     fn default() -> Self {
         Self::ZERO
+    }
+}
+
+/// First index at or after `from` whose pid is `>= p`. Callers walk two
+/// sorted lists in step; `sparse` says the other list is much the
+/// shorter one, where a binary search per component beats walking every
+/// pair in between (8 pairs into 700: 80 probes, not 700 steps).
+#[inline]
+fn seek(s: &[Pair], mut from: usize, p: u32, sparse: bool) -> usize {
+    if sparse {
+        return from + s[from..].partition_point(|&(q, _)| q < p);
+    }
+    while from < s.len() && s[from].0 < p {
+        from += 1;
+    }
+    from
+}
+
+/// Whether a list of `short` pairs is sparse against one of `long`.
+#[inline]
+fn sparse(short: usize, long: usize) -> bool {
+    short * 16 < long
+}
+
+/// Raise `a`'s components to `b`'s where both have the pid; returns how
+/// many of `b`'s pids `a` lacks.
+fn max_common(a: &mut [Pair], b: &[Pair]) -> usize {
+    let sp = sparse(b.len(), a.len());
+    let (mut i, mut missing) = (0, 0);
+    for &(p, c) in b {
+        i = seek(a, i, p, sp);
+        match a.get_mut(i) {
+            Some((q, d)) if *q == p => {
+                *d = (*d).max(c);
+                i += 1;
+            }
+            _ => missing += 1,
+        }
+    }
+    missing
+}
+
+/// Read-only twin of [`max_common`] for a buffer that may not be
+/// written: how many of `b`'s pids `a` lacks, and whether `b` exceeds
+/// `a` on any pid they share.
+fn survey(a: &[Pair], b: &[Pair]) -> (usize, bool) {
+    let sp = sparse(b.len(), a.len());
+    let (mut i, mut missing, mut exceeds) = (0, 0, false);
+    for &(p, c) in b {
+        i = seek(a, i, p, sp);
+        match a.get(i) {
+            Some(&(q, d)) if q == p => {
+                exceeds |= c > d;
+                i += 1;
+            }
+            _ => missing += 1,
+        }
+    }
+    (missing, exceeds)
+}
+
+/// Second half of an in-place merge: `buf[..len]` already holds `a`
+/// maxed against `b` ([`max_common`]); open gaps for the pids of `b` it
+/// lacks, working from the back so nothing is overwritten before it is
+/// moved. `buf` is exactly `len` + missing long.
+fn insert_missing(buf: &mut [Pair], len: usize, b: &[Pair]) {
+    let (mut i, mut j, mut k) = (len, b.len(), buf.len());
+    // `k == i` once every missing pair is placed: the rest of `a` is
+    // already where it belongs.
+    while k > i {
+        let y = b[j - 1];
+        if i > 0 && buf[i - 1].0 >= y.0 {
+            if buf[i - 1].0 == y.0 {
+                j -= 1;
+            }
+            buf[k - 1] = buf[i - 1];
+            i -= 1;
+        } else {
+            buf[k - 1] = y;
+            j -= 1;
+        }
+        k -= 1;
     }
 }
 
@@ -181,27 +299,45 @@ impl VectorClock {
             });
         }
         pairs.retain(|&(_, c)| c > 0);
-        let mut vc = Self::ZERO;
-        if pairs.len() <= INLINE_PAIRS {
-            if let Repr::Inline { len, pids, counts } = &mut vc.repr {
-                for (i, (p, c)) in pairs.into_iter().enumerate() {
-                    pids[i] = p;
-                    counts[i] = c;
-                    *len += 1;
-                }
-            }
-        } else {
-            vc.repr = Repr::Heap(pairs);
-        }
-        vc
+        Self::from_sorted(&pairs)
     }
 
-    /// The nonzero `(pid, count)` pairs, sorted by pid.
+    /// A clock holding `pairs` (sorted, nonzero), inline when they fit.
+    fn from_sorted(pairs: &[Pair]) -> Self {
+        let n = pairs.len();
+        if n > INLINE_PAIRS {
+            return Self {
+                repr: Repr::Heap {
+                    len: n as u32,
+                    buf: Arc::from(pairs),
+                },
+            };
+        }
+        let (mut pids, mut counts) = ([0; INLINE_PAIRS], [0; INLINE_PAIRS]);
+        for (i, &(p, c)) in pairs.iter().enumerate() {
+            pids[i] = p;
+            counts[i] = c;
+        }
+        Self {
+            repr: Repr::Inline {
+                len: n as u8,
+                pids,
+                counts,
+            },
+        }
+    }
+
+    /// The stored pairs as one slice. An inline clock keeps pids and
+    /// counts in separate arrays (that is what packs it into 40 bytes),
+    /// so its pairs are zipped into the caller's `scratch` first.
     #[inline]
-    pub fn pairs(&self) -> &[(u32, u64)] {
+    fn as_pairs<'a>(&'a self, scratch: &'a mut [Pair; INLINE_PAIRS]) -> &'a [Pair] {
         match &self.repr {
-            Repr::Inline { .. } => &[],
-            Repr::Heap(v) => v,
+            Repr::Inline { len, pids, counts } => {
+                *scratch = std::array::from_fn(|i| (pids[i], counts[i]));
+                &scratch[..*len as usize]
+            }
+            Repr::Heap { len, buf } => &buf[..*len as usize],
         }
     }
 
@@ -210,22 +346,12 @@ impl VectorClock {
         ClockIter { vc: self, i: 0 }
     }
 
-    /// Heap bytes this clock retains beyond its inline footprint — the
-    /// spilled vector's capacity (arena shells keep it across reuse, so
-    /// it counts toward pool resident bytes).
-    pub fn heap_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Inline { .. } => 0,
-            Repr::Heap(v) => v.capacity() * std::mem::size_of::<(u32, u64)>(),
-        }
-    }
-
     /// Number of nonzero components (the clock's causal footprint).
     #[inline]
     pub fn nnz(&self) -> usize {
         match &self.repr {
             Repr::Inline { len, .. } => *len as usize,
-            Repr::Heap(v) => v.len(),
+            Repr::Heap { len, .. } => *len as usize,
         }
     }
 
@@ -233,6 +359,68 @@ impl VectorClock {
     #[inline]
     pub fn is_zero(&self) -> bool {
         self.nnz() == 0
+    }
+
+    /// Heap bytes this clock's pairs occupy beyond its inline footprint:
+    /// zero up to [`INLINE_PAIRS`] components, 16 per component past
+    /// that. A function of the value alone — not of how much capacity
+    /// the buffer happens to have, nor of how many handles share it — so
+    /// equal clocks report equal bytes (spill thresholds, the arena
+    /// census and cross-executor comparisons rely on that).
+    pub fn resident_bytes(&self) -> usize {
+        match self.nnz() {
+            n if n > INLINE_PAIRS => n * std::mem::size_of::<Pair>(),
+            _ => 0,
+        }
+    }
+
+    /// Whether two spilled clocks are handles on the same buffer (and so
+    /// cost their footprint once). Test probe: the answer is about
+    /// storage, not value — equal clocks may well not share.
+    #[doc(hidden)]
+    pub fn shares_storage_with(&self, other: &VectorClock) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Heap { buf: a, .. }, Repr::Heap { buf: b, .. }) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Let go of a buffer some other handle also holds, becoming the
+    /// zero clock; a solely held buffer is kept for its capacity. The
+    /// arena calls this on recycle so a pooled shell never pins a buffer
+    /// a Scroll entry or checkpoint owns (and never counts it twice).
+    pub(crate) fn release_shared(&mut self) {
+        if matches!(&self.repr, Repr::Heap { buf, .. } if Arc::strong_count(buf) > 1) {
+            *self = Self::ZERO;
+        }
+    }
+
+    /// The spilled pairs, writable, grown by `extra` unwritten slots at
+    /// the end: in place when this handle is the only one and the
+    /// capacity is there, otherwise in a fresh exact-fit buffer (the one
+    /// copy of copy-on-write).
+    fn heap_mut(&mut self, extra: usize) -> &mut [Pair] {
+        let Repr::Heap { len, buf } = &mut self.repr else {
+            unreachable!("heap_mut is only called on a spilled clock");
+        };
+        let n = *len as usize;
+        let want = n + extra;
+        // A count of one cannot rise under us (nobody else has a handle
+        // to clone, and no `Weak` is ever made), so this plain load
+        // decides; a racing drop elsewhere only costs a spare copy.
+        if buf.len() < want || Arc::strong_count(buf) > 1 {
+            *buf = if extra == 0 {
+                Arc::from(&buf[..n])
+            } else {
+                // One allocation: `Arc<[T]>` collects an exact-size
+                // iterator straight into its own block.
+                let mut grown: Arc<[Pair]> = (0..want).map(|_| (0, 0)).collect();
+                Arc::get_mut(&mut grown).expect("fresh buffer")[..n].copy_from_slice(&buf[..n]);
+                grown
+            };
+        }
+        *len = want as u32;
+        &mut Arc::get_mut(buf).expect("sole handle: counted or just copied")[..want]
     }
 
     /// Position of `p` among the stored pairs, or where it would insert.
@@ -252,152 +440,155 @@ impl VectorClock {
                 }
                 Err(len)
             }
-            Repr::Heap(v) => v.binary_search_by_key(&p, |&(q, _)| q),
+            Repr::Heap { len, buf } => buf[..*len as usize].binary_search_by_key(&p, |&(q, _)| q),
         }
     }
 
     /// Component for process `p` (zero if never observed).
     #[inline]
     pub fn get(&self, p: Pid) -> u64 {
-        match (&self.repr, self.find(p.0)) {
-            (Repr::Inline { counts, .. }, Ok(i)) => counts[i],
-            (Repr::Heap(v), Ok(i)) => v[i].1,
-            (_, Err(_)) => 0,
+        self.find(p.0).map_or(0, |i| self.count_at(i))
+    }
+
+    /// The stored count at position `i`.
+    #[inline]
+    fn count_at(&self, i: usize) -> u64 {
+        match &self.repr {
+            Repr::Inline { counts, .. } => counts[i],
+            Repr::Heap { buf, .. } => buf[i].1,
         }
     }
 
-    /// Set component `p` to `c` (`c` is never smaller than the stored
-    /// value on the paths that use this). Internal helper for tick/merge.
-    fn set_at(&mut self, slot: Result<usize, usize>, p: u32, c: u64) {
-        match (&mut self.repr, slot) {
-            (Repr::Inline { counts, .. }, Ok(i)) => counts[i] = c,
-            (Repr::Heap(v), Ok(i)) => v[i].1 = c,
-            (Repr::Inline { len, pids, counts }, Err(i)) => {
+    /// The stored count at position `i`, writable (the copy-on-write
+    /// copy happens here for a shared spilled clock).
+    #[inline]
+    fn count_mut(&mut self, i: usize) -> &mut u64 {
+        if let Repr::Heap { .. } = self.repr {
+            return &mut self.heap_mut(0)[i].1;
+        }
+        let Repr::Inline { counts, .. } = &mut self.repr else {
+            unreachable!("spilled clocks returned above");
+        };
+        &mut counts[i]
+    }
+
+    /// Insert the new component `(p, c)` at position `i`.
+    fn insert_at(&mut self, i: usize, p: u32, c: u64) {
+        match &mut self.repr {
+            Repr::Inline { len, pids, counts } => {
                 let n = *len as usize;
                 if n < INLINE_PAIRS {
                     // Shift the tail right and insert in place.
-                    for j in (i..n).rev() {
-                        pids[j + 1] = pids[j];
-                        counts[j + 1] = counts[j];
-                    }
+                    pids.copy_within(i..n, i + 1);
+                    counts.copy_within(i..n, i + 1);
                     pids[i] = p;
                     counts[i] = c;
                     *len += 1;
                 } else {
                     // Spill to the heap, inserting the new pair on the way.
-                    let mut v = Vec::with_capacity(INLINE_PAIRS * 2);
-                    v.extend(pids[..i].iter().copied().zip(counts[..i].iter().copied()));
-                    v.push((p, c));
-                    v.extend(pids[i..n].iter().copied().zip(counts[i..n].iter().copied()));
-                    self.repr = Repr::Heap(v);
+                    let mut out = [(p, c); INLINE_PAIRS + 1];
+                    for k in 0..n {
+                        out[k + usize::from(k >= i)] = (pids[k], counts[k]);
+                    }
+                    *self = Self::from_sorted(&out);
                 }
             }
-            (Repr::Heap(v), Err(i)) => v.insert(i, (p, c)),
+            Repr::Heap { len, .. } => {
+                let n = *len as usize;
+                let buf = self.heap_mut(1);
+                buf.copy_within(i..n, i + 1);
+                buf[i] = (p, c);
+            }
         }
     }
 
     /// Increment the component of process `p` (local event rule).
     #[inline]
     pub fn tick(&mut self, p: Pid) -> u64 {
-        let slot = self.find(p.0);
-        let c = match (&mut self.repr, slot) {
-            (Repr::Inline { counts, .. }, Ok(i)) => {
-                counts[i] += 1;
-                return counts[i];
+        match self.find(p.0) {
+            Ok(i) => {
+                let c = self.count_mut(i);
+                *c += 1;
+                *c
             }
-            (Repr::Heap(v), Ok(i)) => {
-                v[i].1 += 1;
-                return v[i].1;
+            Err(i) => {
+                self.insert_at(i, p.0, 1);
+                1
             }
-            _ => 1,
-        };
-        self.set_at(slot, p.0, c);
-        c
+        }
+    }
+
+    /// Raise the component of `p` to at least `c`.
+    fn raise(&mut self, p: Pid, c: u64) {
+        match self.find(p.0) {
+            Ok(i) if self.count_at(i) < c => *self.count_mut(i) = c,
+            Ok(_) => {}
+            Err(i) => self.insert_at(i, p.0, c),
+        }
     }
 
     /// Pointwise maximum with `other` (receive rule, without the tick).
+    ///
+    /// Between two spilled clocks, one forward two-pointer pass maxes
+    /// the shared pids in place and counts the pids `self` lacks; none
+    /// lacking — the steady state — ends there, otherwise the buffer
+    /// grows once (if it must) and a backward pass slots them in.
+    /// Through one of several handles the first pass only reads: if
+    /// `other` brings nothing new nothing is copied, otherwise the one
+    /// copy is made already sized for the pids to come and the same two
+    /// passes run on it. An inline clock on either side is at most three
+    /// pairs, raised one by one into the other side.
     pub fn merge(&mut self, other: &VectorClock) {
-        if other.is_zero() {
+        let Repr::Heap { len: m, buf: b } = &other.repr else {
+            other.entries().for_each(|(p, c)| self.raise(p, c));
+            return;
+        };
+        let Repr::Heap { len, buf } = &mut self.repr else {
+            // Merge commutes: start from a handle on `other`'s buffer.
+            let few = std::mem::replace(self, other.clone());
+            few.entries().for_each(|(p, c)| self.raise(p, c));
+            return;
+        };
+        if Arc::ptr_eq(buf, b) {
             return;
         }
-        if self.is_zero() {
-            *self = other.clone();
-            return;
-        }
-        // Fast path: every component of `other` already present in self —
-        // update in place without rebuilding.
-        let all_present = other.entries().all(|(p, _)| self.find(p.0).is_ok());
-        if all_present {
-            for (p, c) in other.entries() {
-                let slot = self.find(p.0);
-                if let Ok(i) = slot {
-                    match &mut self.repr {
-                        Repr::Inline { counts, .. } => counts[i] = counts[i].max(c),
-                        Repr::Heap(v) => v[i].1 = v[i].1.max(c),
-                    }
-                }
+        let (n, b) = (*len as usize, &b[..*m as usize]);
+        let (missing, copy) = match Arc::get_mut(buf) {
+            Some(own) => (max_common(&mut own[..n], b), false),
+            None => match survey(&buf[..n], b) {
+                (0, false) => return,
+                (missing, _) => (missing, true),
+            },
+        };
+        if copy || missing > 0 {
+            let pairs = self.heap_mut(missing);
+            if copy {
+                max_common(&mut pairs[..n], b);
             }
-            return;
+            insert_missing(pairs, n, b);
         }
-        // General path: merge the two sorted pair lists.
-        let mut out = Vec::with_capacity(self.nnz() + other.nnz());
-        {
-            let mut a = self.entries().peekable();
-            let mut b = other.entries().peekable();
-            loop {
-                match (a.peek().copied(), b.peek().copied()) {
-                    (Some((pa, ca)), Some((pb, cb))) => {
-                        if pa.0 < pb.0 {
-                            out.push((pa.0, ca));
-                            a.next();
-                        } else if pb.0 < pa.0 {
-                            out.push((pb.0, cb));
-                            b.next();
-                        } else {
-                            out.push((pa.0, ca.max(cb)));
-                            a.next();
-                            b.next();
-                        }
-                    }
-                    (Some((pa, ca)), None) => {
-                        out.push((pa.0, ca));
-                        a.next();
-                    }
-                    (None, Some((pb, cb))) => {
-                        out.push((pb.0, cb));
-                        b.next();
-                    }
-                    (None, None) => break,
-                }
-            }
-        }
-        *self = Self::from_pairs(out);
     }
 
     /// `self <= other` pointwise (over the conceptual infinite vectors).
     pub fn leq(&self, other: &VectorClock) -> bool {
-        // Every nonzero component of self must be covered by other.
-        let mut b = other.entries().peekable();
-        for (p, c) in self.entries() {
-            loop {
-                match b.peek().copied() {
-                    Some((q, _)) if q.0 < p.0 => {
-                        b.next();
-                    }
-                    Some((q, d)) if q.0 == p.0 => {
-                        if c > d {
-                            return false;
-                        }
-                        b.next();
-                        break;
-                    }
-                    // other has no component for p (i.e. zero) but self's
-                    // is nonzero.
-                    _ => return false,
-                }
-            }
+        // Every nonzero component of self must be covered by other — so
+        // other needs at least as many of them.
+        if self.nnz() > other.nnz() {
+            return false;
         }
-        true
+        if self.shares_storage_with(other) {
+            return true;
+        }
+        let (mut sa, mut sb) = ([(0, 0); INLINE_PAIRS], [(0, 0); INLINE_PAIRS]);
+        let (a, b) = (self.as_pairs(&mut sa), other.as_pairs(&mut sb));
+        let sp = sparse(a.len(), b.len());
+        let mut j = 0;
+        a.iter().all(|&(p, c)| {
+            j = seek(b, j, p, sp);
+            let covered = matches!(b.get(j), Some(&(q, d)) if q == p && c <= d);
+            j += 1;
+            covered
+        })
     }
 
     /// Full causal comparison.
@@ -421,15 +612,6 @@ impl VectorClock {
     pub fn total(&self) -> u64 {
         self.entries().map(|(_, c)| c).sum()
     }
-
-    /// Approximate resident size of this clock in bytes (accounting
-    /// helper for spill thresholds and benches).
-    pub fn resident_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Inline { .. } => 0,
-            Repr::Heap(v) => v.capacity() * std::mem::size_of::<(u32, u64)>(),
-        }
-    }
 }
 
 struct ClockIter<'a> {
@@ -451,7 +633,7 @@ impl Iterator for ClockIter<'_> {
                     None
                 }
             }
-            Repr::Heap(v) => v.get(i).map(|&(p, c)| (Pid(p), c)),
+            Repr::Heap { len, buf } => buf[..*len as usize].get(i).map(|&(p, c)| (Pid(p), c)),
         }
     }
 }
@@ -461,7 +643,11 @@ impl Iterator for ClockIter<'_> {
 // are the same value (the representation is an implementation detail).
 impl PartialEq for VectorClock {
     fn eq(&self, other: &Self) -> bool {
-        self.nnz() == other.nnz() && self.entries().eq(other.entries())
+        if self.shares_storage_with(other) {
+            return true;
+        }
+        let (mut sa, mut sb) = ([(0, 0); INLINE_PAIRS], [(0, 0); INLINE_PAIRS]);
+        self.as_pairs(&mut sa) == other.as_pairs(&mut sb)
     }
 }
 
@@ -601,6 +787,87 @@ mod tests {
         assert_eq!(z, c);
         c.merge(&VectorClock::ZERO);
         assert_eq!(z, c);
+    }
+
+    /// Missing pids at the front, middle and back of the target, into
+    /// a solely held buffer (in place, growing once) and into a shared
+    /// one (copied once, already sized for the result) — same value
+    /// either way, and the other holder of the shared buffer sees
+    /// nothing.
+    #[test]
+    fn merge_slots_missing_pids_in_at_front_middle_and_back() {
+        let target = || VectorClock::from_pairs(vec![(10, 1), (20, 5), (30, 1), (40, 1)]);
+        let other = VectorClock::from_pairs(vec![(5, 2), (20, 3), (25, 4), (30, 9), (50, 6)]);
+        let want = VectorClock::from_pairs(vec![
+            (5, 2),
+            (10, 1),
+            (20, 5),
+            (25, 4),
+            (30, 9),
+            (40, 1),
+            (50, 6),
+        ]);
+        let mut unique = target();
+        unique.merge(&other);
+        assert_eq!(unique, want);
+        let mut shared = target();
+        let holder = shared.clone();
+        shared.merge(&other);
+        assert_eq!(shared, want);
+        assert_eq!(holder, target());
+        assert!(!shared.shares_storage_with(&holder));
+    }
+
+    #[test]
+    fn spilled_clocks_share_until_written() {
+        let a = VectorClock::from_vec(vec![1, 2, 3, 4, 5]);
+        let mut b = a.clone();
+        assert!(a.shares_storage_with(&b), "clone is a handle");
+        // Nothing new: no copy, still shared.
+        b.merge(&a);
+        b.merge(&VectorClock::from_vec(vec![1, 1]));
+        assert!(a.shares_storage_with(&b));
+        // A write copies once; the source never sees it.
+        assert_eq!(b.tick(Pid(2)), 4);
+        assert!(!a.shares_storage_with(&b));
+        assert_eq!(a.get(Pid(2)), 3);
+        // Merging into zero adopts the buffer.
+        let mut z = VectorClock::ZERO;
+        z.merge(&a);
+        assert!(z.shares_storage_with(&a));
+        // Inline clocks have no storage to share.
+        let i = VectorClock::from_vec(vec![1, 2]);
+        assert!(!i.shares_storage_with(&i.clone()));
+    }
+
+    #[test]
+    fn clone_from_copies_into_a_sole_holder_and_shares_otherwise() {
+        let src = VectorClock::from_vec(vec![1, 2, 3, 4]);
+        // Sole holder with room (6 >= 4): overwritten in place.
+        let mut shell = VectorClock::from_vec(vec![9; 6]);
+        shell.clone_from(&src);
+        assert_eq!(shell, src);
+        assert!(!shell.shares_storage_with(&src));
+        // ... and the capacity outlives the shorter value.
+        let wide = VectorClock::from_vec(vec![7; 6]);
+        shell.clone_from(&wide);
+        assert_eq!(shell, wide);
+        assert!(!shell.shares_storage_with(&wide));
+        // Shared target: the other holder keeps its value.
+        let mut shared = VectorClock::from_vec(vec![9; 6]);
+        let holder = shared.clone();
+        shared.clone_from(&src);
+        assert!(shared.shares_storage_with(&src));
+        assert_eq!(holder, VectorClock::from_vec(vec![9; 6]));
+        // Too small a buffer: share.
+        let mut small = VectorClock::from_vec(vec![1; 4]);
+        small.clone_from(&wide);
+        assert!(small.shares_storage_with(&wide));
+        // release_shared keeps a solely held buffer, drops a shared one.
+        small.release_shared();
+        assert!(small.is_zero());
+        shell.release_shared();
+        assert_eq!(shell, wide);
     }
 
     #[test]

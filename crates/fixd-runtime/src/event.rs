@@ -325,24 +325,30 @@ impl Effects {
 
     /// Stable fingerprint of the effects, used to validate replay fidelity:
     /// a faithful replay must reproduce byte-identical effects.
+    ///
+    /// FNV-1a over the encoding `put_varint`/`put_u64s`/`put_bytes`
+    /// would stage (send count and content fingerprints, timers set,
+    /// randoms, outputs, crashed flag), hashed as it is produced — the
+    /// Scroll calls this on every observed step, so nothing is staged.
     pub fn fingerprint(&self) -> u64 {
-        let mut buf = Vec::new();
-        wire::put_varint(&mut buf, self.sends.len() as u64);
+        use wire::fnv1a_varint as varint;
+        let mut h = varint(wire::fnv1a(&[]), self.sends.len() as u64);
         for m in &self.sends {
-            wire::put_varint(&mut buf, m.content_fingerprint());
+            h = varint(h, m.content_fingerprint());
         }
-        wire::put_varint(&mut buf, self.timers_set.len() as u64);
+        h = varint(h, self.timers_set.len() as u64);
         for (t, at) in &self.timers_set {
-            wire::put_varint(&mut buf, t.0);
-            wire::put_varint(&mut buf, *at);
+            h = varint(varint(h, t.0), *at);
         }
-        wire::put_u64s(&mut buf, self.randoms.as_slice());
-        wire::put_varint(&mut buf, self.outputs.len() as u64);
+        let randoms = self.randoms.as_slice();
+        h = randoms
+            .iter()
+            .fold(varint(h, randoms.len() as u64), |h, &r| varint(h, r));
+        h = varint(h, self.outputs.len() as u64);
         for o in &self.outputs {
-            wire::put_bytes(&mut buf, o);
+            h = fixd_store::fnv1a_extend(varint(h, o.len() as u64), o);
         }
-        buf.push(u8::from(self.crashed));
-        wire::fnv1a(&buf)
+        fixd_store::fnv1a_extend(h, &[u8::from(self.crashed)])
     }
 }
 
@@ -399,6 +405,74 @@ mod tests {
             wire::put_varint(&mut buf, u64::from(m.tag));
             wire::put_bytes(&mut buf, &m.payload);
             assert_eq!(m.content_fingerprint(), wire::fnv1a(&buf), "case {case}");
+        }
+    }
+
+    /// Same for a whole effects body: the streamed fingerprint equals
+    /// the hash of the encoding it used to stage in a `Vec`.
+    #[test]
+    fn effects_fingerprint_matches_buffered_encoding() {
+        let mut rng = crate::rng::DetRng::derive(0xEFF, 0);
+        let bytes = |rng: &mut crate::rng::DetRng, len: usize| -> Vec<u8> {
+            (0..len).map(|_| rng.next_u64() as u8).collect()
+        };
+        for case in 0..240 {
+            // Cases 0..4 pin the corners; the rest draw 0/1/many of each.
+            let many = |rng: &mut crate::rng::DetRng| match rng.below(3) {
+                0 => 0,
+                1 => 1,
+                _ => 2 + rng.below(6) as usize,
+            };
+            let mut e = Effects::default();
+            if case != 0 {
+                for _ in 0..many(&mut rng) {
+                    let len = rng.below(200) as usize;
+                    let payload = bytes(&mut rng, len);
+                    let (src, dst) = (rng.next_u64() as u32, rng.below(1 << 20) as u32);
+                    e.sends.push(SharedMessage::new(msg(
+                        src,
+                        dst,
+                        rng.next_u64() as u16,
+                        &payload,
+                    )));
+                }
+                for _ in 0..many(&mut rng) {
+                    let at = rng.next_u64() >> rng.below(64);
+                    e.timers_set.push((TimerId(rng.below(500)), at));
+                }
+                let draws: Vec<u64> = (0..many(&mut rng))
+                    .map(|_| rng.next_u64() >> rng.below(64))
+                    .collect();
+                if !draws.is_empty() {
+                    e.randoms = Randoms::from_shell(std::sync::Arc::new(draws));
+                }
+                for _ in 0..many(&mut rng) {
+                    let len = match case {
+                        1 => 0,
+                        2 => 20_000,
+                        _ => rng.below(300) as usize,
+                    };
+                    e.outputs.push(bytes(&mut rng, len).into());
+                }
+                e.crashed = case == 3 || rng.below(4) == 0;
+            }
+            let mut buf = Vec::new();
+            wire::put_varint(&mut buf, e.sends.len() as u64);
+            for m in &e.sends {
+                wire::put_varint(&mut buf, m.content_fingerprint());
+            }
+            wire::put_varint(&mut buf, e.timers_set.len() as u64);
+            for (t, at) in &e.timers_set {
+                wire::put_varint(&mut buf, t.0);
+                wire::put_varint(&mut buf, *at);
+            }
+            wire::put_u64s(&mut buf, e.randoms.as_slice());
+            wire::put_varint(&mut buf, e.outputs.len() as u64);
+            for o in &e.outputs {
+                wire::put_bytes(&mut buf, o);
+            }
+            buf.push(u8::from(e.crashed));
+            assert_eq!(e.fingerprint(), wire::fnv1a(&buf), "case {case}");
         }
     }
 

@@ -5,7 +5,8 @@ use proptest::prelude::*;
 
 use fixd_runtime::wire;
 use fixd_runtime::{
-    Context, FaultPlan, Message, NetworkConfig, Pid, Program, VectorClock, World, WorldConfig,
+    Context, DetRng, FaultPlan, Message, NetworkConfig, Pid, Program, VectorClock, World,
+    WorldConfig,
 };
 
 /// A gossip-ish program whose behavior depends on payload and RNG, used
@@ -106,71 +107,212 @@ impl DenseClock {
     }
 }
 
-/// One step of a random clock history, applied to both representations.
+/// Clocks the pool-model test keeps alive at once.
+const POOL: usize = 5;
+
+/// One step of a random history over a small pool of clocks, applied to
+/// the sparse clocks and their dense models alike. Slot indices are
+/// taken modulo [`POOL`].
 #[derive(Clone, Debug)]
 enum ClockOp {
-    Tick(u8),
-    Merge(Vec<u64>),
+    /// `pool[i].tick(pid)`.
+    Tick(usize, u8),
+    /// `pool[i].merge(&from_vec(v))`: an outside clock whose pids may
+    /// be missing from the front, middle and back of the target.
+    MergeVec(usize, Vec<u64>),
+    /// `pool[i].merge(&pool[j])`; `i == j` merges a clone of itself
+    /// (identical storage).
+    Merge(usize, usize),
+    /// `pool[k] = pool[i].clone()` (dropping what `k` held).
+    Clone(usize, usize),
+    /// `pool[i].clone_from(&pool[j])`.
+    CloneFrom(usize, usize),
+    /// Drop `pool[i]` and start a fresh zero clock in its place.
+    Reset(usize),
 }
 
 fn clock_ops() -> impl Strategy<Value = Vec<ClockOp>> {
+    let slot = || 0usize..POOL;
     proptest::collection::vec(
         prop_oneof![
-            (0u8..24).prop_map(ClockOp::Tick),
-            proptest::collection::vec(0u64..8, 0..24).prop_map(ClockOp::Merge),
+            (slot(), 0u8..24).prop_map(|(i, p)| ClockOp::Tick(i, p)),
+            (slot(), 0u8..24).prop_map(|(i, p)| ClockOp::Tick(i, p)),
+            (slot(), proptest::collection::vec(0u64..4, 0..24))
+                .prop_map(|(i, v)| ClockOp::MergeVec(i, v)),
+            (slot(), slot()).prop_map(|(i, j)| ClockOp::Merge(i, j)),
+            (slot(), slot()).prop_map(|(k, i)| ClockOp::Clone(k, i)),
+            (slot(), slot()).prop_map(|(i, j)| ClockOp::CloneFrom(i, j)),
+            slot().prop_map(ClockOp::Reset),
         ],
-        0..40,
+        0..80,
     )
+}
+
+/// `pool[i]` mutably and `pool[j]` shared, `i != j`.
+fn pick<T>(pool: &mut [T], i: usize, j: usize) -> (&mut T, &T) {
+    if i < j {
+        let (lo, hi) = pool.split_at_mut(j);
+        (&mut lo[i], &hi[0])
+    } else {
+        let (lo, hi) = pool.split_at_mut(i);
+        (&mut hi[0], &lo[j])
+    }
+}
+
+/// Apply one op to a pool of `(sparse, dense)` pairs.
+fn apply_clock_op(pool: &mut [(VectorClock, DenseClock)], op: &ClockOp) {
+    match op {
+        ClockOp::Tick(i, p) => {
+            let (s, d) = &mut pool[*i];
+            assert_eq!(
+                s.tick(Pid(u32::from(*p))),
+                d.tick(usize::from(*p)),
+                "tick must return the same count"
+            );
+        }
+        ClockOp::MergeVec(i, v) => {
+            let (s, d) = &mut pool[*i];
+            s.merge(&VectorClock::from_vec(v.clone()));
+            d.merge(&DenseClock(v.clone()));
+        }
+        ClockOp::Merge(i, j) if i == j => {
+            let (s, _) = &mut pool[*i];
+            let same = s.clone();
+            s.merge(&same);
+        }
+        ClockOp::Merge(i, j) => {
+            let (dst, src) = pick(pool, *i, *j);
+            dst.0.merge(&src.0);
+            dst.1.merge(&src.1);
+        }
+        ClockOp::Clone(k, i) => pool[*k] = pool[*i].clone(),
+        ClockOp::CloneFrom(i, j) if i == j => {}
+        ClockOp::CloneFrom(i, j) => {
+            let (dst, src) = pick(pool, *i, *j);
+            dst.0.clone_from(&src.0);
+            dst.1 = src.1.clone();
+        }
+        ClockOp::Reset(i) => pool[*i] = Default::default(),
+    }
+}
+
+/// A sparse clock is its dense model: same components (also past both
+/// supports), same footprint, and the same value — `Eq`, `Hash` and
+/// `Display` — as the clock rebuilt from the model, whichever
+/// representation and however shared a buffer either sits in.
+fn assert_is_model(s: &VectorClock, d: &DenseClock) {
+    use std::hash::{Hash, Hasher};
+    for i in 0..d.0.len() + 2 {
+        assert_eq!(s.get(Pid(i as u32)), d.get(i), "component {i}");
+    }
+    assert_eq!(s.nnz(), d.0.iter().filter(|&&c| c != 0).count());
+    assert_eq!(s.total(), d.total());
+    let rebuilt = VectorClock::from_vec(d.0.clone());
+    assert_eq!(s, &rebuilt);
+    assert_eq!(s.to_string(), rebuilt.to_string());
+    let hash = |v: &VectorClock| {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    };
+    assert_eq!(hash(s), hash(&rebuilt));
+    assert_eq!(s.resident_bytes(), rebuilt.resident_bytes());
+}
+
+/// Spilled clocks are handles on shared buffers, and shards pass them
+/// between threads: two workers start from handles on the *same*
+/// buffers and each ticks, merges, clones, overwrites and drops its own
+/// — every copy-on-write decision racing the other worker's refcount
+/// traffic on those buffers. Clocks are values, so neither may ever see
+/// the other's writes: each worker's clocks must equal the dense models
+/// it ran alongside after every op, and the originals must not move.
+#[test]
+fn clock_handles_across_threads_equal_serial_model() {
+    const ROUNDS: usize = 40;
+    const OPS_PER_ROUND: usize = 200;
+    let mut rng = DetRng::derive(0xC10C, 0);
+    let base: Vec<(VectorClock, DenseClock)> = (0..POOL)
+        .map(|k| {
+            // Footprints 0, 3 (inline), then spilled and growing.
+            let v: Vec<u64> = (0..24)
+                .map(|p| u64::from(p % 8 < [0, 1, 3, 5, 8][k]) * (1 + rng.below(3)))
+                .collect();
+            (VectorClock::from_vec(v.clone()), DenseClock(v))
+        })
+        .collect();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for worker in 0..2u64 {
+            let (base, start) = (&base, &start);
+            scope.spawn(move || {
+                let mut rng = DetRng::derive(0xC10C, 1 + worker);
+                let slot = |rng: &mut DetRng| rng.below(POOL as u64) as usize;
+                for _ in 0..ROUNDS {
+                    // Fresh handles on the shared originals, taken and
+                    // first written at the same moment on both threads.
+                    let mut pool = base.clone();
+                    start.wait();
+                    for _ in 0..OPS_PER_ROUND {
+                        let op = match rng.below(7) {
+                            0 | 1 => ClockOp::Tick(slot(&mut rng), rng.below(24) as u8),
+                            2 => ClockOp::MergeVec(
+                                slot(&mut rng),
+                                (0..rng.below(24)).map(|_| rng.below(4)).collect(),
+                            ),
+                            3 => ClockOp::Merge(slot(&mut rng), slot(&mut rng)),
+                            4 => ClockOp::Clone(slot(&mut rng), slot(&mut rng)),
+                            5 => ClockOp::CloneFrom(slot(&mut rng), slot(&mut rng)),
+                            // Back to a handle on a shared original
+                            // rather than to zero: keeps the two
+                            // workers meeting on the same buffers.
+                            _ => {
+                                let i = slot(&mut rng);
+                                pool[i] = base[i].clone();
+                                continue;
+                            }
+                        };
+                        apply_clock_op(&mut pool, &op);
+                        for (s, d) in &pool {
+                            assert_is_model(s, d);
+                        }
+                    }
+                }
+            });
+        }
+    });
+    for (s, d) in &base {
+        assert_is_model(s, d);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The sparse clock is observationally identical to the seed's
-    /// dense representation over arbitrary tick/merge histories:
-    /// same components, same comparisons, same totals, and equal
-    /// sparse clocks whenever the dense models are equal.
+    /// dense representation over arbitrary histories of a small pool of
+    /// clocks — tick, merge from outside and from each other, clone,
+    /// `clone_from`, drop and re-create. Every clock equals its model
+    /// after **every** op, so a clone never sees a later mutation of its
+    /// source and `clone_from` into a shared target never disturbs the
+    /// other holders; pids 0..24 against three inline pairs keep the
+    /// histories crossing the inline/spilled boundary both ways.
     #[test]
-    fn sparse_clock_equals_dense_model(ops_a in clock_ops(), ops_b in clock_ops()) {
-        let run = |ops: &[ClockOp]| {
-            let mut sparse = VectorClock::new(0);
-            let mut dense = DenseClock::default();
-            for op in ops {
-                match op {
-                    ClockOp::Tick(p) => {
-                        let s = sparse.tick(Pid(u32::from(*p)));
-                        let d = dense.tick(usize::from(*p));
-                        assert_eq!(s, d, "tick must return the same count");
-                    }
-                    ClockOp::Merge(v) => {
-                        sparse.merge(&VectorClock::from_vec(v.clone()));
-                        dense.merge(&DenseClock(v.clone()));
-                    }
-                }
+    fn sparse_clock_equals_dense_model(ops in clock_ops()) {
+        let mut pool: Vec<(VectorClock, DenseClock)> = vec![Default::default(); POOL];
+        for op in &ops {
+            apply_clock_op(&mut pool, op);
+            for (s, d) in &pool {
+                assert_is_model(s, d);
             }
-            (sparse, dense)
-        };
-        let (sa, da) = run(&ops_a);
-        let (sb, db) = run(&ops_b);
-
-        // Component-wise agreement (also past both supports).
-        let width = da.0.len().max(db.0.len()) + 2;
-        for i in 0..width {
-            prop_assert_eq!(sa.get(Pid(i as u32)), da.get(i));
-            prop_assert_eq!(sb.get(Pid(i as u32)), db.get(i));
         }
-        // Order and aggregate agreement.
-        prop_assert_eq!(sa.leq(&sb), da.leq(&db));
-        prop_assert_eq!(sb.leq(&sa), db.leq(&da));
-        prop_assert_eq!(sa.concurrent(&sb), !da.leq(&db) && !db.leq(&da));
-        prop_assert_eq!(sa.total(), da.total());
-        // Logical equality is representation-independent.
-        prop_assert_eq!(sa == sb, da.0.iter().sum::<u64>() == db.0.iter().sum::<u64>()
-            && da.leq(&db) && db.leq(&da));
-        // Round-trip through the dense constructor is the identity.
-        prop_assert_eq!(&VectorClock::from_vec(da.0.clone()), &sa);
-        // nnz counts exactly the nonzero dense components.
-        prop_assert_eq!(sa.nnz(), da.0.iter().filter(|&&c| c != 0).count());
+        // Order agreement between every two clocks of the pool.
+        for (sa, da) in &pool {
+            for (sb, db) in &pool {
+                prop_assert_eq!(sa.leq(sb), da.leq(db));
+                prop_assert_eq!(sa.concurrent(sb), !da.leq(db) && !db.leq(da));
+                prop_assert_eq!(sa == sb, da.leq(db) && db.leq(da));
+            }
+        }
     }
 
     /// Same seed ⇒ bit-identical execution, regardless of network mode.
