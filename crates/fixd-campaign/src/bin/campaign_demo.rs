@@ -19,7 +19,12 @@
 //! **modelled** rate from [`fixd_campaign::CellTiming`] — the run's own
 //! measured shard critical path + coordinator time, plus the (serial)
 //! replay-supervision time, the same convention as `BENCH_shard.json`.
-//! The JSON labels which mode gated.
+//! The JSON labels which mode gated. The printed table also says what
+//! the executor's parallel phase cost on this host: conservative
+//! windows per cell (a deterministic count, the same in every sharded
+//! row) and the wall-clock wait per cell that the phase added on top of
+//! its critical path (hand-off, measured); one-shard cells run on the
+//! serial `World` and have neither.
 //!
 //! Run: `cargo run -p fixd-campaign --bin campaign_demo --release`
 
@@ -51,19 +56,25 @@ fn median(xs: &mut [f64]) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// Figures of the wide cells at one shard count: of one round, or the
+/// medians over the rounds.
 struct ShardRow {
     shards: usize,
+    /// Cells/sec.
     measured: f64,
     modelled: f64,
+    windows_per_cell: f64,
+    handoff_ms_per_cell: f64,
 }
 
-/// Run every wide cell at `shards`, returning (outcomes, measured
-/// cells/sec, modelled cells/sec) for one round.
-fn wide_round(shards: usize) -> (Vec<CellOutcome>, f64, f64) {
+/// Run every wide cell at `shards`: the outcomes and the round's row.
+fn wide_round(shards: usize) -> (Vec<CellOutcome>, ShardRow) {
     let spec = wide_matrix_work(WIDE_N, WIDE_SEEDS, WIDE_WORK);
     let cells = spec.cells();
     let t0 = std::time::Instant::now();
     let mut model_secs = 0.0;
+    let mut windows = 0;
+    let mut handoff_secs = 0.0;
     let mut outs = Vec::with_capacity(cells.len());
     for cell in &cells {
         let (out, t) = run_cell_sharded_timed(&spec, cell, shards);
@@ -74,11 +85,20 @@ fn wide_round(shards: usize) -> (Vec<CellOutcome>, f64, f64) {
             out.case
         );
         model_secs += t.exec_secs + t.supervise_secs;
+        windows += t.windows;
+        handoff_secs += t.handoff_secs;
         outs.push(out);
     }
     let wall = t0.elapsed().as_secs_f64().max(1e-9);
     let n = cells.len() as f64;
-    (outs, n / wall, n / model_secs.max(1e-9))
+    let row = ShardRow {
+        shards,
+        measured: n / wall,
+        modelled: n / model_secs.max(1e-9),
+        windows_per_cell: windows as f64 / n,
+        handoff_ms_per_cell: handoff_secs * 1e3 / n,
+    };
+    (outs, row)
 }
 
 fn main() {
@@ -134,10 +154,9 @@ fn main() {
     let mut rows: Vec<ShardRow> = Vec::new();
     let mut want: Option<Vec<CellOutcome>> = None;
     for &shards in SHARD_COUNTS {
-        let mut measured: Vec<f64> = Vec::new();
-        let mut modelled: Vec<f64> = Vec::new();
+        let mut rounds: Vec<ShardRow> = Vec::new();
         for _ in 0..WIDE_ROUNDS {
-            let (outs, m, md) = wide_round(shards);
+            let (outs, row) = wide_round(shards);
             match &want {
                 None => want = Some(outs),
                 Some(w) => assert_eq!(
@@ -146,13 +165,16 @@ fn main() {
                      a speedup that changes the report is a bug"
                 ),
             }
-            measured.push(m);
-            modelled.push(md);
+            rounds.push(row);
         }
+        let over_rounds =
+            |f: fn(&ShardRow) -> f64| median(&mut rounds.iter().map(f).collect::<Vec<_>>());
         rows.push(ShardRow {
             shards,
-            measured: median(&mut measured),
-            modelled: median(&mut modelled),
+            measured: over_rounds(|r| r.measured),
+            modelled: over_rounds(|r| r.modelled),
+            windows_per_cell: over_rounds(|r| r.windows_per_cell),
+            handoff_ms_per_cell: over_rounds(|r| r.handoff_ms_per_cell),
         });
     }
 
@@ -177,11 +199,14 @@ fn main() {
          gating on {gate_mode} cells/sec"
     );
     println!(
-        "{:>7} {:>18} {:>18}",
-        "shards", "measured cells/s", "modelled cells/s"
+        "{:>7} {:>18} {:>18} {:>14} {:>18}",
+        "shards", "measured cells/s", "modelled cells/s", "windows/cell", "hand-off ms/cell"
     );
     for r in &rows {
-        println!("{:>7} {:>18.2} {:>18.2}", r.shards, r.measured, r.modelled);
+        println!(
+            "{:>7} {:>18.2} {:>18.2} {:>14.1} {:>18.2}",
+            r.shards, r.measured, r.modelled, r.windows_per_cell, r.handoff_ms_per_cell
+        );
     }
     println!(
         "speedup 1 → {max_shards} shards ({gate_mode}): {speedup:.2}x (gate ≥ {MIN_SPEEDUP}x)"

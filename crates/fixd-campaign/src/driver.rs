@@ -24,7 +24,15 @@
 //!
 //! Worker threads are budgeted against the shard fan-out
 //! ([`fixd_core::knobs::worker_budget`]): `threads × shards` never
-//! exceeds the configured thread budget.
+//! exceeds the configured thread budget. The product is exact: a
+//! sharded cell occupies `shards` threads, because the campaign worker
+//! that runs the cell executes one of its shards itself and the
+//! executor spawns only the other `shards − 1`, once per cell (see
+//! [`fixd_runtime::shard`]'s "Threads"). Windows in which a single
+//! shard has work run on the campaign worker alone; every other window
+//! costs one wake-up per further busy shard — 55–80 µs of wall clock a
+//! window on the 2-vCPU reference host, reported per cell as
+//! [`CellTiming::handoff_secs`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -79,9 +87,10 @@ pub fn run_campaign_with_threads(spec: &CampaignSpec, threads: usize) -> Campaig
 
 /// Run the whole matrix with explicit worker and per-cell shard counts.
 ///
-/// `threads` is a *budget*: with `shards` worker threads inside every
-/// cell, the outer pool is cut to `threads / shards` so the product
-/// never oversubscribes the requested parallelism.
+/// `threads` is a *budget*: with every cell occupying `shards` threads
+/// (the outer worker running it plus `shards − 1` shard workers), the
+/// outer pool is cut to `threads / shards` so the product never
+/// oversubscribes the requested parallelism.
 pub fn run_campaign_sharded(spec: &CampaignSpec, threads: usize, shards: usize) -> CampaignReport {
     let cells = spec.cells();
     let threads = fixd_core::knobs::worker_budget(threads, shards).clamp(1, cells.len().max(1));
@@ -163,7 +172,7 @@ pub fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellOutcome {
     }
 }
 
-/// Execute one cell on a [`ShardedWorld`] with `shards` workers, then
+/// Execute one cell on a [`ShardedWorld`] with `shards` shards, then
 /// supervise the captured step stream on a serial mirror.
 ///
 /// `shards <= 1` runs the cell inline via [`run_cell`] — the serial path
@@ -171,8 +180,10 @@ pub fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellOutcome {
 ///
 /// 1. the cell's processes populate a sharded world (same
 ///    [`crate::spec::PopulateFn`], so identical pids/topology);
-/// 2. the sharded executor runs to quiescence, capturing every step
-///    record plus the acting process's post-state and vector clock;
+/// 2. the sharded executor runs to quiescence — on this thread and
+///    `shards − 1` workers it spawns for the duration of the run —
+///    capturing every step record plus the acting process's post-state
+///    and vector clock;
 /// 3. a serial mirror world replays that stream under the **real**
 ///    [`Fixd::supervise`] loop — Scroll entries, Time Machine
 ///    checkpoints and monitor evaluations are produced by the same code
@@ -209,6 +220,15 @@ pub struct CellTiming {
     pub supervise_secs: f64,
     /// The cell ran (or fell back to) the canonical serial path.
     pub serial: bool,
+    /// Conservative windows the sharded executor ran — a deterministic
+    /// count, equal at every shard count. Zero for serial cells.
+    pub windows: u64,
+    /// Wall clock the executor's parallel phase took beyond its
+    /// critical path ([`fixd_runtime::ShardTiming`]'s `parallel_wall` −
+    /// `critical`): waking workers, waiting for the slowest shard's
+    /// thread to be scheduled, collecting the shards. Not part of
+    /// `exec_secs`. Zero for serial cells.
+    pub handoff_secs: f64,
 }
 
 /// [`run_cell_sharded`] plus the cell's [`CellTiming`].
@@ -224,6 +244,8 @@ pub fn run_cell_sharded_timed(
             exec_secs: t0.elapsed().as_secs_f64(),
             supervise_secs: 0.0,
             serial: true,
+            windows: 0,
+            handoff_secs: 0.0,
         };
         (out, timing)
     };
@@ -297,6 +319,8 @@ pub fn run_cell_sharded_timed(
         exec_secs,
         supervise_secs,
         serial: false,
+        windows: t.windows,
+        handoff_secs: t.parallel_wall.saturating_sub(t.critical).as_secs_f64(),
     };
     (outcome, timing)
 }

@@ -74,14 +74,17 @@ pub fn shards_from_env() -> Option<usize> {
 
 /// Budget outer worker threads against per-task fan-out.
 ///
-/// When every unit of work spins up `fanout` threads of its own (a
-/// sharded campaign cell runs `FIXD_SHARDS` shard workers), running the
-/// full `threads` workers oversubscribes the machine by a factor of
-/// `fanout`: `FIXD_CAMPAIGN_THREADS × FIXD_SHARDS` threads contend for
-/// `FIXD_CAMPAIGN_THREADS` cores. The fix is to spend the thread budget
-/// on the *product*: at most `threads / fanout` outer workers, never
-/// fewer than one (a fan-out wider than the budget still makes
-/// progress, one cell at a time).
+/// When every unit of work occupies `fanout` threads (a sharded
+/// campaign cell runs on `FIXD_SHARDS` of them: the outer worker
+/// executes one shard itself and spawns `FIXD_SHARDS − 1` shard
+/// workers), running the full `threads` workers oversubscribes the
+/// machine by a factor of `fanout`: `FIXD_CAMPAIGN_THREADS ×
+/// FIXD_SHARDS` threads contend for `FIXD_CAMPAIGN_THREADS` cores. The
+/// fix is to spend the thread budget on the *product*: at most
+/// `threads / fanout` outer workers, never fewer than one (a fan-out
+/// wider than the budget still makes progress, one cell at a time).
+/// The product counts every thread there is: an outer worker is one of
+/// its cell's `fanout`, not a sleeping extra on top of them.
 pub fn worker_budget(threads: usize, fanout: usize) -> usize {
     (threads / fanout.max(1)).max(1)
 }

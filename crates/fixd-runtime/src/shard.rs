@@ -1,6 +1,7 @@
-//! Sharded worlds: the pid space partitioned across worker shards
-//! (threads), each owning its processes' queues, clocks, and scroll
-//! prefixes, with **deterministic cross-shard message handoff**.
+//! Sharded worlds: the pid space partitioned across shards, each
+//! owning its processes' queues, clocks, and scroll prefixes and
+//! executed in parallel with the others, with **deterministic
+//! cross-shard message handoff**.
 //!
 //! ```text
 //!             window [T, T+L)          barrier              next window
@@ -29,14 +30,54 @@
 //! sequence number before the record is merged — valid because every
 //! in-window mint receives a serial seq greater than any pre-window
 //! key at the same timestamp ([`SeqKey`]'s ordering).
+//!
+//! ## Threads
+//!
+//! Which thread executes a shard's window has no bearing on the result
+//! (a window touches nothing outside its shard), so it is purely a
+//! scheduling matter:
+//!
+//! * **Threads are created once per run call.** `run_to_quiescence`,
+//!   `run_supervised` and `run_observed` open one thread scope, spawn
+//!   `shards − 1` workers, and retire them before returning. Between
+//!   windows a worker is parked on a blocking channel receive — it never
+//!   spins, so idle workers cost nothing on hosts with fewer cores than
+//!   shards.
+//! * **The calling thread executes a shard itself.** Per window the
+//!   coordinator finds the shards with work (an event before the window
+//!   end, or committed records their observer has not seen), sends all
+//!   but the lowest-numbered one to their workers — the boxed shard
+//!   travels through the channel *by ownership* and comes back the same
+//!   way, so no worker ever borrows the world — runs the remaining one,
+//!   and collects the others for the barrier. A sharded run therefore
+//!   occupies `shards` threads, not `shards + 1`.
+//! * **A window with at most one busy shard runs inline** on the
+//!   calling thread with no hand-off; so does every window of a
+//!   one-shard world. A shard with no work is not touched at all.
+//! * **A handler panic surfaces on the caller.** Each worker has its own
+//!   channel pair; one that dies mid-window drops its ends, the
+//!   coordinator's receive fails, and the run panics instead of waiting
+//!   for a shard that will never come back.
+//!
+//! A hand-off is a futex wake of a parked thread and, if the worker
+//! finishes last, one of the coordinator: on the 2-vCPU reference host
+//! 55–80 µs of wall clock per handed-off window beyond the window's
+//! critical path, about what spawning a thread costs there (a scope
+//! that spawns and joins two threads: 101–105 µs). What this design
+//! saves over spawning per window is the coordinator working instead
+//! of sleeping, and the lone-shard windows — 20 % of the windows of a
+//! 96-member Chord cell under a one-tick-window network at 2 shards.
+//! [`ShardTiming`] reports the counts and the measured wait.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::ops::{Deref, DerefMut};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::arena::StepArena;
 use crate::calqueue::{CalEntry, CalQueue};
-use std::sync::Arc;
-use std::time::Duration;
 
 use crate::clock::VectorClock;
 use crate::event::{Effects, Event, EventKind, SharedMessage};
@@ -49,10 +90,11 @@ use crate::world::{NetSide, ProcStatus, ReplayStep, RunReport, WorldConfig};
 use crate::{Pid, VTime};
 
 /// Receives each emitted step record (with the target process's vector
-/// clock after the step) on the shard that owns the record's pid — the
-/// hook per-shard scroll recorders implement. Records arrive in the
-/// pid's serial order; cross-pid order within one shard follows the
-/// global merge.
+/// clock after the step) for the pids one shard owns — the hook
+/// per-shard scroll recorders implement. Records arrive in the pid's
+/// serial order; cross-pid order within one shard follows the global
+/// merge. No particular thread is promised: an observer is called by
+/// whichever thread executes its shard at the time, one at a time.
 pub trait ShardObserver: Send {
     fn on_record(&mut self, record: &SharedStepRecord, vc_after: &VectorClock);
 }
@@ -90,7 +132,6 @@ fn thread_cpu_now() -> Duration {
 #[cfg(not(target_os = "linux"))]
 fn thread_cpu_now() -> Duration {
     use std::sync::OnceLock;
-    use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed()
 }
@@ -188,10 +229,12 @@ struct Shard {
     cancelled: HashSet<(u32, u64)>,
     /// Provisional mint counter for the current window.
     prov_next: u64,
-    /// Steps executed this window, in shard-local order.
-    out: Vec<PendingStep>,
+    /// Steps executed this window, in shard-local order; the barrier
+    /// pops them from the front, so the buffer outlives the window.
+    out: VecDeque<PendingStep>,
     /// Committed records owned by this shard, awaiting the observer
-    /// (drained at the next window start, in parallel across shards).
+    /// (drained at the start of the next window by whichever thread
+    /// executes the shard, in parallel across shards).
     sink: Vec<(SharedStepRecord, VectorClock)>,
     /// Per-pid clock value before its first touch this window — the
     /// coordinator's drop-record clock timeline seeds from these.
@@ -211,7 +254,7 @@ impl Shard {
             queue: CalQueue::new(),
             cancelled: HashSet::new(),
             prov_next: 0,
-            out: Vec::new(),
+            out: VecDeque::new(),
             sink: Vec::new(),
             win_vc0: HashMap::new(),
             arena: StepArena::new(),
@@ -288,7 +331,7 @@ impl Shard {
                         // byte-equal between executors.
                         crate::payload::note_aliased(msg.payload.len());
                         let vc_after = observing.then(|| self.table.vc_of(msg.dst).clone());
-                        self.out.push(PendingStep {
+                        self.out.push_back(PendingStep {
                             at: ev.at,
                             key: ev.key,
                             kind: EventKind::Drop { msg },
@@ -315,7 +358,7 @@ impl Shard {
                     // Status-only: a dormant target stays dormant.
                     self.table.set_status(pid, ProcStatus::Crashed);
                     let vc_after = observing.then(|| self.table.vc_of(pid).clone());
-                    self.out.push(PendingStep {
+                    self.out.push_back(PendingStep {
                         at: ev.at,
                         key: ev.key,
                         kind: EventKind::Crash { pid },
@@ -424,7 +467,7 @@ impl Shard {
                 .program
                 .snapshot()
         });
-        self.out.push(PendingStep {
+        self.out.push_back(PendingStep {
             at,
             key,
             kind,
@@ -435,23 +478,79 @@ impl Shard {
     }
 }
 
-/// Wall-clock accounting of one sharded run: per-shard handler time,
-/// the parallel critical path (sum over windows of the slowest shard),
-/// and the serial coordinator time — what a modelled speedup is
-/// computed from on machines with fewer cores than shards.
+/// A shard's home slot in [`ShardedWorld`]. The parallel phase moves a
+/// busy shard out to the worker that executes its window and back again
+/// before the barrier, so everywhere else the slot is full and reads
+/// as the shard itself.
+struct Slot(Option<Box<Shard>>);
+
+impl Deref for Slot {
+    type Target = Shard;
+    fn deref(&self) -> &Shard {
+        self.0
+            .as_deref()
+            .expect("shard is home outside the parallel phase")
+    }
+}
+
+impl DerefMut for Slot {
+    fn deref_mut(&mut self) -> &mut Shard {
+        self.0
+            .as_deref_mut()
+            .expect("shard is home outside the parallel phase")
+    }
+}
+
+/// One shard out for one window, with the observer that drains its
+/// sink. Handed to a worker and handed back **by ownership**, which is
+/// what lets a worker outlive the window without borrowing the world.
+struct Job<'a, O> {
+    shard: Box<Shard>,
+    obs: Option<&'a mut O>,
+    wend: VTime,
+}
+
+/// The coordinator's ends of one worker's two channels. Each worker has
+/// its own pair so that a worker dying mid-window (a handler panic)
+/// disconnects `done` and the coordinator's receive fails instead of
+/// waiting for a shard that will never come back.
+struct Link<'a, O> {
+    job: SyncSender<Job<'a, O>>,
+    done: Receiver<Job<'a, O>>,
+}
+
+/// Accounting of one sharded run: per-shard handler time, the parallel
+/// critical path (sum over windows of the slowest shard) and the serial
+/// coordinator time — what a modelled speedup is computed from on
+/// machines with fewer cores than shards — beside what the parallel
+/// phase really took. The durations are measurements and differ from
+/// run to run; `windows` and `inline_windows` are deterministic
+/// counters.
 #[derive(Clone, Debug)]
 pub struct ShardTiming {
-    /// Total in-window execution time per shard.
+    /// Total in-window execution time per shard (thread-CPU time,
+    /// whichever thread ran the window).
     pub shard_busy: Vec<Duration>,
     /// Sum over windows of the slowest shard's window time — the
-    /// parallel phase's critical path.
+    /// parallel phase's critical path. A shard that sits a window out
+    /// contributes zero to it.
     pub critical: Duration,
     /// Time spent in the serial barrier replay.
     pub coordinator: Duration,
+    /// Conservative windows executed. The window grid is global, so
+    /// this is the same number at every shard count.
+    pub windows: u64,
+    /// Windows in which at most one shard had work and ran on the
+    /// calling thread with no hand-off.
+    pub inline_windows: u64,
+    /// Wall clock of the parallel phase (pool share-out, hand-off,
+    /// execution, collection). `parallel_wall - critical` is the wait
+    /// the phase adds on top of its critical path.
+    pub parallel_wall: Duration,
 }
 
 /// A [`World`]-equivalent simulator that executes windows of events on
-/// `S` worker shards and commits them through a serial `(at, seq)`
+/// `S` shards in parallel and commits them through a serial `(at, seq)`
 /// barrier merge. For any shard count the event sequence, trace, and
 /// observed scroll records are byte-identical to the serial `World`.
 /// See module docs for the discipline.
@@ -464,7 +563,7 @@ pub struct ShardedWorld {
     /// a currently-dead fast link). The actual per-window lookahead is
     /// recomputed each window by [`ShardedWorld::window_end`].
     lat_all: VTime,
-    shards: Vec<Shard>,
+    shards: Vec<Slot>,
     /// Fault-plan partition flips, minted at seal: `(at, seq, next)`,
     /// sorted by `(at, seq)` — coordinator-owned events.
     partition_pending: VecDeque<(VTime, u64, Partition)>,
@@ -480,10 +579,22 @@ pub struct ShardedWorld {
     sealed: bool,
     serial: Duration,
     critical: Duration,
+    parallel_wall: Duration,
+    windows: u64,
+    inline_windows: u64,
     event_batch: Vec<crate::world::QueuedEvent>,
     /// Reusable delivery-plan scratch for the barrier's routing (same
     /// role as the serial world's).
     plan_scratch: Vec<crate::network::DeliveryOutcome>,
+    /// Barrier scratch (all three: empty between windows, capacity
+    /// kept). Provisional-key resolution: per shard, mint index →
+    /// serial scheduling seq.
+    prov_map: Vec<Vec<u64>>,
+    /// Barrier scratch: pid → clock at the current merge position (the
+    /// drop-record clock timeline).
+    vc_at: HashMap<u32, VectorClock>,
+    /// Barrier scratch: route-minted drops awaiting their merge slot.
+    drops: BinaryHeap<DropEvent>,
     /// Mirror supervised-serial message stamping during execution (see
     /// [`Shard::exec`]); enabled by [`ShardedWorld::run_supervised`].
     supervised: bool,
@@ -493,7 +604,7 @@ pub struct ShardedWorld {
     /// Thread-local payload counters at construction (coordinator
     /// thread baseline).
     payload_base: crate::payload::PayloadStats,
-    /// Payload deltas folded in from finished worker threads.
+    /// Payload deltas folded in from retired worker threads.
     payload_accum: crate::payload::PayloadStats,
     /// Coordinator recycling pool: barrier records draw from here, and
     /// trace evictions (the point where the world sees last references)
@@ -519,7 +630,7 @@ impl ShardObserver for NoObserver {
 }
 
 impl ShardedWorld {
-    /// A fresh sharded world with `shards` workers. Panics if the
+    /// A fresh sharded world with `shards` shards. Panics if the
     /// network's minimum delivery latency is zero: the conservative
     /// window needs every send to land strictly after the window it
     /// was made in.
@@ -539,12 +650,13 @@ impl ShardedWorld {
             Some(cap) => Trace::bounded(cap),
             None => Trace::unbounded(),
         };
-        let mut workers: Vec<Shard> = (0..shards)
-            .map(|s| Shard::new(cfg.seed, shards as u32, s as u32))
+        let slots: Vec<Slot> = (0..shards)
+            .map(|s| {
+                let mut sh = Box::new(Shard::new(cfg.seed, shards as u32, s as u32));
+                sh.arena.set_baseline(cfg.clone_baseline);
+                Slot(Some(sh))
+            })
             .collect();
-        for w in &mut workers {
-            w.arena.set_baseline(cfg.clone_baseline);
-        }
         let mut arena = StepArena::new();
         arena.set_baseline(cfg.clone_baseline);
         Self {
@@ -553,7 +665,7 @@ impl ShardedWorld {
             lat_all,
             cfg,
             n: 0,
-            shards: workers,
+            shards: slots,
             partition_pending: VecDeque::new(),
             faults: FaultPlan::none(),
             sched_seq: 0,
@@ -565,8 +677,14 @@ impl ShardedWorld {
             sealed: false,
             serial: Duration::ZERO,
             critical: Duration::ZERO,
+            parallel_wall: Duration::ZERO,
+            windows: 0,
+            inline_windows: 0,
             event_batch: Vec::new(),
             plan_scratch: Vec::new(),
+            prov_map: vec![Vec::new(); shards],
+            vc_at: HashMap::new(),
+            drops: BinaryHeap::new(),
             supervised: false,
             capture: None,
             payload_base: crate::payload::stats(),
@@ -767,9 +885,14 @@ impl ShardedWorld {
     }
 
     /// [`ShardedWorld::run_to_quiescence`] with per-shard observers
-    /// (e.g. scroll recorders): `observers[s]` receives, on shard `s`'s
-    /// worker thread, every committed record whose pid shard `s` owns.
-    /// `observers` must be empty or have exactly one entry per shard.
+    /// (e.g. scroll recorders): `observers[s]` receives every committed
+    /// record whose pid shard `s` owns, in the pid's serial order, on
+    /// whichever thread executes shard `s` at the time (the caller's
+    /// included). `observers` must be empty or have exactly one entry
+    /// per shard.
+    ///
+    /// The call spawns its `shards - 1` worker threads once and retires
+    /// them before it returns; see the module docs.
     pub fn run_observed<O: ShardObserver>(
         &mut self,
         max_steps: u64,
@@ -789,18 +912,56 @@ impl ShardedWorld {
         let d0 = self.stats.delivered;
         let x0 = self.stats.dropped;
         let s0 = self.steps;
-        while self.steps - s0 < max_steps {
-            let Some(tmin) = self.min_pending() else {
-                break;
-            };
-            let wend = self.window_end(tmin);
-            self.run_window(wend, mode, observers);
-            let t0 = thread_cpu_now();
-            self.barrier_replay(wend, mode.observing, has_obs);
-            self.serial += thread_cpu_now().saturating_sub(t0);
-        }
-        for (sh, obs) in self.shards.iter_mut().zip(observers.iter_mut()) {
-            sh.drain_sink(Some(obs));
+        let n = self.n;
+        let start_time = self.cfg.start_time;
+        // An observer travels with its shard: whoever executes the
+        // shard's window drains the shard's sink into it.
+        let mut obs: Vec<Option<&mut O>> = observers.iter_mut().map(Some).collect();
+        obs.resize_with(self.shards.len(), || None);
+        let worker_payload = std::thread::scope(|scope| {
+            // Worker `s` serves shard `s`; shard 0 has none — the
+            // calling thread always executes a shard itself.
+            let (links, workers): (Vec<_>, Vec<_>) = (1..self.shards.len())
+                .map(|_| {
+                    let (job, jobs) = sync_channel::<Job<O>>(1);
+                    let (dones, done) = sync_channel::<Job<O>>(1);
+                    let worker = scope.spawn(move || {
+                        // A worker outlives its windows, so its payload
+                        // traffic is a delta, not the counters' value.
+                        let base = crate::payload::stats();
+                        // Parked on the receive between windows; both
+                        // loop exits mean the coordinator is gone.
+                        while let Ok(mut j) = jobs.recv() {
+                            j.shard
+                                .run_window(j.wend, n, start_time, mode, j.obs.as_deref_mut());
+                            if dones.send(j).is_err() {
+                                break;
+                            }
+                        }
+                        crate::payload::stats().since(base)
+                    });
+                    (Link { job, done }, worker)
+                })
+                .unzip();
+            while self.steps - s0 < max_steps {
+                let Some(tmin) = self.min_pending() else {
+                    break;
+                };
+                let wend = self.window_end(tmin);
+                self.run_window(wend, mode, &mut obs, &links);
+                let t0 = thread_cpu_now();
+                self.barrier_replay(wend, mode.observing, has_obs);
+                self.serial += thread_cpu_now().saturating_sub(t0);
+            }
+            drop(links); // wakes every parked worker into its exit
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("shard worker panicked"))
+                .fold(crate::payload::PayloadStats::default(), |a, d| a.plus(d))
+        });
+        self.payload_accum = self.payload_accum.plus(worker_payload);
+        for (sh, o) in self.shards.iter_mut().zip(obs) {
+            sh.drain_sink(o);
         }
         RunReport {
             steps: self.steps - s0,
@@ -811,9 +972,18 @@ impl ShardedWorld {
         }
     }
 
-    /// Parallel phase: every shard executes its window concurrently
-    /// (inline when there is a single shard — no thread overhead).
-    fn run_window<O: ShardObserver>(&mut self, wend: VTime, mode: RunMode, observers: &mut [O]) {
+    /// Parallel phase: every shard with work executes its window. The
+    /// lowest such shard runs on the calling thread, the others go out
+    /// to their parked workers first and are collected after it; a
+    /// window with at most one busy shard involves no other thread.
+    fn run_window<'a, O: ShardObserver>(
+        &mut self,
+        wend: VTime,
+        mode: RunMode,
+        obs: &mut [Option<&'a mut O>],
+        links: &[Link<'a, O>],
+    ) {
+        let t0 = Instant::now();
         let n = self.n;
         let start_time = self.cfg.start_time;
         // Close the recycling loop: barrier evictions landed in the
@@ -826,40 +996,52 @@ impl ShardedWorld {
                 sh.arena.take_messages_from(&mut self.arena, share);
             }
         }
-        if self.shards.len() == 1 {
-            // Inline: handler payload traffic lands on the coordinator
-            // thread's counters, already covered by `payload_base`.
-            let obs = observers.first_mut();
-            self.shards[0].run_window(wend, n, start_time, mode, obs);
-        } else {
-            let deltas: Vec<crate::payload::PayloadStats> = std::thread::scope(|scope| {
-                let mut obs_iter = observers.iter_mut();
-                let mut handles = Vec::with_capacity(self.shards.len());
-                for sh in self.shards.iter_mut() {
-                    let obs = obs_iter.next();
-                    handles.push(scope.spawn(move || {
-                        sh.run_window(wend, n, start_time, mode, obs);
-                        // Scoped worker threads are fresh, so their
-                        // thread-local payload counters *are* this
-                        // window's delta for this shard.
-                        crate::payload::stats()
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            for d in deltas {
-                self.payload_accum = self.payload_accum.plus(d);
+        let mut own: Option<usize> = None;
+        for (s, slot) in self.shards.iter_mut().enumerate() {
+            // Work is an event inside the window or committed records
+            // the shard's observer has not seen yet.
+            let busy =
+                !slot.sink.is_empty() || slot.queue.peek().is_some_and(|head| head.at < wend);
+            if !busy {
+                slot.busy_window = Duration::ZERO;
+            } else if own.is_none() {
+                own = Some(s);
+            } else {
+                let shard = slot.0.take().expect("shard is home at window start");
+                links[s - 1]
+                    .job
+                    .send(Job {
+                        shard,
+                        obs: obs[s].take(),
+                        wend,
+                    })
+                    .expect("shard worker panicked");
             }
         }
+        if let Some(s) = own {
+            // Handler payload traffic lands on this thread's counters,
+            // already covered by `payload_base`.
+            self.shards[s].run_window(wend, n, start_time, mode, obs[s].as_deref_mut());
+        }
+        let mut inline = true;
+        for (s, slot) in self.shards.iter_mut().enumerate() {
+            if slot.0.is_none() {
+                // A worker that panicked dropped its end of `done`.
+                let j = links[s - 1].done.recv().expect("shard worker panicked");
+                slot.0 = Some(j.shard);
+                obs[s] = j.obs;
+                inline = false;
+            }
+        }
+        self.windows += 1;
+        self.inline_windows += u64::from(inline);
         self.critical += self
             .shards
             .iter()
             .map(|s| s.busy_window)
             .max()
             .unwrap_or_default();
+        self.parallel_wall += t0.elapsed();
     }
 
     /// Serial phase: commit the shards' staged steps merged by
@@ -868,31 +1050,17 @@ impl ShardedWorld {
     /// scheduling, trace/crash records — in the serial world's order.
     fn barrier_replay(&mut self, wend: VTime, observing: bool, has_obs: bool) {
         let shard_count = self.shards.len();
-        let mut outs: Vec<std::iter::Peekable<std::vec::IntoIter<PendingStep>>> = self
-            .shards
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.out).into_iter().peekable())
-            .collect();
-        // Provisional-key resolution: per shard, mint index → serial
-        // scheduling seq, filled as the minting records are replayed
-        // (a minter always precedes its timer in the same out list).
-        let mut prov_map: Vec<HashMap<u64, u64>> = vec![HashMap::new(); shard_count];
-        let mut prov_ctr = vec![0u64; shard_count];
-        // Drop-record clock timeline: pid → clock at the current merge
-        // position, seeded from each shard's window-start captures.
-        let mut vc_at: HashMap<u32, VectorClock> = HashMap::new();
+        // The drop-record clock timeline is seeded from each shard's
+        // window-start captures.
         if observing {
             for sh in &mut self.shards {
-                for (p, vc) in sh.win_vc0.drain() {
-                    vc_at.insert(p, vc);
-                }
+                self.vc_at.extend(sh.win_vc0.drain());
             }
         } else {
             for sh in &mut self.shards {
                 sh.win_vc0.clear();
             }
         }
-        let mut drops: BinaryHeap<DropEvent> = BinaryHeap::new();
 
         #[derive(Clone, Copy)]
         enum Src {
@@ -908,18 +1076,18 @@ impl ShardedWorld {
                     *best = Some((at, seq, src));
                 }
             };
-            for (s, out) in outs.iter_mut().enumerate() {
-                if let Some(ps) = out.peek() {
+            for (s, sh) in self.shards.iter().enumerate() {
+                if let Some(ps) = sh.out.front() {
                     let seq = match ps.key {
                         SeqKey::Final(q) => q,
-                        SeqKey::Provisional(m) => *prov_map[s]
-                            .get(&m)
+                        SeqKey::Provisional(m) => *self.prov_map[s]
+                            .get(m as usize)
                             .expect("provisional key resolved before its record merges"),
                     };
                     consider(ps.at, seq, Src::Shard(s), &mut best);
                 }
             }
-            if let Some(d) = drops.peek() {
+            if let Some(d) = self.drops.peek() {
                 consider(d.at, d.seq, Src::Drop, &mut best);
             }
             if let Some((at, seq, _)) = self.partition_pending.front() {
@@ -933,7 +1101,7 @@ impl ShardedWorld {
 
             match src {
                 Src::Drop => {
-                    let d = drops.pop().expect("peeked drop exists");
+                    let d = self.drops.pop().expect("peeked drop exists");
                     let k = self.exec_seq;
                     self.exec_seq += 1;
                     self.stats.dropped += 1;
@@ -960,7 +1128,8 @@ impl ShardedWorld {
                     }
                     if has_obs {
                         let owner = dst.idx() % shard_count;
-                        let vc = vc_at
+                        let vc = self
+                            .vc_at
                             .get(&dst.0)
                             .cloned()
                             .unwrap_or_else(|| self.shards[owner].table.vc_of(dst).clone());
@@ -997,7 +1166,7 @@ impl ShardedWorld {
                     }
                 }
                 Src::Shard(s) => {
-                    let mut ps = outs[s].next().expect("peeked step exists");
+                    let mut ps = self.shards[s].out.pop_front().expect("peeked step exists");
                     let post_state = ps.post_state.take();
                     let pid = ps.kind.pid().expect("shard steps target a pid");
                     let k = self.exec_seq;
@@ -1032,7 +1201,7 @@ impl ShardedWorld {
                                     kind: EventKind::Deliver { msg },
                                 });
                             }
-                            EventKind::Drop { msg } => drops.push(DropEvent {
+                            EventKind::Drop { msg } => self.drops.push(DropEvent {
                                 at: qe.at,
                                 seq: qe.seq,
                                 msg,
@@ -1047,9 +1216,11 @@ impl ShardedWorld {
                         if *fire_at < wend {
                             // Executed in-window under a provisional
                             // key; record its serial seq for the merge.
-                            let m = prov_ctr[s];
-                            prov_ctr[s] += 1;
-                            prov_map[s].insert(m, seq);
+                            // Mint indices are handed out densely and
+                            // in order, so index `m` is the `m`-th push
+                            // (a minter always precedes its timer in
+                            // the same out list).
+                            self.prov_map[s].push(seq);
                         } else {
                             self.shards[s].queue.push(ShardEvent {
                                 at: *fire_at,
@@ -1096,7 +1267,7 @@ impl ShardedWorld {
                     }
                     if observing {
                         if let Some(vc) = ps.vc_after {
-                            vc_at.insert(pid.0, vc.clone());
+                            self.vc_at.insert(pid.0, vc.clone());
                             if let Some(cap) = self.capture.as_mut() {
                                 cap.push(ReplayStep {
                                     record: Arc::clone(&record),
@@ -1112,6 +1283,12 @@ impl ShardedWorld {
                 }
             }
         }
+        // Leave the scratch empty (`drops` drained itself): capacity
+        // stays, clock handles do not outlive the barrier.
+        for resolved in &mut self.prov_map {
+            resolved.clear();
+        }
+        self.vc_at.clear();
     }
 
     // ------------------------------------------------------------------
@@ -1224,6 +1401,9 @@ impl ShardedWorld {
             shard_busy: self.shards.iter().map(|s| s.busy).collect(),
             critical: self.critical,
             coordinator: self.serial,
+            windows: self.windows,
+            inline_windows: self.inline_windows,
+            parallel_wall: self.parallel_wall,
         }
     }
 

@@ -488,6 +488,249 @@ fn inline_to_spill_boundary_crossed_by_remote_delivery() {
 }
 
 // ---------------------------------------------------------------------
+// The parallel phase: one worker set per run call, shards handed to the
+// workers and back by ownership, lone-shard windows inline.
+// ---------------------------------------------------------------------
+
+#[test]
+fn window_grid_is_shard_count_invariant_and_inline_count_repeats() {
+    let mut faulty = gossip(0x61D, 6, NetworkConfig::jittery(2, 30));
+    faulty.faults = FaultPlan::none()
+        .crash(Pid(2), 120)
+        .drop_link(Pid(0), Pid(3), 40, 90);
+    for sc in [
+        gossip(0x61D, 6, NetworkConfig::default()),
+        gossip(0x61D, 6, NetworkConfig::jittery(1, 40)),
+        faulty,
+    ] {
+        let mut grid = None;
+        for shards in [1usize, 2, 4, 8] {
+            let run = || {
+                let mut w = sc.build_sharded(shards);
+                w.run_to_quiescence(sc.max_steps);
+                let t = w.timing();
+                (t.windows, t.inline_windows)
+            };
+            let (windows, inline) = run();
+            assert_eq!(run(), (windows, inline), "counters repeat, shards={shards}");
+            assert!(windows > 0 && inline <= windows);
+            if shards == 1 {
+                assert_eq!(inline, windows, "one shard never hands off");
+            }
+            assert_eq!(
+                *grid.get_or_insert(windows),
+                windows,
+                "the window grid is global: shards={shards}"
+            );
+        }
+    }
+}
+
+/// Forwards a 48-byte parcel along a random walk until its hop budget
+/// runs out; timers keep lone pids busy between deliveries.
+struct Courier {
+    carried: u64,
+}
+
+impl Program for Courier {
+    fn on_start(&mut self, ctx: &mut Context) {
+        let mut parcel = vec![ctx.pid().0 as u8; 48];
+        parcel[0] = 14;
+        ctx.send(Pid((ctx.pid().0 + 1) % ctx.world_size() as u32), 1, parcel);
+        ctx.set_timer(60 + u64::from(ctx.pid().0));
+    }
+    fn on_message(&mut self, ctx: &mut Context, msg: &Message) {
+        self.carried += msg.payload.len() as u64;
+        if msg.payload[0] > 0 {
+            let mut parcel = msg.payload.to_vec();
+            parcel[0] -= 1;
+            let dst = Pid(ctx.random_below(ctx.world_size() as u64) as u32);
+            ctx.send(dst, 1, parcel);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context, _t: TimerId) {
+        ctx.output(self.carried.to_le_bytes().to_vec());
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        self.carried.to_le_bytes().to_vec()
+    }
+    fn restore(&mut self, b: &[u8]) {
+        self.carried = u64::from_le_bytes(b.try_into().unwrap());
+    }
+    fn clone_program(&self) -> Box<dyn Program> {
+        Box::new(Courier {
+            carried: self.carried,
+        })
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Workers are created and retired per run call and outlive their
+/// windows, so their thread-local payload counters reach the world as
+/// deltas: none may be lost or counted twice, within a call or between
+/// calls.
+#[test]
+fn accounting_survives_long_lived_workers_and_split_runs() {
+    const N: usize = 32;
+    let cfg = || {
+        let mut cfg = WorldConfig::seeded(0xACC7);
+        cfg.net = NetworkConfig::jittery(1, 30);
+        cfg.net.dup_prob = 0.05;
+        cfg.net.corrupt_prob = 0.05;
+        cfg
+    };
+    // Mail to the crashed pid turns into drops inside the shard windows.
+    let plan = || FaultPlan::none().crash(Pid(5), 40);
+
+    let mut serial = World::new(cfg());
+    for _ in 0..N {
+        serial.add_process(Box::new(Courier { carried: 0 }));
+    }
+    serial.set_fault_plan(plan());
+    let total = serial.run_to_quiescence(1_000_000).steps;
+    let want_pay = serial.payload_stats();
+    assert!(want_pay.copied > 0 && want_pay.aliased > 0);
+
+    for shards in [2usize, 4, 8] {
+        for cuts in [1u64, 3] {
+            let mut w = ShardedWorld::new(cfg(), shards);
+            for _ in 0..N {
+                w.add_process(Box::new(Courier { carried: 0 }));
+            }
+            w.set_fault_plan(plan());
+            for _ in 1..cuts {
+                assert!(!w.run_to_quiescence(total / cuts).quiescent);
+            }
+            assert!(w.run_to_quiescence(1_000_000).quiescent);
+            let t = w.timing();
+            assert!(t.windows >= 150, "only {} windows", t.windows);
+            assert!(t.inline_windows < t.windows, "no window handed off");
+            let at = format!("shards={shards}, {cuts} run call(s)");
+            assert_eq!(w.payload_stats(), want_pay, "payload counters, {at}");
+            assert_eq!(w.stats(), serial.stats(), "NetStats, {at}");
+            assert_eq!(w.trace().records(), serial.trace().records(), "{at}");
+            assert_eq!(
+                w.global_snapshot().fingerprint(),
+                serial.global_snapshot().fingerprint(),
+                "{at}"
+            );
+        }
+    }
+}
+
+/// Two handlers on different shards meet inside one window: the witness
+/// reports in and holds until released, the culprit waits for it,
+/// releases it and panics. Every wait is bounded, so an executor that
+/// ran the two shards one after the other would be slow, not stuck.
+#[derive(Clone, Default)]
+struct Rendezvous(std::sync::Arc<(std::sync::Mutex<u8>, std::sync::Condvar)>);
+
+impl Rendezvous {
+    fn advance_to(&self, stage: u8) {
+        *self.0 .0.lock().unwrap() = stage;
+        self.0 .1.notify_all();
+    }
+    fn wait_for(&self, stage: u8) {
+        let (lock, cv) = &*self.0;
+        let patience = std::time::Duration::from_secs(5);
+        drop(cv.wait_timeout_while(lock.lock().unwrap(), patience, |s| *s < stage));
+    }
+}
+
+/// Gossips under a one-tick-window network; at virtual time 40 every
+/// pid's timer fires in the same window, and there the culprit's
+/// handler panics while the witness's shard is mid-window.
+struct Saboteur {
+    culprit: Pid,
+    witness: Pid,
+    meet: Rendezvous,
+}
+
+impl Program for Saboteur {
+    fn on_start(&mut self, ctx: &mut Context) {
+        ctx.send(Pid((ctx.pid().0 + 1) % ctx.world_size() as u32), 1, vec![9]);
+        ctx.set_timer(40);
+    }
+    fn on_message(&mut self, ctx: &mut Context, msg: &Message) {
+        if msg.payload[0] > 0 {
+            let dst = Pid(ctx.random_below(ctx.world_size() as u64) as u32);
+            ctx.send(dst, 1, vec![msg.payload[0] - 1]);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context, _t: TimerId) {
+        if ctx.pid() == self.witness {
+            self.meet.advance_to(1);
+            self.meet.wait_for(2);
+        } else if ctx.pid() == self.culprit {
+            self.meet.wait_for(1);
+            self.meet.advance_to(2);
+            panic!("handler bug on {:?}", ctx.pid());
+        }
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        Vec::new()
+    }
+    fn restore(&mut self, _: &[u8]) {}
+    fn clone_program(&self) -> Box<dyn Program> {
+        Box::new(Saboteur {
+            culprit: self.culprit,
+            witness: self.witness,
+            meet: self.meet.clone(),
+        })
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A handler panic must reach the caller as a panic — a coordinator
+/// left waiting for a shard that died with its worker would hang.
+fn run_with_handler_panic(shards: usize, culprit: Pid, witness: Pid) {
+    assert_ne!(culprit.idx() % shards, witness.idx() % shards);
+    let mut cfg = WorldConfig::seeded(0x5AB0);
+    cfg.net = NetworkConfig::jittery(1, 20);
+    let mut w = ShardedWorld::new(cfg, shards);
+    let meet = Rendezvous::default();
+    for _ in 0..16 {
+        w.add_process(Box::new(Saboteur {
+            culprit,
+            witness,
+            meet: meet.clone(),
+        }));
+    }
+    w.run_to_quiescence(100_000);
+}
+
+macro_rules! handler_panic_surfaces {
+    ($($name:ident: $shards:expr, $culprit:expr, $witness:expr;)*) => {$(
+        #[test]
+        #[should_panic]
+        fn $name() {
+            run_with_handler_panic($shards, Pid($culprit), Pid($witness));
+        }
+    )*};
+}
+
+// Pid 1 lives on shard 1 and pid 8 on shard 0 at every count; shard 0
+// never has a worker, so its windows run on the calling thread.
+handler_panic_surfaces! {
+    handler_panic_on_shard_1_surfaces_at_2_shards: 2, 1, 2;
+    handler_panic_on_shard_1_surfaces_at_4_shards: 4, 1, 2;
+    handler_panic_on_shard_1_surfaces_at_8_shards: 8, 1, 2;
+    handler_panic_on_shard_0_surfaces_at_2_shards: 2, 8, 3;
+    handler_panic_on_shard_0_surfaces_at_4_shards: 4, 8, 3;
+    handler_panic_on_shard_0_surfaces_at_8_shards: 8, 8, 3;
+}
+
+// ---------------------------------------------------------------------
 // Property: random scenarios match at every shard count.
 // ---------------------------------------------------------------------
 

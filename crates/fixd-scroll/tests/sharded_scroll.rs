@@ -52,19 +52,20 @@ impl Program for Gossip {
 
 const N: usize = 6;
 
-fn cfg(seed: u64) -> WorldConfig {
+/// The faulty network over `base`'s delivery policy.
+fn cfg(seed: u64, base: NetworkConfig) -> WorldConfig {
     let mut cfg = WorldConfig::seeded(seed);
     cfg.net = NetworkConfig {
         drop_prob: 0.05,
         dup_prob: 0.10,
         corrupt_prob: 0.05,
-        ..NetworkConfig::default()
+        ..base
     };
     cfg
 }
 
-fn serial_store(seed: u64, rec_cfg: RecordConfig) -> ScrollStore {
-    let mut w = World::new(cfg(seed));
+fn serial_store(seed: u64, rec_cfg: RecordConfig, net: NetworkConfig) -> ScrollStore {
+    let mut w = World::new(cfg(seed, net));
     for _ in 0..N {
         w.add_process(Box::new(Gossip { acc: 0 }));
     }
@@ -74,8 +75,13 @@ fn serial_store(seed: u64, rec_cfg: RecordConfig) -> ScrollStore {
     store
 }
 
-fn sharded_store(seed: u64, rec_cfg: RecordConfig, shards: usize) -> ScrollStore {
-    let mut w = ShardedWorld::new(cfg(seed), shards);
+fn sharded_store(
+    seed: u64,
+    rec_cfg: RecordConfig,
+    net: NetworkConfig,
+    shards: usize,
+) -> ScrollStore {
+    let mut w = ShardedWorld::new(cfg(seed, net), shards);
     for _ in 0..N {
         w.add_process(Box::new(Gossip { acc: 0 }));
     }
@@ -87,28 +93,38 @@ fn sharded_store(seed: u64, rec_cfg: RecordConfig, shards: usize) -> ScrollStore
 
 #[test]
 fn sealed_scroll_bytes_identical_across_shard_counts() {
-    for rec_cfg in [RecordConfig::default(), RecordConfig { record_drops: true }] {
-        let serial = serial_store(0x5C80, rec_cfg);
-        let want: Vec<Vec<u8>> = (0..N as u32)
-            .map(|p| serial.encode_segment(Pid(p)))
-            .collect();
-        assert!(serial.total_entries() > 0, "the run must record something");
+    // FIFO latency 10 keeps every shard busy in a handful of wide
+    // windows. One-tick windows are the other regime: most windows find
+    // some shard with neither an event nor an undrained record, that
+    // shard sits the window out, and the drop records the barrier files
+    // under it meanwhile reach its recorder at a later window or at the
+    // end of the run — in the same per-pid order.
+    for net in [NetworkConfig::default(), NetworkConfig::jittery(1, 30)] {
+        for rec_cfg in [RecordConfig::default(), RecordConfig { record_drops: true }] {
+            let serial = serial_store(0x5C80, rec_cfg, net.clone());
+            let want: Vec<Vec<u8>> = (0..N as u32)
+                .map(|p| serial.encode_segment(Pid(p)))
+                .collect();
+            assert!(serial.total_entries() > 0, "the run must record something");
 
-        for shards in [1usize, 2, 4, 8] {
-            let merged = sharded_store(0x5C80, rec_cfg, shards);
-            assert_eq!(
-                merged.total_entries(),
-                serial.total_entries(),
-                "entry count drifted at {shards} shards (drops={})",
-                rec_cfg.record_drops
-            );
-            for p in 0..N as u32 {
-                assert_eq!(
-                    merged.encode_segment(Pid(p)),
-                    want[p as usize],
-                    "scroll bytes for P{p} drifted at {shards} shards (drops={})",
-                    rec_cfg.record_drops
+            for shards in [1usize, 2, 4, 8] {
+                let at = format!(
+                    "{shards} shards (drops={}, {:?})",
+                    rec_cfg.record_drops, net.policy
                 );
+                let merged = sharded_store(0x5C80, rec_cfg, net.clone(), shards);
+                assert_eq!(
+                    merged.total_entries(),
+                    serial.total_entries(),
+                    "entry count drifted at {at}"
+                );
+                for p in 0..N as u32 {
+                    assert_eq!(
+                        merged.encode_segment(Pid(p)),
+                        want[p as usize],
+                        "scroll bytes for P{p} drifted at {at}"
+                    );
+                }
             }
         }
     }
@@ -116,8 +132,8 @@ fn sealed_scroll_bytes_identical_across_shard_counts() {
 
 #[test]
 fn merge_disjoint_rejects_overlapping_stores() {
-    let a = serial_store(7, RecordConfig::default());
-    let b = serial_store(7, RecordConfig::default());
+    let a = serial_store(7, RecordConfig::default(), NetworkConfig::default());
+    let b = serial_store(7, RecordConfig::default(), NetworkConfig::default());
     let res = std::panic::catch_unwind(move || ScrollStore::merge_disjoint([a, b]));
     assert!(res.is_err(), "overlapping pid columns must be refused");
 }
