@@ -31,6 +31,7 @@
 
 use std::sync::Arc;
 
+use crate::wire::put_varint;
 use crate::Pid;
 
 /// A classic Lamport scalar clock.
@@ -344,6 +345,28 @@ impl VectorClock {
     /// Iterate the nonzero components as `(Pid, count)`, in pid order.
     pub fn entries(&self) -> impl Iterator<Item = (Pid, u64)> + '_ {
         ClockIter { vc: self, i: 0 }
+    }
+
+    /// Append the sparse wire form the Scroll codec stores: `nnz`, then
+    /// a `(pid, count)` varint pair per nonzero component, in pid order.
+    /// Lives beside the representation so it walks the pair slice with
+    /// the buffer grown once; a pair of two small values — nearly every
+    /// pair of a world under a hundred processes wide — goes out as two
+    /// bytes in one write.
+    pub fn put_wire(&self, buf: &mut Vec<u8>) {
+        let mut scratch = [(0, 0); INLINE_PAIRS];
+        let pairs = self.as_pairs(&mut scratch);
+        // A varint is at most 10 bytes; the common pair is 2.
+        buf.reserve(10 + 2 * pairs.len());
+        put_varint(buf, pairs.len() as u64);
+        for &(p, c) in pairs {
+            if u64::from(p) | c < 0x80 {
+                buf.extend_from_slice(&[p as u8, c as u8]);
+            } else {
+                put_varint(buf, u64::from(p));
+                put_varint(buf, c);
+            }
+        }
     }
 
     /// Number of nonzero components (the clock's causal footprint).

@@ -88,12 +88,9 @@ impl SharedDisk {
     pub fn sync(&self) {
         let mut d = self.inner.lock();
         d.stats.syncs += 1;
-        let buffered: Vec<(Vec<u8>, Option<Vec<u8>>)> = d
-            .buffer
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        for (k, v) in buffered {
+        // The buffered keys and values move into the durable map: a
+        // sync copies nothing.
+        for (k, v) in std::mem::take(&mut d.buffer) {
             match v {
                 Some(v) => {
                     d.durable.insert(k, v);
@@ -103,7 +100,6 @@ impl SharedDisk {
                 }
             }
         }
-        d.buffer.clear();
     }
 
     /// Crash the disk's owner: every unsynced write is lost. Durable
@@ -205,6 +201,55 @@ mod tests {
         d.sync();
         assert_eq!(d.read(b"k"), None);
         assert!(d.durable_snapshot().is_empty());
+    }
+
+    /// One buffer holding a write, a delete and overwrites of the same
+    /// keys: the last buffered operation per key wins, the buffer ends
+    /// empty, and every operation is counted once.
+    #[test]
+    fn sync_applies_the_last_buffered_operation_per_key() {
+        let d = SharedDisk::new();
+        d.write(b"gone", b"old");
+        d.write(b"kept", b"old");
+        d.sync();
+        d.write(b"k", b"v1");
+        d.delete(b"k");
+        d.write(b"k", b"v2"); // write, delete, overwrite: v2 lands
+        d.write(b"gone", b"new");
+        d.delete(b"gone"); // overwrite then delete: removed
+        d.delete(b"never-written");
+        assert_eq!(d.dirty_count(), 3, "one buffered slot per key");
+        d.sync();
+        let want: BTreeMap<Vec<u8>, Vec<u8>> = [
+            (b"k".to_vec(), b"v2".to_vec()),
+            (b"kept".to_vec(), b"old".to_vec()),
+        ]
+        .into();
+        assert_eq!(d.durable_snapshot(), want);
+        assert_eq!(d.dirty_count(), 0);
+        assert_eq!(
+            d.stats(),
+            DiskStats {
+                writes: 8,
+                reads: 0,
+                syncs: 2,
+                writes_lost: 0
+            }
+        );
+        // An empty buffer syncs to the same contents.
+        d.sync();
+        assert_eq!(d.durable_snapshot(), want);
+    }
+
+    #[test]
+    fn crash_between_write_and_sync_loses_the_write() {
+        let d = SharedDisk::new();
+        d.write(b"k", b"v");
+        d.crash();
+        d.sync();
+        assert!(d.durable_snapshot().is_empty(), "nothing left to flush");
+        assert_eq!(d.read(b"k"), None);
+        assert_eq!(d.stats().writes_lost, 1);
     }
 
     #[test]

@@ -19,27 +19,57 @@ use crate::entry::{EntryKind, ScrollEntry};
 ///   clock costs bytes proportional to its causal footprint instead of
 ///   the world width, which is what keeps segments of a 10^5-process
 ///   world readable.
+///
+/// **Segments concatenate.** A segment is a header — this byte, then
+/// the entry count as a varint — followed by the entries back to back,
+/// and an entry is self-delimiting: nothing in it refers to its offset,
+/// its neighbours or the segment it sits in. The encoding of a scroll
+/// is therefore one header plus the header-less bodies of any split of
+/// it into segments, in order, and [`crate::ScrollStore::encode_segment`]
+/// builds it exactly so, copying sealed blobs without parsing them
+/// (`segment_body`). A later version that adds a trailer, a checksum
+/// over the whole segment, offsets or cross-entry compression breaks
+/// that and must give the store another way to read sealed bytes back.
 pub const FORMAT_VERSION: u8 = 2;
 
-/// Encode a sparse clock as `nnz` followed by `(pid, count)` varint
-/// pairs (the v2 wire form).
-fn put_clock(buf: &mut Vec<u8>, vc: &VectorClock) {
-    put_varint(buf, vc.nnz() as u64);
-    for (p, c) in vc.entries() {
-        put_varint(buf, u64::from(p.0));
-        put_varint(buf, c);
+/// Append a segment header: the version byte and the entry count.
+pub(crate) fn put_segment_header(buf: &mut Vec<u8>, entries: usize) {
+    buf.push(FORMAT_VERSION);
+    put_varint(buf, entries as u64);
+}
+
+/// Bytes [`put_segment_header`] writes for `entries` entries.
+pub(crate) fn segment_header_len(entries: usize) -> usize {
+    let bits = 64 - (entries as u64 | 1).leading_zeros() as usize;
+    1 + bits.div_ceil(7)
+}
+
+/// The entries of a current-version segment of exactly `entries`
+/// entries, as bytes: `blob` minus its header. `None` when the header
+/// says anything else. Nothing past the header is looked at.
+pub(crate) fn segment_body(blob: &[u8], entries: usize) -> Option<&[u8]> {
+    let mut pos = 1;
+    if *blob.first()? != FORMAT_VERSION || get_varint(blob, &mut pos)? != entries as u64 {
+        return None;
     }
+    Some(&blob[pos..])
 }
 
 /// Decode a clock in the given format version: v1 reads the dense
-/// component list, v2 the sparse pair list. Both land in the same
-/// in-memory [`VectorClock`] (dense zeros are dropped on the way in).
+/// component list, v2 the sparse pair list ([`VectorClock::put_wire`]
+/// writes it). Both land in the same in-memory [`VectorClock`] (dense
+/// zeros are dropped on the way in).
 fn get_clock(buf: &[u8], pos: &mut usize, version: u8) -> Option<VectorClock> {
     if version == 1 {
         return Some(VectorClock::from_vec(get_u64s(buf, pos)?));
     }
     let n = get_varint(buf, pos)? as usize;
-    let mut pairs = Vec::with_capacity(n.min(1 << 16));
+    // A pair is at least two bytes: a count the rest of the buffer
+    // cannot hold is refused before anything is reserved for it.
+    if n > buf.len().saturating_sub(*pos) / 2 {
+        return None;
+    }
+    let mut pairs = Vec::with_capacity(n);
     for _ in 0..n {
         let p = get_varint(buf, pos)? as u32;
         let c = get_varint(buf, pos)?;
@@ -118,7 +148,7 @@ pub fn encode_message(buf: &mut Vec<u8>, m: &Message) {
     put_varint(buf, u64::from(m.tag));
     put_bytes(buf, &m.payload);
     put_varint(buf, m.sent_at);
-    put_clock(buf, &m.vc);
+    m.vc.put_wire(buf);
     put_varint(buf, m.meta.ckpt_index);
     put_varint(buf, m.meta.spec_id);
     put_varint(buf, m.meta.lamport);
@@ -171,7 +201,7 @@ pub fn encode_entry(buf: &mut Vec<u8>, e: &ScrollEntry) {
     put_varint(buf, e.local_seq);
     put_varint(buf, e.at);
     put_varint(buf, e.lamport);
-    put_clock(buf, &e.vc);
+    e.vc.put_wire(buf);
     put_u64s(buf, e.randoms.as_slice());
     put_varint(buf, e.effects_fp);
     put_varint(buf, e.sends);
@@ -234,12 +264,17 @@ fn decode_entry_from(
 /// Encode a whole segment (version byte + count + entries).
 pub fn encode_segment(entries: &[ScrollEntry]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + entries.len() * 32);
-    buf.push(FORMAT_VERSION);
-    put_varint(&mut buf, entries.len() as u64);
-    for e in entries {
-        encode_entry(&mut buf, e);
-    }
+    encode_segment_into(&mut buf, entries);
     buf
+}
+
+/// [`encode_segment`], appended to a buffer the caller owns (a store
+/// sealing segment after segment reuses one).
+pub fn encode_segment_into(buf: &mut Vec<u8>, entries: &[ScrollEntry]) {
+    put_segment_header(buf, entries.len());
+    for e in entries {
+        encode_entry(buf, e);
+    }
 }
 
 /// Decode a whole segment written by [`encode_segment`], copying each
@@ -262,6 +297,11 @@ pub fn decode_segment_shared(seg: &Payload) -> Result<Vec<ScrollEntry>> {
     decode_segment_from(seg.as_slice(), &PayloadSource::View(seg))
 }
 
+/// The shortest entry in any version: the tag byte and eight one-byte
+/// varints (pid, sequence, time, lamport, an empty clock, no randoms,
+/// fingerprint, sends).
+const MIN_ENTRY_BYTES: usize = 9;
+
 fn decode_segment_from(buf: &[u8], source: &PayloadSource<'_>) -> Result<Vec<ScrollEntry>> {
     let mut pos = 0usize;
     let version = *buf.first().ok_or(CodecError::Truncated)?;
@@ -272,7 +312,12 @@ fn decode_segment_from(buf: &[u8], source: &PayloadSource<'_>) -> Result<Vec<Scr
         return Err(CodecError::BadVersion(version));
     }
     let n = need(get_varint(buf, &mut pos))? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    // The count is input: refuse one the remaining bytes cannot hold
+    // before reserving for it.
+    if n > (buf.len() - pos) / MIN_ENTRY_BYTES {
+        return Err(CodecError::Truncated);
+    }
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(decode_entry_from(buf, &mut pos, source, version)?);
     }
@@ -375,6 +420,64 @@ mod tests {
         for cutoff in [1usize, buf.len() / 2, buf.len() - 1] {
             assert!(decode_segment(&buf[..cutoff]).is_err(), "cutoff {cutoff}");
         }
+    }
+
+    /// A count is input. One the remaining bytes cannot hold is
+    /// `Truncated` before a single slot is reserved for it (these used
+    /// to reserve 2^20 entries — about 110 MB — and 2^16 pairs).
+    #[test]
+    fn hostile_counts_are_refused_before_allocating() {
+        // A four-byte "segment" claiming 2^20 - 1 entries.
+        assert_eq!(
+            decode_segment(&[2, 0xff, 0xff, 0x3f]),
+            Err(CodecError::Truncated)
+        );
+        // A Start entry whose clock claims 2^16 pairs in three bytes,
+        // alone and inside a segment with room to spare behind it.
+        let entry = [0, 0, 0, 0, 0, 0x80, 0x80, 0x04];
+        assert_eq!(decode_entry(&entry, &mut 0), Err(CodecError::Truncated));
+        let mut seg = vec![FORMAT_VERSION, 1];
+        seg.extend_from_slice(&entry);
+        seg.extend_from_slice(&[0; 64]);
+        assert_eq!(decode_segment(&seg), Err(CodecError::Truncated));
+        // Counts that do fit still decode: the bounds are exact.
+        let smallest = ScrollEntry {
+            pid: Pid(0),
+            local_seq: 0,
+            at: 0,
+            lamport: 0,
+            vc: VectorClock::ZERO,
+            kind: EntryKind::Start,
+            randoms: vec![].into(),
+            effects_fp: 0,
+            sends: 0,
+        };
+        let buf = encode_segment(&[smallest.clone(), smallest.clone()]);
+        assert_eq!(buf.len(), 2 + 2 * MIN_ENTRY_BYTES);
+        assert_eq!(decode_segment(&buf).unwrap().len(), 2);
+        let wide = ScrollEntry {
+            vc: VectorClock::from_pairs((0..100).map(|p| (p, 1)).collect()),
+            ..smallest
+        };
+        let buf = encode_segment(std::slice::from_ref(&wide));
+        assert_eq!(decode_segment(&buf).unwrap(), vec![wide]);
+    }
+
+    #[test]
+    fn segment_header_helpers_agree_with_the_encoder() {
+        for n in [0usize, 1, 127, 128, 16_383, 16_384, 1 << 21, usize::MAX] {
+            let mut header = Vec::new();
+            put_segment_header(&mut header, n);
+            assert_eq!(header.len(), segment_header_len(n), "{n} entries");
+            header.extend_from_slice(b"body");
+            assert_eq!(segment_body(&header, n), Some(&b"body"[..]));
+            assert_eq!(segment_body(&header, n ^ 1), None, "another count");
+            header[0] = 1;
+            assert_eq!(segment_body(&header, n), None, "another version");
+        }
+        assert_eq!(segment_body(&[], 0), None);
+        assert_eq!(segment_body(&[FORMAT_VERSION], 0), None);
+        assert_eq!(segment_body(&[FORMAT_VERSION, 0x80], 0), None);
     }
 
     #[test]

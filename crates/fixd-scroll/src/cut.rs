@@ -32,7 +32,7 @@ impl Cut {
     pub fn full(store: &ScrollStore) -> Self {
         Self {
             counts: (0..store.width())
-                .map(|i| store.scroll(Pid(i as u32)).len())
+                .map(|i| store.len(Pid(i as u32)))
                 .collect(),
         }
     }
@@ -48,13 +48,16 @@ impl Cut {
     }
 
     /// The frontier clock of process `p` under this cut: the vector clock
-    /// of its last included entry (zero clock if none).
+    /// of its last included entry (zero clock if none). Reads the entry
+    /// where it lies ([`ScrollStore::entry`]): nothing is decoded for a
+    /// cut inside the resident tail.
     pub fn frontier(&self, store: &ScrollStore, p: Pid) -> VectorClock {
-        let c = self.count(p);
-        if c == 0 {
-            VectorClock::new(store.width())
-        } else {
-            store.scroll(p)[c - 1].vc.clone()
+        match self.count(p) {
+            0 => VectorClock::ZERO,
+            c => {
+                let last = store.entry(p, c - 1);
+                last.expect("cut within the scroll").vc.clone()
+            }
         }
     }
 
@@ -95,7 +98,7 @@ impl Cut {
 /// logs instead of checkpoints).
 pub fn latest_consistent_cut(store: &ScrollStore, fault_pid: Pid, limit: usize) -> Cut {
     let n = store.width();
-    let mut counts: Vec<usize> = (0..n).map(|i| store.scroll(Pid(i as u32)).len()).collect();
+    let mut counts = Cut::full(store).counts;
     if fault_pid.idx() < n {
         counts[fault_pid.idx()] = counts[fault_pid.idx()].min(limit);
     }
@@ -187,7 +190,7 @@ mod tests {
         let store = pingpong_store(6);
         // Include everything of P1 but nothing of P0: P1 has observed P0's
         // sends => inconsistent.
-        let full1 = store.scroll(Pid(1)).len();
+        let full1 = store.len(Pid(1));
         let cut = Cut::new(vec![0, full1]);
         assert!(!cut.is_consistent(&store));
     }
@@ -207,7 +210,7 @@ mod tests {
             if pid == Pid(0) && counts[0] == limit {
                 continue;
             }
-            if counts[p as usize] < store.scroll(pid).len() {
+            if counts[p as usize] < store.len(pid) {
                 counts[p as usize] += 1;
                 let bigger = Cut::new(counts);
                 assert!(!bigger.is_consistent(&store), "cut not maximal at P{p}");

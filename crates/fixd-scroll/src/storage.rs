@@ -8,10 +8,24 @@
 //! [`ScrollStore::save_dir`]) and written to a [`SharedDisk`] as a
 //! **content-addressed blob** (keyed by the FNV-1a hash of its bytes, so
 //! identical segments — e.g. across replicas or re-recorded runs sharing
-//! one disk — are stored once). [`ScrollStore::scroll`] transparently
-//! re-reads spilled segments, so queries, merges, and replay see the
-//! full log while resident memory stays bounded by
+//! one disk — are stored once). Resident memory stays bounded by
 //! `threshold × processes`.
+//!
+//! A sealed blob **is** that stretch of the scroll's encoding, produced
+//! once. What reads it back falls in three groups:
+//!
+//! * **as bytes** — [`ScrollStore::encode_segment`] (and
+//!   [`ScrollStore::save_dir`] through it) writes one header and splices
+//!   each blob's entries in after it, unparsed (the concatenation
+//!   property documented at [`codec::FORMAT_VERSION`]). Every blob is
+//!   checked against the length and content hash its seal recorded
+//!   before a byte of it is copied;
+//! * **decoded** — [`ScrollStore::scroll`] (so queries, merges, stats
+//!   and replay see the full log), [`ScrollStore::entry`] and a
+//!   [`ScrollStore::truncate`] into the sealed prefix parse the blobs
+//!   they need, under the decoder's own structural check;
+//! * **not at all** — [`ScrollStore::len`], [`ScrollStore::encoded_size`]
+//!   and the other counters are arithmetic on what each seal recorded.
 
 use std::borrow::Cow;
 use std::io::{Read, Write};
@@ -88,16 +102,22 @@ impl SpillConfig {
 /// One sealed, spilled scroll segment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SegmentRef {
-    /// Content hash of the encoded segment = its key on the disk.
+    /// The blob's key on the disk: its content hash, unless the seal
+    /// probed past a colliding blob.
     key: u64,
+    /// FNV-1a of the encoded segment, whatever key it landed under.
+    hash: u64,
     /// Entries inside.
     entries: usize,
     /// Encoded size in bytes.
     bytes: usize,
 }
 
+/// `scrollseg/<key as 16 hex digits>`, in one allocation.
 fn disk_key(key: u64) -> Vec<u8> {
-    format!("scrollseg/{key:016x}").into_bytes()
+    let mut at = Vec::with_capacity(26);
+    write!(at, "scrollseg/{key:016x}").expect("writing to a Vec");
+    at
 }
 
 /// Approximate resident weight of one entry: fixed header fields plus
@@ -123,6 +143,8 @@ pub struct ScrollStore {
     /// Approximate resident bytes per process (see [`entry_weight`]).
     resident_weight: Vec<usize>,
     spill: Option<SpillConfig>,
+    /// Encode buffer every seal reuses; empty between seals.
+    seal_buf: Vec<u8>,
 }
 
 impl ScrollStore {
@@ -133,6 +155,7 @@ impl ScrollStore {
             spilled: vec![Vec::new(); n],
             resident_weight: vec![0; n],
             spill: None,
+            seal_buf: Vec::new(),
         }
     }
 
@@ -160,21 +183,20 @@ impl ScrollStore {
         self.per_pid.len()
     }
 
-    fn spilled_entry_count(&self, pid: Pid) -> usize {
-        self.spilled
-            .get(pid.idx())
-            .map_or(0, |v| v.iter().map(|s| s.entries).sum())
+    /// Entries in `pid`'s scroll, sealed and resident. Reads nothing
+    /// back: every seal recorded how many entries it took.
+    pub fn len(&self, pid: Pid) -> usize {
+        let i = pid.idx();
+        self.per_pid.get(i).map_or(0, |resident| {
+            self.spilled[i].iter().map(|s| s.entries).sum::<usize>() + resident.len()
+        })
     }
 
     /// Append an entry to its process's scroll. Enforces dense local
     /// sequence numbers. May seal and spill the resident prefix.
     pub fn append(&mut self, e: ScrollEntry) {
         let i = e.pid.idx();
-        debug_assert_eq!(
-            e.local_seq,
-            (self.spilled_entry_count(e.pid) + self.per_pid[i].len()) as u64,
-            "non-dense local_seq"
-        );
+        debug_assert_eq!(e.local_seq, self.len(e.pid) as u64, "non-dense local_seq");
         self.resident_weight[i] += entry_weight(&e);
         self.per_pid[i].push(e);
         if let Some(cfg) = &self.spill {
@@ -241,16 +263,21 @@ impl ScrollStore {
         if self.per_pid[i].is_empty() {
             return;
         }
-        let blob = codec::encode_segment(&self.per_pid[i]);
+        let mut blob = std::mem::take(&mut self.seal_buf);
+        codec::encode_segment_into(&mut blob, &self.per_pid[i]);
         // Content-addressed: identical segments (same bytes) are written
         // once per disk. A 64-bit hash can collide, so verify the stored
         // blob's content and probe deterministically to the next key on
         // mismatch (same discipline as `fixd_store::PageStore::intern`).
-        let mut key = fixd_runtime::wire::fnv1a(&blob);
+        let hash = fixd_runtime::wire::fnv1a(&blob);
+        let mut key = hash;
         loop {
-            match cfg.disk.read(&disk_key(key)) {
+            let at = disk_key(key);
+            match cfg.disk.read(&at) {
                 None => {
-                    cfg.disk.write(&disk_key(key), &blob);
+                    // The disk keeps an exact-fit copy; the buffer's
+                    // growth slack stays here.
+                    cfg.disk.write(&at, &blob);
                     cfg.disk.sync();
                     break;
                 }
@@ -260,9 +287,12 @@ impl ScrollStore {
         }
         self.spilled[i].push(SegmentRef {
             key,
+            hash,
             entries: self.per_pid[i].len(),
             bytes: blob.len(),
         });
+        blob.clear();
+        self.seal_buf = blob;
         if let Some(w) = world.as_mut() {
             for e in self.per_pid[i].drain(..) {
                 if let crate::entry::EntryKind::Deliver { msg }
@@ -277,14 +307,9 @@ impl ScrollStore {
         self.resident_weight[i] = 0;
     }
 
-    /// Re-read one spilled segment from the disk. The blob becomes one
-    /// shared buffer and every decoded entry's payload is a zero-copy
-    /// view into it ([`codec::decode_segment_shared`]) — re-reading a
-    /// segment of N messages performs one buffer materialization, not N
-    /// payload allocations. The views pin the blob: a caller retaining
-    /// one entry's payload keeps the whole segment buffer alive (copy
-    /// out via `Payload::copy_from_slice` for long retention).
-    fn read_segment(&self, seg: &SegmentRef) -> Vec<ScrollEntry> {
+    /// One sealed blob, back from the disk, at the length its seal
+    /// recorded.
+    fn read_blob(&self, seg: &SegmentRef) -> Vec<u8> {
         let cfg = self
             .spill
             .as_ref()
@@ -295,12 +320,55 @@ impl ScrollStore {
                 seg.key
             )
         });
+        assert_eq!(
+            blob.len(),
+            seg.bytes,
+            "spilled scroll segment {:016x} corrupt: stored length",
+            seg.key
+        );
+        blob
+    }
+
+    /// Append one sealed segment's entries to `out` as the bytes they
+    /// were sealed as — nothing is decoded. Decoding used to vouch for
+    /// the blob on this path; here the content hash recorded at the seal
+    /// does, and it sees what a decoder cannot (a flipped count inside a
+    /// clock still parses).
+    fn splice_segment(&self, seg: &SegmentRef, out: &mut Vec<u8>) {
+        let blob = self.read_blob(seg);
+        let stored = fixd_runtime::wire::fnv1a(&blob);
+        assert_eq!(
+            stored, seg.hash,
+            "spilled scroll segment {:016x} corrupt: content hash",
+            seg.key
+        );
+        // Every segment is sealed by this store at the current version.
+        let body = codec::segment_body(&blob, seg.entries)
+            .unwrap_or_else(|| panic!("spilled scroll segment {:016x} corrupt: header", seg.key));
+        out.extend_from_slice(body);
+    }
+
+    /// Re-read and decode one spilled segment. The blob becomes one
+    /// shared buffer and every decoded entry's payload is a zero-copy
+    /// view into it ([`codec::decode_segment_shared`]) — re-reading a
+    /// segment of N messages performs one buffer materialization, not N
+    /// payload allocations. The views pin the blob: a caller retaining
+    /// one entry's payload keeps the whole segment buffer alive (copy
+    /// out via `Payload::copy_from_slice` for long retention).
+    fn read_segment(&self, seg: &SegmentRef) -> Vec<ScrollEntry> {
         // Untracked: the segment blob is framing + clocks + payloads,
         // not message-payload traffic; the per-entry views below count
         // as aliased (bytes a copying decoder would have re-copied).
-        let shared = fixd_runtime::Payload::untracked(blob);
-        codec::decode_segment_shared(&shared)
-            .unwrap_or_else(|e| panic!("spilled scroll segment {:016x} corrupt: {e}", seg.key))
+        let shared = fixd_runtime::Payload::untracked(self.read_blob(seg));
+        let entries = codec::decode_segment_shared(&shared)
+            .unwrap_or_else(|e| panic!("spilled scroll segment {:016x} corrupt: {e}", seg.key));
+        assert_eq!(
+            entries.len(),
+            seg.entries,
+            "spilled scroll segment {:016x} corrupt: entry count",
+            seg.key
+        );
+        entries
     }
 
     /// The scroll of one process, oldest first — including any sealed
@@ -314,13 +382,28 @@ impl ScrollStore {
         if spilled.is_empty() {
             return Cow::Borrowed(resident.as_slice());
         }
-        let mut full =
-            Vec::with_capacity(spilled.iter().map(|s| s.entries).sum::<usize>() + resident.len());
+        let mut full = Vec::with_capacity(self.len(pid));
         for seg in spilled {
             full.extend(self.read_segment(seg));
         }
         full.extend(resident.iter().cloned());
         Cow::Owned(full)
+    }
+
+    /// Entry `idx` of `pid`'s scroll: borrowed when it is resident (cuts
+    /// and rollbacks sit near the tail), otherwise decoded out of the one
+    /// sealed segment that holds it.
+    pub fn entry(&self, pid: Pid, idx: usize) -> Option<Cow<'_, ScrollEntry>> {
+        let resident = self.per_pid.get(pid.idx())?;
+        let mut first = 0;
+        for seg in &self.spilled[pid.idx()] {
+            if idx < first + seg.entries {
+                let mut entries = self.read_segment(seg);
+                return Some(Cow::Owned(entries.swap_remove(idx - first)));
+            }
+            first += seg.entries;
+        }
+        resident.get(idx - first).map(Cow::Borrowed)
     }
 
     /// Total entries across all processes (resident + spilled).
@@ -369,7 +452,7 @@ impl ScrollStore {
     /// content-addressed and may back other stores).
     pub fn truncate(&mut self, pid: Pid, n: usize) {
         let i = pid.idx();
-        let spilled_n = self.spilled_entry_count(pid);
+        let spilled_n = self.len(pid) - self.per_pid[i].len();
         if n >= spilled_n {
             self.per_pid[i].truncate(n - spilled_n);
         } else {
@@ -397,16 +480,44 @@ impl ScrollStore {
 
     /// Encode one process's full scroll as a segment (spilled prefix
     /// included — the wire format is identical with or without spilling).
+    /// Sealed segments are not decoded: after one header for the whole
+    /// scroll, each blob's entries are copied in as sealed, and only the
+    /// resident tail is encoded.
     pub fn encode_segment(&self, pid: Pid) -> Vec<u8> {
-        codec::encode_segment(&self.scroll(pid))
+        let i = pid.idx();
+        let resident = self.per_pid.get(i).map_or(&[][..], Vec::as_slice);
+        let spilled = self.spilled.get(i).map_or(&[][..], Vec::as_slice);
+        let sealed_bytes: usize = spilled.iter().map(|s| s.bytes).sum();
+        let mut out = Vec::with_capacity(16 + sealed_bytes + resident.len() * 32);
+        codec::put_segment_header(&mut out, self.len(pid));
+        for seg in spilled {
+            self.splice_segment(seg, &mut out);
+        }
+        for e in resident {
+            codec::encode_entry(&mut out, e);
+        }
+        out
     }
 
     /// Total encoded size in bytes across all processes (the F1 "log
-    /// size" metric).
+    /// size" metric): the length [`ScrollStore::encode_segment`] would
+    /// return, summed, without reading a sealed byte — each seal
+    /// recorded its blob's size, so only resident tails are encoded.
     pub fn encoded_size(&self) -> usize {
-        (0..self.per_pid.len())
-            .map(|i| self.encode_segment(Pid(i as u32)).len())
-            .sum()
+        let mut tail = Vec::new();
+        let mut total = 0;
+        for (i, resident) in self.per_pid.iter().enumerate() {
+            total += codec::segment_header_len(self.len(Pid(i as u32)));
+            for seg in &self.spilled[i] {
+                total += seg.bytes - codec::segment_header_len(seg.entries);
+            }
+            tail.clear();
+            for e in resident {
+                codec::encode_entry(&mut tail, e);
+            }
+            total += tail.len();
+        }
+        total
     }
 
     /// Payload bytes referenced by **resident** entries, counting each
@@ -489,6 +600,11 @@ mod tests {
             },
             ..entry(pid, seq)
         }
+    }
+
+    /// Entries of pid 0 that live in sealed segments.
+    fn sealed_len(s: &ScrollStore) -> usize {
+        s.len(Pid(0)) - s.per_pid[0].len()
     }
 
     #[test]
@@ -628,7 +744,7 @@ mod tests {
         for i in 0..50 {
             s.append(deliver_entry(0, i, vec![i as u8; 16]));
         }
-        let spilled_before = s.spilled_entry_count(Pid(0));
+        let spilled_before = sealed_len(&s);
         assert!(spilled_before > 3);
         let cut = spilled_before - 2; // inside the sealed region
         s.truncate(Pid(0), cut);
@@ -646,7 +762,7 @@ mod tests {
     }
 
     /// Boundary pin: truncating exactly at the sealed/resident boundary
-    /// (`n == spilled_entry_count`) must take the fast path — drop the
+    /// (`n` == the sealed entry count) must take the fast path — drop the
     /// resident tail, touch no sealed segment, unspill nothing.
     #[test]
     fn truncate_exactly_at_sealed_boundary_keeps_segments_spilled() {
@@ -655,7 +771,7 @@ mod tests {
         for i in 0..50 {
             s.append(deliver_entry(0, i, vec![i as u8; 16]));
         }
-        let spilled_n = s.spilled_entry_count(Pid(0));
+        let spilled_n = sealed_len(&s);
         let segs = s.spilled[0].len();
         assert!(spilled_n > 0 && segs > 1, "need a multi-segment prefix");
         assert!(!s.per_pid[0].is_empty(), "need a resident tail to drop");
@@ -705,7 +821,7 @@ mod tests {
         // Seal the tail too, so everything lives in sealed segments.
         s.seal(Pid(0));
         assert!(s.per_pid[0].is_empty());
-        assert_eq!(s.spilled_entry_count(Pid(0)), 30);
+        assert_eq!(sealed_len(&s), 30);
         s.truncate(Pid(0), 0);
         assert_eq!(s.total_entries(), 0);
         assert!(s.scroll(Pid(0)).is_empty());
@@ -740,5 +856,236 @@ mod tests {
             a.spilled_segments(),
             "second store's identical segments dedup on disk"
         );
+    }
+
+    /// A 50-entry scroll of pid 0 spilled at a 300-byte threshold (a
+    /// handful of sealed segments and a resident tail), and its disk.
+    fn spilled_store() -> (ScrollStore, SharedDisk) {
+        let disk = SharedDisk::new();
+        let mut s = ScrollStore::with_spill(2, SpillConfig::new(disk.clone(), 300));
+        for i in 0..50 {
+            s.append(deliver_entry(0, i, vec![i as u8; 16]));
+        }
+        assert!(s.spilled[0].len() > 2 && !s.per_pid[0].is_empty());
+        (s, disk)
+    }
+
+    /// The disk after [`spilled_store`] — every `scrollseg/…` key and
+    /// blob — as the store left it before seals reused a buffer, clocks
+    /// were walked as slices and `sync` moved its buffer: a faster seal
+    /// may not move a stored byte.
+    #[test]
+    fn sealed_keys_and_blobs_are_pinned() {
+        let (s, disk) = spilled_store();
+        assert_eq!((s.spilled_segments(), s.spilled_bytes()), (12, 1929));
+        assert_eq!(disk.durable_snapshot().len(), 12);
+        assert_eq!(disk.durable_fingerprint(), 0xa663_88b3_b251_74c8);
+    }
+
+    /// Counting reads nothing back, and reading bytes back reads each
+    /// sealed blob of that pid exactly once.
+    #[test]
+    fn counting_reads_no_blob_and_splicing_reads_each_once() {
+        let (s, disk) = spilled_store();
+        let reads = || disk.stats().reads;
+        let before = reads();
+        assert_eq!(s.len(Pid(0)), 50);
+        assert_eq!(s.len(Pid(1)), 0);
+        assert_eq!(s.len(Pid(9)), 0, "out of range counts as empty");
+        let full = crate::cut::Cut::full(&s);
+        assert_eq!(full.counts(), [50, 0]);
+        let size = s.encoded_size();
+        // A cut inside the resident tail borrows its frontier.
+        assert_eq!(full.frontier(&s, Pid(0)), s.per_pid[0].last().unwrap().vc);
+        assert_eq!(reads(), before, "no disk read for counts, sizes, tail");
+
+        let bytes: usize = (0..2).map(|p| s.encode_segment(Pid(p)).len()).sum();
+        assert_eq!(bytes, size);
+        assert_eq!(
+            reads() - before,
+            s.spilled[0].len() as u64,
+            "one read per sealed segment of the pid, none for the other"
+        );
+
+        // A frontier inside the sealed prefix decodes the one segment
+        // that holds it; `scroll` reads them all.
+        let before = reads();
+        let first = s.spilled[0][0].entries;
+        let cut = crate::cut::Cut::new(vec![first + 1, 0]);
+        assert_eq!(cut.frontier(&s, Pid(0)), s.scroll(Pid(0))[first].vc);
+        assert_eq!(reads() - before, 1 + s.spilled[0].len() as u64);
+        assert!(s.entry(Pid(0), 50).is_none() && s.entry(Pid(9), 0).is_none());
+    }
+
+    #[test]
+    fn stats_touch_each_sealed_segment_once() {
+        let (s, disk) = spilled_store();
+        let before = disk.stats().reads;
+        let stats = crate::stats::ScrollStats::compute(&s);
+        assert_eq!(disk.stats().reads - before, s.spilled[0].len() as u64);
+        assert_eq!(stats.total_entries, 50);
+        // Pid 1's empty scroll is a two-byte header.
+        assert_eq!(stats.encoded_bytes, s.encode_segment(Pid(0)).len() + 2);
+    }
+
+    /// What a test does to the first sealed blob of [`spilled_store`],
+    /// behind the store's back (same key, `write` + `sync`).
+    enum Damage {
+        /// One count inside a clock raised: the segment still decodes,
+        /// to other entries. Only the content hash can tell.
+        FlipClockCount,
+        /// The last byte cut off.
+        Truncate,
+        /// A well-formed segment of one entry fewer.
+        OtherCount,
+        /// The blob deleted.
+        Delete,
+    }
+
+    fn damaged(how: Damage) -> ScrollStore {
+        let (s, disk) = spilled_store();
+        let seg = &s.spilled[0][0];
+        let key = disk_key(seg.key);
+        let mut blob = disk.read(&key).expect("sealed blob on disk");
+        match how {
+            Damage::FlipClockCount => {
+                // [version][count] then the first entry: tag, pid, seq,
+                // at, lamport, clock nnz, clock pid, clock count.
+                assert_eq!(blob[7..10], [1, 0, 1], "entry 0's clock is ⟨0:1⟩");
+                blob[9] = 3;
+                disk.write(&key, &blob);
+            }
+            Damage::Truncate => {
+                blob.pop();
+                disk.write(&key, &blob);
+            }
+            Damage::OtherCount => {
+                let mut entries = codec::decode_segment(&blob).unwrap();
+                entries.pop();
+                disk.write(&key, &codec::encode_segment(&entries));
+            }
+            Damage::Delete => disk.delete(&key),
+        }
+        disk.sync();
+        s
+    }
+
+    fn splice(s: ScrollStore) {
+        s.encode_segment(Pid(0));
+    }
+
+    fn save(s: ScrollStore) {
+        /// Removes the directory even when `save_dir` panics.
+        struct Scratch(std::path::PathBuf);
+        impl Drop for Scratch {
+            fn drop(&mut self) {
+                std::fs::remove_dir_all(&self.0).ok();
+            }
+        }
+        let test = std::thread::current();
+        let dir = Scratch(std::env::temp_dir().join(format!(
+            "fixd-scroll-{}-{}",
+            std::process::id(),
+            test.name().unwrap_or("damaged")
+        )));
+        s.save_dir(&dir.0).unwrap();
+    }
+
+    fn decode(s: ScrollStore) {
+        s.scroll(Pid(0));
+    }
+
+    fn truncate_into_first_segment(mut s: ScrollStore) {
+        s.truncate(Pid(0), 1);
+    }
+
+    /// Every way of reading a damaged blob back panics with the store's
+    /// corruption message — on the splice path too, which no longer has
+    /// a decoder to stumble over it.
+    macro_rules! damaged_blob_panics {
+        ($($name:ident: $how:ident, $read:ident => $message:literal;)*) => {$(
+            #[test]
+            #[should_panic(expected = $message)]
+            fn $name() {
+                $read(damaged(Damage::$how));
+            }
+        )*};
+    }
+
+    damaged_blob_panics! {
+        flipped_clock_count_fails_the_splice: FlipClockCount, splice => "corrupt: content hash";
+        flipped_clock_count_fails_save_dir: FlipClockCount, save => "corrupt: content hash";
+        truncated_blob_fails_the_splice: Truncate, splice => "corrupt";
+        truncated_blob_fails_save_dir: Truncate, save => "corrupt";
+        truncated_blob_fails_scroll: Truncate, decode => "corrupt";
+        truncated_blob_fails_truncate: Truncate, truncate_into_first_segment => "corrupt";
+        other_count_fails_the_splice: OtherCount, splice => "corrupt";
+        other_count_fails_save_dir: OtherCount, save => "corrupt";
+        other_count_fails_scroll: OtherCount, decode => "corrupt";
+        other_count_fails_truncate: OtherCount, truncate_into_first_segment => "corrupt";
+        deleted_blob_fails_the_splice: Delete, splice => "missing from SharedDisk";
+        deleted_blob_fails_save_dir: Delete, save => "missing from SharedDisk";
+        deleted_blob_fails_scroll: Delete, decode => "missing from SharedDisk";
+        deleted_blob_fails_truncate: Delete, truncate_into_first_segment => "missing from SharedDisk";
+    }
+
+    /// The one damage the decoding paths let through: a flipped count
+    /// inside a clock is a well-formed segment of the same length and
+    /// entry count, and `scroll` / `truncate` check structure, not
+    /// content (hashing every blob would cost a decode a quarter more).
+    /// They return the wrong clock; the splice, which verifies the hash
+    /// recorded at the seal, is what refuses these bytes (above).
+    #[test]
+    fn flipped_clock_count_is_invisible_to_the_decoder() {
+        let (intact, _) = spilled_store();
+        let s = damaged(Damage::FlipClockCount);
+        let (read, sealed) = (s.scroll(Pid(0)), intact.scroll(Pid(0)));
+        assert_eq!(read.len(), sealed.len());
+        assert_eq!(read[0].vc, VectorClock::from_vec(vec![3]));
+        assert_eq!(sealed[0].vc, VectorClock::from_vec(vec![1]));
+        assert_eq!(read[1..], sealed[1..]);
+        truncate_into_first_segment(s);
+    }
+
+    /// Another blob already sits under the key a seal computes: the seal
+    /// probes to the next key, and read-back verifies the blob against
+    /// the recorded content hash — not against the key it landed under.
+    #[test]
+    fn a_probed_segment_still_splices_and_still_verifies() {
+        let entries: Vec<ScrollEntry> = (0..5).map(|i| deliver_entry(0, i, vec![9; 8])).collect();
+        let blob = codec::encode_segment(&entries);
+        let hash = fixd_runtime::wire::fnv1a(&blob);
+        assert_eq!(disk_key(0xabc), b"scrollseg/0000000000000abc");
+        let disk = SharedDisk::new();
+        disk.write(&disk_key(hash), b"some other store's segment");
+        disk.sync();
+
+        let mut s = ScrollStore::with_spill(1, SpillConfig::new(disk.clone(), 1 << 20));
+        entries.iter().for_each(|e| s.append(e.clone()));
+        s.seal(Pid(0));
+        let seg = s.spilled[0][0].clone();
+        assert_eq!(seg.hash, hash);
+        assert_ne!(seg.key, hash, "probed past the planted blob");
+        assert_eq!(
+            disk.read(&disk_key(hash)).unwrap(),
+            b"some other store's segment"
+        );
+        assert_eq!(disk.read(&disk_key(seg.key)).unwrap(), blob);
+        assert_eq!(s.encode_segment(Pid(0)), blob);
+        assert_eq!(s.scroll(Pid(0)), entries);
+        // A second seal of the same bytes finds the probed blob again.
+        let mut again = ScrollStore::with_spill(1, SpillConfig::new(disk.clone(), 1 << 20));
+        entries.iter().for_each(|e| again.append(e.clone()));
+        again.seal(Pid(0));
+        assert_eq!(again.spilled[0][0], seg);
+
+        // Damage under the probed key is caught by the recorded hash.
+        let mut flipped = blob.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        disk.write(&disk_key(seg.key), &flipped);
+        disk.sync();
+        let caught = std::panic::catch_unwind(|| s.encode_segment(Pid(0)));
+        let message = *caught.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.contains("corrupt: content hash"), "{message}");
     }
 }

@@ -1,16 +1,50 @@
-//! Property-based tests for the Scroll: codec bijection, merge
-//! consistency, cut lattice properties, replay fidelity.
+//! Property-based tests for the Scroll: codec bijection, spilled
+//! read-back equivalence, merge consistency, cut lattice properties,
+//! replay fidelity.
 
 use proptest::prelude::*;
 
+use fixd_runtime::wire::put_varint;
 use fixd_runtime::{
-    Context, Message, MsgMeta, NetworkConfig, Pid, Program, TimerId, VectorClock, World,
-    WorldConfig,
+    Context, Message, MsgMeta, NetworkConfig, Pid, Program, SharedDisk, TimerId, VectorClock,
+    World, WorldConfig,
 };
 use fixd_scroll::record::record_run;
 use fixd_scroll::{
     codec, cut, merge_total_order, replay_process, EntryKind, Fidelity, RecordConfig, ScrollEntry,
+    ScrollStore, SpillConfig,
 };
+
+/// Sparse clocks as a wide world produces them: up to 130 components,
+/// densely sampled around the inline/heap boundary (3 | 4 pairs), pids
+/// from one-byte to three-byte varints, counts straddling every varint
+/// length change that matters (127 | 128, 2^14) up to `u64::MAX`.
+/// Duplicate pids collapse in `from_pairs`, so `nnz` may come out lower.
+fn arb_clock() -> impl Strategy<Value = VectorClock> {
+    let pid = prop_oneof![0u32..8, 120u32..136, 0u32..((1 << 20) + 1)];
+    let count = prop_oneof![
+        1u64..4,
+        126u64..130,
+        ((1 << 14) - 2)..((1u64 << 14) + 2),
+        Just(u64::MAX),
+        any::<u64>(),
+    ];
+    let nnz = prop_oneof![0usize..6, 0usize..131];
+    (nnz, proptest::collection::vec((pid, count), 130)).prop_map(|(nnz, mut pairs)| {
+        pairs.truncate(nnz);
+        VectorClock::from_pairs(pairs)
+    })
+}
+
+/// The v2 clock wire form spelled out pair by pair — the oracle for
+/// [`VectorClock::put_wire`], byte for byte.
+fn naive_put_clock(buf: &mut Vec<u8>, vc: &VectorClock) {
+    put_varint(buf, vc.nnz() as u64);
+    for (p, c) in vc.entries() {
+        put_varint(buf, u64::from(p.0));
+        put_varint(buf, c);
+    }
+}
 
 /// Strategy for arbitrary messages.
 fn arb_message() -> impl Strategy<Value = Message> {
@@ -21,7 +55,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
         any::<u16>(),
         proptest::collection::vec(any::<u8>(), 0..32),
         any::<u64>(),
-        proptest::collection::vec(0u64..1000, 0..6),
+        arb_clock(),
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
@@ -34,7 +68,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 tag,
                 payload: payload.into(),
                 sent_at,
-                vc: VectorClock::from_vec(vc),
+                vc,
                 meta: MsgMeta {
                     ckpt_index: ck,
                     spec_id: sp,
@@ -61,7 +95,7 @@ fn arb_entry() -> impl Strategy<Value = ScrollEntry> {
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
-        proptest::collection::vec(0u64..1000, 0..4),
+        arb_clock(),
         arb_kind(),
         proptest::collection::vec(any::<u64>(), 0..4),
         any::<u64>(),
@@ -73,13 +107,69 @@ fn arb_entry() -> impl Strategy<Value = ScrollEntry> {
                 local_seq: seq,
                 at,
                 lamport,
-                vc: VectorClock::from_vec(vc),
+                vc,
                 kind,
                 randoms: randoms.into(),
                 effects_fp: fp,
                 sends,
             },
         )
+}
+
+/// A recorded stream over three pids: arbitrary entries renumbered so
+/// every pid's `local_seq` is dense, in stream order.
+fn arb_stream() -> impl Strategy<Value = Vec<ScrollEntry>> {
+    proptest::collection::vec((0u32..3, arb_entry()), 0..40).prop_map(|stream| {
+        let mut next = [0u64; 3];
+        stream
+            .into_iter()
+            .map(|(pid, e)| {
+                let local_seq = next[pid as usize];
+                next[pid as usize] += 1;
+                ScrollEntry {
+                    pid: Pid(pid),
+                    local_seq,
+                    ..e
+                }
+            })
+            .collect()
+    })
+}
+
+/// Spill thresholds from "every append seals" to "never seals".
+fn arb_threshold() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(1usize),
+        64usize..1024,
+        512usize..4096,
+        Just(usize::MAX)
+    ]
+}
+
+fn spilling(disk: &SharedDisk, threshold: usize) -> ScrollStore {
+    ScrollStore::with_spill(3, SpillConfig::new(disk.clone(), threshold))
+}
+
+/// The spilling store reads back, as bytes and as counts, exactly what
+/// the resident control holds: the splice equals the control's encoding
+/// equals a decode-and-re-encode of the spilled scroll.
+fn assert_reads_back_as(spilled: &ScrollStore, control: &ScrollStore, what: &str) {
+    for pid in (0..3).map(Pid) {
+        let spliced = spilled.encode_segment(pid);
+        assert_eq!(
+            spliced,
+            control.encode_segment(pid),
+            "{what}: {pid:?} splice"
+        );
+        assert_eq!(
+            spliced,
+            codec::encode_segment(&spilled.scroll(pid)),
+            "{what}: {pid:?} re-encode"
+        );
+        assert_eq!(spilled.len(pid), control.len(pid), "{what}: {pid:?} len");
+    }
+    assert_eq!(spilled.encoded_size(), control.encoded_size(), "{what}");
+    assert_eq!(spilled.total_entries(), control.total_entries(), "{what}");
 }
 
 /// Ping-pong app used for recorded-run properties.
@@ -144,6 +234,83 @@ proptest! {
     fn entry_codec_bijection(entries in proptest::collection::vec(arb_entry(), 0..12)) {
         let buf = codec::encode_segment(&entries);
         prop_assert_eq!(codec::decode_segment(&buf).unwrap(), entries);
+    }
+
+    /// The clock encoder that walks the pair slice writes what the
+    /// varint-per-pair one does, after whatever the buffer already holds.
+    #[test]
+    fn clock_wire_form_matches_the_naive_encoder(vc in arb_clock(), prefix in 0usize..3) {
+        let (mut fast, mut naive) = (vec![0xAB; prefix], vec![0xAB; prefix]);
+        vc.put_wire(&mut fast);
+        naive_put_clock(&mut naive, &vc);
+        prop_assert_eq!(fast, naive);
+    }
+
+    /// Spilled read-back is the unspilled encoding, byte for byte, at
+    /// any threshold — and stays so through every way a store's sealed
+    /// prefix changes: truncation inside a sealed segment, at a segment
+    /// boundary, at the sealed/resident boundary and to zero (each
+    /// followed by an append), an explicit seal that empties the tail,
+    /// and reassembly from per-shard stores.
+    #[test]
+    fn spilled_read_back_equals_the_unspilled_encoding(stream in arb_stream(),
+                                                        threshold in arb_threshold(),
+                                                        pick in any::<u64>(),
+                                                        extra in arb_entry()) {
+        let disk = SharedDisk::new();
+        let mut spilled = spilling(&disk, threshold);
+        let mut control = ScrollStore::new(3);
+        // One store per "shard" (pid parity) on the one disk, for
+        // `merge_disjoint` (which keeps the first store's spill config).
+        let mut shards = [spilling(&disk, threshold), spilling(&disk, threshold)];
+        // Where each pid's seals fell, as scroll lengths.
+        let mut seals: [Vec<usize>; 3] = Default::default();
+        for e in &stream {
+            let before = spilled.spilled_segments();
+            spilled.append(e.clone());
+            control.append(e.clone());
+            shards[e.pid.idx() % 2].append(e.clone());
+            if spilled.spilled_segments() > before {
+                seals[e.pid.idx()].push(spilled.len(e.pid));
+            }
+        }
+        if threshold == 1 {
+            prop_assert_eq!(spilled.spilled_segments(), stream.len());
+            prop_assert_eq!(spilled.resident_entries(), 0);
+        }
+        if threshold == usize::MAX {
+            prop_assert_eq!(spilled.spilled_segments(), 0);
+        }
+        assert_reads_back_as(&spilled, &control, "as recorded");
+        assert_reads_back_as(&ScrollStore::merge_disjoint(shards), &control, "merged shards");
+
+        for pid in (0..3).map(Pid) {
+            let (len, seals) = (spilled.len(pid), &seals[pid.idx()]);
+            let sealed = seals.last().copied().unwrap_or(0);
+            let cuts = [
+                ("to zero", 0),
+                ("sealed/resident boundary", sealed),
+                ("first segment boundary", seals.first().copied().unwrap_or(0)),
+                ("inside the last sealed segment", sealed.saturating_sub(1)),
+                ("anywhere", (pick % (len as u64 + 1)) as usize),
+            ];
+            for (what, n) in cuts {
+                let (mut s, mut c) = (spilled.clone(), control.clone());
+                s.truncate(pid, n);
+                c.truncate(pid, n);
+                assert_reads_back_as(&s, &c, what);
+                let next = ScrollEntry { pid, local_seq: n as u64, ..extra.clone() };
+                s.append(next.clone());
+                c.append(next);
+                assert_reads_back_as(&s, &c, what);
+            }
+        }
+
+        for pid in (0..3).map(Pid) {
+            spilled.seal(pid);
+        }
+        prop_assert_eq!(spilled.resident_entries(), 0);
+        assert_reads_back_as(&spilled, &control, "sealed to an empty tail");
     }
 
     /// Message encode/decode is identity under the shared-buffer
@@ -212,8 +379,7 @@ proptest! {
         let (store, _) = run_world(n, seed, hops, true);
         let c = cut::latest_consistent_cut(&store, Pid(pid), limit);
         prop_assert!(c.is_consistent(&store));
-        prop_assert!(c.count(Pid(pid)) <= limit.min(store.scroll(Pid(pid)).len()).max(limit.min(store.scroll(Pid(pid)).len())));
-        prop_assert!(c.count(Pid(pid)) <= limit);
+        prop_assert!(c.count(Pid(pid)) <= limit.min(store.len(Pid(pid))));
     }
 
     /// Local replay from the scroll reproduces the recorded final state
