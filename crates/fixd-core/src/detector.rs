@@ -5,7 +5,14 @@
 //! against the Investigator's [`WorldState`] (the same property drives
 //! the state-space search). Declaring it once keeps the two in sync —
 //! part of the "glue" this crate contributes.
+//!
+//! A **global** monitor reads the whole world at every check and a
+//! **local** one every process's program; an **item-wise** local one
+//! ([`Monitor::local_items`]) lets the supervisor ([`Watch`]) verify
+//! only the evidence items it has not verified before. Every verdict is
+//! the full check's.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use fixd_investigator::{Invariant, WorldState};
@@ -29,12 +36,27 @@ type WorldCheck = Arc<dyn Fn(&World) -> Option<Option<Pid>> + Send + Sync>;
 /// Per-process invariant check: `false` on violation.
 type ProgramCheck = Arc<dyn Fn(Pid, &dyn Program) -> bool + Send + Sync>;
 
+/// What a monitor's verdict depends on.
+#[derive(Clone)]
+enum Check {
+    /// The whole world.
+    Global(WorldCheck),
+    /// Each process's program on its own. `memo` makes the per-supervisor
+    /// memory of an item-wise monitor.
+    Local {
+        holds: ProgramCheck,
+        memo: Option<NewMemo>,
+    },
+}
+
+/// Makes one supervisor's memory of an item-wise monitor.
+type NewMemo = Arc<dyn Fn() -> Box<dyn ItemMemo> + Send + Sync>;
+
 /// One invariant, with all the views FixD needs of it.
 #[derive(Clone)]
 pub struct Monitor {
     pub name: String,
-    world_check: WorldCheck,
-    program_check: ProgramCheck,
+    check: Check,
     model_invariant: Invariant<WorldState>,
 }
 
@@ -46,29 +68,65 @@ impl Monitor {
         name: &str,
         f: impl Fn(Pid, &P) -> bool + Send + Sync + 'static,
     ) -> Self {
+        Self::local_with(name, f, None)
+    }
+
+    fn local_with<P: 'static>(
+        name: &str,
+        f: impl Fn(Pid, &P) -> bool + Send + Sync + 'static,
+        memo: Option<NewMemo>,
+    ) -> Self {
         let f = Arc::new(f);
-        let fw = Arc::clone(&f);
-        let fp = Arc::clone(&f);
         let fm = Arc::clone(&f);
         Self {
             name: name.to_string(),
-            world_check: Arc::new(move |w: &World| {
-                for i in 0..w.num_procs() {
-                    let pid = Pid(i as u32);
-                    let ok = w.with_program(pid, |p| {
-                        p.as_any().downcast_ref::<P>().is_none_or(|t| fw(pid, t))
-                    });
-                    if !ok {
-                        return Some(Some(pid));
-                    }
-                }
-                None
-            }),
-            program_check: Arc::new(move |pid, p: &dyn Program| {
-                p.as_any().downcast_ref::<P>().is_none_or(|t| fp(pid, t))
-            }),
+            check: Check::Local {
+                holds: Arc::new(move |pid, p: &dyn Program| {
+                    p.as_any().downcast_ref::<P>().is_none_or(|t| f(pid, t))
+                }),
+                memo,
+            },
             model_invariant: Invariant::for_program(name, move |pid, p: &P| fm(pid, p)),
         }
+    }
+
+    /// A local invariant that is a conjunction over **items**: `project`
+    /// names a process's context `K` and its evidence `&[I]`, and
+    /// `item_ok(pid, context, item)` must hold for every item. `item_ok`
+    /// sees nothing else, so an item's verdict is a function of its
+    /// value — which lets a supervisor remember the items it has
+    /// verified and, at the next check, verify only the ones that are
+    /// not equal to a remembered one (see [`Watch`]). The stateless
+    /// views ([`Self::violated_in`], [`Self::holds_for_program`],
+    /// [`Self::invariant`]) check every item, like [`Self::local`].
+    ///
+    /// Not every local invariant has this shape: one that relates items
+    /// to each other (sortedness, uniqueness, a running total) has no
+    /// per-item verdict and belongs in [`Self::local`].
+    pub fn local_items<P: 'static, K, I>(
+        name: &str,
+        project: impl for<'a> Fn(&'a P) -> (K, &'a [I]) + Send + Sync + 'static,
+        item_ok: impl Fn(Pid, &K, &I) -> bool + Send + Sync + 'static,
+    ) -> Self
+    where
+        K: Clone + PartialEq + Send + Sync + 'static,
+        I: Clone + PartialEq + Send + Sync + 'static,
+    {
+        let items = ItemCheck {
+            project: Arc::new(project),
+            item_ok: Arc::new(item_ok),
+        };
+        let full = items.clone();
+        Self::local_with(
+            name,
+            move |pid, p: &P| full.holds(pid, p, None),
+            Some(Arc::new(move || {
+                Box::new(Verified {
+                    items: items.clone(),
+                    seen: Vec::new(),
+                })
+            })),
+        )
     }
 
     /// A **global** invariant: `fw` over the live world, `fm` over the
@@ -81,8 +139,7 @@ impl Monitor {
     ) -> Self {
         Self {
             name: name.to_string(),
-            world_check: Arc::new(move |w| if fw(w) { None } else { Some(None) }),
-            program_check: Arc::new(|_, _| true),
+            check: Check::Global(Arc::new(move |w| if fw(w) { None } else { Some(None) })),
             model_invariant: Invariant::new(name, fm),
         }
     }
@@ -98,14 +155,13 @@ impl Monitor {
     ) -> Self {
         Self {
             name: name.to_string(),
-            world_check: Arc::new(move |w| {
+            check: Check::Global(Arc::new(move |w| {
                 if fw(w) {
                     None
                 } else {
                     Some(Some(implicate(w)))
                 }
-            }),
-            program_check: Arc::new(|_, _| true),
+            })),
             model_invariant: Invariant::new(name, fm),
         }
     }
@@ -113,13 +169,21 @@ impl Monitor {
     /// Evaluate against the live world. `Some(pid)` = violated (with the
     /// implicated process, if local).
     pub fn violated_in(&self, world: &World) -> Option<Option<Pid>> {
-        (self.world_check)(world)
+        match &self.check {
+            Check::Global(f) => f(world),
+            Check::Local { holds, .. } => all_pids(world)
+                .find(|&pid| !world.with_program(pid, |p| holds(pid, p)))
+                .map(Some),
+        }
     }
 
     /// Evaluate against a single restored program (used when choosing a
     /// rollback target; global monitors vacuously pass).
     pub fn holds_for_program(&self, pid: Pid, p: &dyn Program) -> bool {
-        (self.program_check)(pid, p)
+        match &self.check {
+            Check::Global(_) => true,
+            Check::Local { holds, .. } => holds(pid, p),
+        }
     }
 
     /// The Investigator-side invariant.
@@ -134,23 +198,184 @@ impl std::fmt::Debug for Monitor {
     }
 }
 
-/// Evaluate all monitors; first violation wins.
-pub(crate) fn check_all(
-    monitors: &[Monitor],
-    world: &World,
-    after_steps: u64,
-) -> Option<DetectedFault> {
-    for m in monitors {
-        if let Some(pid) = m.violated_in(world) {
-            return Some(DetectedFault {
-                monitor: m.name.clone(),
-                pid,
-                at: world.now(),
-                after_steps,
-            });
+fn all_pids(world: &World) -> impl Iterator<Item = Pid> {
+    (0..world.num_procs()).map(|i| Pid(i as u32))
+}
+
+/// A process's context and evidence items.
+type Project<P, K, I> = Arc<dyn for<'a> Fn(&'a P) -> (K, &'a [I]) + Send + Sync>;
+/// One item's verdict: `false` on violation.
+type ItemOk<K, I> = Arc<dyn Fn(Pid, &K, &I) -> bool + Send + Sync>;
+
+/// The two closures of [`Monitor::local_items`].
+struct ItemCheck<P, K, I> {
+    project: Project<P, K, I>,
+    item_ok: ItemOk<K, I>,
+}
+
+impl<P, K, I> Clone for ItemCheck<P, K, I> {
+    fn clone(&self) -> Self {
+        Self {
+            project: Arc::clone(&self.project),
+            item_ok: Arc::clone(&self.item_ok),
         }
     }
-    None
+}
+
+/// What has been verified for one process: a context, and the items
+/// that passed `item_ok` under it.
+type Seen<K, I> = Option<(K, Vec<I>)>;
+
+fn common_prefix<I: PartialEq>(a: &[I], b: &[I]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+impl<P, K: PartialEq, I: PartialEq> ItemCheck<P, K, I> {
+    /// The one item-wise check, stateless (`seen` = `None`) or not.
+    /// Trusts the leading items of `p` that are equal to ones `seen`
+    /// verified under an equal context, runs `item_ok` on the rest up to
+    /// the first failure, and returns the context, the items and the
+    /// range that passed just now: everything before its end is
+    /// verified, and `p` holds iff that is every item.
+    fn verify<'a>(
+        &self,
+        pid: Pid,
+        p: &'a P,
+        seen: Option<&(K, Vec<I>)>,
+    ) -> (K, &'a [I], Range<usize>) {
+        let (k, items) = (self.project)(p);
+        let trusted = match seen {
+            Some((ctx, done)) if *ctx == k => common_prefix(done, items),
+            _ => 0,
+        };
+        let passed = items[trusted..]
+            .iter()
+            .take_while(|it| (self.item_ok)(pid, &k, it))
+            .count();
+        (k, items, trusted..trusted + passed)
+    }
+
+    fn holds(&self, pid: Pid, p: &P, seen: Option<&(K, Vec<I>)>) -> bool {
+        let (_, items, passed) = self.verify(pid, p, seen);
+        passed.end == items.len()
+    }
+}
+
+/// One supervisor's memory of one item-wise monitor. It lives in the
+/// supervisor, never in the [`Monitor`] (which is cloned across worlds).
+trait ItemMemo: Send {
+    /// [`Monitor::holds_for_program`], verifying only the items past the
+    /// common prefix with what is remembered, and remembering those.
+    fn holds(&mut self, pid: Pid, p: &dyn Program) -> bool;
+    /// [`Monitor::invariant`], trusting a frozen copy of the memory.
+    fn seeded_invariant(&self, name: &str) -> Invariant<WorldState>;
+}
+
+struct Verified<P, K, I> {
+    items: ItemCheck<P, K, I>,
+    /// Indexed by pid. Everything in here passed `item_ok`; nothing ever
+    /// has to be taken back, because a check compares values and not
+    /// positions in time: a rollback, restore or patch that changes an
+    /// item, shortens the list or swaps the context just shortens the
+    /// common prefix.
+    seen: Vec<Seen<K, I>>,
+}
+
+impl<P, K, I> ItemMemo for Verified<P, K, I>
+where
+    P: 'static,
+    K: Clone + PartialEq + Send + Sync + 'static,
+    I: Clone + PartialEq + Send + Sync + 'static,
+{
+    fn holds(&mut self, pid: Pid, p: &dyn Program) -> bool {
+        let Some(p) = p.as_any().downcast_ref::<P>() else {
+            return true;
+        };
+        if self.seen.len() <= pid.idx() {
+            self.seen.resize_with(pid.idx() + 1, || None);
+        }
+        let slot = &mut self.seen[pid.idx()];
+        let (k, items, passed) = self.items.verify(pid, p, slot.as_ref());
+        // `passed.start` is 0 when the context changed.
+        let mut done = slot.take().map_or_else(Vec::new, |(_, done)| done);
+        done.truncate(passed.start);
+        done.extend_from_slice(&items[passed.clone()]);
+        *slot = Some((k, done));
+        passed.end == items.len()
+    }
+
+    fn seeded_invariant(&self, name: &str) -> Invariant<WorldState> {
+        let (items, seen) = (self.items.clone(), self.seen.clone());
+        Invariant::for_program(name, move |pid, p: &P| {
+            items.holds(pid, p, seen.get(pid.idx()).and_then(Option::as_ref))
+        })
+    }
+}
+
+/// A supervisor's monitors, each with what this supervisor remembers
+/// for it. [`Watch::check`] returns what evaluating
+/// [`Monitor::violated_in`] monitor by monitor would — same monitor,
+/// same pid — for less work.
+#[derive(Default)]
+pub(crate) struct Watch {
+    monitors: Vec<Monitor>,
+    /// Parallel to `monitors`; `Some` for the item-wise ones.
+    memos: Vec<Option<Box<dyn ItemMemo>>>,
+}
+
+impl Watch {
+    pub(crate) fn push(&mut self, m: Monitor) {
+        self.memos.push(match &m.check {
+            Check::Local {
+                memo: Some(new), ..
+            } => Some(new()),
+            _ => None,
+        });
+        self.monitors.push(m);
+    }
+
+    pub(crate) fn monitors(&self) -> &[Monitor] {
+        &self.monitors
+    }
+
+    /// Evaluate all monitors; first violation wins.
+    pub(crate) fn check(&mut self, world: &World, after_steps: u64) -> Option<DetectedFault> {
+        for (m, memo) in self.monitors.iter().zip(&mut self.memos) {
+            let violated = match &m.check {
+                Check::Global(f) => f(world),
+                Check::Local { holds, .. } => all_pids(world)
+                    .find(|&pid| {
+                        !world.with_program(pid, |p| match memo {
+                            Some(memo) => memo.holds(pid, p),
+                            None => holds(pid, p),
+                        })
+                    })
+                    .map(Some),
+            };
+            if let Some(pid) = violated {
+                return Some(DetectedFault {
+                    monitor: m.name.clone(),
+                    pid,
+                    at: world.now(),
+                    after_steps,
+                });
+            }
+        }
+        None
+    }
+
+    /// The Investigator-side invariants. An item-wise monitor's is seeded
+    /// with a frozen copy of what detection already verified, so an
+    /// explored state pays only for the items beyond it.
+    pub(crate) fn invariants(&self) -> impl Iterator<Item = Invariant<WorldState>> + '_ {
+        self.monitors
+            .iter()
+            .zip(&self.memos)
+            .map(|(m, memo)| match memo {
+                Some(memo) => memo.seeded_invariant(&m.name),
+                None => m.invariant(),
+            })
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +419,12 @@ mod tests {
         w.add_process(Box::new(Counter { n: 0 }));
         w.add_process(Box::new(Counter { n: 0 }));
         w
+    }
+
+    fn watch(monitors: Vec<Monitor>) -> Watch {
+        let mut watch = Watch::default();
+        monitors.into_iter().for_each(|m| watch.push(m));
+        watch
     }
 
     #[test]
@@ -246,9 +477,62 @@ mod tests {
         ];
         let mut w = world();
         w.run_to_quiescence(100);
-        let fault = check_all(&monitors, &w, 7).unwrap();
+        let fault = watch(monitors).check(&w, 7).unwrap();
         assert_eq!(fault.monitor, "n<3");
         assert_eq!(fault.after_steps, 7);
+    }
+
+    /// Evidence items that must each stay under `limit`.
+    struct Upto {
+        items: Vec<u64>,
+        limit: u64,
+    }
+    impl Program for Upto {
+        fn snapshot(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn restore(&mut self, _: &[u8]) {}
+        fn clone_program(&self) -> Box<dyn Program> {
+            Box::new(upto(&self.items, self.limit))
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+    fn upto(items: &[u64], limit: u64) -> Upto {
+        Upto {
+            items: items.to_vec(),
+            limit,
+        }
+    }
+
+    #[test]
+    fn item_wise_monitor_is_a_local_monitor_with_a_memo() {
+        let m = Monitor::local_items(
+            "items<limit",
+            |u: &Upto| (u.limit, u.items.as_slice()),
+            |_, limit, x| x < limit,
+        );
+        assert!(m.holds_for_program(Pid(0), &upto(&[1, 2, 3], 4)));
+        assert!(!m.holds_for_program(Pid(0), &upto(&[1, 9, 3], 4)));
+        assert!(!m.holds_for_program(Pid(0), &upto(&[1, 2, 3], 3)));
+        // Other program types pass vacuously, as with `Monitor::local`.
+        assert!(m.holds_for_program(Pid(0), &Counter { n: 9 }));
+        assert_eq!(m.invariant().name, "items<limit");
+
+        // A supervisor's memo changes what is verified, never the verdict.
+        let mut w = watch(vec![m.clone(), Monitor::local::<Upto>("t", |_, _| true)]);
+        assert!(w.memos[1].is_none());
+        let memo = w.memos[0].as_mut().expect("item-wise monitors get a memo");
+        assert!(memo.holds(Pid(1), &upto(&[1, 2, 3], 4)));
+        assert!(memo.holds(Pid(1), &upto(&[1, 2], 4)));
+        assert!(!memo.holds(Pid(1), &upto(&[1, 2, 3], 3)));
+        assert!(!memo.holds(Pid(1), &upto(&[5, 2, 3], 4)));
+        assert!(memo.holds(Pid(1), &upto(&[1, 2, 3], 4)));
+        assert!(memo.holds(Pid(1), &Counter { n: 9 }));
     }
 
     #[test]

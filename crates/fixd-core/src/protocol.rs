@@ -31,6 +31,40 @@ pub struct RespondOutcome {
     pub state: WorldState,
 }
 
+/// The checkpoint walk shared by the rollback of Fig. 4 and the dynamic
+/// update of Fig. 5: the newest live checkpoint of `fail` whose restored
+/// program passes every (local) monitor and whose state bytes `accept`
+/// takes. Falls back to checkpoint 0.
+pub(crate) fn newest_good_checkpoint(
+    world: &World,
+    tm: &TimeMachine,
+    monitors: &[Monitor],
+    fail: Pid,
+    accept: impl Fn(&[u8]) -> bool,
+) -> u64 {
+    let store = tm.store(fail);
+    let latest = store.latest_index().unwrap_or(0);
+    // One scratch program for the whole walk: `restore` overwrites, as
+    // it must for `World::restore_checkpoint` on the live program.
+    let mut candidate = world.with_program(fail, |p| p.clone_program());
+    for idx in (0..=latest).rev() {
+        if !store.is_live(idx) {
+            continue;
+        }
+        let Some(ck) = store.get(idx) else { continue };
+        let state = ck.image.to_bytes();
+        candidate.restore(&state);
+        if monitors
+            .iter()
+            .all(|m| m.holds_for_program(fail, candidate.as_ref()))
+            && accept(&state)
+        {
+            return idx;
+        }
+    }
+    0
+}
+
 /// Pick the newest live checkpoint of `fail` whose restored state passes
 /// every (local) monitor — "a point in time where the invariant holds"
 /// (§3.2). Falls back to checkpoint 0.
@@ -40,24 +74,7 @@ pub fn choose_rollback_target(
     monitors: &[Monitor],
     fail: Pid,
 ) -> u64 {
-    let store = tm.store(fail);
-    let latest = store.latest_index().unwrap_or(0);
-    for idx in (0..=latest).rev() {
-        if !store.is_live(idx) {
-            continue;
-        }
-        let Some(ck) = store.get(idx) else { continue };
-        let state = ck.image.to_bytes();
-        let mut candidate = world.with_program(fail, |p| p.clone_program());
-        candidate.restore(&state);
-        if monitors
-            .iter()
-            .all(|m| m.holds_for_program(fail, candidate.as_ref()))
-        {
-            return idx;
-        }
-    }
-    0
+    newest_good_checkpoint(world, tm, monitors, fail, |_| true)
 }
 
 /// Execute the Fig. 4 response: roll back to `target` (computing the
@@ -157,7 +174,12 @@ mod tests {
     fn respond_restores_good_state_and_assembles() {
         let (mut w, mut tm, monitors) = setup();
         tm.run(&mut w, 10_000);
-        let fault = crate::detector::check_all(&monitors, &w, 0).expect("fault manifest");
+        let fault = DetectedFault {
+            monitor: monitors[0].name.clone(),
+            pid: monitors[0].violated_in(&w).expect("fault manifest"),
+            at: w.now(),
+            after_steps: 0,
+        };
         assert_eq!(fault.pid, Some(Pid(1)));
         let out = respond(&mut w, &mut tm, &monitors, &fault).unwrap();
         // Restored world passes the monitor again.

@@ -8,8 +8,8 @@ use fixd_scroll::{RecordConfig, ScrollQuery, ScrollRecorder, ScrollStore};
 use fixd_timemachine::TimeMachine;
 
 use crate::config::FixdConfig;
-use crate::detector::{check_all, DetectedFault, Monitor};
-use crate::protocol::{respond, RespondOutcome};
+use crate::detector::{DetectedFault, Monitor, Watch};
+use crate::protocol::{newest_good_checkpoint, respond, RespondOutcome};
 use crate::report::BugReport;
 
 /// Result of a supervised run segment.
@@ -44,7 +44,7 @@ pub struct Fixd {
     cfg: FixdConfig,
     tm: TimeMachine,
     scroll: ScrollRecorder,
-    monitors: Vec<Monitor>,
+    watch: Watch,
     healer: Healer,
     steps: u64,
 }
@@ -67,7 +67,7 @@ impl Fixd {
                 Some(spill) => ScrollRecorder::with_spill(n, record, spill.clone()),
                 None => ScrollRecorder::new(n, record),
             },
-            monitors: Vec::new(),
+            watch: Watch::default(),
             healer: Healer::new(),
             steps: 0,
             cfg,
@@ -76,7 +76,7 @@ impl Fixd {
 
     /// Add an invariant monitor (builder style).
     pub fn monitor(mut self, m: Monitor) -> Self {
-        self.monitors.push(m);
+        self.watch.push(m);
         self
     }
 
@@ -97,50 +97,55 @@ impl Fixd {
 
     /// The configured monitors.
     pub fn monitors(&self) -> &[Monitor] {
-        &self.monitors
+        self.watch.monitors()
     }
 
     /// Drive the world under full FixD supervision (checkpointing +
     /// logging + detection) until a fault fires, the world quiesces, or
-    /// `max_steps` execute.
+    /// `max_steps` execute. Monitors are evaluated every
+    /// `check_every` events and once more before returning if events
+    /// ran since, so no executed event leaves this call unchecked.
     pub fn supervise(&mut self, world: &mut World, max_steps: u64) -> SuperviseOutcome {
+        // `check_every == 0` would make `is_multiple_of` always false
+        // and silently disable monitoring; treat it as 1.
+        let every = self.cfg.check_every.max(1);
         let mut steps = 0u64;
+        let mut unchecked = false;
+        let mut quiescent = false;
         while steps < max_steps {
             let Some(ev) = world.peek() else {
-                return SuperviseOutcome {
-                    steps,
-                    fault: None,
-                    quiescent: true,
-                };
+                quiescent = true;
+                break;
             };
             self.tm.before_step(world, &ev);
             let Some(rec) = world.step() else {
-                return SuperviseOutcome {
-                    steps,
-                    fault: None,
-                    quiescent: true,
-                };
+                quiescent = true;
+                break;
             };
             self.tm.after_step(world, &rec);
             self.scroll.observe(world, &rec);
             steps += 1;
             self.steps += 1;
-            // `check_every == 0` would make `is_multiple_of` always
-            // false and silently disable monitoring; treat it as 1.
-            if self.steps.is_multiple_of(self.cfg.check_every.max(1)) {
-                if let Some(fault) = check_all(&self.monitors, world, self.steps) {
+            unchecked = true;
+            if self.steps.is_multiple_of(every) {
+                if let Some(fault) = self.watch.check(world, self.steps) {
                     return SuperviseOutcome {
                         steps,
                         fault: Some(fault),
                         quiescent: false,
                     };
                 }
+                unchecked = false;
             }
         }
+        // The tail: events that ran after the last check point.
+        let fault = unchecked
+            .then(|| self.watch.check(world, self.steps))
+            .flatten();
         SuperviseOutcome {
             steps,
-            fault: None,
-            quiescent: false,
+            quiescent: quiescent && fault.is_none(),
+            fault,
         }
     }
 
@@ -151,7 +156,7 @@ impl Fixd {
         world: &mut World,
         fault: &DetectedFault,
     ) -> Result<RespondOutcome, fixd_timemachine::recovery::RollbackError> {
-        respond(world, &mut self.tm, &self.monitors, fault)
+        respond(world, &mut self.tm, self.watch.monitors(), fault)
     }
 
     /// Investigate an assembled checkpoint: explore execution paths and
@@ -159,8 +164,8 @@ impl Fixd {
     pub fn investigate(&self, state: WorldState) -> ExploreReport<ModelAction> {
         let mut md = ModelD::from_checkpoint(self.cfg.seed, self.cfg.net_model, state)
             .config(self.cfg.explore.clone());
-        for m in &self.monitors {
-            md = md.invariant(m.invariant());
+        for inv in self.watch.invariants() {
+            md = md.invariant(inv);
         }
         md.run()
     }
@@ -213,40 +218,14 @@ impl Fixd {
         fail: Pid,
         patch: &Patch,
     ) -> Result<HealReport, fixd_healer::update::HealError> {
-        let latest = self.tm.interval(fail);
-        let mut target = latest;
-        for idx in (0..=latest).rev() {
-            let store = self.tm.store(fail);
-            if !store.is_live(idx) {
-                continue;
-            }
-            let Some(ck) = store.get(idx) else { continue };
-            let state = ck.image.to_bytes();
-            let monitors_ok = {
-                let mut candidate = world.with_program(fail, |p| p.clone_program());
-                candidate.restore(&state);
-                self.monitors
-                    .iter()
-                    .all(|m| m.holds_for_program(fail, candidate.as_ref()))
-            };
-            if monitors_ok && patch.applicable_to(&state) {
-                target = idx;
-                break;
-            }
-            if idx == 0 {
-                target = 0;
-            }
-        }
-        let monitors = self.monitors.clone();
-        self.healer.update_from_checkpoint(
-            world,
-            &mut self.tm,
-            fail,
-            target,
-            patch,
-            &[],
-            move |w| monitors.iter().all(|m| m.violated_in(w).is_none()),
-        )
+        let monitors = self.watch.monitors();
+        let target = newest_good_checkpoint(world, &self.tm, monitors, fail, |state| {
+            patch.applicable_to(state)
+        });
+        self.healer
+            .update_from_checkpoint(world, &mut self.tm, fail, target, patch, &[], |w| {
+                monitors.iter().all(|m| m.violated_in(w).is_none())
+            })
     }
 
     /// Fig. 5 recovery, option 1: restart processes from scratch on the
@@ -365,6 +344,37 @@ mod tests {
         assert!(fixd.scroll().total_entries() > 0);
     }
 
+    /// The run is five steps and the regression is the fifth, so at
+    /// `check_every` = 2, 3, 4 the world drains one, two, one step(s)
+    /// past the last check point.
+    #[test]
+    fn sparse_checks_do_not_lose_the_tail() {
+        let sparse = |every: u64, m: Monitor| {
+            let (w, _) = setup();
+            let mut cfg = FixdConfig::seeded(7);
+            cfg.check_every = every;
+            (w, Fixd::new(2, cfg).monitor(m))
+        };
+        let (mut w, mut fixd) = setup();
+        let at_one = fixd.supervise(&mut w, 10_000).fault.unwrap();
+        for every in [2, 3, 4] {
+            let (mut w, mut fixd) = sparse(every, monitors());
+            let out = fixd.supervise(&mut w, 10_000);
+            assert!(!out.quiescent);
+            assert_eq!(out.fault.as_ref(), Some(&at_one), "check_every={every}");
+
+            // A clean world still just drains.
+            let (mut w, mut fixd) = sparse(every, Monitor::local::<MaxRegV1>("true", |_, _| true));
+            let out = fixd.supervise(&mut w, 10_000);
+            assert!(out.quiescent && out.fault.is_none());
+        }
+        // Same at the other exit: a segment that ends between two check
+        // points checks what it ran before returning.
+        let (mut w, mut fixd) = sparse(1_000, monitors());
+        let out = fixd.supervise(&mut w, at_one.after_steps);
+        assert_eq!(out.fault, Some(at_one));
+    }
+
     #[test]
     fn diagnose_produces_reproducing_report() {
         let (mut w, mut fixd) = setup();
@@ -396,6 +406,34 @@ mod tests {
         assert!(out.fault.is_none(), "no more regression after the fix");
         assert!(out.quiescent);
         assert_eq!(w.program::<MaxRegV2>(Pid(1)).unwrap().value, 9);
+    }
+
+    /// No checkpoint the patch accepts, and checkpoint 0 collected: the
+    /// walk still falls back to 0, as `choose_rollback_target` does, and
+    /// the refusal comes before anything is rolled back.
+    #[test]
+    fn heal_update_with_nothing_acceptable_and_no_checkpoint_0_leaves_the_world_alone() {
+        use fixd_healer::update::HealError;
+        use fixd_timemachine::recovery::RollbackError;
+
+        let (mut w, mut fixd) = setup();
+        fixd.supervise(&mut w, 10_000).fault.unwrap();
+        assert!(fixd.time_machine().interval(Pid(1)) >= 2);
+        fixd.time_machine().gc(&[0, 1]);
+        assert!(!fixd.time_machine().store(Pid(1)).is_live(0));
+        let before = w.global_snapshot().fingerprint();
+
+        let patch = Patch::code_only("maxreg-fix", 1, 2, || Box::new(MaxRegV2 { value: 0 }))
+            .with_precondition(|_| false);
+        assert_eq!(
+            fixd.heal_update(&mut w, Pid(1), &patch).unwrap_err(),
+            HealError::Rollback(RollbackError::CheckpointCollected {
+                pid: Pid(1),
+                index: 0
+            })
+        );
+        assert_eq!(w.global_snapshot().fingerprint(), before);
+        assert_eq!(w.program::<MaxRegV1>(Pid(1)).unwrap().value, 3);
     }
 
     #[test]

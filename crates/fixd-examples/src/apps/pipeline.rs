@@ -183,10 +183,15 @@ impl Program for Cruncher {
 }
 
 /// Correctness monitor: every recorded result matches the reference
-/// computation.
+/// computation. Item-wise — a result's verdict depends on `cost` and on
+/// the `(item, result)` pair alone — so a supervisor re-derives only
+/// the results it has not verified yet.
 pub fn results_monitor() -> Monitor {
-    let ok = |c: &Cruncher| c.results.iter().all(|&(i, r)| r == crunch(i, c.cost));
-    Monitor::local::<Cruncher>("results-correct", move |_, c| ok(c))
+    Monitor::local_items(
+        "results-correct",
+        |c: &Cruncher| (c.cost, c.results.as_slice()),
+        |_, &cost, &(item, result)| result == crunch(item, cost),
+    )
 }
 
 /// Build the 2-process pipeline world over an explicit [`WorldConfig`]

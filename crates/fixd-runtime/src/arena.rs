@@ -18,9 +18,7 @@
 //! With a bounded trace, a steady-state step draws every box it needs
 //! from the pool and the eviction at the end of the step returns the
 //! same number, so the loop touches the allocator zero times
-//! (`step_demo` pins this with a counting `#[global_allocator]`). The
-//! `baseline` flag turns every pool off — the `clone-baseline` feature
-//! uses it for an honest allocate-per-step A/B.
+//! (`step_demo` pins this with a counting `#[global_allocator]`).
 
 use std::sync::Arc;
 
@@ -44,7 +42,7 @@ pub const RAND_POOL_CAP: usize = 1024;
 pub struct ArenaStats {
     /// Messages drawn from the pool (vs freshly allocated).
     pub msgs_recycled: u64,
-    /// Messages allocated because the pool was empty (or baseline mode).
+    /// Messages allocated because the pool was empty (or pooling is off).
     pub msgs_allocated: u64,
     /// Step records drawn from the pool.
     pub records_recycled: u64,
@@ -89,9 +87,8 @@ pub(crate) struct StepArena {
     records: Vec<Arc<StepRecord>>,
     effects: Vec<Effects>,
     randoms: Vec<Arc<Vec<u64>>>,
-    /// When set, every draw allocates and every recycle drops — the
-    /// `clone-baseline` A/B build measures the allocator's true cost.
-    baseline: bool,
+    /// When set, every draw allocates and every recycle drops.
+    unpooled: bool,
     msgs_recycled: u64,
     msgs_allocated: u64,
     records_recycled: u64,
@@ -105,7 +102,7 @@ impl StepArena {
             records: Vec::new(),
             effects: Vec::new(),
             randoms: Vec::new(),
-            baseline: false,
+            unpooled: false,
             msgs_recycled: 0,
             msgs_allocated: 0,
             records_recycled: 0,
@@ -113,10 +110,13 @@ impl StepArena {
         }
     }
 
-    /// Disable pooling (the feature-gated clone-per-step baseline, and
-    /// throwaway arenas whose pools nothing would draw from).
-    pub(crate) fn set_baseline(&mut self, baseline: bool) {
-        self.baseline = baseline;
+    /// An arena with pooling off, for a throwaway arena whose pools
+    /// nothing would ever draw from.
+    pub(crate) fn unpooled() -> Self {
+        Self {
+            unpooled: true,
+            ..Self::new()
+        }
     }
 
     pub(crate) fn stats(&self) -> ArenaStats {
@@ -188,7 +188,7 @@ impl StepArena {
         vc: &VectorClock,
         meta: crate::event::MsgMeta,
     ) -> SharedMessage {
-        if !self.baseline {
+        if !self.unpooled {
             if let Some(mut shell) = self.msgs.pop() {
                 let m = Arc::get_mut(&mut shell).expect("pooled shells are unique");
                 m.id = id;
@@ -219,7 +219,7 @@ impl StepArena {
     /// Return a message box to the pool if this handle is the last one.
     /// Returns whether the box was actually pooled.
     pub(crate) fn recycle_message(&mut self, msg: SharedMessage) -> bool {
-        if self.baseline {
+        if self.unpooled {
             return false;
         }
         let mut arc = msg.into_arc();
@@ -242,7 +242,7 @@ impl StepArena {
 
     /// Seal one step into a shared record, reusing a pooled shell.
     pub(crate) fn make_record(&mut self, event: Event, effects: Effects) -> SharedStepRecord {
-        if !self.baseline {
+        if !self.unpooled {
             if let Some(mut shell) = self.records.pop() {
                 let r = Arc::get_mut(&mut shell).expect("pooled shells are unique");
                 r.event = event;
@@ -260,7 +260,7 @@ impl StepArena {
     /// effects body to the effects pool, its shell to the record pool.
     /// Returns whether the shell was pooled.
     pub(crate) fn recycle_record(&mut self, rec: SharedStepRecord) -> bool {
-        if self.baseline {
+        if self.unpooled {
             return false;
         }
         let mut arc = rec;
@@ -284,7 +284,7 @@ impl StepArena {
 
     /// A cleared effects body (vectors keep their capacities).
     pub(crate) fn make_effects(&mut self) -> Effects {
-        if !self.baseline {
+        if !self.unpooled {
             if let Some(e) = self.effects.pop() {
                 return e;
             }
@@ -295,7 +295,7 @@ impl StepArena {
     /// Strip an effects body for reuse: recycle each send the world
     /// still solely holds, drop payload refs, pool the vectors.
     pub(crate) fn recycle_effects(&mut self, mut effects: Effects) {
-        if self.baseline {
+        if self.unpooled {
             return;
         }
         for msg in effects.sends.drain(..) {
@@ -317,7 +317,7 @@ impl StepArena {
 
     /// A unique, cleared draw buffer for one handler run.
     pub(crate) fn make_randoms(&mut self) -> Arc<Vec<u64>> {
-        if !self.baseline {
+        if !self.unpooled {
             if let Some(shell) = self.randoms.pop() {
                 return shell;
             }
@@ -327,7 +327,7 @@ impl StepArena {
 
     /// Return a draw buffer whose last reference this is.
     pub(crate) fn recycle_randoms(&mut self, mut shell: Arc<Vec<u64>>) {
-        if self.baseline {
+        if self.unpooled {
             return;
         }
         let Some(v) = Arc::get_mut(&mut shell) else {

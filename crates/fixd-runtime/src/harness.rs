@@ -73,8 +73,7 @@ impl SoloHarness {
     ) -> Effects {
         // A throwaway arena per run, with pooling off: nothing would
         // ever draw what this run returned to its pools.
-        let mut arena = crate::arena::StepArena::new();
-        arena.set_baseline(true);
+        let mut arena = crate::arena::StepArena::unpooled();
         let mut ctx = Context::new(
             self.pid,
             self.now,

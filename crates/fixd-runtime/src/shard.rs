@@ -652,13 +652,13 @@ impl ShardedWorld {
         };
         let slots: Vec<Slot> = (0..shards)
             .map(|s| {
-                let mut sh = Box::new(Shard::new(cfg.seed, shards as u32, s as u32));
-                sh.arena.set_baseline(cfg.clone_baseline);
-                Slot(Some(sh))
+                Slot(Some(Box::new(Shard::new(
+                    cfg.seed,
+                    shards as u32,
+                    s as u32,
+                ))))
             })
             .collect();
-        let mut arena = StepArena::new();
-        arena.set_baseline(cfg.clone_baseline);
         Self {
             partition: Partition::none(0),
             now: cfg.start_time,
@@ -689,7 +689,7 @@ impl ShardedWorld {
             capture: None,
             payload_base: crate::payload::stats(),
             payload_accum: crate::payload::PayloadStats::default(),
-            arena,
+            arena: StepArena::new(),
         }
     }
 

@@ -55,10 +55,6 @@ pub struct WorldConfig {
     pub trace_cap: Option<usize>,
     /// Virtual time at which `on_start` handlers run.
     pub start_time: VTime,
-    /// Disable the step arena so every hot-path box goes through the
-    /// global allocator (the `clone-baseline` A/B build sets this; it is
-    /// always present so configs serialize identically either way).
-    pub clone_baseline: bool,
 }
 
 impl Default for WorldConfig {
@@ -68,7 +64,6 @@ impl Default for WorldConfig {
             net: NetworkConfig::default(),
             trace_cap: None,
             start_time: 0,
-            clone_baseline: false,
         }
     }
 }
@@ -266,12 +261,8 @@ impl Clone for World {
             replay: self.replay.clone(),
             payload_base: self.payload_base,
             // Pools are never shared between worlds: the clone starts
-            // with empty pools and the same baseline setting.
-            arena: {
-                let mut a = StepArena::new();
-                a.set_baseline(self.cfg.clone_baseline);
-                a
-            },
+            // with empty pools.
+            arena: StepArena::new(),
         }
     }
 }
@@ -284,8 +275,6 @@ impl World {
             Some(cap) => Trace::bounded(cap),
             None => Trace::unbounded(),
         };
-        let mut arena = StepArena::new();
-        arena.set_baseline(cfg.clone_baseline);
         Self {
             partition: Partition::none(0),
             now: cfg.start_time,
@@ -305,7 +294,7 @@ impl World {
             sealed: false,
             replay: None,
             payload_base: crate::payload::stats(),
-            arena,
+            arena: StepArena::new(),
         }
     }
 
@@ -588,16 +577,6 @@ impl World {
                 self.stats.delivered += 1;
                 // Borrow the staged message for the handler call; the
                 // same shared handle then moves into the record's kind.
-                // (Baseline: hand the handler its own deep copy, the
-                // seed's `HandlerCall::Message(&msg.clone())`.)
-                #[cfg(feature = "clone-baseline")]
-                let eff = if self.cfg.clone_baseline {
-                    let deep = baseline::deep_message(&msg);
-                    self.run_handler(pid, HandlerCall::Message(&deep))
-                } else {
-                    self.run_handler(pid, HandlerCall::Message(&msg))
-                };
-                #[cfg(not(feature = "clone-baseline"))]
                 let eff = self.run_handler(pid, HandlerCall::Message(&msg));
                 (EventKind::Deliver { msg }, eff)
             }
@@ -623,15 +602,6 @@ impl World {
         };
 
         let record = self.arena.make_record(Event { seq, at, kind }, effects);
-        // Baseline: the trace retains a real deep clone of the record —
-        // the seed's `trace.push(record.clone())` — instead of bumping
-        // the refcount. Record contents are value-equal either way, so
-        // fingerprints and replay are unchanged.
-        #[cfg(feature = "clone-baseline")]
-        if self.cfg.clone_baseline {
-            self.trace.push(Arc::new(baseline::deep_record(&record)));
-            return Some(record);
-        }
         if let Some(evicted) = self.trace.push(Arc::clone(&record)) {
             self.arena.recycle_record(evicted);
         }
@@ -683,21 +653,7 @@ impl World {
     /// replay uses.
     fn apply_effects(&mut self, pid: Pid, effects: Effects) -> Effects {
         let mut batch = std::mem::take(&mut self.event_batch);
-        // Baseline: route deep copies — the seed's
-        // `route_message(msg.clone())` allocated a fresh message (dense
-        // clock rebuild, copied payload bytes) per routed send.
-        #[cfg(feature = "clone-baseline")]
-        let deep_sends: Vec<SharedMessage>;
-        #[cfg(feature = "clone-baseline")]
-        let sends: &[SharedMessage] = if self.cfg.clone_baseline {
-            deep_sends = effects.sends.iter().map(baseline::deep_shared).collect();
-            &deep_sends
-        } else {
-            &effects.sends
-        };
-        #[cfg(not(feature = "clone-baseline"))]
-        let sends = &effects.sends;
-        self.net_side().route_sends(sends, &mut batch);
+        self.net_side().route_sends(&effects.sends, &mut batch);
         for (timer, fire_at) in &effects.timers_set {
             let qe = self.make_event(*fire_at, EventKind::TimerFire { pid, timer: *timer });
             batch.push(qe);
@@ -1176,69 +1132,6 @@ pub(crate) enum HandlerCall<'a> {
     Start,
     Message(&'a Message),
     Timer(TimerId),
-}
-
-/// The pre-refactor hot-loop deep clones, performed **for real** when
-/// the `clone-baseline` feature is compiled in and
-/// [`WorldConfig::clone_baseline`] is set: a dense vector-clock rebuild
-/// and payload byte copy per message clone, one clone per handler call
-/// and per routed send, and a full record clone (sends, randoms,
-/// outputs) into the trace. `step_demo` A/Bs the arena'd loop against
-/// this honest baseline end to end.
-#[cfg(feature = "clone-baseline")]
-mod baseline {
-    use super::*;
-    use crate::payload::Payload;
-    use crate::trace::StepRecord;
-
-    pub(super) fn deep_message(m: &Message) -> Message {
-        Message {
-            id: m.id,
-            src: m.src,
-            dst: m.dst,
-            tag: m.tag,
-            payload: Payload::untracked(m.payload.as_slice().to_vec()),
-            sent_at: m.sent_at,
-            vc: VectorClock::from_pairs(m.vc.entries().map(|(p, c)| (p.0, c)).collect()),
-            meta: m.meta,
-        }
-    }
-
-    pub(super) fn deep_shared(m: &SharedMessage) -> SharedMessage {
-        SharedMessage::new(deep_message(m))
-    }
-
-    pub(super) fn deep_record(rec: &StepRecord) -> StepRecord {
-        let kind = match &rec.event.kind {
-            EventKind::Deliver { msg } => EventKind::Deliver {
-                msg: deep_shared(msg),
-            },
-            EventKind::Drop { msg } => EventKind::Drop {
-                msg: deep_shared(msg),
-            },
-            other => other.clone(),
-        };
-        StepRecord {
-            event: Event {
-                seq: rec.event.seq,
-                at: rec.event.at,
-                kind,
-            },
-            effects: Effects {
-                sends: rec.effects.sends.iter().map(deep_shared).collect(),
-                timers_set: rec.effects.timers_set.clone(),
-                timers_cancelled: rec.effects.timers_cancelled.clone(),
-                randoms: rec.effects.randoms.to_vec().into(),
-                outputs: rec
-                    .effects
-                    .outputs
-                    .iter()
-                    .map(|o| Payload::untracked(o.as_slice().to_vec()))
-                    .collect(),
-                crashed: rec.effects.crashed,
-            },
-        }
-    }
 }
 
 /// The network-side state one routed send consumes: fault rules, the

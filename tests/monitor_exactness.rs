@@ -1,0 +1,523 @@
+//! Monitors pay for what changed — and every verdict stays the full
+//! check's. Under `Fixd::supervise` an item-wise monitor re-verifies
+//! only evidence it has not verified before; these tests pin that this
+//! cannot be told apart from evaluating `Monitor::violated_in` over the
+//! whole world at every check point.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use fixd_core::{DetectedFault, Fixd, FixdConfig, Monitor, SuperviseOutcome};
+use fixd_examples::pipeline::{self, Cruncher};
+use fixd_examples::token_ring::{self, RingNode};
+use fixd_examples::{kvstore, two_phase_commit as tpc};
+use fixd_healer::{migrate, MigrateError, Patch};
+use fixd_investigator::ModelD;
+use fixd_runtime::{Context, Message, NetworkConfig, Pid, Program, World, WorldConfig};
+
+const MAX_STEPS: u64 = 100_000;
+const COST: u64 = 50;
+
+/// One buggy application of `fixd-benchmark`'s `heal-loop`, or a world
+/// under a local monitor that several processes can break.
+struct Scenario {
+    build: Box<dyn Fn() -> World>,
+    monitors: Vec<Monitor>,
+    /// The fix and the process it is for; `None`: detection only.
+    patch: Option<(Patch, Pid)>,
+}
+
+fn jittery(seed: u64, lo: u64, hi: u64) -> WorldConfig {
+    let mut cfg = WorldConfig::seeded(seed);
+    cfg.net = NetworkConfig::jittery(lo, hi);
+    cfg
+}
+
+/// The token-ring fix of `tests/integration.rs`.
+fn ring_patch() -> Patch {
+    Patch::code_only("ring-no-dup", 1, 2, || Box::new(RingNode::correct())).with_migration(
+        migrate::from_fn(|old| {
+            let mut b = old.to_vec();
+            if b.len() < 3 {
+                return Err(MigrateError::Malformed("ring state".into()));
+            }
+            b[2] = 255; // dup_at = None
+            Ok(b)
+        }),
+    )
+}
+
+/// Counts its deliveries; node 0 greets everybody at start.
+struct Greeter {
+    heard: u64,
+}
+
+impl Program for Greeter {
+    fn on_start(&mut self, ctx: &mut Context) {
+        if ctx.pid() == Pid(0) {
+            for p in 1..ctx.world_size() as u32 {
+                ctx.send(Pid(p), 1, vec![0]);
+            }
+        }
+    }
+    fn on_message(&mut self, _ctx: &mut Context, _msg: &Message) {
+        self.heard += 1;
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        self.heard.to_le_bytes().to_vec()
+    }
+    fn restore(&mut self, b: &[u8]) {
+        self.heard = u64::from_le_bytes(b.try_into().unwrap());
+    }
+    fn clone_program(&self) -> Box<dyn Program> {
+        Box::new(Greeter { heard: self.heard })
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A local monitor that always holds, to put a local check ahead of a
+/// global one in the monitor order.
+fn tautology<P: 'static>() -> Monitor {
+    Monitor::local::<P>("tautology", |_, _| true)
+}
+
+fn scenario(app: usize, seed: u64) -> Scenario {
+    match app {
+        0 => {
+            let puts = 8 + (seed % 12) as usize;
+            Scenario {
+                build: Box::new(move || {
+                    kvstore::kv_world(seed, kvstore::script(puts, seed), (1, 80))
+                }),
+                monitors: vec![kvstore::gap_monitor()],
+                patch: Some((kvstore::backup_patch(), Pid(2))),
+            }
+        }
+        1 => {
+            let items = 16 + seed % 24;
+            Scenario {
+                build: Box::new(move || {
+                    pipeline::pipeline_world(seed, items, COST, Some(items * 3 / 4))
+                }),
+                monitors: vec![pipeline::results_monitor()],
+                patch: Some((pipeline::cruncher_patch(COST), Pid(1))),
+            }
+        }
+        2 => {
+            let n = 4 + (seed % 3) as usize;
+            let buggy = 1 + (seed as usize / 3) % (n - 1);
+            let dup_at = (3 * n - 1 - buggy) as u8;
+            Scenario {
+                build: Box::new(move || {
+                    token_ring::ring_world_cfg(jittery(seed, 1, 4), n, Some((buggy, dup_at)))
+                }),
+                monitors: vec![tautology::<RingNode>(), token_ring::mutex_monitor()],
+                patch: Some((ring_patch(), Pid(buggy as u32))),
+            }
+        }
+        3 => {
+            let n = 3 + seed % 3;
+            let votes: Vec<bool> = (0..n).map(|v| v != seed % n).collect();
+            Scenario {
+                build: Box::new(move || tpc::tpc_world_cfg(jittery(seed, 1, 60), &votes, true)),
+                monitors: vec![tpc::atomicity_monitor()],
+                patch: Some((tpc::coordinator_patch(), Pid(0))),
+            }
+        }
+        // Everybody is greeted within three steps of each other, in a
+        // seed-dependent order, and being greeted breaks the monitor:
+        // one sparse check finds several processes violated and must
+        // name the lowest pid, as the full check does.
+        5 => Scenario {
+            build: Box::new(move || {
+                let mut w = World::new(jittery(seed, 1, 2));
+                for _ in 0..4 {
+                    w.add_process(Box::new(Greeter { heard: 0 }));
+                }
+                w
+            }),
+            monitors: vec![Monitor::local::<Greeter>("ungreeted", |_, g| g.heard == 0)],
+            patch: None,
+        },
+        // A correct ring whose nodes each have their own entry budget.
+        _ => Scenario {
+            build: Box::new(move || token_ring::ring_world_cfg(jittery(seed, 1, 4), 5, None)),
+            monitors: vec![
+                tautology::<Cruncher>(),
+                Monitor::local::<RingNode>("entry-budget", |pid, r| {
+                    r.entries <= 1 + u64::from(pid.0 % 2)
+                }),
+            ],
+            patch: None,
+        },
+    }
+}
+
+/// `Fixd::supervise` with the full, stateless check of every monitor at
+/// every check point, built from public calls. The supervisor it drives
+/// never runs its own `supervise`, so it remembers nothing.
+struct Reference {
+    fixd: Fixd,
+    monitors: Vec<Monitor>,
+    every: u64,
+    steps: u64,
+}
+
+impl Reference {
+    fn full_check(&self, world: &World) -> Option<DetectedFault> {
+        self.monitors.iter().find_map(|m| {
+            m.violated_in(world).map(|pid| DetectedFault {
+                monitor: m.name.clone(),
+                pid,
+                at: world.now(),
+                after_steps: self.steps,
+            })
+        })
+    }
+
+    fn supervise(&mut self, world: &mut World, max_steps: u64) -> SuperviseOutcome {
+        let (mut steps, mut unchecked, mut quiescent) = (0, 0u64, false);
+        while steps < max_steps {
+            let Some(ev) = world.peek() else {
+                quiescent = true;
+                break;
+            };
+            self.fixd.time_machine().before_step(world, &ev);
+            let rec = world.step().expect("peeked");
+            self.fixd.time_machine().after_step(world, &rec);
+            steps += 1;
+            self.steps += 1;
+            unchecked += 1;
+            if self.steps.is_multiple_of(self.every) {
+                if let Some(fault) = self.full_check(world) {
+                    return SuperviseOutcome {
+                        steps,
+                        fault: Some(fault),
+                        quiescent: false,
+                    };
+                }
+                unchecked = 0;
+            }
+        }
+        let fault = (unchecked > 0).then(|| self.full_check(world)).flatten();
+        SuperviseOutcome {
+            steps,
+            quiescent: quiescent && fault.is_none(),
+            fault,
+        }
+    }
+}
+
+fn supervisor(world: &World, seed: u64, every: u64, monitors: &[Monitor]) -> Fixd {
+    let mut cfg = FixdConfig::seeded(seed);
+    cfg.check_every = every;
+    monitors
+        .iter()
+        .cloned()
+        .fold(Fixd::new(world.num_procs(), cfg), Fixd::monitor)
+}
+
+fn same_outcome(a: &SuperviseOutcome, b: &SuperviseOutcome, what: &str) {
+    assert_eq!(
+        (a.steps, &a.fault, a.quiescent),
+        (b.steps, &b.fault, b.quiescent),
+        "{what}"
+    );
+}
+
+/// (a) Detect → diagnose → heal → resume, in lock step with the
+/// reference: same detecting step, monitor and pid, same recovery line,
+/// explored states and trails, same heal, same healed world.
+#[test]
+fn supervised_verdicts_are_the_full_checks() {
+    let mut detected = [0u32; 6];
+    for (app, detected) in detected.iter_mut().enumerate() {
+        for seed in 0..64u64 {
+            for every in [1u64, 3] {
+                let what = format!("app {app} seed {seed} check_every {every}");
+                let sc = scenario(app, seed);
+                let (mut w, mut w_ref) = ((sc.build)(), (sc.build)());
+                let mut fixd = supervisor(&w, seed, every, &sc.monitors);
+                let mut reference = Reference {
+                    fixd: supervisor(&w_ref, seed, every, &sc.monitors),
+                    monitors: sc.monitors.clone(),
+                    every,
+                    steps: 0,
+                };
+
+                let detect = fixd.supervise(&mut w, MAX_STEPS);
+                same_outcome(&detect, &reference.supervise(&mut w_ref, MAX_STEPS), &what);
+                let Some(fault) = detect.fault else { continue };
+                *detected += 1;
+                let Some((patch, pid)) = &sc.patch else {
+                    continue;
+                };
+
+                let report = fixd.diagnose(&mut w, fault.clone()).expect("diagnose");
+                let report_ref = reference
+                    .fixd
+                    .diagnose(&mut w_ref, fault)
+                    .expect("diagnose");
+                assert_eq!(report.recovery_line, report_ref.recovery_line, "{what}");
+                assert_eq!(
+                    (report.states_explored, report.transitions, report.truncated),
+                    (
+                        report_ref.states_explored,
+                        report_ref.transitions,
+                        report_ref.truncated
+                    ),
+                    "{what}"
+                );
+                assert_eq!(report.trails, report_ref.trails, "{what}");
+                assert_eq!(report.deadlocks, report_ref.deadlocks, "{what}");
+                assert_eq!(
+                    report.checkpoint_fingerprint, report_ref.checkpoint_fingerprint,
+                    "{what}"
+                );
+
+                let heal = fixd.heal_update(&mut w, *pid, patch);
+                let heal_ref = reference.fixd.heal_update(&mut w_ref, *pid, patch);
+                match (&heal, &heal_ref) {
+                    (Ok(a), Ok(b)) => assert_eq!(
+                        (&a.procs_updated, a.salvaged_events, &a.rollback),
+                        (&b.procs_updated, b.salvaged_events, &b.rollback),
+                        "{what}"
+                    ),
+                    (Err(a), Err(b)) => assert_eq!(a, b, "{what}"),
+                    _ => panic!("{what}: {heal:?} against {heal_ref:?}"),
+                }
+
+                let resume = fixd.supervise(&mut w, MAX_STEPS);
+                same_outcome(&resume, &reference.supervise(&mut w_ref, MAX_STEPS), &what);
+                assert_eq!(
+                    w.global_snapshot().fingerprint(),
+                    w_ref.global_snapshot().fingerprint(),
+                    "{what}"
+                );
+            }
+        }
+    }
+    // The property is about detections: every app must produce some.
+    assert!(detected.iter().all(|&d| d >= 32), "{detected:?}");
+}
+
+/// A supervisor that has verified the first results of a clean, still
+/// running pipeline.
+fn midway() -> (World, Fixd, Monitor) {
+    let monitor = pipeline::results_monitor();
+    let mut w = pipeline::pipeline_world(3, 40, COST, None);
+    let mut fixd = supervisor(&w, 3, 1, std::slice::from_ref(&monitor));
+    let out = fixd.supervise(&mut w, 20);
+    assert!(out.fault.is_none() && !out.quiescent);
+    assert!(w.program::<Cruncher>(Pid(1)).unwrap().results.len() >= 10);
+    (w, fixd, monitor)
+}
+
+fn verdict(fault: Option<DetectedFault>) -> Option<Option<Pid>> {
+    fault.map(|f| f.pid)
+}
+
+/// (b) Nothing the supervisor remembers survives a change it did not
+/// watch: after each edit the next check says what the full check says.
+#[test]
+fn edits_behind_the_supervisors_back_are_seen() {
+    fn edit(w: &mut World, f: impl FnOnce(&mut Cruncher)) {
+        f(w.program_mut::<Cruncher>(Pid(1)).unwrap());
+    }
+    fn next_check(fixd: &mut Fixd, w: &mut World, monitor: &Monitor) -> Option<Option<Pid>> {
+        let out = fixd.supervise(w, 1);
+        assert_eq!(out.steps, 1);
+        let supervised = verdict(out.fault);
+        assert_eq!(supervised, monitor.violated_in(w));
+        supervised
+    }
+    let fired = Some(Some(Pid(1)));
+
+    // An already verified result is flipped, and flipped back.
+    let (mut w, mut fixd, monitor) = midway();
+    edit(&mut w, |c| c.results[3].1 ^= 1);
+    assert_eq!(next_check(&mut fixd, &mut w, &monitor), fired);
+    edit(&mut w, |c| c.results[3].1 ^= 1);
+    assert_eq!(next_check(&mut fixd, &mut w, &monitor), None);
+
+    // The list shrinks: still clean. A wrong result then takes the place
+    // of a verified one: seen. The right one comes back: clean again.
+    edit(&mut w, |c| c.results.truncate(5));
+    assert_eq!(next_check(&mut fixd, &mut w, &monitor), None);
+    let right = w.program::<Cruncher>(Pid(1)).unwrap().results[2];
+    edit(&mut w, |c| c.results[2] = (right.0 + 1000, right.1));
+    assert_eq!(next_check(&mut fixd, &mut w, &monitor), fired);
+    edit(&mut w, |c| c.results[2] = right);
+    assert_eq!(next_check(&mut fixd, &mut w, &monitor), None);
+
+    // The context changes under the same results: every one is wrong
+    // now, and nothing verified under the old cost is trusted.
+    edit(&mut w, |c| c.cost += 1);
+    assert_eq!(next_check(&mut fixd, &mut w, &monitor), fired);
+    // Re-derived under the new cost they pass, in both forms.
+    edit(&mut w, |c| {
+        let cost = c.cost;
+        for r in &mut c.results {
+            r.1 = pipeline::crunch(r.0, cost);
+        }
+    });
+    assert_eq!(next_check(&mut fixd, &mut w, &monitor), None);
+}
+
+/// `pipeline::results_monitor` with every `item_ok` call counted, in
+/// its item-wise form and as a plain local monitor.
+fn counting_monitors() -> (Monitor, Monitor, Arc<AtomicU64>) {
+    let calls = Arc::new(AtomicU64::new(0));
+    let (a, b) = (Arc::clone(&calls), Arc::clone(&calls));
+    let itemwise = Monitor::local_items(
+        "results-correct",
+        |c: &Cruncher| (c.cost, c.results.as_slice()),
+        move |_, &cost, &(item, result)| {
+            a.fetch_add(1, Ordering::Relaxed);
+            result == pipeline::crunch(item, cost)
+        },
+    );
+    let full = Monitor::local::<Cruncher>("results-correct", move |_, c| {
+        c.results.iter().all(|&(item, result)| {
+            b.fetch_add(1, Ordering::Relaxed);
+            result == pipeline::crunch(item, c.cost)
+        })
+    });
+    (itemwise, full, calls)
+}
+
+/// (c) The two `supervise` calls of a 144-item pipeline loop verify each
+/// result once; the plain local form re-derives the whole list after
+/// every step. A count, not a speed-up.
+#[test]
+fn a_pipeline_loop_verifies_each_result_once() {
+    const ITEMS: u64 = 144;
+    let run = |monitor: Monitor, calls: &AtomicU64| {
+        let mut w = pipeline::pipeline_world(1, ITEMS, COST, Some(ITEMS * 3 / 4));
+        let mut fixd = supervisor(&w, 1, 1, &[monitor]);
+        // `item_ok` calls since the last reading.
+        let counted = || calls.swap(0, Ordering::Relaxed);
+        counted();
+        let fault = fixd.supervise(&mut w, MAX_STEPS).fault.expect("poison");
+        let detect = counted();
+        // The stateless checks of `diagnose` and `heal_update`, and the
+        // exploration, are not part of the bound.
+        let report = fixd.diagnose(&mut w, fault).expect("diagnose");
+        let patch = pipeline::cruncher_patch(COST);
+        fixd.heal_update(&mut w, Pid(1), &patch).expect("heal");
+        counted();
+        let out = fixd.supervise(&mut w, MAX_STEPS);
+        assert!(out.quiescent && out.fault.is_none());
+        assert_eq!(
+            w.program::<Cruncher>(Pid(1)).unwrap().results.len() as u64,
+            ITEMS
+        );
+        (detect + counted(), report.states_explored)
+    };
+    let (itemwise, full, calls) = counting_monitors();
+    let (memoised, states) = run(itemwise, &calls);
+    let (quadratic, states_full) = run(full, &calls);
+    assert_eq!(states, states_full);
+    // Every result once, the poisoned one twice (wrong, then healed).
+    assert!(
+        (ITEMS..=ITEMS + 2).contains(&memoised),
+        "item_ok ran {memoised} times for {ITEMS} items"
+    );
+    assert!(
+        quadratic >= ITEMS * ITEMS / 2,
+        "the full form ran item_ok only {quadratic} times"
+    );
+}
+
+/// (d) The invariant seeded with what detection verified explores
+/// exactly what `Monitor::invariant` explores from the same checkpoint.
+#[test]
+fn seeded_invariant_explores_what_the_plain_one_does() {
+    for seed in 0..8u64 {
+        let items = 24 + seed * 5;
+        let (itemwise, _, calls) = counting_monitors();
+        let mut w = pipeline::pipeline_world(seed, items, COST, Some(items * 3 / 4));
+        let cfg = FixdConfig::seeded(seed);
+        let mut fixd = supervisor(&w, seed, 1, std::slice::from_ref(&itemwise));
+        let fault = fixd.supervise(&mut w, MAX_STEPS).fault.expect("poison");
+        let state = fixd.respond(&mut w, &fault).expect("rollback").state;
+
+        calls.store(0, Ordering::Relaxed);
+        let seeded = fixd.investigate(state.clone());
+        let seeded_calls = calls.swap(0, Ordering::Relaxed);
+        let plain = ModelD::from_checkpoint(cfg.seed, cfg.net_model, state)
+            .config(cfg.explore.clone())
+            .invariant(itemwise.invariant())
+            .run();
+        let plain_calls = calls.load(Ordering::Relaxed);
+
+        assert_eq!(
+            (seeded.states, seeded.transitions, seeded.max_depth_reached),
+            (plain.states, plain.transitions, plain.max_depth_reached)
+        );
+        assert_eq!(seeded.truncated, plain.truncated);
+        assert_eq!(seeded.violations, plain.violations);
+        assert_eq!(seeded.deadlocks, plain.deadlocks);
+        assert!(!seeded.violations.is_empty(), "the poison is reachable");
+        // Only the results past the verified prefix were re-derived.
+        assert!(
+            seeded_calls * 4 < plain_calls,
+            "seeded {seeded_calls}, plain {plain_calls}"
+        );
+    }
+}
+
+/// (d) Seeded or not, the invariant judges values, not positions: a
+/// state whose already verified prefix was edited is a violation at
+/// depth 0 for both.
+#[test]
+fn seeded_invariant_does_not_trust_positions() {
+    let (mut w, fixd, monitor) = midway();
+    w.program_mut::<Cruncher>(Pid(1)).unwrap().results[3].1 ^= 1;
+    let state = fixd_core::assemble_worldstate(&w);
+    let cfg = FixdConfig::seeded(3);
+    let plain = ModelD::from_checkpoint(cfg.seed, cfg.net_model, state.clone())
+        .config(cfg.explore.clone())
+        .invariant(monitor.invariant())
+        .run();
+    let seeded = fixd.investigate(state);
+    assert_eq!(plain.violations.first().map(|t| t.depth), Some(0));
+    assert_eq!(seeded.violations, plain.violations);
+    assert_eq!(seeded.states, plain.states);
+}
+
+/// (e) What a supervisor remembers is its own: a second one, given a
+/// clone of the same `Monitor`, verifies everything again.
+#[test]
+fn supervisors_share_no_memory() {
+    let (itemwise, _, calls) = counting_monitors();
+    for _ in 0..2 {
+        let mut w = pipeline::pipeline_world(5, 20, COST, None);
+        let mut fixd = supervisor(&w, 5, 1, std::slice::from_ref(&itemwise));
+        calls.store(0, Ordering::Relaxed);
+        assert!(fixd.supervise(&mut w, MAX_STEPS).quiescent);
+        assert_eq!(calls.load(Ordering::Relaxed), 20);
+    }
+}
+
+/// (f) Sharded cells replay through the same `supervise`: the pipeline
+/// rows of the campaign report do not depend on the shard count.
+#[test]
+fn pipeline_campaign_report_is_shard_count_invariant() {
+    use fixd::campaign::{pipeline_app, run_campaign_sharded, standard_cases, CampaignSpec};
+    let mut spec = CampaignSpec::new().app(pipeline_app()).seeds(0..4);
+    spec.cases = standard_cases();
+    let serial = run_campaign_sharded(&spec, 1, 1).to_json();
+    for shards in [2usize, 4, 8] {
+        assert_eq!(
+            serial,
+            run_campaign_sharded(&spec, 2, shards).to_json(),
+            "shards={shards}"
+        );
+    }
+}
