@@ -1,12 +1,15 @@
 //! The Chord keyed-storage workload as an exploration target: model
 //! check every interleaving of a small ring under a reliable network
-//! and assert the no-bad-read safety property — with the work-stealing
-//! engine agreeing with the serial explorer at every worker count.
+//! and assert the no-bad-read safety property, with the exploration
+//! loop agreeing with a textbook BFS at every worker count.
+
+#[path = "../../fixd-investigator/tests/common/mod.rs"]
+mod common;
 
 use std::sync::Arc;
 
+use common::{naive_bfs, summary};
 use fixd_examples::chord::{ChordNode, ChordRing, KV_READ_MARK};
-use fixd_investigator::parallel::explore_parallel;
 use fixd_investigator::{ExploreConfig, Explorer, Invariant, NetModel, WorldModel, WorldState};
 use fixd_runtime::{Pid, Program};
 
@@ -43,9 +46,8 @@ fn chord_kv_has_no_bad_reads_under_all_interleavings() {
         max_states: 500_000,
         ..ExploreConfig::default()
     };
-    let seq = Explorer::new(&model, cfg.clone())
-        .invariant(no_bad_reads())
-        .run();
+    let explorer = Explorer::new(&model, cfg).invariant(no_bad_reads());
+    let seq = explorer.run();
     assert!(!seq.truncated, "space must be explored exhaustively");
     assert!(seq.states > 10, "the model must actually branch");
     assert!(
@@ -54,15 +56,11 @@ fn chord_kv_has_no_bad_reads_under_all_interleavings() {
         seq.violations.first().map(|t| &t.labels)
     );
 
-    // The work-stealing engine reaches the identical verdict and space.
+    // The same space and verdict as the reference, at every worker count.
+    let reference = naive_bfs(&model, &[no_bad_reads()]);
+    assert_eq!(reference, summary(&seq));
     for workers in [2usize, 4] {
-        let par = explore_parallel(&model, &[no_bad_reads()], &cfg, workers);
-        assert_eq!(par.states, seq.states, "states at {workers} workers");
-        assert_eq!(
-            par.transitions, seq.transitions,
-            "transitions at {workers} workers"
-        );
-        assert!(par.violations.is_empty());
-        assert!(!par.truncated);
+        let par = explorer.run_parallel(workers);
+        assert_eq!(reference, summary(&par), "at {workers} workers");
     }
 }

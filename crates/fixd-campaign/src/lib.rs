@@ -27,13 +27,11 @@
 //! assert_eq!(report.violations(), 0);
 //! ```
 
-pub mod adaptive;
 pub mod apps;
 pub mod driver;
 pub mod report;
 pub mod spec;
 
-pub use adaptive::{run_adaptive, run_uniform, AdaptiveConfig, FamilyLedger, SearchOutcome};
 pub use apps::{
     chord_app, chord_kv_app, kvstore_app, kvstore_buggy_app, kvstore_ck_app, pipeline_app,
     standard_cases, standard_matrix, standard_pathologies, token_ring_app, two_phase_commit_app,

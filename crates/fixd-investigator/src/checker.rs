@@ -18,7 +18,6 @@ use fixd_runtime::{Pid, Program, SharedMessage, SoloHarness, TimerId};
 use crate::envmodel::NetModel;
 use crate::explorer::{ExploreConfig, ExploreReport, Explorer, GuidedOutcome};
 use crate::invariant::Invariant;
-use crate::parallel::explore_parallel;
 use crate::worldmodel::{ModelAction, WorldModel, WorldState};
 
 /// The ModelD model checker over a distributed application.
@@ -97,24 +96,24 @@ impl ModelD {
         &self.model
     }
 
-    /// Run the exploration. Returns the report with violation trails.
-    pub fn run(&self) -> ExploreReport<ModelAction> {
-        Explorer::new(&self.model, self.cfg.clone())
-            .invariants(self.invariants.iter().cloned())
-            .run()
+    fn engine(&self) -> Explorer<'_, WorldModel> {
+        Explorer::new(&self.model, self.cfg.clone()).invariants(self.invariants.iter().cloned())
     }
 
-    /// Run with `threads` parallel workers (BFS).
+    /// Run the exploration. Returns the report with violation trails.
+    pub fn run(&self) -> ExploreReport<ModelAction> {
+        self.engine().run()
+    }
+
+    /// Run with `threads` workers (see [`Explorer::run_parallel`]).
     pub fn run_parallel(&self, threads: usize) -> ExploreReport<ModelAction> {
-        explore_parallel(&self.model, &self.invariants, &self.cfg, threads)
+        self.engine().run_parallel(threads)
     }
 
     /// Execute a single prescribed path (the "conventional execution"
     /// mode of §4.3) and report violations along it.
     pub fn run_guided(&self, path: &[ModelAction]) -> GuidedOutcome<WorldState, ModelAction> {
-        Explorer::new(&self.model, self.cfg.clone())
-            .invariants(self.invariants.iter().cloned())
-            .run_guided(path)
+        self.engine().run_guided(path)
     }
 }
 

@@ -1,4 +1,6 @@
-//! The back-end exploration engine.
+//! The back-end exploration engine's public face: configuration,
+//! report, and the [`Explorer`] builder. The loop itself is
+//! [`crate::frontier`].
 //!
 //! "The back-end component is responsible for performing the actual state
 //! transitions, keeping track of the visited execution paths (calculating
@@ -16,11 +18,9 @@
 //! * optional sleep-set partial-order reduction (heuristic; see
 //!   [`ExploreConfig::use_reduction`]).
 
-use std::collections::hash_map::{Entry, HashMap};
-
+use crate::frontier::explore;
 use crate::invariant::Invariant;
 pub use crate::search::SearchOrder;
-use crate::search::{Frontier, Node};
 use crate::system::TransitionSystem;
 use crate::trail::Trail;
 
@@ -33,18 +33,25 @@ pub struct ExploreConfig {
     pub max_states: usize,
     /// Do not expand states deeper than this.
     pub max_depth: usize,
+    /// The order one worker expands states in. More than one worker
+    /// share a work-stealing queue and ignore it. A run no limit stops
+    /// reports the same in every order; the order decides what a stopped
+    /// run (a hunt, a `max_states` cut) gets to see.
     pub order: SearchOrder,
     /// Return after the first violation (bug hunting) instead of
     /// collecting up to `max_violations`.
     pub stop_at_first_violation: bool,
-    /// Cap on collected violation trails.
+    /// Cap on collected violation trails. At more than one worker a
+    /// few more can come back: every worker finishes the successor it
+    /// is on.
     pub max_violations: usize,
     /// Report unexpected terminal states as deadlocks.
     pub detect_deadlocks: bool,
     /// Sleep-set partial-order reduction. Sound for finding violations of
     /// stable/local invariants on commuting actions; prunes interleavings,
-    /// so the reachability *count* is an under-approximation. Off by
-    /// default.
+    /// so the reachability *count* is an under-approximation. Applies at
+    /// one worker only; ignored by [`Explorer::run_parallel`] above one.
+    /// Off by default.
     pub use_reduction: bool,
 }
 
@@ -90,9 +97,10 @@ pub struct ExploreReport<L> {
     pub transitions: u64,
     /// Deepest state reached.
     pub max_depth_reached: usize,
-    /// Trails to invariant violations.
+    /// Trails to invariant violations, sorted by `(depth, end
+    /// fingerprint, name)`.
     pub violations: Vec<Trail<L>>,
-    /// Trails to unexpected terminal states.
+    /// Trails to unexpected terminal states, sorted the same way.
     pub deadlocks: Vec<Trail<L>>,
     /// True if a limit (states/depth/violations) cut the search short.
     pub truncated: bool,
@@ -180,150 +188,24 @@ impl<'a, T: TransitionSystem> Explorer<'a, T> {
         &self.cfg
     }
 
-    fn violated<'i>(
-        invariants: &'i [Invariant<T::State>],
-        s: &T::State,
-    ) -> Option<&'i Invariant<T::State>> {
-        invariants.iter().find(|i| !i.holds(s))
-    }
-
-    /// `parents` is the visited set and the reachability tree in one:
-    /// every visited fingerprint maps to its in-edge, the root to `None`.
-    fn trail(
-        parents: &HashMap<u64, Option<(u64, T::Label)>>,
-        end_fp: u64,
-        violation: &str,
-    ) -> Trail<T::Label> {
-        let mut labels = Vec::new();
-        let mut at = end_fp;
-        while let Some(Some((prev, l))) = parents.get(&at) {
-            labels.push(l.clone());
-            at = *prev;
-        }
-        labels.reverse();
-        Trail {
-            depth: labels.len(),
-            labels,
-            violation: violation.to_string(),
-            end_fingerprint: end_fp,
-        }
-    }
-
-    /// Exhaustively explore (within configured bounds).
+    /// Explore within the configured bounds on the calling thread, in
+    /// [`ExploreConfig::order`].
     pub fn run(&self) -> ExploreReport<T::Label> {
-        let mut report = ExploreReport {
-            states: 0,
-            transitions: 0,
-            max_depth_reached: 0,
-            violations: Vec::new(),
-            deadlocks: Vec::new(),
-            truncated: false,
-        };
-        let init = self.sys.initial();
-        let root_fp = self.sys.fingerprint(&init);
-        let mut parents: HashMap<u64, Option<(u64, T::Label)>> = HashMap::new();
-        parents.insert(root_fp, None);
-        report.states = 1;
-        if let Some(inv) = Self::violated(&self.invariants, &init) {
-            report
-                .violations
-                .push(Self::trail(&parents, root_fp, &inv.name));
-            if self.cfg.stop_at_first_violation {
-                return report;
-            }
-        }
-        let mut frontier: Frontier<T::State, T::Label> = Frontier::new(&self.cfg.order);
-        frontier.push(Node {
-            state: init,
-            fp: root_fp,
-            depth: 0,
-            sleep: Vec::new(),
-        });
+        self.run_parallel(1)
+    }
 
-        'outer: while let Some(node) = frontier.pop() {
-            let enabled = self.sys.enabled(&node.state);
-            if enabled.is_empty() {
-                if self.cfg.detect_deadlocks && !self.sys.is_expected_terminal(&node.state) {
-                    report
-                        .deadlocks
-                        .push(Self::trail(&parents, node.fp, "deadlock"));
-                }
-                for t in &self.terminal_checks {
-                    if !t.holds(&node.state) {
-                        report.violations.push(Self::trail(
-                            &parents,
-                            node.fp,
-                            &format!("eventually: {}", t.name),
-                        ));
-                        if self.cfg.stop_at_first_violation
-                            || report.violations.len() >= self.cfg.max_violations
-                        {
-                            report.truncated = true;
-                            break 'outer;
-                        }
-                    }
-                }
-                continue;
-            }
-            if node.depth >= self.cfg.max_depth {
-                report.truncated = true;
-                continue;
-            }
-            // Sleep-set reduction: skip transitions in the sleep set.
-            let mut done: Vec<T::Label> = Vec::new();
-            for l in enabled {
-                if self.cfg.use_reduction && node.sleep.contains(&l) {
-                    continue;
-                }
-                let next = self.sys.apply(&node.state, &l);
-                report.transitions += 1;
-                let nfp = self.sys.fingerprint(&next);
-                let child_sleep = if self.cfg.use_reduction {
-                    node.sleep
-                        .iter()
-                        .chain(done.iter())
-                        .filter(|z| self.sys.independent(z, &l))
-                        .cloned()
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                if self.cfg.use_reduction {
-                    done.push(l.clone());
-                }
-                match parents.entry(nfp) {
-                    Entry::Occupied(_) => continue,
-                    Entry::Vacant(slot) => slot.insert(Some((node.fp, l))),
-                };
-                report.states += 1;
-                let ndepth = node.depth + 1;
-                report.max_depth_reached = report.max_depth_reached.max(ndepth);
-                if let Some(inv) = Self::violated(&self.invariants, &next) {
-                    report
-                        .violations
-                        .push(Self::trail(&parents, nfp, &inv.name));
-                    if self.cfg.stop_at_first_violation
-                        || report.violations.len() >= self.cfg.max_violations
-                    {
-                        report.truncated = true;
-                        break 'outer;
-                    }
-                    // Don't expand past a violating state.
-                    continue;
-                }
-                if report.states >= self.cfg.max_states {
-                    report.truncated = true;
-                    break 'outer;
-                }
-                frontier.push(Node {
-                    state: next,
-                    fp: nfp,
-                    depth: ndepth,
-                    sleep: child_sleep,
-                });
-            }
-        }
-        report
+    /// Explore with `workers` workers (the calling thread is one of
+    /// them). A run that no limit cuts short reports exactly what
+    /// [`Explorer::run`] reports, trails included, at any worker count;
+    /// see [`crate::frontier`] for what a truncated run holds.
+    pub fn run_parallel(&self, workers: usize) -> ExploreReport<T::Label> {
+        explore(
+            self.sys,
+            &self.invariants,
+            &self.terminal_checks,
+            &self.cfg,
+            workers,
+        )
     }
 
     /// Execute exactly one prescribed path (§4.3's "single execution
@@ -331,7 +213,7 @@ impl<'a, T: TransitionSystem> Explorer<'a, T> {
     pub fn run_guided(&self, path: &[T::Label]) -> GuidedOutcome<T::State, T::Label> {
         let mut state = self.sys.initial();
         let mut violations = Vec::new();
-        if let Some(inv) = Self::violated(&self.invariants, &state) {
+        if let Some(inv) = Invariant::first_violated(&self.invariants, &state) {
             violations.push((0usize, inv.name.clone()));
         }
         let mut executed = 0;
@@ -343,7 +225,7 @@ impl<'a, T: TransitionSystem> Explorer<'a, T> {
             }
             state = self.sys.apply(&state, l);
             executed += 1;
-            if let Some(inv) = Self::violated(&self.invariants, &state) {
+            if let Some(inv) = Invariant::first_violated(&self.invariants, &state) {
                 violations.push((i + 1, inv.name.clone()));
             }
         }
@@ -417,22 +299,27 @@ mod tests {
     #[test]
     fn random_order_reproducible() {
         let sys = naive_mutex();
-        let run = |seed| {
-            Explorer::new(
-                &sys,
-                ExploreConfig {
-                    order: SearchOrder::Random { seed },
-                    ..ExploreConfig::default()
-                },
-            )
-            .invariant(mutex_invariant())
-            .run()
-        };
-        let a = run(3);
-        let b = run(3);
-        assert_eq!(a.states, b.states);
-        assert_eq!(a.violations.len(), b.violations.len());
-        assert_eq!(a.violations[0].labels, b.violations[0].labels);
+        // Exhaustive, and as a hunt that stops at the first violation
+        // (what it has seen by then depends on the draws alone).
+        for stop_at_first_violation in [false, true] {
+            let run = |seed| {
+                Explorer::new(
+                    &sys,
+                    ExploreConfig {
+                        order: SearchOrder::Random { seed },
+                        stop_at_first_violation,
+                        ..ExploreConfig::default()
+                    },
+                )
+                .invariant(mutex_invariant())
+                .run()
+            };
+            let a = run(3);
+            let b = run(3);
+            assert_eq!((a.states, a.transitions), (b.states, b.transitions));
+            assert!(!a.violations.is_empty());
+            assert_eq!(a.violations, b.violations);
+        }
     }
 
     #[test]

@@ -1,777 +1,527 @@
-//! The work-stealing frontier engine.
+//! The exploration loop: the one engine behind [`crate::Explorer`].
 //!
-//! Exploration factored cspx-style into three replaceable parts:
+//! cspx-shaped: the [`TransitionSystem`] supplies states, a sharded map
+//! is the visited set *and* the reachability graph, and a queue decides
+//! what is expanded next, so **the queue is the search order**. One
+//! worker drains a `Frontier` in [`ExploreConfig::order`] (BFS, DFS,
+//! seeded random); more than one share a `StealQueue` (owners pop
+//! LIFO, idle workers steal the oldest half of a lane) and ignore
+//! `order` and `use_reduction`.
 //!
-//! * a [`TransitionProvider`] — where states and their successors come
-//!   from (every [`TransitionSystem`] is one for free);
-//! * a [`StateStore`] — the deduplicating visited set that assigns each
-//!   distinct state its 64-bit key ([`FingerprintStore`] hashes states,
-//!   [`PagedStateStore`] interns their serialized bytes into a shared
-//!   [`fixd_store::PageStore`] so the page hashes ARE the identity and a
-//!   revisit is a refcount bump, not a rehash of the full state);
-//! * a [`WorkQueue`] — how pending states are distributed over workers
-//!   ([`StealQueue`]: per-worker deques, owners pop LIFO, idle workers
-//!   steal half a victim's deque from the front).
+//! A queue item owns its state, so a state is dropped as soon as it has
+//! been expanded; the map keeps only `key -> (depth, canonical parent,
+//! flags)`, keyed by [`TransitionSystem::fingerprint`].
 //!
-//! Unlike the old layer-barriered parallel BFS, nothing here
-//! synchronizes on depth: workers expand whatever is nearest, and a
-//! per-state *relaxation* rule keeps the result deterministic anyway.
-//! Every discovered edge `p --(label #i)--> c` offers the candidate
-//! tuple `(depth(p)+1, key(p), i)` to `c`; the state keeps the
-//! lexicographic minimum and is re-expanded when its depth strictly
-//! improves. At quiescence every depth equals the exact BFS distance and
-//! every parent pointer is the canonical minimum over shortest-path
-//! predecessors — so the reachable set, the verdict, every violation
-//! trail, and the transition count are byte-identical for ANY worker
-//! count and ANY steal schedule.
+//! # What is deterministic when
+//!
+//! Nothing synchronizes on depth. Every edge `p --(label #i)--> c`
+//! offers `c` the tuple `(depth(p) + 1, key(p), i)`; `c` keeps the
+//! lexicographic minimum and is queued again whenever its depth strictly
+//! improves (the worker that found the improvement has just computed
+//! `c`'s state, so it queues that copy, at that depth). An item is
+//! expanded at the depth it was queued at, so popping one looks nothing
+//! up; an item that has gone stale makes offers that lose to those of
+//! the item queued after it. Transitions, deadlocks and terminal checks
+//! are counted once per state, by the item queued at its discovery.
+//!
+//! When the queue runs dry every depth is the exact BFS distance and
+//! every parent the canonical minimum over shortest-path predecessors.
+//! A run that no limit stopped therefore reports the same states,
+//! transitions, depth, deadlocks, violations and trails, label by label,
+//! for **any** search order, worker count and steal schedule.
+//! `violations` and `deadlocks` come sorted by `(depth, end fingerprint,
+//! name)`, not in discovery order. The depth cap alone does not make a
+//! run schedule-dependent either: whether it truncated the run is read
+//! off the final graph.
+//!
+//! A run stopped by `max_states`, `max_violations` or
+//! `stop_at_first_violation` reports what it had when it stopped. At one
+//! worker that is a function of the system and the configuration alone
+//! (in BFS order: the counts of a textbook BFS cut at the same point).
+//! At more than one worker it depends on the schedule, and a few more
+//! than `max_violations` trails can come back, because every worker
+//! finishes the successor it is on.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use fixd_store::{PageStore, PagedImage, StoreStats, DEFAULT_PAGE_SIZE};
-
 use crate::explorer::{ExploreConfig, ExploreReport};
 use crate::invariant::Invariant;
+use crate::search::Frontier;
 use crate::system::TransitionSystem;
 use crate::trail::Trail;
-
-/// Supplies the root state and successor transitions to the engine.
-///
-/// Blanket-implemented for every [`TransitionSystem`]; implement it
-/// directly for sources that are not transition systems (e.g. replaying
-/// a recorded graph).
-pub trait TransitionProvider: Sync {
-    /// Global state of the explored system.
-    type State: Clone + Send;
-    /// Transition label.
-    type Label: Clone + Send + PartialEq + std::fmt::Debug;
-
-    /// The exploration root.
-    fn root(&self) -> Self::State;
-
-    /// All `(label, successor)` pairs enabled in `s`, in the system's
-    /// canonical label order (the order indexes the canonical-parent
-    /// tie-break).
-    fn successors(&self, s: &Self::State) -> Vec<(Self::Label, Self::State)>;
-
-    /// Is a state with no successors an acceptable end state (not a
-    /// deadlock)?
-    fn expected_terminal(&self, _s: &Self::State) -> bool {
-        true
-    }
-}
-
-impl<T: TransitionSystem> TransitionProvider for T {
-    type State = T::State;
-    type Label = T::Label;
-
-    fn root(&self) -> T::State {
-        self.initial()
-    }
-
-    fn successors(&self, s: &T::State) -> Vec<(T::Label, T::State)> {
-        self.enabled(s)
-            .into_iter()
-            .map(|l| {
-                let next = self.apply(s, &l);
-                (l, next)
-            })
-            .collect()
-    }
-
-    fn expected_terminal(&self, s: &T::State) -> bool {
-        self.is_expected_terminal(s)
-    }
-}
-
-/// Dedup counters of a [`StateStore`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DedupStats {
-    /// Interns that found the state already present.
-    pub hits: u64,
-    /// Interns that inserted a fresh state.
-    pub misses: u64,
-}
-
-impl DedupStats {
-    /// Fraction of interns that deduplicated (0 when empty).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// The deduplicating visited set: maps each distinct state to a stable
-/// 64-bit key. `intern` must be linearizable (exactly one caller sees
-/// `fresh == true` per distinct state) and the key must not depend on
-/// intern order.
-pub trait StateStore<S>: Sync {
-    /// Intern a state; returns its key and whether this call inserted it.
-    fn intern(&self, s: &S) -> (u64, bool);
-
-    /// Distinct states interned so far.
-    fn len(&self) -> usize;
-
-    /// True before anything was interned.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Hit/miss counters.
-    fn dedup_stats(&self) -> DedupStats;
-}
-
-const STORE_SHARDS: usize = 64;
-
-/// A [`StateStore`] keyed by a caller-provided 64-bit hash function
-/// (typically [`TransitionSystem::fingerprint`]): the exact visited-set
-/// semantics of the serial [`crate::Explorer`].
-pub struct FingerprintStore<F> {
-    shards: Vec<Mutex<std::collections::HashSet<u64>>>,
-    hash: F,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<F> FingerprintStore<F> {
-    /// An empty store hashing states with `hash`.
-    pub fn new(hash: F) -> Self {
-        Self {
-            shards: (0..STORE_SHARDS)
-                .map(|_| Mutex::new(std::collections::HashSet::new()))
-                .collect(),
-            hash,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-impl<S, F: Fn(&S) -> u64 + Sync> StateStore<S> for FingerprintStore<F> {
-    fn intern(&self, s: &S) -> (u64, bool) {
-        let key = (self.hash)(s);
-        let fresh = self.shards[(key % STORE_SHARDS as u64) as usize]
-            .lock()
-            .insert(key);
-        if fresh {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        (key, fresh)
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|m| m.lock().len()).sum()
-    }
-
-    fn dedup_stats(&self) -> DedupStats {
-        DedupStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A [`StateStore`] whose identity is **content hashes through
-/// `fixd-store` paging**: each state is serialized and interned as a
-/// [`PagedImage`] in a shared [`PageStore`]; its key is
-/// [`PagedImage::identity`] (FNV over the page keys). States that share
-/// pages — localized mutations, common substructure, other explorations
-/// over the same store — share storage, and re-interning a visited state
-/// is per-page refcount bumps on hash hits rather than a rehash of the
-/// full state.
-pub struct PagedStateStore<F> {
-    pages: PageStore,
-    page_size: usize,
-    encode: F,
-    shards: Vec<Mutex<HashMap<u64, PagedImage>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<F> PagedStateStore<F> {
-    /// A store serializing states with `encode` into `pages`. The
-    /// encoding must be canonical: equal states (as the exploration
-    /// should identify them) must encode to equal bytes.
-    pub fn new(pages: PageStore, encode: F) -> Self {
-        Self::with_page_size(pages, encode, DEFAULT_PAGE_SIZE)
-    }
-
-    /// Same, with an explicit page size.
-    pub fn with_page_size(pages: PageStore, encode: F, page_size: usize) -> Self {
-        Self {
-            pages,
-            page_size,
-            encode,
-            shards: (0..STORE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The backing page store (shared; clone to hold onto it).
-    pub fn page_store(&self) -> &PageStore {
-        &self.pages
-    }
-
-    /// Page-level intern counters from the backing store.
-    pub fn page_stats(&self) -> StoreStats {
-        self.pages.stats()
-    }
-}
-
-impl<S, F: Fn(&S, &mut Vec<u8>) + Sync> StateStore<S> for PagedStateStore<F> {
-    fn intern(&self, s: &S) -> (u64, bool) {
-        let mut buf = Vec::new();
-        (self.encode)(s, &mut buf);
-        let img = PagedImage::from_bytes_with(&self.pages, &buf, self.page_size);
-        let key = img.identity();
-        let mut shard = self.shards[(key % STORE_SHARDS as u64) as usize].lock();
-        let fresh = match shard.entry(key) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                // Keep the image: its handles keep the pages resident, so
-                // every future revisit dedups against them.
-                e.insert(img);
-                true
-            }
-            std::collections::hash_map::Entry::Occupied(_) => {
-                // `img` drops here; its refcount bumps roll back and the
-                // interned copy stays.
-                false
-            }
-        };
-        drop(shard);
-        if fresh {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        (key, fresh)
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|m| m.lock().len()).sum()
-    }
-
-    fn dedup_stats(&self) -> DedupStats {
-        DedupStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Distributes pending state keys over `workers` workers.
-pub trait WorkQueue<I>: Sync {
-    /// Enqueue `item` on `worker`'s lane.
-    fn push(&self, worker: usize, item: I);
-
-    /// Dequeue work for `worker` — its own lane first, then (for
-    /// stealing queues) other workers' lanes.
-    fn pop(&self, worker: usize) -> Option<I>;
-
-    /// Successful steal operations so far (0 for non-stealing queues).
-    fn steals(&self) -> u64 {
-        0
-    }
-}
 
 /// Per-worker deques with steal-half: owners push/pop LIFO at the back
 /// (depth-first locality, hot caches); an idle worker scans the other
 /// lanes and moves the front *half* of the first non-empty one into its
-/// own lane (the front of a lane is its oldest, shallowest work — the
+/// own lane (the front of a lane is its oldest, shallowest work, the
 /// part the owner would reach last). Two locks are never held at once.
-pub struct StealQueue<I> {
+pub(crate) struct StealQueue<I> {
     lanes: Vec<Mutex<VecDeque<I>>>,
-    steals: AtomicU64,
 }
 
 impl<I> StealQueue<I> {
     /// A queue with one lane per worker.
     pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "need at least one lane");
         Self {
             lanes: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            steals: AtomicU64::new(0),
         }
     }
 
-    /// Number of lanes.
-    pub fn workers(&self) -> usize {
-        self.lanes.len()
-    }
-}
-
-impl<I: Send> WorkQueue<I> for StealQueue<I> {
-    fn push(&self, worker: usize, item: I) {
+    pub fn push(&self, worker: usize, item: I) {
         self.lanes[worker].lock().push_back(item);
     }
 
-    fn pop(&self, worker: usize) -> Option<I> {
+    /// `worker`'s newest item, or else the newest of a stolen half.
+    pub fn pop(&self, worker: usize) -> Option<I> {
         if let Some(item) = self.lanes[worker].lock().pop_back() {
             return Some(item);
         }
         let n = self.lanes.len();
         for off in 1..n {
-            let victim = (worker + off) % n;
             let mut stolen: VecDeque<I> = {
-                let mut lane = self.lanes[victim].lock();
+                let mut lane = self.lanes[(worker + off) % n].lock();
                 let len = lane.len();
-                if len == 0 {
-                    continue;
-                }
                 lane.drain(..len.div_ceil(2)).collect()
             };
-            self.steals.fetch_add(1, Ordering::Relaxed);
             let item = stolen.pop_back();
-            if !stolen.is_empty() {
+            if item.is_some() {
+                // In front of anything pushed meanwhile, in the victim's
+                // order, so the batch can be stolen from in turn.
                 let mut own = self.lanes[worker].lock();
-                // Preserve relative order at the front of our lane so the
-                // stolen batch stays stealable-from in turn.
-                while let Some(i) = stolen.pop_back() {
+                for i in stolen.into_iter().rev() {
                     own.push_front(i);
                 }
+                return item;
             }
-            return item;
         }
         None
     }
+}
 
-    fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
+/// The pending work, and with it the search order.
+enum Queue<I> {
+    Ordered(Mutex<Frontier<I>>),
+    Stealing(StealQueue<I>),
+}
+
+impl<I> Queue<I> {
+    fn push(&self, worker: usize, item: I) {
+        match self {
+            Queue::Ordered(f) => f.lock().push(item),
+            Queue::Stealing(q) => q.push(worker, item),
+        }
+    }
+
+    fn pop(&self, worker: usize) -> Option<I> {
+        match self {
+            Queue::Ordered(f) => f.lock().pop(),
+            Queue::Stealing(q) => q.pop(worker),
+        }
     }
 }
 
-/// Per-state record in the exploration graph.
-struct Info<S, L> {
+/// A state waiting to be expanded. It owns the state: nothing else
+/// keeps one alive.
+struct Item<S, L> {
+    key: u64,
     state: S,
-    depth: usize,
-    /// Canonical in-edge: `(parent key, label index, label)`, minimized
-    /// lexicographically by `(depth, parent key, label index)`.
-    parent: Option<(u64, u32, L)>,
-    /// A queue entry for this key exists.
-    queued: bool,
-    /// Children have been processed at least once (guards the one-time
-    /// transition/deadlock accounting).
-    expanded: bool,
-    /// False for violating states: they relax (their trail must be
-    /// shortest) but are never expanded, matching the serial engine.
-    expandable: bool,
+    /// Sleep set (partial-order reduction); empty when reduction is off.
+    sleep: Vec<L>,
+    /// The depth the graph held for `key` when this item was queued.
+    depth: u32,
+    /// This item carries the state's one-time accounting (transitions,
+    /// deadlock, terminal checks). The item queued when the state is
+    /// discovered has it; one queued by a later relaxation does not,
+    /// unless the depth cap made an earlier item hand it back.
+    first: bool,
 }
 
-struct InfoMap<S, L> {
-    shards: Vec<Mutex<HashMap<u64, Info<S, L>>>>,
-}
-
-impl<S, L> InfoMap<S, L> {
-    fn new() -> Self {
-        Self {
-            shards: (0..STORE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Info<S, L>>> {
-        &self.shards[(key % STORE_SHARDS as u64) as usize]
-    }
-}
-
-/// What one engine run measured about itself (the report carries the
-/// verdict; this carries the performance story).
-#[derive(Clone, Debug, Default)]
-pub struct FrontierMetrics {
-    /// Workers used.
-    pub workers: usize,
-    /// Per-worker busy time (lock waits included): the critical path of
-    /// the run under perfect scheduling is the maximum entry.
-    pub busy: Vec<Duration>,
-    /// Per-worker count of nodes popped and processed. On hosts with
-    /// fewer cores than workers the busy clocks absorb preemption, so
-    /// load balance is the contention-free signal: the modelled critical
-    /// path is `max_share()` of the serial work.
-    pub processed: Vec<u64>,
-    /// Successful steals.
-    pub steals: u64,
-    /// Visited-set dedup counters.
-    pub dedup: DedupStats,
-    /// States re-expanded because their depth improved after their first
-    /// expansion (the price of barrier-free determinism; ~0 in practice).
-    pub reexpansions: u64,
-}
-
-impl FrontierMetrics {
-    /// The longest per-worker busy time — the modelled critical path.
-    pub fn critical_path(&self) -> Duration {
-        self.busy.iter().max().copied().unwrap_or_default()
-    }
-
-    /// The busiest worker's share of all processed nodes, in `[1/workers,
-    /// 1.0]`. Under uniform per-node cost, a run balanced to share `s`
-    /// completes in `s` of the serial time on enough cores.
-    pub fn max_share(&self) -> f64 {
-        let total: u64 = self.processed.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let max = self.processed.iter().copied().max().unwrap_or(0);
-        max as f64 / total as f64
-    }
-}
-
-/// Explore `provider` over `store` and `queue` with `workers` workers.
+/// What the graph knows of a visited state: its canonical in-edge,
+/// minimal by `(depth, parent key, label index)`, and two flags. Laid out
+/// to cost what the visited set alone would (24 bytes for a 12-byte
+/// label, 32 a state with the key): the table is the run's largest
+/// allocation and every transition probes it.
 ///
-/// Semantics (states, transitions, violations, deadlocks, truncation)
-/// match the serial [`crate::Explorer`] in BFS order, independent of
-/// `workers`; see the module docs for why. `cfg.order` and
-/// `cfg.use_reduction` are ignored (the engine is BFS-equivalent and
-/// unreduced). Violation and deadlock trails are sorted canonically by
-/// `(depth, end key, violation name)`.
-pub fn explore_frontier<P, St, Q>(
-    provider: &P,
-    store: &St,
-    queue: &Q,
-    invariants: &[Invariant<P::State>],
+/// The label index is not stored. Every expansion of a parent offers
+/// its labels in index order, so of the edges one parent has to one
+/// child the lowest-indexed is offered first at any depth, and a later
+/// offer with an equal `(depth, parent key)` changes nothing. (Sleep-set
+/// reduction can skip that label; it runs on one worker, so its choice
+/// is still a function of the configuration.)
+struct Node<L> {
+    /// Key of the parent on the canonical in-edge (unused in the root).
+    parent: u64,
+    /// Label of the canonical in-edge; `None` in the root.
+    label: Option<L>,
+    /// `depth << 2 | OWED | VIOLATING`.
+    bits: u32,
+}
+
+/// The state violates an invariant: its depth still relaxes (the trail
+/// must be shortest) but it is never expanded.
+const VIOLATING: u32 = 1;
+/// The depth cap kept the item that carried the one-time accounting
+/// from expanding: the relaxation that brings the state under the cap
+/// takes it along, and a run that ends with one still here is truncated.
+const OWED: u32 = 2;
+/// Depths are 30 bits; a graph that deep does not fit in memory.
+const MAX_DEPTH: u32 = (1 << 30) - 1;
+
+impl<L> Node<L> {
+    fn depth(&self) -> u32 {
+        self.bits >> 2
+    }
+}
+
+/// Visited set and reachability graph in one, sharded by key.
+struct Graph<L> {
+    shards: Vec<Mutex<HashMap<u64, Node<L>>>>,
+}
+
+impl<L> Graph<L> {
+    /// One table for one worker (nobody to contend with; a diagnosis
+    /// explores a few dozen states), sixteen per worker otherwise.
+    fn new(workers: usize) -> Self {
+        let shards = if workers == 1 { 1 } else { 16 * workers };
+        Self {
+            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+        }
+    }
+
+    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Node<L>>> {
+        &self.shards[(key % self.shards.len() as u64) as usize]
+    }
+}
+
+/// Everything the workers of one run share.
+struct Run<'a, T: TransitionSystem> {
+    sys: &'a T,
+    invariants: &'a [Invariant<T::State>],
+    terminal_checks: &'a [Invariant<T::State>],
+    cfg: &'a ExploreConfig,
+    reduce: bool,
+    queue: Queue<Item<T::State, T::Label>>,
+    graph: Graph<T::Label>,
+    states: AtomicUsize,
+    transitions: AtomicU64,
+    /// Items queued or being expanded; 0 proves quiescence.
+    pending: AtomicUsize,
+    stop: AtomicBool,
+    truncated: AtomicBool,
+    /// `(end key, violation name)`, once per violating state.
+    violations: Mutex<Vec<(u64, String)>>,
+    deadlocks: Mutex<Vec<u64>>,
+}
+
+/// Explore `sys` with `workers` workers; the calling thread is worker 0,
+/// so one worker spawns nothing. See the module docs for what the report
+/// holds and when it is deterministic.
+pub(crate) fn explore<T: TransitionSystem>(
+    sys: &T,
+    invariants: &[Invariant<T::State>],
+    terminal_checks: &[Invariant<T::State>],
     cfg: &ExploreConfig,
     workers: usize,
-) -> (ExploreReport<P::Label>, FrontierMetrics)
-where
-    P: TransitionProvider,
-    St: StateStore<P::State>,
-    Q: WorkQueue<u64>,
-{
+) -> ExploreReport<T::Label> {
     assert!(workers > 0, "need at least one worker");
+    let run = Run {
+        sys,
+        invariants,
+        terminal_checks,
+        cfg,
+        reduce: cfg.use_reduction && workers == 1,
+        queue: if workers == 1 {
+            Queue::Ordered(Mutex::new(Frontier::new(&cfg.order)))
+        } else {
+            Queue::Stealing(StealQueue::new(workers))
+        },
+        graph: Graph::new(workers),
+        states: AtomicUsize::new(1),
+        transitions: AtomicU64::new(0),
+        pending: AtomicUsize::new(1),
+        stop: AtomicBool::new(false),
+        truncated: AtomicBool::new(false),
+        violations: Mutex::new(Vec::new()),
+        deadlocks: Mutex::new(Vec::new()),
+    };
 
-    let infos: InfoMap<P::State, P::Label> = InfoMap::new();
-    let pending = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let truncated = AtomicBool::new(false);
-    let violation_count = AtomicUsize::new(0);
-    let reexpansions = AtomicU64::new(0);
-    // (end key, violation name): recorded once per violating state by
-    // whichever worker freshly interned it.
-    let violations: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
-    let deadlocks: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-
-    // Root: interned, recorded, and (matching the serial engine) always
-    // expandable — even a violating root is expanded unless the run
-    // stops at the first violation.
-    let root = provider.root();
-    let (root_key, _) = store.intern(&root);
-    let mut root_violating = false;
-    if let Some(inv) = invariants.iter().find(|i| !i.holds(&root)) {
-        violations.lock().push((root_key, inv.name.clone()));
-        violation_count.store(1, Ordering::Relaxed);
-        root_violating = true;
-    }
-    infos.shard(root_key).lock().insert(
-        root_key,
-        Info {
-            state: root,
-            depth: 0,
-            parent: None,
-            queued: true,
-            expanded: false,
-            expandable: true,
+    // The root is expanded even when it violates, unless the run stops
+    // at the first violation: then it is the whole answer, untruncated.
+    let root = sys.initial();
+    let key = sys.fingerprint(&root);
+    run.graph.shard(key).lock().insert(
+        key,
+        Node {
+            parent: 0,
+            label: None,
+            bits: 0,
         },
     );
-    let stop_now = root_violating && cfg.stop_at_first_violation;
-    if stop_now {
-        stop.store(true, Ordering::Relaxed);
+    let root_violation = Invariant::first_violated(invariants, &root);
+    if let Some(inv) = root_violation {
+        run.violations.lock().push((key, inv.name.clone()));
+    }
+    if root_violation.is_some() && cfg.stop_at_first_violation {
+        run.stop.store(true, Ordering::Relaxed);
     } else {
-        pending.fetch_add(1, Ordering::Relaxed);
-        queue.push(0, root_key);
-    }
-
-    let transitions_total = AtomicU64::new(0);
-    let lanes: Vec<(Duration, u64)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let infos = &infos;
-            let pending = &pending;
-            let stop = &stop;
-            let truncated = &truncated;
-            let violation_count = &violation_count;
-            let violations = &violations;
-            let deadlocks = &deadlocks;
-            let transitions_total = &transitions_total;
-            let reexpansions = &reexpansions;
-            handles.push(scope.spawn(move || {
-                let mut busy = Duration::ZERO;
-                let mut processed = 0u64;
-                let mut transitions = 0u64;
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Some(key) = queue.pop(w) else {
-                        if pending.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    let t0 = Instant::now();
-                    process_key::<P, St, Q>(
-                        provider,
-                        store,
-                        queue,
-                        invariants,
-                        cfg,
-                        w,
-                        key,
-                        infos,
-                        pending,
-                        stop,
-                        truncated,
-                        violation_count,
-                        violations,
-                        deadlocks,
-                        reexpansions,
-                        &mut transitions,
-                    );
-                    busy += t0.elapsed();
-                    processed += 1;
-                    // Only after the children are pushed: pending == 0
-                    // then proves global quiescence.
-                    pending.fetch_sub(1, Ordering::Release);
-                }
-                transitions_total.fetch_add(transitions, Ordering::Relaxed);
-                (busy, processed)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    // Assemble the report from the converged graph.
-    let mut max_depth_reached = 0usize;
-    for shard in &infos.shards {
-        for info in shard.lock().values() {
-            max_depth_reached = max_depth_reached.max(info.depth);
-        }
-    }
-    let depth_of = |key: u64| -> usize {
-        infos
-            .shard(key)
-            .lock()
-            .get(&key)
-            .map(|i| i.depth)
-            .unwrap_or(0)
-    };
-    let reconstruct = |end: u64, violation: &str| -> Trail<P::Label> {
-        let mut labels = Vec::new();
-        let mut at = end;
-        while at != root_key {
-            let parent = infos
-                .shard(at)
-                .lock()
-                .get(&at)
-                .and_then(|i| i.parent.clone());
-            match parent {
-                Some((prev, _, l)) => {
-                    labels.push(l);
-                    at = prev;
-                }
-                None => break,
+        run.queue.push(
+            0,
+            Item {
+                key,
+                state: root,
+                sleep: Vec::new(),
+                depth: 0,
+                first: true,
+            },
+        );
+        std::thread::scope(|scope| {
+            for w in 1..workers {
+                let run = &run;
+                scope.spawn(move || run.work(w));
             }
-        }
-        labels.reverse();
-        Trail {
-            depth: labels.len(),
-            labels,
-            violation: violation.to_string(),
-            end_fingerprint: end,
-        }
-    };
-
-    let mut violation_ends = violations.into_inner();
-    violation_ends.sort_by(|a, b| (depth_of(a.0), a.0, &a.1).cmp(&(depth_of(b.0), b.0, &b.1)));
-    let mut deadlock_ends = deadlocks.into_inner();
-    deadlock_ends.sort_by_key(|&k| (depth_of(k), k));
-
-    let report = ExploreReport {
-        states: store.len(),
-        transitions: transitions_total.load(Ordering::Relaxed),
-        max_depth_reached,
-        violations: violation_ends
-            .into_iter()
-            .take(cfg.max_violations)
-            .map(|(k, name)| reconstruct(k, &name))
-            .collect(),
-        deadlocks: deadlock_ends
-            .into_iter()
-            .map(|k| reconstruct(k, "deadlock"))
-            .collect(),
-        // A violating root under stop-at-first is a complete answer, not
-        // a truncation — matching the serial engine's early return.
-        truncated: truncated.load(Ordering::Relaxed),
-    };
-    let (busy, processed): (Vec<Duration>, Vec<u64>) = lanes.into_iter().unzip();
-    let metrics = FrontierMetrics {
-        workers,
-        busy,
-        processed,
-        steals: queue.steals(),
-        dedup: store.dedup_stats(),
-        reexpansions: reexpansions.load(Ordering::Relaxed),
-    };
-    (report, metrics)
+            run.work(0);
+        });
+    }
+    run.report()
 }
 
-/// Expand one popped key: read its current depth, compute successors,
-/// account once, and relax every out-edge.
-#[allow(clippy::too_many_arguments)]
-fn process_key<P, St, Q>(
-    provider: &P,
-    store: &St,
-    queue: &Q,
-    invariants: &[Invariant<P::State>],
-    cfg: &ExploreConfig,
-    worker: usize,
-    key: u64,
-    infos: &InfoMap<P::State, P::Label>,
-    pending: &AtomicUsize,
-    stop: &AtomicBool,
-    truncated: &AtomicBool,
-    violation_count: &AtomicUsize,
-    violations: &Mutex<Vec<(u64, String)>>,
-    deadlocks: &Mutex<Vec<u64>>,
-    reexpansions: &AtomicU64,
-    transitions: &mut u64,
-) where
-    P: TransitionProvider,
-    St: StateStore<P::State>,
-    Q: WorkQueue<u64>,
-{
-    // The one-time accounting is claimed in the critical section that
-    // reads it: between two sections, a depth relaxation could requeue
-    // the key and a second worker would also see it unexpanded. A state
-    // at the depth cap is not expanded, so it stays unclaimed for the
-    // improver's requeue to account.
-    let (state, depth, mut first) = {
-        let mut shard = infos.shard(key).lock();
-        let info = shard.get_mut(&key).expect("queued key has an info entry");
-        info.queued = false;
-        let first = !info.expanded;
-        if info.depth < cfg.max_depth {
-            info.expanded = true;
+impl<T: TransitionSystem> Run<'_, T> {
+    fn work(&self, worker: usize) {
+        let mut transitions = 0;
+        while !self.stop.load(Ordering::Relaxed) {
+            let Some(item) = self.queue.pop(worker) else {
+                if self.pending.load(Ordering::Acquire) == 0 {
+                    break;
+                }
+                std::thread::yield_now();
+                continue;
+            };
+            self.expand(worker, item, &mut transitions);
+            // Only after the successors are queued: `pending == 0` then
+            // proves global quiescence.
+            self.pending.fetch_sub(1, Ordering::Release);
         }
-        (info.state.clone(), info.depth, first)
-    };
-
-    let succs = provider.successors(&state);
-    if succs.is_empty() {
-        if depth >= cfg.max_depth {
-            // A terminal state is accounted at any depth; claim it now.
-            let mut shard = infos.shard(key).lock();
-            let info = shard.get_mut(&key).expect("entry");
-            first = !std::mem::replace(&mut info.expanded, true);
-        }
-        if first && cfg.detect_deadlocks && !provider.expected_terminal(&state) {
-            deadlocks.lock().push(key);
-        }
-        return;
-    }
-    if depth >= cfg.max_depth {
-        // Not expanded: if the depth later improves below the cap, the
-        // improver requeues it.
-        truncated.store(true, Ordering::Relaxed);
-        return;
-    }
-    if first {
-        *transitions += succs.len() as u64;
-    } else {
-        reexpansions.fetch_add(1, Ordering::Relaxed);
+        self.transitions.fetch_add(transitions, Ordering::Relaxed);
     }
 
-    let child_depth = depth + 1;
-    for (idx, (label, next)) in succs.into_iter().enumerate() {
-        if stop.load(Ordering::Relaxed) {
+    /// Expand one popped item at the depth it was queued at. If the
+    /// state has come closer since, the relaxation that found that also
+    /// queued an item at the better depth: this expansion's offers lose
+    /// to that one's, and the accounting is `first`'s either way.
+    fn expand(&self, worker: usize, item: Item<T::State, T::Label>, transitions: &mut u64) {
+        let Item {
+            key,
+            state,
+            sleep,
+            mut depth,
+            first,
+        } = item;
+        let enabled = self.sys.enabled(&state);
+        if enabled.is_empty() {
+            if first {
+                self.check_terminal(key, &state);
+            }
             return;
         }
-        let (ckey, fresh) = store.intern(&next);
-        let candidate = (child_depth, key, idx as u32);
-        if fresh {
-            // We own classification: check invariants outside any lock,
-            // then publish the entry.
-            let bad = invariants
-                .iter()
-                .find(|i| !i.holds(&next))
-                .map(|i| i.name.clone());
-            let expandable = bad.is_none();
-            {
-                let mut shard = infos.shard(ckey).lock();
-                shard.insert(
-                    ckey,
-                    Info {
-                        state: next,
-                        depth: child_depth,
-                        parent: Some((key, idx as u32, label)),
-                        queued: expandable,
-                        expanded: false,
-                        expandable,
-                    },
-                );
+        if depth as usize >= self.cfg.max_depth {
+            // Judged at the depth the graph holds now: under the cap, the
+            // state is expanded after all; at it, the accounting waits in
+            // the node for a relaxation to pick up.
+            let mut shard = self.graph.shard(key).lock();
+            let node = shard.get_mut(&key).expect("a queued key has a node");
+            depth = node.depth();
+            if depth as usize >= self.cfg.max_depth {
+                node.bits |= if first { OWED } else { 0 };
+                return;
             }
-            if let Some(name) = bad {
-                violations.lock().push((ckey, name));
-                let seen = violation_count.fetch_add(1, Ordering::Relaxed) + 1;
-                if seen >= cfg.max_violations || cfg.stop_at_first_violation {
-                    truncated.store(true, Ordering::Relaxed);
-                    stop.store(true, Ordering::Relaxed);
+        }
+        assert!(depth < MAX_DEPTH, "graph deeper than 2^30");
+        let mut done: Vec<T::Label> = Vec::new();
+        for label in enabled {
+            if self.stop.load(Ordering::Relaxed) {
+                return;
+            }
+            if self.reduce && sleep.contains(&label) {
+                continue;
+            }
+            let next = self.sys.apply(&state, &label);
+            if first {
+                *transitions += 1;
+            }
+            let mut child_sleep = Vec::new();
+            if self.reduce {
+                child_sleep = (sleep.iter().chain(&done))
+                    .filter(|z| self.sys.independent(z, &label))
+                    .cloned()
+                    .collect();
+                done.push(label.clone());
+            }
+            self.offer(worker, (depth + 1, key), label, next, child_sleep);
+        }
+    }
+
+    /// Deadlock and terminal ("eventually") checks of a state with no
+    /// enabled transition.
+    fn check_terminal(&self, key: u64, state: &T::State) {
+        if self.cfg.detect_deadlocks && !self.sys.is_expected_terminal(state) {
+            self.deadlocks.lock().push(key);
+        }
+        for t in self.terminal_checks {
+            if !t.holds(state) && self.violation(key, format!("eventually: {}", t.name)) {
+                return;
+            }
+        }
+    }
+
+    /// Record a violation; true if it is the last one the configuration
+    /// allows, in which case the run is told to stop.
+    fn violation(&self, key: u64, name: String) -> bool {
+        let seen = {
+            let mut violations = self.violations.lock();
+            violations.push((key, name));
+            violations.len()
+        };
+        let last = self.cfg.stop_at_first_violation || seen >= self.cfg.max_violations;
+        if last {
+            self.cut_short();
+        }
+        last
+    }
+
+    fn cut_short(&self) {
+        self.truncated.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Relaxed);
+    }
+
+    /// Offer `next` the in-edge `(depth, parent key)` labelled `label`:
+    /// insert it if new, else keep the minimum, and queue it if it is
+    /// new or strictly closer to the root than it was.
+    fn offer(
+        &self,
+        worker: usize,
+        edge: (u32, u64),
+        label: T::Label,
+        next: T::State,
+        sleep: Vec<T::Label>,
+    ) {
+        let (depth, parent) = edge;
+        let key = self.sys.fingerprint(&next);
+        let mut violated = None;
+        let first = match self.graph.shard(key).lock().entry(key) {
+            Entry::Vacant(slot) => {
+                // Classified under the shard lock: no relaxation can
+                // queue a state before it is known not to violate.
+                violated = Invariant::first_violated(self.invariants, &next);
+                slot.insert(Node {
+                    parent,
+                    label: Some(label),
+                    bits: depth << 2 | if violated.is_some() { VIOLATING } else { 0 },
+                });
+                let states = self.states.fetch_add(1, Ordering::Relaxed) + 1;
+                if violated.is_none() && states >= self.cfg.max_states {
+                    return self.cut_short();
                 }
-            } else {
-                pending.fetch_add(1, Ordering::Release);
-                queue.push(worker, ckey);
+                true
             }
-            if store.len() >= cfg.max_states {
-                truncated.store(true, Ordering::Relaxed);
-                stop.store(true, Ordering::Relaxed);
-            }
-        } else {
-            // Relax: keep the lexicographic minimum (depth, parent key,
-            // label index); requeue on strict depth improvement. The
-            // retry loop covers the tiny window where the fresh interner
-            // has not yet published its info entry.
-            loop {
-                let mut shard = infos.shard(ckey).lock();
-                let Some(info) = shard.get_mut(&ckey) else {
-                    drop(shard);
-                    std::thread::yield_now();
-                    continue;
+            Entry::Occupied(mut slot) => {
+                // Nothing beats the root's depth 0.
+                let node = slot.get_mut();
+                if edge >= (node.depth(), node.parent) {
+                    return;
+                }
+                let closer = depth < node.depth();
+                let requeue = closer && node.bits & VIOLATING == 0;
+                let first = requeue && node.bits & OWED != 0;
+                let flags = node.bits & (VIOLATING | if first { 0 } else { OWED });
+                *node = Node {
+                    parent,
+                    label: Some(label),
+                    bits: depth << 2 | flags,
                 };
-                let current = (
-                    info.depth,
-                    info.parent.as_ref().map(|p| p.0).unwrap_or(0),
-                    info.parent.as_ref().map(|p| p.1).unwrap_or(0),
-                );
-                if info.parent.is_some() && candidate < current {
-                    let improved_depth = candidate.0 < current.0;
-                    info.depth = candidate.0;
-                    info.parent = Some((key, idx as u32, label.clone()));
-                    if improved_depth && info.expandable && !info.queued {
-                        info.queued = true;
-                        drop(shard);
-                        pending.fetch_add(1, Ordering::Release);
-                        queue.push(worker, ckey);
-                    }
+                if !requeue {
+                    return;
                 }
-                break;
+                first
             }
+        };
+        if let Some(inv) = violated {
+            self.violation(key, inv.name.clone());
+            return;
+        }
+        self.pending.fetch_add(1, Ordering::Release);
+        self.queue.push(
+            worker,
+            Item {
+                key,
+                state: next,
+                sleep,
+                depth,
+                first,
+            },
+        );
+    }
+
+    /// Assemble the report from the graph the workers left. The tables
+    /// are read in place: a clean run allocates nothing here, so nothing
+    /// small and late sits between the freed states and the freed tables
+    /// (measured: one such chunk made glibc hand the heap back during
+    /// the caller's *next* exploration instead of at the end of this
+    /// one, doubling the time of a small run after a large one).
+    fn report(self) -> ExploreReport<T::Label> {
+        let mut max_depth_reached = 0;
+        // The depth cap left a state with successors unexpanded
+        // (terminal states are accounted at any depth).
+        let mut capped = false;
+        for shard in &self.graph.shards {
+            for node in shard.lock().values() {
+                max_depth_reached = max_depth_reached.max(node.depth() as usize);
+                capped |= node.bits & OWED != 0;
+            }
+        }
+        let graph = &self.graph;
+        let trail = |end: u64, violation: String| {
+            let mut labels = Vec::new();
+            let mut at = end;
+            loop {
+                let shard = graph.shard(at).lock();
+                let node = &shard[&at];
+                let Some(label) = node.label.clone() else {
+                    break;
+                };
+                labels.push(label);
+                at = node.parent;
+            }
+            labels.reverse();
+            Trail {
+                depth: labels.len(),
+                labels,
+                violation,
+                end_fingerprint: end,
+            }
+        };
+        let mut violations: Vec<Trail<T::Label>> = (self.violations.into_inner().into_iter())
+            .map(|(end, name)| trail(end, name))
+            .collect();
+        let mut deadlocks: Vec<Trail<T::Label>> = (self.deadlocks.into_inner().into_iter())
+            .map(|end| trail(end, "deadlock".to_string()))
+            .collect();
+        fn key<L>(t: &Trail<L>) -> (usize, u64, &str) {
+            (t.depth, t.end_fingerprint, &t.violation)
+        }
+        for trails in [&mut violations, &mut deadlocks] {
+            trails.sort_by(|a, b| key(a).cmp(&key(b)));
+        }
+        ExploreReport {
+            states: self.states.load(Ordering::Relaxed),
+            transitions: self.transitions.load(Ordering::Relaxed),
+            max_depth_reached,
+            violations,
+            deadlocks,
+            truncated: self.truncated.load(Ordering::Relaxed) || capped,
         }
     }
 }
@@ -780,7 +530,8 @@ fn process_key<P, St, Q>(
 mod tests {
     use super::*;
     use crate::explorer::Explorer;
-    use crate::guarded::GuardedSystemBuilder;
+    use crate::guarded::{GuardedSystem, GuardedSystemBuilder};
+    use crate::search::SearchOrder;
 
     #[test]
     fn steal_queue_owner_lifo_and_steal_half() {
@@ -790,122 +541,260 @@ mod tests {
         }
         // Owner pops LIFO.
         assert_eq!(q.pop(0), Some(7));
-        // Thief takes half the victim's lane from the front (oldest).
-        let stolen = q.pop(1).expect("steals from lane 0");
-        assert!(stolen < 4, "stole from the front, got {stolen}");
-        assert_eq!(q.steals(), 1);
+        // Thief takes half the victim's lane from the front (oldest) and
+        // keeps the newest of that half for itself.
+        assert_eq!(q.pop(1), Some(3));
         // Everything drains exactly once between the two workers.
-        let mut drained = vec![7, stolen];
-        while let Some(i) = q.pop(0) {
-            drained.push(i);
-        }
-        while let Some(i) = q.pop(1) {
-            drained.push(i);
-        }
+        let mut drained = vec![7, 3];
+        drained.extend(std::iter::from_fn(|| q.pop(0)));
+        drained.extend(std::iter::from_fn(|| q.pop(1)));
         drained.sort_unstable();
         assert_eq!(drained, (0..8).collect::<Vec<_>>());
     }
 
+    /// What the `Node` docs promise for the product's label type.
     #[test]
-    fn fingerprint_store_interns_once() {
-        let store = FingerprintStore::new(|s: &u64| *s ^ 0xABCD);
-        let (k1, fresh1) = store.intern(&7);
-        let (k2, fresh2) = store.intern(&7);
-        assert_eq!(k1, k2);
-        assert!(fresh1);
-        assert!(!fresh2);
-        assert_eq!(store.len(), 1);
-        let stats = store.dedup_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.hit_rate(), 0.5);
+    fn a_world_model_node_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Node<crate::ModelAction>>(), 24);
+    }
+
+    fn grid(n: u8) -> GuardedSystem<[u8; 3]> {
+        GuardedSystemBuilder::new([0u8; 3])
+            .action("x", move |s: &[u8; 3]| s[0] < n, |s| s[0] += 1)
+            .action("y", move |s: &[u8; 3]| s[1] < n, |s| s[1] += 1)
+            .action("z", move |s: &[u8; 3]| s[2] < n, |s| s[2] += 1)
+            .build()
+    }
+
+    fn corner(n: u8) -> Invariant<[u8; 3]> {
+        Invariant::new("corner", move |s: &[u8; 3]| *s != [n, n, n])
+    }
+
+    fn names(t: &Trail<crate::guarded::GuardedLabel>) -> Vec<&str> {
+        t.labels.iter().map(|l| l.name.as_str()).collect()
     }
 
     #[test]
-    fn paged_store_identity_is_content_hash_and_pages_shared() {
-        let pages = PageStore::new();
-        let store = PagedStateStore::with_page_size(
-            pages.clone(),
-            |s: &Vec<u8>, out: &mut Vec<u8>| out.extend_from_slice(s),
-            64,
-        );
-        let a: Vec<u8> = vec![1u8; 640];
-        let mut b = a.clone();
-        b[630] = 2; // differs in the last page only
-        let (ka, fa) = StateStore::intern(&store, &a);
-        let (kb, fb) = StateStore::intern(&store, &b);
-        assert!(fa && fb);
-        assert_ne!(ka, kb);
-        // Content sharing: the two states share the all-ones page.
-        assert!(
-            pages.stats().live_bytes < a.len() + b.len(),
-            "pages shared across states"
-        );
-        // Revisit: same key, not fresh, and no new pages.
-        let pages_before = pages.stats().live_pages;
-        let (ka2, fa2) = StateStore::intern(&store, &a);
-        assert_eq!(ka, ka2);
-        assert!(!fa2);
-        assert_eq!(pages.stats().live_pages, pages_before);
-        assert_eq!(StateStore::<Vec<u8>>::len(&store), 2);
+    fn parallel_matches_sequential_state_count() {
+        let sys = grid(4);
+        let explorer = Explorer::new(&sys, ExploreConfig::default());
+        let (seq, par) = (explorer.run(), explorer.run_parallel(4));
+        // 5^3 states; each axis steps 4 times in each of the 25
+        // positions of the other two.
+        assert_eq!((seq.states, seq.transitions), (125, 300));
+        assert_eq!((par.states, par.transitions), (125, 300));
     }
 
-    /// The engine over a paged store must agree with the serial explorer
-    /// when the encoding is exactly as discriminating as the
-    /// fingerprint.
     #[test]
-    fn paged_store_exploration_matches_serial() {
-        let sys = GuardedSystemBuilder::new([0u8; 3])
-            .action("x", |s: &[u8; 3]| s[0] < 3, |s| s[0] += 1)
-            .action("y", |s: &[u8; 3]| s[1] < 3, |s| s[1] += 1)
-            .action("z", |s: &[u8; 3]| s[2] < 3, |s| s[2] += 1)
+    fn parallel_finds_violations() {
+        let sys = grid(4);
+        let par = Explorer::new(&sys, ExploreConfig::default())
+            .invariant(corner(4))
+            .run_parallel(4);
+        assert_eq!(par.violations.len(), 1);
+        assert_eq!(par.violations[0].depth, 12, "BFS trail to the corner");
+    }
+
+    #[test]
+    fn max_states_respected() {
+        let sys = grid(10);
+        let cfg = ExploreConfig::exhaustive(50);
+        let par = Explorer::new(&sys, cfg).run_parallel(4);
+        assert!(par.truncated);
+        // Workers in flight may overshoot slightly, but not unboundedly.
+        assert!(par.states < 500, "states={}", par.states);
+    }
+
+    /// The grid corner has binom(12; 4,4,4) = 34650 shortest paths, so
+    /// any schedule dependence in parent resolution shows up here. The
+    /// trail must be identical at every worker count and across repeated
+    /// runs (the canonical minimum (depth, parent key, label index)
+    /// chain), shortest (depth 12), and feasible.
+    #[test]
+    fn violation_trails_deterministic_across_worker_counts() {
+        let sys = grid(4);
+        let explorer = Explorer::new(&sys, ExploreConfig::default()).invariant(corner(4));
+        let first = explorer.run();
+        assert_eq!(first.violations.len(), 1);
+        assert_eq!(first.violations[0].depth, 12);
+        let guided = explorer.run_guided(&first.violations[0].labels);
+        assert!(guided.stuck_at.is_none(), "trail infeasible");
+        assert!(!guided.violations.is_empty());
+        for threads in [1usize, 2, 4, 8] {
+            for round in 0..3 {
+                let par = explorer.run_parallel(threads);
+                assert_eq!(
+                    first.violations, par.violations,
+                    "canonical min trail (threads={threads}, round={round})"
+                );
+            }
+        }
+    }
+
+    /// Deadlock trails are canonical too.
+    #[test]
+    fn deadlock_reports_deterministic() {
+        let sys = GuardedSystemBuilder::new((0u8, 0u8))
+            .action("a-take-r1", |s: &(u8, u8)| s.0 == 0, |s| s.0 = 1)
+            .action(
+                "a-take-r2",
+                |s: &(u8, u8)| s.0 == 1 && s.1 != 2,
+                |s| s.0 = 3,
+            )
+            .action("b-take-r2", |s: &(u8, u8)| s.1 == 0, |s| s.1 = 2)
+            .action(
+                "b-take-r1",
+                |s: &(u8, u8)| s.1 == 2 && s.0 != 1 && s.0 != 3,
+                |s| s.1 = 3,
+            )
+            .expected_terminal(|s| s.0 == 3 || s.1 == 3)
             .build();
-        let seq = Explorer::new(&sys, ExploreConfig::default()).run();
-        for workers in [1usize, 4] {
-            let store = PagedStateStore::with_page_size(
-                PageStore::new(),
-                |s: &[u8; 3], out: &mut Vec<u8>| out.extend_from_slice(s),
-                16,
-            );
-            let queue = StealQueue::new(workers);
-            let (par, metrics) = explore_frontier(
-                &sys,
-                &store,
-                &queue,
-                &[],
-                &ExploreConfig::default(),
-                workers,
-            );
-            assert_eq!(seq.states, par.states, "workers={workers}");
-            assert_eq!(seq.transitions, par.transitions);
-            assert!(par.clean());
-            // Every revisited edge target was a dedup hit.
-            assert_eq!(metrics.dedup.misses as usize, par.states);
+        let explorer = Explorer::new(&sys, ExploreConfig::default());
+        let first = explorer.run();
+        assert!(!first.deadlocks.is_empty());
+        for threads in [2usize, 4, 8] {
             assert_eq!(
-                metrics.dedup.hits + metrics.dedup.misses,
-                par.transitions + 1,
-                "one intern per computed successor plus the root"
+                first.deadlocks,
+                explorer.run_parallel(threads).deadlocks,
+                "threads={threads}"
             );
         }
     }
 
+    /// Terminal ("eventually") checks run in the one loop, so every
+    /// worker count reports them, once per terminal state.
     #[test]
-    fn metrics_report_busy_lanes() {
-        let sys = GuardedSystemBuilder::new([0u8; 2])
-            .action("a", |s: &[u8; 2]| s[0] < 40, |s| s[0] += 1)
-            .action("b", |s: &[u8; 2]| s[1] < 40, |s| s[1] += 1)
+    fn terminal_invariants_at_every_worker_count() {
+        let sys = GuardedSystemBuilder::new(0u8)
+            .action("inc", |s: &u8| *s < 3, |s| *s += 1)
+            .action("stop-early", |s: &u8| *s == 1, |s| *s = 103) // dead end
             .build();
-        let store = FingerprintStore::new(|s: &[u8; 2]| u64::from(s[0]) << 8 | u64::from(s[1]));
-        let queue = StealQueue::new(4);
-        let (report, metrics) =
-            explore_frontier(&sys, &store, &queue, &[], &ExploreConfig::default(), 4);
-        assert_eq!(report.states, 41 * 41);
-        assert_eq!(metrics.workers, 4);
-        assert_eq!(metrics.busy.len(), 4);
-        assert!(metrics.critical_path() >= *metrics.busy.iter().min().unwrap());
-        // Every reachable state is popped at least once; re-expansions
-        // can only add to the count.
-        assert!(metrics.processed.iter().sum::<u64>() >= report.states as u64);
-        let share = metrics.max_share();
-        assert!((0.25..=1.0).contains(&share), "share={share}");
+        let explorer = Explorer::new(&sys, ExploreConfig::default())
+            .terminal_invariant(Invariant::new("reached-3", |s: &u8| *s == 3));
+        let first = explorer.run();
+        assert_eq!(first.violations.len(), 1);
+        assert_eq!(first.violations[0].violation, "eventually: reached-3");
+        assert_eq!(names(&first.violations[0]), ["inc", "stop-early"]);
+        for threads in [2usize, 4, 8] {
+            assert_eq!(first.violations, explorer.run_parallel(threads).violations);
+        }
+    }
+
+    /// A chain 0..=5 that DFS walks first and a shortcut 0 -> 100 it
+    /// takes last; both join at 101, and 104 violates. DFS reaches 101 at
+    /// depth 6, expands it, and has dropped that copy by the time the
+    /// shortcut offers depth 2: the offer carries its own copy, so the
+    /// tail is expanded again and every depth ends BFS-minimal.
+    fn shortcut() -> (GuardedSystem<u8>, Invariant<u8>) {
+        let sys = GuardedSystemBuilder::new(0u8)
+            .action("short", |s: &u8| *s == 0, |s| *s = 100)
+            .action("long", |s: &u8| *s < 5, |s| *s += 1)
+            .action("join", |s: &u8| *s == 5 || *s == 100, |s| *s = 101)
+            .action("tail", |s: &u8| (101..104).contains(s), |s| *s += 1)
+            .build();
+        (sys, Invariant::new("not-104", |s: &u8| *s != 104))
+    }
+
+    #[test]
+    fn exhaustive_dfs_reports_bfs_minimal_trails() {
+        let (sys, inv) = shortcut();
+        let run = |cfg: ExploreConfig| Explorer::new(&sys, cfg).invariant(inv.clone()).run();
+        let hunt = run(ExploreConfig::hunt());
+        assert_eq!(hunt.violations[0].depth, 9, "DFS takes the chain first");
+        let bfs = run(ExploreConfig::default());
+        assert_eq!(
+            names(&bfs.violations[0]),
+            ["short", "join", "tail", "tail", "tail"]
+        );
+        assert_eq!(
+            (bfs.states, bfs.transitions, bfs.max_depth_reached),
+            (11, 11, 5)
+        );
+        for order in [SearchOrder::Dfs, SearchOrder::Random { seed: 7 }] {
+            let other = run(ExploreConfig {
+                order: order.clone(),
+                ..ExploreConfig::default()
+            });
+            assert_eq!(
+                (
+                    bfs.states,
+                    bfs.transitions,
+                    bfs.max_depth_reached,
+                    bfs.truncated
+                ),
+                (
+                    other.states,
+                    other.transitions,
+                    other.max_depth_reached,
+                    other.truncated
+                ),
+                "{order:?}"
+            );
+            assert_eq!(bfs.violations, other.violations, "{order:?}");
+        }
+    }
+
+    /// Whether the depth cap truncated a run does not depend on the
+    /// order: DFS first pops 101 at depth 6, at a cap of 6, but the
+    /// shortcut brings it to depth 2 and it is expanded after all, with
+    /// its transitions counted once.
+    #[test]
+    fn depth_cap_verdict_does_not_depend_on_the_order() {
+        let (sys, _) = shortcut();
+        let run = |order, max_depth| {
+            let cfg = ExploreConfig {
+                order,
+                max_depth,
+                ..ExploreConfig::default()
+            };
+            let r = Explorer::new(&sys, cfg).run();
+            (r.states, r.transitions, r.max_depth_reached, r.truncated)
+        };
+        assert_eq!(run(SearchOrder::Bfs, 6), (11, 11, 5, false));
+        assert_eq!(run(SearchOrder::Dfs, 6), (11, 11, 5, false));
+        // 4 (on the chain) and 103 are left unexpanded at depth 4.
+        assert_eq!(run(SearchOrder::Bfs, 4), (9, 8, 4, true));
+        assert_eq!(run(SearchOrder::Dfs, 4), (9, 8, 4, true));
+    }
+
+    /// One transition per applied successor, `stop` tested before each.
+    /// The first two violating states are consecutive successors of one
+    /// parent (the second run applies exactly one transition more), so
+    /// the run capped at one violation stops in the middle of that
+    /// expansion and must not count the successors it never applied.
+    #[test]
+    fn run_cut_mid_expansion_counts_what_it_applied() {
+        let sys = grid(4);
+        let cut = |max_violations| {
+            let cfg = ExploreConfig {
+                max_violations,
+                ..ExploreConfig::default()
+            };
+            let r = Explorer::new(&sys, cfg)
+                .invariant(Invariant::new("sum-bound", |s: &[u8; 3]| {
+                    s.iter().map(|&v| u32::from(v)).sum::<u32>() < 5
+                }))
+                .run();
+            assert_eq!(r.violations.len(), max_violations);
+            (r.states, r.transitions, r.truncated)
+        };
+        assert_eq!(cut(1), (36, 61, true));
+        assert_eq!(cut(2), (37, 62, true));
+        assert_eq!(cut(16), (51, 94, true));
+    }
+
+    #[test]
+    fn violating_root_under_stop_at_first_is_the_whole_answer() {
+        let sys = grid(2);
+        let cfg = ExploreConfig {
+            stop_at_first_violation: true,
+            ..ExploreConfig::default()
+        };
+        let report = Explorer::new(&sys, cfg)
+            .invariant(Invariant::new("never", |_: &[u8; 3]| false))
+            .run();
+        assert_eq!((report.states, report.transitions), (1, 0));
+        assert!(!report.truncated);
+        assert!(report.violations[0].is_empty());
     }
 }

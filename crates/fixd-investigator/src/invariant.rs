@@ -29,6 +29,11 @@ impl<S> Invariant<S> {
         (self.check)(s)
     }
 
+    /// The first of `invs` that does not hold in `s`.
+    pub(crate) fn first_violated<'i>(invs: &'i [Invariant<S>], s: &S) -> Option<&'i Invariant<S>> {
+        invs.iter().find(|i| !i.holds(s))
+    }
+
     /// Conjunction of several invariants under one name.
     pub fn all_of(name: &str, invs: Vec<Invariant<S>>) -> Invariant<S>
     where

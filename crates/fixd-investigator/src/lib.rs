@@ -10,8 +10,8 @@
 //!
 //! Architecture mirrors Fig. 7:
 //!
-//! * **back-end engine** ([`explorer`], [`search`], [`frontier`],
-//!   [`parallel`]) — a
+//! * **back-end engine** ([`explorer`] is its face, [`frontier`] its one
+//!   loop, [`search`] the one-worker search orders) — a
 //!   guarded-command state-space explorer that "performs the actual state
 //!   transitions, keeps track of the visited execution paths (calculating
 //!   the reachability graph), and verifies that no user-specified
@@ -38,7 +38,6 @@ pub mod explorer;
 pub mod frontier;
 pub mod guarded;
 pub mod invariant;
-pub mod parallel;
 pub mod search;
 pub mod system;
 pub mod trail;
@@ -47,10 +46,6 @@ pub mod worldmodel;
 pub use checker::ModelD;
 pub use envmodel::NetModel;
 pub use explorer::{ExploreConfig, ExploreReport, Explorer, SearchOrder};
-pub use frontier::{
-    explore_frontier, DedupStats, FingerprintStore, FrontierMetrics, PagedStateStore, StateStore,
-    StealQueue, TransitionProvider, WorkQueue,
-};
 pub use guarded::{Action, GuardedSystem, GuardedSystemBuilder};
 pub use invariant::Invariant;
 pub use system::TransitionSystem;

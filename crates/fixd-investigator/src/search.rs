@@ -2,10 +2,12 @@
 //!
 //! ModelD's back-end supports "the ability to customize the search order
 //! for the state graph" (§4.3) — "originally introduced ... as a way to
-//! support heuristic search". The engine is parameterized by this
-//! frontier; BFS finds shortest trails, DFS finds deep violations fast
-//! with low memory, randomized order de-biases long exploration, and the
-//! priority frontier implements heuristic (best-first) search.
+//! support heuristic search". The order is the queue the one-worker
+//! exploration loop drains: BFS reaches a shortest counterexample first,
+//! DFS reaches deep violations fast with low memory, randomized order
+//! de-biases long exploration. A run that is not cut short reports the
+//! same graph and the same shortest trails in every order (see
+//! [`crate::frontier`]); the order decides what a stopped run has seen.
 
 use std::collections::VecDeque;
 
@@ -14,31 +16,25 @@ use fixd_runtime::DetRng;
 /// How the frontier is drained.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SearchOrder {
-    /// Breadth-first: shortest counterexamples, highest memory.
+    /// Breadth-first: a stopped run has seen the shortest
+    /// counterexamples; highest memory.
     Bfs,
-    /// Depth-first: low memory, long trails.
+    /// Depth-first: low memory; a hunt that stops at the first violation
+    /// returns a long trail.
     Dfs,
     /// Uniform-random frontier draws (seeded, reproducible).
     Random { seed: u64 },
 }
 
-/// A frontier entry: state + bookkeeping.
-pub(crate) struct Node<S, L> {
-    pub state: S,
-    pub fp: u64,
-    pub depth: usize,
-    /// Sleep set (partial-order reduction); empty when reduction is off.
-    pub sleep: Vec<L>,
+/// The one-worker queue of the exploration loop, drained in a
+/// [`SearchOrder`].
+pub(crate) enum Frontier<I> {
+    Bfs(VecDeque<I>),
+    Dfs(Vec<I>),
+    Random(Vec<I>, DetRng),
 }
 
-/// The polymorphic frontier.
-pub(crate) enum Frontier<S, L> {
-    Bfs(VecDeque<Node<S, L>>),
-    Dfs(Vec<Node<S, L>>),
-    Random(Vec<Node<S, L>>, DetRng),
-}
-
-impl<S, L> Frontier<S, L> {
+impl<I> Frontier<I> {
     pub fn new(order: &SearchOrder) -> Self {
         match order {
             SearchOrder::Bfs => Frontier::Bfs(VecDeque::new()),
@@ -49,14 +45,14 @@ impl<S, L> Frontier<S, L> {
         }
     }
 
-    pub fn push(&mut self, n: Node<S, L>) {
+    pub fn push(&mut self, item: I) {
         match self {
-            Frontier::Bfs(q) => q.push_back(n),
-            Frontier::Dfs(v) | Frontier::Random(v, _) => v.push(n),
+            Frontier::Bfs(q) => q.push_back(item),
+            Frontier::Dfs(v) | Frontier::Random(v, _) => v.push(item),
         }
     }
 
-    pub fn pop(&mut self) -> Option<Node<S, L>> {
+    pub fn pop(&mut self) -> Option<I> {
         match self {
             Frontier::Bfs(q) => q.pop_front(),
             Frontier::Dfs(v) => v.pop(),
@@ -76,46 +72,33 @@ impl<S, L> Frontier<S, L> {
 mod tests {
     use super::*;
 
-    fn node(fp: u64) -> Node<u64, u8> {
-        Node {
-            state: fp,
-            fp,
-            depth: 0,
-            sleep: Vec::new(),
-        }
-    }
-
     #[test]
     fn bfs_is_fifo() {
-        let mut f: Frontier<u64, u8> = Frontier::new(&SearchOrder::Bfs);
-        f.push(node(1));
-        f.push(node(2));
-        assert_eq!(f.pop().unwrap().fp, 1);
-        assert_eq!(f.pop().unwrap().fp, 2);
+        let mut f = Frontier::new(&SearchOrder::Bfs);
+        f.push(1);
+        f.push(2);
+        assert_eq!(f.pop(), Some(1));
+        assert_eq!(f.pop(), Some(2));
         assert!(f.pop().is_none());
     }
 
     #[test]
     fn dfs_is_lifo() {
-        let mut f: Frontier<u64, u8> = Frontier::new(&SearchOrder::Dfs);
-        f.push(node(1));
-        f.push(node(2));
-        assert_eq!(f.pop().unwrap().fp, 2);
-        assert_eq!(f.pop().unwrap().fp, 1);
+        let mut f = Frontier::new(&SearchOrder::Dfs);
+        f.push(1);
+        f.push(2);
+        assert_eq!(f.pop(), Some(2));
+        assert_eq!(f.pop(), Some(1));
     }
 
     #[test]
     fn random_is_seed_deterministic_and_complete() {
         let drain = |seed: u64| {
-            let mut f: Frontier<u64, u8> = Frontier::new(&SearchOrder::Random { seed });
-            for i in 0..20 {
-                f.push(node(i));
+            let mut f = Frontier::new(&SearchOrder::Random { seed });
+            for i in 0..20u64 {
+                f.push(i);
             }
-            let mut out = Vec::new();
-            while let Some(n) = f.pop() {
-                out.push(n.fp);
-            }
-            out
+            std::iter::from_fn(|| f.pop()).collect::<Vec<_>>()
         };
         let a = drain(5);
         let b = drain(5);

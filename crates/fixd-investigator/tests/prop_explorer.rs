@@ -1,9 +1,12 @@
 //! Property-based tests for the Investigator: order-independence of the
-//! reachable set, parallel/sequential agreement, trail feasibility.
+//! report, agreement with a textbook BFS at any worker count, trail
+//! feasibility.
+
+mod common;
 
 use proptest::prelude::*;
 
-use fixd_investigator::parallel::explore_parallel;
+use common::{naive_bfs, summary};
 use fixd_investigator::system::TransitionSystem;
 use fixd_investigator::{
     ExploreConfig, Explorer, GuardedSystemBuilder, Invariant, ModelD, NetModel, SearchOrder,
@@ -27,32 +30,37 @@ fn counters(caps: Vec<u8>) -> fixd_investigator::GuardedSystem<Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The reachable state count is the product of (cap+1) — and is the
-    /// same for BFS, DFS, and random order.
+    /// The reachable state count is the product of (cap+1), and the
+    /// whole report, trails included, is the same for BFS, DFS, and
+    /// random order.
     #[test]
     fn order_independence(caps in proptest::collection::vec(0u8..4, 1..4), seed in any::<u64>()) {
         let expected: usize = caps.iter().map(|&c| usize::from(c) + 1).product();
+        let top = caps.clone();
+        let below_top = Invariant::new("below-top", move |s: &Vec<u8>| *s != top);
         let sys = counters(caps);
-        for order in [SearchOrder::Bfs, SearchOrder::Dfs, SearchOrder::Random { seed }] {
-            let report = Explorer::new(
-                &sys,
-                ExploreConfig { order, ..ExploreConfig::default() },
-            )
-            .run();
-            prop_assert_eq!(report.states, expected);
-            prop_assert!(!report.truncated);
+        let run = |order| {
+            Explorer::new(&sys, ExploreConfig { order, ..ExploreConfig::default() })
+                .invariant(below_top.clone())
+                .run()
+        };
+        let bfs = run(SearchOrder::Bfs);
+        prop_assert_eq!(bfs.states, expected);
+        prop_assert_eq!(bfs.violations.len(), 1);
+        for order in [SearchOrder::Dfs, SearchOrder::Random { seed }] {
+            let report = run(order);
+            prop_assert_eq!(summary(&bfs), summary(&report));
+            prop_assert_eq!(&bfs.violations, &report.violations);
         }
     }
 
-    /// Parallel BFS visits exactly the sequential reachable set.
+    /// Any worker count visits exactly what a textbook BFS visits.
     #[test]
     fn parallel_equals_sequential(caps in proptest::collection::vec(0u8..5, 1..4),
                                   threads in 1usize..5) {
         let sys = counters(caps);
-        let seq = Explorer::new(&sys, ExploreConfig::default()).run();
-        let par = explore_parallel(&sys, &[], &ExploreConfig::default(), threads);
-        prop_assert_eq!(seq.states, par.states);
-        prop_assert_eq!(seq.transitions, par.transitions);
+        let par = Explorer::new(&sys, ExploreConfig::default()).run_parallel(threads);
+        prop_assert_eq!(naive_bfs(&sys, &[]), summary(&par));
     }
 
     /// Every violation trail the explorer returns is feasible: guided

@@ -1,13 +1,15 @@
-//! Equivalence suite for the work-stealing frontier engine: on random
-//! guarded systems, the engine must produce exactly the serial
-//! `Explorer`'s reachable set, state count, transition count, and
-//! violation verdicts at every worker count — and byte-identical
-//! canonical trails across worker counts and schedules.
+//! Equivalence suite for the exploration loop: on random guarded
+//! systems it must produce exactly a textbook BFS's reachable set, state
+//! count, transition count, depths and violation verdicts at every
+//! worker count, and identical canonical trails across worker counts
+//! and schedules.
+
+mod common;
 
 use proptest::prelude::*;
 
-use fixd_investigator::parallel::explore_parallel;
-use fixd_investigator::{ExploreConfig, ExploreReport, Explorer, GuardedSystemBuilder, Invariant};
+use common::{naive_bfs, summary};
+use fixd_investigator::{ExploreConfig, Explorer, GuardedSystemBuilder, Invariant};
 
 /// A random bounded guarded system: `k` counters with caps, plus
 /// `transfers` cross-coupling actions that move a unit from one counter
@@ -45,25 +47,11 @@ fn random_system(
 
 fn uncapped() -> ExploreConfig {
     ExploreConfig {
-        // No violation cap: both engines collect every violating state,
-        // so the comparison is over complete (schedule-free) sets.
+        // No violation cap: every violating state is collected, so the
+        // comparison is over complete (schedule-free) sets.
         max_violations: usize::MAX,
         ..ExploreConfig::default()
     }
-}
-
-/// (depth, end key, violation name) for every violation, sorted — the
-/// canonical verdict set.
-fn verdicts(
-    r: &ExploreReport<fixd_investigator::guarded::GuardedLabel>,
-) -> Vec<(usize, u64, String)> {
-    let mut v: Vec<_> = r
-        .violations
-        .iter()
-        .map(|t| (t.depth, t.end_fingerprint, t.violation.clone()))
-        .collect();
-    v.sort();
-    v
 }
 
 /// Regression for a schedule-dependent `transitions` count: a state
@@ -79,25 +67,16 @@ fn counts_hold_under_oversubscription() {
     let inv = Invariant::new("sum-bound", |s: &Vec<u8>| {
         s.iter().map(|&v| u32::from(v)).sum::<u32>() < 6
     });
-    let seq = Explorer::new(&sys, uncapped()).invariant(inv.clone()).run();
-    assert_eq!((seq.states, seq.transitions), (67, 217));
+    let reference = naive_bfs(&sys, std::slice::from_ref(&inv));
+    assert_eq!((reference.states, reference.transitions), (67, 217));
+    let explorer = Explorer::new(&sys, uncapped()).invariant(inv);
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
                 for round in 0..100 {
                     for workers in [1usize, 2, 4, 8] {
-                        let par = explore_parallel(
-                            &sys,
-                            std::slice::from_ref(&inv),
-                            &uncapped(),
-                            workers,
-                        );
-                        assert_eq!(
-                            (seq.states, seq.transitions, seq.deadlocks.len()),
-                            (par.states, par.transitions, par.deadlocks.len()),
-                            "workers={workers} round={round}"
-                        );
-                        assert_eq!(verdicts(&seq), verdicts(&par), "workers={workers}");
+                        let par = explorer.run_parallel(workers);
+                        assert_eq!(reference, summary(&par), "workers={workers} round={round}");
                     }
                 }
             });
@@ -108,8 +87,9 @@ fn counts_hold_under_oversubscription() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Reachable set, state count, transitions, and violation verdicts
-    /// equal the serial explorer's at 1/2/4/8 workers.
+    /// Reachable set, state count, transitions, depth, deadlocks and
+    /// violation verdicts equal the textbook BFS's at 1/2/4/8 workers,
+    /// and the reports equal each other trail by trail.
     #[test]
     fn stealing_equals_serial(
         caps in proptest::collection::vec(1u8..4, 2..5),
@@ -120,16 +100,14 @@ proptest! {
         let inv = Invariant::new("sum-bound", move |s: &Vec<u8>| {
             s.iter().map(|&v| u32::from(v)).sum::<u32>() < bad_sum
         });
-        let seq = Explorer::new(&sys, uncapped())
-            .invariant(inv.clone())
-            .run();
+        let reference = naive_bfs(&sys, std::slice::from_ref(&inv));
+        let explorer = Explorer::new(&sys, uncapped()).invariant(inv);
+        let serial = explorer.run();
         for workers in [1usize, 2, 4, 8] {
-            let par = explore_parallel(&sys, std::slice::from_ref(&inv), &uncapped(), workers);
-            prop_assert_eq!(seq.states, par.states, "states (workers={})", workers);
-            prop_assert_eq!(seq.transitions, par.transitions, "transitions (workers={})", workers);
-            prop_assert_eq!(seq.max_depth_reached, par.max_depth_reached, "depth (workers={})", workers);
-            prop_assert_eq!(verdicts(&seq), verdicts(&par), "verdicts (workers={})", workers);
-            prop_assert_eq!(seq.deadlocks.len(), par.deadlocks.len());
+            let par = explorer.run_parallel(workers);
+            prop_assert_eq!(&reference, &summary(&par), "workers={}", workers);
+            prop_assert_eq!(&serial.violations, &par.violations, "workers={}", workers);
+            prop_assert_eq!(&serial.deadlocks, &par.deadlocks, "workers={}", workers);
         }
     }
 
@@ -146,9 +124,10 @@ proptest! {
         let inv = Invariant::new("sum-bound", move |s: &Vec<u8>| {
             s.iter().map(|&v| u32::from(v)).sum::<u32>() < bad_sum
         });
+        let explorer = Explorer::new(&sys, uncapped()).invariant(inv);
         let mut baseline: Option<Vec<Vec<String>>> = None;
         for workers in [1usize, 2, 4, 8] {
-            let par = explore_parallel(&sys, std::slice::from_ref(&inv), &uncapped(), workers);
+            let par = explorer.run_parallel(workers);
             prop_assert!(!par.violations.is_empty());
             let trails: Vec<Vec<String>> = par
                 .violations
@@ -160,9 +139,7 @@ proptest! {
             for t in &par.violations {
                 prop_assert_eq!(t.depth as u32, bad_sum, "BFS-minimal trail");
             }
-            let guided = Explorer::new(&sys, ExploreConfig::default())
-                .invariant(inv.clone())
-                .run_guided(&par.violations[0].labels);
+            let guided = explorer.run_guided(&par.violations[0].labels);
             prop_assert!(guided.stuck_at.is_none(), "trail must replay");
             match &baseline {
                 None => baseline = Some(trails),

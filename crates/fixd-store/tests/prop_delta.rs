@@ -6,8 +6,8 @@
 //! after every build, every clone and every drop.
 //!
 //! The second half puts two threads on one store (campaign threads share
-//! `FixdConfig.page_store`; frontier workers share a `PagedStateStore`)
-//! and checks the totals that no interleaving may change.
+//! `FixdConfig.page_store`) and checks the totals that no interleaving
+//! may change.
 
 use std::sync::Barrier;
 

@@ -403,9 +403,15 @@ fn lossy_2pc_fails_eventual_decision() {
             })
         },
     );
-    let report = Explorer::new(&model, ExploreConfig::default())
-        .terminal_invariant(eventually_decided)
-        .run();
+    let explorer = Explorer::new(
+        &model,
+        ExploreConfig {
+            max_violations: usize::MAX,
+            ..ExploreConfig::default()
+        },
+    )
+    .terminal_invariant(eventually_decided);
+    let report = explorer.run();
     assert!(
         report
             .violations
@@ -414,6 +420,9 @@ fn lossy_2pc_fails_eventual_decision() {
         "losing the DECISION must violate the terminal property: {}",
         report.summary()
     );
+    // Terminal checks run at any worker count, with the same trails.
+    assert!(!report.truncated);
+    assert_eq!(report.violations, explorer.run_parallel(4).violations);
 
     // Under a reliable model the same property holds.
     let model2 = WorldModel::new(
