@@ -42,11 +42,8 @@ fn no_bad_reads() -> Invariant<WorldState> {
 #[test]
 fn chord_kv_has_no_bad_reads_under_all_interleavings() {
     let model = kv_model(3, 1);
-    let cfg = ExploreConfig {
-        max_states: 500_000,
-        ..ExploreConfig::default()
-    };
-    let explorer = Explorer::new(&model, cfg).invariant(no_bad_reads());
+    let explorer =
+        Explorer::new(&model, ExploreConfig::exhaustive(500_000)).invariant(no_bad_reads());
     let seq = explorer.run();
     assert!(!seq.truncated, "space must be explored exhaustively");
     assert!(seq.states > 10, "the model must actually branch");

@@ -34,9 +34,13 @@ pub struct ExploreConfig {
     /// Do not expand states deeper than this.
     pub max_depth: usize,
     /// The order one worker expands states in. More than one worker
-    /// share a work-stealing queue and ignore it. A run no limit stops
-    /// reports the same in every order; the order decides what a stopped
-    /// run (a hunt, a `max_states` cut) gets to see.
+    /// share the LIFO lanes of a work-stealing queue and ignore it. A
+    /// run no limit stops reports the same in every order, so there the
+    /// order is a cost and [`SearchOrder::Dfs`] the cheap one
+    /// ([`Self::exhaustive`]); the order decides what a stopped run (a
+    /// hunt, a `max_states` cut) gets to see, and there
+    /// [`SearchOrder::Bfs`], the default, has seen the shortest
+    /// counterexamples.
     pub order: SearchOrder,
     /// Return after the first violation (bug hunting) instead of
     /// collecting up to `max_violations`.
@@ -79,10 +83,23 @@ impl ExploreConfig {
         }
     }
 
-    /// Bounded exhaustive preset.
+    /// The preset for a space that finishes: LIFO order, `max_states` as
+    /// the fuse. The report of a run that finishes is the same in every
+    /// order, and LIFO gets there holding a stack of states where BFS
+    /// holds a layer, and expands each while it is still in cache; a
+    /// guard turns the lane where the graph punishes the order (see
+    /// [`SearchOrder::Dfs`]). If the fuse blows, what the run had seen
+    /// is what a depth-first search sees.
+    ///
+    /// A bounded guarantee over a space that does not finish ("no
+    /// violation within 60 steps") is [`Self::default`] with
+    /// [`Self::max_depth`] instead: its verdict does not depend on the
+    /// order either, and if `max_states` cuts it, BFS has at least seen
+    /// every state closer than the cut.
     pub fn exhaustive(max_states: usize) -> Self {
         Self {
             max_states,
+            order: SearchOrder::Dfs,
             ..Self::default()
         }
     }

@@ -3,10 +3,20 @@
 //! cspx-shaped: the [`TransitionSystem`] supplies states, a sharded map
 //! is the visited set *and* the reachability graph, and a queue decides
 //! what is expanded next, so **the queue is the search order**. One
-//! worker drains a `Frontier` in [`ExploreConfig::order`] (BFS, DFS,
-//! seeded random); more than one share a `StealQueue` (owners pop
-//! LIFO, idle workers steal the oldest half of a lane) and ignore
-//! `order` and `use_reduction`.
+//! worker drains a `Frontier` in [`ExploreConfig::order`] (BFS, seeded
+//! random) or, for DFS, the one lane of a `StealQueue`; more than one
+//! share a `StealQueue` (owners pop LIFO, idle workers steal the oldest
+//! half of a lane) and ignore `order` and `use_reduction`.
+//!
+//! Which order for what: a run meant to finish takes the LIFO lane
+//! ([`ExploreConfig::exhaustive`]); its report does not depend on the
+//! order, and the lane holds a stack of states where BFS holds a layer
+//! (Chord-KV, 227k states: 48 states queued at the peak against 18,716,
+//! 1.7x the states per second). A run that a limit may stop, a
+//! diagnosis or a bounded check of an unbounded space, stays on
+//! [`ExploreConfig::default`]: BFS, so that what it saw before the cut
+//! are the shallowest states. What LIFO costs where path lengths differ,
+//! and the guard that bounds it, are `StealQueue`'s docs.
 //!
 //! A queue item owns its state, so a state is dropped as soon as it has
 //! been expanded; the map keeps only `key -> (depth, canonical parent,
@@ -36,8 +46,9 @@
 //!
 //! A run stopped by `max_states`, `max_violations` or
 //! `stop_at_first_violation` reports what it had when it stopped. At one
-//! worker that is a function of the system and the configuration alone
-//! (in BFS order: the counts of a textbook BFS cut at the same point).
+//! worker that is a function of the system and the configuration alone,
+//! the requeue at which the guard turns a LIFO lane included (in BFS
+//! order: the counts of a textbook BFS cut at the same point).
 //! At more than one worker it depends on the schedule, and a few more
 //! than `max_violations` trails can come back, because every worker
 //! finishes the successor it is on.
@@ -54,20 +65,40 @@ use crate::search::Frontier;
 use crate::system::TransitionSystem;
 use crate::trail::Trail;
 
-/// Per-worker deques with steal-half: owners push/pop LIFO at the back
-/// (depth-first locality, hot caches); an idle worker scans the other
-/// lanes and moves the front *half* of the first non-empty one into its
-/// own lane (the front of a lane is its oldest, shallowest work, the
-/// part the owner would reach last). Two locks are never held at once.
+/// The LIFO lanes: one per worker, so one lane is [`SearchOrder::Dfs`]
+/// at one worker. Owners push and pop at the back (a state is expanded
+/// while the caches still hold it, and a lane holds a stack of states,
+/// not a BFS layer); an idle worker scans the other lanes and moves the
+/// front *half* of the first non-empty one into its own (the front of a
+/// lane is its oldest, shallowest work, the part the owner would reach
+/// last). Two locks are never held at once.
+///
+/// LIFO with depth relaxation is a label-correcting search: where paths
+/// of different length meet it expands a subgraph once per improvement
+/// of its entry depth. The lanes therefore carry a guard: the loop
+/// reports every state a relaxation queued again ([`Self::requeued`]),
+/// and once those pass [`Self::REQUEUE_FLOOR`] and an eighth of the
+/// visited states, every lane is drained from the front for the rest of
+/// the run: oldest first, which is breadth-first but for what the lanes
+/// held at the flip. One flag, set once; at one worker it is set at the
+/// same requeue in every run.
 pub(crate) struct StealQueue<I> {
     lanes: Vec<Mutex<VecDeque<I>>>,
+    requeues: AtomicUsize,
+    fifo: AtomicBool,
 }
 
 impl<I> StealQueue<I> {
+    /// Below this many requeues the guard holds still whatever the run's
+    /// size: a diagnosis-sized run is over before the order matters.
+    const REQUEUE_FLOOR: usize = 1024;
+
     /// A queue with one lane per worker.
     pub fn new(workers: usize) -> Self {
         Self {
             lanes: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            requeues: AtomicUsize::new(0),
+            fifo: AtomicBool::new(false),
         }
     }
 
@@ -75,9 +106,19 @@ impl<I> StealQueue<I> {
         self.lanes[worker].lock().push_back(item);
     }
 
-    /// `worker`'s newest item, or else the newest of a stolen half.
+    /// The next item of a lane: its newest, or its oldest once the guard
+    /// has turned the lanes around.
+    fn take(&self, lane: &mut VecDeque<I>) -> Option<I> {
+        if self.fifo.load(Ordering::Relaxed) {
+            lane.pop_front()
+        } else {
+            lane.pop_back()
+        }
+    }
+
+    /// `worker`'s next item, or else the next of a stolen half.
     pub fn pop(&self, worker: usize) -> Option<I> {
-        if let Some(item) = self.lanes[worker].lock().pop_back() {
+        if let Some(item) = self.take(&mut self.lanes[worker].lock()) {
             return Some(item);
         }
         let n = self.lanes.len();
@@ -87,7 +128,7 @@ impl<I> StealQueue<I> {
                 let len = lane.len();
                 lane.drain(..len.div_ceil(2)).collect()
             };
-            let item = stolen.pop_back();
+            let item = self.take(&mut stolen);
             if item.is_some() {
                 // In front of anything pushed meanwhile, in the victim's
                 // order, so the batch can be stolen from in turn.
@@ -99,6 +140,18 @@ impl<I> StealQueue<I> {
             }
         }
         None
+    }
+
+    /// The guard: a relaxation queued an already visited state again,
+    /// with `states` visited so far.
+    pub fn requeued(&self, states: usize) {
+        if self.fifo.load(Ordering::Relaxed) {
+            return;
+        }
+        let requeues = self.requeues.fetch_add(1, Ordering::Relaxed) + 1;
+        if requeues > Self::REQUEUE_FLOOR.max(states / 8) {
+            self.fifo.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -120,6 +173,14 @@ impl<I> Queue<I> {
         match self {
             Queue::Ordered(f) => f.lock().pop(),
             Queue::Stealing(q) => q.pop(worker),
+        }
+    }
+
+    /// A relaxation queued a visited state again. BFS at one worker
+    /// never does; the random order pays for its draws as it always has.
+    fn requeued(&self, states: usize) {
+        if let Queue::Stealing(q) = self {
+            q.requeued(states);
         }
     }
 }
@@ -234,10 +295,9 @@ pub(crate) fn explore<T: TransitionSystem>(
         terminal_checks,
         cfg,
         reduce: cfg.use_reduction && workers == 1,
-        queue: if workers == 1 {
-            Queue::Ordered(Mutex::new(Frontier::new(&cfg.order)))
-        } else {
-            Queue::Stealing(StealQueue::new(workers))
+        queue: match Frontier::new(&cfg.order).filter(|_| workers == 1) {
+            Some(frontier) => Queue::Ordered(Mutex::new(frontier)),
+            None => Queue::Stealing(StealQueue::new(workers)),
         },
         graph: Graph::new(workers),
         states: AtomicUsize::new(1),
@@ -445,6 +505,7 @@ impl<T: TransitionSystem> Run<'_, T> {
                 if !requeue {
                     return;
                 }
+                self.queue.requeued(self.states.load(Ordering::Relaxed));
                 first
             }
         };
@@ -532,6 +593,7 @@ mod tests {
     use crate::explorer::Explorer;
     use crate::guarded::{GuardedSystem, GuardedSystemBuilder};
     use crate::search::SearchOrder;
+    use std::sync::Arc;
 
     #[test]
     fn steal_queue_owner_lifo_and_steal_half() {
@@ -550,6 +612,35 @@ mod tests {
         drained.extend(std::iter::from_fn(|| q.pop(1)));
         drained.sort_unstable();
         assert_eq!(drained, (0..8).collect::<Vec<_>>());
+    }
+
+    /// One lane is `SearchOrder::Dfs`: LIFO until the requeues pass the
+    /// floor and an eighth of the visited states, oldest first from then
+    /// on, for owner and thief alike.
+    #[test]
+    fn a_lane_is_lifo_until_the_guard_turns_it() {
+        const FLOOR: usize = StealQueue::<u64>::REQUEUE_FLOOR;
+        for (states, allowed) in [(0, FLOOR), (8 * FLOOR, FLOOR), (16 * FLOOR, 2 * FLOOR)] {
+            let q: StealQueue<u64> = StealQueue::new(2);
+            for i in 0..8 {
+                q.push(0, i);
+            }
+            assert_eq!(q.pop(0), Some(7));
+            for _ in 0..allowed {
+                q.requeued(states);
+            }
+            assert_eq!(q.pop(0), Some(6), "{allowed} requeues at {states} states");
+            q.requeued(states);
+            assert_eq!(q.pop(0), Some(0), "one more: oldest first");
+            // The thief takes the oldest of the oldest half, and the rest
+            // of its batch keeps the victim's order.
+            assert_eq!(q.pop(1), Some(1));
+            assert_eq!(q.pop(1), Some(2));
+            assert_eq!(q.pop(1), Some(3));
+            assert_eq!(q.pop(0), Some(4));
+            assert_eq!(q.pop(0), Some(5));
+            assert_eq!(q.pop(0).or(q.pop(1)), None);
+        }
     }
 
     /// What the `Node` docs promise for the product's label type.
@@ -755,6 +846,142 @@ mod tests {
         // 4 (on the chain) and 103 are left unexpanded at depth 4.
         assert_eq!(run(SearchOrder::Bfs, 4), (9, 8, 4, true));
         assert_eq!(run(SearchOrder::Dfs, 4), (9, 8, 4, true));
+    }
+
+    /// `shortcut()` scaled up until the LIFO order hurts: the chain is
+    /// 0..=n and every state `i` on it has its own shortcut, through
+    /// `1000 + i`, to the join at 2000, which a tail of 64 states
+    /// follows; the last of them violates. DFS walks the chain first and
+    /// reaches the join at depth n + 1; unwinding, every shortcut brings
+    /// it one step closer and the tail is expanded again: about 64 n
+    /// requeues. Drained from the front, the lane has the shortcut of
+    /// state 0 first and every other one loses to it. Each shortcut also
+    /// has a leaf of its own, `3000 + i`, so states are still being
+    /// discovered while the lane unwinds.
+    fn shortcuts(n: u16, applies: &Arc<AtomicU64>) -> (GuardedSystem<u16>, Invariant<u16>) {
+        let counted = |effect: fn(&mut u16)| {
+            let applies = Arc::clone(applies);
+            move |s: &mut u16| {
+                applies.fetch_add(1, Ordering::Relaxed);
+                effect(s)
+            }
+        };
+        let sys = GuardedSystemBuilder::new(0u16)
+            .action("short", move |s: &u16| *s < n, counted(|s| *s += 1000))
+            .action("long", move |s: &u16| *s < n, counted(|s| *s += 1))
+            .action(
+                "join",
+                move |s: &u16| *s == n || (1000..2000).contains(s),
+                counted(|s| *s = 2000),
+            )
+            .action(
+                "tail",
+                |s: &u16| (2000..2064).contains(s),
+                counted(|s| *s += 1),
+            )
+            .action(
+                "leaf",
+                |s: &u16| (1000..2000).contains(s),
+                counted(|s| *s += 2000),
+            )
+            .build();
+        (sys, Invariant::new("tail-end", |s: &u16| *s != 2064))
+    }
+
+    /// The guard bounds what the LIFO order can cost, and the report is
+    /// BFS's before the flip (too few shortcuts to reach the floor) and
+    /// after it, under a depth cap included: accounting that an item
+    /// owed to the cap is picked up whichever end the lane is drained
+    /// from.
+    #[test]
+    fn the_guard_bounds_relaxation_and_keeps_the_report() {
+        const FLOOR: u64 = StealQueue::<()>::REQUEUE_FLOOR as u64;
+        let applies = Arc::new(AtomicU64::new(0));
+        let run = |n: u16, order: SearchOrder, max_depth: usize| {
+            let (sys, inv) = shortcuts(n, &applies);
+            let cfg = ExploreConfig {
+                order,
+                max_depth,
+                ..ExploreConfig::default()
+            };
+            applies.store(0, Ordering::Relaxed);
+            let r = Explorer::new(&sys, cfg).invariant(inv).run();
+            (r, applies.load(Ordering::Relaxed))
+        };
+        // The cap of 100 is under the depths DFS first finds the tail at
+        // (65 and up) and over every BFS distance (66 at most); the cap
+        // of 40 cuts the chain in any order.
+        for (n, max_depth) in [(8, 1000), (64, 1000), (64, 100), (64, 40)] {
+            let (bfs, bfs_applies) = run(n, SearchOrder::Bfs, max_depth);
+            let (dfs, dfs_applies) = run(n, SearchOrder::Dfs, max_depth);
+            let case = format!("n={n} max_depth={max_depth}");
+            assert_eq!(bfs_applies, bfs.transitions, "BFS relaxes nothing");
+            assert_eq!(
+                (
+                    bfs.states,
+                    bfs.transitions,
+                    bfs.max_depth_reached,
+                    bfs.truncated
+                ),
+                (
+                    dfs.states,
+                    dfs.transitions,
+                    dfs.max_depth_reached,
+                    dfs.truncated
+                ),
+                "{case}"
+            );
+            assert_eq!(bfs.violations, dfs.violations, "{case}");
+            assert_eq!(bfs.truncated, max_depth == 40, "{case}");
+            if !bfs.truncated {
+                assert_eq!(bfs.violations[0].depth, 66, "short, join, 64 tails");
+            }
+            // One apply a requeue. Eight shortcuts stay under the floor
+            // and cost what they cost: seven improve the join, 64
+            // requeues each. Sixty-four would cost 4032; they are
+            // stopped at the floor, plus the pass over the tail under
+            // way at the flip and the one the shortcut of 0 starts.
+            let again = dfs_applies - dfs.transitions;
+            match (n, max_depth) {
+                (8, _) => assert_eq!(again, 7 * 64),
+                (_, 40) => assert!(again < FLOOR, "{case}: {again}"),
+                _ => assert!((FLOOR..=FLOOR + 2 * 64).contains(&again), "{case}: {again}"),
+            }
+        }
+    }
+
+    /// A one-worker run is a function of system and configuration, the
+    /// guard included: a cut run reports the same counts every time,
+    /// whether it was cut before the lane turned or after.
+    #[test]
+    fn one_worker_cut_runs_repeat_exactly() {
+        let counts = |r: ExploreReport<crate::guarded::GuardedLabel>| {
+            assert!(r.truncated);
+            (r.states, r.transitions, r.max_depth_reached)
+        };
+        let early = || counts(Explorer::new(&grid(10), ExploreConfig::exhaustive(50)).run());
+        // The first dive finds the chain, its 64 shortcuts, the join and
+        // the tail (194 states); the leaves come one per unwound
+        // shortcut, and sixteen shortcuts are past the floor.
+        let applies = Arc::new(AtomicU64::new(0));
+        let (sys, _) = shortcuts(64, &applies);
+        let late = || {
+            applies.store(0, Ordering::Relaxed);
+            let r = Explorer::new(&sys, ExploreConfig::exhaustive(194 + 40)).run();
+            (counts(r), applies.load(Ordering::Relaxed))
+        };
+        let (first_early, first_late) = (early(), late());
+        // Forty shortcuts unwound in LIFO order are 2,500 requeues.
+        let ((_, transitions, _), late_applies) = first_late;
+        let floor = StealQueue::<()>::REQUEUE_FLOOR as u64;
+        assert!(
+            late_applies - transitions < floor + 64,
+            "cut after the flip"
+        );
+        for _ in 0..20 {
+            assert_eq!(first_early, early());
+            assert_eq!(first_late, late());
+        }
     }
 
     /// One transition per applied successor, `stop` tested before each.

@@ -7,7 +7,10 @@
 //! DFS reaches deep violations fast with low memory, randomized order
 //! de-biases long exploration. A run that is not cut short reports the
 //! same graph and the same shortest trails in every order (see
-//! [`crate::frontier`]); the order decides what a stopped run has seen.
+//! [`crate::frontier`]): for such a run the order is a cost, and
+//! [`crate::ExploreConfig::exhaustive`] takes the cheap one. The order
+//! decides what a stopped run has seen, which is why
+//! [`crate::ExploreConfig::default`] stays breadth-first.
 
 use std::collections::VecDeque;
 
@@ -19,28 +22,37 @@ pub enum SearchOrder {
     /// Breadth-first: a stopped run has seen the shortest
     /// counterexamples; highest memory.
     Bfs,
-    /// Depth-first: low memory; a hunt that stops at the first violation
-    /// returns a long trail.
+    /// Depth-first: the queue is a stack of states, not a layer, and a
+    /// state is expanded right after it was made; a hunt that stops at
+    /// the first violation returns a long trail. Where paths of
+    /// different length meet, a finished run pays for its BFS-minimal
+    /// depths by expanding states again as shorter paths turn up; once
+    /// that has happened to more than 1024 states and an eighth of the
+    /// visited ones, the rest of the run drains the same queue oldest
+    /// first (`frontier::StealQueue`). A graph whose paths to a state
+    /// all have one length never gets there.
     Dfs,
     /// Uniform-random frontier draws (seeded, reproducible).
     Random { seed: u64 },
 }
 
-/// The one-worker queue of the exploration loop, drained in a
-/// [`SearchOrder`].
+/// The one-worker queue of the exploration loop for the orders that
+/// are not LIFO. [`SearchOrder::Dfs`] has no queue here: it is one lane
+/// of [`crate::frontier::StealQueue`], the lane every worker of a
+/// parallel run drains.
 pub(crate) enum Frontier<I> {
     Bfs(VecDeque<I>),
-    Dfs(Vec<I>),
     Random(Vec<I>, DetRng),
 }
 
 impl<I> Frontier<I> {
-    pub fn new(order: &SearchOrder) -> Self {
+    /// `None` for the LIFO order.
+    pub fn new(order: &SearchOrder) -> Option<Self> {
         match order {
-            SearchOrder::Bfs => Frontier::Bfs(VecDeque::new()),
-            SearchOrder::Dfs => Frontier::Dfs(Vec::new()),
+            SearchOrder::Bfs => Some(Frontier::Bfs(VecDeque::new())),
+            SearchOrder::Dfs => None,
             SearchOrder::Random { seed } => {
-                Frontier::Random(Vec::new(), DetRng::derive(*seed, 0xF0))
+                Some(Frontier::Random(Vec::new(), DetRng::derive(*seed, 0xF0)))
             }
         }
     }
@@ -48,14 +60,13 @@ impl<I> Frontier<I> {
     pub fn push(&mut self, item: I) {
         match self {
             Frontier::Bfs(q) => q.push_back(item),
-            Frontier::Dfs(v) | Frontier::Random(v, _) => v.push(item),
+            Frontier::Random(v, _) => v.push(item),
         }
     }
 
     pub fn pop(&mut self) -> Option<I> {
         match self {
             Frontier::Bfs(q) => q.pop_front(),
-            Frontier::Dfs(v) => v.pop(),
             Frontier::Random(v, rng) => {
                 if v.is_empty() {
                     None
@@ -74,7 +85,7 @@ mod tests {
 
     #[test]
     fn bfs_is_fifo() {
-        let mut f = Frontier::new(&SearchOrder::Bfs);
+        let mut f = Frontier::new(&SearchOrder::Bfs).unwrap();
         f.push(1);
         f.push(2);
         assert_eq!(f.pop(), Some(1));
@@ -83,18 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn dfs_is_lifo() {
-        let mut f = Frontier::new(&SearchOrder::Dfs);
-        f.push(1);
-        f.push(2);
-        assert_eq!(f.pop(), Some(2));
-        assert_eq!(f.pop(), Some(1));
-    }
-
-    #[test]
     fn random_is_seed_deterministic_and_complete() {
         let drain = |seed: u64| {
-            let mut f = Frontier::new(&SearchOrder::Random { seed });
+            let mut f = Frontier::new(&SearchOrder::Random { seed }).unwrap();
             for i in 0..20u64 {
                 f.push(i);
             }

@@ -6,7 +6,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{naive_bfs, summary};
+use common::{naive_bfs, on_held, summary, Counted};
 use fixd_investigator::system::TransitionSystem;
 use fixd_investigator::{
     ExploreConfig, Explorer, GuardedSystemBuilder, Invariant, ModelD, NetModel, SearchOrder,
@@ -27,8 +27,75 @@ fn counters(caps: Vec<u8>) -> fixd_investigator::GuardedSystem<Vec<u8>> {
     b.build()
 }
 
+/// [`counters`] with shortcuts: `jumps[j] = (i, by)` moves counter `i`
+/// forward by `by` at once, so paths of different length meet in most
+/// states. The jumps are declared first: a LIFO search takes the last
+/// enabled label first, walks the long way round and has depths to
+/// correct when it unwinds.
+fn counters_with_jumps(
+    caps: Vec<u8>,
+    jumps: &[(usize, u8)],
+) -> fixd_investigator::GuardedSystem<Vec<u8>> {
+    let n = caps.len();
+    let mut sys = GuardedSystemBuilder::new(vec![0u8; n]).build();
+    for (j, &(i, by)) in jumps.iter().enumerate() {
+        let (i, cap) = (i % n, caps[i % n]);
+        sys.add_action(fixd_investigator::Action::new(
+            &format!("jump{j}"),
+            move |s: &Vec<u8>| s[i] + by <= cap,
+            move |s| s[i] += by,
+        ));
+    }
+    for action in counters(caps).actions() {
+        sys.add_action(action.clone());
+    }
+    sys
+}
+
+/// The `exhaustive` preset against BFS and the textbook reference on
+/// `sys`, field by field, trails included; returns how many `apply`s
+/// the preset spent on states it had expanded before.
+fn preset_equals_bfs(sys: &fixd_investigator::GuardedSystem<Vec<u8>>, top: Vec<u8>) -> u64 {
+    let below_top = Invariant::new("below-top", move |s: &Vec<u8>| *s != top);
+    let bfs = Explorer::new(sys, ExploreConfig::default())
+        .invariant(below_top.clone())
+        .run();
+    let counted = Counted::new(sys);
+    let preset = Explorer::new(&counted, ExploreConfig::exhaustive(1_000_000))
+        .invariant(on_held(below_top.clone()))
+        .run();
+    assert_eq!(naive_bfs(sys, &[below_top]), summary(&preset));
+    assert_eq!(summary(&bfs), summary(&preset));
+    assert_eq!(bfs.violations, preset.violations);
+    assert_eq!(bfs.deadlocks, preset.deadlocks);
+    counted.counts.applies() - preset.transitions
+}
+
+/// A system sized so that the guard provably fires: under 8192 states
+/// the threshold is 1024 requeues, a requeue applies at most one label
+/// per action, and more re-applies than that were counted.
+#[test]
+fn exhaustive_preset_equals_bfs_after_the_flip() {
+    let jumps = [(0, 2), (1, 3), (2, 2), (0, 5)];
+    let sys = counters_with_jumps(vec![15, 15, 15], &jumps);
+    let again = preset_equals_bfs(&sys, vec![15, 15, 15]);
+    assert!(again > 1024 * (3 + jumps.len() as u64), "{again}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// What `order_independence` holds for plain counters holds for the
+    /// `exhaustive` preset where path lengths differ, on systems too
+    /// small for the guard and on ones that turn the lane.
+    #[test]
+    fn exhaustive_preset_equals_bfs_with_shortcuts(
+        caps in proptest::collection::vec(0u8..16, 1..4),
+        jumps in proptest::collection::vec((0usize..3, 2u8..6), 0..5),
+    ) {
+        let sys = counters_with_jumps(caps.clone(), &jumps);
+        preset_equals_bfs(&sys, caps);
+    }
 
     /// The reachable state count is the product of (cap+1), and the
     /// whole report, trails included, is the same for BFS, DFS, and

@@ -8,8 +8,11 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{naive_bfs, summary};
-use fixd_investigator::{ExploreConfig, Explorer, GuardedSystemBuilder, Invariant};
+use common::{naive_bfs, summary, Counted};
+use fixd_examples::two_phase_commit::tpc_factory;
+use fixd_investigator::{
+    ExploreConfig, Explorer, GuardedSystemBuilder, Invariant, NetModel, WorldModel,
+};
 
 /// A random bounded guarded system: `k` counters with caps, plus
 /// `transfers` cross-coupling actions that move a unit from one counter
@@ -52,6 +55,33 @@ fn uncapped() -> ExploreConfig {
         max_violations: usize::MAX,
         ..ExploreConfig::default()
     }
+}
+
+/// Regression for `run_parallel(n > 1)` running slower than `run()` on
+/// models that relax a lot: three-participant 2PC under loss,
+/// duplication and a crash joins paths of different length everywhere,
+/// and LIFO lanes expanded a state three times over. The lanes' guard
+/// turns them; the count is `apply` calls per counted transition.
+#[test]
+fn stealing_lanes_do_not_thrash_on_two_phase_commit() {
+    let model = WorldModel::new(
+        1,
+        NetModel::adversarial(1),
+        tpc_factory(vec![true; 3], false),
+    );
+    let counted = Counted::new(&model);
+    let cfg = ExploreConfig {
+        max_states: 40_000,
+        max_depth: 60,
+        ..ExploreConfig::default()
+    };
+    let report = Explorer::new(&counted, cfg).run_parallel(2);
+    assert!(report.truncated);
+    let per_transition = counted.counts.applies() as f64 / report.transitions as f64;
+    assert!(
+        per_transition <= 1.5,
+        "{per_transition} applies a transition"
+    );
 }
 
 /// Regression for a schedule-dependent `transitions` count: a state

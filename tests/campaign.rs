@@ -407,7 +407,7 @@ fn lossy_2pc_fails_eventual_decision() {
         &model,
         ExploreConfig {
             max_violations: usize::MAX,
-            ..ExploreConfig::default()
+            ..ExploreConfig::exhaustive(1_000_000)
         },
     )
     .terminal_invariant(eventually_decided);
@@ -439,8 +439,8 @@ fn lossy_2pc_fails_eventual_decision() {
             })
         },
     );
-    let clean = Explorer::new(&model2, ExploreConfig::default())
+    let clean = Explorer::new(&model2, ExploreConfig::exhaustive(1_000_000))
         .terminal_invariant(eventually_decided2)
         .run();
-    assert!(clean.clean(), "{}", clean.summary());
+    assert!(clean.clean() && !clean.truncated, "{}", clean.summary());
 }
