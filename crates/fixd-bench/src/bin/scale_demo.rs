@@ -24,61 +24,18 @@
 //!
 //! Run: `cargo run -p fixd-bench --bin scale_demo --release`
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use fixd_bench::{live_bytes, CountingAlloc};
 use fixd_examples::chord::{chord_factory, ChordNode, ChordRing};
 use fixd_runtime::{
     clock::INLINE_PAIRS, ArenaStats, EventKind, Pid, ShardedWorld, World, WorldConfig,
     EFF_POOL_CAP, MSG_POOL_CAP, RAND_POOL_CAP, REC_POOL_CAP,
 };
 
-/// Live (allocated − freed) heap bytes, maintained by [`Counting`].
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// A counting wrapper over the system allocator so the benchmark can
-/// read resident heap bytes portably (no /proc parsing, no estimates).
-struct Counting;
-
-// SAFETY: delegates every operation to `System` unchanged; only the
-// byte counters are maintained on the side.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        p
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        p
-    }
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new_size);
-        if !q.is_null() {
-            LIVE.fetch_add(new_size, Ordering::Relaxed);
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        }
-        q
-    }
-}
-
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-fn live_bytes() -> usize {
-    LIVE.load(Ordering::Relaxed)
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Active Chord members (pids `0..MEMBERS`) — constant across widths.
 const MEMBERS: usize = 768;

@@ -6,40 +6,60 @@
 //! workloads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use fixd_runtime::{Context, Message, NetworkConfig, Pid, Program, World, WorldConfig};
 
 /// Allocation *events* (alloc + alloc_zeroed + realloc), maintained by
 /// [`CountingAlloc`]. Counts, not bytes: the gates built on this are
-/// "this loop does not call the allocator" (`step_demo`) and "this
-/// operation calls it exactly once" (`tests/clock_allocs.rs`), and a
-/// count catches even a 1-byte slip that a byte-threshold would hide.
+/// "this loop does not call the allocator" (`tests/step_allocs.rs`) and
+/// "this operation calls it exactly once" (`tests/clock_allocs.rs`),
+/// and a count catches even a 1-byte slip that a byte-threshold would
+/// hide.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// Live (allocated − freed) heap bytes, maintained by [`CountingAlloc`]:
+/// what `scale_demo` prices a dormant process with.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
 /// A counting wrapper over the system allocator; a binary or test
-/// installs it with `#[global_allocator]` and reads [`alloc_events`].
-/// Frees are not counted — recycling is about *not allocating*, and a
-/// free in a hot loop would imply a paired allocation somewhere anyway.
+/// installs it with `#[global_allocator]` and reads [`alloc_events`] or
+/// [`live_bytes`]. Frees are not events — recycling is about *not
+/// allocating*, and a free in a hot loop would imply a paired
+/// allocation somewhere anyway.
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; only the
-// event counter is maintained on the side.
+// two counters are maintained on the side.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
     }
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout)
+        System.dealloc(p, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
     }
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(p, layout, new_size)
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            LIVE.fetch_add(new_size, Ordering::Relaxed);
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        q
     }
 }
 
@@ -47,6 +67,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// forever unless [`CountingAlloc`] is the global allocator).
 pub fn alloc_events() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Heap bytes live right now, on every thread (zero forever unless
+/// [`CountingAlloc`] is the global allocator).
+pub fn live_bytes() -> usize {
+    LIVE.load(Ordering::Relaxed)
 }
 
 /// A gossip workload: P0 seeds `ttl`-hop rumors to every neighbor; each

@@ -367,9 +367,10 @@ pub fn two_phase_commit_app() -> AppSpec {
 /// issue lookups; every lookup must resolve (`bad == 0`), and the
 /// lossless cases must complete the full lookup workload. Wide cells are
 /// where sharded campaign execution pays off, so this column is used by
-/// `campaign_demo --sharded` and the sharded-equality tests rather than
-/// the standard (narrow) matrix — adding it there would redefine the
-/// golden fixture for no coverage gain.
+/// `fixd-benchmark`'s `campaign-wide-sharded` workload and the
+/// sharded-equality tests rather than the standard (narrow) matrix —
+/// adding it there would redefine the golden fixture for no coverage
+/// gain.
 pub fn chord_app(n: usize, stabilize_rounds: u32, lookups: u32, work: u64) -> AppSpec {
     AppSpec::from_populate(
         "chord",
@@ -461,8 +462,8 @@ pub fn wide_matrix(n: usize, seeds: &[u64]) -> CampaignSpec {
 }
 
 /// [`wide_matrix`] with a per-delivery compute burn on every Chord
-/// member — the handler-heavy variant the sharded campaign bench
-/// (`campaign_demo`) gates on.
+/// member — the handler-heavy variant `fixd-benchmark`'s
+/// `campaign-wide-sharded` workload measures.
 pub fn wide_matrix_work(n: usize, seeds: &[u64], work: u64) -> CampaignSpec {
     CampaignSpec::new()
         .app(chord_app(n, 3, 2, work))

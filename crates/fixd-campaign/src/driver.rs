@@ -31,17 +31,16 @@
 //! [`fixd_runtime::shard`]'s "Threads"). Windows in which a single
 //! shard has work run on the campaign worker alone; every other window
 //! costs one wake-up per further busy shard — 55–80 µs of wall clock a
-//! window on the 2-vCPU reference host, reported per cell as
-//! [`CellTiming::handoff_secs`].
+//! window on the 2-vCPU reference host.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use fixd_core::{Fixd, FixdConfig};
-use fixd_runtime::{ShardedWorld, World, WorldConfig};
+use fixd_core::{Fixd, FixdConfig, FixdStats, SuperviseOutcome};
+use fixd_runtime::{NetStats, PayloadStats, ShardedWorld, World, WorldConfig};
 
 use crate::report::{CampaignReport, CellOutcome};
-use crate::spec::{CampaignSpec, Cell};
+use crate::spec::{CampaignSpec, Cell, CellCheck};
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "FIXD_CAMPAIGN_THREADS";
@@ -125,6 +124,72 @@ pub fn run_campaign_sharded(spec: &CampaignSpec, threads: usize, shards: usize) 
     CampaignReport::from_cells(outcomes)
 }
 
+/// The half of a cell that both paths share: a world supervised under
+/// the app's monitors and held against the app's postcondition.
+struct Supervised {
+    out: SuperviseOutcome,
+    check: CellCheck,
+    stats: FixdStats,
+    end_time: u64,
+}
+
+/// Supervise `world` — the cell's own world on the serial path, the
+/// mirror replaying the captured step stream on the sharded one.
+fn supervise_cell(spec: &CampaignSpec, cell: &Cell, world: &mut World) -> Supervised {
+    let app = &spec.apps[cell.app];
+    let mut fixd = Fixd::new(world.num_procs(), FixdConfig::seeded(cell.seed));
+    for m in (app.monitors)() {
+        fixd = fixd.monitor(m);
+    }
+    let out = fixd.supervise(world, spec.max_steps);
+    let check = (app.check)(world, &spec.cases[cell.case], out.fault.as_ref());
+    Supervised {
+        out,
+        check,
+        stats: fixd.stats(),
+        end_time: world.now(),
+    }
+}
+
+impl Supervised {
+    /// The one place a [`CellOutcome`] is spelled, so a report column
+    /// cannot exist on one path only. The arguments are the executor's
+    /// figures: the serial `World`'s, or the `ShardedWorld`'s.
+    fn into_outcome(
+        self,
+        spec: &CampaignSpec,
+        cell: &Cell,
+        net: NetStats,
+        payload: PayloadStats,
+        fingerprint: u64,
+    ) -> CellOutcome {
+        let case = &spec.cases[cell.case];
+        CellOutcome {
+            app: spec.apps[cell.app].name.to_string(),
+            case: case.name.to_string(),
+            pathology: case.pathology,
+            also: case.also.to_vec(),
+            seed: cell.seed,
+            steps: self.out.steps,
+            end_time: self.end_time,
+            quiescent: self.out.quiescent,
+            violation: self.out.fault.map(|f| f.monitor),
+            check_failure: self.check.failure,
+            delivered: net.delivered,
+            dropped: net.dropped,
+            duplicated: net.duplicated,
+            corrupted: net.corrupted,
+            scroll_entries: self.stats.scroll_entries as u64,
+            checkpoints: self.stats.checkpoints as u64,
+            checkpoint_bytes: self.stats.checkpoint_bytes as u64,
+            payload_copied: payload.copied,
+            payload_aliased: payload.aliased,
+            fingerprint,
+            metrics: self.check.metrics,
+        }
+    }
+}
+
 /// Execute one cell: build the world, install the case's fault plan,
 /// supervise under the app's monitors, and render the outcome.
 pub fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellOutcome {
@@ -135,41 +200,17 @@ pub fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellOutcome {
     let mut world = (app.build)(cfg);
     let n = world.num_procs();
     world.set_fault_plan((case.plan)(n, cell.seed));
-    let mut fixd = Fixd::new(n, FixdConfig::seeded(cell.seed));
-    for m in (app.monitors)() {
-        fixd = fixd.monitor(m);
-    }
-    let out = fixd.supervise(&mut world, spec.max_steps);
-    let check = (app.check)(&world, case, out.fault.as_ref());
-    let net = world.stats();
-    let sup = fixd.stats();
+    let sup = supervise_cell(spec, cell, &mut world);
     // Exact per-cell payload accounting: the counters are thread-local
     // and this cell ran start-to-finish on this thread with no other
     // world interleaved, so the world's delta is the cell's delta.
-    let pay = world.payload_stats();
-    CellOutcome {
-        app: app.name.to_string(),
-        case: case.name.to_string(),
-        pathology: case.pathology,
-        also: case.also.to_vec(),
-        seed: cell.seed,
-        steps: out.steps,
-        end_time: world.now(),
-        quiescent: out.quiescent,
-        violation: out.fault.map(|f| f.monitor),
-        check_failure: check.failure,
-        delivered: net.delivered,
-        dropped: net.dropped,
-        duplicated: net.duplicated,
-        corrupted: net.corrupted,
-        scroll_entries: sup.scroll_entries as u64,
-        checkpoints: sup.checkpoints as u64,
-        checkpoint_bytes: sup.checkpoint_bytes as u64,
-        payload_copied: pay.copied,
-        payload_aliased: pay.aliased,
-        fingerprint: world.global_snapshot().fingerprint(),
-        metrics: check.metrics,
-    }
+    sup.into_outcome(
+        spec,
+        cell,
+        world.stats(),
+        world.payload_stats(),
+        world.global_snapshot().fingerprint(),
+    )
 }
 
 /// Execute one cell on a [`ShardedWorld`] with `shards` shards, then
@@ -201,12 +242,9 @@ pub fn run_cell_sharded(spec: &CampaignSpec, cell: &Cell, shards: usize) -> Cell
     run_cell_sharded_timed(spec, cell, shards).0
 }
 
-/// Wall-clock decomposition of one cell run, for the campaign benchmark
-/// (`campaign_demo`). On hosts with fewer cores than shards the wall
-/// clock cannot exhibit a parallel speedup, so the bench gates on the
-/// modelled figure `exec_secs + supervise_secs` — the run's own measured
-/// per-shard busy time combined as a perfectly-scheduled parallel
-/// machine would (the same convention as `BENCH_shard.json`).
+/// Wall-clock decomposition of one cell run: what the tracked benchmark
+/// (`fixd-benchmark`, `campaign-wide-sharded`) attributes a sharded
+/// cell's time to.
 #[derive(Clone, Copy, Debug)]
 pub struct CellTiming {
     /// The execution phase: for sharded cells, the shard critical path
@@ -214,21 +252,11 @@ pub struct CellTiming {
     /// [`fixd_runtime::ShardTiming`]; for serial cells, the full
     /// measured wall clock (execution and supervision are one loop).
     pub exec_secs: f64,
-    /// Measured replay-supervision time — serial in both modes, so it
-    /// is counted at face value on top of the modelled parallel phase.
-    /// Zero for serial cells (already inside `exec_secs`).
+    /// Measured replay-supervision time. Zero for serial cells
+    /// (already inside `exec_secs`).
     pub supervise_secs: f64,
     /// The cell ran (or fell back to) the canonical serial path.
     pub serial: bool,
-    /// Conservative windows the sharded executor ran — a deterministic
-    /// count, equal at every shard count. Zero for serial cells.
-    pub windows: u64,
-    /// Wall clock the executor's parallel phase took beyond its
-    /// critical path ([`fixd_runtime::ShardTiming`]'s `parallel_wall` −
-    /// `critical`): waking workers, waiting for the slowest shard's
-    /// thread to be scheduled, collecting the shards. Not part of
-    /// `exec_secs`. Zero for serial cells.
-    pub handoff_secs: f64,
 }
 
 /// [`run_cell_sharded`] plus the cell's [`CellTiming`].
@@ -244,8 +272,6 @@ pub fn run_cell_sharded_timed(
             exec_secs: t0.elapsed().as_secs_f64(),
             supervise_secs: 0.0,
             serial: true,
-            windows: 0,
-            handoff_secs: 0.0,
         };
         (out, timing)
     };
@@ -272,56 +298,28 @@ pub fn run_cell_sharded_timed(
         return serial_timed();
     }
     let t = sw.timing();
-    let exec_secs = (t.coordinator + t.critical).as_secs_f64();
     let t_sup = std::time::Instant::now();
     mirror.begin_replay(stream);
-    let mut fixd = Fixd::new(n, FixdConfig::seeded(cell.seed));
-    for m in (app.monitors)() {
-        fixd = fixd.monitor(m);
-    }
-    let out = fixd.supervise(&mut mirror, spec.max_steps);
-    if out.fault.is_some() {
+    let sup = supervise_cell(spec, cell, &mut mirror);
+    if sup.out.fault.is_some() {
         return serial_timed();
     }
-    let check = (app.check)(&mirror, case, out.fault.as_ref());
-    let supervise_secs = t_sup.elapsed().as_secs_f64();
-    let net = sw.stats();
-    let sup = fixd.stats();
+    let timing = CellTiming {
+        exec_secs: (t.coordinator + t.critical).as_secs_f64(),
+        supervise_secs: t_sup.elapsed().as_secs_f64(),
+        serial: false,
+    };
     // Payload accounting *after* replay supervision: the supervision-side
     // clones (peeked kinds, Scroll entries, Time Machine delivery log)
     // land on this thread and belong to the cell, exactly as they do on
     // the serial path.
-    let pay = sw.payload_stats();
-    let outcome = CellOutcome {
-        app: app.name.to_string(),
-        case: case.name.to_string(),
-        pathology: case.pathology,
-        also: case.also.to_vec(),
-        seed: cell.seed,
-        steps: out.steps,
-        end_time: mirror.now(),
-        quiescent: out.quiescent,
-        violation: None,
-        check_failure: check.failure,
-        delivered: net.delivered,
-        dropped: net.dropped,
-        duplicated: net.duplicated,
-        corrupted: net.corrupted,
-        scroll_entries: sup.scroll_entries as u64,
-        checkpoints: sup.checkpoints as u64,
-        checkpoint_bytes: sup.checkpoint_bytes as u64,
-        payload_copied: pay.copied,
-        payload_aliased: pay.aliased,
-        fingerprint: sw.global_snapshot().fingerprint(),
-        metrics: check.metrics,
-    };
-    let timing = CellTiming {
-        exec_secs,
-        supervise_secs,
-        serial: false,
-        windows: t.windows,
-        handoff_secs: t.parallel_wall.saturating_sub(t.critical).as_secs_f64(),
-    };
+    let outcome = sup.into_outcome(
+        spec,
+        cell,
+        sw.stats(),
+        sw.payload_stats(),
+        sw.global_snapshot().fingerprint(),
+    );
     (outcome, timing)
 }
 
@@ -375,6 +373,22 @@ mod tests {
                 );
             }
         }
+        // Zero copy, over the matrix: a delivered message costs a few
+        // copied bytes (one materialization per send, one split per
+        // actual corruption), against everything the observation points
+        // — delivery duplication, trace records, Scroll entries,
+        // checkpoint capture — would copy if payloads were `Vec<u8>`.
+        let sum = |f: fn(&CellOutcome) -> u64| report.cells.iter().map(f).sum::<u64>();
+        let (copied, aliased) = (sum(|c| c.payload_copied), sum(|c| c.payload_aliased));
+        let delivered = sum(|c| c.delivered);
+        assert!(
+            copied <= 8 * delivered,
+            "{copied} B copied for {delivered} delivered messages"
+        );
+        assert!(
+            aliased >= copied,
+            "{aliased} B aliased: copying them too would not even double the {copied} B copied"
+        );
         // Thread-local attribution makes the figures placement-invariant:
         // the same spec on one thread yields identical per-cell numbers.
         let single = run_campaign_with_threads(&spec, 1);

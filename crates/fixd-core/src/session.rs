@@ -451,42 +451,100 @@ mod tests {
         assert_eq!(w.program::<MaxRegV2>(Pid(1)).unwrap().value, 0);
     }
 
+    /// Passes a 64-byte token round the ring until every process has
+    /// seen it 500 times: a run as long as the spill test needs, whose
+    /// Scroll is dominated by entries, not fixed overhead.
+    struct Pump {
+        count: u64,
+    }
+    impl Program for Pump {
+        fn on_start(&mut self, ctx: &mut Context) {
+            if ctx.pid() == Pid(0) {
+                ctx.send(Pid(1), 1, vec![0xA5; 64]);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context, msg: &Message) {
+            self.count += 1;
+            if self.count <= 500 {
+                let next = Pid((ctx.pid().0 + 1) % ctx.world_size() as u32);
+                ctx.send(next, 1, msg.payload.clone());
+            }
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            self.count.to_le_bytes().to_vec()
+        }
+        fn restore(&mut self, b: &[u8]) {
+            self.count = u64::from_le_bytes(b.try_into().unwrap());
+        }
+        fn clone_program(&self) -> Box<dyn Program> {
+            Box::new(Pump { count: self.count })
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
     #[test]
     fn supervised_run_with_spill_and_shared_store_matches_plain_run() {
         use fixd_runtime::SharedDisk;
         use fixd_scroll::SpillConfig;
         use fixd_timemachine::PageStore;
 
-        // Plain supervisor: everything resident, private page store.
-        let mut w1 = World::new(WorldConfig::seeded(7));
-        w1.add_process(Box::new(MaxRegV1 { value: 0 }));
-        w1.add_process(Box::new(MaxRegV1 { value: 0 }));
-        let mut plain = Fixd::new(2, FixdConfig::seeded(7));
-        plain.supervise(&mut w1, 10_000);
+        const RING: usize = 4;
+        const SPILL_THRESHOLD: usize = 4096;
+        let ring = || {
+            let mut w = World::new(WorldConfig::seeded(7));
+            for _ in 0..RING {
+                w.add_process(Box::new(Pump { count: 0 }));
+            }
+            w
+        };
 
-        // Storage-backed supervisor: shared page store + scroll spill.
-        let mut w2 = World::new(WorldConfig::seeded(7));
-        w2.add_process(Box::new(MaxRegV1 { value: 0 }));
-        w2.add_process(Box::new(MaxRegV1 { value: 0 }));
+        // Plain supervisor: everything resident, private page store.
+        let mut w1 = ring();
+        let mut plain = Fixd::new(RING, FixdConfig::seeded(7));
+        assert!(plain.supervise(&mut w1, 10_000).quiescent);
+
+        // Storage-backed supervisor: shared page store + scroll spill,
+        // supervised a segment at a time as a long-lived deployment is.
+        let mut w2 = ring();
         let pages = PageStore::new();
         let disk = SharedDisk::new();
         let mut cfg = FixdConfig::seeded(7);
         cfg.page_store = Some(pages.clone());
-        cfg.scroll_spill = Some(SpillConfig::new(disk.clone(), 128));
-        let mut backed = Fixd::new(2, cfg);
-        backed.supervise(&mut w2, 10_000);
+        cfg.scroll_spill = Some(SpillConfig::new(disk.clone(), SPILL_THRESHOLD));
+        let mut backed = Fixd::new(RING, cfg);
+        loop {
+            let out = backed.supervise(&mut w2, 64);
+            // However long the run, the Scroll's resident entries stay
+            // under threshold × width: what lies beyond is on disk.
+            assert!(
+                backed.scroll().resident_bytes() < SPILL_THRESHOLD * RING,
+                "{} B of scroll entries resident after {} steps",
+                backed.scroll().resident_bytes(),
+                backed.steps()
+            );
+            if out.quiescent {
+                break;
+            }
+        }
+        assert_eq!(backed.steps(), plain.steps());
+        assert!(backed.steps() > 2_000, "the token ran its laps");
 
         // Identical logical scroll, byte for byte, despite spilling.
-        for pid in [Pid(0), Pid(1)] {
+        for pid in 0..RING as u32 {
             assert_eq!(
-                backed.scroll().encode_segment(pid),
-                plain.scroll().encode_segment(pid),
+                backed.scroll().encode_segment(Pid(pid)),
+                plain.scroll().encode_segment(Pid(pid)),
                 "spilled scroll must re-read to the identical wire bytes"
             );
         }
         assert!(
             backed.scroll().spilled_segments() > 0,
-            "the 128-byte threshold must have sealed something"
+            "a run this long must have sealed something"
         );
         // Checkpoints were interned into the caller's shared store.
         assert!(pages.unique_bytes() > 0);

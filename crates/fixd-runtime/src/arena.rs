@@ -18,7 +18,8 @@
 //! With a bounded trace, a steady-state step draws every box it needs
 //! from the pool and the eviction at the end of the step returns the
 //! same number, so the loop touches the allocator zero times
-//! (`step_demo` pins this with a counting `#[global_allocator]`).
+//! (`fixd-bench/tests/step_allocs.rs` pins this with a counting
+//! `#[global_allocator]`).
 
 use std::sync::Arc;
 
@@ -36,8 +37,8 @@ pub const REC_POOL_CAP: usize = 1024;
 pub const EFF_POOL_CAP: usize = 1024;
 pub const RAND_POOL_CAP: usize = 1024;
 
-/// Counters for the arena's effectiveness — `step_demo` reports them and
-/// the `arena_recycling` suite pins exactly-once recycling with them.
+/// Counters for the arena's effectiveness — the `arena_recycling` suite
+/// pins exactly-once recycling with them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Messages drawn from the pool (vs freshly allocated).

@@ -30,9 +30,10 @@
 //! deterministic simulation runs one [`crate::World`] per thread at a
 //! time, so a world can snapshot the counters at construction and report
 //! exact per-world (and therefore per-campaign-cell) deltas — see
-//! [`crate::World::payload_stats`]. Campaign cells aggregate those
-//! per-cell figures; `bench/payload_demo` reads them from the campaign
-//! report to emit `BENCH_payload.json`.
+//! [`crate::World::payload_stats`]. Campaign cells report those
+//! per-cell figures; `fixd-campaign`'s
+//! `cells_report_exact_payload_accounting` holds their sum over the
+//! standard matrix to a few copied bytes per delivered message.
 
 use std::cell::Cell;
 use std::sync::Arc;

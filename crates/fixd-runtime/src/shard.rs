@@ -67,14 +67,14 @@
 //! saves over spawning per window is the coordinator working instead
 //! of sleeping, and the lone-shard windows — 20 % of the windows of a
 //! 96-member Chord cell under a one-tick-window network at 2 shards.
-//! [`ShardTiming`] reports the counts and the measured wait.
+//! [`ShardTiming`] reports the window counts.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::arena::StepArena;
 use crate::calqueue::{CalEntry, CalQueue};
@@ -132,6 +132,7 @@ fn thread_cpu_now() -> Duration {
 #[cfg(not(target_os = "linux"))]
 fn thread_cpu_now() -> Duration {
     use std::sync::OnceLock;
+    use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed()
 }
@@ -243,7 +244,6 @@ struct Shard {
     /// their windows; the coordinator (which observes last references at
     /// the barrier) donates reclaimed shells back between windows.
     arena: StepArena,
-    busy: Duration,
     busy_window: Duration,
 }
 
@@ -258,7 +258,6 @@ impl Shard {
             sink: Vec::new(),
             win_vc0: HashMap::new(),
             arena: StepArena::new(),
-            busy: Duration::ZERO,
             busy_window: Duration::ZERO,
         }
     }
@@ -371,7 +370,6 @@ impl Shard {
             }
         }
         self.busy_window = thread_cpu_now().saturating_sub(t0);
-        self.busy += self.busy_window;
     }
 
     /// Run one handler and stage its step. Local effect application is
@@ -519,21 +517,17 @@ struct Link<'a, O> {
     done: Receiver<Job<'a, O>>,
 }
 
-/// Accounting of one sharded run: per-shard handler time, the parallel
-/// critical path (sum over windows of the slowest shard) and the serial
-/// coordinator time — what a modelled speedup is computed from on
-/// machines with fewer cores than shards — beside what the parallel
-/// phase really took. The durations are measurements and differ from
-/// run to run; `windows` and `inline_windows` are deterministic
-/// counters.
-#[derive(Clone, Debug)]
+/// Accounting of one sharded run: the parallel critical path (sum over
+/// windows of the slowest shard) and the serial coordinator time — what
+/// a modelled speedup is computed from on machines with fewer cores
+/// than shards. The durations are measurements and differ from run to
+/// run; `windows` and `inline_windows` are deterministic counters.
+#[derive(Clone, Copy, Debug)]
 pub struct ShardTiming {
-    /// Total in-window execution time per shard (thread-CPU time,
-    /// whichever thread ran the window).
-    pub shard_busy: Vec<Duration>,
-    /// Sum over windows of the slowest shard's window time — the
-    /// parallel phase's critical path. A shard that sits a window out
-    /// contributes zero to it.
+    /// Sum over windows of the slowest shard's window time (thread-CPU
+    /// time, whichever thread ran the window) — the parallel phase's
+    /// critical path. A shard that sits a window out contributes zero
+    /// to it.
     pub critical: Duration,
     /// Time spent in the serial barrier replay.
     pub coordinator: Duration,
@@ -543,10 +537,6 @@ pub struct ShardTiming {
     /// Windows in which at most one shard had work and ran on the
     /// calling thread with no hand-off.
     pub inline_windows: u64,
-    /// Wall clock of the parallel phase (pool share-out, hand-off,
-    /// execution, collection). `parallel_wall - critical` is the wait
-    /// the phase adds on top of its critical path.
-    pub parallel_wall: Duration,
 }
 
 /// A [`World`]-equivalent simulator that executes windows of events on
@@ -579,7 +569,6 @@ pub struct ShardedWorld {
     sealed: bool,
     serial: Duration,
     critical: Duration,
-    parallel_wall: Duration,
     windows: u64,
     inline_windows: u64,
     event_batch: Vec<crate::world::QueuedEvent>,
@@ -677,7 +666,6 @@ impl ShardedWorld {
             sealed: false,
             serial: Duration::ZERO,
             critical: Duration::ZERO,
-            parallel_wall: Duration::ZERO,
             windows: 0,
             inline_windows: 0,
             event_batch: Vec::new(),
@@ -983,7 +971,6 @@ impl ShardedWorld {
         obs: &mut [Option<&'a mut O>],
         links: &[Link<'a, O>],
     ) {
-        let t0 = Instant::now();
         let n = self.n;
         let start_time = self.cfg.start_time;
         // Close the recycling loop: barrier evictions landed in the
@@ -1041,7 +1028,6 @@ impl ShardedWorld {
             .map(|s| s.busy_window)
             .max()
             .unwrap_or_default();
-        self.parallel_wall += t0.elapsed();
     }
 
     /// Serial phase: commit the shards' staged steps merged by
@@ -1398,12 +1384,10 @@ impl ShardedWorld {
     /// Timing breakdown of the run so far (see [`ShardTiming`]).
     pub fn timing(&self) -> ShardTiming {
         ShardTiming {
-            shard_busy: self.shards.iter().map(|s| s.busy).collect(),
             critical: self.critical,
             coordinator: self.serial,
             windows: self.windows,
             inline_windows: self.inline_windows,
-            parallel_wall: self.parallel_wall,
         }
     }
 

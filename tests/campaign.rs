@@ -124,6 +124,77 @@ fn wide_matrix_is_shard_count_invariant() {
     }
 }
 
+/// The invariance tests above compare outcomes only, and a sharded cell
+/// that does not quiesce, or whose mirror detects a fault, is re-run on
+/// the serial path without a word: a driver that always fell back would
+/// pass them all. Both matrices are clean, so no cell may fall back.
+#[test]
+fn sharded_cells_run_on_the_sharded_executor() {
+    use fixd::campaign::{run_cell_sharded_timed, wide_matrix};
+    let wide = wide_matrix(16, &[0, 1]);
+    let standard = standard_matrix(&[7, 8]);
+    assert_eq!(standard.expected_cells(), 70);
+    for (spec, shard_counts) in [(&wide, &[2usize, 4, 8][..]), (&standard, &[2][..])] {
+        for cell in spec.cells() {
+            for &shards in shard_counts {
+                let (out, t) = run_cell_sharded_timed(spec, &cell, shards);
+                assert!(
+                    !t.serial,
+                    "{}/{} seed {} fell back to the serial path at {shards} shards",
+                    out.app, out.case, out.seed
+                );
+            }
+        }
+    }
+}
+
+/// Checkpoint dedup across a campaign: every cell of the standard
+/// matrix interns its checkpoint pages into ONE shared [`PageStore`],
+/// and holding the whole matrix's checkpoints at once costs at most
+/// two thirds of what the processes' histories cost when each is
+/// deduplicated against itself only.
+#[test]
+fn shared_page_store_dedups_checkpoints_across_cells() {
+    let spec = standard_matrix(&[0, 1, 2, 3, 4]);
+    let shared = PageStore::new();
+    // The supervisors stay alive: their checkpoints pin their pages.
+    let mut supervisors = Vec::new();
+    let (mut per_process, mut biggest_cell) = (0, 0);
+    for cell in spec.cells() {
+        let (app, case) = (&spec.apps[cell.app], &spec.cases[cell.case]);
+        let mut wcfg = WorldConfig::seeded(cell.seed);
+        wcfg.net = case.net.clone();
+        let mut world = (app.build)(wcfg);
+        let n = world.num_procs();
+        world.set_fault_plan((case.plan)(n, cell.seed));
+        let mut cfg = FixdConfig::seeded(cell.seed);
+        cfg.page_store = Some(shared.clone());
+        let mut fixd = Fixd::new(n, cfg);
+        for m in (app.monitors)() {
+            fixd = fixd.monitor(m);
+        }
+        let out = fixd.supervise(&mut world, spec.max_steps);
+        assert!(out.fault.is_none(), "standard matrix must stay clean");
+        let tm = fixd.time_machine();
+        per_process += (0..n as u32)
+            .map(|pid| tm.store(Pid(pid)).unique_bytes())
+            .sum::<usize>();
+        biggest_cell = biggest_cell.max(tm.total_checkpoint_bytes());
+        supervisors.push(fixd);
+    }
+    let shared_bytes = shared.unique_bytes();
+    // The pages are in the shared store: it holds at least what the
+    // biggest cell alone references (an empty store dedups perfectly).
+    assert!(
+        biggest_cell > 0 && shared_bytes >= biggest_cell,
+        "shared store holds {shared_bytes} B, one cell alone references {biggest_cell} B"
+    );
+    assert!(
+        2 * per_process >= 3 * shared_bytes,
+        "shared store holds {shared_bytes} B, per-process histories {per_process} B: under 1.5x"
+    );
+}
+
 /// Crash campaign: under arbitrary single-process crash timing — every
 /// victim crossed with seed-spread crash times up to t = 138, spanning
 /// the whole ring run — FixD supervision never panics, mutual exclusion
