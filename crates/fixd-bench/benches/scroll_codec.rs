@@ -22,7 +22,12 @@
 //! * `read_back/splice` and `read_back/decode`, per sealed segment:
 //!   `ScrollStore::encode_segment(pid)` (bytes copied out of the blobs,
 //!   hash-verified, nothing decoded) against `ScrollStore::scroll(pid)`
-//!   (every blob decoded).
+//!   (every blob decoded);
+//! * `hash`, table only: [`fnv1a`] (the seal's `scrollseg/<fnv1a>` key)
+//!   against [`content_hash`] (XXH64, the page and explorer key) in
+//!   ns/byte at a 256 B page, at `steady-spill`'s mean seal (≈ 4.3 KB)
+//!   and at 8 KiB — the starting figure for moving the seal key off
+//!   FNV-1a.
 //!
 //! Expected shape: encode MB/s rising with the footprint (clock pairs
 //! are the cheapest bytes of an entry), the hash the largest part of a
@@ -35,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use fixd_runtime::wire::fnv1a;
+use fixd_runtime::wire::{content_hash, fnv1a};
 use fixd_runtime::{Message, MsgMeta, Pid, SharedDisk, VectorClock};
 use fixd_scroll::codec::encode_segment_into;
 use fixd_scroll::{EntryKind, ScrollEntry, ScrollStore, SpillConfig};
@@ -219,6 +224,16 @@ fn print_table() {
         buf.len(),
         sum / seal
     );
+    for len in [256, 4_300, 8 << 10] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+        let ns_per_byte = |us: f64| us * 1e3 / len as f64;
+        let fnv = ns_per_byte(mean_us(|| fnv1a(black_box(&bytes))));
+        let xxh = ns_per_byte(mean_us(|| content_hash(black_box(&bytes))));
+        println!(
+            "hash {len:>5} B   : fnv1a {fnv:.3} ns/B, content_hash {xxh:.3} ns/B ({:.1}x)",
+            fnv / xxh
+        );
+    }
 
     let disk = SharedDisk::new();
     let store = spilled(&disk);

@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use fixd_runtime::wire::{fnv1a, fnv_mix};
+use fixd_runtime::wire::{content_hash, fnv_mix};
 use fixd_runtime::{Effects, Payload, Pid, Program, SharedMessage, SoloHarness, TimerId};
 
 use crate::envmodel::NetModel;
@@ -62,15 +62,16 @@ struct Proc {
     timers: VecDeque<TimerId>,
     started: bool,
     crashed: bool,
-    /// `fnv1a(program.snapshot())`. Only a handler changes a program, so
-    /// [`WorldState::run_handler`] is the one place that refreshes it.
+    /// `content_hash(program.snapshot())`: an in-memory key, so XXH64
+    /// rather than the pinned FNV-1a. Only a handler changes a program,
+    /// so [`WorldState::run_handler`] is the one place that refreshes it.
     snapshot_hash: u64,
 }
 
 impl Proc {
     fn new(program: Box<dyn Program>, harness: SoloHarness, started: bool) -> Self {
         Self {
-            snapshot_hash: fnv1a(&program.snapshot()),
+            snapshot_hash: content_hash(&program.snapshot()),
             program,
             harness,
             timers: VecDeque::new(),
@@ -231,7 +232,7 @@ impl WorldState {
         let n = self.procs.len();
         let proc = Arc::make_mut(&mut self.procs[pid.idx()]);
         let effects = handler(proc);
-        proc.snapshot_hash = fnv1a(&proc.program.snapshot());
+        proc.snapshot_hash = content_hash(&proc.program.snapshot());
         for (t, _fire_at) in effects.timers_set {
             proc.timers.push_back(t);
         }
@@ -725,18 +726,19 @@ mod tests {
         assert_eq!(s.channel(Pid(0), Pid(1)).len(), 1);
         assert_eq!(s.timer_count(Pid(0)), 1);
 
-        // Fingerprint literals produced by the layout that deep-copied
-        // every process per transition (pinned from that commit): the
-        // cached hashes fold to the same values.
+        // Fingerprint literals re-pinned in PR 25, when the per-process
+        // snapshot hash moved from FNV-1a to `content_hash` (XXH64): the
+        // explorer's fingerprints are in-memory keys, so they may change
+        // value with the hash, and did, once.
         let mut m = WorldModel::from_state(7, NetModel::reliable(), s.clone());
-        assert_eq!(m.fingerprint(&s), 0x0a62_0923_cfd9_90e8);
+        assert_eq!(m.fingerprint(&s), 0xcb29_f2d5_c84c_578d);
         m.strict_fingerprint = true;
-        assert_eq!(m.fingerprint(&s), 0xa52d_c127_fe50_e656);
+        assert_eq!(m.fingerprint(&s), 0xa5ee_91ce_41ea_fcfc);
         let deliver = ModelAction::Deliver {
             src: Pid(0),
             dst: Pid(1),
         };
-        assert_eq!(m.fingerprint(&m.apply(&s, &deliver)), 0xa445_6eae_9098_d7da);
+        assert_eq!(m.fingerprint(&m.apply(&s, &deliver)), 0xdd93_8079_65be_2502);
     }
 
     /// [`TransitionSystem::fingerprint`] with nothing cached: snapshot
@@ -744,7 +746,7 @@ mod tests {
     fn fingerprint_from_scratch(m: &WorldModel, s: &WorldState) -> u64 {
         let mut h = FINGERPRINT_SEED;
         for p in &s.procs {
-            h = fnv_mix(h, fnv1a(&p.program.snapshot()));
+            h = fnv_mix(h, content_hash(&p.program.snapshot()));
             h = fnv_mix(h, u64::from(p.started) | (u64::from(p.crashed) << 1));
             h = fnv_mix(h, p.timers.len() as u64);
         }

@@ -98,14 +98,16 @@ pub fn get_u64s(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
     Some(out)
 }
 
-/// A stable 64-bit FNV-1a hash, used for state fingerprints throughout the
-/// workspace (deterministic across runs and platforms, unlike
-/// `DefaultHasher`). One definition for the whole workspace: the
-/// content-addressed page store keys pages with the same function, so
-/// this delegates to [`fixd_store::fnv1a`].
+/// A stable 64-bit FNV-1a hash (deterministic across runs and platforms,
+/// unlike `DefaultHasher`): the fingerprint of every value a fixture,
+/// report, disk or app contract pins — snapshots, messages, effects,
+/// Scroll segments, the disk. Delegates to [`fixd_store::fnv1a`].
+/// In-memory keys nothing persists use [`content_hash`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fixd_store::fnv1a(bytes)
 }
+
+pub use fixd_store::content_hash;
 
 /// Continue an FNV-1a hash over the LEB128 encoding of `v`: the bytes
 /// [`put_varint`] would append, hashed without a buffer to append to.

@@ -172,22 +172,6 @@ impl PagedImage {
             .fold(crate::fnv1a(&[]), |h, p| crate::fnv1a_extend(h, &p.data))
     }
 
-    /// Hash identity of the image: FNV-1a over the length and the page
-    /// *keys* — O(pages), never touching the page bytes. Two images built
-    /// over the same [`PageStore`] from equal bytes (at equal page size)
-    /// always intern to the same keys, so their identities are equal;
-    /// images with different bytes differ with 64-bit-hash probability.
-    /// This is what makes an interned snapshot usable as a visited-set
-    /// key: revisiting a state costs page interning (refcount bumps on
-    /// hits), not a rehash of the full state bytes.
-    pub fn identity(&self) -> u64 {
-        let mut h = crate::fnv1a(&(self.len as u64).to_le_bytes());
-        for k in self.page_keys() {
-            h = crate::fnv1a_extend(h, &k.to_le_bytes());
-        }
-        h
-    }
-
     /// Bytes held by pages, counting each distinct page once across all
     /// the given images — the real memory footprint of a checkpoint
     /// history under content-addressed sharing.
@@ -389,24 +373,6 @@ mod tests {
             assert_eq!(img.to_bytes(), bytes);
             assert_eq!(img.len(), len);
         }
-    }
-
-    #[test]
-    fn hash_identity_tracks_content() {
-        let store = PageStore::new();
-        let bytes: Vec<u8> = (0..1024u32).flat_map(|i| i.to_le_bytes()).collect();
-        let a = PagedImage::from_bytes(&store, &bytes);
-        let b = PagedImage::from_bytes(&store, &bytes);
-        assert_eq!(a.identity(), b.identity(), "equal bytes, equal identity");
-        let mut mutated = bytes.clone();
-        mutated[300] ^= 1;
-        let c = PagedImage::from_bytes(&store, &mutated);
-        assert_ne!(a.identity(), c.identity());
-        // Length participates: a prefix truncated at a page boundary
-        // shares every page yet gets its own identity.
-        let d = PagedImage::from_bytes(&store, &bytes[..512]);
-        assert_ne!(a.identity(), d.identity());
-        assert_ne!(PagedImage::empty().identity(), a.identity());
     }
 
     #[test]

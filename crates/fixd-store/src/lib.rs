@@ -30,6 +30,12 @@
 //! [`SnapshotImage`] is the checkpoint-facing wrapper that is either a
 //! plain inline byte vector (no store in play) or a paged image interned
 //! in a store.
+//!
+//! Two content hashes live here, one per role. [`fnv1a`] fingerprints
+//! every value a fixture, a report, a disk or an app contract pins
+//! (snapshot fingerprints, Scroll segment keys); it never changes value.
+//! [`content_hash`] (XXH64, a word at a time) keys what only lives in
+//! memory: page keys and the Investigator's per-process state hashes.
 
 #![forbid(unsafe_code)]
 
@@ -39,10 +45,12 @@ pub mod store;
 pub use image::{PageStats, PagedImage, SnapshotImage, DEFAULT_PAGE_SIZE};
 pub use store::{page_hash, PageHandle, PageStore, StoreStats};
 
-/// A stable 64-bit FNV-1a hash — the workspace-wide content fingerprint
-/// primitive (deterministic across runs and platforms). Lives here, at
-/// the bottom of the crate DAG, so page keys and state fingerprints use
-/// one definition; `fixd_runtime::wire::fnv1a` delegates to it.
+/// A stable 64-bit FNV-1a hash — the fingerprint of every value that a
+/// fixture, report, disk or app contract pins: snapshot and message
+/// fingerprints, the Scroll's `scrollseg/<fnv1a>` keys, the
+/// `SharedDisk` fingerprint, kvstore's partitions. It is a serial
+/// byte-at-a-time chain; in-memory keys that nothing persists use
+/// [`content_hash`] instead. `fixd_runtime::wire::fnv1a` delegates here.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -58,9 +66,110 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// XXH64 with seed 0 — the key of in-memory content that nothing pins
+/// or persists: [`PageStore`] page keys and the Investigator's cached
+/// per-process state hashes. Four independent lanes take a 32-byte
+/// stripe a step, so it runs a word at a time where [`fnv1a`] runs a
+/// byte at a time; the length is folded in. Deterministic across runs
+/// and platforms, but free to change value with the function: nothing
+/// may persist it or pin it in a fixture.
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("8-byte word"));
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for s in &mut stripes {
+            v[0] = xxh_round(v[0], word(&s[0..]));
+            v[1] = xxh_round(v[1], word(&s[8..]));
+            v[2] = xxh_round(v[2], word(&s[16..]));
+            v[3] = xxh_round(v[3], word(&s[24..]));
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.into_iter().fold(h, |h, lane| {
+            (h ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+        })
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ xxh_round(0, word(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut tail = words.remainder();
+    if let Some((half, rest)) = tail.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = rest;
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// One XXH64 lane step.
+#[inline(always)]
+fn xxh_round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn content_hash_matches_published_xxh64_vectors() {
+        for (input, want) in [
+            (&b""[..], 0xef46_db37_51d8_e999),
+            (b"a", 0xd24e_c4f1_a98c_6e5b),
+            (b"abc", 0x44bc_2cf5_ad77_0999),
+            // 39 bytes: one stripe, then the 4-byte and 1-byte tails.
+            (
+                b"Nobody inspects the spammish repetition",
+                0xfbce_a83c_8a37_8bf1,
+            ),
+        ] {
+            assert_eq!(content_hash(input), want, "{:?}", input);
+        }
+    }
+
+    #[test]
+    fn content_hash_separates_prefixes_and_ignores_alignment() {
+        let buf: Vec<u8> = (0..=100u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        let mut seen = std::collections::HashSet::new();
+        for n in 0..=100 {
+            assert!(seen.insert(content_hash(&buf[..n])), "prefix {n}");
+        }
+        // Words are read unaligned: a slice at an odd offset hashes as
+        // its copy at the start of a fresh allocation does.
+        let odd = &buf[3..3 + 77];
+        let aligned = odd.to_vec();
+        assert_eq!(content_hash(odd), content_hash(&aligned));
+    }
 
     #[test]
     fn fnv_streaming_matches_oneshot() {

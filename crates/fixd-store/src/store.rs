@@ -6,16 +6,12 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
-/// Content key of a page: FNV-1a over the bytes, mixed with the length
-/// (so a page of `n` zero bytes and one of `m` zero bytes never probe
-/// the same chain start).
+/// Content key of a page: [`content_hash`](crate::content_hash) of its
+/// bytes. Keys live only in memory (nothing persists one), and XXH64
+/// already folds the length in, so a page of `n` zero bytes and one of
+/// `m` never probe the same chain start.
 pub fn page_hash(bytes: &[u8]) -> u64 {
-    let h = crate::fnv1a(bytes);
-    // Avalanche the length in (splitmix-style) for cheap separation.
-    let mut x = h ^ (bytes.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^ (x >> 33)
+    crate::content_hash(bytes)
 }
 
 /// On the (astronomically unlikely) event of two different pages hashing
@@ -50,10 +46,10 @@ struct Slot {
 }
 
 /// Pass-through hasher for the slot map: its keys are [`page_hash`]
-/// outputs (or [`next_probe`]s of them), already avalanched, so
-/// SipHashing them again on every probe buys nothing. No key comes from
-/// outside the program, and the content a key stands for is compared on
-/// every intern.
+/// outputs (or [`next_probe`]s of them), already avalanched by XXH64's
+/// finaliser, so SipHashing them again on every probe buys nothing. No
+/// key comes from outside the program, and the content a key stands for
+/// is compared on every intern.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -378,6 +374,54 @@ mod tests {
         assert_eq!(alias.unique_bytes(), 6);
         assert!(store.ptr_eq(&alias));
         assert!(!store.ptr_eq(&PageStore::new()));
+    }
+
+    #[test]
+    fn colliding_key_probes_on_and_walks_the_chain_back() {
+        // No two real pages are known to share a key, so plant what a
+        // true 64-bit collision would leave: a slot under A's key holding
+        // other bytes, counted as the intern that put it there.
+        let (a, b) = (&b"page A"[..], &b"page B, planted"[..]);
+        let store = PageStore::new();
+        let home = page_hash(a);
+        {
+            let mut inner = store.lock();
+            let planted = Slot {
+                data: Arc::from(b),
+                refs: 1,
+            };
+            inner.slots.insert(home, planted);
+            inner.stats.misses += 1;
+            inner.stats.live_pages += 1;
+            inner.stats.live_bytes += b.len();
+        }
+        let (first, fresh) = store.intern(a);
+        assert!(fresh, "A is not B: a new slot one probe on");
+        assert_eq!(first.key(), next_probe(home));
+        assert_eq!(first.as_slice(), a);
+        let (second, fresh) = store.intern(a);
+        assert!(!fresh, "the chain leads back to A");
+        assert_eq!(second.key(), first.key());
+        assert_eq!(store.refs_of(first.key()), 2);
+        assert_eq!(store.refs_of(home), 1, "the planted slot is untouched");
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.live_pages), (1, 2, 2));
+        assert_eq!(s.live_bytes, a.len() + b.len());
+
+        drop((first, second));
+        assert_eq!(store.refs_of(next_probe(home)), 0, "A's slot is gone");
+        assert_eq!(store.refs_of(home), 1, "the planted slot stays");
+        assert_eq!(
+            store.stats(),
+            StoreStats {
+                live_pages: 1,
+                live_bytes: b.len(),
+                hits: 1,
+                misses: 2,
+                deduped_bytes: a.len() as u64,
+                freed_bytes: a.len() as u64,
+            }
+        );
     }
 
     #[test]
