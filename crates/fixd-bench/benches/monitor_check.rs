@@ -16,25 +16,37 @@
 //!   item-wise `pipeline::results_monitor`. The table takes the
 //!   unmonitored run off the other two and divides by the steps: the
 //!   average over a list that grows from 0 to `n`;
-//! * per explored state: one `Fixd::investigate` of the checkpoint
-//!   assembled after a fault at item 3n/4, by a supervisor that never
-//!   supervised (its invariant re-derives every result in every state)
-//!   and by the one that detected the fault, divided by the states.
+//! * per explored state: the exploration of the checkpoint assembled
+//!   after a fault at item 3n/4, under `Monitor::invariant` (every
+//!   result re-derived in every state), and under `Fixd::investigate`
+//!   by a supervisor that never supervised (its invariant verifies the
+//!   root's results once, then what each state adds) and by the one
+//!   that detected the fault (it verifies only what each state adds),
+//!   divided by the states;
+//! * `item_ok` calls over one whole loop — detect, `diagnose`,
+//!   `heal_update`, resume — of an `n`-item pipeline, by phase.
 //!
 //! Expected shape: a full check costs one `crunch` (≈ 170 ns) a result,
 //! so the plain form averages half of `violated_in/<n>`; the item-wise
 //! form is one `crunch` plus an equality pass over the list (≈ 0.3 µs
-//! at 144); a seeded state costs the exploration itself, an unseeded
-//! one that plus the full check.
+//! at 144); a seeded state costs the exploration itself plus one
+//! `crunch` for the one result it adds, an unseeded one that plus the
+//! root's full check shared out over the states, and a plain one the
+//! full check each. The whole loop verifies the results up to the
+//! poisoned one while detecting, one per explored state while
+//! diagnosing, none while healing, and the re-derived suffix on resume.
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fixd_core::{Fixd, FixdConfig, Monitor};
 use fixd_examples::pipeline::{self, Cruncher};
-use fixd_investigator::WorldState;
+use fixd_investigator::{ModelD, WorldState};
+use fixd_runtime::Pid;
 
 const COST: u64 = 50;
 const SIZES: [u64; 3] = [32, 144, 256];
@@ -126,20 +138,64 @@ fn bench_monitor_check(c: &mut Criterion) {
 
     println!("\nµs per explored state:");
     println!(
-        "{:>8} {:>8} {:>10} {:>10}",
-        "results", "states", "unseeded", "seeded"
+        "{:>8} {:>8} {:>10} {:>10} {:>10}",
+        "results", "states", "plain", "unseeded", "seeded"
     );
     for n in SIZES {
         let (seeded, state) = detected(n);
         let unseeded = supervisor(Some(pipeline::results_monitor()));
-        let per_state = |fixd: &Fixd| {
-            let (us, states) = mean_us(|| fixd.investigate(state.clone()).states);
+        let per_state = |explore: &dyn Fn() -> usize| {
+            let (us, states) = mean_us(explore);
             (states, us / states as f64)
         };
-        let (states, cold) = per_state(&unseeded);
-        let (same, warm) = per_state(&seeded);
-        assert_eq!(states, same, "seeding must not change the exploration");
-        println!("{n:>8} {states:>8} {cold:>10.2} {warm:>10.2}");
+        let cfg = FixdConfig::seeded(1);
+        let (states, plain) = per_state(&|| {
+            ModelD::from_checkpoint(cfg.seed, cfg.net_model, state.clone())
+                .config(cfg.explore.clone())
+                .invariant(pipeline::results_monitor().invariant())
+                .run()
+                .states
+        });
+        let (cold_states, cold) = per_state(&|| unseeded.investigate(state.clone()).states);
+        let (warm_states, warm) = per_state(&|| seeded.investigate(state.clone()).states);
+        assert_eq!(
+            (states, states),
+            (cold_states, warm_states),
+            "memory must not change the exploration"
+        );
+        println!("{n:>8} {states:>8} {plain:>10.2} {cold:>10.2} {warm:>10.2}");
+    }
+
+    println!("\nitem_ok calls over one whole loop:");
+    println!(
+        "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "results", "detect", "diagnose", "heal", "resume", "loop"
+    );
+    for n in SIZES {
+        let calls = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&calls);
+        let monitor = Monitor::local_items(
+            "results-correct",
+            |c: &Cruncher| (c.cost, c.results.as_slice()),
+            move |_, &cost, &(item, result)| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                result == pipeline::crunch(item, cost)
+            },
+        );
+        let counted = || calls.swap(0, Ordering::Relaxed);
+        let mut world = pipeline::pipeline_world(1, n, COST, Some(n * 3 / 4));
+        let mut fixd = supervisor(Some(monitor));
+        let fault = fixd.supervise(&mut world, 100_000).fault.expect("poison");
+        let detect = counted();
+        fixd.diagnose(&mut world, fault).expect("diagnose");
+        let diagnose = counted();
+        fixd.heal_update(&mut world, Pid(1), &pipeline::cruncher_patch(COST))
+            .expect("heal");
+        let heal = counted();
+        assert!(fixd.supervise(&mut world, 100_000).quiescent);
+        let resume = counted();
+        let total = detect + diagnose + heal + resume;
+        println!("{n:>8} {detect:>8} {diagnose:>8} {heal:>8} {resume:>8} {total:>8}");
     }
 }
 

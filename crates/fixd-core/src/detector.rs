@@ -9,11 +9,13 @@
 //! A **global** monitor reads the whole world at every check and a
 //! **local** one every process's program; an **item-wise** local one
 //! ([`Monitor::local_items`]) lets the supervisor ([`Watch`]) verify
-//! only the evidence items it has not verified before. Every verdict is
-//! the full check's.
+//! only the evidence items it has not verified before. What detection
+//! verified also serves the rest of the loop: the rollback and heal
+//! walks over the checkpoints and the check of a healed world trust it,
+//! and the Investigator's invariant starts from it and grows it state by
+//! state. Every verdict is the full check's.
 
-use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fixd_investigator::{Invariant, WorldState};
 use fixd_runtime::{Pid, Program, VTime, World};
@@ -96,8 +98,12 @@ impl Monitor {
     /// sees nothing else, so an item's verdict is a function of its
     /// value — which lets a supervisor remember the items it has
     /// verified and, at the next check, verify only the ones that are
-    /// not equal to a remembered one (see [`Watch`]). The stateless
-    /// views ([`Self::violated_in`], [`Self::holds_for_program`],
+    /// not equal to a remembered one (see [`Watch`]). The same memory
+    /// spares re-verification in the supervisor's rollback
+    /// ([`crate::Fixd::respond`]), exploration
+    /// ([`crate::Fixd::investigate`]) and dynamic update
+    /// ([`crate::Fixd::heal_update`]). The stateless views
+    /// ([`Self::violated_in`], [`Self::holds_for_program`],
     /// [`Self::invariant`]) check every item, like [`Self::local`].
     ///
     /// Not every local invariant has this shape: one that relates items
@@ -226,38 +232,31 @@ impl<P, K, I> Clone for ItemCheck<P, K, I> {
 /// that passed `item_ok` under it.
 type Seen<K, I> = Option<(K, Vec<I>)>;
 
-fn common_prefix<I: PartialEq>(a: &[I], b: &[I]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+/// How many leading `items` equal ones `seen` verified under context `k`.
+fn trusted<K: PartialEq, I: PartialEq>(seen: Option<&(K, Vec<I>)>, k: &K, items: &[I]) -> usize {
+    match seen {
+        Some((ctx, done)) if ctx == k => done.iter().zip(items).take_while(|(x, y)| x == y).count(),
+        _ => 0,
+    }
 }
 
 impl<P, K: PartialEq, I: PartialEq> ItemCheck<P, K, I> {
-    /// The one item-wise check, stateless (`seen` = `None`) or not.
-    /// Trusts the leading items of `p` that are equal to ones `seen`
-    /// verified under an equal context, runs `item_ok` on the rest up to
-    /// the first failure, and returns the context, the items and the
-    /// range that passed just now: everything before its end is
-    /// verified, and `p` holds iff that is every item.
-    fn verify<'a>(
-        &self,
-        pid: Pid,
-        p: &'a P,
-        seen: Option<&(K, Vec<I>)>,
-    ) -> (K, &'a [I], Range<usize>) {
-        let (k, items) = (self.project)(p);
-        let trusted = match seen {
-            Some((ctx, done)) if *ctx == k => common_prefix(done, items),
-            _ => 0,
-        };
-        let passed = items[trusted..]
+    /// How many of `items` pass `item_ok` under `k`, up to the first that
+    /// does not.
+    fn passing(&self, pid: Pid, k: &K, items: &[I]) -> usize {
+        items
             .iter()
-            .take_while(|it| (self.item_ok)(pid, &k, it))
-            .count();
-        (k, items, trusted..trusted + passed)
+            .take_while(|it| (self.item_ok)(pid, k, it))
+            .count()
     }
 
+    /// The item-wise check, stateless (`seen` = `None`) or not: trusts the
+    /// leading items of `p` that equal ones `seen` verified under an
+    /// equal context and runs `item_ok` on the rest.
     fn holds(&self, pid: Pid, p: &P, seen: Option<&(K, Vec<I>)>) -> bool {
-        let (_, items, passed) = self.verify(pid, p, seen);
-        passed.end == items.len()
+        let (k, items) = (self.project)(p);
+        let from = trusted(seen, &k, items);
+        from + self.passing(pid, &k, &items[from..]) == items.len()
     }
 }
 
@@ -267,8 +266,12 @@ trait ItemMemo: Send {
     /// [`Monitor::holds_for_program`], verifying only the items past the
     /// common prefix with what is remembered, and remembering those.
     fn holds(&mut self, pid: Pid, p: &dyn Program) -> bool;
-    /// [`Monitor::invariant`], trusting a frozen copy of the memory.
-    fn seeded_invariant(&self, name: &str) -> Invariant<WorldState>;
+    /// [`Monitor::holds_for_program`], trusting what is remembered and
+    /// remembering nothing.
+    fn holds_seen(&self, pid: Pid, p: &dyn Program) -> bool;
+    /// [`Monitor::invariant`] over a memory of its own that starts as a
+    /// copy of this one and grows with every explored state.
+    fn growing_invariant(&self, name: &str) -> Invariant<WorldState>;
 }
 
 struct Verified<P, K, I> {
@@ -295,27 +298,168 @@ where
             self.seen.resize_with(pid.idx() + 1, || None);
         }
         let slot = &mut self.seen[pid.idx()];
-        let (k, items, passed) = self.items.verify(pid, p, slot.as_ref());
-        // `passed.start` is 0 when the context changed.
+        let (k, items) = (self.items.project)(p);
+        // `from` is 0 when the context changed.
+        let from = trusted(slot.as_ref(), &k, items);
+        let passed = self.items.passing(pid, &k, &items[from..]);
         let mut done = slot.take().map_or_else(Vec::new, |(_, done)| done);
-        done.truncate(passed.start);
-        done.extend_from_slice(&items[passed.clone()]);
+        done.truncate(from);
+        done.extend_from_slice(&items[from..from + passed]);
         *slot = Some((k, done));
-        passed.end == items.len()
+        from + passed == items.len()
     }
 
-    fn seeded_invariant(&self, name: &str) -> Invariant<WorldState> {
-        let (items, seen) = (self.items.clone(), self.seen.clone());
-        Invariant::for_program(name, move |pid, p: &P| {
-            items.holds(pid, p, seen.get(pid.idx()).and_then(Option::as_ref))
+    fn holds_seen(&self, pid: Pid, p: &dyn Program) -> bool {
+        p.as_any().downcast_ref::<P>().is_none_or(|p| {
+            let seen = self.seen.get(pid.idx()).and_then(Option::as_ref);
+            self.items.holds(pid, p, seen)
         })
+    }
+
+    fn growing_invariant(&self, name: &str) -> Invariant<WorldState> {
+        let grown: Vec<Paths<K, I>> = self
+            .seen
+            .iter()
+            .map(|seen| {
+                let mut paths = Paths::default();
+                if let Some((k, done)) = seen {
+                    paths.grow(k, done);
+                }
+                paths
+            })
+            .collect();
+        let (items, grown) = (self.items.clone(), Mutex::new(grown));
+        Invariant::for_program(name, move |pid, p: &P| {
+            let (k, list) = (items.project)(p);
+            let from = lock(&grown)
+                .get(pid.idx())
+                .map_or(0, |paths| paths.walk(&k, list));
+            // `item_ok` runs outside the lock: exploring threads verify
+            // in parallel, and the memory only ever gains paths.
+            let passed = items.passing(pid, &k, &list[from..]);
+            if passed > 0 {
+                let mut grown = lock(&grown);
+                if grown.len() <= pid.idx() {
+                    grown.resize_with(pid.idx() + 1, Paths::default);
+                }
+                grown[pid.idx()].grow(&k, &list[..from + passed]);
+            }
+            from + passed == list.len()
+        })
+    }
+}
+
+/// [`Monitor::holds_for_program`] of `m`, trusting what `memo` verified.
+fn program_holds(m: &Monitor, memo: &Option<Box<dyn ItemMemo>>, pid: Pid, p: &dyn Program) -> bool {
+    match memo {
+        Some(memo) => memo.holds_seen(pid, p),
+        None => m.holds_for_program(pid, p),
+    }
+}
+
+/// [`Paths::grow`] links a node only once it is complete, so a memory
+/// whose holder panicked mid-update is still valid, at worst with an
+/// unreachable node: a poisoned lock is taken as it is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What an exploration has verified for one process: every item list
+/// that passed `item_ok`, as one prefix tree per context. A state's
+/// items are trusted as far as they spell a path from their context's
+/// root — each item on it equal, under an equal context, to one that
+/// passed — whichever branch of the exploration the path was verified
+/// on. Paths are only ever added, which suits a search that holds many
+/// branches for one run; the supervisor follows one execution for as
+/// long as it runs, so its memory ([`Seen`]) is one list, replaced.
+struct Paths<K, I> {
+    /// Each context, and its root in `nodes`.
+    roots: Vec<(K, usize)>,
+    nodes: Vec<PathNode<I>>,
+}
+
+/// One item of a verified list (`None` at a root), its first follower
+/// and its next sibling.
+struct PathNode<I> {
+    item: Option<I>,
+    first: Option<usize>,
+    next: Option<usize>,
+}
+
+impl<K, I> Default for Paths<K, I> {
+    fn default() -> Self {
+        Self {
+            roots: Vec::new(),
+            nodes: Vec::new(),
+        }
+    }
+}
+
+impl<K: Clone + PartialEq, I: Clone + PartialEq> Paths<K, I> {
+    /// How many leading `items` spell a verified path under `k`.
+    fn walk(&self, k: &K, items: &[I]) -> usize {
+        let Some(&(_, mut at)) = self.roots.iter().find(|(c, _)| c == k) else {
+            return 0;
+        };
+        let mut n = 0;
+        while let Some(next) = items.get(n).and_then(|it| self.child(at, it)) {
+            at = next;
+            n += 1;
+        }
+        n
+    }
+
+    /// Remember that every one of `items` passed under `k`.
+    fn grow(&mut self, k: &K, items: &[I]) {
+        let mut at = match self.roots.iter().find(|(c, _)| c == k) {
+            Some(&(_, root)) => root,
+            None => {
+                let root = self.push(None, None);
+                self.roots.push((k.clone(), root));
+                root
+            }
+        };
+        for it in items {
+            at = match self.child(at, it) {
+                Some(next) => next,
+                None => {
+                    let sibling = self.nodes[at].first;
+                    let next = self.push(Some(it.clone()), sibling);
+                    self.nodes[at].first = Some(next);
+                    next
+                }
+            };
+        }
+    }
+
+    fn child(&self, at: usize, it: &I) -> Option<usize> {
+        let mut c = self.nodes[at].first;
+        while let Some(i) = c {
+            if self.nodes[i].item.as_ref() == Some(it) {
+                return Some(i);
+            }
+            c = self.nodes[i].next;
+        }
+        None
+    }
+
+    fn push(&mut self, item: Option<I>, next: Option<usize>) -> usize {
+        self.nodes.push(PathNode {
+            item,
+            first: None,
+            next,
+        });
+        self.nodes.len() - 1
     }
 }
 
 /// A supervisor's monitors, each with what this supervisor remembers
 /// for it. [`Watch::check`] returns what evaluating
 /// [`Monitor::violated_in`] monitor by monitor would — same monitor,
-/// same pid — for less work.
+/// same pid — for less work, and remembers what it verified; the
+/// rollback and heal walks ([`Watch::holds_for_program`],
+/// [`Watch::holds_in`]) and the Investigator ([`Watch::invariants`]) read
+/// that memory without writing it.
 #[derive(Default)]
 pub(crate) struct Watch {
     monitors: Vec<Monitor>,
@@ -364,15 +508,39 @@ impl Watch {
         None
     }
 
-    /// The Investigator-side invariants. An item-wise monitor's is seeded
-    /// with a frozen copy of what detection already verified, so an
-    /// explored state pays only for the items beyond it.
+    /// Does every monitor hold for `pid`'s program `p`? What
+    /// [`Monitor::holds_for_program`] says of each, trusting what this
+    /// supervisor has verified.
+    pub(crate) fn holds_for_program(&self, pid: Pid, p: &dyn Program) -> bool {
+        self.monitors
+            .iter()
+            .zip(&self.memos)
+            .all(|(m, memo)| program_holds(m, memo, pid, p))
+    }
+
+    /// Does every monitor hold in `world`? What [`Monitor::violated_in`]
+    /// says of each, trusting what this supervisor has verified.
+    pub(crate) fn holds_in(&self, world: &World) -> bool {
+        self.monitors
+            .iter()
+            .zip(&self.memos)
+            .all(|(m, memo)| match &m.check {
+                Check::Global(f) => f(world).is_none(),
+                Check::Local { .. } => all_pids(world)
+                    .all(|pid| world.with_program(pid, |p| program_holds(m, memo, pid, p))),
+            })
+    }
+
+    /// The Investigator-side invariants. An item-wise monitor's starts
+    /// from what detection already verified and remembers what each
+    /// explored state adds, so a state pays only for the items its
+    /// parent did not have.
     pub(crate) fn invariants(&self) -> impl Iterator<Item = Invariant<WorldState>> + '_ {
         self.monitors
             .iter()
             .zip(&self.memos)
             .map(|(m, memo)| match memo {
-                Some(memo) => memo.seeded_invariant(&m.name),
+                Some(memo) => memo.growing_invariant(&m.name),
                 None => m.invariant(),
             })
     }
@@ -533,6 +701,20 @@ mod tests {
         assert!(!memo.holds(Pid(1), &upto(&[5, 2, 3], 4)));
         assert!(memo.holds(Pid(1), &upto(&[1, 2, 3], 4)));
         assert!(memo.holds(Pid(1), &Counter { n: 9 }));
+    }
+
+    #[test]
+    fn verified_paths_follow_every_branch_by_value() {
+        let mut paths: Paths<u64, u64> = Paths::default();
+        paths.grow(&4, &[1, 2, 3]);
+        paths.grow(&4, &[1, 5]);
+        paths.grow(&4, &[1, 2]);
+        assert_eq!(paths.walk(&4, &[1, 2, 3, 9]), 3);
+        assert_eq!(paths.walk(&4, &[1, 5, 3]), 2);
+        assert_eq!(paths.walk(&4, &[2, 2, 3]), 0, "values, not positions");
+        assert_eq!(paths.walk(&5, &[1, 2, 3]), 0, "another context");
+        // Growing along a known path adds nothing.
+        assert_eq!(paths.nodes.len(), 5);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! agreement), and the replies are gathered by [`crate::assembly`].
 
 use fixd_investigator::WorldState;
-use fixd_runtime::{Pid, World};
+use fixd_runtime::{Pid, Program, World};
 use fixd_timemachine::{RollbackReport, TimeMachine};
 
 use crate::assembly::assemble_worldstate;
@@ -32,15 +32,14 @@ pub struct RespondOutcome {
 }
 
 /// The checkpoint walk shared by the rollback of Fig. 4 and the dynamic
-/// update of Fig. 5: the newest live checkpoint of `fail` whose restored
-/// program passes every (local) monitor and whose state bytes `accept`
-/// takes. Falls back to checkpoint 0.
+/// update of Fig. 5: the newest live checkpoint of `fail` that `good`
+/// accepts, given the restored program and its state bytes. Falls back
+/// to checkpoint 0.
 pub(crate) fn newest_good_checkpoint(
     world: &World,
     tm: &TimeMachine,
-    monitors: &[Monitor],
     fail: Pid,
-    accept: impl Fn(&[u8]) -> bool,
+    good: impl Fn(&dyn Program, &[u8]) -> bool,
 ) -> u64 {
     let store = tm.store(fail);
     let latest = store.latest_index().unwrap_or(0);
@@ -54,11 +53,7 @@ pub(crate) fn newest_good_checkpoint(
         let Some(ck) = store.get(idx) else { continue };
         let state = ck.image.to_bytes();
         candidate.restore(&state);
-        if monitors
-            .iter()
-            .all(|m| m.holds_for_program(fail, candidate.as_ref()))
-            && accept(&state)
-        {
+        if good(candidate.as_ref(), &state) {
             return idx;
         }
     }
@@ -67,14 +62,18 @@ pub(crate) fn newest_good_checkpoint(
 
 /// Pick the newest live checkpoint of `fail` whose restored state passes
 /// every (local) monitor — "a point in time where the invariant holds"
-/// (§3.2). Falls back to checkpoint 0.
+/// (§3.2). Falls back to checkpoint 0. Stateless: every monitor checks
+/// every candidate in full. [`crate::Fixd::respond`] walks the same
+/// checkpoints trusting what its supervisor already verified.
 pub fn choose_rollback_target(
     world: &World,
     tm: &TimeMachine,
     monitors: &[Monitor],
     fail: Pid,
 ) -> u64 {
-    newest_good_checkpoint(world, tm, monitors, fail, |_| true)
+    newest_good_checkpoint(world, tm, fail, |p, _| {
+        monitors.iter().all(|m| m.holds_for_program(fail, p))
+    })
 }
 
 /// Execute the Fig. 4 response: roll back to `target` (computing the
@@ -86,6 +85,19 @@ pub fn respond(
     monitors: &[Monitor],
     fault: &DetectedFault,
 ) -> Result<RespondOutcome, fixd_timemachine::recovery::RollbackError> {
+    respond_with(world, tm, fault, |pid, p| {
+        monitors.iter().all(|m| m.holds_for_program(pid, p))
+    })
+}
+
+/// [`respond`], with `holds(pid, program)` saying whether a restored
+/// program passes the monitors.
+pub(crate) fn respond_with(
+    world: &mut World,
+    tm: &mut TimeMachine,
+    fault: &DetectedFault,
+    holds: impl Fn(Pid, &dyn Program) -> bool,
+) -> Result<RespondOutcome, fixd_timemachine::recovery::RollbackError> {
     // Global monitors without an implicated process: blame the process
     // with the most recent activity (highest checkpoint interval) — its
     // last receive is the likeliest trigger.
@@ -95,7 +107,7 @@ pub fn respond(
             .max_by_key(|&p| tm.interval(p))
             .unwrap_or(Pid(0))
     });
-    let target = choose_rollback_target(world, tm, monitors, fail);
+    let target = newest_good_checkpoint(world, tm, fail, |p, _| holds(fail, p));
     let rollback = tm.rollback(world, fail, target)?;
     let state = assemble_worldstate(world);
     Ok(RespondOutcome {

@@ -2,14 +2,14 @@
 //! of Figs. 4–5.
 
 use fixd_healer::{HealReport, Healer, Patch};
-use fixd_investigator::{ExploreReport, ModelAction, ModelD, WorldState};
+use fixd_investigator::{ExploreReport, Invariant, ModelAction, ModelD, WorldState};
 use fixd_runtime::{Pid, World};
 use fixd_scroll::{RecordConfig, ScrollQuery, ScrollRecorder, ScrollStore};
 use fixd_timemachine::TimeMachine;
 
 use crate::config::FixdConfig;
 use crate::detector::{DetectedFault, Monitor, Watch};
-use crate::protocol::{newest_good_checkpoint, respond, RespondOutcome};
+use crate::protocol::{newest_good_checkpoint, respond_with, RespondOutcome};
 use crate::report::BugReport;
 
 /// Result of a supervised run segment.
@@ -150,24 +150,40 @@ impl Fixd {
     }
 
     /// Fig. 4 response: roll back to a checkpoint where the invariants
-    /// hold and assemble the consistent global checkpoint.
+    /// hold and assemble the consistent global checkpoint. The walk over
+    /// the checkpoints trusts the evidence this supervisor's monitors
+    /// already verified, and re-verifies the rest.
     pub fn respond(
         &mut self,
         world: &mut World,
         fault: &DetectedFault,
     ) -> Result<RespondOutcome, fixd_timemachine::recovery::RollbackError> {
-        respond(world, &mut self.tm, self.watch.monitors(), fault)
+        let watch = &self.watch;
+        respond_with(world, &mut self.tm, fault, |pid, p| {
+            watch.holds_for_program(pid, p)
+        })
+    }
+
+    /// The Investigator-side invariants of the monitors, in order: what
+    /// [`Monitor::invariant`] gives, except that an item-wise monitor's
+    /// starts from the evidence this supervisor verified and remembers,
+    /// for the exploration it is handed to, each explored state's new
+    /// items once verified. Its verdicts are [`Monitor::invariant`]'s.
+    pub fn invariants(&self) -> impl Iterator<Item = Invariant<WorldState>> + '_ {
+        self.watch.invariants()
     }
 
     /// Investigate an assembled checkpoint: explore execution paths and
-    /// return the trails that lead to invariant violations (Fig. 3).
+    /// return the trails that lead to invariant violations (Fig. 3),
+    /// under [`Fixd::invariants`].
     pub fn investigate(&self, state: WorldState) -> ExploreReport<ModelAction> {
-        let mut md = ModelD::from_checkpoint(self.cfg.seed, self.cfg.net_model, state)
-            .config(self.cfg.explore.clone());
-        for inv in self.watch.invariants() {
-            md = md.invariant(inv);
-        }
-        md.run()
+        self.invariants()
+            .fold(
+                ModelD::from_checkpoint(self.cfg.seed, self.cfg.net_model, state)
+                    .config(self.cfg.explore.clone()),
+                ModelD::invariant,
+            )
+            .run()
     }
 
     /// The full detect→respond→investigate→report pipeline, starting from
@@ -211,20 +227,21 @@ impl Fixd {
     /// the paper's "restarted from a previously saved checkpoint where
     /// all invariants are satisfied" with the §4.4 state-equivalence
     /// gate. Falls back deeper automatically (ultimately to checkpoint
-    /// 0) when shallow update points are refused.
+    /// 0) when shallow update points are refused. The walk and the check
+    /// of the updated world trust what the monitors already verified.
     pub fn heal_update(
         &mut self,
         world: &mut World,
         fail: Pid,
         patch: &Patch,
     ) -> Result<HealReport, fixd_healer::update::HealError> {
-        let monitors = self.watch.monitors();
-        let target = newest_good_checkpoint(world, &self.tm, monitors, fail, |state| {
-            patch.applicable_to(state)
+        let watch = &self.watch;
+        let target = newest_good_checkpoint(world, &self.tm, fail, |p, state| {
+            watch.holds_for_program(fail, p) && patch.applicable_to(state)
         });
         self.healer
             .update_from_checkpoint(world, &mut self.tm, fail, target, patch, &[], |w| {
-                monitors.iter().all(|m| m.violated_in(w).is_none())
+                watch.holds_in(w)
             })
     }
 

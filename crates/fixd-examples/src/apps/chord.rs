@@ -535,6 +535,10 @@ impl Program for ChordNode {
     }
 
     fn snapshot(&self) -> Vec<u8> {
+        super::snapshot_vec(self)
+    }
+
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
         // Sized once (the Investigator snapshots on every explored
         // transition): 56 bytes, plus a 52-byte block and 16 bytes per
         // stored pair when the keyed workload is on.
@@ -542,7 +546,8 @@ impl Program for ChordNode {
             0 => 0,
             _ => 52 + 16 * (self.expected.len() + self.kv.len()),
         };
-        let mut b = Vec::with_capacity(56 + keyed);
+        let start = b.len();
+        b.reserve(56 + keyed);
         b.extend_from_slice(&self.id.to_le_bytes());
         b.extend_from_slice(&self.succ.0.to_le_bytes());
         b.extend_from_slice(&self.pred.map_or(u32::MAX, |p| p.0).to_le_bytes());
@@ -571,8 +576,7 @@ impl Program for ChordNode {
                 }
             }
         }
-        debug_assert_eq!(b.len(), 56 + keyed);
-        b
+        debug_assert_eq!(b.len() - start, 56 + keyed);
     }
 
     fn restore(&mut self, b: &[u8]) {

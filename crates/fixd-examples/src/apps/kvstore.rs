@@ -32,7 +32,10 @@ impl Program for Client {
         }
     }
     fn snapshot(&self) -> Vec<u8> {
-        self.script.iter().flat_map(|&(k, v)| [k, v]).collect()
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        b.extend(self.script.iter().flat_map(|&(k, v)| [k, v]));
     }
     fn restore(&mut self, b: &[u8]) {
         self.script = b.chunks(2).map(|c| (c[0], c[1])).collect();
@@ -72,7 +75,10 @@ impl Program for Primary {
         }
     }
     fn snapshot(&self) -> Vec<u8> {
-        encode_store(&self.store, self.seq, &[])
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        encode_store(b, &self.store, self.seq);
     }
     fn restore(&mut self, b: &[u8]) {
         let (store, seq, _) = decode_store(b);
@@ -120,9 +126,11 @@ impl Program for BackupV1 {
         }
     }
     fn snapshot(&self) -> Vec<u8> {
-        let mut b = encode_store(&self.store, self.applied, &[]);
-        put_varint(&mut b, self.applied_count);
-        b
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        encode_store(b, &self.store, self.applied);
+        put_varint(b, self.applied_count);
     }
     fn restore(&mut self, b: &[u8]) {
         let (store, applied, rest) = decode_store(b);
@@ -180,15 +188,17 @@ impl Program for BackupV2 {
         }
     }
     fn snapshot(&self) -> Vec<u8> {
-        let mut b = encode_store(&self.store, self.applied, &[]);
-        put_varint(&mut b, self.applied_count);
-        put_varint(&mut b, self.pending.len() as u64);
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        encode_store(b, &self.store, self.applied);
+        put_varint(b, self.applied_count);
+        put_varint(b, self.pending.len() as u64);
         for (&s, &(k, v)) in &self.pending {
-            put_varint(&mut b, s);
+            put_varint(b, s);
             b.push(k);
             b.push(v);
         }
-        b
     }
     fn restore(&mut self, b: &[u8]) {
         let (store, applied, rest) = decode_store(b);
@@ -255,7 +265,10 @@ impl Program for PrimaryV2 {
         }
     }
     fn snapshot(&self) -> Vec<u8> {
-        encode_store(&self.store, self.seq, &[])
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        encode_store(b, &self.store, self.seq);
     }
     fn restore(&mut self, b: &[u8]) {
         let (store, seq, _) = decode_store(b);
@@ -323,16 +336,18 @@ impl Program for BackupV3 {
         }
     }
     fn snapshot(&self) -> Vec<u8> {
-        let mut b = encode_store(&self.store, self.applied, &[]);
-        put_varint(&mut b, self.applied_count);
-        put_varint(&mut b, self.pending.len() as u64);
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        encode_store(b, &self.store, self.applied);
+        put_varint(b, self.applied_count);
+        put_varint(b, self.pending.len() as u64);
         for (&s, &(k, v)) in &self.pending {
-            put_varint(&mut b, s);
+            put_varint(b, s);
             b.push(k);
             b.push(v);
         }
-        put_varint(&mut b, self.rejected);
-        b
+        put_varint(b, self.rejected);
     }
     fn restore(&mut self, b: &[u8]) {
         let (store, applied, rest) = decode_store(b);
@@ -371,16 +386,14 @@ impl Program for BackupV3 {
     }
 }
 
-fn encode_store(store: &BTreeMap<u8, u8>, seq: u64, extra: &[u8]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(store.len() * 2 + 16);
-    put_varint(&mut b, seq);
-    put_varint(&mut b, store.len() as u64);
+fn encode_store(b: &mut Vec<u8>, store: &BTreeMap<u8, u8>, seq: u64) {
+    b.reserve(store.len() * 2 + 16);
+    put_varint(b, seq);
+    put_varint(b, store.len() as u64);
     for (&k, &v) in store {
         b.push(k);
         b.push(v);
     }
-    b.extend_from_slice(extra);
-    b
 }
 
 fn decode_store(b: &[u8]) -> (BTreeMap<u8, u8>, u64, Vec<u8>) {

@@ -37,7 +37,10 @@ impl Program for Source {
         }
     }
     fn snapshot(&self) -> Vec<u8> {
-        self.n_items.to_le_bytes().to_vec()
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        b.extend_from_slice(&self.n_items.to_le_bytes());
     }
     fn restore(&mut self, b: &[u8]) {
         self.n_items = u64::from_le_bytes(b.try_into().unwrap());
@@ -123,10 +126,13 @@ impl Program for Cruncher {
         ctx.output(out);
     }
     fn snapshot(&self) -> Vec<u8> {
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
         // Layout: fixed-width header + fixed-size scratch FIRST, growing
         // results tail LAST — so sparse scratch mutations and appends
         // dirty few pages (checkpoint-friendly, like a real heap image).
-        let mut b = Vec::with_capacity(self.scratch.len() + self.results.len() * 10 + 32);
+        b.reserve(self.scratch.len() + self.results.len() * 10 + 32);
         b.extend_from_slice(&self.cost.to_le_bytes());
         match self.poison_at {
             Some(p) => {
@@ -140,12 +146,11 @@ impl Program for Cruncher {
         }
         b.extend_from_slice(&(self.scratch.len() as u64).to_le_bytes());
         b.extend_from_slice(&self.scratch);
-        put_varint(&mut b, self.results.len() as u64);
+        put_varint(b, self.results.len() as u64);
         for &(i, r) in &self.results {
-            put_varint(&mut b, i);
-            put_varint(&mut b, r);
+            put_varint(b, i);
+            put_varint(b, r);
         }
-        b
     }
     fn restore(&mut self, b: &[u8]) {
         self.cost = u64::from_le_bytes(b[0..8].try_into().unwrap());

@@ -96,13 +96,16 @@ impl Program for RingNode {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut b = vec![
+        super::snapshot_vec(self)
+    }
+
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        b.extend_from_slice(&[
             u8::from(self.holding),
             self.rounds_left,
             self.dup_at.map_or(255, |d| d),
-        ];
+        ]);
         b.extend_from_slice(&self.entries.to_le_bytes());
-        b
     }
 
     fn restore(&mut self, b: &[u8]) {

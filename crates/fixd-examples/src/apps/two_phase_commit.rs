@@ -91,7 +91,11 @@ impl Program for Coordinator {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        vec![
+        super::snapshot_vec(self)
+    }
+
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        b.extend_from_slice(&[
             self.yes_votes,
             self.no_votes,
             match self.decided {
@@ -100,7 +104,7 @@ impl Program for Coordinator {
                 Some(true) => 1,
             },
             u8::from(self.wait_for_all),
-        ]
+        ]);
     }
 
     fn restore(&mut self, b: &[u8]) {
@@ -158,14 +162,17 @@ impl Program for Participant {
         }
     }
     fn snapshot(&self) -> Vec<u8> {
-        vec![
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        b.extend_from_slice(&[
             u8::from(self.will_vote),
             match self.committed {
                 None => 2,
                 Some(false) => 0,
                 Some(true) => 1,
             },
-        ]
+        ]);
     }
     fn restore(&mut self, b: &[u8]) {
         self.will_vote = b[0] != 0;

@@ -30,7 +30,10 @@ impl Program for Driver {
         }
     }
     fn snapshot(&self) -> Vec<u8> {
-        self.n_ops.to_le_bytes().to_vec()
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        b.extend_from_slice(&self.n_ops.to_le_bytes());
     }
     fn restore(&mut self, b: &[u8]) {
         self.n_ops = u64::from_le_bytes(b.try_into().unwrap());
@@ -104,10 +107,12 @@ impl Program for WalCounter {
         }
     }
     fn snapshot(&self) -> Vec<u8> {
-        let mut b = self.value.to_le_bytes().to_vec();
+        super::snapshot_vec(self)
+    }
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        b.extend_from_slice(&self.value.to_le_bytes());
         b.extend_from_slice(&self.sync_every.to_le_bytes());
         b.extend_from_slice(&self.ops_since_sync.to_le_bytes());
-        b
     }
     fn restore(&mut self, b: &[u8]) {
         self.value = u64::from_le_bytes(b[0..8].try_into().unwrap());

@@ -68,10 +68,27 @@ struct Proc {
     snapshot_hash: u64,
 }
 
+thread_local! {
+    /// What [`snapshot_hash`] snapshots into: one buffer per exploring
+    /// thread, reused for every transition that thread applies.
+    static SNAPSHOT_SCRATCH: std::cell::RefCell<Vec<u8>> = const {
+        std::cell::RefCell::new(Vec::new())
+    };
+}
+
+/// `content_hash` of `program`'s snapshot bytes.
+fn snapshot_hash(program: &dyn Program) -> u64 {
+    SNAPSHOT_SCRATCH.with_borrow_mut(|scratch| {
+        scratch.clear();
+        program.snapshot_to(scratch);
+        content_hash(scratch)
+    })
+}
+
 impl Proc {
     fn new(program: Box<dyn Program>, harness: SoloHarness, started: bool) -> Self {
         Self {
-            snapshot_hash: content_hash(&program.snapshot()),
+            snapshot_hash: snapshot_hash(program.as_ref()),
             program,
             harness,
             timers: VecDeque::new(),
@@ -232,7 +249,7 @@ impl WorldState {
         let n = self.procs.len();
         let proc = Arc::make_mut(&mut self.procs[pid.idx()]);
         let effects = handler(proc);
-        proc.snapshot_hash = content_hash(&proc.program.snapshot());
+        proc.snapshot_hash = snapshot_hash(proc.program.as_ref());
         for (t, _fire_at) in effects.timers_set {
             proc.timers.push_back(t);
         }
@@ -434,6 +451,9 @@ impl TransitionSystem for WorldModel {
         out
     }
 
+    // INVARIANT: the explorer applies only what `enabled` offered, so a
+    // `Deliver` finds its channel nonempty and a `FireTimer` a pending
+    // timer. Applied anyway, either one is a no-op.
     fn apply(&self, s: &WorldState, l: &ModelAction) -> WorldState {
         let mut next = s.clone();
         match *l {
@@ -442,15 +462,18 @@ impl TransitionSystem for WorldModel {
                 p.harness.start(p.program.as_mut())
             }),
             ModelAction::Deliver { src, dst } => {
-                let msg = next
-                    .pop_mail(src, dst)
-                    .expect("guard ensured nonempty channel");
-                next.run_handler(dst, |p| p.harness.deliver(p.program.as_mut(), &msg));
+                if let Some(msg) = next.pop_mail(src, dst) {
+                    next.run_handler(dst, |p| p.harness.deliver(p.program.as_mut(), &msg));
+                }
             }
-            ModelAction::FireTimer { pid } => next.run_handler(pid, |p| {
-                let t = p.timers.pop_front().expect("guard ensured pending timer");
-                p.harness.timer(p.program.as_mut(), t)
-            }),
+            ModelAction::FireTimer { pid } => {
+                if let Some(&t) = next.procs[pid.idx()].timers.front() {
+                    next.run_handler(pid, |p| {
+                        p.timers.pop_front();
+                        p.harness.timer(p.program.as_mut(), t)
+                    });
+                }
+            }
             ModelAction::DropHead { src, dst } => {
                 next.pop_mail(src, dst);
             }

@@ -38,12 +38,23 @@ pub trait Program: Send + Sync {
     /// Called when a timer set by this process fires.
     fn on_timer(&mut self, _ctx: &mut Context, _timer: TimerId) {}
 
-    /// Complete, deterministic byte image of the process state. How the
-    /// bytes are stored — inline, or paged into a content-addressed
-    /// store against the previous checkpoint — is the checkpointing
-    /// layer's decision ([`crate::World::checkpoint_process_in`]), not
-    /// the program's.
+    /// Complete, deterministic byte image of the process state, in a
+    /// fresh `Vec`. How the bytes are stored — inline, or paged into a
+    /// content-addressed store against the previous checkpoint — is the
+    /// checkpointing layer's decision
+    /// ([`crate::World::checkpoint_process_in`]), not the program's.
     fn snapshot(&self) -> Vec<u8>;
+
+    /// Append the bytes of [`Program::snapshot`] to `out`. The Time
+    /// Machine's checkpoints and the Investigator's state hashes snapshot
+    /// through this, into a buffer they reuse, so a program that writes
+    /// its image here directly allocates nothing per checkpoint. The
+    /// default copies a fresh [`Program::snapshot`]; a program that
+    /// overrides this usually defines `snapshot` as `snapshot_to` into an
+    /// empty `Vec`, so the two cannot drift.
+    fn snapshot_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.snapshot());
+    }
 
     /// Restore from a byte image produced by [`Program::snapshot`].
     fn restore(&mut self, bytes: &[u8]);

@@ -879,20 +879,24 @@ impl World {
     /// previous checkpoint when the caller has one, is where unchanged
     /// pages are looked for first (a byte comparison per page instead of
     /// a hash and a lookup); the resulting image and every store counter
-    /// are the same with or without it. This is the Time Machine's path.
+    /// are the same with or without it. The program snapshots into
+    /// `scratch` ([`Program::snapshot_to`]; cleared first, contents
+    /// unspecified after), a buffer the caller keeps across checkpoints
+    /// so that the bytes, which only live until they are paged, need no
+    /// allocation of their own. This is the Time Machine's path.
     pub fn checkpoint_process_in(
         &self,
         pid: Pid,
         store: &fixd_store::PageStore,
         page_size: usize,
         prev: Option<&fixd_store::PagedImage>,
+        scratch: &mut Vec<u8>,
     ) -> ProcCheckpoint {
         self.checkpoint_with(pid, |p| {
+            scratch.clear();
+            p.snapshot_to(scratch);
             fixd_store::SnapshotImage::Paged(fixd_store::PagedImage::from_bytes_after(
-                store,
-                &p.snapshot(),
-                page_size,
-                prev,
+                store, scratch, page_size, prev,
             ))
         })
     }

@@ -69,6 +69,10 @@ pub struct CheckpointStore {
     checkpoints: Vec<TmCheckpoint>,
     page_size: usize,
     pages: PageStore,
+    /// What the process snapshots into on every [`CheckpointStore::take`]:
+    /// the bytes live only until they are paged, so one buffer, grown to
+    /// the largest image once, serves the whole history.
+    scratch: Vec<u8>,
 }
 
 impl CheckpointStore {
@@ -85,6 +89,7 @@ impl CheckpointStore {
             checkpoints: Vec::new(),
             page_size,
             pages,
+            scratch: Vec::new(),
         }
     }
 
@@ -101,8 +106,14 @@ impl CheckpointStore {
     /// is none yet) every page goes through the store's hash lookup,
     /// with the same result. Returns the new index.
     pub fn take(&mut self, world: &World, events_at: u64) -> u64 {
-        let prev = self.latest().filter(|c| c.live).map(|c| &c.image);
-        let pc = world.checkpoint_process_in(self.pid, &self.pages, self.page_size, prev);
+        let prev = self.checkpoints.last().filter(|c| c.live).map(|c| &c.image);
+        let pc = world.checkpoint_process_in(
+            self.pid,
+            &self.pages,
+            self.page_size,
+            prev,
+            &mut self.scratch,
+        );
         let image = match pc.state {
             SnapshotImage::Paged(img) => img,
             // Unreachable with checkpoint_process_in, but harmless: page

@@ -76,10 +76,13 @@ pub fn coordinated_snapshot_in(
     store: &fixd_runtime::PageStore,
     page_size: usize,
 ) -> GlobalCheckpoint {
+    let mut scratch = Vec::new();
     GlobalCheckpoint {
         at: world.now(),
         ckpts: (0..world.num_procs())
-            .map(|i| world.checkpoint_process_in(Pid(i as u32), store, page_size, None))
+            .map(|i| {
+                world.checkpoint_process_in(Pid(i as u32), store, page_size, None, &mut scratch)
+            })
             .collect(),
         inflight: world.inflight_messages(),
         timers: world.pending_timers(),
