@@ -75,13 +75,20 @@ impl SharedDisk {
 
     /// Read through the buffer (read-your-writes semantics).
     pub fn read(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.read_with(key, |v| v.map(<[u8]>::to_vec))
+    }
+
+    /// [`SharedDisk::read`] without the copy: `f` sees the stored value
+    /// in place, under the disk's lock (so `f` must not touch this disk).
+    /// Counts as one read.
+    pub fn read_with<R>(&self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> R {
         let mut d = self.inner.lock();
         d.stats.reads += 1;
-        match d.buffer.get(key) {
-            Some(Some(v)) => Some(v.clone()),
-            Some(None) => None,
-            None => d.durable.get(key).cloned(),
-        }
+        let value = match d.buffer.get(key) {
+            Some(v) => v.as_deref(),
+            None => d.durable.get(key).map(Vec::as_slice),
+        };
+        f(value)
     }
 
     /// Flush the write buffer to durable storage (the `fsync` barrier).
@@ -131,6 +138,11 @@ impl SharedDisk {
     /// across branches).
     pub fn handle_count(&self) -> usize {
         Arc::strong_count(&self.inner)
+    }
+
+    /// Do the two handles alias one disk?
+    pub fn same_disk(&self, other: &SharedDisk) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Deterministic fingerprint of the durable contents.
@@ -260,6 +272,27 @@ mod tests {
         d.sync();
         assert_eq!(d2.read(b"k"), Some(b"v".to_vec()));
         assert_eq!(d.handle_count(), 2);
+        assert!(d.same_disk(&d2));
+        assert!(
+            !d.same_disk(&SharedDisk::new()),
+            "equal contents, other disk"
+        );
+    }
+
+    /// The borrowing read sees what `read` returns — buffered writes and
+    /// deletes included — and counts the same.
+    #[test]
+    fn read_with_borrows_what_read_returns() {
+        let d = SharedDisk::new();
+        d.write(b"a", b"durable");
+        d.write(b"gone", b"x");
+        d.sync();
+        d.write(b"b", b"buffered");
+        d.delete(b"gone");
+        for key in [&b"a"[..], b"b", b"gone", b"never"] {
+            assert_eq!(d.read_with(key, |v| v.map(<[u8]>::to_vec)), d.read(key));
+        }
+        assert_eq!(d.stats().reads, 8);
     }
 
     #[test]

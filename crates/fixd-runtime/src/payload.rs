@@ -158,8 +158,11 @@ impl Payload {
     /// program outputs joining the `Payload` representation): the
     /// counters specifically measure message-payload copy traffic, and
     /// that metric must not shift when other surfaces adopt the type.
-    pub fn untracked(bytes: Vec<u8>) -> Self {
-        Payload::whole(Arc::from(bytes))
+    /// A borrowed `&[u8]` is copied once into the shared allocation; a
+    /// `Vec<u8>` is copied too (`Arc<[u8]>` keeps its counts in front
+    /// of the bytes), so hand over a slice rather than a fresh `Vec`.
+    pub fn untracked(bytes: impl Into<Arc<[u8]>>) -> Self {
+        Payload::whole(bytes.into())
     }
 
     /// A zero-copy sub-view of `base`: the returned payload aliases

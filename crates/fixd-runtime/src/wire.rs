@@ -99,10 +99,11 @@ pub fn get_u64s(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
 }
 
 /// A stable 64-bit FNV-1a hash (deterministic across runs and platforms,
-/// unlike `DefaultHasher`): the fingerprint of every value a fixture,
-/// report, disk or app contract pins — snapshots, messages, effects,
-/// Scroll segments, the disk. Delegates to [`fixd_store::fnv1a`].
-/// In-memory keys nothing persists use [`content_hash`].
+/// unlike `DefaultHasher`): the fingerprint of every value something
+/// outside the process pins — snapshots, messages, effects, the disk's
+/// fingerprint. Delegates to [`fixd_store::fnv1a`]. Keys found only
+/// through memory (pages, explored states, sealed Scroll segments) use
+/// [`content_hash`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fixd_store::fnv1a(bytes)
 }

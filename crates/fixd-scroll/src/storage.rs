@@ -6,44 +6,73 @@
 //! scroll prefix once its resident weight passes a threshold: the prefix
 //! is encoded through the ordinary segment codec (same wire format as
 //! [`ScrollStore::save_dir`]) and written to a [`SharedDisk`] as a
-//! **content-addressed blob** (keyed by the FNV-1a hash of its bytes, so
-//! identical segments — e.g. across replicas or re-recorded runs sharing
-//! one disk — are stored once). Resident memory stays bounded by
+//! **content-addressed blob** (keyed by the `content_hash` of its bytes,
+//! so identical segments — e.g. across replicas or re-recorded runs
+//! sharing one disk — are stored once). Resident memory stays bounded by
 //! `threshold × processes`.
 //!
+//! The key is XXH64 (`fixd_runtime::wire::content_hash`), not the FNV-1a
+//! that fingerprints pinned values: a seal's key is found only through
+//! the in-memory `SegmentRef` that recorded it (and by a later seal's
+//! dedup probe, which computes it the same way), so nothing outside the
+//! process pins it. The bytes under the key are what is pinned, and they
+//! do not depend on the hash.
+//!
 //! A sealed blob **is** that stretch of the scroll's encoding, produced
-//! once. What reads it back falls in three groups:
+//! once. Every read-back borrows the blob where it lies on the disk
+//! ([`SharedDisk::read_with`]) and checks it against the length and
+//! content hash its seal recorded before using a byte of it. What reads
+//! it back falls in three groups:
 //!
 //! * **as bytes** — [`ScrollStore::encode_segment`] (and
 //!   [`ScrollStore::save_dir`] through it) writes one header and splices
 //!   each blob's entries in after it, unparsed (the concatenation
-//!   property documented at [`codec::FORMAT_VERSION`]). Every blob is
-//!   checked against the length and content hash its seal recorded
-//!   before a byte of it is copied;
+//!   property documented at [`codec::FORMAT_VERSION`]), copied straight
+//!   out of the disk;
 //! * **decoded** — [`ScrollStore::scroll`] (so queries, merges, stats
 //!   and replay see the full log), [`ScrollStore::entry`] and a
-//!   [`ScrollStore::truncate`] into the sealed prefix parse the blobs
-//!   they need, under the decoder's own structural check;
+//!   [`ScrollStore::truncate`] into the sealed prefix copy each blob
+//!   they need once into a shared buffer and parse it;
 //! * **not at all** — [`ScrollStore::len`], [`ScrollStore::encoded_size`]
 //!   and the other counters are arithmetic on what each seal recorded.
+//!
+//! A blob that fails a check is a [`StorageError::Missing`] or
+//! [`StorageError::Corrupt`]: returned by [`ScrollStore::save_dir`], a
+//! panic with the same message from the readers that return no
+//! `Result`.
 
 use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::path::Path;
 
-use fixd_runtime::{Pid, SharedDisk};
+use fixd_runtime::wire::content_hash;
+use fixd_runtime::{Payload, Pid, SharedDisk};
 
 use crate::codec::{self, CodecError};
 use crate::entry::ScrollEntry;
 
-/// Structured error from scroll persistence: either the filesystem
-/// failed or the bytes did not decode.
+/// Structured error from scroll persistence: the filesystem failed, the
+/// bytes did not decode, or a sealed segment did not come back from the
+/// spill disk as it was sealed.
 #[derive(Debug)]
 pub enum StorageError {
     /// Filesystem-level failure (missing file, permissions, short write).
     Io(std::io::Error),
     /// The bytes were read but are not a valid scroll segment.
     Codec(CodecError),
+    /// A sealed segment's blob is gone from the spill disk.
+    Missing {
+        /// The segment's key on the disk.
+        key: u64,
+    },
+    /// A sealed segment's blob is not the bytes its seal recorded.
+    Corrupt {
+        /// The segment's key on the disk.
+        key: u64,
+        /// The check it failed: `"stored length"`, `"content hash"`,
+        /// `"header"` or `"entry count"`.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for StorageError {
@@ -51,6 +80,15 @@ impl std::fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "scroll storage I/O error: {e}"),
             StorageError::Codec(e) => write!(f, "scroll storage codec error: {e}"),
+            StorageError::Missing { key } => {
+                write!(
+                    f,
+                    "spilled scroll segment {key:016x} missing from SharedDisk"
+                )
+            }
+            StorageError::Corrupt { key, what } => {
+                write!(f, "spilled scroll segment {key:016x} corrupt: {what}")
+            }
         }
     }
 }
@@ -60,6 +98,7 @@ impl std::error::Error for StorageError {
         match self {
             StorageError::Io(e) => Some(e),
             StorageError::Codec(e) => Some(e),
+            StorageError::Missing { .. } | StorageError::Corrupt { .. } => None,
         }
     }
 }
@@ -99,13 +138,17 @@ impl SpillConfig {
     }
 }
 
-/// One sealed, spilled scroll segment.
+/// One sealed, spilled scroll segment — the only way back to its blob:
+/// nothing outside the process holds or recomputes `key` or `hash`, so
+/// both are `content_hash` (XXH64) and may change with that function;
+/// the blob's bytes may not.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SegmentRef {
     /// The blob's key on the disk: its content hash, unless the seal
     /// probed past a colliding blob.
     key: u64,
-    /// FNV-1a of the encoded segment, whatever key it landed under.
+    /// `content_hash` of the encoded segment, whatever key it landed
+    /// under; every read-back verifies the blob against it.
     hash: u64,
     /// Entries inside.
     entries: usize,
@@ -113,11 +156,27 @@ struct SegmentRef {
     bytes: usize,
 }
 
-/// `scrollseg/<key as 16 hex digits>`, in one allocation.
-fn disk_key(key: u64) -> Vec<u8> {
-    let mut at = Vec::with_capacity(26);
-    write!(at, "scrollseg/{key:016x}").expect("writing to a Vec");
+impl SegmentRef {
+    fn corrupt(&self, what: &'static str) -> StorageError {
+        StorageError::Corrupt {
+            key: self.key,
+            what,
+        }
+    }
+}
+
+/// `scrollseg/<key as 16 hex digits>`, on the stack.
+fn disk_key(key: u64) -> [u8; 26] {
+    let mut at = *b"scrollseg/0000000000000000";
+    for (i, digit) in at[10..].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(key >> (60 - 4 * i)) as usize & 0xf];
+    }
     at
+}
+
+/// A read-back that returns no `Result` panics with the error's message.
+fn or_panic<T>(read: Result<T, StorageError>) -> T {
+    read.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Approximate resident weight of one entry: fixed header fields plus
@@ -168,11 +227,6 @@ impl ScrollStore {
         s
     }
 
-    /// Install (or replace) the spill configuration on an existing store.
-    pub fn enable_spill(&mut self, spill: SpillConfig) {
-        self.spill = Some(spill);
-    }
-
     /// The active spill configuration, if any.
     pub fn spill_config(&self) -> Option<&SpillConfig> {
         self.spill.as_ref()
@@ -211,7 +265,9 @@ impl ScrollStore {
     /// ownership is disjoint, so column `p` of the result is moved from
     /// the unique input that recorded for `p`. Two inputs both holding
     /// entries (resident or spilled) for the same pid is a caller bug
-    /// and panics. The first store's spill config is kept.
+    /// and panics. The first store's spill config is kept, so an input
+    /// whose sealed segments live on another disk (or a first store
+    /// without one) is refused too: the merged store could not read them.
     pub fn merge_disjoint(stores: impl IntoIterator<Item = ScrollStore>) -> ScrollStore {
         let mut out: Option<ScrollStore> = None;
         for mut s in stores {
@@ -231,6 +287,12 @@ impl ScrollStore {
                 assert!(
                     acc.per_pid[i].is_empty() && acc.spilled[i].is_empty(),
                     "merge_disjoint: pid {i} recorded by more than one store"
+                );
+                assert!(
+                    s.spilled[i].is_empty()
+                        || matches!((&acc.spill, &s.spill),
+                                    (Some(kept), Some(own)) if kept.disk.same_disk(&own.disk)),
+                    "merge_disjoint: pid {i}'s sealed segments live on another disk"
                 );
                 acc.per_pid[i] = std::mem::take(&mut s.per_pid[i]);
                 acc.spilled[i] = std::mem::take(&mut s.spilled[i]);
@@ -266,14 +328,14 @@ impl ScrollStore {
         let mut blob = std::mem::take(&mut self.seal_buf);
         codec::encode_segment_into(&mut blob, &self.per_pid[i]);
         // Content-addressed: identical segments (same bytes) are written
-        // once per disk. A 64-bit hash can collide, so verify the stored
-        // blob's content and probe deterministically to the next key on
+        // once per disk. A 64-bit hash can collide, so compare the stored
+        // blob in place and probe deterministically to the next key on
         // mismatch (same discipline as `fixd_store::PageStore::intern`).
-        let hash = fixd_runtime::wire::fnv1a(&blob);
+        let hash = content_hash(&blob);
         let mut key = hash;
         loop {
             let at = disk_key(key);
-            match cfg.disk.read(&at) {
+            match cfg.disk.read_with(&at, |stored| stored.map(|s| s == blob)) {
                 None => {
                     // The disk keeps an exact-fit copy; the buffer's
                     // growth slack stays here.
@@ -281,8 +343,8 @@ impl ScrollStore {
                     cfg.disk.sync();
                     break;
                 }
-                Some(existing) if existing == blob => break,
-                Some(_) => key = key.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(1),
+                Some(true) => break,
+                Some(false) => key = key.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(1),
             }
         }
         self.spilled[i].push(SegmentRef {
@@ -307,68 +369,55 @@ impl ScrollStore {
         self.resident_weight[i] = 0;
     }
 
-    /// One sealed blob, back from the disk, at the length its seal
-    /// recorded.
-    fn read_blob(&self, seg: &SegmentRef) -> Vec<u8> {
+    /// `f` over one sealed blob where it lies on the disk, once the blob
+    /// has the length and content hash its seal recorded. The hash sees
+    /// what a decoder cannot: a flipped count inside a clock still
+    /// parses, to another clock.
+    fn with_blob<R>(
+        &self,
+        seg: &SegmentRef,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, StorageError> {
         let cfg = self
             .spill
             .as_ref()
             .expect("spilled segments require a spill config");
-        let blob = cfg.disk.read(&disk_key(seg.key)).unwrap_or_else(|| {
-            panic!(
-                "spilled scroll segment {:016x} missing from SharedDisk",
-                seg.key
-            )
-        });
-        assert_eq!(
-            blob.len(),
-            seg.bytes,
-            "spilled scroll segment {:016x} corrupt: stored length",
-            seg.key
-        );
-        blob
+        cfg.disk.read_with(&disk_key(seg.key), |blob| match blob {
+            None => Err(StorageError::Missing { key: seg.key }),
+            Some(b) if b.len() != seg.bytes => Err(seg.corrupt("stored length")),
+            Some(b) if content_hash(b) != seg.hash => Err(seg.corrupt("content hash")),
+            Some(b) => Ok(f(b)),
+        })
     }
 
     /// Append one sealed segment's entries to `out` as the bytes they
-    /// were sealed as — nothing is decoded. Decoding used to vouch for
-    /// the blob on this path; here the content hash recorded at the seal
-    /// does, and it sees what a decoder cannot (a flipped count inside a
-    /// clock still parses).
-    fn splice_segment(&self, seg: &SegmentRef, out: &mut Vec<u8>) {
-        let blob = self.read_blob(seg);
-        let stored = fixd_runtime::wire::fnv1a(&blob);
-        assert_eq!(
-            stored, seg.hash,
-            "spilled scroll segment {:016x} corrupt: content hash",
-            seg.key
-        );
+    /// were sealed as, copied out of the disk — nothing is decoded.
+    fn splice_segment(&self, seg: &SegmentRef, out: &mut Vec<u8>) -> Result<(), StorageError> {
         // Every segment is sealed by this store at the current version.
-        let body = codec::segment_body(&blob, seg.entries)
-            .unwrap_or_else(|| panic!("spilled scroll segment {:016x} corrupt: header", seg.key));
-        out.extend_from_slice(body);
+        self.with_blob(seg, |blob| {
+            codec::segment_body(blob, seg.entries).map(|body| out.extend_from_slice(body))
+        })?
+        .ok_or_else(|| seg.corrupt("header"))
     }
 
-    /// Re-read and decode one spilled segment. The blob becomes one
-    /// shared buffer and every decoded entry's payload is a zero-copy
-    /// view into it ([`codec::decode_segment_shared`]) — re-reading a
-    /// segment of N messages performs one buffer materialization, not N
-    /// payload allocations. The views pin the blob: a caller retaining
-    /// one entry's payload keeps the whole segment buffer alive (copy
-    /// out via `Payload::copy_from_slice` for long retention).
-    fn read_segment(&self, seg: &SegmentRef) -> Vec<ScrollEntry> {
+    /// Re-read and decode one spilled segment. The blob is copied once
+    /// into a shared buffer and every decoded entry's payload is a
+    /// zero-copy view into it ([`codec::decode_segment_shared`]) —
+    /// re-reading a segment of N messages performs one buffer
+    /// materialization, not N payload allocations. The views pin the
+    /// blob: a caller retaining one entry's payload keeps the whole
+    /// segment buffer alive (copy out via `Payload::copy_from_slice` for
+    /// long retention).
+    fn read_segment(&self, seg: &SegmentRef) -> Result<Vec<ScrollEntry>, StorageError> {
         // Untracked: the segment blob is framing + clocks + payloads,
         // not message-payload traffic; the per-entry views below count
         // as aliased (bytes a copying decoder would have re-copied).
-        let shared = fixd_runtime::Payload::untracked(self.read_blob(seg));
-        let entries = codec::decode_segment_shared(&shared)
-            .unwrap_or_else(|e| panic!("spilled scroll segment {:016x} corrupt: {e}", seg.key));
-        assert_eq!(
-            entries.len(),
-            seg.entries,
-            "spilled scroll segment {:016x} corrupt: entry count",
-            seg.key
-        );
-        entries
+        let shared = self.with_blob(seg, |blob| Payload::untracked(blob))?;
+        let entries = codec::decode_segment_shared(&shared)?;
+        if entries.len() != seg.entries {
+            return Err(seg.corrupt("entry count"));
+        }
+        Ok(entries)
     }
 
     /// The scroll of one process, oldest first — including any sealed
@@ -384,7 +433,7 @@ impl ScrollStore {
         }
         let mut full = Vec::with_capacity(self.len(pid));
         for seg in spilled {
-            full.extend(self.read_segment(seg));
+            full.extend(or_panic(self.read_segment(seg)));
         }
         full.extend(resident.iter().cloned());
         Cow::Owned(full)
@@ -398,7 +447,7 @@ impl ScrollStore {
         let mut first = 0;
         for seg in &self.spilled[pid.idx()] {
             if idx < first + seg.entries {
-                let mut entries = self.read_segment(seg);
+                let mut entries = or_panic(self.read_segment(seg));
                 return Some(Cow::Owned(entries.swap_remove(idx - first)));
             }
             first += seg.entries;
@@ -461,7 +510,7 @@ impl ScrollStore {
                 if full.len() >= n {
                     break;
                 }
-                full.extend(self.read_segment(seg));
+                full.extend(or_panic(self.read_segment(seg)));
             }
             full.truncate(n);
             self.spilled[i].clear();
@@ -483,7 +532,14 @@ impl ScrollStore {
     /// Sealed segments are not decoded: after one header for the whole
     /// scroll, each blob's entries are copied in as sealed, and only the
     /// resident tail is encoded.
+    ///
+    /// Panics when a sealed blob is missing or damaged
+    /// ([`ScrollStore::save_dir`] returns that as an error).
     pub fn encode_segment(&self, pid: Pid) -> Vec<u8> {
+        or_panic(self.try_encode_segment(pid))
+    }
+
+    fn try_encode_segment(&self, pid: Pid) -> Result<Vec<u8>, StorageError> {
         let i = pid.idx();
         let resident = self.per_pid.get(i).map_or(&[][..], Vec::as_slice);
         let spilled = self.spilled.get(i).map_or(&[][..], Vec::as_slice);
@@ -491,12 +547,12 @@ impl ScrollStore {
         let mut out = Vec::with_capacity(16 + sealed_bytes + resident.len() * 32);
         codec::put_segment_header(&mut out, self.len(pid));
         for seg in spilled {
-            self.splice_segment(seg, &mut out);
+            self.splice_segment(seg, &mut out)?;
         }
         for e in resident {
             codec::encode_entry(&mut out, e);
         }
-        out
+        Ok(out)
     }
 
     /// Total encoded size in bytes across all processes (the F1 "log
@@ -538,11 +594,14 @@ impl ScrollStore {
     }
 
     /// Persist all segments to `dir` as `scroll-<pid>.bin` (full logical
-    /// scrolls: spilled prefixes are folded back in).
+    /// scrolls: spilled prefixes are folded back in). A sealed blob that
+    /// is gone or damaged on the spill disk is a
+    /// [`StorageError::Missing`] / [`StorageError::Corrupt`]; the files
+    /// of lower pids may already have been written.
     pub fn save_dir(&self, dir: &Path) -> Result<(), StorageError> {
         std::fs::create_dir_all(dir)?;
         for i in 0..self.per_pid.len() {
-            let bytes = self.encode_segment(Pid(i as u32));
+            let bytes = self.try_encode_segment(Pid(i as u32))?;
             let mut f = std::fs::File::create(dir.join(format!("scroll-{i}.bin")))?;
             f.write_all(&bytes)?;
         }
@@ -870,16 +929,26 @@ mod tests {
         (s, disk)
     }
 
-    /// The disk after [`spilled_store`] — every `scrollseg/…` key and
-    /// blob — as the store left it before seals reused a buffer, clocks
-    /// were walked as slices and `sync` moved its buffer: a faster seal
-    /// may not move a stored byte.
+    /// The disk after [`spilled_store`], blobs and keys pinned apart.
     #[test]
     fn sealed_keys_and_blobs_are_pinned() {
         let (s, disk) = spilled_store();
         assert_eq!((s.spilled_segments(), s.spilled_bytes()), (12, 1929));
         assert_eq!(disk.durable_snapshot().len(), 12);
-        assert_eq!(disk.durable_fingerprint(), 0xa663_88b3_b251_74c8);
+        // The bytes, as FNV-1a over every blob in seal order: the value
+        // they have had since seals first reused a buffer, walked clocks
+        // as slices and had `sync` move the buffer. Sealed bytes are the
+        // Scroll's wire format; no faster seal may move one.
+        let blobs: Vec<u8> = s.spilled[0]
+            .iter()
+            .flat_map(|seg| disk.read(&disk_key(seg.key)).expect("sealed blob"))
+            .collect();
+        assert_eq!(fixd_runtime::wire::fnv1a(&blobs), 0x1e3c_2ae7_c027_aca8);
+        // The keys, through the whole disk's fingerprint. Re-pinned once,
+        // when keys moved from FNV-1a to `content_hash`: a key is found
+        // only through the store's in-memory `SegmentRef`, so it may move
+        // with the hash function; the blobs above may not.
+        assert_eq!(disk.durable_fingerprint(), 0xb331_c644_b200_347f);
     }
 
     /// Counting reads nothing back, and reading bytes back reads each
@@ -974,21 +1043,32 @@ mod tests {
         s.encode_segment(Pid(0));
     }
 
-    fn save(s: ScrollStore) {
-        /// Removes the directory even when `save_dir` panics.
-        struct Scratch(std::path::PathBuf);
-        impl Drop for Scratch {
-            fn drop(&mut self) {
-                std::fs::remove_dir_all(&self.0).ok();
-            }
-        }
+    /// `save_dir` into a directory of the test's own, removed afterwards.
+    fn save_into_scratch(s: &ScrollStore) -> Result<(), StorageError> {
         let test = std::thread::current();
-        let dir = Scratch(std::env::temp_dir().join(format!(
+        let dir = std::env::temp_dir().join(format!(
             "fixd-scroll-{}-{}",
             std::process::id(),
             test.name().unwrap_or("damaged")
-        )));
-        s.save_dir(&dir.0).unwrap();
+        ));
+        let saved = s.save_dir(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        saved
+    }
+
+    /// `save_dir` returns the damage as a typed error instead of
+    /// panicking; the row then panics with its message, like the other
+    /// readers, so one expected string covers every way of reading back.
+    fn save(s: ScrollStore) {
+        let err = save_into_scratch(&s).expect_err("a damaged blob must not save");
+        assert!(
+            matches!(
+                err,
+                StorageError::Missing { .. } | StorageError::Corrupt { .. }
+            ),
+            "{err:?}"
+        );
+        panic!("{err}");
     }
 
     fn decode(s: ScrollStore) {
@@ -999,9 +1079,11 @@ mod tests {
         s.truncate(Pid(0), 1);
     }
 
-    /// Every way of reading a damaged blob back panics with the store's
-    /// corruption message — on the splice path too, which no longer has
-    /// a decoder to stumble over it.
+    /// Every way of reading a damaged blob back fails with the store's
+    /// corruption message: the splice, which has no decoder to stumble
+    /// over it, and the decoding paths, which a flipped count inside a
+    /// clock would get through (it parses, to another clock) — every
+    /// read-back checks the content hash its seal recorded.
     macro_rules! damaged_blob_panics {
         ($($name:ident: $how:ident, $read:ident => $message:literal;)*) => {$(
             #[test]
@@ -1015,36 +1097,63 @@ mod tests {
     damaged_blob_panics! {
         flipped_clock_count_fails_the_splice: FlipClockCount, splice => "corrupt: content hash";
         flipped_clock_count_fails_save_dir: FlipClockCount, save => "corrupt: content hash";
-        truncated_blob_fails_the_splice: Truncate, splice => "corrupt";
-        truncated_blob_fails_save_dir: Truncate, save => "corrupt";
-        truncated_blob_fails_scroll: Truncate, decode => "corrupt";
-        truncated_blob_fails_truncate: Truncate, truncate_into_first_segment => "corrupt";
-        other_count_fails_the_splice: OtherCount, splice => "corrupt";
-        other_count_fails_save_dir: OtherCount, save => "corrupt";
-        other_count_fails_scroll: OtherCount, decode => "corrupt";
-        other_count_fails_truncate: OtherCount, truncate_into_first_segment => "corrupt";
+        flipped_clock_count_fails_scroll: FlipClockCount, decode => "corrupt: content hash";
+        flipped_clock_count_fails_truncate: FlipClockCount, truncate_into_first_segment => "corrupt: content hash";
+        truncated_blob_fails_the_splice: Truncate, splice => "corrupt: stored length";
+        truncated_blob_fails_save_dir: Truncate, save => "corrupt: stored length";
+        truncated_blob_fails_scroll: Truncate, decode => "corrupt: stored length";
+        truncated_blob_fails_truncate: Truncate, truncate_into_first_segment => "corrupt: stored length";
+        other_count_fails_the_splice: OtherCount, splice => "corrupt: stored length";
+        other_count_fails_save_dir: OtherCount, save => "corrupt: stored length";
+        other_count_fails_scroll: OtherCount, decode => "corrupt: stored length";
+        other_count_fails_truncate: OtherCount, truncate_into_first_segment => "corrupt: stored length";
         deleted_blob_fails_the_splice: Delete, splice => "missing from SharedDisk";
         deleted_blob_fails_save_dir: Delete, save => "missing from SharedDisk";
         deleted_blob_fails_scroll: Delete, decode => "missing from SharedDisk";
         deleted_blob_fails_truncate: Delete, truncate_into_first_segment => "missing from SharedDisk";
     }
 
-    /// The one damage the decoding paths let through: a flipped count
-    /// inside a clock is a well-formed segment of the same length and
-    /// entry count, and `scroll` / `truncate` check structure, not
-    /// content (hashing every blob would cost a decode a quarter more).
-    /// They return the wrong clock; the splice, which verifies the hash
-    /// recorded at the seal, is what refuses these bytes (above).
+    /// Sealed segments can be read only from the disk they were sealed
+    /// to: a merge that would keep another disk's config, or none, for
+    /// them refuses, instead of leaving every later read "missing".
     #[test]
-    fn flipped_clock_count_is_invisible_to_the_decoder() {
-        let (intact, _) = spilled_store();
-        let s = damaged(Damage::FlipClockCount);
-        let (read, sealed) = (s.scroll(Pid(0)), intact.scroll(Pid(0)));
-        assert_eq!(read.len(), sealed.len());
-        assert_eq!(read[0].vc, VectorClock::from_vec(vec![3]));
-        assert_eq!(sealed[0].vc, VectorClock::from_vec(vec![1]));
-        assert_eq!(read[1..], sealed[1..]);
-        truncate_into_first_segment(s);
+    fn merge_disjoint_refuses_segments_sealed_to_another_disk() {
+        let spilling = |disk: &SharedDisk, pid: u32| {
+            let mut s = ScrollStore::with_spill(2, SpillConfig::new(disk.clone(), 300));
+            (0..50).for_each(|i| s.append(deliver_entry(pid, i, vec![i as u8; 16])));
+            assert!(!s.spilled[pid as usize].is_empty());
+            s
+        };
+        let (disk, other) = (SharedDisk::new(), SharedDisk::new());
+        let merged = ScrollStore::merge_disjoint([spilling(&disk, 0), spilling(&disk, 1)]);
+        assert_eq!(
+            merged.encode_segment(Pid(1)),
+            spilling(&disk, 1).encode_segment(Pid(1))
+        );
+        for kept in [spilling(&other, 0), ScrollStore::new(2)] {
+            let second = spilling(&disk, 1);
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ScrollStore::merge_disjoint([kept, second])
+            }));
+            let message = *refused.unwrap_err().downcast::<String>().unwrap();
+            assert!(message.contains("live on another disk"), "{message}");
+        }
+    }
+
+    /// A seal record at odds with its intact blob — the store's own bug,
+    /// not the disk's: the length and hash match, the entry count does
+    /// not. The splice refuses the header, a decode the entry count.
+    #[test]
+    fn a_seal_record_at_odds_with_its_blob_is_corrupt() {
+        let (mut s, _) = spilled_store();
+        s.spilled[0][0].entries += 1;
+        assert!(matches!(
+            save_into_scratch(&s),
+            Err(StorageError::Corrupt { what: "header", .. })
+        ));
+        let decoded = std::panic::catch_unwind(|| s.scroll(Pid(0)).len());
+        let message = *decoded.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.ends_with("corrupt: entry count"), "{message}");
     }
 
     /// Another blob already sits under the key a seal computes: the seal
@@ -1054,8 +1163,9 @@ mod tests {
     fn a_probed_segment_still_splices_and_still_verifies() {
         let entries: Vec<ScrollEntry> = (0..5).map(|i| deliver_entry(0, i, vec![9; 8])).collect();
         let blob = codec::encode_segment(&entries);
-        let hash = fixd_runtime::wire::fnv1a(&blob);
-        assert_eq!(disk_key(0xabc), b"scrollseg/0000000000000abc");
+        let hash = content_hash(&blob);
+        assert_eq!(&disk_key(0xabc), b"scrollseg/0000000000000abc");
+        assert_eq!(&disk_key(u64::MAX - 1), b"scrollseg/fffffffffffffffe");
         let disk = SharedDisk::new();
         disk.write(&disk_key(hash), b"some other store's segment");
         disk.sync();

@@ -31,11 +31,14 @@
 //! plain inline byte vector (no store in play) or a paged image interned
 //! in a store.
 //!
-//! Two content hashes live here, one per role. [`fnv1a`] fingerprints
-//! every value a fixture, a report, a disk or an app contract pins
-//! (snapshot fingerprints, Scroll segment keys); it never changes value.
-//! [`content_hash`] (XXH64, a word at a time) keys what only lives in
-//! memory: page keys and the Investigator's per-process state hashes.
+//! Two content hashes live here, one rule between them. [`fnv1a`]
+//! fingerprints every value that something outside the process pins —
+//! a fixture, a report, an app contract (snapshot fingerprints, the
+//! `SharedDisk` fingerprint); it never changes value. [`content_hash`]
+//! (XXH64, a word at a time) keys what is found only through memory:
+//! page keys, the Investigator's per-process state hashes, and the
+//! Scroll's sealed-segment keys, which are reached only through the
+//! store's in-memory segment record.
 
 #![forbid(unsafe_code)]
 
@@ -45,12 +48,12 @@ pub mod store;
 pub use image::{PageStats, PagedImage, SnapshotImage, DEFAULT_PAGE_SIZE};
 pub use store::{page_hash, PageHandle, PageStore, StoreStats};
 
-/// A stable 64-bit FNV-1a hash — the fingerprint of every value that a
-/// fixture, report, disk or app contract pins: snapshot and message
-/// fingerprints, the Scroll's `scrollseg/<fnv1a>` keys, the
-/// `SharedDisk` fingerprint, kvstore's partitions. It is a serial
-/// byte-at-a-time chain; in-memory keys that nothing persists use
-/// [`content_hash`] instead. `fixd_runtime::wire::fnv1a` delegates here.
+/// A stable 64-bit FNV-1a hash — the fingerprint of every value that
+/// something outside the process pins (a fixture, report or app
+/// contract): snapshot and message fingerprints, the `SharedDisk`
+/// fingerprint, kvstore's partitions. It is a serial byte-at-a-time
+/// chain; a key found only through memory uses [`content_hash`]
+/// instead. `fixd_runtime::wire::fnv1a` delegates here.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -72,13 +75,15 @@ const P3: u64 = 0x1656_67b1_9e37_79f9;
 const P4: u64 = 0x85eb_ca77_c2b2_ae63;
 const P5: u64 = 0x27d4_eb2f_1656_67c5;
 
-/// XXH64 with seed 0 — the key of in-memory content that nothing pins
-/// or persists: [`PageStore`] page keys and the Investigator's cached
-/// per-process state hashes. Four independent lanes take a 32-byte
-/// stripe a step, so it runs a word at a time where [`fnv1a`] runs a
-/// byte at a time; the length is folded in. Deterministic across runs
-/// and platforms, but free to change value with the function: nothing
-/// may persist it or pin it in a fixture.
+/// XXH64 with seed 0 — the key of content found only through memory:
+/// [`PageStore`] page keys, the Investigator's cached per-process state
+/// hashes, and the Scroll's sealed-segment keys and read-back checks
+/// (the blob on the simulated disk is reached only through the store's
+/// in-memory record of its key and hash). Four independent lanes take a
+/// 32-byte stripe a step, so it runs a word at a time where [`fnv1a`]
+/// runs a byte at a time; the length is folded in. Deterministic across
+/// runs and platforms, but free to change value with the function:
+/// nothing outside the process may pin it.
 pub fn content_hash(bytes: &[u8]) -> u64 {
     let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("8-byte word"));
     let mut stripes = bytes.chunks_exact(32);
