@@ -314,7 +314,7 @@ impl ChordNode {
             let mut buf = [0u8; 16];
             buf[..8].copy_from_slice(&key.to_le_bytes());
             buf[8..].copy_from_slice(&val.to_le_bytes());
-            ctx.send(self.succ, REPLICATE, buf.to_vec());
+            ctx.send(self.succ, REPLICATE, buf);
         }
     }
 
@@ -333,7 +333,7 @@ impl ChordNode {
                 let mut buf = [0u8; 16];
                 buf[..8].copy_from_slice(&key.to_le_bytes());
                 buf[8..].copy_from_slice(&val.to_le_bytes());
-                ctx.send(origin, PUT_ACK, buf.to_vec());
+                ctx.send(origin, PUT_ACK, buf);
             }
         } else {
             let (hop, _) = self.next_hop(key);
@@ -342,7 +342,7 @@ impl ChordNode {
             buf[8..16].copy_from_slice(&val.to_le_bytes());
             buf[16..20].copy_from_slice(&origin.0.to_le_bytes());
             buf[20] = hops + 1;
-            ctx.send(hop, PUT_REQ, buf.to_vec());
+            ctx.send(hop, PUT_REQ, buf);
         }
     }
 
@@ -370,7 +370,7 @@ impl ChordNode {
                 buf[..8].copy_from_slice(&key.to_le_bytes());
                 buf[8..16].copy_from_slice(&val.to_le_bytes());
                 buf[16] = found;
-                ctx.send(origin, GET_REPLY, buf.to_vec());
+                ctx.send(origin, GET_REPLY, buf);
             }
         } else {
             let (hop, _) = self.next_hop(key);
@@ -378,7 +378,7 @@ impl ChordNode {
             buf[..8].copy_from_slice(&key.to_le_bytes());
             buf[8..12].copy_from_slice(&origin.0.to_le_bytes());
             buf[12] = hops + 1;
-            ctx.send(hop, GET_REQ, buf.to_vec());
+            ctx.send(hop, GET_REQ, buf);
         }
     }
 
@@ -403,10 +403,10 @@ impl ChordNode {
         buf[12] = hops + 1;
         if is_owner {
             buf[8..12].copy_from_slice(&hop.0.to_le_bytes());
-            ctx.send(origin, LOOKUP_DONE, buf.to_vec());
+            ctx.send(origin, LOOKUP_DONE, buf);
         } else {
             buf[8..12].copy_from_slice(&origin.0.to_le_bytes());
-            ctx.send(hop, LOOKUP_REQ, buf.to_vec());
+            ctx.send(hop, LOOKUP_REQ, buf);
         }
     }
 }
@@ -453,7 +453,7 @@ impl Program for ChordNode {
             }
             STABILIZE => {
                 let pred = self.pred.unwrap_or(Pid(ctx.pid().0));
-                ctx.send(msg.src, STAB_REPLY, pred.0.to_le_bytes().to_vec());
+                ctx.send(msg.src, STAB_REPLY, pred.0.to_le_bytes());
             }
             STAB_REPLY => {
                 let cand = Pid(u32::from_le_bytes(msg.payload[..4].try_into().unwrap()));

@@ -50,4 +50,4 @@ pub use guarded::{Action, GuardedSystem, GuardedSystemBuilder};
 pub use invariant::Invariant;
 pub use system::TransitionSystem;
 pub use trail::Trail;
-pub use worldmodel::{ModelAction, WorldModel, WorldState};
+pub use worldmodel::{ChannelView, ModelAction, WorldModel, WorldState};

@@ -12,6 +12,13 @@
 //! State = every process's real state + FIFO channel contents + pending
 //! timers. Actions = start a process, deliver the head of a channel, fire
 //! a timer, plus whatever fault branches the [`NetModel`] enables.
+//!
+//! The Investigator runs the real handler once per explored transition,
+//! so a transition pays only for what it changed: the successor shares
+//! every untouched part with its parent (see [`WorldState`]), the handler
+//! draws its context from its thread's arena ([`SoloHarness`]), and the
+//! state fingerprint is a sum of per-component terms that a transition
+//! updates by difference, for the components it touched.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -111,35 +118,121 @@ impl Clone for Proc {
     }
 }
 
-/// The messages queued on one FIFO channel. `fingerprints[i]` is
-/// `queue[i].content_fingerprint()`, computed once when the message is
-/// enqueued.
-#[derive(Clone, Default)]
+/// A queued message beside its `content_fingerprint()`, computed once,
+/// when the message was sent.
+type Queued = (SharedMessage, u64);
+
+/// One non-empty FIFO channel: the messages still queued are
+/// `run[head..]`. A run is never written once built, so states share
+/// it: a pop only moves `head`, and a push builds one new run of the
+/// live messages plus the new ones.
+#[derive(Clone)]
 struct Chan {
-    queue: VecDeque<SharedMessage>,
-    fingerprints: VecDeque<u64>,
+    run: Arc<[Queued]>,
+    head: usize,
+    /// This channel's term of the state's fingerprint sum
+    /// ([`chan_term`] of the live messages).
+    term: u64,
 }
 
-/// What [`WorldState::channel`] shows for a channel with nothing queued.
-static NO_MAIL: VecDeque<SharedMessage> = VecDeque::new();
+impl Chan {
+    fn live(&self) -> &[Queued] {
+        &self.run[self.head..]
+    }
+}
+
+/// The messages queued on one channel, oldest first (what
+/// [`WorldState::channel`] returns): a view into the state.
+#[derive(Clone, Copy)]
+pub struct ChannelView<'a>(&'a [Queued]);
+
+impl<'a> ChannelView<'a> {
+    /// Messages queued.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Is nothing queued?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The queued messages, oldest first.
+    pub fn iter(&self) -> <Self as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for ChannelView<'a> {
+    type Item = &'a SharedMessage;
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, Queued>, fn(&Queued) -> &SharedMessage>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        fn message(q: &Queued) -> &SharedMessage {
+            &q.0
+        }
+        self.0.iter().map(message as fn(&Queued) -> &SharedMessage)
+    }
+}
+
+impl std::fmt::Debug for ChannelView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Process `i`'s term of the fingerprint sum.
+fn proc_term(i: usize, p: &Proc) -> u64 {
+    let h = fnv_mix(PROC_TERM_SEED, i as u64);
+    let h = fnv_mix(h, p.snapshot_hash);
+    let h = fnv_mix(h, u64::from(p.started) | (u64::from(p.crashed) << 1));
+    fnv_mix(h, p.timers.len() as u64)
+}
+
+/// The term of channel `slot` holding `live` (a non-empty channel; an
+/// empty one adds nothing to the sum).
+fn chan_term(slot: usize, live: &[Queued]) -> u64 {
+    let h = fnv_mix(fnv_mix(CHAN_TERM_SEED, slot as u64), live.len() as u64);
+    live.iter().fold(h, |h, &(_, fp)| fnv_mix(h, fp))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Mutation hook for the tests: while set, emptying a channel leaves
+    /// its term in the sum. The walk tests must then fail.
+    static SKIP_CHAN_TERM_REMOVAL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 
 /// Global state of the application under investigation.
 ///
 /// A state is a set of handles: cloning one copies no process and no
-/// queue. A transition copies (`Arc::make_mut`) only what it changes —
-/// the acting process, the channels it pops from or sends into, and the
-/// output list when its handler emits — so a successor shares every
-/// other part with its parent.
+/// message. A transition copies only what it changes, so a successor
+/// shares every other part with its parent:
+///
+/// * the acting process (`Arc::make_mut`: one `clone_program`);
+/// * a channel it sends into: one new run of the live messages plus the
+///   sent ones (a handler's sends to one channel make one run); a
+///   channel it pops from copies nothing, it only moves its head;
+/// * the output list when the handler emits: one new list.
+///
+/// The state also carries its fingerprint sum: the wrapping sum of one
+/// term per process (index, cached snapshot hash, flags, timer count)
+/// and one per non-empty channel (slot, length, the messages' cached
+/// fingerprints). Whatever changes a
+/// component subtracts its old term and adds its new one, so
+/// [`TransitionSystem::fingerprint`] re-hashes nothing.
 #[derive(Clone)]
 pub struct WorldState {
     procs: Vec<Arc<Proc>>,
     /// FIFO channels, indexed `src * width + dst`; an empty channel is
     /// `None` and owns nothing.
-    channels: Vec<Option<Arc<Chan>>>,
+    channels: Vec<Option<Chan>>,
     crashes_used: usize,
     /// Collected outputs (flat, for invariants over observable behavior).
     /// Shared handles aliasing the producing handlers' effects.
-    outputs: Arc<Vec<(Pid, Payload)>>,
+    outputs: Arc<[(Pid, Payload)]>,
+    /// Wrapping sum of every process's and non-empty channel's term.
+    fp_sum: u64,
 }
 
 impl std::fmt::Debug for WorldState {
@@ -157,11 +250,14 @@ impl std::fmt::Debug for WorldState {
 impl WorldState {
     fn new(procs: Vec<Proc>) -> Self {
         let n = procs.len();
+        let fp_sum = (procs.iter().enumerate())
+            .fold(0, |sum: u64, (i, p)| sum.wrapping_add(proc_term(i, p)));
         Self {
             procs: procs.into_iter().map(Arc::new).collect(),
             channels: vec![None; n * n],
             crashes_used: 0,
-            outputs: Arc::default(),
+            outputs: Arc::new([]),
+            fp_sum,
         }
     }
 
@@ -180,16 +276,16 @@ impl WorldState {
     }
 
     /// Messages queued on channel `src → dst`.
-    pub fn channel(&self, src: Pid, dst: Pid) -> &VecDeque<SharedMessage> {
-        match &self.channels[src.idx() * self.procs.len() + dst.idx()] {
-            Some(ch) => &ch.queue,
-            None => &NO_MAIL,
+    pub fn channel(&self, src: Pid, dst: Pid) -> ChannelView<'_> {
+        match &self.channels[self.slot(src, dst)] {
+            Some(ch) => ChannelView(ch.live()),
+            None => ChannelView(&[]),
         }
     }
 
     /// Total undelivered messages.
     pub fn mail_count(&self) -> usize {
-        self.channels.iter().flatten().map(|c| c.queue.len()).sum()
+        self.channels.iter().flatten().map(|c| c.live().len()).sum()
     }
 
     /// Has `pid` crashed (in this explored branch)?
@@ -212,62 +308,111 @@ impl WorldState {
         self.procs[pid.idx()].timers.len()
     }
 
-    fn channel_slot(&mut self, src: Pid, dst: Pid) -> &mut Option<Arc<Chan>> {
-        let n = self.procs.len();
-        &mut self.channels[src.idx() * n + dst.idx()]
+    fn slot(&self, src: Pid, dst: Pid) -> usize {
+        src.idx() * self.procs.len() + dst.idx()
     }
 
-    fn push_mail(&mut self, msg: SharedMessage) {
-        let slot = self.channel_slot(msg.src, msg.dst);
-        let ch = Arc::make_mut(slot.get_or_insert_with(Arc::default));
-        ch.fingerprints.push_back(msg.content_fingerprint());
-        ch.queue.push_back(msg);
-    }
-
-    /// Dequeue the head of `src → dst`. Taking the last message drops
-    /// this state's handle instead of copying the queue to empty it.
-    fn pop_mail(&mut self, src: Pid, dst: Pid) -> Option<SharedMessage> {
-        let slot = self.channel_slot(src, dst);
-        if slot.as_ref()?.queue.len() == 1 {
-            return slot.take()?.queue.front().cloned();
+    /// Empty channel `slot`, taking its term out of the sum.
+    fn take_chan(&mut self, slot: usize) -> Option<Chan> {
+        let ch = self.channels[slot].take()?;
+        #[cfg(test)]
+        if SKIP_CHAN_TERM_REMOVAL.get() {
+            return Some(ch);
         }
-        let ch = Arc::make_mut(slot.as_mut()?);
-        ch.fingerprints.pop_front();
-        ch.queue.pop_front()
+        self.fp_sum = self.fp_sum.wrapping_sub(ch.term);
+        Some(ch)
+    }
+
+    /// Fill the empty channel `slot` with `run[head..]` (leave it empty
+    /// if that is), adding its term to the sum.
+    fn put_chan(&mut self, slot: usize, run: Arc<[Queued]>, head: usize) {
+        debug_assert!(self.channels[slot].is_none());
+        if head < run.len() {
+            let term = chan_term(slot, &run[head..]);
+            self.fp_sum = self.fp_sum.wrapping_add(term);
+            self.channels[slot] = Some(Chan { run, head, term });
+        }
+    }
+
+    /// Enqueue `sent`, in order, on the channel `slot`: one new run.
+    fn push_mail(&mut self, slot: usize, sent: &[SharedMessage]) {
+        let old = self.take_chan(slot);
+        let live = old.as_ref().map_or(&[][..], Chan::live);
+        let run = (live.iter().cloned())
+            .chain(sent.iter().map(|m| (m.clone(), m.content_fingerprint())))
+            .collect();
+        self.put_chan(slot, run, 0);
+    }
+
+    /// Enqueue every message of `sent` addressed inside this state, one
+    /// run per channel, each channel in `sent`'s order. Reorders `sent`.
+    fn send_all(&mut self, sent: &mut [SharedMessage]) {
+        let n = self.procs.len();
+        sent.sort_by_key(|m| (m.src, m.dst)); // stable: FIFO per channel
+        for to_one in sent.chunk_by(|a, b| (a.src, a.dst) == (b.src, b.dst)) {
+            let (src, dst) = (to_one[0].src, to_one[0].dst);
+            if dst.idx() < n {
+                self.push_mail(self.slot(src, dst), to_one);
+            }
+        }
+    }
+
+    /// Dequeue the head of `src → dst`: the run stays shared, only the
+    /// head moves (and taking the last message empties the slot).
+    fn pop_mail(&mut self, src: Pid, dst: Pid) -> Option<SharedMessage> {
+        let slot = self.slot(src, dst);
+        let Chan { run, head, .. } = self.take_chan(slot)?;
+        let msg = run[head].0.clone();
+        self.put_chan(slot, run, head + 1);
+        Some(msg)
     }
 
     fn duplicate_head(&mut self, src: Pid, dst: Pid) {
-        if let Some(ch) = self.channel_slot(src, dst).as_mut().map(Arc::make_mut) {
-            ch.queue.extend(ch.queue.front().cloned());
-            ch.fingerprints.extend(ch.fingerprints.front().copied());
+        let slot = self.slot(src, dst);
+        if let Some(ch) = self.take_chan(slot) {
+            let live = ch.live();
+            let run = live.iter().chain(live.first()).cloned().collect();
+            self.put_chan(slot, run, 0);
         }
     }
 
+    /// Change process `pid` through `change` on a private copy (shared
+    /// with no other state), moving its term of the sum along.
+    fn change_proc<R>(&mut self, pid: Pid, change: impl FnOnce(&mut Proc) -> R) -> R {
+        let i = pid.idx();
+        let proc = Arc::make_mut(&mut self.procs[i]);
+        let before = proc_term(i, proc);
+        let out = change(proc);
+        self.fp_sum = (self.fp_sum.wrapping_sub(before)).wrapping_add(proc_term(i, proc));
+        out
+    }
+
     /// Run one handler of `pid` on a private copy of the process and
-    /// route what it did into this state.
+    /// route what it did into this state; the effects body goes back to
+    /// the thread's handler arena.
     fn run_handler(&mut self, pid: Pid, handler: impl FnOnce(&mut Proc) -> Effects) {
-        let n = self.procs.len();
-        let proc = Arc::make_mut(&mut self.procs[pid.idx()]);
-        let effects = handler(proc);
-        proc.snapshot_hash = snapshot_hash(proc.program.as_ref());
-        for (t, _fire_at) in effects.timers_set {
-            proc.timers.push_back(t);
-        }
-        for t in effects.timers_cancelled {
-            proc.timers.retain(|x| *x != t);
-        }
-        if effects.crashed {
-            proc.crashed = true;
-            proc.timers.clear();
-        }
-        for m in effects.sends {
-            if m.dst.idx() < n {
-                self.push_mail(m);
+        let mut effects = self.change_proc(pid, |proc| {
+            let effects = handler(proc);
+            proc.snapshot_hash = snapshot_hash(proc.program.as_ref());
+            for &(t, _fire_at) in &effects.timers_set {
+                proc.timers.push_back(t);
             }
-        }
+            for t in &effects.timers_cancelled {
+                proc.timers.retain(|x| x != t);
+            }
+            if effects.crashed {
+                proc.crashed = true;
+                proc.timers.clear();
+            }
+            effects
+        });
+        self.send_all(&mut effects.sends);
         if !effects.outputs.is_empty() {
-            Arc::make_mut(&mut self.outputs).extend(effects.outputs.into_iter().map(|o| (pid, o)));
+            self.outputs = (self.outputs.iter().cloned())
+                .chain(effects.outputs.drain(..).map(|o| (pid, o)))
+                .collect();
         }
+        SoloHarness::recycle(effects);
     }
 }
 
@@ -340,7 +485,7 @@ impl WorldModel {
     pub fn assemble_state(
         programs: Vec<Box<dyn Program>>,
         harnesses: Vec<SoloHarness>,
-        inflight: Vec<SharedMessage>,
+        mut inflight: Vec<SharedMessage>,
         timers: Vec<(Pid, TimerId)>,
     ) -> WorldState {
         assert_eq!(harnesses.len(), programs.len());
@@ -353,9 +498,7 @@ impl WorldModel {
             procs[pid.idx()].timers.push_back(t);
         }
         let mut state = WorldState::new(procs);
-        for m in inflight {
-            state.push_mail(m);
-        }
+        state.send_all(&mut inflight);
         state
     }
 }
@@ -379,23 +522,10 @@ impl TransitionSystem for WorldModel {
         )
     }
 
+    /// One mix of the state's cached sum; the strict extras (off by
+    /// default) are folded in from scratch.
     fn fingerprint(&self, s: &WorldState) -> u64 {
-        let mut h = FINGERPRINT_SEED;
-        for p in &s.procs {
-            h = fnv_mix(h, p.snapshot_hash);
-            h = fnv_mix(h, u64::from(p.started) | (u64::from(p.crashed) << 1));
-            h = fnv_mix(h, p.timers.len() as u64);
-        }
-        for ch in &s.channels {
-            let Some(ch) = ch else {
-                h = fnv_mix(h, 0);
-                continue;
-            };
-            h = fnv_mix(h, ch.fingerprints.len() as u64);
-            for &fp in &ch.fingerprints {
-                h = fnv_mix(h, fp);
-            }
-        }
+        let mut h = fnv_mix(FINGERPRINT_SEED, s.fp_sum);
         if self.strict_fingerprint {
             for p in &s.procs {
                 for (pid, c) in p.harness.vc().entries() {
@@ -479,9 +609,10 @@ impl TransitionSystem for WorldModel {
             }
             ModelAction::DupHead { src, dst } => next.duplicate_head(src, dst),
             ModelAction::Crash { pid } => {
-                let p = Arc::make_mut(&mut next.procs[pid.idx()]);
-                p.crashed = true;
-                p.timers.clear();
+                next.change_proc(pid, |p| {
+                    p.crashed = true;
+                    p.timers.clear();
+                });
                 next.crashes_used += 1;
             }
         }
@@ -541,6 +672,10 @@ impl TransitionSystem for WorldModel {
 /// Stable basis for [`WorldModel`] fingerprints (distinct from other
 /// fingerprint domains in the workspace).
 const FINGERPRINT_SEED: u64 = 0x1995_0604_F1BD_0001;
+/// Domain of a process's term of the fingerprint sum.
+const PROC_TERM_SEED: u64 = 0x1995_0604_F1BD_0002;
+/// Domain of a channel's term of the fingerprint sum.
+const CHAN_TERM_SEED: u64 = 0x1995_0604_F1BD_0003;
 
 #[cfg(test)]
 mod tests {
@@ -749,37 +884,47 @@ mod tests {
         assert_eq!(s.channel(Pid(0), Pid(1)).len(), 1);
         assert_eq!(s.timer_count(Pid(0)), 1);
 
-        // Fingerprint literals re-pinned in PR 25, when the per-process
-        // snapshot hash moved from FNV-1a to `content_hash` (XXH64): the
-        // explorer's fingerprints are in-memory keys, so they may change
-        // value with the hash, and did, once.
+        // The explorer's fingerprints are in-memory keys, so they may
+        // change value with their definition. They did twice: when the
+        // per-process snapshot hash moved from FNV-1a to `content_hash`
+        // (XXH64), and when the fingerprint became a sum of
+        // per-component terms updated by difference, instead of one
+        // chain over every process and channel.
         let mut m = WorldModel::from_state(7, NetModel::reliable(), s.clone());
-        assert_eq!(m.fingerprint(&s), 0xcb29_f2d5_c84c_578d);
+        assert_eq!(m.fingerprint(&s), 0x143c_4a13_56fa_01ed);
         m.strict_fingerprint = true;
-        assert_eq!(m.fingerprint(&s), 0xa5ee_91ce_41ea_fcfc);
+        assert_eq!(m.fingerprint(&s), 0x80fc_699c_331e_a39e);
         let deliver = ModelAction::Deliver {
             src: Pid(0),
             dst: Pid(1),
         };
-        assert_eq!(m.fingerprint(&m.apply(&s, &deliver)), 0xdd93_8079_65be_2502);
+        assert_eq!(m.fingerprint(&m.apply(&s, &deliver)), 0x31ff_e494_a917_7a37);
     }
 
-    /// [`TransitionSystem::fingerprint`] with nothing cached: snapshot
-    /// every program, re-hash every queued message.
+    /// [`TransitionSystem::fingerprint`] by its definition, with nothing
+    /// cached: every program snapshotted again, every queued message
+    /// hashed again, and the sum of the per-component terms formed anew.
     fn fingerprint_from_scratch(m: &WorldModel, s: &WorldState) -> u64 {
-        let mut h = FINGERPRINT_SEED;
-        for p in &s.procs {
+        let n = s.width();
+        let mut sum = 0u64;
+        for (i, p) in s.procs.iter().enumerate() {
+            let mut h = fnv_mix(PROC_TERM_SEED, i as u64);
             h = fnv_mix(h, content_hash(&p.program.snapshot()));
             h = fnv_mix(h, u64::from(p.started) | (u64::from(p.crashed) << 1));
-            h = fnv_mix(h, p.timers.len() as u64);
+            sum = sum.wrapping_add(fnv_mix(h, p.timers.len() as u64));
         }
-        for i in 0..s.width() * s.width() {
-            let (src, dst) = (Pid((i / s.width()) as u32), Pid((i % s.width()) as u32));
-            h = fnv_mix(h, s.channel(src, dst).len() as u64);
-            for msg in s.channel(src, dst) {
+        for slot in 0..n * n {
+            let queue = s.channel(Pid((slot / n) as u32), Pid((slot % n) as u32));
+            if queue.is_empty() {
+                continue;
+            }
+            let mut h = fnv_mix(fnv_mix(CHAN_TERM_SEED, slot as u64), queue.len() as u64);
+            for msg in queue {
                 h = fnv_mix(h, msg.content_fingerprint());
             }
+            sum = sum.wrapping_add(h);
         }
+        let mut h = fnv_mix(FINGERPRINT_SEED, sum);
         if m.strict_fingerprint {
             for p in &s.procs {
                 for (pid, c) in p.harness.vc().entries() {
@@ -796,11 +941,17 @@ mod tests {
 
     /// The example applications as models: a token ring whose node 1
     /// duplicates the token (timers, outputs, two tokens in flight), the
-    /// buggy two-phase commit, and the Chord keyed store of the
-    /// `explore-chordkv` benchmark workload.
-    fn example_models(net: NetModel) -> [WorldModel; 3] {
+    /// buggy two-phase commit, the Chord keyed store of the
+    /// `explore-chordkv` benchmark workload, and the four apps of the
+    /// `heal-loop` workload in its shapes (kvstore v1, the pipeline with
+    /// a poisoned item, a four-node ring duplicating on its first lap,
+    /// 2PC with four participants).
+    fn example_models(net: NetModel) -> [WorldModel; 7] {
         use fixd_examples::chord::{ChordNode, ChordRing};
+        use fixd_examples::kvstore::{BackupV1, Client, Primary};
+        use fixd_examples::pipeline::{Cruncher, Source};
         use fixd_examples::token_ring::RingNode;
+        use fixd_examples::two_phase_commit::tpc_factory;
         let ring = WorldModel::new(11, net, || {
             vec![
                 Box::new(RingNode::correct()) as Box<dyn Program>,
@@ -808,11 +959,7 @@ mod tests {
                 Box::new(RingNode::correct()),
             ]
         });
-        let tpc = WorldModel::new(
-            12,
-            net,
-            fixd_examples::two_phase_commit::tpc_factory(vec![true, false, true], true),
-        );
+        let tpc = WorldModel::new(12, net, tpc_factory(vec![true, false, true], true));
         let chord = WorldModel::new(13, net, || {
             let ring = Arc::new(ChordRing::new(&[Pid(0), Pid(1), Pid(2)]));
             (0..3)
@@ -822,7 +969,34 @@ mod tests {
                 })
                 .collect()
         });
-        [ring, tpc, chord]
+        let kv = WorldModel::new(14, net, || {
+            vec![
+                Box::new(Client {
+                    script: fixd_examples::kvstore::script(4, 14),
+                }) as Box<dyn Program>,
+                Box::new(Primary::default()),
+                Box::new(BackupV1::default()),
+            ]
+        });
+        let pipeline = WorldModel::new(15, net, || {
+            vec![
+                Box::new(Source { n_items: 6 }) as Box<dyn Program>,
+                Box::new(Cruncher::buggy(50, 4)),
+            ]
+        });
+        let heal_ring = WorldModel::new(16, net, || {
+            (0..4)
+                .map(|i| {
+                    Box::new(if i == 1 {
+                        RingNode::buggy(10)
+                    } else {
+                        RingNode::correct()
+                    }) as Box<dyn Program>
+                })
+                .collect()
+        });
+        let heal_tpc = WorldModel::new(17, net, tpc_factory(vec![true, true, false, true], true));
+        [ring, tpc, chord, kv, pipeline, heal_ring, heal_tpc]
     }
 
     /// Seeded random walks over every example model under every
@@ -878,6 +1052,21 @@ mod tests {
         });
     }
 
+    /// The check above can fail: with one term update skipped (an
+    /// emptied channel's term left in the sum), the walks find cached
+    /// fingerprints that disagree with the definition.
+    #[test]
+    fn a_skipped_term_update_is_caught_by_the_walks() {
+        SKIP_CHAN_TERM_REMOVAL.set(true);
+        let mut wrong = 0;
+        for_each_walked_transition(|model, _parent, _l, child| {
+            wrong +=
+                usize::from(model.fingerprint(child) != fingerprint_from_scratch(model, child));
+        });
+        SKIP_CHAN_TERM_REMOVAL.set(false);
+        assert!(wrong > 1_000, "{wrong} transitions disagree");
+    }
+
     /// Everything observable about a state, copied out.
     fn observe(m: &WorldModel, s: &WorldState) -> impl PartialEq + std::fmt::Debug {
         let pids = || (0..s.width() as u32).map(Pid);
@@ -885,7 +1074,9 @@ mod tests {
             (m.fingerprint(s), fingerprint_from_scratch(m, s)),
             s.outputs().to_vec(),
             pids()
-                .flat_map(|src| pids().map(move |dst| s.channel(src, dst).clone()))
+                .flat_map(|src| {
+                    pids().map(move |dst| s.channel(src, dst).iter().cloned().collect::<Vec<_>>())
+                })
                 .collect::<Vec<_>>(),
             pids()
                 .map(|p| (s.is_started(p), s.is_crashed(p), s.timer_count(p)))
@@ -929,12 +1120,16 @@ mod tests {
             for (i, (a, b)) in parent.channels.iter().zip(&child.channels).enumerate() {
                 let (src, dst) = (Pid((i / n) as u32), Pid((i % n) as u32));
                 let shared = match (a, b) {
-                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    (Some(a), Some(b)) => Arc::ptr_eq(&a.run, &b.run) && a.head == b.head,
                     (None, None) => true,
                     _ => false,
                 };
                 if popped == Some((src, dst)) {
                     assert!(!shared, "channel {src}→{dst} after {l:?}");
+                    if let (ModelAction::DropHead { .. }, Some(a), Some(b)) = (l, a, b) {
+                        // A pop copies nothing: the run stays shared.
+                        assert!(Arc::ptr_eq(&a.run, &b.run), "{l:?} copied its run");
+                    }
                 } else if acting != Some(src) {
                     // Only the acting process sends.
                     assert!(shared, "channel {src}→{dst} after {l:?}");

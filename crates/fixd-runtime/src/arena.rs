@@ -2,7 +2,8 @@
 //! the step loop would otherwise hand to the global allocator once per
 //! event — `Message` boxes (`Context::send`), `StepRecord` shells (one
 //! per committed step), `Effects` bodies (send/output/timer vectors),
-//! and `randoms` draw buffers.
+//! and `randoms` draw buffers. Outside a world, every `SoloHarness`
+//! handler run on a thread draws from that thread's one arena.
 //!
 //! Ownership of a hot-path box is an `Arc` shared by the queue, the
 //! trace, the scroll, checkpoints, and Time-Machine branches. The arena
@@ -43,7 +44,7 @@ pub const RAND_POOL_CAP: usize = 1024;
 pub struct ArenaStats {
     /// Messages drawn from the pool (vs freshly allocated).
     pub msgs_recycled: u64,
-    /// Messages allocated because the pool was empty (or pooling is off).
+    /// Messages allocated because the pool was empty.
     pub msgs_allocated: u64,
     /// Step records drawn from the pool.
     pub records_recycled: u64,
@@ -88,8 +89,6 @@ pub(crate) struct StepArena {
     records: Vec<Arc<StepRecord>>,
     effects: Vec<Effects>,
     randoms: Vec<Arc<Vec<u64>>>,
-    /// When set, every draw allocates and every recycle drops.
-    unpooled: bool,
     msgs_recycled: u64,
     msgs_allocated: u64,
     records_recycled: u64,
@@ -97,26 +96,16 @@ pub(crate) struct StepArena {
 }
 
 impl StepArena {
-    pub(crate) fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             msgs: Vec::new(),
             records: Vec::new(),
             effects: Vec::new(),
             randoms: Vec::new(),
-            unpooled: false,
             msgs_recycled: 0,
             msgs_allocated: 0,
             records_recycled: 0,
             records_allocated: 0,
-        }
-    }
-
-    /// An arena with pooling off, for a throwaway arena whose pools
-    /// nothing would ever draw from.
-    pub(crate) fn unpooled() -> Self {
-        Self {
-            unpooled: true,
-            ..Self::new()
         }
     }
 
@@ -189,20 +178,18 @@ impl StepArena {
         vc: &VectorClock,
         meta: crate::event::MsgMeta,
     ) -> SharedMessage {
-        if !self.unpooled {
-            if let Some(mut shell) = self.msgs.pop() {
-                let m = Arc::get_mut(&mut shell).expect("pooled shells are unique");
-                m.id = id;
-                m.src = src;
-                m.dst = dst;
-                m.tag = tag;
-                m.payload = payload;
-                m.sent_at = sent_at;
-                m.vc.clone_from(vc);
-                m.meta = meta;
-                self.msgs_recycled += 1;
-                return SharedMessage::from_arc(shell);
-            }
+        if let Some(mut shell) = self.msgs.pop() {
+            let m = Arc::get_mut(&mut shell).expect("pooled shells are unique");
+            m.id = id;
+            m.src = src;
+            m.dst = dst;
+            m.tag = tag;
+            m.payload = payload;
+            m.sent_at = sent_at;
+            m.vc.clone_from(vc);
+            m.meta = meta;
+            self.msgs_recycled += 1;
+            return SharedMessage::from_arc(shell);
         }
         self.msgs_allocated += 1;
         SharedMessage::new(Message {
@@ -220,9 +207,6 @@ impl StepArena {
     /// Return a message box to the pool if this handle is the last one.
     /// Returns whether the box was actually pooled.
     pub(crate) fn recycle_message(&mut self, msg: SharedMessage) -> bool {
-        if self.unpooled {
-            return false;
-        }
         let mut arc = msg.into_arc();
         let Some(m) = Arc::get_mut(&mut arc) else {
             return false; // still aliased by a scroll/TM/checkpoint holder
@@ -243,14 +227,12 @@ impl StepArena {
 
     /// Seal one step into a shared record, reusing a pooled shell.
     pub(crate) fn make_record(&mut self, event: Event, effects: Effects) -> SharedStepRecord {
-        if !self.unpooled {
-            if let Some(mut shell) = self.records.pop() {
-                let r = Arc::get_mut(&mut shell).expect("pooled shells are unique");
-                r.event = event;
-                r.effects = effects;
-                self.records_recycled += 1;
-                return shell;
-            }
+        if let Some(mut shell) = self.records.pop() {
+            let r = Arc::get_mut(&mut shell).expect("pooled shells are unique");
+            r.event = event;
+            r.effects = effects;
+            self.records_recycled += 1;
+            return shell;
         }
         self.records_allocated += 1;
         Arc::new(StepRecord { event, effects })
@@ -261,9 +243,6 @@ impl StepArena {
     /// effects body to the effects pool, its shell to the record pool.
     /// Returns whether the shell was pooled.
     pub(crate) fn recycle_record(&mut self, rec: SharedStepRecord) -> bool {
-        if self.unpooled {
-            return false;
-        }
         let mut arc = rec;
         let Some(r) = Arc::get_mut(&mut arc) else {
             return false;
@@ -285,20 +264,12 @@ impl StepArena {
 
     /// A cleared effects body (vectors keep their capacities).
     pub(crate) fn make_effects(&mut self) -> Effects {
-        if !self.unpooled {
-            if let Some(e) = self.effects.pop() {
-                return e;
-            }
-        }
-        Effects::default()
+        self.effects.pop().unwrap_or_default()
     }
 
     /// Strip an effects body for reuse: recycle each send the world
     /// still solely holds, drop payload refs, pool the vectors.
     pub(crate) fn recycle_effects(&mut self, mut effects: Effects) {
-        if self.unpooled {
-            return;
-        }
         for msg in effects.sends.drain(..) {
             self.recycle_message(msg);
         }
@@ -318,19 +289,11 @@ impl StepArena {
 
     /// A unique, cleared draw buffer for one handler run.
     pub(crate) fn make_randoms(&mut self) -> Arc<Vec<u64>> {
-        if !self.unpooled {
-            if let Some(shell) = self.randoms.pop() {
-                return shell;
-            }
-        }
-        Arc::new(Vec::new())
+        self.randoms.pop().unwrap_or_default()
     }
 
     /// Return a draw buffer whose last reference this is.
     pub(crate) fn recycle_randoms(&mut self, mut shell: Arc<Vec<u64>>) {
-        if self.unpooled {
-            return;
-        }
         let Some(v) = Arc::get_mut(&mut shell) else {
             return;
         };

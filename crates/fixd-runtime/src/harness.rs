@@ -3,13 +3,27 @@
 //! This is the execution vehicle for *local playback* (paper §2.2): replay
 //! a single process from its Scroll, treating every remote entity as a
 //! black box defined only by the recorded interaction. The Investigator
-//! also uses it to execute handler steps on cloned program states.
+//! also uses it to execute handler steps on cloned program states, once
+//! per explored transition.
 
+use std::cell::RefCell;
+
+use crate::arena::StepArena;
 use crate::clock::VectorClock;
 use crate::event::{Effects, Message, MsgMeta, TimerId};
 use crate::program::{Context, Program};
 use crate::rng::DetRng;
 use crate::{Pid, VTime};
+
+thread_local! {
+    /// The pools every [`SoloHarness`] handler run on this thread draws
+    /// its [`Context`] from: the draw buffer, and the effects body that
+    /// [`SoloHarness::recycle`] hands back.
+    // INVARIANT: borrowed for exactly one handler run, so a handler must
+    // not itself drive a `SoloHarness` (the nested borrow would panic).
+    // No handler does: a `Program` sees only its `Context`.
+    static ARENA: RefCell<StepArena> = const { RefCell::new(StepArena::new()) };
+}
 
 /// Standalone handler driver for a single process.
 ///
@@ -71,23 +85,29 @@ impl SoloHarness {
         program: &mut dyn Program,
         call: impl FnOnce(&mut dyn Program, &mut Context),
     ) -> Effects {
-        // A throwaway arena per run, with pooling off: nothing would
-        // ever draw what this run returned to its pools.
-        let mut arena = crate::arena::StepArena::unpooled();
-        let mut ctx = Context::new(
-            self.pid,
-            self.now,
-            self.width,
-            &mut self.rng,
-            &mut self.vc,
-            &mut self.lamport,
-            &mut self.next_msg_id,
-            &mut self.next_timer_id,
-            self.meta,
-            &mut arena,
-        );
-        call(program, &mut ctx);
-        ctx.into_effects()
+        ARENA.with_borrow_mut(|arena| {
+            let mut ctx = Context::new(
+                self.pid,
+                self.now,
+                self.width,
+                &mut self.rng,
+                &mut self.vc,
+                &mut self.lamport,
+                &mut self.next_msg_id,
+                &mut self.next_timer_id,
+                self.meta,
+                arena,
+            );
+            call(program, &mut ctx);
+            ctx.into_effects()
+        })
+    }
+
+    /// Hand an effects body a handler run returned back to this thread's
+    /// arena, so that a later run reuses its vectors. Drain what you keep
+    /// first: any send still held only here is pooled with it.
+    pub fn recycle(effects: Effects) {
+        ARENA.with_borrow_mut(|arena| arena.recycle_effects(effects));
     }
 
     /// Run `on_start` (ticks clocks exactly like a world does).
