@@ -312,26 +312,6 @@ fn bench_exploration(c: &mut Criterion) {
     }
     group.finish();
 
-    // Ablation: sleep-set partial-order reduction on/off (DESIGN.md §5.6).
-    let mut group = c.benchmark_group("fig3_reduction_ablation");
-    group.sample_size(10);
-    for (name, use_reduction) in [("full", false), ("sleep_sets", true)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                ModelD::from_initial(1, NetModel::reliable(), fixd_bench::shouter_factory(4))
-                    .config(ExploreConfig {
-                        order: SearchOrder::Dfs,
-                        use_reduction,
-                        max_states: 100_000,
-                        ..ExploreConfig::default()
-                    })
-                    .run()
-                    .transitions
-            });
-        });
-    }
-    group.finish();
-
     let mut group = c.benchmark_group("fig3_parallel_workers");
     group.sample_size(10);
     for &threads in &[1usize, 2, 4] {

@@ -194,23 +194,6 @@ fn f3_investigator() {
             t
         );
     }
-    println!("ablation — sleep-set partial-order reduction (broadcast n=4, DFS):");
-    for (name, use_reduction) in [("full", false), ("sleep-sets", true)] {
-        let (report, t) = time_it(|| {
-            ModelD::from_initial(1, NetModel::reliable(), fixd_bench::shouter_factory(4))
-                .config(ExploreConfig {
-                    order: SearchOrder::Dfs,
-                    use_reduction,
-                    max_states: 100_000,
-                    ..ExploreConfig::default()
-                })
-                .run()
-        });
-        println!(
-            "  {name:<11}: {:>8} states {:>9} transitions in {:>8.2?}",
-            report.states, report.transitions, t
-        );
-    }
     println!("parallel workers (n=4, cap 30k):");
     for threads in [1usize, 2, 4] {
         let (states, t) = time_it(|| {

@@ -65,11 +65,10 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// Shards each cell executes on: the `FIXD_SHARDS` knob via
-/// [`FixdConfig`] (the config's default is the knob's source of truth),
-/// else 1 (inline serial execution).
+/// Shards each cell executes on: the `FIXD_SHARDS` knob, else 1
+/// (inline serial execution).
 pub fn default_shards() -> usize {
-    FixdConfig::default().shards.max(1)
+    fixd_core::knobs::shards_from_env().unwrap_or(1)
 }
 
 /// Run the whole matrix with [`default_threads`] workers and

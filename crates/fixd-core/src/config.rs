@@ -29,13 +29,6 @@ pub struct FixdConfig {
     pub check_every: u64,
     /// Record dropped messages in the Scroll (diagnostic).
     pub record_drops: bool,
-    /// Worker shard count for sharded world execution (see
-    /// `fixd_runtime::ShardedWorld`). Defaults to the `FIXD_SHARDS`
-    /// environment knob, else 1. The supervision loop itself stays
-    /// serial — per-step checkpointing is incompatible with windowed
-    /// execution — so this knob is consumed by workload drivers (tests,
-    /// benches, campaigns) that run worlds *under* a shard count.
-    pub shards: usize,
 }
 
 impl Default for FixdConfig {
@@ -50,7 +43,6 @@ impl Default for FixdConfig {
             explore: ExploreConfig::default(),
             check_every: 1,
             record_drops: false,
-            shards: crate::knobs::shards_from_env().unwrap_or(1),
         }
     }
 }
@@ -85,8 +77,6 @@ mod tests {
         let s = FixdConfig::seeded(99);
         assert_eq!(s.seed, 99);
         assert_eq!(s.tm_config().page_size, c.page_size);
-        // The shard default tracks the env knob (CI runs the suite under
-        // several FIXD_SHARDS values), falling back to serial.
-        assert_eq!(c.shards, crate::knobs::shards_from_env().unwrap_or(1));
+        assert!(!c.record_drops);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! A **global** monitor reads the whole world at every check and a
 //! **local** one every process's program; an **item-wise** local one
-//! ([`Monitor::local_items`]) lets the supervisor ([`Watch`]) verify
+//! ([`Monitor::local_items`]) lets the supervisor ([`crate::Fixd`]) verify
 //! only the evidence items it has not verified before. What detection
 //! verified also serves the rest of the loop: the rollback and heal
 //! walks over the checkpoints and the check of a healed world trust it,
@@ -98,8 +98,8 @@ impl Monitor {
     /// sees nothing else, so an item's verdict is a function of its
     /// value — which lets a supervisor remember the items it has
     /// verified and, at the next check, verify only the ones that are
-    /// not equal to a remembered one (see [`Watch`]). The same memory
-    /// spares re-verification in the supervisor's rollback
+    /// not equal to a remembered one (see [`crate::Fixd::supervise`]).
+    /// The same memory spares re-verification in the supervisor's rollback
     /// ([`crate::Fixd::respond`]), exploration
     /// ([`crate::Fixd::investigate`]) and dynamic update
     /// ([`crate::Fixd::heal_update`]). The stateless views

@@ -14,9 +14,7 @@
 //!   ensure that we only pursue a single execution path (the path the
 //!   'conventional' implementation would take)";
 //! * trails to every violation ([`crate::Trail`]);
-//! * deadlock reporting (as CMC does);
-//! * optional sleep-set partial-order reduction (heuristic; see
-//!   [`ExploreConfig::use_reduction`]).
+//! * deadlock reporting (as CMC does).
 
 use crate::frontier::explore;
 use crate::invariant::Invariant;
@@ -51,12 +49,6 @@ pub struct ExploreConfig {
     pub max_violations: usize,
     /// Report unexpected terminal states as deadlocks.
     pub detect_deadlocks: bool,
-    /// Sleep-set partial-order reduction. Sound for finding violations of
-    /// stable/local invariants on commuting actions; prunes interleavings,
-    /// so the reachability *count* is an under-approximation. Applies at
-    /// one worker only; ignored by [`Explorer::run_parallel`] above one.
-    /// Off by default.
-    pub use_reduction: bool,
 }
 
 impl Default for ExploreConfig {
@@ -68,7 +60,6 @@ impl Default for ExploreConfig {
             stop_at_first_violation: false,
             max_violations: 16,
             detect_deadlocks: true,
-            use_reduction: false,
         }
     }
 }
@@ -431,43 +422,6 @@ mod tests {
             .invariant(mutex_invariant())
             .run_guided(&[a, b]);
         assert_eq!(out.violations, vec![(2, "mutual-exclusion".to_string())]);
-    }
-
-    #[test]
-    fn reduction_explores_fewer_transitions_same_verdict() {
-        let sys = GuardedSystemBuilder::new([0u8; 3])
-            .action("x", |s: &[u8; 3]| s[0] < 3, |s| s[0] += 1)
-            .action("y", |s: &[u8; 3]| s[1] < 3, |s| s[1] += 1)
-            .action("z", |s: &[u8; 3]| s[2] < 3, |s| s[2] += 1)
-            .independence(|a, b| a != b)
-            .build();
-        let inv = Invariant::new("sum-bound", |s: &[u8; 3]| {
-            s.iter().map(|&v| v as u32).sum::<u32>() < 9
-        });
-        let full = Explorer::new(&sys, ExploreConfig::default())
-            .invariant(inv.clone())
-            .run();
-        let reduced = Explorer::new(
-            &sys,
-            ExploreConfig {
-                use_reduction: true,
-                order: SearchOrder::Dfs,
-                ..ExploreConfig::default()
-            },
-        )
-        .invariant(inv)
-        .run();
-        assert!(!full.violations.is_empty());
-        assert!(
-            !reduced.violations.is_empty(),
-            "reduction must keep the bug"
-        );
-        assert!(
-            reduced.transitions < full.transitions,
-            "reduction should prune: {} vs {}",
-            reduced.transitions,
-            full.transitions
-        );
     }
 
     #[test]

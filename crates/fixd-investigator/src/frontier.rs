@@ -6,7 +6,7 @@
 //! worker drains a `Frontier` in [`ExploreConfig::order`] (BFS, seeded
 //! random) or, for DFS, the one lane of a `StealQueue`; more than one
 //! share a `StealQueue` (owners pop LIFO, idle workers steal the oldest
-//! half of a lane) and ignore `order` and `use_reduction`.
+//! half of a lane) and ignore `order`.
 //!
 //! Which order for what: a run meant to finish takes the LIFO lane
 //! ([`ExploreConfig::exhaustive`]); its report does not depend on the
@@ -187,11 +187,9 @@ impl<I> Queue<I> {
 
 /// A state waiting to be expanded. It owns the state: nothing else
 /// keeps one alive.
-struct Item<S, L> {
+struct Item<S> {
     key: u64,
     state: S,
-    /// Sleep set (partial-order reduction); empty when reduction is off.
-    sleep: Vec<L>,
     /// The depth the graph held for `key` when this item was queued.
     depth: u32,
     /// This item carries the state's one-time accounting (transitions,
@@ -210,9 +208,7 @@ struct Item<S, L> {
 /// The label index is not stored. Every expansion of a parent offers
 /// its labels in index order, so of the edges one parent has to one
 /// child the lowest-indexed is offered first at any depth, and a later
-/// offer with an equal `(depth, parent key)` changes nothing. (Sleep-set
-/// reduction can skip that label; it runs on one worker, so its choice
-/// is still a function of the configuration.)
+/// offer with an equal `(depth, parent key)` changes nothing.
 struct Node<L> {
     /// Key of the parent on the canonical in-edge (unused in the root).
     parent: u64,
@@ -264,8 +260,7 @@ struct Run<'a, T: TransitionSystem> {
     invariants: &'a [Invariant<T::State>],
     terminal_checks: &'a [Invariant<T::State>],
     cfg: &'a ExploreConfig,
-    reduce: bool,
-    queue: Queue<Item<T::State, T::Label>>,
+    queue: Queue<Item<T::State>>,
     graph: Graph<T::Label>,
     states: AtomicUsize,
     transitions: AtomicU64,
@@ -294,7 +289,6 @@ pub(crate) fn explore<T: TransitionSystem>(
         invariants,
         terminal_checks,
         cfg,
-        reduce: cfg.use_reduction && workers == 1,
         queue: match Frontier::new(&cfg.order).filter(|_| workers == 1) {
             Some(frontier) => Queue::Ordered(Mutex::new(frontier)),
             None => Queue::Stealing(StealQueue::new(workers)),
@@ -333,7 +327,6 @@ pub(crate) fn explore<T: TransitionSystem>(
             Item {
                 key,
                 state: root,
-                sleep: Vec::new(),
                 depth: 0,
                 first: true,
             },
@@ -372,11 +365,10 @@ impl<T: TransitionSystem> Run<'_, T> {
     /// state has come closer since, the relaxation that found that also
     /// queued an item at the better depth: this expansion's offers lose
     /// to that one's, and the accounting is `first`'s either way.
-    fn expand(&self, worker: usize, item: Item<T::State, T::Label>, transitions: &mut u64) {
+    fn expand(&self, worker: usize, item: Item<T::State>, transitions: &mut u64) {
         let Item {
             key,
             state,
-            sleep,
             mut depth,
             first,
         } = item;
@@ -400,27 +392,15 @@ impl<T: TransitionSystem> Run<'_, T> {
             }
         }
         assert!(depth < MAX_DEPTH, "graph deeper than 2^30");
-        let mut done: Vec<T::Label> = Vec::new();
         for label in enabled {
             if self.stop.load(Ordering::Relaxed) {
                 return;
-            }
-            if self.reduce && sleep.contains(&label) {
-                continue;
             }
             let next = self.sys.apply(&state, &label);
             if first {
                 *transitions += 1;
             }
-            let mut child_sleep = Vec::new();
-            if self.reduce {
-                child_sleep = (sleep.iter().chain(&done))
-                    .filter(|z| self.sys.independent(z, &label))
-                    .cloned()
-                    .collect();
-                done.push(label.clone());
-            }
-            self.offer(worker, (depth + 1, key), label, next, child_sleep);
+            self.offer(worker, (depth + 1, key), label, next);
         }
     }
 
@@ -460,14 +440,7 @@ impl<T: TransitionSystem> Run<'_, T> {
     /// Offer `next` the in-edge `(depth, parent key)` labelled `label`:
     /// insert it if new, else keep the minimum, and queue it if it is
     /// new or strictly closer to the root than it was.
-    fn offer(
-        &self,
-        worker: usize,
-        edge: (u32, u64),
-        label: T::Label,
-        next: T::State,
-        sleep: Vec<T::Label>,
-    ) {
+    fn offer(&self, worker: usize, edge: (u32, u64), label: T::Label, next: T::State) {
         let (depth, parent) = edge;
         let key = self.sys.fingerprint(&next);
         let mut violated = None;
@@ -519,7 +492,6 @@ impl<T: TransitionSystem> Run<'_, T> {
             Item {
                 key,
                 state: next,
-                sleep,
                 depth,
                 first,
             },

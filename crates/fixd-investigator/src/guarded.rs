@@ -42,9 +42,6 @@ impl<S> std::fmt::Debug for Action<S> {
     }
 }
 
-/// Shared predicate deciding whether two named actions commute.
-type IndependenceFn = Arc<dyn Fn(&str, &str) -> bool + Send + Sync>;
-
 /// A dynamic set of guarded commands over a state type `S`.
 #[derive(Clone)]
 pub struct GuardedSystem<S> {
@@ -52,7 +49,6 @@ pub struct GuardedSystem<S> {
     actions: Vec<Action<S>>,
     fingerprint: Arc<dyn Fn(&S) -> u64 + Send + Sync>,
     expected_terminal: Arc<dyn Fn(&S) -> bool + Send + Sync>,
-    independent: Option<IndependenceFn>,
 }
 
 impl<S: Clone + Send + Sync> GuardedSystem<S> {
@@ -128,13 +124,6 @@ impl<S: Clone + Send + Sync> TransitionSystem for GuardedSystem<S> {
     fn label_name(&self, l: &GuardedLabel) -> String {
         l.name.clone()
     }
-
-    fn independent(&self, a: &GuardedLabel, b: &GuardedLabel) -> bool {
-        match &self.independent {
-            Some(f) => f(&a.name, &b.name),
-            None => false,
-        }
-    }
 }
 
 /// Label of a guarded transition: action index + name.
@@ -193,7 +182,6 @@ impl<S: Clone + Send + Sync + 'static> GuardedSystemBuilder<S> {
                     h.finish()
                 }),
                 expected_terminal: Arc::new(|_| true),
-                independent: None,
             },
         }
     }
@@ -219,13 +207,6 @@ impl<S: Clone + Send + Sync + 'static> GuardedSystemBuilder<S> {
     /// as deadlocks).
     pub fn expected_terminal(mut self, f: impl Fn(&S) -> bool + Send + Sync + 'static) -> Self {
         self.sys.expected_terminal = Arc::new(f);
-        self
-    }
-
-    /// Declare action independence by name (enables partial-order
-    /// reduction when the explorer asks for it).
-    pub fn independence(mut self, f: impl Fn(&str, &str) -> bool + Send + Sync + 'static) -> Self {
-        self.sys.independent = Some(Arc::new(f));
         self
     }
 
@@ -296,17 +277,5 @@ mod tests {
         let mut sys = two_counter();
         sys.set_initial([2, 2]);
         assert_eq!(sys.initial(), [2, 2]);
-    }
-
-    #[test]
-    fn independence_hook() {
-        let sys = GuardedSystemBuilder::new([0u8, 0u8])
-            .action("a", |_| true, |s| s[0] += 1)
-            .action("b", |_| true, |s| s[1] += 1)
-            .independence(|x, y| x != y)
-            .build();
-        let ls = sys.enabled(&[0, 0]);
-        assert!(sys.independent(&ls[0], &ls[1]));
-        assert!(!sys.independent(&ls[0], &ls[0]));
     }
 }

@@ -37,13 +37,6 @@ pub trait TransitionSystem: Sync {
     fn label_name(&self, l: &Self::Label) -> String {
         format!("{l:?}")
     }
-
-    /// May two transitions be reordered without affecting each other
-    /// (Mazurkiewicz independence)? Used by the optional partial-order
-    /// reduction; the default (never independent) disables reduction.
-    fn independent(&self, _a: &Self::Label, _b: &Self::Label) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -78,7 +71,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = Counter { bound: 3 };
         assert!(c.is_expected_terminal(&3));
-        assert!(!c.independent(&1, &2));
         assert_eq!(c.label_name(&1), "1");
         assert_eq!(c.enabled(&2), vec![1]);
         assert_eq!(c.apply(&2, &1), 3);

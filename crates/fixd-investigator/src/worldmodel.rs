@@ -622,51 +622,6 @@ impl TransitionSystem for WorldModel {
     fn label_name(&self, l: &ModelAction) -> String {
         l.describe()
     }
-
-    /// Conservative Mazurkiewicz independence: two actions commute if the
-    /// processes and channels they touch are disjoint. A `Deliver` touches
-    /// its channel, its destination process, and (through the sends the
-    /// handler performs) every channel out of the destination.
-    fn independent(&self, a: &ModelAction, b: &ModelAction) -> bool {
-        fn touched(l: &ModelAction) -> (Option<Pid>, Option<(Pid, Pid)>) {
-            match l {
-                ModelAction::Start { pid }
-                | ModelAction::FireTimer { pid }
-                | ModelAction::Crash { pid } => (Some(*pid), None),
-                ModelAction::Deliver { src, dst } => (Some(*dst), Some((*src, *dst))),
-                ModelAction::DropHead { src, dst } | ModelAction::DupHead { src, dst } => {
-                    (None, Some((*src, *dst)))
-                }
-            }
-        }
-        let (pa, ca) = touched(a);
-        let (pb, cb) = touched(b);
-        // Same channel touched => dependent.
-        if let (Some(x), Some(y)) = (ca, cb) {
-            if x == y {
-                return false;
-            }
-        }
-        // Same process runs a handler => dependent.
-        if let (Some(x), Some(y)) = (pa, pb) {
-            if x == y {
-                return false;
-            }
-        }
-        // A handler at p feeds channels (p, *): dependent with any action
-        // touching such a channel.
-        if let (Some(p), Some((s, _))) = (pa, cb) {
-            if p == s {
-                return false;
-            }
-        }
-        if let (Some(p), Some((s, _))) = (pb, ca) {
-            if p == s {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// Stable basis for [`WorldModel`] fingerprints (distinct from other
@@ -830,28 +785,6 @@ mod tests {
             .enabled(&s2)
             .iter()
             .any(|a| matches!(a, ModelAction::Crash { .. })));
-    }
-
-    #[test]
-    fn independence_is_conservative() {
-        let m = model(NetModel::reliable());
-        let d01 = ModelAction::Deliver {
-            src: Pid(0),
-            dst: Pid(1),
-        };
-        let d10 = ModelAction::Deliver {
-            src: Pid(1),
-            dst: Pid(0),
-        };
-        // Delivery at P1 may send into channel (1,0): dependent.
-        assert!(!m.independent(&d01, &d10));
-        let t0 = ModelAction::FireTimer { pid: Pid(0) };
-        let c23 = ModelAction::Deliver {
-            src: Pid(2),
-            dst: Pid(3),
-        };
-        assert!(m.independent(&t0, &c23));
-        assert!(!m.independent(&t0, &t0));
     }
 
     #[test]

@@ -110,9 +110,6 @@ impl<T: TransitionSystem> TransitionSystem for Counted<'_, T> {
     fn label_name(&self, l: &Self::Label) -> String {
         self.sys.label_name(l)
     }
-    fn independent(&self, a: &Self::Label, b: &Self::Label) -> bool {
-        self.sys.independent(a, b)
-    }
 }
 
 #[derive(Debug, PartialEq)]

@@ -1,18 +1,22 @@
 //! Equivalence suite for the exploration loop: on random guarded
-//! systems it must produce exactly a textbook BFS's reachable set, state
-//! count, transition count, depths and violation verdicts at every
-//! worker count, and identical canonical trails across worker counts
-//! and schedules.
+//! systems and on the example apps' world models it must produce exactly
+//! a textbook BFS's reachable set, state count, transition count, depths
+//! and violation verdicts at every worker count, and identical canonical
+//! trails across worker counts and schedules.
 
 mod common;
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use common::{naive_bfs, summary, Counted};
 use fixd_examples::two_phase_commit::tpc_factory;
 use fixd_investigator::{
-    ExploreConfig, Explorer, GuardedSystemBuilder, Invariant, NetModel, WorldModel,
+    ExploreConfig, Explorer, GuardedSystemBuilder, Invariant, NetModel, SearchOrder, WorldModel,
+    WorldState,
 };
+use fixd_runtime::{Pid, Program};
 
 /// A random bounded guarded system: `k` counters with caps, plus
 /// `transfers` cross-coupling actions that move a unit from one counter
@@ -82,6 +86,116 @@ fn stealing_lanes_do_not_thrash_on_two_phase_commit() {
         per_transition <= 1.5,
         "{per_transition} applies a transition"
     );
+}
+
+/// The `heal-loop` apps in its shapes, and the 1-put Chord-KV model, on
+/// a reliable network.
+fn app_models() -> Vec<(&'static str, WorldModel)> {
+    use fixd_examples::chord::{ChordNode, ChordRing};
+    use fixd_examples::kvstore::{self, BackupV1, Client, Primary};
+    use fixd_examples::pipeline::{Cruncher, Source};
+    use fixd_examples::token_ring::RingNode;
+    let net = NetModel::reliable();
+    vec![
+        (
+            "kvstore v1",
+            WorldModel::new(1, net, || {
+                vec![
+                    Box::new(Client {
+                        script: kvstore::script(3, 1),
+                    }) as Box<dyn Program>,
+                    Box::new(Primary::default()),
+                    Box::new(BackupV1::default()),
+                ]
+            }),
+        ),
+        (
+            "pipeline",
+            WorldModel::new(2, net, || {
+                vec![
+                    Box::new(Source { n_items: 6 }) as Box<dyn Program>,
+                    Box::new(Cruncher::buggy(50, 4)),
+                ]
+            }),
+        ),
+        (
+            "token ring",
+            WorldModel::new(3, net, || {
+                (0..4)
+                    .map(|i| {
+                        Box::new(if i == 1 {
+                            RingNode::buggy(10)
+                        } else {
+                            RingNode::correct()
+                        }) as Box<dyn Program>
+                    })
+                    .collect()
+            }),
+        ),
+        (
+            "2pc",
+            WorldModel::new(4, net, tpc_factory(vec![true, true, false], true)),
+        ),
+        (
+            "chord-kv",
+            WorldModel::new(5, net, || {
+                let ring = Arc::new(ChordRing::new(&[Pid(0), Pid(1), Pid(2)]));
+                (0..3)
+                    .map(|_| {
+                        Box::new(ChordNode::new(Arc::clone(&ring), 0, 0).with_kv_workload(1))
+                            as Box<dyn Program>
+                    })
+                    .collect()
+            }),
+        ),
+    ]
+}
+
+/// Something the apps can get wrong, so that violations are compared
+/// too: a read answered wrong, a duplicated token held twice over.
+fn app_invariants() -> [Invariant<WorldState>; 2] {
+    [
+        Invariant::new("no-bad-read", |s: &WorldState| {
+            (s.outputs().iter()).all(|(_, p)| {
+                p.first() != Some(&fixd_examples::chord::KV_READ_MARK) || p.get(1) == Some(&1)
+            })
+        }),
+        Invariant::new("one-token", |s: &WorldState| {
+            (0..s.width() as u32)
+                .filter(|&i| {
+                    s.program::<fixd_examples::token_ring::RingNode>(Pid(i))
+                        .is_some_and(|r| r.holding)
+                })
+                .count()
+                <= 1
+        }),
+    ]
+}
+
+/// Real program code, not a toy: on every app model the loop reports
+/// what the textbook BFS reports, in both one-worker orders and on two
+/// workers (which share the stealing lanes whatever the order).
+#[test]
+fn app_models_equal_the_textbook_bfs() {
+    let invariants = app_invariants();
+    for (name, model) in app_models() {
+        let reference = naive_bfs(&model, &invariants);
+        for order in [SearchOrder::Bfs, SearchOrder::Dfs] {
+            let cfg = ExploreConfig {
+                order: order.clone(),
+                ..uncapped()
+            };
+            let explorer = Explorer::new(&model, cfg).invariants(invariants.iter().cloned());
+            for workers in [1usize, 2] {
+                let report = explorer.run_parallel(workers);
+                assert_eq!(
+                    reference,
+                    summary(&report),
+                    "{name} {order:?} workers={workers}"
+                );
+            }
+        }
+    }
 }
 
 /// Regression for a schedule-dependent `transitions` count: a state

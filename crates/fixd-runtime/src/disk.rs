@@ -140,11 +140,6 @@ impl SharedDisk {
         Arc::strong_count(&self.inner)
     }
 
-    /// Do the two handles alias one disk?
-    pub fn same_disk(&self, other: &SharedDisk) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// Deterministic fingerprint of the durable contents.
     pub fn durable_fingerprint(&self) -> u64 {
         let d = self.inner.lock();
@@ -272,11 +267,6 @@ mod tests {
         d.sync();
         assert_eq!(d2.read(b"k"), Some(b"v".to_vec()));
         assert_eq!(d.handle_count(), 2);
-        assert!(d.same_disk(&d2));
-        assert!(
-            !d.same_disk(&SharedDisk::new()),
-            "equal contents, other disk"
-        );
     }
 
     /// The borrowing read sees what `read` returns — buffered writes and

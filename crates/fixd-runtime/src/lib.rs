@@ -90,7 +90,7 @@ pub use network::{DeliveryPolicy, LinkPolicy, NetStats, NetworkConfig, Partition
 pub use payload::{Payload, PayloadStats};
 pub use program::{Context, Program};
 pub use rng::DetRng;
-pub use shard::{ShardObserver, ShardTiming, ShardedWorld};
+pub use shard::{ShardTiming, ShardedWorld};
 pub use topology::Topology;
 pub use trace::{SharedStepRecord, StepRecord, Trace};
 pub use world::{

@@ -1,7 +1,6 @@
 //! Sharded worlds: the pid space partitioned across shards, each
-//! owning its processes' queues, clocks, and scroll prefixes and
-//! executed in parallel with the others, with **deterministic
-//! cross-shard message handoff**.
+//! owning its processes' queues and clocks and executed in parallel
+//! with the others, with **deterministic cross-shard message handoff**.
 //!
 //! ```text
 //!             window [T, T+L)          barrier              next window
@@ -21,15 +20,15 @@
 //! the network RNG, routing, partitions, stats, the trace) is touched
 //! only in the serial barrier replay, which processes the shards'
 //! staged steps merged by `(at, seq)` — reproducing the serial
-//! [`World`]'s event sequence, trace, and scroll bytes **byte for
-//! byte** at any shard count.
+//! [`World`](crate::World)'s event sequence and trace **byte for byte**
+//! at any shard count.
 //!
 //! Events scheduled *during* a window are only the pid's own timers; a
 //! timer landing inside the current window gets a *provisional* key
 //! (per-shard mint index) that the barrier resolves to its serial
 //! sequence number before the record is merged — valid because every
 //! in-window mint receives a serial seq greater than any pre-window
-//! key at the same timestamp ([`SeqKey`]'s ordering).
+//! key at the same timestamp (`SeqKey`'s ordering).
 //!
 //! ## Threads
 //!
@@ -37,20 +36,18 @@
 //! (a window touches nothing outside its shard), so it is purely a
 //! scheduling matter:
 //!
-//! * **Threads are created once per run call.** `run_to_quiescence`,
-//!   `run_supervised` and `run_observed` open one thread scope, spawn
-//!   `shards − 1` workers, and retire them before returning. Between
-//!   windows a worker is parked on a blocking channel receive — it never
-//!   spins, so idle workers cost nothing on hosts with fewer cores than
-//!   shards.
+//! * **Threads are created once per run call.** `run_to_quiescence` and
+//!   `run_supervised` open one thread scope, spawn `shards − 1`
+//!   workers, and retire them before returning. Between windows a
+//!   worker is parked on a blocking channel receive — it never spins, so
+//!   idle workers cost nothing on hosts with fewer cores than shards.
 //! * **The calling thread executes a shard itself.** Per window the
 //!   coordinator finds the shards with work (an event before the window
-//!   end, or committed records their observer has not seen), sends all
-//!   but the lowest-numbered one to their workers — the boxed shard
-//!   travels through the channel *by ownership* and comes back the same
-//!   way, so no worker ever borrows the world — runs the remaining one,
-//!   and collects the others for the barrier. A sharded run therefore
-//!   occupies `shards` threads, not `shards + 1`.
+//!   end), sends all but the lowest-numbered one to their workers — the
+//!   boxed shard travels through the channel *by ownership* and comes
+//!   back the same way, so no worker ever borrows the world — runs the
+//!   remaining one, and collects the others for the barrier. A sharded
+//!   run therefore occupies `shards` threads, not `shards + 1`.
 //! * **A window with at most one busy shard runs inline** on the
 //!   calling thread with no hand-off; so does every window of a
 //!   one-shard world. A shard with no work is not touched at all.
@@ -70,7 +67,7 @@
 //! [`ShardTiming`] reports the window counts.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -85,19 +82,9 @@ use crate::fault::FaultPlan;
 use crate::network::{NetStats, Partition};
 use crate::procs::{ProcFactory, ProcTable};
 use crate::program::Context;
-use crate::trace::{SharedStepRecord, Trace};
+use crate::trace::Trace;
 use crate::world::{NetSide, ProcStatus, ReplayStep, RunReport, WorldConfig};
 use crate::{Pid, VTime};
-
-/// Receives each emitted step record (with the target process's vector
-/// clock after the step) for the pids one shard owns — the hook
-/// per-shard scroll recorders implement. Records arrive in the pid's
-/// serial order; cross-pid order within one shard follows the global
-/// merge. No particular thread is promised: an observer is called by
-/// whichever thread executes its shard at the time, one at a time.
-pub trait ShardObserver: Send {
-    fn on_record(&mut self, record: &SharedStepRecord, vc_after: &VectorClock);
-}
 
 /// CPU time consumed by the *calling thread* — the right busy metric
 /// for [`ShardTiming`]: on hosts with fewer cores than shards the
@@ -217,10 +204,10 @@ struct PendingStep {
     key: SeqKey,
     kind: EventKind,
     effects: Effects,
-    /// The pid's clock after the step (captured only while observing).
+    /// The pid's clock after the step and the post-handler program
+    /// snapshot, captured only while a supervised run is recording a
+    /// replay stream.
     vc_after: Option<VectorClock>,
-    /// Post-handler program snapshot (captured only while a supervised
-    /// run is recording a replay stream).
     post_state: Option<Vec<u8>>,
 }
 
@@ -233,13 +220,6 @@ struct Shard {
     /// Steps executed this window, in shard-local order; the barrier
     /// pops them from the front, so the buffer outlives the window.
     out: VecDeque<PendingStep>,
-    /// Committed records owned by this shard, awaiting the observer
-    /// (drained at the start of the next window by whichever thread
-    /// executes the shard, in parallel across shards).
-    sink: Vec<(SharedStepRecord, VectorClock)>,
-    /// Per-pid clock value before its first touch this window — the
-    /// coordinator's drop-record clock timeline seeds from these.
-    win_vc0: HashMap<u32, VectorClock>,
     /// Per-shard recycling pool. Shards allocate message boxes inside
     /// their windows; the coordinator (which observes last references at
     /// the barrier) donates reclaimed shells back between windows.
@@ -255,36 +235,18 @@ impl Shard {
             cancelled: HashSet::new(),
             prov_next: 0,
             out: VecDeque::new(),
-            sink: Vec::new(),
-            win_vc0: HashMap::new(),
             arena: StepArena::new(),
             busy_window: Duration::ZERO,
-        }
-    }
-
-    fn drain_sink<O: ShardObserver>(&mut self, obs: Option<&mut O>) {
-        if let Some(o) = obs {
-            for (rec, vc) in self.sink.drain(..) {
-                o.on_record(&rec, &vc);
-            }
         }
     }
 
     /// Execute this shard's events with `at < wend`, staging each
     /// committed step into `out`. Mirrors `World::next_valid` +
     /// `World::step` exactly for the shard-local half of the work.
-    fn run_window<O: ShardObserver>(
-        &mut self,
-        wend: VTime,
-        n: usize,
-        start_time: VTime,
-        mode: RunMode,
-        obs: Option<&mut O>,
-    ) {
+    fn run_window(&mut self, wend: VTime, n: usize, start_time: VTime, mode: RunMode) {
         let t0 = thread_cpu_now();
-        self.drain_sink(obs);
         self.prov_next = 0;
-        let observing = mode.observing;
+        let capturing = mode.capturing;
         while self.queue.peek().is_some_and(|head| head.at < wend) {
             let ev = self.queue.pop().expect("peeked head exists");
             match ev.kind {
@@ -329,7 +291,7 @@ impl Shard {
                         // aliasing count to keep payload accounting
                         // byte-equal between executors.
                         crate::payload::note_aliased(msg.payload.len());
-                        let vc_after = observing.then(|| self.table.vc_of(msg.dst).clone());
+                        let vc_after = capturing.then(|| self.table.vc_of(msg.dst).clone());
                         self.out.push_back(PendingStep {
                             at: ev.at,
                             key: ev.key,
@@ -356,7 +318,7 @@ impl Shard {
                     }
                     // Status-only: a dormant target stays dormant.
                     self.table.set_status(pid, ProcStatus::Crashed);
-                    let vc_after = observing.then(|| self.table.vc_of(pid).clone());
+                    let vc_after = capturing.then(|| self.table.vc_of(pid).clone());
                     self.out.push_back(PendingStep {
                         at: ev.at,
                         key: ev.key,
@@ -387,14 +349,10 @@ impl Shard {
         start_time: VTime,
         mode: RunMode,
     ) {
-        let observing = mode.observing;
         let pid = kind.pid().expect("executable events target a pid");
         // Virtual "now" as the serial world would see it: monotonic,
         // floored at the configured start time.
         let at_eff = at.max(start_time);
-        if observing && !self.win_vc0.contains_key(&pid.0) {
-            self.win_vc0.insert(pid.0, self.table.vc_of(pid).clone());
-        }
         if let EventKind::Deliver { msg } = &kind {
             let e = self.table.ent_mut(pid);
             e.vc.tick(pid);
@@ -457,7 +415,7 @@ impl Shard {
         if effects.crashed {
             self.table.set_status(pid, ProcStatus::Crashed);
         }
-        let vc_after = observing.then(|| self.table.vc_of(pid).clone());
+        let vc_after = mode.capturing.then(|| self.table.vc_of(pid).clone());
         let post_state = mode.capturing.then(|| {
             self.table
                 .ent(pid)
@@ -499,12 +457,11 @@ impl DerefMut for Slot {
     }
 }
 
-/// One shard out for one window, with the observer that drains its
-/// sink. Handed to a worker and handed back **by ownership**, which is
-/// what lets a worker outlive the window without borrowing the world.
-struct Job<'a, O> {
+/// One shard out for one window. Handed to a worker and handed back
+/// **by ownership**, which is what lets a worker outlive the window
+/// without borrowing the world.
+struct Job {
     shard: Box<Shard>,
-    obs: Option<&'a mut O>,
     wend: VTime,
 }
 
@@ -512,9 +469,9 @@ struct Job<'a, O> {
 /// its own pair so that a worker dying mid-window (a handler panic)
 /// disconnects `done` and the coordinator's receive fails instead of
 /// waiting for a shard that will never come back.
-struct Link<'a, O> {
-    job: SyncSender<Job<'a, O>>,
-    done: Receiver<Job<'a, O>>,
+struct Link {
+    job: SyncSender<Job>,
+    done: Receiver<Job>,
 }
 
 /// Accounting of one sharded run: the parallel critical path (sum over
@@ -539,11 +496,11 @@ pub struct ShardTiming {
     pub inline_windows: u64,
 }
 
-/// A [`World`]-equivalent simulator that executes windows of events on
-/// `S` shards in parallel and commits them through a serial `(at, seq)`
-/// barrier merge. For any shard count the event sequence, trace, and
-/// observed scroll records are byte-identical to the serial `World`.
-/// See module docs for the discipline.
+/// A [`World`](crate::World)-equivalent simulator that executes windows
+/// of events on `S` shards in parallel and commits them through a serial
+/// `(at, seq)` barrier merge. For any shard count the event sequence,
+/// trace, and captured replay stream are byte-identical to the serial
+/// `World`'s. See module docs for the discipline.
 pub struct ShardedWorld {
     cfg: WorldConfig,
     n: usize,
@@ -575,13 +532,10 @@ pub struct ShardedWorld {
     /// Reusable delivery-plan scratch for the barrier's routing (same
     /// role as the serial world's).
     plan_scratch: Vec<crate::network::DeliveryOutcome>,
-    /// Barrier scratch (all three: empty between windows, capacity
-    /// kept). Provisional-key resolution: per shard, mint index →
-    /// serial scheduling seq.
+    /// Barrier scratch (both: empty between windows, capacity kept).
+    /// Provisional-key resolution: per shard, mint index → serial
+    /// scheduling seq.
     prov_map: Vec<Vec<u64>>,
-    /// Barrier scratch: pid → clock at the current merge position (the
-    /// drop-record clock timeline).
-    vc_at: HashMap<u32, VectorClock>,
     /// Barrier scratch: route-minted drops awaiting their merge slot.
     drops: BinaryHeap<DropEvent>,
     /// Mirror supervised-serial message stamping during execution (see
@@ -604,18 +558,12 @@ pub struct ShardedWorld {
 /// Flags threaded through one run call into the shard workers.
 #[derive(Clone, Copy)]
 struct RunMode {
-    /// Capture per-step vector clocks (observers or replay capture).
-    observing: bool,
-    /// Capture post-handler program snapshots for a replay stream.
+    /// Capture per-step vector clocks and post-handler program
+    /// snapshots for a replay stream.
     capturing: bool,
     /// Stamp checkpoint ordinals into receiver meta templates, exactly
     /// as a supervised serial run's Time Machine would.
     supervised: bool,
-}
-
-struct NoObserver;
-impl ShardObserver for NoObserver {
-    fn on_record(&mut self, _record: &SharedStepRecord, _vc_after: &VectorClock) {}
 }
 
 impl ShardedWorld {
@@ -671,7 +619,6 @@ impl ShardedWorld {
             event_batch: Vec::new(),
             plan_scratch: Vec::new(),
             prov_map: vec![Vec::new(); shards],
-            vc_at: HashMap::new(),
             drops: BinaryHeap::new(),
             supervised: false,
             capture: None,
@@ -723,7 +670,8 @@ impl ShardedWorld {
         pid.idx() % self.shards.len()
     }
 
-    /// Add a process (same pid assignment as [`World::add_process`]).
+    /// Add a process (same pid assignment as
+    /// [`World::add_process`](crate::World::add_process)).
     pub fn add_process(&mut self, program: Box<dyn crate::program::Program>) -> Pid {
         assert!(!self.sealed, "cannot add processes after the world started");
         let pid = Pid(self.n as u32);
@@ -737,8 +685,9 @@ impl ShardedWorld {
     }
 
     /// Add `count` lazily materialized processes (see
-    /// [`World::add_lazy_processes`]). The factory is shared by all
-    /// shards; each materializes only the pids it owns.
+    /// [`World::add_lazy_processes`](crate::World::add_lazy_processes)).
+    /// The factory is shared by all shards; each materializes only the
+    /// pids it owns.
     pub fn add_lazy_processes(
         &mut self,
         count: usize,
@@ -767,7 +716,7 @@ impl ShardedWorld {
 
     /// Schedule a fresh `on_start` for `pid` at the current time —
     /// mints its scheduling seq immediately, exactly like
-    /// [`World::schedule_start`].
+    /// [`World::schedule_start`](crate::World::schedule_start).
     pub fn schedule_start(&mut self, pid: Pid) {
         let seq = self.sched_seq;
         self.sched_seq += 1;
@@ -845,7 +794,7 @@ impl ShardedWorld {
     /// may overshoot `max_steps` — deterministically, and identically
     /// for every shard count, because the window grid is global.
     pub fn run_to_quiescence(&mut self, max_steps: u64) -> RunReport {
-        self.run_observed::<NoObserver>(max_steps, &mut [])
+        self.run(max_steps)
     }
 
     /// Run like [`ShardedWorld::run_to_quiescence`], but in
@@ -867,33 +816,17 @@ impl ShardedWorld {
         );
         self.supervised = true;
         self.capture = Some(Vec::new());
-        let report = self.run_observed::<NoObserver>(max_steps, &mut []);
+        let report = self.run(max_steps);
         let stream = self.capture.take().unwrap_or_default();
         (report, stream)
     }
 
-    /// [`ShardedWorld::run_to_quiescence`] with per-shard observers
-    /// (e.g. scroll recorders): `observers[s]` receives every committed
-    /// record whose pid shard `s` owns, in the pid's serial order, on
-    /// whichever thread executes shard `s` at the time (the caller's
-    /// included). `observers` must be empty or have exactly one entry
-    /// per shard.
-    ///
-    /// The call spawns its `shards - 1` worker threads once and retires
-    /// them before it returns; see the module docs.
-    pub fn run_observed<O: ShardObserver>(
-        &mut self,
-        max_steps: u64,
-        observers: &mut [O],
-    ) -> RunReport {
-        assert!(
-            observers.is_empty() || observers.len() == self.shards.len(),
-            "observer count must equal shard count"
-        );
+    /// The engine behind both run calls. It spawns its `shards - 1`
+    /// worker threads once and retires them before it returns; see the
+    /// module docs.
+    fn run(&mut self, max_steps: u64) -> RunReport {
         self.seal();
-        let has_obs = !observers.is_empty();
         let mode = RunMode {
-            observing: has_obs || self.capture.is_some(),
             capturing: self.capture.is_some(),
             supervised: self.supervised,
         };
@@ -902,17 +835,13 @@ impl ShardedWorld {
         let s0 = self.steps;
         let n = self.n;
         let start_time = self.cfg.start_time;
-        // An observer travels with its shard: whoever executes the
-        // shard's window drains the shard's sink into it.
-        let mut obs: Vec<Option<&mut O>> = observers.iter_mut().map(Some).collect();
-        obs.resize_with(self.shards.len(), || None);
         let worker_payload = std::thread::scope(|scope| {
             // Worker `s` serves shard `s`; shard 0 has none — the
             // calling thread always executes a shard itself.
             let (links, workers): (Vec<_>, Vec<_>) = (1..self.shards.len())
                 .map(|_| {
-                    let (job, jobs) = sync_channel::<Job<O>>(1);
-                    let (dones, done) = sync_channel::<Job<O>>(1);
+                    let (job, jobs) = sync_channel::<Job>(1);
+                    let (dones, done) = sync_channel::<Job>(1);
                     let worker = scope.spawn(move || {
                         // A worker outlives its windows, so its payload
                         // traffic is a delta, not the counters' value.
@@ -920,8 +849,7 @@ impl ShardedWorld {
                         // Parked on the receive between windows; both
                         // loop exits mean the coordinator is gone.
                         while let Ok(mut j) = jobs.recv() {
-                            j.shard
-                                .run_window(j.wend, n, start_time, mode, j.obs.as_deref_mut());
+                            j.shard.run_window(j.wend, n, start_time, mode);
                             if dones.send(j).is_err() {
                                 break;
                             }
@@ -936,9 +864,9 @@ impl ShardedWorld {
                     break;
                 };
                 let wend = self.window_end(tmin);
-                self.run_window(wend, mode, &mut obs, &links);
+                self.run_window(wend, mode, &links);
                 let t0 = thread_cpu_now();
-                self.barrier_replay(wend, mode.observing, has_obs);
+                self.barrier_replay(wend);
                 self.serial += thread_cpu_now().saturating_sub(t0);
             }
             drop(links); // wakes every parked worker into its exit
@@ -948,9 +876,6 @@ impl ShardedWorld {
                 .fold(crate::payload::PayloadStats::default(), |a, d| a.plus(d))
         });
         self.payload_accum = self.payload_accum.plus(worker_payload);
-        for (sh, o) in self.shards.iter_mut().zip(obs) {
-            sh.drain_sink(o);
-        }
         RunReport {
             steps: self.steps - s0,
             delivered: self.stats.delivered - d0,
@@ -964,13 +889,7 @@ impl ShardedWorld {
     /// lowest such shard runs on the calling thread, the others go out
     /// to their parked workers first and are collected after it; a
     /// window with at most one busy shard involves no other thread.
-    fn run_window<'a, O: ShardObserver>(
-        &mut self,
-        wend: VTime,
-        mode: RunMode,
-        obs: &mut [Option<&'a mut O>],
-        links: &[Link<'a, O>],
-    ) {
+    fn run_window(&mut self, wend: VTime, mode: RunMode, links: &[Link]) {
         let n = self.n;
         let start_time = self.cfg.start_time;
         // Close the recycling loop: barrier evictions landed in the
@@ -985,11 +904,8 @@ impl ShardedWorld {
         }
         let mut own: Option<usize> = None;
         for (s, slot) in self.shards.iter_mut().enumerate() {
-            // Work is an event inside the window or committed records
-            // the shard's observer has not seen yet.
-            let busy =
-                !slot.sink.is_empty() || slot.queue.peek().is_some_and(|head| head.at < wend);
-            if !busy {
+            // Work is an event inside the window.
+            if slot.queue.peek().is_none_or(|head| head.at >= wend) {
                 slot.busy_window = Duration::ZERO;
             } else if own.is_none() {
                 own = Some(s);
@@ -997,18 +913,14 @@ impl ShardedWorld {
                 let shard = slot.0.take().expect("shard is home at window start");
                 links[s - 1]
                     .job
-                    .send(Job {
-                        shard,
-                        obs: obs[s].take(),
-                        wend,
-                    })
+                    .send(Job { shard, wend })
                     .expect("shard worker panicked");
             }
         }
         if let Some(s) = own {
             // Handler payload traffic lands on this thread's counters,
             // already covered by `payload_base`.
-            self.shards[s].run_window(wend, n, start_time, mode, obs[s].as_deref_mut());
+            self.shards[s].run_window(wend, n, start_time, mode);
         }
         let mut inline = true;
         for (s, slot) in self.shards.iter_mut().enumerate() {
@@ -1016,7 +928,6 @@ impl ShardedWorld {
                 // A worker that panicked dropped its end of `done`.
                 let j = links[s - 1].done.recv().expect("shard worker panicked");
                 slot.0 = Some(j.shard);
-                obs[s] = j.obs;
                 inline = false;
             }
         }
@@ -1034,19 +945,8 @@ impl ShardedWorld {
     /// `(at, seq)`, replaying all globally ordered effects — exec-seq
     /// minting, routing (network RNG draws, partitions, stats), timer
     /// scheduling, trace/crash records — in the serial world's order.
-    fn barrier_replay(&mut self, wend: VTime, observing: bool, has_obs: bool) {
+    fn barrier_replay(&mut self, wend: VTime) {
         let shard_count = self.shards.len();
-        // The drop-record clock timeline is seeded from each shard's
-        // window-start captures.
-        if observing {
-            for sh in &mut self.shards {
-                self.vc_at.extend(sh.win_vc0.drain());
-            }
-        } else {
-            for sh in &mut self.shards {
-                sh.win_vc0.clear();
-            }
-        }
 
         #[derive(Clone, Copy)]
         enum Src {
@@ -1092,7 +992,6 @@ impl ShardedWorld {
                     self.exec_seq += 1;
                     self.stats.dropped += 1;
                     self.steps += 1;
-                    let dst = d.msg.dst;
                     let effects = self.arena.make_effects();
                     let record = self.arena.make_record(
                         Event {
@@ -1107,19 +1006,10 @@ impl ShardedWorld {
                     }
                     if let Some(cap) = self.capture.as_mut() {
                         cap.push(ReplayStep {
-                            record: Arc::clone(&record),
+                            record,
                             vc_after: None,
                             post_state: None,
                         });
-                    }
-                    if has_obs {
-                        let owner = dst.idx() % shard_count;
-                        let vc = self
-                            .vc_at
-                            .get(&dst.0)
-                            .cloned()
-                            .unwrap_or_else(|| self.shards[owner].table.vc_of(dst).clone());
-                        self.shards[owner].sink.push((record, vc));
                     }
                 }
                 Src::Partition => {
@@ -1152,8 +1042,7 @@ impl ShardedWorld {
                     }
                 }
                 Src::Shard(s) => {
-                    let mut ps = self.shards[s].out.pop_front().expect("peeked step exists");
-                    let post_state = ps.post_state.take();
+                    let ps = self.shards[s].out.pop_front().expect("peeked step exists");
                     let pid = ps.kind.pid().expect("shard steps target a pid");
                     let k = self.exec_seq;
                     self.exec_seq += 1;
@@ -1251,30 +1140,21 @@ impl ShardedWorld {
                     if let Some(evicted) = self.trace.push(Arc::clone(&record)) {
                         self.arena.recycle_record(evicted);
                     }
-                    if observing {
-                        if let Some(vc) = ps.vc_after {
-                            self.vc_at.insert(pid.0, vc.clone());
-                            if let Some(cap) = self.capture.as_mut() {
-                                cap.push(ReplayStep {
-                                    record: Arc::clone(&record),
-                                    vc_after: Some(vc.clone()),
-                                    post_state,
-                                });
-                            }
-                            if has_obs {
-                                self.shards[s].sink.push((record, vc));
-                            }
-                        }
+                    if let Some(cap) = self.capture.as_mut() {
+                        cap.push(ReplayStep {
+                            record,
+                            vc_after: ps.vc_after,
+                            post_state: ps.post_state,
+                        });
                     }
                 }
             }
         }
         // Leave the scratch empty (`drops` drained itself): capacity
-        // stays, clock handles do not outlive the barrier.
+        // stays.
         for resolved in &mut self.prov_map {
             resolved.clear();
         }
-        self.vc_at.clear();
     }
 
     // ------------------------------------------------------------------
@@ -1351,7 +1231,8 @@ impl ShardedWorld {
             .downcast_ref::<T>()
     }
 
-    /// Snapshot every process, exactly as [`World::global_snapshot`].
+    /// Snapshot every process, exactly as
+    /// [`World::global_snapshot`](crate::World::global_snapshot).
     pub fn global_snapshot(&self) -> crate::world::GlobalSnapshot {
         let mut states = Vec::with_capacity(self.n);
         let mut vcs = Vec::with_capacity(self.n);

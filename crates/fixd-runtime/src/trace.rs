@@ -12,8 +12,9 @@
 //! keeps the record around all alias that single allocation — pushing a
 //! record is a reference-count bump, not a deep clone of the event and
 //! its effects. Outputs are no longer copied into a side list either:
-//! they live (as shared [`Payload`]s) inside each record's effects, and
-//! [`Trace::outputs_of`]/[`Trace::outputs`] read them from there.
+//! they live (as shared [`Payload`](crate::Payload)s) inside each
+//! record's effects, and [`Trace::outputs_of`]/[`Trace::outputs`] read
+//! them from there.
 
 use std::sync::Arc;
 

@@ -374,7 +374,7 @@ impl World {
 
     /// Add `count` processes that materialize lazily: each slot costs 8
     /// bytes until the first event touches it, at which point `factory`
-    /// builds the program and the full [`ProcEntry`] (clock, RNG stream,
+    /// builds the program and the full process entry (clock, RNG stream,
     /// counters) is created exactly as [`World::add_process`] would have.
     ///
     /// Lazy processes get **no** automatic `Start` event at seal time —

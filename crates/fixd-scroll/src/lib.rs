@@ -42,7 +42,7 @@ pub use cut::{latest_consistent_cut, Cut};
 pub use entry::{EntryKind, ScrollEntry};
 pub use merge::{check_causal_consistency, merge_total_order, CausalViolation};
 pub use query::ScrollQuery;
-pub use record::{record_run, record_run_sharded, RecordConfig, ScrollRecorder};
+pub use record::{record_run, RecordConfig, ScrollRecorder};
 pub use replay::{replay_process, Fidelity, ReplayOutcome};
 pub use stats::ScrollStats;
 pub use storage::{ScrollStore, SpillConfig, StorageError};

@@ -9,7 +9,7 @@
 //! that asymmetry is what keeps the Scroll cheap (experiment F1 measures
 //! it).
 
-use fixd_runtime::{EventKind, Pid, SharedStepRecord, StepRecord, VectorClock, World};
+use fixd_runtime::{EventKind, Pid, StepRecord, World};
 
 use crate::entry::{EntryKind, ScrollEntry};
 use crate::storage::ScrollStore;
@@ -83,14 +83,6 @@ impl ScrollRecorder {
         let Some(pid) = step.event.kind.pid() else {
             return;
         };
-        self.observe_with_vc(world.proc_vc(pid), step);
-    }
-
-    /// [`Self::observe`] with the acting process's post-event clock
-    /// supplied directly instead of read from a [`World`] — the hook a
-    /// [`fixd_runtime::ShardedWorld`] observer uses, where the clock
-    /// arrives with the record rather than from shared world state.
-    pub fn observe_with_vc(&mut self, vc_after: &VectorClock, step: &StepRecord) {
         let kind = match &step.event.kind {
             EventKind::Start { .. } => EntryKind::Start,
             EventKind::Deliver { msg } => EntryKind::Deliver { msg: msg.clone() },
@@ -106,9 +98,6 @@ impl ScrollRecorder {
             }
             EventKind::PartitionChange { .. } => return,
         };
-        let Some(pid) = step.event.kind.pid() else {
-            return;
-        };
         let local_seq = self.next_seq[pid.idx()];
         self.next_seq[pid.idx()] += 1;
         self.store.append(ScrollEntry {
@@ -116,7 +105,7 @@ impl ScrollRecorder {
             local_seq,
             at: step.event.at,
             lamport: lamport_of(&kind, step),
-            vc: vc_after.clone(),
+            vc: world.proc_vc(pid).clone(),
             kind,
             randoms: step.effects.randoms.clone(),
             effects_fp: step.effects.fingerprint(),
@@ -140,34 +129,6 @@ impl ScrollRecorder {
         self.store.truncate(pid, n as usize);
         self.next_seq[pid.idx()] = n;
     }
-}
-
-/// A shard worker feeds its records (and post-event clocks) straight
-/// into a recorder: give each shard its own [`ScrollRecorder`] over the
-/// full pid width, and every pid's scroll lands wholly in its owner's
-/// recorder — [`ScrollStore::merge_disjoint`] then reassembles the
-/// stores into the byte-identical serial scroll.
-impl fixd_runtime::ShardObserver for ScrollRecorder {
-    fn on_record(&mut self, record: &SharedStepRecord, vc_after: &VectorClock) {
-        self.observe_with_vc(vc_after, record);
-    }
-}
-
-/// Convenience mirroring [`record_run`] for a [`ShardedWorld`]: run to
-/// quiescence (bounded by `max_steps`) with one recorder per shard,
-/// returning the merged store and the run report.
-pub fn record_run_sharded(
-    world: &mut fixd_runtime::ShardedWorld,
-    cfg: RecordConfig,
-    max_steps: u64,
-) -> (ScrollStore, fixd_runtime::RunReport) {
-    let n = world.num_procs();
-    let mut recorders: Vec<ScrollRecorder> = (0..world.shards())
-        .map(|_| ScrollRecorder::new(n, cfg))
-        .collect();
-    let report = world.run_observed(max_steps, &mut recorders);
-    let store = ScrollStore::merge_disjoint(recorders.into_iter().map(ScrollRecorder::into_store));
-    (store, report)
 }
 
 /// Lamport value to store: for deliveries, the receiver advanced past the

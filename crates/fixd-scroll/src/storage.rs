@@ -260,48 +260,6 @@ impl ScrollStore {
         }
     }
 
-    /// Reassemble per-shard stores into one. Each input covers the full
-    /// pid space but holds entries only for the pids its shard owned;
-    /// ownership is disjoint, so column `p` of the result is moved from
-    /// the unique input that recorded for `p`. Two inputs both holding
-    /// entries (resident or spilled) for the same pid is a caller bug
-    /// and panics. The first store's spill config is kept, so an input
-    /// whose sealed segments live on another disk (or a first store
-    /// without one) is refused too: the merged store could not read them.
-    pub fn merge_disjoint(stores: impl IntoIterator<Item = ScrollStore>) -> ScrollStore {
-        let mut out: Option<ScrollStore> = None;
-        for mut s in stores {
-            let Some(acc) = &mut out else {
-                out = Some(s);
-                continue;
-            };
-            assert_eq!(
-                acc.width(),
-                s.width(),
-                "merge_disjoint: stores must cover the same pid space"
-            );
-            for i in 0..s.per_pid.len() {
-                if s.per_pid[i].is_empty() && s.spilled[i].is_empty() {
-                    continue;
-                }
-                assert!(
-                    acc.per_pid[i].is_empty() && acc.spilled[i].is_empty(),
-                    "merge_disjoint: pid {i} recorded by more than one store"
-                );
-                assert!(
-                    s.spilled[i].is_empty()
-                        || matches!((&acc.spill, &s.spill),
-                                    (Some(kept), Some(own)) if kept.disk.same_disk(&own.disk)),
-                    "merge_disjoint: pid {i}'s sealed segments live on another disk"
-                );
-                acc.per_pid[i] = std::mem::take(&mut s.per_pid[i]);
-                acc.spilled[i] = std::mem::take(&mut s.spilled[i]);
-                acc.resident_weight[i] = s.resident_weight[i];
-            }
-        }
-        out.unwrap_or_default()
-    }
-
     /// Seal `pid`'s resident entries into a segment and spill it to the
     /// configured disk. No-op without a spill config or with an empty
     /// resident tail.
@@ -1111,33 +1069,6 @@ mod tests {
         deleted_blob_fails_save_dir: Delete, save => "missing from SharedDisk";
         deleted_blob_fails_scroll: Delete, decode => "missing from SharedDisk";
         deleted_blob_fails_truncate: Delete, truncate_into_first_segment => "missing from SharedDisk";
-    }
-
-    /// Sealed segments can be read only from the disk they were sealed
-    /// to: a merge that would keep another disk's config, or none, for
-    /// them refuses, instead of leaving every later read "missing".
-    #[test]
-    fn merge_disjoint_refuses_segments_sealed_to_another_disk() {
-        let spilling = |disk: &SharedDisk, pid: u32| {
-            let mut s = ScrollStore::with_spill(2, SpillConfig::new(disk.clone(), 300));
-            (0..50).for_each(|i| s.append(deliver_entry(pid, i, vec![i as u8; 16])));
-            assert!(!s.spilled[pid as usize].is_empty());
-            s
-        };
-        let (disk, other) = (SharedDisk::new(), SharedDisk::new());
-        let merged = ScrollStore::merge_disjoint([spilling(&disk, 0), spilling(&disk, 1)]);
-        assert_eq!(
-            merged.encode_segment(Pid(1)),
-            spilling(&disk, 1).encode_segment(Pid(1))
-        );
-        for kept in [spilling(&other, 0), ScrollStore::new(2)] {
-            let second = spilling(&disk, 1);
-            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ScrollStore::merge_disjoint([kept, second])
-            }));
-            let message = *refused.unwrap_err().downcast::<String>().unwrap();
-            assert!(message.contains("live on another disk"), "{message}");
-        }
     }
 
     /// A seal record at odds with its intact blob — the store's own bug,

@@ -250,8 +250,8 @@ proptest! {
     /// any threshold — and stays so through every way a store's sealed
     /// prefix changes: truncation inside a sealed segment, at a segment
     /// boundary, at the sealed/resident boundary and to zero (each
-    /// followed by an append), an explicit seal that empties the tail,
-    /// and reassembly from per-shard stores.
+    /// followed by an append), and an explicit seal that empties the
+    /// tail.
     #[test]
     fn spilled_read_back_equals_the_unspilled_encoding(stream in arb_stream(),
                                                         threshold in arb_threshold(),
@@ -260,16 +260,12 @@ proptest! {
         let disk = SharedDisk::new();
         let mut spilled = spilling(&disk, threshold);
         let mut control = ScrollStore::new(3);
-        // One store per "shard" (pid parity) on the one disk, for
-        // `merge_disjoint` (which keeps the first store's spill config).
-        let mut shards = [spilling(&disk, threshold), spilling(&disk, threshold)];
         // Where each pid's seals fell, as scroll lengths.
         let mut seals: [Vec<usize>; 3] = Default::default();
         for e in &stream {
             let before = spilled.spilled_segments();
             spilled.append(e.clone());
             control.append(e.clone());
-            shards[e.pid.idx() % 2].append(e.clone());
             if spilled.spilled_segments() > before {
                 seals[e.pid.idx()].push(spilled.len(e.pid));
             }
@@ -282,7 +278,6 @@ proptest! {
             prop_assert_eq!(spilled.spilled_segments(), 0);
         }
         assert_reads_back_as(&spilled, &control, "as recorded");
-        assert_reads_back_as(&ScrollStore::merge_disjoint(shards), &control, "merged shards");
 
         for pid in (0..3).map(Pid) {
             let (len, seals) = (spilled.len(pid), &seals[pid.idx()]);

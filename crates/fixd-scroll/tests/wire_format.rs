@@ -10,10 +10,16 @@
 //!    `u64`-list clocks, pre-sparse refactor) must still decode to the
 //!    same entries. The v1 bytes are frozen inline below; the v1
 //!    encoder is gone, so these can never be regenerated — do not edit.
+//!
+//! And one robustness guarantee: hostile bytes — arbitrary ones, and
+//! every truncation and single-byte mutation of both goldens — make
+//! either decoder return an error, never panic, and the copying and the
+//! zero-copy decoder always agree.
 
-use fixd_runtime::{Message, MsgMeta, Pid, TimerId, VectorClock};
-use fixd_scroll::codec::{decode_segment, encode_segment, FORMAT_VERSION};
+use fixd_runtime::{Message, MsgMeta, Payload, Pid, TimerId, VectorClock};
+use fixd_scroll::codec::{decode_segment, decode_segment_shared, encode_segment, FORMAT_VERSION};
 use fixd_scroll::entry::{EntryKind, ScrollEntry};
+use proptest::prelude::*;
 
 const V2_FIXTURE: &str = "tests/fixtures/golden_segment_v2.hex";
 
@@ -195,4 +201,65 @@ fn v2_clock_cost_scales_with_footprint_not_width() {
         wide.len(),
         narrow.len()
     );
+}
+
+/// Both decoders on `bytes`, as `Some(entries)` or `None`: a panic
+/// fails the caller, and unequal results are a disagreement.
+fn decode_both(bytes: &[u8]) -> (Option<Vec<ScrollEntry>>, Option<Vec<ScrollEntry>>) {
+    let copied = decode_segment(bytes).ok();
+    let shared = decode_segment_shared(&Payload::from(bytes.to_vec())).ok();
+    (copied, shared)
+}
+
+fn v2_golden_bytes() -> Vec<u8> {
+    hex_to_bytes(&std::fs::read_to_string(V2_FIXTURE).expect("v2 golden fixture"))
+}
+
+/// Every proper prefix is an error; every other value of any one byte
+/// decodes or errs, the same way in both decoders. One thread a golden.
+#[test]
+fn every_truncation_and_byte_mutation_of_the_goldens_decodes_or_errs() {
+    let hostile = |version: u8, golden: Vec<u8>| {
+        for cut in 0..golden.len() {
+            let (copied, shared) = decode_both(&golden[..cut]);
+            assert_eq!(copied, shared, "v{version} cut at {cut}");
+            assert!(copied.is_none(), "v{version} cut at {cut} decoded");
+        }
+        let mut mutated = golden.clone();
+        for at in 0..golden.len() {
+            for byte in (0..=u8::MAX).filter(|&b| b != golden[at]) {
+                mutated[at] = byte;
+                let (copied, shared) = decode_both(&mutated);
+                assert_eq!(copied, shared, "v{version} byte {at} set to {byte:#04x}");
+            }
+            mutated[at] = golden[at];
+        }
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| hostile(1, v1_golden_bytes()));
+        hostile(2, v2_golden_bytes());
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes, raw or behind a plausible header (a known
+    /// version and a small entry count), so that the entry decoder is
+    /// reached, not only the header checks.
+    #[test]
+    fn arbitrary_bytes_decode_or_err_alike(
+        framed in any::<bool>(),
+        version in 0u8..4,
+        count in 0u8..4,
+        body in proptest::collection::vec(any::<u8>(), 0..160),
+    ) {
+        let bytes = if framed {
+            [vec![version, count], body].concat()
+        } else {
+            body
+        };
+        let (copied, shared) = decode_both(&bytes);
+        prop_assert_eq!(copied, shared, "{:02x?}", bytes);
+    }
 }

@@ -2,8 +2,9 @@
 //!
 //! The build environment has no crates.io access, so this workspace
 //! member re-implements the subset of proptest that the fixd property
-//! suites consume: the [`Strategy`] trait with `prop_map`/`boxed`,
-//! range and tuple strategies, [`collection::vec`], `any::<T>()`,
+//! suites consume: the [`Strategy`](strategy::Strategy) trait with
+//! `prop_map`/`boxed`, range and tuple strategies, [`collection::vec`],
+//! `any::<T>()`,
 //! `Just`, `prop_oneof!`, and the `proptest! { #![proptest_config(..)]
 //! #[test] fn name(x in strat, ..) { .. } }` macro with
 //! `prop_assert!`/`prop_assert_eq!`/`prop_assert_ne!`.
