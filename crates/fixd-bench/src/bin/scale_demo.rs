@@ -30,8 +30,8 @@ use std::sync::Arc;
 use fixd_bench::{live_bytes, CountingAlloc};
 use fixd_examples::chord::{chord_factory, ChordNode, ChordRing};
 use fixd_runtime::{
-    clock::INLINE_PAIRS, ArenaStats, EventKind, Pid, ShardedWorld, World, WorldConfig,
-    EFF_POOL_CAP, MSG_POOL_CAP, RAND_POOL_CAP, REC_POOL_CAP,
+    clock::INLINE_PAIRS, ArenaStats, EventKind, Pid, World, WorldConfig, EFF_POOL_CAP,
+    MSG_POOL_CAP, RAND_POOL_CAP, REC_POOL_CAP,
 };
 
 #[global_allocator]
@@ -165,8 +165,8 @@ fn run_once(width: usize, seed: u64, mut nnz_hist: Option<&mut [u64]>) -> RunRes
     }
 }
 
-/// Run the same (churn-free) Chord workload on a [`ShardedWorld`] at
-/// `width` and return the coordinator's and every shard's arena
+/// Run the same (churn-free) Chord workload on a world sharded
+/// [`ARENA_SHARDS`] ways at `width` and return the coordinator's and every shard's arena
 /// counters after quiescence — the per-shard resident-bytes data that
 /// informs the pool caps (4096/1024/1024/1024) at 10^6-wide worlds.
 fn sharded_arena_census(width: usize, seed: u64) -> (ArenaStats, Vec<ArenaStats>) {
@@ -175,7 +175,7 @@ fn sharded_arena_census(width: usize, seed: u64) -> (ArenaStats, Vec<ArenaStats>
 
     let mut cfg = WorldConfig::seeded(seed);
     cfg.trace_cap = Some(ARENA_TRACE_CAP);
-    let mut w = ShardedWorld::new(cfg, ARENA_SHARDS);
+    let mut w = World::new(cfg);
     w.add_lazy_processes(
         width,
         chord_factory(Arc::clone(&ring), STABILIZE_ROUNDS, LOOKUPS_PER_MEMBER),
@@ -183,6 +183,7 @@ fn sharded_arena_census(width: usize, seed: u64) -> (ArenaStats, Vec<ArenaStats>
     for &m in &members {
         w.schedule_start(m);
     }
+    w.shard(ARENA_SHARDS);
     let report = w.run_to_quiescence(10_000_000);
     assert!(report.quiescent, "sharded census workload must drain");
     assert!(

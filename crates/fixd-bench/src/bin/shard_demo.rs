@@ -15,7 +15,8 @@
 //!   `steps / (coordinator + critical_path)` from
 //!   [`fixd_runtime::ShardTiming`] — the run's own measured per-shard
 //!   busy time, combined as a perfectly-scheduled parallel machine
-//!   would. The JSON labels which mode gated.
+//!   would. One shard is the plain serial world, whose modelled time is
+//!   its measured time. The JSON labels which mode gated.
 //!
 //! Emits `BENCH_shard.json`; exits non-zero on gate failure (the CI
 //! bench job runs this).
@@ -26,8 +27,7 @@ use std::hint::black_box;
 
 use fixd_runtime::wire::fnv_mix;
 use fixd_runtime::{
-    clock::INLINE_PAIRS, Context, EventKind, Message, Pid, Program, ShardedWorld, TimerId, World,
-    WorldConfig,
+    clock::INLINE_PAIRS, Context, EventKind, Message, Pid, Program, TimerId, World, WorldConfig,
 };
 
 /// Eager processes — every one of them active the whole run.
@@ -106,7 +106,7 @@ impl Program for Churn {
 }
 
 /// Order-dependent fingerprint over the full record sequence.
-fn trace_fp(w: &ShardedWorld) -> u64 {
+fn trace_fp(w: &World) -> u64 {
     let mut h = 0x517E_u64;
     for r in w.trace().records() {
         h = fnv_mix(h, r.event.seq);
@@ -124,16 +124,21 @@ struct RunResult {
 }
 
 fn run_once(shards: usize, seed: u64) -> RunResult {
-    let mut w = ShardedWorld::new(WorldConfig::seeded(seed), shards);
+    let mut w = World::new(WorldConfig::seeded(seed));
     for _ in 0..N {
         w.add_process(Box::new(Churn { acc: 0, seen: 0 }));
     }
+    w.shard(shards);
     let t0 = std::time::Instant::now();
     let report = w.run_to_quiescence(10_000_000);
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
     assert!(report.quiescent, "workload must drain");
-    let t = w.timing();
-    let modelled_secs = (t.coordinator + t.critical).as_secs_f64().max(1e-9);
+    let t = w.shard_timing();
+    let modelled_secs = if shards > 1 {
+        (t.coordinator + t.critical).as_secs_f64().max(1e-9)
+    } else {
+        secs
+    };
     RunResult {
         steps: report.steps,
         fp: trace_fp(&w),
@@ -155,9 +160,9 @@ struct ShardResult {
 }
 
 fn main() {
-    // The serial reference: identical workload on the plain World — the
-    // sharded executor's fingerprints are checked against each other,
-    // and its step count against the serial run.
+    // The serial reference: identical workload on an unsharded World —
+    // the sharded runs' fingerprints are checked against each other,
+    // and their step count against the serial run.
     // The serial pass doubles as a clock-sparsity census (the sharded
     // runs execute the identical event sequence): how many delivered
     // messages' vector clocks still fit the inline representation.

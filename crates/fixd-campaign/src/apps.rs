@@ -76,12 +76,12 @@ pub fn standard_cases() -> Vec<FaultCase> {
 /// lossless cases.
 pub fn token_ring_app() -> AppSpec {
     const N: usize = 4;
-    AppSpec::from_populate(
-        "token_ring",
-        &[Clean, Crash, Loss, Reorder, Part],
-        |host, _seed| token_ring::ring_populate(host, N, None),
-        Arc::new(|| vec![token_ring::mutex_monitor()]),
-        Arc::new(|w, case, fault| {
+    AppSpec {
+        name: "token_ring",
+        supports: &[Clean, Crash, Loss, Reorder, Part],
+        build: Arc::new(|cfg| token_ring::ring_world_cfg(cfg, N, None)),
+        monitors: Arc::new(|| vec![token_ring::mutex_monitor()]),
+        check: Arc::new(|w, case, fault| {
             let entries: u64 = (0..N)
                 .map(|i| w.program::<RingNode>(Pid(i as u32)).unwrap().entries)
                 .sum();
@@ -101,7 +101,7 @@ pub fn token_ring_app() -> AppSpec {
             }
             CellCheck::pass(metrics)
         }),
-    )
+    }
 }
 
 /// The shared primary/backup postconditions, over either kv pair:
@@ -134,12 +134,15 @@ fn kv_postconditions(
 /// applied sequence is always gap-free, never ahead of the primary, and
 /// byte-identical to the primary once caught up.
 pub fn kvstore_app() -> AppSpec {
-    AppSpec::from_populate(
-        "kvstore",
-        &[Clean, Crash, Loss, Duplication, Reorder],
-        |host, seed| kvstore::kv_populate_v2(host, kvstore::script(10, seed)),
-        Arc::new(|| vec![kvstore::gap_monitor()]),
-        Arc::new(|w, case, fault| {
+    AppSpec {
+        name: "kvstore",
+        supports: &[Clean, Crash, Loss, Duplication, Reorder],
+        build: Arc::new(|cfg| {
+            let script = kvstore::script(10, cfg.seed);
+            kvstore::kv_world_v2_cfg(cfg, script)
+        }),
+        monitors: Arc::new(|| vec![kvstore::gap_monitor()]),
+        check: Arc::new(|w, case, fault| {
             let p = w.program::<kvstore::Primary>(Pid(1)).unwrap();
             let b = w.program::<kvstore::BackupV2>(Pid(2)).unwrap();
             let metrics = vec![
@@ -160,7 +163,7 @@ pub fn kvstore_app() -> AppSpec {
             }
             CellCheck::pass(metrics)
         }),
-    )
+    }
 }
 
 /// Primary/backup KV store with the **buggy** arrival-order backup
@@ -176,12 +179,15 @@ pub fn kvstore_app() -> AppSpec {
 /// aggregate detection fraction, so detection power is
 /// regression-tested rather than assumed.
 pub fn kvstore_buggy_app() -> AppSpec {
-    AppSpec::from_populate(
-        "kvstore_buggy",
-        &[Clean, Reorder],
-        |host, seed| kvstore::kv_populate_v1(host, kvstore::script(12, seed)),
-        Arc::new(|| vec![kvstore::gap_monitor()]),
-        Arc::new(|w, case, fault| {
+    AppSpec {
+        name: "kvstore_buggy",
+        supports: &[Clean, Reorder],
+        build: Arc::new(|cfg| {
+            let script = kvstore::script(12, cfg.seed);
+            kvstore::kv_world_v1_cfg(cfg, script)
+        }),
+        monitors: Arc::new(|| vec![kvstore::gap_monitor()]),
+        check: Arc::new(|w, case, fault| {
             let detected = u64::from(fault.is_some());
             let metrics = vec![("detected".to_string(), detected)];
             if case.pathology == Clean && detected == 1 {
@@ -200,19 +206,22 @@ pub fn kvstore_buggy_app() -> AppSpec {
             }
             CellCheck::pass(metrics)
         }),
-    )
+    }
 }
 
 /// Checksummed KV pair: everything the fixed backup guarantees, plus
 /// corruption survival — a corrupted REPL is rejected (counted in the
 /// `rejected` metric) instead of poisoning the store.
 pub fn kvstore_ck_app() -> AppSpec {
-    AppSpec::from_populate(
-        "kvstore_ck",
-        &[Clean, Loss, Duplication, Reorder, Corruption],
-        |host, seed| kvstore::kv_populate_ck(host, kvstore::script(10, seed)),
-        Arc::new(|| vec![kvstore::gap_monitor()]),
-        Arc::new(|w, case, fault| {
+    AppSpec {
+        name: "kvstore_ck",
+        supports: &[Clean, Loss, Duplication, Reorder, Corruption],
+        build: Arc::new(|cfg| {
+            let script = kvstore::script(10, cfg.seed);
+            kvstore::kv_world_ck_cfg(cfg, script)
+        }),
+        monitors: Arc::new(|| vec![kvstore::gap_monitor()]),
+        check: Arc::new(|w, case, fault| {
             let p = w.program::<kvstore::PrimaryV2>(Pid(1)).unwrap();
             let b = w.program::<kvstore::BackupV3>(Pid(2)).unwrap();
             let metrics = vec![
@@ -237,7 +246,7 @@ pub fn kvstore_ck_app() -> AppSpec {
             }
             CellCheck::pass(metrics)
         }),
-    )
+    }
 }
 
 /// Source → cruncher pipeline (correct cruncher): every recorded result
@@ -247,12 +256,12 @@ pub fn kvstore_ck_app() -> AppSpec {
 pub fn pipeline_app() -> AppSpec {
     const N_ITEMS: u64 = 8;
     const COST: u64 = 50;
-    AppSpec::from_populate(
-        "pipeline",
-        &[Clean, Crash, Loss, Duplication, Reorder, Corruption],
-        |host, _seed| pipeline::pipeline_populate(host, N_ITEMS, COST, None),
-        Arc::new(|| vec![pipeline::results_monitor()]),
-        Arc::new(|w, case, fault| {
+    AppSpec {
+        name: "pipeline",
+        supports: &[Clean, Crash, Loss, Duplication, Reorder, Corruption],
+        build: Arc::new(|cfg| pipeline::pipeline_world_cfg(cfg, N_ITEMS, COST, None)),
+        monitors: Arc::new(|| vec![pipeline::results_monitor()]),
+        check: Arc::new(|w, case, fault| {
             let c = w.program::<pipeline::Cruncher>(Pid(1)).unwrap();
             let metrics = vec![("results".to_string(), c.results.len() as u64)];
             if let Some(f) = fault {
@@ -277,7 +286,7 @@ pub fn pipeline_app() -> AppSpec {
             }
             CellCheck::pass(metrics)
         }),
-    )
+    }
 }
 
 /// Write-ahead-logged counter: the in-memory value always equals the
@@ -286,13 +295,15 @@ pub fn pipeline_app() -> AppSpec {
 pub fn wal_counter_app() -> AppSpec {
     const N_OPS: u64 = 20;
     const SYNC_EVERY: u64 = 4;
-    AppSpec::from_populate(
-        "wal_counter",
-        &[Clean, Crash, Loss, Reorder],
+    AppSpec {
+        name: "wal_counter",
+        supports: &[Clean, Crash, Loss, Reorder],
         // A fresh disk per cell: the closure runs once per world build.
-        |host, _seed| wal_counter::wal_populate(host, N_OPS, SYNC_EVERY, SharedDisk::new()),
-        Arc::new(Vec::new),
-        Arc::new(|w: &World, case, fault| {
+        build: Arc::new(|cfg| {
+            wal_counter::wal_world_cfg(cfg, N_OPS, SYNC_EVERY, SharedDisk::new())
+        }),
+        monitors: Arc::new(Vec::new),
+        check: Arc::new(|w: &World, case, fault| {
             let c = w.program::<WalCounter>(Pid(1)).unwrap();
             let durable = c.durable_value();
             let metrics = vec![
@@ -316,7 +327,7 @@ pub fn wal_counter_app() -> AppSpec {
             }
             CellCheck::pass(metrics)
         }),
-    )
+    }
 }
 
 /// Two-phase commit with the *fixed* coordinator and one NO voter:
@@ -324,12 +335,12 @@ pub fn wal_counter_app() -> AppSpec {
 /// learns the coordinator's, and the lossless cases decide everywhere.
 pub fn two_phase_commit_app() -> AppSpec {
     const VOTES: [bool; 3] = [true, false, true];
-    AppSpec::from_populate(
-        "two_phase_commit",
-        &[Clean, Crash, Loss, Reorder, Part],
-        |host, _seed| two_phase_commit::tpc_populate(host, &VOTES, false),
-        Arc::new(|| vec![two_phase_commit::atomicity_monitor()]),
-        Arc::new(|w, case, fault| {
+    AppSpec {
+        name: "two_phase_commit",
+        supports: &[Clean, Crash, Loss, Reorder, Part],
+        build: Arc::new(|cfg| two_phase_commit::tpc_world_cfg(cfg, &VOTES, false)),
+        monitors: Arc::new(|| vec![two_phase_commit::atomicity_monitor()]),
+        check: Arc::new(|w, case, fault| {
             let c = w.program::<Coordinator>(Pid(0)).unwrap();
             let decided: Vec<Option<bool>> = (1..=VOTES.len() as u32)
                 .map(|i| w.program::<Participant>(Pid(i)).unwrap().committed)
@@ -360,7 +371,7 @@ pub fn two_phase_commit_app() -> AppSpec {
             }
             CellCheck::pass(metrics)
         }),
-    )
+    }
 }
 
 /// Chord DHT column for the **wide** matrix: `n` members stabilize and
@@ -372,12 +383,12 @@ pub fn two_phase_commit_app() -> AppSpec {
 /// adding it there would redefine the golden fixture for no coverage
 /// gain.
 pub fn chord_app(n: usize, stabilize_rounds: u32, lookups: u32, work: u64) -> AppSpec {
-    AppSpec::from_populate(
-        "chord",
-        &[Clean, Reorder],
-        move |host, _seed| chord::chord_populate_work(host, n, stabilize_rounds, lookups, work),
-        Arc::new(Vec::new),
-        Arc::new(move |w, case, fault| {
+    AppSpec {
+        name: "chord",
+        supports: &[Clean, Reorder],
+        build: Arc::new(move |cfg| chord::chord_world_cfg(cfg, n, stabilize_rounds, lookups, work)),
+        monitors: Arc::new(Vec::new),
+        check: Arc::new(move |w, case, fault| {
             let (mut ok, mut bad) = (0u64, 0u64);
             for i in 0..n {
                 let s = &w.program::<ChordNode>(Pid(i as u32)).unwrap().stats;
@@ -397,7 +408,7 @@ pub fn chord_app(n: usize, stabilize_rounds: u32, lookups: u32, work: u64) -> Ap
             }
             CellCheck::pass(metrics)
         }),
-    )
+    }
 }
 
 /// The Chord keyed-storage column: every member issues `puts` writes
@@ -408,12 +419,12 @@ pub fn chord_app(n: usize, stabilize_rounds: u32, lookups: u32, work: u64) -> Ap
 /// Not part of [`standard_matrix`] — an extra column for seed-search
 /// sweeps and exploration targets.
 pub fn chord_kv_app(n: usize, stabilize_rounds: u32, puts: u32) -> AppSpec {
-    AppSpec::from_populate(
-        "chord_kv",
-        &[Clean, Reorder],
-        move |host, _seed| chord::chord_kv_populate(host, n, stabilize_rounds, puts),
-        Arc::new(Vec::new),
-        Arc::new(move |w, case, fault| {
+    AppSpec {
+        name: "chord_kv",
+        supports: &[Clean, Reorder],
+        build: Arc::new(move |cfg| chord::chord_kv_world_cfg(cfg, n, stabilize_rounds, puts)),
+        monitors: Arc::new(Vec::new),
+        check: Arc::new(move |w, case, fault| {
             let mut t = fixd_examples::chord::KvStats::default();
             for i in 0..n {
                 let s = w.program::<ChordNode>(Pid(i as u32)).unwrap().kv_stats;
@@ -451,7 +462,7 @@ pub fn chord_kv_app(n: usize, stabilize_rounds: u32, puts: u32) -> AppSpec {
             }
             CellCheck::pass(metrics)
         }),
-    )
+    }
 }
 
 /// The wide matrix: one Chord column over clean + reorder cases. Cells

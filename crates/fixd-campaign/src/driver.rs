@@ -10,24 +10,22 @@
 //!
 //! ## Sharded cells
 //!
-//! With `FIXD_SHARDS` (or an explicit shard count) above 1, each cell
-//! *executes* on a [`ShardedWorld`] and is then *supervised* by replaying
-//! the captured step stream through the real [`Fixd`] loop on a serial
-//! mirror world built from the same [`crate::spec::PopulateFn`]. The
-//! Scroll, the Time Machine, the monitors and the payload ledger all see
-//! exactly the step sequence the serial driver would have produced, so
-//! the report is byte-identical to serial execution at any shard count —
-//! `tests/campaign.rs` and the golden fixture pin this. Cells whose
-//! supervision detects a fault (the serial run stops mid-stream) or
-//! whose step budget is exhausted fall back to the canonical serial
-//! path, keeping the equivalence unconditional.
+//! With `FIXD_SHARDS` (or an explicit shard count) above 1, each cell's
+//! world runs its handlers on that many shards ([`World::shard`]) and
+//! [`Fixd`] supervises it directly: the sharded world commits one event
+//! per step through the serial code, so the Scroll, the Time Machine,
+//! the monitors and the payload ledger see exactly the serial run —
+//! including the step a monitor fires at and the step a budget cuts.
+//! The report is byte-identical to serial execution at any shard count
+//! (`tests/campaign.rs` and the golden fixture pin this), and no cell
+//! falls back to a serial re-run.
 //!
 //! Worker threads are budgeted against the shard fan-out
 //! ([`fixd_core::knobs::worker_budget`]): `threads × shards` never
 //! exceeds the configured thread budget. The product is exact: a
 //! sharded cell occupies `shards` threads, because the campaign worker
-//! that runs the cell executes one of its shards itself and the
-//! executor spawns only the other `shards − 1`, once per cell (see
+//! that runs the cell executes one of its shards itself and the world
+//! spawns only the other `shards − 1`, once per cell (see
 //! [`fixd_runtime::shard`]'s "Threads"). Windows in which a single
 //! shard has work run on the campaign worker alone; every other window
 //! costs one wake-up per further busy shard — 55–80 µs of wall clock a
@@ -36,11 +34,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use fixd_core::{Fixd, FixdConfig, FixdStats, SuperviseOutcome};
-use fixd_runtime::{NetStats, PayloadStats, ShardedWorld, World, WorldConfig};
+use fixd_core::{Fixd, FixdConfig};
+use fixd_runtime::{World, WorldConfig};
 
 use crate::report::{CampaignReport, CellOutcome};
-use crate::spec::{CampaignSpec, Cell, CellCheck};
+use crate::spec::{CampaignSpec, Cell};
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "FIXD_CAMPAIGN_THREADS";
@@ -123,120 +121,15 @@ pub fn run_campaign_sharded(spec: &CampaignSpec, threads: usize, shards: usize) 
     CampaignReport::from_cells(outcomes)
 }
 
-/// The half of a cell that both paths share: a world supervised under
-/// the app's monitors and held against the app's postcondition.
-struct Supervised {
-    out: SuperviseOutcome,
-    check: CellCheck,
-    stats: FixdStats,
-    end_time: u64,
-}
-
-/// Supervise `world` — the cell's own world on the serial path, the
-/// mirror replaying the captured step stream on the sharded one.
-fn supervise_cell(spec: &CampaignSpec, cell: &Cell, world: &mut World) -> Supervised {
-    let app = &spec.apps[cell.app];
-    let mut fixd = Fixd::new(world.num_procs(), FixdConfig::seeded(cell.seed));
-    for m in (app.monitors)() {
-        fixd = fixd.monitor(m);
-    }
-    let out = fixd.supervise(world, spec.max_steps);
-    let check = (app.check)(world, &spec.cases[cell.case], out.fault.as_ref());
-    Supervised {
-        out,
-        check,
-        stats: fixd.stats(),
-        end_time: world.now(),
-    }
-}
-
-impl Supervised {
-    /// The one place a [`CellOutcome`] is spelled, so a report column
-    /// cannot exist on one path only. The arguments are the executor's
-    /// figures: the serial `World`'s, or the `ShardedWorld`'s.
-    fn into_outcome(
-        self,
-        spec: &CampaignSpec,
-        cell: &Cell,
-        net: NetStats,
-        payload: PayloadStats,
-        fingerprint: u64,
-    ) -> CellOutcome {
-        let case = &spec.cases[cell.case];
-        CellOutcome {
-            app: spec.apps[cell.app].name.to_string(),
-            case: case.name.to_string(),
-            pathology: case.pathology,
-            also: case.also.to_vec(),
-            seed: cell.seed,
-            steps: self.out.steps,
-            end_time: self.end_time,
-            quiescent: self.out.quiescent,
-            violation: self.out.fault.map(|f| f.monitor),
-            check_failure: self.check.failure,
-            delivered: net.delivered,
-            dropped: net.dropped,
-            duplicated: net.duplicated,
-            corrupted: net.corrupted,
-            scroll_entries: self.stats.scroll_entries as u64,
-            checkpoints: self.stats.checkpoints as u64,
-            checkpoint_bytes: self.stats.checkpoint_bytes as u64,
-            payload_copied: payload.copied,
-            payload_aliased: payload.aliased,
-            fingerprint,
-            metrics: self.check.metrics,
-        }
-    }
-}
-
-/// Execute one cell: build the world, install the case's fault plan,
-/// supervise under the app's monitors, and render the outcome.
+/// Execute one cell on one shard: build the world, install the case's
+/// fault plan, supervise under the app's monitors, and render the
+/// outcome.
 pub fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellOutcome {
-    let app = &spec.apps[cell.app];
-    let case = &spec.cases[cell.case];
-    let mut cfg = WorldConfig::seeded(cell.seed);
-    cfg.net = case.net.clone();
-    let mut world = (app.build)(cfg);
-    let n = world.num_procs();
-    world.set_fault_plan((case.plan)(n, cell.seed));
-    let sup = supervise_cell(spec, cell, &mut world);
-    // Exact per-cell payload accounting: the counters are thread-local
-    // and this cell ran start-to-finish on this thread with no other
-    // world interleaved, so the world's delta is the cell's delta.
-    sup.into_outcome(
-        spec,
-        cell,
-        world.stats(),
-        world.payload_stats(),
-        world.global_snapshot().fingerprint(),
-    )
+    run_cell_sharded(spec, cell, 1)
 }
 
-/// Execute one cell on a [`ShardedWorld`] with `shards` shards, then
-/// supervise the captured step stream on a serial mirror.
-///
-/// `shards <= 1` runs the cell inline via [`run_cell`] — the serial path
-/// *is* the specification. Above 1:
-///
-/// 1. the cell's processes populate a sharded world (same
-///    [`crate::spec::PopulateFn`], so identical pids/topology);
-/// 2. the sharded executor runs to quiescence — on this thread and
-///    `shards − 1` workers it spawns for the duration of the run —
-///    capturing every step record plus the acting process's post-state
-///    and vector clock;
-/// 3. a serial mirror world replays that stream under the **real**
-///    [`Fixd::supervise`] loop — Scroll entries, Time Machine
-///    checkpoints and monitor evaluations are produced by the same code
-///    the serial driver runs, over the same observable world;
-/// 4. network and payload figures come from the sharded executor (whose
-///    ledger compensates for serial-only clones), supervision figures
-///    from the replay, and the fingerprint from the sharded world's
-///    global snapshot.
-///
-/// Two outcomes force the canonical serial path instead: a step-budget
-/// overrun (the sharded run may cut a window differently than a serial
-/// step cap) and a detected fault (the serial run stops mid-stream, so
-/// quiescent sharded state is not the state to report).
+/// [`run_cell`] with the cell's world run on `shards` shards. The
+/// outcome is the same at every shard count.
 pub fn run_cell_sharded(spec: &CampaignSpec, cell: &Cell, shards: usize) -> CellOutcome {
     run_cell_sharded_timed(spec, cell, shards).0
 }
@@ -246,15 +139,13 @@ pub fn run_cell_sharded(spec: &CampaignSpec, cell: &Cell, shards: usize) -> Cell
 /// cell's time to.
 #[derive(Clone, Copy, Debug)]
 pub struct CellTiming {
-    /// The execution phase: for sharded cells, the shard critical path
-    /// plus the serial coordinator time from
-    /// [`fixd_runtime::ShardTiming`]; for serial cells, the full
-    /// measured wall clock (execution and supervision are one loop).
+    /// The critical path of the shards' windows (see
+    /// [`fixd_runtime::ShardTiming::critical`]); zero on one shard.
     pub exec_secs: f64,
-    /// Measured replay-supervision time. Zero for serial cells
-    /// (already inside `exec_secs`).
+    /// The rest of the [`Fixd::supervise`] call: committing the steps
+    /// and supervising them (on one shard, the whole call).
     pub supervise_secs: f64,
-    /// The cell ran (or fell back to) the canonical serial path.
+    /// The cell ran on one shard.
     pub serial: bool,
 }
 
@@ -264,61 +155,58 @@ pub fn run_cell_sharded_timed(
     cell: &Cell,
     shards: usize,
 ) -> (CellOutcome, CellTiming) {
-    let serial_timed = || {
-        let t0 = std::time::Instant::now();
-        let out = run_cell(spec, cell);
-        let timing = CellTiming {
-            exec_secs: t0.elapsed().as_secs_f64(),
-            supervise_secs: 0.0,
-            serial: true,
-        };
-        (out, timing)
-    };
-    if shards <= 1 {
-        return serial_timed();
-    }
     let app = &spec.apps[cell.app];
     let case = &spec.cases[cell.case];
     let mut cfg = WorldConfig::seeded(cell.seed);
     cfg.net = case.net.clone();
-    let mut sw = ShardedWorld::new(cfg.clone(), shards);
-    let mut mirror = World::new(cfg);
-    {
-        // One populate call spawns into both worlds: external resources
-        // the closure creates (e.g. a `SharedDisk`) are shared between
-        // executor and mirror, as they would be within one serial world.
-        let mut host = fixd_runtime::DualHost::new(&mut sw, &mut mirror);
-        (app.populate)(&mut host, cell.seed);
+    let mut world: World = (app.build)(cfg);
+    let n = world.num_procs();
+    world.set_fault_plan((case.plan)(n, cell.seed));
+    world.shard(shards);
+    let mut fixd = Fixd::new(n, FixdConfig::seeded(cell.seed));
+    for m in (app.monitors)() {
+        fixd = fixd.monitor(m);
     }
-    let n = sw.num_procs();
-    sw.set_fault_plan((case.plan)(n, cell.seed));
-    let (rep, stream) = sw.run_supervised(spec.max_steps);
-    if !rep.quiescent {
-        return serial_timed();
-    }
-    let t = sw.timing();
-    let t_sup = std::time::Instant::now();
-    mirror.begin_replay(stream);
-    let sup = supervise_cell(spec, cell, &mut mirror);
-    if sup.out.fault.is_some() {
-        return serial_timed();
-    }
-    let timing = CellTiming {
-        exec_secs: (t.coordinator + t.critical).as_secs_f64(),
-        supervise_secs: t_sup.elapsed().as_secs_f64(),
-        serial: false,
+    let t0 = std::time::Instant::now();
+    let out = fixd.supervise(&mut world, spec.max_steps);
+    let supervise_secs = t0.elapsed().as_secs_f64();
+    let exec_secs = world.shard_timing().critical.as_secs_f64();
+    let check = (app.check)(&world, case, out.fault.as_ref());
+    let stats = fixd.stats();
+    let net = world.stats();
+    // Exact per-cell payload accounting: the counters are thread-local
+    // and this cell ran start-to-finish on this thread with no other
+    // world interleaved; a sharded world counts each step's handler
+    // traffic, wherever it ran, when the step commits.
+    let payload = world.payload_stats();
+    let outcome = CellOutcome {
+        app: app.name.to_string(),
+        case: case.name.to_string(),
+        pathology: case.pathology,
+        also: case.also.to_vec(),
+        seed: cell.seed,
+        steps: out.steps,
+        end_time: world.now(),
+        quiescent: out.quiescent,
+        violation: out.fault.map(|f| f.monitor),
+        check_failure: check.failure,
+        delivered: net.delivered,
+        dropped: net.dropped,
+        duplicated: net.duplicated,
+        corrupted: net.corrupted,
+        scroll_entries: stats.scroll_entries as u64,
+        checkpoints: stats.checkpoints as u64,
+        checkpoint_bytes: stats.checkpoint_bytes as u64,
+        payload_copied: payload.copied,
+        payload_aliased: payload.aliased,
+        fingerprint: world.global_snapshot().fingerprint(),
+        metrics: check.metrics,
     };
-    // Payload accounting *after* replay supervision: the supervision-side
-    // clones (peeked kinds, Scroll entries, Time Machine delivery log)
-    // land on this thread and belong to the cell, exactly as they do on
-    // the serial path.
-    let outcome = sup.into_outcome(
-        spec,
-        cell,
-        sw.stats(),
-        sw.payload_stats(),
-        sw.global_snapshot().fingerprint(),
-    );
+    let timing = CellTiming {
+        exec_secs,
+        supervise_secs: (supervise_secs - exec_secs).max(0.0),
+        serial: world.shards() <= 1,
+    };
     (outcome, timing)
 }
 

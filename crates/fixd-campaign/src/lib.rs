@@ -42,4 +42,4 @@ pub use driver::{
     run_cell, run_cell_sharded, run_cell_sharded_timed, CellTiming, THREADS_ENV,
 };
 pub use report::{CampaignReport, CellOutcome};
-pub use spec::{AppSpec, CampaignSpec, Cell, CellCheck, FaultCase, Pathology, PopulateFn};
+pub use spec::{AppSpec, CampaignSpec, Cell, CellCheck, FaultCase, Pathology};

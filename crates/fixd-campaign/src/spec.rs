@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use fixd_core::{DetectedFault, Monitor};
-use fixd_runtime::{FaultPlan, NetworkConfig, ProcHost, World, WorldConfig};
+use fixd_runtime::{FaultPlan, NetworkConfig, World, WorldConfig};
 
 /// Coarse label of what a fault case stresses; used for coverage
 /// accounting in the report.
@@ -75,12 +75,6 @@ impl CellCheck {
 /// Builds a world for one cell (the config already carries the cell's
 /// seed and the case's network pathology).
 pub type WorldFactory = Arc<dyn Fn(WorldConfig) -> World + Send + Sync>;
-/// Populates any [`ProcHost`] with one cell's processes (`seed` is the
-/// cell seed — scripts and workloads may derive from it). This is the
-/// shard-capable entry point: the driver builds the serial *and* the
-/// sharded world for a cell from the same closure, so the topologies
-/// cannot drift apart.
-pub type PopulateFn = Arc<dyn Fn(&mut dyn ProcHost, u64) + Send + Sync>;
 /// Produces the app's fault monitors (fresh per cell).
 pub type MonitorFactory = Arc<dyn Fn() -> Vec<Monitor> + Send + Sync>;
 /// App-specific postcondition over the finished world.
@@ -96,45 +90,13 @@ pub struct AppSpec {
     pub name: &'static str,
     /// Pathologies this app's assertions are sound under.
     pub supports: &'static [Pathology],
-    /// World builder (serial). Derived from [`AppSpec::populate`] when
-    /// the app is built via [`AppSpec::from_populate`].
+    /// World builder. The driver shards the world it returns when a
+    /// cell runs on more than one shard.
     pub build: WorldFactory,
-    /// Host-agnostic process population — what lets the driver run the
-    /// cell on a [`fixd_runtime::ShardedWorld`].
-    pub populate: PopulateFn,
     /// Fault monitors supervised during the run.
     pub monitors: MonitorFactory,
     /// Post-run verdict.
     pub check: CheckFn,
-}
-
-impl AppSpec {
-    /// Build an app column whose serial [`WorldFactory`] is derived from
-    /// `populate`, so the serial and sharded constructions of a cell are
-    /// the same code path by construction.
-    pub fn from_populate(
-        name: &'static str,
-        supports: &'static [Pathology],
-        populate: impl Fn(&mut dyn ProcHost, u64) + Send + Sync + 'static,
-        monitors: MonitorFactory,
-        check: CheckFn,
-    ) -> Self {
-        let populate: PopulateFn = Arc::new(populate);
-        let p = Arc::clone(&populate);
-        Self {
-            name,
-            supports,
-            build: Arc::new(move |cfg: WorldConfig| {
-                let seed = cfg.seed;
-                let mut w = World::new(cfg);
-                p(&mut w, seed);
-                w
-            }),
-            populate,
-            monitors,
-            check,
-        }
-    }
 }
 
 /// One fault-scenario row of the matrix: a network pathology plus a
@@ -317,7 +279,6 @@ mod tests {
             name,
             supports,
             build: Arc::new(World::new),
-            populate: Arc::new(|_, _| {}),
             monitors: Arc::new(Vec::new),
             check: Arc::new(|_, _, _| CellCheck::default()),
         }

@@ -1,6 +1,7 @@
-//! Property: a campaign cell run on a [`fixd_runtime::ShardedWorld`]
-//! produces the **identical** [`fixd_campaign::CellOutcome`] as the
-//! serial driver path at every shard count — under random heterogeneous
+//! Property: a campaign cell whose world runs on shards
+//! ([`fixd_runtime::World::shard`]) produces the **identical**
+//! [`fixd_campaign::CellOutcome`] as the one-shard run at every shard
+//! count — under random heterogeneous
 //! per-link latencies and random fault plans.
 //!
 //! This is the report-level half of the shard-equivalence property; the

@@ -112,6 +112,9 @@ impl Fixd {
         let mut steps = 0u64;
         let mut unchecked = false;
         let mut quiescent = false;
+        // Before the first peek: on a sharded world this switches on the
+        // shards' prediction of the Time Machine's stamping.
+        self.tm.init(world);
         while steps < max_steps {
             let Some(ev) = world.peek() else {
                 quiescent = true;

@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fixd_runtime::wire::fnv_mix;
-use fixd_runtime::{Context, Message, Pid, ProcHost, Program, TimerId, World, WorldConfig};
+use fixd_runtime::{Context, Message, Pid, Program, TimerId, World, WorldConfig};
 
 /// Route this lookup: `[key u64, origin u32, hops u8]`.
 pub const LOOKUP_REQ: u16 = 1;
@@ -677,57 +677,51 @@ pub fn chord_factory(
 /// A dense world of `n` Chord members (pids `0..n`), for tests: every
 /// node runs `stabilize_rounds` rounds and issues `lookups` lookups.
 pub fn chord_world(n: usize, seed: u64, stabilize_rounds: u32, lookups: u32) -> World {
-    let mut w = World::new(WorldConfig::seeded(seed));
-    chord_populate(&mut w, n, stabilize_rounds, lookups);
-    w
+    chord_world_cfg(WorldConfig::seeded(seed), n, stabilize_rounds, lookups, 0)
 }
 
-/// Populate any [`ProcHost`] with a dense `n`-member Chord ring
-/// (shard-capable entry point for the campaign driver). Members are
-/// spawned eagerly so the topology is identical on serial and sharded
-/// hosts without lazy-materialization bookkeeping.
-pub fn chord_populate(host: &mut dyn ProcHost, n: usize, stabilize_rounds: u32, lookups: u32) {
-    chord_populate_work(host, n, stabilize_rounds, lookups, 0);
-}
-
-/// [`chord_populate`] with a per-delivery compute burn (see
-/// [`ChordNode::with_work`]) — the handler-heavy regime the sharded
-/// campaign bench measures.
-pub fn chord_populate_work(
-    host: &mut dyn ProcHost,
+/// [`chord_world`] over an explicit [`WorldConfig`] (campaign matrices
+/// inject network pathologies through the config), with a per-delivery
+/// compute burn (see [`ChordNode::with_work`]) — the handler-heavy
+/// regime the sharded campaign bench measures. Members are added
+/// eagerly.
+pub fn chord_world_cfg(
+    cfg: WorldConfig,
     n: usize,
     stabilize_rounds: u32,
     lookups: u32,
     work: u64,
-) {
+) -> World {
     let members: Vec<Pid> = (0..n as u32).map(Pid).collect();
     let ring = Arc::new(ChordRing::new(&members));
+    let mut w = World::new(cfg);
     for _ in 0..n {
-        host.spawn(Box::new(
+        w.add_process(Box::new(
             ChordNode::new(Arc::clone(&ring), stabilize_rounds, lookups).with_work(work),
         ));
     }
-}
-
-/// Populate any [`ProcHost`] with a dense `n`-member ring running the
-/// keyed-storage workload: every node issues `puts` writes (routed to
-/// their ring owners, replicated to the owner's successor) and — on
-/// each ack — a read-after-write check against the value it wrote.
-pub fn chord_kv_populate(host: &mut dyn ProcHost, n: usize, stabilize_rounds: u32, puts: u32) {
-    let members: Vec<Pid> = (0..n as u32).map(Pid).collect();
-    let ring = Arc::new(ChordRing::new(&members));
-    for _ in 0..n {
-        host.spawn(Box::new(
-            ChordNode::new(Arc::clone(&ring), stabilize_rounds, 0).with_kv_workload(puts),
-        ));
-    }
+    w
 }
 
 /// A dense keyed-storage world of `n` members, for tests and the model
 /// checker.
 pub fn chord_kv_world(n: usize, seed: u64, stabilize_rounds: u32, puts: u32) -> World {
-    let mut w = World::new(WorldConfig::seeded(seed));
-    chord_kv_populate(&mut w, n, stabilize_rounds, puts);
+    chord_kv_world_cfg(WorldConfig::seeded(seed), n, stabilize_rounds, puts)
+}
+
+/// [`chord_kv_world`] over an explicit [`WorldConfig`]: every member
+/// issues `puts` writes (routed to their ring owners, replicated to the
+/// owner's successor) and — on each ack — a read-after-write check
+/// against the value it wrote.
+pub fn chord_kv_world_cfg(cfg: WorldConfig, n: usize, stabilize_rounds: u32, puts: u32) -> World {
+    let members: Vec<Pid> = (0..n as u32).map(Pid).collect();
+    let ring = Arc::new(ChordRing::new(&members));
+    let mut w = World::new(cfg);
+    for _ in 0..n {
+        w.add_process(Box::new(
+            ChordNode::new(Arc::clone(&ring), stabilize_rounds, 0).with_kv_workload(puts),
+        ));
+    }
     w
 }
 

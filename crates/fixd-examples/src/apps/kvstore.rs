@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use fixd_core::Monitor;
 use fixd_healer::{migrate, Patch};
 use fixd_runtime::wire::{get_varint, put_varint};
-use fixd_runtime::{Context, Message, NetworkConfig, Pid, ProcHost, Program, World, WorldConfig};
+use fixd_runtime::{Context, Message, NetworkConfig, Pid, Program, World, WorldConfig};
 
 /// Client → primary: PUT key value.
 pub const PUT: u16 = 10;
@@ -460,16 +460,10 @@ pub fn kv_world(seed: u64, script: Vec<(u8, u8)>, jitter: (u64, u64)) -> World {
 /// caught by [`gap_monitor`] in a healthy fraction of cells.
 pub fn kv_world_v1_cfg(cfg: WorldConfig, script: Vec<(u8, u8)>) -> World {
     let mut w = World::new(cfg);
-    kv_populate_v1(&mut w, script);
+    w.add_process(Box::new(Client { script }));
+    w.add_process(Box::new(Primary::default()));
+    w.add_process(Box::new(BackupV1::default()));
     w
-}
-
-/// Populate any [`ProcHost`] with the buggy-backup topology (shard-capable
-/// entry point for the campaign driver).
-pub fn kv_populate_v1(host: &mut dyn ProcHost, script: Vec<(u8, u8)>) {
-    host.spawn(Box::new(Client { script }));
-    host.spawn(Box::new(Primary::default()));
-    host.spawn(Box::new(BackupV1::default()));
 }
 
 /// Build a client/primary/fixed-backup world over an explicit
@@ -477,16 +471,10 @@ pub fn kv_populate_v1(host: &mut dyn ProcHost, script: Vec<(u8, u8)>) {
 /// the config).
 pub fn kv_world_v2_cfg(cfg: WorldConfig, script: Vec<(u8, u8)>) -> World {
     let mut w = World::new(cfg);
-    kv_populate_v2(&mut w, script);
+    w.add_process(Box::new(Client { script }));
+    w.add_process(Box::new(Primary::default()));
+    w.add_process(Box::new(BackupV2::default()));
     w
-}
-
-/// Populate any [`ProcHost`] with the fixed-backup topology (shard-capable
-/// entry point for the campaign driver).
-pub fn kv_populate_v2(host: &mut dyn ProcHost, script: Vec<(u8, u8)>) {
-    host.spawn(Box::new(Client { script }));
-    host.spawn(Box::new(Primary::default()));
-    host.spawn(Box::new(BackupV2::default()));
 }
 
 /// Build the checksummed pair ([`PrimaryV2`] + [`BackupV3`]) over an
@@ -494,16 +482,10 @@ pub fn kv_populate_v2(host: &mut dyn ProcHost, script: Vec<(u8, u8)>) {
 /// corruption by rejecting bad REPLs.
 pub fn kv_world_ck_cfg(cfg: WorldConfig, script: Vec<(u8, u8)>) -> World {
     let mut w = World::new(cfg);
-    kv_populate_ck(&mut w, script);
+    w.add_process(Box::new(Client { script }));
+    w.add_process(Box::new(PrimaryV2::default()));
+    w.add_process(Box::new(BackupV3::default()));
     w
-}
-
-/// Populate any [`ProcHost`] with the checksummed topology (shard-capable
-/// entry point for the campaign driver).
-pub fn kv_populate_ck(host: &mut dyn ProcHost, script: Vec<(u8, u8)>) {
-    host.spawn(Box::new(Client { script }));
-    host.spawn(Box::new(PrimaryV2::default()));
-    host.spawn(Box::new(BackupV3::default()));
 }
 
 /// The v1 → v2 patch: same store/applied state, empty hold-back buffer.

@@ -14,7 +14,7 @@
 use fixd_core::Monitor;
 use fixd_healer::{migrate, Patch};
 use fixd_runtime::wire::{fnv_mix, get_varint, put_varint};
-use fixd_runtime::{Context, Message, Pid, ProcHost, Program, World, WorldConfig};
+use fixd_runtime::{Context, Message, Pid, Program, World, WorldConfig};
 
 /// Source → cruncher: a work item (payload: item index as varint).
 pub const WORK: u16 = 30;
@@ -208,18 +208,12 @@ pub fn pipeline_world_cfg(
     poison_at: Option<u64>,
 ) -> World {
     let mut w = World::new(cfg);
-    pipeline_populate(&mut w, n_items, cost, poison_at);
-    w
-}
-
-/// Populate any [`ProcHost`] with the source → cruncher pipeline
-/// (shard-capable entry point for the campaign driver).
-pub fn pipeline_populate(host: &mut dyn ProcHost, n_items: u64, cost: u64, poison_at: Option<u64>) {
-    host.spawn(Box::new(Source { n_items }));
-    host.spawn(Box::new(match poison_at {
+    w.add_process(Box::new(Source { n_items }));
+    w.add_process(Box::new(match poison_at {
         Some(p) => Cruncher::buggy(cost, p),
         None => Cruncher::correct(cost),
     }));
+    w
 }
 
 /// Build the 2-process pipeline world.

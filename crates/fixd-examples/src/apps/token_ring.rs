@@ -8,7 +8,7 @@
 //! Investigator is designed to corner (Fig. 3).
 
 use fixd_core::Monitor;
-use fixd_runtime::{Context, Message, Pid, ProcHost, Program, TimerId, World, WorldConfig};
+use fixd_runtime::{Context, Message, Pid, Program, TimerId, World, WorldConfig};
 
 /// Message tag for the token.
 pub const TOKEN: u16 = 1;
@@ -141,20 +141,13 @@ impl Program for RingNode {
 /// remain.
 pub fn ring_world_cfg(cfg: WorldConfig, n: usize, buggy_node: Option<(usize, u8)>) -> World {
     let mut w = World::new(cfg);
-    ring_populate(&mut w, n, buggy_node);
-    w
-}
-
-/// Populate any [`ProcHost`] with the ring topology — the shard-capable
-/// entry point the campaign driver uses to build the same cell on a
-/// serial and a sharded world.
-pub fn ring_populate(host: &mut dyn ProcHost, n: usize, buggy_node: Option<(usize, u8)>) {
     for i in 0..n {
-        match buggy_node {
-            Some((b, dup_at)) if b == i => host.spawn(Box::new(RingNode::buggy(dup_at))),
-            _ => host.spawn(Box::new(RingNode::correct())),
-        };
+        w.add_process(Box::new(match buggy_node {
+            Some((b, dup_at)) if b == i => RingNode::buggy(dup_at),
+            _ => RingNode::correct(),
+        }));
     }
+    w
 }
 
 /// Build a ring world of `n` nodes; node `buggy_node` (if any) duplicates

@@ -9,7 +9,7 @@
 
 use fixd_core::Monitor;
 use fixd_healer::{migrate, Patch};
-use fixd_runtime::{Context, Message, Pid, ProcHost, Program, World, WorldConfig};
+use fixd_runtime::{Context, Message, Pid, Program, World, WorldConfig};
 
 /// Coordinator → participant: VOTE-REQ.
 pub const VOTE_REQ: u16 = 20;
@@ -234,21 +234,15 @@ pub fn atomicity_monitor() -> Monitor {
 /// inject network pathologies through the config).
 pub fn tpc_world_cfg(cfg: WorldConfig, votes: &[bool], buggy: bool) -> World {
     let mut w = World::new(cfg);
-    tpc_populate(&mut w, votes, buggy);
-    w
-}
-
-/// Populate any [`ProcHost`] with the 2PC topology (shard-capable entry
-/// point for the campaign driver).
-pub fn tpc_populate(host: &mut dyn ProcHost, votes: &[bool], buggy: bool) {
-    host.spawn(Box::new(if buggy {
+    w.add_process(Box::new(if buggy {
         Coordinator::buggy()
     } else {
         Coordinator::fixed()
     }));
     for &v in votes {
-        host.spawn(Box::new(Participant::new(v)));
+        w.add_process(Box::new(Participant::new(v)));
     }
+    w
 }
 
 /// Build a 2PC world: coordinator + participants with the given votes.

@@ -10,7 +10,7 @@
 //! "models of disk access".
 
 use fixd_healer::Patch;
-use fixd_runtime::{Context, Message, Pid, ProcHost, Program, SharedDisk, World, WorldConfig};
+use fixd_runtime::{Context, Message, Pid, Program, SharedDisk, World, WorldConfig};
 
 /// Driver → counter: one increment (payload: amount).
 pub const INC: u16 = 40;
@@ -143,15 +143,9 @@ impl Program for WalCounter {
 /// matrices inject both themselves).
 pub fn wal_world_cfg(cfg: WorldConfig, n_ops: u64, sync_every: u64, disk: SharedDisk) -> World {
     let mut w = World::new(cfg);
-    wal_populate(&mut w, n_ops, sync_every, disk);
+    w.add_process(Box::new(Driver { n_ops }));
+    w.add_process(Box::new(WalCounter::recover(disk, sync_every)));
     w
-}
-
-/// Populate any [`ProcHost`] with driver + WAL counter over `disk`
-/// (shard-capable entry point for the campaign driver).
-pub fn wal_populate(host: &mut dyn ProcHost, n_ops: u64, sync_every: u64, disk: SharedDisk) {
-    host.spawn(Box::new(Driver { n_ops }));
-    host.spawn(Box::new(WalCounter::recover(disk, sync_every)));
 }
 
 /// Build the world: driver + counter over `disk`, with an optional crash

@@ -112,8 +112,7 @@ impl<E: CalEntry> Bucket<E> {
 /// The calendar queue. See module docs for the structure; the public
 /// surface mirrors what [`crate::World`] and the shards need: `push`,
 /// `pop`, `peek`, `min_at`, `iter`, `drain_all`, and [`CalQueue::absorb`]
-/// — the one batch-insertion helper `apply_effects` and the barrier
-/// replay share.
+/// — the batch-insertion helper of `apply_effects`.
 pub(crate) struct CalQueue<E: CalEntry> {
     buckets: Vec<Bucket<E>>,
     /// Index of the bucket covering tick `base`.
@@ -204,8 +203,8 @@ impl<E: CalEntry + Clone> CalQueue<E> {
     }
 
     /// Drain `batch` into the queue in one call (the batched-insertion
-    /// surface shared by `World::apply_effects` and the sharded barrier;
-    /// the batch vector keeps its capacity for reuse).
+    /// surface of `World::apply_effects`; the batch vector keeps its
+    /// capacity for reuse).
     pub(crate) fn absorb(&mut self, batch: &mut Vec<E>) {
         for e in batch.drain(..) {
             self.push(e);
@@ -279,7 +278,7 @@ impl<E: CalEntry + Clone> CalQueue<E> {
     }
 
     /// Smallest pending `at` without normalizing (so `&self`): the
-    /// window-scheduling probe ([`crate::ShardedWorld`]'s `min_pending`).
+    /// window-scheduling probe (the shards' `min_pending`).
     /// O(SPAN) bucket scan — off the per-event path.
     pub(crate) fn min_at(&self) -> Option<VTime> {
         if self.len == 0 {

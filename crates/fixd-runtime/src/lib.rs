@@ -15,6 +15,9 @@
 //!   configurable delivery policies (FIFO, random delay, reorder, drop,
 //!   duplicate, partition), virtual time, and per-process deterministic
 //!   RNG streams;
+//! * [`World::shard`] runs a world's handlers on parallel [`shard`]s
+//!   with the serial world's exact event sequence, so the supervision
+//!   loop works on a sharded world unchanged;
 //! * every source of nondeterminism flows through the runtime, so it can be
 //!   *recorded* (the Scroll), *checkpointed around* (the Time Machine),
 //!   *enumerated* (the Investigator) and *patched* (the Healer);
@@ -60,7 +63,6 @@ pub mod disk;
 pub mod event;
 pub mod fault;
 pub mod harness;
-pub mod host;
 pub mod network;
 pub mod payload;
 mod procs;
@@ -85,17 +87,15 @@ pub use event::{
 pub use fault::{Fault, FaultPlan};
 pub use fixd_store::{PageStats, PageStore, PagedImage, SnapshotImage, StoreStats};
 pub use harness::SoloHarness;
-pub use host::{DualHost, ProcHost, SharedProcFactory};
 pub use network::{DeliveryPolicy, LinkPolicy, NetStats, NetworkConfig, Partition};
 pub use payload::{Payload, PayloadStats};
 pub use program::{Context, Program};
 pub use rng::DetRng;
-pub use shard::{ShardTiming, ShardedWorld};
+pub use shard::ShardTiming;
 pub use topology::Topology;
 pub use trace::{SharedStepRecord, StepRecord, Trace};
 pub use world::{
-    GlobalSnapshot, ProcCheckpoint, ProcFactory, ProcStatus, ReplayStep, RunReport, World,
-    WorldConfig,
+    GlobalSnapshot, ProcCheckpoint, ProcFactory, ProcStatus, RunReport, World, WorldConfig,
 };
 
 /// Virtual time, in abstract "nanoseconds". Purely logical; never tied to

@@ -1,9 +1,9 @@
-//! The process table: per-pid state slots shared by the serial
-//! [`crate::World`] and the workers of a [`crate::ShardedWorld`].
+//! The process table: per-pid state slots of a [`crate::World`] and of
+//! each of its shards (see [`crate::shard`]).
 //!
 //! A table covers the whole pid space `0..n` but *owns* only the pids of
-//! one residue class `{p | p % stride == offset}` — the serial world is
-//! the degenerate `stride = 1` table, a shard worker owns every
+//! one residue class `{p | p % stride == offset}` — the world's own
+//! table is the degenerate `stride = 1` table, a shard owns every
 //! `stride`-th pid. Slots are lazy exactly as before the extraction: a
 //! dormant pid costs 8 bytes (the null niche of `Option<Box<_>>`) until
 //! the first event touches it.
@@ -122,6 +122,31 @@ impl ProcTable {
         if owned > self.slots.len() {
             self.slots.resize_with(owned, || None);
         }
+    }
+
+    /// The table of shard `offset` of `stride`, cut from this
+    /// `stride = 1` table: [`Program::clone_program`] copies of the
+    /// entries it owns, the lazy factories, and its pids' dormant crash
+    /// marks.
+    pub(crate) fn shard(&self, stride: u32, offset: u32) -> ProcTable {
+        assert_eq!(self.stride, 1, "shards are cut from a world's own table");
+        let mut t = ProcTable::new(self.seed, stride, offset);
+        t.n = self.n;
+        t.lazy = self.lazy.clone();
+        t.slots = self
+            .slots
+            .iter()
+            .skip(offset as usize)
+            .step_by(stride as usize)
+            .cloned()
+            .collect();
+        t.dormant_crashed = self
+            .dormant_crashed
+            .iter()
+            .copied()
+            .filter(|p| p % stride == offset)
+            .collect();
+        t
     }
 
     /// Install an eagerly constructed entry for an owned pid.

@@ -17,6 +17,11 @@
 //! `peek` exposes the next event *before* it executes — exactly the hook
 //! the paper's communication-induced checkpointing needs ("each process
 //! saves a checkpoint before receiving a new message", Fig. 6).
+//!
+//! [`World::shard`] makes a world run its handlers on parallel shards
+//! (see [`crate::shard`]). The loop above does not change: each `step`
+//! still commits one event through this module's code, and the world's
+//! own process table is the serial world's at every step.
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -31,6 +36,7 @@ use crate::network::{DeliveryOutcome, DropReason, NetStats, NetworkConfig, Parti
 use crate::procs::ProcTable;
 use crate::program::{Context, Program};
 use crate::rng::DetRng;
+use crate::shard::{ShardTiming, Shards, Staged};
 use crate::trace::{SharedStepRecord, Trace};
 use crate::wire;
 use crate::{Pid, VTime};
@@ -150,23 +156,6 @@ pub struct RunReport {
     pub quiescent: bool,
 }
 
-/// One captured step of a sharded run, in coordinator merge order:
-/// everything a serial mirror [`World`] needs to re-present the step to
-/// supervision drivers (Scroll, Time Machine, monitors) byte-exactly —
-/// the sealed record plus the acting process's post-step clock and
-/// program snapshot.
-#[derive(Clone, Debug)]
-pub struct ReplayStep {
-    /// The sealed record the mirror's `step` returns verbatim.
-    pub record: SharedStepRecord,
-    /// Post-step vector clock of the acting process (`None` for steps
-    /// with no acting process, e.g. partition changes).
-    pub vc_after: Option<VectorClock>,
-    /// Post-handler [`Program::snapshot`] of the acting process;
-    /// `None` for non-handler steps (drops, crashes, partition changes).
-    pub post_state: Option<Vec<u8>>,
-}
-
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct QueuedEvent {
     pub(crate) at: VTime,
@@ -228,12 +217,13 @@ pub struct World {
     trace: Trace,
     stats: NetStats,
     sealed: bool,
-    /// When set, `peek`/`step` present this captured stream instead of
-    /// simulating: each step restores the recorded post-state rather
-    /// than running handlers. See [`World::begin_replay`].
-    replay: Option<std::collections::VecDeque<ReplayStep>>,
+    /// Set by [`World::shard`]: the handlers run on these shards, and
+    /// the world's queue hands its events over to them at seal.
+    shards: Option<Box<Shards>>,
     /// Thread-local payload counter values at construction — the
-    /// baseline [`World::payload_stats`] diffs against.
+    /// baseline [`World::payload_stats`] diffs against. A sharded world
+    /// raises it by the traffic of the windows it runs on this thread
+    /// and lowers it by each step's traffic as the step commits.
     payload_base: crate::payload::PayloadStats,
     /// Recycling pools for the step loop's hot-path boxes.
     arena: StepArena,
@@ -241,6 +231,7 @@ pub struct World {
 
 impl Clone for World {
     fn clone(&self) -> Self {
+        self.assert_unsharded("clone");
         Self {
             cfg: self.cfg.clone(),
             procs: self.procs.clone(),
@@ -258,7 +249,7 @@ impl Clone for World {
             trace: self.trace.clone(),
             stats: self.stats,
             sealed: self.sealed,
-            replay: self.replay.clone(),
+            shards: None,
             payload_base: self.payload_base,
             // Pools are never shared between worlds: the clone starts
             // with empty pools.
@@ -292,80 +283,94 @@ impl World {
             trace,
             stats: NetStats::default(),
             sealed: false,
-            replay: None,
+            shards: None,
             payload_base: crate::payload::stats(),
             arena: StepArena::new(),
         }
     }
 
-    /// Switch this (never-stepped) world into **replay mode**: `peek`
-    /// and `step` present the captured stream in order, and each step
-    /// restores the recorded post-state instead of running handlers.
+    /// Run this world's handlers on `k` shards from now on (`k ≤ 1`
+    /// is a no-op). Call it after the processes are added and before
+    /// the first step. The shards get [`Program::clone_program`] copies
+    /// of the processes and the lazy factories, and `k − 1` worker
+    /// threads that live as long as the world. Each `step` still commits
+    /// one event through the world's own code, and the world's process
+    /// table is the serial world's after every step, so anything that
+    /// drives a serial world through `peek`/`step` drives a sharded one
+    /// unchanged. See [`crate::shard`] for the window discipline, and
+    /// for what a sharded world refuses.
     ///
-    /// This is how a sharded campaign cell gets byte-exact supervision:
-    /// the [`crate::ShardedWorld`] executes and captures, then the real
-    /// supervision loop (Scroll, Time Machine, monitors) runs unchanged
-    /// against a mirror world replaying the capture — same events, same
-    /// clocks, same per-step program states as the serial run.
-    pub fn begin_replay(&mut self, steps: Vec<ReplayStep>) {
+    /// Panics if the network's minimum delivery latency is zero.
+    pub fn shard(&mut self, k: usize) {
+        if k <= 1 {
+            return;
+        }
+        assert!(self.shards.is_none(), "a world is sharded once");
         assert!(
-            !self.sealed,
-            "replay must begin before the world starts simulating"
+            self.exec_seq == 0 && self.staged.is_none(),
+            "shard a world before anything executes"
         );
-        self.replay = Some(steps.into());
+        // Copying the programs is not part of the run.
+        let p0 = crate::payload::stats();
+        let mut shards = Box::new(Shards::new(&self.procs, &self.cfg, k));
+        self.payload_base = self.payload_base.plus(crate::payload::stats().since(p0));
+        if self.sealed {
+            shards.adopt(self.queue.drain_all());
+        }
+        self.shards = Some(shards);
     }
 
-    /// In replay mode, consume one captured step: restore the acting
-    /// process's recorded post-state and clock, maintain the counters
-    /// the serial step loop would have, and return the sealed record.
-    fn step_replayed(&mut self) -> Option<SharedStepRecord> {
-        let s = self.replay.as_mut().expect("replay mode").pop_front()?;
-        let rec = s.record;
-        self.now = self.now.max(rec.event.at);
-        self.exec_seq = rec.event.seq + 1;
-        match &rec.event.kind {
-            EventKind::Start { pid } | EventKind::TimerFire { pid, .. } => {
-                let e = self.procs.ent_mut(*pid);
-                if let Some(st) = &s.post_state {
-                    e.program.restore(st);
-                }
-                if let Some(vc) = s.vc_after {
-                    e.vc = vc;
-                }
-            }
-            EventKind::Deliver { msg } => {
-                let pid = msg.dst;
-                {
-                    let e = self.procs.ent_mut(pid);
-                    e.lamport = e.lamport.max(msg.meta.lamport) + 1;
-                    e.delivered += 1;
-                    if let Some(st) = &s.post_state {
-                        e.program.restore(st);
-                    }
-                    if let Some(vc) = s.vc_after {
-                        e.vc = vc;
-                    }
-                }
-                self.stats.delivered += 1;
-            }
-            EventKind::Drop { .. } => {
-                self.stats.dropped += 1;
-            }
-            EventKind::Crash { pid } => {
-                self.procs.set_status(*pid, ProcStatus::Crashed);
-            }
-            EventKind::Restart { .. } => {}
-            EventKind::PartitionChange { partition } => {
-                self.partition = partition.clone();
-            }
+    /// The number of shards the handlers run on (1 unless
+    /// [`World::shard`] spread them).
+    pub fn shards(&self) -> usize {
+        self.shards.as_ref().map_or(1, |s| s.count())
+    }
+
+    /// Window accounting of a sharded world (all zero on one shard).
+    pub fn shard_timing(&self) -> ShardTiming {
+        self.shards.as_ref().map(|s| s.timing()).unwrap_or_default()
+    }
+
+    /// Per-shard arena counters and resident footprints, in shard order
+    /// (empty on one shard) — the data for sizing the pool caps at
+    /// scale.
+    pub fn shard_arena_stats(&self) -> Vec<ArenaStats> {
+        self.shards
+            .as_ref()
+            .map(|s| s.arena_stats())
+            .unwrap_or_default()
+    }
+
+    /// Have the shards stamp each receiver's checkpoint ordinal into its
+    /// message-meta template before a delivery runs, exactly as a Time
+    /// Machine under `CheckpointPolicy::EveryReceive` does on the
+    /// world's own table, so that the messages a shard's handlers send
+    /// carry the bytes a supervised serial run's would. The Time Machine
+    /// calls this when it initializes; on one shard there is nothing to
+    /// predict. Panics if a shard has already run a delivery.
+    pub fn predict_receive_checkpoints(&mut self) {
+        if let Some(sh) = self.shards.as_deref_mut() {
+            sh.stamp_receives();
         }
-        Some(rec)
+    }
+
+    /// INVARIANT: what rewrites the world's past or injects events into
+    /// it runs on one shard only. The shards run up to a window ahead of
+    /// the world, so on `k > 1` these would need un-staging the
+    /// lookahead, which needs shards to record the events they skip
+    /// (the follow-up that brings rollback and heal to sharded worlds).
+    fn assert_unsharded(&self, what: &str) {
+        assert!(
+            self.shards.is_none(),
+            "{what} is not supported on a sharded world"
+        );
     }
 
     /// Add a process. Must be called before the first `peek`/`step`.
     /// Returns the new process's [`Pid`].
     pub fn add_process(&mut self, program: Box<dyn Program>) -> Pid {
         assert!(!self.sealed, "cannot add processes after the world started");
+        self.assert_unsharded("add_process");
         let pid = Pid(self.procs.width() as u32);
         self.procs.grow_to(pid.idx() + 1);
         self.procs.install(pid, program);
@@ -391,6 +396,7 @@ impl World {
         factory: impl Fn(Pid) -> Box<dyn Program> + Send + Sync + 'static,
     ) -> std::ops::Range<u32> {
         assert!(!self.sealed, "cannot add processes after the world started");
+        self.assert_unsharded("add_lazy_processes");
         let start = self.procs.width() as u32;
         let end = start + count as u32;
         self.procs.grow_to(start as usize + count);
@@ -447,6 +453,9 @@ impl World {
         let started: Vec<Pid> = self.procs.materialized_pids().collect();
         for pid in started {
             self.push_event(start, EventKind::Start { pid });
+        }
+        if let Some(sh) = self.shards.as_deref_mut() {
+            sh.adopt(self.queue.drain_all());
         }
     }
 
@@ -519,17 +528,19 @@ impl World {
     /// The next event that will execute, without executing it. Idempotent:
     /// repeated peeks return the same event until `step` consumes it.
     pub fn peek(&mut self) -> Option<Event> {
-        if let Some(rp) = &self.replay {
-            // One counted kind-clone per peeked step, exactly like the
-            // staged-event clone below — payload accounting stays
-            // identical between serial and replayed supervision.
-            return rp.front().map(|s| Event {
-                seq: s.record.event.seq,
-                at: s.record.event.at,
-                kind: s.record.event.kind.clone(),
+        self.seal();
+        if self.shards.is_some() {
+            // One counted kind-clone, exactly like the staged-event
+            // clone below.
+            let head = self.next_sharded()?;
+            let sh = self.shards.as_deref().expect("sharded");
+            let (at, kind) = sh.peek(head);
+            return Some(Event {
+                seq: self.exec_seq,
+                at,
+                kind,
             });
         }
-        self.seal();
         let qe = self.next_valid()?;
         let ev = Event {
             seq: self.exec_seq,
@@ -549,35 +560,34 @@ impl World {
     /// step → apply-effects → route → trace cycle performs no deep clone
     /// of the event, its message, or its effects.
     pub fn step(&mut self) -> Option<SharedStepRecord> {
-        if self.replay.is_some() {
-            return self.step_replayed();
-        }
         self.seal();
-        let qe = self.next_valid()?;
-        self.now = self.now.max(qe.at);
+        // On shards the handler already ran: `staged` holds its effects
+        // and the acting process's state after it.
+        let (at, kind, staged) = if self.shards.is_some() {
+            let head = self.next_sharded()?;
+            let sh = self.shards.as_deref_mut().expect("sharded");
+            let (at, kind, staged, traffic) = sh.pop(head);
+            self.payload_base = self.payload_base.since(traffic);
+            (at, kind, staged)
+        } else {
+            let qe = self.next_valid()?;
+            (qe.at, qe.kind, None)
+        };
+        self.now = self.now.max(at);
         let seq = self.exec_seq;
         self.exec_seq += 1;
         let at = self.now;
 
-        let (kind, effects) = match qe.kind {
+        let (kind, effects) = match kind {
             EventKind::Start { pid } => {
-                let eff = self.run_handler(pid, HandlerCall::Start);
+                let eff = self.handle(pid, HandlerCall::Start, staged);
                 (EventKind::Start { pid }, eff)
             }
             EventKind::Deliver { msg } => {
-                let pid = msg.dst;
-                {
-                    let e = self.procs.ent_mut(pid);
-                    e.vc.tick(pid);
-                    let m = &msg.vc;
-                    e.vc.merge(m);
-                    e.lamport = e.lamport.max(msg.meta.lamport) + 1;
-                    e.delivered += 1;
-                }
                 self.stats.delivered += 1;
                 // Borrow the staged message for the handler call; the
                 // same shared handle then moves into the record's kind.
-                let eff = self.run_handler(pid, HandlerCall::Message(&msg));
+                let eff = self.handle(msg.dst, HandlerCall::Message(&msg), staged);
                 (EventKind::Deliver { msg }, eff)
             }
             EventKind::Drop { msg } => {
@@ -585,7 +595,7 @@ impl World {
                 (EventKind::Drop { msg }, Effects::default())
             }
             EventKind::TimerFire { pid, timer } => {
-                let eff = self.run_handler(pid, HandlerCall::Timer(timer));
+                let eff = self.handle(pid, HandlerCall::Timer(timer), staged);
                 (EventKind::TimerFire { pid, timer }, eff)
             }
             EventKind::Crash { pid } => {
@@ -608,14 +618,50 @@ impl World {
         Some(record)
     }
 
+    /// The next step a sharded world commits, running windows until one
+    /// is staged.
+    fn next_sharded(&mut self) -> Option<crate::shard::Head> {
+        let sh = self.shards.as_deref_mut().expect("sharded");
+        sh.next(
+            &self.cfg.net,
+            &self.partition,
+            &self.procs,
+            &mut self.arena,
+            &mut self.payload_base,
+        )
+    }
+
+    /// Run `pid`'s handler here, or commit the run its shard staged:
+    /// write the process's post-step state into the world's table, then
+    /// apply the effects as if the handler had run here.
+    fn handle(&mut self, pid: Pid, call: HandlerCall<'_>, staged: Option<Staged>) -> Effects {
+        let Some(Staged { effects, post }) = staged else {
+            return self.run_handler(pid, call);
+        };
+        // Restoring the copy is not part of the run.
+        let p0 = crate::payload::stats();
+        post.apply(self.procs.ent_mut(pid));
+        self.payload_base = self.payload_base.plus(crate::payload::stats().since(p0));
+        self.apply_effects(pid, effects)
+    }
+
     fn run_handler(&mut self, pid: Pid, call: HandlerCall<'_>) -> Effects {
         let n = self.procs.width();
         let now = self.now;
         let effects = {
             let e = self.procs.ent_mut(pid);
-            if matches!(call, HandlerCall::Start) {
-                e.vc.tick(pid);
-                e.lamport += 1;
+            match call {
+                HandlerCall::Start => {
+                    e.vc.tick(pid);
+                    e.lamport += 1;
+                }
+                HandlerCall::Message(msg) => {
+                    e.vc.tick(pid);
+                    e.vc.merge(&msg.vc);
+                    e.lamport = e.lamport.max(msg.meta.lamport) + 1;
+                    e.delivered += 1;
+                }
+                HandlerCall::Timer(_) => {}
             }
             let mut ctx = Context::new(
                 pid,
@@ -648,9 +694,8 @@ impl World {
     /// All events one effects batch generates (deliveries, drops, timer
     /// firings) collect into a reusable scratch vector and the calendar
     /// queue absorbs them in a single call, instead of a `queue.push`
-    /// per send. The routing itself goes through
-    /// [`NetSide::route_sends`], the same helper the sharded barrier
-    /// replay uses.
+    /// per send. On a sharded world the shards absorb them instead, and
+    /// have already applied the timer cancels.
     fn apply_effects(&mut self, pid: Pid, effects: Effects) -> Effects {
         let mut batch = std::mem::take(&mut self.event_batch);
         self.net_side().route_sends(&effects.sends, &mut batch);
@@ -658,11 +703,16 @@ impl World {
             let qe = self.make_event(*fire_at, EventKind::TimerFire { pid, timer: *timer });
             batch.push(qe);
         }
-        self.queue.absorb(&mut batch);
-        self.event_batch = batch;
-        for t in &effects.timers_cancelled {
-            self.cancelled_timers.insert((pid.0, t.0));
+        match self.shards.as_deref_mut() {
+            None => {
+                self.queue.absorb(&mut batch);
+                for t in &effects.timers_cancelled {
+                    self.cancelled_timers.insert((pid.0, t.0));
+                }
+            }
+            Some(sh) => sh.absorb(&mut batch),
         }
+        self.event_batch = batch;
         if effects.crashed {
             self.procs.set_status(pid, ProcStatus::Crashed);
             let seq = self.exec_seq;
@@ -689,11 +739,9 @@ impl World {
         }
     }
 
-    /// Borrow the network-side state one routed send needs. The serial
-    /// step loop and the sharded barrier replay both route through the
-    /// resulting [`NetSide`], so their delivery plans cannot drift.
+    /// Borrow the network-side state one routed send needs.
     #[inline]
-    pub(crate) fn net_side(&mut self) -> NetSide<'_> {
+    fn net_side(&mut self) -> NetSide<'_> {
         NetSide {
             faults: &self.faults,
             net: &self.cfg.net,
@@ -848,6 +896,7 @@ impl World {
     /// Typed write access to a process's program (tests / fault setup).
     /// Materializes a dormant lazy process.
     pub fn program_mut<T: 'static>(&mut self, pid: Pid) -> Option<&mut T> {
+        self.assert_unsharded("program_mut");
         self.procs
             .ent_mut(pid)
             .program
@@ -936,6 +985,7 @@ impl World {
     /// in-flight messages that the restored past has not yet sent, and
     /// rolling back communication partners.
     pub fn restore_checkpoint(&mut self, ckpt: &ProcCheckpoint) {
+        self.assert_unsharded("restore_checkpoint");
         let e = self.procs.ent_mut(ckpt.pid);
         e.program.restore(&ckpt.state.as_bytes());
         e.vc = ckpt.vc.clone();
@@ -954,6 +1004,7 @@ impl World {
     /// Crash a process immediately (external fault injection). A dormant
     /// lazy target is marked dead without materializing its state.
     pub fn crash_now(&mut self, pid: Pid) {
+        self.assert_unsharded("crash_now");
         self.procs.set_status(pid, ProcStatus::Crashed);
         let seq = self.exec_seq;
         self.exec_seq += 1;
@@ -964,6 +1015,7 @@ impl World {
     /// (used by restart-from-scratch strategies; pair with
     /// [`World::replace_program`] or [`World::restore_checkpoint`]).
     pub fn revive(&mut self, pid: Pid) {
+        self.assert_unsharded("revive");
         self.procs.set_status(pid, ProcStatus::Running);
     }
 
@@ -971,12 +1023,17 @@ impl World {
     /// entry point). Clocks and RNG position are preserved; the new
     /// program's state must already be migrated.
     pub fn replace_program(&mut self, pid: Pid, program: Box<dyn Program>) {
+        self.assert_unsharded("replace_program");
         self.procs.ent_mut(pid).program = program;
     }
 
     /// Schedule a fresh `on_start` for `pid` at the current time (used
-    /// after revive/replace to boot the new code).
+    /// after revive/replace to boot the new code). A sharded world takes
+    /// it only before it starts.
     pub fn schedule_start(&mut self, pid: Pid) {
+        if self.sealed {
+            self.assert_unsharded("schedule_start after the start");
+        }
         self.push_event(self.now, EventKind::Start { pid });
     }
 
@@ -996,6 +1053,7 @@ impl World {
     /// Remove queued events matching `pred` (e.g. in-flight messages made
     /// orphan by a rollback). Returns how many were removed.
     pub fn purge_events(&mut self, mut pred: impl FnMut(&EventKind) -> bool) -> usize {
+        self.assert_unsharded("purge_events");
         let mut removed = 0;
         if let Some(staged) = &self.staged {
             if pred(&staged.kind) {
@@ -1030,6 +1088,7 @@ impl World {
     /// assembly, quiesce, and restart baselines), which run once per
     /// checkpoint or rollback, never per event.
     fn queue_in_order(&self) -> Vec<&QueuedEvent> {
+        self.assert_unsharded("reading the event queue");
         let mut qes: Vec<&QueuedEvent> = self.queue.iter().chain(self.staged.iter()).collect();
         qes.sort_by_key(|qe| (qe.at, qe.seq));
         qes
@@ -1054,6 +1113,9 @@ impl World {
     /// Accepts an owned [`Message`] or an already-shared handle (which
     /// is aliased, not copied).
     pub fn inject_message(&mut self, msg: impl Into<SharedMessage>, deliver_at: VTime) {
+        if self.sealed {
+            self.assert_unsharded("inject_message");
+        }
         self.push_event(
             deliver_at.max(self.now),
             EventKind::Deliver { msg: msg.into() },
@@ -1079,6 +1141,7 @@ impl World {
     /// Re-arm a timer (drivers use this when restoring a global
     /// checkpoint that captured pending timers).
     pub fn inject_timer(&mut self, pid: Pid, timer: TimerId, fire_at: VTime) {
+        self.assert_unsharded("inject_timer");
         self.push_event(fire_at.max(self.now), EventKind::TimerFire { pid, timer });
     }
 
@@ -1140,18 +1203,16 @@ pub(crate) enum HandlerCall<'a> {
 
 /// The network-side state one routed send consumes: fault rules, the
 /// delivery policy, the live partition, the network RNG, counters, and
-/// the scheduling-sequence mint. Split out of [`World`] so the serial
-/// step loop and the sharded barrier replay ([`crate::ShardedWorld`])
-/// drive byte-identical routing through one function.
-pub(crate) struct NetSide<'a> {
-    pub(crate) faults: &'a FaultPlan,
-    pub(crate) net: &'a NetworkConfig,
-    pub(crate) partition: &'a Partition,
-    pub(crate) net_rng: &'a mut DetRng,
-    pub(crate) stats: &'a mut NetStats,
-    pub(crate) sched_seq: &'a mut u64,
-    pub(crate) plan_scratch: &'a mut Vec<DeliveryOutcome>,
-    pub(crate) now: VTime,
+/// the scheduling-sequence mint.
+struct NetSide<'a> {
+    faults: &'a FaultPlan,
+    net: &'a NetworkConfig,
+    partition: &'a Partition,
+    net_rng: &'a mut DetRng,
+    stats: &'a mut NetStats,
+    sched_seq: &'a mut u64,
+    plan_scratch: &'a mut Vec<DeliveryOutcome>,
+    now: VTime,
 }
 
 impl NetSide<'_> {
@@ -1162,12 +1223,10 @@ impl NetSide<'_> {
         QueuedEvent { at, seq, kind }
     }
 
-    /// Route every send of one effects batch into `batch` — the shared
-    /// front half of the take/route/absorb sequence that
-    /// `World::apply_effects` and the sharded barrier replay both
-    /// perform (each send aliases the message handle: a refcount bump,
-    /// no `Message` clone).
-    pub(crate) fn route_sends(&mut self, sends: &[SharedMessage], batch: &mut Vec<QueuedEvent>) {
+    /// Route every send of one effects batch into `batch` (each send
+    /// aliases the message handle: a refcount bump, no `Message`
+    /// clone).
+    fn route_sends(&mut self, sends: &[SharedMessage], batch: &mut Vec<QueuedEvent>) {
         for msg in sends {
             self.route_message(msg.clone(), batch);
         }
@@ -1177,7 +1236,7 @@ impl NetSide<'_> {
     /// identical to pushing straight into the queue: sequence numbers are
     /// minted here, and the queue orders by `(at, seq)` regardless of
     /// insertion order).
-    pub(crate) fn route_message(&mut self, mut msg: SharedMessage, batch: &mut Vec<QueuedEvent>) {
+    fn route_message(&mut self, mut msg: SharedMessage, batch: &mut Vec<QueuedEvent>) {
         self.stats.sent += 1;
         self.stats.payload_bytes += msg.payload.len() as u64;
         // Fault-plan rules first (they are targeted and override chance).

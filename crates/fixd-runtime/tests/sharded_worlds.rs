@@ -1,9 +1,10 @@
-//! Sharded-world equivalence: for any shard count, a [`ShardedWorld`]
-//! must produce the **byte-identical** execution of the serial
-//! [`World`] — same step records (full structural equality, not just a
-//! fingerprint), same network counters, same end time, same global
-//! snapshot. These tests run the same scenarios side by side at shard
-//! counts {1, 2, 4, 8} across delivery policies, faults, and lazy
+//! Sharded-world equivalence: for any shard count, a [`World`] sharded
+//! with [`World::shard`] must produce the **byte-identical** execution
+//! of the serial world — same step records (full structural equality,
+//! not just a fingerprint), same network counters, same end time, same
+//! global snapshot, and the same process table after every single step.
+//! These tests run the same scenarios side by side at shard counts
+//! {1, 2, 4, 8} across delivery policies, faults, step budgets and lazy
 //! population, plus the clock-merge edge cases that cross-shard handoff
 //! exercises (disjoint footprints, the inline→spill boundary, dormant
 //! receivers booted remotely).
@@ -11,8 +12,8 @@
 use proptest::prelude::*;
 
 use fixd_runtime::{
-    Context, DeliveryPolicy, FaultPlan, Message, NetworkConfig, Partition, Pid, Program,
-    ShardedWorld, TimerId, World, WorldConfig,
+    Context, DeliveryPolicy, FaultPlan, Message, NetworkConfig, Partition, Pid, Program, TimerId,
+    World, WorldConfig,
 };
 
 /// Gossip-ish program: payload- and RNG-dependent fan-out, timers on
@@ -115,8 +116,8 @@ impl Program for Echo {
     }
 }
 
-/// One scenario, described declaratively so the serial and sharded
-/// builds cannot drift apart.
+/// One scenario, described declaratively so that one build serves
+/// every shard count.
 #[derive(Clone)]
 struct Scenario {
     seed: u64,
@@ -139,7 +140,7 @@ impl Scenario {
         cfg
     }
 
-    fn build_serial(&self) -> World {
+    fn build(&self, shards: usize) -> World {
         let mut w = World::new(self.cfg());
         for _ in 0..self.eager {
             w.add_process(Box::new(Noisy {
@@ -154,24 +155,7 @@ impl Scenario {
         for &p in &self.starts {
             w.schedule_start(Pid(p));
         }
-        w
-    }
-
-    fn build_sharded(&self, shards: usize) -> ShardedWorld {
-        let mut w = ShardedWorld::new(self.cfg(), shards);
-        for _ in 0..self.eager {
-            w.add_process(Box::new(Noisy {
-                acc: 0,
-                fanout: self.fanout,
-            }));
-        }
-        if self.lazy > 0 {
-            w.add_lazy_processes(self.lazy, |_| Box::new(Echo { seen: 0 }));
-        }
-        w.set_fault_plan(self.faults.clone());
-        for &p in &self.starts {
-            w.schedule_start(Pid(p));
-        }
+        w.shard(shards);
         w
     }
 }
@@ -179,14 +163,27 @@ impl Scenario {
 /// Run the scenario serially and at each shard count; every observable
 /// must match the serial run exactly.
 fn assert_equivalent(sc: &Scenario) -> World {
-    let mut serial = sc.build_serial();
-    let serial_report = serial.run_to_quiescence(sc.max_steps);
+    assert_equivalent_in_runs(sc, &[sc.max_steps])
+}
+
+/// [`assert_equivalent`] with the run cut into one run call per budget:
+/// every call's [`fixd_runtime::RunReport`] must match too, whether the
+/// budget ends mid-window or not.
+fn assert_equivalent_in_runs(sc: &Scenario, budgets: &[u64]) -> World {
+    let mut serial = sc.build(1);
+    let serial_reports: Vec<_> = budgets
+        .iter()
+        .map(|&b| serial.run_to_quiescence(b))
+        .collect();
     for shards in [1usize, 2, 4, 8] {
-        let mut sharded = sc.build_sharded(shards);
-        let report = sharded.run_to_quiescence(sc.max_steps);
+        let mut sharded = sc.build(shards);
+        let reports: Vec<_> = budgets
+            .iter()
+            .map(|&b| sharded.run_to_quiescence(b))
+            .collect();
         assert_eq!(
-            report, serial_report,
-            "RunReport drifted at {shards} shards"
+            reports, serial_reports,
+            "RunReport drifted at {shards} shards (budgets {budgets:?})"
         );
         assert_eq!(
             sharded.trace().records(),
@@ -350,38 +347,22 @@ fn midrun_heal_revives_fast_link_and_shrinks_window() {
         Some(Pid(1)),
         DeliveryPolicy::Fifo { latency: 2 },
     );
-    for shards in [1usize, 2, 4, 8] {
-        let build = |sharded: Option<usize>| {
-            let mut cfg = WorldConfig::seeded(0x57A1E);
-            cfg.net = net.clone();
-            let split = Partition::split(2, &[&[Pid(0)], &[Pid(1)]]);
-            let plan = FaultPlan::none().partition(0, split, Some(25));
-            match sharded {
-                None => {
-                    let mut w = World::new(cfg);
-                    for _ in 0..2 {
-                        w.add_process(Box::new(Chatter { rounds: 3 }));
-                    }
-                    w.set_fault_plan(plan);
-                    (Some(w), None)
-                }
-                Some(s) => {
-                    let mut w = ShardedWorld::new(cfg, s);
-                    for _ in 0..2 {
-                        w.add_process(Box::new(Chatter { rounds: 3 }));
-                    }
-                    w.set_fault_plan(plan);
-                    (None, Some(w))
-                }
-            }
-        };
-        let (Some(mut serial), _) = build(None) else {
-            unreachable!()
-        };
-        serial.run_to_quiescence(5_000);
-        let (_, Some(mut sharded)) = build(Some(shards)) else {
-            unreachable!()
-        };
+    let build = |shards: usize| {
+        let mut cfg = WorldConfig::seeded(0x57A1E);
+        cfg.net = net.clone();
+        let mut w = World::new(cfg);
+        for _ in 0..2 {
+            w.add_process(Box::new(Chatter { rounds: 3 }));
+        }
+        let split = Partition::split(2, &[&[Pid(0)], &[Pid(1)]]);
+        w.set_fault_plan(FaultPlan::none().partition(0, split, Some(25)));
+        w.shard(shards);
+        w
+    };
+    let mut serial = build(1);
+    serial.run_to_quiescence(5_000);
+    for shards in [2usize, 4, 8] {
+        let mut sharded = build(shards);
         sharded.run_to_quiescence(5_000);
         assert_eq!(
             sharded.trace().records(),
@@ -444,10 +425,11 @@ fn disjoint_footprint_merge_across_shards() {
     // totally disjoint merge on first contact. With 2 shards, pid 0 and
     // pid 1 are on different shards, so the merge rides the handoff.
     for shards in [1usize, 2, 4, 8] {
-        let mut w = ShardedWorld::new(WorldConfig::seeded(0xC10C), shards);
+        let mut w = World::new(WorldConfig::seeded(0xC10C));
         for _ in 0..2 {
             w.add_process(Box::new(Spoke));
         }
+        w.shard(shards);
         w.run_to_quiescence(1_000);
         let vc0 = w.proc_vc(Pid(0));
         // Pid(0): start tick + deliver tick, plus the merged-in sender
@@ -467,10 +449,11 @@ fn inline_to_spill_boundary_crossed_by_remote_delivery() {
     // that, at shard counts > 1, all arrive as cross-shard handoffs.
     let mut want_nnz = None;
     for shards in [1usize, 2, 4, 8] {
-        let mut w = ShardedWorld::new(WorldConfig::seeded(0x5B11), shards);
+        let mut w = World::new(WorldConfig::seeded(0x5B11));
         for _ in 0..5 {
             w.add_process(Box::new(Spoke));
         }
+        w.shard(shards);
         w.run_to_quiescence(1_000);
         let vc0 = w.proc_vc(Pid(0)).clone();
         assert_eq!(vc0.nnz(), 5, "collector heard all four spokes + itself");
@@ -488,7 +471,7 @@ fn inline_to_spill_boundary_crossed_by_remote_delivery() {
 }
 
 // ---------------------------------------------------------------------
-// The parallel phase: one worker set per run call, shards handed to the
+// The parallel phase: one worker set per world, shards handed to the
 // workers and back by ownership, lone-shard windows inline.
 // ---------------------------------------------------------------------
 
@@ -504,19 +487,16 @@ fn window_grid_is_shard_count_invariant_and_inline_count_repeats() {
         faulty,
     ] {
         let mut grid = None;
-        for shards in [1usize, 2, 4, 8] {
+        for shards in [2usize, 4, 8] {
             let run = || {
-                let mut w = sc.build_sharded(shards);
+                let mut w = sc.build(shards);
                 w.run_to_quiescence(sc.max_steps);
-                let t = w.timing();
+                let t = w.shard_timing();
                 (t.windows, t.inline_windows)
             };
             let (windows, inline) = run();
             assert_eq!(run(), (windows, inline), "counters repeat, shards={shards}");
             assert!(windows > 0 && inline <= windows);
-            if shards == 1 {
-                assert_eq!(inline, windows, "one shard never hands off");
-            }
             assert_eq!(
                 *grid.get_or_insert(windows),
                 windows,
@@ -570,10 +550,10 @@ impl Program for Courier {
     }
 }
 
-/// Workers are created and retired per run call and outlive their
-/// windows, so their thread-local payload counters reach the world as
-/// deltas: none may be lost or counted twice, within a call or between
-/// calls.
+/// Workers live as long as the world and run ahead of it, so each
+/// step's payload traffic reaches the world when the step commits: none
+/// may be lost or counted twice, within a run call or between calls cut
+/// mid-window.
 #[test]
 fn accounting_survives_long_lived_workers_and_split_runs() {
     const N: usize = 32;
@@ -585,39 +565,48 @@ fn accounting_survives_long_lived_workers_and_split_runs() {
         cfg
     };
     // Mail to the crashed pid turns into drops inside the shard windows.
-    let plan = || FaultPlan::none().crash(Pid(5), 40);
+    let build = |shards: usize| {
+        let mut w = World::new(cfg());
+        for _ in 0..N {
+            w.add_process(Box::new(Courier { carried: 0 }));
+        }
+        w.set_fault_plan(FaultPlan::none().crash(Pid(5), 40));
+        w.shard(shards);
+        w
+    };
+    let total = build(1).run_to_quiescence(1_000_000).steps;
 
-    let mut serial = World::new(cfg());
-    for _ in 0..N {
-        serial.add_process(Box::new(Courier { carried: 0 }));
-    }
-    serial.set_fault_plan(plan());
-    let total = serial.run_to_quiescence(1_000_000).steps;
-    let want_pay = serial.payload_stats();
-    assert!(want_pay.copied > 0 && want_pay.aliased > 0);
-
-    for shards in [2usize, 4, 8] {
-        for cuts in [1u64, 3] {
-            let mut w = ShardedWorld::new(cfg(), shards);
-            for _ in 0..N {
-                w.add_process(Box::new(Courier { carried: 0 }));
+    for cuts in [1u64, 3] {
+        // A cut run call ends with a peek, which counts too: the serial
+        // reference is cut at the same steps. The worlds share this
+        // thread's counters, so each call's traffic is its delta.
+        let mut serial = build(1);
+        let mut sharded: Vec<World> = [2usize, 4, 8].into_iter().map(build).collect();
+        for cut in 1..=cuts {
+            let budget = if cut < cuts { total / cuts } else { 1_000_000 };
+            let run = |w: &mut World| {
+                let p0 = w.payload_stats();
+                let report = w.run_to_quiescence(budget);
+                (report, w.payload_stats().since(p0))
+            };
+            let (want, want_pay) = run(&mut serial);
+            assert!(want_pay.copied > 0 && want_pay.aliased > 0);
+            for w in &mut sharded {
+                let at = format!("shards={}, run call {cut} of {cuts}", w.shards());
+                let (report, pay) = run(w);
+                assert_eq!(report, want, "{at}");
+                assert_eq!(pay, want_pay, "payload counters, {at}");
+                assert_eq!(w.stats(), serial.stats(), "NetStats, {at}");
             }
-            w.set_fault_plan(plan());
-            for _ in 1..cuts {
-                assert!(!w.run_to_quiescence(total / cuts).quiescent);
-            }
-            assert!(w.run_to_quiescence(1_000_000).quiescent);
-            let t = w.timing();
+        }
+        for w in &sharded {
+            let t = w.shard_timing();
             assert!(t.windows >= 150, "only {} windows", t.windows);
             assert!(t.inline_windows < t.windows, "no window handed off");
-            let at = format!("shards={shards}, {cuts} run call(s)");
-            assert_eq!(w.payload_stats(), want_pay, "payload counters, {at}");
-            assert_eq!(w.stats(), serial.stats(), "NetStats, {at}");
-            assert_eq!(w.trace().records(), serial.trace().records(), "{at}");
+            assert_eq!(w.trace().records(), serial.trace().records());
             assert_eq!(
                 w.global_snapshot().fingerprint(),
-                serial.global_snapshot().fingerprint(),
-                "{at}"
+                serial.global_snapshot().fingerprint()
             );
         }
     }
@@ -697,7 +686,7 @@ fn run_with_handler_panic(shards: usize, culprit: Pid, witness: Pid) {
     assert_ne!(culprit.idx() % shards, witness.idx() % shards);
     let mut cfg = WorldConfig::seeded(0x5AB0);
     cfg.net = NetworkConfig::jittery(1, 20);
-    let mut w = ShardedWorld::new(cfg, shards);
+    let mut w = World::new(cfg);
     let meet = Rendezvous::default();
     for _ in 0..16 {
         w.add_process(Box::new(Saboteur {
@@ -706,6 +695,7 @@ fn run_with_handler_panic(shards: usize, culprit: Pid, witness: Pid) {
             meet: meet.clone(),
         }));
     }
+    w.shard(shards);
     w.run_to_quiescence(100_000);
 }
 
@@ -731,6 +721,87 @@ handler_panic_surfaces! {
 }
 
 // ---------------------------------------------------------------------
+// Lock step: the world's own process table is the serial world's after
+// every step — what the supervisor, its monitors, the Time Machine and
+// the Scroll read between steps.
+// ---------------------------------------------------------------------
+
+/// Step `sc` serially and on `shards` shards side by side, peeking
+/// before every step as the supervisor does, and compare after every
+/// step everything a driver can read: each pid's full checkpoint
+/// (program bytes, clock, lamport, RNG position, delivered, meta,
+/// message/timer ids), clock, liveness and delivered count, plus the
+/// trace length and the network counters.
+fn assert_lockstep(sc: &Scenario, shards: usize) {
+    let mut serial = sc.build(1);
+    let mut sharded = sc.build(shards);
+    let pids: Vec<Pid> = (0..serial.num_procs() as u32).map(Pid).collect();
+    for step in 0.. {
+        let at = format!("{shards} shards, step {step}, seed {}", sc.seed);
+        assert_eq!(sharded.peek(), serial.peek(), "peeked event, {at}");
+        let (a, b) = (serial.step(), sharded.step());
+        assert_eq!(b, a, "step record, {at}");
+        for &p in &pids {
+            assert_eq!(
+                format!("{:?}", sharded.checkpoint_process(p)),
+                format!("{:?}", serial.checkpoint_process(p)),
+                "checkpoint of {p}, {at}"
+            );
+            assert_eq!(sharded.proc_vc(p), serial.proc_vc(p), "clock of {p}, {at}");
+            assert_eq!(sharded.status(p), serial.status(p), "status of {p}, {at}");
+            assert_eq!(
+                sharded.delivered_count(p),
+                serial.delivered_count(p),
+                "delivered count of {p}, {at}"
+            );
+        }
+        assert_eq!(sharded.trace().len(), serial.trace().len(), "trace, {at}");
+        assert_eq!(sharded.stats(), serial.stats(), "network counters, {at}");
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random faulty workloads — crashes (a pid's own and the plan's),
+    /// a dropping and a corrupting link, lossy, duplicating, corrupting
+    /// and jittery networks — in lock step at 2, 4 and 8 shards.
+    #[test]
+    fn process_table_matches_serial_after_every_step(
+        seed in 0u64..10_000,
+        n in 3usize..8,
+        fanout in 1u8..6,
+        jitter in any::<bool>(),
+        drop in 0.0f64..0.2,
+        dup in 0.0f64..0.2,
+        corrupt in 0.0f64..0.2,
+        crash_at in 1u64..150,
+        cut in 1u64..100,
+    ) {
+        let mut net = if jitter {
+            NetworkConfig::jittery(1, 30)
+        } else {
+            NetworkConfig::default()
+        };
+        net.drop_prob = drop;
+        net.dup_prob = dup;
+        net.corrupt_prob = corrupt;
+        let mut sc = gossip(seed, n, net);
+        sc.fanout = fanout;
+        sc.faults = FaultPlan::none()
+            .crash(Pid(n as u32 - 1), crash_at)
+            .drop_link(Pid(0), Pid(1), cut, cut + 40)
+            .corrupt_link(Pid(1), Pid(2), 0, u64::MAX);
+        for shards in [2usize, 4, 8] {
+            assert_lockstep(&sc, shards);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Property: random scenarios match at every shard count.
 // ---------------------------------------------------------------------
 
@@ -748,6 +819,8 @@ proptest! {
         corrupt in 0.0f64..0.25,
         crash in any::<bool>(),
         crash_at in 1u64..200,
+        budget in 1u64..300,
+        second in 1u64..300,
     ) {
         let mut net = if jitter {
             NetworkConfig::jittery(1, 30)
@@ -761,7 +834,9 @@ proptest! {
         if crash {
             sc.faults = FaultPlan::none().crash(Pid(1), crash_at);
         }
-        assert_equivalent(&sc);
+        // Two random budgets cut the run (usually mid-window), then it
+        // drains: every report must be the serial one.
+        assert_equivalent_in_runs(&sc, &[budget, second, sc.max_steps]);
     }
 
     /// Heterogeneous per-link latencies (concrete and wildcard edges)
@@ -827,9 +902,9 @@ fn env_selected_shard_count_matches_serial() {
         return; // knob unset: covered by the fixed matrix above
     };
     let sc = gossip(0xE27, 6, NetworkConfig::jittery(1, 20));
-    let mut serial = sc.build_serial();
+    let mut serial = sc.build(1);
     serial.run_to_quiescence(sc.max_steps);
-    let mut sharded = sc.build_sharded(shards);
+    let mut sharded = sc.build(shards);
     sharded.run_to_quiescence(sc.max_steps);
     assert_eq!(sharded.trace().records(), serial.trace().records());
     assert_eq!(

@@ -118,12 +118,25 @@ impl TimeMachine {
     /// Take the initial checkpoint (index 0) of every process. Called
     /// lazily by the driver entry points; call explicitly if you need
     /// checkpoint 0 to capture a specific pre-run state.
+    ///
+    /// On a sharded world this also has the shards predict the
+    /// per-receive stamping ([`World::predict_receive_checkpoints`]), so
+    /// it must run before the first delivery, and only the
+    /// [`CheckpointPolicy::EveryReceive`] policy is predictable.
     pub fn init(&mut self, world: &mut World) {
         if self.initialized {
             return;
         }
         self.initialized = true;
         world.ensure_started();
+        if world.shards() > 1 {
+            assert_eq!(
+                self.cfg.policy,
+                CheckpointPolicy::EveryReceive,
+                "a sharded world can only be supervised under CheckpointPolicy::EveryReceive"
+            );
+            world.predict_receive_checkpoints();
+        }
         for i in 0..self.stores.len() {
             let pid = Pid(i as u32);
             let idx = self.stores[i].take(world, self.events_handled[i]);

@@ -124,27 +124,121 @@ fn wide_matrix_is_shard_count_invariant() {
     }
 }
 
-/// The invariance tests above compare outcomes only, and a sharded cell
-/// that does not quiesce, or whose mirror detects a fault, is re-run on
-/// the serial path without a word: a driver that always fell back would
-/// pass them all. Both matrices are clean, so no cell may fall back.
+/// Every sharded cell runs on its shards, and reports the one-shard
+/// run's outcome. The world's own process table is the serial one at
+/// every step, so nothing may fall back anywhere: not a clean cell, not
+/// a cell whose monitor fires (kvstore's gap monitor, the token ring's
+/// global mutual-exclusion monitor), and not a cell a step budget cuts
+/// before it quiesces.
 #[test]
 fn sharded_cells_run_on_the_sharded_executor() {
-    use fixd::campaign::{run_cell_sharded_timed, wide_matrix};
+    use fixd::campaign::{default_shards, run_cell_sharded_timed, wide_matrix, AppSpec, CellCheck};
+    use std::sync::Arc;
+
+    // Each cell at each shard count against its one-shard outcome;
+    // returns how many cells a monitor stopped.
+    let run = |spec: &CampaignSpec, shard_counts: &[usize]| {
+        let mut detected = 0;
+        for cell in spec.cells() {
+            let (want, t) = run_cell_sharded_timed(spec, &cell, 1);
+            assert!(t.serial);
+            detected += usize::from(want.violation.is_some());
+            for &shards in shard_counts {
+                let (out, t) = run_cell_sharded_timed(spec, &cell, shards);
+                let at = format!(
+                    "{}/{} seed {} at {shards} shards",
+                    out.app, out.case, out.seed
+                );
+                assert!(!t.serial, "{at} ran on one shard");
+                assert_eq!(out, want, "{at} drifted from the one-shard run");
+            }
+        }
+        detected
+    };
+
     let wide = wide_matrix(16, &[0, 1]);
     let standard = standard_matrix(&[7, 8]);
     assert_eq!(standard.expected_cells(), 70);
-    for (spec, shard_counts) in [(&wide, &[2usize, 4, 8][..]), (&standard, &[2][..])] {
-        for cell in spec.cells() {
-            for &shards in shard_counts {
-                let (out, t) = run_cell_sharded_timed(spec, &cell, shards);
-                assert!(
-                    !t.serial,
-                    "{}/{} seed {} fell back to the serial path at {shards} shards",
-                    out.app, out.case, out.seed
-                );
-            }
-        }
+    run(&wide, &[2, 4, 8]);
+    run(&standard, &[2]);
+
+    // Detected cells: the buggy backup under clean FIFO and reordering.
+    let mut buggy = CampaignSpec::new().app(kvstore_buggy_app()).seeds(0..6);
+    buggy.cases = standard_cases()
+        .into_iter()
+        .filter(|c| c.name == "clean" || c.name == "reorder")
+        .collect();
+    assert!(
+        run(&buggy, &[2, 4, 8]) > 0,
+        "no kvstore_buggy cell detected"
+    );
+
+    // A global monitor: the ring node that duplicates the token.
+    let ring = CampaignSpec::new()
+        .app(AppSpec {
+            name: "token_ring_dup",
+            supports: &[Pathology::Clean, Pathology::Reorder],
+            build: Arc::new(|cfg| token_ring::ring_world_cfg(cfg, 4, Some((1, 2)))),
+            monitors: Arc::new(|| vec![token_ring::mutex_monitor()]),
+            check: Arc::new(|_, _, _| CellCheck::default()),
+        })
+        .case(FaultCase::net_only(
+            "clean",
+            Pathology::Clean,
+            NetworkConfig::default(),
+        ))
+        .case(FaultCase::net_only(
+            "reorder",
+            Pathology::Reorder,
+            NetworkConfig::jittery(1, 50),
+        ))
+        .seeds(0..3);
+    assert!(run(&ring, &[2, 8]) > 0, "the ring bug never fired");
+
+    // A budget that cuts every cell before it quiesces. Not the WAL
+    // counter's: its disk lives outside the processes, so a cut world's
+    // disk also holds the writes of the rest of the shards' window.
+    let mut cut = standard_matrix(&[7]);
+    cut.apps.retain(|a| a.name != "wal_counter");
+    cut.max_steps = 9;
+    run(&cut, &[2, 8]);
+    assert!(cut
+        .cells()
+        .iter()
+        .all(|c| !run_cell_sharded_timed(&cut, c, 2).0.quiescent));
+
+    // And whatever FIXD_SHARDS asks for (CI runs 1, 2 and 8).
+    let env = default_shards();
+    if env > 1 {
+        run(&buggy, &[env]);
+        run(&ring, &[env]);
+    }
+}
+
+/// A fault detected on a sharded world is the serial run's fault: same
+/// monitor, same culprit, same virtual time and the same serial step
+/// index, and the supervisor stops the world right there.
+#[test]
+fn sharded_detection_stops_at_the_serial_step() {
+    let detect = |shards: usize| {
+        let mut w = token_ring::ring_world_cfg(WorldConfig::seeded(3), 4, Some((1, 2)));
+        w.shard(shards);
+        let mut fixd = Fixd::new(4, FixdConfig::seeded(3)).monitor(token_ring::mutex_monitor());
+        let out = fixd.supervise(&mut w, 10_000);
+        let fault = out
+            .fault
+            .expect("the duplicated token breaks mutual exclusion");
+        (
+            fault,
+            out.steps,
+            w.trace().len(),
+            w.global_snapshot().fingerprint(),
+        )
+    };
+    let want = detect(1);
+    assert_eq!(want.0.after_steps, want.1);
+    for shards in [2, 8] {
+        assert_eq!(detect(shards), want, "at {shards} shards");
     }
 }
 

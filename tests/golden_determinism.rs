@@ -20,7 +20,7 @@
 use fixd::campaign::{run_campaign_with_threads, standard_matrix};
 use fixd::prelude::*;
 use fixd::runtime::wire::{fnv1a, fnv_mix};
-use fixd::runtime::{EventKind, FaultPlan, NetworkConfig, ShardedWorld, Trace};
+use fixd::runtime::{EventKind, FaultPlan, NetworkConfig, Trace};
 
 const FIXTURE: &str = "tests/fixtures/golden_campaign_cells.json";
 
@@ -159,27 +159,6 @@ fn mesh_world(n: usize, seed: u64) -> World {
     w
 }
 
-/// The same world as [`mesh_world`], built on the sharded executor.
-fn mesh_sharded(n: usize, seed: u64, shards: usize) -> ShardedWorld {
-    let mut cfg = WorldConfig::seeded(seed);
-    cfg.net = NetworkConfig {
-        drop_prob: 0.01,
-        dup_prob: 0.08,
-        corrupt_prob: 0.05,
-        ..NetworkConfig::default()
-    };
-    let mut w = ShardedWorld::new(cfg, shards);
-    for _ in 0..n {
-        w.add_process(Box::new(Mesh { hops: 40, seen: 0 }));
-    }
-    w.set_fault_plan(
-        FaultPlan::none()
-            .crash(Pid(2), 400)
-            .drop_link(Pid(0), Pid(2), 150, 170),
-    );
-    w
-}
-
 /// Order-dependent fingerprint over every retained record: event
 /// identity (seq, time, kind, message id + content) chained with the
 /// handler's full [`fixd::runtime::Effects`] fingerprint.
@@ -228,13 +207,14 @@ fn step_record_sequence_matches_pre_refactor_seed() {
     );
 }
 
-/// The sharded executor must reproduce the *same* golden fingerprint as
-/// the serial world at every shard count — cross-shard handoff is not
+/// A sharded world must reproduce the *same* golden fingerprint as the
+/// serial world at every shard count — cross-shard handoff is not
 /// allowed to move a single observable bit.
 #[test]
 fn sharded_mesh_reproduces_golden_at_every_shard_count() {
     for shards in [1usize, 2, 4, 8] {
-        let mut w = mesh_sharded(3, 0xF00D, shards);
+        let mut w = mesh_world(3, 0xF00D);
+        w.shard(shards);
         let report = w.run_to_quiescence(10_000);
         assert!(report.quiescent, "workload must drain (shards={shards})");
         assert_eq!(

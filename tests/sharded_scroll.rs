@@ -1,13 +1,11 @@
 //! A sharded run's Scroll is the serial run's Scroll, byte for byte, on
-//! the path the campaign driver takes: the [`ShardedWorld`] executes
-//! under `run_supervised`, a serial mirror populated through
-//! [`DualHost`] replays the captured stream (`begin_replay`), and
-//! [`Fixd::supervise`] records it. The Scroll is the paper's ground
-//! truth, so parallel execution may not perturb a single encoded byte
-//! of it.
+//! the path the campaign driver takes: the world runs its handlers on
+//! shards ([`World::shard`]) and [`Fixd::supervise`] records the Scroll
+//! on that world as it steps. The Scroll is the paper's ground truth, so
+//! parallel execution may not perturb a single encoded byte of it.
 
 use fixd::prelude::*;
-use fixd::runtime::{DualHost, NetworkConfig, ProcHost, ShardedWorld};
+use fixd::runtime::NetworkConfig;
 
 /// Gossip program with RNG draws and payload-dependent fan-out, so the
 /// Scroll records deliveries *and* randoms on every process.
@@ -65,14 +63,14 @@ fn cfg(base: &NetworkConfig) -> WorldConfig {
     cfg
 }
 
-fn populate(host: &mut dyn ProcHost) {
+fn world(net: &NetworkConfig, shards: usize) -> World {
+    let mut w = World::new(cfg(net));
     for _ in 0..N {
-        host.spawn(Box::new(Gossip { acc: 0 }));
+        w.add_process(Box::new(Gossip { acc: 0 }));
     }
-}
-
-fn plan() -> FaultPlan {
-    FaultPlan::none().crash(Pid(2), 90)
+    w.set_fault_plan(FaultPlan::none().crash(Pid(2), 90));
+    w.shard(shards);
+    w
 }
 
 /// Supervise `world` to quiescence with no monitor and return the Scroll.
@@ -89,24 +87,6 @@ fn supervised_scroll(world: &mut World, record_drops: bool) -> ScrollStore {
     fixd.scroll().clone()
 }
 
-fn serial(net: &NetworkConfig, record_drops: bool) -> ScrollStore {
-    let mut w = World::new(cfg(net));
-    populate(&mut w);
-    w.set_fault_plan(plan());
-    supervised_scroll(&mut w, record_drops)
-}
-
-fn sharded(net: &NetworkConfig, record_drops: bool, shards: usize) -> ScrollStore {
-    let mut sw = ShardedWorld::new(cfg(net), shards);
-    let mut mirror = World::new(cfg(net));
-    populate(&mut DualHost::new(&mut sw, &mut mirror));
-    sw.set_fault_plan(plan());
-    let (report, stream) = sw.run_supervised(MAX_STEPS);
-    assert!(report.quiescent);
-    mirror.begin_replay(stream);
-    supervised_scroll(&mut mirror, record_drops)
-}
-
 #[test]
 fn sealed_scroll_bytes_identical_across_shard_counts() {
     // FIFO latency 10 keeps every shard busy in a handful of wide
@@ -114,11 +94,11 @@ fn sealed_scroll_bytes_identical_across_shard_counts() {
     // most windows find some shard with nothing to do.
     for net in [NetworkConfig::default(), NetworkConfig::jittery(1, 30)] {
         for record_drops in [false, true] {
-            let want = serial(&net, record_drops);
+            let want = supervised_scroll(&mut world(&net, 1), record_drops);
             assert!(want.total_entries() > 0, "the run must record something");
             for shards in [1usize, 2, 4, 8] {
                 let at = format!("{shards} shards (drops={record_drops}, {:?})", net.policy);
-                let got = sharded(&net, record_drops, shards);
+                let got = supervised_scroll(&mut world(&net, shards), record_drops);
                 assert_eq!(
                     got.total_entries(),
                     want.total_entries(),
