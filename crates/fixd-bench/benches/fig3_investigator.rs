@@ -141,7 +141,7 @@ fn order_costs(_: &mut Criterion) {
                 },
             )
             .invariants(invariants.iter().cloned().map(on_held));
-            let (r, wall) = fixd_bench::time_it(|| explorer.run());
+            let (r, wall) = fixd_bench::time_it(|| explorer.run_parallel(1));
             println!(
                 "{name:<22} {:<5} {:>8} {:>10} {:>10} {:>5.2} {:>7.2} {:>9.0} {:>10}",
                 format!("{order:?}"),
@@ -155,6 +155,18 @@ fn order_costs(_: &mut Criterion) {
             );
         }
     }
+    // What `run` makes of the exhaustive target: every core the process
+    // may use. The workers contend on the counting allocator's atomic.
+    let (name, model, invariants, cfg) = &targets[0];
+    let explorer = Explorer::new(model, cfg.clone()).invariants(invariants.iter().cloned());
+    let (r, wall) = fixd_bench::time_it(|| explorer.run());
+    println!(
+        "{name:<22} run() on {} workers: {} states, {:.2} s, {:.0} states/s",
+        explorer.workers(),
+        r.states,
+        wall.as_secs_f64(),
+        r.states as f64 / wall.as_secs_f64(),
+    );
 }
 
 /// Hand-timed calls behind each row of the part table.

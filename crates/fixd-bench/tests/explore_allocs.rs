@@ -41,11 +41,13 @@ fn an_explored_transition_allocates_only_what_it_changes() {
             })
             .collect()
     });
+    // One worker, on this thread: `run` would take every core, and a
+    // fresh worker thread starts with cold pools.
     let explorer = Explorer::new(&model, ExploreConfig::exhaustive(10_000));
-    explorer.run();
+    explorer.run_parallel(1);
 
     let before = alloc_events();
-    let report = explorer.run();
+    let report = explorer.run_parallel(1);
     let allocs = alloc_events() - before;
     assert_eq!((report.states, report.transitions), (350, 688));
     let per_transition = allocs as f64 / report.transitions as f64;

@@ -100,7 +100,8 @@ impl ModelD {
         Explorer::new(&self.model, self.cfg.clone()).invariants(self.invariants.iter().cloned())
     }
 
-    /// Run the exploration. Returns the report with violation trails.
+    /// Run the exploration on as many workers as it can use (see
+    /// [`Explorer::run`]). Returns the report with violation trails.
     pub fn run(&self) -> ExploreReport<ModelAction> {
         self.engine().run()
     }

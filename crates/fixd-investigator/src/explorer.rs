@@ -16,7 +16,9 @@
 //! * trails to every violation ([`crate::Trail`]);
 //! * deadlock reporting (as CMC does).
 
-use crate::frontier::explore;
+use std::sync::OnceLock;
+
+use crate::frontier::{explore, SOLO_ITEMS};
 use crate::invariant::Invariant;
 pub use crate::search::SearchOrder;
 use crate::system::TransitionSystem;
@@ -43,9 +45,9 @@ pub struct ExploreConfig {
     /// Return after the first violation (bug hunting) instead of
     /// collecting up to `max_violations`.
     pub stop_at_first_violation: bool,
-    /// Cap on collected violation trails. At more than one worker a
-    /// few more can come back: every worker finishes the successor it
-    /// is on.
+    /// Cap on collected violation trails. From
+    /// [`Explorer::run_parallel`] at more than one worker a few more can
+    /// come back: every worker finishes the successor it is on.
     pub max_violations: usize,
     /// Report unexpected terminal states as deadlocks.
     pub detect_deadlocks: bool,
@@ -79,8 +81,9 @@ impl ExploreConfig {
     /// order, and LIFO gets there holding a stack of states where BFS
     /// holds a layer, and expands each while it is still in cache; a
     /// guard turns the lane where the graph punishes the order (see
-    /// [`SearchOrder::Dfs`]). If the fuse blows, what the run had seen
-    /// is what a depth-first search sees.
+    /// [`SearchOrder::Dfs`]). [`Explorer::run`] gives such a run every
+    /// core ([`Explorer::workers`]). If the fuse blows, what the run had
+    /// seen is what a one-worker depth-first search sees.
     ///
     /// A bounded guarantee over a space that does not finish ("no
     /// violation within 60 steps") is [`Self::default`] with
@@ -196,23 +199,60 @@ impl<'a, T: TransitionSystem> Explorer<'a, T> {
         &self.cfg
     }
 
-    /// Explore within the configured bounds on the calling thread, in
-    /// [`ExploreConfig::order`].
+    /// Explore within the configured bounds on [`Self::workers`]
+    /// workers, the others starting only once the calling thread has
+    /// expanded a thousand states alone (a smaller run spawns nothing).
+    /// The report is a function of the system and the configuration
+    /// alone: a run that no limit stops reports the same at any worker
+    /// count, and one that `max_states` or `max_violations` stops after
+    /// the others have started is explored again on the calling thread
+    /// alone, so that what it reports is what one worker sees when it
+    /// stops.
     pub fn run(&self) -> ExploreReport<T::Label> {
+        let workers = self.workers();
+        if workers > 1 {
+            let (report, cut) = self.explore(workers, SOLO_ITEMS);
+            if !cut {
+                return report;
+            }
+        }
         self.run_parallel(1)
+    }
+
+    /// The worker count [`Self::run`] explores with. A run meant to
+    /// finish, one in the LIFO order ([`ExploreConfig::exhaustive`]) that
+    /// does not stop at its first violation, takes every core the
+    /// process may use: its report does not depend on the worker count,
+    /// and only a blown fuse costs it the serial re-run. Any other run
+    /// takes one: it is a hunt, a diagnosis or a bounded check, which a
+    /// limit is expected to stop, and whose cut depends on the order.
+    pub fn workers(&self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let finishes = self.cfg.order == SearchOrder::Dfs && !self.cfg.stop_at_first_violation;
+        if !finishes {
+            return 1;
+        }
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Explore with `workers` workers (the calling thread is one of
     /// them). A run that no limit cuts short reports exactly what
     /// [`Explorer::run`] reports, trails included, at any worker count;
-    /// see [`crate::frontier`] for what a truncated run holds.
+    /// see [`crate::frontier`] for what a truncated run holds. A panic
+    /// on any worker (a handler, an invariant) stops the run and reaches
+    /// the caller with its own payload.
     pub fn run_parallel(&self, workers: usize) -> ExploreReport<T::Label> {
+        self.explore(workers, 0).0
+    }
+
+    fn explore(&self, workers: usize, solo: usize) -> (ExploreReport<T::Label>, bool) {
         explore(
             self.sys,
             &self.invariants,
             &self.terminal_checks,
             &self.cfg,
             workers,
+            solo,
         )
     }
 

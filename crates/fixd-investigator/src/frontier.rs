@@ -6,7 +6,9 @@
 //! worker drains a `Frontier` in [`ExploreConfig::order`] (BFS, seeded
 //! random) or, for DFS, the one lane of a `StealQueue`; more than one
 //! share a `StealQueue` (owners pop LIFO, idle workers steal the oldest
-//! half of a lane) and ignore `order`.
+//! half of a lane) and ignore `order`. [`crate::Explorer::run`] picks the
+//! count: every core for a run meant to finish, one for any other
+//! ([`crate::Explorer::workers`]).
 //!
 //! Which order for what: a run meant to finish takes the LIFO lane
 //! ([`ExploreConfig::exhaustive`]); its report does not depend on the
@@ -51,7 +53,15 @@
 //! order: the counts of a textbook BFS cut at the same point).
 //! At more than one worker it depends on the schedule, and a few more
 //! than `max_violations` trails can come back, because every worker
-//! finishes the successor it is on.
+//! finishes the successor it is on; [`crate::Explorer::run`] therefore
+//! explores such a run again on one worker.
+//!
+//! # Panics
+//!
+//! A panic in the system or an invariant on any worker stops every
+//! other worker and is resumed on the caller with its own payload. It
+//! cannot hang the run: the item being expanded never leaves `pending`,
+//! so the others would otherwise wait for a quiescence that never comes.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
@@ -252,6 +262,15 @@ impl<L> Graph<L> {
     fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Node<L>>> {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
+
+    /// Move the nodes into the tables of a `workers`-worker run.
+    fn spread(&mut self, workers: usize) {
+        let old = std::mem::replace(self, Self::new(workers));
+        let n = self.shards.len() as u64;
+        for (key, node) in old.shards.into_iter().flat_map(Mutex::into_inner) {
+            self.shards[(key % n) as usize].get_mut().insert(key, node);
+        }
+    }
 }
 
 /// Everything the workers of one run share.
@@ -273,18 +292,33 @@ struct Run<'a, T: TransitionSystem> {
     deadlocks: Mutex<Vec<u64>>,
 }
 
+/// How many items [`crate::Explorer::run`] lets worker 0 expand alone
+/// before the other workers start. A run that ends sooner (a test, a
+/// diagnosis-sized space) spawns no thread and is the one-worker run
+/// exactly, so a limit that stops it by then needs no second run. The
+/// 227k-state Chord-KV target is 0.5 % through when the others join.
+pub(crate) const SOLO_ITEMS: usize = 1024;
+
 /// Explore `sys` with `workers` workers; the calling thread is worker 0,
-/// so one worker spawns nothing. See the module docs for what the report
-/// holds and when it is deterministic.
+/// so one worker spawns nothing. Worker 0 expands up to `solo` items
+/// alone before the others start, and a run that ends by then spawns
+/// nothing either. See the module docs for what the report holds and
+/// when it is deterministic. The flag says whether `max_states`,
+/// `max_violations` or `stop_at_first_violation` stopped the run after
+/// the other workers had started: only then can the report depend on
+/// the schedule (the depth cap does not count; its verdict is read off
+/// the final graph). A panic on any worker stops the others and is
+/// resumed on the caller, with its own payload.
 pub(crate) fn explore<T: TransitionSystem>(
     sys: &T,
     invariants: &[Invariant<T::State>],
     terminal_checks: &[Invariant<T::State>],
     cfg: &ExploreConfig,
     workers: usize,
-) -> ExploreReport<T::Label> {
+    solo: usize,
+) -> (ExploreReport<T::Label>, bool) {
     assert!(workers > 0, "need at least one worker");
-    let run = Run {
+    let mut run = Run {
         sys,
         invariants,
         terminal_checks,
@@ -293,7 +327,8 @@ pub(crate) fn explore<T: TransitionSystem>(
             Some(frontier) => Queue::Ordered(Mutex::new(frontier)),
             None => Queue::Stealing(StealQueue::new(workers)),
         },
-        graph: Graph::new(workers),
+        // Worker 0's solo items use one table, as one worker's do.
+        graph: Graph::new(if solo > 0 { 1 } else { workers }),
         states: AtomicUsize::new(1),
         transitions: AtomicU64::new(0),
         pending: AtomicUsize::new(1),
@@ -331,21 +366,52 @@ pub(crate) fn explore<T: TransitionSystem>(
                 first: true,
             },
         );
+        run.work(0, if workers == 1 { usize::MAX } else { solo });
+    }
+    // Work left after worker 0's solo items: the others join.
+    let helped = !run.stop.load(Ordering::Relaxed) && run.pending.load(Ordering::Acquire) > 0;
+    if helped {
+        if solo > 0 {
+            run.graph.spread(workers);
+        }
         std::thread::scope(|scope| {
-            for w in 1..workers {
-                let run = &run;
-                scope.spawn(move || run.work(w));
+            let helpers: Vec<_> = (1..workers)
+                .map(|w| {
+                    let run = &run;
+                    scope.spawn(move || run.work(w, usize::MAX))
+                })
+                .collect();
+            run.work(0, usize::MAX);
+            for helper in helpers {
+                if let Err(panic) = helper.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
-            run.work(0);
         });
     }
-    run.report()
+    let (report, cut) = run.report();
+    (report, cut && helped)
+}
+
+/// Stops the run when its worker unwinds. The item the worker was
+/// expanding never leaves `pending`, so without this the others would
+/// wait for quiescence forever, and the scope for them.
+struct StopOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 impl<T: TransitionSystem> Run<'_, T> {
-    fn work(&self, worker: usize) {
-        let mut transitions = 0;
-        while !self.stop.load(Ordering::Relaxed) {
+    /// Expand items until the run is over or `limit` of them are done.
+    fn work(&self, worker: usize, limit: usize) {
+        let _stop = StopOnUnwind(&self.stop);
+        let (mut transitions, mut expanded) = (0, 0);
+        while expanded < limit && !self.stop.load(Ordering::Relaxed) {
             let Some(item) = self.queue.pop(worker) else {
                 if self.pending.load(Ordering::Acquire) == 0 {
                     break;
@@ -357,6 +423,7 @@ impl<T: TransitionSystem> Run<'_, T> {
             // Only after the successors are queued: `pending == 0` then
             // proves global quiescence.
             self.pending.fetch_sub(1, Ordering::Release);
+            expanded += 1;
         }
         self.transitions.fetch_add(transitions, Ordering::Relaxed);
     }
@@ -504,7 +571,7 @@ impl<T: TransitionSystem> Run<'_, T> {
     /// (measured: one such chunk made glibc hand the heap back during
     /// the caller's *next* exploration instead of at the end of this
     /// one, doubling the time of a small run after a large one).
-    fn report(self) -> ExploreReport<T::Label> {
+    fn report(self) -> (ExploreReport<T::Label>, bool) {
         let mut max_depth_reached = 0;
         // The depth cap left a state with successors unexpanded
         // (terminal states are accounted at any depth).
@@ -548,14 +615,16 @@ impl<T: TransitionSystem> Run<'_, T> {
         for trails in [&mut violations, &mut deadlocks] {
             trails.sort_by(|a, b| key(a).cmp(&key(b)));
         }
-        ExploreReport {
+        let cut = self.truncated.load(Ordering::Relaxed);
+        let report = ExploreReport {
             states: self.states.load(Ordering::Relaxed),
             transitions: self.transitions.load(Ordering::Relaxed),
             max_depth_reached,
             violations,
             deadlocks,
-            truncated: self.truncated.load(Ordering::Relaxed) || capped,
-        }
+            truncated: cut || capped,
+        };
+        (report, cut)
     }
 }
 
@@ -877,7 +946,7 @@ mod tests {
                 ..ExploreConfig::default()
             };
             applies.store(0, Ordering::Relaxed);
-            let r = Explorer::new(&sys, cfg).invariant(inv).run();
+            let r = Explorer::new(&sys, cfg).invariant(inv).run_parallel(1);
             (r, applies.load(Ordering::Relaxed))
         };
         // The cap of 100 is under the depths DFS first finds the tail at
@@ -931,7 +1000,8 @@ mod tests {
             assert!(r.truncated);
             (r.states, r.transitions, r.max_depth_reached)
         };
-        let early = || counts(Explorer::new(&grid(10), ExploreConfig::exhaustive(50)).run());
+        let grid = grid(10);
+        let early = || counts(Explorer::new(&grid, ExploreConfig::exhaustive(50)).run_parallel(1));
         // The first dive finds the chain, its 64 shortcuts, the join and
         // the tail (194 states); the leaves come one per unwound
         // shortcut, and sixteen shortcuts are past the floor.
@@ -939,7 +1009,7 @@ mod tests {
         let (sys, _) = shortcuts(64, &applies);
         let late = || {
             applies.store(0, Ordering::Relaxed);
-            let r = Explorer::new(&sys, ExploreConfig::exhaustive(194 + 40)).run();
+            let r = Explorer::new(&sys, ExploreConfig::exhaustive(194 + 40)).run_parallel(1);
             (counts(r), applies.load(Ordering::Relaxed))
         };
         let (first_early, first_late) = (early(), late());
@@ -980,6 +1050,138 @@ mod tests {
         assert_eq!(cut(1), (36, 61, true));
         assert_eq!(cut(2), (37, 62, true));
         assert_eq!(cut(16), (51, 94, true));
+    }
+
+    /// `run` gives every core to a run meant to finish and one worker to
+    /// any other, and a run a limit cuts reports what one worker sees
+    /// when it stops, however many it started on.
+    #[test]
+    fn run_takes_every_core_only_for_a_run_meant_to_finish() {
+        let sys = grid(1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = |cfg| Explorer::new(&sys, cfg).workers();
+        assert_eq!(workers(ExploreConfig::exhaustive(50)), cores);
+        assert_eq!(workers(ExploreConfig::default()), 1);
+        assert_eq!(workers(ExploreConfig::hunt()), 1);
+        let random = ExploreConfig {
+            order: SearchOrder::Random { seed: 1 },
+            ..ExploreConfig::default()
+        };
+        assert_eq!(workers(random), 1);
+
+        // Cut before the other workers start, and after; 28 states sum
+        // to 30.
+        let sys = grid(12);
+        let sum_bound = Invariant::new("sum-bound", |s: &[u8; 3]| {
+            s.iter().map(|&v| u32::from(v)).sum::<u32>() < 30
+        });
+        for cfg in [
+            ExploreConfig::exhaustive(50),
+            ExploreConfig::exhaustive(2000),
+            ExploreConfig {
+                max_violations: 20,
+                ..ExploreConfig::exhaustive(10_000)
+            },
+        ] {
+            let explorer = Explorer::new(&sys, cfg).invariant(sum_bound.clone());
+            let one = explorer.run_parallel(1);
+            assert!(one.truncated);
+            for _ in 0..10 {
+                let run = explorer.run();
+                assert_eq!(one.violations, run.violations);
+                assert_eq!(counts(&one), counts(&run));
+            }
+        }
+    }
+
+    fn counts<L>(r: &ExploreReport<L>) -> (usize, u64, usize, bool) {
+        (r.states, r.transitions, r.max_depth_reached, r.truncated)
+    }
+
+    /// Worker 0 explores `solo` items alone, then the others join. A run
+    /// that ends before they join is the one-worker run, cut or not; the
+    /// flag is raised only by a limit that stops the run after they did.
+    #[test]
+    fn the_other_workers_join_after_the_solo_items() {
+        let sys = grid(10);
+        let whole = ExploreConfig::exhaustive(1_000_000);
+        let one = Explorer::new(&sys, whole.clone()).run_parallel(1);
+        for solo in [0, 1, 100, SOLO_ITEMS, 5000] {
+            let (r, cut) = explore(&sys, &[], &[], &whole, 2, solo);
+            assert_eq!(counts(&one), counts(&r), "solo={solo}");
+            assert!(!cut);
+        }
+        let fuse = ExploreConfig::exhaustive(50);
+        let one = Explorer::new(&sys, fuse.clone()).run_parallel(1);
+        let (r, cut) = explore(&sys, &[], &[], &fuse, 2, SOLO_ITEMS);
+        assert_eq!(counts(&one), counts(&r));
+        assert!(!cut, "cut before anyone joined");
+        // Ten expansions find at most 31 states.
+        let (r, cut) = explore(&sys, &[], &[], &fuse, 2, 10);
+        assert!(cut && r.truncated);
+    }
+
+    /// `explore` on a thread of its own: the message it panicked with, or
+    /// a failure if it returned or has not come back within a minute.
+    fn panic_message(explore: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(explore));
+            let _ = tx.send(outcome.err().map(|payload| {
+                (payload.downcast_ref::<String>().cloned())
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            }));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(Some(message)) => message,
+            Ok(None) => panic!("the run did not panic"),
+            Err(_) => panic!("the run hung after a worker panicked"),
+        }
+    }
+
+    /// A panic in the system or in an invariant, on whichever worker
+    /// meets it, stops the run and reaches the caller with its own
+    /// message, at every worker count.
+    #[test]
+    fn a_panicking_worker_reaches_the_caller_and_never_hangs() {
+        for workers in [1usize, 2, 4, 8] {
+            for _ in 0..4 {
+                let message = panic_message(move || {
+                    let sys = GuardedSystemBuilder::new([0u8; 3])
+                        .action("x", |s: &[u8; 3]| s[0] < 6, |s| s[0] += 1)
+                        .action("y", |s: &[u8; 3]| s[1] < 6, |s| s[1] += 1)
+                        .action(
+                            "z",
+                            |s: &[u8; 3]| s[2] < 6,
+                            |s| {
+                                assert!(*s != [3, 3, 3], "handler panicked at {s:?}");
+                                s[2] += 1
+                            },
+                        )
+                        .build();
+                    Explorer::new(&sys, ExploreConfig::exhaustive(10_000)).run_parallel(workers);
+                });
+                assert_eq!(
+                    message, "handler panicked at [3, 3, 3]",
+                    "workers={workers}"
+                );
+                let message = panic_message(move || {
+                    let sys = grid(6);
+                    let trip = Invariant::new("trip", |s: &[u8; 3]| {
+                        assert!(*s != [4, 2, 5], "invariant panicked at {s:?}");
+                        true
+                    });
+                    Explorer::new(&sys, ExploreConfig::exhaustive(10_000))
+                        .invariant(trip)
+                        .run_parallel(workers);
+                });
+                assert_eq!(
+                    message, "invariant panicked at [4, 2, 5]",
+                    "workers={workers}"
+                );
+            }
+        }
     }
 
     #[test]

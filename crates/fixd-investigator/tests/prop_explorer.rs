@@ -54,7 +54,8 @@ fn counters_with_jumps(
 
 /// The `exhaustive` preset against BFS and the textbook reference on
 /// `sys`, field by field, trails included; returns how many `apply`s
-/// the preset spent on states it had expanded before.
+/// the preset spent on states it had expanded before, on one worker
+/// (where that count is a function of the system).
 fn preset_equals_bfs(sys: &fixd_investigator::GuardedSystem<Vec<u8>>, top: Vec<u8>) -> u64 {
     let below_top = Invariant::new("below-top", move |s: &Vec<u8>| *s != top);
     let bfs = Explorer::new(sys, ExploreConfig::default())
@@ -63,7 +64,7 @@ fn preset_equals_bfs(sys: &fixd_investigator::GuardedSystem<Vec<u8>>, top: Vec<u
     let counted = Counted::new(sys);
     let preset = Explorer::new(&counted, ExploreConfig::exhaustive(1_000_000))
         .invariant(on_held(below_top.clone()))
-        .run();
+        .run_parallel(1);
     assert_eq!(naive_bfs(sys, &[below_top]), summary(&preset));
     assert_eq!(summary(&bfs), summary(&preset));
     assert_eq!(bfs.violations, preset.violations);
