@@ -1,7 +1,6 @@
 //! Run every FixD experiment (F1–F8) quickly and print the paper-style
-//! tables. This is the source of the numbers recorded in EXPERIMENTS.md;
-//! the criterion benches measure the same workloads with statistical
-//! rigor.
+//! tables; the criterion benches measure the same workloads with
+//! statistical rigor.
 //!
 //! Run: `cargo run -p fixd-bench --bin experiments --release`
 

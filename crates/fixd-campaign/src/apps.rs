@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn chord_kv_column_passes_clean_and_reorder() {
-        use crate::driver::run_cell;
+        use crate::driver::run_cell_sharded;
         let spec = CampaignSpec::new()
             .app(chord_kv_app(12, 2, 2))
             .case(FaultCase::net_only("clean", Clean, NetworkConfig::default()).lossless())
@@ -538,7 +538,7 @@ mod tests {
         let cells = spec.cells();
         assert_eq!(cells.len(), 4);
         for cell in &cells {
-            let out = run_cell(&spec, cell);
+            let out = run_cell_sharded(&spec, cell, 1);
             assert!(out.violation.is_none(), "cell {}: {:?}", cell.index, out);
             assert!(
                 out.check_failure.is_none(),

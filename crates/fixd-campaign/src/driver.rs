@@ -10,19 +10,18 @@
 //!
 //! ## Sharded cells
 //!
-//! With `FIXD_SHARDS` (or an explicit shard count) above 1, each cell's
-//! world runs its handlers on that many shards ([`World::shard`]) and
-//! [`Fixd`] supervises it directly: the sharded world commits one event
-//! per step through the serial code, so the Scroll, the Time Machine,
-//! the monitors and the payload ledger see exactly the serial run —
-//! including the step a monitor fires at and the step a budget cuts.
-//! The report is byte-identical to serial execution at any shard count
-//! (`tests/campaign.rs` and the golden fixture pin this), and no cell
-//! falls back to a serial re-run.
+//! With a shard count above 1 ([`run_campaign_sharded`],
+//! [`run_cell_sharded`]), each cell's world runs its handlers on that
+//! many shards ([`World::shard`]) and [`Fixd`] supervises it directly:
+//! the sharded world commits one event per step through the serial
+//! code, so the Scroll, the Time Machine, the monitors and the payload
+//! ledger see exactly the serial run — including the step a monitor
+//! fires at and the step a budget cuts. The report is byte-identical to
+//! serial execution at any shard count (`tests/campaign.rs` and the
+//! golden fixture pin this), and no cell falls back to a serial re-run.
 //!
-//! Worker threads are budgeted against the shard fan-out
-//! ([`fixd_core::knobs::worker_budget`]): `threads × shards` never
-//! exceeds the configured thread budget. The product is exact: a
+//! Worker threads are budgeted against the shard fan-out: `threads ×
+//! shards` never exceeds the thread budget. The product is exact: a
 //! sharded cell occupies `shards` threads, because the campaign worker
 //! that runs the cell executes one of its shards itself and the world
 //! spawns only the other `shards − 1`, once per cell (see
@@ -40,45 +39,11 @@ use fixd_runtime::{World, WorldConfig};
 use crate::report::{CampaignReport, CellOutcome};
 use crate::spec::{CampaignSpec, Cell};
 
-/// Environment variable overriding the worker-thread count.
-pub const THREADS_ENV: &str = "FIXD_CAMPAIGN_THREADS";
-
-/// Parse a `FIXD_CAMPAIGN_THREADS` value: `Some(n)` only for a positive
-/// integer (zero, overflow, garbage, and absence all fall back to
-/// auto-detection). Delegates to [`fixd_core::knobs::parse_count`], the
-/// same parser behind `FIXD_SHARDS`, so the two knobs accept identical
-/// grammars.
-fn parse_threads(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| fixd_core::knobs::parse_count(v).ok())
-}
-
-/// Worker threads used by [`run_campaign`]: `FIXD_CAMPAIGN_THREADS` if
-/// set and positive, otherwise the machine's available parallelism.
-pub fn default_threads() -> usize {
-    let env = std::env::var(THREADS_ENV).ok();
-    parse_threads(env.as_deref()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-    })
-}
-
-/// Shards each cell executes on: the `FIXD_SHARDS` knob, else 1
-/// (inline serial execution).
-pub fn default_shards() -> usize {
-    fixd_core::knobs::shards_from_env().unwrap_or(1)
-}
-
-/// Run the whole matrix with [`default_threads`] workers and
-/// [`default_shards`] shards per cell.
+/// Run the whole matrix on every core the machine offers
+/// ([`std::thread::available_parallelism`]), one shard per cell.
 pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
-    run_campaign_sharded(spec, default_threads(), default_shards())
-}
-
-/// Run the whole matrix with an explicit worker count (shards per cell
-/// still follow [`default_shards`], i.e. `FIXD_SHARDS`).
-pub fn run_campaign_with_threads(spec: &CampaignSpec, threads: usize) -> CampaignReport {
-    run_campaign_sharded(spec, threads, default_shards())
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    run_campaign_sharded(spec, threads, 1)
 }
 
 /// Run the whole matrix with explicit worker and per-cell shard counts.
@@ -89,7 +54,7 @@ pub fn run_campaign_with_threads(spec: &CampaignSpec, threads: usize) -> Campaig
 /// oversubscribes the requested parallelism.
 pub fn run_campaign_sharded(spec: &CampaignSpec, threads: usize, shards: usize) -> CampaignReport {
     let cells = spec.cells();
-    let threads = fixd_core::knobs::worker_budget(threads, shards).clamp(1, cells.len().max(1));
+    let threads = worker_budget(threads, shards).clamp(1, cells.len().max(1));
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, CellOutcome)>> = Mutex::new(Vec::with_capacity(cells.len()));
     std::thread::scope(|scope| {
@@ -121,15 +86,19 @@ pub fn run_campaign_sharded(spec: &CampaignSpec, threads: usize, shards: usize) 
     CampaignReport::from_cells(outcomes)
 }
 
-/// Execute one cell on one shard: build the world, install the case's
-/// fault plan, supervise under the app's monitors, and render the
-/// outcome.
-pub fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellOutcome {
-    run_cell_sharded(spec, cell, 1)
+/// Budget outer worker threads against per-cell fan-out: when every
+/// cell occupies `fanout` threads, at most `threads / fanout` outer
+/// workers, never fewer than one (a fan-out wider than the budget
+/// still makes progress, one cell at a time). The product counts every
+/// thread there is: an outer worker is one of its cell's `fanout`, not
+/// a sleeping extra on top of them.
+fn worker_budget(threads: usize, fanout: usize) -> usize {
+    (threads / fanout.max(1)).max(1)
 }
 
-/// [`run_cell`] with the cell's world run on `shards` shards. The
-/// outcome is the same at every shard count.
+/// Execute one cell on `shards` shards: build the world, install the
+/// case's fault plan, supervise under the app's monitors, and render
+/// the outcome. The outcome is the same at every shard count.
 pub fn run_cell_sharded(spec: &CampaignSpec, cell: &Cell, shards: usize) -> CellOutcome {
     run_cell_sharded_timed(spec, cell, shards).0
 }
@@ -219,7 +188,7 @@ mod tests {
     fn single_cell_runs_and_reports() {
         let spec = standard_matrix(&[1]);
         let cells = spec.cells();
-        let out = run_cell(&spec, &cells[0]);
+        let out = run_cell_sharded(&spec, &cells[0], 1);
         assert!(out.steps > 0);
         assert!(out.quiescent);
         assert!(out.violation.is_none());
@@ -229,7 +198,7 @@ mod tests {
     #[test]
     fn driver_executes_every_cell_exactly_once() {
         let spec = standard_matrix(&[0, 1]);
-        let report = run_campaign_with_threads(&spec, 3);
+        let report = run_campaign_sharded(&spec, 3, 1);
         assert_eq!(report.total_cells(), spec.expected_cells());
         // Spec enumeration order is preserved in the report.
         let cells = spec.cells();
@@ -243,7 +212,7 @@ mod tests {
     #[test]
     fn cells_report_exact_payload_accounting() {
         let spec = standard_matrix(&[3]);
-        let report = run_campaign_with_threads(&spec, 4);
+        let report = run_campaign_sharded(&spec, 4, 1);
         // Every cell delivers mail, so every cell materialized payloads.
         for c in &report.cells {
             if c.delivered > 0 {
@@ -278,7 +247,7 @@ mod tests {
         );
         // Thread-local attribution makes the figures placement-invariant:
         // the same spec on one thread yields identical per-cell numbers.
-        let single = run_campaign_with_threads(&spec, 1);
+        let single = run_campaign_sharded(&spec, 1, 1);
         for (a, b) in report.cells.iter().zip(&single.cells) {
             assert_eq!(a.payload_copied, b.payload_copied, "{}/{}", a.app, a.case);
             assert_eq!(a.payload_aliased, b.payload_aliased);
@@ -286,19 +255,16 @@ mod tests {
     }
 
     #[test]
-    fn thread_env_knob_parses() {
-        // The pure parser (no process-env mutation: tests share it).
-        assert_eq!(parse_threads(Some("3")), Some(3));
-        assert_eq!(parse_threads(Some(" 12 ")), Some(12));
-        assert_eq!(parse_threads(Some("0")), None, "zero falls back");
-        assert_eq!(parse_threads(Some("-2")), None);
-        assert_eq!(parse_threads(Some("many")), None);
-        assert_eq!(parse_threads(Some("")), None);
-        assert_eq!(parse_threads(None), None);
-        // Overflow is rejected, not wrapped: 2^64 > usize::MAX.
-        assert_eq!(parse_threads(Some("18446744073709551616")), None);
-        assert_eq!(parse_threads(Some("8 threads")), None);
-        // And the fallback path always yields a usable worker count.
-        assert!(default_threads() >= 1);
+    fn worker_budget_spends_the_product_not_the_factor() {
+        // 8 workers × 4 shards would be 32 threads; the budget caps the
+        // outer pool so the product stays within the 8-thread budget.
+        assert_eq!(worker_budget(8, 4), 2);
+        assert_eq!(worker_budget(8, 1), 8);
+        assert_eq!(worker_budget(8, 8), 1);
+        // Fan-out wider than the budget: still one worker, never zero.
+        assert_eq!(worker_budget(2, 16), 1);
+        assert_eq!(worker_budget(1, 1), 1);
+        // Degenerate zero fan-out is treated as serial, not a panic.
+        assert_eq!(worker_budget(8, 0), 8);
     }
 }

@@ -8,9 +8,10 @@
 //! * [`CampaignSpec`] — a cartesian scenario matrix: application columns
 //!   ([`AppSpec`]) × fault-scenario rows ([`FaultCase`]: network
 //!   pathology + [`fixd_runtime::FaultPlan`]) × seeds;
-//! * [`run_campaign`] — fans cells across cores with scoped threads and
-//!   a sharded work queue (`FIXD_CAMPAIGN_THREADS` overrides the worker
-//!   count);
+//! * [`run_campaign`] — fans cells across every core with scoped
+//!   threads and a shared work queue; [`run_campaign_sharded`] takes the
+//!   worker count and the shards each cell's world runs on as
+//!   arguments;
 //! * [`CampaignReport`] — per-cell outcomes with violation counts,
 //!   scroll/checkpoint stats, and app metrics, aggregated in spec order
 //!   so the report (and its JSON) is byte-identical for any thread
@@ -19,10 +20,10 @@
 //!   duplication, reordering, corruption, and partition pathologies.
 //!
 //! ```
-//! use fixd_campaign::{run_campaign_with_threads, standard_matrix};
+//! use fixd_campaign::{run_campaign_sharded, standard_matrix};
 //!
 //! let spec = standard_matrix(&[1, 2]);
-//! let report = run_campaign_with_threads(&spec, 2);
+//! let report = run_campaign_sharded(&spec, 2, 1);
 //! assert_eq!(report.total_cells(), spec.expected_cells());
 //! assert_eq!(report.violations(), 0);
 //! ```
@@ -38,8 +39,7 @@ pub use apps::{
     wal_counter_app, wide_matrix, wide_matrix_work,
 };
 pub use driver::{
-    default_shards, default_threads, run_campaign, run_campaign_sharded, run_campaign_with_threads,
-    run_cell, run_cell_sharded, run_cell_sharded_timed, CellTiming, THREADS_ENV,
+    run_campaign, run_campaign_sharded, run_cell_sharded, run_cell_sharded_timed, CellTiming,
 };
 pub use report::{CampaignReport, CellOutcome};
 pub use spec::{AppSpec, CampaignSpec, Cell, CellCheck, FaultCase, Pathology};

@@ -3,7 +3,7 @@
 //! interleaving does in the real driver) produces the identical report,
 //! byte for byte.
 
-use fixd_campaign::{run_campaign_with_threads, standard_matrix, CampaignReport, CellOutcome};
+use fixd_campaign::{run_campaign_sharded, standard_matrix, CampaignReport, CellOutcome};
 use fixd_runtime::DetRng;
 use proptest::prelude::*;
 
@@ -13,7 +13,7 @@ fn outcome_pool() -> &'static [CellOutcome] {
     static POOL: std::sync::OnceLock<Vec<CellOutcome>> = std::sync::OnceLock::new();
     POOL.get_or_init(|| {
         let spec = standard_matrix(&[3, 11]);
-        run_campaign_with_threads(&spec, 1).cells
+        run_campaign_sharded(&spec, 1, 1).cells
     })
 }
 

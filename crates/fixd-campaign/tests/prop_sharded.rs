@@ -10,8 +10,7 @@
 use std::sync::Arc;
 
 use fixd_campaign::{
-    kvstore_app, run_cell, run_cell_sharded, token_ring_app, CampaignSpec, Cell, FaultCase,
-    Pathology,
+    kvstore_app, run_cell_sharded, token_ring_app, CampaignSpec, Cell, FaultCase, Pathology,
 };
 use fixd_runtime::{DeliveryPolicy, FaultPlan, NetworkConfig, Partition, Pid};
 use proptest::prelude::*;
@@ -86,7 +85,7 @@ proptest! {
             fault_kind,
         );
         let cell = Cell { index: 0, app: 0, case: 0, seed };
-        let serial = run_cell(&spec, &cell);
+        let serial = run_cell_sharded(&spec, &cell, 1);
         for shards in [2usize, 4, 8] {
             let sharded = run_cell_sharded(&spec, &cell, shards);
             prop_assert_eq!(&serial, &sharded, "shards={}", shards);

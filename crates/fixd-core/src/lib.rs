@@ -30,7 +30,6 @@ pub mod assembly;
 pub mod characteristics;
 pub mod config;
 pub mod detector;
-pub mod knobs;
 pub mod protocol;
 pub mod report;
 pub mod session;
@@ -39,7 +38,6 @@ pub use assembly::assemble_worldstate;
 pub use characteristics::{matrix, render_matrix, Capabilities, MatrixRow, Technique};
 pub use config::FixdConfig;
 pub use detector::{DetectedFault, Monitor};
-pub use knobs::{parse_count, shards_from_env, CountParseError, SHARDS_ENV};
 pub use protocol::{choose_rollback_target, respond, RespondOutcome};
 pub use report::BugReport;
 pub use session::{Fixd, FixdStats, SuperviseOutcome};

@@ -13,7 +13,7 @@
 //!   [`WorldState`] and exploration starts there, investigating only the
 //!   neighborhood of the fault.
 
-use fixd_runtime::{Pid, Program, SharedMessage, SoloHarness, TimerId};
+use fixd_runtime::Program;
 
 use crate::envmodel::NetModel;
 use crate::explorer::{ExploreConfig, ExploreReport, Explorer, GuidedOutcome};
@@ -50,21 +50,6 @@ impl ModelD {
             invariants: Vec::new(),
             cfg: ExploreConfig::default(),
         }
-    }
-
-    /// Assemble a [`WorldState`] from per-process restored programs and
-    /// channel contents (the collection step of the Fig. 4 protocol),
-    /// then check from it.
-    pub fn from_parts(
-        seed: u64,
-        net: NetModel,
-        programs: Vec<Box<dyn Program>>,
-        harnesses: Vec<SoloHarness>,
-        inflight: Vec<SharedMessage>,
-        timers: Vec<(Pid, TimerId)>,
-    ) -> Self {
-        let state = WorldModel::assemble_state(programs, harnesses, inflight, timers);
-        Self::from_checkpoint(seed, net, state)
     }
 
     /// Add a safety property.
@@ -121,8 +106,8 @@ impl ModelD {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixd_runtime::Context;
     use fixd_runtime::Message;
+    use fixd_runtime::{Context, Pid};
 
     /// A tiny 2PC-ish protocol with a bug: the coordinator commits after
     /// the FIRST vote instead of waiting for all — classic atomicity

@@ -17,12 +17,14 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use crate::arena::StepArena;
 use crate::clock::VectorClock;
-use crate::event::MsgMeta;
-use crate::program::Program;
+use crate::event::{Effects, EventKind, MsgMeta};
+use crate::payload;
+use crate::program::{Context, Program};
 use crate::rng::DetRng;
 use crate::world::ProcStatus;
-use crate::Pid;
+use crate::{Pid, VTime};
 
 /// Builds the program for a lazily materialized process the first time an
 /// event actually touches it.
@@ -46,6 +48,56 @@ pub(crate) struct ProcEntry {
     pub(crate) delivered: u64,
     pub(crate) next_msg_id: u64,
     pub(crate) next_timer_id: u64,
+}
+
+impl ProcEntry {
+    /// Run `pid`'s handler for `kind` (a start, a delivery or a timer) at
+    /// virtual time `now` in a world `n` pids wide, and return its
+    /// effects. A start ticks the clocks; a delivery ticks, merges the
+    /// sender's clock, advances the Lamport clock past the sender's and
+    /// counts the receipt. The handler's [`Context`] copies the meta
+    /// template as it is on entry.
+    pub(crate) fn run_handler(
+        &mut self,
+        pid: Pid,
+        kind: &EventKind,
+        now: VTime,
+        n: usize,
+        arena: &mut StepArena,
+    ) -> Effects {
+        match kind {
+            EventKind::Start { .. } => {
+                self.vc.tick(pid);
+                self.lamport += 1;
+            }
+            EventKind::Deliver { msg } => {
+                self.vc.tick(pid);
+                self.vc.merge(&msg.vc);
+                self.lamport = self.lamport.max(msg.meta.lamport) + 1;
+                self.delivered += 1;
+            }
+            _ => {}
+        }
+        let mut ctx = Context::new(
+            pid,
+            now,
+            n,
+            &mut self.rng,
+            &mut self.vc,
+            &mut self.lamport,
+            &mut self.next_msg_id,
+            &mut self.next_timer_id,
+            self.meta_template,
+            arena,
+        );
+        match kind {
+            EventKind::Start { .. } => self.program.on_start(&mut ctx),
+            EventKind::Deliver { msg } => self.program.on_message(&mut ctx, msg),
+            EventKind::TimerFire { timer, .. } => self.program.on_timer(&mut ctx, *timer),
+            other => unreachable!("no handler runs for {other:?}"),
+        }
+        ctx.into_effects()
+    }
 }
 
 impl Clone for ProcEntry {
@@ -256,6 +308,31 @@ impl ProcTable {
                     self.dormant_crashed.remove(&pid.0);
                 }
             },
+        }
+    }
+
+    /// Whether a queued event runs, and as what. A cancelled timer is
+    /// skipped (and its cancel mark consumed); so are a crashed pid's
+    /// timers, starts and second crashes. A delivery to a crashed pid
+    /// runs as a [`EventKind::Drop`]: the handle moves into it, and its
+    /// bytes count as aliased, as a clone of the handle would count
+    /// them. Every other kind runs as queued.
+    pub(crate) fn admit(
+        &self,
+        kind: EventKind,
+        cancelled: &mut HashSet<(u32, u64)>,
+    ) -> Option<EventKind> {
+        let crashed = |pid| self.status_of(pid) == ProcStatus::Crashed;
+        match kind {
+            EventKind::TimerFire { pid, timer } => {
+                (!cancelled.remove(&(pid.0, timer.0)) && !crashed(pid)).then_some(kind)
+            }
+            EventKind::Start { pid } | EventKind::Crash { pid } => (!crashed(pid)).then_some(kind),
+            EventKind::Deliver { msg } if crashed(msg.dst) => {
+                payload::note_aliased(msg.payload.len());
+                Some(EventKind::Drop { msg })
+            }
+            kind => Some(kind),
         }
     }
 

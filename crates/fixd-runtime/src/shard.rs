@@ -91,11 +91,10 @@ use std::time::Duration;
 use crate::arena::{ArenaStats, StepArena};
 use crate::calqueue::{CalEntry, CalQueue};
 use crate::clock::VectorClock;
-use crate::event::{Effects, EventKind, SharedMessage};
+use crate::event::{Effects, EventKind};
 use crate::network::{NetworkConfig, Partition};
 use crate::payload::{self, PayloadStats};
 use crate::procs::{ProcEntry, ProcTable};
-use crate::program::Context;
 use crate::rng::DetRng;
 use crate::world::{ProcStatus, QueuedEvent, WorldConfig};
 use crate::{Pid, VTime};
@@ -187,30 +186,6 @@ impl CalEntry for ShardEvent {
     }
 }
 
-/// A route-minted drop awaiting its merge position.
-struct DropEvent {
-    at: VTime,
-    seq: u64,
-    msg: SharedMessage,
-}
-
-impl PartialEq for DropEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for DropEvent {}
-impl PartialOrd for DropEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DropEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// The acting process's state right after a handler ran on its shard:
 /// everything [`ProcEntry`] holds that a handler can change, except
 /// liveness (the commit applies crashes itself) and the message-meta
@@ -294,8 +269,10 @@ struct Shard {
 
 impl Shard {
     /// Execute this shard's events with `at < wend`, staging each step
-    /// into `out`. Mirrors `World::next_valid` + `World::step` exactly
-    /// for the shard-local half of the work.
+    /// into `out`. Admission and the handlers are the world's own
+    /// ([`ProcTable::admit`], [`ProcEntry::run_handler`]); a crash marks
+    /// its pid here too, ahead of the world, so the shard skips what the
+    /// world will skip.
     fn run_window(&mut self, wend: VTime) {
         let t0 = thread_cpu_now();
         self.prov_next = 0;
@@ -303,48 +280,25 @@ impl Shard {
         while self.queue.peek().is_some_and(|head| head.at < wend) {
             let ev = self.queue.pop().expect("peeked head exists");
             let p0 = payload::stats();
-            let (kind, staged) = match ev.kind {
-                EventKind::TimerFire { pid, timer } => {
-                    if self.cancelled.remove(&(pid.0, timer.0)) {
-                        continue; // cancelled: silent skip
-                    }
-                    if self.table.status_of(pid) == ProcStatus::Crashed {
-                        continue; // timers die with the process
-                    }
-                    self.exec(EventKind::TimerFire { pid, timer }, ev.at, wend)
-                }
-                EventKind::Start { pid } => {
-                    if self.table.status_of(pid) == ProcStatus::Crashed {
-                        continue;
-                    }
-                    self.exec(EventKind::Start { pid }, ev.at, wend)
-                }
-                EventKind::Deliver { msg } => {
-                    if self.table.status_of(msg.dst) == ProcStatus::Crashed {
-                        // Surface as an observable drop. The serial
-                        // `next_valid` materializes this conversion with
-                        // a counted message clone; the shard moves the
-                        // handle instead, so count the same aliasing.
-                        payload::note_aliased(msg.payload.len());
-                        (EventKind::Drop { msg }, None)
-                    } else {
-                        self.exec(EventKind::Deliver { msg }, ev.at, wend)
-                    }
-                }
+            let Some(kind) = self.table.admit(ev.kind, &mut self.cancelled) else {
+                continue;
+            };
+            let effects = match &kind {
+                EventKind::Start { .. }
+                | EventKind::Deliver { .. }
+                | EventKind::TimerFire { .. } => Some(self.exec(&kind, ev.at, wend)),
+                EventKind::Drop { .. } => None,
                 EventKind::Crash { pid } => {
-                    if self.table.status_of(pid) == ProcStatus::Crashed {
-                        continue; // already dead
-                    }
                     // Status-only: a dormant target stays dormant.
-                    self.table.set_status(pid, ProcStatus::Crashed);
-                    (EventKind::Crash { pid }, None)
+                    self.table.set_status(*pid, ProcStatus::Crashed);
+                    None
                 }
                 other => unreachable!("event kind never queued on a shard: {other:?}"),
             };
             let step_payload = payload::stats().since(p0);
             self.window_payload = self.window_payload.plus(step_payload);
             // Capturing the post-step state is not part of the step.
-            let staged = staged.map(|effects| Staged {
+            let staged = effects.map(|effects| Staged {
                 post: PostState::capture(
                     self.table
                         .ent(kind.pid().expect("handler events target a pid"))
@@ -367,56 +321,25 @@ impl Shard {
     /// is limited to what cannot escape the shard inside a window: own
     /// in-window timers (provisional keys), timer cancels, self-crash
     /// status. Everything global happens when the world commits.
-    fn exec(&mut self, kind: EventKind, at: VTime, wend: VTime) -> (EventKind, Option<Effects>) {
-        let pid = kind.pid().expect("executable events target a pid");
+    fn exec(&mut self, kind: &EventKind, at: VTime, wend: VTime) -> Effects {
+        let pid = kind.pid().expect("handler events target a pid");
         let n = self.table.width();
+        let e = self.table.ent_mut(pid);
+        if let EventKind::Deliver { .. } = kind {
+            self.deliveries += 1;
+            if self.stamp_receives {
+                // A supervised run checkpoints the receiver before every
+                // delivery and stamps the new checkpoint index into its
+                // meta template (which flows into every message it
+                // subsequently sends). The index equals the delivery
+                // ordinal — index 0 is the init checkpoint — so the shard
+                // can stamp it without the Time Machine being present.
+                e.meta_template.ckpt_index = e.delivered + 1;
+            }
+        }
         // Virtual "now" as the serial world would see it: monotonic,
         // floored at the configured start time.
-        let now = at.max(self.start_time);
-        let e = self.table.ent_mut(pid);
-        match &kind {
-            EventKind::Start { .. } => {
-                e.vc.tick(pid);
-                e.lamport += 1;
-            }
-            EventKind::Deliver { msg } => {
-                e.vc.tick(pid);
-                e.vc.merge(&msg.vc);
-                e.lamport = e.lamport.max(msg.meta.lamport) + 1;
-                e.delivered += 1;
-                self.deliveries += 1;
-                if self.stamp_receives {
-                    // A supervised run checkpoints the receiver before
-                    // every delivery and stamps the new checkpoint index
-                    // into its meta template (which flows into every
-                    // message it subsequently sends). The index equals
-                    // the delivery ordinal — index 0 is the init
-                    // checkpoint — so the shard can stamp it without the
-                    // Time Machine being present.
-                    e.meta_template.ckpt_index = e.delivered;
-                }
-            }
-            _ => {}
-        }
-        let mut ctx = Context::new(
-            pid,
-            now,
-            n,
-            &mut e.rng,
-            &mut e.vc,
-            &mut e.lamport,
-            &mut e.next_msg_id,
-            &mut e.next_timer_id,
-            e.meta_template,
-            &mut self.arena,
-        );
-        match &kind {
-            EventKind::Start { .. } => e.program.on_start(&mut ctx),
-            EventKind::Deliver { msg } => e.program.on_message(&mut ctx, msg),
-            EventKind::TimerFire { timer, .. } => e.program.on_timer(&mut ctx, *timer),
-            _ => unreachable!("exec only runs handler events"),
-        }
-        let effects = ctx.into_effects();
+        let effects = e.run_handler(pid, kind, at.max(self.start_time), n, &mut self.arena);
         // In-window timers execute this window under a provisional key;
         // later ones are minted and queued when the step commits.
         for (timer, fire_at) in &effects.timers_set {
@@ -436,7 +359,7 @@ impl Shard {
         if effects.crashed {
             self.table.set_status(pid, ProcStatus::Crashed);
         }
-        (kind, Some(effects))
+        effects
     }
 }
 
@@ -528,16 +451,16 @@ pub(crate) struct Shards {
     /// a currently-dead fast link). The actual per-window lookahead is
     /// recomputed each window by [`Shards::window_end`].
     lat_all: VTime,
-    /// Fault-plan partition flips, minted at seal: `(at, seq, next)`,
-    /// sorted by `(at, seq)` — world-owned events.
-    partition_pending: VecDeque<(VTime, u64, Partition)>,
+    /// Fault-plan partition flips, minted at seal, sorted by
+    /// `(at, seq)` — world-owned events.
+    partition_pending: VecDeque<QueuedEvent>,
     /// End of the window under way (`0` before the first).
     wend: VTime,
     /// Provisional-key resolution: per shard, mint index → serial
     /// scheduling seq. Empty between windows, capacity kept.
     prov_map: Vec<Vec<u64>>,
-    /// Route-minted drops awaiting their merge slot.
-    drops: BinaryHeap<DropEvent>,
+    /// Route-minted drops awaiting their merge slot (earliest on top).
+    drops: BinaryHeap<QueuedEvent>,
     timing: ShardTiming,
     /// Calling-thread CPU clock at the end of the last window.
     last_window_end: Option<Duration>,
@@ -645,19 +568,16 @@ impl Shards {
     pub(crate) fn adopt(&mut self, mut events: Vec<QueuedEvent>) {
         events.sort_unstable_by_key(|qe| (qe.at, qe.seq));
         for qe in events {
-            match qe.kind {
-                EventKind::PartitionChange { partition } => {
-                    self.partition_pending.push_back((qe.at, qe.seq, partition));
-                }
-                kind => {
-                    let s = self.owner(kind.pid().expect("queued events target a pid"));
-                    self.slots[s].queue.push(ShardEvent {
-                        at: qe.at,
-                        key: SeqKey::Final(qe.seq),
-                        kind,
-                    });
-                }
-            }
+            let Some(pid) = qe.kind.pid() else {
+                self.partition_pending.push_back(qe);
+                continue;
+            };
+            let s = self.owner(pid);
+            self.slots[s].queue.push(ShardEvent {
+                at: qe.at,
+                key: SeqKey::Final(qe.seq),
+                kind: qe.kind,
+            });
         }
     }
 
@@ -681,11 +601,7 @@ impl Shards {
                         kind: EventKind::Deliver { msg },
                     });
                 }
-                EventKind::Drop { msg } => self.drops.push(DropEvent {
-                    at: qe.at,
-                    seq: qe.seq,
-                    msg,
-                }),
+                kind @ EventKind::Drop { .. } => self.drops.push(QueuedEvent { kind, ..qe }),
                 EventKind::TimerFire { pid, timer } => {
                     let s = self.owner(pid);
                     if qe.at < self.wend {
@@ -729,9 +645,9 @@ impl Shards {
         if let Some(d) = self.drops.peek() {
             consider(d.at, d.seq, Head::Drop);
         }
-        if let Some((at, seq, _)) = self.partition_pending.front() {
-            if *at < self.wend {
-                consider(*at, *seq, Head::Partition);
+        if let Some(p) = self.partition_pending.front() {
+            if p.at < self.wend {
+                consider(p.at, p.seq, Head::Partition);
             }
         }
         best.map(|(_, _, head)| head)
@@ -768,59 +684,38 @@ impl Shards {
 
     /// Pop the step [`Shards::next`] returned.
     pub(crate) fn pop(&mut self, head: Head) -> (VTime, EventKind, Option<Staged>, PayloadStats) {
-        match head {
+        let qe = match head {
             Head::Shard(s) => {
                 let ps = self.slots[s].out.pop_front().expect("head step exists");
-                (ps.at, ps.kind, ps.staged, ps.payload)
+                return (ps.at, ps.kind, ps.staged, ps.payload);
             }
-            Head::Drop => {
-                let d = self.drops.pop().expect("head drop exists");
-                (
-                    d.at,
-                    EventKind::Drop { msg: d.msg },
-                    None,
-                    PayloadStats::default(),
-                )
-            }
-            Head::Partition => {
-                let (at, _, partition) = self
-                    .partition_pending
-                    .pop_front()
-                    .expect("head partition exists");
-                (
-                    at,
-                    EventKind::PartitionChange { partition },
-                    None,
-                    PayloadStats::default(),
-                )
-            }
-        }
+            Head::Drop => self.drops.pop(),
+            Head::Partition => self.partition_pending.pop_front(),
+        };
+        let qe = qe.expect("head event exists");
+        (qe.at, qe.kind, None, PayloadStats::default())
     }
 
     /// The time and (cloned) kind of the step [`Shards::next`] returned.
     pub(crate) fn peek(&self, head: Head) -> (VTime, EventKind) {
-        match head {
+        let (at, kind) = match head {
             Head::Shard(s) => {
                 let ps = self.slots[s].out.front().expect("head step exists");
-                (ps.at, ps.kind.clone())
+                (ps.at, &ps.kind)
             }
             Head::Drop => {
-                let d = self.drops.peek().expect("head drop exists");
-                (d.at, EventKind::Drop { msg: d.msg.clone() })
+                let qe = self.drops.peek().expect("head drop exists");
+                (qe.at, &qe.kind)
             }
             Head::Partition => {
-                let (at, _, partition) = self
+                let qe = self
                     .partition_pending
                     .front()
                     .expect("head partition exists");
-                (
-                    *at,
-                    EventKind::PartitionChange {
-                        partition: partition.clone(),
-                    },
-                )
+                (qe.at, &qe.kind)
             }
-        }
+        };
+        (at, kind.clone())
     }
 
     /// End of the conservative window starting at `tmin`, recomputed
@@ -857,10 +752,10 @@ impl Shards {
             }
         }
         let mut wend = tmin.saturating_add(lat_now);
-        if let Some((tp, _, _)) = self.partition_pending.front() {
-            // tp >= tmin (tmin is the global queue minimum) and
+        if let Some(p) = self.partition_pending.front() {
+            // p.at >= tmin (tmin is the global queue minimum) and
             // lat_all >= 1, so the window still advances.
-            wend = wend.min(tp.saturating_add(self.lat_all));
+            wend = wend.min(p.at.saturating_add(self.lat_all));
         }
         wend
     }
@@ -872,7 +767,7 @@ impl Shards {
         self.slots
             .iter()
             .filter_map(|sh| sh.queue.min_at())
-            .chain(self.partition_pending.front().map(|(at, _, _)| *at))
+            .chain(self.partition_pending.front().map(|p| p.at))
             .min()
     }
 

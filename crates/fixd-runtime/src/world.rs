@@ -30,11 +30,11 @@ use std::sync::Arc;
 use crate::arena::{ArenaStats, StepArena};
 use crate::calqueue::{CalEntry, CalQueue};
 use crate::clock::VectorClock;
-use crate::event::{Effects, Event, EventKind, Message, MsgMeta, SharedMessage, TimerId};
+use crate::event::{Effects, Event, EventKind, MsgMeta, SharedMessage, TimerId};
 use crate::fault::FaultPlan;
 use crate::network::{DeliveryOutcome, DropReason, NetStats, NetworkConfig, Partition};
 use crate::procs::ProcTable;
-use crate::program::{Context, Program};
+use crate::program::Program;
 use crate::rng::DetRng;
 use crate::shard::{ShardTiming, Shards, Staged};
 use crate::trace::{SharedStepRecord, Trace};
@@ -414,13 +414,6 @@ impl World {
         self.procs.materialized_count()
     }
 
-    /// Liveness without materializing: dormant processes are `Running`
-    /// unless a fault crashed them while dormant.
-    #[inline]
-    fn status_of(&self, pid: Pid) -> ProcStatus {
-        self.procs.status_of(pid)
-    }
-
     /// Install a fault plan. Must be called before the first `peek`/`step`.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         assert!(
@@ -472,46 +465,15 @@ impl World {
         self.queue.push(qe);
     }
 
-    /// Pop queue entries until one that will actually execute is found.
+    /// Pop queue entries until one that will actually execute is found
+    /// ([`ProcTable::admit`] decides).
     fn next_valid(&mut self) -> Option<QueuedEvent> {
         if let Some(staged) = self.staged.take() {
             return Some(staged);
         }
-        while let Some(qe) = self.queue.pop() {
-            match &qe.kind {
-                EventKind::TimerFire { pid, timer } => {
-                    if self.cancelled_timers.remove(&(pid.0, timer.0)) {
-                        continue; // cancelled: silent skip
-                    }
-                    if self.status_of(*pid) == ProcStatus::Crashed {
-                        continue; // timers die with the process
-                    }
-                    return Some(qe);
-                }
-                EventKind::Start { pid } => {
-                    if self.status_of(*pid) == ProcStatus::Crashed {
-                        continue;
-                    }
-                    return Some(qe);
-                }
-                EventKind::Deliver { msg } => {
-                    if self.status_of(msg.dst) == ProcStatus::Crashed {
-                        // Surface as an observable drop.
-                        return Some(QueuedEvent {
-                            at: qe.at,
-                            seq: qe.seq,
-                            kind: EventKind::Drop { msg: msg.clone() },
-                        });
-                    }
-                    return Some(qe);
-                }
-                EventKind::Crash { pid } => {
-                    if self.status_of(*pid) == ProcStatus::Crashed {
-                        continue; // already dead
-                    }
-                    return Some(qe);
-                }
-                _ => return Some(qe),
+        while let Some(QueuedEvent { at, seq, kind }) = self.queue.pop() {
+            if let Some(kind) = self.procs.admit(kind, &mut self.cancelled_timers) {
+                return Some(QueuedEvent { at, seq, kind });
             }
         }
         None
@@ -578,36 +540,28 @@ impl World {
         self.exec_seq += 1;
         let at = self.now;
 
-        let (kind, effects) = match kind {
-            EventKind::Start { pid } => {
-                let eff = self.handle(pid, HandlerCall::Start, staged);
-                (EventKind::Start { pid }, eff)
+        let effects = match &kind {
+            EventKind::Start { pid } | EventKind::TimerFire { pid, .. } => {
+                self.handle(*pid, &kind, staged)
             }
             EventKind::Deliver { msg } => {
                 self.stats.delivered += 1;
-                // Borrow the staged message for the handler call; the
-                // same shared handle then moves into the record's kind.
-                let eff = self.handle(msg.dst, HandlerCall::Message(&msg), staged);
-                (EventKind::Deliver { msg }, eff)
+                self.handle(msg.dst, &kind, staged)
             }
-            EventKind::Drop { msg } => {
+            EventKind::Drop { .. } => {
                 self.stats.dropped += 1;
-                (EventKind::Drop { msg }, Effects::default())
-            }
-            EventKind::TimerFire { pid, timer } => {
-                let eff = self.handle(pid, HandlerCall::Timer(timer), staged);
-                (EventKind::TimerFire { pid, timer }, eff)
+                Effects::default()
             }
             EventKind::Crash { pid } => {
                 // Status-only: crashing a dormant lazy process must not
                 // materialize its program just to mark it dead.
-                self.procs.set_status(pid, ProcStatus::Crashed);
-                (EventKind::Crash { pid }, Effects::default())
+                self.procs.set_status(*pid, ProcStatus::Crashed);
+                Effects::default()
             }
-            EventKind::Restart { pid } => (EventKind::Restart { pid }, Effects::default()),
+            EventKind::Restart { .. } => Effects::default(),
             EventKind::PartitionChange { partition } => {
                 self.partition = partition.clone();
-                (EventKind::PartitionChange { partition }, Effects::default())
+                Effects::default()
             }
         };
 
@@ -634,53 +588,21 @@ impl World {
     /// Run `pid`'s handler here, or commit the run its shard staged:
     /// write the process's post-step state into the world's table, then
     /// apply the effects as if the handler had run here.
-    fn handle(&mut self, pid: Pid, call: HandlerCall<'_>, staged: Option<Staged>) -> Effects {
-        let Some(Staged { effects, post }) = staged else {
-            return self.run_handler(pid, call);
-        };
-        // Restoring the copy is not part of the run.
-        let p0 = crate::payload::stats();
-        post.apply(self.procs.ent_mut(pid));
-        self.payload_base = self.payload_base.plus(crate::payload::stats().since(p0));
-        self.apply_effects(pid, effects)
-    }
-
-    fn run_handler(&mut self, pid: Pid, call: HandlerCall<'_>) -> Effects {
-        let n = self.procs.width();
-        let now = self.now;
-        let effects = {
-            let e = self.procs.ent_mut(pid);
-            match call {
-                HandlerCall::Start => {
-                    e.vc.tick(pid);
-                    e.lamport += 1;
-                }
-                HandlerCall::Message(msg) => {
-                    e.vc.tick(pid);
-                    e.vc.merge(&msg.vc);
-                    e.lamport = e.lamport.max(msg.meta.lamport) + 1;
-                    e.delivered += 1;
-                }
-                HandlerCall::Timer(_) => {}
+    fn handle(&mut self, pid: Pid, kind: &EventKind, staged: Option<Staged>) -> Effects {
+        let effects = match staged {
+            None => {
+                let n = self.procs.width();
+                self.procs
+                    .ent_mut(pid)
+                    .run_handler(pid, kind, self.now, n, &mut self.arena)
             }
-            let mut ctx = Context::new(
-                pid,
-                now,
-                n,
-                &mut e.rng,
-                &mut e.vc,
-                &mut e.lamport,
-                &mut e.next_msg_id,
-                &mut e.next_timer_id,
-                e.meta_template,
-                &mut self.arena,
-            );
-            match call {
-                HandlerCall::Start => e.program.on_start(&mut ctx),
-                HandlerCall::Message(m) => e.program.on_message(&mut ctx, m),
-                HandlerCall::Timer(t) => e.program.on_timer(&mut ctx, t),
+            Some(Staged { effects, post }) => {
+                // Restoring the copy is not part of the run.
+                let p0 = crate::payload::stats();
+                post.apply(self.procs.ent_mut(pid));
+                self.payload_base = self.payload_base.plus(crate::payload::stats().since(p0));
+                effects
             }
-            ctx.into_effects()
         };
         self.apply_effects(pid, effects)
     }
@@ -870,9 +792,10 @@ impl World {
         &self.trace
     }
 
-    /// Liveness of a process (dormant lazy processes are `Running`).
+    /// Liveness of a process without materializing it: dormant lazy
+    /// processes are `Running` unless a fault crashed them while dormant.
     pub fn status(&self, pid: Pid) -> ProcStatus {
-        self.status_of(pid)
+        self.procs.status_of(pid)
     }
 
     /// A process's current vector clock. Dormant processes share the one
@@ -1110,8 +1033,8 @@ impl World {
 
     /// Inject a message directly into the network (drivers use this to
     /// re-send recorded messages during replay-style investigations).
-    /// Accepts an owned [`Message`] or an already-shared handle (which
-    /// is aliased, not copied).
+    /// Accepts an owned [`Message`](crate::event::Message) or an
+    /// already-shared handle (which is aliased, not copied).
     pub fn inject_message(&mut self, msg: impl Into<SharedMessage>, deliver_at: VTime) {
         if self.sealed {
             self.assert_unsharded("inject_message");
@@ -1193,12 +1116,6 @@ impl World {
     pub fn outputs_of(&self, pid: Pid) -> Vec<&[u8]> {
         self.trace.outputs_of(pid)
     }
-}
-
-pub(crate) enum HandlerCall<'a> {
-    Start,
-    Message(&'a Message),
-    Timer(TimerId),
 }
 
 /// The network-side state one routed send consumes: fault rules, the
@@ -1307,6 +1224,8 @@ impl NetSide<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Message;
+    use crate::program::Context;
 
     /// Sends `count` pings around a ring; each process counts receipts.
     struct Ring {

@@ -55,27 +55,34 @@ pub(crate) fn segment_body(blob: &[u8], entries: usize) -> Option<&[u8]> {
     Some(&blob[pos..])
 }
 
+/// Read a pid varint. A value above `u32::MAX` names no pid: it is
+/// refused, not truncated into one that exists.
+fn get_pid(buf: &[u8], pos: &mut usize) -> Result<Pid> {
+    let v = need(get_varint(buf, pos))?;
+    u32::try_from(v).map(Pid).map_err(|_| CodecError::BadPid(v))
+}
+
 /// Decode a clock in the given format version: v1 reads the dense
 /// component list, v2 the sparse pair list ([`VectorClock::put_wire`]
 /// writes it). Both land in the same in-memory [`VectorClock`] (dense
 /// zeros are dropped on the way in).
-fn get_clock(buf: &[u8], pos: &mut usize, version: u8) -> Option<VectorClock> {
+fn get_clock(buf: &[u8], pos: &mut usize, version: u8) -> Result<VectorClock> {
     if version == 1 {
-        return Some(VectorClock::from_vec(get_u64s(buf, pos)?));
+        return Ok(VectorClock::from_vec(need(get_u64s(buf, pos))?));
     }
-    let n = get_varint(buf, pos)? as usize;
+    let n = need(get_varint(buf, pos))? as usize;
     // A pair is at least two bytes: a count the rest of the buffer
     // cannot hold is refused before anything is reserved for it.
     if n > buf.len().saturating_sub(*pos) / 2 {
-        return None;
+        return Err(CodecError::Truncated);
     }
     let mut pairs = Vec::with_capacity(n);
     for _ in 0..n {
-        let p = get_varint(buf, pos)? as u32;
-        let c = get_varint(buf, pos)?;
-        pairs.push((p, c));
+        let p = get_pid(buf, pos)?;
+        let c = need(get_varint(buf, pos))?;
+        pairs.push((p.0, c));
     }
-    Some(VectorClock::from_pairs(pairs))
+    Ok(VectorClock::from_pairs(pairs))
 }
 
 /// Encoding error (only produced on decode).
@@ -87,6 +94,8 @@ pub enum CodecError {
     BadTag(u8),
     /// Unsupported format version.
     BadVersion(u8),
+    /// A pid field above `u32::MAX`.
+    BadPid(u64),
 }
 
 impl std::fmt::Display for CodecError {
@@ -95,6 +104,7 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "truncated scroll data"),
             CodecError::BadTag(t) => write!(f, "unknown entry tag {t}"),
             CodecError::BadVersion(v) => write!(f, "unsupported scroll format version {v}"),
+            CodecError::BadPid(p) => write!(f, "pid {p} out of range"),
         }
     }
 }
@@ -169,12 +179,12 @@ fn decode_message_from(
     version: u8,
 ) -> Result<Message> {
     let id = need(get_varint(buf, pos))?;
-    let src = Pid(need(get_varint(buf, pos))? as u32);
-    let dst = Pid(need(get_varint(buf, pos))? as u32);
+    let src = get_pid(buf, pos)?;
+    let dst = get_pid(buf, pos)?;
     let tag = need(get_varint(buf, pos))? as u16;
     let payload = need(source.take(buf, pos))?;
     let sent_at = need(get_varint(buf, pos))?;
-    let vc = need(get_clock(buf, pos, version))?;
+    let vc = get_clock(buf, pos, version)?;
     let ckpt_index = need(get_varint(buf, pos))?;
     let spec_id = need(get_varint(buf, pos))?;
     let lamport = need(get_varint(buf, pos))?;
@@ -225,11 +235,11 @@ fn decode_entry_from(
 ) -> Result<ScrollEntry> {
     let tag = *buf.get(*pos).ok_or(CodecError::Truncated)?;
     *pos += 1;
-    let pid = Pid(need(get_varint(buf, pos))? as u32);
+    let pid = get_pid(buf, pos)?;
     let local_seq = need(get_varint(buf, pos))?;
     let at = need(get_varint(buf, pos))?;
     let lamport = need(get_varint(buf, pos))?;
-    let vc = need(get_clock(buf, pos, version))?;
+    let vc = get_clock(buf, pos, version)?;
     let randoms = need(get_u64s(buf, pos))?.into();
     let effects_fp = need(get_varint(buf, pos))?;
     let sends = need(get_varint(buf, pos))?;
@@ -478,6 +488,132 @@ mod tests {
         assert_eq!(segment_body(&[], 0), None);
         assert_eq!(segment_body(&[FORMAT_VERSION], 0), None);
         assert_eq!(segment_body(&[FORMAT_VERSION, 0x80], 0), None);
+    }
+
+    /// `2^32 + 1` as a varint.
+    const PID_2_32_PLUS_1: [u8; 5] = [0x81, 0x80, 0x80, 0x80, 0x10];
+
+    /// A pid varint above `u32::MAX` is `BadPid`, wherever it sits: a
+    /// message's source, destination or clock pair, an entry's pid. It
+    /// used to decode as `Pid(1)`.
+    #[test]
+    fn hostile_pids_are_refused_not_truncated() {
+        let bad = CodecError::BadPid((1 << 32) + 1);
+        let pid = |hostile: bool| {
+            if hostile {
+                &PID_2_32_PLUS_1[..]
+            } else {
+                &[1][..]
+            }
+        };
+        // id, src, dst, tag, empty payload, sent_at, one clock pair,
+        // meta: the pid of `field` (0 src, 1 dst, 2 clock) is hostile.
+        let message = |field: usize| {
+            let mut b = vec![0];
+            b.extend_from_slice(pid(field == 0));
+            b.extend_from_slice(pid(field == 1));
+            b.extend_from_slice(&[0, 0, 0, 1]);
+            b.extend_from_slice(pid(field == 2));
+            b.extend_from_slice(&[1, 0, 0, 0]);
+            b
+        };
+        for field in 0..3 {
+            let got = decode_message(&message(field), &mut 0).unwrap_err();
+            assert_eq!(got, bad, "field {field}");
+        }
+        let ok = decode_message(&message(3), &mut 0).unwrap();
+        assert_eq!((ok.src, ok.dst, ok.vc.get(Pid(1))), (Pid(1), Pid(1), 1));
+        // A Start entry with a hostile pid, alone and in a segment.
+        let mut entry = vec![0];
+        entry.extend_from_slice(&PID_2_32_PLUS_1);
+        entry.extend_from_slice(&[0; 7]);
+        assert_eq!(decode_entry(&entry, &mut 0).unwrap_err(), bad);
+        let mut seg = vec![FORMAT_VERSION, 1];
+        seg.extend_from_slice(&entry);
+        assert_eq!(decode_segment(&seg).unwrap_err(), bad);
+        // A Deliver entry whose message carries one.
+        let mut entry = vec![1, 0, 0, 0, 0, 0, 0, 0, 0];
+        entry.extend_from_slice(&message(1));
+        assert_eq!(decode_entry(&entry, &mut 0).unwrap_err(), bad);
+    }
+
+    /// Every truncation of a segment that cuts into its header is
+    /// refused; one past it is the body cut short (nothing past the
+    /// header is looked at). No single-byte mutation panics, a mutated
+    /// version byte is refused, and whatever is accepted is the blob's
+    /// tail.
+    #[test]
+    fn segment_body_survives_every_truncation_and_mutation() {
+        let entries = 300;
+        let mut blob = Vec::new();
+        put_segment_header(&mut blob, entries);
+        let header = blob.len();
+        assert_eq!(header, 3);
+        blob.extend_from_slice(b"any body at all");
+        for cut in 0..=blob.len() {
+            let want = (cut >= header).then(|| &blob[header..cut]);
+            assert_eq!(segment_body(&blob[..cut], entries), want, "cut at {cut}");
+        }
+        for i in 0..blob.len() {
+            for byte in 0..=255u8 {
+                let mut m = blob.clone();
+                if m[i] == byte {
+                    continue;
+                }
+                m[i] = byte;
+                match segment_body(&m, entries) {
+                    Some(body) => {
+                        assert!(i > 0, "a mutated version byte was accepted");
+                        assert!(m.ends_with(body), "byte {i} = {byte:#x}");
+                    }
+                    None => assert!(i < header, "a mutated body byte {i} was refused"),
+                }
+            }
+        }
+    }
+
+    /// Both clock encodings: every truncation is refused, no single-byte
+    /// mutation panics or reads past the buffer, and a pair count the
+    /// buffer cannot hold is refused before anything is reserved (a
+    /// `usize::MAX` reservation would panic).
+    #[test]
+    fn get_clock_survives_every_truncation_and_mutation() {
+        let vc = VectorClock::from_pairs(vec![(0, 3), (2, 200), (70_000, 1), (9, u64::MAX)]);
+        let mut v1 = Vec::new();
+        put_u64s(&mut v1, &[3, 0, 200, 0, 0, 7]);
+        let mut v2 = Vec::new();
+        vc.put_wire(&mut v2);
+        for (version, buf) in [(1, &v1), (2, &v2)] {
+            let mut pos = 0;
+            get_clock(buf, &mut pos, version).unwrap();
+            assert_eq!(pos, buf.len());
+            for cut in 0..buf.len() {
+                assert!(
+                    get_clock(&buf[..cut], &mut 0, version).is_err(),
+                    "v{version} cut at {cut}"
+                );
+            }
+            for i in 0..buf.len() {
+                for byte in 0..=255u8 {
+                    let mut m = buf.clone();
+                    m[i] = byte;
+                    let mut pos = 0;
+                    if get_clock(&m, &mut pos, version).is_ok() {
+                        assert!(pos <= m.len(), "v{version} byte {i} = {byte:#x}");
+                    }
+                }
+            }
+        }
+        let mut huge = Vec::new();
+        put_varint(&mut huge, u64::MAX);
+        huge.extend_from_slice(&[0; 32]);
+        for version in [1, 2] {
+            assert_eq!(
+                get_clock(&huge, &mut 0, version),
+                Err(CodecError::Truncated),
+                "v{version}"
+            );
+        }
     }
 
     #[test]

@@ -227,11 +227,6 @@ impl ScrollStore {
         s
     }
 
-    /// The active spill configuration, if any.
-    pub fn spill_config(&self) -> Option<&SpillConfig> {
-        self.spill.as_ref()
-    }
-
     /// Number of processes covered.
     pub fn width(&self) -> usize {
         self.per_pid.len()
@@ -434,11 +429,6 @@ impl ScrollStore {
     /// point in a spilling run).
     pub fn resident_bytes(&self) -> usize {
         self.resident_weight.iter().sum()
-    }
-
-    /// Approximate resident entry bytes of one process.
-    pub fn resident_bytes_of(&self, pid: Pid) -> usize {
-        self.resident_weight.get(pid.idx()).copied().unwrap_or(0)
     }
 
     /// Sealed segments spilled so far, across all processes.

@@ -49,7 +49,7 @@ pub use fixd_timemachine as timemachine;
 /// The items most applications need.
 pub mod prelude {
     pub use fixd_campaign::{
-        run_campaign, run_campaign_with_threads, CampaignReport, CampaignSpec, Pathology,
+        run_campaign, run_campaign_sharded, CampaignReport, CampaignSpec, Pathology,
     };
     pub use fixd_core::{BugReport, DetectedFault, Fixd, FixdConfig, Monitor};
     pub use fixd_healer::{Healer, Patch};

@@ -9,14 +9,30 @@
 //! sweep's cell-count summary (the CI campaign job greps for it).
 
 use fixd::campaign::{
-    kvstore_app, kvstore_buggy_app, kvstore_ck_app, run_campaign, run_campaign_with_threads,
-    standard_cases, standard_matrix, token_ring_app, two_phase_commit_app, CampaignSpec, FaultCase,
-    Pathology,
+    kvstore_app, kvstore_buggy_app, kvstore_ck_app, run_campaign, run_campaign_sharded,
+    standard_cases, standard_matrix, token_ring_app, two_phase_commit_app, CampaignReport,
+    CampaignSpec, FaultCase, Pathology,
 };
 use fixd::examples::{kvstore, token_ring, two_phase_commit as tpc};
 use fixd::prelude::*;
 use fixd::runtime::{DeliveryPolicy, NetworkConfig};
 use fixd::timemachine::{coordinated_snapshot, restore_global};
+
+/// Run `spec` with [`run_campaign`] (one shard per cell), check that its
+/// report JSON is byte-identical at 2 and 8 shards per cell, and return
+/// the one-shard report.
+fn run_at_shards_1_2_8(spec: &CampaignSpec) -> CampaignReport {
+    let report = run_campaign(spec);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for shards in [2, 8] {
+        assert_eq!(
+            run_campaign_sharded(spec, threads, shards).to_json(),
+            report.to_json(),
+            "report diverged at {shards} shards"
+        );
+    }
+    report
+}
 
 /// The headline sweep: every example app × every standard pathology,
 /// in parallel, with an exact expected cell count so silently skipped
@@ -75,8 +91,8 @@ fn standard_matrix_covers_all_apps_and_pathologies() {
 #[test]
 fn report_is_thread_count_invariant() {
     let spec = standard_matrix(&[5, 6]);
-    let serial = run_campaign_with_threads(&spec, 1);
-    let wide = run_campaign_with_threads(&spec, 8);
+    let serial = run_campaign_sharded(&spec, 1, 1);
+    let wide = run_campaign_sharded(&spec, 8, 1);
     assert_eq!(serial, wide);
     assert_eq!(
         serial.to_json(),
@@ -87,12 +103,12 @@ fn report_is_thread_count_invariant() {
 
 /// Tentpole acceptance: the campaign report is byte-identical whether
 /// cells execute serially or on a sharded world, at every shard count.
-/// Sharded execution captures the step stream and replays it under the
-/// real supervision loop, so the Scroll/Time Machine/monitor figures
-/// (and the JSON down to the last byte) cannot drift from serial.
+/// A sharded world commits each step through the serial code, and the
+/// supervisor drives it like a serial one, so the Scroll/Time
+/// Machine/monitor figures (and the JSON down to the last byte) cannot
+/// drift from serial.
 #[test]
 fn report_is_shard_count_invariant() {
-    use fixd::campaign::run_campaign_sharded;
     let spec = standard_matrix(&[7, 8]);
     let serial = run_campaign_sharded(&spec, 2, 1);
     for shards in [2usize, 4, 8] {
@@ -109,7 +125,7 @@ fn report_is_shard_count_invariant() {
 /// shard-count invariant too, including under reordering jitter.
 #[test]
 fn wide_matrix_is_shard_count_invariant() {
-    use fixd::campaign::{run_campaign_sharded, wide_matrix};
+    use fixd::campaign::wide_matrix;
     let spec = wide_matrix(16, &[0, 1]);
     let serial = run_campaign_sharded(&spec, 1, 1);
     assert_eq!(serial.check_failures(), 0);
@@ -132,7 +148,7 @@ fn wide_matrix_is_shard_count_invariant() {
 /// before it quiesces.
 #[test]
 fn sharded_cells_run_on_the_sharded_executor() {
-    use fixd::campaign::{default_shards, run_cell_sharded_timed, wide_matrix, AppSpec, CellCheck};
+    use fixd::campaign::{run_cell_sharded_timed, wide_matrix, AppSpec, CellCheck};
     use std::sync::Arc;
 
     // Each cell at each shard count against its one-shard outcome;
@@ -206,13 +222,6 @@ fn sharded_cells_run_on_the_sharded_executor() {
         .cells()
         .iter()
         .all(|c| !run_cell_sharded_timed(&cut, c, 2).0.quiescent));
-
-    // And whatever FIXD_SHARDS asks for (CI runs 1, 2 and 8).
-    let env = default_shards();
-    if env > 1 {
-        run(&buggy, &[env]);
-        run(&ring, &[env]);
-    }
 }
 
 /// A fault detected on a sharded world is the serial run's fault: same
@@ -307,7 +316,7 @@ fn crash_campaign_token_ring() {
         victim_case(2, "crash-victim-2"),
         victim_case(3, "crash-victim-3"),
     ];
-    let report = run_campaign(&spec);
+    let report = run_at_shards_1_2_8(&spec);
     println!("{}", report.summary());
     assert_eq!(report.total_cells(), 80, "4 victims × 20 crash times");
     assert_eq!(report.violations(), 0);
@@ -332,7 +341,7 @@ fn lossy_dup_campaign_kvstore_v2() {
         },
     )
     .also(&[Pathology::Loss, Pathology::Reorder])];
-    let report = run_campaign(&spec);
+    let report = run_at_shards_1_2_8(&spec);
     println!("{}", report.summary());
     assert_eq!(report.total_cells(), 15);
     assert_eq!(report.violations(), 0);
@@ -353,7 +362,7 @@ fn corruption_campaign_kvstore_checksummed() {
         .into_iter()
         .filter(|c| c.name == "corruption")
         .collect();
-    let report = run_campaign(&spec);
+    let report = run_at_shards_1_2_8(&spec);
     println!("{}", report.summary());
     assert_eq!(report.total_cells(), 12);
     assert_eq!(report.violations(), 0);
@@ -389,7 +398,7 @@ fn partition_campaign_heals_after_merge() {
         .filter(|c| c.pathology == Pathology::Partition)
         .collect();
     assert_eq!(spec.cases.len(), 2, "early-heal and mid-run windows");
-    let report = run_campaign(&spec);
+    let report = run_at_shards_1_2_8(&spec);
     println!("{}", report.summary());
     assert_eq!(report.total_cells(), 2 * 2 * 10);
     assert_eq!(report.violations(), 0, "partitions never break safety");
@@ -440,7 +449,7 @@ fn buggy_backup_detection_rate() {
         .filter(|c| c.name == "clean" || c.name == "reorder")
         .collect();
     assert_eq!(spec.cases.len(), 2);
-    let report = run_campaign(&spec);
+    let report = run_at_shards_1_2_8(&spec);
     println!("{}", report.summary());
     assert_eq!(report.total_cells(), 60, "2 cases × 30 seeds");
     assert_eq!(

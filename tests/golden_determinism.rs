@@ -17,7 +17,7 @@
 //! Re-bless (only ever on known-good code): `FIXD_BLESS=1 cargo test
 //! --test golden_determinism`.
 
-use fixd::campaign::{run_campaign_with_threads, standard_matrix};
+use fixd::campaign::{run_campaign_sharded, standard_matrix};
 use fixd::prelude::*;
 use fixd::runtime::wire::{fnv1a, fnv_mix};
 use fixd::runtime::{EventKind, FaultPlan, NetworkConfig, Trace};
@@ -53,12 +53,17 @@ fn strip_instrumentation(json: &str) -> String {
     out
 }
 
+/// The fixture holds at 1, 2 and 8 shards per cell: a sharded cell's
+/// report is the serial one.
 #[test]
 fn campaign_report_matches_pre_refactor_seed() {
     let spec = standard_matrix(&[1, 2]);
-    let report = run_campaign_with_threads(&spec, 2);
-    assert_eq!(report.total_cells(), spec.expected_cells());
-    let got = strip_instrumentation(&report.to_json());
+    let report_json = |shards| {
+        let report = run_campaign_sharded(&spec, 2, shards);
+        assert_eq!(report.total_cells(), spec.expected_cells());
+        strip_instrumentation(&report.to_json())
+    };
+    let got = report_json(1);
     if std::env::var("FIXD_BLESS").is_ok() {
         std::fs::create_dir_all("tests/fixtures").unwrap();
         std::fs::write(FIXTURE, &got).unwrap();
@@ -70,6 +75,13 @@ fn campaign_report_matches_pre_refactor_seed() {
         got, want,
         "campaign report drifted from the pre-refactor seed"
     );
+    for shards in [2, 8] {
+        assert_eq!(
+            report_json(shards),
+            want,
+            "campaign report drifted from the pre-refactor seed at {shards} shards"
+        );
+    }
 }
 
 /// A small mesh with every hot-path surface live: forwarded (aliased)

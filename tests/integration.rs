@@ -44,7 +44,7 @@ fn facade_prelude_campaign_smoke() {
     use fixd::prelude::*;
 
     let spec = fixd::campaign::standard_matrix(&[2]);
-    let report = run_campaign_with_threads(&spec, 2);
+    let report = run_campaign_sharded(&spec, 2, 1);
     assert_eq!(report.total_cells(), spec.expected_cells());
     assert_eq!(report.violations(), 0);
     assert_eq!(report.check_failures(), 0);
