@@ -16,21 +16,18 @@ use fixd_investigator::{WorldModel, WorldState};
 use fixd_runtime::{Pid, SoloHarness, World};
 
 /// Build an Investigator [`WorldState`] from the current (post-rollback)
-/// world: programs are cloned as their own models, per-process clocks and
-/// RNG positions are carried over, and channel state (in-flight messages
-/// and pending timers) is captured.
+/// world: programs are cloned as their own models, each process's whole
+/// runtime context (clocks, RNG position, id counters, meta template)
+/// carries over through its checkpoint, and channel state (in-flight
+/// messages and pending timers) is captured.
 pub fn assemble_worldstate(world: &World) -> WorldState {
     let n = world.num_procs();
     let mut programs = Vec::with_capacity(n);
     let mut harnesses = Vec::with_capacity(n);
     for i in 0..n {
         let pid = Pid(i as u32);
-        let ck = world.checkpoint_process(pid);
         programs.push(world.with_program(pid, |p| p.clone_program()));
-        let mut h = SoloHarness::new(pid, n, 0);
-        h.restore_context(ck.vc.clone(), ck.lamport, ck.rng.clone());
-        h.set_now(world.now());
-        harnesses.push(h);
+        harnesses.push(SoloHarness::resume(&world.checkpoint_process(pid), n));
     }
     let inflight = world.inflight_messages();
     let timers = world

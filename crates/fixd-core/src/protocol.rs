@@ -51,7 +51,7 @@ pub(crate) fn newest_good_checkpoint(
             continue;
         }
         let Some(ck) = store.get(idx) else { continue };
-        let state = ck.image.to_bytes();
+        let state = ck.ckpt.state.to_bytes();
         candidate.restore(&state);
         if good(candidate.as_ref(), &state) {
             return idx;
@@ -178,7 +178,7 @@ mod tests {
         // receive hold 0,2,5,55. Newest passing (<=10) is the one holding 5.
         let target = choose_rollback_target(&w, &tm, &monitors, Pid(1));
         let ck = tm.store(Pid(1)).get(target).unwrap();
-        let sum = u64::from_le_bytes(ck.image.to_bytes().try_into().unwrap());
+        let sum = u64::from_le_bytes(ck.ckpt.state.to_bytes().try_into().unwrap());
         assert_eq!(sum, 5);
     }
 

@@ -528,7 +528,7 @@ impl TransitionSystem for WorldModel {
         let mut h = fnv_mix(FINGERPRINT_SEED, s.fp_sum);
         if self.strict_fingerprint {
             for p in &s.procs {
-                for (pid, c) in p.harness.vc().entries() {
+                for (pid, c) in p.harness.context().vc.entries() {
                     h = fnv_mix(h, u64::from(pid.0));
                     h = fnv_mix(h, c);
                 }
@@ -860,7 +860,7 @@ mod tests {
         let mut h = fnv_mix(FINGERPRINT_SEED, sum);
         if m.strict_fingerprint {
             for p in &s.procs {
-                for (pid, c) in p.harness.vc().entries() {
+                for (pid, c) in p.harness.context().vc.entries() {
                     h = fnv_mix(h, u64::from(pid.0));
                     h = fnv_mix(h, c);
                 }
@@ -1016,7 +1016,7 @@ mod tests {
                 .collect::<Vec<_>>(),
             s.procs
                 .iter()
-                .map(|p| (p.program.snapshot(), p.harness.vc().clone()))
+                .map(|p| (p.program.snapshot(), p.harness.context().vc.clone()))
                 .collect::<Vec<_>>(),
         )
     }

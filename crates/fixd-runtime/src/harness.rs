@@ -4,21 +4,23 @@
 //! a single process from its Scroll, treating every remote entity as a
 //! black box defined only by the recorded interaction. The Investigator
 //! also uses it to execute handler steps on cloned program states, once
-//! per explored transition.
+//! per explored transition. The harness is the world's own handler
+//! function (`ProcContext::run_handler`) over a [`ProcContext`] it
+//! holds itself.
 
 use std::cell::RefCell;
 
 use crate::arena::StepArena;
-use crate::clock::VectorClock;
-use crate::event::{Effects, Message, MsgMeta, TimerId};
-use crate::program::{Context, Program};
-use crate::rng::DetRng;
+use crate::event::{Effects, Message, TimerId};
+use crate::procs::{Handler, ProcContext};
+use crate::program::Program;
+use crate::world::ProcCheckpoint;
 use crate::{Pid, VTime};
 
 thread_local! {
     /// The pools every [`SoloHarness`] handler run on this thread draws
-    /// its [`Context`] from: the draw buffer, and the effects body that
-    /// [`SoloHarness::recycle`] hands back.
+    /// its [`crate::Context`] from: the draw buffer, and the effects body
+    /// that [`SoloHarness::recycle`] hands back.
     // INVARIANT: borrowed for exactly one handler run, so a handler must
     // not itself drive a `SoloHarness` (the nested borrow would panic).
     // No handler does: a `Program` sees only its `Context`.
@@ -27,22 +29,17 @@ thread_local! {
 
 /// Standalone handler driver for a single process.
 ///
-/// Mirrors exactly the per-process context a [`crate::World`] maintains
-/// (vector clock, Lamport clock, RNG stream, id counters), so a handler
-/// run under the harness produces byte-identical [`Effects`] to the same
-/// handler run inside a world at the same point — the property replay
-/// fidelity checks rely on.
+/// A handler runs here through the world's own handler function, on the
+/// same [`ProcContext`] a world keeps per process, so a harness started
+/// fresh with the world's seed — or resumed from one of the world's
+/// [`ProcCheckpoint`]s — produces the [`Effects`] the world produced at
+/// the same point, ids included.
 #[derive(Clone, Debug)]
 pub struct SoloHarness {
     pid: Pid,
     width: usize,
     now: VTime,
-    vc: VectorClock,
-    lamport: u64,
-    rng: DetRng,
-    next_msg_id: u64,
-    next_timer_id: u64,
-    meta: MsgMeta,
+    ctx: ProcContext,
 }
 
 impl SoloHarness {
@@ -53,12 +50,20 @@ impl SoloHarness {
             pid,
             width,
             now: 0,
-            vc: VectorClock::new(width),
-            lamport: 0,
-            rng: DetRng::derive(seed, u64::from(pid.0)),
-            next_msg_id: 1,
-            next_timer_id: 1,
-            meta: MsgMeta::default(),
+            ctx: ProcContext::new(seed, pid),
+        }
+    }
+
+    /// A harness that resumes the checkpointed process of a
+    /// `width`-process system where the world left it: its whole
+    /// context, at the checkpoint's virtual time. The program is the
+    /// caller's, restored from `ck.state` or cloned from the world.
+    pub fn resume(ck: &ProcCheckpoint, width: usize) -> Self {
+        Self {
+            pid: ck.pid,
+            width,
+            now: ck.taken_at,
+            ctx: ck.ctx.clone(),
         }
     }
 
@@ -67,39 +72,15 @@ impl SoloHarness {
         self.now = now;
     }
 
-    /// Current vector clock of the simulated process.
-    pub fn vc(&self) -> &VectorClock {
-        &self.vc
+    /// The simulated process's runtime context.
+    pub fn context(&self) -> &ProcContext {
+        &self.ctx
     }
 
-    /// Restore harness clocks/RNG from a checkpoint-like tuple (used when
-    /// replay starts mid-run from a Time Machine checkpoint).
-    pub fn restore_context(&mut self, vc: VectorClock, lamport: u64, rng: DetRng) {
-        self.vc = vc;
-        self.lamport = lamport;
-        self.rng = rng;
-    }
-
-    fn run(
-        &mut self,
-        program: &mut dyn Program,
-        call: impl FnOnce(&mut dyn Program, &mut Context),
-    ) -> Effects {
+    fn run(&mut self, program: &mut dyn Program, h: Handler) -> Effects {
         ARENA.with_borrow_mut(|arena| {
-            let mut ctx = Context::new(
-                self.pid,
-                self.now,
-                self.width,
-                &mut self.rng,
-                &mut self.vc,
-                &mut self.lamport,
-                &mut self.next_msg_id,
-                &mut self.next_timer_id,
-                self.meta,
-                arena,
-            );
-            call(program, &mut ctx);
-            ctx.into_effects()
+            self.ctx
+                .run_handler(self.pid, program, h, self.now, self.width, arena)
         })
     }
 
@@ -110,25 +91,19 @@ impl SoloHarness {
         ARENA.with_borrow_mut(|arena| arena.recycle_effects(effects));
     }
 
-    /// Run `on_start` (ticks clocks exactly like a world does).
+    /// Run `on_start`.
     pub fn start(&mut self, program: &mut dyn Program) -> Effects {
-        self.vc.tick(self.pid);
-        self.lamport += 1;
-        self.run(program, |p, ctx| p.on_start(ctx))
+        self.run(program, Handler::Start)
     }
 
-    /// Deliver `msg` (applies the receive clock rules, then runs
-    /// `on_message`).
+    /// Deliver `msg` (the receive clock rules, then `on_message`).
     pub fn deliver(&mut self, program: &mut dyn Program, msg: &Message) -> Effects {
-        self.vc.tick(self.pid);
-        self.vc.merge(&msg.vc);
-        self.lamport = self.lamport.max(msg.meta.lamport) + 1;
-        self.run(program, |p, ctx| p.on_message(ctx, msg))
+        self.run(program, Handler::Deliver(msg))
     }
 
     /// Fire timer `t`.
     pub fn timer(&mut self, program: &mut dyn Program, t: TimerId) -> Effects {
-        self.run(program, |p, ctx| p.on_timer(ctx, t))
+        self.run(program, Handler::Timer(t))
     }
 }
 
@@ -136,6 +111,7 @@ impl SoloHarness {
 mod tests {
     use super::*;
     use crate::world::{World, WorldConfig};
+    use crate::Context;
 
     struct Counter {
         n: u64,
@@ -219,6 +195,6 @@ mod tests {
         {
             h.deliver(&mut p, &m);
         }
-        assert_eq!(h.vc(), &wc.vc);
+        assert_eq!(h.context().vc, wc.ctx.vc);
     }
 }

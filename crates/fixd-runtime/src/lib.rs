@@ -89,6 +89,7 @@ pub use fixd_store::{PageStats, PageStore, PagedImage, SnapshotImage, StoreStats
 pub use harness::SoloHarness;
 pub use network::{DeliveryPolicy, LinkPolicy, NetStats, NetworkConfig, Partition};
 pub use payload::{Payload, PayloadStats};
+pub use procs::ProcContext;
 pub use program::{Context, Program};
 pub use rng::DetRng;
 pub use shard::ShardTiming;

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use crate::arena::StepArena;
 use crate::clock::VectorClock;
-use crate::event::{Effects, EventKind, MsgMeta};
+use crate::event::{Effects, EventKind, Message, MsgMeta, TimerId};
 use crate::payload;
 use crate::program::{Context, Program};
 use crate::rng::DetRng;
@@ -38,66 +38,109 @@ pub(crate) struct LazyRange {
     pub(crate) factory: ProcFactory,
 }
 
-pub(crate) struct ProcEntry {
-    pub(crate) program: Box<dyn Program>,
-    pub(crate) status: ProcStatus,
-    pub(crate) vc: VectorClock,
-    pub(crate) lamport: u64,
-    pub(crate) rng: DetRng,
-    pub(crate) meta_template: MsgMeta,
-    pub(crate) delivered: u64,
-    pub(crate) next_msg_id: u64,
-    pub(crate) next_timer_id: u64,
+/// A process's runtime context: everything a handler run reads and
+/// advances besides the program itself. The world's process table, a
+/// shard's copy of it, a [`crate::ProcCheckpoint`] and a
+/// [`crate::SoloHarness`] each hold one, and `run_handler` is the one
+/// function that runs a handler against it — so a process resumed from
+/// a checkpoint outside the world continues exactly where the world
+/// left it.
+#[derive(Clone, Debug)]
+pub struct ProcContext {
+    pub vc: VectorClock,
+    pub lamport: u64,
+    pub rng: DetRng,
+    /// Messages delivered to this process.
+    pub delivered: u64,
+    /// Time-Machine metadata stamped on this process's sends
+    /// (checkpoint index, speculation id).
+    pub meta: MsgMeta,
+    /// Id counters: they roll back with the state, so re-execution and
+    /// replay mint identical ids.
+    pub next_msg_id: u64,
+    pub next_timer_id: u64,
 }
 
-impl ProcEntry {
-    /// Run `pid`'s handler for `kind` (a start, a delivery or a timer) at
-    /// virtual time `now` in a world `n` pids wide, and return its
-    /// effects. A start ticks the clocks; a delivery ticks, merges the
-    /// sender's clock, advances the Lamport clock past the sender's and
-    /// counts the receipt. The handler's [`Context`] copies the meta
-    /// template as it is on entry.
+/// The handler a step runs, borrowed from its event.
+#[derive(Clone, Copy)]
+pub(crate) enum Handler<'a> {
+    Start,
+    Deliver(&'a Message),
+    Timer(TimerId),
+}
+
+impl<'a> Handler<'a> {
+    /// The handler `kind` runs.
+    pub(crate) fn of(kind: &'a EventKind) -> Self {
+        match kind {
+            EventKind::Start { .. } => Handler::Start,
+            EventKind::Deliver { msg } => Handler::Deliver(msg),
+            EventKind::TimerFire { timer, .. } => Handler::Timer(*timer),
+            // INVARIANT: `World::step` and `Shard::run_window` ask for a
+            // handler only for the three kinds above, and only for what
+            // `ProcTable::admit` let through — which turns a delivery to
+            // a crashed pid into a `Drop` — so no other kind gets here.
+            other => unreachable!("no handler runs for {other:?}"),
+        }
+    }
+}
+
+impl ProcContext {
+    /// The context process `pid` starts with: zero clocks, ids from 1,
+    /// and the RNG stream derived from the world's `seed`.
+    pub fn new(seed: u64, pid: Pid) -> Self {
+        Self {
+            vc: VectorClock::ZERO,
+            lamport: 0,
+            rng: DetRng::derive(seed, u64::from(pid.0)),
+            delivered: 0,
+            meta: MsgMeta::default(),
+            next_msg_id: 1,
+            next_timer_id: 1,
+        }
+    }
+
+    /// Run `pid`'s handler `h` on `program` at virtual time `now` in a
+    /// world `width` pids wide, and return its effects. A start ticks
+    /// the clocks; a delivery ticks, merges the sender's clock, advances
+    /// the Lamport clock past the sender's and counts the receipt. The
+    /// handler sees the meta template as it is on entry.
     pub(crate) fn run_handler(
         &mut self,
         pid: Pid,
-        kind: &EventKind,
+        program: &mut dyn Program,
+        h: Handler,
         now: VTime,
-        n: usize,
+        width: usize,
         arena: &mut StepArena,
     ) -> Effects {
-        match kind {
-            EventKind::Start { .. } => {
+        match h {
+            Handler::Start => {
                 self.vc.tick(pid);
                 self.lamport += 1;
             }
-            EventKind::Deliver { msg } => {
+            Handler::Deliver(msg) => {
                 self.vc.tick(pid);
                 self.vc.merge(&msg.vc);
                 self.lamport = self.lamport.max(msg.meta.lamport) + 1;
                 self.delivered += 1;
             }
-            _ => {}
+            Handler::Timer(_) => {}
         }
-        let mut ctx = Context::new(
-            pid,
-            now,
-            n,
-            &mut self.rng,
-            &mut self.vc,
-            &mut self.lamport,
-            &mut self.next_msg_id,
-            &mut self.next_timer_id,
-            self.meta_template,
-            arena,
-        );
-        match kind {
-            EventKind::Start { .. } => self.program.on_start(&mut ctx),
-            EventKind::Deliver { msg } => self.program.on_message(&mut ctx, msg),
-            EventKind::TimerFire { timer, .. } => self.program.on_timer(&mut ctx, *timer),
-            other => unreachable!("no handler runs for {other:?}"),
+        let mut ctx = Context::new(pid, now, width, self, arena);
+        match h {
+            Handler::Start => program.on_start(&mut ctx),
+            Handler::Deliver(msg) => program.on_message(&mut ctx, msg),
+            Handler::Timer(t) => program.on_timer(&mut ctx, t),
         }
         ctx.into_effects()
     }
+}
+
+pub(crate) struct ProcEntry {
+    pub(crate) program: Box<dyn Program>,
+    pub(crate) status: ProcStatus,
+    pub(crate) ctx: ProcContext,
 }
 
 impl Clone for ProcEntry {
@@ -105,13 +148,7 @@ impl Clone for ProcEntry {
         Self {
             program: self.program.clone_program(),
             status: self.status,
-            vc: self.vc.clone(),
-            lamport: self.lamport,
-            rng: self.rng.clone(),
-            meta_template: self.meta_template,
-            delivered: self.delivered,
-            next_msg_id: self.next_msg_id,
-            next_timer_id: self.next_timer_id,
+            ctx: self.ctx.clone(),
         }
     }
 }
@@ -218,19 +255,13 @@ impl ProcTable {
         });
     }
 
-    /// The entry any pid would materialize with: same derived RNG stream
-    /// and zero clocks as `add_process` builds eagerly.
+    /// The entry any pid would materialize with: the same fresh context
+    /// as `add_process` builds eagerly.
     fn entry_for(seed: u64, pid: Pid, program: Box<dyn Program>) -> Box<ProcEntry> {
         Box::new(ProcEntry {
             program,
             status: ProcStatus::Running,
-            vc: VectorClock::ZERO,
-            lamport: 0,
-            rng: DetRng::derive(seed, u64::from(pid.0)),
-            meta_template: MsgMeta::default(),
-            delivered: 0,
-            next_msg_id: 1,
-            next_timer_id: 1,
+            ctx: ProcContext::new(seed, pid),
         })
     }
 
@@ -279,7 +310,8 @@ impl ProcTable {
             }
             self.slots[i] = Some(e);
         }
-        self.slots[i].as_mut().unwrap()
+        // INVARIANT: the slot was filled just above if it was empty.
+        self.slots[i].as_mut().expect("slot materialized above")
     }
 
     /// Liveness without materializing: dormant pids are `Running` unless
@@ -339,6 +371,6 @@ impl ProcTable {
     /// A process's clock; dormant pids share the static zero clock.
     #[inline]
     pub(crate) fn vc_of(&self, pid: Pid) -> &VectorClock {
-        self.ent(pid).map_or(&VectorClock::ZERO, |e| &e.vc)
+        self.ent(pid).map_or(&VectorClock::ZERO, |e| &e.ctx.vc)
     }
 }

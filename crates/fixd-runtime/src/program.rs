@@ -11,7 +11,7 @@
 use crate::arena::StepArena;
 use crate::clock::VectorClock;
 use crate::event::{Effects, Message, MsgMeta, TimerId};
-use crate::rng::DetRng;
+use crate::procs::ProcContext;
 use crate::{Pid, VTime};
 
 /// A process of a distributed application.
@@ -80,12 +80,9 @@ pub struct Context<'a> {
     pid: Pid,
     now: VTime,
     world_width: usize,
-    rng: &'a mut DetRng,
-    vc: &'a mut VectorClock,
-    lamport: &'a mut u64,
-    next_msg_id: &'a mut u64,
-    next_timer_id: &'a mut u64,
-    meta_template: MsgMeta,
+    /// The process's clocks, RNG stream, id counters and meta template;
+    /// the handler only reads the template.
+    proc: &'a mut ProcContext,
     /// The world's recycling pools: message boxes for `send`, the
     /// effects body, and the draw buffer all come from here.
     arena: &'a mut StepArena,
@@ -99,17 +96,11 @@ pub struct Context<'a> {
 }
 
 impl<'a> Context<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         pid: Pid,
         now: VTime,
         world_width: usize,
-        rng: &'a mut DetRng,
-        vc: &'a mut VectorClock,
-        lamport: &'a mut u64,
-        next_msg_id: &'a mut u64,
-        next_timer_id: &'a mut u64,
-        meta_template: MsgMeta,
+        proc: &'a mut ProcContext,
         arena: &'a mut StepArena,
     ) -> Self {
         let effects = arena.make_effects();
@@ -118,12 +109,7 @@ impl<'a> Context<'a> {
             pid,
             now,
             world_width,
-            rng,
-            vc,
-            lamport,
-            next_msg_id,
-            next_timer_id,
-            meta_template,
+            proc,
             arena,
             effects,
             randoms,
@@ -159,12 +145,15 @@ impl<'a> Context<'a> {
     ///
     /// [`Payload`]: crate::payload::Payload
     pub fn send(&mut self, dst: Pid, tag: u16, payload: impl Into<crate::payload::Payload>) {
-        let id = *self.next_msg_id;
-        *self.next_msg_id += 1;
-        self.vc.tick(self.pid);
-        *self.lamport += 1;
-        let mut meta = self.meta_template;
-        meta.lamport = *self.lamport;
+        let p = &mut *self.proc;
+        let id = p.next_msg_id;
+        p.next_msg_id += 1;
+        p.vc.tick(self.pid);
+        p.lamport += 1;
+        let meta = MsgMeta {
+            lamport: p.lamport,
+            ..p.meta
+        };
         let msg = self.arena.make_message(
             id,
             self.pid,
@@ -172,7 +161,7 @@ impl<'a> Context<'a> {
             tag,
             payload.into(),
             self.now,
-            self.vc,
+            &p.vc,
             meta,
         );
         self.effects.sends.push(msg);
@@ -192,8 +181,8 @@ impl<'a> Context<'a> {
 
     /// Arm a timer `delay` virtual time units from now.
     pub fn set_timer(&mut self, delay: VTime) -> TimerId {
-        let id = TimerId(*self.next_timer_id);
-        *self.next_timer_id += 1;
+        let id = TimerId(self.proc.next_timer_id);
+        self.proc.next_timer_id += 1;
         self.effects
             .timers_set
             .push((id, self.now.saturating_add(delay)));
@@ -208,14 +197,14 @@ impl<'a> Context<'a> {
     /// Draw a random `u64`. Recorded in the effects (the Scroll logs it as
     /// a nondeterministic outcome, per §3.1).
     pub fn random(&mut self) -> u64 {
-        let v = self.rng.next_u64();
+        let v = self.proc.rng.next_u64();
         self.record_draw(v);
         v
     }
 
     /// Draw uniformly from `[0, n)`.
     pub fn random_below(&mut self, n: u64) -> u64 {
-        let v = self.rng.below(n);
+        let v = self.proc.rng.below(n);
         self.record_draw(v);
         v
     }
@@ -256,7 +245,7 @@ impl<'a> Context<'a> {
 
     /// The process's current vector clock (read-only view).
     pub fn vector_clock(&self) -> &VectorClock {
-        self.vc
+        &self.proc.vc
     }
 
     pub(crate) fn into_effects(mut self) -> Effects {
@@ -276,28 +265,18 @@ mod tests {
     use super::*;
 
     fn run_ctx(f: impl FnOnce(&mut Context)) -> Effects {
-        let mut rng = DetRng::derive(1, 0);
-        let mut vc = VectorClock::new(3);
-        let mut lamport = 0u64;
-        let mut next_msg = 10u64;
-        let mut next_timer = 0u64;
-        let mut arena = StepArena::new();
-        let mut ctx = Context::new(
-            Pid(1),
-            500,
-            3,
-            &mut rng,
-            &mut vc,
-            &mut lamport,
-            &mut next_msg,
-            &mut next_timer,
-            MsgMeta {
+        let mut proc = ProcContext {
+            next_msg_id: 10,
+            next_timer_id: 0,
+            meta: MsgMeta {
                 ckpt_index: 4,
                 spec_id: 9,
                 lamport: 0,
             },
-            &mut arena,
-        );
+            ..ProcContext::new(1, Pid(0))
+        };
+        let mut arena = StepArena::new();
+        let mut ctx = Context::new(Pid(1), 500, 3, &mut proc, &mut arena);
         f(&mut ctx);
         ctx.into_effects()
     }

@@ -90,12 +90,10 @@ use std::time::Duration;
 
 use crate::arena::{ArenaStats, StepArena};
 use crate::calqueue::{CalEntry, CalQueue};
-use crate::clock::VectorClock;
 use crate::event::{Effects, EventKind};
 use crate::network::{NetworkConfig, Partition};
 use crate::payload::{self, PayloadStats};
-use crate::procs::{ProcEntry, ProcTable};
-use crate::rng::DetRng;
+use crate::procs::{Handler, ProcContext, ProcEntry, ProcTable};
 use crate::world::{ProcStatus, QueuedEvent, WorldConfig};
 use crate::{Pid, VTime};
 
@@ -187,41 +185,27 @@ impl CalEntry for ShardEvent {
 }
 
 /// The acting process's state right after a handler ran on its shard:
-/// everything [`ProcEntry`] holds that a handler can change, except
-/// liveness (the commit applies crashes itself) and the message-meta
-/// template (the Time Machine writes the world's own).
+/// its program bytes and its [`ProcContext`].
 pub(crate) struct PostState {
     program: Vec<u8>,
-    vc: VectorClock,
-    lamport: u64,
-    rng: DetRng,
-    delivered: u64,
-    next_msg_id: u64,
-    next_timer_id: u64,
+    ctx: ProcContext,
 }
 
 impl PostState {
     fn capture(e: &ProcEntry) -> Self {
         Self {
             program: e.program.snapshot(),
-            vc: e.vc.clone(),
-            lamport: e.lamport,
-            rng: e.rng.clone(),
-            delivered: e.delivered,
-            next_msg_id: e.next_msg_id,
-            next_timer_id: e.next_timer_id,
+            ctx: e.ctx.clone(),
         }
     }
 
-    /// Write this state into the world's entry for the same pid.
+    /// Write this state into the world's entry for the same pid. The
+    /// entry keeps its liveness (the commit applies crashes itself) and
+    /// its meta template (the Time Machine writes the world's own).
     pub(crate) fn apply(self, e: &mut ProcEntry) {
         e.program.restore(&self.program);
-        e.vc = self.vc;
-        e.lamport = self.lamport;
-        e.rng = self.rng;
-        e.delivered = self.delivered;
-        e.next_msg_id = self.next_msg_id;
-        e.next_timer_id = self.next_timer_id;
+        let meta = e.ctx.meta;
+        e.ctx = ProcContext { meta, ..self.ctx };
     }
 }
 
@@ -270,7 +254,7 @@ struct Shard {
 impl Shard {
     /// Execute this shard's events with `at < wend`, staging each step
     /// into `out`. Admission and the handlers are the world's own
-    /// ([`ProcTable::admit`], [`ProcEntry::run_handler`]); a crash marks
+    /// ([`ProcTable::admit`], [`ProcContext::run_handler`]); a crash marks
     /// its pid here too, ahead of the world, so the shard skips what the
     /// world will skip.
     fn run_window(&mut self, wend: VTime) {
@@ -334,12 +318,19 @@ impl Shard {
                 // subsequently sends). The index equals the delivery
                 // ordinal — index 0 is the init checkpoint — so the shard
                 // can stamp it without the Time Machine being present.
-                e.meta_template.ckpt_index = e.delivered + 1;
+                e.ctx.meta.ckpt_index = e.ctx.delivered + 1;
             }
         }
         // Virtual "now" as the serial world would see it: monotonic,
         // floored at the configured start time.
-        let effects = e.run_handler(pid, kind, at.max(self.start_time), n, &mut self.arena);
+        let effects = e.ctx.run_handler(
+            pid,
+            e.program.as_mut(),
+            Handler::of(kind),
+            at.max(self.start_time),
+            n,
+            &mut self.arena,
+        );
         // In-window timers execute this window under a provisional key;
         // later ones are minted and queued when the step commits.
         for (timer, fire_at) in &effects.timers_set {

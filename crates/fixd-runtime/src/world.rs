@@ -33,7 +33,7 @@ use crate::clock::VectorClock;
 use crate::event::{Effects, Event, EventKind, MsgMeta, SharedMessage, TimerId};
 use crate::fault::FaultPlan;
 use crate::network::{DeliveryOutcome, DropReason, NetStats, NetworkConfig, Partition};
-use crate::procs::ProcTable;
+use crate::procs::{Handler, ProcContext, ProcTable};
 use crate::program::Program;
 use crate::rng::DetRng;
 use crate::shard::{ShardTiming, Shards, Staged};
@@ -84,13 +84,15 @@ impl WorldConfig {
     }
 }
 
-/// Everything needed to roll one process back: program state plus the
-/// runtime context that must travel with it (clocks, RNG position,
-/// delivery counters). Produced by [`World::checkpoint_process`] (inline
-/// state bytes) or [`World::checkpoint_process_in`] (state paged
-/// straight into a content-addressed [`PageStore`], so equal pages are
-/// stored once across processes, checkpoint generations, and
-/// speculation branches); consumed by [`World::restore_checkpoint`].
+/// Everything needed to roll one process back, or to resume it outside
+/// the world: program state plus its whole [`ProcContext`] (clocks, RNG
+/// position, delivery count, meta template, id counters), carried as one
+/// value. Produced by [`World::checkpoint_process`] (inline state bytes)
+/// or [`World::checkpoint_process_in`] (state paged straight into a
+/// content-addressed [`PageStore`], so equal pages are stored once
+/// across processes, checkpoint generations, and speculation branches);
+/// consumed by [`World::restore_checkpoint`] and
+/// [`crate::SoloHarness::resume`].
 ///
 /// [`PageStore`]: fixd_store::PageStore
 #[derive(Clone, Debug)]
@@ -98,16 +100,8 @@ pub struct ProcCheckpoint {
     pub pid: Pid,
     /// Opaque program snapshot ([`Program::snapshot`]), inline or paged.
     pub state: fixd_store::SnapshotImage,
-    pub vc: VectorClock,
-    pub lamport: u64,
-    pub rng: DetRng,
-    pub delivered: u64,
-    pub meta: MsgMeta,
+    pub ctx: ProcContext,
     pub taken_at: VTime,
-    /// Per-process id counters (must roll back with the state so that
-    /// re-execution and replay mint identical ids).
-    pub next_msg_id: u64,
-    pub next_timer_id: u64,
 }
 
 impl ProcCheckpoint {
@@ -116,11 +110,11 @@ impl ProcCheckpoint {
     /// the inline form produces for the same bytes.
     pub fn fingerprint(&self) -> u64 {
         let mut h = self.state.content_fnv1a();
-        for (p, c) in self.vc.entries() {
+        for (p, c) in self.ctx.vc.entries() {
             h = wire::fnv_mix(h, u64::from(p.0));
             h = wire::fnv_mix(h, c);
         }
-        wire::fnv_mix(h, self.lamport)
+        wire::fnv_mix(h, self.ctx.lamport)
     }
 }
 
@@ -592,9 +586,15 @@ impl World {
         let effects = match staged {
             None => {
                 let n = self.procs.width();
-                self.procs
-                    .ent_mut(pid)
-                    .run_handler(pid, kind, self.now, n, &mut self.arena)
+                let e = self.procs.ent_mut(pid);
+                e.ctx.run_handler(
+                    pid,
+                    e.program.as_mut(),
+                    Handler::of(kind),
+                    self.now,
+                    n,
+                    &mut self.arena,
+                )
             }
             Some(Staged { effects, post }) => {
                 // Restoring the copy is not part of the run.
@@ -807,7 +807,7 @@ impl World {
 
     /// A process's delivered-message count.
     pub fn delivered_count(&self, pid: Pid) -> u64 {
-        self.procs.ent(pid).map_or(0, |e| e.delivered)
+        self.procs.ent(pid).map_or(0, |e| e.ctx.delivered)
     }
 
     /// Typed read access to a process's program (`None` for dormant lazy
@@ -892,14 +892,8 @@ impl World {
         ProcCheckpoint {
             pid,
             state: snap(e.program.as_ref()),
-            vc: e.vc.clone(),
-            lamport: e.lamport,
-            rng: e.rng.clone(),
-            delivered: e.delivered,
-            meta: e.meta_template,
+            ctx: e.ctx.clone(),
             taken_at: self.now,
-            next_msg_id: e.next_msg_id,
-            next_timer_id: e.next_timer_id,
         }
     }
 
@@ -911,13 +905,7 @@ impl World {
         self.assert_unsharded("restore_checkpoint");
         let e = self.procs.ent_mut(ckpt.pid);
         e.program.restore(&ckpt.state.as_bytes());
-        e.vc = ckpt.vc.clone();
-        e.lamport = ckpt.lamport;
-        e.rng = ckpt.rng.clone();
-        e.delivered = ckpt.delivered;
-        e.meta_template = ckpt.meta;
-        e.next_msg_id = ckpt.next_msg_id;
-        e.next_timer_id = ckpt.next_timer_id;
+        e.ctx = ckpt.ctx.clone();
         e.status = ProcStatus::Running;
         let seq = self.exec_seq;
         self.exec_seq += 1;
@@ -963,14 +951,14 @@ impl World {
     /// Set the Time-Machine metadata template stamped on `pid`'s future
     /// sends (checkpoint index, speculation id).
     pub fn set_meta_template(&mut self, pid: Pid, meta: MsgMeta) {
-        self.procs.ent_mut(pid).meta_template = meta;
+        self.procs.ent_mut(pid).ctx.meta = meta;
     }
 
     /// Current metadata template of `pid`.
     pub fn meta_template(&self, pid: Pid) -> MsgMeta {
         self.procs
             .ent(pid)
-            .map_or_else(MsgMeta::default, |e| e.meta_template)
+            .map_or_else(MsgMeta::default, |e| e.ctx.meta)
     }
 
     /// Remove queued events matching `pred` (e.g. in-flight messages made
@@ -1083,7 +1071,7 @@ impl World {
             match self.procs.ent(pid) {
                 Some(e) => {
                     states.push(e.program.snapshot());
-                    vcs.push(e.vc.clone());
+                    vcs.push(e.ctx.vc.clone());
                     statuses.push(e.status);
                 }
                 None => {

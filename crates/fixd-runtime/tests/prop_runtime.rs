@@ -5,8 +5,8 @@ use proptest::prelude::*;
 
 use fixd_runtime::wire;
 use fixd_runtime::{
-    Context, DetRng, FaultPlan, Message, NetworkConfig, Pid, Program, VectorClock, World,
-    WorldConfig,
+    Context, DetRng, EventKind, FaultPlan, Message, MsgMeta, NetworkConfig, Pid, Program,
+    SoloHarness, VectorClock, World, WorldConfig,
 };
 
 /// A gossip-ish program whose behavior depends on payload and RNG, used
@@ -342,6 +342,54 @@ proptest! {
         // (a == b) is possible but astronomically unlikely for all cases;
         // tolerate equality, require validity.
         prop_assert!(a != 0 || b != 0);
+    }
+
+    /// A harness resumed from the acting pid's checkpoint runs the next
+    /// event exactly as the world then does: the same effects (ids,
+    /// clocks and meta included), and after the step the harness's
+    /// context and program bytes are the world's post-step checkpoint.
+    /// Dormant lazy pids resume from the fresh context they would
+    /// materialize with; meta templates are stamped as a Time Machine
+    /// stamps them.
+    #[test]
+    fn harness_resumed_from_checkpoint_runs_in_lock_step(
+        seed in 0u64..500, n in 2usize..5, lazy in 0usize..3, fanout in 1u8..6,
+        jitter in any::<bool>(), drop in 0.0f64..0.3) {
+        let mut w = noisy_world(n, seed, fanout, jitter, drop);
+        w.add_lazy_processes(lazy, move |_| Box::new(Noisy { acc: 0, fanout }));
+        let width = w.num_procs();
+        let mut steps = 0u64;
+        while let Some(ev) = w.peek() {
+            steps += 1;
+            let Some(pid) = ev.kind.pid().filter(|_| ev.kind.runs_handler()) else {
+                w.step();
+                continue;
+            };
+            if steps.is_multiple_of(3) && w.is_materialized(pid) {
+                let meta = MsgMeta { ckpt_index: steps, spec_id: steps % 2, lamport: 0 };
+                w.set_meta_template(pid, meta);
+            }
+            let ck = w.checkpoint_process(pid);
+            let mut program = w.with_program(pid, |p| p.clone_program());
+            program.restore(&ck.state.to_bytes());
+            let mut h = SoloHarness::resume(&ck, width);
+            h.set_now(w.now().max(ev.at));
+            let effects = match &ev.kind {
+                EventKind::Start { .. } => h.start(program.as_mut()),
+                EventKind::Deliver { msg } => h.deliver(program.as_mut(), msg),
+                EventKind::TimerFire { timer, .. } => h.timer(program.as_mut(), *timer),
+                other => unreachable!("{other:?} runs no handler"),
+            };
+            let rec = w.step().expect("the peeked event steps");
+            prop_assert_eq!(&effects, &rec.effects, "effects at step {}", steps);
+            let post = w.checkpoint_process(pid);
+            prop_assert_eq!(
+                format!("{:?}", h.context()),
+                format!("{:?}", post.ctx),
+                "context of {} after step {}", pid, steps
+            );
+            prop_assert_eq!(program.snapshot(), post.state.to_bytes());
+        }
     }
 
     /// Checkpoint → run → restore returns the process to the exact state.

@@ -43,6 +43,6 @@ pub use entry::{EntryKind, ScrollEntry};
 pub use merge::{check_causal_consistency, merge_total_order, CausalViolation};
 pub use query::ScrollQuery;
 pub use record::{record_run, RecordConfig, ScrollRecorder};
-pub use replay::{replay_process, Fidelity, ReplayOutcome};
+pub use replay::{replay_from, replay_process, Fidelity, ReplayOutcome};
 pub use stats::ScrollStats;
 pub use storage::{ScrollStore, SpillConfig, StorageError};

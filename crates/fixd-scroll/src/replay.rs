@@ -8,8 +8,14 @@
 //! seed; and every handler's effects are checked against the recorded
 //! fingerprint, so divergence (a non-reproducible bug, or a changed
 //! program) is detected at the first differing step.
+//!
+//! A replay starts either at the process's `Start` ([`replay_process`])
+//! or from one of the world's checkpoints of it ([`replay_from`]): the
+//! checkpoint carries the process's whole runtime context, so replaying
+//! the Scroll suffix after it mints the ids and draws the randoms the
+//! world did.
 
-use fixd_runtime::{Pid, Program, SoloHarness};
+use fixd_runtime::{Pid, ProcCheckpoint, Program, SoloHarness};
 
 use crate::entry::{EntryKind, ScrollEntry};
 
@@ -74,7 +80,42 @@ pub fn replay_process_with(
     entries: &[ScrollEntry],
     cfg: ReplayConfig,
 ) -> ReplayOutcome {
-    let mut harness = SoloHarness::new(pid, width, seed);
+    replay_in(
+        pid,
+        SoloHarness::new(pid, width, seed),
+        program,
+        entries,
+        cfg,
+    )
+}
+
+/// Replay the Scroll suffix `entries` of the process checkpointed in
+/// `ck` — the entries recorded after the checkpoint was taken — in a
+/// `width`-process system, resuming from the checkpoint's context.
+/// `program` must hold the checkpointed state (restored from `ck.state`).
+pub fn replay_from(
+    ck: &ProcCheckpoint,
+    width: usize,
+    program: &mut dyn Program,
+    entries: &[ScrollEntry],
+    cfg: ReplayConfig,
+) -> ReplayOutcome {
+    replay_in(
+        ck.pid,
+        SoloHarness::resume(ck, width),
+        program,
+        entries,
+        cfg,
+    )
+}
+
+fn replay_in(
+    pid: Pid,
+    mut harness: SoloHarness,
+    program: &mut dyn Program,
+    entries: &[ScrollEntry],
+    cfg: ReplayConfig,
+) -> ReplayOutcome {
     let mut steps = 0u64;
     let mut fidelity = Fidelity::Exact;
     let mut states = Vec::new();

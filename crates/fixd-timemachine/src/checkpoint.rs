@@ -1,31 +1,21 @@
 //! Per-process checkpoint stores over the shared content-addressed
 //! page store.
 
-use fixd_runtime::{
-    DetRng, MsgMeta, Pid, ProcCheckpoint, SnapshotImage, VTime, VectorClock, World,
-};
+use fixd_runtime::{Pid, ProcCheckpoint, SnapshotImage, World};
 
 use crate::page::{PageStats, PageStore, PagedImage};
 
-/// A Time-Machine checkpoint: the runtime context of
-/// [`fixd_runtime::ProcCheckpoint`] with the state bytes held as a
-/// [`PagedImage`] whose pages are interned in the Time Machine's shared
-/// [`PageStore`] — so equal pages dedup across checkpoint generations,
-/// across processes, and across speculation branches.
+/// A Time-Machine checkpoint: the [`fixd_runtime::ProcCheckpoint`] it
+/// took, with the state held as a [`PagedImage`] whose pages are
+/// interned in the Time Machine's shared [`PageStore`] — so equal pages
+/// dedup across checkpoint generations, across processes, and across
+/// speculation branches.
 #[derive(Clone, Debug)]
 pub struct TmCheckpoint {
-    pub pid: Pid,
     /// Checkpoint index = the interval this checkpoint *starts*.
     pub index: u64,
-    pub image: PagedImage,
-    pub vc: VectorClock,
-    pub lamport: u64,
-    pub rng: DetRng,
-    pub delivered: u64,
-    pub meta: MsgMeta,
-    pub taken_at: VTime,
-    pub next_msg_id: u64,
-    pub next_timer_id: u64,
+    /// The process's state (paged) and whole runtime context.
+    pub ckpt: ProcCheckpoint,
     /// Handler events this process had executed when the checkpoint was
     /// taken (rollback-depth accounting for F6).
     pub events_at: u64,
@@ -40,22 +30,9 @@ pub struct TmCheckpoint {
 }
 
 impl TmCheckpoint {
-    /// Convert back to a runtime checkpoint for [`World::restore_checkpoint`].
-    /// The state travels as a paged snapshot (refcount bumps, no copy);
-    /// the restore path materializes bytes exactly once.
-    pub fn to_proc_checkpoint(&self) -> ProcCheckpoint {
-        ProcCheckpoint {
-            pid: self.pid,
-            state: SnapshotImage::Paged(self.image.clone()),
-            vc: self.vc.clone(),
-            lamport: self.lamport,
-            rng: self.rng.clone(),
-            delivered: self.delivered,
-            meta: self.meta,
-            taken_at: self.taken_at,
-            next_msg_id: self.next_msg_id,
-            next_timer_id: self.next_timer_id,
-        }
+    /// The paged state image.
+    fn image(&self) -> Option<&PagedImage> {
+        self.ckpt.state.as_paged()
     }
 }
 
@@ -106,36 +83,26 @@ impl CheckpointStore {
     /// is none yet) every page goes through the store's hash lookup,
     /// with the same result. Returns the new index.
     pub fn take(&mut self, world: &World, events_at: u64) -> u64 {
-        let prev = self.checkpoints.last().filter(|c| c.live).map(|c| &c.image);
-        let pc = world.checkpoint_process_in(
+        let prev = self
+            .checkpoints
+            .last()
+            .filter(|c| c.live)
+            .and_then(TmCheckpoint::image);
+        let ckpt = world.checkpoint_process_in(
             self.pid,
             &self.pages,
             self.page_size,
             prev,
             &mut self.scratch,
         );
-        let image = match pc.state {
-            SnapshotImage::Paged(img) => img,
-            // Unreachable with checkpoint_process_in, but harmless: page
-            // inline bytes now.
-            SnapshotImage::Inline(bytes) => {
-                PagedImage::from_bytes_after(&self.pages, &bytes, self.page_size, prev)
-            }
-        };
-        let stats = image.build_stats();
+        let stats = ckpt
+            .state
+            .as_paged()
+            .map_or_else(PageStats::default, PagedImage::build_stats);
         let index = self.checkpoints.len() as u64;
         self.checkpoints.push(TmCheckpoint {
-            pid: self.pid,
             index,
-            image,
-            vc: pc.vc,
-            lamport: pc.lamport,
-            rng: pc.rng,
-            delivered: pc.delivered,
-            meta: pc.meta,
-            taken_at: pc.taken_at,
-            next_msg_id: pc.next_msg_id,
-            next_timer_id: pc.next_timer_id,
+            ckpt,
             events_at,
             stats,
             live: true,
@@ -173,7 +140,7 @@ impl CheckpointStore {
     /// Returns the restored checkpoint's `events_at`.
     pub fn restore(&mut self, world: &mut World, index: u64) -> Option<u64> {
         let ck = self.checkpoints.get(index as usize)?;
-        world.restore_checkpoint(&ck.to_proc_checkpoint());
+        world.restore_checkpoint(&ck.ckpt);
         let events_at = ck.events_at;
         self.checkpoints.truncate(index as usize + 1);
         Some(events_at)
@@ -189,7 +156,7 @@ impl CheckpointStore {
         let drop_n = (keep_from as usize).min(self.checkpoints.len());
         let mut dropped = 0;
         for ck in self.checkpoints[..drop_n].iter_mut().filter(|c| c.live) {
-            ck.image = PagedImage::empty();
+            ck.ckpt.state = SnapshotImage::Paged(PagedImage::empty());
             ck.live = false;
             dropped += 1;
         }
@@ -204,13 +171,13 @@ impl CheckpointStore {
     /// Distinct bytes held by the whole history (content-dedup-aware,
     /// within this process only — the per-process baseline figure).
     pub fn unique_bytes(&self) -> usize {
-        PagedImage::unique_bytes(self.checkpoints.iter().map(|c| &c.image))
+        PagedImage::unique_bytes(self.images())
     }
 
     /// The images of the retained checkpoints (for cross-store dedup
     /// accounting).
     pub fn images(&self) -> impl Iterator<Item = &PagedImage> {
-        self.checkpoints.iter().map(|c| &c.image)
+        self.checkpoints.iter().filter_map(TmCheckpoint::image)
     }
 
     /// Sum of page-sharing stats across the history.
@@ -374,8 +341,8 @@ mod tests {
         fn assert_matches(&self, store: &CheckpointStore) {
             let ck = store.latest().unwrap();
             let mine = self.images.last().unwrap();
-            assert!(ck.image.page_keys().eq(mine.page_keys()));
-            assert_eq!(ck.image, *mine);
+            assert!(ck.image().unwrap().page_keys().eq(mine.page_keys()));
+            assert_eq!(ck.image(), Some(mine));
             assert_eq!(ck.stats, mine.build_stats());
             assert_eq!(store.page_store().stats(), self.pages.stats());
         }
@@ -419,7 +386,7 @@ mod tests {
         scratch.assert_matches(&store);
         let ck = store.latest().unwrap();
         assert_eq!(ck.stats.reused, 0, "nothing of the dropped history is left");
-        assert_eq!(ck.stats.fresh, ck.image.page_count());
+        assert_eq!(ck.stats.fresh, ck.image().unwrap().page_count());
         // And the one after that diffs against it again.
         w.run_steps(1);
         store.take(&w, 9);
@@ -449,7 +416,7 @@ mod tests {
         let ck = store.latest().unwrap();
         assert_eq!(ck.index, 2);
         assert_eq!(ck.stats.fresh, 0);
-        assert_eq!(ck.image, store.get(1).unwrap().image);
+        assert_eq!(ck.ckpt.state, store.get(1).unwrap().ckpt.state);
     }
 
     /// `BigState` after a patch that changed its snapshot layout: a
@@ -497,8 +464,11 @@ mod tests {
         scratch.assert_matches(&store);
         let ck = store.latest().unwrap();
         assert_eq!(ck.stats.reused, 0, "every page moved");
-        assert_eq!(ck.image.len(), store.get(0).unwrap().image.len() + 3);
-        assert_eq!(ck.image.to_bytes()[..3], *b"v2!");
+        assert_eq!(
+            ck.ckpt.state.len(),
+            store.get(0).unwrap().ckpt.state.len() + 3
+        );
+        assert_eq!(ck.ckpt.state.to_bytes()[..3], *b"v2!");
     }
 
     #[test]

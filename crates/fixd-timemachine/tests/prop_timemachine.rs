@@ -195,7 +195,7 @@ proptest! {
                         for idx in s..=tm.interval(Pid(i as u32)) {
                             if let Some(ck) = store.get(idx) {
                                 if store.is_live(idx) {
-                                    keep_hashes.push((i, idx, ck.image.content_fnv1a()));
+                                    keep_hashes.push((i, idx, ck.ckpt.state.content_fnv1a()));
                                 }
                             }
                         }
@@ -206,7 +206,7 @@ proptest! {
                         prop_assert!(store.is_live(idx), "P{i} ckpt {idx} wrongly collected");
                         let ck = store.get(idx).expect("live checkpoint present");
                         prop_assert_eq!(
-                            ck.image.content_fnv1a(), hash,
+                            ck.ckpt.state.content_fnv1a(), hash,
                             "P{} ckpt {} content changed under gc", i, idx
                         );
                     }

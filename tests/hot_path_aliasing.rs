@@ -254,10 +254,11 @@ fn one_clock_buffer_shared_by_last_send_scroll_entry_and_next_checkpoint() {
                 continue;
             };
             let entry = &scroll[prev as usize];
-            assert_eq!(ck.vc, entry.vc);
-            if ck.vc.nnz() > fixd::runtime::clock::INLINE_PAIRS {
+            let vc = &ck.ckpt.ctx.vc;
+            assert_eq!(*vc, entry.vc);
+            if vc.nnz() > fixd::runtime::clock::INLINE_PAIRS {
                 assert!(
-                    ck.vc.shares_storage_with(&entry.vc),
+                    vc.shares_storage_with(&entry.vc),
                     "{p} checkpoint {}: must be a handle on entry {prev}'s clock",
                     ck.index
                 );
