@@ -31,7 +31,7 @@ use fixd_bench::{live_bytes, CountingAlloc};
 use fixd_examples::chord::{chord_factory, ChordNode, ChordRing};
 use fixd_runtime::{
     clock::INLINE_PAIRS, ArenaStats, EventKind, Pid, World, WorldConfig, EFF_POOL_CAP,
-    MSG_POOL_CAP, RAND_POOL_CAP, REC_POOL_CAP,
+    MSG_POOL_CAP, RAND_POOL_CAP, REC_POOL_CAP, TRACE_TAIL,
 };
 
 #[global_allocator]
@@ -77,12 +77,6 @@ fn nnz_bucket(nnz: usize) -> usize {
 
 /// Shards in the per-shard arena census leg at the widest world.
 const ARENA_SHARDS: usize = 8;
-/// Trace bound for the census leg: recycling only happens when the
-/// world sees last references, i.e. on trace eviction — an unbounded
-/// trace pins every shell and the pools (correctly) report ~0 resident
-/// bytes. The bounded trace is the steady-state regime the pool caps
-/// were sized for.
-const ARENA_TRACE_CAP: usize = 4096;
 
 struct RunResult {
     steps: u64,
@@ -173,9 +167,7 @@ fn sharded_arena_census(width: usize, seed: u64) -> (ArenaStats, Vec<ArenaStats>
     let members: Vec<Pid> = (0..MEMBERS as u32).map(Pid).collect();
     let ring = Arc::new(ChordRing::new(&members));
 
-    let mut cfg = WorldConfig::seeded(seed);
-    cfg.trace_cap = Some(ARENA_TRACE_CAP);
-    let mut w = World::new(cfg);
+    let mut w = World::new(WorldConfig::seeded(seed));
     w.add_lazy_processes(
         width,
         chord_factory(Arc::clone(&ring), STABILIZE_ROUNDS, LOOKUPS_PER_MEMBER),
@@ -338,8 +330,8 @@ fn main() {
         "arena pools must retain shells after a {widest}-wide run"
     );
     println!(
-        "arena census at width {widest} ({ARENA_SHARDS} shards, trace cap \
-         {ARENA_TRACE_CAP}, caps msg={MSG_POOL_CAP} rec={REC_POOL_CAP} \
+        "arena census at width {widest} ({ARENA_SHARDS} shards, trace tail \
+         {TRACE_TAIL}, caps msg={MSG_POOL_CAP} rec={REC_POOL_CAP} \
          eff={EFF_POOL_CAP} rand={RAND_POOL_CAP}):"
     );
     println!(
@@ -384,7 +376,7 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"arena\": {{\n    \"width\": {widest},\n    \"shards\": {ARENA_SHARDS},\n    \
-         \"trace_cap\": {ARENA_TRACE_CAP},\n    \
+         \"trace_tail\": {TRACE_TAIL},\n    \
          \"pool_caps\": {{\"msgs\": {MSG_POOL_CAP}, \"records\": {REC_POOL_CAP}, \
          \"effects\": {EFF_POOL_CAP}, \"randoms\": {RAND_POOL_CAP}}},\n    \
          \"serial_resident_bytes\": {},\n    \"coordinator\": {},\n",

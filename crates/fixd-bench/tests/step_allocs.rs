@@ -1,13 +1,13 @@
 //! The step loop's allocation claim, counted: once its pools are warm,
 //! the `step → apply_effects → route_message → trace.push` cycle of a
-//! bare [`World`] serves messages, records, effects bodies and draw
-//! buffers from the `StepArena` and does not call the allocator.
+//! default-config [`World`] serves messages, records, effects bodies and
+//! draw buffers from the `StepArena` and does not call the allocator.
 //!
 //! The mesh keeps every hot-path surface live: 16 processes each pass
 //! a 1 KiB token on (aliased, never re-materialized), emit a 512 B
 //! shared output and take a random draw per delivery, and set a timer;
-//! the trace is capped, so evicted records cycle back through the
-//! arena. CI runs this file in release as well as debug: the claim is
+//! the trace keeps a fixed tail, so evicted records cycle back through
+//! the arena. CI runs this file in release as well as debug: the claim is
 //! about the optimised loop.
 //!
 //! One `#[test]` on purpose: the counter is process-wide (see
@@ -22,7 +22,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const PROCS: usize = 16;
 const PAYLOAD_BYTES: usize = 1024;
 const OUTPUT_BYTES: usize = 512;
-const TRACE_CAP: usize = 256;
 /// Steps before the counting window opens — long enough for every
 /// pool, bucket `Vec` and clock spill to reach its steady capacity.
 const WARM_STEPS: u64 = 20_000;
@@ -69,9 +68,7 @@ impl Program for Gossip {
 
 #[test]
 fn warm_step_loop_does_not_allocate() {
-    let mut cfg = WorldConfig::seeded(100);
-    cfg.trace_cap = Some(TRACE_CAP);
-    let mut w = World::new(cfg);
+    let mut w = World::new(WorldConfig::seeded(100));
     for p in 0..PROCS {
         w.add_process(Box::new(Gossip {
             out: Payload::untracked(vec![p as u8; OUTPUT_BYTES]),

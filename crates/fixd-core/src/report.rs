@@ -30,7 +30,8 @@ pub struct BugReport {
     pub trails: Vec<Trail<String>>,
     /// Deadlock trails, if any.
     pub deadlocks: Vec<Trail<String>>,
-    /// Tail of the runtime trace before detection.
+    /// Last ten records of the runtime trace: the steps up to detection,
+    /// then any restart marks of the rollback run before it was rendered.
     pub trace_tail: String,
     /// Scroll excerpt for the implicated process.
     pub scroll_excerpt: String,

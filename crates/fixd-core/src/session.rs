@@ -579,6 +579,56 @@ mod tests {
         );
     }
 
+    /// A long supervised run keeps only the trace's tail: the count of
+    /// records pushed covers every step, and the bug report reads its
+    /// ten lines from the tail.
+    #[test]
+    fn long_supervised_run_keeps_a_bounded_tail() {
+        use fixd_runtime::{SharedDisk, TRACE_TAIL};
+        use fixd_scroll::SpillConfig;
+
+        const RING: usize = 4;
+        let mut w = World::new(WorldConfig::seeded(7));
+        for _ in 0..RING {
+            w.add_process(Box::new(Pump { count: 0 }));
+        }
+        let mut cfg = FixdConfig::seeded(7);
+        cfg.scroll_spill = Some(SpillConfig::new(SharedDisk::new(), 4096));
+        // A process's 300th token is the fault, some 1,200 steps in.
+        let mut fixd =
+            Fixd::new(RING, cfg).monitor(Monitor::local::<Pump>("under-300", |_, p| p.count < 300));
+        let mut lines = Vec::new();
+        let fault = loop {
+            let seen = w.trace().pushed();
+            let out = fixd.supervise(&mut w, TRACE_TAIL as u64 / 2);
+            let t = w.trace();
+            let fresh = (t.pushed() - seen) as usize;
+            for r in t.records().skip(t.len() - fresh) {
+                let (seq, at, kind) = (r.event.seq, r.event.at, &r.event.kind);
+                lines.push(format!("#{seq:<6} t={at:<8} {kind:?}\n"));
+            }
+            if let Some(fault) = out.fault {
+                break fault;
+            }
+            assert!(!out.quiescent, "the run drained before the fault");
+        };
+        assert!(fixd.steps() > 10 * TRACE_TAIL as u64);
+        assert!(fixd.scroll().spilled_segments() > 0);
+        assert_eq!(w.trace().len(), TRACE_TAIL);
+        // No Pump handler crashes: one record a step, and no side records.
+        assert_eq!(w.trace().pushed(), fixd.steps());
+        let last_ten = lines[lines.len() - 10..].concat();
+        assert_eq!(w.trace().render_tail(10), last_ten);
+
+        // The report's tail ends at the detecting step, followed only by
+        // the restart marks of the rollback that `diagnose` runs first.
+        let detecting = lines.last().unwrap();
+        let report = fixd.diagnose(&mut w, fault).unwrap();
+        assert_eq!(report.trace_tail.lines().count(), 10);
+        let (_, after) = report.trace_tail.split_once(detecting.as_str()).unwrap();
+        assert!(after.lines().all(|l| l.contains("Restart {")), "{after}");
+    }
+
     #[test]
     fn supervise_runs_to_quiescence_when_clean() {
         let mut w = World::new(WorldConfig::seeded(7));

@@ -16,9 +16,11 @@
 //! and the allocator frees it whenever that holder drops — recycling is
 //! an optimization, never a transfer of liveness.
 //!
-//! With a bounded trace, a steady-state step draws every box it needs
-//! from the pool and the eviction at the end of the step returns the
-//! same number, so the loop touches the allocator zero times
+//! Every world's trace keeps only a fixed tail
+//! ([`TRACE_TAIL`](crate::TRACE_TAIL) records) and evicts one record per
+//! record it takes, so in every world a steady-state step draws every
+//! box it needs from the pool and the eviction at the end of the step
+//! returns the same number: the loop touches the allocator zero times
 //! (`fixd-bench/tests/step_allocs.rs` pins this with a counting
 //! `#[global_allocator]`).
 

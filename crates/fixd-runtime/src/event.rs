@@ -223,18 +223,6 @@ impl<'a> IntoIterator for &'a Randoms {
     }
 }
 
-/// A byte string a program emitted via [`crate::Context::output`] —
-/// the observable "result" channel of an application, used by tests and by
-/// the Healer benchmarks to compare salvaged computation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Output {
-    pub pid: Pid,
-    pub at: VTime,
-    /// The emitted bytes — a [`Payload`] view aliasing the handler's
-    /// recorded effects, not a copy.
-    pub data: Payload,
-}
-
 /// What kind of thing happened.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EventKind {

@@ -160,7 +160,6 @@ mod tests {
         let msgs: Vec<crate::event::SharedMessage> = w
             .trace()
             .records()
-            .iter()
             .filter_map(|r| match &r.event.kind {
                 crate::event::EventKind::Deliver { msg } if msg.dst == Pid(1) => Some(msg.clone()),
                 _ => None,
@@ -184,15 +183,10 @@ mod tests {
         let mut h = SoloHarness::new(Pid(1), 2, seed);
         let mut p = Counter { n: 0 };
         h.start(&mut p);
-        for m in w
-            .trace()
-            .records()
-            .iter()
-            .filter_map(|r| match &r.event.kind {
-                crate::event::EventKind::Deliver { msg } if msg.dst == Pid(1) => Some(msg.clone()),
-                _ => None,
-            })
-        {
+        for m in w.trace().records().filter_map(|r| match &r.event.kind {
+            crate::event::EventKind::Deliver { msg } if msg.dst == Pid(1) => Some(msg.clone()),
+            _ => None,
+        }) {
             h.deliver(&mut p, &m);
         }
         assert_eq!(h.context().vc, wc.ctx.vc);

@@ -81,9 +81,7 @@ pub use disk::{DiskStats, SharedDisk};
 // The content-addressed state store sits below the runtime in the crate
 // DAG; re-export the pieces checkpoint-facing code needs so downstream
 // crates can use `fixd_runtime::{PageStore, SnapshotImage}` directly.
-pub use event::{
-    Effects, Event, EventKind, Message, MsgMeta, Output, Randoms, SharedMessage, TimerId,
-};
+pub use event::{Effects, Event, EventKind, Message, MsgMeta, Randoms, SharedMessage, TimerId};
 pub use fault::{Fault, FaultPlan};
 pub use fixd_store::{PageStats, PageStore, PagedImage, SnapshotImage, StoreStats};
 pub use harness::SoloHarness;
@@ -94,7 +92,7 @@ pub use program::{Context, Program};
 pub use rng::DetRng;
 pub use shard::ShardTiming;
 pub use topology::Topology;
-pub use trace::{SharedStepRecord, StepRecord, Trace};
+pub use trace::{SharedStepRecord, StepRecord, Trace, TRACE_TAIL};
 pub use world::{
     GlobalSnapshot, ProcCheckpoint, ProcFactory, ProcStatus, RunReport, World, WorldConfig,
 };

@@ -1,25 +1,25 @@
-//! Execution traces: the runtime's own record of what happened.
+//! The world's trace: a fixed-size tail of the last steps it executed.
 //!
-//! Distinct from the Scroll: the trace is a debugging/diagnostic artifact
-//! of the simulator itself (complete, heavyweight), whereas the Scroll
+//! Distinct from the Scroll: the Scroll is the log of a run, and it
 //! records only the nondeterministic actions needed for replay (paper
-//! §3.1). The Scroll's recorder consumes `StepRecord`s as they are
-//! produced.
+//! §3.1). The trace keeps just the last [`TRACE_TAIL`] records, for a
+//! bug report's tail and for drivers that look at the step they just
+//! ran; a record it evicts goes back to the world's step arena. The
+//! Scroll's recorder consumes `StepRecord`s as they are produced.
 //!
-//! Since the allocation-free-step-loop refactor the trace retains
-//! [`SharedStepRecord`]s: [`crate::World::step`] seals each record into
-//! an `Arc` once and the trace, the step's caller, and any driver that
-//! keeps the record around all alias that single allocation — pushing a
-//! record is a reference-count bump, not a deep clone of the event and
-//! its effects. Outputs are no longer copied into a side list either:
-//! they live (as shared [`Payload`](crate::Payload)s) inside each
-//! record's effects, and [`Trace::outputs_of`]/[`Trace::outputs`] read
-//! them from there.
+//! The trace retains [`SharedStepRecord`]s: [`crate::World::step`]
+//! seals each record into an `Arc` once and the trace, the step's
+//! caller, and any driver that keeps the record around all alias that
+//! single allocation — pushing a record is a reference-count bump, not
+//! a deep clone of the event and its effects.
 
+use std::collections::{vec_deque, VecDeque};
 use std::sync::Arc;
 
-use crate::event::{Effects, Event, Output};
-use crate::{Pid, VTime};
+use crate::event::{Effects, Event};
+
+/// How many of the most recent records the trace keeps.
+pub const TRACE_TAIL: usize = 64;
 
 /// One executed event plus everything its handler did.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,121 +32,57 @@ pub struct StepRecord {
 /// trace, the `step()` caller, and every driver that retains it.
 pub type SharedStepRecord = Arc<StepRecord>;
 
-/// A bounded in-memory trace of step records.
+/// The last [`TRACE_TAIL`] step records, plus a count of every record
+/// ever pushed.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
-    records: Vec<SharedStepRecord>,
-    capacity: Option<usize>,
-    dropped: u64,
+    tail: VecDeque<SharedStepRecord>,
+    pushed: u64,
 }
 
 impl Trace {
-    /// Unbounded trace.
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
-    /// Trace keeping at most `cap` most-recent records (ring semantics).
-    pub fn bounded(cap: usize) -> Self {
-        Self {
-            capacity: Some(cap),
-            ..Self::default()
-        }
-    }
-
-    /// Append a record (a refcount bump on the shared allocation),
-    /// evicting the oldest if at capacity.
-    /// Append a record; with a bounded trace the displaced oldest record
-    /// is handed back so the world can return its boxes to the
-    /// [`StepArena`](crate::ArenaStats) instead of the allocator.
-    pub fn push(&mut self, rec: SharedStepRecord) -> Option<SharedStepRecord> {
-        let evicted = if let Some(cap) = self.capacity {
-            if self.records.len() == cap {
-                self.dropped += 1;
-                Some(self.records.remove(0))
-            } else {
-                None
-            }
+    /// Append a record (a refcount bump on the shared allocation). Once
+    /// the tail is full the oldest record is handed back, so the world
+    /// can return its boxes to the [`StepArena`](crate::ArenaStats)
+    /// instead of the allocator.
+    pub(crate) fn push(&mut self, rec: SharedStepRecord) -> Option<SharedStepRecord> {
+        let evicted = if self.tail.len() == TRACE_TAIL {
+            self.tail.pop_front()
         } else {
             None
         };
-        self.records.push(rec);
+        self.tail.push_back(rec);
+        self.pushed += 1;
         evicted
     }
 
-    /// All retained records, oldest first.
-    pub fn records(&self) -> &[SharedStepRecord] {
-        &self.records
+    /// The retained records, oldest first.
+    pub fn records(&self) -> vec_deque::Iter<'_, SharedStepRecord> {
+        self.tail.iter()
     }
 
-    /// All outputs emitted by `pid`, in order, read straight out of the
-    /// retained records' effects (no copies were made to track them).
-    /// A bounded trace forgets the outputs of evicted records along with
-    /// everything else about them.
-    pub fn outputs_of(&self, pid: Pid) -> Vec<&[u8]> {
-        self.records
-            .iter()
-            .filter(|r| r.event.kind.pid() == Some(pid))
-            .flat_map(|r| r.effects.outputs.iter().map(|p| p.as_slice()))
-            .collect()
-    }
-
-    /// All outputs in emission order, materialized as [`Output`] values
-    /// whose `data` aliases the recorded effects (refcount bumps, not
-    /// byte copies).
-    pub fn outputs(&self) -> Vec<Output> {
-        self.records
-            .iter()
-            .filter_map(|r| r.event.kind.pid().map(|pid| (pid, r)))
-            .flat_map(|(pid, r)| {
-                r.effects.outputs.iter().map(move |p| Output {
-                    pid,
-                    at: r.event.at,
-                    data: p.clone(),
-                })
-            })
-            .collect()
-    }
-
-    /// Records concerning `pid`, oldest first.
-    pub fn records_of(&self, pid: Pid) -> impl Iterator<Item = &SharedStepRecord> {
-        self.records
-            .iter()
-            .filter(move |r| r.event.kind.pid() == Some(pid))
-    }
-
-    /// Records in the virtual-time window `[start, end)`.
-    pub fn records_between(
-        &self,
-        start: VTime,
-        end: VTime,
-    ) -> impl Iterator<Item = &SharedStepRecord> {
-        self.records
-            .iter()
-            .filter(move |r| (start..end).contains(&r.event.at))
-    }
-
-    /// Number of retained records.
+    /// Number of retained records (at most [`TRACE_TAIL`]).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.tail.len()
     }
 
     /// True if nothing has been retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.tail.is_empty()
     }
 
-    /// How many records were evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+    /// Records ever pushed, evicted ones included. The last
+    /// `pushed() - n` records are the ones pushed since the count read
+    /// `n`, as long as that is at most [`Trace::len`].
+    pub fn pushed(&self) -> u64 {
+        self.pushed
     }
 
     /// Human-readable rendering of the last `n` records (for reports).
     pub fn render_tail(&self, n: usize) -> String {
         use std::fmt::Write;
-        let start = self.records.len().saturating_sub(n);
         let mut s = String::new();
-        for r in &self.records[start..] {
+        for r in self.tail.iter().skip(self.tail.len().saturating_sub(n)) {
             let _ = writeln!(
                 s,
                 "#{:<6} t={:<8} {:?}",
@@ -161,74 +97,40 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use crate::payload::Payload;
+    use crate::Pid;
 
-    fn rec(seq: u64, at: VTime, pid: u32) -> SharedStepRecord {
-        rec_with_outputs(seq, at, pid, &[])
-    }
-
-    fn rec_with_outputs(seq: u64, at: VTime, pid: u32, outputs: &[&[u8]]) -> SharedStepRecord {
+    fn rec(seq: u64) -> SharedStepRecord {
         Arc::new(StepRecord {
             event: Event {
                 seq,
-                at,
-                kind: EventKind::Start { pid: Pid(pid) },
+                at: seq,
+                kind: EventKind::Start { pid: Pid(0) },
             },
-            effects: Effects {
-                outputs: outputs
-                    .iter()
-                    .map(|o| Payload::untracked(o.to_vec()))
-                    .collect(),
-                ..Effects::default()
-            },
+            effects: Effects::default(),
         })
     }
 
     #[test]
     fn bounded_trace_evicts_oldest() {
-        let mut t = Trace::bounded(2);
-        t.push(rec(0, 0, 0));
-        t.push(rec(1, 1, 0));
-        t.push(rec(2, 2, 0));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 1);
-        assert_eq!(t.records()[0].event.seq, 1);
-    }
-
-    #[test]
-    fn filters_by_pid_and_time() {
-        let mut t = Trace::unbounded();
-        t.push(rec(0, 5, 0));
-        t.push(rec(1, 10, 1));
-        t.push(rec(2, 15, 0));
-        assert_eq!(t.records_of(Pid(0)).count(), 2);
-        assert_eq!(t.records_between(5, 15).count(), 2);
-    }
-
-    #[test]
-    fn outputs_read_from_record_effects() {
-        let mut t = Trace::unbounded();
-        t.push(rec_with_outputs(0, 1, 0, &[b"a"]));
-        t.push(rec_with_outputs(1, 2, 1, &[b"b"]));
-        t.push(rec_with_outputs(2, 3, 0, &[b"c"]));
-        assert_eq!(t.outputs_of(Pid(0)), vec![&b"a"[..], &b"c"[..]]);
-        let all = t.outputs();
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[1].pid, Pid(1));
-        assert_eq!(all[1].at, 2);
-        assert!(
-            all[1].data.ptr_eq(&t.records()[1].effects.outputs[0]),
-            "materialized outputs alias the recorded effects"
-        );
+        let mut t = Trace::default();
+        for i in 0..TRACE_TAIL as u64 {
+            assert!(t.push(rec(i)).is_none());
+        }
+        let evicted = t.push(rec(TRACE_TAIL as u64)).expect("a full tail evicts");
+        assert_eq!(evicted.event.seq, 0);
+        assert_eq!(t.len(), TRACE_TAIL);
+        assert_eq!(t.pushed(), TRACE_TAIL as u64 + 1);
+        assert_eq!(t.records().next().unwrap().event.seq, 1);
+        assert_eq!(t.records().last().unwrap().event.seq, TRACE_TAIL as u64);
     }
 
     #[test]
     fn push_aliases_the_shared_record() {
-        let mut t = Trace::unbounded();
-        let r = rec(0, 0, 0);
+        let mut t = Trace::default();
+        let r = rec(0);
         t.push(r.clone());
         assert!(
-            Arc::ptr_eq(&r, &t.records()[0]),
+            Arc::ptr_eq(&r, t.records().next().unwrap()),
             "the trace holds the same record allocation the caller got"
         );
         assert_eq!(Arc::strong_count(&r), 2);
@@ -236,9 +138,9 @@ mod tests {
 
     #[test]
     fn render_tail_is_bounded() {
-        let mut t = Trace::unbounded();
+        let mut t = Trace::default();
         for i in 0..10 {
-            t.push(rec(i, i, 0));
+            t.push(rec(i));
         }
         let s = t.render_tail(3);
         assert_eq!(s.lines().count(), 3);

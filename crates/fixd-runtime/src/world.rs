@@ -57,8 +57,6 @@ pub struct WorldConfig {
     pub seed: u64,
     /// Network behaviour.
     pub net: NetworkConfig,
-    /// Keep at most this many trace records (`None` = unbounded).
-    pub trace_cap: Option<usize>,
     /// Virtual time at which `on_start` handlers run.
     pub start_time: VTime,
 }
@@ -68,7 +66,6 @@ impl Default for WorldConfig {
         Self {
             seed: 0xF1BD,
             net: NetworkConfig::default(),
-            trace_cap: None,
             start_time: 0,
         }
     }
@@ -119,7 +116,8 @@ impl ProcCheckpoint {
 }
 
 /// A consistent snapshot of every process's state at one instant of the
-/// simulation (used by the detector and in tests).
+/// simulation; campaign cells fingerprint the final one, and tests
+/// compare worlds by it.
 #[derive(Clone, Debug)]
 pub struct GlobalSnapshot {
     pub at: VTime,
@@ -256,10 +254,6 @@ impl World {
     /// A fresh, empty world.
     pub fn new(cfg: WorldConfig) -> Self {
         let net_rng = DetRng::derive(cfg.seed, u64::MAX);
-        let trace = match cfg.trace_cap {
-            Some(cap) => Trace::bounded(cap),
-            None => Trace::unbounded(),
-        };
         Self {
             partition: Partition::none(0),
             now: cfg.start_time,
@@ -274,7 +268,7 @@ impl World {
             exec_seq: 0,
             net_rng,
             faults: FaultPlan::none(),
-            trace,
+            trace: Trace::default(),
             stats: NetStats::default(),
             sealed: false,
             shards: None,
@@ -610,8 +604,7 @@ impl World {
     /// Apply a handler's effects, taking them by value and handing them
     /// back for the step record. Routed sends alias the effects' shared
     /// message handles (a refcount bump each, no `Message` clone), and
-    /// outputs stay where they are — the trace reads them out of the
-    /// record's effects instead of copying them into a side list.
+    /// outputs stay in the record's effects, not copied to a side list.
     ///
     /// All events one effects batch generates (deliveries, drops, timer
     /// firings) collect into a reusable scratch vector and the calendar
@@ -728,7 +721,7 @@ impl World {
             delivered: self.stats.delivered - d0,
             dropped: self.stats.dropped - x0,
             end_time: self.now,
-            quiescent: false,
+            quiescent: self.peek().is_none(),
         }
     }
 
@@ -787,7 +780,8 @@ impl World {
         self.arena.recycle_message(msg)
     }
 
-    /// The runtime's own complete trace.
+    /// The last [`TRACE_TAIL`](crate::TRACE_TAIL) records this world
+    /// executed; [`Trace::pushed`] counts them all.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -1097,13 +1091,6 @@ impl World {
     pub fn partition(&self) -> &Partition {
         &self.partition
     }
-
-    /// Outputs emitted by `pid`, read from the retained trace records.
-    /// With a bounded trace ([`WorldConfig::trace_cap`]) outputs of
-    /// evicted records are forgotten along with the records themselves.
-    pub fn outputs_of(&self, pid: Pid) -> Vec<&[u8]> {
-        self.trace.outputs_of(pid)
-    }
 }
 
 /// The network-side state one routed send consumes: fault rules, the
@@ -1384,15 +1371,16 @@ mod tests {
 
     /// The send and deliver records for P0 → P1's single message.
     fn sent_and_delivered(w: &World) -> (SharedMessage, SharedMessage) {
-        let records = w.trace().records();
-        let sent = records
-            .iter()
+        let sent = w
+            .trace()
+            .records()
             .flat_map(|r| &r.effects.sends)
             .find(|m| m.dst == Pid(1))
             .expect("send recorded")
             .clone();
-        let delivered = records
-            .iter()
+        let delivered = w
+            .trace()
+            .records()
             .find_map(|r| match &r.event.kind {
                 EventKind::Deliver { msg } if msg.dst == Pid(1) => Some(msg.clone()),
                 _ => None,
@@ -1548,9 +1536,15 @@ mod tests {
     #[test]
     fn run_until_respects_time_bound() {
         let mut w = ring_world(3, 100, 1);
-        w.run_until(35);
+        let cut = w.run_until(35);
         assert!(w.now() < 35);
         assert!(w.peek().unwrap().at >= 35);
+        assert!(!cut.quiescent, "the bound cut the run");
+
+        let mut w = ring_world(3, 2, 1);
+        let drained = w.run_until(1_000_000);
+        assert_eq!(drained.delivered, 3);
+        assert!(drained.quiescent, "the queue drained before the bound");
     }
 
     #[test]

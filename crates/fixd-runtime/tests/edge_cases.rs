@@ -1,8 +1,9 @@
 //! Edge-case integration tests for the runtime substrate: partitions,
-//! targeted corruption, timer semantics, bounded traces.
+//! targeted corruption, timer semantics, the trace's bounded tail.
 
 use fixd_runtime::{
     Context, Fault, FaultPlan, Message, Partition, Pid, Program, TimerId, World, WorldConfig,
+    TRACE_TAIL,
 };
 
 /// Echo server: replies to every ping; counts pings.
@@ -147,15 +148,14 @@ fn uncancelled_timer_fires_once() {
 
 #[test]
 fn bounded_trace_caps_memory_not_correctness() {
-    let mut cfg = WorldConfig::seeded(5);
-    cfg.trace_cap = Some(3);
-    let mut w = World::new(cfg);
-    for _ in 0..3 {
+    // 32 starts, 31 pings, 31 pongs and a timer: more than the tail.
+    let mut w = World::new(WorldConfig::seeded(5));
+    for _ in 0..32 {
         w.add_process(Box::new(Echo::new()));
     }
     w.run_to_quiescence(10_000);
-    assert!(w.trace().len() <= 3);
-    assert!(w.trace().dropped() > 0);
+    assert!(w.trace().len() <= TRACE_TAIL);
+    assert!((TRACE_TAIL as u64) < w.trace().pushed());
     // Execution unaffected by the trace bound.
     assert_eq!(w.program::<Echo>(Pid(1)).unwrap().pings, 1);
 }

@@ -12,9 +12,29 @@
 use proptest::prelude::*;
 
 use fixd_runtime::{
-    Context, DeliveryPolicy, FaultPlan, Message, NetworkConfig, Partition, Pid, Program, TimerId,
-    World, WorldConfig,
+    Context, DeliveryPolicy, FaultPlan, Message, NetworkConfig, Partition, Pid, Program, RunReport,
+    SharedStepRecord, TimerId, World, WorldConfig, TRACE_TAIL,
 };
+
+/// `w.run_to_quiescence(budget)` as calls of at most half a tail of
+/// steps, returning their reports: a step traces at most two records (a
+/// handler's crash mark and its own), so every record a call traces is
+/// still in the trace's tail when it returns, and goes onto `log`.
+fn run_logged(w: &mut World, budget: u64, log: &mut Vec<SharedStepRecord>) -> Vec<RunReport> {
+    let (mut reports, mut left) = (Vec::new(), budget);
+    loop {
+        let seen = w.trace().pushed();
+        let r = w.run_to_quiescence(left.min(TRACE_TAIL as u64 / 2));
+        let t = w.trace();
+        let fresh = (t.pushed() - seen) as usize;
+        log.extend(t.records().skip(t.len() - fresh).cloned());
+        left -= r.steps;
+        reports.push(r);
+        if r.quiescent || left == 0 {
+            return reports;
+        }
+    }
+}
 
 /// Gossip-ish program: payload- and RNG-dependent fan-out, timers on
 /// start, an occasional self-crash — every cross-shard surface live.
@@ -171,23 +191,24 @@ fn assert_equivalent(sc: &Scenario) -> World {
 /// budget ends mid-window or not.
 fn assert_equivalent_in_runs(sc: &Scenario, budgets: &[u64]) -> World {
     let mut serial = sc.build(1);
+    let mut serial_log = Vec::new();
     let serial_reports: Vec<_> = budgets
         .iter()
-        .map(|&b| serial.run_to_quiescence(b))
+        .map(|&b| run_logged(&mut serial, b, &mut serial_log))
         .collect();
     for shards in [1usize, 2, 4, 8] {
         let mut sharded = sc.build(shards);
+        let mut log = Vec::new();
         let reports: Vec<_> = budgets
             .iter()
-            .map(|&b| sharded.run_to_quiescence(b))
+            .map(|&b| run_logged(&mut sharded, b, &mut log))
             .collect();
         assert_eq!(
             reports, serial_reports,
             "RunReport drifted at {shards} shards (budgets {budgets:?})"
         );
         assert_eq!(
-            sharded.trace().records(),
-            serial.trace().records(),
+            log, serial_log,
             "step records drifted at {shards} shards (seed {})",
             sc.seed
         );
@@ -360,15 +381,13 @@ fn midrun_heal_revives_fast_link_and_shrinks_window() {
         w
     };
     let mut serial = build(1);
-    serial.run_to_quiescence(5_000);
+    let mut serial_log = Vec::new();
+    run_logged(&mut serial, 5_000, &mut serial_log);
     for shards in [2usize, 4, 8] {
         let mut sharded = build(shards);
-        sharded.run_to_quiescence(5_000);
-        assert_eq!(
-            sharded.trace().records(),
-            serial.trace().records(),
-            "stale window bound at shards={shards}"
-        );
+        let mut log = Vec::new();
+        run_logged(&mut sharded, 5_000, &mut log);
+        assert_eq!(log, serial_log, "stale window bound at shards={shards}");
         assert_eq!(sharded.stats(), serial.stats());
         assert_eq!(
             sharded.global_snapshot().fingerprint(),
@@ -580,33 +599,37 @@ fn accounting_survives_long_lived_workers_and_split_runs() {
         // A cut run call ends with a peek, which counts too: the serial
         // reference is cut at the same steps. The worlds share this
         // thread's counters, so each call's traffic is its delta.
-        let mut serial = build(1);
-        let mut sharded: Vec<World> = [2usize, 4, 8].into_iter().map(build).collect();
+        let mut serial = (build(1), Vec::new());
+        let mut sharded: Vec<_> = [2usize, 4, 8]
+            .into_iter()
+            .map(|k| (build(k), Vec::new()))
+            .collect();
         for cut in 1..=cuts {
             let budget = if cut < cuts { total / cuts } else { 1_000_000 };
-            let run = |w: &mut World| {
+            let run = |(w, log): &mut (World, Vec<SharedStepRecord>)| {
                 let p0 = w.payload_stats();
-                let report = w.run_to_quiescence(budget);
+                let report = run_logged(w, budget, log);
                 (report, w.payload_stats().since(p0))
             };
             let (want, want_pay) = run(&mut serial);
             assert!(want_pay.copied > 0 && want_pay.aliased > 0);
-            for w in &mut sharded {
-                let at = format!("shards={}, run call {cut} of {cuts}", w.shards());
-                let (report, pay) = run(w);
+            for s in &mut sharded {
+                let at = format!("shards={}, run call {cut} of {cuts}", s.0.shards());
+                let (report, pay) = run(s);
+                let w = &s.0;
                 assert_eq!(report, want, "{at}");
                 assert_eq!(pay, want_pay, "payload counters, {at}");
-                assert_eq!(w.stats(), serial.stats(), "NetStats, {at}");
+                assert_eq!(w.stats(), serial.0.stats(), "NetStats, {at}");
             }
         }
-        for w in &sharded {
+        for (w, log) in &sharded {
             let t = w.shard_timing();
             assert!(t.windows >= 150, "only {} windows", t.windows);
             assert!(t.inline_windows < t.windows, "no window handed off");
-            assert_eq!(w.trace().records(), serial.trace().records());
+            assert_eq!(*log, serial.1);
             assert_eq!(
                 w.global_snapshot().fingerprint(),
-                serial.global_snapshot().fingerprint()
+                serial.0.global_snapshot().fingerprint()
             );
         }
     }
@@ -755,7 +778,11 @@ fn assert_lockstep(sc: &Scenario, shards: usize) {
                 "delivered count of {p}, {at}"
             );
         }
-        assert_eq!(sharded.trace().len(), serial.trace().len(), "trace, {at}");
+        assert_eq!(
+            sharded.trace().pushed(),
+            serial.trace().pushed(),
+            "trace, {at}"
+        );
         assert_eq!(sharded.stats(), serial.stats(), "network counters, {at}");
         if a.is_none() {
             break;

@@ -259,20 +259,6 @@ impl ScrollStore {
     /// configured disk. No-op without a spill config or with an empty
     /// resident tail.
     pub fn seal(&mut self, pid: Pid) {
-        self.seal_impl(pid, None);
-    }
-
-    /// Like [`ScrollStore::seal`], but a seal is also a release point:
-    /// once the entries live on disk, the resident copies' message
-    /// boxes are offered back to `world`'s step arena. A box some other
-    /// holder (the trace, a Time-Machine log) still aliases is left to
-    /// the allocator as usual; one the scroll held last skips the
-    /// allocator round-trip entirely.
-    pub fn seal_reclaiming(&mut self, pid: Pid, world: &mut fixd_runtime::World) {
-        self.seal_impl(pid, Some(world));
-    }
-
-    fn seal_impl(&mut self, pid: Pid, mut world: Option<&mut fixd_runtime::World>) {
         let Some(cfg) = &self.spill else { return };
         let i = pid.idx();
         if self.per_pid[i].is_empty() {
@@ -308,17 +294,7 @@ impl ScrollStore {
         });
         blob.clear();
         self.seal_buf = blob;
-        if let Some(w) = world.as_mut() {
-            for e in self.per_pid[i].drain(..) {
-                if let crate::entry::EntryKind::Deliver { msg }
-                | crate::entry::EntryKind::DroppedMail { msg } = e.kind
-                {
-                    w.reclaim_message(msg);
-                }
-            }
-        } else {
-            self.per_pid[i].clear();
-        }
+        self.per_pid[i].clear();
         self.resident_weight[i] = 0;
     }
 

@@ -382,7 +382,6 @@ mod tests {
             let sent = w
                 .trace()
                 .records()
-                .iter()
                 .flat_map(|r| &r.effects.sends)
                 .find(|s| s.id == m.id)
                 .expect("in-flight message has a recorded send");

@@ -8,6 +8,7 @@
 
 use fixd_runtime::{
     Context, FaultPlan, Message, NetworkConfig, Pid, Program, TimerId, World, WorldConfig,
+    TRACE_TAIL,
 };
 use fixd_timemachine::{CheckpointPolicy, TimeMachine, TimeMachineConfig};
 
@@ -80,28 +81,27 @@ impl Program for SendK {
     }
 }
 
-fn world_with(seed: u64, trace_cap: usize, net: NetworkConfig) -> World {
+fn world_with(seed: u64, net: NetworkConfig) -> World {
     let mut cfg = WorldConfig::seeded(seed);
-    cfg.trace_cap = Some(trace_cap);
     cfg.net = net;
     World::new(cfg)
 }
 
 /// Push status-only side records until every earlier record has been
-/// evicted from the bounded trace (each push displaces the oldest).
-fn flush_trace(w: &mut World, trace_cap: usize, dormant: Pid) {
-    for _ in 0..trace_cap {
+/// evicted from the trace's tail (each push displaces the oldest).
+fn flush_trace(w: &mut World, dormant: Pid) {
+    for _ in 0..TRACE_TAIL {
         w.crash_now(dormant);
     }
 }
 
 #[test]
 fn steady_state_draws_every_box_from_the_pool() {
-    let mut w = world_with(11, 8, NetworkConfig::default());
+    let mut w = world_with(11, NetworkConfig::default());
     w.add_process(Box::new(Forward { left: 2_000 }));
     w.add_process(Box::new(Forward { left: 2_000 }));
 
-    // Warm phase: pools fill as the bounded trace starts evicting.
+    // Warm phase: pools fill as the trace's tail starts evicting.
     for _ in 0..500 {
         assert!(w.step().is_some());
     }
@@ -131,15 +131,14 @@ fn steady_state_draws_every_box_from_the_pool() {
 #[test]
 fn duplicated_delivery_pools_the_shared_box_exactly_once() {
     const K: u64 = 5;
-    const CAP: usize = 2;
-    let mut w = world_with(7, CAP, NetworkConfig::duplicating(1.0));
+    let mut w = world_with(7, NetworkConfig::duplicating(1.0));
     w.add_process(Box::new(SendK { k: K }));
     w.add_process(Box::new(SendK { k: 0 }));
     w.add_process(Box::new(SendK { k: 0 }));
     let report = w.run_to_quiescence(1_000);
     assert_eq!(report.delivered, 2 * K, "every message delivered twice");
 
-    flush_trace(&mut w, CAP, Pid(2));
+    flush_trace(&mut w, Pid(2));
     let stats = w.arena_stats();
     assert_eq!(
         stats.msgs_pooled, K as usize,
@@ -150,8 +149,7 @@ fn duplicated_delivery_pools_the_shared_box_exactly_once() {
 #[test]
 fn corruption_cow_pools_original_and_private_copy_once_each() {
     const K: u64 = 3;
-    const CAP: usize = 2;
-    let mut w = world_with(13, CAP, NetworkConfig::default());
+    let mut w = world_with(13, NetworkConfig::default());
     w.add_process(Box::new(SendK { k: K }));
     w.add_process(Box::new(SendK { k: 0 }));
     w.add_process(Box::new(SendK { k: 0 }));
@@ -159,7 +157,7 @@ fn corruption_cow_pools_original_and_private_copy_once_each() {
     let report = w.run_to_quiescence(1_000);
     assert_eq!(report.delivered, K);
 
-    flush_trace(&mut w, CAP, Pid(2));
+    flush_trace(&mut w, Pid(2));
     let stats = w.arena_stats();
     // The corruption path copy-on-writes the routed clone (`to_mut`), so
     // each logical message ends as two boxes: the sender's original in
@@ -174,8 +172,7 @@ fn corruption_cow_pools_original_and_private_copy_once_each() {
 
 #[test]
 fn tm_rollback_returns_orphan_boxes_to_the_pool() {
-    const CAP: usize = 1;
-    let mut w = world_with(5, CAP, NetworkConfig::default());
+    let mut w = world_with(5, NetworkConfig::default());
     w.add_process(Box::new(Forward { left: 100 }));
     w.add_process(Box::new(Forward { left: 100 }));
     let mut tm = TimeMachine::new(
@@ -185,7 +182,9 @@ fn tm_rollback_returns_orphan_boxes_to_the_pool() {
             ..TimeMachineConfig::default()
         },
     );
-    tm.run(&mut w, 40);
+    // Past the trace's tail: the oldest orphaned sends' records have
+    // been evicted, so the world holds their boxes' last references.
+    tm.run(&mut w, 40 + TRACE_TAIL as u64);
 
     let before = w.arena_stats();
     let report = tm.rollback(&mut w, Pid(0), 1).expect("checkpoint 1 exists");

@@ -240,7 +240,7 @@ fn sharded_detection_stops_at_the_serial_step() {
         (
             fault,
             out.steps,
-            w.trace().len(),
+            w.trace().pushed(),
             w.global_snapshot().fingerprint(),
         )
     };

@@ -20,7 +20,7 @@
 use fixd::campaign::{run_campaign_sharded, standard_matrix};
 use fixd::prelude::*;
 use fixd::runtime::wire::{fnv1a, fnv_mix};
-use fixd::runtime::{EventKind, FaultPlan, NetworkConfig, Trace};
+use fixd::runtime::{EventKind, FaultPlan, NetworkConfig, SharedStepRecord, Trace};
 
 const FIXTURE: &str = "tests/fixtures/golden_campaign_cells.json";
 
@@ -171,12 +171,31 @@ fn mesh_world(n: usize, seed: u64) -> World {
     w
 }
 
-/// Order-dependent fingerprint over every retained record: event
-/// identity (seq, time, kind, message id + content) chained with the
-/// handler's full [`fixd::runtime::Effects`] fingerprint.
-fn trace_fingerprint(trace: &Trace) -> u64 {
+/// The records `t` took since its push counter read `seen`, oldest
+/// first.
+fn pushed_since(t: &Trace, seen: u64) -> impl Iterator<Item = SharedStepRecord> + '_ {
+    let fresh = (t.pushed() - seen) as usize;
+    t.records().skip(t.len() - fresh).cloned()
+}
+
+/// Run a fresh `w` to quiescence and return every record it traced, in
+/// trace order. Each step's records are read off the trace's tail by its
+/// push counter, so a handler's crash mark, pushed before its step's
+/// record, stays there.
+fn drain_logged(w: &mut World) -> Vec<SharedStepRecord> {
+    let mut log = Vec::new();
+    while w.step().is_some() {
+        log.extend(pushed_since(w.trace(), log.len() as u64));
+    }
+    log
+}
+
+/// Order-dependent fingerprint over a run's records: event identity
+/// (seq, time, kind, message id + content) chained with the handler's
+/// full [`fixd::runtime::Effects`] fingerprint.
+fn trace_fingerprint(records: &[SharedStepRecord]) -> u64 {
     let mut h = 0x517E_u64;
-    for r in trace.records() {
+    for r in records {
         h = fnv_mix(h, r.event.seq);
         h = fnv_mix(h, r.event.at);
         let (tag, msg) = match &r.event.kind {
@@ -204,10 +223,9 @@ fn trace_fingerprint(trace: &Trace) -> u64 {
 #[test]
 fn step_record_sequence_matches_pre_refactor_seed() {
     let mut w = mesh_world(3, 0xF00D);
-    let report = w.run_to_quiescence(10_000);
-    assert!(report.quiescent, "workload must drain");
-    let fp = trace_fingerprint(w.trace());
-    let len = w.trace().len();
+    let records = drain_logged(&mut w);
+    let fp = trace_fingerprint(&records);
+    let len = records.len();
     if std::env::var("FIXD_BLESS").is_ok() {
         println!("GOLDEN_TRACE_FP: {fp:#x}  GOLDEN_TRACE_LEN: {len}");
         return;
@@ -227,15 +245,14 @@ fn sharded_mesh_reproduces_golden_at_every_shard_count() {
     for shards in [1usize, 2, 4, 8] {
         let mut w = mesh_world(3, 0xF00D);
         w.shard(shards);
-        let report = w.run_to_quiescence(10_000);
-        assert!(report.quiescent, "workload must drain (shards={shards})");
+        let records = drain_logged(&mut w);
         assert_eq!(
-            w.trace().len(),
+            records.len(),
             GOLDEN_TRACE_LEN,
             "record count drifted at shards={shards}"
         );
         assert_eq!(
-            trace_fingerprint(w.trace()),
+            trace_fingerprint(&records),
             GOLDEN_TRACE_FP,
             "sharded StepRecord sequence drifted at shards={shards}"
         );

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use fixd::prelude::*;
-use fixd::runtime::{EventKind, Payload, SharedMessage};
+use fixd::runtime::{EventKind, Payload, SharedMessage, SharedStepRecord, Trace, TRACE_TAIL};
 use fixd::scroll::codec::{decode_segment, decode_segment_shared, encode_segment};
 use fixd::scroll::{EntryKind, RecordConfig, ScrollRecorder};
 use fixd::timemachine::{TimeMachine, TimeMachineConfig};
@@ -61,6 +61,27 @@ impl Program for Pinger {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
+}
+
+/// The records `t` took since its push counter read `seen`, oldest
+/// first.
+fn pushed_since(t: &Trace, seen: u64) -> impl Iterator<Item = SharedStepRecord> + '_ {
+    let fresh = (t.pushed() - seen) as usize;
+    t.records().skip(t.len() - fresh).cloned()
+}
+
+/// Run `w` to quiescence and return every record it traced meanwhile,
+/// in trace order. Each step's records are read off the trace's tail by
+/// its push counter, so a handler's crash mark, pushed before its
+/// step's record, stays there.
+fn drain_logged(w: &mut World) -> Vec<SharedStepRecord> {
+    let mut log = Vec::new();
+    let mut seen = w.trace().pushed();
+    while w.step().is_some() {
+        log.extend(pushed_since(w.trace(), seen));
+        seen = w.trace().pushed();
+    }
+    log
 }
 
 fn ping_world(seed: u64) -> World {
@@ -198,9 +219,8 @@ fn drop_events_alias_the_undeliverable_message() {
         assert!(w.step().is_some(), "ran quiescent before finding P1 mail");
     };
     w.crash_now(Pid(1));
-    w.run_to_quiescence(1_000);
     let mut dropped = 0;
-    for r in w.trace().records() {
+    for r in drain_logged(&mut w) {
         if let EventKind::Drop { msg } = &r.event.kind {
             if let Some(orig) = inflight.iter().find(|m| m.ptr_eq(msg)) {
                 assert!(orig.payload.ptr_eq(&msg.payload));
@@ -218,17 +238,30 @@ fn one_clock_buffer_shared_by_last_send_scroll_entry_and_next_checkpoint() {
     let n = 24;
     let mut world = fixd::examples::chord::chord_world(n, 7, 6, 4);
     let mut fixd = Fixd::new(n, FixdConfig::seeded(7));
-    let out = fixd.supervise(&mut world, 100_000);
-    assert!(out.quiescent && out.fault.is_none());
+    // Supervised a tail's worth of steps at a time, so every record is
+    // read off the trace before it is evicted.
+    let mut run = Vec::new();
+    loop {
+        let seen = world.trace().pushed();
+        let out = fixd.supervise(&mut world, TRACE_TAIL as u64);
+        assert!(out.fault.is_none());
+        run.extend(pushed_since(world.trace(), seen));
+        if out.quiescent {
+            break;
+        }
+    }
 
     let (mut ckpts, mut sends) = (0, 0);
     for p in (0..n as u32).map(Pid) {
         let scroll = fixd.scroll().scroll(p).into_owned();
         // Entry k of a fault-free process is its k-th handler event, so
         // the trace's records of `p` line up with its scroll.
-        let records: Vec<_> = world.trace().records_of(p).collect();
+        let records: Vec<_> = run
+            .iter()
+            .filter(|r| r.event.kind.pid() == Some(p))
+            .collect();
         assert_eq!(records.len(), scroll.len());
-        for (entry, rec) in scroll.iter().zip(&records) {
+        for (entry, rec) in scroll.iter().zip(records) {
             let Some(last) = rec.effects.sends.last() else {
                 continue;
             };
