@@ -32,8 +32,8 @@ pub fn restart_all(
         world.num_procs(),
         "factory must produce one program per process"
     );
-    let msgs = world.inflight_messages().len();
-    let timers = world.pending_timers().len();
+    let snap = world.global_snapshot();
+    let (msgs, timers) = (snap.inflight.len(), snap.timers.len());
     world.purge_events(|k| {
         matches!(
             k,

@@ -168,7 +168,7 @@ pub fn run_cell_sharded_timed(
         checkpoint_bytes: stats.checkpoint_bytes as u64,
         payload_copied: payload.copied,
         payload_aliased: payload.aliased,
-        fingerprint: world.global_snapshot().fingerprint(),
+        fingerprint: world.fingerprint(),
         metrics: check.metrics,
     };
     let timing = CellTiming {

@@ -8,40 +8,30 @@
 //! checkpoint of the system that is fed to the Investigator"*.
 //!
 //! In this reproduction the "model of its behavior" is literally the
-//! process's [`fixd_runtime::Program`] (cloned), and the consistent checkpoint is the
-//! world state after the Time Machine's rollback. This module performs
-//! the piecing-together.
+//! process's [`fixd_runtime::Program`] (cloned), and the consistent
+//! checkpoint is the world's [`fixd_runtime::GlobalSnapshot`] after the
+//! Time Machine's rollback. This module pairs the two.
 
-use fixd_investigator::{WorldModel, WorldState};
-use fixd_runtime::{Pid, SoloHarness, World};
+use fixd_investigator::WorldState;
+use fixd_runtime::{Pid, World};
 
 /// Build an Investigator [`WorldState`] from the current (post-rollback)
-/// world: programs are cloned as their own models, each process's whole
-/// runtime context (clocks, RNG position, id counters, meta template)
-/// carries over through its checkpoint, and channel state (in-flight
-/// messages and pending timers) is captured.
+/// world: programs are cloned as their own models, and the world's
+/// [`World::global_snapshot`] supplies each process's runtime context,
+/// its liveness and the channel state.
 pub fn assemble_worldstate(world: &World) -> WorldState {
-    let n = world.num_procs();
-    let mut programs = Vec::with_capacity(n);
-    let mut harnesses = Vec::with_capacity(n);
-    for i in 0..n {
-        let pid = Pid(i as u32);
-        programs.push(world.with_program(pid, |p| p.clone_program()));
-        harnesses.push(SoloHarness::resume(&world.checkpoint_process(pid), n));
-    }
-    let inflight = world.inflight_messages();
-    let timers = world
-        .pending_timers()
-        .into_iter()
-        .map(|(pid, t, _at)| (pid, t))
+    let programs = (0..world.num_procs())
+        .map(|i| world.with_program(Pid(i as u32), |p| p.clone_program()))
         .collect();
-    WorldModel::assemble_state(programs, harnesses, inflight, timers)
+    WorldState::from_snapshot(programs, &world.global_snapshot())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixd_investigator::{ExploreConfig, ModelD, NetModel};
+    use fixd_investigator::{
+        ExploreConfig, ModelAction, ModelD, NetModel, TransitionSystem, WorldModel,
+    };
     use fixd_runtime::{Context, Program, WorldConfig};
 
     struct Hop {
@@ -115,5 +105,25 @@ mod tests {
         w.run_to_quiescence(1_000);
         let s = assemble_worldstate(&w);
         assert_eq!(s.mail_count(), 0);
+    }
+
+    #[test]
+    fn assembled_state_keeps_crashed_processes_crashed() {
+        let mut w = World::new(WorldConfig::seeded(3));
+        for _ in 0..3 {
+            w.add_process(Box::new(Hop { hops: 0 }));
+        }
+        // Run until the token is on its way to P2, then crash P2.
+        while !w.inflight_messages().iter().any(|m| m.dst == Pid(2)) {
+            w.step().expect("the token reaches P2's channel");
+        }
+        w.crash_now(Pid(2));
+        let s = assemble_worldstate(&w);
+        assert!(s.is_crashed(Pid(2)));
+        let m = WorldModel::from_state(3, NetModel::reliable(), s.clone());
+        assert!(
+            !(m.enabled(&s).iter()).any(|a| matches!(a, ModelAction::Deliver { dst: Pid(2), .. })),
+            "a crashed process receives nothing"
+        );
     }
 }

@@ -573,10 +573,7 @@ mod tests {
             backed.time_machine().total_checkpoint_bytes()
         );
         // And the two worlds ended in the same state.
-        assert_eq!(
-            w1.global_snapshot().fingerprint(),
-            w2.global_snapshot().fingerprint()
-        );
+        assert_eq!(w1.fingerprint(), w2.fingerprint());
     }
 
     /// A long supervised run keeps only the trace's tail: the count of

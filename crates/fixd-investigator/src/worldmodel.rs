@@ -24,7 +24,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fixd_runtime::wire::{content_hash, fnv_mix};
-use fixd_runtime::{Effects, Payload, Pid, Program, SharedMessage, SoloHarness, TimerId};
+use fixd_runtime::{
+    Effects, GlobalSnapshot, Payload, Pid, Program, SharedMessage, SoloHarness, TimerId,
+};
 
 use crate::envmodel::NetModel;
 use crate::system::TransitionSystem;
@@ -261,6 +263,31 @@ impl WorldState {
         }
     }
 
+    /// The state at a captured cut (the assembly step of the Fig. 4
+    /// protocol): `programs[i]`, holding process i's captured state,
+    /// runs on a harness resumed from its checkpoint; the captured mail
+    /// fills the channels and the pending timers the timer queues. A
+    /// crashed pid stays crashed, and its timers never fire.
+    pub fn from_snapshot(programs: Vec<Box<dyn Program>>, snap: &GlobalSnapshot) -> Self {
+        let n = snap.procs.len();
+        assert_eq!(programs.len(), n);
+        let mut procs: Vec<Proc> = (programs.into_iter().zip(&snap.procs))
+            .map(|(p, ck)| Proc::new(p, SoloHarness::resume(ck, n), true)) // mid-run
+            .collect();
+        for &pid in &snap.crashed {
+            procs[pid.idx()].crashed = true;
+        }
+        for &(pid, t, _) in &snap.timers {
+            let p = &mut procs[pid.idx()];
+            if !p.crashed {
+                p.timers.push_back(t);
+            }
+        }
+        let mut state = WorldState::new(procs);
+        state.send_all(&mut snap.inflight.clone());
+        state
+    }
+
     /// Number of processes.
     pub fn width(&self) -> usize {
         self.procs.len()
@@ -478,28 +505,6 @@ impl WorldModel {
     /// Number of processes.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Build a [`WorldState`] from restored programs + channel contents
-    /// (the assembly step of the Fig. 4 protocol).
-    pub fn assemble_state(
-        programs: Vec<Box<dyn Program>>,
-        harnesses: Vec<SoloHarness>,
-        mut inflight: Vec<SharedMessage>,
-        timers: Vec<(Pid, TimerId)>,
-    ) -> WorldState {
-        assert_eq!(harnesses.len(), programs.len());
-        let mut procs: Vec<Proc> = programs
-            .into_iter()
-            .zip(harnesses)
-            .map(|(p, h)| Proc::new(p, h, true)) // restored processes are mid-run
-            .collect();
-        for (pid, t) in timers {
-            procs[pid.idx()].timers.push_back(t);
-        }
-        let mut state = WorldState::new(procs);
-        state.send_all(&mut inflight);
-        state
     }
 }
 
@@ -793,10 +798,13 @@ mod tests {
             Box::new(Reg { val: 3, echoes: 0 }),
             Box::new(Reg { val: 3, echoes: 0 }),
         ];
-        let harnesses = vec![
-            SoloHarness::new(Pid(0), 2, 7),
-            SoloHarness::new(Pid(1), 2, 7),
-        ];
+        // Both fresh: what `SoloHarness::new(pid, 2, 7)` starts from.
+        let ckpt = |p: &dyn Program, pid| fixd_runtime::ProcCheckpoint {
+            pid,
+            state: p.snapshot().into(),
+            ctx: fixd_runtime::ProcContext::new(7, pid),
+            taken_at: 0,
+        };
         let msg = Message {
             id: 1,
             src: Pid(0),
@@ -807,12 +815,14 @@ mod tests {
             vc: fixd_runtime::VectorClock::new(2),
             meta: fixd_runtime::MsgMeta::default(),
         };
-        let s = WorldModel::assemble_state(
-            procs,
-            harnesses,
-            vec![msg.into()],
-            vec![(Pid(0), TimerId(4))],
-        );
+        let snap = GlobalSnapshot {
+            at: 0,
+            procs: vec![ckpt(&*procs[0], Pid(0)), ckpt(&*procs[1], Pid(1))],
+            inflight: vec![msg.into()],
+            timers: vec![(Pid(0), TimerId(4), 50)],
+            crashed: vec![],
+        };
+        let s = WorldState::from_snapshot(procs, &snap);
         assert!(s.is_started(Pid(0)), "restored processes are mid-run");
         assert_eq!(s.channel(Pid(0), Pid(1)).len(), 1);
         assert_eq!(s.timer_count(Pid(0)), 1);

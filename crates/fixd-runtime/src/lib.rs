@@ -69,6 +69,7 @@ mod procs;
 pub mod program;
 pub mod rng;
 pub mod shard;
+pub mod snapshot;
 pub mod topology;
 pub mod trace;
 pub mod wire;
@@ -91,11 +92,10 @@ pub use procs::ProcContext;
 pub use program::{Context, Program};
 pub use rng::DetRng;
 pub use shard::ShardTiming;
+pub use snapshot::GlobalSnapshot;
 pub use topology::Topology;
 pub use trace::{SharedStepRecord, StepRecord, Trace, TRACE_TAIL};
-pub use world::{
-    GlobalSnapshot, ProcCheckpoint, ProcFactory, ProcStatus, RunReport, World, WorldConfig,
-};
+pub use world::{ProcCheckpoint, ProcFactory, ProcStatus, RunReport, World, WorldConfig};
 
 /// Virtual time, in abstract "nanoseconds". Purely logical; never tied to
 /// the wall clock, so runs are reproducible.

@@ -37,6 +37,7 @@ use crate::procs::{Handler, ProcContext, ProcTable};
 use crate::program::Program;
 use crate::rng::DetRng;
 use crate::shard::{ShardTiming, Shards, Staged};
+use crate::snapshot::{fold_states, GlobalSnapshot};
 use crate::trace::{SharedStepRecord, Trace};
 use crate::wire;
 use crate::{Pid, VTime};
@@ -112,28 +113,6 @@ impl ProcCheckpoint {
             h = wire::fnv_mix(h, c);
         }
         wire::fnv_mix(h, self.ctx.lamport)
-    }
-}
-
-/// A consistent snapshot of every process's state at one instant of the
-/// simulation; campaign cells fingerprint the final one, and tests
-/// compare worlds by it.
-#[derive(Clone, Debug)]
-pub struct GlobalSnapshot {
-    pub at: VTime,
-    pub states: Vec<Vec<u8>>,
-    pub vcs: Vec<VectorClock>,
-    pub statuses: Vec<ProcStatus>,
-}
-
-impl GlobalSnapshot {
-    /// Order-dependent fingerprint over all process states.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xfeed_f00du64;
-        for s in &self.states {
-            h = wire::fnv_mix(h, wire::fnv1a(s));
-        }
-        h
     }
 }
 
@@ -896,14 +875,23 @@ impl World {
     /// in-flight messages that the restored past has not yet sent, and
     /// rolling back communication partners.
     pub fn restore_checkpoint(&mut self, ckpt: &ProcCheckpoint) {
+        self.restore_proc(ckpt, ProcStatus::Running);
+    }
+
+    /// Restore a process to `ckpt` with liveness `status`. A process
+    /// that comes back running gets a `Restart` record; one that stays
+    /// crashed gets none, its `Crash` is already recorded.
+    fn restore_proc(&mut self, ckpt: &ProcCheckpoint, status: ProcStatus) {
         self.assert_unsharded("restore_checkpoint");
         let e = self.procs.ent_mut(ckpt.pid);
         e.program.restore(&ckpt.state.as_bytes());
         e.ctx = ckpt.ctx.clone();
-        e.status = ProcStatus::Running;
-        let seq = self.exec_seq;
-        self.exec_seq += 1;
-        self.record_side_event(seq, EventKind::Restart { pid: ckpt.pid });
+        e.status = status;
+        if status == ProcStatus::Running {
+            let seq = self.exec_seq;
+            self.exec_seq += 1;
+            self.record_side_event(seq, EventKind::Restart { pid: ckpt.pid });
+        }
     }
 
     /// Crash a process immediately (external fault injection). A dormant
@@ -956,7 +944,9 @@ impl World {
     }
 
     /// Remove queued events matching `pred` (e.g. in-flight messages made
-    /// orphan by a rollback). Returns how many were removed.
+    /// orphan by a rollback). Returns how many were removed. A removed
+    /// timer's cancel mark goes with it: left behind, it would swallow
+    /// the same timer re-armed later (a restore re-arms captured ones).
     pub fn purge_events(&mut self, mut pred: impl FnMut(&EventKind) -> bool) -> usize {
         self.assert_unsharded("purge_events");
         let mut removed = 0;
@@ -970,11 +960,17 @@ impl World {
         for qe in drained {
             if pred(&qe.kind) {
                 removed += 1;
-                // A purged in-flight message the queue solely held goes
-                // back to the arena rather than the allocator (the Time
-                // Machine purges orphans on every rollback).
-                if let EventKind::Deliver { msg } | EventKind::Drop { msg } = qe.kind {
-                    self.arena.recycle_message(msg);
+                match qe.kind {
+                    // A purged in-flight message the queue solely held
+                    // goes back to the arena rather than the allocator
+                    // (the Time Machine purges orphans on every rollback).
+                    EventKind::Deliver { msg } | EventKind::Drop { msg } => {
+                        self.arena.recycle_message(msg);
+                    }
+                    EventKind::TimerFire { pid, timer } => {
+                        self.cancelled_timers.remove(&(pid.0, timer.0));
+                    }
+                    _ => {}
                 }
             } else {
                 self.queue.push(qe);
@@ -983,15 +979,12 @@ impl World {
         removed
     }
 
-    /// Every queued event (staged one included) in scheduling order —
-    /// the one sort both [`World::inflight_messages`] and
-    /// [`World::pending_timers`] used to duplicate inline.
+    /// Every queued event (staged one included) in scheduling order.
     ///
     /// O(Q log Q) full-queue sort — audited to stay off the per-step
-    /// path: its only callers are checkpoint-capture surfaces
-    /// (`inflight_messages` / `pending_timers`, used by global snapshot
-    /// assembly, quiesce, and restart baselines), which run once per
-    /// checkpoint or rollback, never per event.
+    /// path: its only callers, [`World::global_snapshot`] (once per
+    /// capture) and [`World::inflight_messages`] (the Healer's update
+    /// point, tests), run once per capture or update, never per event.
     fn queue_in_order(&self) -> Vec<&QueuedEvent> {
         self.assert_unsharded("reading the event queue");
         let mut qes: Vec<&QueuedEvent> = self.queue.iter().chain(self.staged.iter()).collect();
@@ -1027,64 +1020,77 @@ impl World {
         );
     }
 
-    /// All pending (not yet fired, not cancelled) timers:
-    /// `(pid, timer, fire_at)`, in scheduling order.
-    pub fn pending_timers(&self) -> Vec<(Pid, TimerId, VTime)> {
-        self.queue_in_order()
-            .into_iter()
-            .filter_map(|qe| match &qe.kind {
-                EventKind::TimerFire { pid, timer }
-                    if !self.cancelled_timers.contains(&(pid.0, timer.0)) =>
-                {
-                    Some((*pid, *timer, qe.at))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Re-arm a timer (drivers use this when restoring a global
-    /// checkpoint that captured pending timers).
+    /// snapshot that captured pending timers).
     pub fn inject_timer(&mut self, pid: Pid, timer: TimerId, fire_at: VTime) {
         self.assert_unsharded("inject_timer");
         self.push_event(fire_at.max(self.now), EventKind::TimerFire { pid, timer });
     }
 
-    /// Snapshot every process (states, clocks, liveness) at this instant.
-    /// Dormant lazy processes contribute the fresh state they would
-    /// materialize with (deterministic), so the snapshot is well-defined
-    /// at any width — but it is inherently O(N); wide-world tooling
-    /// should iterate materialized pids instead.
+    /// Capture a consistent cut: every process's checkpoint, the mail in
+    /// flight, the pending timers and the crashed pids at this instant
+    /// (see [`GlobalSnapshot`]). Dormant lazy processes contribute the
+    /// fresh state they would materialize with, so the snapshot is
+    /// well-defined at any width — but it is inherently O(N). Refused on
+    /// a sharded world, whose shards hold the queue and run up to a
+    /// window ahead; [`World::fingerprint`] works there.
     pub fn global_snapshot(&self) -> GlobalSnapshot {
-        let n = self.procs.width();
-        let mut states = Vec::with_capacity(n);
-        let mut vcs = Vec::with_capacity(n);
-        let mut statuses = Vec::with_capacity(n);
-        for i in 0..n {
-            let pid = Pid(i as u32);
-            match self.procs.ent(pid) {
-                Some(e) => {
-                    states.push(e.program.snapshot());
-                    vcs.push(e.ctx.vc.clone());
-                    statuses.push(e.status);
+        self.assert_unsharded("global_snapshot");
+        let (mut inflight, mut timers) = (Vec::new(), Vec::new());
+        for qe in self.queue_in_order() {
+            match &qe.kind {
+                EventKind::Deliver { msg } => inflight.push(msg.clone()),
+                EventKind::TimerFire { pid, timer }
+                    if !self.cancelled_timers.contains(&(pid.0, timer.0)) =>
+                {
+                    timers.push((*pid, *timer, qe.at));
                 }
-                None => {
-                    let fresh = self.procs.fresh_entry(pid);
-                    states.push(fresh.program.snapshot());
-                    vcs.push(VectorClock::ZERO);
-                    // Dormant pids report their tracked liveness: a
-                    // crashed-while-dormant process is Crashed here even
-                    // though its state never materialized.
-                    statuses.push(self.procs.status_of(pid));
-                }
+                _ => {}
             }
         }
+        let pids = (0..self.procs.width()).map(|i| Pid(i as u32));
         GlobalSnapshot {
             at: self.now,
-            states,
-            vcs,
-            statuses,
+            procs: pids.clone().map(|p| self.checkpoint_process(p)).collect(),
+            inflight,
+            timers,
+            crashed: pids
+                .filter(|&p| self.status(p) == ProcStatus::Crashed)
+                .collect(),
         }
+    }
+
+    /// Put the world back to `snap`: every process's state, context and
+    /// liveness (a crashed pid stays crashed, with no second `Crash`
+    /// record), and the channel state — the queued mail and timers are
+    /// replaced by the captured ones, re-injected at `now` (a timer due
+    /// later keeps its fire time).
+    pub fn restore_snapshot(&mut self, snap: &GlobalSnapshot) {
+        for c in &snap.procs {
+            let status = match snap.crashed.binary_search(&c.pid) {
+                Ok(_) => ProcStatus::Crashed,
+                Err(_) => ProcStatus::Running,
+            };
+            self.restore_proc(c, status);
+        }
+        self.purge_events(|k| matches!(k, EventKind::Deliver { .. } | EventKind::TimerFire { .. }));
+        let now = self.now;
+        for m in &snap.inflight {
+            self.inject_message(m.clone(), now);
+        }
+        for &(pid, timer, fire_at) in &snap.timers {
+            self.inject_timer(pid, timer, fire_at);
+        }
+    }
+
+    /// [`GlobalSnapshot::fingerprint`] of this instant, folded straight
+    /// off the process table: that table is the serial world's at every
+    /// committed step, so this works at any shard count.
+    pub fn fingerprint(&self) -> u64 {
+        fold_states(
+            (0..self.procs.width())
+                .map(|i| self.with_program(Pid(i as u32), |p| wire::fnv1a(&p.snapshot()))),
+        )
     }
 
     /// Current partition.
@@ -1275,10 +1281,7 @@ mod tests {
         let mut b = ring_world(5, 20, 42);
         a.run_to_quiescence(10_000);
         b.run_to_quiescence(10_000);
-        assert_eq!(
-            a.global_snapshot().fingerprint(),
-            b.global_snapshot().fingerprint()
-        );
+        assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.now(), b.now());
     }
@@ -1326,6 +1329,33 @@ mod tests {
         w.restore_checkpoint(&ck);
         assert_eq!(w.checkpoint_process(Pid(1)).fingerprint(), before);
         assert_eq!(w.status(Pid(1)), ProcStatus::Running);
+    }
+
+    #[test]
+    fn restore_snapshot_keeps_crashed_processes_crashed() {
+        let mut w = ring_world(3, 10, 7);
+        w.run_steps(4);
+        w.crash_now(Pid(2));
+        let snap = w.global_snapshot();
+        assert_eq!(snap.crashed, vec![Pid(2)]);
+        let to_p2 = snap.inflight.iter().filter(|m| m.dst == Pid(2)).count();
+        assert!(to_p2 > 0, "the token is on its way to the crashed pid");
+        let received = w.program::<Ring>(Pid(2)).unwrap().received;
+        w.run_steps(5);
+        w.restore_snapshot(&snap);
+        assert_eq!(w.status(Pid(2)), ProcStatus::Crashed);
+        let crashes = |w: &World| {
+            (w.trace().records())
+                .filter(|r| matches!(r.event.kind, EventKind::Crash { .. }))
+                .count()
+        };
+        assert_eq!(crashes(&w), 1, "no second Crash record");
+        let report = w.run_to_quiescence(1_000);
+        assert_eq!(
+            report.dropped, to_p2 as u64,
+            "mail to the crashed pid drops"
+        );
+        assert_eq!(w.program::<Ring>(Pid(2)).unwrap().received, received);
     }
 
     #[test]
@@ -1484,11 +1514,11 @@ mod tests {
         let mut fork = w.clone();
         let fp_w: u64 = {
             w.run_to_quiescence(10_000);
-            w.global_snapshot().fingerprint()
+            w.fingerprint()
         };
         let fp_f: u64 = {
             fork.run_to_quiescence(10_000);
-            fork.global_snapshot().fingerprint()
+            fork.fingerprint()
         };
         assert_eq!(fp_w, fp_f, "same future from the same fork point");
     }

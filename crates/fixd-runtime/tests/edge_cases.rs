@@ -2,8 +2,8 @@
 //! targeted corruption, timer semantics, the trace's bounded tail.
 
 use fixd_runtime::{
-    Context, Fault, FaultPlan, Message, Partition, Pid, Program, TimerId, World, WorldConfig,
-    TRACE_TAIL,
+    Context, Fault, FaultPlan, Message, MsgMeta, Partition, Pid, Program, TimerId, VectorClock,
+    World, WorldConfig, TRACE_TAIL,
 };
 
 /// Echo server: replies to every ping; counts pings.
@@ -165,11 +165,97 @@ fn inject_timer_reaches_handler() {
     let mut w = World::new(WorldConfig::seeded(5));
     w.add_process(Box::new(Echo::new()));
     w.run_to_quiescence(10_000);
-    assert!(w.pending_timers().is_empty());
+    assert!(w.global_snapshot().timers.is_empty());
     w.inject_timer(Pid(0), TimerId(999), w.now() + 1);
-    assert_eq!(w.pending_timers().len(), 1);
+    assert_eq!(w.global_snapshot().timers.len(), 1);
     w.run_to_quiescence(10);
-    assert!(w.pending_timers().is_empty());
+    assert!(w.global_snapshot().timers.is_empty());
+}
+
+/// P0 arms a timer at t=100 and cancels it on any message; P1 arms
+/// one at t=50. Both count what fired.
+struct Alarm {
+    armed: Option<TimerId>,
+    fired: u64,
+}
+impl Program for Alarm {
+    fn on_start(&mut self, ctx: &mut Context) {
+        let delay = if ctx.pid() == Pid(0) { 100 } else { 50 };
+        self.armed = Some(ctx.set_timer(delay));
+    }
+    fn on_timer(&mut self, _ctx: &mut Context, _t: TimerId) {
+        self.armed = None;
+        self.fired += 1;
+    }
+    fn on_message(&mut self, ctx: &mut Context, _msg: &Message) {
+        if let Some(t) = self.armed.take() {
+            ctx.cancel_timer(t);
+        }
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        let mut b = self.fired.to_le_bytes().to_vec();
+        b.extend_from_slice(&self.armed.map_or(0, |t| t.0).to_le_bytes());
+        b
+    }
+    fn restore(&mut self, b: &[u8]) {
+        self.fired = u64::from_le_bytes(b[0..8].try_into().unwrap());
+        let t = u64::from_le_bytes(b[8..16].try_into().unwrap());
+        self.armed = (t != 0).then_some(TimerId(t));
+    }
+    fn clone_program(&self) -> Box<dyn Program> {
+        Box::new(Alarm {
+            armed: self.armed,
+            fired: self.fired,
+        })
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn restored_timer_fires_after_a_later_cancel() {
+    let mut w = World::new(WorldConfig::seeded(4));
+    for _ in 0..2 {
+        w.add_process(Box::new(Alarm {
+            armed: None,
+            fired: 0,
+        }));
+    }
+    w.run_steps(2); // both starts: timers at t=100 (P0) and t=50 (P1)
+    let snap = w.global_snapshot();
+    assert_eq!(snap.timers.len(), 2);
+    let mut from_capture = w.clone();
+    from_capture.run_to_quiescence(100);
+    // A message makes P0 cancel its timer before it fires. Two steps
+    // (the poke, P1's timer) and no peek past them: the cancel mark
+    // still waits for the fire event that the restore purges.
+    let poke = Message {
+        id: 99,
+        src: Pid(1),
+        dst: Pid(0),
+        tag: 0,
+        payload: vec![].into(),
+        sent_at: w.now(),
+        vc: VectorClock::new(2),
+        meta: MsgMeta::default(),
+    };
+    let now = w.now();
+    w.inject_message(poke, now);
+    w.step();
+    w.step();
+    w.restore_snapshot(&snap);
+    w.run_to_quiescence(100);
+    let fired = |w: &World, p| w.program::<Alarm>(Pid(p)).unwrap().fired;
+    assert_eq!(fired(&from_capture, 0), 1);
+    assert_eq!(
+        (fired(&w, 0), fired(&w, 1)),
+        (fired(&from_capture, 0), fired(&from_capture, 1)),
+        "the restored timer fires as in a run from the capture"
+    );
 }
 
 #[test]

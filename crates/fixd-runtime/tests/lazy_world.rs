@@ -253,7 +253,7 @@ fn global_snapshot_reports_dormant_crashed_status() {
     let mut w = lazy_world(50, 23);
     w.crash_now(Pid(40));
     let snap = w.global_snapshot();
-    assert_eq!(snap.statuses[40], ProcStatus::Crashed);
+    assert_eq!(snap.crashed, vec![Pid(40)]);
     assert!(
         !w.is_materialized(Pid(40)),
         "snapshot must not materialize the crashed dormant pid"

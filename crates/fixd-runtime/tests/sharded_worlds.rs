@@ -215,7 +215,7 @@ fn assert_equivalent_in_runs(sc: &Scenario, budgets: &[u64]) -> World {
         assert_eq!(sharded.stats(), serial.stats(), "NetStats drifted");
         assert_eq!(sharded.now(), serial.now(), "virtual clock drifted");
         assert_eq!(
-            sharded.global_snapshot().fingerprint(),
+            sharded.fingerprint(),
             serial.global_snapshot().fingerprint(),
             "global snapshot drifted at {shards} shards"
         );
@@ -255,6 +255,16 @@ fn gossip_matches_serial_across_network_modes() {
     {
         assert_equivalent(&gossip(0xA0 + i as u64, 5, net));
     }
+}
+
+/// The channel part of a snapshot lives on the shards, which run up to a
+/// window ahead of the world: a sharded world refuses the capture.
+#[test]
+#[should_panic(expected = "global_snapshot is not supported on a sharded world")]
+fn global_snapshot_of_a_sharded_world_is_refused() {
+    let mut w = gossip(0xA0, 5, NetworkConfig::default()).build(2);
+    w.run_steps(10);
+    w.global_snapshot();
 }
 
 #[test]
@@ -390,7 +400,7 @@ fn midrun_heal_revives_fast_link_and_shrinks_window() {
         assert_eq!(log, serial_log, "stale window bound at shards={shards}");
         assert_eq!(sharded.stats(), serial.stats());
         assert_eq!(
-            sharded.global_snapshot().fingerprint(),
+            sharded.fingerprint(),
             serial.global_snapshot().fingerprint()
         );
         // The post-heal pings actually crossed the fast link.
@@ -627,10 +637,7 @@ fn accounting_survives_long_lived_workers_and_split_runs() {
             assert!(t.windows >= 150, "only {} windows", t.windows);
             assert!(t.inline_windows < t.windows, "no window handed off");
             assert_eq!(*log, serial.1);
-            assert_eq!(
-                w.global_snapshot().fingerprint(),
-                serial.0.global_snapshot().fingerprint()
-            );
+            assert_eq!(w.fingerprint(), serial.0.global_snapshot().fingerprint());
         }
     }
 }

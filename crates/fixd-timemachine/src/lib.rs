@@ -25,10 +25,11 @@
 //! instead of cascading unboundedly (the domino effect measured in
 //! experiment **F6**).
 //!
-//! [`snapshot`] provides the stop-the-world coordinated global checkpoint
-//! used both as the eager full-copy baseline (experiment **F2**) and as
-//! the "piece together a consistent global checkpoint" substrate of the
-//! FixD fault-response protocol (Fig. 4).
+//! The stop-the-world consistent cut of the fault-response protocol
+//! (Fig. 4: "piece together a consistent global checkpoint") is
+//! [`fixd_runtime::GlobalSnapshot`], which the world itself captures and
+//! restores. Experiment **F2**'s eager full-copy baseline is
+//! `fixd-baselines::flashback`.
 
 pub mod checkpoint;
 pub mod cic;
@@ -36,7 +37,6 @@ pub mod dependency;
 pub mod gc;
 pub mod page;
 pub mod recovery;
-pub mod snapshot;
 pub mod speculation;
 
 pub use checkpoint::{CheckpointStore, TmCheckpoint};
@@ -45,7 +45,4 @@ pub use dependency::{DepEdge, DependencyGraph};
 pub use gc::GcReport;
 pub use page::{PageStats, PageStore, PagedImage, StoreStats, DEFAULT_PAGE_SIZE};
 pub use recovery::{RecoveryLine, RollbackReport, NO_ROLLBACK};
-pub use snapshot::{
-    coordinated_snapshot, coordinated_snapshot_in, restore_global, GlobalCheckpoint,
-};
 pub use speculation::{AbortReport, SpecStatus, Speculation};

@@ -16,7 +16,6 @@ use fixd::campaign::{
 use fixd::examples::{kvstore, token_ring, two_phase_commit as tpc};
 use fixd::prelude::*;
 use fixd::runtime::{DeliveryPolicy, NetworkConfig};
-use fixd::timemachine::{coordinated_snapshot, restore_global};
 
 /// Run `spec` with [`run_campaign`] (one shard per cell), check that its
 /// report JSON is byte-identical at 2 and 8 shards per cell, and return
@@ -237,12 +236,7 @@ fn sharded_detection_stops_at_the_serial_step() {
         let fault = out
             .fault
             .expect("the duplicated token breaks mutual exclusion");
-        (
-            fault,
-            out.steps,
-            w.trace().pushed(),
-            w.global_snapshot().fingerprint(),
-        )
+        (fault, out.steps, w.trace().pushed(), w.fingerprint())
     };
     let want = detect(1);
     assert_eq!(want.0.after_steps, want.1);
@@ -525,7 +519,7 @@ fn corruption_is_survivable_and_detectable() {
     assert!(detected > 0, "corruption must be detectable by the monitor");
 }
 
-/// Coordinated snapshots survive arbitrary pause points: capture, run
+/// Global snapshots survive arbitrary pause points: capture, run
 /// ahead, restore, and the world replays to the identical outcome.
 #[test]
 fn snapshot_restore_campaign() {
@@ -533,7 +527,7 @@ fn snapshot_restore_campaign() {
         for pause in [2u64, 5, 9, 14] {
             let mut w = token_ring::ring_world(3, seed, None);
             w.run_steps(pause);
-            let snap = coordinated_snapshot(&w);
+            let snap = w.global_snapshot();
             let mut reference = w.clone();
             reference.run_to_quiescence(100_000);
             let want: u64 = (0..3)
@@ -546,7 +540,7 @@ fn snapshot_restore_campaign() {
                 .sum();
             // Run the original ahead, then rewind.
             w.run_to_quiescence(100_000);
-            restore_global(&mut w, &snap);
+            w.restore_snapshot(&snap);
             w.run_to_quiescence(100_000);
             let got: u64 = (0..3)
                 .map(|i| w.program::<token_ring::RingNode>(Pid(i)).unwrap().entries)
