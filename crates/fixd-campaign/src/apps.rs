@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 
+use fixd_core::DetectedFault;
 use fixd_examples::chord::ChordNode;
 use fixd_examples::token_ring::RingNode;
 use fixd_examples::two_phase_commit::{Coordinator, Participant};
@@ -19,9 +20,37 @@ use fixd_examples::{chord, kvstore, pipeline, token_ring, two_phase_commit, wal_
 use fixd_runtime::{DeliveryPolicy, FaultPlan, NetworkConfig, Partition, Pid, SharedDisk, World};
 
 use crate::spec::{
-    AppSpec, CampaignSpec, CellCheck, FaultCase,
+    AppSpec, CampaignSpec, CellCheck, CheckFn, FaultCase,
     Pathology::{self, Clean, Corruption, Crash, Duplication, Loss, Partition as Part, Reorder},
 };
+
+/// A cell check that returns its first failure as `Err` ([`fail`], or
+/// `?` on [`program`]).
+fn check(
+    f: impl Fn(&World, &FaultCase, Option<&DetectedFault>) -> Result<CellCheck, CellCheck>
+        + Send
+        + Sync
+        + 'static,
+) -> CheckFn {
+    Arc::new(move |w, case, fault| f(w, case, fault).unwrap_or_else(|failed| failed))
+}
+
+/// End a [`check`] with a failing verdict.
+fn fail(reason: impl Into<String>, metrics: Vec<(String, u64)>) -> Result<CellCheck, CellCheck> {
+    Err(CellCheck::fail(reason, metrics))
+}
+
+/// `pid`'s program as a `T`, or the failing verdict that names the pid
+/// and the type: a cell whose world lacks the program its check reads
+/// fails; it does not panic its campaign worker.
+fn program<T: 'static>(w: &World, pid: Pid) -> Result<&T, CellCheck> {
+    w.program::<T>(pid).ok_or_else(|| {
+        CellCheck::fail(
+            format!("{pid} holds no {}", std::any::type_name::<T>()),
+            Vec::new(),
+        )
+    })
+}
 
 /// Split `n` processes into two halves (the standard partition shape).
 fn half_split(n: usize) -> Partition {
@@ -81,25 +110,22 @@ pub fn token_ring_app() -> AppSpec {
         supports: &[Clean, Crash, Loss, Reorder, Part],
         build: Arc::new(|cfg| token_ring::ring_world_cfg(cfg, N, None)),
         monitors: Arc::new(|| vec![token_ring::mutex_monitor()]),
-        check: Arc::new(|w, case, fault| {
+        check: check(|w, case, fault| {
             let entries: u64 = (0..N)
-                .map(|i| w.program::<RingNode>(Pid(i as u32)).unwrap().entries)
-                .sum();
+                .map(|i| program::<RingNode>(w, Pid(i as u32)).map(|node| node.entries))
+                .sum::<Result<_, _>>()?;
             let full = 3 * N as u64 + 1;
             let metrics = vec![("entries".to_string(), entries)];
             if let Some(f) = fault {
-                return CellCheck::fail(format!("unexpected violation: {}", f.monitor), metrics);
+                return fail(format!("unexpected violation: {}", f.monitor), metrics);
             }
             if entries > full {
-                return CellCheck::fail(
-                    format!("too many CS entries: {entries} > {full}"),
-                    metrics,
-                );
+                return fail(format!("too many CS entries: {entries} > {full}"), metrics);
             }
             if case.lossless && entries != full {
-                return CellCheck::fail(format!("ring incomplete: {entries} != {full}"), metrics);
+                return fail(format!("ring incomplete: {entries} != {full}"), metrics);
             }
-            CellCheck::pass(metrics)
+            Ok(CellCheck::pass(metrics))
         }),
     }
 }
@@ -142,15 +168,15 @@ pub fn kvstore_app() -> AppSpec {
             kvstore::kv_world_v2_cfg(cfg, script)
         }),
         monitors: Arc::new(|| vec![kvstore::gap_monitor()]),
-        check: Arc::new(|w, case, fault| {
-            let p = w.program::<kvstore::Primary>(Pid(1)).unwrap();
-            let b = w.program::<kvstore::BackupV2>(Pid(2)).unwrap();
+        check: check(|w, case, fault| {
+            let p = program::<kvstore::Primary>(w, Pid(1))?;
+            let b = program::<kvstore::BackupV2>(w, Pid(2))?;
             let metrics = vec![
                 ("applied".to_string(), b.applied),
                 ("seq".to_string(), p.seq),
             ];
             if let Some(f) = fault {
-                return CellCheck::fail(format!("unexpected violation: {}", f.monitor), metrics);
+                return fail(format!("unexpected violation: {}", f.monitor), metrics);
             }
             if let Some(failure) = kv_postconditions(
                 b.applied,
@@ -159,9 +185,9 @@ pub fn kvstore_app() -> AppSpec {
                 b.store == p.store,
                 case.lossless,
             ) {
-                return CellCheck::fail(failure, metrics);
+                return fail(failure, metrics);
             }
-            CellCheck::pass(metrics)
+            Ok(CellCheck::pass(metrics))
         }),
     }
 }
@@ -187,24 +213,24 @@ pub fn kvstore_buggy_app() -> AppSpec {
             kvstore::kv_world_v1_cfg(cfg, script)
         }),
         monitors: Arc::new(|| vec![kvstore::gap_monitor()]),
-        check: Arc::new(|w, case, fault| {
+        check: check(|w, case, fault| {
             let detected = u64::from(fault.is_some());
             let metrics = vec![("detected".to_string(), detected)];
             if case.pathology == Clean && detected == 1 {
                 // The clean FIFO control cannot reorder: a "detection"
                 // there is a false positive of the monitor.
-                return CellCheck::fail("violation on the clean control", metrics);
+                return fail("violation on the clean control", metrics);
             }
             // Sanity on undetected (run-to-completion) cells: the
             // primary itself stays sound. Detected cells stop at the
             // violation, so the stream may legitimately be unfinished.
             if detected == 0 {
-                let p = w.program::<kvstore::Primary>(Pid(1)).unwrap();
+                let p = program::<kvstore::Primary>(w, Pid(1))?;
                 if p.seq != 12 {
-                    return CellCheck::fail(format!("primary lost PUTs: {}", p.seq), metrics);
+                    return fail(format!("primary lost PUTs: {}", p.seq), metrics);
                 }
             }
-            CellCheck::pass(metrics)
+            Ok(CellCheck::pass(metrics))
         }),
     }
 }
@@ -221,16 +247,16 @@ pub fn kvstore_ck_app() -> AppSpec {
             kvstore::kv_world_ck_cfg(cfg, script)
         }),
         monitors: Arc::new(|| vec![kvstore::gap_monitor()]),
-        check: Arc::new(|w, case, fault| {
-            let p = w.program::<kvstore::PrimaryV2>(Pid(1)).unwrap();
-            let b = w.program::<kvstore::BackupV3>(Pid(2)).unwrap();
+        check: check(|w, case, fault| {
+            let p = program::<kvstore::PrimaryV2>(w, Pid(1))?;
+            let b = program::<kvstore::BackupV3>(w, Pid(2))?;
             let metrics = vec![
                 ("applied".to_string(), b.applied),
                 ("seq".to_string(), p.seq),
                 ("rejected".to_string(), b.rejected),
             ];
             if let Some(f) = fault {
-                return CellCheck::fail(format!("unexpected violation: {}", f.monitor), metrics);
+                return fail(format!("unexpected violation: {}", f.monitor), metrics);
             }
             if let Some(failure) = kv_postconditions(
                 b.applied,
@@ -239,12 +265,12 @@ pub fn kvstore_ck_app() -> AppSpec {
                 b.store == p.store,
                 case.lossless,
             ) {
-                return CellCheck::fail(failure, metrics);
+                return fail(failure, metrics);
             }
             if case.lossless && b.rejected != 0 {
-                return CellCheck::fail("clean network rejected REPLs", metrics);
+                return fail("clean network rejected REPLs", metrics);
             }
-            CellCheck::pass(metrics)
+            Ok(CellCheck::pass(metrics))
         }),
     }
 }
@@ -261,30 +287,30 @@ pub fn pipeline_app() -> AppSpec {
         supports: &[Clean, Crash, Loss, Duplication, Reorder, Corruption],
         build: Arc::new(|cfg| pipeline::pipeline_world_cfg(cfg, N_ITEMS, COST, None)),
         monitors: Arc::new(|| vec![pipeline::results_monitor()]),
-        check: Arc::new(|w, case, fault| {
-            let c = w.program::<pipeline::Cruncher>(Pid(1)).unwrap();
+        check: check(|w, case, fault| {
+            let c = program::<pipeline::Cruncher>(w, Pid(1))?;
             let metrics = vec![("results".to_string(), c.results.len() as u64)];
             if let Some(f) = fault {
-                return CellCheck::fail(format!("unexpected violation: {}", f.monitor), metrics);
+                return fail(format!("unexpected violation: {}", f.monitor), metrics);
             }
             if let Some(&(i, r)) = c
                 .results
                 .iter()
                 .find(|&&(i, r)| r != pipeline::crunch(i, COST))
             {
-                return CellCheck::fail(format!("wrong result for item {i}: {r}"), metrics);
+                return fail(format!("wrong result for item {i}: {r}"), metrics);
             }
             // Duplication can only add deliveries; every other lossless
             // case must crunch the exact workload.
             let n = c.results.len() as u64;
             let can_duplicate = case.net.dup_prob > 0.0;
             if case.lossless && can_duplicate && n < N_ITEMS {
-                return CellCheck::fail(format!("lost items under dup: {n}"), metrics);
+                return fail(format!("lost items under dup: {n}"), metrics);
             }
             if case.lossless && !can_duplicate && n != N_ITEMS {
-                return CellCheck::fail(format!("incomplete pipeline: {n} != {N_ITEMS}"), metrics);
+                return fail(format!("incomplete pipeline: {n} != {N_ITEMS}"), metrics);
             }
-            CellCheck::pass(metrics)
+            Ok(CellCheck::pass(metrics))
         }),
     }
 }
@@ -303,29 +329,29 @@ pub fn wal_counter_app() -> AppSpec {
             wal_counter::wal_world_cfg(cfg, N_OPS, SYNC_EVERY, SharedDisk::new())
         }),
         monitors: Arc::new(Vec::new),
-        check: Arc::new(|w: &World, case, fault| {
-            let c = w.program::<WalCounter>(Pid(1)).unwrap();
+        check: check(|w: &World, case, fault| {
+            let c = program::<WalCounter>(w, Pid(1))?;
             let durable = c.durable_value();
             let metrics = vec![
                 ("value".to_string(), c.value),
                 ("durable".to_string(), durable),
             ];
             if let Some(f) = fault {
-                return CellCheck::fail(format!("unexpected violation: {}", f.monitor), metrics);
+                return fail(format!("unexpected violation: {}", f.monitor), metrics);
             }
             if c.value > N_OPS {
-                return CellCheck::fail(format!("over-counted: {}", c.value), metrics);
+                return fail(format!("over-counted: {}", c.value), metrics);
             }
             if c.value != w.delivered_count(Pid(1)) {
-                return CellCheck::fail("value drifted from delivered increments", metrics);
+                return fail("value drifted from delivered increments", metrics);
             }
             if durable > c.value {
-                return CellCheck::fail("durable value ran ahead of memory", metrics);
+                return fail("durable value ran ahead of memory", metrics);
             }
             if case.lossless && c.value != N_OPS {
-                return CellCheck::fail(format!("lost increments: {}", c.value), metrics);
+                return fail(format!("lost increments: {}", c.value), metrics);
             }
-            CellCheck::pass(metrics)
+            Ok(CellCheck::pass(metrics))
         }),
     }
 }
@@ -340,19 +366,19 @@ pub fn two_phase_commit_app() -> AppSpec {
         supports: &[Clean, Crash, Loss, Reorder, Part],
         build: Arc::new(|cfg| two_phase_commit::tpc_world_cfg(cfg, &VOTES, false)),
         monitors: Arc::new(|| vec![two_phase_commit::atomicity_monitor()]),
-        check: Arc::new(|w, case, fault| {
-            let c = w.program::<Coordinator>(Pid(0)).unwrap();
+        check: check(|w, case, fault| {
+            let c = program::<Coordinator>(w, Pid(0))?;
             let decided: Vec<Option<bool>> = (1..=VOTES.len() as u32)
-                .map(|i| w.program::<Participant>(Pid(i)).unwrap().committed)
-                .collect();
+                .map(|i| program::<Participant>(w, Pid(i)).map(|p| p.committed))
+                .collect::<Result<_, _>>()?;
             let n_decided = decided.iter().filter(|d| d.is_some()).count() as u64;
             let metrics = vec![("decided".to_string(), n_decided)];
             if let Some(f) = fault {
-                return CellCheck::fail(format!("unexpected violation: {}", f.monitor), metrics);
+                return fail(format!("unexpected violation: {}", f.monitor), metrics);
             }
             for (i, d) in decided.iter().enumerate() {
                 if d.is_some() && *d != c.decided {
-                    return CellCheck::fail(
+                    return fail(
                         format!("participant {} disagrees with coordinator", i + 1),
                         metrics,
                     );
@@ -360,16 +386,13 @@ pub fn two_phase_commit_app() -> AppSpec {
             }
             if case.lossless {
                 if c.decided != Some(false) {
-                    return CellCheck::fail("coordinator must abort (one NO vote)", metrics);
+                    return fail("coordinator must abort (one NO vote)", metrics);
                 }
                 if n_decided != VOTES.len() as u64 {
-                    return CellCheck::fail(
-                        format!("only {n_decided} participants decided"),
-                        metrics,
-                    );
+                    return fail(format!("only {n_decided} participants decided"), metrics);
                 }
             }
-            CellCheck::pass(metrics)
+            Ok(CellCheck::pass(metrics))
         }),
     }
 }
@@ -388,25 +411,25 @@ pub fn chord_app(n: usize, stabilize_rounds: u32, lookups: u32, work: u64) -> Ap
         supports: &[Clean, Reorder],
         build: Arc::new(move |cfg| chord::chord_world_cfg(cfg, n, stabilize_rounds, lookups, work)),
         monitors: Arc::new(Vec::new),
-        check: Arc::new(move |w, case, fault| {
+        check: check(move |w, case, fault| {
             let (mut ok, mut bad) = (0u64, 0u64);
             for i in 0..n {
-                let s = &w.program::<ChordNode>(Pid(i as u32)).unwrap().stats;
+                let s = &program::<ChordNode>(w, Pid(i as u32))?.stats;
                 ok += s.ok;
                 bad += s.bad;
             }
             let metrics = vec![("ok".to_string(), ok), ("bad".to_string(), bad)];
             if let Some(f) = fault {
-                return CellCheck::fail(format!("unexpected violation: {}", f.monitor), metrics);
+                return fail(format!("unexpected violation: {}", f.monitor), metrics);
             }
             if bad != 0 {
-                return CellCheck::fail(format!("{bad} lookups resolved wrong"), metrics);
+                return fail(format!("{bad} lookups resolved wrong"), metrics);
             }
             let want = n as u64 * lookups as u64;
             if case.lossless && ok != want {
-                return CellCheck::fail(format!("incomplete lookups: {ok} != {want}"), metrics);
+                return fail(format!("incomplete lookups: {ok} != {want}"), metrics);
             }
-            CellCheck::pass(metrics)
+            Ok(CellCheck::pass(metrics))
         }),
     }
 }
@@ -424,10 +447,10 @@ pub fn chord_kv_app(n: usize, stabilize_rounds: u32, puts: u32) -> AppSpec {
         supports: &[Clean, Reorder],
         build: Arc::new(move |cfg| chord::chord_kv_world_cfg(cfg, n, stabilize_rounds, puts)),
         monitors: Arc::new(Vec::new),
-        check: Arc::new(move |w, case, fault| {
+        check: check(move |w, case, fault| {
             let mut t = fixd_examples::chord::KvStats::default();
             for i in 0..n {
-                let s = w.program::<ChordNode>(Pid(i as u32)).unwrap().kv_stats;
+                let s = program::<ChordNode>(w, Pid(i as u32))?.kv_stats;
                 t.put_acked += s.put_acked;
                 t.get_ok += s.get_ok;
                 t.get_bad += s.get_bad;
@@ -440,15 +463,15 @@ pub fn chord_kv_app(n: usize, stabilize_rounds: u32, puts: u32) -> AppSpec {
                 ("replicas".to_string(), t.replicas),
             ];
             if let Some(f) = fault {
-                return CellCheck::fail(format!("unexpected violation: {}", f.monitor), metrics);
+                return fail(format!("unexpected violation: {}", f.monitor), metrics);
             }
             if t.get_bad != 0 {
-                return CellCheck::fail(format!("{} bad keyed reads", t.get_bad), metrics);
+                return fail(format!("{} bad keyed reads", t.get_bad), metrics);
             }
             let want = n as u64 * u64::from(puts);
             if case.lossless {
                 if t.put_acked != want || t.get_ok != want {
-                    return CellCheck::fail(
+                    return fail(
                         format!(
                             "incomplete kv workload: {}/{want} acked, {}/{want} read back",
                             t.put_acked, t.get_ok
@@ -457,10 +480,10 @@ pub fn chord_kv_app(n: usize, stabilize_rounds: u32, puts: u32) -> AppSpec {
                     );
                 }
                 if n > 1 && t.replicas == 0 {
-                    return CellCheck::fail("no replica writes observed", metrics);
+                    return fail("no replica writes observed", metrics);
                 }
             }
-            CellCheck::pass(metrics)
+            Ok(CellCheck::pass(metrics))
         }),
     }
 }
@@ -506,6 +529,21 @@ pub fn standard_pathologies() -> Vec<Pathology> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_check_over_the_wrong_world_fails_the_cell() {
+        // The token ring's check over a kvstore world: pid 0 is no
+        // `RingNode`, so the cell fails and names what it looked for.
+        let w =
+            kvstore::kv_world_v2_cfg(fixd_runtime::WorldConfig::seeded(1), kvstore::script(2, 1));
+        let case = &standard_cases()[0];
+        let verdict = (token_ring_app().check)(&w, case, None);
+        let failure = verdict.failure.expect("the check fails");
+        assert!(
+            failure.starts_with("P0 holds no ") && failure.ends_with("RingNode"),
+            "{failure}"
+        );
+    }
 
     #[test]
     fn standard_matrix_shape() {

@@ -31,7 +31,6 @@
 //! window on the 2-vCPU reference host.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use fixd_core::{Fixd, FixdConfig};
 use fixd_runtime::{World, WorldConfig};
@@ -56,26 +55,30 @@ pub fn run_campaign_sharded(spec: &CampaignSpec, threads: usize, shards: usize) 
     let cells = spec.cells();
     let threads = worker_budget(threads, shards).clamp(1, cells.len().max(1));
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, CellOutcome)>> = Mutex::new(Vec::with_capacity(cells.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    local.push((i, run_cell_sharded(spec, cell, shards)));
-                }
-                collected
-                    .lock()
-                    .expect("campaign worker poisoned the result lock")
-                    .append(&mut local);
-            });
+    let outcomes = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(cell) = cells.get(i) else { break };
+                        local.push((i, run_cell_sharded(spec, cell, shards)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        let mut outcomes = Vec::with_capacity(cells.len());
+        for worker in workers {
+            // A cell that panicked re-raises here with its own payload.
+            match worker.join() {
+                Ok(mut local) => outcomes.append(&mut local),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
+        outcomes
     });
-    let outcomes = collected
-        .into_inner()
-        .expect("campaign worker poisoned the result lock");
     assert_eq!(
         outcomes.len(),
         cells.len(),
@@ -183,6 +186,72 @@ pub fn run_cell_sharded_timed(
 mod tests {
     use super::*;
     use crate::apps::standard_matrix;
+    use crate::spec::{AppSpec, CellCheck, FaultCase, Pathology};
+    use fixd_runtime::{Context, Message, NetworkConfig, Pid, Program};
+    use std::sync::Arc;
+
+    /// Two processes that ping each other; pid 1 panics on its first
+    /// message with a marker the campaign caller must see.
+    struct Bomb;
+
+    impl Program for Bomb {
+        fn on_start(&mut self, ctx: &mut Context) {
+            if ctx.pid() == Pid(0) {
+                ctx.send(Pid(1), 0, vec![1]);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context, _: &Message) {
+            panic!("campaign cell bomb on {}", ctx.pid());
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn restore(&mut self, _: &[u8]) {}
+        fn clone_program(&self) -> Box<dyn Program> {
+            Box::new(Bomb)
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    fn bomb_campaign(threads: usize, shards: usize) {
+        let spec = CampaignSpec::new()
+            .app(AppSpec {
+                name: "bomb",
+                supports: &[Pathology::Clean],
+                build: Arc::new(|cfg| {
+                    let mut w = World::new(cfg);
+                    w.add_process(Box::new(Bomb));
+                    w.add_process(Box::new(Bomb));
+                    w
+                }),
+                monitors: Arc::new(Vec::new),
+                check: Arc::new(|_, _, _| CellCheck::default()),
+            })
+            .case(FaultCase::net_only(
+                "clean",
+                Pathology::Clean,
+                NetworkConfig::default(),
+            ))
+            .seeds(0..4);
+        run_campaign_sharded(&spec, threads, shards);
+    }
+
+    #[test]
+    #[should_panic(expected = "campaign cell bomb on P1")]
+    fn a_panicking_cell_surfaces_with_its_own_message() {
+        bomb_campaign(2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "campaign cell bomb on P1")]
+    fn a_panicking_sharded_cell_surfaces_with_its_own_message() {
+        bomb_campaign(4, 2);
+    }
 
     #[test]
     fn single_cell_runs_and_reports() {

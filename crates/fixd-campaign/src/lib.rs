@@ -28,6 +28,16 @@
 //! assert_eq!(report.violations(), 0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod apps;
 pub mod driver;
 pub mod report;

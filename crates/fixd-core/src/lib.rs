@@ -26,6 +26,16 @@
 //!
 //! Entry point: [`Fixd`]. See `examples/` for complete loops.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod assembly;
 pub mod characteristics;
 pub mod config;

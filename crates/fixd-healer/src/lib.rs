@@ -24,6 +24,16 @@
 //! condition can be automatically verified or has to write the update
 //! such that state equivalence is guaranteed").
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod equivalence;
 pub mod migrate;
 pub mod patch;

@@ -451,6 +451,10 @@ impl<T: TransitionSystem> Run<'_, T> {
             // state is expanded after all; at it, the accounting waits in
             // the node for a relaxation to pick up.
             let mut shard = self.graph.shard(key).lock();
+            // INVARIANT: an item is queued only after its key's node is
+            // in the graph (the root's insert, `offer`), and a run never
+            // removes a node.
+            #[allow(clippy::expect_used)]
             let node = shard.get_mut(&key).expect("a queued key has a node");
             depth = node.depth();
             if depth as usize >= self.cfg.max_depth {

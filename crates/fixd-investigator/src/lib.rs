@@ -32,6 +32,16 @@
 //!   state, the key difference from CMC-style whole-history checking
 //!   (experiments F3/F4).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod checker;
 pub mod envmodel;
 pub mod explorer;

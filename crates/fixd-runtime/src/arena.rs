@@ -181,7 +181,8 @@ impl StepArena {
         meta: crate::event::MsgMeta,
     ) -> SharedMessage {
         if let Some(mut shell) = self.msgs.pop() {
-            let m = Arc::get_mut(&mut shell).expect("pooled shells are unique");
+            // Pooled shells are unique: no copy here.
+            let m = Arc::make_mut(&mut shell);
             m.id = id;
             m.src = src;
             m.dst = dst;
@@ -230,7 +231,8 @@ impl StepArena {
     /// Seal one step into a shared record, reusing a pooled shell.
     pub(crate) fn make_record(&mut self, event: Event, effects: Effects) -> SharedStepRecord {
         if let Some(mut shell) = self.records.pop() {
-            let r = Arc::get_mut(&mut shell).expect("pooled shells are unique");
+            // Pooled shells are unique: no copy here.
+            let r = Arc::make_mut(&mut shell);
             r.event = event;
             r.effects = effects;
             self.records_recycled += 1;

@@ -23,7 +23,7 @@
 //! below and by the golden-determinism fingerprints at shards 1/2/4/8.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::VTime;
 
@@ -103,9 +103,9 @@ impl<E: CalEntry> Bucket<E> {
         }
     }
 
-    fn pop(&mut self) -> E {
+    fn pop(&mut self) -> Option<E> {
         debug_assert!(self.desc);
-        self.items.pop().expect("pop on an empty bucket")
+        self.items.pop()
     }
 }
 
@@ -212,18 +212,15 @@ impl<E: CalEntry + Clone> CalQueue<E> {
     }
 
     /// Advance the cursor to the globally minimal pending tick and make
-    /// its bucket pop-ready. Precondition: the ring or the overflow heap
-    /// is nonempty.
+    /// its bucket pop-ready. A no-op when the ring and the overflow heap
+    /// are both empty.
     fn normalize(&mut self) {
         if self.ring_len == 0 {
             // Ring exhausted: jump the calendar to the overflow minimum.
-            let min_at = self
-                .overflow
-                .peek()
-                .expect("normalize called on an empty calendar")
-                .0
-                .cal_at();
-            self.base = min_at;
+            let Some(head) = self.overflow.peek() else {
+                return;
+            };
+            self.base = head.0.cal_at();
         } else {
             while self.buckets[self.cursor].items.is_empty() {
                 self.cursor = (self.cursor + 1) % SPAN;
@@ -234,16 +231,14 @@ impl<E: CalEntry + Clone> CalQueue<E> {
         // every normalize keeps the invariant that the ring holds *all*
         // entries with `at < base + SPAN` — a same-tick entry must never
         // hide in the overflow behind a bucketed one with a larger key.
-        while let Some(head) = self.overflow.peek() {
+        while let Some(head) = self.overflow.peek_mut() {
             let at = head.0.cal_at();
-            if at - self.base < SPAN as u64 {
-                let e = self.overflow.pop().expect("peeked entry exists").0;
-                let idx = (self.cursor + (at - self.base) as usize) % SPAN;
-                self.buckets[idx].push(e);
-                self.ring_len += 1;
-            } else {
+            if at - self.base >= SPAN as u64 {
                 break;
             }
+            let idx = (self.cursor + (at - self.base) as usize) % SPAN;
+            self.buckets[idx].push(PeekMut::pop(head).0);
+            self.ring_len += 1;
         }
         self.buckets[self.cursor].prepare();
     }
@@ -253,15 +248,28 @@ impl<E: CalEntry + Clone> CalQueue<E> {
         if self.len == 0 {
             return None;
         }
-        self.len -= 1;
         // Past entries are strictly before `base`, hence before every
         // ring/overflow entry; among themselves the heap orders them.
-        if let Some(Rev(e)) = self.past.pop() {
-            return Some(e);
+        let e = match self.past.pop() {
+            Some(Rev(e)) => e,
+            None => {
+                self.normalize();
+                let e = self.buckets[self.cursor].pop()?;
+                self.ring_len -= 1;
+                e
+            }
+        };
+        self.len -= 1;
+        Some(e)
+    }
+
+    /// [`CalQueue::pop`], if the entry it would return is due before
+    /// `end`.
+    pub(crate) fn pop_before(&mut self, end: VTime) -> Option<E> {
+        if self.peek()?.cal_at() >= end {
+            return None;
         }
-        self.normalize();
-        self.ring_len -= 1;
-        Some(self.buckets[self.cursor].pop())
+        self.pop()
     }
 
     /// The entry the next `pop` returns, without removing it. `&mut`

@@ -418,14 +418,11 @@ impl VectorClock {
         }
     }
 
-    /// The spilled pairs, writable, grown by `extra` unwritten slots at
-    /// the end: in place when this handle is the only one and the
-    /// capacity is there, otherwise in a fresh exact-fit buffer (the one
-    /// copy of copy-on-write).
-    fn heap_mut(&mut self, extra: usize) -> &mut [Pair] {
-        let Repr::Heap { len, buf } = &mut self.repr else {
-            unreachable!("heap_mut is only called on a spilled clock");
-        };
+    /// The spilled pairs `(len, buf)` of a [`Repr::Heap`], writable,
+    /// grown by `extra` unwritten slots at the end: in place when this
+    /// handle is the only one and the capacity is there, otherwise in a
+    /// fresh exact-fit buffer (the one copy of copy-on-write).
+    fn heap_mut<'a>(len: &mut u32, buf: &'a mut Arc<[Pair]>, extra: usize) -> &'a mut [Pair] {
         let n = *len as usize;
         let want = n + extra;
         // A count of one cannot rise under us (nobody else has a handle
@@ -437,13 +434,16 @@ impl VectorClock {
             } else {
                 // One allocation: `Arc<[T]>` collects an exact-size
                 // iterator straight into its own block.
-                let mut grown: Arc<[Pair]> = (0..want).map(|_| (0, 0)).collect();
-                Arc::get_mut(&mut grown).expect("fresh buffer")[..n].copy_from_slice(&buf[..n]);
-                grown
+                buf[..n]
+                    .iter()
+                    .copied()
+                    .chain(std::iter::repeat_n((0, 0), extra))
+                    .collect()
             };
         }
         *len = want as u32;
-        &mut Arc::get_mut(buf).expect("sole handle: counted or just copied")[..want]
+        // Sole handle now (counted or just copied): no copy here.
+        &mut Arc::make_mut(buf)[..want]
     }
 
     /// Position of `p` among the stored pairs, or where it would insert.
@@ -486,13 +486,10 @@ impl VectorClock {
     /// copy happens here for a shared spilled clock).
     #[inline]
     fn count_mut(&mut self, i: usize) -> &mut u64 {
-        if let Repr::Heap { .. } = self.repr {
-            return &mut self.heap_mut(0)[i].1;
+        match &mut self.repr {
+            Repr::Inline { counts, .. } => &mut counts[i],
+            Repr::Heap { len, buf } => &mut Self::heap_mut(len, buf, 0)[i].1,
         }
-        let Repr::Inline { counts, .. } = &mut self.repr else {
-            unreachable!("spilled clocks returned above");
-        };
-        &mut counts[i]
     }
 
     /// Insert the new component `(p, c)` at position `i`.
@@ -516,9 +513,9 @@ impl VectorClock {
                     *self = Self::from_sorted(&out);
                 }
             }
-            Repr::Heap { len, .. } => {
+            Repr::Heap { len, buf } => {
                 let n = *len as usize;
-                let buf = self.heap_mut(1);
+                let buf = Self::heap_mut(len, buf, 1);
                 buf.copy_within(i..n, i + 1);
                 buf[i] = (p, c);
             }
@@ -584,7 +581,7 @@ impl VectorClock {
             },
         };
         if copy || missing > 0 {
-            let pairs = self.heap_mut(missing);
+            let pairs = Self::heap_mut(len, buf, missing);
             if copy {
                 max_common(&mut pairs[..n], b);
             }

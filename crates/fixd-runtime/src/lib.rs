@@ -56,6 +56,16 @@
 //! assert_eq!(report.delivered, 2); // ping + pong
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 mod arena;
 mod calqueue;
 pub mod clock;

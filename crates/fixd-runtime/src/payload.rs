@@ -218,7 +218,8 @@ impl Payload {
             let private: Arc<[u8]> = Arc::from(self.as_slice());
             *self = Payload::whole(private);
         }
-        Arc::get_mut(&mut self.buf).expect("payload unique after copy-on-write split")
+        // Unique and whole after the split: no copy here.
+        Arc::make_mut(&mut self.buf)
     }
 
     /// Clone the view (internal helper so `Clone` can count).

@@ -69,22 +69,6 @@ pub(crate) enum Handler<'a> {
     Timer(TimerId),
 }
 
-impl<'a> Handler<'a> {
-    /// The handler `kind` runs.
-    pub(crate) fn of(kind: &'a EventKind) -> Self {
-        match kind {
-            EventKind::Start { .. } => Handler::Start,
-            EventKind::Deliver { msg } => Handler::Deliver(msg),
-            EventKind::TimerFire { timer, .. } => Handler::Timer(*timer),
-            // INVARIANT: `World::step` and `Shard::run_window` ask for a
-            // handler only for the three kinds above, and only for what
-            // `ProcTable::admit` let through — which turns a delivery to
-            // a crashed pid into a `Drop` — so no other kind gets here.
-            other => unreachable!("no handler runs for {other:?}"),
-        }
-    }
-}
-
 impl ProcContext {
     /// The context process `pid` starts with: zero clocks, ids from 1,
     /// and the RNG stream derived from the world's `seed`.
@@ -267,12 +251,21 @@ impl ProcTable {
 
     /// Build a fresh entry for a dormant pid without installing it.
     pub(crate) fn fresh_entry(&self, pid: Pid) -> Box<ProcEntry> {
-        let range = self
-            .lazy
+        Self::materialize(&self.lazy, self.seed, pid)
+    }
+
+    /// The entry dormant `pid` boots with, from its lazy range's factory.
+    // INVARIANT: the table grows only through `World::add_process`,
+    // which installs the new pid, and `World::add_lazy_processes`, which
+    // registers a range over every pid it adds — so an owned slot that
+    // is still empty lies in a lazy range.
+    #[allow(clippy::expect_used)]
+    fn materialize(lazy: &[LazyRange], seed: u64, pid: Pid) -> Box<ProcEntry> {
+        let range = lazy
             .iter()
             .find(|r| r.start <= pid.0 && pid.0 < r.end)
             .expect("dormant pid must belong to a lazy range");
-        Self::entry_for(self.seed, pid, (range.factory)(pid))
+        Self::entry_for(seed, pid, (range.factory)(pid))
     }
 
     #[inline]
@@ -303,15 +296,20 @@ impl ProcTable {
     /// crashed-while-dormant status carries over onto the fresh entry.
     pub(crate) fn ent_mut(&mut self, pid: Pid) -> &mut ProcEntry {
         let i = self.slot_index(pid);
-        if self.slots[i].is_none() {
-            let mut e = self.fresh_entry(pid);
-            if self.dormant_crashed.remove(&pid.0) {
+        let Self {
+            seed,
+            slots,
+            lazy,
+            dormant_crashed,
+            ..
+        } = self;
+        slots[i].get_or_insert_with(|| {
+            let mut e = Self::materialize(lazy, *seed, pid);
+            if dormant_crashed.remove(&pid.0) {
                 e.status = ProcStatus::Crashed;
             }
-            self.slots[i] = Some(e);
-        }
-        // INVARIANT: the slot was filled just above if it was empty.
-        self.slots[i].as_mut().expect("slot materialized above")
+            e
+        })
     }
 
     /// Liveness without materializing: dormant pids are `Running` unless

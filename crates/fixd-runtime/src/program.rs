@@ -211,9 +211,8 @@ impl<'a> Context<'a> {
 
     #[inline]
     fn record_draw(&mut self, v: u64) {
-        std::sync::Arc::get_mut(&mut self.randoms)
-            .expect("draw buffer is unique until sealed")
-            .push(v);
+        // The draw buffer is unique until sealed: no copy here.
+        std::sync::Arc::make_mut(&mut self.randoms).push(v);
     }
 
     /// Emit an observable output (the application's "result" channel).

@@ -63,10 +63,11 @@
 //! * **A window with at most one busy shard runs inline** on the
 //!   calling thread with no hand-off. A shard with no work is not
 //!   touched at all.
-//! * **A handler panic surfaces on the caller.** Each worker has its own
-//!   channel pair; one that dies mid-window drops its ends, the world's
-//!   receive fails, and the step panics instead of waiting for a shard
-//!   that will never come back.
+//! * **A handler panic surfaces on the caller, with its own payload.**
+//!   Each worker has its own channel pair; one that dies mid-window
+//!   drops its ends, the world's receive fails, and the world joins the
+//!   worker and re-raises its panic instead of waiting for a shard that
+//!   will never come back.
 //!
 //! A hand-off is a futex wake of a parked thread and, if the worker
 //! finishes last, one of the caller: on the 2-vCPU reference host
@@ -83,7 +84,6 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::ops::{Deref, DerefMut};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -216,15 +216,29 @@ pub(crate) struct Staged {
     pub(crate) post: PostState,
 }
 
-/// One executed-but-not-yet-committed step, staged by a shard.
-struct PendingStep {
-    at: VTime,
+/// One executed-but-not-yet-committed step, staged by a shard, or a
+/// world-owned event (a drop, a partition flip) at its merge slot.
+pub(crate) struct PendingStep {
+    pub(crate) at: VTime,
     key: SeqKey,
-    kind: EventKind,
+    pub(crate) kind: EventKind,
     /// `None` for steps that run no handler (drops, crashes).
-    staged: Option<Staged>,
+    pub(crate) staged: Option<Staged>,
     /// Payload traffic of executing the step, counted when it commits.
-    payload: PayloadStats,
+    pub(crate) payload: PayloadStats,
+}
+
+impl PendingStep {
+    /// A world-owned event: no handler ran for it, no traffic yet.
+    fn unstaged(qe: QueuedEvent) -> Self {
+        Self {
+            at: qe.at,
+            key: SeqKey::Final(qe.seq),
+            kind: qe.kind,
+            staged: None,
+            payload: PayloadStats::default(),
+        }
+    }
 }
 
 struct Shard {
@@ -261,35 +275,29 @@ impl Shard {
         let t0 = thread_cpu_now();
         self.prov_next = 0;
         self.window_payload = PayloadStats::default();
-        while self.queue.peek().is_some_and(|head| head.at < wend) {
-            let ev = self.queue.pop().expect("peeked head exists");
+        while let Some(ev) = self.queue.pop_before(wend) {
             let p0 = payload::stats();
             let Some(kind) = self.table.admit(ev.kind, &mut self.cancelled) else {
                 continue;
             };
-            let effects = match &kind {
-                EventKind::Start { .. }
-                | EventKind::Deliver { .. }
-                | EventKind::TimerFire { .. } => Some(self.exec(&kind, ev.at, wend)),
-                EventKind::Drop { .. } => None,
+            let (staged, step_payload) = match &kind {
+                EventKind::Start { pid } => self.exec(*pid, Handler::Start, ev.at, wend, p0),
+                EventKind::Deliver { msg } => {
+                    self.exec(msg.dst, Handler::Deliver(msg), ev.at, wend, p0)
+                }
+                EventKind::TimerFire { pid, timer } => {
+                    self.exec(*pid, Handler::Timer(*timer), ev.at, wend, p0)
+                }
                 EventKind::Crash { pid } => {
                     // Status-only: a dormant target stays dormant.
                     self.table.set_status(*pid, ProcStatus::Crashed);
-                    None
+                    (None, payload::stats().since(p0))
                 }
-                other => unreachable!("event kind never queued on a shard: {other:?}"),
+                // Drops (and any other handler-free event) change nothing
+                // on the shard: the world applies them at commit.
+                _ => (None, payload::stats().since(p0)),
             };
-            let step_payload = payload::stats().since(p0);
             self.window_payload = self.window_payload.plus(step_payload);
-            // Capturing the post-step state is not part of the step.
-            let staged = effects.map(|effects| Staged {
-                post: PostState::capture(
-                    self.table
-                        .ent(kind.pid().expect("handler events target a pid"))
-                        .expect("the handler materialized its pid"),
-                ),
-                effects,
-            });
             self.out.push_back(PendingStep {
                 at: ev.at,
                 key: ev.key,
@@ -301,15 +309,24 @@ impl Shard {
         self.busy_window = thread_cpu_now().saturating_sub(t0);
     }
 
-    /// Run one handler and return its effects. Local effect application
-    /// is limited to what cannot escape the shard inside a window: own
-    /// in-window timers (provisional keys), timer cancels, self-crash
-    /// status. Everything global happens when the world commits.
-    fn exec(&mut self, kind: &EventKind, at: VTime, wend: VTime) -> Effects {
-        let pid = kind.pid().expect("handler events target a pid");
+    /// Run one handler and stage it: its effects and the process's state
+    /// after it, plus the step's payload traffic since `p0` — capturing
+    /// the post-step state is not part of the step. Local effect
+    /// application is limited to what cannot escape the shard inside a
+    /// window: own in-window timers (provisional keys), timer cancels,
+    /// self-crash status. Everything global happens when the world
+    /// commits.
+    fn exec(
+        &mut self,
+        pid: Pid,
+        h: Handler,
+        at: VTime,
+        wend: VTime,
+        p0: PayloadStats,
+    ) -> (Option<Staged>, PayloadStats) {
         let n = self.table.width();
         let e = self.table.ent_mut(pid);
-        if let EventKind::Deliver { .. } = kind {
+        if let Handler::Deliver(_) = h {
             self.deliveries += 1;
             if self.stamp_receives {
                 // A supervised run checkpoints the receiver before every
@@ -326,7 +343,7 @@ impl Shard {
         let effects = e.ctx.run_handler(
             pid,
             e.program.as_mut(),
-            Handler::of(kind),
+            h,
             at.max(self.start_time),
             n,
             &mut self.arena,
@@ -348,32 +365,11 @@ impl Shard {
             self.cancelled.insert((pid.0, t.0));
         }
         if effects.crashed {
-            self.table.set_status(pid, ProcStatus::Crashed);
+            e.status = ProcStatus::Crashed;
         }
-        effects
-    }
-}
-
-/// A shard's home slot. The parallel phase moves a busy shard out to
-/// the worker that executes its window and back again before the world
-/// commits, so everywhere else the slot is full and reads as the shard
-/// itself.
-struct Slot(Option<Box<Shard>>);
-
-impl Deref for Slot {
-    type Target = Shard;
-    fn deref(&self) -> &Shard {
-        self.0
-            .as_deref()
-            .expect("shard is home outside the parallel phase")
-    }
-}
-
-impl DerefMut for Slot {
-    fn deref_mut(&mut self) -> &mut Shard {
-        self.0
-            .as_deref_mut()
-            .expect("shard is home outside the parallel phase")
+        let traffic = payload::stats().since(p0);
+        let post = PostState::capture(e);
+        (Some(Staged { effects, post }), traffic)
     }
 }
 
@@ -385,13 +381,57 @@ struct Job {
     wend: VTime,
 }
 
-/// The world's ends of one worker's two channels. Each worker has its
-/// own pair so that a worker dying mid-window (a handler panic)
+/// One worker and the world's ends of its two channels. Each worker has
+/// its own pair so that a worker dying mid-window (a handler panic)
 /// disconnects `done` and the world's receive fails instead of waiting
 /// for a shard that will never come back.
 struct Link {
     job: SyncSender<Job>,
     done: Receiver<Job>,
+    worker: JoinHandle<()>,
+}
+
+impl Link {
+    /// Spawn the worker of shard `s`, parked until its first job.
+    fn spawn(s: usize) -> std::io::Result<Self> {
+        let (job, jobs) = sync_channel::<Job>(1);
+        let (dones, done) = sync_channel::<Job>(1);
+        let worker = std::thread::Builder::new()
+            .name(format!("fixd-shard-{s}"))
+            .spawn(move || {
+                // Parked on the receive between windows; both loop exits
+                // mean the world's ends are gone.
+                while let Ok(mut j) = jobs.recv() {
+                    j.shard.run_window(j.wend);
+                    if dones.send(j).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Self { job, done, worker })
+    }
+
+    /// Close the channels, which wakes a parked worker into its exit,
+    /// and wait for the worker: `Err` carries its panic.
+    fn retire(self) -> std::thread::Result<()> {
+        let Link { job, done, worker } = self;
+        drop((job, done));
+        worker.join()
+    }
+
+    /// The worker closed its channels mid-window: re-raise its panic on
+    /// the calling thread, with the handler's own payload.
+    fn reraise(self) -> ! {
+        match self.retire() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            // INVARIANT: a worker leaves its loop only once one of its
+            // channels is closed, and the world holds its ends of both
+            // until it retires the link — so a closed channel under a
+            // live world means the worker unwound.
+            #[allow(clippy::unreachable)]
+            Ok(()) => unreachable!("a shard worker exited while the world held its channels"),
+        }
+    }
 }
 
 /// Accounting of a sharded world's windows: the parallel critical path
@@ -423,7 +463,7 @@ pub struct ShardTiming {
 
 /// Which staged source the next committed step comes from.
 #[derive(Clone, Copy)]
-pub(crate) enum Head {
+enum Head {
     Shard(usize),
     Drop,
     Partition,
@@ -433,9 +473,17 @@ pub(crate) enum Head {
 /// state: the shards, their workers, and the merge of their staged
 /// windows.
 pub(crate) struct Shards {
-    slots: Vec<Slot>,
+    /// The shards, in shard order; all of them are here outside
+    /// [`Shards::run_window`]. Boxed: a shard travels to its worker and
+    /// back as a pointer.
+    #[allow(clippy::vec_box)]
+    shards: Vec<Box<Shard>>,
+    /// `run_window`'s scratch: each shard's slot for the window, `None`
+    /// while its worker holds it. Empty between windows, capacity kept.
+    away: Vec<Option<Box<Shard>>>,
+    /// `links[s - 1]` is shard `s`'s worker; shard 0 has none — the
+    /// calling thread always executes a shard itself.
     links: Vec<Link>,
-    workers: Vec<JoinHandle<()>>,
     /// Lower bound on delivery latency across the default policy *and
     /// every link override* — the floor any window can shrink to, and
     /// the bound used past a pending partition flip (which may revive
@@ -452,6 +500,8 @@ pub(crate) struct Shards {
     prov_map: Vec<Vec<u64>>,
     /// Route-minted drops awaiting their merge slot (earliest on top).
     drops: BinaryHeap<QueuedEvent>,
+    /// The step that commits next, once [`Shards::next`] staged it.
+    ready: Option<PendingStep>,
     timing: ShardTiming,
     /// Calling-thread CPU clock at the end of the last window.
     last_window_end: Option<Duration>,
@@ -459,10 +509,11 @@ pub(crate) struct Shards {
 
 impl Shards {
     /// `k` shards holding copies of `procs`' processes and lazy
-    /// factories, with `k − 1` parked workers. Panics if the network's
-    /// minimum delivery latency is zero: the conservative window needs
-    /// every send to land strictly after the window it was made in.
-    pub(crate) fn new(procs: &ProcTable, cfg: &WorldConfig, k: usize) -> Self {
+    /// factories, with `k − 1` parked workers; the error of a worker the
+    /// OS could not start. Panics if the network's minimum delivery
+    /// latency is zero: the conservative window needs every send to land
+    /// strictly after the window it was made in.
+    pub(crate) fn new(procs: &ProcTable, cfg: &WorldConfig, k: usize) -> std::io::Result<Self> {
         let mut lat_all = cfg.net.policy.min_latency();
         for l in &cfg.net.links {
             lat_all = lat_all.min(l.policy.min_latency());
@@ -472,9 +523,9 @@ impl Shards {
             "sharded execution requires a minimum network delivery latency of at least 1 \
              virtual tick (got 0): a zero-latency send could influence its own window"
         );
-        let slots = (0..k)
+        let shards = (0..k)
             .map(|s| {
-                Slot(Some(Box::new(Shard {
+                Box::new(Shard {
                     table: procs.shard(k as u32, s as u32),
                     queue: CalQueue::new(),
                     cancelled: HashSet::new(),
@@ -486,52 +537,32 @@ impl Shards {
                     window_payload: PayloadStats::default(),
                     stamp_receives: false,
                     deliveries: 0,
-                })))
+                })
             })
             .collect();
-        // Worker `s` serves shard `s`; shard 0 has none — the calling
-        // thread always executes a shard itself.
-        let (links, workers) = (1..k)
-            .map(|s| {
-                let (job, jobs) = sync_channel::<Job>(1);
-                let (dones, done) = sync_channel::<Job>(1);
-                let worker = std::thread::Builder::new()
-                    .name(format!("fixd-shard-{s}"))
-                    .spawn(move || {
-                        // Parked on the receive between windows; both
-                        // loop exits mean the world is gone.
-                        while let Ok(mut j) = jobs.recv() {
-                            j.shard.run_window(j.wend);
-                            if dones.send(j).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn a shard worker");
-                (Link { job, done }, worker)
-            })
-            .unzip();
-        Self {
-            slots,
+        let links = (1..k).map(Link::spawn).collect::<std::io::Result<_>>()?;
+        Ok(Self {
+            shards,
+            away: Vec::with_capacity(k),
             links,
-            workers,
             lat_all,
             partition_pending: VecDeque::new(),
             wend: 0,
             prov_map: vec![Vec::new(); k],
             drops: BinaryHeap::new(),
+            ready: None,
             timing: ShardTiming::default(),
             last_window_end: None,
-        }
+        })
     }
 
     #[inline]
     fn owner(&self, pid: Pid) -> usize {
-        pid.idx() % self.slots.len()
+        pid.idx() % self.shards.len()
     }
 
     pub(crate) fn count(&self) -> usize {
-        self.slots.len()
+        self.shards.len()
     }
 
     pub(crate) fn timing(&self) -> ShardTiming {
@@ -539,17 +570,17 @@ impl Shards {
     }
 
     pub(crate) fn arena_stats(&self) -> Vec<ArenaStats> {
-        self.slots.iter().map(|s| s.arena.stats()).collect()
+        self.shards.iter().map(|s| s.arena.stats()).collect()
     }
 
     /// Switch on the shards' prediction of the Time Machine's
     /// per-receive stamping (see [`Shard::stamp_receives`]).
     pub(crate) fn stamp_receives(&mut self) {
         assert!(
-            self.slots.iter().all(|s| s.deliveries == 0),
+            self.shards.iter().all(|s| s.deliveries == 0),
             "receive stamping must cover every delivery: one has already run"
         );
-        for s in &mut self.slots {
+        for s in &mut self.shards {
             s.stamp_receives = true;
         }
     }
@@ -559,57 +590,50 @@ impl Shards {
     pub(crate) fn adopt(&mut self, mut events: Vec<QueuedEvent>) {
         events.sort_unstable_by_key(|qe| (qe.at, qe.seq));
         for qe in events {
-            let Some(pid) = qe.kind.pid() else {
-                self.partition_pending.push_back(qe);
-                continue;
-            };
-            let s = self.owner(pid);
-            self.slots[s].queue.push(ShardEvent {
-                at: qe.at,
-                key: SeqKey::Final(qe.seq),
-                kind: qe.kind,
-            });
+            self.enqueue(qe);
         }
     }
 
+    /// Queue a world-minted event for a later window: on its pid's
+    /// shard, or, without a pid (a partition flip), with the world's own
+    /// events.
+    fn enqueue(&mut self, qe: QueuedEvent) {
+        let Some(pid) = qe.kind.pid() else {
+            self.partition_pending.push_back(qe);
+            return;
+        };
+        let s = self.owner(pid);
+        self.shards[s].queue.push(ShardEvent {
+            at: qe.at,
+            key: SeqKey::Final(qe.seq),
+            kind: qe.kind,
+        });
+    }
+
     /// Take the events one committed step scheduled (`batch`, minted by
-    /// the world's serial code): deliveries go to their receivers'
-    /// shards for a later window, drops join the merge, and a timer
-    /// either resolves the provisional key its shard ran it under or is
-    /// queued for a later window.
+    /// the world's serial code): drops join the merge, a timer inside
+    /// the window resolves the provisional key its shard ran it under,
+    /// and the rest (deliveries, later timers) go to their pids' shards
+    /// for a later window.
     pub(crate) fn absorb(&mut self, batch: &mut Vec<QueuedEvent>) {
         for qe in batch.drain(..) {
             match qe.kind {
-                EventKind::Deliver { msg } => {
+                EventKind::Drop { .. } => self.drops.push(qe),
+                EventKind::TimerFire { pid, .. } if qe.at < self.wend => {
+                    // Executed in-window under a provisional key. Mint
+                    // indices are handed out densely and in order, so
+                    // index `m` is the `m`-th push (a minter always
+                    // commits before its timer).
+                    let s = self.owner(pid);
+                    self.prov_map[s].push(qe.seq);
+                }
+                _ => {
                     assert!(
                         qe.at >= self.wend,
                         "conservative window violated: a send delivered inside its own window"
                     );
-                    let s = self.owner(msg.dst);
-                    self.slots[s].queue.push(ShardEvent {
-                        at: qe.at,
-                        key: SeqKey::Final(qe.seq),
-                        kind: EventKind::Deliver { msg },
-                    });
+                    self.enqueue(qe);
                 }
-                kind @ EventKind::Drop { .. } => self.drops.push(QueuedEvent { kind, ..qe }),
-                EventKind::TimerFire { pid, timer } => {
-                    let s = self.owner(pid);
-                    if qe.at < self.wend {
-                        // Executed in-window under a provisional key.
-                        // Mint indices are handed out densely and in
-                        // order, so index `m` is the `m`-th push (a
-                        // minter always commits before its timer).
-                        self.prov_map[s].push(qe.seq);
-                    } else {
-                        self.slots[s].queue.push(ShardEvent {
-                            at: qe.at,
-                            key: SeqKey::Final(qe.seq),
-                            kind: EventKind::TimerFire { pid, timer },
-                        });
-                    }
-                }
-                other => unreachable!("a step schedules only sends and timers: {other:?}"),
             }
         }
     }
@@ -622,10 +646,15 @@ impl Shards {
                 best = Some((at, seq, head));
             }
         };
-        for (s, sh) in self.slots.iter().enumerate() {
+        for (s, sh) in self.shards.iter().enumerate() {
             if let Some(ps) = sh.out.front() {
                 let seq = match ps.key {
                     SeqKey::Final(q) => q,
+                    // INVARIANT: a provisional key is a timer its own
+                    // shard minted this window; the minting step comes
+                    // first in `out`, and committing it resolved the key
+                    // (`absorb`) before this step reached the front.
+                    #[allow(clippy::expect_used)]
                     SeqKey::Provisional(m) => *self.prov_map[s]
                         .get(m as usize)
                         .expect("provisional key resolved before its record merges"),
@@ -644,11 +673,12 @@ impl Shards {
         best.map(|(_, _, head)| head)
     }
 
-    /// The next step to commit, running windows until one is staged;
-    /// `None` once nothing is pending. `procs` and `partition` are the
-    /// world's (current at a window boundary); the payload traffic of
-    /// windows run on the calling thread is added to `local`, because
-    /// its counters already hold it.
+    /// The step that commits next, staged until [`Shards::take`] takes
+    /// it: windows run until one is staged, and `None` once nothing is
+    /// pending. `procs` and `partition` are the world's (current at a
+    /// window boundary); the payload traffic of windows run on the
+    /// calling thread is added to `local`, because its counters already
+    /// hold it.
     pub(crate) fn next(
         &mut self,
         net: &NetworkConfig,
@@ -656,10 +686,40 @@ impl Shards {
         procs: &ProcTable,
         arena: &mut StepArena,
         local: &mut PayloadStats,
-    ) -> Option<Head> {
+    ) -> Option<&PendingStep> {
+        if self.ready.is_none() {
+            self.ready = self.stage(net, partition, procs, arena, local);
+        }
+        self.ready.as_ref()
+    }
+
+    /// Take the step [`Shards::next`] staged, to commit it.
+    pub(crate) fn take(&mut self) -> Option<PendingStep> {
+        self.ready.take()
+    }
+
+    /// Remove the step that commits next from its source, running
+    /// windows until one is staged.
+    fn stage(
+        &mut self,
+        net: &NetworkConfig,
+        partition: &Partition,
+        procs: &ProcTable,
+        arena: &mut StepArena,
+        local: &mut PayloadStats,
+    ) -> Option<PendingStep> {
         loop {
-            if let Some(head) = self.head() {
-                return Some(head);
+            let step = match self.head() {
+                Some(Head::Shard(s)) => self.shards[s].out.pop_front(),
+                Some(Head::Drop) => self.drops.pop().map(PendingStep::unstaged),
+                Some(Head::Partition) => self
+                    .partition_pending
+                    .pop_front()
+                    .map(PendingStep::unstaged),
+                None => None,
+            };
+            if step.is_some() {
+                return step;
             }
             for resolved in &mut self.prov_map {
                 resolved.clear();
@@ -672,43 +732,6 @@ impl Shards {
             *local = local.plus(self.run_window(wend, arena));
         }
     }
-
-    /// Pop the step [`Shards::next`] returned.
-    pub(crate) fn pop(&mut self, head: Head) -> (VTime, EventKind, Option<Staged>, PayloadStats) {
-        let qe = match head {
-            Head::Shard(s) => {
-                let ps = self.slots[s].out.pop_front().expect("head step exists");
-                return (ps.at, ps.kind, ps.staged, ps.payload);
-            }
-            Head::Drop => self.drops.pop(),
-            Head::Partition => self.partition_pending.pop_front(),
-        };
-        let qe = qe.expect("head event exists");
-        (qe.at, qe.kind, None, PayloadStats::default())
-    }
-
-    /// The time and (cloned) kind of the step [`Shards::next`] returned.
-    pub(crate) fn peek(&self, head: Head) -> (VTime, EventKind) {
-        let (at, kind) = match head {
-            Head::Shard(s) => {
-                let ps = self.slots[s].out.front().expect("head step exists");
-                (ps.at, &ps.kind)
-            }
-            Head::Drop => {
-                let qe = self.drops.peek().expect("head drop exists");
-                (qe.at, &qe.kind)
-            }
-            Head::Partition => {
-                let qe = self
-                    .partition_pending
-                    .front()
-                    .expect("head partition exists");
-                (qe.at, &qe.kind)
-            }
-        };
-        (at, kind.clone())
-    }
-
     /// End of the conservative window starting at `tmin`, recomputed
     /// **per window** from the live per-edge delivery policies:
     ///
@@ -755,7 +778,7 @@ impl Shards {
     /// schedule — the next window's start. Shard-count-invariant: it is
     /// the global queue minimum.
     fn min_pending(&self) -> Option<VTime> {
-        self.slots
+        self.shards
             .iter()
             .filter_map(|sh| sh.queue.min_at())
             .chain(self.partition_pending.front().map(|p| p.at))
@@ -784,47 +807,48 @@ impl Shards {
         // handlers — hand the reclaimed shells back before dispatch.
         let pooled = arena.stats().msgs_pooled;
         if pooled > 0 {
-            let share = (pooled / self.slots.len()).max(1);
-            for sh in &mut self.slots {
+            let share = (pooled / self.shards.len()).max(1);
+            for sh in &mut self.shards {
                 sh.arena.take_messages_from(arena, share);
             }
         }
         let mut own: Option<usize> = None;
-        for (s, slot) in self.slots.iter_mut().enumerate() {
+        for (s, mut shard) in self.shards.drain(..).enumerate() {
             // Work is an event inside the window.
-            if slot.queue.peek().is_none_or(|head| head.at >= wend) {
-                slot.busy_window = Duration::ZERO;
+            if shard.queue.peek().is_none_or(|head| head.at >= wend) {
+                shard.busy_window = Duration::ZERO;
             } else if own.is_none() {
                 own = Some(s);
             } else {
-                let shard = slot.0.take().expect("shard is home at window start");
-                self.links[s - 1]
-                    .job
-                    .send(Job { shard, wend })
-                    .expect("shard worker panicked");
+                if self.links[s - 1].job.send(Job { shard, wend }).is_err() {
+                    self.links.swap_remove(s - 1).reraise();
+                }
+                self.away.push(None);
+                continue;
             }
+            self.away.push(Some(shard));
         }
         let mut local = PayloadStats::default();
-        if let Some(s) = own {
-            self.slots[s].run_window(wend);
-            local = self.slots[s].window_payload;
+        if let Some(shard) = own.and_then(|s| self.away[s].as_deref_mut()) {
+            shard.run_window(wend);
+            local = shard.window_payload;
         }
-        let mut inline = true;
-        for (s, slot) in self.slots.iter_mut().enumerate() {
-            if slot.0.is_none() {
+        let inline = self.away.iter().all(Option::is_some);
+        for (s, slot) in self.away.drain(..).enumerate() {
+            let shard = match slot {
+                Some(shard) => shard,
                 // A worker that panicked dropped its end of `done`.
-                let j = self.links[s - 1]
-                    .done
-                    .recv()
-                    .expect("shard worker panicked");
-                slot.0 = Some(j.shard);
-                inline = false;
-            }
+                None => match self.links[s - 1].done.recv() {
+                    Ok(j) => j.shard,
+                    Err(_) => self.links.swap_remove(s - 1).reraise(),
+                },
+            };
+            self.shards.push(shard);
         }
         self.timing.windows += 1;
         self.timing.inline_windows += u64::from(inline);
         self.timing.critical += self
-            .slots
+            .shards
             .iter()
             .map(|s| s.busy_window)
             .max()
@@ -836,11 +860,9 @@ impl Shards {
 
 impl Drop for Shards {
     fn drop(&mut self) {
-        // Closing the channels wakes every parked worker into its exit.
-        self.links.clear();
-        for w in self.workers.drain(..) {
+        for link in self.links.drain(..) {
             // A worker that panicked already surfaced on the caller.
-            let _ = w.join();
+            let _ = link.retire();
         }
     }
 }

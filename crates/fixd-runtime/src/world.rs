@@ -265,7 +265,9 @@ impl World {
     /// table is the serial world's after every step, so anything that
     /// drives a serial world through `peek`/`step` drives a sharded one
     /// unchanged. See [`crate::shard`] for the window discipline, and
-    /// for what a sharded world refuses.
+    /// for what a sharded world refuses. If the OS cannot start the
+    /// workers, the world stays on one shard: the same steps, on the
+    /// calling thread.
     ///
     /// Panics if the network's minimum delivery latency is zero.
     pub fn shard(&mut self, k: usize) {
@@ -279,12 +281,15 @@ impl World {
         );
         // Copying the programs is not part of the run.
         let p0 = crate::payload::stats();
-        let mut shards = Box::new(Shards::new(&self.procs, &self.cfg, k));
+        let shards = Shards::new(&self.procs, &self.cfg, k);
         self.payload_base = self.payload_base.plus(crate::payload::stats().since(p0));
+        let Ok(mut shards) = shards else {
+            return;
+        };
         if self.sealed {
             shards.adopt(self.queue.drain_all());
         }
-        self.shards = Some(shards);
+        self.shards = Some(Box::new(shards));
     }
 
     /// The number of shards the handlers run on (1 unless
@@ -458,16 +463,20 @@ impl World {
     /// repeated peeks return the same event until `step` consumes it.
     pub fn peek(&mut self) -> Option<Event> {
         self.seal();
-        if self.shards.is_some() {
+        if let Some(sh) = self.shards.as_deref_mut() {
+            let step = sh.next(
+                &self.cfg.net,
+                &self.partition,
+                &self.procs,
+                &mut self.arena,
+                &mut self.payload_base,
+            )?;
             // One counted kind-clone, exactly like the staged-event
             // clone below.
-            let head = self.next_sharded()?;
-            let sh = self.shards.as_deref().expect("sharded");
-            let (at, kind) = sh.peek(head);
             return Some(Event {
                 seq: self.exec_seq,
-                at,
-                kind,
+                at: step.at,
+                kind: step.kind.clone(),
             });
         }
         let qe = self.next_valid()?;
@@ -492,12 +501,17 @@ impl World {
         self.seal();
         // On shards the handler already ran: `staged` holds its effects
         // and the acting process's state after it.
-        let (at, kind, staged) = if self.shards.is_some() {
-            let head = self.next_sharded()?;
-            let sh = self.shards.as_deref_mut().expect("sharded");
-            let (at, kind, staged, traffic) = sh.pop(head);
-            self.payload_base = self.payload_base.since(traffic);
-            (at, kind, staged)
+        let (at, kind, staged) = if let Some(sh) = self.shards.as_deref_mut() {
+            sh.next(
+                &self.cfg.net,
+                &self.partition,
+                &self.procs,
+                &mut self.arena,
+                &mut self.payload_base,
+            )?;
+            let step = sh.take()?;
+            self.payload_base = self.payload_base.since(step.payload);
+            (step.at, step.kind, step.staged)
         } else {
             let qe = self.next_valid()?;
             (qe.at, qe.kind, None)
@@ -508,12 +522,13 @@ impl World {
         let at = self.now;
 
         let effects = match &kind {
-            EventKind::Start { pid } | EventKind::TimerFire { pid, .. } => {
-                self.handle(*pid, &kind, staged)
+            EventKind::Start { pid } => self.handle(*pid, Handler::Start, staged),
+            EventKind::TimerFire { pid, timer } => {
+                self.handle(*pid, Handler::Timer(*timer), staged)
             }
             EventKind::Deliver { msg } => {
                 self.stats.delivered += 1;
-                self.handle(msg.dst, &kind, staged)
+                self.handle(msg.dst, Handler::Deliver(msg), staged)
             }
             EventKind::Drop { .. } => {
                 self.stats.dropped += 1;
@@ -539,35 +554,16 @@ impl World {
         Some(record)
     }
 
-    /// The next step a sharded world commits, running windows until one
-    /// is staged.
-    fn next_sharded(&mut self) -> Option<crate::shard::Head> {
-        let sh = self.shards.as_deref_mut().expect("sharded");
-        sh.next(
-            &self.cfg.net,
-            &self.partition,
-            &self.procs,
-            &mut self.arena,
-            &mut self.payload_base,
-        )
-    }
-
     /// Run `pid`'s handler here, or commit the run its shard staged:
     /// write the process's post-step state into the world's table, then
     /// apply the effects as if the handler had run here.
-    fn handle(&mut self, pid: Pid, kind: &EventKind, staged: Option<Staged>) -> Effects {
+    fn handle(&mut self, pid: Pid, h: Handler, staged: Option<Staged>) -> Effects {
         let effects = match staged {
             None => {
                 let n = self.procs.width();
                 let e = self.procs.ent_mut(pid);
-                e.ctx.run_handler(
-                    pid,
-                    e.program.as_mut(),
-                    Handler::of(kind),
-                    self.now,
-                    n,
-                    &mut self.arena,
-                )
+                e.ctx
+                    .run_handler(pid, e.program.as_mut(), h, self.now, n, &mut self.arena)
             }
             Some(Staged { effects, post }) => {
                 // Restoring the copy is not part of the run.

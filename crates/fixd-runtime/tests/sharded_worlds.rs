@@ -710,8 +710,9 @@ impl Program for Saboteur {
     }
 }
 
-/// A handler panic must reach the caller as a panic — a coordinator
-/// left waiting for a shard that died with its worker would hang.
+/// A handler panic must reach the caller as that panic, with its own
+/// message — a coordinator left waiting for a shard that died with its
+/// worker would hang.
 fn run_with_handler_panic(shards: usize, culprit: Pid, witness: Pid) {
     assert_ne!(culprit.idx() % shards, witness.idx() % shards);
     let mut cfg = WorldConfig::seeded(0x5AB0);
@@ -732,7 +733,7 @@ fn run_with_handler_panic(shards: usize, culprit: Pid, witness: Pid) {
 macro_rules! handler_panic_surfaces {
     ($($name:ident: $shards:expr, $culprit:expr, $witness:expr;)*) => {$(
         #[test]
-        #[should_panic]
+        #[should_panic(expected = "handler bug on")]
         fn $name() {
             run_with_handler_panic($shards, Pid($culprit), Pid($witness));
         }

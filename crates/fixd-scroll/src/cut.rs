@@ -48,27 +48,28 @@ impl Cut {
     }
 
     /// The frontier clock of process `p` under this cut: the vector clock
-    /// of its last included entry (zero clock if none). Reads the entry
-    /// where it lies ([`ScrollStore::entry`]): nothing is decoded for a
-    /// cut inside the resident tail.
-    pub fn frontier(&self, store: &ScrollStore, p: Pid) -> VectorClock {
+    /// of its last included entry (zero clock if none); `None` if the cut
+    /// takes more of `p` than its scroll holds. Reads the entry where it
+    /// lies ([`ScrollStore::entry`]): nothing is decoded for a cut inside
+    /// the resident tail.
+    pub fn frontier(&self, store: &ScrollStore, p: Pid) -> Option<VectorClock> {
         match self.count(p) {
-            0 => VectorClock::ZERO,
-            c => {
-                let last = store.entry(p, c - 1);
-                last.expect("cut within the scroll").vc.clone()
-            }
+            0 => Some(VectorClock::ZERO),
+            c => store.entry(p, c - 1).map(|last| last.vc.clone()),
         }
     }
 
-    /// Is the cut consistent? For all p, q: process p must not have
-    /// observed more of q's history than the cut includes of q:
-    /// `frontier(p)[q] <= frontier(q)[q]`.
+    /// Is the cut consistent? It must lie within the store, and for all
+    /// p, q process p must not have observed more of q's history than
+    /// the cut includes of q: `frontier(p)[q] <= frontier(q)[q]`.
     pub fn is_consistent(&self, store: &ScrollStore) -> bool {
-        let n = store.width();
-        let frontiers: Vec<VectorClock> = (0..n)
+        let n = store.width().max(self.counts.len());
+        let frontiers: Option<Vec<VectorClock>> = (0..n)
             .map(|i| self.frontier(store, Pid(i as u32)))
             .collect();
+        let Some(frontiers) = frontiers else {
+            return false;
+        };
         for p in 0..n {
             for (q, frontier_q) in frontiers.iter().enumerate() {
                 if p == q {
@@ -104,8 +105,14 @@ pub fn latest_consistent_cut(store: &ScrollStore, fault_pid: Pid, limit: usize) 
     }
     loop {
         let cut = Cut::new(counts.clone());
-        let frontiers: Vec<VectorClock> =
-            (0..n).map(|i| cut.frontier(store, Pid(i as u32))).collect();
+        // The counts start at the store's lengths and only shrink, so
+        // every frontier lies within the scroll.
+        let frontiers: Vec<VectorClock> = (0..n)
+            .map(|i| {
+                cut.frontier(store, Pid(i as u32))
+                    .unwrap_or(VectorClock::ZERO)
+            })
+            .collect();
         let mut changed = false;
         for p in 0..n {
             for (q, frontier_q) in frontiers.iter().enumerate() {
@@ -117,7 +124,7 @@ pub fn latest_consistent_cut(store: &ScrollStore, fault_pid: Pid, limit: usize) 
                 // its frontier no longer exceeds q's self-component.
                 while counts[p] > 0 {
                     let fp = Cut::new(counts.clone()).frontier(store, Pid(p as u32));
-                    if fp.get(qq) <= frontier_q.get(qq) {
+                    if fp.is_none_or(|fp| fp.get(qq) <= frontier_q.get(qq)) {
                         break;
                     }
                     counts[p] -= 1;
@@ -222,7 +229,20 @@ mod tests {
     fn frontier_of_empty_prefix_is_zero() {
         let store = pingpong_store(2);
         let cut = Cut::empty(2);
-        assert_eq!(cut.frontier(&store, Pid(0)).total(), 0);
+        assert_eq!(cut.frontier(&store, Pid(0)).map(|f| f.total()), Some(0));
+    }
+
+    #[test]
+    fn a_cut_beyond_the_scroll_is_not_consistent() {
+        let store = pingpong_store(2);
+        let len = store.len(Pid(0));
+        let cut = Cut::new(vec![len + 1, 0]);
+        assert_eq!(cut.frontier(&store, Pid(0)), None);
+        assert!(!cut.is_consistent(&store));
+        assert!(
+            !Cut::new(vec![0, 0, 1]).is_consistent(&store),
+            "a pid beyond the store"
+        );
     }
 
     #[test]

@@ -28,6 +28,16 @@
 //! * [`storage`], [`query`], [`stats`] — persistence, trace queries, and
 //!   the measurements behind experiment **F1**.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod codec;
 pub mod cut;
 pub mod entry;

@@ -41,6 +41,15 @@
 //! store's in-memory segment record.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod image;
 pub mod store;
@@ -85,15 +94,15 @@ const P5: u64 = 0x27d4_eb2f_1656_67c5;
 /// runs and platforms, but free to change value with the function:
 /// nothing outside the process may pin it.
 pub fn content_hash(bytes: &[u8]) -> u64 {
-    let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("8-byte word"));
-    let mut stripes = bytes.chunks_exact(32);
-    let mut h = if bytes.len() >= 32 {
+    let (stripes, rest) = bytes.as_chunks::<32>();
+    let mut h = if stripes.is_empty() {
+        P5
+    } else {
         let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-        for s in &mut stripes {
-            v[0] = xxh_round(v[0], word(&s[0..]));
-            v[1] = xxh_round(v[1], word(&s[8..]));
-            v[2] = xxh_round(v[2], word(&s[16..]));
-            v[3] = xxh_round(v[3], word(&s[24..]));
+        for s in stripes {
+            for (lane, w) in v.iter_mut().zip(s.as_chunks::<8>().0) {
+                *lane = xxh_round(*lane, u64::from_le_bytes(*w));
+            }
         }
         let h = v[0]
             .rotate_left(1)
@@ -103,18 +112,15 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
         v.into_iter().fold(h, |h, lane| {
             (h ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
         })
-    } else {
-        P5
     };
     h = h.wrapping_add(bytes.len() as u64);
-    let mut words = stripes.remainder().chunks_exact(8);
-    for w in &mut words {
-        h = (h ^ xxh_round(0, word(w)))
+    let (words, mut tail) = rest.as_chunks::<8>();
+    for w in words {
+        h = (h ^ xxh_round(0, u64::from_le_bytes(*w)))
             .rotate_left(27)
             .wrapping_mul(P1)
             .wrapping_add(P4);
     }
-    let mut tail = words.remainder();
     if let Some((half, rest)) = tail.split_first_chunk::<4>() {
         h = (h ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(P1))
             .rotate_left(23)

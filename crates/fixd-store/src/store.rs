@@ -54,8 +54,10 @@ struct Slot {
 struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("slot keys are u64 and hash through write_u64");
+    /// Slot keys hash through [`Hasher::write_u64`]; other bytes get a
+    /// real hash.
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = crate::content_hash(bytes);
     }
 
     #[inline]

@@ -297,7 +297,10 @@ impl TimeMachine {
                 continue;
             }
             let pid = Pid(i as u32);
-            let events_at = self.stores[i].restore(world, l).expect("validated above");
+            // Validated above, so this restores.
+            let Some(events_at) = self.stores[i].restore(world, l) else {
+                return Err(RollbackError::NoSuchCheckpoint { pid, index: l });
+            };
             report.procs_rolled += 1;
             report.events_undone += self.events_handled[i] - events_at;
             // Rolling back to the initial checkpoint undoes the process's

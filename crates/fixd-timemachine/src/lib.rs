@@ -31,6 +31,16 @@
 //! restores. Experiment **F2**'s eager full-copy baseline is
 //! `fixd-baselines::flashback`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod checkpoint;
 pub mod cic;
 pub mod dependency;
