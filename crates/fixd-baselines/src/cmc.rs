@@ -85,6 +85,7 @@ mod tests {
     /// request kind — a deadlock under "client waits" semantics is not
     /// modelled (message passing is async), but the leak check catches a
     /// client that mails a crashed server.
+    #[derive(Clone)]
     struct Client;
     impl Program for Client {
         fn on_start(&mut self, ctx: &mut Context) {
@@ -94,17 +95,9 @@ mod tests {
             vec![]
         }
         fn restore(&mut self, _b: &[u8]) {}
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Client)
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
+    #[derive(Clone)]
     struct Server {
         served: u64,
     }
@@ -118,17 +111,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.served = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Server {
-                served: self.served,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

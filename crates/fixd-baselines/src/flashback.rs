@@ -84,6 +84,7 @@ mod tests {
     use super::*;
     use fixd_runtime::{Context, Program, WorldConfig};
 
+    #[derive(Clone)]
     struct Blob {
         data: Vec<u8>,
     }
@@ -103,17 +104,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.data = b.to_vec();
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Blob {
-                data: self.data.clone(),
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

@@ -79,6 +79,7 @@ mod tests {
     use super::*;
     use fixd_runtime::{Context, Message, WorldConfig};
 
+    #[derive(Clone)]
     struct Echo {
         n: u64,
     }
@@ -99,15 +100,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.n = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Echo { n: self.n })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -142,6 +134,7 @@ mod tests {
     fn replay_detects_code_drift() {
         let mut w = world(9);
         let (ll, _) = Liblog::record(&mut w, 9, 10_000);
+        #[derive(Clone)]
         struct Echo2;
         impl Program for Echo2 {
             fn on_message(&mut self, ctx: &mut Context, msg: &Message) {
@@ -152,15 +145,6 @@ mod tests {
                 vec![]
             }
             fn restore(&mut self, _b: &[u8]) {}
-            fn clone_program(&self) -> Box<dyn Program> {
-                Box::new(Echo2)
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         assert_ne!(ll.replay(Pid(1), &mut Echo2), Fidelity::Exact);
     }

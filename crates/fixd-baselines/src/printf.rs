@@ -122,6 +122,7 @@ mod tests {
     use super::*;
     use fixd_runtime::{Context, Pid, Program, WorldConfig};
 
+    #[derive(Clone)]
     struct Chat;
     impl Program for Chat {
         fn on_start(&mut self, ctx: &mut Context) {
@@ -139,15 +140,6 @@ mod tests {
             vec![]
         }
         fn restore(&mut self, _b: &[u8]) {}
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Chat)
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]

@@ -59,6 +59,7 @@ mod tests {
     use super::*;
     use fixd_runtime::{Context, WorldConfig};
 
+    #[derive(Clone)]
     struct Work {
         done: u64,
     }
@@ -78,15 +79,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.done = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Work { done: self.done })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

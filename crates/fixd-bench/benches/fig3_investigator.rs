@@ -36,7 +36,7 @@ use fixd_investigator::{
     WorldState,
 };
 use fixd_runtime::wire::content_hash;
-use fixd_runtime::{Pid, Program};
+use fixd_runtime::{CloneProgram, Pid, Program};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;

@@ -62,6 +62,7 @@ fn main() {
     println!("\n== checking a real implementation (the §4.3 example) ==");
     // An event-based protocol: the *actual* Program code runs inside the
     // model checker; network actions are the modeled environment.
+    #[derive(Clone)]
     struct Counter {
         n: u8,
     }
@@ -80,15 +81,6 @@ fn main() {
         }
         fn restore(&mut self, b: &[u8]) {
             self.n = b[0];
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Counter { n: self.n })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
     let md = ModelD::from_initial(1, NetModel::reliable(), || {

@@ -48,6 +48,7 @@ const MIN_SPEEDUP: f64 = 2.0;
 /// Gossip with heavy deterministic compute per delivery: each process
 /// seeds two chains on start; every delivery burns `WORK_ITERS` of hash
 /// work, then forwards to two neighbors until the TTL dies.
+#[derive(Clone)]
 struct Churn {
     acc: u64,
     seen: u64,
@@ -91,18 +92,6 @@ impl Program for Churn {
     fn restore(&mut self, b: &[u8]) {
         self.acc = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.seen = u64::from_le_bytes(b[8..16].try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Churn {
-            acc: self.acc,
-            seen: self.seen,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -78,6 +78,7 @@ pub fn live_bytes() -> usize {
 /// A gossip workload: P0 seeds `ttl`-hop rumors to every neighbor; each
 /// receipt mutates a `state_size`-byte buffer sparsely and forwards until
 /// the ttl expires. Tunable event count ≈ `seeds * (ttl + 1)`.
+#[derive(Clone)]
 pub struct Gossiper {
     pub buf: Vec<u8>,
     pub seen: u64,
@@ -121,18 +122,6 @@ impl Program for Gossiper {
         self.seen = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.buf = b[8..].to_vec();
     }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Gossiper {
-            buf: self.buf.clone(),
-            seen: self.seen,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Build a gossip world.
@@ -151,6 +140,7 @@ pub fn gossip_world(n: usize, seed: u64, state_size: usize, jitter: bool) -> Wor
 /// An all-to-all broadcast: every process shouts to every other at start
 /// and counts receipts. With n processes, n(n−1) concurrent messages
 /// interleave — the workload that exhibits the §2.1 state-space wall.
+#[derive(Clone)]
 pub struct Shouter {
     pub heard: u64,
 }
@@ -167,15 +157,6 @@ impl Program for Shouter {
     }
     fn restore(&mut self, b: &[u8]) {
         self.heard = u64::from_le_bytes(b.try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Shouter { heard: self.heard })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

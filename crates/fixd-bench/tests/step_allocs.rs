@@ -31,6 +31,7 @@ const WARM_STEPS: u64 = 20_000;
 const STEADY_STEPS: u64 = 76_048;
 
 /// Passes every token on to its neighbour, forever.
+#[derive(Clone)]
 struct Gossip {
     out: Payload,
 }
@@ -53,17 +54,6 @@ impl Program for Gossip {
         Vec::new()
     }
     fn restore(&mut self, _b: &[u8]) {}
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Gossip {
-            out: self.out.clone(),
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[test]

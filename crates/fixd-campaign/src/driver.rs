@@ -192,6 +192,7 @@ mod tests {
 
     /// Two processes that ping each other; pid 1 panics on its first
     /// message with a marker the campaign caller must see.
+    #[derive(Clone)]
     struct Bomb;
 
     impl Program for Bomb {
@@ -207,15 +208,6 @@ mod tests {
             Vec::new()
         }
         fn restore(&mut self, _: &[u8]) {}
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Bomb)
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     fn bomb_campaign(threads: usize, shards: usize) {

@@ -34,6 +34,7 @@ mod tests {
     };
     use fixd_runtime::{Context, Program, WorldConfig};
 
+    #[derive(Clone)]
     struct Hop {
         hops: u64,
     }
@@ -55,15 +56,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.hops = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Hop { hops: self.hops })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

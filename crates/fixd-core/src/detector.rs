@@ -84,7 +84,7 @@ impl Monitor {
             name: name.to_string(),
             check: Check::Local {
                 holds: Arc::new(move |pid, p: &dyn Program| {
-                    p.as_any().downcast_ref::<P>().is_none_or(|t| f(pid, t))
+                    p.downcast_ref::<P>().is_none_or(|t| f(pid, t))
                 }),
                 memo,
             },
@@ -291,7 +291,7 @@ where
     I: Clone + PartialEq + Send + Sync + 'static,
 {
     fn holds(&mut self, pid: Pid, p: &dyn Program) -> bool {
-        let Some(p) = p.as_any().downcast_ref::<P>() else {
+        let Some(p) = p.downcast_ref::<P>() else {
             return true;
         };
         if self.seen.len() <= pid.idx() {
@@ -310,7 +310,7 @@ where
     }
 
     fn holds_seen(&self, pid: Pid, p: &dyn Program) -> bool {
-        p.as_any().downcast_ref::<P>().is_none_or(|p| {
+        p.downcast_ref::<P>().is_none_or(|p| {
             let seen = self.seen.get(pid.idx()).and_then(Option::as_ref);
             self.items.holds(pid, p, seen)
         })
@@ -551,6 +551,7 @@ mod tests {
     use super::*;
     use fixd_runtime::{Context, WorldConfig};
 
+    #[derive(Clone)]
     pub(crate) struct Counter {
         pub n: u64,
     }
@@ -570,15 +571,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.n = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Counter { n: self.n })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -651,6 +643,7 @@ mod tests {
     }
 
     /// Evidence items that must each stay under `limit`.
+    #[derive(Clone)]
     struct Upto {
         items: Vec<u64>,
         limit: u64,
@@ -660,15 +653,6 @@ mod tests {
             Vec::new()
         }
         fn restore(&mut self, _: &[u8]) {}
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(upto(&self.items, self.limit))
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
     fn upto(items: &[u64], limit: u64) -> Upto {
         Upto {

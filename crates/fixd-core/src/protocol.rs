@@ -124,6 +124,7 @@ mod tests {
     use fixd_timemachine::{CheckpointPolicy, TimeMachineConfig};
 
     /// Accumulator that goes "bad" once its sum exceeds a threshold.
+    #[derive(Clone)]
     struct Acc {
         sum: u64,
     }
@@ -143,15 +144,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.sum = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Acc { sum: self.sum })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

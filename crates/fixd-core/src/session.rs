@@ -80,11 +80,6 @@ impl Fixd {
         self
     }
 
-    /// Register a patch with the Healer.
-    pub fn register_patch(&mut self, patch: Patch) {
-        self.healer.register(patch);
-    }
-
     /// The Time Machine (e.g. for explicit speculations).
     pub fn time_machine(&mut self) -> &mut TimeMachine {
         &mut self.tm
@@ -279,6 +274,7 @@ mod tests {
 
     /// A replicated max-register with a lost-update bug: replicas apply
     /// values but the buggy version applies DECREASES too.
+    #[derive(Clone)]
     struct MaxRegV1 {
         value: u64,
     }
@@ -301,17 +297,9 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.value = u64::from_le_bytes(b.try_into().unwrap());
         }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(MaxRegV1 { value: self.value })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
+    #[derive(Clone)]
     struct MaxRegV2 {
         value: u64,
     }
@@ -324,15 +312,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.value = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(MaxRegV2 { value: self.value })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -474,6 +453,7 @@ mod tests {
     /// Passes a 64-byte token round the ring until every process has
     /// seen it 500 times: a run as long as the spill test needs, whose
     /// Scroll is dominated by entries, not fixed overhead.
+    #[derive(Clone)]
     struct Pump {
         count: u64,
     }
@@ -495,15 +475,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.count = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Pump { count: self.count })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

@@ -189,6 +189,7 @@ pub struct KvStats {
 }
 
 /// One Chord member.
+#[derive(Clone)]
 pub struct ChordNode {
     ring: Arc<ChordRing>,
     /// Our ring identifier (derived from our pid on start).
@@ -631,33 +632,6 @@ impl Program for ChordNode {
         self.fingers = self.ring.fingers_for(self.id);
     }
 
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Self {
-            ring: Arc::clone(&self.ring),
-            id: self.id,
-            succ: self.succ,
-            pred: self.pred,
-            fingers: self.fingers.clone(),
-            stabilize_left: self.stabilize_left,
-            lookups_left: self.lookups_left,
-            work: self.work,
-            work_acc: self.work_acc,
-            stats: self.stats,
-            kv: self.kv.clone(),
-            puts_left: self.puts_left,
-            puts_total: self.puts_total,
-            put_seq: self.put_seq,
-            expected: self.expected.clone(),
-            kv_stats: self.kv_stats,
-        })
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn name(&self) -> &'static str {
         "chord-node"
     }

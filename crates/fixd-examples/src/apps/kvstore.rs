@@ -21,6 +21,7 @@ pub const PUT: u16 = 10;
 pub const REPL: u16 = 11;
 
 /// Scripted client: sends `(key, value)` PUTs to the primary (P1).
+#[derive(Clone)]
 pub struct Client {
     pub script: Vec<(u8, u8)>,
 }
@@ -40,24 +41,13 @@ impl Program for Client {
     fn restore(&mut self, b: &[u8]) {
         self.script = b.chunks(2).map(|c| (c[0], c[1])).collect();
     }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Client {
-            script: self.script.clone(),
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn name(&self) -> &'static str {
         "kv-client"
     }
 }
 
 /// The primary replica (P1). Applies PUTs, replicates to the backup (P2).
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Primary {
     pub store: BTreeMap<u8, u8>,
     pub seq: u64,
@@ -85,25 +75,13 @@ impl Program for Primary {
         self.store = store;
         self.seq = seq;
     }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Primary {
-            store: self.store.clone(),
-            seq: self.seq,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn name(&self) -> &'static str {
         "kv-primary"
     }
 }
 
 /// The backup replica (P2), **buggy**: applies in arrival order.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct BackupV1 {
     pub store: BTreeMap<u8, u8>,
     /// Highest sequence number applied.
@@ -139,19 +117,6 @@ impl Program for BackupV1 {
         let mut pos = 0;
         self.applied_count = get_varint(&rest, &mut pos).unwrap_or(0);
     }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(BackupV1 {
-            store: self.store.clone(),
-            applied: self.applied,
-            applied_count: self.applied_count,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn name(&self) -> &'static str {
         "kv-backup-v1"
     }
@@ -159,7 +124,7 @@ impl Program for BackupV1 {
 
 /// The backup replica, **fixed**: holds back out-of-order messages and
 /// applies strictly in sequence order.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct BackupV2 {
     pub store: BTreeMap<u8, u8>,
     pub applied: u64,
@@ -216,20 +181,6 @@ impl Program for BackupV2 {
             self.pending.insert(s, (k, v));
         }
     }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(BackupV2 {
-            store: self.store.clone(),
-            applied: self.applied,
-            applied_count: self.applied_count,
-            pending: self.pending.clone(),
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn name(&self) -> &'static str {
         "kv-backup-v2"
     }
@@ -245,7 +196,7 @@ pub fn repl_checksum(prefix: &[u8]) -> u16 {
 /// The primary replica, **checksummed**: identical to [`Primary`] except
 /// every REPL payload carries a trailing [`repl_checksum`] so the backup
 /// can detect in-flight corruption.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct PrimaryV2 {
     pub store: BTreeMap<u8, u8>,
     pub seq: u64,
@@ -275,18 +226,6 @@ impl Program for PrimaryV2 {
         self.store = store;
         self.seq = seq;
     }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(PrimaryV2 {
-            store: self.store.clone(),
-            seq: self.seq,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn name(&self) -> &'static str {
         "kv-primary-v2"
     }
@@ -295,7 +234,7 @@ impl Program for PrimaryV2 {
 /// The backup replica, **checksummed**: ordering fix of [`BackupV2`] plus
 /// checksum verification — a corrupted REPL is counted in `rejected` and
 /// dropped rather than applied, so corruption degrades to loss.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct BackupV3 {
     pub store: BTreeMap<u8, u8>,
     pub applied: u64,
@@ -365,21 +304,6 @@ impl Program for BackupV3 {
             self.pending.insert(s, (k, v));
         }
         self.rejected = get_varint(&rest, &mut pos).unwrap_or(0);
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(BackupV3 {
-            store: self.store.clone(),
-            applied: self.applied,
-            applied_count: self.applied_count,
-            pending: self.pending.clone(),
-            rejected: self.rejected,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn name(&self) -> &'static str {
         "kv-backup-v3"
@@ -577,7 +501,7 @@ mod tests {
         v1.applied_count = 2;
         let patch = backup_patch();
         let new_prog = patch.instantiate(&v1.snapshot()).unwrap();
-        let v2 = new_prog.as_any().downcast_ref::<BackupV2>().unwrap();
+        let v2 = new_prog.downcast_ref::<BackupV2>().unwrap();
         assert_eq!(v2.store.get(&3), Some(&7));
         assert_eq!(v2.applied, 2);
         assert!(v2.pending.is_empty());

@@ -24,6 +24,7 @@ pub const WORK: u16 = 30;
 pub const DEFAULT_COST: u64 = 1000;
 
 /// The work source (P0).
+#[derive(Clone)]
 pub struct Source {
     pub n_items: u64,
 }
@@ -44,17 +45,6 @@ impl Program for Source {
     }
     fn restore(&mut self, b: &[u8]) {
         self.n_items = u64::from_le_bytes(b.try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Source {
-            n_items: self.n_items,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn name(&self) -> &'static str {
         "source"
@@ -77,6 +67,7 @@ pub const SCRATCH_SIZE: usize = 8192;
 
 /// The cruncher (P1). `poison_at`: the item index the buggy version
 /// corrupts (produces 0 instead of the real result).
+#[derive(Clone)]
 pub struct Cruncher {
     pub results: Vec<(u64, u64)>,
     pub cost: u64,
@@ -167,20 +158,6 @@ impl Program for Cruncher {
             let r = get_varint(b, &mut pos).unwrap_or(0);
             self.results.push((i, r));
         }
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Cruncher {
-            results: self.results.clone(),
-            cost: self.cost,
-            poison_at: self.poison_at,
-            scratch: self.scratch.clone(),
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn name(&self) -> &'static str {
         "cruncher"
@@ -279,7 +256,7 @@ mod tests {
         buggy.results.push((0, crunch(0, 100)));
         let patch = cruncher_patch(100);
         let fixed = patch.instantiate(&buggy.snapshot()).unwrap();
-        let c = fixed.as_any().downcast_ref::<Cruncher>().unwrap();
+        let c = fixed.downcast_ref::<Cruncher>().unwrap();
         assert_eq!(c.poison_at, None);
         assert_eq!(c.results.len(), 1);
         assert_eq!(c.cost, 100);

@@ -16,6 +16,7 @@ pub const TOKEN: u16 = 1;
 pub const CS_TIME: u64 = 5;
 
 /// A ring node.
+#[derive(Clone)]
 pub struct RingNode {
     /// Currently inside the critical section (holding the token).
     pub holding: bool,
@@ -115,21 +116,6 @@ impl Program for RingNode {
         self.entries = u64::from_le_bytes(b[3..11].try_into().unwrap());
     }
 
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Self {
-            holding: self.holding,
-            entries: self.entries,
-            rounds_left: self.rounds_left,
-            dup_at: self.dup_at,
-        })
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn name(&self) -> &'static str {
         "ring-node"
     }

@@ -19,6 +19,7 @@ pub const VOTE: u16 = 21;
 pub const DECISION: u16 = 22;
 
 /// Coordinator (P0). `wait_for_all = false` is the bug.
+#[derive(Clone)]
 pub struct Coordinator {
     pub yes_votes: u8,
     pub no_votes: u8,
@@ -118,26 +119,13 @@ impl Program for Coordinator {
         self.wait_for_all = b[3] != 0;
     }
 
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Self {
-            yes_votes: self.yes_votes,
-            no_votes: self.no_votes,
-            decided: self.decided,
-            wait_for_all: self.wait_for_all,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn name(&self) -> &'static str {
         "2pc-coordinator"
     }
 }
 
 /// Participant (P1..): votes according to `will_vote`, obeys the decision.
+#[derive(Clone)]
 pub struct Participant {
     pub will_vote: bool,
     pub committed: Option<bool>,
@@ -181,18 +169,6 @@ impl Program for Participant {
             1 => Some(true),
             _ => None,
         };
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Self {
-            will_vote: self.will_vote,
-            committed: self.committed,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn name(&self) -> &'static str {
         "2pc-participant"
@@ -349,7 +325,7 @@ mod tests {
         let undecided = Coordinator::buggy().snapshot();
         assert!(patch.applicable_to(&undecided));
         let prog = patch.instantiate(&undecided).unwrap();
-        let c = prog.as_any().downcast_ref::<Coordinator>().unwrap();
+        let c = prog.downcast_ref::<Coordinator>().unwrap();
         assert!(c.wait_for_all);
         // Already decided: precondition refuses (decision can't be unmade
         // by a code swap; rollback must go deeper).

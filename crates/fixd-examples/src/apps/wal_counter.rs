@@ -16,6 +16,7 @@ use fixd_runtime::{Context, Message, Pid, Program, SharedDisk, World, WorldConfi
 pub const INC: u16 = 40;
 
 /// Streams `n_ops` increments of 1 to the counter (P1).
+#[derive(Clone)]
 pub struct Driver {
     pub n_ops: u64,
 }
@@ -38,21 +39,13 @@ impl Program for Driver {
     fn restore(&mut self, b: &[u8]) {
         self.n_ops = u64::from_le_bytes(b.try_into().unwrap());
     }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Driver { n_ops: self.n_ops })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn name(&self) -> &'static str {
         "wal-driver"
     }
 }
 
 /// The durable counter (P1).
+#[derive(Clone)]
 pub struct WalCounter {
     /// In-memory value (authoritative between syncs).
     pub value: u64,
@@ -118,20 +111,6 @@ impl Program for WalCounter {
         self.value = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.sync_every = u64::from_le_bytes(b[8..16].try_into().unwrap());
         self.ops_since_sync = u64::from_le_bytes(b[16..24].try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(WalCounter {
-            value: self.value,
-            sync_every: self.sync_every,
-            ops_since_sync: self.ops_since_sync,
-            disk: self.disk.clone(),
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn name(&self) -> &'static str {
         "wal-counter"

@@ -73,6 +73,7 @@ mod tests {
 
     /// v1: forwards doubled values. v2: same observable behavior, new
     /// internal bookkeeping field (behaviorally equivalent).
+    #[derive(Clone)]
     struct A {
         total: u64,
     }
@@ -87,17 +88,9 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.total = u64::from_le_bytes(b.try_into().unwrap());
         }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(A { total: self.total })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
+    #[derive(Clone)]
     struct B {
         total: u64,
         seen: u64, // new field, not observable
@@ -117,21 +110,10 @@ mod tests {
             self.total = u64::from_le_bytes(b[0..8].try_into().unwrap());
             self.seen = u64::from_le_bytes(b[8..16].try_into().unwrap());
         }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(B {
-                total: self.total,
-                seen: self.seen,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// v3: behavior change — triples instead of doubling (NOT equivalent).
+    #[derive(Clone)]
     struct C;
     impl Program for C {
         fn on_message(&mut self, ctx: &mut Context, msg: &Message) {
@@ -141,15 +123,6 @@ mod tests {
             vec![]
         }
         fn restore(&mut self, _b: &[u8]) {}
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(C)
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     fn probe(v: u8) -> EquivalenceProbe {

@@ -97,6 +97,7 @@ mod tests {
     use super::*;
     use fixd_runtime::Context;
 
+    #[derive(Clone)]
     pub(crate) struct V1 {
         pub n: u64,
     }
@@ -110,20 +111,12 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.n = u64::from_le_bytes(b.try_into().unwrap());
         }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(V1 { n: self.n })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
         fn name(&self) -> &'static str {
             "v1"
         }
     }
 
+    #[derive(Clone)]
     pub(crate) struct V2 {
         pub n: u64,
         pub skipped: u64,
@@ -137,18 +130,6 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.n = u64::from_le_bytes(b[0..8].try_into().unwrap());
             self.skipped = u64::from_le_bytes(b[8..16].try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(V2 {
-                n: self.n,
-                skipped: self.skipped,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
         fn name(&self) -> &'static str {
             "v2"
@@ -166,7 +147,7 @@ mod tests {
         let p = v1_to_v2();
         let old = V1 { n: 42 };
         let new_prog = p.instantiate(&old.snapshot()).unwrap();
-        let v2 = new_prog.as_any().downcast_ref::<V2>().unwrap();
+        let v2 = new_prog.downcast_ref::<V2>().unwrap();
         assert_eq!(v2.n, 42, "counter carried over");
         assert_eq!(v2.skipped, 0, "new field defaulted");
     }

@@ -75,6 +75,7 @@ mod tests {
     use fixd_runtime::{Context, Program, WorldConfig};
     use fixd_timemachine::{CheckpointPolicy, TimeMachineConfig};
 
+    #[derive(Clone)]
     struct Talky;
     impl Program for Talky {
         fn on_start(&mut self, ctx: &mut Context) {
@@ -92,15 +93,6 @@ mod tests {
             vec![0]
         }
         fn restore(&mut self, _b: &[u8]) {}
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Talky)
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     fn setup() -> (World, TimeMachine) {

@@ -1,17 +1,13 @@
-//! Version registry: which program version each process runs, and which
-//! patches are available to move between versions.
+//! Version registry: which program version each process runs.
 
 use std::collections::HashMap;
 
 use fixd_runtime::Pid;
 
-use crate::patch::Patch;
-
-/// Tracks per-process code versions and registered patches.
+/// Tracks per-process code versions.
 #[derive(Default)]
 pub struct VersionRegistry {
     versions: HashMap<Pid, u32>,
-    patches: Vec<Patch>,
 }
 
 impl VersionRegistry {
@@ -29,48 +25,14 @@ impl VersionRegistry {
     pub fn set_version(&mut self, pid: Pid, version: u32) {
         self.versions.insert(pid, version);
     }
-
-    /// Register a patch. Returns its index.
-    pub fn register(&mut self, patch: Patch) -> usize {
-        self.patches.push(patch);
-        self.patches.len() - 1
-    }
-
-    /// All registered patches.
-    pub fn patches(&self) -> &[Patch] {
-        &self.patches
-    }
-
-    /// The patch (if any) that upgrades `pid` from its current version.
-    pub fn next_patch_for(&self, pid: Pid) -> Option<&Patch> {
-        let v = self.version_of(pid);
-        self.patches.iter().find(|p| p.from_version == v)
-    }
-
-    /// The chain of patches from `from` up to the highest reachable
-    /// version (each step must exist; stops at a gap).
-    pub fn upgrade_chain(&self, from: u32) -> Vec<&Patch> {
-        let mut chain = Vec::new();
-        let mut v = from;
-        loop {
-            match self.patches.iter().find(|p| p.from_version == v) {
-                Some(p) => {
-                    v = p.to_version;
-                    chain.push(p);
-                }
-                None => return chain,
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for VersionRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "VersionRegistry({} processes tracked, {} patches)",
-            self.versions.len(),
-            self.patches.len()
+            "VersionRegistry({} processes tracked)",
+            self.versions.len()
         )
     }
 }
@@ -78,29 +40,6 @@ impl std::fmt::Debug for VersionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixd_runtime::{Context, Program};
-
-    struct Nop;
-    impl Program for Nop {
-        fn on_start(&mut self, _ctx: &mut Context) {}
-        fn snapshot(&self) -> Vec<u8> {
-            vec![]
-        }
-        fn restore(&mut self, _b: &[u8]) {}
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Nop)
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
-
-    fn patch(from: u32, to: u32) -> Patch {
-        Patch::code_only(&format!("p{from}-{to}"), from, to, || Box::new(Nop))
-    }
 
     #[test]
     fn default_version_is_one() {
@@ -114,29 +53,5 @@ mod tests {
         r.set_version(Pid(2), 3);
         assert_eq!(r.version_of(Pid(2)), 3);
         assert_eq!(r.version_of(Pid(0)), 1);
-    }
-
-    #[test]
-    fn next_patch_respects_current_version() {
-        let mut r = VersionRegistry::new();
-        r.register(patch(1, 2));
-        r.register(patch(2, 3));
-        assert_eq!(r.next_patch_for(Pid(0)).unwrap().to_version, 2);
-        r.set_version(Pid(0), 2);
-        assert_eq!(r.next_patch_for(Pid(0)).unwrap().to_version, 3);
-        r.set_version(Pid(0), 3);
-        assert!(r.next_patch_for(Pid(0)).is_none());
-    }
-
-    #[test]
-    fn upgrade_chain_stops_at_gap() {
-        let mut r = VersionRegistry::new();
-        r.register(patch(1, 2));
-        r.register(patch(2, 3));
-        r.register(patch(5, 6)); // gap: no 3→4
-        let chain = r.upgrade_chain(1);
-        assert_eq!(chain.len(), 2);
-        assert_eq!(chain[1].to_version, 3);
-        assert!(r.upgrade_chain(9).is_empty());
     }
 }

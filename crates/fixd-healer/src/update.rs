@@ -84,11 +84,6 @@ impl Healer {
         Self::default()
     }
 
-    /// Register a patch for later application.
-    pub fn register(&mut self, patch: Patch) {
-        self.registry.register(patch);
-    }
-
     /// The version registry.
     pub fn registry(&self) -> &VersionRegistry {
         &self.registry
@@ -223,6 +218,7 @@ mod tests {
     use fixd_timemachine::{CheckpointPolicy, TimeMachineConfig};
 
     /// v1 accumulator with a bug: it also counts tag-9 "poison" messages.
+    #[derive(Clone)]
     struct SumV1 {
         sum: u64,
     }
@@ -238,18 +234,10 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.sum = u64::from_le_bytes(b.try_into().unwrap());
         }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(SumV1 { sum: self.sum })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// v2: fixed (ignores tag 9) and tracks how many it ignored.
+    #[derive(Clone)]
     struct SumV2 {
         sum: u64,
         ignored: u64,
@@ -271,21 +259,10 @@ mod tests {
             self.sum = u64::from_le_bytes(b[0..8].try_into().unwrap());
             self.ignored = u64::from_le_bytes(b[8..16].try_into().unwrap());
         }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(SumV2 {
-                sum: self.sum,
-                ignored: self.ignored,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// Driver process that feeds P1 values then a poison message.
+    #[derive(Clone)]
     struct Feeder;
     impl Program for Feeder {
         fn on_start(&mut self, ctx: &mut Context) {
@@ -298,15 +275,6 @@ mod tests {
             vec![]
         }
         fn restore(&mut self, _b: &[u8]) {}
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Feeder)
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     fn setup() -> (World, TimeMachine, Healer) {

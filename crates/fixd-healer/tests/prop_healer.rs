@@ -52,6 +52,7 @@ proptest! {
 }
 
 /// A parameterized accumulator for patch-roundtrip properties.
+#[derive(Clone)]
 struct Gen {
     acc: u64,
     mult: u64,
@@ -70,18 +71,6 @@ impl Program for Gen {
     fn restore(&mut self, b: &[u8]) {
         self.acc = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.mult = u64::from_le_bytes(b[8..16].try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Gen {
-            acc: self.acc,
-            mult: self.mult,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -112,6 +112,7 @@ mod tests {
     /// A tiny 2PC-ish protocol with a bug: the coordinator commits after
     /// the FIRST vote instead of waiting for all — classic atomicity
     /// violation that only some interleavings expose.
+    #[derive(Clone)]
     pub struct Coord {
         pub votes: u8,
         pub committed: bool,
@@ -143,21 +144,9 @@ mod tests {
             self.committed = b[1] != 0;
             self.n_participants = b[2];
         }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Coord {
-                votes: self.votes,
-                committed: self.committed,
-                n_participants: self.n_participants,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
+    #[derive(Clone)]
     pub struct Participant {
         pub will_vote: bool,
         pub committed: bool,
@@ -176,18 +165,6 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.will_vote = b[0] != 0;
             self.committed = b[1] != 0;
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Participant {
-                will_vote: self.will_vote,
-                committed: self.committed,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

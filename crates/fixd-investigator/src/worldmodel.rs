@@ -64,6 +64,7 @@ impl ModelAction {
 
 /// One process of the application under investigation: everything a
 /// transition *at this pid* can change, behind one shared handle.
+#[derive(Clone)]
 struct Proc {
     program: Box<dyn Program>,
     harness: SoloHarness,
@@ -103,19 +104,6 @@ impl Proc {
             timers: VecDeque::new(),
             started,
             crashed: false,
-        }
-    }
-}
-
-impl Clone for Proc {
-    fn clone(&self) -> Self {
-        Self {
-            program: self.program.clone_program(),
-            harness: self.harness.clone(),
-            timers: self.timers.clone(),
-            started: self.started,
-            crashed: self.crashed,
-            snapshot_hash: self.snapshot_hash,
         }
     }
 }
@@ -295,11 +283,7 @@ impl WorldState {
 
     /// Typed view of a process's program (for invariants).
     pub fn program<P: 'static>(&self, pid: Pid) -> Option<&P> {
-        self.procs
-            .get(pid.idx())?
-            .program
-            .as_any()
-            .downcast_ref::<P>()
+        self.procs.get(pid.idx())?.program.downcast_ref::<P>()
     }
 
     /// Messages queued on channel `src → dst`.
@@ -645,6 +629,7 @@ mod tests {
 
     /// Two-process increment protocol with a deliberate race: both update
     /// a "replicated register" and echo; the register must converge.
+    #[derive(Clone)]
     struct Reg {
         val: u8,
         echoes: u8,
@@ -673,18 +658,6 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.val = b[0];
             self.echoes = b[1];
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Reg {
-                val: self.val,
-                echoes: self.echoes,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

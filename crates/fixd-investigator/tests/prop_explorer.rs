@@ -156,6 +156,7 @@ proptest! {
 }
 
 /// Real-program model checking: a broadcastier app with a seeded bug.
+#[derive(Clone)]
 struct Bcast {
     hits: u8,
     limit: u8,
@@ -178,18 +179,6 @@ impl Program for Bcast {
     fn restore(&mut self, b: &[u8]) {
         self.hits = b[0];
         self.limit = b[1];
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Bcast {
-            hits: self.hits,
-            limit: self.limit,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -113,6 +113,7 @@ mod tests {
     use crate::world::{World, WorldConfig};
     use crate::Context;
 
+    #[derive(Clone)]
     struct Counter {
         n: u64,
     }
@@ -131,15 +132,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.n = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Counter { n: self.n })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

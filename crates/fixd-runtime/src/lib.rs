@@ -31,6 +31,7 @@
 //! ```
 //! use fixd_runtime::{World, WorldConfig, Program, Context, Message, Pid};
 //!
+//! #[derive(Clone)]
 //! struct Echo { got: u64 }
 //! impl Program for Echo {
 //!     fn on_start(&mut self, ctx: &mut Context) {
@@ -44,9 +45,6 @@
 //!     fn restore(&mut self, b: &[u8]) {
 //!         self.got = u64::from_le_bytes(b.try_into().unwrap());
 //!     }
-//!     fn clone_program(&self) -> Box<dyn Program> { Box::new(Echo { got: self.got }) }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! let mut w = World::new(WorldConfig::default());
@@ -99,7 +97,7 @@ pub use harness::SoloHarness;
 pub use network::{DeliveryPolicy, LinkPolicy, NetStats, NetworkConfig, Partition};
 pub use payload::{Payload, PayloadStats};
 pub use procs::ProcContext;
-pub use program::{Context, Program};
+pub use program::{CloneProgram, Context, Program};
 pub use rng::DetRng;
 pub use shard::ShardTiming;
 pub use snapshot::GlobalSnapshot;

@@ -121,20 +121,11 @@ impl ProcContext {
     }
 }
 
+#[derive(Clone)]
 pub(crate) struct ProcEntry {
     pub(crate) program: Box<dyn Program>,
     pub(crate) status: ProcStatus,
     pub(crate) ctx: ProcContext,
-}
-
-impl Clone for ProcEntry {
-    fn clone(&self) -> Self {
-        Self {
-            program: self.program.clone_program(),
-            status: self.status,
-            ctx: self.ctx.clone(),
-        }
-    }
 }
 
 /// Per-pid state slots for the pids of one residue class (see module
@@ -198,9 +189,9 @@ impl ProcTable {
     }
 
     /// The table of shard `offset` of `stride`, cut from this
-    /// `stride = 1` table: [`Program::clone_program`] copies of the
-    /// entries it owns, the lazy factories, and its pids' dormant crash
-    /// marks.
+    /// `stride = 1` table: [`crate::CloneProgram::clone_program`]
+    /// copies of the entries it owns, the lazy factories, and its pids'
+    /// dormant crash marks.
     pub(crate) fn shard(&self, stride: u32, offset: u32) -> ProcTable {
         assert_eq!(self.stride, 1, "shards are cut from a world's own table");
         let mut t = ProcTable::new(self.seed, stride, offset);

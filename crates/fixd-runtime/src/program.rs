@@ -6,7 +6,11 @@
 //! implementation: the same object is executed by the production runtime
 //! ([`crate::World`]), recorded by the Scroll, checkpointed by the Time
 //! Machine (via [`Program::snapshot`]/[`Program::restore`]), and explored
-//! by the Investigator (via [`Program::clone_program`]).
+//! by the Investigator (via [`CloneProgram::clone_program`]). A program is
+//! its state and its handlers: how it is copied and inspected by type is
+//! decided here, once, for every `Program + Clone`.
+
+use std::any::Any;
 
 use crate::arena::StepArena;
 use crate::clock::VectorClock;
@@ -28,7 +32,12 @@ use crate::{Pid, VTime};
 /// `Send + Sync` bounds: programs are plain data state machines (all
 /// mutation flows through `&mut self` handlers), and the Investigator
 /// shares read-only global states across exploration worker threads.
-pub trait Program: Send + Sync {
+///
+/// A program type derives (or writes) `Clone`; the blanket
+/// [`CloneProgram`] impl then copies it for branching exploration, and
+/// `dyn Program`'s `downcast_ref` / `downcast_mut` give invariants and
+/// tests its typed state.
+pub trait Program: CloneProgram + Any + Send + Sync {
     /// Called once when the process starts (or is restarted from scratch).
     fn on_start(&mut self, _ctx: &mut Context) {}
 
@@ -59,17 +68,40 @@ pub trait Program: Send + Sync {
     /// Restore from a byte image produced by [`Program::snapshot`].
     fn restore(&mut self, bytes: &[u8]);
 
-    /// Clone the process (state included) for branching exploration.
-    fn clone_program(&self) -> Box<dyn Program>;
-
-    /// Downcasting support so invariants and tests can inspect typed state.
-    fn as_any(&self) -> &dyn std::any::Any;
-    /// Mutable downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-
     /// Human-readable name for traces and reports.
     fn name(&self) -> &'static str {
         "program"
+    }
+}
+
+/// Copying a process, state included, for branching exploration.
+/// Implemented for every `Program + Clone`; a program never writes it.
+pub trait CloneProgram {
+    /// A boxed copy of this process.
+    fn clone_program(&self) -> Box<dyn Program>;
+}
+
+impl<T: Program + Clone> CloneProgram for T {
+    fn clone_program(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Program> {
+    fn clone(&self) -> Self {
+        (**self).clone_program()
+    }
+}
+
+impl dyn Program {
+    /// The process as a `T`, if it is one.
+    pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
+        (self as &dyn Any).downcast_ref()
+    }
+
+    /// The process as a mutable `T`, if it is one.
+    pub fn downcast_mut<T: Any>(&mut self) -> Option<&mut T> {
+        (self as &mut dyn Any).downcast_mut()
     }
 }
 

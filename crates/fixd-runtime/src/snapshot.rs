@@ -61,6 +61,7 @@ mod tests {
     use crate::event::Message;
     use crate::{Context, Pid, Program, TimerId, World, WorldConfig};
 
+    #[derive(Clone)]
     struct Beat {
         beats: u64,
         acks: u64,
@@ -93,18 +94,6 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.beats = u64::from_le_bytes(b[0..8].try_into().unwrap());
             self.acks = u64::from_le_bytes(b[8..16].try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Beat {
-                beats: self.beats,
-                acks: self.acks,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

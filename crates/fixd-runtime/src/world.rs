@@ -258,9 +258,10 @@ impl World {
 
     /// Run this world's handlers on `k` shards from now on (`k ≤ 1`
     /// is a no-op). Call it after the processes are added and before
-    /// the first step. The shards get [`Program::clone_program`] copies
-    /// of the processes and the lazy factories, and `k − 1` worker
-    /// threads that live as long as the world. Each `step` still commits
+    /// the first step. The shards get
+    /// [`crate::CloneProgram::clone_program`] copies of the processes
+    /// and the lazy factories, and `k − 1` worker threads that live as
+    /// long as the world. Each `step` still commits
     /// one event through the world's own code, and the world's process
     /// table is the serial world's after every step, so anything that
     /// drives a serial world through `peek`/`step` drives a sharded one
@@ -782,18 +783,14 @@ impl World {
     /// Typed read access to a process's program (`None` for dormant lazy
     /// processes — their program does not exist yet).
     pub fn program<T: 'static>(&self, pid: Pid) -> Option<&T> {
-        self.procs.ent(pid)?.program.as_any().downcast_ref::<T>()
+        self.procs.ent(pid)?.program.downcast_ref::<T>()
     }
 
     /// Typed write access to a process's program (tests / fault setup).
     /// Materializes a dormant lazy process.
     pub fn program_mut<T: 'static>(&mut self, pid: Pid) -> Option<&mut T> {
         self.assert_unsharded("program_mut");
-        self.procs
-            .ent_mut(pid)
-            .program
-            .as_any_mut()
-            .downcast_mut::<T>()
+        self.procs.ent_mut(pid).program.downcast_mut::<T>()
     }
 
     /// Run a closure over the untyped program (for generic drivers). For
@@ -1205,6 +1202,7 @@ mod tests {
     use crate::program::Context;
 
     /// Sends `count` pings around a ring; each process counts receipts.
+    #[derive(Clone)]
     struct Ring {
         received: u64,
         hops: u64,
@@ -1233,18 +1231,6 @@ mod tests {
         fn restore(&mut self, bytes: &[u8]) {
             self.received = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
             self.hops = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Ring {
-                received: self.received,
-                hops: self.hops,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
         fn name(&self) -> &'static str {
             "ring"
@@ -1367,6 +1353,7 @@ mod tests {
 
     /// P0 sends one message to P1; payload size is configurable so the
     /// corruption tests can cover the empty (no-op) and non-empty cases.
+    #[derive(Clone)]
     struct OneShot {
         payload: Vec<u8>,
     }
@@ -1381,17 +1368,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.payload = b.to_vec();
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(OneShot {
-                payload: self.payload.clone(),
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

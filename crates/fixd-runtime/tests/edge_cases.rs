@@ -7,6 +7,7 @@ use fixd_runtime::{
 };
 
 /// Echo server: replies to every ping; counts pings.
+#[derive(Clone)]
 struct Echo {
     pings: u64,
     timer_fired: bool,
@@ -52,19 +53,6 @@ impl Program for Echo {
         self.pings = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.timer_fired = b[8] != 0;
         self.cancel_own_timer = b[9] != 0;
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Echo {
-            pings: self.pings,
-            timer_fired: self.timer_fired,
-            cancel_own_timer: self.cancel_own_timer,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -174,6 +162,7 @@ fn inject_timer_reaches_handler() {
 
 /// P0 arms a timer at t=100 and cancels it on any message; P1 arms
 /// one at t=50. Both count what fired.
+#[derive(Clone)]
 struct Alarm {
     armed: Option<TimerId>,
     fired: u64,
@@ -201,18 +190,6 @@ impl Program for Alarm {
         self.fired = u64::from_le_bytes(b[0..8].try_into().unwrap());
         let t = u64::from_le_bytes(b[8..16].try_into().unwrap());
         self.armed = (t != 0).then_some(TimerId(t));
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Alarm {
-            armed: self.armed,
-            fired: self.fired,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -273,6 +250,7 @@ fn wildcard_drop_fault_silences_everything() {
 }
 
 /// Sends one *empty* message P0 → P1 on start; counts arrivals.
+#[derive(Clone)]
 struct EmptyShot {
     got: u64,
 }
@@ -292,15 +270,6 @@ impl Program for EmptyShot {
     }
     fn restore(&mut self, b: &[u8]) {
         self.got = u64::from_le_bytes(b.try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(EmptyShot { got: self.got })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

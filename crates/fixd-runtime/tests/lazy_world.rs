@@ -6,6 +6,7 @@
 use fixd_runtime::{Context, Message, Pid, Program, TimerId, VectorClock, World, WorldConfig};
 
 /// Echoes one message back to its sender, counting deliveries.
+#[derive(Clone)]
 struct Echo {
     seen: u64,
 }
@@ -29,15 +30,6 @@ impl Program for Echo {
     }
     fn restore(&mut self, b: &[u8]) {
         self.seen = u64::from_le_bytes(b.try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Echo { seen: self.seen })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

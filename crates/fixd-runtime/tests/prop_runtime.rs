@@ -11,6 +11,7 @@ use fixd_runtime::{
 
 /// A gossip-ish program whose behavior depends on payload and RNG, used
 /// to generate varied executions.
+#[derive(Clone)]
 struct Noisy {
     acc: u64,
     fanout: u8,
@@ -46,18 +47,6 @@ impl Program for Noisy {
     fn restore(&mut self, b: &[u8]) {
         self.acc = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.fanout = b[8];
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Noisy {
-            acc: self.acc,
-            fanout: self.fanout,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

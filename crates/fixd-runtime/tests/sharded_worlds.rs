@@ -38,6 +38,7 @@ fn run_logged(w: &mut World, budget: u64, log: &mut Vec<SharedStepRecord>) -> Ve
 
 /// Gossip-ish program: payload- and RNG-dependent fan-out, timers on
 /// start, an occasional self-crash — every cross-shard surface live.
+#[derive(Clone)]
 struct Noisy {
     acc: u64,
     fanout: u8,
@@ -87,21 +88,10 @@ impl Program for Noisy {
         self.acc = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.fanout = b[8];
     }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Noisy {
-            acc: self.acc,
-            fanout: self.fanout,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Echoes a decrementing counter back to its sender (lazy-world filler).
+#[derive(Clone)]
 struct Echo {
     seen: u64,
 }
@@ -124,15 +114,6 @@ impl Program for Echo {
     }
     fn restore(&mut self, b: &[u8]) {
         self.seen = u64::from_le_bytes(b.try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Echo { seen: self.seen })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -322,6 +303,7 @@ fn dormant_crash_fault_matches_serial() {
 /// Pid 0 pings pid 1 on a timer cadence; pid 1 replies to every ping.
 /// Deterministic (no RNG), so every delivery instant is an exact
 /// function of the link latencies.
+#[derive(Clone)]
 struct Chatter {
     rounds: u8,
 }
@@ -349,17 +331,6 @@ impl Program for Chatter {
     }
     fn restore(&mut self, b: &[u8]) {
         self.rounds = b[0];
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Chatter {
-            rounds: self.rounds,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -425,6 +396,7 @@ fn crashed_fast_source_widens_window_soundly() {
 // ---------------------------------------------------------------------
 
 /// Star collector: pids 1..n each send once to pid 0 on start.
+#[derive(Clone)]
 struct Spoke;
 
 impl Program for Spoke {
@@ -437,15 +409,6 @@ impl Program for Spoke {
         Vec::new()
     }
     fn restore(&mut self, _: &[u8]) {}
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Spoke)
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[test]
@@ -537,6 +500,7 @@ fn window_grid_is_shard_count_invariant_and_inline_count_repeats() {
 
 /// Forwards a 48-byte parcel along a random walk until its hop budget
 /// runs out; timers keep lone pids busy between deliveries.
+#[derive(Clone)]
 struct Courier {
     carried: u64,
 }
@@ -565,17 +529,6 @@ impl Program for Courier {
     }
     fn restore(&mut self, b: &[u8]) {
         self.carried = u64::from_le_bytes(b.try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Courier {
-            carried: self.carried,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -664,6 +617,7 @@ impl Rendezvous {
 /// Gossips under a one-tick-window network; at virtual time 40 every
 /// pid's timer fires in the same window, and there the culprit's
 /// handler panics while the witness's shard is mid-window.
+#[derive(Clone)]
 struct Saboteur {
     culprit: Pid,
     witness: Pid,
@@ -695,19 +649,6 @@ impl Program for Saboteur {
         Vec::new()
     }
     fn restore(&mut self, _: &[u8]) {}
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Saboteur {
-            culprit: self.culprit,
-            witness: self.witness,
-            meet: self.meet.clone(),
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A handler panic must reach the caller as that panic, with its own

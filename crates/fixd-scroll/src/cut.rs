@@ -144,6 +144,7 @@ mod tests {
     use crate::record::{record_run, RecordConfig};
     use fixd_runtime::{Context, Message, Program, World, WorldConfig};
 
+    #[derive(Clone)]
     struct PingPong {
         rounds: u8,
     }
@@ -163,17 +164,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.rounds = b[0];
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(PingPong {
-                rounds: self.rounds,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

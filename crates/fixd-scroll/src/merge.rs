@@ -86,6 +86,7 @@ mod tests {
 
     /// Gossip: every process forwards each first-seen rumor to its ring
     /// neighbor; generates rich causal structure.
+    #[derive(Clone)]
     struct Gossip {
         seen: u64,
         n: usize,
@@ -113,18 +114,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.seen = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Gossip {
-                seen: self.seen,
-                n: self.n,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

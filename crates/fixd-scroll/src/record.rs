@@ -27,6 +27,7 @@ pub struct RecordConfig {
 /// ```
 /// # use fixd_runtime::{Context, Pid, Program, World, WorldConfig};
 /// # use fixd_scroll::{RecordConfig, ScrollRecorder};
+/// # #[derive(Clone)]
 /// # struct Hello;
 /// # impl Program for Hello {
 /// #     fn on_start(&mut self, ctx: &mut Context) {
@@ -34,9 +35,6 @@ pub struct RecordConfig {
 /// #     }
 /// #     fn snapshot(&self) -> Vec<u8> { Vec::new() }
 /// #     fn restore(&mut self, _: &[u8]) {}
-/// #     fn clone_program(&self) -> Box<dyn Program> { Box::new(Hello) }
-/// #     fn as_any(&self) -> &dyn std::any::Any { self }
-/// #     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 /// # }
 /// # let mut world = World::new(WorldConfig::seeded(7));
 /// # world.add_process(Box::new(Hello));
@@ -173,6 +171,7 @@ mod tests {
     use super::*;
     use fixd_runtime::{Context, Message, Program, World, WorldConfig};
 
+    #[derive(Clone)]
     struct Chatter {
         count: u64,
     }
@@ -195,15 +194,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.count = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Chatter { count: self.count })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

@@ -161,6 +161,7 @@ mod tests {
     use crate::record::{record_run, RecordConfig};
     use fixd_runtime::{Context, Message, World, WorldConfig};
 
+    #[derive(Clone)]
     struct Acc {
         sum: u64,
         noise: u64,
@@ -185,18 +186,6 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.sum = u64::from_le_bytes(b[0..8].try_into().unwrap());
             self.noise = u64::from_le_bytes(b[8..16].try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Acc {
-                sum: self.sum,
-                noise: self.noise,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -223,6 +212,7 @@ mod tests {
     fn replay_detects_changed_program() {
         let (store, _) = record(42);
         // A "buggy fix": doubles the payload — divergence must be caught.
+        #[derive(Clone)]
         struct Acc2(Acc);
         impl Program for Acc2 {
             fn on_start(&mut self, ctx: &mut Context) {
@@ -238,18 +228,6 @@ mod tests {
             }
             fn restore(&mut self, b: &[u8]) {
                 self.0.restore(b)
-            }
-            fn clone_program(&self) -> Box<dyn Program> {
-                Box::new(Acc2(Acc {
-                    sum: self.0.sum,
-                    noise: self.0.noise,
-                }))
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let mut changed = Acc2(Acc { sum: 0, noise: 0 });

@@ -173,6 +173,7 @@ fn assert_reads_back_as(spilled: &ScrollStore, control: &ScrollStore, what: &str
 }
 
 /// Ping-pong app used for recorded-run properties.
+#[derive(Clone)]
 struct Pong {
     n: u64,
     x: u64,
@@ -198,18 +199,6 @@ impl Program for Pong {
     fn restore(&mut self, b: &[u8]) {
         self.n = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.x = u64::from_le_bytes(b[8..16].try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Pong {
-            n: self.n,
-            x: self.x,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

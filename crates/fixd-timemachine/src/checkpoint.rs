@@ -198,6 +198,7 @@ mod tests {
 
     /// State: a sizable buffer where each message mutates one cell —
     /// ideal for observing COW sharing.
+    #[derive(Clone)]
     struct BigState {
         buf: Vec<u8>,
         writes: u64,
@@ -223,18 +224,6 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.writes = u64::from_le_bytes(b[0..8].try_into().unwrap());
             self.buf = b[8..].to_vec();
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(BigState {
-                buf: self.buf.clone(),
-                writes: self.writes,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -421,6 +410,7 @@ mod tests {
 
     /// `BigState` after a patch that changed its snapshot layout: a
     /// version tag in front moves every byte to a different page offset.
+    #[derive(Clone)]
     struct PatchedBigState(BigState);
     impl Program for PatchedBigState {
         fn snapshot(&self) -> Vec<u8> {
@@ -430,18 +420,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.0.restore(&b[3..]);
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(PatchedBigState(BigState {
-                buf: self.0.buf.clone(),
-                writes: self.0.writes,
-            }))
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

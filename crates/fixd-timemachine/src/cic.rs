@@ -171,48 +171,40 @@ impl TimeMachine {
     /// [`World::step`] executes it.
     pub fn before_step(&mut self, world: &mut World, ev: &fixd_runtime::Event) {
         self.init(world);
-        match &ev.kind {
-            EventKind::Deliver { msg } => {
-                let dst = msg.dst;
-                if self.cfg.policy == CheckpointPolicy::EveryReceive {
-                    self.checkpoint_now(world, dst);
-                }
-                self.deps.add(DepEdge {
-                    src: msg.src,
-                    src_interval: msg.meta.ckpt_index,
-                    dst,
-                    dst_interval: self.intervals[dst.idx()],
-                });
-                self.delivery_log.push(DeliveryRecord {
-                    msg: msg.clone(),
-                    dst_interval: self.intervals[dst.idx()],
-                });
-                // Speculative-message absorption (paper §4.2: "Processes
-                // that receive speculative data are absorbed in the
-                // speculation").
-                if msg.meta.spec_id != 0 {
-                    self.absorb(world, dst, msg.meta.spec_id);
+        // The periodic policy checkpoints a process about to run a
+        // handler once its period has passed. For a receive this comes
+        // before the dependency edge and the delivery log, so both place
+        // the receive in the new interval and a rollback to this
+        // checkpoint re-delivers it.
+        if let CheckpointPolicy::Periodic { every } = self.cfg.policy {
+            if let Some(pid) = ev.kind.pid().filter(|_| ev.kind.runs_handler()) {
+                let i = pid.idx();
+                if world.now().saturating_sub(self.last_periodic[i]) >= every {
+                    self.last_periodic[i] = world.now();
+                    self.checkpoint_now(world, pid);
                 }
             }
-            EventKind::Start { pid } | EventKind::TimerFire { pid, .. } => {
-                if let CheckpointPolicy::Periodic { every } = self.cfg.policy {
-                    let i = pid.idx();
-                    if world.now().saturating_sub(self.last_periodic[i]) >= every {
-                        self.last_periodic[i] = world.now();
-                        self.checkpoint_now(world, *pid);
-                    }
-                }
-            }
-            _ => {}
         }
-        // Periodic policy also checkpoints on receives, on the period.
-        if let (CheckpointPolicy::Periodic { every }, EventKind::Deliver { msg }) =
-            (self.cfg.policy, &ev.kind)
-        {
-            let i = msg.dst.idx();
-            if world.now().saturating_sub(self.last_periodic[i]) >= every {
-                self.last_periodic[i] = world.now();
-                self.checkpoint_now(world, msg.dst);
+        if let EventKind::Deliver { msg } = &ev.kind {
+            let dst = msg.dst;
+            if self.cfg.policy == CheckpointPolicy::EveryReceive {
+                self.checkpoint_now(world, dst);
+            }
+            self.deps.add(DepEdge {
+                src: msg.src,
+                src_interval: msg.meta.ckpt_index,
+                dst,
+                dst_interval: self.intervals[dst.idx()],
+            });
+            self.delivery_log.push(DeliveryRecord {
+                msg: msg.clone(),
+                dst_interval: self.intervals[dst.idx()],
+            });
+            // Speculative-message absorption (paper §4.2: "Processes
+            // that receive speculative data are absorbed in the
+            // speculation").
+            if msg.meta.spec_id != 0 {
+                self.absorb(world, dst, msg.meta.spec_id);
             }
         }
     }
@@ -414,6 +406,7 @@ mod tests {
 
     /// Each process counts tokens; P0 circulates `hops` tokens around the
     /// ring. State carries a buffer so checkpoints are non-trivial.
+    #[derive(Clone)]
     struct Worker {
         counter: u64,
         buf: Vec<u8>,
@@ -449,18 +442,6 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.counter = u64::from_le_bytes(b[0..8].try_into().unwrap());
             self.buf = b[8..].to_vec();
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Worker {
-                counter: self.counter,
-                buf: self.buf.clone(),
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -555,6 +536,30 @@ mod tests {
             .map(|i| w.program::<Worker>(Pid(i)).unwrap().counter)
             .sum();
         assert_eq!(total, 17);
+    }
+
+    #[test]
+    fn rollback_to_any_checkpoint_loses_no_delivery() {
+        // A receive's checkpoint is taken before the receive is logged,
+        // under either policy, so the log places the receive in the new
+        // interval and a rollback to that checkpoint re-delivers it.
+        for policy in [
+            CheckpointPolicy::EveryReceive,
+            CheckpointPolicy::Periodic { every: 1 },
+        ] {
+            let (mut w, mut tm) = setup(3, policy);
+            tm.run(&mut w, 10_000);
+            for target in 0..tm.store(Pid(2)).len() as u64 {
+                let (mut w, mut tm) = setup(3, policy);
+                tm.run(&mut w, 10_000);
+                tm.rollback(&mut w, Pid(2), target).unwrap();
+                tm.run(&mut w, 10_000);
+                let total: u64 = (0..3)
+                    .map(|i| w.program::<Worker>(Pid(i)).unwrap().counter)
+                    .sum();
+                assert_eq!(total, 17, "{policy:?}: rollback of P2 to {target}");
+            }
+        }
     }
 
     #[test]

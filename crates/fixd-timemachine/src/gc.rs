@@ -80,6 +80,7 @@ mod tests {
     use crate::cic::{CheckpointPolicy, TimeMachineConfig};
     use fixd_runtime::{Context, Program, World, WorldConfig};
 
+    #[derive(Clone)]
     struct Pump;
     impl Program for Pump {
         fn on_start(&mut self, ctx: &mut Context) {
@@ -97,15 +98,6 @@ mod tests {
             vec![1, 2, 3, 4]
         }
         fn restore(&mut self, _b: &[u8]) {}
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Pump)
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     fn setup() -> (World, TimeMachine) {
@@ -172,6 +164,7 @@ mod tests {
 
     /// Pump variant whose state actually mutates, so GC'd checkpoints
     /// hold pages nothing else references.
+    #[derive(Clone)]
     struct MutPump {
         buf: Vec<u8>,
         n: u64,
@@ -199,18 +192,6 @@ mod tests {
         fn restore(&mut self, b: &[u8]) {
             self.n = u64::from_le_bytes(b[0..8].try_into().unwrap());
             self.buf = b[8..].to_vec();
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(MutPump {
-                buf: self.buf.clone(),
-                n: self.n,
-            })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

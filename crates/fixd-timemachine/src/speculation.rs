@@ -246,6 +246,7 @@ mod tests {
 
     /// A worker that applies increments it receives; P0 seeds the chain
     /// P0 → P1 → P2 with `depth` hops.
+    #[derive(Clone)]
     struct Chain {
         value: u64,
     }
@@ -268,15 +269,6 @@ mod tests {
         }
         fn restore(&mut self, b: &[u8]) {
             self.value = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        fn clone_program(&self) -> Box<dyn Program> {
-            Box::new(Chain { value: self.value })
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

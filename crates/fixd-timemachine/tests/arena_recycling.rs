@@ -14,6 +14,7 @@ use fixd_timemachine::{CheckpointPolicy, TimeMachine, TimeMachineConfig};
 
 /// Forwards every received message to the other process until its
 /// budget runs out. Two of these produce a long steady-state step loop.
+#[derive(Clone)]
 struct Forward {
     left: u64,
 }
@@ -38,18 +39,10 @@ impl Program for Forward {
     fn restore(&mut self, b: &[u8]) {
         self.left = u64::from_le_bytes(b.try_into().unwrap());
     }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Forward { left: self.left })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// P0 sends `k` distinct messages to P1 at start; everyone else sinks.
+#[derive(Clone)]
 struct SendK {
     k: u64,
 }
@@ -69,15 +62,6 @@ impl Program for SendK {
     }
     fn restore(&mut self, b: &[u8]) {
         self.k = u64::from_le_bytes(b.try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(SendK { k: self.k })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -93,6 +93,7 @@ proptest! {
 
 /// Worker app with a sizable mutating buffer, so checkpoints hold real
 /// page data and GC passes have something to reclaim.
+#[derive(Clone)]
 struct BufFlow {
     buf: Vec<u8>,
     n: u64,
@@ -120,18 +121,6 @@ impl Program for BufFlow {
     fn restore(&mut self, b: &[u8]) {
         self.n = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.buf = b[8..].to_vec();
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(BufFlow {
-            buf: self.buf.clone(),
-            n: self.n,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -248,6 +237,7 @@ proptest! {
 }
 
 /// Worker app for end-to-end rollback properties.
+#[derive(Clone)]
 struct Flow {
     sum: u64,
 }
@@ -269,15 +259,6 @@ impl Program for Flow {
     }
     fn restore(&mut self, b: &[u8]) {
         self.sum = u64::from_le_bytes(b.try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Flow { sum: self.sum })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

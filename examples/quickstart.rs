@@ -14,6 +14,7 @@ use fixd_healer::Patch;
 use fixd_runtime::{Context, Message, Pid, Program, World, WorldConfig};
 
 /// The buggy register: blindly overwrites.
+#[derive(Clone)]
 struct RegV1 {
     value: u64,
     high_water: u64,
@@ -41,21 +42,10 @@ impl Program for RegV1 {
         self.value = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.high_water = u64::from_le_bytes(b[8..16].try_into().unwrap());
     }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(RegV1 {
-            value: self.value,
-            high_water: self.high_water,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// The fixed register.
+#[derive(Clone)]
 struct RegV2 {
     value: u64,
     high_water: u64,
@@ -75,18 +65,6 @@ impl Program for RegV2 {
     fn restore(&mut self, b: &[u8]) {
         self.value = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.high_water = u64::from_le_bytes(b[8..16].try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(RegV2 {
-            value: self.value,
-            high_water: self.high_water,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

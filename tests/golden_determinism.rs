@@ -88,6 +88,7 @@ fn campaign_report_matches_pre_refactor_seed() {
 /// payloads, fresh sends, outputs, timers set and cancelled, random
 /// draws, a self-crash, plus network loss/duplication/corruption and a
 /// scheduled crash from the fault plan.
+#[derive(Clone)]
 struct Mesh {
     hops: u8,
     seen: u64,
@@ -136,18 +137,6 @@ impl Program for Mesh {
     fn restore(&mut self, b: &[u8]) {
         self.seen = u64::from_le_bytes(b[0..8].try_into().unwrap());
         self.hops = b[8];
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Mesh {
-            hops: self.hops,
-            seen: self.seen,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

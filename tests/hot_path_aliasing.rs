@@ -24,6 +24,7 @@ use fixd::scroll::{EntryKind, RecordConfig, ScrollRecorder};
 use fixd::timemachine::{TimeMachine, TimeMachineConfig};
 
 /// P0 pings P1, P1 pongs back, for `rounds` rounds.
+#[derive(Clone)]
 struct Pinger {
     rounds: u8,
     got: u64,
@@ -48,18 +49,6 @@ impl Program for Pinger {
     fn restore(&mut self, b: &[u8]) {
         self.rounds = b[0];
         self.got = u64::from(b[1]);
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Pinger {
-            rounds: self.rounds,
-            got: self.got,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -285,3 +285,63 @@ fn deterministic_supervision_across_identical_runs() {
     };
     assert_eq!(run(), run());
 }
+
+/// Every shipped program is copied and inspected through the blanket
+/// `CloneProgram` impl and `dyn Program`'s downcasts: after some
+/// supervised steps, each pid's copy has its snapshot and name, and the
+/// pid downcasts to its own type and to no other shipped type.
+#[test]
+fn shipped_programs_clone_and_downcast_through_the_blanket_impl() {
+    use fixd_examples::{chord, wal_counter as wal};
+    fn is<T: Program>(p: &dyn Program) -> bool {
+        p.downcast_ref::<T>().is_some()
+    }
+    type IsType = fn(&dyn Program) -> bool;
+    let types: [(&str, IsType); 14] = [
+        ("ring-node", is::<RingNode>),
+        ("kv-client", is::<kvstore::Client>),
+        ("kv-primary", is::<kvstore::Primary>),
+        ("kv-backup-v1", is::<kvstore::BackupV1>),
+        ("kv-backup-v2", is::<kvstore::BackupV2>),
+        ("kv-primary-v2", is::<kvstore::PrimaryV2>),
+        ("kv-backup-v3", is::<kvstore::BackupV3>),
+        ("source", is::<pipeline::Source>),
+        ("cruncher", is::<pipeline::Cruncher>),
+        ("2pc-coordinator", is::<tpc::Coordinator>),
+        ("2pc-participant", is::<tpc::Participant>),
+        ("chord-node", is::<chord::ChordNode>),
+        ("wal-driver", is::<wal::Driver>),
+        ("wal-counter", is::<wal::WalCounter>),
+    ];
+    let script = vec![(1, 10), (2, 20), (1, 30), (3, 40)];
+    let worlds = [
+        token_ring::ring_world(3, 1, None),
+        kvstore::kv_world(1, script.clone(), (1, 20)),
+        kvstore::kv_world_v2_cfg(WorldConfig::seeded(1), script.clone()),
+        kvstore::kv_world_ck_cfg(WorldConfig::seeded(1), script),
+        pipeline::pipeline_world(1, 8, 10, Some(5)),
+        tpc::tpc_world(1, &[true, false, true], false),
+        chord::chord_world(4, 1, 2, 2),
+        chord::chord_kv_world(4, 1, 2, 2),
+        wal::wal_world(1, 8, 3, fixd_runtime::SharedDisk::new(), None),
+    ];
+    let mut seen = std::collections::BTreeSet::new();
+    for mut w in worlds {
+        let n = w.num_procs();
+        Fixd::new(n, FixdConfig::seeded(1)).supervise(&mut w, 40);
+        for i in 0..n {
+            w.with_program(Pid(i as u32), |p| {
+                let copy = p.clone_program();
+                assert_eq!(copy.snapshot(), p.snapshot(), "{}", p.name());
+                assert_eq!(copy.name(), p.name());
+                for (name, is_type) in &types {
+                    let own = *name == p.name();
+                    assert_eq!(is_type(p), own, "{} as {name}", p.name());
+                    assert_eq!(is_type(copy.as_ref()), own, "copy of {}", p.name());
+                }
+                seen.insert(p.name());
+            });
+        }
+    }
+    assert_eq!(seen.len(), types.len(), "every shipped program type ran");
+}

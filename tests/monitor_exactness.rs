@@ -52,6 +52,7 @@ fn ring_patch() -> Patch {
 }
 
 /// Counts its deliveries; node 0 greets everybody at start.
+#[derive(Clone)]
 struct Greeter {
     heard: u64,
 }
@@ -72,15 +73,6 @@ impl Program for Greeter {
     }
     fn restore(&mut self, b: &[u8]) {
         self.heard = u64::from_le_bytes(b.try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Greeter { heard: self.heard })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -480,6 +472,7 @@ fn seeded_invariant_explores_what_the_plain_one_does() {
 /// `amend` names a result, asks the cruncher to overwrite it. Two
 /// streams reach P1 on two channels, in whichever order the network
 /// picks.
+#[derive(Clone)]
 struct Stream {
     items: Vec<u64>,
     amend: Option<u64>,
@@ -505,22 +498,11 @@ impl Program for Stream {
         Vec::new()
     }
     fn restore(&mut self, _: &[u8]) {}
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Stream {
-            items: self.items.clone(),
-            amend: self.amend,
-        })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A correct cruncher that, on `AMEND`, corrupts a result it already
 /// recorded: an edit of verified evidence at some depth of the search.
+#[derive(Clone)]
 struct Amended(Cruncher);
 
 impl Program for Amended {
@@ -538,21 +520,6 @@ impl Program for Amended {
     }
     fn restore(&mut self, b: &[u8]) {
         self.0.restore(b);
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        let c = &self.0;
-        Box::new(Amended(Cruncher {
-            results: c.results.clone(),
-            cost: c.cost,
-            poison_at: c.poison_at,
-            scratch: c.scratch.clone(),
-        }))
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

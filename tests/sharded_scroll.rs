@@ -9,6 +9,7 @@ use fixd::runtime::NetworkConfig;
 
 /// Gossip program with RNG draws and payload-dependent fan-out, so the
 /// Scroll records deliveries *and* randoms on every process.
+#[derive(Clone)]
 struct Gossip {
     acc: u64,
 }
@@ -35,15 +36,6 @@ impl Program for Gossip {
     }
     fn restore(&mut self, b: &[u8]) {
         self.acc = u64::from_le_bytes(b.try_into().unwrap());
-    }
-    fn clone_program(&self) -> Box<dyn Program> {
-        Box::new(Gossip { acc: self.acc })
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
