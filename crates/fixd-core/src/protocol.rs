@@ -41,23 +41,15 @@ pub(crate) fn newest_good_checkpoint(
     fail: Pid,
     good: impl Fn(&dyn Program, &[u8]) -> bool,
 ) -> u64 {
-    let store = tm.store(fail);
-    let latest = store.latest_index().unwrap_or(0);
     // One scratch program for the whole walk: `restore` overwrites, as
     // it must for `World::restore_checkpoint` on the live program.
     let mut candidate = world.with_program(fail, |p| p.clone_program());
-    for idx in (0..=latest).rev() {
-        if !store.is_live(idx) {
-            continue;
-        }
-        let Some(ck) = store.get(idx) else { continue };
-        let state = ck.ckpt.state.to_bytes();
-        candidate.restore(&state);
-        if good(candidate.as_ref(), &state) {
-            return idx;
-        }
-    }
-    0
+    tm.store(fail)
+        .newest_where(|state| {
+            candidate.restore(state);
+            good(candidate.as_ref(), state)
+        })
+        .unwrap_or(0)
 }
 
 /// Pick the newest live checkpoint of `fail` whose restored state passes
@@ -169,8 +161,8 @@ mod tests {
         // Sum trajectory at P1: 0, 2, 5, 55, 56 — checkpoints before each
         // receive hold 0,2,5,55. Newest passing (<=10) is the one holding 5.
         let target = choose_rollback_target(&w, &tm, &monitors, Pid(1));
-        let ck = tm.store(Pid(1)).get(target).unwrap();
-        let sum = u64::from_le_bytes(ck.ckpt.state.to_bytes().try_into().unwrap());
+        let state = tm.store(Pid(1)).materialize(target).unwrap();
+        let sum = u64::from_le_bytes(state.try_into().unwrap());
         assert_eq!(sum, 5);
     }
 

@@ -22,11 +22,60 @@
 //! handle (the model checker's `clone_program` shares handles, so
 //! disk-backed programs are for runtime/recovery scenarios, not for
 //! state-space exploration; assert with [`SharedDisk::handle_count`]).
+//!
+//! Re-executing a handler must not write the disk a second time: the
+//! writes already happened when the handler first ran. While a
+//! [`DiskReplayGuard`] lives, writes, deletes and syncs made on its
+//! thread are dropped and no operation is counted; reads still see the
+//! disk. The Scroll's local playback and the Time Machine's checkpoint
+//! replay hold one while they re-execute.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+
+thread_local! {
+    /// Live [`DiskReplayGuard`]s on this thread.
+    static REPLAYING: Cell<u32> = const { Cell::new(0) };
+}
+
+fn replaying() -> bool {
+    REPLAYING.get() > 0
+}
+
+/// Marks this thread as re-executing handlers until dropped: every
+/// [`SharedDisk`] then ignores writes, deletes and syncs from this
+/// thread, and counts none of its operations. Guards nest.
+#[must_use = "the guard holds only while it lives"]
+pub struct DiskReplayGuard {
+    /// Tied to the thread whose counter it raised.
+    _thread: PhantomData<*const ()>,
+}
+
+impl DiskReplayGuard {
+    /// Start dropping this thread's disk writes.
+    pub fn new() -> Self {
+        REPLAYING.set(REPLAYING.get() + 1);
+        Self {
+            _thread: PhantomData,
+        }
+    }
+}
+
+impl Default for DiskReplayGuard {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Drop for DiskReplayGuard {
+    fn drop(&mut self) {
+        REPLAYING.set(REPLAYING.get() - 1);
+    }
+}
 
 /// Operation counters for cost accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,6 +110,9 @@ impl SharedDisk {
 
     /// Buffer a write. Not durable until [`SharedDisk::sync`].
     pub fn write(&self, key: &[u8], value: &[u8]) {
+        if replaying() {
+            return;
+        }
         let mut d = self.inner.lock();
         d.stats.writes += 1;
         d.buffer.insert(key.to_vec(), Some(value.to_vec()));
@@ -68,6 +120,9 @@ impl SharedDisk {
 
     /// Buffer a delete. Not durable until [`SharedDisk::sync`].
     pub fn delete(&self, key: &[u8]) {
+        if replaying() {
+            return;
+        }
         let mut d = self.inner.lock();
         d.stats.writes += 1;
         d.buffer.insert(key.to_vec(), None);
@@ -83,7 +138,9 @@ impl SharedDisk {
     /// Counts as one read.
     pub fn read_with<R>(&self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> R {
         let mut d = self.inner.lock();
-        d.stats.reads += 1;
+        if !replaying() {
+            d.stats.reads += 1;
+        }
         let value = match d.buffer.get(key) {
             Some(v) => v.as_deref(),
             None => d.durable.get(key).map(Vec::as_slice),
@@ -93,6 +150,9 @@ impl SharedDisk {
 
     /// Flush the write buffer to durable storage (the `fsync` barrier).
     pub fn sync(&self) {
+        if replaying() {
+            return;
+        }
         let mut d = self.inner.lock();
         d.stats.syncs += 1;
         // The buffered keys and values move into the durable map: a
@@ -135,7 +195,10 @@ impl SharedDisk {
 
     /// How many handles alias this disk (Investigator-safety check: a
     /// program explored by the model checker must not share its disk
-    /// across branches).
+    /// across branches). A [`DiskReplayGuard`] does not cover the
+    /// Investigator: its branches run *new* executions, whose writes
+    /// are real for the branch, so each branch needs a disk of its own
+    /// (§4.5), not a muted shared one.
     pub fn handle_count(&self) -> usize {
         Arc::strong_count(&self.inner)
     }
@@ -283,6 +346,31 @@ mod tests {
             assert_eq!(d.read_with(key, |v| v.map(<[u8]>::to_vec)), d.read(key));
         }
         assert_eq!(d.stats().reads, 8);
+    }
+
+    #[test]
+    fn replay_guard_mutes_writes_and_keeps_reads() {
+        let d = SharedDisk::new();
+        d.write(b"k", b"v");
+        d.sync();
+        let before = (d.stats(), d.durable_fingerprint());
+        {
+            let _outer = DiskReplayGuard::new();
+            let _inner = DiskReplayGuard::new();
+            d.write(b"k", b"w");
+            d.delete(b"k");
+            d.sync();
+            assert_eq!(d.read(b"k"), Some(b"v".to_vec()), "reads see the disk");
+        }
+        assert_eq!((d.stats(), d.durable_fingerprint()), before);
+        assert_eq!(d.dirty_count(), 0);
+        // Another thread is not muted by this thread's guard.
+        let _guard = DiskReplayGuard::new();
+        let other = d.clone();
+        std::thread::spawn(move || other.write(b"t", b"1"))
+            .join()
+            .unwrap();
+        assert_eq!(d.stats().writes, before.0.writes + 1);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub mod world;
 pub use arena::{ArenaStats, EFF_POOL_CAP, MSG_POOL_CAP, RAND_POOL_CAP, REC_POOL_CAP};
 pub use calqueue::CalQueueStats;
 pub use clock::{LamportClock, VectorClock};
-pub use disk::{DiskStats, SharedDisk};
+pub use disk::{DiskReplayGuard, DiskStats, SharedDisk};
 // The content-addressed state store sits below the runtime in the crate
 // DAG; re-export the pieces checkpoint-facing code needs so downstream
 // crates can use `fixd_runtime::{PageStore, SnapshotImage}` directly.

@@ -126,6 +126,9 @@ pub(crate) struct ProcEntry {
     pub(crate) program: Box<dyn Program>,
     pub(crate) status: ProcStatus,
     pub(crate) ctx: ProcContext,
+    /// Times the program was replaced, restored or handed out for
+    /// writing outside a handler ([`crate::World::program_generation`]).
+    pub(crate) generation: u64,
 }
 
 /// Per-pid state slots for the pids of one residue class (see module
@@ -237,7 +240,13 @@ impl ProcTable {
             program,
             status: ProcStatus::Running,
             ctx: ProcContext::new(seed, pid),
+            generation: 0,
         })
+    }
+
+    /// The context a dormant pid materializes with.
+    pub(crate) fn fresh_context(&self, pid: Pid) -> ProcContext {
+        ProcContext::new(self.seed, pid)
     }
 
     /// Build a fresh entry for a dormant pid without installing it.

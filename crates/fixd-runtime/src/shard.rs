@@ -435,10 +435,10 @@ impl Link {
 }
 
 /// Accounting of a sharded world's windows: the parallel critical path
-/// (sum over windows of the slowest shard) and the calling thread's time
-/// between windows — what a modelled speedup is computed from on
-/// machines with fewer cores than shards. The durations are
-/// measurements and differ from run to run; `windows` and
+/// (sum over windows of the slowest shard), the shards' summed work, and
+/// the calling thread's time between windows — what a modelled speedup
+/// is computed from on machines with fewer cores than shards. The
+/// durations are measurements and differ from run to run; `windows` and
 /// `inline_windows` are deterministic counters. All zero on a world
 /// that was never sharded.
 #[derive(Clone, Copy, Debug, Default)]
@@ -448,6 +448,11 @@ pub struct ShardTiming {
     /// critical path. A shard that sits a window out contributes zero
     /// to it.
     pub critical: Duration,
+    /// Sum over windows of every shard's window time: the work the
+    /// windows did, wherever it ran. `critical <= busy <= shards *
+    /// critical`; a `busy` near `critical` means one shard did nearly
+    /// all the work.
+    pub busy: Duration,
     /// Calling-thread CPU time from the end of one window to the start
     /// of the next (or to the step that found the world quiescent):
     /// committing the staged steps, plus whatever the caller does
@@ -847,12 +852,9 @@ impl Shards {
         }
         self.timing.windows += 1;
         self.timing.inline_windows += u64::from(inline);
-        self.timing.critical += self
-            .shards
-            .iter()
-            .map(|s| s.busy_window)
-            .max()
-            .unwrap_or_default();
+        let busy = self.shards.iter().map(|s| s.busy_window);
+        self.timing.critical += busy.clone().max().unwrap_or_default();
+        self.timing.busy += busy.sum::<Duration>();
         self.last_window_end = Some(thread_cpu_now());
         local
     }

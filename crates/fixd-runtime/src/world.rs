@@ -787,10 +787,35 @@ impl World {
     }
 
     /// Typed write access to a process's program (tests / fault setup).
-    /// Materializes a dormant lazy process.
+    /// Materializes a dormant lazy process. Starts a new program
+    /// generation ([`World::program_generation`]): the caller may change
+    /// the state outside a handler.
     pub fn program_mut<T: 'static>(&mut self, pid: Pid) -> Option<&mut T> {
         self.assert_unsharded("program_mut");
-        self.procs.ent_mut(pid).program.downcast_mut::<T>()
+        let e = self.procs.ent_mut(pid);
+        e.generation += 1;
+        e.program.downcast_mut::<T>()
+    }
+
+    /// How many times `pid`'s program was changed outside a handler:
+    /// replaced ([`World::replace_program`]), restored
+    /// ([`World::restore_checkpoint`], [`World::restore_snapshot`]) or
+    /// handed out for writing ([`World::program_mut`]). Between two
+    /// changes the program's state is its state at the first one plus
+    /// the handlers it ran since, on the same code — what the Time
+    /// Machine replays its checkpoints from.
+    pub fn program_generation(&self, pid: Pid) -> u64 {
+        self.procs.ent(pid).map_or(0, |e| e.generation)
+    }
+
+    /// A copy of `pid`'s runtime context: what a [`ProcCheckpoint`]
+    /// holds besides the state. A dormant lazy process's is the context
+    /// it would materialize with.
+    pub fn proc_context(&self, pid: Pid) -> ProcContext {
+        match self.procs.ent(pid) {
+            Some(e) => e.ctx.clone(),
+            None => self.procs.fresh_context(pid),
+        }
     }
 
     /// Run a closure over the untyped program (for generic drivers). For
@@ -880,6 +905,7 @@ impl World {
         e.program.restore(&ckpt.state.as_bytes());
         e.ctx = ckpt.ctx.clone();
         e.status = status;
+        e.generation += 1;
         if status == ProcStatus::Running {
             let seq = self.exec_seq;
             self.exec_seq += 1;
@@ -910,7 +936,9 @@ impl World {
     /// program's state must already be migrated.
     pub fn replace_program(&mut self, pid: Pid, program: Box<dyn Program>) {
         self.assert_unsharded("replace_program");
-        self.procs.ent_mut(pid).program = program;
+        let e = self.procs.ent_mut(pid);
+        e.program = program;
+        e.generation += 1;
     }
 
     /// Schedule a fresh `on_start` for `pid` at the current time (used

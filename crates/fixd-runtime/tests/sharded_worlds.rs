@@ -595,6 +595,26 @@ fn accounting_survives_long_lived_workers_and_split_runs() {
     }
 }
 
+/// The summed window time lies between the critical path and the
+/// critical path times the shard count: no window's shards did less
+/// than its slowest one, or more than all of them at its pace.
+#[test]
+fn busy_time_is_bounded_by_the_critical_path() {
+    for shards in [2usize, 4] {
+        let mut w = gossip(0x61D, 6, NetworkConfig::jittery(1, 40)).build(shards);
+        w.run_to_quiescence(100_000);
+        let t = w.shard_timing();
+        assert!(t.windows > 0);
+        assert!(t.critical <= t.busy, "shards={shards}: {t:?}");
+        assert!(
+            t.busy <= t.critical * shards as u32,
+            "shards={shards}: {t:?}"
+        );
+    }
+    let serial = World::new(WorldConfig::seeded(1));
+    assert_eq!(serial.shard_timing().busy, std::time::Duration::ZERO);
+}
+
 /// Two handlers on different shards meet inside one window: the witness
 /// reports in and holds until released, the culprit waits for it,
 /// releases it and panics. Every wait is bounded, so an executor that

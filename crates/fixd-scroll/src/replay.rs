@@ -14,8 +14,13 @@
 //! checkpoint carries the process's whole runtime context, so replaying
 //! the Scroll suffix after it mints the ids and draws the randoms the
 //! world did.
+//!
+//! Playback re-executes handlers whose effects already happened: sends,
+//! timers and outputs are only compared, never applied, and a
+//! [`DiskReplayGuard`] drops the handlers' [`fixd_runtime::SharedDisk`]
+//! writes while they run.
 
-use fixd_runtime::{Pid, ProcCheckpoint, Program, SoloHarness};
+use fixd_runtime::{DiskReplayGuard, Pid, ProcCheckpoint, Program, SoloHarness};
 
 use crate::entry::{EntryKind, ScrollEntry};
 
@@ -119,6 +124,7 @@ fn replay_in(
     let mut steps = 0u64;
     let mut fidelity = Fidelity::Exact;
     let mut states = Vec::new();
+    let _disk = DiskReplayGuard::new();
 
     for e in entries {
         debug_assert_eq!(e.pid, pid, "entry from wrong scroll");

@@ -1,7 +1,10 @@
 //! Paged byte images over the content-addressed store, and the
 //! [`SnapshotImage`] wrapper program snapshots travel in.
 
-use crate::store::{Page, PageStore};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
+
+use crate::store::{KeyHasher, Page, PageStore};
 
 /// Default page size in bytes. Small enough that localized mutations
 /// dirty few pages, large enough that page overhead stays negligible.
@@ -176,7 +179,13 @@ impl PagedImage {
     /// the given images — the real memory footprint of a checkpoint
     /// history under content-addressed sharing.
     pub fn unique_bytes<'a>(images: impl Iterator<Item = &'a PagedImage>) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let images: Vec<&PagedImage> = images.collect();
+        // Page keys are store keys: already XXH64 outputs, so the set
+        // passes them through rather than hashing them again.
+        let mut seen = HashSet::with_capacity_and_hasher(
+            images.iter().map(|img| img.pages.len()).sum(),
+            BuildHasherDefault::<KeyHasher>::default(),
+        );
         let mut total = 0usize;
         for img in images {
             for p in &img.pages {
@@ -469,6 +478,41 @@ mod tests {
         );
         drop(diverged);
         assert_eq!(store.unique_bytes(), 0);
+    }
+
+    /// `unique_bytes` against a brute-force count of distinct page
+    /// contents, over images that share pages every way the Time
+    /// Machine makes them: successive mutations, clones, equal
+    /// processes, constant runs, and a short last page.
+    #[test]
+    fn unique_bytes_is_the_distinct_page_content() {
+        let store = PageStore::new();
+        let base: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 253) as u8).collect();
+        let mut images = vec![PagedImage::from_bytes(&store, &base)];
+        let mut state = base.clone();
+        for k in 0..6 {
+            let at = k * 431 % state.len();
+            state[at] ^= 0x5A;
+            images.push(PagedImage::from_bytes_after(
+                &store,
+                &state,
+                DEFAULT_PAGE_SIZE,
+                images.last(),
+            ));
+        }
+        images.push(images[2].clone());
+        images.push(PagedImage::from_bytes(&store, &base));
+        images.push(PagedImage::from_bytes(&store, &[0u8; 2000]));
+        let mut contents: Vec<&[u8]> = images
+            .iter()
+            .flat_map(|img| img.pages.iter().map(|p| &p.data[..]))
+            .collect();
+        contents.sort_unstable();
+        contents.dedup();
+        let brute: usize = contents.iter().map(|c| c.len()).sum();
+        assert_eq!(PagedImage::unique_bytes(images.iter()), brute);
+        assert_eq!(store.unique_bytes(), brute);
+        assert_eq!(PagedImage::unique_bytes(std::iter::empty()), 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ struct Slot {
 /// key comes from outside the program, and the content a key stands for
 /// is compared on every intern.
 #[derive(Default)]
-struct KeyHasher(u64);
+pub(crate) struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     /// Slot keys hash through [`Hasher::write_u64`]; other bytes get a

@@ -1,39 +1,128 @@
 //! Per-process checkpoint stores over the shared content-addressed
 //! page store.
+//!
+//! A store keeps one entry per checkpoint — its index, the process's
+//! whole runtime context, its handler-event count — but writes a
+//! *process image* (the state, paged copy-on-write, §4.2) only once
+//! eight handler events (`IMAGE_EVERY`) ran since the last one. The
+//! checkpoints between two images are restored from the older one by
+//! re-running the process's own handler events, which the store logs as
+//! they run: the liblog-style log of §4.1 paired with the lightweight
+//! checkpoints of §4.2, so a checkpoint before every receive (Fig. 6)
+//! does not cost a state copy per receive.
+//!
+//! Replay re-executes handlers on the code that first ran them: a
+//! program replaced, restored or written outside a handler
+//! ([`World::program_generation`]) starts a new generation, whose first
+//! checkpoint is an image (after a restore, the restored checkpoint
+//! becomes it) and whose program is copied once as the generation's
+//! replay template. Replay writes nothing outside the process: sends,
+//! timers and outputs are dropped, and so are
+//! [`fixd_runtime::SharedDisk`] writes ([`DiskReplayGuard`]).
 
-use fixd_runtime::{Pid, ProcCheckpoint, SnapshotImage, World};
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
+
+use fixd_runtime::{
+    DiskReplayGuard, Event, EventKind, Pid, ProcCheckpoint, ProcContext, Program, SharedMessage,
+    SnapshotImage, SoloHarness, TimerId, VTime, World,
+};
 
 use crate::page::{PageStats, PageStore, PagedImage};
 
-/// A Time-Machine checkpoint: the [`fixd_runtime::ProcCheckpoint`] it
-/// took, with the state held as a [`PagedImage`] whose pages are
-/// interned in the Time Machine's shared [`PageStore`] — so equal pages
-/// dedup across checkpoint generations, across processes, and across
-/// speculation branches.
+/// Handler events after which a process's next checkpoint is an image.
+const IMAGE_EVERY: u64 = 8;
+
+/// A program of one generation, state unspecified: what replays the
+/// handler events that generation ran. Cloned from the world once per
+/// generation and shared by its images.
+#[derive(Clone)]
+struct Code {
+    generation: u64,
+    program: Arc<dyn Program>,
+}
+
+impl fmt::Debug for Code {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Code")
+            .field("generation", &self.generation)
+            .field("program", &self.program.name())
+            .finish()
+    }
+}
+
+/// A process image: the paged state, the code that ran on from it, and
+/// the world width its handlers saw.
+#[derive(Clone, Debug)]
+struct Image {
+    state: SnapshotImage,
+    code: Code,
+    width: usize,
+}
+
+impl Image {
+    fn pages(&self) -> Option<&PagedImage> {
+        self.state.as_paged()
+    }
+}
+
+/// A Time-Machine checkpoint: the process's runtime context when it was
+/// taken and, every eighth handler event, an image of its state whose
+/// pages are interned in the Time Machine's shared [`PageStore`] — so
+/// equal pages dedup across images, across processes, and across
+/// speculation branches. The state of a checkpoint without an image is
+/// [`CheckpointStore::materialize`]d by replay.
 #[derive(Clone, Debug)]
 pub struct TmCheckpoint {
     /// Checkpoint index = the interval this checkpoint *starts*.
     pub index: u64,
-    /// The process's state (paged) and whole runtime context.
-    pub ckpt: ProcCheckpoint,
+    /// The process's whole runtime context (clocks, RNG position, id
+    /// counters, meta template) when the checkpoint was taken.
+    pub ctx: ProcContext,
+    /// Virtual time at which the checkpoint was taken.
+    pub taken_at: VTime,
     /// Handler events this process had executed when the checkpoint was
     /// taken (rollback-depth accounting for F6).
     pub events_at: u64,
-    /// Page-sharing stats of this checkpoint: pages found already
-    /// interned (in its predecessor or anywhere else in the store) versus
-    /// pages inserted.
+    /// Page-sharing stats of this checkpoint's image: pages found
+    /// already interned (in its predecessor or anywhere else in the
+    /// store) versus pages inserted. Zero without an image.
     pub stats: PageStats,
-    /// False once garbage collection has dropped the image: the entry
-    /// keeps its index (message metadata refers to indices) but can no
-    /// longer be restored, nor serve as the predecessor of a new image.
+    /// False once garbage collection has dropped the checkpoint: the
+    /// entry keeps its index (message metadata refers to indices) but
+    /// can no longer be restored.
     pub live: bool,
+    image: Option<Image>,
 }
 
 impl TmCheckpoint {
-    /// The paged state image.
-    fn image(&self) -> Option<&PagedImage> {
-        self.ckpt.state.as_paged()
+    /// Does this checkpoint hold an image of the state (else its state
+    /// is replayed from the newest image before it)?
+    pub fn has_image(&self) -> bool {
+        self.image.is_some()
     }
+
+    /// The paged state image, if this checkpoint holds one.
+    fn pages(&self) -> Option<&PagedImage> {
+        self.image.as_ref().and_then(Image::pages)
+    }
+}
+
+/// The handler an event ran, as the log keeps it.
+#[derive(Clone, Debug)]
+enum Logged {
+    Start,
+    Deliver(SharedMessage),
+    Timer(TimerId),
+}
+
+/// One handler event of the process: the virtual time the handler saw,
+/// and what it handled.
+#[derive(Clone, Debug)]
+struct LoggedEvent {
+    at: VTime,
+    handler: Logged,
 }
 
 /// The checkpoint history of one process. All page data lives in the
@@ -46,10 +135,17 @@ pub struct CheckpointStore {
     checkpoints: Vec<TmCheckpoint>,
     page_size: usize,
     pages: PageStore,
-    /// What the process snapshots into on every [`CheckpointStore::take`]:
-    /// the bytes live only until they are paged, so one buffer, grown to
-    /// the largest image once, serves the whole history.
+    /// What the process snapshots into on every image: the bytes live
+    /// only until they are paged, so one buffer, grown to the largest
+    /// image once, serves the whole history.
     scratch: Vec<u8>,
+    /// The process's handler events from the `log_from`-th on: entry
+    /// `k - log_from` is its `k`-th (a checkpoint's `events_at` counts
+    /// the same events).
+    log: Vec<LoggedEvent>,
+    log_from: u64,
+    /// The current generation's replay template, once copied.
+    code: Option<Code>,
 }
 
 impl CheckpointStore {
@@ -67,6 +163,9 @@ impl CheckpointStore {
             page_size,
             pages,
             scratch: Vec::new(),
+            log: Vec::new(),
+            log_from: 0,
+            code: None,
         }
     }
 
@@ -75,39 +174,120 @@ impl CheckpointStore {
         &self.pages
     }
 
-    /// Take a checkpoint of `pid`'s current state in `world`, interning
-    /// pages into the shared store (any page already present — from this
-    /// history, another process, or another branch — is reused without a
-    /// copy). Pages unchanged since the latest checkpoint are found by
-    /// comparing against its image; when that one is gone (GC'd, or there
-    /// is none yet) every page goes through the store's hash lookup,
-    /// with the same result. Returns the new index.
+    /// Take a checkpoint of `pid`'s current state in `world` with an
+    /// image, interning pages into the shared store (any page already
+    /// present — from this history, another process, or another branch
+    /// — is reused without a copy). Pages unchanged since the newest
+    /// image are found by comparing against it; when there is none (all
+    /// collected, or none yet) every page goes through the store's hash
+    /// lookup, with the same result. Returns the new index.
     pub fn take(&mut self, world: &World, events_at: u64) -> u64 {
-        let prev = self
-            .checkpoints
-            .last()
-            .filter(|c| c.live)
-            .and_then(TmCheckpoint::image);
-        let ckpt = world.checkpoint_process_in(
+        let code = self.code(world);
+        let prev = self.checkpoints.iter().rev().find_map(TmCheckpoint::pages);
+        let ProcCheckpoint {
+            state,
+            ctx,
+            taken_at,
+            ..
+        } = world.checkpoint_process_in(
             self.pid,
             &self.pages,
             self.page_size,
             prev,
             &mut self.scratch,
         );
-        let stats = ckpt
-            .state
+        let stats = state
             .as_paged()
             .map_or_else(PageStats::default, PagedImage::build_stats);
-        let index = self.checkpoints.len() as u64;
-        self.checkpoints.push(TmCheckpoint {
-            index,
-            ckpt,
+        self.push(TmCheckpoint {
+            index: 0,
+            ctx,
+            taken_at,
             events_at,
             stats,
             live: true,
-        });
+            image: Some(Image {
+                state,
+                code,
+                width: world.num_procs(),
+            }),
+        })
+    }
+
+    /// Record a checkpoint of `pid`'s current state in `world`, `events_at`
+    /// handler events into its run: an entry with the process's context,
+    /// and an image ([`CheckpointStore::take`]) when one is due — at the
+    /// first checkpoint, at the first after the program changed outside
+    /// a handler, once eight handler events ran since the last image,
+    /// and whenever the log does not run up to this checkpoint.
+    /// This is the Time Machine's checkpoint. Returns the new index.
+    pub fn record(&mut self, world: &World, events_at: u64) -> u64 {
+        let generation = world.program_generation(self.pid);
+        let due = self
+            .checkpoints
+            .iter()
+            .rev()
+            .find_map(|c| c.image.as_ref().map(|img| (c.events_at, img)))
+            .is_none_or(|(at, img)| {
+                img.code.generation != generation
+                    || img.width != world.num_procs()
+                    || events_at >= at + IMAGE_EVERY
+            });
+        if due || self.log_end() != events_at {
+            return self.take(world, events_at);
+        }
+        self.push(TmCheckpoint {
+            index: 0,
+            ctx: world.proc_context(self.pid),
+            taken_at: world.now(),
+            events_at,
+            stats: PageStats::default(),
+            live: true,
+            image: None,
+        })
+    }
+
+    /// The replay template of the process's current program generation
+    /// in `world`, copied on the generation's first use.
+    fn code(&mut self, world: &World) -> Code {
+        let generation = world.program_generation(self.pid);
+        match &self.code {
+            Some(code) if code.generation == generation => code.clone(),
+            _ => {
+                let program = world.with_program(self.pid, |p| p.clone_program());
+                let code = Code {
+                    generation,
+                    program: Arc::from(program),
+                };
+                self.code = Some(code.clone());
+                code
+            }
+        }
+    }
+
+    /// Append `ck` as the next checkpoint; returns its index.
+    fn push(&mut self, ck: TmCheckpoint) -> u64 {
+        let index = self.checkpoints.len() as u64;
+        self.checkpoints.push(TmCheckpoint { index, ..ck });
         index
+    }
+
+    /// Log the handler event `ev` of this process, which it ran after
+    /// its newest checkpoint. Events that run no handler are ignored.
+    pub(crate) fn log(&mut self, ev: &Event) {
+        let handler = match &ev.kind {
+            EventKind::Start { .. } => Logged::Start,
+            EventKind::Deliver { msg } => Logged::Deliver(msg.clone()),
+            EventKind::TimerFire { timer, .. } => Logged::Timer(*timer),
+            _ => return,
+        };
+        self.log.push(LoggedEvent { at: ev.at, handler });
+    }
+
+    /// The count of handler events logged so far, collected ones
+    /// included.
+    fn log_end(&self) -> u64 {
+        self.log_from + self.log.len() as u64
     }
 
     /// The checkpoint at `index` (indices are dense from 0).
@@ -135,31 +315,217 @@ impl CheckpointStore {
         self.checkpoints.is_empty()
     }
 
-    /// Restore the process in `world` to checkpoint `index`. Later
-    /// checkpoints are discarded (they describe an undone future).
-    /// Returns the restored checkpoint's `events_at`.
+    /// The state bytes of live checkpoint `index`: its image, or the
+    /// newest image before it with the logged handler events between
+    /// them re-run on that image's code. `None` for a collected or
+    /// unknown checkpoint.
+    pub fn materialize(&self, index: u64) -> Option<Vec<u8>> {
+        let i = usize::try_from(index).ok()?;
+        let base = self.base_of(i)?;
+        let mut state = None;
+        self.replay(base, i..i + 1, |_, bytes| {
+            state = Some(std::mem::take(bytes))
+        });
+        state
+    }
+
+    /// The newest live checkpoint whose state bytes `accept` takes,
+    /// offered newest first. Each image's replay runs once for all the
+    /// checkpoints it restores, not once per checkpoint.
+    pub fn newest_where(&self, mut accept: impl FnMut(&[u8]) -> bool) -> Option<u64> {
+        let mut end = self.checkpoints.len();
+        while let Some(base) = self.checkpoints[..end]
+            .iter()
+            .rposition(|c| c.image.is_some())
+        {
+            // The newest checkpoint is the usual pick: it is offered
+            // straight off the replay, and the older ones, kept for
+            // newest-first order, only if it is refused.
+            let mut hit = None;
+            self.replay(base, end - 1..end, |i, state| {
+                hit = accept(state).then_some(i);
+            });
+            if hit.is_none() {
+                let mut states = Vec::new();
+                self.replay(base, base..end - 1, |i, state| {
+                    states.push((i, state.clone()));
+                });
+                hit = states
+                    .into_iter()
+                    .rev()
+                    .find_map(|(i, state)| accept(&state).then_some(i));
+            }
+            if let Some(i) = hit {
+                return Some(i as u64);
+            }
+            end = base;
+        }
+        None
+    }
+
+    /// The image live checkpoint `i` replays from.
+    fn base_of(&self, i: usize) -> Option<usize> {
+        if !self.checkpoints.get(i)?.live {
+            return None;
+        }
+        self.checkpoints[..=i]
+            .iter()
+            .rposition(|c| c.image.is_some())
+    }
+
+    /// Replay forward from the image of checkpoint `base`, handing
+    /// `visit` the state bytes of every live checkpoint in `wanted`, in
+    /// order. Stops early where the log does not reach.
+    fn replay(
+        &self,
+        base: usize,
+        wanted: Range<usize>,
+        mut visit: impl FnMut(usize, &mut Vec<u8>),
+    ) {
+        let Some((ck, image)) = self
+            .checkpoints
+            .get(base)
+            .and_then(|c| Some((c, c.image.as_ref()?)))
+        else {
+            return;
+        };
+        // One buffer holds the image's bytes, then each snapshot; a
+        // visitor may take it.
+        let mut buf = image.state.to_bytes();
+        let live = |i: usize| wanted.contains(&i) && self.checkpoints[i].live;
+        let end = wanted.end.min(self.checkpoints.len());
+        let mut program = (end > base + 1).then(|| {
+            let mut program = image.code.program.clone_program();
+            program.restore(&buf);
+            program
+        });
+        if live(base) {
+            visit(base, &mut buf);
+        }
+        let Some(program) = program.as_mut() else {
+            return;
+        };
+        let mut harness = SoloHarness::resume(
+            &ProcCheckpoint {
+                pid: self.pid,
+                state: SnapshotImage::inline(Vec::new()),
+                ctx: ck.ctx.clone(),
+                taken_at: ck.taken_at,
+            },
+            image.width,
+        );
+        let _disk = DiskReplayGuard::new();
+        let Some(skip) = ck.events_at.checked_sub(self.log_from) else {
+            return;
+        };
+        let mut events = self.log.iter().skip(skip as usize);
+        let mut ran = ck.events_at;
+        for i in base + 1..end {
+            while ran < self.checkpoints[i].events_at {
+                let Some(ev) = events.next() else { return };
+                harness.set_now(ev.at);
+                let program = program.as_mut();
+                SoloHarness::recycle(match &ev.handler {
+                    Logged::Start => harness.start(program),
+                    Logged::Deliver(msg) => harness.deliver(program, msg),
+                    Logged::Timer(t) => harness.timer(program, *t),
+                });
+                ran += 1;
+            }
+            if live(i) {
+                buf.clear();
+                program.snapshot_to(&mut buf);
+                visit(i, &mut buf);
+            }
+        }
+    }
+
+    /// Restore the process in `world` to live checkpoint `index`: its
+    /// state goes into the live program, its context replaces the
+    /// process's. Later checkpoints, and the handler events logged
+    /// after this one, are discarded (they describe an undone future).
+    /// The process runs on from here in a new program generation (a
+    /// restore starts one), so the checkpoint becomes an image of that
+    /// generation: the base the rest of the run replays from, which a
+    /// later walk or rollback to it reads without replaying. Returns the
+    /// restored checkpoint's `events_at`.
     pub fn restore(&mut self, world: &mut World, index: u64) -> Option<u64> {
-        let ck = self.checkpoints.get(index as usize)?;
-        world.restore_checkpoint(&ck.ckpt);
+        let i = usize::try_from(index).ok()?;
+        let state = self.materialize(index)?;
+        let ck = self.checkpoints.get(i)?;
+        let restored = ProcCheckpoint {
+            pid: self.pid,
+            state: SnapshotImage::inline(state),
+            ctx: ck.ctx.clone(),
+            taken_at: ck.taken_at,
+        };
+        world.restore_checkpoint(&restored);
         let events_at = ck.events_at;
-        self.checkpoints.truncate(index as usize + 1);
+        self.checkpoints.truncate(i + 1);
+        self.log
+            .truncate(events_at.saturating_sub(self.log_from) as usize);
+        let code = self.code(world);
+        let (older, rest) = self.checkpoints.split_at_mut(i);
+        let ck = rest.first_mut()?;
+        let state = match ck.image.take() {
+            Some(image) => image.state,
+            None => {
+                let prev = older.iter().rev().find_map(TmCheckpoint::pages);
+                let pages = PagedImage::from_bytes_after(
+                    &self.pages,
+                    &restored.state.into_bytes(),
+                    self.page_size,
+                    prev,
+                );
+                ck.stats = pages.build_stats();
+                SnapshotImage::Paged(pages)
+            }
+        };
+        ck.image = Some(Image {
+            state,
+            code,
+            width: world.num_procs(),
+        });
         Some(events_at)
     }
 
     /// Drop checkpoints with `index < keep_from` (garbage collection).
     /// Entries stay in place so the indices of retained checkpoints do
-    /// not move; a dropped entry gives up its image — releasing its page
-    /// refcounts, so pages referenced nowhere else are freed by the store
-    /// and counted in `StoreStats::freed_bytes` — and is marked not
-    /// `live`. Returns the number of checkpoints dropped.
+    /// not move; a dropped entry is marked not `live`. The newest image
+    /// at or before `keep_from` stays, with the log from it on: the
+    /// checkpoints from `keep_from` on replay from it. Older images give
+    /// up their pages — releasing their refcounts, so pages referenced
+    /// nowhere else are freed by the store and counted in
+    /// `StoreStats::freed_bytes`. Returns the number of checkpoints
+    /// dropped.
     pub fn gc_before(&mut self, keep_from: u64) -> usize {
-        let drop_n = (keep_from as usize).min(self.checkpoints.len());
+        let len = self.checkpoints.len();
+        let drop_n = (keep_from as usize).min(len);
         let mut dropped = 0;
         for ck in self.checkpoints[..drop_n].iter_mut().filter(|c| c.live) {
-            ck.ckpt.state = SnapshotImage::Paged(PagedImage::empty());
             ck.live = false;
             dropped += 1;
         }
+        // The first image any kept checkpoint replays from.
+        let base = if drop_n == len {
+            len
+        } else {
+            self.checkpoints[..=drop_n]
+                .iter()
+                .rposition(|c| c.image.is_some())
+                .or_else(|| self.checkpoints.iter().position(|c| c.image.is_some()))
+                .unwrap_or(len)
+        };
+        for ck in &mut self.checkpoints[..base] {
+            ck.image = None;
+        }
+        let log_from = self
+            .checkpoints
+            .get(base)
+            .map_or_else(|| self.log_end(), |c| c.events_at);
+        self.log
+            .drain(..(log_from.saturating_sub(self.log_from) as usize).min(self.log.len()));
+        self.log_from = self.log_from.max(log_from);
         dropped
     }
 
@@ -168,16 +534,15 @@ impl CheckpointStore {
         self.get(index).is_some_and(|c| c.live)
     }
 
-    /// Distinct bytes held by the whole history (content-dedup-aware,
+    /// Distinct bytes held by the history's images (content-dedup-aware,
     /// within this process only — the per-process baseline figure).
     pub fn unique_bytes(&self) -> usize {
         PagedImage::unique_bytes(self.images())
     }
 
-    /// The images of the retained checkpoints (for cross-store dedup
-    /// accounting).
+    /// The images the history holds (for cross-store dedup accounting).
     pub fn images(&self) -> impl Iterator<Item = &PagedImage> {
-        self.checkpoints.iter().filter_map(TmCheckpoint::image)
+        self.checkpoints.iter().filter_map(TmCheckpoint::pages)
     }
 
     /// Sum of page-sharing stats across the history.
@@ -330,8 +695,8 @@ mod tests {
         fn assert_matches(&self, store: &CheckpointStore) {
             let ck = store.latest().unwrap();
             let mine = self.images.last().unwrap();
-            assert!(ck.image().unwrap().page_keys().eq(mine.page_keys()));
-            assert_eq!(ck.image(), Some(mine));
+            assert!(ck.pages().unwrap().page_keys().eq(mine.page_keys()));
+            assert_eq!(ck.pages(), Some(mine));
             assert_eq!(ck.stats, mine.build_stats());
             assert_eq!(store.page_store().stats(), self.pages.stats());
         }
@@ -375,7 +740,7 @@ mod tests {
         scratch.assert_matches(&store);
         let ck = store.latest().unwrap();
         assert_eq!(ck.stats.reused, 0, "nothing of the dropped history is left");
-        assert_eq!(ck.stats.fresh, ck.image().unwrap().page_count());
+        assert_eq!(ck.stats.fresh, ck.pages().unwrap().page_count());
         // And the one after that diffs against it again.
         w.run_steps(1);
         store.take(&w, 9);
@@ -405,7 +770,7 @@ mod tests {
         let ck = store.latest().unwrap();
         assert_eq!(ck.index, 2);
         assert_eq!(ck.stats.fresh, 0);
-        assert_eq!(ck.ckpt.state, store.get(1).unwrap().ckpt.state);
+        assert_eq!(ck.pages(), store.get(1).unwrap().pages());
     }
 
     /// `BigState` after a patch that changed its snapshot layout: a
@@ -443,10 +808,10 @@ mod tests {
         let ck = store.latest().unwrap();
         assert_eq!(ck.stats.reused, 0, "every page moved");
         assert_eq!(
-            ck.ckpt.state.len(),
-            store.get(0).unwrap().ckpt.state.len() + 3
+            ck.pages().unwrap().len(),
+            store.get(0).unwrap().pages().unwrap().len() + 3
         );
-        assert_eq!(ck.ckpt.state.to_bytes()[..3], *b"v2!");
+        assert_eq!(ck.pages().unwrap().to_bytes()[..3], *b"v2!");
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! globally consistent recovery line."* The Time Machine implements that
 //! discipline as a driver around [`World::peek`]/[`World::step`]:
 //!
-//! * **before** a `Deliver` executes, the receiver takes a lightweight
-//!   (COW) checkpoint and the dependency edge is recorded;
+//! * **before** a `Deliver` executes, the receiver takes a checkpoint and
+//!   the dependency edge is recorded; the checkpoint is an entry per
+//!   receive, with a lightweight (COW) image of the state every eighth
+//!   handler event and, between images, the handler log that restores
+//!   it by replay ([`crate::checkpoint`]);
+//! * **after** a handler runs, its event joins its process's log;
 //! * message metadata stamps every send with the sender's current
 //!   checkpoint interval;
 //! * on failure, [`TimeMachine::rollback`] computes the maximal safe
@@ -139,7 +143,7 @@ impl TimeMachine {
         }
         for i in 0..self.stores.len() {
             let pid = Pid(i as u32);
-            let idx = self.stores[i].take(world, self.events_handled[i]);
+            let idx = self.stores[i].record(world, self.events_handled[i]);
             debug_assert_eq!(idx, 0);
             self.intervals[i] = 0;
             self.stamp_meta(world, pid);
@@ -161,7 +165,7 @@ impl TimeMachine {
     pub fn checkpoint_now(&mut self, world: &mut World, pid: Pid) -> u64 {
         self.init(world);
         let i = pid.idx();
-        let idx = self.stores[i].take(world, self.events_handled[i]);
+        let idx = self.stores[i].record(world, self.events_handled[i]);
         self.intervals[i] = idx;
         self.stamp_meta(world, pid);
         idx
@@ -209,11 +213,13 @@ impl TimeMachine {
         }
     }
 
-    /// Hook to call with the record [`World::step`] returned.
+    /// Hook to call with the record [`World::step`] returned: a handler
+    /// event joins its process's log.
     pub fn after_step(&mut self, _world: &mut World, rec: &StepRecord) {
         if rec.event.kind.runs_handler() {
             if let Some(pid) = rec.event.kind.pid() {
                 self.events_handled[pid.idx()] += 1;
+                self.stores[pid.idx()].log(&rec.event);
             }
         }
     }

@@ -3,7 +3,9 @@
 //! Once a line of checkpoints is *stable* (e.g. every speculation that
 //! could roll past it has committed), older checkpoints, delivery-log
 //! entries, and dependency edges can never be needed again and are
-//! reclaimed. Checkpoint indices are stable identifiers (messages in the
+//! reclaimed. Each process keeps the newest image at or before its
+//! stable point and its handler log from that image on: the checkpoints
+//! from the stable point on replay from it. Checkpoint indices are stable identifiers (messages in the
 //! log refer to them), so collected checkpoints are tombstoned rather
 //! than renumbered.
 
@@ -163,7 +165,11 @@ mod tests {
     }
 
     /// Pump variant whose state actually mutates, so GC'd checkpoints
-    /// hold pages nothing else references.
+    /// hold pages nothing else references. The token makes 41 hops:
+    /// each process's images then fall at 0, 8 and 16 handler events,
+    /// and a pass that keeps the latest checkpoint drops the image at 8,
+    /// whose counter page no other image holds (the image at 0 is all
+    /// zero pages, shared with every later image).
     #[derive(Clone)]
     struct MutPump {
         buf: Vec<u8>,
@@ -172,7 +178,7 @@ mod tests {
     impl Program for MutPump {
         fn on_start(&mut self, ctx: &mut Context) {
             if ctx.pid() == Pid(0) {
-                ctx.send(Pid(1), 1, vec![20]);
+                ctx.send(Pid(1), 1, vec![40]);
             }
         }
         fn on_message(&mut self, ctx: &mut Context, msg: &fixd_runtime::Message) {

@@ -10,8 +10,10 @@
 //!
 //! 1. *"Speculations use a copy-on-write mechanism to build lightweight,
 //!    incremental checkpoints of processes"* — [`page`] provides
-//!    reference-counted paged state images; consecutive checkpoints share
-//!    every unchanged page ([`checkpoint`]).
+//!    reference-counted paged state images; consecutive images share
+//!    every unchanged page, and the checkpoints between two images (one
+//!    image every eight handler events) are restored by replaying the
+//!    process's own handler log ([`checkpoint`]).
 //! 2. *"Speculations allow applications to use a different execution path
 //!    upon rollback"* — [`speculation`] exposes commit/abort with the
 //!    abort outcome reported to the application, which can then steer

@@ -1,9 +1,11 @@
 //! Property-based tests for the Time Machine: paged-image laws,
 //! recovery-line safety, rollback determinism, speculation atomicity.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
-use fixd_runtime::{Context, Message, Pid, Program, World, WorldConfig};
+use fixd_runtime::{Context, EventKind, Message, Pid, Program, World, WorldConfig};
 use fixd_timemachine::{
     CheckpointPolicy, DepEdge, DependencyGraph, PageStore, PagedImage, TimeMachine,
     TimeMachineConfig, NO_ROLLBACK,
@@ -174,28 +176,25 @@ proptest! {
                     tm.checkpoint_now(&mut w, pid);
                 }
                 2 => {
-                    // Content hashes of the checkpoints that must survive.
+                    // State bytes of the checkpoints that must survive.
                     let stable: Vec<u64> = (0..N)
                         .map(|i| tm.interval(Pid(i as u32)).saturating_sub(arg))
                         .collect();
-                    let mut keep_hashes = Vec::new();
+                    let mut keep_states = Vec::new();
                     for (i, &s) in stable.iter().enumerate() {
                         let store = tm.store(Pid(i as u32));
                         for idx in s..=tm.interval(Pid(i as u32)) {
-                            if let Some(ck) = store.get(idx) {
-                                if store.is_live(idx) {
-                                    keep_hashes.push((i, idx, ck.ckpt.state.content_fnv1a()));
-                                }
+                            if store.is_live(idx) {
+                                keep_states.push((i, idx, store.materialize(idx)));
                             }
                         }
                     }
                     tm.gc(&stable);
-                    for (i, idx, hash) in keep_hashes {
+                    for (i, idx, state) in keep_states {
                         let store = tm.store(Pid(i as u32));
                         prop_assert!(store.is_live(idx), "P{i} ckpt {idx} wrongly collected");
-                        let ck = store.get(idx).expect("live checkpoint present");
                         prop_assert_eq!(
-                            ck.ckpt.state.content_fnv1a(), hash,
+                            store.materialize(idx), state,
                             "P{} ckpt {} content changed under gc", i, idx
                         );
                     }
@@ -337,6 +336,60 @@ proptest! {
         for i in 0..n {
             let pid = Pid(i as u32);
             prop_assert_eq!(tm.interval(pid), w.delivered_count(pid));
+        }
+    }
+}
+
+/// Run `tm` over `w` for up to `steps` events, recording into `oracle`
+/// the receiver's state right after each receive's checkpoint.
+fn drive(
+    w: &mut World,
+    tm: &mut TimeMachine,
+    oracle: &mut BTreeMap<(u32, u64), Vec<u8>>,
+    steps: u64,
+) {
+    for _ in 0..steps {
+        let Some(ev) = w.peek() else { return };
+        tm.before_step(w, &ev);
+        if let EventKind::Deliver { msg } = &ev.kind {
+            let state = w.checkpoint_process(msg.dst).state.to_bytes();
+            oracle.insert((msg.dst.0, tm.interval(msg.dst)), state);
+        }
+        let Some(rec) = w.step() else { return };
+        tm.after_step(w, &rec);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Replay exactness: every retained checkpoint — an image, or the
+    /// handler events since the newest image replayed on it —
+    /// materializes to the state its process had when it was taken,
+    /// across a rollback mid-run and the run resumed after it.
+    #[test]
+    fn checkpoints_materialize_to_the_state_they_were_taken_in(
+        seed in 0u64..500, n in 2usize..5, long in any::<bool>(),
+        pause in 1u64..60, back in 0u64..12,
+    ) {
+        let (mut w, mut tm) = if long { buf_setup(n, seed) } else { flow_setup(n, seed) };
+        tm.init(&mut w);
+        let mut oracle = BTreeMap::new();
+        for p in 0..n as u32 {
+            oracle.insert((p, 0), w.checkpoint_process(Pid(p)).state.to_bytes());
+        }
+        drive(&mut w, &mut tm, &mut oracle, pause);
+        let fail = Pid((seed % n as u64) as u32);
+        let target = tm.interval(fail).saturating_sub(back);
+        tm.rollback(&mut w, fail, target).unwrap();
+        oracle.retain(|&(p, i), _| i < tm.store(Pid(p)).len() as u64);
+        drive(&mut w, &mut tm, &mut oracle, 10_000);
+        for (&(p, i), want) in &oracle {
+            let got = tm.store(Pid(p)).materialize(i);
+            prop_assert!(
+                got.as_ref() == Some(want),
+                "P{} checkpoint {} materialized to another state", p, i
+            );
         }
     }
 }

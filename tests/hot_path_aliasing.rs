@@ -276,7 +276,7 @@ fn one_clock_buffer_shared_by_last_send_scroll_entry_and_next_checkpoint() {
                 continue;
             };
             let entry = &scroll[prev as usize];
-            let vc = &ck.ckpt.ctx.vc;
+            let vc = &ck.ctx.vc;
             assert_eq!(*vc, entry.vc);
             if vc.nnz() > fixd::runtime::clock::INLINE_PAIRS {
                 assert!(

@@ -199,6 +199,34 @@ fn scroll_supports_liblog_style_offline_replay_of_supervised_run() {
     );
 }
 
+/// Local playback re-executes the counter's handlers, whose disk writes
+/// already happened in the supervised run: the replay must leave the
+/// disk as the run left it.
+#[test]
+fn scroll_replay_leaves_the_shared_disk_alone() {
+    use fixd_examples::wal_counter::{wal_world, WalCounter};
+    use fixd_runtime::SharedDisk;
+
+    let seed = 3;
+    let disk = SharedDisk::new();
+    let mut world = wal_world(seed, 20, 4, disk.clone(), None);
+    let mut fixd = Fixd::new(2, FixdConfig::seeded(seed));
+    let out = fixd.supervise(&mut world, 10_000);
+    assert!(out.quiescent && out.fault.is_none());
+    let mut fresh = WalCounter::recover(disk.clone(), 4);
+    fresh.value = 0;
+    let stats = disk.stats();
+    let durable = disk.durable_fingerprint();
+    assert_eq!((stats.writes, stats.syncs), (20, 5));
+
+    let outcome =
+        fixd_scroll::replay_process(Pid(1), 2, seed, &mut fresh, &fixd.scroll().scroll(Pid(1)));
+    assert_eq!(outcome.fidelity, fixd_scroll::Fidelity::Exact);
+    assert_eq!(fresh.value, 20, "the replay re-ran every increment");
+    assert_eq!(disk.stats(), stats, "replay wrote, deleted or synced");
+    assert_eq!(disk.durable_fingerprint(), durable);
+}
+
 #[test]
 fn liblog_baseline_handles_the_same_world() {
     let mut world = pipeline::pipeline_world(3, 8, 50, None);

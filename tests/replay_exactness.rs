@@ -1,0 +1,287 @@
+//! Replay exactness of the Time Machine's checkpoints on the example
+//! apps: a checkpoint without a process image is restored by replaying
+//! the process's logged handler events on the newest image before it,
+//! and what that gives must be, byte for byte, the state the process
+//! had when the checkpoint was taken.
+//!
+//! The oracle is the test's own [`World::checkpoint_process`] of the
+//! receiver, taken right after the Time Machine checkpointed it ahead
+//! of each receive. Every app runs 16 seeds through supervision with a
+//! mid-run rollback — `Fixd::respond` at the detected fault, then
+//! `Fixd::heal_update`, which rolls back again and swaps the code; the
+//! write-ahead-logged counter has no bug and rolls back directly — then
+//! resumes. After the run every retained checkpoint is materialized
+//! and compared, and the newest-first walk must offer the same states.
+//! The counter's disk must not notice any of it.
+
+use std::collections::BTreeMap;
+
+use fixd_core::{DetectedFault, Fixd, FixdConfig, Monitor};
+use fixd_examples::wal_counter::wal_world;
+use fixd_examples::{kvstore, pipeline, token_ring, two_phase_commit as tpc};
+use fixd_healer::{migrate, MigrateError, Patch};
+use fixd_runtime::{EventKind, NetworkConfig, Pid, SharedDisk, World, WorldConfig};
+
+const SEEDS: u64 = 16;
+const MAX_STEPS: u64 = 20_000;
+
+/// Every pid's checkpoint states as the world had them: (pid, index) →
+/// state bytes.
+type Oracle = BTreeMap<(u32, u64), Vec<u8>>;
+
+/// Forget the checkpoints a rollback discarded.
+fn prune(oracle: &mut Oracle, fixd: &mut Fixd) {
+    let tm = fixd.time_machine();
+    oracle.retain(|&(p, i), _| i < tm.store(Pid(p)).len() as u64);
+}
+
+/// What a run does at its first fault (or, for a run without monitors,
+/// after `at` steps).
+enum Midway {
+    Heal { patch: Patch, pid: Pid },
+    Rollback { at: u64, pid: Pid, back: u64 },
+}
+
+/// Supervise `w` step by step, recording the oracle, with one mid-run
+/// rollback, to quiescence.
+fn run(label: &str, mut w: World, monitor: Option<Monitor>, midway: Midway) -> (Fixd, Oracle) {
+    let n = w.num_procs();
+    let mut fixd = Fixd::new(n, FixdConfig::seeded(0));
+    if let Some(m) = &monitor {
+        fixd = fixd.monitor(m.clone());
+    }
+    let mut oracle = Oracle::new();
+    fixd.time_machine().init(&mut w);
+    for p in 0..n as u32 {
+        oracle.insert((p, 0), w.checkpoint_process(Pid(p)).state.to_bytes());
+    }
+    let mut done_midway = false;
+    for step in 0..MAX_STEPS {
+        let Some(ev) = w.peek() else { break };
+        fixd.time_machine().before_step(&mut w, &ev);
+        if let EventKind::Deliver { msg } = &ev.kind {
+            let idx = fixd.time_machine().interval(msg.dst);
+            oracle.insert(
+                (msg.dst.0, idx),
+                w.checkpoint_process(msg.dst).state.to_bytes(),
+            );
+        }
+        let Some(rec) = w.step() else { break };
+        fixd.time_machine().after_step(&mut w, &rec);
+        if done_midway {
+            continue;
+        }
+        match &midway {
+            Midway::Heal { patch, pid } => {
+                let Some(blamed) = monitor.as_ref().and_then(|m| m.violated_in(&w)) else {
+                    continue;
+                };
+                let fault = DetectedFault {
+                    monitor: "m".into(),
+                    pid: blamed,
+                    at: w.now(),
+                    after_steps: step + 1,
+                };
+                fixd.respond(&mut w, &fault)
+                    .unwrap_or_else(|e| panic!("{label}: respond: {e}"));
+                prune(&mut oracle, &mut fixd);
+                // A refusal may come after the rollback; either way the
+                // run goes on from the rolled-back world.
+                let _ = fixd.heal_update(&mut w, *pid, patch);
+                prune(&mut oracle, &mut fixd);
+                done_midway = true;
+            }
+            Midway::Rollback { at, pid, back } => {
+                if step + 1 < *at {
+                    continue;
+                }
+                let tm = fixd.time_machine();
+                let target = tm.interval(*pid).saturating_sub(*back);
+                tm.rollback(&mut w, *pid, target)
+                    .unwrap_or_else(|e| panic!("{label}: rollback: {e}"));
+                prune(&mut oracle, &mut fixd);
+                done_midway = true;
+            }
+        }
+    }
+    assert!(
+        done_midway,
+        "{label}: the run never reached its midway point"
+    );
+    (fixd, oracle)
+}
+
+/// Every retained checkpoint materializes to its oracle state, and the
+/// newest-first walk offers exactly those states. Returns the number of
+/// checkpoints checked.
+fn verify(label: &str, fixd: &mut Fixd, oracle: &Oracle) -> usize {
+    let tm = fixd.time_machine();
+    let n = tm.width();
+    let mut replayed = 0;
+    for (&(p, i), want) in oracle {
+        let store = tm.store(Pid(p));
+        let got = store.materialize(i);
+        assert!(
+            got.as_deref() == Some(want.as_slice()),
+            "{label}: P{p} checkpoint {i} materialized to another state"
+        );
+        replayed += usize::from(!store.get(i).is_some_and(|c| c.has_image()));
+    }
+    assert!(replayed > 0, "{label}: every checkpoint holds an image");
+    for p in 0..n as u32 {
+        let store = tm.store(Pid(p));
+        let mut walked = Vec::new();
+        assert_eq!(
+            store.newest_where(|s| {
+                walked.push(s.to_vec());
+                false
+            }),
+            None
+        );
+        let want: Vec<&Vec<u8>> = oracle
+            .range((p, 0)..(p + 1, 0))
+            .rev()
+            .map(|(_, s)| s)
+            .collect();
+        assert!(
+            walked.iter().eq(want.iter().copied()),
+            "{label}: P{p}'s walk offered other states than its checkpoints'"
+        );
+        assert_eq!(walked.len(), store.len(), "{label}: P{p}");
+    }
+    oracle.len()
+}
+
+fn check(label: &str, w: World, monitor: Monitor, midway: Midway) {
+    let (mut fixd, oracle) = run(label, w, Some(monitor), midway);
+    verify(label, &mut fixd, &oracle);
+}
+
+fn ring_patch() -> Patch {
+    Patch::code_only("ring-no-dup", 1, 2, || {
+        Box::new(token_ring::RingNode::correct())
+    })
+    .with_migration(migrate::from_fn(|old| {
+        let mut b = old.to_vec();
+        if b.len() < 3 {
+            return Err(MigrateError::Malformed("ring state".into()));
+        }
+        b[2] = 255; // dup_at = None
+        Ok(b)
+    }))
+}
+
+fn jittery(seed: u64, lo: u64, hi: u64) -> WorldConfig {
+    let mut cfg = WorldConfig::seeded(seed);
+    cfg.net = NetworkConfig::jittery(lo, hi);
+    cfg
+}
+
+#[test]
+fn kvstore_checkpoints_replay_exactly() {
+    for seed in 0..SEEDS {
+        let w = kvstore::kv_world(seed, kvstore::script(12, seed), (1, 80));
+        let midway = Midway::Heal {
+            patch: kvstore::backup_patch(),
+            pid: Pid(2),
+        };
+        check(
+            &format!("kvstore seed {seed}"),
+            w,
+            kvstore::gap_monitor(),
+            midway,
+        );
+    }
+}
+
+#[test]
+fn pipeline_checkpoints_replay_exactly() {
+    for seed in 0..SEEDS {
+        let items = 24 + seed;
+        let w = pipeline::pipeline_world(seed, items, 50, Some(items * 3 / 4));
+        let midway = Midway::Heal {
+            patch: pipeline::cruncher_patch(50),
+            pid: Pid(1),
+        };
+        check(
+            &format!("pipeline seed {seed}"),
+            w,
+            pipeline::results_monitor(),
+            midway,
+        );
+    }
+}
+
+#[test]
+fn token_ring_checkpoints_replay_exactly() {
+    for seed in 0..SEEDS {
+        let n = 4 + (seed % 3) as usize;
+        let buggy = 1 + (seed as usize % (n - 1));
+        let dup_at = (3 * n - 1 - buggy) as u8;
+        let w = token_ring::ring_world_cfg(jittery(seed, 1, 4), n, Some((buggy, dup_at)));
+        let midway = Midway::Heal {
+            patch: ring_patch(),
+            pid: Pid(buggy as u32),
+        };
+        check(
+            &format!("ring seed {seed}"),
+            w,
+            token_ring::mutex_monitor(),
+            midway,
+        );
+    }
+}
+
+/// The buggy coordinator breaks atomicity only on some schedules: the
+/// first 16 seeds on which it does.
+#[test]
+fn two_phase_commit_checkpoints_replay_exactly() {
+    let world = |seed: u64| {
+        let votes: Vec<bool> = (0..3 + seed % 3).map(|v| v != seed % 3).collect();
+        tpc::tpc_world_cfg(jittery(seed, 1, 60), &votes, true)
+    };
+    let faulty = |seed: &u64| {
+        let mut w = world(*seed);
+        let monitor = tpc::atomicity_monitor();
+        while w.step().is_some() {
+            if monitor.violated_in(&w).is_some() {
+                return true;
+            }
+        }
+        false
+    };
+    for seed in (0..).filter(faulty).take(SEEDS as usize) {
+        let midway = Midway::Heal {
+            patch: tpc::coordinator_patch(),
+            pid: Pid(0),
+        };
+        check(
+            &format!("2pc seed {seed}"),
+            world(seed),
+            tpc::atomicity_monitor(),
+            midway,
+        );
+    }
+}
+
+/// The counter writes its disk in every handler: replaying those
+/// handlers to materialize a checkpoint must not write it again.
+#[test]
+fn wal_counter_checkpoints_replay_exactly_and_leave_the_disk_alone() {
+    for seed in 0..SEEDS {
+        let disk = SharedDisk::new();
+        let w = wal_world(seed, 20, 4, disk.clone(), None);
+        let midway = Midway::Rollback {
+            at: 12 + seed % 5,
+            pid: Pid(1),
+            back: 1 + seed % 4,
+        };
+        let label = format!("wal seed {seed}");
+        let (mut fixd, oracle) = run(&label, w, None, midway);
+        let (stats, durable) = (disk.stats(), disk.durable_fingerprint());
+        let checked = verify(&label, &mut fixd, &oracle);
+        assert!(checked > 20, "{label}: {checked} checkpoints");
+        assert_eq!(disk.stats(), stats, "{label}: replay used the disk");
+        assert_eq!(disk.durable_fingerprint(), durable, "{label}");
+    }
+}
