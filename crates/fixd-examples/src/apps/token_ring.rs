@@ -8,6 +8,7 @@
 //! Investigator is designed to corner (Fig. 3).
 
 use fixd_core::Monitor;
+use fixd_healer::{migrate, MigrateError, Patch};
 use fixd_runtime::{Context, Message, Pid, Program, TimerId, World, WorldConfig};
 
 /// Message tag for the token.
@@ -164,6 +165,21 @@ pub fn mutex_monitor() -> Monitor {
                 .count()
                 <= 1
         },
+    )
+}
+
+/// The fix as a Healer patch: the correct node's code, with the dup knob
+/// cleared and all other state kept.
+pub fn ring_patch() -> Patch {
+    Patch::code_only("ring-no-dup", 1, 2, || Box::new(RingNode::correct())).with_migration(
+        migrate::from_fn(|old| {
+            let mut b = old.to_vec();
+            if b.len() < 3 {
+                return Err(MigrateError::Malformed("ring state".into()));
+            }
+            b[2] = 255; // dup_at = None
+            Ok(b)
+        }),
     )
 }
 

@@ -21,8 +21,13 @@
 //! * [`apps::chord`] — a Chord DHT (finger-routed lookups, stabilize
 //!   rounds, churn) whose behaviour is independent of world width — the
 //!   scenario behind the wide-world scale benchmark.
+//!
+//! [`catalogue`] is the one place the buggy apps of the whole loop are
+//! defined: per app its world, monitors, patch with the pid it is for,
+//! and convergence check.
 
 pub mod apps;
+pub mod catalogue;
 
 pub use apps::chord;
 pub use apps::kvstore;

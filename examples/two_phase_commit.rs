@@ -17,11 +17,9 @@
 
 use fixd_baselines::Cmc;
 use fixd_core::{Fixd, FixdConfig};
-use fixd_examples::two_phase_commit::{
-    atomicity_monitor, coordinator_patch, tpc_factory, Coordinator, Participant,
-};
+use fixd_examples::catalogue::HealApp;
+use fixd_examples::two_phase_commit::{atomicity_monitor, tpc_factory};
 use fixd_investigator::{ExploreConfig, NetModel};
-use fixd_runtime::{NetworkConfig, Pid, World, WorldConfig};
 
 fn main() {
     let votes = vec![true, false, true];
@@ -40,14 +38,11 @@ fn main() {
 
     // --- FixD: supervise a real run; investigate from the checkpoint.
     let mut found = None;
+    let app = HealApp::Tpc {
+        votes: votes.clone(),
+    };
     for seed in 0..50u64 {
-        let mut cfg = WorldConfig::seeded(seed);
-        cfg.net = NetworkConfig::jittery(1, 60);
-        let mut w = World::new(cfg);
-        w.add_process(Box::new(Coordinator::buggy()));
-        for &v in &votes {
-            w.add_process(Box::new(Participant::new(v)));
-        }
+        let mut w = app.build(seed);
         let mut fixd = Fixd::new(4, FixdConfig::seeded(seed)).monitor(atomicity_monitor());
         let out = fixd.supervise(&mut w, 10_000);
         if let Some(fault) = out.fault {
@@ -74,17 +69,11 @@ fn main() {
     );
 
     // --- Heal: the coordinator learns to wait for all votes.
-    let heal = fixd
-        .heal_update(&mut world, Pid(0), &coordinator_patch())
-        .expect("heal");
+    let (patch, pid) = app.patch();
+    let heal = fixd.heal_update(&mut world, pid, &patch).expect("heal");
     println!("healed {:?}; resuming", heal.procs_updated);
     let end = fixd.supervise(&mut world, 10_000);
     assert!(end.fault.is_none());
-    let c = world.program::<Coordinator>(Pid(0)).unwrap();
-    assert_eq!(
-        c.decided,
-        Some(false),
-        "with a NO vote the fixed 2PC aborts"
-    );
+    assert!(app.converged(&world), "with a NO vote the fixed 2PC aborts");
     println!("fixed coordinator decided ABORT (correct). OK");
 }

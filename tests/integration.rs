@@ -4,13 +4,14 @@
 
 use fixd_baselines::{Cmc, Liblog};
 use fixd_core::{Fixd, FixdConfig};
+use fixd_examples::catalogue::HealApp;
 use fixd_examples::kvstore;
 use fixd_examples::pipeline;
 use fixd_examples::token_ring::{self, mutex_monitor, RingNode};
 use fixd_examples::two_phase_commit::{self as tpc, atomicity_monitor};
-use fixd_healer::{migrate, Patch};
+use fixd_healer::Patch;
 use fixd_investigator::{ExploreConfig, NetModel};
-use fixd_runtime::{NetworkConfig, Pid, Program, World, WorldConfig};
+use fixd_runtime::{Pid, Program, WorldConfig};
 
 /// Workspace-wiring smoke test: one end-to-end supervise → detect →
 /// diagnose flow driven purely through the facade `prelude`, proving
@@ -52,20 +53,6 @@ fn facade_prelude_campaign_smoke() {
     assert!(report.to_json().contains("\"total_cells\""));
 }
 
-/// The token-ring fix: clear the dup knob, keep all other state.
-fn ring_patch() -> Patch {
-    Patch::code_only("ring-no-dup", 1, 2, || Box::new(RingNode::correct())).with_migration(
-        migrate::from_fn(|old| {
-            let mut b = old.to_vec();
-            if b.len() < 3 {
-                return Err(fixd_healer::MigrateError::Malformed("ring state".into()));
-            }
-            b[2] = 255; // dup_at = None
-            Ok(b)
-        }),
-    )
-}
-
 #[test]
 fn token_ring_full_loop() {
     // Buggy node 2 duplicates/misroutes the token; mutual exclusion breaks.
@@ -92,7 +79,7 @@ fn token_ring_full_loop() {
     // Heal the buggy node in place and resume.
     let rolled_pid = Pid(2);
     let heal = fixd
-        .heal_update(&mut world, rolled_pid, &ring_patch())
+        .heal_update(&mut world, rolled_pid, &token_ring::ring_patch())
         .expect("heal");
     assert!(heal.procs_updated.contains(&rolled_pid));
     let end = fixd.supervise(&mut world, 100_000);
@@ -152,13 +139,10 @@ fn fixd_beats_cmc_on_states_for_the_same_bug() {
     // FixD: find a manifesting schedule, then investigate from checkpoint.
     let mut found = None;
     for seed in 0..60u64 {
-        let mut cfg = WorldConfig::seeded(seed);
-        cfg.net = NetworkConfig::jittery(1, 60);
-        let mut w = World::new(cfg);
-        w.add_process(Box::new(tpc::Coordinator::buggy()));
-        for &v in &votes {
-            w.add_process(Box::new(tpc::Participant::new(v)));
+        let mut w = HealApp::Tpc {
+            votes: votes.clone(),
         }
+        .build(seed);
         let mut fixd = Fixd::new(4, FixdConfig::seeded(seed)).monitor(atomicity_monitor());
         let out = fixd.supervise(&mut w, 10_000);
         if let Some(fault) = out.fault {

@@ -9,47 +9,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fixd_core::{DetectedFault, Fixd, FixdConfig, Monitor, SuperviseOutcome};
+use fixd_examples::catalogue::{jittery, HealApp, PIPELINE_COST as COST};
 use fixd_examples::pipeline::{self, Cruncher};
 use fixd_examples::token_ring::{self, RingNode};
-use fixd_examples::{kvstore, two_phase_commit as tpc};
-use fixd_healer::{migrate, MigrateError, Patch};
+use fixd_healer::Patch;
 use fixd_investigator::ModelD;
-use fixd_runtime::{
-    Context, Message, NetworkConfig, Pid, Program, VectorClock, World, WorldConfig,
-};
+use fixd_runtime::{Context, Message, Pid, Program, VectorClock, World, WorldConfig};
 use fixd_scroll::{EntryKind, RecordConfig, ScrollEntry, ScrollRecorder};
 
 const MAX_STEPS: u64 = 100_000;
-const COST: u64 = 50;
-
-/// One buggy application of `fixd-benchmark`'s `heal-loop`, or a world
-/// under a local monitor that several processes can break.
-struct Scenario {
-    build: Box<dyn Fn() -> World>,
-    monitors: Vec<Monitor>,
-    /// The fix and the process it is for; `None`: detection only.
-    patch: Option<(Patch, Pid)>,
-}
-
-fn jittery(seed: u64, lo: u64, hi: u64) -> WorldConfig {
-    let mut cfg = WorldConfig::seeded(seed);
-    cfg.net = NetworkConfig::jittery(lo, hi);
-    cfg
-}
-
-/// The token-ring fix of `tests/integration.rs`.
-fn ring_patch() -> Patch {
-    Patch::code_only("ring-no-dup", 1, 2, || Box::new(RingNode::correct())).with_migration(
-        migrate::from_fn(|old| {
-            let mut b = old.to_vec();
-            if b.len() < 3 {
-                return Err(MigrateError::Malformed("ring state".into()));
-            }
-            b[2] = 255; // dup_at = None
-            Ok(b)
-        }),
-    )
-}
 
 /// Counts its deliveries; node 0 greets everybody at start.
 #[derive(Clone)]
@@ -82,76 +50,55 @@ fn tautology<P: 'static>() -> Monitor {
     Monitor::local::<P>("tautology", |_, _| true)
 }
 
-fn scenario(app: usize, seed: u64) -> Scenario {
-    match app {
-        0 => {
-            let puts = 8 + (seed % 12) as usize;
-            Scenario {
-                build: Box::new(move || {
-                    kvstore::kv_world(seed, kvstore::script(puts, seed), (1, 80))
-                }),
-                monitors: vec![kvstore::gap_monitor()],
-                patch: Some((kvstore::backup_patch(), Pid(2))),
-            }
-        }
-        1 => {
-            let items = 16 + seed % 24;
-            Scenario {
-                build: Box::new(move || {
-                    pipeline::pipeline_world(seed, items, COST, Some(items * 3 / 4))
-                }),
-                monitors: vec![pipeline::results_monitor()],
-                patch: Some((pipeline::cruncher_patch(COST), Pid(1))),
-            }
-        }
+/// App `app`'s world at `seed`, its monitors, and the fix with the pid
+/// it is for (`None`: detection only). Apps 0–3 are the catalogue's four
+/// `heal-loop` apps; the others run under a local monitor that several
+/// processes can break.
+fn scenario(app: usize, seed: u64) -> (World, Vec<Monitor>, Option<(Patch, Pid)>) {
+    let heal = match app {
+        0 => HealApp::Kv {
+            puts: 8 + (seed % 12) as usize,
+        },
+        1 => HealApp::Pipeline {
+            items: 16 + seed % 24,
+        },
         2 => {
             let n = 4 + (seed % 3) as usize;
             let buggy = 1 + (seed as usize / 3) % (n - 1);
             let dup_at = (3 * n - 1 - buggy) as u8;
-            Scenario {
-                build: Box::new(move || {
-                    token_ring::ring_world_cfg(jittery(seed, 1, 4), n, Some((buggy, dup_at)))
-                }),
-                monitors: vec![tautology::<RingNode>(), token_ring::mutex_monitor()],
-                patch: Some((ring_patch(), Pid(buggy as u32))),
-            }
+            HealApp::Ring { n, buggy, dup_at }
         }
         3 => {
             let n = 3 + seed % 3;
-            let votes: Vec<bool> = (0..n).map(|v| v != seed % n).collect();
-            Scenario {
-                build: Box::new(move || tpc::tpc_world_cfg(jittery(seed, 1, 60), &votes, true)),
-                monitors: vec![tpc::atomicity_monitor()],
-                patch: Some((tpc::coordinator_patch(), Pid(0))),
-            }
+            let votes = (0..n).map(|v| v != seed % n).collect();
+            HealApp::Tpc { votes }
         }
         // Everybody is greeted within three steps of each other, in a
         // seed-dependent order, and being greeted breaks the monitor:
         // one sparse check finds several processes violated and must
         // name the lowest pid, as the full check does.
-        5 => Scenario {
-            build: Box::new(move || {
-                let mut w = World::new(jittery(seed, 1, 2));
-                for _ in 0..4 {
-                    w.add_process(Box::new(Greeter { heard: 0 }));
-                }
-                w
-            }),
-            monitors: vec![Monitor::local::<Greeter>("ungreeted", |_, g| g.heard == 0)],
-            patch: None,
-        },
+        5 => {
+            let mut w = World::new(jittery(seed, 1, 2));
+            for _ in 0..4 {
+                w.add_process(Box::new(Greeter { heard: 0 }));
+            }
+            let ungreeted = Monitor::local::<Greeter>("ungreeted", |_, g| g.heard == 0);
+            return (w, vec![ungreeted], None);
+        }
         // A correct ring whose nodes each have their own entry budget.
-        _ => Scenario {
-            build: Box::new(move || token_ring::ring_world_cfg(jittery(seed, 1, 4), 5, None)),
-            monitors: vec![
-                tautology::<Cruncher>(),
-                Monitor::local::<RingNode>("entry-budget", |pid, r| {
-                    r.entries <= 1 + u64::from(pid.0 % 2)
-                }),
-            ],
-            patch: None,
-        },
+        _ => {
+            let w = token_ring::ring_world_cfg(jittery(seed, 1, 4), 5, None);
+            let budget = Monitor::local::<RingNode>("entry-budget", |pid, r| {
+                r.entries <= 1 + u64::from(pid.0 % 2)
+            });
+            return (w, vec![tautology::<Cruncher>(), budget], None);
+        }
+    };
+    let mut monitors = heal.monitors();
+    if app == 2 {
+        monitors.insert(0, tautology::<RingNode>());
     }
+    (heal.build(seed), monitors, Some(heal.patch()))
 }
 
 /// `Fixd::supervise` with the full, stateless check of every monitor at
@@ -236,12 +183,12 @@ fn supervised_verdicts_are_the_full_checks() {
         for seed in 0..64u64 {
             for every in [1u64, 3] {
                 let what = format!("app {app} seed {seed} check_every {every}");
-                let sc = scenario(app, seed);
-                let (mut w, mut w_ref) = ((sc.build)(), (sc.build)());
-                let mut fixd = supervisor(&w, seed, every, &sc.monitors);
+                let (mut w, monitors, fix) = scenario(app, seed);
+                let mut w_ref = scenario(app, seed).0;
+                let mut fixd = supervisor(&w, seed, every, &monitors);
                 let mut reference = Reference {
-                    fixd: supervisor(&w_ref, seed, every, &sc.monitors),
-                    monitors: sc.monitors.clone(),
+                    fixd: supervisor(&w_ref, seed, every, &monitors),
+                    monitors: monitors.clone(),
                     every,
                     steps: 0,
                 };
@@ -250,7 +197,7 @@ fn supervised_verdicts_are_the_full_checks() {
                 same_outcome(&detect, &reference.supervise(&mut w_ref, MAX_STEPS), &what);
                 let Some(fault) = detect.fault else { continue };
                 *detected += 1;
-                let Some((patch, pid)) = &sc.patch else {
+                let Some((patch, pid)) = &fix else {
                     continue;
                 };
 
@@ -736,8 +683,7 @@ fn rollback_then_resume_re_records_the_undone_suffix() {
         let mut failing = 0;
         for seed in 0..16u64 {
             let what = format!("app {app} seed {seed}");
-            let sc = scenario(app, seed);
-            let mut w = (sc.build)();
+            let (mut w, monitors, _) = scenario(app, seed);
             let n = w.num_procs();
             let mut fixd = supervisor(&w, seed, 1, &[]);
             let mut recorder = ScrollRecorder::new(n, RecordConfig::default());
@@ -749,7 +695,7 @@ fn rollback_then_resume_re_records_the_undone_suffix() {
                     let step = w.step().expect("peeked");
                     fixd.time_machine().after_step(w, &step);
                     rec.observe(w, &step);
-                    let fault = sc.monitors.iter().find_map(|m| {
+                    let fault = monitors.iter().find_map(|m| {
                         m.violated_in(w).map(|pid| DetectedFault {
                             monitor: m.name.clone(),
                             pid,
@@ -769,8 +715,7 @@ fn rollback_then_resume_re_records_the_undone_suffix() {
             let original: Vec<Vec<ScrollEntry>> = (0..n)
                 .map(|i| recorder.store().scroll(Pid(i as u32)).into_owned())
                 .collect();
-            fixd_core::respond(&mut w, fixd.time_machine(), &sc.monitors, &fault)
-                .expect("rollback");
+            fixd_core::respond(&mut w, fixd.time_machine(), &monitors, &fault).expect("rollback");
             for (i, original) in original.iter().enumerate() {
                 let kept = fixd.time_machine().events_handled(Pid(i as u32));
                 assert!(kept as usize <= original.len(), "{what}");

@@ -17,10 +17,10 @@
 use std::collections::BTreeMap;
 
 use fixd_core::{DetectedFault, Fixd, FixdConfig, Monitor};
+use fixd_examples::catalogue::HealApp;
 use fixd_examples::wal_counter::wal_world;
-use fixd_examples::{kvstore, pipeline, token_ring, two_phase_commit as tpc};
-use fixd_healer::{migrate, MigrateError, Patch};
-use fixd_runtime::{EventKind, NetworkConfig, Pid, SharedDisk, World, WorldConfig};
+use fixd_healer::Patch;
+use fixd_runtime::{EventKind, Pid, SharedDisk, World};
 
 const SEEDS: u64 = 16;
 const MAX_STEPS: u64 = 20_000;
@@ -44,12 +44,10 @@ enum Midway {
 
 /// Supervise `w` step by step, recording the oracle, with one mid-run
 /// rollback, to quiescence.
-fn run(label: &str, mut w: World, monitor: Option<Monitor>, midway: Midway) -> (Fixd, Oracle) {
+fn run(label: &str, mut w: World, monitors: &[Monitor], midway: Midway) -> (Fixd, Oracle) {
     let n = w.num_procs();
-    let mut fixd = Fixd::new(n, FixdConfig::seeded(0));
-    if let Some(m) = &monitor {
-        fixd = fixd.monitor(m.clone());
-    }
+    let mut fixd =
+        (monitors.iter().cloned()).fold(Fixd::new(n, FixdConfig::seeded(0)), Fixd::monitor);
     let mut oracle = Oracle::new();
     fixd.time_machine().init(&mut w);
     for p in 0..n as u32 {
@@ -73,7 +71,7 @@ fn run(label: &str, mut w: World, monitor: Option<Monitor>, midway: Midway) -> (
         }
         match &midway {
             Midway::Heal { patch, pid } => {
-                let Some(blamed) = monitor.as_ref().and_then(|m| m.violated_in(&w)) else {
+                let Some(blamed) = monitors.iter().find_map(|m| m.violated_in(&w)) else {
                     continue;
                 };
                 let fault = DetectedFault {
@@ -152,63 +150,27 @@ fn verify(label: &str, fixd: &mut Fixd, oracle: &Oracle) -> usize {
     oracle.len()
 }
 
-fn check(label: &str, w: World, monitor: Monitor, midway: Midway) {
-    let (mut fixd, oracle) = run(label, w, Some(monitor), midway);
-    verify(label, &mut fixd, &oracle);
-}
-
-fn ring_patch() -> Patch {
-    Patch::code_only("ring-no-dup", 1, 2, || {
-        Box::new(token_ring::RingNode::correct())
-    })
-    .with_migration(migrate::from_fn(|old| {
-        let mut b = old.to_vec();
-        if b.len() < 3 {
-            return Err(MigrateError::Malformed("ring state".into()));
-        }
-        b[2] = 255; // dup_at = None
-        Ok(b)
-    }))
-}
-
-fn jittery(seed: u64, lo: u64, hi: u64) -> WorldConfig {
-    let mut cfg = WorldConfig::seeded(seed);
-    cfg.net = NetworkConfig::jittery(lo, hi);
-    cfg
+/// Run `app` at `seed` to its first fault, heal it there, resume, and
+/// verify every checkpoint.
+fn check(label: &str, app: HealApp, seed: u64) {
+    let label = format!("{label} seed {seed}");
+    let (patch, pid) = app.patch();
+    let midway = Midway::Heal { patch, pid };
+    let (mut fixd, oracle) = run(&label, app.build(seed), &app.monitors(), midway);
+    verify(&label, &mut fixd, &oracle);
 }
 
 #[test]
 fn kvstore_checkpoints_replay_exactly() {
     for seed in 0..SEEDS {
-        let w = kvstore::kv_world(seed, kvstore::script(12, seed), (1, 80));
-        let midway = Midway::Heal {
-            patch: kvstore::backup_patch(),
-            pid: Pid(2),
-        };
-        check(
-            &format!("kvstore seed {seed}"),
-            w,
-            kvstore::gap_monitor(),
-            midway,
-        );
+        check("kvstore", HealApp::Kv { puts: 12 }, seed);
     }
 }
 
 #[test]
 fn pipeline_checkpoints_replay_exactly() {
     for seed in 0..SEEDS {
-        let items = 24 + seed;
-        let w = pipeline::pipeline_world(seed, items, 50, Some(items * 3 / 4));
-        let midway = Midway::Heal {
-            patch: pipeline::cruncher_patch(50),
-            pid: Pid(1),
-        };
-        check(
-            &format!("pipeline seed {seed}"),
-            w,
-            pipeline::results_monitor(),
-            midway,
-        );
+        check("pipeline", HealApp::Pipeline { items: 24 + seed }, seed);
     }
 }
 
@@ -218,17 +180,7 @@ fn token_ring_checkpoints_replay_exactly() {
         let n = 4 + (seed % 3) as usize;
         let buggy = 1 + (seed as usize % (n - 1));
         let dup_at = (3 * n - 1 - buggy) as u8;
-        let w = token_ring::ring_world_cfg(jittery(seed, 1, 4), n, Some((buggy, dup_at)));
-        let midway = Midway::Heal {
-            patch: ring_patch(),
-            pid: Pid(buggy as u32),
-        };
-        check(
-            &format!("ring seed {seed}"),
-            w,
-            token_ring::mutex_monitor(),
-            midway,
-        );
+        check("ring", HealApp::Ring { n, buggy, dup_at }, seed);
     }
 }
 
@@ -236,31 +188,20 @@ fn token_ring_checkpoints_replay_exactly() {
 /// first 16 seeds on which it does.
 #[test]
 fn two_phase_commit_checkpoints_replay_exactly() {
-    let world = |seed: u64| {
-        let votes: Vec<bool> = (0..3 + seed % 3).map(|v| v != seed % 3).collect();
-        tpc::tpc_world_cfg(jittery(seed, 1, 60), &votes, true)
+    let app = |seed: u64| HealApp::Tpc {
+        votes: (0..3 + seed % 3).map(|v| v != seed % 3).collect(),
     };
     let faulty = |seed: &u64| {
-        let mut w = world(*seed);
-        let monitor = tpc::atomicity_monitor();
+        let (mut w, monitors) = (app(*seed).build(*seed), app(*seed).monitors());
         while w.step().is_some() {
-            if monitor.violated_in(&w).is_some() {
+            if monitors.iter().any(|m| m.violated_in(&w).is_some()) {
                 return true;
             }
         }
         false
     };
     for seed in (0..).filter(faulty).take(SEEDS as usize) {
-        let midway = Midway::Heal {
-            patch: tpc::coordinator_patch(),
-            pid: Pid(0),
-        };
-        check(
-            &format!("2pc seed {seed}"),
-            world(seed),
-            tpc::atomicity_monitor(),
-            midway,
-        );
+        check("2pc", app(seed), seed);
     }
 }
 
@@ -277,7 +218,7 @@ fn wal_counter_checkpoints_replay_exactly_and_leave_the_disk_alone() {
             back: 1 + seed % 4,
         };
         let label = format!("wal seed {seed}");
-        let (mut fixd, oracle) = run(&label, w, None, midway);
+        let (mut fixd, oracle) = run(&label, w, &[], midway);
         let (stats, durable) = (disk.stats(), disk.durable_fingerprint());
         let checked = verify(&label, &mut fixd, &oracle);
         assert!(checked > 20, "{label}: {checked} checkpoints");
