@@ -67,9 +67,13 @@ impl BugReport {
     }
 
     /// Did the investigation confirm the fault is reachable from the
-    /// restored checkpoint?
+    /// restored checkpoint? Only a trail that violates the monitor that
+    /// fired counts: the exploration checks every monitor's invariant,
+    /// and another monitor's violation is another bug.
     pub fn reproduced(&self) -> bool {
-        !self.trails.is_empty()
+        self.trails
+            .iter()
+            .any(|t| t.violation == self.fault.monitor)
     }
 
     /// Render the report as human-readable text.
@@ -189,6 +193,19 @@ mod tests {
         assert!(text.contains("REPRODUCED"));
         assert!(text.contains("deliver P0→P1"));
         assert!(text.contains("scroll"));
+    }
+
+    #[test]
+    fn another_monitors_trail_does_not_reproduce_the_fault() {
+        let t = Trail {
+            labels: vec!["deliver P0→P1".to_string()],
+            violation: "other-inv".into(),
+            end_fingerprint: 1,
+            depth: 1,
+        };
+        let r = sample_report(vec![t]);
+        assert!(!r.reproduced());
+        assert!(!r.render().contains("REPRODUCED"));
     }
 
     #[test]

@@ -30,6 +30,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use fixd_core::Monitor;
+use fixd_healer::{migrate, MigrateError, Patch};
 use fixd_runtime::wire::fnv_mix;
 use fixd_runtime::{Context, Message, Pid, Program, TimerId, World, WorldConfig};
 
@@ -383,6 +385,21 @@ impl ChordNode {
         }
     }
 
+    /// Issue the workload's next write: remember its value for the
+    /// read-after-write check and route it to its owner.
+    fn issue_put(&mut self, ctx: &mut Context) {
+        self.puts_left -= 1;
+        let seq = self.put_seq;
+        self.put_seq += 1;
+        // Keys are derived from (pid, seq) so origins never write the
+        // same key; the value binds both so a wrong answer cannot
+        // masquerade as right.
+        let key = ring_hash((u64::from(ctx.pid().0) + 1) << 20 | u64::from(seq));
+        let val = ring_hash(key ^ 0xBEE5_u64);
+        self.expected.insert(key, val);
+        self.route_put(ctx, key, val, ctx.pid(), 0);
+    }
+
     /// Judge a read answer against what this origin wrote.
     fn got_reply(&mut self, ctx: &mut Context, key: u64, val: u64, found: u8) {
         let ok = found == 1 && self.expected.get(&key) == Some(&val);
@@ -518,16 +535,7 @@ impl Program for ChordNode {
             more |= self.lookups_left > 0;
         }
         if self.puts_left > 0 {
-            self.puts_left -= 1;
-            let seq = self.put_seq;
-            self.put_seq += 1;
-            // Keys are derived from (pid, seq) so origins never write
-            // the same key; the value binds both so a wrong answer
-            // cannot masquerade as right.
-            let key = ring_hash((u64::from(ctx.pid().0) + 1) << 20 | u64::from(seq));
-            let val = ring_hash(key ^ 0xBEE5_u64);
-            self.expected.insert(key, val);
-            self.route_put(ctx, key, val, ctx.pid(), 0);
+            self.issue_put(ctx);
             more |= self.puts_left > 0;
         }
         if more {
@@ -666,8 +674,7 @@ pub fn chord_world_cfg(
     lookups: u32,
     work: u64,
 ) -> World {
-    let members: Vec<Pid> = (0..n as u32).map(Pid).collect();
-    let ring = Arc::new(ChordRing::new(&members));
+    let ring = members_ring(n);
     let mut w = World::new(cfg);
     for _ in 0..n {
         w.add_process(Box::new(
@@ -688,8 +695,7 @@ pub fn chord_kv_world(n: usize, seed: u64, stabilize_rounds: u32, puts: u32) -> 
 /// owner's successor) and — on each ack — a read-after-write check
 /// against the value it wrote.
 pub fn chord_kv_world_cfg(cfg: WorldConfig, n: usize, stabilize_rounds: u32, puts: u32) -> World {
-    let members: Vec<Pid> = (0..n as u32).map(Pid).collect();
-    let ring = Arc::new(ChordRing::new(&members));
+    let ring = members_ring(n);
     let mut w = World::new(cfg);
     for _ in 0..n {
         w.add_process(Box::new(
@@ -697,6 +703,159 @@ pub fn chord_kv_world_cfg(cfg: WorldConfig, n: usize, stabilize_rounds: u32, put
         ));
     }
     w
+}
+
+/// A keyed-storage member with a lost-write bug knob: the late-symptom
+/// case of the heal catalogue. The buggy member acknowledges one put it
+/// owns (the `forget_at`-th one another origin routed to it, from 0)
+/// without storing or replicating it. No state looks wrong until the
+/// origin's read-after-write check comes back: the ack at the origin,
+/// the read at the owner and its answer at the origin are three handler
+/// events after the fault, and only the last shows it
+/// ([`KvStats::get_bad`], [`read_monitor`]).
+#[derive(Clone)]
+pub struct KvMember {
+    /// The member's protocol state.
+    pub node: ChordNode,
+    /// Puts other origins routed to this member that it owns.
+    owned_puts: u32,
+    /// BUG KNOB: forget the owned put with this index.
+    forget_at: Option<u32>,
+}
+
+impl KvMember {
+    /// A correct member.
+    pub fn correct(node: ChordNode) -> Self {
+        Self {
+            node,
+            owned_puts: 0,
+            forget_at: None,
+        }
+    }
+
+    /// A member that forgets its `forget_at`-th owned put.
+    pub fn buggy(node: ChordNode, forget_at: u32) -> Self {
+        Self {
+            forget_at: Some(forget_at),
+            ..Self::correct(node)
+        }
+    }
+
+    /// The bug knob's image bytes at the end of a snapshot: (owned puts,
+    /// forget index or `u32::MAX`).
+    fn knob(b: &[u8]) -> Option<(u32, u32)> {
+        let tail: &[u8; 8] = b.last_chunk()?;
+        let word = |i: usize| u32::from_le_bytes([tail[i], tail[i + 1], tail[i + 2], tail[i + 3]]);
+        Some((word(0), word(4)))
+    }
+}
+
+impl Program for KvMember {
+    fn on_start(&mut self, ctx: &mut Context) {
+        self.node.on_start(ctx);
+        // Every write at once, not one a round: a rollback restores no
+        // timer, so a workload that timers carry would lose the writes
+        // of the rounds it undid.
+        while self.node.puts_left > 0 {
+            self.node.issue_put(ctx);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Context, msg: &Message) {
+        if msg.tag == PUT_REQ {
+            let key = u64::from_le_bytes(msg.payload[..8].try_into().unwrap());
+            if self.node.owns(key) {
+                self.owned_puts += 1;
+                if self.forget_at == Some(self.owned_puts - 1) {
+                    // BUG: acknowledge the write, never store it.
+                    let origin = Pid(u32::from_le_bytes(msg.payload[16..20].try_into().unwrap()));
+                    ctx.send(origin, PUT_ACK, msg.payload[..16].to_vec());
+                    return;
+                }
+            }
+        }
+        self.node.on_message(ctx, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context, t: TimerId) {
+        self.node.on_timer(ctx, t);
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        super::snapshot_vec(self)
+    }
+
+    fn snapshot_to(&self, b: &mut Vec<u8>) {
+        self.node.snapshot_to(b);
+        b.extend_from_slice(&self.owned_puts.to_le_bytes());
+        b.extend_from_slice(&self.forget_at.unwrap_or(u32::MAX).to_le_bytes());
+    }
+
+    fn restore(&mut self, b: &[u8]) {
+        let (node, _) = b.split_at(b.len() - 8);
+        self.node.restore(node);
+        let (owned, forget) = Self::knob(b).unwrap();
+        self.owned_puts = owned;
+        self.forget_at = (forget != u32::MAX).then_some(forget);
+    }
+
+    fn name(&self) -> &'static str {
+        "chord-kv-member"
+    }
+}
+
+/// A keyed-storage world of `n` [`KvMember`]s, each issuing `puts` writes
+/// (see [`chord_kv_world_cfg`]; no stabilize rounds: the ring is seeded
+/// from the oracle). Member `forgetful` (if any) forgets its `forget_at`-th
+/// owned put.
+pub fn kv_members_world_cfg(
+    cfg: WorldConfig,
+    n: usize,
+    puts: u32,
+    forgetful: Option<(usize, u32)>,
+) -> World {
+    let ring = members_ring(n);
+    let mut w = World::new(cfg);
+    for i in 0..n {
+        let node = ChordNode::new(Arc::clone(&ring), 0, 0).with_kv_workload(puts);
+        w.add_process(Box::new(match forgetful {
+            Some((f, at)) if f == i => KvMember::buggy(node, at),
+            _ => KvMember::correct(node),
+        }));
+    }
+    w
+}
+
+/// The ring over pids `0..n`.
+fn members_ring(n: usize) -> Arc<ChordRing> {
+    let members: Vec<Pid> = (0..n as u32).map(Pid).collect();
+    Arc::new(ChordRing::new(&members))
+}
+
+/// No member has seen a read-after-write check fail.
+pub fn read_monitor() -> Monitor {
+    Monitor::local::<KvMember>("no-bad-read", |_, m| m.node.kv_stats.get_bad == 0)
+}
+
+/// The fix for an `n`-member world: clear the knob, keep all other
+/// state. A forgotten write is gone, and no migration brings it back, so
+/// the patch applies only to a member that has not forgotten one yet;
+/// the Healer rolls the member back to before the loss.
+pub fn forget_patch(n: usize) -> Patch {
+    let ring = members_ring(n);
+    let factory = move || -> Box<dyn Program> {
+        Box::new(KvMember::correct(ChordNode::new(Arc::clone(&ring), 0, 0)))
+    };
+    Patch::code_only("kv-no-forget", 1, 2, factory)
+        .with_migration(migrate::from_fn(|old| {
+            let mut b = old.to_vec();
+            let Some(at) = b.len().checked_sub(4) else {
+                return Err(MigrateError::Malformed("kv member state".into()));
+            };
+            b[at..].copy_from_slice(&u32::MAX.to_le_bytes()); // forget_at = None
+            Ok(b)
+        }))
+        .with_precondition(|old| KvMember::knob(old).is_some_and(|(owned, at)| owned <= at))
 }
 
 #[cfg(test)]
@@ -922,5 +1081,26 @@ mod tests {
         b.restore(&a.snapshot());
         assert_eq!(b.snapshot(), a.snapshot());
         assert_eq!(b.stats, a.stats);
+    }
+
+    /// The knob rides at the end of the member's image; the patch clears
+    /// it and applies only before the loss.
+    #[test]
+    fn kv_member_knob_roundtrips_and_the_patch_clears_it() {
+        let node = |puts| ChordNode::new(members_ring(3), 0, 0).with_kv_workload(puts);
+        let mut a = KvMember::buggy(node(2), 1);
+        a.owned_puts = 1;
+        let mut b = KvMember::correct(node(0));
+        b.restore(&a.snapshot());
+        assert_eq!(b.snapshot(), a.snapshot());
+        assert_eq!((b.owned_puts, b.forget_at), (1, Some(1)));
+
+        let patch = forget_patch(3);
+        assert!(patch.applicable_to(&a.snapshot()));
+        a.owned_puts = 2; // the put with index 1 is forgotten
+        assert!(!patch.applicable_to(&a.snapshot()));
+        let healed = patch.instantiate(&a.snapshot()).unwrap();
+        let healed = healed.downcast_ref::<KvMember>().unwrap();
+        assert_eq!((healed.owned_puts, healed.forget_at), (2, None));
     }
 }

@@ -9,7 +9,7 @@ use fixd_core::Monitor;
 use fixd_healer::Patch;
 use fixd_runtime::{NetworkConfig, Pid, World, WorldConfig};
 
-use crate::{kvstore, pipeline, token_ring, two_phase_commit as tpc};
+use crate::{chord, kvstore, pipeline, token_ring, two_phase_commit as tpc};
 
 /// The pipeline's per-item cost.
 pub const PIPELINE_COST: u64 = 50;
@@ -36,6 +36,16 @@ pub enum HealApp {
     /// 2PC under jitter (1, 60) whose coordinator commits on the first
     /// YES; one participant per vote.
     Tpc { votes: Vec<bool> },
+    /// The late symptom: `n` Chord-KV members under jitter (1, 8), `puts`
+    /// writes each; member `forgetful` acknowledges the `forget_at`-th
+    /// put it owns without storing it, and only the origin's later read
+    /// shows it ([`chord::KvMember`]). Not in `heal-loop`.
+    ChordKv {
+        n: usize,
+        puts: u32,
+        forgetful: usize,
+        forget_at: u32,
+    },
 }
 
 impl HealApp {
@@ -50,6 +60,17 @@ impl HealApp {
                 token_ring::ring_world_cfg(jittery(seed, 1, 4), *n, Some((*buggy, *dup_at)))
             }
             Self::Tpc { votes } => tpc::tpc_world_cfg(jittery(seed, 1, 60), votes, true),
+            Self::ChordKv {
+                n,
+                puts,
+                forgetful,
+                forget_at,
+            } => chord::kv_members_world_cfg(
+                jittery(seed, 1, 8),
+                *n,
+                *puts,
+                Some((*forgetful, *forget_at)),
+            ),
         }
     }
 
@@ -60,6 +81,7 @@ impl HealApp {
             Self::Pipeline { .. } => pipeline::results_monitor(),
             Self::Ring { .. } => token_ring::mutex_monitor(),
             Self::Tpc { .. } => tpc::atomicity_monitor(),
+            Self::ChordKv { .. } => chord::read_monitor(),
         }]
     }
 
@@ -70,6 +92,7 @@ impl HealApp {
             Self::Pipeline { .. } => (pipeline::cruncher_patch(PIPELINE_COST), Pid(1)),
             Self::Ring { buggy, .. } => (token_ring::ring_patch(), Pid(*buggy as u32)),
             Self::Tpc { .. } => (tpc::coordinator_patch(), Pid(0)),
+            Self::ChordKv { n, forgetful, .. } => (chord::forget_patch(*n), Pid(*forgetful as u32)),
         }
     }
 
@@ -99,6 +122,14 @@ impl HealApp {
                             .is_some_and(|p| p.committed == commit)
                     })
             }
+            // Every read-after-write check came back right.
+            Self::ChordKv { n, puts, .. } => (0..*n).all(|i| {
+                w.program::<chord::KvMember>(Pid(i as u32))
+                    .is_some_and(|m| {
+                        let s = m.node.kv_stats;
+                        s.get_bad == 0 && s.get_ok == u64::from(*puts)
+                    })
+            }),
         }
     }
 }

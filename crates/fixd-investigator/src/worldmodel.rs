@@ -13,12 +13,15 @@
 //! timers. Actions = start a process, deliver the head of a channel, fire
 //! a timer, plus whatever fault branches the [`NetModel`] enables.
 //!
-//! The Investigator runs the real handler once per explored transition,
-//! so a transition pays only for what it changed: the successor shares
-//! every untouched part with its parent (see [`WorldState`]), the handler
-//! draws its context from its thread's arena ([`SoloHarness`]), and the
-//! state fingerprint is a sum of per-component terms that a transition
-//! updates by difference, for the components it touched.
+//! The Investigator runs the real handler once per explored transition.
+//! The successor shares every untouched process and message with its
+//! parent (see [`WorldState`]), the handler draws its context from its
+//! thread's arena ([`SoloHarness`]), and the state fingerprint is a sum
+//! of per-component terms that a transition updates by difference, for
+//! the components it touched. Two costs do not follow the change:
+//! cloning a state copies all width² channel slots (handles, not
+//! messages), and a transition that emits output rebuilds the whole
+//! output list, O(outputs on the branch).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -196,14 +199,16 @@ thread_local! {
 /// Global state of the application under investigation.
 ///
 /// A state is a set of handles: cloning one copies no process and no
-/// message. A transition copies only what it changes, so a successor
-/// shares every other part with its parent:
+/// message, but it does copy the handle tables, one slot per process and
+/// all width² channel slots. A transition then copies what it changes,
+/// and a successor shares every other part with its parent:
 ///
 /// * the acting process (`Arc::make_mut`: one `clone_program`);
 /// * a channel it sends into: one new run of the live messages plus the
 ///   sent ones (a handler's sends to one channel make one run); a
 ///   channel it pops from copies nothing, it only moves its head;
-/// * the output list when the handler emits: one new list.
+/// * the output list when the handler emits: one new list of every
+///   output on the branch so far, not only the new ones.
 ///
 /// The state also carries its fingerprint sum: the wrapping sum of one
 /// term per process (index, cached snapshot hash, flags, timer count)
