@@ -1,8 +1,9 @@
 //! The vector clock's allocation claims, counted: mutating a spilled
 //! clock through its only handle never calls the allocator, mutating it
 //! through one of several calls it exactly once (the copy-on-write
-//! copy — one block, not a buffer plus a header), and handing the clock
-//! on never does.
+//! copy — one block, not a buffer plus a header), handing the clock on
+//! never does, and writing it as a Scroll delta into a buffer with room
+//! never does either.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would count into this one's windows.
@@ -69,4 +70,18 @@ fn clock_ops_allocate_only_the_copy_on_write_copy() {
     assert_eq!(shell, sole);
     assert_eq!(allocs(|| _ = sole.tick(Pid(40))), 0);
     drop(held);
+
+    // The Scroll's delta wire form into a buffer that has room: over
+    // the same pids (the in-step walk), over different pid sets (the
+    // merge walk, pids gained and lost), and with more than 127 changed
+    // components (the count patched wider in place).
+    let mut buf = Vec::with_capacity(4096);
+    let base = VectorClock::from_pairs(pairs(5));
+    assert_eq!(allocs(|| vc.put_wire_delta(&base, &mut buf)), 0);
+    assert_eq!(allocs(|| superset.put_wire_delta(&subset, &mut buf)), 0);
+    assert_eq!(allocs(|| subset.put_wire_delta(&superset, &mut buf)), 0);
+    let wide = |count: u64| VectorClock::from_pairs((0..200).map(|p| (p, count)).collect());
+    let (from, to) = (wide(1), wide(2));
+    assert_eq!(allocs(|| to.put_wire_delta(&from, &mut buf)), 0);
+    assert!(buf.len() > 400 && buf.capacity() == 4096);
 }

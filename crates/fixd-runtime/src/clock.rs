@@ -253,6 +253,31 @@ fn insert_missing(buf: &mut [Pair], len: usize, b: &[Pair]) {
     }
 }
 
+/// The pairs [`VectorClock::put_wire_delta`] writes, and how many.
+struct DeltaOut<'a> {
+    buf: &'a mut Vec<u8>,
+    /// The previous pair's pid (0 before the first).
+    last: u32,
+    count: u64,
+}
+
+impl DeltaOut<'_> {
+    /// One changed component: `p`'s gap, then the zigzagged difference.
+    #[inline]
+    fn put(&mut self, p: u32, diff: u64) {
+        let gap = u64::from(p - self.last);
+        let zigzag = (diff << 1) ^ ((diff as i64 >> 63) as u64);
+        if gap | zigzag < 0x80 {
+            self.buf.extend_from_slice(&[gap as u8, zigzag as u8]);
+        } else {
+            put_varint(self.buf, gap);
+            put_varint(self.buf, zigzag);
+        }
+        self.last = p;
+        self.count += 1;
+    }
+}
+
 impl VectorClock {
     /// The zero clock. `const`, so dormant (never-materialized) processes
     /// can share one static clock instead of allocating anything.
@@ -367,6 +392,132 @@ impl VectorClock {
                 put_varint(buf, c);
             }
         }
+    }
+
+    /// Append the delta wire form the Scroll codec stores for an entry's
+    /// clock (segment format v3): the number of components in which
+    /// `self` differs from `base`, then per differing component, in pid
+    /// order, a varint pair `(pid gap, zigzag(new.wrapping_sub(old)))`.
+    /// The first gap is the pid itself, every later one the distance to
+    /// the previous pair's pid (so never zero). A component either side
+    /// lacks counts as zero, so a clock that lost a pid or went down — a
+    /// rollback's re-execution — is as exact as one that rose.
+    ///
+    /// Allocates nothing into a buffer with room: one byte is reserved
+    /// for the count and patched in place (shifting the pairs only when
+    /// more than 127 components differ). Two clocks over the same pids,
+    /// the steady state of a process's log, are walked in step; pid sets
+    /// that differ fall through to a merge walk from the first mismatch.
+    pub fn put_wire_delta(&self, base: &VectorClock, buf: &mut Vec<u8>) {
+        let (mut sa, mut sb) = ([(0, 0); INLINE_PAIRS], [(0, 0); INLINE_PAIRS]);
+        let (new, old) = (self.as_pairs(&mut sa), base.as_pairs(&mut sb));
+        let at = buf.len();
+        buf.push(0);
+        if self.shares_storage_with(base) {
+            return;
+        }
+        // The common changed pair is two bytes.
+        buf.reserve(2 * new.len().max(old.len()));
+        let mut out = DeltaOut {
+            buf,
+            last: 0,
+            count: 0,
+        };
+        // In step, 64 pairs at a time: one branch-free pass finds
+        // whether the pids agree and which counts changed, then only the
+        // changed ones are visited. A chunk whose pids disagree is left
+        // to the merge walk below.
+        let mut i = 0;
+        for (a, b) in new.chunks(64).zip(old.chunks(64)) {
+            let (mut same, mut changed) = (true, 0u64);
+            for (k, (x, y)) in a.iter().zip(b).enumerate() {
+                same &= x.0 == y.0;
+                changed |= u64::from(x.1 != y.1) << k;
+            }
+            if !same || a.len() != b.len() {
+                break;
+            }
+            while changed != 0 {
+                let k = changed.trailing_zeros() as usize;
+                out.put(a[k].0, a[k].1.wrapping_sub(b[k].1));
+                changed &= changed - 1;
+            }
+            i += a.len();
+        }
+        let mut j = i;
+        loop {
+            match (new.get(i), old.get(j)) {
+                (Some(&(p, c)), Some(&(q, d))) if p == q => {
+                    if c != d {
+                        out.put(p, c.wrapping_sub(d));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+                (Some(&(p, c)), Some(&(q, _))) if p < q => {
+                    out.put(p, c);
+                    i += 1;
+                }
+                (Some(&(p, c)), None) => {
+                    out.put(p, c);
+                    i += 1;
+                }
+                (_, Some(&(q, d))) => {
+                    out.put(q, d.wrapping_neg());
+                    j += 1;
+                }
+                (None, None) => break,
+            }
+        }
+        let count = out.count;
+        if count < 0x80 {
+            buf[at] = count as u8;
+            return;
+        }
+        // A wider count: append it, rotate it in front of the pairs, and
+        // drop the byte reserved for it.
+        let end = buf.len();
+        put_varint(buf, count);
+        let width = buf.len() - end;
+        buf[at + 1..].rotate_right(width);
+        buf.remove(at);
+    }
+
+    /// The inverse of [`VectorClock::put_wire_delta`]: `self` with each
+    /// `(pid, difference)` of `delta` added to its component (wrapping;
+    /// a component either side lacks is zero, and one that comes out
+    /// zero is dropped). `delta` is in strictly increasing pid order, as
+    /// the wire form is; out of order it still yields a valid clock, but
+    /// not a meaningful one. The runs of unchanged components between
+    /// two changed ones are copied as slices.
+    pub fn with_delta(&self, delta: &[(u32, u64)]) -> VectorClock {
+        let mut scratch = [(0, 0); INLINE_PAIRS];
+        let old = self.as_pairs(&mut scratch);
+        let mut out = Vec::with_capacity(old.len() + delta.len());
+        let mut j = 0;
+        for &(p, diff) in delta {
+            let mut k = j;
+            while k < old.len() && old[k].0 < p {
+                k += 1;
+            }
+            out.extend_from_slice(&old[j..k]);
+            j = k;
+            let c = match old.get(j) {
+                Some(&(q, c)) if q == p => {
+                    j += 1;
+                    c
+                }
+                _ => 0,
+            };
+            if c != diff.wrapping_neg() {
+                out.push((p, c.wrapping_add(diff)));
+            }
+        }
+        out.extend_from_slice(&old[j..]);
+        if delta.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Self::from_sorted(&out);
+        }
+        Self::from_pairs(out)
     }
 
     /// Number of nonzero components (the clock's causal footprint).
@@ -743,6 +894,45 @@ mod tests {
         assert!(a.leq(&a));
         assert!(a.leq(&b));
         assert!(!b.leq(&a));
+    }
+
+    /// `with_delta` undoes `put_wire_delta`'s differences: rises,
+    /// falls, pids gained and lost, a component cancelled to zero,
+    /// inline and heap clocks. A delta out of pid order still leaves a
+    /// clock whose pairs are sorted and nonzero.
+    #[test]
+    fn with_delta_applies_wrapping_differences() {
+        let heap = VectorClock::from_pairs((0..8).map(|p| (2 * p, 5)).collect());
+        let cases = [
+            (VectorClock::ZERO, vec![(3, 7)], vec![(3, 7)]),
+            (
+                VectorClock::from_vec(vec![4, 0, 2]),
+                vec![(0, u64::MAX), (1, 1), (2, 0u64.wrapping_sub(2))],
+                vec![(0, 3), (1, 1)],
+            ),
+            (
+                heap.clone(),
+                vec![(1, 9), (4, 1), (14, 0u64.wrapping_sub(5)), (99, 2)],
+                vec![
+                    (0, 5),
+                    (1, 9),
+                    (2, 5),
+                    (4, 6),
+                    (6, 5),
+                    (8, 5),
+                    (10, 5),
+                    (12, 5),
+                    (99, 2),
+                ],
+            ),
+        ];
+        for (base, delta, want) in cases {
+            assert_eq!(base.with_delta(&delta), VectorClock::from_pairs(want));
+        }
+        let shuffled = heap.with_delta(&[(9, 1), (2, 1), (9, 3)]);
+        let pids: Vec<u32> = shuffled.entries().map(|(p, _)| p.0).collect();
+        assert!(pids.windows(2).all(|w| w[0] < w[1]), "{shuffled}");
+        assert!(shuffled.entries().all(|(_, c)| c > 0));
     }
 
     #[test]

@@ -19,16 +19,23 @@
 //! do not depend on the hash.
 //!
 //! A sealed blob **is** that stretch of the scroll's encoding, produced
-//! once. Every read-back borrows the blob where it lies on the disk
+//! once, behind a header of its own. An entry's clock is a delta against
+//! the entry before it (format v3), so the header carries the clock the
+//! blob's first entry continues from: the process's last sealed clock,
+//! which the store keeps per process for exactly this and for encoding
+//! the resident tail behind the sealed blobs. Each blob still decodes
+//! alone, and the bodies still chain into the scroll's encoding. Every
+//! read-back borrows the blob where it lies on the disk
 //! ([`SharedDisk::read_with`]) and checks it against the length and
 //! content hash its seal recorded before using a byte of it. What reads
 //! it back falls in three groups:
 //!
 //! * **as bytes** — [`ScrollStore::encode_segment`] (and
-//!   [`ScrollStore::save_dir`] through it) writes one header and splices
-//!   each blob's entries in after it, unparsed (the concatenation
-//!   property documented at [`codec::FORMAT_VERSION`]), copied straight
-//!   out of the disk;
+//!   [`ScrollStore::save_dir`] through it) writes one header over the
+//!   zero clock, splices each blob's entries in after it, unparsed (the
+//!   concatenation property documented at [`codec::FORMAT_VERSION`]),
+//!   copied straight out of the disk, and encodes the resident tail
+//!   against the last sealed clock;
 //! * **decoded** — [`ScrollStore::scroll`] (so queries, merges, stats
 //!   and replay see the full log), [`ScrollStore::entry`] and a
 //!   [`ScrollStore::truncate`] into the sealed prefix copy each blob
@@ -46,7 +53,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use fixd_runtime::wire::content_hash;
-use fixd_runtime::{Payload, Pid, SharedDisk};
+use fixd_runtime::{Payload, Pid, SharedDisk, VectorClock};
 
 use crate::codec::{self, CodecError};
 use crate::entry::ScrollEntry;
@@ -141,7 +148,9 @@ impl SpillConfig {
 /// One sealed, spilled scroll segment — the only way back to its blob:
 /// nothing outside the process holds or recomputes `key` or `hash`, so
 /// both are `content_hash` (XXH64) and may change with that function;
-/// the blob's bytes may not.
+/// the blob's bytes may not. The blob is a v3 segment whose header's
+/// base clock is the last clock sealed before it; `header` says how long
+/// that header is, so sizes stay arithmetic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SegmentRef {
     /// The blob's key on the disk: its content hash, unless the seal
@@ -154,6 +163,9 @@ struct SegmentRef {
     entries: usize,
     /// Encoded size in bytes.
     bytes: usize,
+    /// Bytes of the blob's header (version, count, base clock); the
+    /// rest is its body.
+    header: usize,
 }
 
 impl SegmentRef {
@@ -210,6 +222,10 @@ pub struct ScrollStore {
     spilled: Vec<Vec<SegmentRef>>,
     /// Approximate resident bytes per process (see [`entry_weight`]).
     resident_weight: Vec<usize>,
+    /// Per process, the clock of the last sealed entry (zero while
+    /// nothing is sealed): the base of the next seal's header and of the
+    /// resident tail's encoding.
+    sealed_last: Vec<VectorClock>,
     spill: Option<SpillConfig>,
     /// Encode buffer every seal reuses; empty between seals.
     seal_buf: Vec<u8>,
@@ -222,6 +238,7 @@ impl ScrollStore {
             per_pid: vec![Vec::new(); n],
             spilled: vec![Vec::new(); n],
             resident_weight: vec![0; n],
+            sealed_last: vec![VectorClock::ZERO; n],
             spill: None,
             seal_buf: Vec::new(),
         }
@@ -273,8 +290,11 @@ impl ScrollStore {
         if self.per_pid[i].is_empty() {
             return;
         }
+        let (entries, base) = (&self.per_pid[i], &self.sealed_last[i]);
         let mut blob = std::mem::take(&mut self.seal_buf);
-        codec::encode_segment_into(&mut blob, &self.per_pid[i]);
+        codec::put_segment_header(&mut blob, entries.len(), base);
+        let header = blob.len();
+        codec::put_entries(&mut blob, base, entries);
         // Content-addressed: identical segments (same bytes) are written
         // once per disk. A 64-bit hash can collide, so compare the stored
         // blob in place and probe deterministically to the next key on
@@ -298,11 +318,15 @@ impl ScrollStore {
         self.spilled[i].push(SegmentRef {
             key,
             hash,
-            entries: self.per_pid[i].len(),
+            entries: entries.len(),
             bytes: blob.len(),
+            header,
         });
         blob.clear();
         self.seal_buf = blob;
+        if let Some(last) = self.per_pid[i].pop() {
+            self.sealed_last[i] = last.vc;
+        }
         self.per_pid[i].clear();
         self.resident_weight[i] = 0;
     }
@@ -448,6 +472,7 @@ impl ScrollStore {
             }
             full.truncate(n);
             self.spilled[i].clear();
+            self.sealed_last[i] = VectorClock::ZERO;
             self.per_pid[i] = full;
         }
         self.resident_weight[i] = self.per_pid[i].iter().map(entry_weight).sum();
@@ -479,13 +504,12 @@ impl ScrollStore {
         let spilled = self.spilled.get(i).map_or(&[][..], Vec::as_slice);
         let sealed_bytes: usize = spilled.iter().map(|s| s.bytes).sum();
         let mut out = Vec::with_capacity(16 + sealed_bytes + resident.len() * 32);
-        codec::put_segment_header(&mut out, self.len(pid));
+        codec::put_segment_header(&mut out, self.len(pid), &VectorClock::ZERO);
         for seg in spilled {
             self.splice_segment(seg, &mut out)?;
         }
-        for e in resident {
-            codec::encode_entry(&mut out, e);
-        }
+        let base = self.sealed_last.get(i).unwrap_or(&VectorClock::ZERO);
+        codec::put_entries(&mut out, base, resident);
         Ok(out)
     }
 
@@ -499,12 +523,10 @@ impl ScrollStore {
         for (i, resident) in self.per_pid.iter().enumerate() {
             total += codec::segment_header_len(self.len(Pid(i as u32)));
             for seg in &self.spilled[i] {
-                total += seg.bytes - codec::segment_header_len(seg.entries);
+                total += seg.bytes - seg.header;
             }
             tail.clear();
-            for e in resident {
-                codec::encode_entry(&mut tail, e);
-            }
+            codec::put_entries(&mut tail, &self.sealed_last[i], resident);
             total += tail.len();
         }
         total
@@ -867,22 +889,23 @@ mod tests {
     #[test]
     fn sealed_keys_and_blobs_are_pinned() {
         let (s, disk) = spilled_store();
-        assert_eq!((s.spilled_segments(), s.spilled_bytes()), (12, 1929));
+        assert_eq!((s.spilled_segments(), s.spilled_bytes()), (12, 1963));
         assert_eq!(disk.durable_snapshot().len(), 12);
-        // The bytes, as FNV-1a over every blob in seal order: the value
-        // they have had since seals first reused a buffer, walked clocks
-        // as slices and had `sync` move the buffer. Sealed bytes are the
-        // Scroll's wire format; no faster seal may move one.
+        // The bytes, as FNV-1a over every blob in seal order. Sealed
+        // bytes are the Scroll's wire format; no faster seal may move
+        // one. Re-pinned once, for format v3 (delta entry clocks, a base
+        // clock in each header): these one-component clocks cost what
+        // they did, and the eleven non-zero bases add 34 bytes.
         let blobs: Vec<u8> = s.spilled[0]
             .iter()
             .flat_map(|seg| disk.read(&disk_key(seg.key)).expect("sealed blob"))
             .collect();
-        assert_eq!(fixd_runtime::wire::fnv1a(&blobs), 0x1e3c_2ae7_c027_aca8);
-        // The keys, through the whole disk's fingerprint. Re-pinned once,
-        // when keys moved from FNV-1a to `content_hash`: a key is found
-        // only through the store's in-memory `SegmentRef`, so it may move
-        // with the hash function; the blobs above may not.
-        assert_eq!(disk.durable_fingerprint(), 0xb331_c644_b200_347f);
+        assert_eq!(fixd_runtime::wire::fnv1a(&blobs), 0x39a8_3667_245e_a3d5);
+        // The keys, through the whole disk's fingerprint. Re-pinned when
+        // keys moved from FNV-1a to `content_hash` (a key is found only
+        // through the store's in-memory `SegmentRef`, so it may move with
+        // the hash function), and with the blobs for format v3.
+        assert_eq!(disk.durable_fingerprint(), 0xb8ee_c671_468c_1e7e);
     }
 
     /// Counting reads nothing back, and reading bytes back reads each
@@ -933,8 +956,8 @@ mod tests {
         let stats = crate::stats::ScrollStats::compute(&s);
         assert_eq!(disk.stats().reads - before, s.spilled[0].len() as u64);
         assert_eq!(stats.total_entries, 50);
-        // Pid 1's empty scroll is a two-byte header.
-        assert_eq!(stats.encoded_bytes, s.encode_segment(Pid(0)).len() + 2);
+        // Pid 1's empty scroll is a three-byte header.
+        assert_eq!(stats.encoded_bytes, s.encode_segment(Pid(0)).len() + 3);
     }
 
     /// What a test does to the first sealed blob of [`spilled_store`],
@@ -958,10 +981,11 @@ mod tests {
         let mut blob = disk.read(&key).expect("sealed blob on disk");
         match how {
             Damage::FlipClockCount => {
-                // [version][count] then the first entry: tag, pid, seq,
-                // at, lamport, clock nnz, clock pid, clock count.
-                assert_eq!(blob[7..10], [1, 0, 1], "entry 0's clock is ⟨0:1⟩");
-                blob[9] = 3;
+                // [version][count][zero base] then the first entry: tag,
+                // pid, seq, at, lamport, then its clock as a delta over
+                // the base: one pair, pid 0, zigzag(+1).
+                assert_eq!(blob[8..11], [1, 0, 2], "entry 0's clock is ⟨0:1⟩");
+                blob[10] = 6;
                 disk.write(&key, &blob);
             }
             Damage::Truncate => {

@@ -46,6 +46,123 @@ fn naive_put_clock(buf: &mut Vec<u8>, vc: &VectorClock) {
     }
 }
 
+/// The v3 entry-clock delta spelled out over the union of both clocks'
+/// pids — the oracle for [`VectorClock::put_wire_delta`], byte for byte.
+fn naive_put_delta(buf: &mut Vec<u8>, vc: &VectorClock, base: &VectorClock) {
+    let mut pids: Vec<Pid> = vc.entries().chain(base.entries()).map(|(p, _)| p).collect();
+    pids.sort_unstable();
+    pids.dedup();
+    let changed: Vec<(Pid, u64)> = pids
+        .into_iter()
+        .map(|p| (p, vc.get(p).wrapping_sub(base.get(p))))
+        .filter(|&(_, d)| d != 0)
+        .collect();
+    put_varint(buf, changed.len() as u64);
+    let mut last = 0;
+    for (p, d) in changed {
+        put_varint(buf, u64::from(p.0 - last));
+        fixd_runtime::wire::put_varint_i64(buf, d as i64);
+        last = p.0;
+    }
+}
+
+/// One step of a process's clock from one entry to the next.
+#[derive(Clone, Debug)]
+enum ClockStep {
+    /// A local event: the own component rises.
+    Tick,
+    /// A receive: merge a clock that may name pids not seen before.
+    Learn(VectorClock),
+    /// A rollback's re-execution: back to the clock of an earlier entry
+    /// (index modulo the history so far).
+    FallBack(usize),
+    /// Components lost: keep those whose bit in the mask is set.
+    Forget(u64),
+}
+
+fn arb_clock_step() -> impl Strategy<Value = ClockStep> {
+    prop_oneof![
+        Just(ClockStep::Tick),
+        Just(ClockStep::Tick),
+        arb_clock().prop_map(ClockStep::Learn),
+        any::<usize>().prop_map(ClockStep::FallBack),
+        any::<u64>().prop_map(ClockStep::Forget),
+    ]
+}
+
+/// Steps of three processes, interleaved.
+fn arb_clock_walk() -> impl Strategy<Value = Vec<(u32, ClockStep, u8)>> {
+    proptest::collection::vec((0u32..3, arb_clock_step(), any::<u8>()), 0..48)
+}
+
+/// Three processes' scrolls driven by their clock walks: each step is
+/// one entry whose clock is the process's clock after the step.
+struct Walker {
+    clocks: Vec<Vec<VectorClock>>,
+}
+
+impl Walker {
+    fn new() -> Self {
+        Self {
+            clocks: vec![vec![]; 3],
+        }
+    }
+
+    /// The entry `step` makes of `pid`'s next clock, at `local_seq`.
+    fn entry(&mut self, pid: u32, step: &ClockStep, salt: u8, local_seq: u64) -> ScrollEntry {
+        let history = &mut self.clocks[pid as usize];
+        let mut vc = history.last().cloned().unwrap_or_default();
+        match step {
+            // A learned count may already be `u64::MAX`.
+            ClockStep::Tick if vc.get(Pid(pid)) < u64::MAX => _ = vc.tick(Pid(pid)),
+            ClockStep::Tick => {}
+            ClockStep::Learn(other) => vc.merge(other),
+            ClockStep::FallBack(k) if !history.is_empty() => {
+                vc = history[k % history.len()].clone()
+            }
+            ClockStep::FallBack(_) => {}
+            ClockStep::Forget(mask) => {
+                let kept = vc
+                    .entries()
+                    .enumerate()
+                    .filter(|(i, _)| mask >> (i % 64) & 1 == 1);
+                vc = VectorClock::from_pairs(kept.map(|(_, (p, c))| (p.0, c)).collect());
+            }
+        }
+        history.push(vc.clone());
+        let kind = if salt.is_multiple_of(3) {
+            EntryKind::TimerFire {
+                timer: TimerId(u64::from(salt)),
+            }
+        } else {
+            EntryKind::Deliver {
+                msg: Message {
+                    id: local_seq,
+                    src: Pid(u32::from(salt) % 3),
+                    dst: Pid(pid),
+                    tag: 1,
+                    payload: vec![salt; usize::from(salt % 24)].into(),
+                    sent_at: local_seq,
+                    vc: vc.clone(),
+                    meta: MsgMeta::default(),
+                }
+                .into(),
+            }
+        };
+        ScrollEntry {
+            pid: Pid(pid),
+            local_seq,
+            at: local_seq * 3,
+            lamport: local_seq + 1,
+            vc,
+            kind,
+            randoms: vec![u64::from(salt)].into(),
+            effects_fp: u64::from(salt),
+            sends: 0,
+        }
+    }
+}
+
 /// Strategy for arbitrary messages.
 fn arb_message() -> impl Strategy<Value = Message> {
     (
@@ -172,6 +289,29 @@ fn assert_reads_back_as(spilled: &ScrollStore, control: &ScrollStore, what: &str
     assert_eq!(spilled.total_entries(), control.total_entries(), "{what}");
 }
 
+/// [`assert_reads_back_as`], plus every entry one at a time and the
+/// summed size against the bytes themselves.
+fn assert_splits_read_back_as(spilled: &ScrollStore, control: &ScrollStore, what: &str) {
+    assert_reads_back_as(spilled, control, what);
+    let mut bytes = 0;
+    for pid in (0..3).map(Pid) {
+        assert_eq!(
+            spilled.scroll(pid),
+            control.scroll(pid),
+            "{what}: {pid:?} scroll"
+        );
+        for i in 0..=control.len(pid) {
+            assert_eq!(
+                spilled.entry(pid, i),
+                control.entry(pid, i),
+                "{what}: {pid:?} entry {i}"
+            );
+        }
+        bytes += spilled.encode_segment(pid).len();
+    }
+    assert_eq!(spilled.encoded_size(), bytes, "{what}: encoded_size");
+}
+
 /// Ping-pong app used for recorded-run properties.
 #[derive(Clone)]
 struct Pong {
@@ -233,6 +373,82 @@ proptest! {
         vc.put_wire(&mut fast);
         naive_put_clock(&mut naive, &vc);
         prop_assert_eq!(fast, naive);
+    }
+
+    /// The delta encoder that walks both pair slices writes what the
+    /// union-of-pids oracle does, after whatever the buffer already
+    /// holds, and an entry written over it decodes back against the same
+    /// base.
+    #[test]
+    fn clock_delta_wire_form_matches_the_naive_encoder(vc in arb_clock(),
+                                                       base in arb_clock(),
+                                                       kin in any::<u64>(),
+                                                       prefix in 0usize..3) {
+        // Half the cases share most pids (the steady state of one log).
+        let vc = if kin.is_multiple_of(2) {
+            let mut near = base.clone();
+            near.merge(&vc);
+            near
+        } else {
+            vc
+        };
+        let (mut fast, mut naive) = (vec![0xAB; prefix], vec![0xAB; prefix]);
+        vc.put_wire_delta(&base, &mut fast);
+        naive_put_delta(&mut naive, &vc, &base);
+        prop_assert_eq!(&fast, &naive);
+        let entry = ScrollEntry {
+            pid: Pid(1), local_seq: 0, at: 0, lamport: 0, vc,
+            kind: EntryKind::Start, randoms: vec![].into(), effects_fp: 0, sends: 0,
+        };
+        let mut buf = Vec::new();
+        codec::encode_entry(&mut buf, &entry, &base);
+        prop_assert_eq!(codec::decode_entry(&buf, &mut 0, &base).unwrap(), entry);
+    }
+
+    /// Where a scroll is split into sealed segments does not change its
+    /// bytes: three processes whose clocks rise, gain pids, fall back to
+    /// an earlier entry's clock and lose pids, stored spilled at a
+    /// random threshold, read back as their unspilled control — as
+    /// bytes, as the whole scroll, entry by entry, and as the summed
+    /// size — before and after a truncation into the sealed prefix that
+    /// more of the walk then appends behind.
+    #[test]
+    fn splitting_a_scroll_into_segments_does_not_change_its_bytes(
+        walk in arb_clock_walk(),
+        more in arb_clock_walk(),
+        threshold in arb_threshold(),
+        pick in any::<u64>(),
+        victim in 0u32..3,
+    ) {
+        let disk = SharedDisk::new();
+        let mut spilled = spilling(&disk, threshold);
+        let mut control = ScrollStore::new(3);
+        let mut walker = Walker::new();
+        let mut seals = 0;
+        for (pid, step, salt) in &walk {
+            let e = walker.entry(*pid, step, *salt, control.len(Pid(*pid)) as u64);
+            let before = spilled.spilled_segments();
+            spilled.append(e.clone());
+            control.append(e);
+            if *pid == victim && spilled.spilled_segments() > before {
+                seals = spilled.len(Pid(victim));
+            }
+        }
+        assert_splits_read_back_as(&spilled, &control, "as recorded");
+
+        // Into the sealed prefix (anywhere in the log if nothing sealed).
+        let n = (pick % (seals.max(spilled.len(Pid(victim))) as u64 + 1)) as usize;
+        let n = if seals > 0 { n.min(seals - 1) } else { n };
+        spilled.truncate(Pid(victim), n);
+        control.truncate(Pid(victim), n);
+        walker.clocks[victim as usize].truncate(n);
+        assert_splits_read_back_as(&spilled, &control, "truncated");
+        for (pid, step, salt) in &more {
+            let e = walker.entry(*pid, step, *salt, control.len(Pid(*pid)) as u64);
+            spilled.append(e.clone());
+            control.append(e);
+        }
+        assert_splits_read_back_as(&spilled, &control, "appended after the truncation");
     }
 
     /// Spilled read-back is the unspilled encoding, byte for byte, at

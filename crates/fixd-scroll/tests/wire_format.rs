@@ -1,27 +1,35 @@
 //! Wire-format stability: the scroll segment encoding is a persistent,
-//! versioned on-disk format. Two guarantees are pinned here:
+//! versioned on-disk format. Three guarantees are pinned here:
 //!
-//! 1. **v2 golden** — the current codec (sparse varint clocks) must
-//!    reproduce the blessed fixture byte-for-byte. The fixture lives in
-//!    `tests/fixtures/golden_segment_v2.hex`; re-bless (only ever on a
+//! 1. **v3 golden** — the current codec (entry clocks as deltas against
+//!    the entry before, a base clock in the header) must reproduce the
+//!    blessed fixture byte-for-byte. The fixture lives in
+//!    `tests/fixtures/golden_segment_v3.hex`; re-bless (only ever on a
 //!    deliberate, versioned format change) with
 //!    `FIXD_BLESS=1 cargo test -p fixd-scroll --test wire_format`.
-//! 2. **v1 back-compat** — segments written by the v1 codec (dense
-//!    `u64`-list clocks, pre-sparse refactor) must still decode to the
-//!    same entries. The v1 bytes are frozen inline below; the v1
-//!    encoder is gone, so these can never be regenerated — do not edit.
+//! 2. **v2 back-compat** — segments written by the v2 codec (absolute
+//!    sparse varint clocks) must still decode to the same entries.
+//!    `tests/fixtures/golden_segment_v2.hex` is frozen: the v2 encoder
+//!    is gone, so it can never be regenerated — do not edit or re-bless.
+//! 3. **v1 back-compat** — the same for segments written by the v1 codec
+//!    (dense `u64`-list clocks, pre-sparse refactor). The v1 bytes are
+//!    frozen inline below.
 //!
-//! And one robustness guarantee: hostile bytes — arbitrary ones, and
-//! every truncation and single-byte mutation of both goldens — make
-//! either decoder return an error, never panic, and the copying and the
-//! zero-copy decoder always agree.
+//! And one robustness guarantee: hostile bytes — arbitrary ones, every
+//! truncation and single-byte mutation of the three goldens, and
+//! hand-built malformed clock deltas — make either decoder return an
+//! error, never panic, and the copying and the zero-copy decoder always
+//! agree.
 
 use fixd_runtime::{Message, MsgMeta, Payload, Pid, TimerId, VectorClock};
-use fixd_scroll::codec::{decode_segment, decode_segment_shared, encode_segment, FORMAT_VERSION};
+use fixd_scroll::codec::{
+    decode_segment, decode_segment_shared, encode_segment, CodecError, FORMAT_VERSION,
+};
 use fixd_scroll::entry::{EntryKind, ScrollEntry};
 use proptest::prelude::*;
 
 const V2_FIXTURE: &str = "tests/fixtures/golden_segment_v2.hex";
+const V3_FIXTURE: &str = "tests/fixtures/golden_segment_v3.hex";
 
 /// Frozen v1 segment (version byte 0x01, dense clocks) produced by the
 /// pre-sparse codec on exactly the entries from [`golden_entries`].
@@ -136,17 +144,44 @@ fn golden_entries() -> Vec<ScrollEntry> {
     ]
 }
 
+/// [`golden_entries`], then the same process's scroll going on with
+/// clocks that rise on its own pid, gain a far pid, fall back and lose
+/// pids (the shape a rollback's re-execution leaves), and take a count
+/// to `u64::MAX`: the delta encoding's every case, in the v3 golden.
+fn v3_golden_entries() -> Vec<ScrollEntry> {
+    let clocks = [
+        vec![(0, 3), (1, 2), (2, 6)],
+        vec![(0, 4), (1, 2), (2, 7), (300, 1)],
+        vec![(0, 4), (2, 3)],
+        vec![(0, 4), (2, 4), (70_000, u64::MAX)],
+    ];
+    let mut entries = golden_entries();
+    for (i, pairs) in clocks.into_iter().enumerate() {
+        let seq = entries.len() as u64;
+        entries.push(ScrollEntry {
+            vc: VectorClock::from_pairs(pairs),
+            ..sample_entry(
+                seq,
+                EntryKind::TimerFire {
+                    timer: TimerId(i as u64),
+                },
+            )
+        });
+    }
+    entries
+}
+
 #[test]
 fn segment_encoding_matches_blessed_golden() {
-    let encoded = encode_segment(&golden_entries());
+    let encoded = encode_segment(&v3_golden_entries());
     assert_eq!(encoded[0], FORMAT_VERSION, "segment leads with its version");
     if std::env::var("FIXD_BLESS").is_ok() {
         std::fs::create_dir_all("tests/fixtures").unwrap();
-        std::fs::write(V2_FIXTURE, bytes_to_hex(&encoded)).unwrap();
+        std::fs::write(V3_FIXTURE, bytes_to_hex(&encoded)).unwrap();
         return;
     }
     let want = hex_to_bytes(
-        &std::fs::read_to_string(V2_FIXTURE)
+        &std::fs::read_to_string(V3_FIXTURE)
             .expect("golden fixture missing — run with FIXD_BLESS=1 on known-good code"),
     );
     assert_eq!(
@@ -159,11 +194,23 @@ fn segment_encoding_matches_blessed_golden() {
 
 #[test]
 fn blessed_golden_round_trips() {
-    let Ok(fixture) = std::fs::read_to_string(V2_FIXTURE) else {
+    let Ok(fixture) = std::fs::read_to_string(V3_FIXTURE) else {
         return; // first bless run
     };
-    let entries = decode_segment(&hex_to_bytes(&fixture)).expect("v2 golden decodes");
-    assert_eq!(entries, golden_entries(), "decoded = original entries");
+    let entries = decode_segment(&hex_to_bytes(&fixture)).expect("v3 golden decodes");
+    assert_eq!(entries, v3_golden_entries(), "decoded = original entries");
+}
+
+#[test]
+fn v2_sparse_clock_segments_still_decode() {
+    let bytes = v2_golden_bytes();
+    assert_eq!(bytes[0], 2, "frozen golden was written as v2");
+    let entries = decode_segment(&bytes).expect("v2 segment decodes");
+    assert_eq!(
+        entries,
+        golden_entries(),
+        "v2 sparse-clock segments must decode to the same entries"
+    );
 }
 
 #[test]
@@ -215,6 +262,10 @@ fn v2_golden_bytes() -> Vec<u8> {
     hex_to_bytes(&std::fs::read_to_string(V2_FIXTURE).expect("v2 golden fixture"))
 }
 
+fn v3_golden_bytes() -> Vec<u8> {
+    hex_to_bytes(&std::fs::read_to_string(V3_FIXTURE).expect("v3 golden fixture"))
+}
+
 /// Every proper prefix is an error; every other value of any one byte
 /// decodes or errs, the same way in both decoders. One thread a golden.
 #[test]
@@ -237,8 +288,76 @@ fn every_truncation_and_byte_mutation_of_the_goldens_decodes_or_errs() {
     };
     std::thread::scope(|scope| {
         scope.spawn(|| hostile(1, v1_golden_bytes()));
-        hostile(2, v2_golden_bytes());
+        scope.spawn(|| hostile(2, v2_golden_bytes()));
+        hostile(3, v3_golden_bytes());
     });
+}
+
+/// A v3 segment of one Start entry of pid 2 whose clock delta is
+/// `delta`, behind a header whose base clock is `base` (both as wire
+/// bytes).
+fn v3_segment(base: &[u8], delta: &[u8]) -> Vec<u8> {
+    let mut seg = vec![3, 1];
+    seg.extend_from_slice(base);
+    // tag, pid, seq, at, lamport
+    seg.extend_from_slice(&[0, 2, 0, 0, 0]);
+    seg.extend_from_slice(delta);
+    // no randoms, fingerprint, sends
+    seg.extend_from_slice(&[0, 0, 0]);
+    seg
+}
+
+/// Malformed clock deltas and base clocks, built by hand: each is a
+/// typed error from both decoders, never a panic, never a clock.
+#[test]
+fn hostile_clock_deltas_are_refused() {
+    let zero = [0];
+    let cases: [(&str, Vec<u8>, CodecError); 6] = [
+        (
+            "pid gap past u32::MAX",
+            v3_segment(&zero, &[1, 0x80, 0x80, 0x80, 0x80, 0x10, 2]),
+            CodecError::BadPid(1 << 32),
+        ),
+        (
+            "pid gaps summing past u32::MAX",
+            v3_segment(&zero, &[2, 1, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 2]),
+            CodecError::BadPid(1 << 32),
+        ),
+        (
+            "zero gap after the first pair",
+            v3_segment(&zero, &[2, 5, 2, 0, 2]),
+            CodecError::BadDelta,
+        ),
+        (
+            "a component that does not change",
+            v3_segment(&zero, &[1, 5, 0]),
+            CodecError::BadDelta,
+        ),
+        (
+            "a pair count the remaining bytes cannot hold",
+            v3_segment(&zero, &[0x7f, 1, 2]),
+            CodecError::Truncated,
+        ),
+        (
+            "a header base clock cut short",
+            vec![3, 0, 2, 0, 1, 7],
+            CodecError::Truncated,
+        ),
+    ];
+    for (what, bytes, want) in cases {
+        assert_eq!(decode_segment(&bytes), Err(want.clone()), "{what}");
+        let shared = decode_segment_shared(&Payload::from(bytes.clone()));
+        assert_eq!(shared, Err(want), "{what}");
+    }
+    // The same frames with well-formed clocks do decode: the refusals
+    // above are the malformed bytes, not the framing.
+    // Base ⟨2:4⟩; delta: pid 0 by +1, pid 300 (gap 0xac 0x02) by -1.
+    let ok = decode_segment(&v3_segment(&[1, 2, 4], &[2, 0, 2, 0xac, 0x02, 1]))
+        .expect("a well-formed delta decodes");
+    assert_eq!(
+        ok[0].vc,
+        VectorClock::from_pairs(vec![(0, 1), (2, 4), (300, u64::MAX)])
+    );
 }
 
 proptest! {
