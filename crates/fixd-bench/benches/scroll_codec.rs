@@ -2,11 +2,14 @@
 //! Scroll's storage layer owns (a spilling run seals a segment every
 //! dozen-odd entries, and read-back touches every one of them again).
 //!
-//! Segments are [`ENTRIES`] deliveries, each carrying two clocks (the
-//! entry's and its message's) of `nnz` components with one-byte pids
-//! and counts mostly, not all, under 128 — the shape `steady-spill`'s
-//! 96-wide Chord worlds seal (≈ 15 entries / 4.3 KB at a mean footprint
-//! of [`SEAL_NNZ`]).
+//! Segments are [`ENTRIES`] deliveries of one process. An entry's clock
+//! has `nnz` components with one-byte pids and counts mostly, not all,
+//! under 128, and from one entry to the next one component in
+//! [`ADVANCE_EVERY`] rises by one — the shape `steady-spill`'s 96-wide
+//! Chord worlds seal (≈ 15 entries a segment, ≈ 14 of ≈ 96 components
+//! changed an entry), so an entry's clock delta is ≈ `nnz / 7` pairs.
+//! Each message carries its sender's whole clock, of the same shape; the
+//! codec writes its sender's component only (format v4).
 //!
 //! Series:
 //!
@@ -28,16 +31,22 @@
 //! * `hash`, table only: [`fnv1a`] (the pinned-value fingerprint, and
 //!   the seal key until the key moved) against [`content_hash`] (XXH64,
 //!   the key of pages, explored states and sealed segments) in ns/byte
-//!   at a 256 B page, at `steady-spill`'s mean seal (≈ 4.3 KB) and at
-//!   8 KiB — the record of what the move bought.
+//!   at a 256 B page, at `steady-spill`'s mean seal (≈ 1.1 KB in format
+//!   v4, 2.7 KB in v3) and at 8 KiB — the record of what the move
+//!   bought.
 //!
-//! Expected shape: encode MB/s rising with the footprint (clock pairs
-//! are the cheapest bytes of an entry), encode the largest part of a
-//! seal and the hash ≈ 7 % of it, splice more than ten times
-//! cheaper than decode. On a 2-vCPU host the seal went 14.2 → 7.9 µs
-//! and the splice 7.3 → 0.61 µs a sealed segment when the key moved off
-//! FNV-1a and read-back began borrowing from the disk; decode, which
-//! now checks the hash too, held at ≈ 19–21 µs.
+//! Expected shape: encode time rising with the footprint and MB/s
+//! falling (a wider clock has more changed pairs to find, and few bytes
+//! to write for them), encode the largest part of a seal and the hash a
+//! few per cent of it, splice more than ten times cheaper than decode.
+//! On a 2-vCPU host the seal went 14.2 → 7.9 µs and the splice 7.3 →
+//! 0.61 µs a sealed segment when the key moved off FNV-1a and read-back
+//! began borrowing from the disk; decode, which now checks the hash too,
+//! held at ≈ 19–21 µs. When the series took this clock shape (every
+//! component had changed at every entry before) and then format v4, on
+//! a busier 2-vCPU host, `encode/96` went 18.3 → 12.2 → 7.6 µs for
+//! 6,647 → 4,493 → 1,296 B a segment, and `ScrollStore::seal` at
+//! [`SEAL_NNZ`] 21.5 → 19.8 → 12.0 µs for 5,269 → 4,534 → 1,309 B.
 
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -59,13 +68,20 @@ const SEAL_NNZ: usize = 72;
 const SEGMENTS: u64 = 32;
 /// Hand-timed repetitions behind the table.
 const REPS: u64 = 1_000;
+/// Entries between two rises of one clock component.
+const ADVANCE_EVERY: u64 = 7;
 
 /// Segment number `round` of pid 0's scroll: distinct bytes per round,
 /// so a content-addressed disk stores every one.
 fn segment(nnz: usize, round: u64) -> Vec<ScrollEntry> {
-    // Every ninth count takes two bytes.
-    let clock = |salt: u64| {
-        let count = |p: u32| 1 + (u64::from(p) * 15 + salt) % 143;
+    // Component `p` at entry `seq`: a base under which every ninth count
+    // takes two bytes, risen once every `ADVANCE_EVERY` entries, the
+    // components taking turns.
+    let clock = |seq: u64| {
+        let count = |p: u32| {
+            let p = u64::from(p);
+            1 + p * 15 % 143 + (seq + p) / ADVANCE_EVERY
+        };
         VectorClock::from_pairs((0..nnz as u32).map(|p| (p, count(p))).collect())
     };
     (round * ENTRIES..(round + 1) * ENTRIES)
@@ -232,7 +248,7 @@ fn print_table() {
         buf.len(),
         sum / seal
     );
-    for len in [256, 4_300, 8 << 10] {
+    for len in [256, 1_080, 8 << 10] {
         let bytes: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
         let ns_per_byte = |us: f64| us * 1e3 / len as f64;
         let fnv = ns_per_byte(mean_us(|| fnv1a(black_box(&bytes))));

@@ -328,6 +328,16 @@ impl VectorClock {
         Self::from_sorted(&pairs)
     }
 
+    /// The clock whose one nonzero component is `p`'s count `c` (the
+    /// zero clock for `c == 0`): inline, so it allocates nothing. The
+    /// v4 codec's decode target for a message's clock.
+    pub fn single(p: Pid, c: u64) -> Self {
+        if c == 0 {
+            return Self::ZERO;
+        }
+        Self::from_sorted(&[(p.0, c)])
+    }
+
     /// A clock holding `pairs` (sorted, nonzero), inline when they fit.
     fn from_sorted(pairs: &[Pair]) -> Self {
         let n = pairs.len();
@@ -395,9 +405,9 @@ impl VectorClock {
     }
 
     /// Append the delta wire form the Scroll codec stores for an entry's
-    /// clock (segment format v3): the number of components in which
-    /// `self` differs from `base`, then per differing component, in pid
-    /// order, a varint pair `(pid gap, zigzag(new.wrapping_sub(old)))`.
+    /// clock (segment formats v3 and v4): the number of components in
+    /// which `self` differs from `base`, then per differing component, in
+    /// pid order, a varint pair `(pid gap, zigzag(new.wrapping_sub(old)))`.
     /// The first gap is the pid itself, every later one the distance to
     /// the previous pair's pid (so never zero). A component either side
     /// lacks counts as zero, so a clock that lost a pid or went down — a
@@ -685,6 +695,34 @@ impl VectorClock {
             Err(i) => {
                 self.insert_at(i, p.0, 1);
                 1
+            }
+        }
+    }
+
+    /// Undo `by` ticks of process `p`: lower its component by `by`,
+    /// dropping it when that reaches zero (a component lower than `by`
+    /// is dropped too). `by == 0` touches nothing. A solely held spilled
+    /// clock is written in place.
+    pub fn untick(&mut self, p: Pid, by: u64) {
+        if by == 0 {
+            return;
+        }
+        let Ok(i) = self.find(p.0) else { return };
+        if self.count_at(i) > by {
+            *self.count_mut(i) -= by;
+            return;
+        }
+        match &mut self.repr {
+            Repr::Inline { len, pids, counts } => {
+                let n = *len as usize;
+                pids.copy_within(i + 1..n, i);
+                counts.copy_within(i + 1..n, i);
+                *len -= 1;
+            }
+            Repr::Heap { len, buf } => {
+                let n = *len as usize;
+                Self::heap_mut(len, buf, 0).copy_within(i + 1..n, i);
+                *len -= 1;
             }
         }
     }
@@ -1078,6 +1116,35 @@ mod tests {
         assert!(small.is_zero());
         shell.release_shared();
         assert_eq!(shell, wide);
+    }
+
+    #[test]
+    fn untick_inverts_tick_inline_and_spilled() {
+        for width in [2u32, 3, 8] {
+            let start = VectorClock::from_pairs((0..width).map(|p| (p, 5)).collect());
+            let mut vc = start.clone();
+            for p in [Pid(1), Pid(9)] {
+                vc.tick(p);
+                vc.tick(p);
+                vc.untick(p, 2);
+                assert_eq!(vc, start, "width {width}, {p:?}");
+            }
+            // Down to zero drops the component; `by == 0` is a no-op.
+            vc.untick(Pid(0), 5);
+            vc.untick(Pid(width - 1), 9);
+            vc.untick(Pid(1), 0);
+            let want = (1..width - 1).map(|p| (Pid(p), 5));
+            assert!(vc.entries().eq(want), "width {width}: {vc}");
+            assert_eq!(vc.get(Pid(0)), 0);
+        }
+        // Through a shared buffer the other handle keeps its value.
+        let mut a = VectorClock::from_vec(vec![3; 6]);
+        let b = a.clone();
+        a.untick(Pid(2), 1);
+        assert_eq!((a.get(Pid(2)), b.get(Pid(2))), (2, 3));
+        let mut c = b.clone();
+        c.untick(Pid(5), 3);
+        assert_eq!((c.nnz(), b.nnz()), (5, 6));
     }
 
     #[test]

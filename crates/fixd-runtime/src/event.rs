@@ -49,7 +49,12 @@ pub struct Message {
     pub payload: Payload,
     /// Virtual time at which the send happened.
     pub sent_at: VTime,
-    /// Sender's vector clock at send time (after the send tick).
+    /// Sender's vector clock at send time (after the send tick). The
+    /// receive rule merges all of it. A Scroll keeps only the sender's
+    /// own component, `vc.get(src)` (what its send-before-receive check
+    /// reads), so a message decoded from a Scroll carries the
+    /// one-component clock `{src: vc[src]}`; replay restores the
+    /// receiver's clock from the entry instead of this merge.
     pub vc: VectorClock,
     pub meta: MsgMeta,
 }

@@ -11,6 +11,7 @@
 use std::cell::RefCell;
 
 use crate::arena::StepArena;
+use crate::clock::VectorClock;
 use crate::event::{Effects, Message, TimerId};
 use crate::procs::{Handler, ProcContext};
 use crate::program::Program;
@@ -75,6 +76,21 @@ impl SoloHarness {
     /// The simulated process's runtime context.
     pub fn context(&self) -> &ProcContext {
         &self.ctx
+    }
+
+    /// Put back the vector clock the next handler starts from, given the
+    /// clock it left behind (`after`) and how many times it ticks its own
+    /// component (`ticks`: one per send, plus one for a start or a
+    /// delivery). The clock becomes `after` with this pid's component
+    /// lowered by `ticks`, copied into the context's own buffer where it
+    /// can be (no new shared buffer a step). A delivered message's clock
+    /// is no later than the receiver's after the delivery, so the merge
+    /// then adds nothing and the handler ends at exactly `after` — also
+    /// when the message, decoded from a Scroll, holds only its sender's
+    /// own component instead of the sender's whole clock.
+    pub fn restore_clock(&mut self, after: &VectorClock, ticks: u64) {
+        self.ctx.vc.clone_from(after);
+        self.ctx.vc.untick(self.pid, ticks);
     }
 
     fn run(&mut self, program: &mut dyn Program, h: Handler) -> Effects {

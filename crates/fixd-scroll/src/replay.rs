@@ -5,9 +5,11 @@
 //! remote entity as a black box defined only by the interaction with the
 //! local component."* The replayed process receives exactly the recorded
 //! messages and timer firings; its RNG stream is re-derived from the same
-//! seed; and every handler's effects are checked against the recorded
-//! fingerprint, so divergence (a non-reproducible bug, or a changed
-//! program) is detected at the first differing step.
+//! seed; its vector clock is put back from each entry's recorded clock
+//! (the Scroll keeps one component of a message's); and every handler's
+//! effects are checked against the recorded fingerprint, so divergence
+//! (a non-reproducible bug, or a changed program) is detected at the
+//! first differing step.
 //!
 //! A replay starts either at the process's `Start` ([`replay_process`])
 //! or from one of the world's checkpoints of it ([`replay_from`]): the
@@ -20,7 +22,9 @@
 //! [`DiskReplayGuard`] drops the handlers' [`fixd_runtime::SharedDisk`]
 //! writes while they run.
 
-use fixd_runtime::{DiskReplayGuard, Pid, ProcCheckpoint, Program, SoloHarness};
+use fixd_runtime::{
+    DiskReplayGuard, Effects, Pid, ProcCheckpoint, Program, SoloHarness, VectorClock,
+};
 
 use crate::entry::{EntryKind, ScrollEntry};
 
@@ -46,6 +50,9 @@ pub struct ReplayOutcome {
     pub fidelity: Fidelity,
     /// Final program state after replay.
     pub final_state: Vec<u8>,
+    /// The process's vector clock after the last replayed step: the
+    /// recorded clock of the last handler entry replayed.
+    pub clock: VectorClock,
     /// States after each replayed step (local_seq → snapshot), captured
     /// when `capture_states` is set — the "step through the execution"
     /// debugger facility of §2.2.
@@ -128,13 +135,8 @@ fn replay_in(
 
     for e in entries {
         debug_assert_eq!(e.pid, pid, "entry from wrong scroll");
-        harness.set_now(e.at);
-        let effects = match &e.kind {
-            EntryKind::Start => harness.start(program),
-            EntryKind::Deliver { msg } => harness.deliver(program, msg),
-            EntryKind::TimerFire { timer } => harness.timer(program, *timer),
-            // Crash/Restart/DroppedMail don't run handlers.
-            _ => continue,
+        let Some(effects) = replay_step(&mut harness, program, e) else {
+            continue;
         };
         steps += 1;
         if cfg.capture_states {
@@ -157,7 +159,40 @@ fn replay_in(
         steps,
         fidelity,
         final_state: program.snapshot(),
+        clock: harness.context().vc.clone(),
         states,
+    }
+}
+
+/// Run the handler entry `e` recorded on `harness`'s process, at its
+/// recorded time and from the clock it recorded: the context's vector
+/// clock is first put back to `e.vc` less the handler's own ticks
+/// ([`SoloHarness::restore_clock`]), so the handler ends at exactly
+/// `e.vc` and every replayed send carries the clock the world's did,
+/// though a message decoded from the Scroll keeps only its sender's
+/// component. `None`, and nothing run, for an entry that runs no handler
+/// (a crash, a restart, dropped mail).
+///
+/// The effects are returned, never applied. A handler that writes a
+/// [`fixd_runtime::SharedDisk`] writes it again unless the caller holds
+/// a [`DiskReplayGuard`], as [`replay_process`] and [`replay_from`] do.
+pub fn replay_step(
+    harness: &mut SoloHarness,
+    program: &mut dyn Program,
+    e: &ScrollEntry,
+) -> Option<Effects> {
+    if !e.kind.is_replayable() {
+        return None;
+    }
+    // A send ticks the sender; a start or a delivery ticks it first.
+    let receive = matches!(e.kind, EntryKind::Start | EntryKind::Deliver { .. });
+    harness.restore_clock(&e.vc, e.sends + u64::from(receive));
+    harness.set_now(e.at);
+    match &e.kind {
+        EntryKind::Start => Some(harness.start(program)),
+        EntryKind::Deliver { msg } => Some(harness.deliver(program, msg)),
+        EntryKind::TimerFire { timer } => Some(harness.timer(program, *timer)),
+        EntryKind::Crash | EntryKind::Restart | EntryKind::DroppedMail { .. } => None,
     }
 }
 

@@ -20,7 +20,7 @@
 //!
 //! A sealed blob **is** that stretch of the scroll's encoding, produced
 //! once, behind a header of its own. An entry's clock is a delta against
-//! the entry before it (format v3), so the header carries the clock the
+//! the entry before it (formats v3 and v4), so the header carries the clock the
 //! blob's first entry continues from: the process's last sealed clock,
 //! which the store keeps per process for exactly this and for encoding
 //! the resident tail behind the sealed blobs. Each blob still decodes
@@ -148,9 +148,9 @@ impl SpillConfig {
 /// One sealed, spilled scroll segment — the only way back to its blob:
 /// nothing outside the process holds or recomputes `key` or `hash`, so
 /// both are `content_hash` (XXH64) and may change with that function;
-/// the blob's bytes may not. The blob is a v3 segment whose header's
-/// base clock is the last clock sealed before it; `header` says how long
-/// that header is, so sizes stay arithmetic.
+/// the blob's bytes may not. The blob is a segment of the current format
+/// whose header's base clock is the last clock sealed before it;
+/// `header` says how long that header is, so sizes stay arithmetic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SegmentRef {
     /// The blob's key on the disk: its content hash, unless the seal
@@ -889,23 +889,27 @@ mod tests {
     #[test]
     fn sealed_keys_and_blobs_are_pinned() {
         let (s, disk) = spilled_store();
-        assert_eq!((s.spilled_segments(), s.spilled_bytes()), (12, 1963));
+        assert_eq!((s.spilled_segments(), s.spilled_bytes()), (12, 1869));
         assert_eq!(disk.durable_snapshot().len(), 12);
         // The bytes, as FNV-1a over every blob in seal order. Sealed
         // bytes are the Scroll's wire format; no faster seal may move
-        // one. Re-pinned once, for format v3 (delta entry clocks, a base
-        // clock in each header): these one-component clocks cost what
-        // they did, and the eleven non-zero bases add 34 bytes.
+        // one. Re-pinned for format v3 (delta entry clocks, a base clock
+        // in each header): these one-component clocks cost what they
+        // did, and the eleven non-zero bases add 34 bytes. Re-pinned for
+        // format v4 (a message's clock as its sender's component): each
+        // message here carries `{0: seq}` from pid 1, three bytes in v3
+        // and one (`vc[1] = 0`) now, so every sealed delivery past the
+        // first is two bytes shorter (1963 → 1869 bytes).
         let blobs: Vec<u8> = s.spilled[0]
             .iter()
             .flat_map(|seg| disk.read(&disk_key(seg.key)).expect("sealed blob"))
             .collect();
-        assert_eq!(fixd_runtime::wire::fnv1a(&blobs), 0x39a8_3667_245e_a3d5);
+        assert_eq!(fixd_runtime::wire::fnv1a(&blobs), 0xc137_eec0_87e7_28ea);
         // The keys, through the whole disk's fingerprint. Re-pinned when
         // keys moved from FNV-1a to `content_hash` (a key is found only
         // through the store's in-memory `SegmentRef`, so it may move with
-        // the hash function), and with the blobs for format v3.
-        assert_eq!(disk.durable_fingerprint(), 0xb8ee_c671_468c_1e7e);
+        // the hash function), and with the blobs for formats v3 and v4.
+        assert_eq!(disk.durable_fingerprint(), 0x9b57_1e32_1a5a_538a);
     }
 
     /// Counting reads nothing back, and reading bytes back reads each

@@ -561,14 +561,24 @@ proptest! {
     }
 
     /// Merged logs are always linear extensions of happens-before, under
-    /// FIFO and reordering networks alike.
+    /// FIFO and reordering networks alike — also when the scrolls spilled
+    /// and their messages read back with only the sender's clock
+    /// component, which is all the send-before-receive check reads.
     #[test]
     fn merge_causally_consistent(seed in 0u64..300, n in 2usize..5, hops in 1u64..10,
-                                 jitter in any::<bool>()) {
+                                 jitter in any::<bool>(), threshold in 1usize..64) {
         let (store, _) = run_world(n, seed, hops, jitter);
         let merged = merge_total_order(&store);
         prop_assert!(fixd_scroll::check_causal_consistency(&merged).is_ok());
         prop_assert!(fixd_scroll::merge::check_send_before_receive(&merged).is_ok());
+        let mut spilled = ScrollStore::with_spill(n, SpillConfig::new(SharedDisk::new(), threshold));
+        for pid in (0..n as u32).map(Pid) {
+            store.scroll(pid).iter().for_each(|e| spilled.append(e.clone()));
+        }
+        prop_assert!(spilled.spilled_segments() > 0);
+        let spilled_merged = merge_total_order(&spilled);
+        prop_assert_eq!(&spilled_merged, &merged);
+        prop_assert!(fixd_scroll::merge::check_send_before_receive(&spilled_merged).is_ok());
     }
 
     /// `latest_consistent_cut` always produces a consistent cut that

@@ -1,25 +1,34 @@
 //! Wire-format stability: the scroll segment encoding is a persistent,
-//! versioned on-disk format. Three guarantees are pinned here:
+//! versioned on-disk format. Four guarantees are pinned here:
 //!
-//! 1. **v3 golden** — the current codec (entry clocks as deltas against
-//!    the entry before, a base clock in the header) must reproduce the
-//!    blessed fixture byte-for-byte. The fixture lives in
-//!    `tests/fixtures/golden_segment_v3.hex`; re-bless (only ever on a
+//! 1. **v4 golden** — the current codec (entry clocks as deltas against
+//!    the entry before, a base clock in the header, a message's clock as
+//!    its sender's component) must reproduce the blessed fixture
+//!    byte-for-byte. The fixture lives in
+//!    `tests/fixtures/golden_segment_v4.hex`; re-bless (only ever on a
 //!    deliberate, versioned format change) with
 //!    `FIXD_BLESS=1 cargo test -p fixd-scroll --test wire_format`.
-//! 2. **v2 back-compat** — segments written by the v2 codec (absolute
-//!    sparse varint clocks) must still decode to the same entries.
-//!    `tests/fixtures/golden_segment_v2.hex` is frozen: the v2 encoder
-//!    is gone, so it can never be regenerated — do not edit or re-bless.
-//! 3. **v1 back-compat** — the same for segments written by the v1 codec
+//! 2. **v3 back-compat** — segments written by the v3 codec (messages
+//!    with their sender's whole clock) must still decode to the same
+//!    entries. `tests/fixtures/golden_segment_v3.hex` is frozen: the v3
+//!    encoder is gone, so it can never be regenerated — do not edit or
+//!    re-bless.
+//! 3. **v2 back-compat** — the same for segments written by the v2 codec
+//!    (absolute sparse varint clocks), frozen in
+//!    `tests/fixtures/golden_segment_v2.hex`.
+//! 4. **v1 back-compat** — the same for segments written by the v1 codec
 //!    (dense `u64`-list clocks, pre-sparse refactor). The v1 bytes are
 //!    frozen inline below.
 //!
+//! Entries compare as the Scroll writes them ([`EntryKind`]'s equality):
+//! a message's clock on its sender's component, so a v1–v3 entry that
+//! decodes with the sender's whole clock equals the original too.
+//!
 //! And one robustness guarantee: hostile bytes — arbitrary ones, every
-//! truncation and single-byte mutation of the three goldens, and
-//! hand-built malformed clock deltas — make either decoder return an
-//! error, never panic, and the copying and the zero-copy decoder always
-//! agree.
+//! truncation and single-byte mutation of the four goldens, and
+//! hand-built malformed clock deltas and message clocks — make either
+//! decoder return an error, never panic, and the copying and the
+//! zero-copy decoder always agree.
 
 use fixd_runtime::{Message, MsgMeta, Payload, Pid, TimerId, VectorClock};
 use fixd_scroll::codec::{
@@ -30,6 +39,7 @@ use proptest::prelude::*;
 
 const V2_FIXTURE: &str = "tests/fixtures/golden_segment_v2.hex";
 const V3_FIXTURE: &str = "tests/fixtures/golden_segment_v3.hex";
+const V4_FIXTURE: &str = "tests/fixtures/golden_segment_v4.hex";
 
 /// Frozen v1 segment (version byte 0x01, dense clocks) produced by the
 /// pre-sparse codec on exactly the entries from [`golden_entries`].
@@ -171,17 +181,44 @@ fn v3_golden_entries() -> Vec<ScrollEntry> {
     entries
 }
 
+/// [`v3_golden_entries`], then deliveries whose sender's component is
+/// zero (the message's clock decodes as the zero clock), takes more than
+/// one varint byte, and belongs to a far pid: the v4 message clock's
+/// every case, in the v4 golden.
+fn v4_golden_entries() -> Vec<ScrollEntry> {
+    let mut entries = v3_golden_entries();
+    let senders = [
+        (Pid(2), VectorClock::from_vec(vec![3, 1, 0])),
+        (Pid(0), VectorClock::from_pairs(vec![(0, 300), (5, 1)])),
+        (
+            Pid(70_000),
+            VectorClock::from_pairs(vec![(1, 4), (70_000, u64::MAX)]),
+        ),
+    ];
+    for (src, vc) in senders {
+        let seq = entries.len() as u64;
+        let msg = Message {
+            src,
+            vc,
+            ..sample_msg(vec![seq as u8])
+        };
+        entries.push(sample_entry(seq, EntryKind::Deliver { msg: msg.into() }));
+    }
+    entries
+}
+
 #[test]
 fn segment_encoding_matches_blessed_golden() {
-    let encoded = encode_segment(&v3_golden_entries());
+    let encoded = encode_segment(&v4_golden_entries());
     assert_eq!(encoded[0], FORMAT_VERSION, "segment leads with its version");
+    assert_eq!(FORMAT_VERSION, 4);
     if std::env::var("FIXD_BLESS").is_ok() {
         std::fs::create_dir_all("tests/fixtures").unwrap();
-        std::fs::write(V3_FIXTURE, bytes_to_hex(&encoded)).unwrap();
+        std::fs::write(V4_FIXTURE, bytes_to_hex(&encoded)).unwrap();
         return;
     }
     let want = hex_to_bytes(
-        &std::fs::read_to_string(V3_FIXTURE)
+        &std::fs::read_to_string(V4_FIXTURE)
             .expect("golden fixture missing — run with FIXD_BLESS=1 on known-good code"),
     );
     assert_eq!(
@@ -194,11 +231,46 @@ fn segment_encoding_matches_blessed_golden() {
 
 #[test]
 fn blessed_golden_round_trips() {
-    let Ok(fixture) = std::fs::read_to_string(V3_FIXTURE) else {
+    let Ok(fixture) = std::fs::read_to_string(V4_FIXTURE) else {
         return; // first bless run
     };
-    let entries = decode_segment(&hex_to_bytes(&fixture)).expect("v3 golden decodes");
-    assert_eq!(entries, v3_golden_entries(), "decoded = original entries");
+    let entries = decode_segment(&hex_to_bytes(&fixture)).expect("v4 golden decodes");
+    assert_eq!(entries, v4_golden_entries(), "decoded = original entries");
+    // What a v4 message keeps of its clock: the sender's component.
+    let clocks: Vec<VectorClock> = entries
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EntryKind::Deliver { msg } => Some(msg.vc.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        clocks,
+        [
+            VectorClock::single(Pid(1), 1),
+            VectorClock::single(Pid(1), 1),
+            VectorClock::ZERO,
+            VectorClock::single(Pid(0), 300),
+            VectorClock::single(Pid(70_000), u64::MAX),
+        ]
+    );
+}
+
+#[test]
+fn v3_delta_clock_segments_still_decode() {
+    let bytes = v3_golden_bytes();
+    assert_eq!(bytes[0], 3, "frozen golden was written as v3");
+    let entries = decode_segment(&bytes).expect("v3 segment decodes");
+    assert_eq!(
+        entries,
+        v3_golden_entries(),
+        "v3 segments must decode to the same entries"
+    );
+    // A v3 message still decodes with its sender's whole clock.
+    let EntryKind::Deliver { msg } = &entries[1].kind else {
+        panic!("entry 1 is a delivery");
+    };
+    assert_eq!(msg.vc, VectorClock::from_vec(vec![3, 1, 0]));
 }
 
 #[test]
@@ -266,6 +338,10 @@ fn v3_golden_bytes() -> Vec<u8> {
     hex_to_bytes(&std::fs::read_to_string(V3_FIXTURE).expect("v3 golden fixture"))
 }
 
+fn v4_golden_bytes() -> Vec<u8> {
+    hex_to_bytes(&std::fs::read_to_string(V4_FIXTURE).expect("v4 golden fixture"))
+}
+
 /// Every proper prefix is an error; every other value of any one byte
 /// decodes or errs, the same way in both decoders. One thread a golden.
 #[test]
@@ -289,7 +365,8 @@ fn every_truncation_and_byte_mutation_of_the_goldens_decodes_or_errs() {
     std::thread::scope(|scope| {
         scope.spawn(|| hostile(1, v1_golden_bytes()));
         scope.spawn(|| hostile(2, v2_golden_bytes()));
-        hostile(3, v3_golden_bytes());
+        scope.spawn(|| hostile(3, v3_golden_bytes()));
+        hostile(4, v4_golden_bytes());
     });
 }
 
@@ -360,6 +437,42 @@ fn hostile_clock_deltas_are_refused() {
     );
 }
 
+/// A v4 segment of one Deliver entry whose message ends in `clock`, the
+/// bytes where its sender's clock component goes.
+fn v4_delivery(clock: &[u8]) -> Vec<u8> {
+    // Header over the zero base; tag, pid, seq, at, lamport, an empty
+    // delta, no randoms, fingerprint, sends.
+    let mut seg = vec![4, 1, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0];
+    // id, src 1, dst 2, tag, empty payload, sent_at.
+    seg.extend_from_slice(&[0, 1, 2, 0, 0, 0]);
+    seg.extend_from_slice(clock);
+    seg
+}
+
+/// A message's sender component cut short — a varint whose last byte
+/// says more follows, or that ends before the metadata — is
+/// `Truncated` from both decoders, never a panic.
+#[test]
+fn a_cut_short_sender_component_is_truncated() {
+    let cases: [(&str, &[u8]); 3] = [
+        ("a varint cut inside", &[0x80]),
+        ("a long varint cut inside", &[0xff, 0xff, 0xff]),
+        ("no metadata after it", &[5]),
+    ];
+    for (what, clock) in cases {
+        let bytes = v4_delivery(clock);
+        assert_eq!(decode_segment(&bytes), Err(CodecError::Truncated), "{what}");
+        let shared = decode_segment_shared(&Payload::from(bytes));
+        assert_eq!(shared, Err(CodecError::Truncated), "{what}");
+    }
+    // Whole, it decodes to the one-component clock.
+    let ok = decode_segment(&v4_delivery(&[0x81, 0x01, 0, 0, 0])).expect("decodes");
+    let EntryKind::Deliver { msg } = &ok[0].kind else {
+        panic!("a delivery");
+    };
+    assert_eq!(msg.vc, VectorClock::single(Pid(1), 129));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -369,7 +482,7 @@ proptest! {
     #[test]
     fn arbitrary_bytes_decode_or_err_alike(
         framed in any::<bool>(),
-        version in 0u8..4,
+        version in 0u8..6,
         count in 0u8..4,
         body in proptest::collection::vec(any::<u8>(), 0..160),
     ) {

@@ -13,14 +13,24 @@
 //! resumes. After the run every retained checkpoint is materialized
 //! and compared, and the newest-first walk must offer the same states.
 //! The counter's disk must not notice any of it.
+//!
+//! The Scroll's local playback is held to the world's clocks the same
+//! way: the same apps and seeds, and one 96-member Chord run, recorded
+//! with a Scroll that spills at a small threshold, replay every pid from
+//! its decoded Scroll — messages that keep only their sender's clock
+//! component — and after every replayed step the harness's clock must
+//! be the one the entry recorded.
 
 use std::collections::BTreeMap;
 
 use fixd_core::{DetectedFault, Fixd, FixdConfig, Monitor};
 use fixd_examples::catalogue::HealApp;
+use fixd_examples::chord::chord_world;
 use fixd_examples::wal_counter::wal_world;
 use fixd_healer::Patch;
-use fixd_runtime::{EventKind, Pid, SharedDisk, World};
+use fixd_runtime::{DiskReplayGuard, EventKind, Pid, SharedDisk, SoloHarness, World};
+use fixd_scroll::codec::decode_segment;
+use fixd_scroll::{replay_step, SpillConfig};
 
 const SEEDS: u64 = 16;
 const MAX_STEPS: u64 = 20_000;
@@ -174,13 +184,26 @@ fn pipeline_checkpoints_replay_exactly() {
     }
 }
 
+/// The token ring at `seed`: four to six nodes, the buggy one and its
+/// round varying with the seed.
+fn ring_app(seed: u64) -> HealApp {
+    let n = 4 + (seed % 3) as usize;
+    let buggy = 1 + (seed as usize % (n - 1));
+    let dup_at = (3 * n - 1 - buggy) as u8;
+    HealApp::Ring { n, buggy, dup_at }
+}
+
+/// 2PC at `seed`: three to five participants, one voting NO.
+fn tpc_app(seed: u64) -> HealApp {
+    HealApp::Tpc {
+        votes: (0..3 + seed % 3).map(|v| v != seed % 3).collect(),
+    }
+}
+
 #[test]
 fn token_ring_checkpoints_replay_exactly() {
     for seed in 0..SEEDS {
-        let n = 4 + (seed % 3) as usize;
-        let buggy = 1 + (seed as usize % (n - 1));
-        let dup_at = (3 * n - 1 - buggy) as u8;
-        check("ring", HealApp::Ring { n, buggy, dup_at }, seed);
+        check("ring", ring_app(seed), seed);
     }
 }
 
@@ -188,11 +211,8 @@ fn token_ring_checkpoints_replay_exactly() {
 /// first 16 seeds on which it does.
 #[test]
 fn two_phase_commit_checkpoints_replay_exactly() {
-    let app = |seed: u64| HealApp::Tpc {
-        votes: (0..3 + seed % 3).map(|v| v != seed % 3).collect(),
-    };
     let faulty = |seed: &u64| {
-        let (mut w, monitors) = (app(*seed).build(*seed), app(*seed).monitors());
+        let (mut w, monitors) = (tpc_app(*seed).build(*seed), tpc_app(*seed).monitors());
         while w.step().is_some() {
             if monitors.iter().any(|m| m.violated_in(&w).is_some()) {
                 return true;
@@ -201,7 +221,7 @@ fn two_phase_commit_checkpoints_replay_exactly() {
         false
     };
     for seed in (0..).filter(faulty).take(SEEDS as usize) {
-        check("2pc", app(seed), seed);
+        check("2pc", tpc_app(seed), seed);
     }
 }
 
@@ -225,4 +245,64 @@ fn wal_counter_checkpoints_replay_exactly_and_leave_the_disk_alone() {
         assert_eq!(disk.stats(), stats, "{label}: replay used the disk");
         assert_eq!(disk.durable_fingerprint(), durable, "{label}");
     }
+}
+
+/// Resident Scroll bytes a process keeps before its prefix spills.
+const SPILL_AT: usize = 256;
+
+/// Supervise `build()`'s world at `seed` to quiescence, its Scroll
+/// spilled at `SPILL_AT`, then replay every pid from its whole Scroll
+/// decoded ([`replay_step`] on a fresh harness and program). After every
+/// step the effects and the clock are the recorded ones. Returns the
+/// steps replayed.
+fn replay_restores_recorded_clocks(label: &str, seed: u64, build: impl Fn() -> World) -> usize {
+    let mut w = build();
+    let n = w.num_procs();
+    let mut cfg = FixdConfig::seeded(seed);
+    cfg.scroll_spill = Some(SpillConfig::new(SharedDisk::new(), SPILL_AT));
+    let mut fixd = Fixd::new(n, cfg);
+    assert!(fixd.supervise(&mut w, MAX_STEPS).quiescent, "{label}");
+    let store = fixd.scroll();
+    assert!(store.spilled_segments() > 0, "{label}: nothing spilled");
+
+    let fresh = build();
+    let _disk = DiskReplayGuard::new();
+    let mut steps = 0;
+    for pid in (0..n as u32).map(Pid) {
+        let entries = decode_segment(&store.encode_segment(pid)).expect("the Scroll decodes");
+        let mut program = fresh.with_program(pid, |p| p.clone_program());
+        let mut harness = SoloHarness::new(pid, n, seed);
+        for e in &entries {
+            let Some(effects) = replay_step(&mut harness, program.as_mut(), e) else {
+                continue;
+            };
+            let at = format!("{label}: {pid} #{}", e.local_seq);
+            assert_eq!(effects.fingerprint(), e.effects_fp, "{at}: effects");
+            assert_eq!(harness.context().vc, e.vc, "{at}: clock");
+            steps += 1;
+        }
+    }
+    steps
+}
+
+#[test]
+fn decoded_scroll_replay_restores_every_recorded_clock() {
+    let mut steps = 0;
+    for seed in 0..SEEDS {
+        let apps = [
+            ("kvstore", HealApp::Kv { puts: 12 }),
+            ("pipeline", HealApp::Pipeline { items: 24 + seed }),
+            ("ring", ring_app(seed)),
+            ("2pc", tpc_app(seed)),
+        ];
+        for (name, app) in apps {
+            let label = format!("{name} seed {seed}");
+            steps += replay_restores_recorded_clocks(&label, seed, || app.build(seed));
+        }
+        steps += replay_restores_recorded_clocks(&format!("wal seed {seed}"), seed, || {
+            wal_world(seed, 20, 4, SharedDisk::new(), None)
+        });
+    }
+    steps += replay_restores_recorded_clocks("chord 96", 1, || chord_world(96, 1, 3, 16));
+    assert!(steps > 10_000, "{steps} steps replayed");
 }

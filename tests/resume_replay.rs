@@ -8,7 +8,9 @@
 //! suffix after the cut is replayed through it. Every handler's effects
 //! must fingerprint exactly as the world's did — timer ids included, so
 //! a harness that restarted its id counters at 1 diverges at the first
-//! timer it mints.
+//! timer it mints. And the replay must end on the world's clock: after
+//! the suffix, the harness's vector clock is the pid's clock at the last
+//! cut.
 
 use fixd::examples::{kvstore, pipeline, token_ring, two_phase_commit};
 use fixd::prelude::*;
@@ -49,6 +51,7 @@ fn assert_resumes_exactly(app: &str, seed: u64, build: impl Fn() -> World) {
     let store = rec.into_store();
     // Programs in their initial state, to restore checkpoints into.
     let fresh = build();
+    let last = cuts.last().expect("the cut before the first step");
     for (k, at_k) in cuts.iter().enumerate() {
         for (&pid, c) in pids.iter().zip(at_k) {
             let mut program = fresh.with_program(pid, |p| p.clone_program());
@@ -66,6 +69,11 @@ fn assert_resumes_exactly(app: &str, seed: u64, build: impl Fn() -> World) {
             if let Fidelity::Divergent { at_local_seq, .. } = out.fidelity {
                 panic!("{app} seed {seed}, {pid} cut {k}: diverged at local_seq {at_local_seq}");
             }
+            assert_eq!(
+                out.clock,
+                last[pid.idx()].ck.ctx.vc,
+                "{app} seed {seed}, {pid} cut {k}: the replay ends on another clock"
+            );
         }
     }
 }
