@@ -7,7 +7,7 @@
 //! debugging, and verification tools in an efficient manner"* — gluing:
 //!
 //! * the **Scroll** (`fixd-scroll`) — logging of nondeterministic actions,
-//! * the **Time Machine** (`fixd-timemachine`) — speculation-based
+//! * the **Time Machine** (`fixd-timemachine`) — copy-on-write
 //!   checkpointing and consistent rollback,
 //! * the **Investigator** (`fixd-investigator`) — ModelD, exploring the
 //!   real implementation from a restored global checkpoint,

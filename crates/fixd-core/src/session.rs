@@ -80,7 +80,8 @@ impl Fixd {
         self
     }
 
-    /// The Time Machine (e.g. for explicit speculations).
+    /// The Time Machine (e.g. to take a checkpoint by hand or inspect the
+    /// recovery line a rollback would restore).
     pub fn time_machine(&mut self) -> &mut TimeMachine {
         &mut self.tm
     }

@@ -17,8 +17,8 @@
 //!    invariants."
 //!
 //! The guarantees are provided Ginseng-style (§4.4): [`patch`]es carry a
-//! state migration function and an update-point precondition;
-//! [`quiesce`] identifies safe update points; [`equivalence`] offers a
+//! state migration function and an update-point precondition, and the
+//! update commits only where the invariants hold; [`equivalence`] offers a
 //! behavioral state-equivalence check (the ModelD-flavoured alternative —
 //! "the programmer has to either force rollback to a point where this
 //! condition can be automatically verified or has to write the update
@@ -37,13 +37,11 @@
 pub mod equivalence;
 pub mod migrate;
 pub mod patch;
-pub mod quiesce;
 pub mod registry;
 pub mod update;
 
 pub use equivalence::{behavioral_equivalence, EquivalenceProbe};
 pub use migrate::MigrateError;
 pub use patch::Patch;
-pub use quiesce::{update_point, UpdatePoint};
 pub use registry::VersionRegistry;
 pub use update::{HealReport, Healer, RecoveryStrategy};

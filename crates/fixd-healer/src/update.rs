@@ -9,9 +9,9 @@
 //!   migrate the restored states across the version boundary, swap the
 //!   code in place, and resume — salvaging the checkpointed computation.
 //!
-//! The second path verifies safety before committing: the patch
-//! precondition must accept the restored state and the update point must
-//! be quiescent ([`crate::quiesce`]). On refusal the Healer reports why,
+//! The second path verifies safety before committing: the invariants
+//! must hold on the restored line and the patch precondition must accept
+//! every restored state. On refusal the Healer reports why,
 //! and the caller can roll back deeper or fall back to restart — the
 //! paper's "restarting the program from scratch could be the only
 //! option".
@@ -20,7 +20,6 @@ use fixd_runtime::{Pid, World};
 use fixd_timemachine::{RollbackReport, TimeMachine};
 
 use crate::patch::Patch;
-use crate::quiesce::update_point;
 use crate::registry::VersionRegistry;
 
 /// Which §3.4 recovery option was used.
@@ -54,7 +53,8 @@ pub enum HealError {
     PreconditionFailed(Pid),
     /// The state migration failed for this process.
     Migration(Pid, crate::migrate::MigrateError),
-    /// The update point is unsafe (reason text from [`crate::quiesce`]).
+    /// The update point is unsafe: the invariants do not hold on the
+    /// restored line (reported against the first target).
     UnsafeUpdatePoint(Pid, String),
 }
 
@@ -164,21 +164,15 @@ impl Healer {
                 targets.push(p);
             }
         }
-        // 3. Safety: invariants must hold on the restored line and no
-        //    target may sit inside an active speculation. Channel
-        //    quiescence is deliberately NOT required here: the rollback
-        //    itself re-injects the undone inputs, and processing those
-        //    under the new code is precisely the point of the update.
-        //    (For updates outside a rollback, use [`update_point`] which
-        //    does require quiet channels.)
-        for &pid in &targets {
-            let up = update_point(world, tm, pid, &invariants_hold);
-            if !up.not_speculative || !up.invariants_hold {
-                let mut relaxed = up;
-                relaxed.channels_quiet = true; // ignored in this mode
+        // 3. Safety: invariants must hold on the restored line. Channel
+        //    quiescence is deliberately NOT required: the rollback itself
+        //    re-injects the undone inputs, and processing those under the
+        //    new code is precisely the point of the update.
+        if let Some(&first) = targets.first() {
+            if !invariants_hold(world) {
                 return Err(HealError::UnsafeUpdatePoint(
-                    pid,
-                    relaxed.refusal().unwrap_or_default(),
+                    first,
+                    "invariants do not hold".to_string(),
                 ));
             }
         }

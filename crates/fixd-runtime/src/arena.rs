@@ -11,8 +11,8 @@
 //! reference and can observe it was the last one (`Arc::strong_count ==
 //! 1`): trace eviction (`Trace::push` returning the displaced record),
 //! TM rollback discarding an orphaned send, and explicit driver calls.
-//! If some other holder (a scroll entry, a sealed checkpoint, a live
-//! speculation branch) still aliases the box, the arena leaves it alone
+//! If some other holder (a scroll entry, a sealed checkpoint, a cloned
+//! Time-Machine branch) still aliases the box, the arena leaves it alone
 //! and the allocator frees it whenever that holder drops — recycling is
 //! an optimization, never a transfer of liveness.
 //!

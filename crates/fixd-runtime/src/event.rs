@@ -20,9 +20,10 @@ pub struct TimerId(pub u64);
 /// * `ckpt_index` — the sender's current checkpoint index, used by the
 ///   Time Machine's communication-induced checkpointing (paper §4.2,
 ///   Fig. 6) to track rollback dependencies;
-/// * `spec_id` — the speculation the sender was executing inside when it
-///   sent the message (`0` = none); receivers of speculative data are
-///   *absorbed* into the speculation;
+/// * `spec_id` — always 0: the id of the speculation the sender ran
+///   inside, from when the Time Machine had a commit/abort API. It stays
+///   on the wire (the Scroll writes it as one byte), so recorded formats
+///   and their goldens do not change;
 /// * `lamport` — sender's Lamport timestamp, used by the Scroll to impose
 ///   a total order on messages (paper §2.2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]

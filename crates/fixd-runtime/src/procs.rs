@@ -52,8 +52,8 @@ pub struct ProcContext {
     pub rng: DetRng,
     /// Messages delivered to this process.
     pub delivered: u64,
-    /// Time-Machine metadata stamped on this process's sends
-    /// (checkpoint index, speculation id).
+    /// Time-Machine metadata stamped on this process's sends (the
+    /// checkpoint index; the Lamport field is filled in per send).
     pub meta: MsgMeta,
     /// Id counters: they roll back with the state, so re-execution and
     /// replay mint identical ids.

@@ -168,7 +168,7 @@ impl<'a> Context<'a> {
 
     /// Send a message. The message is stamped with a fresh id, the sender's
     /// vector clock (ticked), Lamport timestamp, and the Time-Machine
-    /// metadata template (checkpoint index / speculation id).
+    /// metadata template (checkpoint index).
     ///
     /// The payload is materialized into one shared [`Payload`] allocation
     /// here — the only copy on the whole send → deliver → record →

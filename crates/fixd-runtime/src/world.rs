@@ -88,7 +88,7 @@ impl WorldConfig {
 /// value. Produced by [`World::checkpoint_process`] (inline state bytes)
 /// or [`World::checkpoint_process_in`] (state paged straight into a
 /// content-addressed [`PageStore`], so equal pages are stored once
-/// across processes, checkpoint generations, and speculation branches);
+/// across processes, checkpoint generations, and Time-Machine branches);
 /// consumed by [`World::restore_checkpoint`] and
 /// [`crate::SoloHarness::resume`].
 ///
@@ -952,16 +952,9 @@ impl World {
     }
 
     /// Set the Time-Machine metadata template stamped on `pid`'s future
-    /// sends (checkpoint index, speculation id).
+    /// sends (the checkpoint index; `spec_id` stays 0).
     pub fn set_meta_template(&mut self, pid: Pid, meta: MsgMeta) {
         self.procs.ent_mut(pid).ctx.meta = meta;
-    }
-
-    /// Current metadata template of `pid`.
-    pub fn meta_template(&self, pid: Pid) -> MsgMeta {
-        self.procs
-            .ent(pid)
-            .map_or_else(MsgMeta::default, |e| e.ctx.meta)
     }
 
     /// Remove queued events matching `pred` (e.g. in-flight messages made

@@ -26,7 +26,6 @@ use fixd_runtime::{EventKind, MsgMeta, Pid, SharedMessage, StepRecord, VTime, Wo
 use crate::checkpoint::CheckpointStore;
 use crate::dependency::{DepEdge, DependencyGraph, NO_ROLLBACK};
 use crate::recovery::{RecoveryLine, RollbackError, RollbackReport};
-use crate::speculation::Speculation;
 
 /// When checkpoints are taken.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,9 +36,6 @@ pub enum CheckpointPolicy {
     /// Independent periodic checkpoints every `every` virtual time units.
     /// The naive baseline: vulnerable to the domino effect (F6).
     Periodic { every: VTime },
-    /// Only explicit [`TimeMachine::checkpoint_now`] calls (plus the
-    /// initial checkpoint 0).
-    OnDemand,
 }
 
 /// Time Machine construction parameters.
@@ -77,7 +73,7 @@ pub struct TimeMachine {
     pub(crate) cfg: TimeMachineConfig,
     /// The shared content-addressed page store every per-process
     /// [`CheckpointStore`] interns into. Cloning the Time Machine (a
-    /// speculation branch) shares it, so branches pay page refcounts,
+    /// copy-on-write branch) shares it, so branches pay page refcounts,
     /// not page copies, until they diverge.
     pub(crate) page_store: crate::page::PageStore,
     pub(crate) stores: Vec<CheckpointStore>,
@@ -86,8 +82,6 @@ pub struct TimeMachine {
     pub(crate) events_handled: Vec<u64>,
     pub(crate) last_periodic: Vec<VTime>,
     pub(crate) delivery_log: Vec<DeliveryRecord>,
-    pub(crate) specs: Vec<Speculation>,
-    pub(crate) spec_of: Vec<u64>,
     initialized: bool,
 }
 
@@ -113,8 +107,6 @@ impl TimeMachine {
             events_handled: vec![0; n],
             last_periodic: vec![0; n],
             delivery_log: Vec::new(),
-            specs: Vec::new(),
-            spec_of: vec![0; n],
             initialized: false,
         }
     }
@@ -155,7 +147,7 @@ impl TimeMachine {
             pid,
             MsgMeta {
                 ckpt_index: self.intervals[pid.idx()],
-                spec_id: self.spec_of[pid.idx()],
+                spec_id: 0,
                 lamport: 0,
             },
         );
@@ -204,12 +196,6 @@ impl TimeMachine {
                 msg: msg.clone(),
                 dst_interval: self.intervals[dst.idx()],
             });
-            // Speculative-message absorption (paper §4.2: "Processes
-            // that receive speculative data are absorbed in the
-            // speculation").
-            if msg.meta.spec_id != 0 {
-                self.absorb(world, dst, msg.meta.spec_id);
-            }
         }
     }
 
@@ -263,19 +249,6 @@ impl TimeMachine {
             });
         }
         let line = self.deps.recovery_line(self.stores.len(), fail, target);
-        self.apply_line(world, &line).map(|mut r| {
-            r.line = line;
-            r
-        })
-    }
-
-    /// Restore an explicit recovery line. Used by [`Self::rollback`] and
-    /// by speculation aborts.
-    pub(crate) fn apply_line(
-        &mut self,
-        world: &mut World,
-        line: &[u64],
-    ) -> Result<RollbackReport, RollbackError> {
         // Validate first: every required checkpoint must be live.
         for (i, &l) in line.iter().enumerate() {
             if l == NO_ROLLBACK {
@@ -308,15 +281,12 @@ impl TimeMachine {
             }
             self.events_handled[i] = events_at;
             self.intervals[i] = l;
-            // Exit any speculation whose state was undone.
-            self.spec_of[i] = 0;
             self.stamp_meta(world, pid);
         }
         // Purge orphan in-flight messages: sent in an undone interval.
-        let line_vec = line.to_vec();
         report.msgs_purged = world.purge_events(|kind| match kind {
             EventKind::Deliver { msg } => {
-                let sl = line_vec.get(msg.src.idx()).copied().unwrap_or(NO_ROLLBACK);
+                let sl = line.get(msg.src.idx()).copied().unwrap_or(NO_ROLLBACK);
                 sl != NO_ROLLBACK && msg.meta.ckpt_index >= sl
             }
             _ => false,
@@ -326,14 +296,8 @@ impl TimeMachine {
         let now = world.now();
         let mut kept = Vec::with_capacity(self.delivery_log.len());
         for rec in self.delivery_log.drain(..) {
-            let dl = line_vec
-                .get(rec.msg.dst.idx())
-                .copied()
-                .unwrap_or(NO_ROLLBACK);
-            let sl = line_vec
-                .get(rec.msg.src.idx())
-                .copied()
-                .unwrap_or(NO_ROLLBACK);
+            let dl = line.get(rec.msg.dst.idx()).copied().unwrap_or(NO_ROLLBACK);
+            let sl = line.get(rec.msg.src.idx()).copied().unwrap_or(NO_ROLLBACK);
             let send_undone = sl != NO_ROLLBACK && rec.msg.meta.ckpt_index >= sl;
             let recv_undone = dl != NO_ROLLBACK && rec.dst_interval >= dl;
             if send_undone {
@@ -350,7 +314,8 @@ impl TimeMachine {
             kept.push(rec);
         }
         self.delivery_log = kept;
-        self.deps.retract(&line_vec);
+        self.deps.retract(&line);
+        report.line = line;
         Ok(report)
     }
 
@@ -600,8 +565,9 @@ mod tests {
     }
 
     #[test]
-    fn on_demand_policy_only_initial_until_asked() {
-        let (mut w, mut tm) = setup(2, CheckpointPolicy::OnDemand);
+    fn checkpoint_now_takes_the_next_index() {
+        // A period longer than the run: only the initial pair until asked.
+        let (mut w, mut tm) = setup(2, CheckpointPolicy::Periodic { every: VTime::MAX });
         tm.run(&mut w, 8);
         assert_eq!(tm.total_checkpoints(), 2, "just the initial pair");
         let idx = tm.checkpoint_now(&mut w, Pid(0));

@@ -1,13 +1,13 @@
 //! Garbage collection of Time-Machine history.
 //!
-//! Once a line of checkpoints is *stable* (e.g. every speculation that
-//! could roll past it has committed), older checkpoints, delivery-log
-//! entries, and dependency edges can never be needed again and are
-//! reclaimed. Each process keeps the newest image at or before its
-//! stable point and its handler log from that image on: the checkpoints
-//! from the stable point on replay from it. Checkpoint indices are stable identifiers (messages in the
-//! log refer to them), so collected checkpoints are tombstoned rather
-//! than renumbered.
+//! Once a line of checkpoints is *stable* (no detector will roll past
+//! it), older checkpoints, delivery-log entries, and dependency edges can
+//! never be needed again and are reclaimed. Each process keeps the newest
+//! image at or before its stable point and its handler log from that
+//! image on: the checkpoints from the stable point on replay from it.
+//! Checkpoint indices are stable identifiers (messages in the log refer
+//! to them), so collected checkpoints are tombstoned rather than
+//! renumbered.
 
 use fixd_runtime::Pid;
 
@@ -25,7 +25,7 @@ pub struct GcReport {
     /// Page bytes the shared store **actually freed** during this pass —
     /// only pages whose refcount dropped to zero count. A page still
     /// referenced by any live checkpoint, another process's history, or
-    /// a speculation branch is not freed and not reported.
+    /// a cloned (branch) Time Machine is not freed and not reported.
     pub page_bytes_freed: u64,
 }
 
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn gc_keeps_pages_shared_with_surviving_branch() {
-        // A cloned Time Machine (speculation branch) keeps its own
+        // A cloned Time Machine (a copy-on-write branch) keeps its own
         // handles on every page; collecting the trunk's history must not
         // free pages the branch still references.
         let mut w = World::new(WorldConfig::seeded(31));

@@ -2,22 +2,27 @@
 //!
 //! Reproduction of the **Time Machine** component of FixD (paper §3.2,
 //! Fig. 2; implementation §4.2, Fig. 6): rollback of a distributed
-//! application to a *consistent global state*, implemented with
-//! **distributed speculations** \[Ţăpuş, PhD 2006\].
+//! application to a *consistent global state*, built on the lightweight
+//! checkpoints of **distributed speculations** \[Ţăpuş, PhD 2006\].
 //!
 //! The paper names two defining differences between speculations and
-//! traditional checkpoint/rollback, both implemented here:
+//! traditional checkpoint/rollback:
 //!
 //! 1. *"Speculations use a copy-on-write mechanism to build lightweight,
-//!    incremental checkpoints of processes"* — [`page`] provides
-//!    reference-counted paged state images; consecutive images share
-//!    every unchanged page, and the checkpoints between two images (one
-//!    image every eight handler events) are restored by replaying the
-//!    process's own handler log ([`checkpoint`]).
+//!    incremental checkpoints of processes"* — implemented: [`page`]
+//!    provides reference-counted paged state images; consecutive images
+//!    share every unchanged page, and the checkpoints between two images
+//!    (one image every eight handler events) are restored by replaying
+//!    the process's own handler log ([`checkpoint`]). A cloned
+//!    [`TimeMachine`] is a copy-on-write branch of the whole history.
 //! 2. *"Speculations allow applications to use a different execution path
-//!    upon rollback"* — [`speculation`] exposes commit/abort with the
-//!    abort outcome reported to the application, which can then steer
-//!    (the Healer builds on this).
+//!    upon rollback"* — the explicit commit/abort API is not here. It had
+//!    no caller in supervision, the Healer or the campaigns, so it was
+//!    removed; the Healer steers after a plain [`TimeMachine::rollback`].
+//!    Bringing it back means restoring `speculation.rs` from the history
+//!    together with a product caller, and stamping a nonzero
+//!    [`fixd_runtime::MsgMeta::spec_id`] again (the field is still on the
+//!    wire, always 0).
 //!
 //! Checkpointing is *communication induced* ([`cic`], Fig. 6): a process
 //! saves a lightweight checkpoint before receiving a message, and message
@@ -49,7 +54,6 @@ pub mod dependency;
 pub mod gc;
 pub mod page;
 pub mod recovery;
-pub mod speculation;
 
 pub use checkpoint::{CheckpointStore, TmCheckpoint};
 pub use cic::{CheckpointPolicy, TimeMachine, TimeMachineConfig};
@@ -57,4 +61,3 @@ pub use dependency::{DepEdge, DependencyGraph};
 pub use gc::GcReport;
 pub use page::{PageStats, PageStore, PagedImage, StoreStats, DEFAULT_PAGE_SIZE};
 pub use recovery::{RecoveryLine, RollbackReport, NO_ROLLBACK};
-pub use speculation::{AbortReport, SpecStatus, Speculation};

@@ -1,5 +1,5 @@
 //! Property-based tests for the Time Machine: paged-image laws,
-//! recovery-line safety, rollback determinism, speculation atomicity.
+//! recovery-line safety, rollback determinism, CIC intervals.
 
 use std::collections::BTreeMap;
 
@@ -149,7 +149,7 @@ proptest! {
 
     /// GC accounting safety (the content-addressed-store law): under any
     /// interleaving of checkpoint takes, `gc_before` passes, and
-    /// speculation-branch clones/drops,
+    /// Time-Machine branch clones/drops,
     ///
     /// 1. no page referenced by a live checkpoint (of the trunk OR a
     ///    live branch) is ever reclaimed — every such page keeps a
@@ -299,32 +299,6 @@ proptest! {
         }
         tm.run(&mut w, 10_000);
         prop_assert_eq!(w.global_snapshot().fingerprint(), reference);
-    }
-
-    /// Speculation commit/abort atomicity: commit preserves all state,
-    /// abort restores all entry states, under arbitrary timing.
-    #[test]
-    fn speculation_atomicity(seed in 0u64..200, pre in 0u64..10, valid in any::<bool>()) {
-        let (mut w, mut tm) = flow_setup(3, seed);
-        tm.init(&mut w);
-        tm.run(&mut w, pre);
-        let entry_fp = w.global_snapshot().fingerprint();
-        let spec = tm.speculate(&mut w, Pid(1), "assumption");
-        tm.run(&mut w, 10_000);
-        let done_fp = w.global_snapshot().fingerprint();
-        tm.resolve(&mut w, spec, valid);
-        let now_fp = w.global_snapshot().fingerprint();
-        if valid {
-            prop_assert_eq!(now_fp, done_fp, "commit must not alter state");
-        } else {
-            // Abort restores members' entry states. Non-members may have
-            // progressed (in this chain app everyone gets absorbed, so
-            // global state returns to the entry snapshot unless the run
-            // had already quiesced before the speculation).
-            if done_fp != entry_fp {
-                prop_assert_ne!(now_fp, done_fp, "abort must roll back");
-            }
-        }
     }
 
     /// CIC invariant: a process's interval index always equals its

@@ -9,8 +9,8 @@
 //! * [`runtime`] — deterministic distributed-system substrate
 //!   ([`runtime::Program`], [`runtime::World`]);
 //! * [`scroll`] — the Scroll: logging and deterministic replay;
-//! * [`timemachine`] — the Time Machine: speculations, COW checkpoints,
-//!   recovery lines;
+//! * [`timemachine`] — the Time Machine: COW checkpoints, recovery
+//!   lines, rollback;
 //! * [`investigator`] — the Investigator: the ModelD model checker;
 //! * [`healer`] — the Healer: dynamic software update;
 //! * [`core`] — the FixD glue: supervision, detection, diagnosis,
