@@ -775,6 +775,11 @@ impl World {
         self.procs.vc_of(pid)
     }
 
+    /// A process's current Lamport clock (0 for a dormant process).
+    pub fn proc_lamport(&self, pid: Pid) -> u64 {
+        self.procs.ent(pid).map_or(0, |e| e.ctx.lamport)
+    }
+
     /// A process's delivered-message count.
     pub fn delivered_count(&self, pid: Pid) -> u64 {
         self.procs.ent(pid).map_or(0, |e| e.ctx.delivered)

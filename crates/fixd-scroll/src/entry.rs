@@ -111,8 +111,9 @@ pub struct ScrollEntry {
     pub local_seq: u64,
     /// Virtual time of the action.
     pub at: VTime,
-    /// The process's Lamport clock *after* the action — the total-order
-    /// key the paper's logging overview calls for (§2.2).
+    /// The process's Lamport clock as the action found it (after a
+    /// receipt's tick, before the handler's sends) — the total-order key
+    /// the paper's logging overview calls for (§2.2).
     pub lamport: u64,
     /// The process's vector clock *after* the action — the causality key
     /// used for merge validation and consistent cuts.

@@ -96,13 +96,18 @@ impl ScrollRecorder {
             }
             EventKind::PartitionChange { .. } => return,
         };
+        // The process's own Lamport clock as the handler found it (a
+        // delivery already advanced past the sender's stamp): each send
+        // ticked it once more. A receipt thus sorts after the entry whose
+        // handler sent it, as [`crate::merge_total_order`] needs.
+        let lamport = world.proc_lamport(pid) - step.effects.sends.len() as u64;
         let local_seq = self.next_seq[pid.idx()];
         self.next_seq[pid.idx()] += 1;
         self.store.append(ScrollEntry {
             pid,
             local_seq,
             at: step.event.at,
-            lamport: lamport_of(&kind, step),
+            lamport,
             vc: world.proc_vc(pid).clone(),
             kind,
             randoms: step.effects.randoms.clone(),
@@ -126,17 +131,6 @@ impl ScrollRecorder {
     pub fn truncate(&mut self, pid: Pid, n: u64) {
         self.store.truncate(pid, n as usize);
         self.next_seq[pid.idx()] = n;
-    }
-}
-
-/// Lamport value to store: for deliveries, the receiver advanced past the
-/// sender stamp; approximating with the message's stamp + 1 keeps entries
-/// self-contained. For other events the world's clock isn't directly
-/// exposed per-event, so we use the entry's vc total as a monotone proxy.
-fn lamport_of(kind: &EntryKind, step: &StepRecord) -> u64 {
-    match kind {
-        EntryKind::Deliver { msg } | EntryKind::DroppedMail { msg } => msg.meta.lamport + 1,
-        _ => step.event.seq + 1,
     }
 }
 

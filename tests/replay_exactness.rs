@@ -19,7 +19,9 @@
 //! with a Scroll that spills at a small threshold, replay every pid from
 //! its decoded Scroll — messages that keep only their sender's clock
 //! component — and after every replayed step the harness's clock must
-//! be the one the entry recorded.
+//! be the one the entry recorded. The same runs merged into one total
+//! order, resident or spilled, must put every receipt after the entry
+//! whose handler sent it.
 
 use std::collections::BTreeMap;
 
@@ -30,7 +32,8 @@ use fixd_examples::wal_counter::wal_world;
 use fixd_healer::Patch;
 use fixd_runtime::{DiskReplayGuard, EventKind, Pid, SharedDisk, SoloHarness, World};
 use fixd_scroll::codec::decode_segment;
-use fixd_scroll::{replay_step, SpillConfig};
+use fixd_scroll::merge::check_send_before_receive;
+use fixd_scroll::{check_causal_consistency, merge_total_order, replay_step, SpillConfig};
 
 const SEEDS: u64 = 16;
 const MAX_STEPS: u64 = 20_000;
@@ -285,17 +288,30 @@ fn replay_restores_recorded_clocks(label: &str, seed: u64, build: impl Fn() -> W
     steps
 }
 
+/// Every catalogue app at `seed`, the late-symptom Chord-KV included.
+fn catalogue(seed: u64) -> [(&'static str, HealApp); 5] {
+    [
+        ("kvstore", HealApp::Kv { puts: 12 }),
+        ("pipeline", HealApp::Pipeline { items: 24 + seed }),
+        ("ring", ring_app(seed)),
+        ("2pc", tpc_app(seed)),
+        (
+            "chord-kv",
+            HealApp::ChordKv {
+                n: 3 + (seed % 3) as usize,
+                puts: 2,
+                forgetful: 0,
+                forget_at: (seed % 2) as u32,
+            },
+        ),
+    ]
+}
+
 #[test]
 fn decoded_scroll_replay_restores_every_recorded_clock() {
     let mut steps = 0;
     for seed in 0..SEEDS {
-        let apps = [
-            ("kvstore", HealApp::Kv { puts: 12 }),
-            ("pipeline", HealApp::Pipeline { items: 24 + seed }),
-            ("ring", ring_app(seed)),
-            ("2pc", tpc_app(seed)),
-        ];
-        for (name, app) in apps {
+        for (name, app) in catalogue(seed) {
             let label = format!("{name} seed {seed}");
             steps += replay_restores_recorded_clocks(&label, seed, || app.build(seed));
         }
@@ -305,4 +321,27 @@ fn decoded_scroll_replay_restores_every_recorded_clock() {
     }
     steps += replay_restores_recorded_clocks("chord 96", 1, || chord_world(96, 1, 3, 16));
     assert!(steps > 10_000, "{steps} steps replayed");
+}
+
+/// Each entry carries its process's own Lamport clock, so the merged
+/// Scroll is a linear extension of happens-before: no receipt sorts
+/// before the entry whose handler sent it, resident or spilled.
+#[test]
+fn merged_scroll_orders_every_send_before_its_receipt() {
+    for seed in 0..8 {
+        for (name, app) in catalogue(seed) {
+            for spill in [None, Some(SPILL_AT)] {
+                let label = format!("{name} seed {seed}, spill {spill:?}");
+                let mut w = app.build(seed);
+                let mut cfg = FixdConfig::seeded(seed);
+                cfg.scroll_spill = spill.map(|at| SpillConfig::new(SharedDisk::new(), at));
+                let mut fixd = Fixd::new(w.num_procs(), cfg);
+                assert!(fixd.supervise(&mut w, MAX_STEPS).quiescent, "{label}");
+                let merged = merge_total_order(fixd.scroll());
+                let at = |v| format!("{label}: {v:?}");
+                check_send_before_receive(&merged).unwrap_or_else(|v| panic!("{}", at(v)));
+                check_causal_consistency(&merged).unwrap_or_else(|v| panic!("{}", at(v)));
+            }
+        }
+    }
 }
