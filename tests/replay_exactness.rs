@@ -19,9 +19,9 @@
 //! with a Scroll that spills at a small threshold, replay every pid from
 //! its decoded Scroll — messages that keep only their sender's clock
 //! component — and after every replayed step the harness's clock must
-//! be the one the entry recorded. The same runs merged into one total
-//! order, resident or spilled, must put every receipt after the entry
-//! whose handler sent it.
+//! be the one the entry recorded. The same apps' Scrolls merged into one
+//! total order, resident or spilled, must put every receipt after the
+//! entry whose handler sent it.
 
 use std::collections::BTreeMap;
 
@@ -338,9 +338,8 @@ fn merged_scroll_orders_every_send_before_its_receipt() {
                 let mut fixd = Fixd::new(w.num_procs(), cfg);
                 assert!(fixd.supervise(&mut w, MAX_STEPS).quiescent, "{label}");
                 let merged = merge_total_order(fixd.scroll());
-                let at = |v| format!("{label}: {v:?}");
-                check_send_before_receive(&merged).unwrap_or_else(|v| panic!("{}", at(v)));
-                check_causal_consistency(&merged).unwrap_or_else(|v| panic!("{}", at(v)));
+                assert_eq!(check_send_before_receive(&merged), Ok(()), "{label}");
+                assert_eq!(check_causal_consistency(&merged), Ok(()), "{label}");
             }
         }
     }
