@@ -1,9 +1,10 @@
 //! The vector clock's allocation claims, counted: mutating a spilled
 //! clock through its only handle never calls the allocator, mutating it
 //! through one of several calls it exactly once (the copy-on-write
-//! copy — one block, not a buffer plus a header), handing the clock on
-//! never does, and writing it as a Scroll delta into a buffer with room
-//! never does either.
+//! copy — one block, not a buffer plus a header; a receive that ticks
+//! and learns new pids included), handing the clock on never does, and
+//! writing it as a Scroll delta into a buffer with room never does
+//! either.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would count into this one's windows.
@@ -60,6 +61,15 @@ fn clock_ops_allocate_only_the_copy_on_write_copy() {
     let mut sole = VectorClock::from_pairs(pairs(5));
     assert_eq!(allocs(|| sole.merge(&superset)), 1);
     assert_eq!(sole.nnz(), 99);
+
+    // A delivery: a shared clock that receives new pids ticks and grows
+    // in one exactly-sized copy, where `tick` would copy it and `merge`
+    // then grow the copy.
+    let mut receiver = VectorClock::from_pairs(pairs(9));
+    let checkpoint = receiver.clone();
+    assert_eq!(allocs(|| receiver.receive(Pid(40), &superset)), 1);
+    assert_eq!((receiver.nnz(), receiver.get(Pid(40))), (99, 10));
+    assert_eq!((receiver.get(Pid(301)), checkpoint.get(Pid(40))), (1, 9));
 
     // A pooled shell that solely holds a big enough buffer is
     // re-stamped in place; afterwards the source is still sole holder

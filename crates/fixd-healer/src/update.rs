@@ -55,7 +55,7 @@ pub enum HealError {
     Migration(Pid, crate::migrate::MigrateError),
     /// The update point is unsafe: the invariants do not hold on the
     /// restored line (reported against the first target).
-    UnsafeUpdatePoint(Pid, String),
+    UnsafeUpdatePoint(Pid),
 }
 
 impl std::fmt::Display for HealError {
@@ -64,7 +64,9 @@ impl std::fmt::Display for HealError {
             HealError::Rollback(e) => write!(f, "rollback failed: {e}"),
             HealError::PreconditionFailed(p) => write!(f, "{p}: patch precondition failed"),
             HealError::Migration(p, e) => write!(f, "{p}: migration failed: {e}"),
-            HealError::UnsafeUpdatePoint(p, why) => write!(f, "{p}: unsafe update point: {why}"),
+            HealError::UnsafeUpdatePoint(p) => {
+                write!(f, "{p}: unsafe update point: invariants do not hold")
+            }
         }
     }
 }
@@ -170,10 +172,7 @@ impl Healer {
         //    new code is precisely the point of the update.
         if let Some(&first) = targets.first() {
             if !invariants_hold(world) {
-                return Err(HealError::UnsafeUpdatePoint(
-                    first,
-                    "invariants do not hold".to_string(),
-                ));
+                return Err(HealError::UnsafeUpdatePoint(first));
             }
         }
         // 4. Migrate and swap, all-or-nothing: validate first.
@@ -351,7 +350,11 @@ mod tests {
         let err = healer
             .update_from_checkpoint(&mut w, &mut tm, Pid(1), target, &patch, &[], |_| false)
             .unwrap_err();
-        assert!(matches!(err, HealError::UnsafeUpdatePoint(..)));
+        assert_eq!(err, HealError::UnsafeUpdatePoint(Pid(1)));
+        assert_eq!(
+            err.to_string(),
+            format!("{}: unsafe update point: invariants do not hold", Pid(1))
+        );
     }
 
     #[test]

@@ -18,12 +18,25 @@
 //!
 //! Past the inline tier the pairs sit in an immutable shared buffer and
 //! the clock is a **copy-on-write handle** on it: `clone` bumps a
-//! refcount, `tick`/`merge` write in place through the only handle and
-//! copy once through one of several. A message, the checkpoint taken
-//! before its delivery and the Scroll entry of the step that sent it are
-//! then three handles on one buffer instead of three copies of it.
-//! Handles are values — no write is ever visible through another handle
-//! — and `Send + Sync` like the `Arc` inside them.
+//! refcount, `tick`/`merge`/`receive` write in place through the only
+//! handle and copy once through one of several. A message, the
+//! checkpoint taken before its delivery and the Scroll entry of the step
+//! that sent it are then three handles on one buffer instead of three
+//! copies of it. Handles are values — no write is ever visible through
+//! another handle — and `Send + Sync` like the `Arc` inside them.
+//!
+//! A clock sits in one of three tiers. Inline, it holds up to
+//! [`INLINE_PAIRS`] pairs with `u64` counts. Spilled, its buffer holds
+//! `u32` counts, 8 bytes a component — the *narrow* tier, every count a
+//! run reaches in practice — unless some count exceeds `u32::MAX`, in
+//! which case the buffer holds `(u32, u64)` pairs, 16 bytes a component —
+//! the *wide* tier. The tier is a function of the value: the constructors
+//! choose it from the counts they receive, a narrow clock is copied once
+//! into the wide tier when a `tick`, `merge` or `receive` must store a
+//! wider count, and an `untick` that brings every count back to `u32`
+//! range moves it back. No count ever wraps. The public API, the
+//! wire forms, `Eq` and `Hash` are all in `u64`, so the tier never shows
+//! except in [`VectorClock::resident_bytes`].
 //!
 //! All operations keep semantics identical to the classic dense
 //! fixed-width implementation; the equivalence is pinned by a property
@@ -101,11 +114,36 @@ pub enum Causality {
 /// three pairs do.
 pub const INLINE_PAIRS: usize = 3;
 
-/// One nonzero component.
-type Pair = (u32, u64);
+/// One nonzero component of the narrow heap tier.
+type NarrowPair = (u32, u32);
+/// One nonzero component of an inline clock or of the wide heap tier.
+type WidePair = (u32, u64);
 
-/// Sparse storage: either a few inline pairs or a shared sorted buffer.
-/// Invariant (both variants): pids strictly increasing, all counts > 0.
+/// A heap tier's count type. Every walk over a pair list is written
+/// once, generic over it (and, for walks over two lists, over both
+/// sides'), and compares and emits counts as `u64`.
+trait Count: Copy + Default + Ord {
+    fn get(self) -> u64;
+}
+
+impl Count for u32 {
+    #[inline]
+    fn get(self) -> u64 {
+        u64::from(self)
+    }
+}
+
+impl Count for u64 {
+    #[inline]
+    fn get(self) -> u64 {
+        self
+    }
+}
+
+/// Sparse storage: a few inline pairs, or a shared sorted buffer in the
+/// narrow or the wide tier. Invariant (every variant): pids strictly
+/// increasing, all counts > 0. A clock is [`Repr::Wide`] exactly when a
+/// spilled clock holds a count above `u32::MAX`.
 #[derive(Clone, Debug)]
 enum Repr {
     Inline {
@@ -118,7 +156,29 @@ enum Repr {
     /// through `Arc::get_mut`, i.e. while exactly one handle exists, so
     /// the pairs another handle sees never change and every handle on
     /// one buffer carries the same `len`.
-    Heap { len: u32, buf: Arc<[Pair]> },
+    Heap { len: u32, buf: Arc<[NarrowPair]> },
+    /// [`Repr::Heap`] for a clock with a count above `u32::MAX`.
+    Wide { len: u32, buf: Arc<[WidePair]> },
+}
+
+/// A clock's pairs as one slice, in its tier's count type.
+enum Pairs<'a> {
+    Narrow(&'a [NarrowPair]),
+    Wide(&'a [WidePair]),
+}
+
+/// Evaluate `$body` with `$a` and `$b` bound to the slices of two
+/// [`Pairs`], whichever tier each is in: one generic walk, instantiated
+/// per pairing of tiers.
+macro_rules! both_pairs {
+    (($a:ident, $b:ident) = ($x:expr, $y:expr) => $body:expr) => {
+        match ($x, $y) {
+            (Pairs::Narrow($a), Pairs::Narrow($b)) => $body,
+            (Pairs::Narrow($a), Pairs::Wide($b)) => $body,
+            (Pairs::Wide($a), Pairs::Narrow($b)) => $body,
+            (Pairs::Wide($a), Pairs::Wide($b)) => $body,
+        }
+    };
 }
 
 /// A sparse vector clock over the processes of a world.
@@ -146,22 +206,24 @@ impl Clone for VectorClock {
     }
 
     /// Clone into an existing clock. A target that solely holds a large
-    /// enough buffer is overwritten in place and shares nothing with
-    /// `source` afterwards — the arena's pooled message shells lean on
-    /// this, so a recycled send stamps its clock without allocating and
-    /// without making the sender's next `tick` copy. Any other target
-    /// becomes a handle on `source`'s buffer.
+    /// enough buffer of the source's tier is overwritten in place and
+    /// shares nothing with `source` afterwards — the arena's pooled
+    /// message shells lean on this, so a recycled send stamps its clock
+    /// without allocating and without making the sender's next `tick`
+    /// copy. Any other target becomes a handle on `source`'s buffer.
     fn clone_from(&mut self, source: &Self) {
-        if let (Repr::Heap { len, buf }, Repr::Heap { len: n, buf: src }) =
-            (&mut self.repr, &source.repr)
-        {
-            if let Some(dst) = Arc::get_mut(buf).and_then(|d| d.get_mut(..*n as usize)) {
-                dst.copy_from_slice(&src[..*n as usize]);
-                *len = *n;
-                return;
+        let copied = match (&mut self.repr, &source.repr) {
+            (Repr::Heap { len, buf }, Repr::Heap { len: n, buf: src }) => {
+                copy_into(len, buf, &src[..*n as usize])
             }
+            (Repr::Wide { len, buf }, Repr::Wide { len: n, buf: src }) => {
+                copy_into(len, buf, &src[..*n as usize])
+            }
+            _ => false,
+        };
+        if !copied {
+            self.repr = source.repr.clone();
         }
-        self.repr = source.repr.clone();
     }
 }
 
@@ -171,12 +233,23 @@ impl Default for VectorClock {
     }
 }
 
+/// Overwrite `buf` with `src` if this handle solely holds it and it has
+/// room; whether it did.
+fn copy_into<C: Count>(len: &mut u32, buf: &mut Arc<[(u32, C)]>, src: &[(u32, C)]) -> bool {
+    let Some(dst) = Arc::get_mut(buf).and_then(|d| d.get_mut(..src.len())) else {
+        return false;
+    };
+    dst.copy_from_slice(src);
+    *len = src.len() as u32;
+    true
+}
+
 /// First index at or after `from` whose pid is `>= p`. Callers walk two
 /// sorted lists in step; `sparse` says the other list is much the
 /// shorter one, where a binary search per component beats walking every
 /// pair in between (8 pairs into 700: 80 probes, not 700 steps).
 #[inline]
-fn seek(s: &[Pair], mut from: usize, p: u32, sparse: bool) -> usize {
+fn seek<C>(s: &[(u32, C)], mut from: usize, p: u32, sparse: bool) -> usize {
     if sparse {
         return from + s[from..].partition_point(|&(q, _)| q < p);
     }
@@ -194,14 +267,14 @@ fn sparse(short: usize, long: usize) -> bool {
 
 /// Raise `a`'s components to `b`'s where both have the pid; returns how
 /// many of `b`'s pids `a` lacks.
-fn max_common(a: &mut [Pair], b: &[Pair]) -> usize {
+fn max_common<C: Count, D: Count + Into<C>>(a: &mut [(u32, C)], b: &[(u32, D)]) -> usize {
     let sp = sparse(b.len(), a.len());
     let (mut i, mut missing) = (0, 0);
     for &(p, c) in b {
         i = seek(a, i, p, sp);
         match a.get_mut(i) {
             Some((q, d)) if *q == p => {
-                *d = (*d).max(c);
+                *d = (*d).max(c.into());
                 i += 1;
             }
             _ => missing += 1,
@@ -213,14 +286,14 @@ fn max_common(a: &mut [Pair], b: &[Pair]) -> usize {
 /// Read-only twin of [`max_common`] for a buffer that may not be
 /// written: how many of `b`'s pids `a` lacks, and whether `b` exceeds
 /// `a` on any pid they share.
-fn survey(a: &[Pair], b: &[Pair]) -> (usize, bool) {
+fn survey<C: Count, D: Count>(a: &[(u32, C)], b: &[(u32, D)]) -> (usize, bool) {
     let sp = sparse(b.len(), a.len());
     let (mut i, mut missing, mut exceeds) = (0, 0, false);
     for &(p, c) in b {
         i = seek(a, i, p, sp);
         match a.get(i) {
             Some(&(q, d)) if q == p => {
-                exceeds |= c > d;
+                exceeds |= c.get() > d.get();
                 i += 1;
             }
             _ => missing += 1,
@@ -233,23 +306,146 @@ fn survey(a: &[Pair], b: &[Pair]) -> (usize, bool) {
 /// maxed against `b` ([`max_common`]); open gaps for the pids of `b` it
 /// lacks, working from the back so nothing is overwritten before it is
 /// moved. `buf` is exactly `len` + missing long.
-fn insert_missing(buf: &mut [Pair], len: usize, b: &[Pair]) {
+fn insert_missing<C: Count, D: Count + Into<C>>(buf: &mut [(u32, C)], len: usize, b: &[(u32, D)]) {
     let (mut i, mut j, mut k) = (len, b.len(), buf.len());
     // `k == i` once every missing pair is placed: the rest of `a` is
     // already where it belongs.
     while k > i {
-        let y = b[j - 1];
-        if i > 0 && buf[i - 1].0 >= y.0 {
-            if buf[i - 1].0 == y.0 {
+        let (p, c) = b[j - 1];
+        if i > 0 && buf[i - 1].0 >= p {
+            if buf[i - 1].0 == p {
                 j -= 1;
             }
             buf[k - 1] = buf[i - 1];
             i -= 1;
         } else {
-            buf[k - 1] = y;
+            buf[k - 1] = (p, c.into());
             j -= 1;
         }
         k -= 1;
+    }
+}
+
+/// The spilled pairs `(len, buf)`, writable, grown by `extra` unwritten
+/// slots at the end: in place when this handle is the only one and the
+/// capacity is there, otherwise in a fresh exact-fit buffer (the one
+/// copy of copy-on-write).
+fn heap_mut<'a, C: Count>(
+    len: &mut u32,
+    buf: &'a mut Arc<[(u32, C)]>,
+    extra: usize,
+) -> &'a mut [(u32, C)] {
+    let n = *len as usize;
+    let want = n + extra;
+    // A count of one cannot rise under us (nobody else has a handle
+    // to clone, and no `Weak` is ever made), so this plain load
+    // decides; a racing drop elsewhere only costs a spare copy.
+    if buf.len() < want || Arc::strong_count(buf) > 1 {
+        *buf = if extra == 0 {
+            Arc::from(&buf[..n])
+        } else {
+            // One allocation: `Arc<[T]>` collects an exact-size
+            // iterator straight into its own block.
+            buf[..n]
+                .iter()
+                .copied()
+                .chain(std::iter::repeat_n((0, C::default()), extra))
+                .collect()
+        };
+    }
+    *len = want as u32;
+    // Sole handle now (counted or just copied): no copy here.
+    &mut Arc::make_mut(buf)[..want]
+}
+
+/// Raise the spilled clock `(len, buf)` to `b` pointwise, after first
+/// writing `tick`'s count at `tick`'s position when there is one (the
+/// receive rule's tick, which always writes). One forward pass maxes the
+/// shared pids and counts the pids `buf` lacks; none lacking — the
+/// steady state — ends there, otherwise the buffer grows once (if it
+/// must) and a backward pass slots them in. Through one of several
+/// handles the first pass only reads: with nothing to write nothing is
+/// copied, otherwise the one copy is made already sized for the pids to
+/// come and the same two passes run on it.
+fn merge_pairs<C: Count, D: Count + Into<C>>(
+    len: &mut u32,
+    buf: &mut Arc<[(u32, C)]>,
+    b: &[(u32, D)],
+    tick: Option<(usize, C)>,
+) {
+    let n = *len as usize;
+    let (missing, copy) = match Arc::get_mut(buf) {
+        Some(own) => {
+            if let Some((i, c)) = tick {
+                own[i].1 = c;
+            }
+            (max_common(&mut own[..n], b), false)
+        }
+        None => match survey(&buf[..n], b) {
+            (0, false) if tick.is_none() => return,
+            (missing, _) => (missing, true),
+        },
+    };
+    if copy || missing > 0 {
+        let pairs = heap_mut(len, buf, missing);
+        if copy {
+            if let Some((i, c)) = tick {
+                pairs[i].1 = c;
+            }
+            max_common(&mut pairs[..n], b);
+        }
+        insert_missing(pairs, n, b);
+    }
+}
+
+/// Insert `pair` at position `i` of the spilled clock `(len, buf)`.
+fn insert_pair<C: Count>(len: &mut u32, buf: &mut Arc<[(u32, C)]>, i: usize, pair: (u32, C)) {
+    let n = *len as usize;
+    let buf = heap_mut(len, buf, 1);
+    buf.copy_within(i..n, i + 1);
+    buf[i] = pair;
+}
+
+/// Remove the pair at position `i` of the spilled clock `(len, buf)`.
+fn remove_pair<C: Count>(len: &mut u32, buf: &mut Arc<[(u32, C)]>, i: usize) {
+    let n = *len as usize;
+    heap_mut(len, buf, 0).copy_within(i + 1..n, i);
+    *len -= 1;
+}
+
+/// `a <= b` pointwise; `b` is at least as long as `a`.
+fn leq_pairs<A: Count, B: Count>(a: &[(u32, A)], b: &[(u32, B)]) -> bool {
+    let sp = sparse(a.len(), b.len());
+    let mut j = 0;
+    a.iter().all(|&(p, c)| {
+        j = seek(b, j, p, sp);
+        let covered = matches!(b.get(j), Some(&(q, d)) if q == p && c.get() <= d.get());
+        j += 1;
+        covered
+    })
+}
+
+/// Whether two pair lists hold the same components.
+fn eq_pairs<A: Count, B: Count>(a: &[(u32, A)], b: &[(u32, B)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(&(p, c), &(q, d))| p == q && c.get() == d.get())
+}
+
+/// [`VectorClock::put_wire`]'s pairs.
+fn put_wire_pairs<C: Count>(pairs: &[(u32, C)], buf: &mut Vec<u8>) {
+    // A varint is at most 10 bytes; the common pair is 2.
+    buf.reserve(10 + 2 * pairs.len());
+    put_varint(buf, pairs.len() as u64);
+    for &(p, c) in pairs {
+        let c = c.get();
+        if u64::from(p) | c < 0x80 {
+            buf.extend_from_slice(&[p as u8, c as u8]);
+        } else {
+            put_varint(buf, u64::from(p));
+            put_varint(buf, c);
+        }
     }
 }
 
@@ -276,6 +472,84 @@ impl DeltaOut<'_> {
         self.last = p;
         self.count += 1;
     }
+
+    /// Every component in which `new` differs from `old`, in pid order.
+    /// In step, 64 pairs at a time: one branch-free pass finds whether
+    /// the pids agree and which counts changed, then only the changed
+    /// ones are visited. From the first chunk whose pids disagree on, a
+    /// merge walk.
+    fn put_changes<A: Count, B: Count>(&mut self, new: &[(u32, A)], old: &[(u32, B)]) {
+        let mut i = 0;
+        for (a, b) in new.chunks(64).zip(old.chunks(64)) {
+            let (mut same, mut changed) = (true, 0u64);
+            for (k, (x, y)) in a.iter().zip(b).enumerate() {
+                same &= x.0 == y.0;
+                changed |= u64::from(x.1.get() != y.1.get()) << k;
+            }
+            if !same || a.len() != b.len() {
+                break;
+            }
+            while changed != 0 {
+                let k = changed.trailing_zeros() as usize;
+                self.put(a[k].0, a[k].1.get().wrapping_sub(b[k].1.get()));
+                changed &= changed - 1;
+            }
+            i += a.len();
+        }
+        let mut j = i;
+        loop {
+            match (new.get(i), old.get(j)) {
+                (Some(&(p, c)), Some(&(q, d))) if p == q => {
+                    if c.get() != d.get() {
+                        self.put(p, c.get().wrapping_sub(d.get()));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+                (Some(&(p, c)), Some(&(q, _))) if p < q => {
+                    self.put(p, c.get());
+                    i += 1;
+                }
+                (Some(&(p, c)), None) => {
+                    self.put(p, c.get());
+                    i += 1;
+                }
+                (_, Some(&(q, d))) => {
+                    self.put(q, d.get().wrapping_neg());
+                    j += 1;
+                }
+                (None, None) => break,
+            }
+        }
+    }
+}
+
+/// `old` with each `(pid, difference)` of `delta` added to its
+/// component ([`VectorClock::with_delta`]), as wide pairs: the runs of
+/// unchanged components between two changed ones are copied over.
+fn apply_delta<C: Count>(old: &[(u32, C)], delta: &[(u32, u64)]) -> Vec<WidePair> {
+    let mut out = Vec::with_capacity(old.len() + delta.len());
+    let mut j = 0;
+    for &(p, diff) in delta {
+        let mut k = j;
+        while k < old.len() && old[k].0 < p {
+            k += 1;
+        }
+        out.extend(old[j..k].iter().map(|&(q, c)| (q, c.get())));
+        j = k;
+        let c = match old.get(j) {
+            Some(&(q, c)) if q == p => {
+                j += 1;
+                c.get()
+            }
+            _ => 0,
+        };
+        if c != diff.wrapping_neg() {
+            out.push((p, c.wrapping_add(diff)));
+        }
+    }
+    out.extend(old[j..].iter().map(|&(q, c)| (q, c.get())));
+    out
 }
 
 impl VectorClock {
@@ -338,16 +612,25 @@ impl VectorClock {
         Self::from_sorted(&[(p.0, c)])
     }
 
-    /// A clock holding `pairs` (sorted, nonzero), inline when they fit.
-    fn from_sorted(pairs: &[Pair]) -> Self {
+    /// A clock holding `pairs` (sorted, nonzero), inline when they fit,
+    /// otherwise in the narrow tier unless a count needs the wide one.
+    fn from_sorted(pairs: &[WidePair]) -> Self {
         let n = pairs.len();
         if n > INLINE_PAIRS {
-            return Self {
-                repr: Repr::Heap {
-                    len: n as u32,
+            let len = n as u32;
+            let repr = if pairs.iter().all(|&(_, c)| c <= u64::from(u32::MAX)) {
+                Repr::Heap {
+                    len,
+                    // Every count was just checked to fit.
+                    buf: pairs.iter().map(|&(p, c)| (p, c as u32)).collect(),
+                }
+            } else {
+                Repr::Wide {
+                    len,
                     buf: Arc::from(pairs),
-                },
+                }
             };
+            return Self { repr };
         }
         let (mut pids, mut counts) = ([0; INLINE_PAIRS], [0; INLINE_PAIRS]);
         for (i, &(p, c)) in pairs.iter().enumerate() {
@@ -367,13 +650,14 @@ impl VectorClock {
     /// counts in separate arrays (that is what packs it into 40 bytes),
     /// so its pairs are zipped into the caller's `scratch` first.
     #[inline]
-    fn as_pairs<'a>(&'a self, scratch: &'a mut [Pair; INLINE_PAIRS]) -> &'a [Pair] {
+    fn as_pairs<'a>(&'a self, scratch: &'a mut [WidePair; INLINE_PAIRS]) -> Pairs<'a> {
         match &self.repr {
             Repr::Inline { len, pids, counts } => {
                 *scratch = std::array::from_fn(|i| (pids[i], counts[i]));
-                &scratch[..*len as usize]
+                Pairs::Wide(&scratch[..*len as usize])
             }
-            Repr::Heap { len, buf } => &buf[..*len as usize],
+            Repr::Heap { len, buf } => Pairs::Narrow(&buf[..*len as usize]),
+            Repr::Wide { len, buf } => Pairs::Wide(&buf[..*len as usize]),
         }
     }
 
@@ -390,17 +674,9 @@ impl VectorClock {
     /// bytes in one write.
     pub fn put_wire(&self, buf: &mut Vec<u8>) {
         let mut scratch = [(0, 0); INLINE_PAIRS];
-        let pairs = self.as_pairs(&mut scratch);
-        // A varint is at most 10 bytes; the common pair is 2.
-        buf.reserve(10 + 2 * pairs.len());
-        put_varint(buf, pairs.len() as u64);
-        for &(p, c) in pairs {
-            if u64::from(p) | c < 0x80 {
-                buf.extend_from_slice(&[p as u8, c as u8]);
-            } else {
-                put_varint(buf, u64::from(p));
-                put_varint(buf, c);
-            }
+        match self.as_pairs(&mut scratch) {
+            Pairs::Narrow(pairs) => put_wire_pairs(pairs, buf),
+            Pairs::Wide(pairs) => put_wire_pairs(pairs, buf),
         }
     }
 
@@ -426,59 +702,16 @@ impl VectorClock {
         if self.shares_storage_with(base) {
             return;
         }
-        // The common changed pair is two bytes.
-        buf.reserve(2 * new.len().max(old.len()));
         let mut out = DeltaOut {
             buf,
             last: 0,
             count: 0,
         };
-        // In step, 64 pairs at a time: one branch-free pass finds
-        // whether the pids agree and which counts changed, then only the
-        // changed ones are visited. A chunk whose pids disagree is left
-        // to the merge walk below.
-        let mut i = 0;
-        for (a, b) in new.chunks(64).zip(old.chunks(64)) {
-            let (mut same, mut changed) = (true, 0u64);
-            for (k, (x, y)) in a.iter().zip(b).enumerate() {
-                same &= x.0 == y.0;
-                changed |= u64::from(x.1 != y.1) << k;
-            }
-            if !same || a.len() != b.len() {
-                break;
-            }
-            while changed != 0 {
-                let k = changed.trailing_zeros() as usize;
-                out.put(a[k].0, a[k].1.wrapping_sub(b[k].1));
-                changed &= changed - 1;
-            }
-            i += a.len();
-        }
-        let mut j = i;
-        loop {
-            match (new.get(i), old.get(j)) {
-                (Some(&(p, c)), Some(&(q, d))) if p == q => {
-                    if c != d {
-                        out.put(p, c.wrapping_sub(d));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&(p, c)), Some(&(q, _))) if p < q => {
-                    out.put(p, c);
-                    i += 1;
-                }
-                (Some(&(p, c)), None) => {
-                    out.put(p, c);
-                    i += 1;
-                }
-                (_, Some(&(q, d))) => {
-                    out.put(q, d.wrapping_neg());
-                    j += 1;
-                }
-                (None, None) => break,
-            }
-        }
+        both_pairs!((new, old) = (new, old) => {
+            // The common changed pair is two bytes.
+            out.buf.reserve(2 * new.len().max(old.len()));
+            out.put_changes(new, old)
+        });
         let count = out.count;
         if count < 0x80 {
             buf[at] = count as u8;
@@ -498,32 +731,13 @@ impl VectorClock {
     /// a component either side lacks is zero, and one that comes out
     /// zero is dropped). `delta` is in strictly increasing pid order, as
     /// the wire form is; out of order it still yields a valid clock, but
-    /// not a meaningful one. The runs of unchanged components between
-    /// two changed ones are copied as slices.
+    /// not a meaningful one. The tier follows the resulting counts.
     pub fn with_delta(&self, delta: &[(u32, u64)]) -> VectorClock {
         let mut scratch = [(0, 0); INLINE_PAIRS];
-        let old = self.as_pairs(&mut scratch);
-        let mut out = Vec::with_capacity(old.len() + delta.len());
-        let mut j = 0;
-        for &(p, diff) in delta {
-            let mut k = j;
-            while k < old.len() && old[k].0 < p {
-                k += 1;
-            }
-            out.extend_from_slice(&old[j..k]);
-            j = k;
-            let c = match old.get(j) {
-                Some(&(q, c)) if q == p => {
-                    j += 1;
-                    c
-                }
-                _ => 0,
-            };
-            if c != diff.wrapping_neg() {
-                out.push((p, c.wrapping_add(diff)));
-            }
-        }
-        out.extend_from_slice(&old[j..]);
+        let out = match self.as_pairs(&mut scratch) {
+            Pairs::Narrow(old) => apply_delta(old, delta),
+            Pairs::Wide(old) => apply_delta(old, delta),
+        };
         if delta.windows(2).all(|w| w[0].0 < w[1].0) {
             return Self::from_sorted(&out);
         }
@@ -535,7 +749,7 @@ impl VectorClock {
     pub fn nnz(&self) -> usize {
         match &self.repr {
             Repr::Inline { len, .. } => *len as usize,
-            Repr::Heap { len, .. } => *len as usize,
+            Repr::Heap { len, .. } | Repr::Wide { len, .. } => *len as usize,
         }
     }
 
@@ -546,14 +760,20 @@ impl VectorClock {
     }
 
     /// Heap bytes this clock's pairs occupy beyond its inline footprint:
-    /// zero up to [`INLINE_PAIRS`] components, 16 per component past
-    /// that. A function of the value alone — not of how much capacity
-    /// the buffer happens to have, nor of how many handles share it — so
-    /// equal clocks report equal bytes (spill thresholds, the arena
-    /// census and cross-executor comparisons rely on that).
+    /// zero up to [`INLINE_PAIRS`] components, past that 8 per component
+    /// in the narrow tier and 16 in the wide one. A function of the value
+    /// alone — the tier is one, and the figure counts neither the
+    /// capacity the buffer happens to have nor how many handles share
+    /// it — so equal clocks report equal bytes (the arena census relies
+    /// on that).
     pub fn resident_bytes(&self) -> usize {
-        match self.nnz() {
-            n if n > INLINE_PAIRS => n * std::mem::size_of::<Pair>(),
+        match &self.repr {
+            Repr::Heap { len, .. } if *len as usize > INLINE_PAIRS => {
+                *len as usize * std::mem::size_of::<NarrowPair>()
+            }
+            Repr::Wide { len, .. } if *len as usize > INLINE_PAIRS => {
+                *len as usize * std::mem::size_of::<WidePair>()
+            }
             _ => 0,
         }
     }
@@ -565,8 +785,15 @@ impl VectorClock {
     pub fn shares_storage_with(&self, other: &VectorClock) -> bool {
         match (&self.repr, &other.repr) {
             (Repr::Heap { buf: a, .. }, Repr::Heap { buf: b, .. }) => Arc::ptr_eq(a, b),
+            (Repr::Wide { buf: a, .. }, Repr::Wide { buf: b, .. }) => Arc::ptr_eq(a, b),
             _ => false,
         }
+    }
+
+    /// Whether the pairs sit in a heap buffer (either tier).
+    #[inline]
+    fn is_spilled(&self) -> bool {
+        !matches!(self.repr, Repr::Inline { .. })
     }
 
     /// Let go of a buffer some other handle also holds, becoming the
@@ -574,37 +801,42 @@ impl VectorClock {
     /// arena calls this on recycle so a pooled shell never pins a buffer
     /// a Scroll entry or checkpoint owns (and never counts it twice).
     pub(crate) fn release_shared(&mut self) {
-        if matches!(&self.repr, Repr::Heap { buf, .. } if Arc::strong_count(buf) > 1) {
+        let shared = match &self.repr {
+            Repr::Inline { .. } => false,
+            Repr::Heap { buf, .. } => Arc::strong_count(buf) > 1,
+            Repr::Wide { buf, .. } => Arc::strong_count(buf) > 1,
+        };
+        if shared {
             *self = Self::ZERO;
         }
     }
 
-    /// The spilled pairs `(len, buf)` of a [`Repr::Heap`], writable,
-    /// grown by `extra` unwritten slots at the end: in place when this
-    /// handle is the only one and the capacity is there, otherwise in a
-    /// fresh exact-fit buffer (the one copy of copy-on-write).
-    fn heap_mut<'a>(len: &mut u32, buf: &'a mut Arc<[Pair]>, extra: usize) -> &'a mut [Pair] {
-        let n = *len as usize;
-        let want = n + extra;
-        // A count of one cannot rise under us (nobody else has a handle
-        // to clone, and no `Weak` is ever made), so this plain load
-        // decides; a racing drop elsewhere only costs a spare copy.
-        if buf.len() < want || Arc::strong_count(buf) > 1 {
-            *buf = if extra == 0 {
-                Arc::from(&buf[..n])
-            } else {
-                // One allocation: `Arc<[T]>` collects an exact-size
-                // iterator straight into its own block.
-                buf[..n]
-                    .iter()
-                    .copied()
-                    .chain(std::iter::repeat_n((0, 0), extra))
-                    .collect()
+    /// Copy a narrow clock into the wide tier, with room for `extra`
+    /// more pairs: one allocation. Any other clock is left as it is.
+    fn widen(&mut self, extra: usize) {
+        if let Repr::Heap { len, buf } = &self.repr {
+            let wide = buf[..*len as usize]
+                .iter()
+                .map(|&(p, c)| (p, u64::from(c)))
+                .chain(std::iter::repeat_n((0, 0), extra))
+                .collect();
+            self.repr = Repr::Wide {
+                len: *len,
+                buf: wide,
             };
         }
-        *len = want as u32;
-        // Sole handle now (counted or just copied): no copy here.
-        &mut Arc::make_mut(buf)[..want]
+    }
+
+    /// Move a wide clock whose counts all fit `u32` again back to the
+    /// narrow tier (or inline), so the tier stays a function of the
+    /// value.
+    fn settle(&mut self) {
+        if let Repr::Wide { len, buf } = &self.repr {
+            let pairs = &buf[..*len as usize];
+            if pairs.iter().all(|&(_, c)| c <= u64::from(u32::MAX)) {
+                *self = Self::from_sorted(pairs);
+            }
+        }
     }
 
     /// Position of `p` among the stored pairs, or where it would insert.
@@ -625,6 +857,7 @@ impl VectorClock {
                 Err(len)
             }
             Repr::Heap { len, buf } => buf[..*len as usize].binary_search_by_key(&p, |&(q, _)| q),
+            Repr::Wide { len, buf } => buf[..*len as usize].binary_search_by_key(&p, |&(q, _)| q),
         }
     }
 
@@ -639,18 +872,33 @@ impl VectorClock {
     fn count_at(&self, i: usize) -> u64 {
         match &self.repr {
             Repr::Inline { counts, .. } => counts[i],
-            Repr::Heap { buf, .. } => buf[i].1,
+            Repr::Heap { buf, .. } => u64::from(buf[i].1),
+            Repr::Wide { buf, .. } => buf[i].1,
         }
     }
 
-    /// The stored count at position `i`, writable (the copy-on-write
-    /// copy happens here for a shared spilled clock).
+    /// Overwrite the stored count at position `i` with `c` (nonzero).
+    /// The copy-on-write copy happens here for a shared spilled clock,
+    /// and a narrow clock widens for a count above `u32::MAX`.
     #[inline]
-    fn count_mut(&mut self, i: usize) -> &mut u64 {
+    fn set_count(&mut self, i: usize, c: u64) {
         match &mut self.repr {
-            Repr::Inline { counts, .. } => &mut counts[i],
-            Repr::Heap { len, buf } => &mut Self::heap_mut(len, buf, 0)[i].1,
+            Repr::Inline { counts, .. } => counts[i] = c,
+            Repr::Heap { len, buf } => match u32::try_from(c) {
+                Ok(c) => heap_mut(len, buf, 0)[i].1 = c,
+                Err(_) => self.widen_and_set(i, c),
+            },
+            Repr::Wide { len, buf } => heap_mut(len, buf, 0)[i].1 = c,
         }
+    }
+
+    /// [`VectorClock::set_count`] of a count that a narrow clock cannot
+    /// hold: out of line, so the common write stays small enough to
+    /// inline.
+    #[cold]
+    fn widen_and_set(&mut self, i: usize, c: u64) {
+        self.widen(0);
+        self.set_count(i, c);
     }
 
     /// Insert the new component `(p, c)` at position `i`.
@@ -674,12 +922,14 @@ impl VectorClock {
                     *self = Self::from_sorted(&out);
                 }
             }
-            Repr::Heap { len, buf } => {
-                let n = *len as usize;
-                let buf = Self::heap_mut(len, buf, 1);
-                buf.copy_within(i..n, i + 1);
-                buf[i] = (p, c);
-            }
+            Repr::Heap { len, buf } => match u32::try_from(c) {
+                Ok(c) => insert_pair(len, buf, i, (p, c)),
+                Err(_) => {
+                    self.widen(1);
+                    self.insert_at(i, p, c);
+                }
+            },
+            Repr::Wide { len, buf } => insert_pair(len, buf, i, (p, c)),
         }
     }
 
@@ -688,9 +938,9 @@ impl VectorClock {
     pub fn tick(&mut self, p: Pid) -> u64 {
         match self.find(p.0) {
             Ok(i) => {
-                let c = self.count_mut(i);
-                *c += 1;
-                *c
+                let c = self.count_at(i) + 1;
+                self.set_count(i, c);
+                c
             }
             Err(i) => {
                 self.insert_at(i, p.0, 1);
@@ -708,29 +958,28 @@ impl VectorClock {
             return;
         }
         let Ok(i) = self.find(p.0) else { return };
-        if self.count_at(i) > by {
-            *self.count_mut(i) -= by;
-            return;
-        }
-        match &mut self.repr {
-            Repr::Inline { len, pids, counts } => {
-                let n = *len as usize;
-                pids.copy_within(i + 1..n, i);
-                counts.copy_within(i + 1..n, i);
-                *len -= 1;
-            }
-            Repr::Heap { len, buf } => {
-                let n = *len as usize;
-                Self::heap_mut(len, buf, 0).copy_within(i + 1..n, i);
-                *len -= 1;
+        let c = self.count_at(i);
+        if c > by {
+            self.set_count(i, c - by);
+        } else {
+            match &mut self.repr {
+                Repr::Inline { len, pids, counts } => {
+                    let n = *len as usize;
+                    pids.copy_within(i + 1..n, i);
+                    counts.copy_within(i + 1..n, i);
+                    *len -= 1;
+                }
+                Repr::Heap { len, buf } => remove_pair(len, buf, i),
+                Repr::Wide { len, buf } => remove_pair(len, buf, i),
             }
         }
+        self.settle();
     }
 
     /// Raise the component of `p` to at least `c`.
     fn raise(&mut self, p: Pid, c: u64) {
         match self.find(p.0) {
-            Ok(i) if self.count_at(i) < c => *self.count_mut(i) = c,
+            Ok(i) if self.count_at(i) < c => self.set_count(i, c),
             Ok(_) => {}
             Err(i) => self.insert_at(i, p.0, c),
         }
@@ -748,33 +997,67 @@ impl VectorClock {
     /// passes run on it. An inline clock on either side is at most three
     /// pairs, raised one by one into the other side.
     pub fn merge(&mut self, other: &VectorClock) {
-        let Repr::Heap { len: m, buf: b } = &other.repr else {
-            other.entries().for_each(|(p, c)| self.raise(p, c));
-            return;
-        };
-        let Repr::Heap { len, buf } = &mut self.repr else {
+        if let Repr::Inline { len, pids, counts } = &other.repr {
+            for (&p, &c) in pids.iter().zip(counts).take(*len as usize) {
+                self.raise(Pid(p), c);
+            }
+        } else if !self.is_spilled() {
             // Merge commutes: start from a handle on `other`'s buffer.
             let few = std::mem::replace(self, other.clone());
             few.entries().for_each(|(p, c)| self.raise(p, c));
-            return;
-        };
-        if Arc::ptr_eq(buf, b) {
-            return;
+        } else if !self.shares_storage_with(other) {
+            self.merge_with(other, None);
         }
-        let (n, b) = (*len as usize, &b[..*m as usize]);
-        let (missing, copy) = match Arc::get_mut(buf) {
-            Some(own) => (max_common(&mut own[..n], b), false),
-            None => match survey(&buf[..n], b) {
-                (0, false) => return,
-                (missing, _) => (missing, true),
-            },
-        };
-        if copy || missing > 0 {
-            let pairs = Self::heap_mut(len, buf, missing);
-            if copy {
-                max_common(&mut pairs[..n], b);
+    }
+
+    /// The receive rule: `tick(p)`, then `merge(other)`, with one result.
+    /// When both clocks are spilled and `self` already counts `p` — the
+    /// steady state of a delivery — it is one pass: the pids `other`
+    /// brings are surveyed first, so a clock shared with a checkpoint
+    /// or a Scroll entry is copied once, already sized for them, where
+    /// `tick` would copy it and `merge` grow the copy again.
+    pub fn receive(&mut self, p: Pid, other: &VectorClock) {
+        if self.is_spilled() && other.is_spilled() {
+            if let Ok(i) = self.find(p.0) {
+                let c = self.count_at(i) + 1;
+                self.merge_with(other, Some((i, c)));
+                return;
             }
-            insert_missing(pairs, n, b);
+        }
+        self.tick(p);
+        self.merge(other);
+    }
+
+    /// Write `tick`'s count at `tick`'s position, if there is one, then
+    /// raise this clock to `other` pointwise. Two spilled clocks — all
+    /// that `merge` and `receive` hand it — take [`merge_pairs`] in this
+    /// clock's tier, a narrow one widening first to meet a count above
+    /// `u32::MAX`; an inline clock on either side would have its pairs
+    /// raised one by one.
+    fn merge_with(&mut self, other: &VectorClock, tick: Option<(usize, u64)>) {
+        let narrow_tick = tick
+            .map(|(i, c)| u32::try_from(c).map(|c| (i, c)))
+            .transpose();
+        match (&mut self.repr, &other.repr, narrow_tick) {
+            (Repr::Heap { len, buf }, Repr::Heap { len: m, buf: b }, Ok(tick)) => {
+                merge_pairs(len, buf, &b[..*m as usize], tick)
+            }
+            (Repr::Wide { len, buf }, Repr::Heap { len: m, buf: b }, _) => {
+                merge_pairs(len, buf, &b[..*m as usize], tick)
+            }
+            (Repr::Wide { len, buf }, Repr::Wide { len: m, buf: b }, _) => {
+                merge_pairs(len, buf, &b[..*m as usize], tick)
+            }
+            (Repr::Heap { .. }, Repr::Heap { .. } | Repr::Wide { .. }, _) => {
+                self.widen(0);
+                self.merge_with(other, tick);
+            }
+            _ => {
+                if let Some((i, c)) = tick {
+                    self.set_count(i, c);
+                }
+                other.entries().for_each(|(p, c)| self.raise(p, c));
+            }
         }
     }
 
@@ -789,15 +1072,7 @@ impl VectorClock {
             return true;
         }
         let (mut sa, mut sb) = ([(0, 0); INLINE_PAIRS], [(0, 0); INLINE_PAIRS]);
-        let (a, b) = (self.as_pairs(&mut sa), other.as_pairs(&mut sb));
-        let sp = sparse(a.len(), b.len());
-        let mut j = 0;
-        a.iter().all(|&(p, c)| {
-            j = seek(b, j, p, sp);
-            let covered = matches!(b.get(j), Some(&(q, d)) if q == p && c <= d);
-            j += 1;
-            covered
-        })
+        both_pairs!((a, b) = (self.as_pairs(&mut sa), other.as_pairs(&mut sb)) => leq_pairs(a, b))
     }
 
     /// Full causal comparison.
@@ -842,21 +1117,25 @@ impl Iterator for ClockIter<'_> {
                     None
                 }
             }
-            Repr::Heap { len, buf } => buf[..*len as usize].get(i).map(|&(p, c)| (Pid(p), c)),
+            Repr::Heap { len, buf } => buf[..*len as usize]
+                .get(i)
+                .map(|&(p, c)| (Pid(p), u64::from(c))),
+            Repr::Wide { len, buf } => buf[..*len as usize].get(i).map(|&(p, c)| (Pid(p), c)),
         }
     }
 }
 
 // Equality, hashing, and ordering are defined over the *logical* pair
-// sequence so an inline clock and a heap clock with the same components
-// are the same value (the representation is an implementation detail).
+// sequence so clocks with the same components are the same value in
+// whichever tier each sits (the representation is an implementation
+// detail).
 impl PartialEq for VectorClock {
     fn eq(&self, other: &Self) -> bool {
         if self.shares_storage_with(other) {
             return true;
         }
         let (mut sa, mut sb) = ([(0, 0); INLINE_PAIRS], [(0, 0); INLINE_PAIRS]);
-        self.as_pairs(&mut sa) == other.as_pairs(&mut sb)
+        both_pairs!((a, b) = (self.as_pairs(&mut sa), other.as_pairs(&mut sb)) => eq_pairs(a, b))
     }
 }
 
@@ -1163,6 +1442,19 @@ mod tests {
         assert_eq!(pairs, vec![(4, 3), (9, 1)]);
     }
 
+    /// Which tier a clock sits in.
+    fn tier(v: &VectorClock) -> &'static str {
+        match v.repr {
+            Repr::Inline { .. } => "inline",
+            Repr::Heap { .. } => "narrow",
+            Repr::Wide { .. } => "wide",
+        }
+    }
+
+    /// Equal values are equal clocks with equal hashes and equal
+    /// resident bytes in whichever tier each sits: inline against a
+    /// narrow buffer, inline against a wide one, and a narrow clock
+    /// ticked into the wide tier and unticked back.
     #[test]
     fn hash_agrees_across_reprs() {
         use std::collections::hash_map::DefaultHasher;
@@ -1172,23 +1464,97 @@ mod tests {
             v.hash(&mut h);
             h.finish()
         };
-        let mut inline = VectorClock::ZERO;
-        inline.tick(Pid(4));
-        inline.tick(Pid(4));
-        let heap = {
-            // Force the heap representation of the same logical value.
-            let mut v = VectorClock::ZERO;
-            for p in 0..=4u32 {
-                v.tick(Pid(p));
-            }
-            VectorClock::from_pairs(
-                v.entries()
-                    .filter(|(p, _)| p.0 == 4)
-                    .map(|(p, c)| (p.0, c + 1))
-                    .collect(),
-            )
+        let same = |a: &VectorClock, b: &VectorClock, tiers: [&str; 2]| {
+            assert_eq!([tier(a), tier(b)], tiers);
+            assert_eq!(a, b);
+            assert_eq!(hash(a), hash(b));
+            assert_eq!(a.resident_bytes(), b.resident_bytes());
         };
-        assert_eq!(inline, heap);
-        assert_eq!(hash(&inline), hash(&heap));
+        // A spilled clock unticked down to one pair keeps its buffer.
+        let mut narrow = VectorClock::from_pairs((0..=4).map(|p| (p, 1)).collect());
+        narrow.tick(Pid(4));
+        (0..4).for_each(|p| narrow.untick(Pid(p), 1));
+        same(
+            &VectorClock::single(Pid(4), 2),
+            &narrow,
+            ["inline", "narrow"],
+        );
+
+        let big = u64::from(u32::MAX) + 7;
+        let mut wide = VectorClock::from_pairs(vec![(0, 1), (1, 5), (3, 1), (4, big)]);
+        wide.untick(Pid(0), 1);
+        let inline = VectorClock::from_pairs(vec![(1, 5), (3, 1), (4, big)]);
+        same(&inline, &wide, ["inline", "wide"]);
+
+        let start = VectorClock::from_pairs((0..8).map(|p| (p, u64::from(u32::MAX) - 1)).collect());
+        let mut crossed = start.clone();
+        crossed.tick(Pid(3));
+        assert_eq!(tier(&crossed), "narrow", "u32::MAX still fits");
+        crossed.tick(Pid(3));
+        assert_eq!(tier(&crossed), "wide");
+        assert_eq!(crossed.get(Pid(3)), u64::from(u32::MAX) + 1);
+        assert_ne!(crossed, start);
+        crossed.untick(Pid(3), 2);
+        same(&start, &crossed, ["narrow", "narrow"]);
+    }
+
+    /// A narrow clock widens for every way a wider count reaches it —
+    /// tick, merge, receive, and the constructors — without touching
+    /// another handle on its buffer; the wire forms and `with_delta`
+    /// round-trip counts either side of `u32::MAX`.
+    #[test]
+    fn narrow_clocks_widen_for_wide_counts() {
+        let max = u64::from(u32::MAX);
+        let narrow = VectorClock::from_pairs((0..6).map(|p| (2 * p, max)).collect());
+        let big = VectorClock::from_pairs((0..6).map(|p| (2 * p + 1, max + 1)).collect());
+        assert_eq!([tier(&narrow), tier(&big)], ["narrow", "wide"]);
+        assert_eq!(narrow.resident_bytes(), 6 * 8);
+        assert_eq!(big.resident_bytes(), 6 * 16);
+
+        let mut merged = narrow.clone();
+        merged.merge(&big);
+        assert_eq!(tier(&merged), "wide");
+        assert_eq!(
+            (merged.nnz(), merged.get(Pid(0)), merged.get(Pid(1))),
+            (12, max, max + 1)
+        );
+        assert_eq!((tier(&narrow), narrow.nnz()), ("narrow", 6));
+
+        // The receive's own tick widens, and from a wide clock too.
+        let mut ticked = narrow.clone();
+        ticked.receive(Pid(2), &VectorClock::from_vec(vec![1; 5]));
+        assert_eq!(
+            (tier(&ticked), ticked.get(Pid(2)), ticked.get(Pid(1))),
+            ("wide", max + 1, 1)
+        );
+        let mut received = narrow.clone();
+        received.receive(Pid(0), &big);
+        let mut want = narrow.clone();
+        want.tick(Pid(0));
+        want.merge(&big);
+        assert_eq!(received, want);
+        assert_eq!(narrow.get(Pid(0)), max);
+
+        // An inline clock's wide count raised into a narrow one.
+        let mut raised = narrow.clone();
+        raised.merge(&VectorClock::single(Pid(7), u64::MAX));
+        assert_eq!((tier(&raised), raised.get(Pid(7))), ("wide", u64::MAX));
+
+        let shifted = narrow.with_delta(&[(0, 1), (4, 2u64.wrapping_neg())]);
+        assert_eq!(tier(&shifted), "wide");
+        assert_eq!(
+            (shifted.get(Pid(0)), shifted.get(Pid(4))),
+            (max + 1, max - 2)
+        );
+        assert_eq!(
+            shifted.with_delta(&[(0, u64::MAX)]),
+            narrow.with_delta(&[(4, 2u64.wrapping_neg())])
+        );
+        // Across tiers the delta is the same bytes: two changed pairs,
+        // (gap 0, zigzag(+1)) and (gap 4, zigzag(-2)).
+        let mut buf = Vec::new();
+        shifted.put_wire_delta(&narrow, &mut buf);
+        assert_eq!(buf, [2, 0, 2, 4, 3]);
+        assert!(narrow.leq(&merged) && big.leq(&merged) && !merged.leq(&big));
     }
 }

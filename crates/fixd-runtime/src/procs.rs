@@ -86,9 +86,10 @@ impl ProcContext {
 
     /// Run `pid`'s handler `h` on `program` at virtual time `now` in a
     /// world `width` pids wide, and return its effects. A start ticks
-    /// the clocks; a delivery ticks, merges the sender's clock, advances
-    /// the Lamport clock past the sender's and counts the receipt. The
-    /// handler sees the meta template as it is on entry.
+    /// the clocks; a delivery ticks and merges the sender's clock in one
+    /// [`VectorClock::receive`], advances the Lamport clock past the
+    /// sender's and counts the receipt. The handler sees the meta
+    /// template as it is on entry.
     pub(crate) fn run_handler(
         &mut self,
         pid: Pid,
@@ -104,8 +105,7 @@ impl ProcContext {
                 self.lamport += 1;
             }
             Handler::Deliver(msg) => {
-                self.vc.tick(pid);
-                self.vc.merge(&msg.vc);
+                self.vc.receive(pid, &msg.vc);
                 self.lamport = self.lamport.max(msg.meta.lamport) + 1;
                 self.delivered += 1;
             }

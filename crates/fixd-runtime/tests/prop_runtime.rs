@@ -80,6 +80,11 @@ impl DenseClock {
         self.0[p] += 1;
         self.0[p]
     }
+    fn untick(&mut self, p: usize, by: u64) {
+        if let Some(c) = self.0.get_mut(p) {
+            *c = c.saturating_sub(by);
+        }
+    }
     fn merge(&mut self, other: &DenseClock) {
         if self.0.len() < other.0.len() {
             self.0.resize(other.0.len(), 0);
@@ -107,8 +112,14 @@ enum ClockOp {
     /// `pool[i].tick(pid)`.
     Tick(usize, u8),
     /// `pool[i].merge(&from_vec(v))`: an outside clock whose pids may
-    /// be missing from the front, middle and back of the target.
+    /// be missing from the front, middle and back of the target, and
+    /// whose counts may sit either side of `u32::MAX`.
     MergeVec(usize, Vec<u64>),
+    /// `pool[i].receive(pid, &pool[j])` against `tick` then `merge`;
+    /// `i == j` receives a clone of itself.
+    Receive(usize, u8, usize),
+    /// `pool[i].untick(pid, by)`.
+    Untick(usize, u8, u64),
     /// `pool[i].merge(&pool[j])`; `i == j` merges a clone of itself
     /// (identical storage).
     Merge(usize, usize),
@@ -120,14 +131,25 @@ enum ClockOp {
     Reset(usize),
 }
 
+/// A small count (zero included), or one of `u32::MAX - 1 ..= u32::MAX +
+/// 1`: the narrow/wide line that ticks, merges and unticks then cross.
+fn count() -> impl Strategy<Value = u64> {
+    (0u64..7).prop_map(|c| match c {
+        0..4 => c,
+        _ => u64::from(u32::MAX) + c - 5,
+    })
+}
+
 fn clock_ops() -> impl Strategy<Value = Vec<ClockOp>> {
     let slot = || 0usize..POOL;
     proptest::collection::vec(
         prop_oneof![
             (slot(), 0u8..24).prop_map(|(i, p)| ClockOp::Tick(i, p)),
             (slot(), 0u8..24).prop_map(|(i, p)| ClockOp::Tick(i, p)),
-            (slot(), proptest::collection::vec(0u64..4, 0..24))
+            (slot(), proptest::collection::vec(count(), 0..24))
                 .prop_map(|(i, v)| ClockOp::MergeVec(i, v)),
+            (slot(), 0u8..24, slot()).prop_map(|(i, p, j)| ClockOp::Receive(i, p, j)),
+            (slot(), 0u8..24, 0u64..4).prop_map(|(i, p, by)| ClockOp::Untick(i, p, by)),
             (slot(), slot()).prop_map(|(i, j)| ClockOp::Merge(i, j)),
             (slot(), slot()).prop_map(|(k, i)| ClockOp::Clone(k, i)),
             (slot(), slot()).prop_map(|(i, j)| ClockOp::CloneFrom(i, j)),
@@ -163,6 +185,24 @@ fn apply_clock_op(pool: &mut [(VectorClock, DenseClock)], op: &ClockOp) {
             let (s, d) = &mut pool[*i];
             s.merge(&VectorClock::from_vec(v.clone()));
             d.merge(&DenseClock(v.clone()));
+        }
+        ClockOp::Receive(i, p, j) if i == j => {
+            let (s, d) = &mut pool[*i];
+            let same = (s.clone(), d.clone());
+            s.receive(Pid(u32::from(*p)), &same.0);
+            d.tick(usize::from(*p));
+            d.merge(&same.1);
+        }
+        ClockOp::Receive(i, p, j) => {
+            let (dst, src) = pick(pool, *i, *j);
+            dst.0.receive(Pid(u32::from(*p)), &src.0);
+            dst.1.tick(usize::from(*p));
+            dst.1.merge(&src.1);
+        }
+        ClockOp::Untick(i, p, by) => {
+            let (s, d) = &mut pool[*i];
+            s.untick(Pid(u32::from(*p)), *by);
+            d.untick(usize::from(*p), *by);
         }
         ClockOp::Merge(i, j) if i == j => {
             let (s, _) = &mut pool[*i];
@@ -279,12 +319,13 @@ proptest! {
 
     /// The sparse clock is observationally identical to the seed's
     /// dense representation over arbitrary histories of a small pool of
-    /// clocks — tick, merge from outside and from each other, clone,
-    /// `clone_from`, drop and re-create. Every clock equals its model
-    /// after **every** op, so a clone never sees a later mutation of its
-    /// source and `clone_from` into a shared target never disturbs the
-    /// other holders; pids 0..24 against three inline pairs keep the
-    /// histories crossing the inline/spilled boundary both ways.
+    /// clocks — tick, untick, merge from outside and from each other,
+    /// receive, clone, `clone_from`, drop and re-create. Every clock
+    /// equals its model after **every** op, so a clone never sees a later
+    /// mutation of its source and `clone_from` into a shared target never
+    /// disturbs the other holders; pids 0..24 against three inline pairs
+    /// keep the histories crossing the inline/spilled boundary both ways,
+    /// and counts drawn around `u32::MAX` the narrow/wide one.
     #[test]
     fn sparse_clock_equals_dense_model(ops in clock_ops()) {
         let mut pool: Vec<(VectorClock, DenseClock)> = vec![Default::default(); POOL];

@@ -203,7 +203,11 @@ fn or_panic<T>(read: Result<T, StorageError>) -> T {
 /// Approximate resident weight of one entry: fixed header fields plus
 /// the variable payload, random draws, and clock components. Used only
 /// to decide when to seal; the spilled blob's exact size is recorded in
-/// its [`SegmentRef`].
+/// its [`SegmentRef`]. A clock component weighs 16 B, a wide-tier
+/// pair, although a spilled clock's buffer holds most at 8 B (a narrow
+/// pair): the weight decides where segments are sealed, so lowering it
+/// would move the pinned sealed blobs and keys and every spilled run's
+/// segment boundaries.
 fn entry_weight(e: &ScrollEntry) -> usize {
     let payload = e.kind.payload().map_or(0, |p| p.len());
     48 + payload + 8 * e.randoms.len() + 16 * e.vc.nnz()

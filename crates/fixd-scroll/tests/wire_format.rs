@@ -1,5 +1,5 @@
 //! Wire-format stability: the scroll segment encoding is a persistent,
-//! versioned on-disk format. Four guarantees are pinned here:
+//! versioned on-disk format. Five guarantees are pinned here:
 //!
 //! 1. **v4 golden** — the current codec (entry clocks as deltas against
 //!    the entry before, a base clock in the header, a message's clock as
@@ -19,6 +19,10 @@
 //! 4. **v1 back-compat** — the same for segments written by the v1 codec
 //!    (dense `u64`-list clocks, pre-sparse refactor). The v1 bytes are
 //!    frozen inline below.
+//! 5. **Wide counts** — entry clocks past the inline tier with counts
+//!    above `u32::MAX` (kept in a wide heap buffer, where every other
+//!    spilled clock stores `u32` counts) encode to bytes frozen inline
+//!    below and decode to the same clocks.
 //!
 //! Entries compare as the Scroll writes them ([`EntryKind`]'s equality):
 //! a message's clock on its sender's component, so a v1–v3 entry that
@@ -254,6 +258,55 @@ fn blessed_golden_round_trips() {
             VectorClock::single(Pid(70_000), u64::MAX),
         ]
     );
+}
+
+/// Entry clocks past the inline tier whose counts cross `u32::MAX` and
+/// come back — the one case a spilled clock keeps wide, `(u32, u64)`
+/// pairs — and a count at `u64::MAX` on a far pid.
+fn wide_count_entries() -> Vec<ScrollEntry> {
+    let max = u64::from(u32::MAX);
+    let clocks = [
+        vec![(0, max - 1), (1, 2), (2, 6), (300, 1)],
+        vec![(0, max), (1, 2), (2, 6), (300, 1)],
+        vec![(0, max + 1), (1, 2), (2, 7), (300, 1)],
+        vec![(0, max + 2), (1, 3), (2, 7), (300, 1), (70_000, u64::MAX)],
+        vec![(0, max), (1, 3), (2, 7), (300, 2)],
+    ];
+    clocks
+        .into_iter()
+        .enumerate()
+        .map(|(i, pairs)| ScrollEntry {
+            vc: VectorClock::from_pairs(pairs),
+            ..sample_entry(
+                i as u64,
+                EntryKind::TimerFire {
+                    timer: TimerId(i as u64),
+                },
+            )
+        })
+        .collect()
+}
+
+/// The v4 encoding of [`wide_count_entries`], every count taken as a
+/// `u64` (as the codec has always taken them).
+const WIDE_COUNT_SEGMENT_HEX: &[&str] = &[
+    "040500020200f8060a0400fcffffff1f0104010caa0202030700ffffffffffffffffff01",
+    "effdb6f50d0300020201f8060a010002030700ffffffffffffffffff01effdb6f50d0301",
+    "020202f8060a0200020202030700ffffffffffffffffff01effdb6f50d0302020203f806",
+    "0a0300020102efa20401030700ffffffffffffffffff01effdb6f50d0303020204f8060a",
+    "030003ac0202c4a00402030700ffffffffffffffffff01effdb6f50d0304",
+];
+
+/// A spilled clock's count above `u32::MAX` is written, deltas
+/// included, exactly as a `u64`, and decodes back to the same clock.
+#[test]
+fn wide_counts_in_spilled_clocks_keep_their_bytes() {
+    let entries = wide_count_entries();
+    let encoded = encode_segment(&entries);
+    assert_eq!(encoded, hex_to_bytes(&WIDE_COUNT_SEGMENT_HEX.concat()));
+    assert_eq!(decode_segment(&encoded).expect("decodes"), entries);
+    let shared = decode_segment_shared(&encoded.into()).expect("decodes");
+    assert_eq!(shared, entries);
 }
 
 #[test]
