@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use fixd_runtime::wire::{content_hash, fnv1a};
-use fixd_runtime::{Message, MsgMeta, Pid, SharedDisk, VectorClock};
+use fixd_runtime::{Message, Pid, SharedDisk, VectorClock};
 use fixd_scroll::codec::encode_segment_into;
 use fixd_scroll::{EntryKind, ScrollEntry, ScrollStore, SpillConfig};
 
@@ -89,7 +89,6 @@ fn segment(nnz: usize, round: u64) -> Vec<ScrollEntry> {
             pid: Pid(0),
             local_seq: seq,
             at: seq * 7,
-            lamport: seq + 1,
             vc: clock(seq),
             kind: EntryKind::Deliver {
                 msg: Message {
@@ -100,7 +99,7 @@ fn segment(nnz: usize, round: u64) -> Vec<ScrollEntry> {
                     payload: vec![seq as u8; 16].into(),
                     sent_at: seq * 7,
                     vc: clock(seq + 40),
-                    meta: MsgMeta::default(),
+                    ckpt_index: 0,
                 }
                 .into(),
             },

@@ -7,7 +7,9 @@
 //! Format v2 wrote every entry's whole sparse clock (≈ 96 pairs here)
 //! and read 314 B an entry; v3 writes the components that changed since
 //! the process's previous entry and reads ≈ 186 B; v4 writes of a
-//! message's clock only its sender's component and reads ≈ 67 B.
+//! message's clock only its sender's component and reads 66.5 B; v5
+//! drops an entry's and a message's Lamport timestamps and a message's
+//! speculation id and reads 62.9 B.
 
 use fixd_core::{Fixd, FixdConfig};
 use fixd_examples::chord::chord_world;
@@ -18,7 +20,7 @@ const WIDTH: usize = 96;
 const SEED: u64 = 1;
 const SPILL_THRESHOLD: usize = 16 * 1024;
 /// Encoded bytes an entry may average, spilled prefix and resident tail.
-const MAX_BYTES_PER_ENTRY: f64 = 75.0;
+const MAX_BYTES_PER_ENTRY: f64 = 65.0;
 
 fn supervised(spill: Option<SpillConfig>) -> Fixd {
     let mut w = chord_world(WIDTH, SEED, 3, 16);

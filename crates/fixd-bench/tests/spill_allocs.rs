@@ -12,7 +12,7 @@
 //! `clock_allocs.rs`).
 
 use fixd_bench::{alloc_events, CountingAlloc};
-use fixd_runtime::{Message, MsgMeta, Pid, SharedDisk, VectorClock};
+use fixd_runtime::{Message, Pid, SharedDisk, VectorClock};
 use fixd_scroll::{EntryKind, ScrollEntry, ScrollStore, SpillConfig};
 
 #[global_allocator]
@@ -33,7 +33,6 @@ fn delivery(seq: u64) -> ScrollEntry {
         pid: Pid(0),
         local_seq: seq,
         at: seq * 7,
-        lamport: seq + 1,
         vc: clock(seq),
         kind: EntryKind::Deliver {
             msg: Message {
@@ -44,7 +43,7 @@ fn delivery(seq: u64) -> ScrollEntry {
                 payload: vec![seq as u8; 16].into(),
                 sent_at: seq * 7,
                 vc: clock(seq + 40),
-                meta: MsgMeta::default(),
+                ckpt_index: 0,
             }
             .into(),
         },

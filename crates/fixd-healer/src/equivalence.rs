@@ -69,7 +69,7 @@ pub fn behavioral_equivalence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixd_runtime::{Context, MsgMeta, VectorClock};
+    use fixd_runtime::{Context, VectorClock};
 
     /// v1: forwards doubled values. v2: same observable behavior, new
     /// internal bookkeeping field (behaviorally equivalent).
@@ -134,7 +134,7 @@ mod tests {
             payload: vec![v].into(),
             sent_at: 0,
             vc: VectorClock::new(2),
-            meta: MsgMeta::default(),
+            ckpt_index: 0,
         })
     }
 

@@ -109,7 +109,7 @@ proptest! {
                     payload: vec![v].into(),
                     sent_at: 0,
                     vc: fixd_runtime::VectorClock::new(2),
-                    meta: fixd_runtime::MsgMeta::default(),
+                    ckpt_index: 0,
                 })
             })
             .collect();

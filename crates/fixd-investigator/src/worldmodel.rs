@@ -791,7 +791,7 @@ mod tests {
             payload: vec![9].into(),
             sent_at: 0,
             vc: fixd_runtime::VectorClock::new(2),
-            meta: fixd_runtime::MsgMeta::default(),
+            ckpt_index: 0,
         };
         let snap = GlobalSnapshot {
             at: 0,

@@ -178,7 +178,7 @@ impl StepArena {
         payload: Payload,
         sent_at: VTime,
         vc: &VectorClock,
-        meta: crate::event::MsgMeta,
+        ckpt_index: u64,
     ) -> SharedMessage {
         if let Some(mut shell) = self.msgs.pop() {
             // Pooled shells are unique: no copy here.
@@ -190,7 +190,7 @@ impl StepArena {
             m.payload = payload;
             m.sent_at = sent_at;
             m.vc.clone_from(vc);
-            m.meta = meta;
+            m.ckpt_index = ckpt_index;
             self.msgs_recycled += 1;
             return SharedMessage::from_arc(shell);
         }
@@ -203,7 +203,7 @@ impl StepArena {
             payload,
             sent_at,
             vc: vc.clone(),
-            meta,
+            ckpt_index,
         })
     }
 
@@ -334,16 +334,7 @@ mod tests {
         let mut arena = StepArena::new();
         let sender = VectorClock::from_vec(vec![1; 8]);
         let send = |arena: &mut StepArena, vc: &VectorClock| {
-            arena.make_message(
-                1,
-                Pid(0),
-                Pid(1),
-                0,
-                Payload::empty(),
-                0,
-                vc,
-                crate::event::MsgMeta::default(),
-            )
+            arena.make_message(1, Pid(0), Pid(1), 0, Payload::empty(), 0, vc, 0)
         };
 
         // The sender still holds the buffer: the shell lets go of it.

@@ -1,9 +1,12 @@
-//! Logical clocks: Lamport scalar clocks and vector clocks.
+//! Vector clocks.
 //!
-//! Vector clocks are the causality backbone of the reproduction: the Scroll
-//! uses them to merge per-process logs into a causally consistent total
-//! order (§3.1 of the paper), and the Time Machine uses them to reason
-//! about consistent cuts when assembling global checkpoints (§3.2, Fig. 6).
+//! Every process carries one, ticked on its start, on each send and on
+//! each delivery (which also merges the sender's clock in). Nothing that
+//! runs a step, takes or restores a checkpoint, rolls back or heals reads
+//! it: the Time Machine works from the checkpoint indices messages carry
+//! and its dependency graph (§4.2, Fig. 6). The readers are the Scroll's
+//! entry clocks (§3.1), `Cut::frontier` and the merge checks, which read
+//! them after the fact, and the Investigator's `WorldState` hash.
 //!
 //! The representation is **sparse**: a clock stores only its nonzero
 //! `(pid, count)` components, sorted by pid, with the first few pairs held
@@ -46,40 +49,6 @@ use std::sync::Arc;
 
 use crate::wire::put_varint;
 use crate::Pid;
-
-/// A classic Lamport scalar clock.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LamportClock {
-    t: u64,
-}
-
-impl LamportClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self { t: 0 }
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn time(&self) -> u64 {
-        self.t
-    }
-
-    /// Advance for a local event; returns the new timestamp.
-    #[inline]
-    pub fn tick(&mut self) -> u64 {
-        self.t += 1;
-        self.t
-    }
-
-    /// Merge an observed remote timestamp (receive rule), then tick.
-    /// Returns the new timestamp.
-    #[inline]
-    pub fn observe(&mut self, remote: u64) -> u64 {
-        self.t = self.t.max(remote);
-        self.tick()
-    }
-}
 
 /// Partial-order comparison result between two vector clocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1167,16 +1136,6 @@ impl std::fmt::Display for VectorClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lamport_tick_and_observe() {
-        let mut c = LamportClock::new();
-        assert_eq!(c.tick(), 1);
-        assert_eq!(c.tick(), 2);
-        assert_eq!(c.observe(10), 11);
-        assert_eq!(c.observe(3), 12); // max(11,3)=11 then tick -> 12
-        assert_eq!(c.time(), 12);
-    }
 
     #[test]
     fn vc_tick_merge_order() {

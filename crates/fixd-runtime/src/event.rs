@@ -15,24 +15,6 @@ use crate::{Pid, VTime};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerId(pub u64);
 
-/// Metadata piggybacked on every message, used by the FixD components:
-///
-/// * `ckpt_index` — the sender's current checkpoint index, used by the
-///   Time Machine's communication-induced checkpointing (paper §4.2,
-///   Fig. 6) to track rollback dependencies;
-/// * `spec_id` — always 0: the id of the speculation the sender ran
-///   inside, from when the Time Machine had a commit/abort API. It stays
-///   on the wire (the Scroll writes it as one byte), so recorded formats
-///   and their goldens do not change;
-/// * `lamport` — sender's Lamport timestamp, used by the Scroll to impose
-///   a total order on messages (paper §2.2).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct MsgMeta {
-    pub ckpt_index: u64,
-    pub spec_id: u64,
-    pub lamport: u64,
-}
-
 /// A message in flight between two processes.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Message {
@@ -57,7 +39,10 @@ pub struct Message {
     /// one-component clock `{src: vc[src]}`; replay restores the
     /// receiver's clock from the entry instead of this merge.
     pub vc: VectorClock,
-    pub meta: MsgMeta,
+    /// The sender's checkpoint index at send time, the one value the
+    /// Time Machine's communication-induced checkpointing piggybacks on
+    /// a message (paper §4.2, Fig. 6) to track rollback dependencies.
+    pub ckpt_index: u64,
 }
 
 impl Message {
@@ -289,8 +274,9 @@ pub struct Event {
 /// their outcome" of paper §3.1).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Effects {
-    /// Messages sent (already stamped with id/vc/meta), in shared form:
-    /// routing, the trace record, and the Scroll alias these handles.
+    /// Messages sent (already stamped with id, clock and checkpoint
+    /// index), in shared form: routing, the trace record, and the Scroll
+    /// alias these handles.
     pub sends: Vec<SharedMessage>,
     /// Timers set: (id, fire-at absolute virtual time).
     pub timers_set: Vec<(TimerId, VTime)>,
@@ -359,7 +345,7 @@ mod tests {
             payload: payload.into(),
             sent_at: 0,
             vc: VectorClock::new(2),
-            meta: MsgMeta::default(),
+            ckpt_index: 0,
         }
     }
 

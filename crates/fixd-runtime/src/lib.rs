@@ -85,12 +85,12 @@ pub mod world;
 
 pub use arena::{ArenaStats, EFF_POOL_CAP, MSG_POOL_CAP, RAND_POOL_CAP, REC_POOL_CAP};
 pub use calqueue::CalQueueStats;
-pub use clock::{LamportClock, VectorClock};
+pub use clock::VectorClock;
 pub use disk::{DiskReplayGuard, DiskStats, SharedDisk};
 // The content-addressed state store sits below the runtime in the crate
 // DAG; re-export the pieces checkpoint-facing code needs so downstream
 // crates can use `fixd_runtime::{PageStore, SnapshotImage}` directly.
-pub use event::{Effects, Event, EventKind, Message, MsgMeta, Randoms, SharedMessage, TimerId};
+pub use event::{Effects, Event, EventKind, Message, Randoms, SharedMessage, TimerId};
 pub use fault::{Fault, FaultPlan};
 pub use fixd_store::{PageStats, PageStore, PagedImage, SnapshotImage, StoreStats};
 pub use harness::SoloHarness;

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use crate::arena::StepArena;
 use crate::clock::VectorClock;
-use crate::event::{Effects, EventKind, Message, MsgMeta, TimerId};
+use crate::event::{Effects, EventKind, Message, TimerId};
 use crate::payload;
 use crate::program::{Context, Program};
 use crate::rng::DetRng;
@@ -48,13 +48,12 @@ pub(crate) struct LazyRange {
 #[derive(Clone, Debug)]
 pub struct ProcContext {
     pub vc: VectorClock,
-    pub lamport: u64,
     pub rng: DetRng,
     /// Messages delivered to this process.
     pub delivered: u64,
-    /// Time-Machine metadata stamped on this process's sends (the
-    /// checkpoint index; the Lamport field is filled in per send).
-    pub meta: MsgMeta,
+    /// The Time Machine's checkpoint index, stamped on this process's
+    /// sends.
+    pub ckpt_index: u64,
     /// Id counters: they roll back with the state, so re-execution and
     /// replay mint identical ids.
     pub next_msg_id: u64,
@@ -70,15 +69,14 @@ pub(crate) enum Handler<'a> {
 }
 
 impl ProcContext {
-    /// The context process `pid` starts with: zero clocks, ids from 1,
+    /// The context process `pid` starts with: a zero clock, ids from 1,
     /// and the RNG stream derived from the world's `seed`.
     pub fn new(seed: u64, pid: Pid) -> Self {
         Self {
             vc: VectorClock::ZERO,
-            lamport: 0,
             rng: DetRng::derive(seed, u64::from(pid.0)),
             delivered: 0,
-            meta: MsgMeta::default(),
+            ckpt_index: 0,
             next_msg_id: 1,
             next_timer_id: 1,
         }
@@ -86,10 +84,9 @@ impl ProcContext {
 
     /// Run `pid`'s handler `h` on `program` at virtual time `now` in a
     /// world `width` pids wide, and return its effects. A start ticks
-    /// the clocks; a delivery ticks and merges the sender's clock in one
-    /// [`VectorClock::receive`], advances the Lamport clock past the
-    /// sender's and counts the receipt. The handler sees the meta
-    /// template as it is on entry.
+    /// the clock; a delivery ticks and merges the sender's clock in one
+    /// [`VectorClock::receive`] and counts the receipt. The handler's
+    /// sends carry the checkpoint index as it is on entry.
     pub(crate) fn run_handler(
         &mut self,
         pid: Pid,
@@ -102,11 +99,9 @@ impl ProcContext {
         match h {
             Handler::Start => {
                 self.vc.tick(pid);
-                self.lamport += 1;
             }
             Handler::Deliver(msg) => {
                 self.vc.receive(pid, &msg.vc);
-                self.lamport = self.lamport.max(msg.meta.lamport) + 1;
                 self.delivered += 1;
             }
             Handler::Timer(_) => {}

@@ -14,7 +14,7 @@ use std::any::Any;
 
 use crate::arena::StepArena;
 use crate::clock::VectorClock;
-use crate::event::{Effects, Message, MsgMeta, TimerId};
+use crate::event::{Effects, Message, TimerId};
 use crate::procs::ProcContext;
 use crate::{Pid, VTime};
 
@@ -112,8 +112,8 @@ pub struct Context<'a> {
     pid: Pid,
     now: VTime,
     world_width: usize,
-    /// The process's clocks, RNG stream, id counters and meta template;
-    /// the handler only reads the template.
+    /// The process's clock, RNG stream, id counters and checkpoint
+    /// index; the handler only reads the index.
     proc: &'a mut ProcContext,
     /// The world's recycling pools: message boxes for `send`, the
     /// effects body, and the draw buffer all come from here.
@@ -167,8 +167,7 @@ impl<'a> Context<'a> {
     }
 
     /// Send a message. The message is stamped with a fresh id, the sender's
-    /// vector clock (ticked), Lamport timestamp, and the Time-Machine
-    /// metadata template (checkpoint index).
+    /// vector clock (ticked) and its Time-Machine checkpoint index.
     ///
     /// The payload is materialized into one shared [`Payload`] allocation
     /// here — the only copy on the whole send → deliver → record →
@@ -181,11 +180,6 @@ impl<'a> Context<'a> {
         let id = p.next_msg_id;
         p.next_msg_id += 1;
         p.vc.tick(self.pid);
-        p.lamport += 1;
-        let meta = MsgMeta {
-            lamport: p.lamport,
-            ..p.meta
-        };
         let msg = self.arena.make_message(
             id,
             self.pid,
@@ -194,7 +188,7 @@ impl<'a> Context<'a> {
             payload.into(),
             self.now,
             &p.vc,
-            meta,
+            p.ckpt_index,
         );
         self.effects.sends.push(msg);
     }
@@ -299,11 +293,7 @@ mod tests {
         let mut proc = ProcContext {
             next_msg_id: 10,
             next_timer_id: 0,
-            meta: MsgMeta {
-                ckpt_index: 4,
-                spec_id: 9,
-                lamport: 0,
-            },
+            ckpt_index: 4,
             ..ProcContext::new(1, Pid(0))
         };
         let mut arena = StepArena::new();
@@ -324,13 +314,11 @@ mod tests {
         assert_eq!(m.src, Pid(1));
         assert_eq!(m.dst, Pid(2));
         assert_eq!(m.sent_at, 500);
-        assert_eq!(m.meta.ckpt_index, 4);
-        assert_eq!(m.meta.spec_id, 9);
-        assert_eq!(m.meta.lamport, 1);
+        assert_eq!(m.ckpt_index, 4);
         assert_eq!(m.vc.get(Pid(1)), 1);
         let m2 = &eff.sends[1];
         assert_eq!(m2.id, 11);
-        assert_eq!(m2.meta.lamport, 2);
+        assert_eq!(m2.ckpt_index, 4);
         assert_eq!(m2.vc.get(Pid(1)), 2);
     }
 

@@ -201,11 +201,12 @@ impl PostState {
 
     /// Write this state into the world's entry for the same pid. The
     /// entry keeps its liveness (the commit applies crashes itself) and
-    /// its meta template (the Time Machine writes the world's own).
+    /// its checkpoint index (the Time Machine writes the world's own).
     pub(crate) fn apply(self, e: &mut ProcEntry) {
         e.program.restore(&self.program);
-        let meta = e.ctx.meta;
-        e.ctx = ProcContext { meta, ..self.ctx };
+        let ckpt_index = e.ctx.ckpt_index;
+        e.ctx = self.ctx;
+        e.ctx.ckpt_index = ckpt_index;
     }
 }
 
@@ -258,7 +259,7 @@ struct Shard {
     busy_window: Duration,
     /// Payload traffic of this window's steps.
     window_payload: PayloadStats,
-    /// Stamp checkpoint ordinals into receiver meta templates, as a
+    /// Stamp checkpoint ordinals into receivers' checkpoint indices, as a
     /// Time Machine under `CheckpointPolicy::EveryReceive` does.
     stamp_receives: bool,
     /// Deliveries this shard has executed.
@@ -331,11 +332,11 @@ impl Shard {
             if self.stamp_receives {
                 // A supervised run checkpoints the receiver before every
                 // delivery and stamps the new checkpoint index into its
-                // meta template (which flows into every message it
+                // context (which flows into every message it
                 // subsequently sends). The index equals the delivery
                 // ordinal — index 0 is the init checkpoint — so the shard
                 // can stamp it without the Time Machine being present.
-                e.ctx.meta.ckpt_index = e.ctx.delivered + 1;
+                e.ctx.ckpt_index = e.ctx.delivered + 1;
             }
         }
         // Virtual "now" as the serial world would see it: monotonic,

@@ -3,8 +3,8 @@
 //!
 //! Fig. 4 of the paper has the detecting process "piece together a
 //! consistent global checkpoint of the system that is fed to the
-//! Investigator". In a real deployment that is a Chandy–Lamport-style
-//! marker protocol; in the deterministic simulator the world is
+//! Investigator". In a real deployment that is a marker-based snapshot
+//! protocol; in the deterministic simulator the world is
 //! quiescent between events, so a cut taken there, with the channel
 //! state (in-flight messages and pending timers) and liveness captured
 //! explicitly, is exactly the snapshot the marker protocol would deliver.
@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn snapshot_aliases_inflight_payloads() {
         // Checkpointing in-flight mail must share the queued messages
-        // themselves (clocks, metadata, and payload in one shared
+        // themselves (clock, checkpoint index and payload in one shared
         // allocation), not copy them.
         let mut w = beat_world();
         for _ in 0..40 {

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use crate::arena::{ArenaStats, StepArena};
 use crate::calqueue::{CalEntry, CalQueue};
 use crate::clock::VectorClock;
-use crate::event::{Effects, Event, EventKind, MsgMeta, SharedMessage, TimerId};
+use crate::event::{Effects, Event, EventKind, SharedMessage, TimerId};
 use crate::fault::FaultPlan;
 use crate::network::{DeliveryOutcome, DropReason, NetStats, NetworkConfig, Partition};
 use crate::procs::{Handler, ProcContext, ProcTable};
@@ -83,8 +83,8 @@ impl WorldConfig {
 }
 
 /// Everything needed to roll one process back, or to resume it outside
-/// the world: program state plus its whole [`ProcContext`] (clocks, RNG
-/// position, delivery count, meta template, id counters), carried as one
+/// the world: program state plus its whole [`ProcContext`] (clock, RNG
+/// position, delivery count, checkpoint index, id counters), carried as one
 /// value. Produced by [`World::checkpoint_process`] (inline state bytes)
 /// or [`World::checkpoint_process_in`] (state paged straight into a
 /// content-addressed [`PageStore`], so equal pages are stored once
@@ -112,7 +112,7 @@ impl ProcCheckpoint {
             h = wire::fnv_mix(h, u64::from(p.0));
             h = wire::fnv_mix(h, c);
         }
-        wire::fnv_mix(h, self.ctx.lamport)
+        h
     }
 }
 
@@ -315,7 +315,7 @@ impl World {
     }
 
     /// Have the shards stamp each receiver's checkpoint ordinal into its
-    /// message-meta template before a delivery runs, exactly as a Time
+    /// context's checkpoint index before a delivery runs, exactly as a Time
     /// Machine under `CheckpointPolicy::EveryReceive` does on the
     /// world's own table, so that the messages a shard's handlers send
     /// carry the bytes a supervised serial run's would. The Time Machine
@@ -775,11 +775,6 @@ impl World {
         self.procs.vc_of(pid)
     }
 
-    /// A process's current Lamport clock (0 for a dormant process).
-    pub fn proc_lamport(&self, pid: Pid) -> u64 {
-        self.procs.ent(pid).map_or(0, |e| e.ctx.lamport)
-    }
-
     /// A process's delivered-message count.
     pub fn delivered_count(&self, pid: Pid) -> u64 {
         self.procs.ent(pid).map_or(0, |e| e.ctx.delivered)
@@ -956,10 +951,10 @@ impl World {
         self.push_event(self.now, EventKind::Start { pid });
     }
 
-    /// Set the Time-Machine metadata template stamped on `pid`'s future
-    /// sends (the checkpoint index; `spec_id` stays 0).
-    pub fn set_meta_template(&mut self, pid: Pid, meta: MsgMeta) {
-        self.procs.ent_mut(pid).ctx.meta = meta;
+    /// Set the Time-Machine checkpoint index stamped on `pid`'s future
+    /// sends.
+    pub fn set_ckpt_index(&mut self, pid: Pid, idx: u64) {
+        self.procs.ent_mut(pid).ctx.ckpt_index = idx;
     }
 
     /// Remove queued events matching `pred` (e.g. in-flight messages made
@@ -1533,7 +1528,7 @@ mod tests {
             payload: 3u64.to_le_bytes().to_vec().into(),
             sent_at: w.now(),
             vc: VectorClock::new(2),
-            meta: MsgMeta::default(),
+            ckpt_index: 0,
         };
         w.inject_message(msg, w.now() + 1);
         let r = w.run_to_quiescence(100);
@@ -1541,24 +1536,16 @@ mod tests {
     }
 
     #[test]
-    fn meta_template_propagates_to_sends() {
+    fn ckpt_index_propagates_to_sends() {
         let mut w = ring_world(2, 3, 1);
-        // Seal happens on first peek; set template before any sends.
-        w.set_meta_template(
-            Pid(0),
-            MsgMeta {
-                ckpt_index: 7,
-                spec_id: 3,
-                lamport: 0,
-            },
-        );
+        // Seal happens on first peek; set the index before any sends.
+        w.set_ckpt_index(Pid(0), 7);
         w.peek();
         w.step(); // P0 start -> send
         let inflight = w.inflight_messages();
         let from_p0: Vec<_> = inflight.iter().filter(|m| m.src == Pid(0)).collect();
         assert!(!from_p0.is_empty());
-        assert_eq!(from_p0[0].meta.ckpt_index, 7);
-        assert_eq!(from_p0[0].meta.spec_id, 3);
+        assert_eq!(from_p0[0].ckpt_index, 7);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! targeted corruption, timer semantics, the trace's bounded tail.
 
 use fixd_runtime::{
-    Context, Fault, FaultPlan, Message, MsgMeta, Partition, Pid, Program, TimerId, VectorClock,
-    World, WorldConfig, TRACE_TAIL,
+    Context, Fault, FaultPlan, Message, Partition, Pid, Program, TimerId, VectorClock, World,
+    WorldConfig, TRACE_TAIL,
 };
 
 /// Echo server: replies to every ping; counts pings.
@@ -218,7 +218,7 @@ fn restored_timer_fires_after_a_later_cancel() {
         payload: vec![].into(),
         sent_at: w.now(),
         vc: VectorClock::new(2),
-        meta: MsgMeta::default(),
+        ckpt_index: 0,
     };
     let now = w.now();
     w.inject_message(poke, now);

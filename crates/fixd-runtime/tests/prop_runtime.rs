@@ -5,8 +5,8 @@ use proptest::prelude::*;
 
 use fixd_runtime::wire;
 use fixd_runtime::{
-    Context, DetRng, EventKind, FaultPlan, Message, MsgMeta, NetworkConfig, Pid, Program,
-    SoloHarness, VectorClock, World, WorldConfig,
+    Context, DetRng, EventKind, FaultPlan, Message, NetworkConfig, Pid, Program, SoloHarness,
+    VectorClock, World, WorldConfig,
 };
 
 /// A gossip-ish program whose behavior depends on payload and RNG, used
@@ -396,8 +396,7 @@ proptest! {
                 continue;
             };
             if steps.is_multiple_of(3) && w.is_materialized(pid) {
-                let meta = MsgMeta { ckpt_index: steps, spec_id: steps % 2, lamport: 0 };
-                w.set_meta_template(pid, meta);
+                w.set_ckpt_index(pid, steps);
             }
             let ck = w.checkpoint_process(pid);
             let mut program = w.with_program(pid, |p| p.clone_program());

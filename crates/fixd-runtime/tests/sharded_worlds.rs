@@ -721,7 +721,7 @@ handler_panic_surfaces! {
 /// Step `sc` serially and on `shards` shards side by side, peeking
 /// before every step as the supervisor does, and compare after every
 /// step everything a driver can read: each pid's full checkpoint
-/// (program bytes, clock, lamport, RNG position, delivered, meta,
+/// (program bytes, clock, RNG position, delivered, checkpoint index,
 /// message/timer ids), clock, liveness and delivered count, plus the
 /// trace length and the network counters.
 fn assert_lockstep(sc: &Scenario, shards: usize) {

@@ -7,7 +7,7 @@
 use fixd_runtime::wire::{
     get_payload, get_u64s, get_varint, get_varint_i64, put_bytes, put_u64s, put_varint,
 };
-use fixd_runtime::{Message, MsgMeta, Payload, Pid, TimerId, VectorClock};
+use fixd_runtime::{Message, Payload, Pid, TimerId, VectorClock};
 
 use crate::entry::{EntryKind, ScrollEntry};
 
@@ -41,9 +41,16 @@ use crate::entry::{EntryKind, ScrollEntry};
 ///   clock back from the entry's own `vc`
 ///   ([`crate::replay::replay_step`]) instead of merging the sender's.
 ///   The rest of the sender's clock was ≈ 120 of the 186 B an entry v3
-///   spent in `steady-spill`'s 96-wide Chord worlds (≈ 67 B an entry
-///   now). A message equals its decoded copy under [`EntryKind`]'s
+///   spent in `steady-spill`'s 96-wide Chord worlds (66.5 B an entry
+///   then). A message equals its decoded copy under [`EntryKind`]'s
 ///   equality, which compares the clocks on the sender's component.
+///   Still decoded for old segments.
+/// * v5 — no Lamport timestamp on an entry and no speculation id or
+///   Lamport timestamp on a message: a message carries its sender's
+///   checkpoint index alone, and [`crate::merge_total_order`] keys on
+///   the entry's clock instead. Three varints fewer: 66.5 → 63.0 B an
+///   entry in `steady-spill`'s worlds. v1–v4 segments still decode: their
+///   decoder reads those varints and discards them.
 ///
 /// **The header carries the base.** A segment is a header — this byte,
 /// the entry count as a varint, then the absolute v2 clock its first
@@ -66,7 +73,7 @@ use crate::entry::{EntryKind, ScrollEntry};
 /// the whole segment, offsets, or compression that reaches further back
 /// than the header's base breaks that and must give the store another
 /// way to read sealed bytes back.
-pub const FORMAT_VERSION: u8 = 4;
+pub const FORMAT_VERSION: u8 = 5;
 
 /// Append a segment header: the version byte, the entry count and the
 /// clock the first entry's delta is taken against.
@@ -247,7 +254,7 @@ impl PayloadSource<'_> {
 }
 
 /// Encode a message: every field, its clock as the sender's own
-/// component only (format v4).
+/// component only (format v4 on).
 pub fn encode_message(buf: &mut Vec<u8>, m: &Message) {
     put_varint(buf, m.id);
     put_varint(buf, u64::from(m.src.0));
@@ -256,9 +263,7 @@ pub fn encode_message(buf: &mut Vec<u8>, m: &Message) {
     put_bytes(buf, &m.payload);
     put_varint(buf, m.sent_at);
     put_varint(buf, m.vc.get(m.src));
-    put_varint(buf, m.meta.ckpt_index);
-    put_varint(buf, m.meta.spec_id);
-    put_varint(buf, m.meta.lamport);
+    put_varint(buf, m.ckpt_index);
 }
 
 /// Decode a message written by [`encode_message`], copying its payload
@@ -287,8 +292,11 @@ fn decode_message_from(
         get_clock(buf, pos, version)?
     };
     let ckpt_index = need(get_varint(buf, pos))?;
-    let spec_id = need(get_varint(buf, pos))?;
-    let lamport = need(get_varint(buf, pos))?;
+    if version < 5 {
+        // The legacy speculation id and Lamport timestamp, discarded.
+        need(get_varint(buf, pos))?;
+        need(get_varint(buf, pos))?;
+    }
     Ok(Message {
         id,
         src,
@@ -297,11 +305,7 @@ fn decode_message_from(
         payload,
         sent_at,
         vc,
-        meta: MsgMeta {
-            ckpt_index,
-            spec_id,
-            lamport,
-        },
+        ckpt_index,
     })
 }
 
@@ -312,7 +316,6 @@ pub fn encode_entry(buf: &mut Vec<u8>, e: &ScrollEntry, prev: &VectorClock) {
     put_varint(buf, u64::from(e.pid.0));
     put_varint(buf, e.local_seq);
     put_varint(buf, e.at);
-    put_varint(buf, e.lamport);
     e.vc.put_wire_delta(prev, buf);
     put_u64s(buf, e.randoms.as_slice());
     put_varint(buf, e.effects_fp);
@@ -355,7 +358,10 @@ fn decode_entry_from(
     let pid = get_pid(buf, pos)?;
     let local_seq = need(get_varint(buf, pos))?;
     let at = need(get_varint(buf, pos))?;
-    let lamport = need(get_varint(buf, pos))?;
+    if version < 5 {
+        // The legacy Lamport timestamp, discarded.
+        need(get_varint(buf, pos))?;
+    }
     let vc = if version >= 3 {
         get_clock_delta(buf, pos, &chain.prev, &mut chain.delta)?
     } else {
@@ -384,7 +390,6 @@ fn decode_entry_from(
         pid,
         local_seq,
         at,
-        lamport,
         vc,
         kind,
         randoms,
@@ -436,10 +441,11 @@ pub fn decode_segment_shared(seg: &Payload) -> Result<Vec<ScrollEntry>> {
     decode_segment_from(seg.as_slice(), &PayloadSource::View(seg))
 }
 
-/// The shortest entry in any version: the tag byte and eight one-byte
-/// varints (pid, sequence, time, lamport, an empty clock or delta, no
-/// randoms, fingerprint, sends).
-const MIN_ENTRY_BYTES: usize = 9;
+/// The shortest entry in any version: the tag byte and seven one-byte
+/// varints (pid, sequence, time, an empty clock or delta, no randoms,
+/// fingerprint, sends). A v1–v4 entry is a byte longer (its Lamport
+/// timestamp), so the bound holds for them too.
+const MIN_ENTRY_BYTES: usize = 8;
 
 fn decode_segment_from(buf: &[u8], source: &PayloadSource<'_>) -> Result<Vec<ScrollEntry>> {
     let mut pos = 0usize;
@@ -492,11 +498,7 @@ mod tests {
             payload: b"payload".into(),
             sent_at: 1234,
             vc: VectorClock::from_vec(vec![3, 1, 0]),
-            meta: MsgMeta {
-                ckpt_index: 2,
-                spec_id: 0,
-                lamport: 9,
-            },
+            ckpt_index: 2,
         }
     }
 
@@ -505,7 +507,6 @@ mod tests {
             pid: Pid(2),
             local_seq: 17,
             at: 888,
-            lamport: 10,
             vc: VectorClock::from_vec(vec![3, 2, 5]),
             kind,
             randoms: vec![7, 0, u64::MAX].into(),
@@ -603,7 +604,7 @@ mod tests {
         );
         // A Start entry whose clock claims 2^16 pairs in three bytes,
         // alone and inside a segment with room to spare behind it.
-        let entry = [0, 0, 0, 0, 0, 0x80, 0x80, 0x04];
+        let entry = [0, 0, 0, 0, 0x80, 0x80, 0x04];
         let zero = VectorClock::ZERO;
         assert_eq!(
             decode_entry(&entry, &mut 0, &zero),
@@ -618,7 +619,6 @@ mod tests {
             pid: Pid(0),
             local_seq: 0,
             at: 0,
-            lamport: 0,
             vc: VectorClock::ZERO,
             kind: EntryKind::Start,
             randoms: vec![].into(),
@@ -686,12 +686,13 @@ mod tests {
             }
         };
         // id, src, dst, tag, empty payload, sent_at, the sender's clock
-        // component, meta: the pid of `field` (0 src, 1 dst) is hostile.
+        // component, checkpoint index: the pid of `field` (0 src, 1 dst)
+        // is hostile.
         let message = |field: usize| {
             let mut b = vec![0];
             b.extend_from_slice(pid(field == 0));
             b.extend_from_slice(pid(field == 1));
-            b.extend_from_slice(&[0, 0, 0, 1, 0, 0, 0]);
+            b.extend_from_slice(&[0, 0, 0, 1, 0]);
             b
         };
         for field in 0..2 {
@@ -704,13 +705,13 @@ mod tests {
         let zero = VectorClock::ZERO;
         let mut entry = vec![0];
         entry.extend_from_slice(&PID_2_32_PLUS_1);
-        entry.extend_from_slice(&[0; 7]);
+        entry.extend_from_slice(&[0; 6]);
         assert_eq!(decode_entry(&entry, &mut 0, &zero).unwrap_err(), bad);
         let mut seg = vec![FORMAT_VERSION, 1, 0];
         seg.extend_from_slice(&entry);
         assert_eq!(decode_segment(&seg).unwrap_err(), bad);
         // A Deliver entry whose message carries one.
-        let mut entry = vec![1, 0, 0, 0, 0, 0, 0, 0, 0];
+        let mut entry = vec![1, 0, 0, 0, 0, 0, 0, 0];
         entry.extend_from_slice(&message(1));
         assert_eq!(decode_entry(&entry, &mut 0, &zero).unwrap_err(), bad);
         // A segment whose base clock carries one.

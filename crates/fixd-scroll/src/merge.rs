@@ -4,10 +4,25 @@
 //! system can be combined and analyzed to provide insight on the behavior
 //! of the system"*, and both playback schemes "generally make use of
 //! logging to impose a total order on all the messages sent in the
-//! system". We impose that total order with Lamport timestamps (ties
-//! broken by pid, then local sequence), which is guaranteed to be a linear
-//! extension of the happens-before partial order; vector clocks are then
-//! used to *verify* the merge is causally consistent.
+//! system". We impose that total order from the clocks the entries
+//! already record: an entry's key is the sum of its vector clock's
+//! components before its handler's sends (the recorded clock's sum minus
+//! `sends`, since each send ticks the clock once), ties broken by pid,
+//! then local sequence. That is a linear extension of the happens-before
+//! partial order, because happens-before is the transitive closure of two
+//! relations and the key respects both:
+//!
+//! * **Program order.** A process's key never falls from one entry to the
+//!   next: the next action starts from the clock the last one ended with
+//!   (its sends included) and only ticks or merges it, so a tie (a timer
+//!   firing after an entry that sent nothing) is settled by `local_seq`.
+//! * **Messages.** A receipt's key is above the key of the entry that
+//!   sent it: the message carries the sender's clock after its send
+//!   tick, whose sum exceeds the sending entry's key, and the receipt
+//!   merges that clock in and ticks.
+//!
+//! Vector clocks are then used to *verify* the merge is causally
+//! consistent.
 
 use crate::entry::{EntryKind, ScrollEntry};
 use crate::storage::ScrollStore;
@@ -22,13 +37,23 @@ pub struct CausalViolation {
 }
 
 /// Merge all per-process scrolls into one total order consistent with
-/// causality: sorted by `(lamport, pid, local_seq)`.
+/// causality: sorted by the sum of each entry's clock before its
+/// handler's sends, then pid, then `local_seq` (see the module docs for
+/// why that respects happens-before).
 pub fn merge_total_order(store: &ScrollStore) -> Vec<ScrollEntry> {
     let mut all: Vec<ScrollEntry> = (0..store.width())
         .flat_map(|i| store.scroll(fixd_runtime::Pid(i as u32)).into_owned())
         .collect();
-    all.sort_by_key(|a| (a.lamport, a.pid, a.local_seq));
+    all.sort_by_cached_key(|e| (causal_key(e), e.pid, e.local_seq));
     all
+}
+
+/// The sum of `e`'s clock components before its handler's sends. Summed
+/// in `u128`, so counts near `u64::MAX` cannot wrap; a decoded entry
+/// whose `sends` exceeds its clock's sum keys at 0 instead of panicking.
+fn causal_key(e: &ScrollEntry) -> u128 {
+    let sum: u128 = e.vc.entries().map(|(_, c)| u128::from(c)).sum();
+    sum.saturating_sub(u128::from(e.sends))
 }
 
 /// Verify a merged order is a linear extension of happens-before: no entry
@@ -161,6 +186,59 @@ mod tests {
                 .collect();
             assert!(seqs.windows(2).all(|w| w[0] < w[1]), "P{pid} order broken");
         }
+    }
+
+    /// P0 pings P1 and arms a late timer; P1 answers the ping twice.
+    #[derive(Clone)]
+    struct PingTwice;
+    impl Program for PingTwice {
+        fn on_start(&mut self, ctx: &mut Context) {
+            if ctx.pid() == Pid(0) {
+                ctx.send(Pid(1), 1, vec![]);
+                ctx.set_timer(1_000);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context, _: &Message) {
+            if ctx.pid() == Pid(1) {
+                ctx.send(Pid(0), 2, vec![]);
+                ctx.send(Pid(0), 2, vec![]);
+            }
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn restore(&mut self, _: &[u8]) {}
+    }
+
+    /// The key's two cases. Both receipts of a handler that sent twice
+    /// (P1's entry 1) key above it: its key leaves out its own sends
+    /// (counted in, P0's first receipt would tie with it and sort first,
+    /// on the lower pid). A timer firing that sends nothing (P0's entry
+    /// 3) ties with the entry before it, which `local_seq` places first.
+    #[test]
+    fn the_merge_key_orders_receipts_after_sends_and_breaks_ties_by_local_seq() {
+        let mut w = World::new(WorldConfig::seeded(1));
+        w.add_process(Box::new(PingTwice));
+        w.add_process(Box::new(PingTwice));
+        let merged = merge_total_order(&record_run(&mut w, RecordConfig::default(), 100).0);
+        let at = |pid, seq| {
+            let i = merged
+                .iter()
+                .position(|e| e.pid == Pid(pid) && e.local_seq == seq);
+            (i.unwrap(), &merged[i.unwrap()])
+        };
+        let (sent_at, sender) = at(1, 1);
+        assert_eq!(sender.sends, 2);
+        let sum = |e: &ScrollEntry| e.vc.entries().map(|(_, c)| u128::from(c)).sum::<u128>();
+        assert_eq!(sum(at(0, 1).1), sum(sender), "the sends, counted, tie");
+        for (i, receipt) in [at(0, 1), at(0, 2)] {
+            assert!(matches!(receipt.kind, EntryKind::Deliver { .. }));
+            assert!(causal_key(receipt) > causal_key(sender) && i > sent_at);
+        }
+        let ((i, before), (j, fire)) = (at(0, 2), at(0, 3));
+        assert!(matches!(fire.kind, EntryKind::TimerFire { .. }) && fire.sends == 0);
+        assert_eq!(causal_key(before), causal_key(fire), "a tie on the sum");
+        assert!(i < j);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::entry::{EntryKind, ScrollEntry};
 /// # use fixd_runtime::{Pid, VectorClock};
 /// # use fixd_scroll::{EntryKind, ScrollEntry, ScrollQuery};
 /// # let entry = |pid: u32, at: u64| ScrollEntry {
-/// #     pid: Pid(pid), local_seq: 0, at, lamport: at,
+/// #     pid: Pid(pid), local_seq: 0, at,
 /// #     vc: VectorClock::from_vec(vec![0; 3]),
 /// #     kind: EntryKind::Start, randoms: Default::default(), effects_fp: 0, sends: 0,
 /// # };
@@ -121,11 +121,7 @@ impl<'a> ScrollQuery<'a> {
                     format!("DROPPED {}→{} tag={}", msg.src, msg.dst, msg.tag)
                 }
             };
-            let _ = writeln!(
-                s,
-                "[{} #{:<4} t={:<6} L={:<4}] {desc}",
-                e.pid, e.local_seq, e.at, e.lamport
-            );
+            let _ = writeln!(s, "[{} #{:<4} t={:<6}] {desc}", e.pid, e.local_seq, e.at);
         }
         s
     }
@@ -134,14 +130,13 @@ impl<'a> ScrollQuery<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixd_runtime::{Message, MsgMeta, TimerId, VectorClock};
+    use fixd_runtime::{Message, TimerId, VectorClock};
 
     fn mk(pid: u32, seq: u64, at: VTime, kind: EntryKind) -> ScrollEntry {
         ScrollEntry {
             pid: Pid(pid),
             local_seq: seq,
             at,
-            lamport: seq + 1,
             vc: VectorClock::new(3),
             kind,
             randoms: vec![].into(),
@@ -159,7 +154,7 @@ mod tests {
             payload: vec![].into(),
             sent_at: 0,
             vc: VectorClock::new(3),
-            meta: MsgMeta::default(),
+            ckpt_index: 0,
         }
     }
 
@@ -216,7 +211,7 @@ mod tests {
         let s = sample();
         let first_deliver = ScrollQuery::new(&s).deliveries().first().unwrap();
         assert_eq!(first_deliver.local_seq, 1);
-        let heavy = ScrollQuery::new(&s).filter(|e| e.lamport > 2).count();
+        let heavy = ScrollQuery::new(&s).filter(|e| e.local_seq >= 2).count();
         assert_eq!(heavy, 2);
     }
 

@@ -96,18 +96,12 @@ impl ScrollRecorder {
             }
             EventKind::PartitionChange { .. } => return,
         };
-        // The process's own Lamport clock as the handler found it (a
-        // delivery already advanced past the sender's stamp): each send
-        // ticked it once more. A receipt thus sorts after the entry whose
-        // handler sent it, as [`crate::merge_total_order`] needs.
-        let lamport = world.proc_lamport(pid) - step.effects.sends.len() as u64;
         let local_seq = self.next_seq[pid.idx()];
         self.next_seq[pid.idx()] += 1;
         self.store.append(ScrollEntry {
             pid,
             local_seq,
             at: step.event.at,
-            lamport,
             vc: world.proc_vc(pid).clone(),
             kind,
             randoms: step.effects.randoms.clone(),

@@ -92,7 +92,6 @@ mod tests {
             pid: Pid(pid),
             local_seq: seq,
             at: 0,
-            lamport: seq,
             vc: VectorClock::new(2),
             kind,
             randoms: randoms.into(),

@@ -586,14 +586,13 @@ impl ScrollStore {
 mod tests {
     use super::*;
     use crate::entry::EntryKind;
-    use fixd_runtime::{Message, MsgMeta, VectorClock};
+    use fixd_runtime::{Message, VectorClock};
 
     fn entry(pid: u32, seq: u64) -> ScrollEntry {
         ScrollEntry {
             pid: Pid(pid),
             local_seq: seq,
             at: seq * 10,
-            lamport: seq + 1,
             vc: VectorClock::from_vec(vec![seq + 1, 0]),
             kind: EntryKind::Start,
             randoms: vec![].into(),
@@ -613,7 +612,7 @@ mod tests {
                     payload: payload.into(),
                     sent_at: seq,
                     vc: VectorClock::from_vec(vec![seq, 0]),
-                    meta: MsgMeta::default(),
+                    ckpt_index: 0,
                 }
                 .into(),
             },
@@ -893,7 +892,7 @@ mod tests {
     #[test]
     fn sealed_keys_and_blobs_are_pinned() {
         let (s, disk) = spilled_store();
-        assert_eq!((s.spilled_segments(), s.spilled_bytes()), (12, 1869));
+        assert_eq!((s.spilled_segments(), s.spilled_bytes()), (12, 1725));
         assert_eq!(disk.durable_snapshot().len(), 12);
         // The bytes, as FNV-1a over every blob in seal order. Sealed
         // bytes are the Scroll's wire format; no faster seal may move
@@ -902,18 +901,22 @@ mod tests {
         // did, and the eleven non-zero bases add 34 bytes. Re-pinned for
         // format v4 (a message's clock as its sender's component): each
         // message here carries `{0: seq}` from pid 1, three bytes in v3
-        // and one (`vc[1] = 0`) now, so every sealed delivery past the
-        // first is two bytes shorter (1963 → 1869 bytes).
+        // and one (`vc[1] = 0`) then, so every sealed delivery past the
+        // first is two bytes shorter (1963 → 1869 bytes). Re-pinned for
+        // format v5 (no entry Lamport timestamp, no message speculation
+        // id or Lamport timestamp): each of the 48 sealed deliveries is
+        // three bytes shorter (1869 → 1725 bytes).
         let blobs: Vec<u8> = s.spilled[0]
             .iter()
             .flat_map(|seg| disk.read(&disk_key(seg.key)).expect("sealed blob"))
             .collect();
-        assert_eq!(fixd_runtime::wire::fnv1a(&blobs), 0xc137_eec0_87e7_28ea);
+        assert_eq!(fixd_runtime::wire::fnv1a(&blobs), 0x4d26_3ed2_c979_4936);
         // The keys, through the whole disk's fingerprint. Re-pinned when
         // keys moved from FNV-1a to `content_hash` (a key is found only
         // through the store's in-memory `SegmentRef`, so it may move with
-        // the hash function), and with the blobs for formats v3 and v4.
-        assert_eq!(disk.durable_fingerprint(), 0x9b57_1e32_1a5a_538a);
+        // the hash function), and with the blobs for formats v3, v4 and
+        // v5.
+        assert_eq!(disk.durable_fingerprint(), 0x9eac_8bd9_6719_8239);
     }
 
     /// Counting reads nothing back, and reading bytes back reads each
@@ -990,10 +993,10 @@ mod tests {
         match how {
             Damage::FlipClockCount => {
                 // [version][count][zero base] then the first entry: tag,
-                // pid, seq, at, lamport, then its clock as a delta over
-                // the base: one pair, pid 0, zigzag(+1).
-                assert_eq!(blob[8..11], [1, 0, 2], "entry 0's clock is ⟨0:1⟩");
-                blob[10] = 6;
+                // pid, seq, at, then its clock as a delta over the base:
+                // one pair, pid 0, zigzag(+1).
+                assert_eq!(blob[7..10], [1, 0, 2], "entry 0's clock is ⟨0:1⟩");
+                blob[9] = 6;
                 disk.write(&key, &blob);
             }
             Damage::Truncate => {

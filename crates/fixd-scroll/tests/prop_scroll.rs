@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use fixd_runtime::wire::put_varint;
 use fixd_runtime::{
-    Context, Message, MsgMeta, NetworkConfig, Pid, Program, SharedDisk, TimerId, VectorClock,
-    World, WorldConfig,
+    Context, Message, NetworkConfig, Pid, Program, SharedDisk, TimerId, VectorClock, World,
+    WorldConfig,
 };
 use fixd_scroll::record::record_run;
 use fixd_scroll::{
@@ -144,7 +144,7 @@ impl Walker {
                     payload: vec![salt; usize::from(salt % 24)].into(),
                     sent_at: local_seq,
                     vc: vc.clone(),
-                    meta: MsgMeta::default(),
+                    ckpt_index: 0,
                 }
                 .into(),
             }
@@ -153,7 +153,6 @@ impl Walker {
             pid: Pid(pid),
             local_seq,
             at: local_seq * 3,
-            lamport: local_seq + 1,
             vc,
             kind,
             randoms: vec![u64::from(salt)].into(),
@@ -174,11 +173,9 @@ fn arb_message() -> impl Strategy<Value = Message> {
         any::<u64>(),
         arb_clock(),
         any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
     )
         .prop_map(
-            |(id, src, dst, tag, payload, sent_at, vc, ck, sp, lam)| Message {
+            |(id, src, dst, tag, payload, sent_at, vc, ckpt_index)| Message {
                 id,
                 src: Pid(src),
                 dst: Pid(dst),
@@ -186,11 +183,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 payload: payload.into(),
                 sent_at,
                 vc,
-                meta: MsgMeta {
-                    ckpt_index: ck,
-                    spec_id: sp,
-                    lamport: lam,
-                },
+                ckpt_index,
             },
         )
 }
@@ -211,26 +204,22 @@ fn arb_entry() -> impl Strategy<Value = ScrollEntry> {
         0u32..8,
         any::<u64>(),
         any::<u64>(),
-        any::<u64>(),
         arb_clock(),
         arb_kind(),
         proptest::collection::vec(any::<u64>(), 0..4),
         any::<u64>(),
         0u64..100,
     )
-        .prop_map(
-            |(pid, seq, at, lamport, vc, kind, randoms, fp, sends)| ScrollEntry {
-                pid: Pid(pid),
-                local_seq: seq,
-                at,
-                lamport,
-                vc,
-                kind,
-                randoms: randoms.into(),
-                effects_fp: fp,
-                sends,
-            },
-        )
+        .prop_map(|(pid, seq, at, vc, kind, randoms, fp, sends)| ScrollEntry {
+            pid: Pid(pid),
+            local_seq: seq,
+            at,
+            vc,
+            kind,
+            randoms: randoms.into(),
+            effects_fp: fp,
+            sends,
+        })
 }
 
 /// A recorded stream over three pids: arbitrary entries renumbered so
@@ -397,7 +386,7 @@ proptest! {
         naive_put_delta(&mut naive, &vc, &base);
         prop_assert_eq!(&fast, &naive);
         let entry = ScrollEntry {
-            pid: Pid(1), local_seq: 0, at: 0, lamport: 0, vc,
+            pid: Pid(1), local_seq: 0, at: 0, vc,
             kind: EntryKind::Start, randoms: vec![].into(), effects_fp: 0, sends: 0,
         };
         let mut buf = Vec::new();
@@ -529,7 +518,7 @@ proptest! {
             payload: payload.clone().into(),
             sent_at: 1,
             vc: VectorClock::from_vec(vec![1, 0]),
-            meta: MsgMeta::default(),
+            ckpt_index: 0,
         };
         let mut buf = Vec::new();
         codec::encode_message(&mut buf, &msg);
@@ -540,7 +529,7 @@ proptest! {
         prop_assert!(!back.payload.ptr_eq(&msg.payload), "decode allocates fresh bytes");
         // And through a whole segment.
         let entry = ScrollEntry {
-            pid: Pid(1), local_seq: 0, at: 0, lamport: 1,
+            pid: Pid(1), local_seq: 0, at: 0,
             vc: VectorClock::from_vec(vec![0, 1]),
             kind: EntryKind::Deliver { msg: msg.into() },
             randoms: vec![].into(), effects_fp: 0, sends: 0,

@@ -1,40 +1,48 @@
 //! Wire-format stability: the scroll segment encoding is a persistent,
-//! versioned on-disk format. Five guarantees are pinned here:
+//! versioned on-disk format. Six guarantees are pinned here:
 //!
-//! 1. **v4 golden** — the current codec (entry clocks as deltas against
+//! 1. **v5 golden** — the current codec (entry clocks as deltas against
 //!    the entry before, a base clock in the header, a message's clock as
-//!    its sender's component) must reproduce the blessed fixture
-//!    byte-for-byte. The fixture lives in
-//!    `tests/fixtures/golden_segment_v4.hex`; re-bless (only ever on a
+//!    its sender's component, no Lamport timestamps or speculation ids)
+//!    must reproduce the blessed fixture byte-for-byte. The fixture lives
+//!    in `tests/fixtures/golden_segment_v5.hex`; re-bless (only ever on a
 //!    deliberate, versioned format change) with
 //!    `FIXD_BLESS=1 cargo test -p fixd-scroll --test wire_format`.
-//! 2. **v3 back-compat** — segments written by the v3 codec (messages
+//! 2. **v4 back-compat** — segments written by the v4 codec (an entry's
+//!    Lamport timestamp, a message's speculation id and Lamport
+//!    timestamp, all read and discarded now) must still decode to the
+//!    same entries. `tests/fixtures/golden_segment_v4.hex` is frozen: the
+//!    v4 encoder is gone — do not edit or re-bless.
+//! 3. **v3 back-compat** — segments written by the v3 codec (messages
 //!    with their sender's whole clock) must still decode to the same
 //!    entries. `tests/fixtures/golden_segment_v3.hex` is frozen: the v3
 //!    encoder is gone, so it can never be regenerated — do not edit or
 //!    re-bless.
-//! 3. **v2 back-compat** — the same for segments written by the v2 codec
+//! 4. **v2 back-compat** — the same for segments written by the v2 codec
 //!    (absolute sparse varint clocks), frozen in
 //!    `tests/fixtures/golden_segment_v2.hex`.
-//! 4. **v1 back-compat** — the same for segments written by the v1 codec
+//! 5. **v1 back-compat** — the same for segments written by the v1 codec
 //!    (dense `u64`-list clocks, pre-sparse refactor). The v1 bytes are
 //!    frozen inline below.
-//! 5. **Wide counts** — entry clocks past the inline tier with counts
+//! 6. **Wide counts** — entry clocks past the inline tier with counts
 //!    above `u32::MAX` (kept in a wide heap buffer, where every other
-//!    spilled clock stores `u32` counts) encode to bytes frozen inline
-//!    below and decode to the same clocks.
+//!    spilled clock stores `u32` counts) encode to v5 bytes frozen inline
+//!    below and decode to the same clocks, and so do their frozen v4
+//!    bytes.
 //!
 //! Entries compare as the Scroll writes them ([`EntryKind`]'s equality):
 //! a message's clock on its sender's component, so a v1–v3 entry that
 //! decodes with the sender's whole clock equals the original too.
+//! Entries carry no Lamport timestamp or speculation id, so a v1–v4
+//! entry whose bytes hold them equals the original without them.
 //!
 //! And one robustness guarantee: hostile bytes — arbitrary ones, every
-//! truncation and single-byte mutation of the four goldens, and
+//! truncation and single-byte mutation of the five goldens, and
 //! hand-built malformed clock deltas and message clocks — make either
 //! decoder return an error, never panic, and the copying and the
 //! zero-copy decoder always agree.
 
-use fixd_runtime::{Message, MsgMeta, Payload, Pid, TimerId, VectorClock};
+use fixd_runtime::{Message, Payload, Pid, TimerId, VectorClock};
 use fixd_scroll::codec::{
     decode_segment, decode_segment_shared, encode_segment, CodecError, FORMAT_VERSION,
 };
@@ -44,6 +52,7 @@ use proptest::prelude::*;
 const V2_FIXTURE: &str = "tests/fixtures/golden_segment_v2.hex";
 const V3_FIXTURE: &str = "tests/fixtures/golden_segment_v3.hex";
 const V4_FIXTURE: &str = "tests/fixtures/golden_segment_v4.hex";
+const V5_FIXTURE: &str = "tests/fixtures/golden_segment_v5.hex";
 
 /// Frozen v1 segment (version byte 0x01, dense clocks) produced by the
 /// pre-sparse codec on exactly the entries from [`golden_entries`].
@@ -107,11 +116,7 @@ fn sample_msg(payload: Vec<u8>) -> Message {
         payload: payload.into(),
         sent_at: 1234,
         vc: VectorClock::from_vec(vec![3, 1, 0]),
-        meta: MsgMeta {
-            ckpt_index: 2,
-            spec_id: 0,
-            lamport: 9,
-        },
+        ckpt_index: 2,
     }
 }
 
@@ -120,7 +125,6 @@ fn sample_entry(local_seq: u64, kind: EntryKind) -> ScrollEntry {
         pid: Pid(2),
         local_seq,
         at: 888,
-        lamport: 10,
         vc: VectorClock::from_vec(vec![3, 2, 5]),
         kind,
         randoms: vec![7, 0, u64::MAX].into(),
@@ -188,7 +192,8 @@ fn v3_golden_entries() -> Vec<ScrollEntry> {
 /// [`v3_golden_entries`], then deliveries whose sender's component is
 /// zero (the message's clock decodes as the zero clock), takes more than
 /// one varint byte, and belongs to a far pid: the v4 message clock's
-/// every case, in the v4 golden.
+/// every case, in the v4 golden. The v5 golden holds the same entries
+/// (v5 dropped fields and added no case).
 fn v4_golden_entries() -> Vec<ScrollEntry> {
     let mut entries = v3_golden_entries();
     let senders = [
@@ -215,14 +220,14 @@ fn v4_golden_entries() -> Vec<ScrollEntry> {
 fn segment_encoding_matches_blessed_golden() {
     let encoded = encode_segment(&v4_golden_entries());
     assert_eq!(encoded[0], FORMAT_VERSION, "segment leads with its version");
-    assert_eq!(FORMAT_VERSION, 4);
+    assert_eq!(FORMAT_VERSION, 5);
     if std::env::var("FIXD_BLESS").is_ok() {
         std::fs::create_dir_all("tests/fixtures").unwrap();
-        std::fs::write(V4_FIXTURE, bytes_to_hex(&encoded)).unwrap();
+        std::fs::write(V5_FIXTURE, bytes_to_hex(&encoded)).unwrap();
         return;
     }
     let want = hex_to_bytes(
-        &std::fs::read_to_string(V4_FIXTURE)
+        &std::fs::read_to_string(V5_FIXTURE)
             .expect("golden fixture missing — run with FIXD_BLESS=1 on known-good code"),
     );
     assert_eq!(
@@ -235,29 +240,36 @@ fn segment_encoding_matches_blessed_golden() {
 
 #[test]
 fn blessed_golden_round_trips() {
-    let Ok(fixture) = std::fs::read_to_string(V4_FIXTURE) else {
+    let Ok(fixture) = std::fs::read_to_string(V5_FIXTURE) else {
         return; // first bless run
     };
-    let entries = decode_segment(&hex_to_bytes(&fixture)).expect("v4 golden decodes");
-    assert_eq!(entries, v4_golden_entries(), "decoded = original entries");
-    // What a v4 message keeps of its clock: the sender's component.
-    let clocks: Vec<VectorClock> = entries
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EntryKind::Deliver { msg } => Some(msg.vc.clone()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        clocks,
-        [
-            VectorClock::single(Pid(1), 1),
-            VectorClock::single(Pid(1), 1),
-            VectorClock::ZERO,
-            VectorClock::single(Pid(0), 300),
-            VectorClock::single(Pid(70_000), u64::MAX),
-        ]
-    );
+    // The frozen v4 golden decodes to the same entries, its entries'
+    // and messages' Lamport timestamps and speculation ids discarded.
+    for (version, bytes) in [(5, hex_to_bytes(&fixture)), (4, v4_golden_bytes())] {
+        assert_eq!(bytes[0], version);
+        let entries = decode_segment(&bytes).expect("golden decodes");
+        assert_eq!(entries, v4_golden_entries(), "v{version} decoded");
+        // What a v4 or v5 message keeps of its clock: the sender's
+        // component.
+        let clocks: Vec<VectorClock> = entries
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EntryKind::Deliver { msg } => Some(msg.vc.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            clocks,
+            [
+                VectorClock::single(Pid(1), 1),
+                VectorClock::single(Pid(1), 1),
+                VectorClock::ZERO,
+                VectorClock::single(Pid(0), 300),
+                VectorClock::single(Pid(70_000), u64::MAX),
+            ],
+            "v{version}"
+        );
+    }
 }
 
 /// Entry clocks past the inline tier whose counts cross `u32::MAX` and
@@ -288,8 +300,8 @@ fn wide_count_entries() -> Vec<ScrollEntry> {
 }
 
 /// The v4 encoding of [`wide_count_entries`], every count taken as a
-/// `u64` (as the codec has always taken them).
-const WIDE_COUNT_SEGMENT_HEX: &[&str] = &[
+/// `u64` (as the codec has always taken them). Frozen: decode only.
+const WIDE_COUNT_SEGMENT_V4_HEX: &[&str] = &[
     "040500020200f8060a0400fcffffff1f0104010caa0202030700ffffffffffffffffff01",
     "effdb6f50d0300020201f8060a010002030700ffffffffffffffffff01effdb6f50d0301",
     "020202f8060a0200020202030700ffffffffffffffffff01effdb6f50d0302020203f806",
@@ -297,16 +309,30 @@ const WIDE_COUNT_SEGMENT_HEX: &[&str] = &[
     "030003ac0202c4a00402030700ffffffffffffffffff01effdb6f50d0304",
 ];
 
+/// The v5 encoding of [`wide_count_entries`]: the v4 bytes without each
+/// entry's Lamport timestamp.
+const WIDE_COUNT_SEGMENT_V5_HEX: &[&str] = &[
+    "050500020200f8060400fcffffff1f0104010caa0202030700ffffffffffffffffff01ef",
+    "fdb6f50d0300020201f806010002030700ffffffffffffffffff01effdb6f50d03010202",
+    "02f8060200020202030700ffffffffffffffffff01effdb6f50d0302020203f806030002",
+    "0102efa20401030700ffffffffffffffffff01effdb6f50d0303020204f806030003ac02",
+    "02c4a00402030700ffffffffffffffffff01effdb6f50d0304",
+];
+
 /// A spilled clock's count above `u32::MAX` is written, deltas
-/// included, exactly as a `u64`, and decodes back to the same clock.
+/// included, exactly as a `u64`, and decodes back to the same clock,
+/// from the v5 bytes and from the frozen v4 ones.
 #[test]
 fn wide_counts_in_spilled_clocks_keep_their_bytes() {
     let entries = wide_count_entries();
     let encoded = encode_segment(&entries);
-    assert_eq!(encoded, hex_to_bytes(&WIDE_COUNT_SEGMENT_HEX.concat()));
-    assert_eq!(decode_segment(&encoded).expect("decodes"), entries);
-    let shared = decode_segment_shared(&encoded.into()).expect("decodes");
-    assert_eq!(shared, entries);
+    assert_eq!(encoded, hex_to_bytes(&WIDE_COUNT_SEGMENT_V5_HEX.concat()));
+    let v4 = hex_to_bytes(&WIDE_COUNT_SEGMENT_V4_HEX.concat());
+    for bytes in [encoded, v4] {
+        assert_eq!(decode_segment(&bytes).expect("decodes"), entries);
+        let shared = decode_segment_shared(&bytes.into()).expect("decodes");
+        assert_eq!(shared, entries);
+    }
 }
 
 #[test]
@@ -395,6 +421,10 @@ fn v4_golden_bytes() -> Vec<u8> {
     hex_to_bytes(&std::fs::read_to_string(V4_FIXTURE).expect("v4 golden fixture"))
 }
 
+fn v5_golden_bytes() -> Vec<u8> {
+    hex_to_bytes(&std::fs::read_to_string(V5_FIXTURE).expect("v5 golden fixture"))
+}
+
 /// Every proper prefix is an error; every other value of any one byte
 /// decodes or errs, the same way in both decoders. One thread a golden.
 #[test]
@@ -419,7 +449,8 @@ fn every_truncation_and_byte_mutation_of_the_goldens_decodes_or_errs() {
         scope.spawn(|| hostile(1, v1_golden_bytes()));
         scope.spawn(|| hostile(2, v2_golden_bytes()));
         scope.spawn(|| hostile(3, v3_golden_bytes()));
-        hostile(4, v4_golden_bytes());
+        scope.spawn(|| hostile(4, v4_golden_bytes()));
+        hostile(5, v5_golden_bytes());
     });
 }
 
@@ -429,7 +460,7 @@ fn every_truncation_and_byte_mutation_of_the_goldens_decodes_or_errs() {
 fn v3_segment(base: &[u8], delta: &[u8]) -> Vec<u8> {
     let mut seg = vec![3, 1];
     seg.extend_from_slice(base);
-    // tag, pid, seq, at, lamport
+    // tag, pid, seq, at, the legacy Lamport timestamp
     seg.extend_from_slice(&[0, 2, 0, 0, 0]);
     seg.extend_from_slice(delta);
     // no randoms, fingerprint, sends
@@ -490,12 +521,12 @@ fn hostile_clock_deltas_are_refused() {
     );
 }
 
-/// A v4 segment of one Deliver entry whose message ends in `clock`, the
+/// A v5 segment of one Deliver entry whose message ends in `clock`, the
 /// bytes where its sender's clock component goes.
-fn v4_delivery(clock: &[u8]) -> Vec<u8> {
-    // Header over the zero base; tag, pid, seq, at, lamport, an empty
-    // delta, no randoms, fingerprint, sends.
-    let mut seg = vec![4, 1, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0];
+fn v5_delivery(clock: &[u8]) -> Vec<u8> {
+    // Header over the zero base; tag, pid, seq, at, an empty delta, no
+    // randoms, fingerprint, sends.
+    let mut seg = vec![5, 1, 0, 1, 2, 0, 0, 0, 0, 0, 0];
     // id, src 1, dst 2, tag, empty payload, sent_at.
     seg.extend_from_slice(&[0, 1, 2, 0, 0, 0]);
     seg.extend_from_slice(clock);
@@ -503,23 +534,23 @@ fn v4_delivery(clock: &[u8]) -> Vec<u8> {
 }
 
 /// A message's sender component cut short — a varint whose last byte
-/// says more follows, or that ends before the metadata — is
+/// says more follows, or that ends before the checkpoint index — is
 /// `Truncated` from both decoders, never a panic.
 #[test]
 fn a_cut_short_sender_component_is_truncated() {
     let cases: [(&str, &[u8]); 3] = [
         ("a varint cut inside", &[0x80]),
         ("a long varint cut inside", &[0xff, 0xff, 0xff]),
-        ("no metadata after it", &[5]),
+        ("no checkpoint index after it", &[5]),
     ];
     for (what, clock) in cases {
-        let bytes = v4_delivery(clock);
+        let bytes = v5_delivery(clock);
         assert_eq!(decode_segment(&bytes), Err(CodecError::Truncated), "{what}");
         let shared = decode_segment_shared(&Payload::from(bytes));
         assert_eq!(shared, Err(CodecError::Truncated), "{what}");
     }
     // Whole, it decodes to the one-component clock.
-    let ok = decode_segment(&v4_delivery(&[0x81, 0x01, 0, 0, 0])).expect("decodes");
+    let ok = decode_segment(&v5_delivery(&[0x81, 0x01, 0])).expect("decodes");
     let EntryKind::Deliver { msg } = &ok[0].kind else {
         panic!("a delivery");
     };
@@ -535,7 +566,7 @@ proptest! {
     #[test]
     fn arbitrary_bytes_decode_or_err_alike(
         framed in any::<bool>(),
-        version in 0u8..6,
+        version in 0u8..7,
         count in 0u8..4,
         body in proptest::collection::vec(any::<u8>(), 0..160),
     ) {

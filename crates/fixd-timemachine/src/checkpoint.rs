@@ -78,7 +78,7 @@ pub struct TmCheckpoint {
     /// Checkpoint index = the interval this checkpoint *starts*.
     pub index: u64,
     /// The process's whole runtime context (clocks, RNG position, id
-    /// counters, meta template) when the checkpoint was taken.
+    /// counters, checkpoint index) when the checkpoint was taken.
     pub ctx: ProcContext,
     /// Virtual time at which the checkpoint was taken.
     pub taken_at: VTime,

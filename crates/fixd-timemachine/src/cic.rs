@@ -21,7 +21,7 @@
 //!   sent but the rolled-back receivers have not yet received
 //!   (sender-based message logging, as liblog provides in §4.1).
 
-use fixd_runtime::{EventKind, MsgMeta, Pid, SharedMessage, StepRecord, VTime, World};
+use fixd_runtime::{EventKind, Pid, SharedMessage, StepRecord, VTime, World};
 
 use crate::checkpoint::CheckpointStore;
 use crate::dependency::{DepEdge, DependencyGraph, NO_ROLLBACK};
@@ -138,19 +138,12 @@ impl TimeMachine {
             let idx = self.stores[i].record(world, self.events_handled[i]);
             debug_assert_eq!(idx, 0);
             self.intervals[i] = 0;
-            self.stamp_meta(world, pid);
+            self.stamp_ckpt_index(world, pid);
         }
     }
 
-    fn stamp_meta(&self, world: &mut World, pid: Pid) {
-        world.set_meta_template(
-            pid,
-            MsgMeta {
-                ckpt_index: self.intervals[pid.idx()],
-                spec_id: 0,
-                lamport: 0,
-            },
-        );
+    fn stamp_ckpt_index(&self, world: &mut World, pid: Pid) {
+        world.set_ckpt_index(pid, self.intervals[pid.idx()]);
     }
 
     /// Take an on-demand checkpoint of `pid` now. Returns its index.
@@ -159,7 +152,7 @@ impl TimeMachine {
         let i = pid.idx();
         let idx = self.stores[i].record(world, self.events_handled[i]);
         self.intervals[i] = idx;
-        self.stamp_meta(world, pid);
+        self.stamp_ckpt_index(world, pid);
         idx
     }
 
@@ -188,7 +181,7 @@ impl TimeMachine {
             }
             self.deps.add(DepEdge {
                 src: msg.src,
-                src_interval: msg.meta.ckpt_index,
+                src_interval: msg.ckpt_index,
                 dst,
                 dst_interval: self.intervals[dst.idx()],
             });
@@ -281,13 +274,13 @@ impl TimeMachine {
             }
             self.events_handled[i] = events_at;
             self.intervals[i] = l;
-            self.stamp_meta(world, pid);
+            self.stamp_ckpt_index(world, pid);
         }
         // Purge orphan in-flight messages: sent in an undone interval.
         report.msgs_purged = world.purge_events(|kind| match kind {
             EventKind::Deliver { msg } => {
                 let sl = line.get(msg.src.idx()).copied().unwrap_or(NO_ROLLBACK);
-                sl != NO_ROLLBACK && msg.meta.ckpt_index >= sl
+                sl != NO_ROLLBACK && msg.ckpt_index >= sl
             }
             _ => false,
         });
@@ -298,7 +291,7 @@ impl TimeMachine {
         for rec in self.delivery_log.drain(..) {
             let dl = line.get(rec.msg.dst.idx()).copied().unwrap_or(NO_ROLLBACK);
             let sl = line.get(rec.msg.src.idx()).copied().unwrap_or(NO_ROLLBACK);
-            let send_undone = sl != NO_ROLLBACK && rec.msg.meta.ckpt_index >= sl;
+            let send_undone = sl != NO_ROLLBACK && rec.msg.ckpt_index >= sl;
             let recv_undone = dl != NO_ROLLBACK && rec.dst_interval >= dl;
             if send_undone {
                 // Orphan: forget it entirely. If this log entry held the

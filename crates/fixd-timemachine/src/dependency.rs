@@ -2,7 +2,7 @@
 //!
 //! Every message carries its sender's checkpoint *interval* (the index of
 //! the sender's most recent checkpoint, stamped via
-//! [`fixd_runtime::MsgMeta::ckpt_index`]). When the message is delivered,
+//! [`fixd_runtime::Message::ckpt_index`]). When the message is delivered,
 //! the Time Machine records a dependency edge
 //! `(sender, sender_interval) → (receiver, receiver_interval)`:
 //! if the sender rolls back to a checkpoint ≤ `sender_interval` (undoing

@@ -20,9 +20,10 @@
 //!    no caller in supervision, the Healer or the campaigns, so it was
 //!    removed; the Healer steers after a plain [`TimeMachine::rollback`].
 //!    Bringing it back means restoring `speculation.rs` from the history
-//!    together with a product caller, and stamping a nonzero
-//!    [`fixd_runtime::MsgMeta::spec_id`] again (the field is still on the
-//!    wire, always 0).
+//!    together with a product caller, and giving each message the id of
+//!    the speculation its sender ran inside: a new field on
+//!    [`fixd_runtime::Message`] and a new Scroll format version (v5
+//!    carries the checkpoint index alone).
 //!
 //! Checkpointing is *communication induced* ([`cic`], Fig. 6): a process
 //! saves a lightweight checkpoint before receiving a message, and message

@@ -323,9 +323,10 @@ fn decoded_scroll_replay_restores_every_recorded_clock() {
     assert!(steps > 10_000, "{steps} steps replayed");
 }
 
-/// Each entry carries its process's own Lamport clock, so the merged
-/// Scroll is a linear extension of happens-before: no receipt sorts
-/// before the entry whose handler sent it, resident or spilled.
+/// The merge keys each entry on its recorded clock's sum before its
+/// sends, so the merged Scroll is a linear extension of happens-before:
+/// no receipt sorts before the entry whose handler sent it, resident or
+/// spilled.
 #[test]
 fn merged_scroll_orders_every_send_before_its_receipt() {
     for seed in 0..8 {
