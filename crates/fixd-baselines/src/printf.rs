@@ -7,7 +7,7 @@
 //! them all. Experiment F1 compares its cost and size against the
 //! Scroll's record-only-nondeterminism discipline.
 
-use fixd_runtime::{EventKind, StepRecord, World};
+use fixd_runtime::{EventKind, StepRecord};
 
 /// Collects formatted log lines for every event.
 #[derive(Clone, Debug, Default)]
@@ -23,7 +23,7 @@ impl PrintfLogger {
     }
 
     /// Log one step, the way an `eprintln!` in every handler would.
-    pub fn observe(&mut self, world: &World, step: &StepRecord) {
+    pub fn observe(&mut self, step: &StepRecord) {
         let line = match &step.event.kind {
             EventKind::Start { pid } => {
                 format!(
@@ -32,15 +32,15 @@ impl PrintfLogger {
                 )
             }
             EventKind::Deliver { msg } => format!(
-                "[t={} seq={}] {}: received tag={} ({} bytes) from {} (sent t={}), now vc={}",
+                "[t={} seq={}] {}: received tag={} ({} bytes) from {} (msg {}, sent t={})",
                 step.event.at,
                 step.event.seq,
                 msg.dst,
                 msg.tag,
                 msg.payload.len(),
                 msg.src,
+                msg.id,
                 msg.sent_at,
-                world.proc_vc(msg.dst),
             ),
             EventKind::Drop { msg } => format!(
                 "[t={} seq={}] network: DROPPED {}→{} tag={}",
@@ -120,7 +120,7 @@ impl PrintfLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixd_runtime::{Context, Pid, Program, WorldConfig};
+    use fixd_runtime::{Context, Pid, Program, World, WorldConfig};
 
     #[derive(Clone)]
     struct Chat;
@@ -149,7 +149,7 @@ mod tests {
         w.add_process(Box::new(Chat));
         let mut log = PrintfLogger::new();
         while let Some(step) = w.step() {
-            log.observe(&w, &step);
+            log.observe(&step);
         }
         // 2 starts + 3 deliveries, plus send lines and rng lines.
         assert!(log.len() > 5);
@@ -172,7 +172,7 @@ mod tests {
         let mut w1 = build();
         let mut log = PrintfLogger::new();
         while let Some(step) = w1.step() {
-            log.observe(&w1, &step);
+            log.observe(&step);
         }
         let mut w2 = build();
         let (store, _) =

@@ -39,7 +39,7 @@ fn bench_recording(c: &mut Criterion) {
                 let mut w = gossip_world(n, 7, 256, false);
                 let mut log = PrintfLogger::new();
                 while let Some(step) = w.step() {
-                    log.observe(&w, &step);
+                    log.observe(&step);
                 }
                 log.bytes()
             });
@@ -61,7 +61,7 @@ fn bench_recording(c: &mut Criterion) {
     let mut w2 = gossip_world(8, 7, 256, false);
     let mut printf = PrintfLogger::new();
     while let Some(step) = w2.step() {
-        printf.observe(&w2, &step);
+        printf.observe(&step);
     }
     let mut w3 = gossip_world(8, 7, 256, false);
     let (ll, _) = Liblog::record(&mut w3, 7, 1_000_000);

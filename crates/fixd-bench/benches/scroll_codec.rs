@@ -2,19 +2,13 @@
 //! Scroll's storage layer owns (a spilling run seals a segment every
 //! dozen-odd entries, and read-back touches every one of them again).
 //!
-//! Segments are [`ENTRIES`] deliveries of one process. An entry's clock
-//! has `nnz` components with one-byte pids and counts mostly, not all,
-//! under 128, and from one entry to the next one component in
-//! [`ADVANCE_EVERY`] rises by one — the shape `steady-spill`'s 96-wide
-//! Chord worlds seal (≈ 15 entries a segment, ≈ 14 of ≈ 96 components
-//! changed an entry), so an entry's clock delta is ≈ `nnz / 7` pairs.
-//! Each message carries its sender's whole clock, of the same shape; the
-//! codec writes its sender's component only (format v4).
+//! Segments are [`ENTRIES`] deliveries of one process, each with a
+//! 16-byte payload, one random draw and one send — the shape of
+//! `steady-spill`'s 96-wide Chord worlds (≈ 15 entries a segment).
 //!
 //! Series:
 //!
-//! * `encode/<nnz>` at 3 (inline clocks), 16 and 96: one segment into a
-//!   reused buffer, also printed as MB/s;
+//! * `encode`: one segment into a reused buffer, also printed as MB/s;
 //! * `seal`: one `ScrollStore::seal` of a resident segment, by a store
 //!   and onto a disk that hold the earlier ones. The table then splits
 //!   a seal into the parts it is made of — encode, content hash
@@ -35,61 +29,43 @@
 //!   v4, 2.7 KB in v3) and at 8 KiB — the record of what the move
 //!   bought.
 //!
-//! Expected shape: encode time rising with the footprint and MB/s
-//! falling (a wider clock has more changed pairs to find, and few bytes
-//! to write for them), encode the largest part of a seal and the hash a
-//! few per cent of it, splice more than ten times cheaper than decode.
-//! On a 2-vCPU host the seal went 14.2 → 7.9 µs and the splice 7.3 →
-//! 0.61 µs a sealed segment when the key moved off FNV-1a and read-back
-//! began borrowing from the disk; decode, which now checks the hash too,
-//! held at ≈ 19–21 µs. When the series took this clock shape (every
-//! component had changed at every entry before) and then format v4, on
-//! a busier 2-vCPU host, `encode/96` went 18.3 → 12.2 → 7.6 µs for
-//! 6,647 → 4,493 → 1,296 B a segment, and `ScrollStore::seal` at
-//! [`SEAL_NNZ`] 21.5 → 19.8 → 12.0 µs for 5,269 → 4,534 → 1,309 B.
+//! Expected shape: encode the largest part of a seal and the hash a few
+//! per cent of it, splice more than ten times cheaper than decode. On a
+//! 2-vCPU host the seal went 14.2 → 7.9 µs and the splice 7.3 → 0.61 µs
+//! a sealed segment when the key moved off FNV-1a and read-back began
+//! borrowing from the disk; decode, which now checks the hash too, held
+//! at ≈ 19–21 µs. While entries carried clocks (72 components here, one
+//! in seven rising an entry), format v4 took `ScrollStore::seal` from
+//! 19.8 to 12.0 µs for 4,534 → 1,309 B a segment; format v6 writes no
+//! clock at all.
 
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use fixd_runtime::wire::{content_hash, fnv1a};
-use fixd_runtime::{Message, Pid, SharedDisk, VectorClock};
+use fixd_runtime::{Message, Pid, SharedDisk};
 use fixd_scroll::codec::encode_segment_into;
 use fixd_scroll::{EntryKind, ScrollEntry, ScrollStore, SpillConfig};
 
 /// Entries per segment.
 const ENTRIES: u64 = 15;
-/// Clock footprint of the seal and read-back series.
-const SEAL_NNZ: usize = 72;
 /// Sealed segments behind the read-back series.
 const SEGMENTS: u64 = 32;
 /// Hand-timed repetitions behind the table.
 const REPS: u64 = 1_000;
-/// Entries between two rises of one clock component.
-const ADVANCE_EVERY: u64 = 7;
 
 /// Segment number `round` of pid 0's scroll: distinct bytes per round,
 /// so a content-addressed disk stores every one.
-fn segment(nnz: usize, round: u64) -> Vec<ScrollEntry> {
-    // Component `p` at entry `seq`: a base under which every ninth count
-    // takes two bytes, risen once every `ADVANCE_EVERY` entries, the
-    // components taking turns.
-    let clock = |seq: u64| {
-        let count = |p: u32| {
-            let p = u64::from(p);
-            1 + p * 15 % 143 + (seq + p) / ADVANCE_EVERY
-        };
-        VectorClock::from_pairs((0..nnz as u32).map(|p| (p, count(p))).collect())
-    };
+fn segment(round: u64) -> Vec<ScrollEntry> {
     (round * ENTRIES..(round + 1) * ENTRIES)
         .map(|seq| ScrollEntry {
             pid: Pid(0),
             local_seq: seq,
             at: seq * 7,
-            vc: clock(seq),
             kind: EntryKind::Deliver {
                 msg: Message {
                     id: seq,
@@ -98,7 +74,6 @@ fn segment(nnz: usize, round: u64) -> Vec<ScrollEntry> {
                     tag: 3,
                     payload: vec![seq as u8; 16].into(),
                     sent_at: seq * 7,
-                    vc: clock(seq + 40),
                     ckpt_index: 0,
                 }
                 .into(),
@@ -117,9 +92,7 @@ fn store_on(disk: &SharedDisk) -> ScrollStore {
 
 /// Append segment `round` to the resident tail, ready to seal.
 fn append_segment(store: &mut ScrollStore, round: u64) {
-    segment(SEAL_NNZ, round)
-        .into_iter()
-        .for_each(|e| store.append(e));
+    segment(round).into_iter().for_each(|e| store.append(e));
 }
 
 /// A store with [`SEGMENTS`] sealed segments and an empty tail.
@@ -145,17 +118,15 @@ fn spill_blob(disk: &SharedDisk, blob: &[u8], hash: u64) {
 
 fn bench_scroll_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("scroll_codec");
-    for &nnz in &[3usize, 16, 96] {
-        let entries = segment(nnz, 0);
-        let mut buf = Vec::new();
-        group.bench_with_input(BenchmarkId::new("encode", nnz), &nnz, |b, _| {
-            b.iter(|| {
-                buf.clear();
-                encode_segment_into(&mut buf, black_box(&entries));
-                buf.len()
-            });
+    let entries = segment(0);
+    let mut buf = Vec::new();
+    group.bench_function("encode", |b| {
+        b.iter(|| {
+            buf.clear();
+            encode_segment_into(&mut buf, black_box(&entries));
+            buf.len()
         });
-    }
+    });
     group.bench_function("seal", |b| {
         // One store across iterations, as in a run: set-up and routine
         // take turns on it.
@@ -196,18 +167,16 @@ fn mean_us<O>(mut timed: impl FnMut() -> O) -> f64 {
 fn print_table() {
     println!("\n--- scroll codec, {ENTRIES}-entry segments ---");
     let mut buf = Vec::new();
-    for nnz in [3usize, 16, 96] {
-        let entries = segment(nnz, 0);
-        let us = mean_us(|| {
-            buf.clear();
-            encode_segment_into(&mut buf, black_box(&entries));
-        });
-        println!(
-            "encode nnz {nnz:>2} : {:>5} B/segment {us:>7.2} µs {:>7.1} MB/s",
-            buf.len(),
-            buf.len() as f64 / us
-        );
-    }
+    let entries = segment(0);
+    let us = mean_us(|| {
+        buf.clear();
+        encode_segment_into(&mut buf, black_box(&entries));
+    });
+    println!(
+        "encode         : {:>5} B/segment {us:>7.2} µs {:>7.1} MB/s",
+        buf.len(),
+        buf.len() as f64 / us
+    );
 
     // One round times each part of a seal by hand and then the seal
     // itself, on twin disks growing in step: parts and whole meet the
@@ -216,7 +185,7 @@ fn print_table() {
     let [mut encode, mut hash, mut disk, mut free, mut seal] = [Duration::ZERO; 5];
     let lap = |total: &mut Duration, start: Instant| *total += start.elapsed();
     for round in 0..REPS {
-        let entries = segment(SEAL_NNZ, round);
+        let entries = segment(round);
         buf.clear();
         let start = Instant::now();
         encode_segment_into(&mut buf, black_box(&entries));
@@ -227,9 +196,9 @@ fn print_table() {
         let start = Instant::now();
         spill_blob(&parts_disk, &buf, key);
         lap(&mut disk, start);
-        // These entries own their clocks and messages outright, so
-        // freeing them costs more than in a supervised run, where the
-        // checkpoint and the trace hold the same buffers.
+        // These entries own their messages outright, so freeing them
+        // costs more than in a supervised run, where the trace holds the
+        // same messages.
         let start = Instant::now();
         drop(entries);
         lap(&mut free, start);
@@ -242,7 +211,7 @@ fn print_table() {
         [encode, hash, disk, free, seal].map(|d| d.as_secs_f64() * 1e6 / REPS as f64);
     let sum = encode + hash + disk + free;
     println!(
-        "seal nnz {SEAL_NNZ}    : {} B/segment; encode {encode:.2} + hash {hash:.2} + disk {disk:.2} \
+        "seal           : {} B/segment; encode {encode:.2} + hash {hash:.2} + disk {disk:.2} \
          + drop {free:.2} = {sum:.2} µs; ScrollStore::seal {seal:.2} µs (parts/seal {:.2})",
         buf.len(),
         sum / seal

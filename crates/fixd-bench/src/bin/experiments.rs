@@ -57,7 +57,7 @@ fn f1_scroll() {
             let mut w = gossip_world(n, 7, 256, false);
             let mut log = PrintfLogger::new();
             while let Some(step) = w.step() {
-                log.observe(&w, &step);
+                log.observe(&step);
             }
             (log.len(), log.bytes())
         });

@@ -6,8 +6,8 @@
 //! step counts match — so the sweep isolates exactly what world width
 //! costs:
 //!
-//! * **throughput** — with sparse causality clocks and lazy process
-//!   slots, stepping must not scale with width. Gate: steps/sec at
+//! * **throughput** — with lazy process slots, stepping must not scale
+//!   with width. Gate: steps/sec at
 //!   10^5 processes within 2x of 10^3 (`MAX_SLOWDOWN`).
 //! * **memory** — a dormant process is an 8-byte `Option<Box<_>>`
 //!   slot. Gate: the marginal cost per added process between the two
@@ -30,8 +30,8 @@ use std::sync::Arc;
 use fixd_bench::{live_bytes, CountingAlloc};
 use fixd_examples::chord::{chord_factory, ChordNode, ChordRing};
 use fixd_runtime::{
-    clock::INLINE_PAIRS, ArenaStats, EventKind, Pid, World, WorldConfig, EFF_POOL_CAP,
-    MSG_POOL_CAP, RAND_POOL_CAP, REC_POOL_CAP, TRACE_TAIL,
+    ArenaStats, Pid, World, WorldConfig, EFF_POOL_CAP, MSG_POOL_CAP, RAND_POOL_CAP, REC_POOL_CAP,
+    TRACE_TAIL,
 };
 
 #[global_allocator]
@@ -59,22 +59,6 @@ const MAX_SLOWDOWN: f64 = 2.0;
 /// Gate: marginal heap bytes per added (idle) process.
 const MAX_IDLE_BYTES_PER_PROC: f64 = 64.0;
 
-/// Labels for the per-delivery clock-sparsity histogram: the nonzero
-/// component count (`nnz`) of every delivered message's vector clock.
-/// The first [`INLINE_PAIRS`] buckets are the allocation-free inline
-/// cases; everything past them spilled to a heap vector.
-const NNZ_LABELS: &[&str] = &["1", "2", "3", "4", "5-8", "9-16", "17-32", "33+"];
-
-fn nnz_bucket(nnz: usize) -> usize {
-    match nnz {
-        0..=4 => nnz.saturating_sub(1),
-        5..=8 => 4,
-        9..=16 => 5,
-        17..=32 => 6,
-        _ => 7,
-    }
-}
-
 /// Shards in the per-shard arena census leg at the widest world.
 const ARENA_SHARDS: usize = 8;
 
@@ -90,10 +74,7 @@ struct RunResult {
 /// Build a width-`width` world with the 768-member Chord ring active
 /// and every other process dormant, run it to quiescence with the
 /// deterministic churn schedule, and report steps, time, and memory.
-/// When `nnz_hist` is given, tally each delivered message's clock nnz
-/// (the event stream is width-invariant, so one tallied run describes
-/// every width).
-fn run_once(width: usize, seed: u64, mut nnz_hist: Option<&mut [u64]>) -> RunResult {
+fn run_once(width: usize, seed: u64) -> RunResult {
     let members: Vec<Pid> = (0..MEMBERS as u32).map(Pid).collect();
     let ring = Arc::new(ChordRing::new(&members));
 
@@ -116,11 +97,6 @@ fn run_once(width: usize, seed: u64, mut nnz_hist: Option<&mut [u64]>) -> RunRes
     let mut steps = 0u64;
     while let Some(rec) = w.step() {
         black_box(&rec);
-        if let Some(hist) = nnz_hist.as_deref_mut() {
-            if let EventKind::Deliver { msg } = &rec.event.kind {
-                hist[nnz_bucket(msg.vc.nnz())] += 1;
-            }
-        }
         steps += 1;
         if steps == CRASH_AT {
             for &v in &victims {
@@ -219,17 +195,15 @@ fn arena_json(a: &ArenaStats) -> String {
 }
 
 fn main() {
-    // Warm-up (page in code + allocator arenas) — not measured; it
-    // doubles as the clock-sparsity census run.
-    let mut nnz_hist = vec![0u64; NNZ_LABELS.len()];
-    black_box(run_once(1_000, 1, Some(&mut nnz_hist)));
+    // Warm-up (page in code + allocator arenas) — not measured.
+    black_box(run_once(1_000, 1));
 
     let mut results: Vec<WidthResult> = Vec::new();
     for &width in WIDTHS {
         let mut rates: Vec<f64> = Vec::new();
         let mut last = None;
         for round in 0..ROUNDS {
-            let r = run_once(width, 100 + round as u64, None);
+            let r = run_once(width, 100 + round as u64);
             rates.push(r.steps as f64 / r.secs);
             last = Some(r);
         }
@@ -302,20 +276,6 @@ fn main() {
          marginal idle bytes/proc ({} → {}): {idle_bytes_per_proc:.2} \
          (gate < {MAX_IDLE_BYTES_PER_PROC})",
         a.width, b.width
-    );
-
-    let deliveries: u64 = nnz_hist.iter().sum();
-    let inline_hits: u64 = nnz_hist[..INLINE_PAIRS].iter().sum();
-    let inline_pct = 100.0 * inline_hits as f64 / deliveries.max(1) as f64;
-    let hist_line = NNZ_LABELS
-        .iter()
-        .zip(&nnz_hist)
-        .map(|(l, n)| format!("{l}:{n}"))
-        .collect::<Vec<_>>()
-        .join(" ");
-    println!(
-        "clock nnz per delivery: {hist_line}\n\
-         inline (≤{INLINE_PAIRS} pairs) covers {inline_pct:.1}% of deliveries"
     );
 
     // Per-shard arena census at the widest world: what the recycling
@@ -393,16 +353,6 @@ fn main() {
     }
     json.push_str(&format!(
         "    ],\n    \"total_resident_bytes\": {arena_total}\n  }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"clock_nnz\": {{{}}},\n  \"inline_pairs\": {INLINE_PAIRS},\n  \
-         \"inline_clock_pct\": {inline_pct:.1},\n",
-        NNZ_LABELS
-            .iter()
-            .zip(&nnz_hist)
-            .map(|(l, n)| format!("\"{l}\": {n}"))
-            .collect::<Vec<_>>()
-            .join(", ")
     ));
     json.push_str(&format!(
         "  \"slowdown_1e3_to_1e5\": {slowdown:.3},\n  \"max_slowdown\": {MAX_SLOWDOWN},\n  \

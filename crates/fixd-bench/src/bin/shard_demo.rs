@@ -26,10 +26,7 @@
 use std::hint::black_box;
 
 use fixd_runtime::wire::fnv_mix;
-use fixd_runtime::{
-    clock::INLINE_PAIRS, Context, EventKind, Message, Pid, Program, StepRecord, TimerId, World,
-    WorldConfig,
-};
+use fixd_runtime::{Context, Message, Pid, Program, StepRecord, TimerId, World, WorldConfig};
 
 /// Eager processes — every one of them active the whole run.
 const N: usize = 256;
@@ -155,27 +152,16 @@ fn main() {
     // The serial reference: identical workload on an unsharded World —
     // the sharded runs' fingerprints are checked against each other,
     // and their step count against the serial run.
-    // The serial pass doubles as a clock-sparsity census (the sharded
-    // runs execute the identical event sequence): how many delivered
-    // messages' vector clocks still fit the inline representation.
-    let (serial_steps, nnz_inline, nnz_total, nnz_max) = {
+    let serial_steps = {
         let mut w = World::new(WorldConfig::seeded(0x5AAD));
         for _ in 0..N {
             w.add_process(Box::new(Churn { acc: 0, seen: 0 }));
         }
-        let (mut steps, mut inline, mut total, mut max_nnz) = (0u64, 0u64, 0u64, 0usize);
-        while let Some(rec) = w.step() {
-            if let EventKind::Deliver { msg } = &rec.event.kind {
-                let n = msg.vc.nnz();
-                total += 1;
-                if n <= INLINE_PAIRS {
-                    inline += 1;
-                }
-                max_nnz = max_nnz.max(n);
-            }
+        let mut steps = 0u64;
+        while w.step().is_some() {
             steps += 1;
         }
-        (steps, inline, total, max_nnz)
+        steps
     };
 
     // Warm-up — not measured.
@@ -245,13 +231,6 @@ fn main() {
     }
     println!(
         "speedup 1 → {max_shards} shards ({gate_mode}): {speedup:.2}x (gate ≥ {MIN_SPEEDUP}x)"
-    );
-    println!(
-        "clock nnz per delivery: inline (≤{INLINE_PAIRS} pairs) covers {:.1}% of {} deliveries, \
-         max nnz {}",
-        100.0 * nnz_inline as f64 / nnz_total.max(1) as f64,
-        nnz_total,
-        nnz_max
     );
 
     let mut json = String::from("{\n  \"bench\": \"shard\",\n");

@@ -13,7 +13,7 @@ use fixd_runtime::{Context, Message, NetworkConfig, Pid, Program, World, WorldCo
 /// Allocation *events* (alloc + alloc_zeroed + realloc), maintained by
 /// [`CountingAlloc`]. Counts, not bytes: the gates built on this are
 /// "this loop does not call the allocator" (`tests/step_allocs.rs`) and
-/// "this operation calls it exactly once" (`tests/clock_allocs.rs`),
+/// "this operation calls it exactly once" (`tests/spill_allocs.rs`),
 /// and a count catches even a 1-byte slip that a byte-threshold would
 /// hide.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);

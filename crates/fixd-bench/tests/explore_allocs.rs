@@ -14,8 +14,7 @@
 //! same run allocated 11,092 times (16.12 a transition); a pop alone
 //! cost three allocations.
 //!
-//! One `#[test]` on purpose: the counter is process-wide (see
-//! `clock_allocs.rs`).
+//! One `#[test]` on purpose: the counter is process-wide.
 
 use std::sync::Arc;
 

@@ -1,6 +1,6 @@
 //! The Scroll's size claim, gated: a supervised 96-member Chord world
 //! whose Scroll spills to a `SharedDisk` (the shape of a long-lived
-//! deployment, 16 KiB resident per process) encodes in at most
+//! deployment, 4 KiB resident per process) encodes in at most
 //! [`MAX_BYTES_PER_ENTRY`] bytes an entry, and its spilled encoding is
 //! byte-identical to the encoding of the same run kept resident.
 //!
@@ -9,7 +9,8 @@
 //! the process's previous entry and reads ≈ 186 B; v4 writes of a
 //! message's clock only its sender's component and reads 66.5 B; v5
 //! drops an entry's and a message's Lamport timestamps and a message's
-//! speculation id and reads 62.9 B.
+//! speculation id and reads 62.9 B; v6 writes no clock at all and reads
+//! 32.8 B.
 
 use fixd_core::{Fixd, FixdConfig};
 use fixd_examples::chord::chord_world;
@@ -18,9 +19,9 @@ use fixd_scroll::SpillConfig;
 
 const WIDTH: usize = 96;
 const SEED: u64 = 1;
-const SPILL_THRESHOLD: usize = 16 * 1024;
+const SPILL_THRESHOLD: usize = 4 * 1024;
 /// Encoded bytes an entry may average, spilled prefix and resident tail.
-const MAX_BYTES_PER_ENTRY: f64 = 65.0;
+const MAX_BYTES_PER_ENTRY: f64 = 35.0;
 
 fn supervised(spill: Option<SpillConfig>) -> Fixd {
     let mut w = chord_world(WIDTH, SEED, 3, 16);

@@ -8,11 +8,10 @@
 //! segment (65 here): the output, and for every segment its key as a
 //! `Vec` and `SharedDisk::read`'s clone of the blob.
 //!
-//! One `#[test]` on purpose: the counter is process-wide (see
-//! `clock_allocs.rs`).
+//! One `#[test]` on purpose: the counter is process-wide.
 
 use fixd_bench::{alloc_events, CountingAlloc};
-use fixd_runtime::{Message, Pid, SharedDisk, VectorClock};
+use fixd_runtime::{Message, Pid, SharedDisk};
 use fixd_scroll::{EntryKind, ScrollEntry, ScrollStore, SpillConfig};
 
 #[global_allocator]
@@ -22,18 +21,10 @@ const SEGMENTS: u64 = 32;
 const ENTRIES: u64 = 15;
 
 fn delivery(seq: u64) -> ScrollEntry {
-    let clock = |salt: u64| {
-        VectorClock::from_pairs(
-            (0..24)
-                .map(|p| (p, 1 + (salt + u64::from(p)) % 200))
-                .collect(),
-        )
-    };
     ScrollEntry {
         pid: Pid(0),
         local_seq: seq,
         at: seq * 7,
-        vc: clock(seq),
         kind: EntryKind::Deliver {
             msg: Message {
                 id: seq,
@@ -42,7 +33,6 @@ fn delivery(seq: u64) -> ScrollEntry {
                 tag: 3,
                 payload: vec![seq as u8; 16].into(),
                 sent_at: seq * 7,
-                vc: clock(seq + 40),
                 ckpt_index: 0,
             }
             .into(),

@@ -10,8 +10,7 @@
 //! the arena. CI runs this file in release as well as debug: the claim is
 //! about the optimised loop.
 //!
-//! One `#[test]` on purpose: the counter is process-wide (see
-//! `clock_allocs.rs`).
+//! One `#[test]` on purpose: the counter is process-wide.
 
 use fixd_bench::{alloc_events, CountingAlloc};
 use fixd_runtime::{Context, Message, Payload, Pid, Program, TimerId, World, WorldConfig};
@@ -23,7 +22,7 @@ const PROCS: usize = 16;
 const PAYLOAD_BYTES: usize = 1024;
 const OUTPUT_BYTES: usize = 512;
 /// Steps before the counting window opens — long enough for every
-/// pool, bucket `Vec` and clock spill to reach its steady capacity.
+/// pool and bucket `Vec` to reach its steady capacity.
 const WARM_STEPS: u64 = 20_000;
 /// Steps counted. The tokens never stop, so every one of them is a
 /// steady-state step: no wind-down in which the pools outgrow their

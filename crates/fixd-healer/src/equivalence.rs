@@ -69,7 +69,7 @@ pub fn behavioral_equivalence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixd_runtime::{Context, VectorClock};
+    use fixd_runtime::Context;
 
     /// v1: forwards doubled values. v2: same observable behavior, new
     /// internal bookkeeping field (behaviorally equivalent).
@@ -133,7 +133,6 @@ mod tests {
             tag: 1,
             payload: vec![v].into(),
             sent_at: 0,
-            vc: VectorClock::new(2),
             ckpt_index: 0,
         })
     }

@@ -108,7 +108,6 @@ proptest! {
                     tag: 1,
                     payload: vec![v].into(),
                     sent_at: 0,
-                    vc: fixd_runtime::VectorClock::new(2),
                     ckpt_index: 0,
                 })
             })

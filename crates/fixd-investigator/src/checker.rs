@@ -69,13 +69,6 @@ impl ModelD {
         self.model.set_net(net);
     }
 
-    /// Use strict fingerprints (include clocks/RNG positions; needed when
-    /// programs branch on `ctx.random()`).
-    pub fn strict_fingerprint(mut self, on: bool) -> Self {
-        self.model.strict_fingerprint = on;
-        self
-    }
-
     /// The underlying model (e.g. for custom exploration).
     pub fn model(&self) -> &WorldModel {
         &self.model

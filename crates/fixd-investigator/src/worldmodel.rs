@@ -433,16 +433,18 @@ impl WorldState {
 }
 
 /// The application + environment model as a [`TransitionSystem`].
+///
+/// A state's identity — what its fingerprint hashes, so what the
+/// explorer merges — is each process's program bytes, started and
+/// crashed flags and armed-timer count, and every channel's contents.
+/// RNG positions are not part of it: two states that differ only in how
+/// far a process has drawn are explored once.
 pub struct WorldModel {
     width: usize,
     seed: u64,
     net: NetModel,
     factory: Arc<dyn Fn() -> Vec<Box<dyn Program>> + Send + Sync>,
     init_from: Option<WorldState>,
-    /// Include clocks/RNG positions in fingerprints. Off by default:
-    /// states that differ only in clock values merge, which is what you
-    /// want unless programs branch on `ctx.random()`.
-    pub strict_fingerprint: bool,
 }
 
 impl WorldModel {
@@ -461,7 +463,6 @@ impl WorldModel {
             net,
             factory: Arc::new(factory),
             init_from: None,
-            strict_fingerprint: false,
         }
     }
 
@@ -476,7 +477,6 @@ impl WorldModel {
             net,
             factory: Arc::new(Vec::new),
             init_from: Some(state),
-            strict_fingerprint: false,
         }
     }
 
@@ -516,24 +516,9 @@ impl TransitionSystem for WorldModel {
         )
     }
 
-    /// One mix of the state's cached sum; the strict extras (off by
-    /// default) are folded in from scratch.
+    /// One mix of the state's cached sum.
     fn fingerprint(&self, s: &WorldState) -> u64 {
-        let mut h = fnv_mix(FINGERPRINT_SEED, s.fp_sum);
-        if self.strict_fingerprint {
-            for p in &s.procs {
-                for (pid, c) in p.harness.context().vc.entries() {
-                    h = fnv_mix(h, u64::from(pid.0));
-                    h = fnv_mix(h, c);
-                }
-            }
-            for p in &s.procs {
-                for t in &p.timers {
-                    h = fnv_mix(h, t.0);
-                }
-            }
-        }
-        h
+        fnv_mix(FINGERPRINT_SEED, s.fp_sum)
     }
 
     fn enabled(&self, s: &WorldState) -> Vec<ModelAction> {
@@ -790,7 +775,6 @@ mod tests {
             tag: 1,
             payload: vec![9].into(),
             sent_at: 0,
-            vc: fixd_runtime::VectorClock::new(2),
             ckpt_index: 0,
         };
         let snap = GlobalSnapshot {
@@ -811,21 +795,21 @@ mod tests {
         // (XXH64), and when the fingerprint became a sum of
         // per-component terms updated by difference, instead of one
         // chain over every process and channel.
-        let mut m = WorldModel::from_state(7, NetModel::reliable(), s.clone());
+        let m = WorldModel::from_state(7, NetModel::reliable(), s.clone());
         assert_eq!(m.fingerprint(&s), 0x143c_4a13_56fa_01ed);
-        m.strict_fingerprint = true;
-        assert_eq!(m.fingerprint(&s), 0x80fc_699c_331e_a39e);
         let deliver = ModelAction::Deliver {
             src: Pid(0),
             dst: Pid(1),
         };
-        assert_eq!(m.fingerprint(&m.apply(&s, &deliver)), 0x31ff_e494_a917_7a37);
+        // The delivered state's value was pinned under strict
+        // fingerprints until those went with the clocks they hashed.
+        assert_eq!(m.fingerprint(&m.apply(&s, &deliver)), 0x29bd_6f55_eb99_2112);
     }
 
     /// [`TransitionSystem::fingerprint`] by its definition, with nothing
     /// cached: every program snapshotted again, every queued message
     /// hashed again, and the sum of the per-component terms formed anew.
-    fn fingerprint_from_scratch(m: &WorldModel, s: &WorldState) -> u64 {
+    fn fingerprint_from_scratch(s: &WorldState) -> u64 {
         let n = s.width();
         let mut sum = 0u64;
         for (i, p) in s.procs.iter().enumerate() {
@@ -845,19 +829,7 @@ mod tests {
             }
             sum = sum.wrapping_add(h);
         }
-        let mut h = fnv_mix(FINGERPRINT_SEED, sum);
-        if m.strict_fingerprint {
-            for p in &s.procs {
-                for (pid, c) in p.harness.context().vc.entries() {
-                    h = fnv_mix(h, u64::from(pid.0));
-                    h = fnv_mix(h, c);
-                }
-            }
-            for t in s.procs.iter().flat_map(|p| &p.timers) {
-                h = fnv_mix(h, t.0);
-            }
-        }
-        h
+        fnv_mix(FINGERPRINT_SEED, sum)
     }
 
     /// The example applications as models: a token ring whose node 1
@@ -921,7 +893,7 @@ mod tests {
     }
 
     /// Seeded random walks over every example model under every
-    /// environment model, loose and strict: at each state on a walk,
+    /// environment model: at each state on a walk,
     /// `check(model, parent, action, child)` sees every enabled action
     /// applied, then the walk follows one of them.
     fn for_each_walked_transition(
@@ -934,9 +906,8 @@ mod tests {
             NetModel::crashy(1),
         ];
         let mut transitions = 0;
-        for (net, strict) in nets.into_iter().flat_map(|n| [(n, false), (n, true)]) {
-            for mut model in example_models(net) {
-                model.strict_fingerprint = strict;
+        for net in nets {
+            for model in example_models(net) {
                 for seed in 0..4 {
                     let mut rng = fixd_runtime::DetRng::derive(seed, 0x3A1C);
                     let mut state = model.initial();
@@ -967,7 +938,7 @@ mod tests {
         for_each_walked_transition(|model, _parent, l, child| {
             assert_eq!(
                 model.fingerprint(child),
-                fingerprint_from_scratch(model, child),
+                fingerprint_from_scratch(child),
                 "after {l:?}"
             );
         });
@@ -981,8 +952,7 @@ mod tests {
         SKIP_CHAN_TERM_REMOVAL.set(true);
         let mut wrong = 0;
         for_each_walked_transition(|model, _parent, _l, child| {
-            wrong +=
-                usize::from(model.fingerprint(child) != fingerprint_from_scratch(model, child));
+            wrong += usize::from(model.fingerprint(child) != fingerprint_from_scratch(child));
         });
         SKIP_CHAN_TERM_REMOVAL.set(false);
         assert!(wrong > 1_000, "{wrong} transitions disagree");
@@ -992,7 +962,7 @@ mod tests {
     fn observe(m: &WorldModel, s: &WorldState) -> impl PartialEq + std::fmt::Debug {
         let pids = || (0..s.width() as u32).map(Pid);
         (
-            (m.fingerprint(s), fingerprint_from_scratch(m, s)),
+            (m.fingerprint(s), fingerprint_from_scratch(s)),
             s.outputs().to_vec(),
             pids()
                 .flat_map(|src| {
@@ -1004,7 +974,7 @@ mod tests {
                 .collect::<Vec<_>>(),
             s.procs
                 .iter()
-                .map(|p| (p.program.snapshot(), p.harness.context().vc.clone()))
+                .map(|p| (p.program.snapshot(), format!("{:?}", p.harness.context())))
                 .collect::<Vec<_>>(),
         )
     }

@@ -26,7 +26,6 @@
 
 use std::sync::Arc;
 
-use crate::clock::VectorClock;
 use crate::event::{Effects, Event, EventKind, Message, SharedMessage};
 use crate::payload::Payload;
 use crate::trace::{SharedStepRecord, StepRecord};
@@ -61,9 +60,7 @@ pub struct ArenaStats {
     /// Randoms draw buffers currently resting in the pool.
     pub randoms_pooled: usize,
     /// Estimated heap bytes pinned by pooled message shells (`Arc`
-    /// header + shell + the spilled clock each solely holds — a buffer
-    /// some other holder shares is let go on recycle, so none is counted
-    /// twice; payloads are released on recycle too).
+    /// header + shell; payloads are released on recycle).
     pub msg_bytes: usize,
     /// Estimated heap bytes pinned by pooled record shells (effects are
     /// stripped out on recycle, so this is header + shell).
@@ -114,11 +111,7 @@ impl StepArena {
     pub(crate) fn stats(&self) -> ArenaStats {
         // `Arc<T>`'s heap block: strong + weak counts ahead of the value.
         const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
-        let msg_bytes = self
-            .msgs
-            .iter()
-            .map(|m| ARC_HEADER + std::mem::size_of::<Message>() + m.vc.resident_bytes())
-            .sum::<usize>()
+        let msg_bytes = self.msgs.len() * (ARC_HEADER + std::mem::size_of::<Message>())
             + self.msgs.capacity() * std::mem::size_of::<Arc<Message>>();
         let record_bytes = self.records.len() * (ARC_HEADER + std::mem::size_of::<StepRecord>())
             + self.records.capacity() * std::mem::size_of::<Arc<StepRecord>>();
@@ -164,10 +157,7 @@ impl StepArena {
 
     // -- messages ------------------------------------------------------
 
-    /// Build a stamped message, reusing a pooled shell when one exists
-    /// (the shell's clock keeps the spilled buffer it solely holds
-    /// across reuse, so re-stamping is also allocation-free for wide
-    /// clocks). A fresh shell's clock is a handle on `vc`'s buffer.
+    /// Build a stamped message, reusing a pooled shell when one exists.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn make_message(
         &mut self,
@@ -177,7 +167,6 @@ impl StepArena {
         tag: u16,
         payload: Payload,
         sent_at: VTime,
-        vc: &VectorClock,
         ckpt_index: u64,
     ) -> SharedMessage {
         if let Some(mut shell) = self.msgs.pop() {
@@ -189,7 +178,6 @@ impl StepArena {
             m.tag = tag;
             m.payload = payload;
             m.sent_at = sent_at;
-            m.vc.clone_from(vc);
             m.ckpt_index = ckpt_index;
             self.msgs_recycled += 1;
             return SharedMessage::from_arc(shell);
@@ -202,7 +190,6 @@ impl StepArena {
             tag,
             payload,
             sent_at,
-            vc: vc.clone(),
             ckpt_index,
         })
     }
@@ -218,10 +205,8 @@ impl StepArena {
             return false;
         }
         // Release the payload bytes now (they may alias a large shared
-        // buffer); keep the clock's buffer for its capacity unless some
-        // other holder (the sender, a checkpoint) still shares it.
+        // buffer).
         m.payload = Payload::empty();
-        m.vc.release_shared();
         self.msgs.push(arc);
         true
     }
@@ -319,46 +304,5 @@ impl StepArena {
         let give = donor.msgs.len().min(room);
         let at = donor.msgs.len() - give;
         self.msgs.extend(donor.msgs.drain(at..));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A fresh shell's clock is a handle on the sender's buffer. On
-    /// recycle the shell keeps that buffer only if nobody else holds it
-    /// any more, so the census counts each pooled buffer exactly once.
-    #[test]
-    fn recycled_shell_never_pins_a_shared_clock_buffer() {
-        let mut arena = StepArena::new();
-        let sender = VectorClock::from_vec(vec![1; 8]);
-        let send = |arena: &mut StepArena, vc: &VectorClock| {
-            arena.make_message(1, Pid(0), Pid(1), 0, Payload::empty(), 0, vc, 0)
-        };
-
-        // The sender still holds the buffer: the shell lets go of it.
-        let msg = send(&mut arena, &sender);
-        assert!(msg.vc.shares_storage_with(&sender));
-        assert!(arena.recycle_message(msg));
-        let pooled = arena.stats();
-        assert_eq!(pooled.msgs_pooled, 1);
-
-        // Re-stamped from the pool (a zero clock has no buffer to copy
-        // into, so it shares again); this time the sender lets go first
-        // and the shell, now sole holder, keeps the buffer.
-        let msg = send(&mut arena, &sender);
-        assert_eq!(arena.stats().msgs_recycled, 1);
-        let bytes = sender.resident_bytes();
-        drop(sender);
-        assert!(arena.recycle_message(msg));
-        assert_eq!(arena.stats().msg_bytes, pooled.msg_bytes + bytes);
-
-        // And the kept buffer is what makes the next stamp copy in
-        // place instead of sharing.
-        let next = VectorClock::from_vec(vec![2; 8]);
-        let msg = send(&mut arena, &next);
-        assert_eq!(msg.vc, next);
-        assert!(!msg.vc.shares_storage_with(&next));
     }
 }

@@ -6,7 +6,6 @@
 //! Scroll (which records them), the Time Machine (which checkpoints around
 //! them), and the Investigator (which enumerates them).
 
-use crate::clock::VectorClock;
 use crate::payload::Payload;
 use crate::wire;
 use crate::{Pid, VTime};
@@ -18,8 +17,12 @@ pub struct TimerId(pub u64);
 /// A message in flight between two processes.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Message {
-    /// Unique id within the world run (also unique across duplicates:
-    /// a duplicated delivery reuses the id so tooling can spot it).
+    /// The send reference: ids are minted per sender, from 1, by
+    /// [`crate::Context::send`], so `(src, id)` names the send — it is
+    /// the sender's `id`-th send. A duplicated delivery reuses its
+    /// original's id. A message built by hand rather than sent carries
+    /// id 0, which no send mints: the Scroll finds no sending entry
+    /// for it.
     pub id: u64,
     pub src: Pid,
     pub dst: Pid,
@@ -32,13 +35,6 @@ pub struct Message {
     pub payload: Payload,
     /// Virtual time at which the send happened.
     pub sent_at: VTime,
-    /// Sender's vector clock at send time (after the send tick). The
-    /// receive rule merges all of it. A Scroll keeps only the sender's
-    /// own component, `vc.get(src)` (what its send-before-receive check
-    /// reads), so a message decoded from a Scroll carries the
-    /// one-component clock `{src: vc[src]}`; replay restores the
-    /// receiver's clock from the entry instead of this merge.
-    pub vc: VectorClock,
     /// The sender's checkpoint index at send time, the one value the
     /// Time Machine's communication-induced checkpointing piggybacks on
     /// a message (paper §4.2, Fig. 6) to track rollback dependencies.
@@ -71,7 +67,7 @@ impl Message {
 /// *same* `SharedMessage` (a newtype over `Arc<Message>`, mirroring
 /// [`Payload`]). Stamping a send materializes the message once;
 /// everything downstream is a reference-count bump. Cloning never copies
-/// the vector clock or payload; the single sanctioned mutation point is
+/// the payload; the single sanctioned mutation point is
 /// [`SharedMessage::to_mut`], used by the corruption fault path (which
 /// copy-on-writes the one private copy it is allowed).
 #[derive(Debug, PartialEq, Eq, Hash)]
@@ -274,8 +270,8 @@ pub struct Event {
 /// their outcome" of paper §3.1).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Effects {
-    /// Messages sent (already stamped with id, clock and checkpoint
-    /// index), in shared form: routing, the trace record, and the Scroll
+    /// Messages sent (already stamped with id and checkpoint index), in
+    /// shared form: routing, the trace record, and the Scroll
     /// alias these handles.
     pub sends: Vec<SharedMessage>,
     /// Timers set: (id, fire-at absolute virtual time).
@@ -344,7 +340,6 @@ mod tests {
             tag,
             payload: payload.into(),
             sent_at: 0,
-            vc: VectorClock::new(2),
             ckpt_index: 0,
         }
     }

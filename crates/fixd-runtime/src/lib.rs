@@ -66,7 +66,6 @@
 
 mod arena;
 mod calqueue;
-pub mod clock;
 pub mod disk;
 pub mod event;
 pub mod fault;
@@ -85,7 +84,6 @@ pub mod world;
 
 pub use arena::{ArenaStats, EFF_POOL_CAP, MSG_POOL_CAP, RAND_POOL_CAP, REC_POOL_CAP};
 pub use calqueue::CalQueueStats;
-pub use clock::VectorClock;
 pub use disk::{DiskReplayGuard, DiskStats, SharedDisk};
 // The content-addressed state store sits below the runtime in the crate
 // DAG; re-export the pieces checkpoint-facing code needs so downstream

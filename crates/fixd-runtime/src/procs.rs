@@ -10,7 +10,7 @@
 //!
 //! Fault status of dormant pids is tracked **out of line** in
 //! [`ProcTable::set_status`]: crashing a never-materialized process must
-//! not build its program, clock, and RNG state just to flip a status bit
+//! not build its program and RNG state just to flip a status bit
 //! (and previously did — the spurious-materialization fault-injection
 //! bug). A dormant crashed pid is a set entry, not a slot.
 
@@ -18,7 +18,6 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::arena::StepArena;
-use crate::clock::VectorClock;
 use crate::event::{Effects, EventKind, Message, TimerId};
 use crate::payload;
 use crate::program::{Context, Program};
@@ -47,7 +46,6 @@ pub(crate) struct LazyRange {
 /// left it.
 #[derive(Clone, Debug)]
 pub struct ProcContext {
-    pub vc: VectorClock,
     pub rng: DetRng,
     /// Messages delivered to this process.
     pub delivered: u64,
@@ -55,7 +53,8 @@ pub struct ProcContext {
     /// sends.
     pub ckpt_index: u64,
     /// Id counters: they roll back with the state, so re-execution and
-    /// replay mint identical ids.
+    /// replay mint identical ids. `next_msg_id` is the send reference
+    /// the next send carries ([`crate::Message::id`]).
     pub next_msg_id: u64,
     pub next_timer_id: u64,
 }
@@ -69,11 +68,10 @@ pub(crate) enum Handler<'a> {
 }
 
 impl ProcContext {
-    /// The context process `pid` starts with: a zero clock, ids from 1,
+    /// The context process `pid` starts with: ids from 1,
     /// and the RNG stream derived from the world's `seed`.
     pub fn new(seed: u64, pid: Pid) -> Self {
         Self {
-            vc: VectorClock::ZERO,
             rng: DetRng::derive(seed, u64::from(pid.0)),
             delivered: 0,
             ckpt_index: 0,
@@ -83,10 +81,9 @@ impl ProcContext {
     }
 
     /// Run `pid`'s handler `h` on `program` at virtual time `now` in a
-    /// world `width` pids wide, and return its effects. A start ticks
-    /// the clock; a delivery ticks and merges the sender's clock in one
-    /// [`VectorClock::receive`] and counts the receipt. The handler's
-    /// sends carry the checkpoint index as it is on entry.
+    /// world `width` pids wide, and return its effects. A delivery
+    /// counts the receipt. The handler's sends carry the checkpoint
+    /// index as it is on entry.
     pub(crate) fn run_handler(
         &mut self,
         pid: Pid,
@@ -96,15 +93,8 @@ impl ProcContext {
         width: usize,
         arena: &mut StepArena,
     ) -> Effects {
-        match h {
-            Handler::Start => {
-                self.vc.tick(pid);
-            }
-            Handler::Deliver(msg) => {
-                self.vc.receive(pid, &msg.vc);
-                self.delivered += 1;
-            }
-            Handler::Timer(_) => {}
+        if let Handler::Deliver(_) = h {
+            self.delivered += 1;
         }
         let mut ctx = Context::new(pid, now, width, self, arena);
         match h {
@@ -359,11 +349,5 @@ impl ProcTable {
             }
             kind => Some(kind),
         }
-    }
-
-    /// A process's clock; dormant pids share the static zero clock.
-    #[inline]
-    pub(crate) fn vc_of(&self, pid: Pid) -> &VectorClock {
-        self.ent(pid).map_or(&VectorClock::ZERO, |e| &e.ctx.vc)
     }
 }

@@ -13,7 +13,6 @@
 use std::any::Any;
 
 use crate::arena::StepArena;
-use crate::clock::VectorClock;
 use crate::event::{Effects, Message, TimerId};
 use crate::procs::ProcContext;
 use crate::{Pid, VTime};
@@ -112,8 +111,8 @@ pub struct Context<'a> {
     pid: Pid,
     now: VTime,
     world_width: usize,
-    /// The process's clock, RNG stream, id counters and checkpoint
-    /// index; the handler only reads the index.
+    /// The process's RNG stream, id counters and checkpoint index; the
+    /// handler only reads the index.
     proc: &'a mut ProcContext,
     /// The world's recycling pools: message boxes for `send`, the
     /// effects body, and the draw buffer all come from here.
@@ -166,8 +165,9 @@ impl<'a> Context<'a> {
         self.world_width
     }
 
-    /// Send a message. The message is stamped with a fresh id, the sender's
-    /// vector clock (ticked) and its Time-Machine checkpoint index.
+    /// Send a message. The message is stamped with the sender's next id
+    /// — its send reference ([`Message::id`]): this is the only place
+    /// ids are minted — and its Time-Machine checkpoint index.
     ///
     /// The payload is materialized into one shared [`Payload`] allocation
     /// here — the only copy on the whole send → deliver → record →
@@ -179,7 +179,6 @@ impl<'a> Context<'a> {
         let p = &mut *self.proc;
         let id = p.next_msg_id;
         p.next_msg_id += 1;
-        p.vc.tick(self.pid);
         let msg = self.arena.make_message(
             id,
             self.pid,
@@ -187,7 +186,6 @@ impl<'a> Context<'a> {
             tag,
             payload.into(),
             self.now,
-            &p.vc,
             p.ckpt_index,
         );
         self.effects.sends.push(msg);
@@ -268,11 +266,6 @@ impl<'a> Context<'a> {
         self.effects.crashed = true;
     }
 
-    /// The process's current vector clock (read-only view).
-    pub fn vector_clock(&self) -> &VectorClock {
-        &self.proc.vc
-    }
-
     pub(crate) fn into_effects(mut self) -> Effects {
         if self.randoms.is_empty() {
             // No draws: hand the shell straight back to the pool and
@@ -315,11 +308,9 @@ mod tests {
         assert_eq!(m.dst, Pid(2));
         assert_eq!(m.sent_at, 500);
         assert_eq!(m.ckpt_index, 4);
-        assert_eq!(m.vc.get(Pid(1)), 1);
         let m2 = &eff.sends[1];
         assert_eq!(m2.id, 11);
         assert_eq!(m2.ckpt_index, 4);
-        assert_eq!(m2.vc.get(Pid(1)), 2);
     }
 
     #[test]

@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn snapshot_aliases_inflight_payloads() {
         // Checkpointing in-flight mail must share the queued messages
-        // themselves (clock, checkpoint index and payload in one shared
+        // themselves (checkpoint index and payload in one shared
         // allocation), not copy them.
         let mut w = beat_world();
         for _ in 0..40 {

@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use crate::arena::{ArenaStats, StepArena};
 use crate::calqueue::{CalEntry, CalQueue};
-use crate::clock::VectorClock;
 use crate::event::{Effects, Event, EventKind, SharedMessage, TimerId};
 use crate::fault::FaultPlan;
 use crate::network::{DeliveryOutcome, DropReason, NetStats, NetworkConfig, Partition};
@@ -83,7 +82,7 @@ impl WorldConfig {
 }
 
 /// Everything needed to roll one process back, or to resume it outside
-/// the world: program state plus its whole [`ProcContext`] (clock, RNG
+/// the world: program state plus its whole [`ProcContext`] (RNG
 /// position, delivery count, checkpoint index, id counters), carried as one
 /// value. Produced by [`World::checkpoint_process`] (inline state bytes)
 /// or [`World::checkpoint_process_in`] (state paged straight into a
@@ -103,16 +102,11 @@ pub struct ProcCheckpoint {
 }
 
 impl ProcCheckpoint {
-    /// Stable fingerprint of the checkpointed state (program bytes + vc).
-    /// Streams over pages for paged snapshots — identical to the value
-    /// the inline form produces for the same bytes.
+    /// Stable fingerprint of the checkpointed program bytes. Streams
+    /// over pages for paged snapshots — identical to the value the
+    /// inline form produces for the same bytes.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = self.state.content_fnv1a();
-        for (p, c) in self.ctx.vc.entries() {
-            h = wire::fnv_mix(h, u64::from(p.0));
-            h = wire::fnv_mix(h, c);
-        }
-        h
+        self.state.content_fnv1a()
     }
 }
 
@@ -352,7 +346,7 @@ impl World {
 
     /// Add `count` processes that materialize lazily: each slot costs 8
     /// bytes until the first event touches it, at which point `factory`
-    /// builds the program and the full process entry (clock, RNG stream,
+    /// builds the program and the full process entry (RNG stream,
     /// counters) is created exactly as [`World::add_process`] would have.
     ///
     /// Lazy processes get **no** automatic `Start` event at seal time —
@@ -452,8 +446,7 @@ impl World {
         None
     }
 
-    /// Finalize world construction (clock widths, start events, fault
-    /// schedule) without executing anything. Called implicitly by
+    /// Finalize world construction (start events, fault schedule) without executing anything. Called implicitly by
     /// `peek`/`step`; call explicitly before taking checkpoints of a
     /// world that has not stepped yet.
     pub fn ensure_started(&mut self) {
@@ -768,13 +761,6 @@ impl World {
         self.procs.status_of(pid)
     }
 
-    /// A process's current vector clock. Dormant processes share the one
-    /// static zero clock — reading a million idle clocks allocates
-    /// nothing.
-    pub fn proc_vc(&self, pid: Pid) -> &VectorClock {
-        self.procs.vc_of(pid)
-    }
-
     /// A process's delivered-message count.
     pub fn delivered_count(&self, pid: Pid) -> u64 {
         self.procs.ent(pid).map_or(0, |e| e.ctx.delivered)
@@ -932,7 +918,7 @@ impl World {
     }
 
     /// Replace a process's program wholesale (the Healer's dynamic update
-    /// entry point). Clocks and RNG position are preserved; the new
+    /// entry point). The RNG position and id counters are preserved; the new
     /// program's state must already be migrated.
     pub fn replace_program(&mut self, pid: Pid, program: Box<dyn Program>) {
         self.assert_unsharded("replace_program");
@@ -1301,15 +1287,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_clocks_track_causality() {
-        let mut w = ring_world(3, 2, 7);
-        w.run_to_quiescence(1_000);
-        // P0 started the token; its send is causally before P1's state.
-        let vc1 = w.proc_vc(Pid(1));
-        assert!(vc1.get(Pid(0)) > 0, "P1 must have observed P0 events");
-    }
-
-    #[test]
     fn crash_stops_handlers_and_drops_mail() {
         let mut w = ring_world(3, 10, 7);
         w.set_fault_plan(FaultPlan::none().crash(Pid(1), 15));
@@ -1521,13 +1498,12 @@ mod tests {
         let mut w = ring_world(2, 0, 1);
         w.run_to_quiescence(100);
         let msg = Message {
-            id: 999,
+            id: 0,
             src: Pid(0),
             dst: Pid(1),
             tag: 1,
             payload: 3u64.to_le_bytes().to_vec().into(),
             sent_at: w.now(),
-            vc: VectorClock::new(2),
             ckpt_index: 0,
         };
         w.inject_message(msg, w.now() + 1);

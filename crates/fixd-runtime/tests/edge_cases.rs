@@ -2,8 +2,8 @@
 //! targeted corruption, timer semantics, the trace's bounded tail.
 
 use fixd_runtime::{
-    Context, Fault, FaultPlan, Message, Partition, Pid, Program, TimerId, VectorClock, World,
-    WorldConfig, TRACE_TAIL,
+    Context, Fault, FaultPlan, Message, Partition, Pid, Program, TimerId, World, WorldConfig,
+    TRACE_TAIL,
 };
 
 /// Echo server: replies to every ping; counts pings.
@@ -211,13 +211,12 @@ fn restored_timer_fires_after_a_later_cancel() {
     // (the poke, P1's timer) and no peek past them: the cancel mark
     // still waits for the fire event that the restore purges.
     let poke = Message {
-        id: 99,
+        id: 0,
         src: Pid(1),
         dst: Pid(0),
         tag: 0,
         payload: vec![].into(),
         sent_at: w.now(),
-        vc: VectorClock::new(2),
         ckpt_index: 0,
     };
     let now = w.now();

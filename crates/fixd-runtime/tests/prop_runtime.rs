@@ -1,12 +1,12 @@
 //! Property-based tests for the runtime substrate: determinism,
-//! clock laws, codec laws, checkpoint identity.
+//! codec laws, checkpoint identity.
 
 use proptest::prelude::*;
 
 use fixd_runtime::wire;
 use fixd_runtime::{
-    Context, DetRng, EventKind, FaultPlan, Message, NetworkConfig, Pid, Program, SoloHarness,
-    VectorClock, World, WorldConfig,
+    Context, EventKind, FaultPlan, Message, NetworkConfig, Pid, Program, SoloHarness, World,
+    WorldConfig,
 };
 
 /// A gossip-ish program whose behavior depends on payload and RNG, used
@@ -63,287 +63,8 @@ fn noisy_world(n: usize, seed: u64, fanout: u8, jitter: bool, drop: f64) -> Worl
     w
 }
 
-/// Reference model for [`VectorClock`]: the seed's dense
-/// one-slot-per-process representation, kept deliberately naive so the
-/// sparse implementation is checked against obviously-correct code.
-#[derive(Clone, Debug, Default)]
-struct DenseClock(Vec<u64>);
-
-impl DenseClock {
-    fn get(&self, p: usize) -> u64 {
-        self.0.get(p).copied().unwrap_or(0)
-    }
-    fn tick(&mut self, p: usize) -> u64 {
-        if self.0.len() <= p {
-            self.0.resize(p + 1, 0);
-        }
-        self.0[p] += 1;
-        self.0[p]
-    }
-    fn untick(&mut self, p: usize, by: u64) {
-        if let Some(c) = self.0.get_mut(p) {
-            *c = c.saturating_sub(by);
-        }
-    }
-    fn merge(&mut self, other: &DenseClock) {
-        if self.0.len() < other.0.len() {
-            self.0.resize(other.0.len(), 0);
-        }
-        for (i, &v) in other.0.iter().enumerate() {
-            self.0[i] = self.0[i].max(v);
-        }
-    }
-    fn leq(&self, other: &DenseClock) -> bool {
-        (0..self.0.len().max(other.0.len())).all(|i| self.get(i) <= other.get(i))
-    }
-    fn total(&self) -> u64 {
-        self.0.iter().sum()
-    }
-}
-
-/// Clocks the pool-model test keeps alive at once.
-const POOL: usize = 5;
-
-/// One step of a random history over a small pool of clocks, applied to
-/// the sparse clocks and their dense models alike. Slot indices are
-/// taken modulo [`POOL`].
-#[derive(Clone, Debug)]
-enum ClockOp {
-    /// `pool[i].tick(pid)`.
-    Tick(usize, u8),
-    /// `pool[i].merge(&from_vec(v))`: an outside clock whose pids may
-    /// be missing from the front, middle and back of the target, and
-    /// whose counts may sit either side of `u32::MAX`.
-    MergeVec(usize, Vec<u64>),
-    /// `pool[i].receive(pid, &pool[j])` against `tick` then `merge`;
-    /// `i == j` receives a clone of itself.
-    Receive(usize, u8, usize),
-    /// `pool[i].untick(pid, by)`.
-    Untick(usize, u8, u64),
-    /// `pool[i].merge(&pool[j])`; `i == j` merges a clone of itself
-    /// (identical storage).
-    Merge(usize, usize),
-    /// `pool[k] = pool[i].clone()` (dropping what `k` held).
-    Clone(usize, usize),
-    /// `pool[i].clone_from(&pool[j])`.
-    CloneFrom(usize, usize),
-    /// Drop `pool[i]` and start a fresh zero clock in its place.
-    Reset(usize),
-}
-
-/// A small count (zero included), or one of `u32::MAX - 1 ..= u32::MAX +
-/// 1`: the narrow/wide line that ticks, merges and unticks then cross.
-fn count() -> impl Strategy<Value = u64> {
-    (0u64..7).prop_map(|c| match c {
-        0..4 => c,
-        _ => u64::from(u32::MAX) + c - 5,
-    })
-}
-
-fn clock_ops() -> impl Strategy<Value = Vec<ClockOp>> {
-    let slot = || 0usize..POOL;
-    proptest::collection::vec(
-        prop_oneof![
-            (slot(), 0u8..24).prop_map(|(i, p)| ClockOp::Tick(i, p)),
-            (slot(), 0u8..24).prop_map(|(i, p)| ClockOp::Tick(i, p)),
-            (slot(), proptest::collection::vec(count(), 0..24))
-                .prop_map(|(i, v)| ClockOp::MergeVec(i, v)),
-            (slot(), 0u8..24, slot()).prop_map(|(i, p, j)| ClockOp::Receive(i, p, j)),
-            (slot(), 0u8..24, 0u64..4).prop_map(|(i, p, by)| ClockOp::Untick(i, p, by)),
-            (slot(), slot()).prop_map(|(i, j)| ClockOp::Merge(i, j)),
-            (slot(), slot()).prop_map(|(k, i)| ClockOp::Clone(k, i)),
-            (slot(), slot()).prop_map(|(i, j)| ClockOp::CloneFrom(i, j)),
-            slot().prop_map(ClockOp::Reset),
-        ],
-        0..80,
-    )
-}
-
-/// `pool[i]` mutably and `pool[j]` shared, `i != j`.
-fn pick<T>(pool: &mut [T], i: usize, j: usize) -> (&mut T, &T) {
-    if i < j {
-        let (lo, hi) = pool.split_at_mut(j);
-        (&mut lo[i], &hi[0])
-    } else {
-        let (lo, hi) = pool.split_at_mut(i);
-        (&mut hi[0], &lo[j])
-    }
-}
-
-/// Apply one op to a pool of `(sparse, dense)` pairs.
-fn apply_clock_op(pool: &mut [(VectorClock, DenseClock)], op: &ClockOp) {
-    match op {
-        ClockOp::Tick(i, p) => {
-            let (s, d) = &mut pool[*i];
-            assert_eq!(
-                s.tick(Pid(u32::from(*p))),
-                d.tick(usize::from(*p)),
-                "tick must return the same count"
-            );
-        }
-        ClockOp::MergeVec(i, v) => {
-            let (s, d) = &mut pool[*i];
-            s.merge(&VectorClock::from_vec(v.clone()));
-            d.merge(&DenseClock(v.clone()));
-        }
-        ClockOp::Receive(i, p, j) if i == j => {
-            let (s, d) = &mut pool[*i];
-            let same = (s.clone(), d.clone());
-            s.receive(Pid(u32::from(*p)), &same.0);
-            d.tick(usize::from(*p));
-            d.merge(&same.1);
-        }
-        ClockOp::Receive(i, p, j) => {
-            let (dst, src) = pick(pool, *i, *j);
-            dst.0.receive(Pid(u32::from(*p)), &src.0);
-            dst.1.tick(usize::from(*p));
-            dst.1.merge(&src.1);
-        }
-        ClockOp::Untick(i, p, by) => {
-            let (s, d) = &mut pool[*i];
-            s.untick(Pid(u32::from(*p)), *by);
-            d.untick(usize::from(*p), *by);
-        }
-        ClockOp::Merge(i, j) if i == j => {
-            let (s, _) = &mut pool[*i];
-            let same = s.clone();
-            s.merge(&same);
-        }
-        ClockOp::Merge(i, j) => {
-            let (dst, src) = pick(pool, *i, *j);
-            dst.0.merge(&src.0);
-            dst.1.merge(&src.1);
-        }
-        ClockOp::Clone(k, i) => pool[*k] = pool[*i].clone(),
-        ClockOp::CloneFrom(i, j) if i == j => {}
-        ClockOp::CloneFrom(i, j) => {
-            let (dst, src) = pick(pool, *i, *j);
-            dst.0.clone_from(&src.0);
-            dst.1 = src.1.clone();
-        }
-        ClockOp::Reset(i) => pool[*i] = Default::default(),
-    }
-}
-
-/// A sparse clock is its dense model: same components (also past both
-/// supports), same footprint, and the same value — `Eq`, `Hash` and
-/// `Display` — as the clock rebuilt from the model, whichever
-/// representation and however shared a buffer either sits in.
-fn assert_is_model(s: &VectorClock, d: &DenseClock) {
-    use std::hash::{Hash, Hasher};
-    for i in 0..d.0.len() + 2 {
-        assert_eq!(s.get(Pid(i as u32)), d.get(i), "component {i}");
-    }
-    assert_eq!(s.nnz(), d.0.iter().filter(|&&c| c != 0).count());
-    assert_eq!(s.total(), d.total());
-    let rebuilt = VectorClock::from_vec(d.0.clone());
-    assert_eq!(s, &rebuilt);
-    assert_eq!(s.to_string(), rebuilt.to_string());
-    let hash = |v: &VectorClock| {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        v.hash(&mut h);
-        h.finish()
-    };
-    assert_eq!(hash(s), hash(&rebuilt));
-    assert_eq!(s.resident_bytes(), rebuilt.resident_bytes());
-}
-
-/// Spilled clocks are handles on shared buffers, and shards pass them
-/// between threads: two workers start from handles on the *same*
-/// buffers and each ticks, merges, clones, overwrites and drops its own
-/// — every copy-on-write decision racing the other worker's refcount
-/// traffic on those buffers. Clocks are values, so neither may ever see
-/// the other's writes: each worker's clocks must equal the dense models
-/// it ran alongside after every op, and the originals must not move.
-#[test]
-fn clock_handles_across_threads_equal_serial_model() {
-    const ROUNDS: usize = 40;
-    const OPS_PER_ROUND: usize = 200;
-    let mut rng = DetRng::derive(0xC10C, 0);
-    let base: Vec<(VectorClock, DenseClock)> = (0..POOL)
-        .map(|k| {
-            // Footprints 0, 3 (inline), then spilled and growing.
-            let v: Vec<u64> = (0..24)
-                .map(|p| u64::from(p % 8 < [0, 1, 3, 5, 8][k]) * (1 + rng.below(3)))
-                .collect();
-            (VectorClock::from_vec(v.clone()), DenseClock(v))
-        })
-        .collect();
-    let start = std::sync::Barrier::new(2);
-    std::thread::scope(|scope| {
-        for worker in 0..2u64 {
-            let (base, start) = (&base, &start);
-            scope.spawn(move || {
-                let mut rng = DetRng::derive(0xC10C, 1 + worker);
-                let slot = |rng: &mut DetRng| rng.below(POOL as u64) as usize;
-                for _ in 0..ROUNDS {
-                    // Fresh handles on the shared originals, taken and
-                    // first written at the same moment on both threads.
-                    let mut pool = base.clone();
-                    start.wait();
-                    for _ in 0..OPS_PER_ROUND {
-                        let op = match rng.below(7) {
-                            0 | 1 => ClockOp::Tick(slot(&mut rng), rng.below(24) as u8),
-                            2 => ClockOp::MergeVec(
-                                slot(&mut rng),
-                                (0..rng.below(24)).map(|_| rng.below(4)).collect(),
-                            ),
-                            3 => ClockOp::Merge(slot(&mut rng), slot(&mut rng)),
-                            4 => ClockOp::Clone(slot(&mut rng), slot(&mut rng)),
-                            5 => ClockOp::CloneFrom(slot(&mut rng), slot(&mut rng)),
-                            // Back to a handle on a shared original
-                            // rather than to zero: keeps the two
-                            // workers meeting on the same buffers.
-                            _ => {
-                                let i = slot(&mut rng);
-                                pool[i] = base[i].clone();
-                                continue;
-                            }
-                        };
-                        apply_clock_op(&mut pool, &op);
-                        for (s, d) in &pool {
-                            assert_is_model(s, d);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    for (s, d) in &base {
-        assert_is_model(s, d);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The sparse clock is observationally identical to the seed's
-    /// dense representation over arbitrary histories of a small pool of
-    /// clocks — tick, untick, merge from outside and from each other,
-    /// receive, clone, `clone_from`, drop and re-create. Every clock
-    /// equals its model after **every** op, so a clone never sees a later
-    /// mutation of its source and `clone_from` into a shared target never
-    /// disturbs the other holders; pids 0..24 against three inline pairs
-    /// keep the histories crossing the inline/spilled boundary both ways,
-    /// and counts drawn around `u32::MAX` the narrow/wide one.
-    #[test]
-    fn sparse_clock_equals_dense_model(ops in clock_ops()) {
-        let mut pool: Vec<(VectorClock, DenseClock)> = vec![Default::default(); POOL];
-        for op in &ops {
-            apply_clock_op(&mut pool, op);
-            for (s, d) in &pool {
-                assert_is_model(s, d);
-            }
-        }
-        // Order agreement between every two clocks of the pool.
-        for (sa, da) in &pool {
-            for (sb, db) in &pool {
-                prop_assert_eq!(sa.leq(sb), da.leq(db));
-                prop_assert_eq!(sa.concurrent(sb), !da.leq(db) && !db.leq(da));
-                prop_assert_eq!(sa == sb, da.leq(db) && db.leq(da));
-            }
-        }
-    }
 
     /// Same seed ⇒ bit-identical execution, regardless of network mode.
     #[test]
@@ -375,8 +96,8 @@ proptest! {
     }
 
     /// A harness resumed from the acting pid's checkpoint runs the next
-    /// event exactly as the world then does: the same effects (ids,
-    /// clocks and meta included), and after the step the harness's
+    /// event exactly as the world then does: the same effects (ids
+    /// and meta included), and after the step the harness's
     /// context and program bytes are the world's post-step checkpoint.
     /// Dormant lazy pids resume from the fresh context they would
     /// materialize with; meta templates are stamped as a Time Machine
@@ -427,36 +148,16 @@ proptest! {
         let mut w = noisy_world(4, seed, 4, false, 0.0);
         w.run_steps(steps);
         let cks: Vec<_> = (0..4).map(|i| w.checkpoint_process(Pid(i))).collect();
-        let fps: Vec<_> = cks.iter().map(|c| c.fingerprint()).collect();
+        let fps: Vec<_> = cks.iter().map(|c| (c.fingerprint(), format!("{:?}", c.ctx))).collect();
         w.run_to_quiescence(5_000);
         for ck in &cks {
             w.restore_checkpoint(ck);
         }
-        let fps2: Vec<_> = (0..4).map(|i| w.checkpoint_process(Pid(i)).fingerprint()).collect();
+        let fps2: Vec<_> = (0..4)
+            .map(|i| w.checkpoint_process(Pid(i)))
+            .map(|c| (c.fingerprint(), format!("{:?}", c.ctx)))
+            .collect();
         prop_assert_eq!(fps, fps2);
-    }
-
-    /// Vector clocks form a lattice: merge is commutative, associative,
-    /// idempotent, and monotone w.r.t. leq.
-    #[test]
-    fn vc_lattice_laws(a in proptest::collection::vec(0u64..50, 4),
-                       b in proptest::collection::vec(0u64..50, 4),
-                       c in proptest::collection::vec(0u64..50, 4)) {
-        let (va, vb, vc_) = (
-            VectorClock::from_vec(a),
-            VectorClock::from_vec(b),
-            VectorClock::from_vec(c),
-        );
-        let merge = |x: &VectorClock, y: &VectorClock| {
-            let mut m = x.clone();
-            m.merge(y);
-            m
-        };
-        prop_assert_eq!(merge(&va, &vb), merge(&vb, &va));
-        prop_assert_eq!(merge(&merge(&va, &vb), &vc_), merge(&va, &merge(&vb, &vc_)));
-        prop_assert_eq!(merge(&va, &va), va.clone());
-        prop_assert!(va.leq(&merge(&va, &vb)));
-        prop_assert!(vb.leq(&merge(&va, &vb)));
     }
 
     /// Varint encoding is a bijection on u64 (and i64 via zigzag).

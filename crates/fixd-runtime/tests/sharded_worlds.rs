@@ -5,9 +5,7 @@
 //! global snapshot, and the same process table after every single step.
 //! These tests run the same scenarios side by side at shard counts
 //! {1, 2, 4, 8} across delivery policies, faults, step budgets and lazy
-//! population, plus the clock-merge edge cases that cross-shard handoff
-//! exercises (disjoint footprints, the inline→spill boundary, dormant
-//! receivers booted remotely).
+//! population, plus dormant receivers booted by cross-shard handoff.
 
 use proptest::prelude::*;
 
@@ -392,77 +390,6 @@ fn crashed_fast_source_widens_window_soundly() {
 }
 
 // ---------------------------------------------------------------------
-// Clock-merge edge cases across the shard boundary.
-// ---------------------------------------------------------------------
-
-/// Star collector: pids 1..n each send once to pid 0 on start.
-#[derive(Clone)]
-struct Spoke;
-
-impl Program for Spoke {
-    fn on_start(&mut self, ctx: &mut Context) {
-        if ctx.pid() != Pid(0) {
-            ctx.send(Pid(0), 7, vec![ctx.pid().0 as u8]);
-        }
-    }
-    fn snapshot(&self) -> Vec<u8> {
-        Vec::new()
-    }
-    fn restore(&mut self, _: &[u8]) {}
-}
-
-#[test]
-fn disjoint_footprint_merge_across_shards() {
-    // Sender clock supports {sender}, receiver supports {receiver}:
-    // totally disjoint merge on first contact. With 2 shards, pid 0 and
-    // pid 1 are on different shards, so the merge rides the handoff.
-    for shards in [1usize, 2, 4, 8] {
-        let mut w = World::new(WorldConfig::seeded(0xC10C));
-        for _ in 0..2 {
-            w.add_process(Box::new(Spoke));
-        }
-        w.shard(shards);
-        w.run_to_quiescence(1_000);
-        let vc0 = w.proc_vc(Pid(0));
-        // Pid(0): start tick + deliver tick, plus the merged-in sender
-        // component (start tick + send tick) its own history never held.
-        assert_eq!(vc0.get(Pid(0)), 2, "shards={shards}");
-        assert_eq!(vc0.get(Pid(1)), 2, "shards={shards}");
-        // Pid(1) never heard from Pid(0).
-        assert_eq!(w.proc_vc(Pid(1)).get(Pid(0)), 0);
-    }
-}
-
-#[test]
-fn inline_to_spill_boundary_crossed_by_remote_delivery() {
-    // VectorClock stores up to INLINE_PAIRS = 3 components inline; the
-    // fourth spills to the heap. A 5-process star drives the collector's
-    // clock through exactly that boundary (nnz 1→2→3→4→5) via deliveries
-    // that, at shard counts > 1, all arrive as cross-shard handoffs.
-    let mut want_nnz = None;
-    for shards in [1usize, 2, 4, 8] {
-        let mut w = World::new(WorldConfig::seeded(0x5B11));
-        for _ in 0..5 {
-            w.add_process(Box::new(Spoke));
-        }
-        w.shard(shards);
-        w.run_to_quiescence(1_000);
-        let vc0 = w.proc_vc(Pid(0)).clone();
-        assert_eq!(vc0.nnz(), 5, "collector heard all four spokes + itself");
-        for p in 1..5 {
-            // Start tick + send tick on each spoke.
-            assert_eq!(vc0.get(Pid(p)), 2, "spoke {p} merged, shards={shards}");
-        }
-        // Identical across shard counts, spill and all.
-        let got = (vc0.clone(), w.proc_vc(Pid(0)).resident_bytes());
-        match &want_nnz {
-            None => want_nnz = Some(got),
-            Some(w0) => assert_eq!(&got, w0, "clock drifted at shards={shards}"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The parallel phase: one worker set per world, shards handed to the
 // workers and back by ownership, lone-shard windows inline.
 // ---------------------------------------------------------------------
@@ -721,8 +648,8 @@ handler_panic_surfaces! {
 /// Step `sc` serially and on `shards` shards side by side, peeking
 /// before every step as the supervisor does, and compare after every
 /// step everything a driver can read: each pid's full checkpoint
-/// (program bytes, clock, RNG position, delivered, checkpoint index,
-/// message/timer ids), clock, liveness and delivered count, plus the
+/// (program bytes, RNG position, delivered, checkpoint index,
+/// message/timer ids), liveness and delivered count, plus the
 /// trace length and the network counters.
 fn assert_lockstep(sc: &Scenario, shards: usize) {
     let mut serial = sc.build(1);
@@ -739,7 +666,6 @@ fn assert_lockstep(sc: &Scenario, shards: usize) {
                 format!("{:?}", serial.checkpoint_process(p)),
                 "checkpoint of {p}, {at}"
             );
-            assert_eq!(sharded.proc_vc(p), serial.proc_vc(p), "clock of {p}, {at}");
             assert_eq!(sharded.status(p), serial.status(p), "status of {p}, {at}");
             assert_eq!(
                 sharded.delivered_count(p),

@@ -5,10 +5,17 @@
 //! that lies outside the cut — exactly the global-state consistency the
 //! Time Machine needs when it pieces together "a consistent global
 //! checkpoint of the system" from per-process replies (paper §3.3,
-//! Fig. 4).
+//! Fig. 4). A cut holds every earlier entry of each process it includes,
+//! and happens-before is generated by process order and send → receive,
+//! so a cut is consistent exactly when each delivery it includes has its
+//! sending entry ([`crate::sendref`]) inside it too.
 
-use fixd_runtime::{Pid, VectorClock};
+use std::borrow::Cow;
 
+use fixd_runtime::Pid;
+
+use crate::entry::{EntryKind, ScrollEntry};
+use crate::sendref::SendRefs;
 use crate::storage::ScrollStore;
 
 /// A cut: how many entries of each process's scroll are included.
@@ -47,41 +54,19 @@ impl Cut {
         &self.counts
     }
 
-    /// The frontier clock of process `p` under this cut: the vector clock
-    /// of its last included entry (zero clock if none); `None` if the cut
-    /// takes more of `p` than its scroll holds. Reads the entry where it
-    /// lies ([`ScrollStore::entry`]): nothing is decoded for a cut inside
-    /// the resident tail.
-    pub fn frontier(&self, store: &ScrollStore, p: Pid) -> Option<VectorClock> {
-        match self.count(p) {
-            0 => Some(VectorClock::ZERO),
-            c => store.entry(p, c - 1).map(|last| last.vc.clone()),
-        }
-    }
-
-    /// Is the cut consistent? It must lie within the store, and for all
-    /// p, q process p must not have observed more of q's history than
-    /// the cut includes of q: `frontier(p)[q] <= frontier(q)[q]`.
+    /// Is the cut consistent? It must lie within the store, and every
+    /// delivery it includes must have its sending entry inside it (a
+    /// message no recorded entry sent is exempt).
     pub fn is_consistent(&self, store: &ScrollStore) -> bool {
-        let n = store.width().max(self.counts.len());
-        let frontiers: Option<Vec<VectorClock>> = (0..n)
-            .map(|i| self.frontier(store, Pid(i as u32)))
-            .collect();
-        let Some(frontiers) = frontiers else {
-            return false;
-        };
-        for p in 0..n {
-            for (q, frontier_q) in frontiers.iter().enumerate() {
-                if p == q {
-                    continue;
-                }
-                let qq = Pid(q as u32);
-                if frontiers[p].get(qq) > frontier_q.get(qq) {
-                    return false;
-                }
-            }
+        let within = (self.counts.iter().enumerate()).all(|(i, &c)| c <= store.len(Pid(i as u32)));
+        within && {
+            let (scrolls, refs) = read(store);
+            self.counts.iter().zip(&scrolls).all(|(&c, scroll)| {
+                scroll[..c]
+                    .iter()
+                    .all(|e| outside(e, &refs, &self.counts).is_none())
+            })
         }
-        true
     }
 
     /// Total entries included.
@@ -90,46 +75,48 @@ impl Cut {
     }
 }
 
+/// Every scroll of `store`, and their send references.
+fn read(store: &ScrollStore) -> (Vec<Cow<'_, [ScrollEntry]>>, SendRefs) {
+    let scrolls: Vec<Cow<'_, [ScrollEntry]>> = (0..store.width())
+        .map(|i| store.scroll(Pid(i as u32)))
+        .collect();
+    let refs = SendRefs::new(scrolls.iter().map(|s| &s[..]));
+    (scrolls, refs)
+}
+
+/// The sending entry of delivery `e`, if it lies outside the cut
+/// `counts`.
+fn outside(e: &ScrollEntry, refs: &SendRefs, counts: &[usize]) -> Option<(Pid, u64)> {
+    let EntryKind::Deliver { msg } = &e.kind else {
+        return None;
+    };
+    refs.sender(msg)
+        .filter(|&(src, k)| counts.get(src.idx()).is_none_or(|&c| k as usize >= c))
+}
+
 /// The latest consistent cut in which process `fault_pid` includes at most
 /// its first `limit` entries. Computed by fixed-point shrinking: start
 /// from the full store (clamped for `fault_pid`) and repeatedly retract
-/// any process that has observed beyond another's frontier. This is the
-/// same monotone retraction that drives rollback-dependency resolution in
-/// the Time Machine (the "domino" computation of Fig. 6, performed here on
-/// logs instead of checkpoints).
+/// each process to just before its first included delivery whose send
+/// lies outside the cut. This is the same monotone retraction that drives
+/// rollback-dependency resolution in the Time Machine (the "domino"
+/// computation of Fig. 6, performed here on logs instead of checkpoints).
 pub fn latest_consistent_cut(store: &ScrollStore, fault_pid: Pid, limit: usize) -> Cut {
     let n = store.width();
     let mut counts = Cut::full(store).counts;
     if fault_pid.idx() < n {
         counts[fault_pid.idx()] = counts[fault_pid.idx()].min(limit);
     }
+    let (scrolls, refs) = read(store);
     loop {
-        let cut = Cut::new(counts.clone());
-        // The counts start at the store's lengths and only shrink, so
-        // every frontier lies within the scroll.
-        let frontiers: Vec<VectorClock> = (0..n)
-            .map(|i| {
-                cut.frontier(store, Pid(i as u32))
-                    .unwrap_or(VectorClock::ZERO)
-            })
-            .collect();
         let mut changed = false;
         for p in 0..n {
-            for (q, frontier_q) in frontiers.iter().enumerate() {
-                if p == q {
-                    continue;
-                }
-                let qq = Pid(q as u32);
-                // p saw more of q than the cut includes: retract p until
-                // its frontier no longer exceeds q's self-component.
-                while counts[p] > 0 {
-                    let fp = Cut::new(counts.clone()).frontier(store, Pid(p as u32));
-                    if fp.is_none_or(|fp| fp.get(qq) <= frontier_q.get(qq)) {
-                        break;
-                    }
-                    counts[p] -= 1;
-                    changed = true;
-                }
+            let first = scrolls[p][..counts[p]]
+                .iter()
+                .position(|e| outside(e, &refs, &counts).is_some());
+            if let Some(j) = first {
+                counts[p] = j;
+                changed = true;
             }
         }
         if !changed {
@@ -216,18 +203,10 @@ mod tests {
     }
 
     #[test]
-    fn frontier_of_empty_prefix_is_zero() {
-        let store = pingpong_store(2);
-        let cut = Cut::empty(2);
-        assert_eq!(cut.frontier(&store, Pid(0)).map(|f| f.total()), Some(0));
-    }
-
-    #[test]
     fn a_cut_beyond_the_scroll_is_not_consistent() {
         let store = pingpong_store(2);
         let len = store.len(Pid(0));
         let cut = Cut::new(vec![len + 1, 0]);
-        assert_eq!(cut.frontier(&store, Pid(0)), None);
         assert!(!cut.is_consistent(&store));
         assert!(
             !Cut::new(vec![0, 0, 1]).is_consistent(&store),

@@ -20,6 +20,9 @@
 //! * [`replay`] — deterministic local playback of one process from its
 //!   scroll, remote entities treated as black boxes (§2.2), with fidelity
 //!   validation against recorded effect fingerprints;
+//! * [`sendref`] — causality read from the record itself: a delivered
+//!   message's `(src, id)` names the entry that sent it, so no process
+//!   carries a clock;
 //! * [`merge`] — reconstruction of a *globally consistent* total order
 //!   from the per-process logs (§2.2 "record and reconstruct a globally
 //!   consistent run of the system");
@@ -45,6 +48,7 @@ pub mod merge;
 pub mod query;
 pub mod record;
 pub mod replay;
+pub mod sendref;
 pub mod stats;
 pub mod storage;
 
@@ -54,5 +58,6 @@ pub use merge::{check_causal_consistency, merge_total_order, CausalViolation};
 pub use query::ScrollQuery;
 pub use record::{record_run, RecordConfig, ScrollRecorder};
 pub use replay::{replay_from, replay_process, replay_step, Fidelity, ReplayOutcome};
+pub use sendref::SendRefs;
 pub use stats::ScrollStats;
 pub use storage::{ScrollStore, SpillConfig, StorageError};

@@ -4,27 +4,35 @@
 //! system can be combined and analyzed to provide insight on the behavior
 //! of the system"*, and both playback schemes "generally make use of
 //! logging to impose a total order on all the messages sent in the
-//! system". We impose that total order from the clocks the entries
-//! already record: an entry's key is the sum of its vector clock's
-//! components before its handler's sends (the recorded clock's sum minus
-//! `sends`, since each send ticks the clock once), ties broken by pid,
-//! then local sequence. That is a linear extension of the happens-before
+//! system". We impose that total order with a k-way merge of the
+//! per-process scrolls: from the processes whose next entry is *ready*,
+//! it emits the head with the smallest `(at, pid)`. An entry is ready
+//! unless it is a delivery whose sending entry ([`crate::sendref`]) has
+//! not been emitted yet. That is a linear extension of the happens-before
 //! partial order, because happens-before is the transitive closure of two
-//! relations and the key respects both:
+//! relations and the merge respects both:
 //!
-//! * **Program order.** A process's key never falls from one entry to the
-//!   next: the next action starts from the clock the last one ended with
-//!   (its sends included) and only ticks or merges it, so a tie (a timer
-//!   firing after an entry that sent nothing) is settled by `local_seq`.
-//! * **Messages.** A receipt's key is above the key of the entry that
-//!   sent it: the message carries the sender's clock after its send
-//!   tick, whose sum exceeds the sending entry's key, and the receipt
-//!   merges that clock in and ticks.
+//! * **Program order.** Each scroll is consumed from its head, so a
+//!   process's entries come out in `local_seq` order.
+//! * **Messages.** A receipt is not ready before the entry that sent it
+//!   has been emitted.
 //!
-//! Vector clocks are then used to *verify* the merge is causally
-//! consistent.
+//! Every entry of a well-formed store is eventually ready (happens-before
+//! is acyclic), so the merge never stalls on one. On a damaged store it
+//! could: then every waiting head is released and the verifier below
+//! reports the violation.
+//!
+//! [`check_causal_consistency`] and [`check_send_before_receive`] verify a
+//! merged order in one linear pass each, from the same two relations.
+
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use fixd_runtime::Pid;
 
 use crate::entry::{EntryKind, ScrollEntry};
+use crate::sendref::SendRefs;
 use crate::storage::ScrollStore;
 
 /// A detected violation of causal order in a merged log.
@@ -37,70 +45,152 @@ pub struct CausalViolation {
 }
 
 /// Merge all per-process scrolls into one total order consistent with
-/// causality: sorted by the sum of each entry's clock before its
-/// handler's sends, then pid, then `local_seq` (see the module docs for
-/// why that respects happens-before).
+/// causality (see the module docs): a deterministic k-way merge that
+/// emits the smallest `(at, pid)` head among the ready ones.
 pub fn merge_total_order(store: &ScrollStore) -> Vec<ScrollEntry> {
-    let mut all: Vec<ScrollEntry> = (0..store.width())
-        .flat_map(|i| store.scroll(fixd_runtime::Pid(i as u32)).into_owned())
+    let scrolls: Vec<Cow<'_, [ScrollEntry]>> = (0..store.width())
+        .map(|i| store.scroll(Pid(i as u32)))
         .collect();
-    all.sort_by_cached_key(|e| (causal_key(e), e.pid, e.local_seq));
-    all
+    let refs = SendRefs::new(scrolls.iter().map(|s| &s[..]));
+    let mut next = vec![0usize; scrolls.len()];
+    let mut ready = BinaryHeap::new();
+    // Per sender: the heads waiting for it, as (sending index, pid).
+    let mut waiting: Vec<Vec<(usize, usize)>> = vec![Vec::new(); scrolls.len()];
+    let offer = |p: usize,
+                 next: &[usize],
+                 ready: &mut BinaryHeap<Reverse<(u64, usize)>>,
+                 waiting: &mut [Vec<(usize, usize)>]| {
+        let Some(e) = scrolls[p].get(next[p]) else {
+            return;
+        };
+        if let EntryKind::Deliver { msg } = &e.kind {
+            if let Some((src, k)) = refs.sender(msg) {
+                if next[src.idx()] <= k as usize {
+                    waiting[src.idx()].push((k as usize, p));
+                    return;
+                }
+            }
+        }
+        ready.push(Reverse((e.at, p)));
+    };
+    for p in 0..scrolls.len() {
+        offer(p, &next, &mut ready, &mut waiting);
+    }
+    let total = scrolls.iter().map(|s| s.len()).sum();
+    let mut out = Vec::with_capacity(total);
+    while out.len() < total {
+        let Some(Reverse((_, p))) = ready.pop() else {
+            // Only a damaged store gets here: release every waiting head.
+            for (_, q) in waiting.iter_mut().flat_map(std::mem::take) {
+                let at = scrolls[q][next[q]].at;
+                ready.push(Reverse((at, q)));
+            }
+            continue;
+        };
+        out.push(scrolls[p][next[p]].clone());
+        next[p] += 1;
+        for (k, q) in std::mem::take(&mut waiting[p]) {
+            if next[p] > k {
+                offer(q, &next, &mut ready, &mut waiting);
+            } else {
+                waiting[p].push((k, q));
+            }
+        }
+        offer(p, &next, &mut ready, &mut waiting);
+    }
+    out
 }
 
-/// The sum of `e`'s clock components before its handler's sends. Summed
-/// in `u128`, so counts near `u64::MAX` cannot wrap; a decoded entry
-/// whose `sends` exceeds its clock's sum keys at 0 instead of panicking.
-fn causal_key(e: &ScrollEntry) -> u128 {
-    let sum: u128 = e.vc.entries().map(|(_, c)| u128::from(c)).sum();
-    sum.saturating_sub(u128::from(e.sends))
+/// Per pid, the sends `merged` records (`None` for a pid with no entry
+/// in it).
+fn recorded(merged: &[ScrollEntry]) -> Vec<Option<u64>> {
+    let mut out: Vec<Option<u64>> = Vec::new();
+    for e in merged {
+        if out.len() <= e.pid.idx() {
+            out.resize(e.pid.idx() + 1, None);
+        }
+        let sent = out[e.pid.idx()].get_or_insert(0);
+        *sent = sent.saturating_add(e.sends);
+    }
+    out
 }
 
-/// Verify a merged order is a linear extension of happens-before: no entry
-/// is placed before another entry that causally precedes it. `O(n²)` in
-/// the worst case; intended for validation and tests, not hot paths.
-pub fn check_causal_consistency(merged: &[ScrollEntry]) -> Result<(), CausalViolation> {
-    for i in 0..merged.len() {
-        for j in (i + 1)..merged.len() {
-            // If merged[j] strictly happens-before merged[i], order is bad.
-            if merged[j].vc.leq(&merged[i].vc) && merged[j].vc != merged[i].vc {
-                return Err(CausalViolation {
-                    earlier_index: i,
-                    later_index: j,
-                });
+/// The first index after `from` at which `src`'s running total of sends
+/// in `merged`, counted from `sent` at `from`, reaches `id`.
+fn reaching(merged: &[ScrollEntry], from: usize, src: Pid, mut sent: u64, id: u64) -> usize {
+    for (j, e) in merged.iter().enumerate().skip(from + 1) {
+        if e.pid == src {
+            sent = sent.saturating_add(e.sends);
+            if sent >= id {
+                return j;
             }
         }
     }
+    from
+}
+
+/// The one pass both checks make: program order, then each delivery's
+/// id against its sender's running total of sends. `exempt(src, id)`
+/// says whether a delivery whose send is not behind it is let through.
+fn check_pass(
+    merged: &[ScrollEntry],
+    exempt: impl Fn(&[Option<u64>], Pid, u64) -> bool,
+) -> Result<(), CausalViolation> {
+    let totals = recorded(merged);
+    // Per pid: sends so far, and the last entry placed (index, local_seq).
+    let mut sent = vec![0u64; totals.len()];
+    let mut last: Vec<Option<(usize, u64)>> = vec![None; totals.len()];
+    for (i, e) in merged.iter().enumerate() {
+        let p = e.pid.idx();
+        if let Some((j, seq)) = last[p] {
+            if e.local_seq <= seq {
+                return Err(CausalViolation {
+                    earlier_index: j,
+                    later_index: i,
+                });
+            }
+        }
+        last[p] = Some((i, e.local_seq));
+        if let EntryKind::Deliver { msg } = &e.kind {
+            let src = msg.src;
+            let so_far = sent.get(src.idx()).copied().unwrap_or(0);
+            if msg.id > so_far && !exempt(&totals, src, msg.id) {
+                return Err(CausalViolation {
+                    earlier_index: i,
+                    later_index: reaching(merged, i, src, so_far, msg.id),
+                });
+            }
+        }
+        sent[p] = sent[p].saturating_add(e.sends);
+    }
     Ok(())
 }
 
+/// Verify a merged order is a linear extension of happens-before: each
+/// process's entries in `local_seq` order, and each delivery after the
+/// entry that sent it, in one linear pass. A delivery whose send is not
+/// in `merged` at all (an unrecorded sender, a message no send minted) is
+/// exempt.
+pub fn check_causal_consistency(merged: &[ScrollEntry]) -> Result<(), CausalViolation> {
+    check_pass(merged, |totals, src, id| {
+        totals
+            .get(src.idx())
+            .copied()
+            .flatten()
+            .is_none_or(|t| t < id)
+    })
+}
+
 /// Check the *message discipline*: every delivery in the merged log must
-/// appear after some entry of the sender whose vector clock dominates the
-/// message's send clock (i.e. the send is within the recorded history).
-/// Deliveries from unrecorded senders (black boxes) are skipped.
+/// appear after the entry of its sender that sent it (the send is within
+/// the recorded history, [`crate::sendref`]). Deliveries from senders
+/// with no entry in `merged` (black boxes), and messages no send minted,
+/// are skipped; a recorded sender whose scroll never sent the message is
+/// a violation (reported at the delivery's own index).
 pub fn check_send_before_receive(merged: &[ScrollEntry]) -> Result<(), CausalViolation> {
-    for (i, e) in merged.iter().enumerate() {
-        let EntryKind::Deliver { msg } = &e.kind else {
-            continue;
-        };
-        let sender_recorded = merged.iter().any(|f| f.pid == msg.src);
-        if !sender_recorded {
-            continue;
-        }
-        let send_seen_earlier = merged[..i]
-            .iter()
-            .any(|f| f.pid == msg.src && msg.vc.get(msg.src) <= f.vc.get(msg.src));
-        // The send itself isn't an entry; it is subsumed by the sender's
-        // handler entry that performed it. If the sender performed the
-        // send, some earlier entry of the sender has vc[src] >= msg.vc[src].
-        if !send_seen_earlier && msg.vc.get(msg.src) > 0 {
-            return Err(CausalViolation {
-                earlier_index: i,
-                later_index: i,
-            });
-        }
-    }
-    Ok(())
+    check_pass(merged, |totals, src, id| {
+        id == crate::sendref::UNMINTED || totals.get(src.idx()).copied().flatten().is_none()
+    })
 }
 
 #[cfg(test)]
@@ -188,57 +278,58 @@ mod tests {
         }
     }
 
-    /// P0 pings P1 and arms a late timer; P1 answers the ping twice.
-    #[derive(Clone)]
-    struct PingTwice;
-    impl Program for PingTwice {
-        fn on_start(&mut self, ctx: &mut Context) {
-            if ctx.pid() == Pid(0) {
-                ctx.send(Pid(1), 1, vec![]);
-                ctx.set_timer(1_000);
-            }
+    fn entry(pid: u32, local_seq: u64, at: u64, sends: u64, kind: EntryKind) -> ScrollEntry {
+        ScrollEntry {
+            pid: Pid(pid),
+            local_seq,
+            at,
+            kind,
+            randoms: Default::default(),
+            effects_fp: 0,
+            sends,
         }
-        fn on_message(&mut self, ctx: &mut Context, _: &Message) {
-            if ctx.pid() == Pid(1) {
-                ctx.send(Pid(0), 2, vec![]);
-                ctx.send(Pid(0), 2, vec![]);
-            }
-        }
-        fn snapshot(&self) -> Vec<u8> {
-            Vec::new()
-        }
-        fn restore(&mut self, _: &[u8]) {}
     }
 
-    /// The key's two cases. Both receipts of a handler that sent twice
-    /// (P1's entry 1) key above it: its key leaves out its own sends
-    /// (counted in, P0's first receipt would tie with it and sort first,
-    /// on the lower pid). A timer firing that sends nothing (P0's entry
-    /// 3) ties with the entry before it, which `local_seq` places first.
-    #[test]
-    fn the_merge_key_orders_receipts_after_sends_and_breaks_ties_by_local_seq() {
-        let mut w = World::new(WorldConfig::seeded(1));
-        w.add_process(Box::new(PingTwice));
-        w.add_process(Box::new(PingTwice));
-        let merged = merge_total_order(&record_run(&mut w, RecordConfig::default(), 100).0);
-        let at = |pid, seq| {
-            let i = merged
-                .iter()
-                .position(|e| e.pid == Pid(pid) && e.local_seq == seq);
-            (i.unwrap(), &merged[i.unwrap()])
-        };
-        let (sent_at, sender) = at(1, 1);
-        assert_eq!(sender.sends, 2);
-        let sum = |e: &ScrollEntry| e.vc.entries().map(|(_, c)| u128::from(c)).sum::<u128>();
-        assert_eq!(sum(at(0, 1).1), sum(sender), "the sends, counted, tie");
-        for (i, receipt) in [at(0, 1), at(0, 2)] {
-            assert!(matches!(receipt.kind, EntryKind::Deliver { .. }));
-            assert!(causal_key(receipt) > causal_key(sender) && i > sent_at);
+    fn deliver(src: u32, dst: u32, id: u64) -> EntryKind {
+        EntryKind::Deliver {
+            msg: Message {
+                id,
+                src: Pid(src),
+                dst: Pid(dst),
+                tag: 0,
+                payload: Default::default(),
+                sent_at: 0,
+                ckpt_index: 0,
+            }
+            .into(),
         }
-        let ((i, before), (j, fire)) = (at(0, 2), at(0, 3));
-        assert!(matches!(fire.kind, EntryKind::TimerFire { .. }) && fire.sends == 0);
-        assert_eq!(causal_key(before), causal_key(fire), "a tie on the sum");
-        assert!(i < j);
+    }
+
+    /// A receipt whose `(at, pid)` sorts before the entry that sent it
+    /// still comes after it: it is not ready until then. And a damaged
+    /// store whose deliveries wait on each other in a cycle does not
+    /// stall the merge; the check then reports it.
+    #[test]
+    fn a_receipt_waits_for_its_send_and_a_cycle_does_not_stall() {
+        let mut store = ScrollStore::new(2);
+        store.append(entry(0, 0, 10, 1, EntryKind::Start));
+        store.append(entry(1, 0, 0, 0, EntryKind::Start));
+        store.append(entry(1, 1, 5, 0, deliver(0, 1, 1)));
+        let order: Vec<_> = merge_total_order(&store)
+            .iter()
+            .map(|e| (e.pid.0, e.local_seq))
+            .collect();
+        assert_eq!(order, [(1, 0), (0, 0), (1, 1)]);
+
+        let mut cycle = ScrollStore::new(2);
+        cycle.append(entry(0, 0, 0, 0, deliver(1, 0, 1)));
+        cycle.append(entry(0, 1, 1, 1, EntryKind::Start));
+        cycle.append(entry(1, 0, 0, 0, deliver(0, 1, 1)));
+        cycle.append(entry(1, 1, 1, 1, EntryKind::Start));
+        let merged = merge_total_order(&cycle);
+        assert_eq!(merged.len(), 4);
+        assert!(check_causal_consistency(&merged).is_err());
+        assert!(check_send_before_receive(&merged).is_err());
     }
 
     #[test]

@@ -8,11 +8,10 @@ use crate::entry::{EntryKind, ScrollEntry};
 /// A fluent filter over a merged (or per-process) entry slice.
 ///
 /// ```
-/// # use fixd_runtime::{Pid, VectorClock};
+/// # use fixd_runtime::Pid;
 /// # use fixd_scroll::{EntryKind, ScrollEntry, ScrollQuery};
 /// # let entry = |pid: u32, at: u64| ScrollEntry {
 /// #     pid: Pid(pid), local_seq: 0, at,
-/// #     vc: VectorClock::from_vec(vec![0; 3]),
 /// #     kind: EntryKind::Start, randoms: Default::default(), effects_fp: 0, sends: 0,
 /// # };
 /// # let merged = vec![entry(1, 50), entry(2, 120), entry(2, 700)];
@@ -130,14 +129,13 @@ impl<'a> ScrollQuery<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixd_runtime::{Message, TimerId, VectorClock};
+    use fixd_runtime::{Message, TimerId};
 
     fn mk(pid: u32, seq: u64, at: VTime, kind: EntryKind) -> ScrollEntry {
         ScrollEntry {
             pid: Pid(pid),
             local_seq: seq,
             at,
-            vc: VectorClock::new(3),
             kind,
             randoms: vec![].into(),
             effects_fp: 0,
@@ -153,7 +151,6 @@ mod tests {
             tag,
             payload: vec![].into(),
             sent_at: 0,
-            vc: VectorClock::new(3),
             ckpt_index: 0,
         }
     }

@@ -74,10 +74,9 @@ impl ScrollRecorder {
         }
     }
 
-    /// Record whatever in this step was nondeterministic. Call with the
-    /// world *after* the step executed (the recorder reads post-event
-    /// clocks).
-    pub fn observe(&mut self, world: &World, step: &StepRecord) {
+    /// Record whatever in `step` was nondeterministic, after it executed.
+    /// Everything recorded is read from the step; the world is not read.
+    pub fn observe(&mut self, _world: &World, step: &StepRecord) {
         let Some(pid) = step.event.kind.pid() else {
             return;
         };
@@ -102,7 +101,6 @@ impl ScrollRecorder {
             pid,
             local_seq,
             at: step.event.at,
-            vc: world.proc_vc(pid).clone(),
             kind,
             randoms: step.effects.randoms.clone(),
             effects_fp: step.effects.fingerprint(),

@@ -5,8 +5,7 @@
 //! remote entity as a black box defined only by the interaction with the
 //! local component."* The replayed process receives exactly the recorded
 //! messages and timer firings; its RNG stream is re-derived from the same
-//! seed; its vector clock is put back from each entry's recorded clock
-//! (the Scroll keeps one component of a message's); and every handler's
+//! seed; and every handler's
 //! effects are checked against the recorded fingerprint, so divergence
 //! (a non-reproducible bug, or a changed program) is detected at the
 //! first differing step.
@@ -22,9 +21,7 @@
 //! [`DiskReplayGuard`] drops the handlers' [`fixd_runtime::SharedDisk`]
 //! writes while they run.
 
-use fixd_runtime::{
-    DiskReplayGuard, Effects, Pid, ProcCheckpoint, Program, SoloHarness, VectorClock,
-};
+use fixd_runtime::{DiskReplayGuard, Effects, Pid, ProcCheckpoint, Program, SoloHarness};
 
 use crate::entry::{EntryKind, ScrollEntry};
 
@@ -50,9 +47,6 @@ pub struct ReplayOutcome {
     pub fidelity: Fidelity,
     /// Final program state after replay.
     pub final_state: Vec<u8>,
-    /// The process's vector clock after the last replayed step: the
-    /// recorded clock of the last handler entry replayed.
-    pub clock: VectorClock,
     /// States after each replayed step (local_seq → snapshot), captured
     /// when `capture_states` is set — the "step through the execution"
     /// debugger facility of §2.2.
@@ -70,8 +64,8 @@ pub struct ReplayConfig {
 
 /// Replay `pid`'s scroll against a fresh program instance.
 ///
-/// * `width` and `seed` must match the recorded world (they determine the
-///   clock width and the RNG stream).
+/// * `width` and `seed` must match the recorded world (they determine
+///   `Context::world_size` and the RNG stream).
 /// * `program` must be in its initial state (as at the recorded `Start`).
 pub fn replay_process(
     pid: Pid,
@@ -159,19 +153,13 @@ fn replay_in(
         steps,
         fidelity,
         final_state: program.snapshot(),
-        clock: harness.context().vc.clone(),
         states,
     }
 }
 
 /// Run the handler entry `e` recorded on `harness`'s process, at its
-/// recorded time and from the clock it recorded: the context's vector
-/// clock is first put back to `e.vc` less the handler's own ticks
-/// ([`SoloHarness::restore_clock`]), so the handler ends at exactly
-/// `e.vc` and every replayed send carries the clock the world's did,
-/// though a message decoded from the Scroll keeps only its sender's
-/// component. `None`, and nothing run, for an entry that runs no handler
-/// (a crash, a restart, dropped mail).
+/// recorded time. `None`, and nothing run, for an entry that runs no
+/// handler (a crash, a restart, dropped mail).
 ///
 /// The effects are returned, never applied. A handler that writes a
 /// [`fixd_runtime::SharedDisk`] writes it again unless the caller holds
@@ -184,9 +172,6 @@ pub fn replay_step(
     if !e.kind.is_replayable() {
         return None;
     }
-    // A send ticks the sender; a start or a delivery ticks it first.
-    let receive = matches!(e.kind, EntryKind::Start | EntryKind::Deliver { .. });
-    harness.restore_clock(&e.vc, e.sends + u64::from(receive));
     harness.set_now(e.at);
     match &e.kind {
         EntryKind::Start => Some(harness.start(program)),

@@ -85,14 +85,13 @@ impl ScrollStats {
 mod tests {
     use super::*;
     use crate::entry::ScrollEntry;
-    use fixd_runtime::{TimerId, VectorClock};
+    use fixd_runtime::TimerId;
 
     fn push(store: &mut ScrollStore, pid: u32, seq: u64, kind: EntryKind, randoms: Vec<u64>) {
         store.append(ScrollEntry {
             pid: Pid(pid),
             local_seq: seq,
             at: 0,
-            vc: VectorClock::new(2),
             kind,
             randoms: randoms.into(),
             effects_fp: 0,

@@ -19,23 +19,18 @@
 //! do not depend on the hash.
 //!
 //! A sealed blob **is** that stretch of the scroll's encoding, produced
-//! once, behind a header of its own. An entry's clock is a delta against
-//! the entry before it (formats v3 and v4), so the header carries the clock the
-//! blob's first entry continues from: the process's last sealed clock,
-//! which the store keeps per process for exactly this and for encoding
-//! the resident tail behind the sealed blobs. Each blob still decodes
-//! alone, and the bodies still chain into the scroll's encoding. Every
+//! once, behind a header of its own: each blob decodes alone, and the
+//! bodies chain into the scroll's encoding. Every
 //! read-back borrows the blob where it lies on the disk
 //! ([`SharedDisk::read_with`]) and checks it against the length and
 //! content hash its seal recorded before using a byte of it. What reads
 //! it back falls in three groups:
 //!
 //! * **as bytes** — [`ScrollStore::encode_segment`] (and
-//!   [`ScrollStore::save_dir`] through it) writes one header over the
-//!   zero clock, splices each blob's entries in after it, unparsed (the
-//!   concatenation property documented at [`codec::FORMAT_VERSION`]),
-//!   copied straight out of the disk, and encodes the resident tail
-//!   against the last sealed clock;
+//!   [`ScrollStore::save_dir`] through it) writes one header, splices
+//!   each blob's entries in after it, unparsed (the concatenation
+//!   property documented at [`codec::FORMAT_VERSION`]), copied straight
+//!   out of the disk, and encodes the resident tail;
 //! * **decoded** — [`ScrollStore::scroll`] (so queries, merges, stats
 //!   and replay see the full log), [`ScrollStore::entry`] and a
 //!   [`ScrollStore::truncate`] into the sealed prefix copy each blob
@@ -53,7 +48,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use fixd_runtime::wire::content_hash;
-use fixd_runtime::{Payload, Pid, SharedDisk, VectorClock};
+use fixd_runtime::{Payload, Pid, SharedDisk};
 
 use crate::codec::{self, CodecError};
 use crate::entry::ScrollEntry;
@@ -148,9 +143,8 @@ impl SpillConfig {
 /// One sealed, spilled scroll segment — the only way back to its blob:
 /// nothing outside the process holds or recomputes `key` or `hash`, so
 /// both are `content_hash` (XXH64) and may change with that function;
-/// the blob's bytes may not. The blob is a segment of the current format
-/// whose header's base clock is the last clock sealed before it;
-/// `header` says how long that header is, so sizes stay arithmetic.
+/// the blob's bytes may not. The blob is a segment of the current
+/// format.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SegmentRef {
     /// The blob's key on the disk: its content hash, unless the seal
@@ -163,9 +157,6 @@ struct SegmentRef {
     entries: usize,
     /// Encoded size in bytes.
     bytes: usize,
-    /// Bytes of the blob's header (version, count, base clock); the
-    /// rest is its body.
-    header: usize,
 }
 
 impl SegmentRef {
@@ -200,17 +191,15 @@ fn or_panic<T>(read: Result<T, StorageError>) -> T {
     read.unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Approximate resident weight of one entry: fixed header fields plus
-/// the variable payload, random draws, and clock components. Used only
-/// to decide when to seal; the spilled blob's exact size is recorded in
-/// its [`SegmentRef`]. A clock component weighs 16 B, a wide-tier
-/// pair, although a spilled clock's buffer holds most at 8 B (a narrow
-/// pair): the weight decides where segments are sealed, so lowering it
-/// would move the pinned sealed blobs and keys and every spilled run's
-/// segment boundaries.
+/// Resident weight of one entry: the [`ScrollEntry`] itself plus its
+/// payload bytes and random draws. The payload is counted in full
+/// although the message shares it with the runtime (and a duplicate
+/// with its original), so this bounds what the entry keeps alive, not
+/// what it alone owns. Used only to decide when to seal; the spilled
+/// blob's exact size is recorded in its [`SegmentRef`].
 fn entry_weight(e: &ScrollEntry) -> usize {
     let payload = e.kind.payload().map_or(0, |p| p.len());
-    48 + payload + 8 * e.randoms.len() + 16 * e.vc.nnz()
+    std::mem::size_of::<ScrollEntry>() + payload + 8 * e.randoms.len()
 }
 
 /// In-memory store of per-process scrolls. The "common Scroll" of the
@@ -224,12 +213,8 @@ pub struct ScrollStore {
     per_pid: Vec<Vec<ScrollEntry>>,
     /// Sealed, spilled prefixes, per process, oldest first.
     spilled: Vec<Vec<SegmentRef>>,
-    /// Approximate resident bytes per process (see [`entry_weight`]).
+    /// Resident bytes per process (see [`entry_weight`]).
     resident_weight: Vec<usize>,
-    /// Per process, the clock of the last sealed entry (zero while
-    /// nothing is sealed): the base of the next seal's header and of the
-    /// resident tail's encoding.
-    sealed_last: Vec<VectorClock>,
     spill: Option<SpillConfig>,
     /// Encode buffer every seal reuses; empty between seals.
     seal_buf: Vec<u8>,
@@ -242,7 +227,6 @@ impl ScrollStore {
             per_pid: vec![Vec::new(); n],
             spilled: vec![Vec::new(); n],
             resident_weight: vec![0; n],
-            sealed_last: vec![VectorClock::ZERO; n],
             spill: None,
             seal_buf: Vec::new(),
         }
@@ -294,11 +278,9 @@ impl ScrollStore {
         if self.per_pid[i].is_empty() {
             return;
         }
-        let (entries, base) = (&self.per_pid[i], &self.sealed_last[i]);
+        let entries = &self.per_pid[i];
         let mut blob = std::mem::take(&mut self.seal_buf);
-        codec::put_segment_header(&mut blob, entries.len(), base);
-        let header = blob.len();
-        codec::put_entries(&mut blob, base, entries);
+        codec::encode_segment_into(&mut blob, entries);
         // Content-addressed: identical segments (same bytes) are written
         // once per disk. A 64-bit hash can collide, so compare the stored
         // blob in place and probe deterministically to the next key on
@@ -324,21 +306,17 @@ impl ScrollStore {
             hash,
             entries: entries.len(),
             bytes: blob.len(),
-            header,
         });
         blob.clear();
         self.seal_buf = blob;
-        if let Some(last) = self.per_pid[i].pop() {
-            self.sealed_last[i] = last.vc;
-        }
         self.per_pid[i].clear();
         self.resident_weight[i] = 0;
     }
 
     /// `f` over one sealed blob where it lies on the disk, once the blob
     /// has the length and content hash its seal recorded. The hash sees
-    /// what a decoder cannot: a flipped count inside a clock still
-    /// parses, to another clock.
+    /// what a decoder cannot: a flipped varint inside an entry still
+    /// parses, to another entry.
     fn with_blob<R>(
         &self,
         seg: &SegmentRef,
@@ -376,7 +354,7 @@ impl ScrollStore {
     /// segment buffer alive (copy out via `Payload::copy_from_slice` for
     /// long retention).
     fn read_segment(&self, seg: &SegmentRef) -> Result<Vec<ScrollEntry>, StorageError> {
-        // Untracked: the segment blob is framing + clocks + payloads,
+        // Untracked: the segment blob is framing + entries + payloads,
         // not message-payload traffic; the per-entry views below count
         // as aliased (bytes a copying decoder would have re-copied).
         let shared = self.with_blob(seg, |blob| Payload::untracked(blob))?;
@@ -438,7 +416,8 @@ impl ScrollStore {
         self.per_pid.iter().map(Vec::len).sum()
     }
 
-    /// Approximate resident entry bytes across all processes — the
+    /// Resident entry bytes across all processes — each resident
+    /// [`ScrollEntry`] plus the payload bytes and draws it holds — the
     /// figure the spill threshold bounds (`< threshold × width` at every
     /// point in a spilling run).
     pub fn resident_bytes(&self) -> usize {
@@ -476,7 +455,6 @@ impl ScrollStore {
             }
             full.truncate(n);
             self.spilled[i].clear();
-            self.sealed_last[i] = VectorClock::ZERO;
             self.per_pid[i] = full;
         }
         self.resident_weight[i] = self.per_pid[i].iter().map(entry_weight).sum();
@@ -508,12 +486,11 @@ impl ScrollStore {
         let spilled = self.spilled.get(i).map_or(&[][..], Vec::as_slice);
         let sealed_bytes: usize = spilled.iter().map(|s| s.bytes).sum();
         let mut out = Vec::with_capacity(16 + sealed_bytes + resident.len() * 32);
-        codec::put_segment_header(&mut out, self.len(pid), &VectorClock::ZERO);
+        codec::put_segment_header(&mut out, self.len(pid));
         for seg in spilled {
             self.splice_segment(seg, &mut out)?;
         }
-        let base = self.sealed_last.get(i).unwrap_or(&VectorClock::ZERO);
-        codec::put_entries(&mut out, base, resident);
+        codec::put_entries(&mut out, resident);
         Ok(out)
     }
 
@@ -527,10 +504,10 @@ impl ScrollStore {
         for (i, resident) in self.per_pid.iter().enumerate() {
             total += codec::segment_header_len(self.len(Pid(i as u32)));
             for seg in &self.spilled[i] {
-                total += seg.bytes - seg.header;
+                total += seg.bytes - codec::segment_header_len(seg.entries);
             }
             tail.clear();
-            codec::put_entries(&mut tail, &self.sealed_last[i], resident);
+            codec::put_entries(&mut tail, resident);
             total += tail.len();
         }
         total
@@ -586,14 +563,13 @@ impl ScrollStore {
 mod tests {
     use super::*;
     use crate::entry::EntryKind;
-    use fixd_runtime::{Message, VectorClock};
+    use fixd_runtime::Message;
 
     fn entry(pid: u32, seq: u64) -> ScrollEntry {
         ScrollEntry {
             pid: Pid(pid),
             local_seq: seq,
             at: seq * 10,
-            vc: VectorClock::from_vec(vec![seq + 1, 0]),
             kind: EntryKind::Start,
             randoms: vec![].into(),
             effects_fp: 0,
@@ -611,7 +587,6 @@ mod tests {
                     tag: 1,
                     payload: payload.into(),
                     sent_at: seq,
-                    vc: VectorClock::from_vec(vec![seq, 0]),
                     ckpt_index: 0,
                 }
                 .into(),
@@ -892,7 +867,7 @@ mod tests {
     #[test]
     fn sealed_keys_and_blobs_are_pinned() {
         let (s, disk) = spilled_store();
-        assert_eq!((s.spilled_segments(), s.spilled_bytes()), (12, 1725));
+        assert_eq!((s.spilled_segments(), s.spilled_bytes()), (12, 1499));
         assert_eq!(disk.durable_snapshot().len(), 12);
         // The bytes, as FNV-1a over every blob in seal order. Sealed
         // bytes are the Scroll's wire format; no faster seal may move
@@ -905,18 +880,21 @@ mod tests {
         // first is two bytes shorter (1963 → 1869 bytes). Re-pinned for
         // format v5 (no entry Lamport timestamp, no message speculation
         // id or Lamport timestamp): each of the 48 sealed deliveries is
-        // three bytes shorter (1869 → 1725 bytes).
+        // three bytes shorter (1869 → 1725 bytes). Re-pinned for format
+        // v6 (no clocks): each of the 48 sealed deliveries drops its
+        // entry's three-byte delta and its message's one-byte component,
+        // and each header its base clock, one byte for the first segment
+        // and three for the eleven after it (1725 → 1499 bytes).
         let blobs: Vec<u8> = s.spilled[0]
             .iter()
             .flat_map(|seg| disk.read(&disk_key(seg.key)).expect("sealed blob"))
             .collect();
-        assert_eq!(fixd_runtime::wire::fnv1a(&blobs), 0x4d26_3ed2_c979_4936);
+        assert_eq!(fixd_runtime::wire::fnv1a(&blobs), 0x28c2_2037_3b00_c4f5);
         // The keys, through the whole disk's fingerprint. Re-pinned when
         // keys moved from FNV-1a to `content_hash` (a key is found only
         // through the store's in-memory `SegmentRef`, so it may move with
-        // the hash function), and with the blobs for formats v3, v4 and
-        // v5.
-        assert_eq!(disk.durable_fingerprint(), 0x9eac_8bd9_6719_8239);
+        // the hash function), and with the blobs for formats v3 to v6.
+        assert_eq!(disk.durable_fingerprint(), 0x05e0_562d_5bf6_029a);
     }
 
     /// Counting reads nothing back, and reading bytes back reads each
@@ -932,11 +910,8 @@ mod tests {
         let full = crate::cut::Cut::full(&s);
         assert_eq!(full.counts(), [50, 0]);
         let size = s.encoded_size();
-        // A cut inside the resident tail borrows its frontier.
-        assert_eq!(
-            full.frontier(&s, Pid(0)).as_ref(),
-            Some(&s.per_pid[0].last().unwrap().vc)
-        );
+        // An entry inside the resident tail is borrowed.
+        assert!(matches!(s.entry(Pid(0), 49), Some(Cow::Borrowed(_))));
         assert_eq!(reads(), before, "no disk read for counts, sizes, tail");
 
         let bytes: usize = (0..2).map(|p| s.encode_segment(Pid(p)).len()).sum();
@@ -947,14 +922,13 @@ mod tests {
             "one read per sealed segment of the pid, none for the other"
         );
 
-        // A frontier inside the sealed prefix decodes the one segment
+        // An entry inside the sealed prefix decodes the one segment
         // that holds it; `scroll` reads them all.
         let before = reads();
         let first = s.spilled[0][0].entries;
-        let cut = crate::cut::Cut::new(vec![first + 1, 0]);
         assert_eq!(
-            cut.frontier(&s, Pid(0)).as_ref(),
-            Some(&s.scroll(Pid(0))[first].vc)
+            s.entry(Pid(0), first).as_deref(),
+            Some(&s.scroll(Pid(0))[first])
         );
         assert_eq!(reads() - before, 1 + s.spilled[0].len() as u64);
         assert!(s.entry(Pid(0), 50).is_none() && s.entry(Pid(9), 0).is_none());
@@ -967,16 +941,16 @@ mod tests {
         let stats = crate::stats::ScrollStats::compute(&s);
         assert_eq!(disk.stats().reads - before, s.spilled[0].len() as u64);
         assert_eq!(stats.total_entries, 50);
-        // Pid 1's empty scroll is a three-byte header.
-        assert_eq!(stats.encoded_bytes, s.encode_segment(Pid(0)).len() + 3);
+        // Pid 1's empty scroll is a two-byte header.
+        assert_eq!(stats.encoded_bytes, s.encode_segment(Pid(0)).len() + 2);
     }
 
     /// What a test does to the first sealed blob of [`spilled_store`],
     /// behind the store's back (same key, `write` + `sync`).
     enum Damage {
-        /// One count inside a clock raised: the segment still decodes,
-        /// to other entries. Only the content hash can tell.
-        FlipClockCount,
+        /// The first entry's virtual time raised: the segment still
+        /// decodes, to other entries. Only the content hash can tell.
+        FlipTime,
         /// The last byte cut off.
         Truncate,
         /// A well-formed segment of one entry fewer.
@@ -991,12 +965,11 @@ mod tests {
         let key = disk_key(seg.key);
         let mut blob = disk.read(&key).expect("sealed blob on disk");
         match how {
-            Damage::FlipClockCount => {
-                // [version][count][zero base] then the first entry: tag,
-                // pid, seq, at, then its clock as a delta over the base:
-                // one pair, pid 0, zigzag(+1).
-                assert_eq!(blob[7..10], [1, 0, 2], "entry 0's clock is ⟨0:1⟩");
-                blob[9] = 6;
+            Damage::FlipTime => {
+                // [version][count] then the first entry: tag, pid, seq,
+                // then its time.
+                assert_eq!(blob[2..6], [1, 0, 0, 0], "entry 0 delivers at 0");
+                blob[5] = 6;
                 disk.write(&key, &blob);
             }
             Damage::Truncate => {
@@ -1056,8 +1029,8 @@ mod tests {
 
     /// Every way of reading a damaged blob back fails with the store's
     /// corruption message: the splice, which has no decoder to stumble
-    /// over it, and the decoding paths, which a flipped count inside a
-    /// clock would get through (it parses, to another clock) — every
+    /// over it, and the decoding paths, which a flipped varint inside an
+    /// entry would get through (it parses, to another entry) — every
     /// read-back checks the content hash its seal recorded.
     macro_rules! damaged_blob_panics {
         ($($name:ident: $how:ident, $read:ident => $message:literal;)*) => {$(
@@ -1070,10 +1043,10 @@ mod tests {
     }
 
     damaged_blob_panics! {
-        flipped_clock_count_fails_the_splice: FlipClockCount, splice => "corrupt: content hash";
-        flipped_clock_count_fails_save_dir: FlipClockCount, save => "corrupt: content hash";
-        flipped_clock_count_fails_scroll: FlipClockCount, decode => "corrupt: content hash";
-        flipped_clock_count_fails_truncate: FlipClockCount, truncate_into_first_segment => "corrupt: content hash";
+        flipped_time_fails_the_splice: FlipTime, splice => "corrupt: content hash";
+        flipped_time_fails_save_dir: FlipTime, save => "corrupt: content hash";
+        flipped_time_fails_scroll: FlipTime, decode => "corrupt: content hash";
+        flipped_time_fails_truncate: FlipTime, truncate_into_first_segment => "corrupt: content hash";
         truncated_blob_fails_the_splice: Truncate, splice => "corrupt: stored length";
         truncated_blob_fails_save_dir: Truncate, save => "corrupt: stored length";
         truncated_blob_fails_scroll: Truncate, decode => "corrupt: stored length";

@@ -4,9 +4,8 @@
 
 use proptest::prelude::*;
 
-use fixd_runtime::wire::put_varint;
 use fixd_runtime::{
-    Context, Message, NetworkConfig, Pid, Program, SharedDisk, TimerId, VectorClock, World,
+    Context, DeliveryPolicy, Message, NetworkConfig, Pid, Program, SharedDisk, TimerId, World,
     WorldConfig,
 };
 use fixd_scroll::record::record_run;
@@ -15,150 +14,41 @@ use fixd_scroll::{
     ScrollStore, SpillConfig,
 };
 
-/// Sparse clocks as a wide world produces them: up to 130 components,
-/// densely sampled around the inline/heap boundary (3 | 4 pairs), pids
-/// from one-byte to three-byte varints, counts straddling every varint
-/// length change that matters (127 | 128, 2^14) up to `u64::MAX`.
-/// Duplicate pids collapse in `from_pairs`, so `nnz` may come out lower.
-fn arb_clock() -> impl Strategy<Value = VectorClock> {
-    let pid = prop_oneof![0u32..8, 120u32..136, 0u32..((1 << 20) + 1)];
-    let count = prop_oneof![
-        1u64..4,
-        126u64..130,
-        ((1 << 14) - 2)..((1u64 << 14) + 2),
-        Just(u64::MAX),
-        any::<u64>(),
-    ];
-    let nnz = prop_oneof![0usize..6, 0usize..131];
-    (nnz, proptest::collection::vec((pid, count), 130)).prop_map(|(nnz, mut pairs)| {
-        pairs.truncate(nnz);
-        VectorClock::from_pairs(pairs)
-    })
+/// A walk over three processes' scrolls: per step, the pid that appends
+/// and a salt that picks the entry's kind and sizes.
+fn arb_walk() -> impl Strategy<Value = Vec<(u32, u8)>> {
+    proptest::collection::vec((0u32..3, any::<u8>()), 0..48)
 }
 
-/// The v2 clock wire form spelled out pair by pair — the oracle for
-/// [`VectorClock::put_wire`], byte for byte.
-fn naive_put_clock(buf: &mut Vec<u8>, vc: &VectorClock) {
-    put_varint(buf, vc.nnz() as u64);
-    for (p, c) in vc.entries() {
-        put_varint(buf, u64::from(p.0));
-        put_varint(buf, c);
-    }
-}
-
-/// The v3 entry-clock delta spelled out over the union of both clocks'
-/// pids — the oracle for [`VectorClock::put_wire_delta`], byte for byte.
-fn naive_put_delta(buf: &mut Vec<u8>, vc: &VectorClock, base: &VectorClock) {
-    let mut pids: Vec<Pid> = vc.entries().chain(base.entries()).map(|(p, _)| p).collect();
-    pids.sort_unstable();
-    pids.dedup();
-    let changed: Vec<(Pid, u64)> = pids
-        .into_iter()
-        .map(|p| (p, vc.get(p).wrapping_sub(base.get(p))))
-        .filter(|&(_, d)| d != 0)
-        .collect();
-    put_varint(buf, changed.len() as u64);
-    let mut last = 0;
-    for (p, d) in changed {
-        put_varint(buf, u64::from(p.0 - last));
-        fixd_runtime::wire::put_varint_i64(buf, d as i64);
-        last = p.0;
-    }
-}
-
-/// One step of a process's clock from one entry to the next.
-#[derive(Clone, Debug)]
-enum ClockStep {
-    /// A local event: the own component rises.
-    Tick,
-    /// A receive: merge a clock that may name pids not seen before.
-    Learn(VectorClock),
-    /// A rollback's re-execution: back to the clock of an earlier entry
-    /// (index modulo the history so far).
-    FallBack(usize),
-    /// Components lost: keep those whose bit in the mask is set.
-    Forget(u64),
-}
-
-fn arb_clock_step() -> impl Strategy<Value = ClockStep> {
-    prop_oneof![
-        Just(ClockStep::Tick),
-        Just(ClockStep::Tick),
-        arb_clock().prop_map(ClockStep::Learn),
-        any::<usize>().prop_map(ClockStep::FallBack),
-        any::<u64>().prop_map(ClockStep::Forget),
-    ]
-}
-
-/// Steps of three processes, interleaved.
-fn arb_clock_walk() -> impl Strategy<Value = Vec<(u32, ClockStep, u8)>> {
-    proptest::collection::vec((0u32..3, arb_clock_step(), any::<u8>()), 0..48)
-}
-
-/// Three processes' scrolls driven by their clock walks: each step is
-/// one entry whose clock is the process's clock after the step.
-struct Walker {
-    clocks: Vec<Vec<VectorClock>>,
-}
-
-impl Walker {
-    fn new() -> Self {
-        Self {
-            clocks: vec![vec![]; 3],
+/// The entry `salt` makes for `pid` at `local_seq`: a timer firing or a
+/// delivery with a payload of up to 23 bytes, and one random draw.
+fn walk_entry(pid: u32, salt: u8, local_seq: u64) -> ScrollEntry {
+    let kind = if salt.is_multiple_of(3) {
+        EntryKind::TimerFire {
+            timer: TimerId(u64::from(salt)),
         }
-    }
-
-    /// The entry `step` makes of `pid`'s next clock, at `local_seq`.
-    fn entry(&mut self, pid: u32, step: &ClockStep, salt: u8, local_seq: u64) -> ScrollEntry {
-        let history = &mut self.clocks[pid as usize];
-        let mut vc = history.last().cloned().unwrap_or_default();
-        match step {
-            // A learned count may already be `u64::MAX`.
-            ClockStep::Tick if vc.get(Pid(pid)) < u64::MAX => _ = vc.tick(Pid(pid)),
-            ClockStep::Tick => {}
-            ClockStep::Learn(other) => vc.merge(other),
-            ClockStep::FallBack(k) if !history.is_empty() => {
-                vc = history[k % history.len()].clone()
+    } else {
+        EntryKind::Deliver {
+            msg: Message {
+                id: local_seq,
+                src: Pid(u32::from(salt) % 3),
+                dst: Pid(pid),
+                tag: 1,
+                payload: vec![salt; usize::from(salt % 24)].into(),
+                sent_at: local_seq,
+                ckpt_index: 0,
             }
-            ClockStep::FallBack(_) => {}
-            ClockStep::Forget(mask) => {
-                let kept = vc
-                    .entries()
-                    .enumerate()
-                    .filter(|(i, _)| mask >> (i % 64) & 1 == 1);
-                vc = VectorClock::from_pairs(kept.map(|(_, (p, c))| (p.0, c)).collect());
-            }
+            .into(),
         }
-        history.push(vc.clone());
-        let kind = if salt.is_multiple_of(3) {
-            EntryKind::TimerFire {
-                timer: TimerId(u64::from(salt)),
-            }
-        } else {
-            EntryKind::Deliver {
-                msg: Message {
-                    id: local_seq,
-                    src: Pid(u32::from(salt) % 3),
-                    dst: Pid(pid),
-                    tag: 1,
-                    payload: vec![salt; usize::from(salt % 24)].into(),
-                    sent_at: local_seq,
-                    vc: vc.clone(),
-                    ckpt_index: 0,
-                }
-                .into(),
-            }
-        };
-        ScrollEntry {
-            pid: Pid(pid),
-            local_seq,
-            at: local_seq * 3,
-            vc,
-            kind,
-            randoms: vec![u64::from(salt)].into(),
-            effects_fp: u64::from(salt),
-            sends: 0,
-        }
+    };
+    ScrollEntry {
+        pid: Pid(pid),
+        local_seq,
+        at: local_seq * 3,
+        kind,
+        randoms: vec![u64::from(salt)].into(),
+        effects_fp: u64::from(salt),
+        sends: u64::from(salt % 4),
     }
 }
 
@@ -171,18 +61,16 @@ fn arb_message() -> impl Strategy<Value = Message> {
         any::<u16>(),
         proptest::collection::vec(any::<u8>(), 0..32),
         any::<u64>(),
-        arb_clock(),
         any::<u64>(),
     )
         .prop_map(
-            |(id, src, dst, tag, payload, sent_at, vc, ckpt_index)| Message {
+            |(id, src, dst, tag, payload, sent_at, ckpt_index)| Message {
                 id,
                 src: Pid(src),
                 dst: Pid(dst),
                 tag,
                 payload: payload.into(),
                 sent_at,
-                vc,
                 ckpt_index,
             },
         )
@@ -204,17 +92,15 @@ fn arb_entry() -> impl Strategy<Value = ScrollEntry> {
         0u32..8,
         any::<u64>(),
         any::<u64>(),
-        arb_clock(),
         arb_kind(),
         proptest::collection::vec(any::<u64>(), 0..4),
         any::<u64>(),
         0u64..100,
     )
-        .prop_map(|(pid, seq, at, vc, kind, randoms, fp, sends)| ScrollEntry {
+        .prop_map(|(pid, seq, at, kind, randoms, fp, sends)| ScrollEntry {
             pid: Pid(pid),
             local_seq: seq,
             at,
-            vc,
             kind,
             randoms: randoms.into(),
             effects_fp: fp,
@@ -331,11 +217,14 @@ impl Program for Pong {
     }
 }
 
-fn run_world(n: usize, seed: u64, hops: u64, jitter: bool) -> (fixd_scroll::ScrollStore, World) {
+fn run_world(
+    n: usize,
+    seed: u64,
+    hops: u64,
+    net: NetworkConfig,
+) -> (fixd_scroll::ScrollStore, World) {
     let mut cfg = WorldConfig::seeded(seed);
-    if jitter {
-        cfg.net = NetworkConfig::jittery(1, 30);
-    }
+    cfg.net = net;
     let mut w = World::new(cfg);
     for _ in 0..n {
         w.add_process(Box::new(Pong { n: hops, x: 0 }));
@@ -354,57 +243,16 @@ proptest! {
         prop_assert_eq!(codec::decode_segment(&buf).unwrap(), entries);
     }
 
-    /// The clock encoder that walks the pair slice writes what the
-    /// varint-per-pair one does, after whatever the buffer already holds.
-    #[test]
-    fn clock_wire_form_matches_the_naive_encoder(vc in arb_clock(), prefix in 0usize..3) {
-        let (mut fast, mut naive) = (vec![0xAB; prefix], vec![0xAB; prefix]);
-        vc.put_wire(&mut fast);
-        naive_put_clock(&mut naive, &vc);
-        prop_assert_eq!(fast, naive);
-    }
-
-    /// The delta encoder that walks both pair slices writes what the
-    /// union-of-pids oracle does, after whatever the buffer already
-    /// holds, and an entry written over it decodes back against the same
-    /// base.
-    #[test]
-    fn clock_delta_wire_form_matches_the_naive_encoder(vc in arb_clock(),
-                                                       base in arb_clock(),
-                                                       kin in any::<u64>(),
-                                                       prefix in 0usize..3) {
-        // Half the cases share most pids (the steady state of one log).
-        let vc = if kin.is_multiple_of(2) {
-            let mut near = base.clone();
-            near.merge(&vc);
-            near
-        } else {
-            vc
-        };
-        let (mut fast, mut naive) = (vec![0xAB; prefix], vec![0xAB; prefix]);
-        vc.put_wire_delta(&base, &mut fast);
-        naive_put_delta(&mut naive, &vc, &base);
-        prop_assert_eq!(&fast, &naive);
-        let entry = ScrollEntry {
-            pid: Pid(1), local_seq: 0, at: 0, vc,
-            kind: EntryKind::Start, randoms: vec![].into(), effects_fp: 0, sends: 0,
-        };
-        let mut buf = Vec::new();
-        codec::encode_entry(&mut buf, &entry, &base);
-        prop_assert_eq!(codec::decode_entry(&buf, &mut 0, &base).unwrap(), entry);
-    }
-
     /// Where a scroll is split into sealed segments does not change its
-    /// bytes: three processes whose clocks rise, gain pids, fall back to
-    /// an earlier entry's clock and lose pids, stored spilled at a
-    /// random threshold, read back as their unspilled control — as
-    /// bytes, as the whole scroll, entry by entry, and as the summed
-    /// size — before and after a truncation into the sealed prefix that
-    /// more of the walk then appends behind.
+    /// bytes: three processes' scrolls of timer firings and deliveries of
+    /// varied sizes, stored spilled at a random threshold, read back as
+    /// their unspilled control — as bytes, as the whole scroll, entry by
+    /// entry, and as the summed size — before and after a truncation
+    /// into the sealed prefix that more of the walk then appends behind.
     #[test]
     fn splitting_a_scroll_into_segments_does_not_change_its_bytes(
-        walk in arb_clock_walk(),
-        more in arb_clock_walk(),
+        walk in arb_walk(),
+        more in arb_walk(),
         threshold in arb_threshold(),
         pick in any::<u64>(),
         victim in 0u32..3,
@@ -412,14 +260,13 @@ proptest! {
         let disk = SharedDisk::new();
         let mut spilled = spilling(&disk, threshold);
         let mut control = ScrollStore::new(3);
-        let mut walker = Walker::new();
         let mut seals = 0;
-        for (pid, step, salt) in &walk {
-            let e = walker.entry(*pid, step, *salt, control.len(Pid(*pid)) as u64);
+        for &(pid, salt) in &walk {
+            let e = walk_entry(pid, salt, control.len(Pid(pid)) as u64);
             let before = spilled.spilled_segments();
             spilled.append(e.clone());
             control.append(e);
-            if *pid == victim && spilled.spilled_segments() > before {
+            if pid == victim && spilled.spilled_segments() > before {
                 seals = spilled.len(Pid(victim));
             }
         }
@@ -430,10 +277,9 @@ proptest! {
         let n = if seals > 0 { n.min(seals - 1) } else { n };
         spilled.truncate(Pid(victim), n);
         control.truncate(Pid(victim), n);
-        walker.clocks[victim as usize].truncate(n);
         assert_splits_read_back_as(&spilled, &control, "truncated");
-        for (pid, step, salt) in &more {
-            let e = walker.entry(*pid, step, *salt, control.len(Pid(*pid)) as u64);
+        for &(pid, salt) in &more {
+            let e = walk_entry(pid, salt, control.len(Pid(pid)) as u64);
             spilled.append(e.clone());
             control.append(e);
         }
@@ -517,7 +363,6 @@ proptest! {
             tag: 7,
             payload: payload.clone().into(),
             sent_at: 1,
-            vc: VectorClock::from_vec(vec![1, 0]),
             ckpt_index: 0,
         };
         let mut buf = Vec::new();
@@ -530,7 +375,6 @@ proptest! {
         // And through a whole segment.
         let entry = ScrollEntry {
             pid: Pid(1), local_seq: 0, at: 0,
-            vc: VectorClock::from_vec(vec![0, 1]),
             kind: EntryKind::Deliver { msg: msg.into() },
             randoms: vec![].into(), effects_fp: 0, sends: 0,
         };
@@ -551,12 +395,21 @@ proptest! {
 
     /// Merged logs are always linear extensions of happens-before, under
     /// FIFO and reordering networks alike — also when the scrolls spilled
-    /// and their messages read back with only the sender's clock
-    /// component, which is all the send-before-receive check reads.
+    /// and were read back. A zero-latency network delivers a message at
+    /// the time it was sent, so a receipt at a lower pid ties with its
+    /// send on time and must still wait for it.
     #[test]
     fn merge_causally_consistent(seed in 0u64..300, n in 2usize..5, hops in 1u64..10,
-                                 jitter in any::<bool>(), threshold in 1usize..64) {
-        let (store, _) = run_world(n, seed, hops, jitter);
+                                 net in 0u8..3, threshold in 1usize..64) {
+        let net = match net {
+            0 => NetworkConfig::default(),
+            1 => NetworkConfig::jittery(1, 30),
+            _ => NetworkConfig {
+                policy: DeliveryPolicy::Fifo { latency: 0 },
+                ..NetworkConfig::default()
+            },
+        };
+        let (store, _) = run_world(n, seed, hops, net);
         let merged = merge_total_order(&store);
         prop_assert!(fixd_scroll::check_causal_consistency(&merged).is_ok());
         prop_assert!(fixd_scroll::merge::check_send_before_receive(&merged).is_ok());
@@ -571,21 +424,29 @@ proptest! {
     }
 
     /// `latest_consistent_cut` always produces a consistent cut that
-    /// respects the limit.
+    /// respects the limit. Consistency is also checked without the cut
+    /// code: the cut's prefixes, merged, must hold the send of every
+    /// delivery they hold.
     #[test]
     fn latest_cut_is_consistent(seed in 0u64..300, n in 2usize..5, hops in 2u64..10,
                                 pid in 0u32..2, limit in 0usize..6) {
-        let (store, _) = run_world(n, seed, hops, true);
+        let (store, _) = run_world(n, seed, hops, NetworkConfig::jittery(1, 30));
         let c = cut::latest_consistent_cut(&store, Pid(pid), limit);
         prop_assert!(c.is_consistent(&store));
         prop_assert!(c.count(Pid(pid)) <= limit.min(store.len(Pid(pid))));
+        let mut prefix = ScrollStore::new(n);
+        for p in (0..n as u32).map(Pid) {
+            store.scroll(p)[..c.count(p)].iter().for_each(|e| prefix.append(e.clone()));
+        }
+        let merged = merge_total_order(&prefix);
+        prop_assert!(fixd_scroll::merge::check_send_before_receive(&merged).is_ok());
     }
 
     /// Local replay from the scroll reproduces the recorded final state
     /// exactly, for every process.
     #[test]
     fn replay_fidelity(seed in 0u64..200, n in 2usize..4, hops in 1u64..8) {
-        let (store, w) = run_world(n, seed, hops, false);
+        let (store, w) = run_world(n, seed, hops, NetworkConfig::default());
         for i in 0..n {
             let pid = Pid(i as u32);
             let mut fresh = Pong { n: hops, x: 0 };
@@ -599,7 +460,7 @@ proptest! {
     /// equals starts + deliveries + timer fires.
     #[test]
     fn scroll_counts_match_run(seed in 0u64..200, hops in 1u64..10) {
-        let (store, w) = run_world(3, seed, hops, false);
+        let (store, w) = run_world(3, seed, hops, NetworkConfig::default());
         let delivered: u64 = (0..3).map(|i| w.delivered_count(Pid(i))).sum();
         let expected = 3 /* starts */ + delivered as usize;
         prop_assert_eq!(store.total_entries(), expected);

@@ -77,7 +77,7 @@ impl Image {
 pub struct TmCheckpoint {
     /// Checkpoint index = the interval this checkpoint *starts*.
     pub index: u64,
-    /// The process's whole runtime context (clocks, RNG position, id
+    /// The process's whole runtime context (RNG position, id
     /// counters, checkpoint index) when the checkpoint was taken.
     pub ctx: ProcContext,
     /// Virtual time at which the checkpoint was taken.

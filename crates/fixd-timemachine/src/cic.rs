@@ -57,8 +57,8 @@ impl Default for TimeMachineConfig {
 
 /// A delivered message retained for replay after rollback. The retained
 /// handle **is** the delivered message (shared `SharedMessage`): logging
-/// a delivery adds one reference count — no payload copy, no vector
-/// clock clone, no `Message` at all.
+/// a delivery adds one reference count — no payload copy, no
+/// `Message` at all.
 #[derive(Clone, Debug)]
 pub(crate) struct DeliveryRecord {
     pub msg: SharedMessage,

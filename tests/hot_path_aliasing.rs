@@ -10,15 +10,12 @@
 //! 2. one [`SharedMessage`] per delivery, aliased by the trace record,
 //!    the Scroll entry, and the Time Machine's delivery log;
 //! 3. segment decoding aliases one shared buffer per segment instead of
-//!    allocating one payload per entry;
-//! 4. one spilled vector-clock buffer per supervised step, aliased by
-//!    the step's last send, its Scroll entry and the process's next
-//!    checkpoint.
+//!    allocating one payload per entry.
 
 use std::sync::Arc;
 
 use fixd::prelude::*;
-use fixd::runtime::{EventKind, Payload, SharedMessage, SharedStepRecord, Trace, TRACE_TAIL};
+use fixd::runtime::{EventKind, Payload, SharedMessage, SharedStepRecord, Trace};
 use fixd::scroll::codec::{decode_segment, decode_segment_shared, encode_segment};
 use fixd::scroll::{EntryKind, RecordConfig, ScrollRecorder};
 use fixd::timemachine::{TimeMachine, TimeMachineConfig};
@@ -218,78 +215,4 @@ fn drop_events_alias_the_undeliverable_message() {
         }
     }
     assert!(dropped >= 1, "the queued mail must surface as Drop records");
-}
-
-#[test]
-fn one_clock_buffer_shared_by_last_send_scroll_entry_and_next_checkpoint() {
-    // A 24-member Chord ring: a few stabilize rounds in, every clock
-    // has spilled past the inline tier, so there is storage to share.
-    let n = 24;
-    let mut world = fixd::examples::chord::chord_world(n, 7, 6, 4);
-    let mut fixd = Fixd::new(n, FixdConfig::seeded(7));
-    // Supervised a tail's worth of steps at a time, so every record is
-    // read off the trace before it is evicted.
-    let mut run = Vec::new();
-    loop {
-        let seen = world.trace().pushed();
-        let out = fixd.supervise(&mut world, TRACE_TAIL as u64);
-        assert!(out.fault.is_none());
-        run.extend(pushed_since(world.trace(), seen));
-        if out.quiescent {
-            break;
-        }
-    }
-
-    let (mut ckpts, mut sends) = (0, 0);
-    for p in (0..n as u32).map(Pid) {
-        let scroll = fixd.scroll().scroll(p).into_owned();
-        // Entry k of a fault-free process is its k-th handler event, so
-        // the trace's records of `p` line up with its scroll.
-        let records: Vec<_> = run
-            .iter()
-            .filter(|r| r.event.kind.pid() == Some(p))
-            .collect();
-        assert_eq!(records.len(), scroll.len());
-        for (entry, rec) in scroll.iter().zip(records) {
-            let Some(last) = rec.effects.sends.last() else {
-                continue;
-            };
-            assert_eq!(
-                entry.vc, last.vc,
-                "a send carries the clock it was stamped at"
-            );
-            if entry.vc.nnz() > fixd::runtime::clock::INLINE_PAIRS {
-                assert!(
-                    entry.vc.shares_storage_with(&last.vc),
-                    "{p} entry {}: the Scroll entry must be a handle on the \
-                     last send's clock, not a copy",
-                    entry.local_seq
-                );
-                sends += 1;
-            }
-        }
-        // Checkpoint k+1 is taken ahead of a delivery, when the clock
-        // is still the one the previous step's entry recorded.
-        let store = fixd.time_machine().store(p);
-        for ck in (1..store.len() as u64).map(|i| store.get(i).expect("dense indices")) {
-            let Some(prev) = ck.events_at.checked_sub(1) else {
-                continue;
-            };
-            let entry = &scroll[prev as usize];
-            let vc = &ck.ctx.vc;
-            assert_eq!(*vc, entry.vc);
-            if vc.nnz() > fixd::runtime::clock::INLINE_PAIRS {
-                assert!(
-                    vc.shares_storage_with(&entry.vc),
-                    "{p} checkpoint {}: must be a handle on entry {prev}'s clock",
-                    ck.index
-                );
-                ckpts += 1;
-            }
-        }
-    }
-    assert!(
-        ckpts > 300 && sends > 300,
-        "spilled clocks must dominate: {ckpts}, {sends}"
-    );
 }

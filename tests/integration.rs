@@ -447,7 +447,8 @@ fn every_catalogue_app_heals_and_converges() {
 #[test]
 fn late_symptom_is_traced_back_through_the_scroll_and_healed() {
     use fixd_examples::chord::{GET_REPLY, PUT_REQ};
-    use fixd_scroll::{EntryKind, ScrollEntry};
+    use fixd_scroll::{EntryKind, ScrollEntry, SendRefs};
+    use std::collections::BTreeSet;
 
     let (seed, forgetful) = (0, 1);
     let app = HealApp::ChordKv {
@@ -477,12 +478,41 @@ fn late_symptom_is_traced_back_through_the_scroll_and_healed() {
         .iter()
         .find(|e| delivered(e, PUT_REQ).is_some_and(|p| p[..8] == answer[..8]))
         .expect("the forgotten put reached its owner");
-    let lag = scrolls
-        .iter()
-        .flatten()
-        .filter(|e| !std::ptr::eq(*e, culprit))
-        .filter(|e| culprit.vc.leq(&e.vc) && e.vc.leq(&detect.vc))
-        .count();
+    // Happens-before from process order and each delivery's send
+    // reference: what follows the culprit, and what precedes the
+    // detection, the detection itself included.
+    let refs = SendRefs::new(scrolls.iter().map(Vec::as_slice));
+    let sender = |e: &ScrollEntry| match &e.kind {
+        EntryKind::Deliver { msg } => refs.sender(msg),
+        _ => None,
+    };
+    let reach =
+        |from: (Pid, u64), forward: bool| {
+            let mut seen = BTreeSet::from([from]);
+            let mut todo = vec![from];
+            while let Some((p, k)) = todo.pop() {
+                let scroll = &scrolls[p.idx()];
+                let mut next: Vec<(Pid, u64)> = Vec::new();
+                if forward {
+                    next.extend((k + 1 < scroll.len() as u64).then_some((p, k + 1)));
+                    next.extend(scrolls.iter().flatten().filter_map(|e| {
+                        (sender(e) == Some((p, k))).then_some((e.pid, e.local_seq))
+                    }));
+                } else {
+                    next.extend(k.checked_sub(1).map(|j| (p, j)));
+                    next.extend(sender(&scroll[k as usize]));
+                }
+                for n in next {
+                    if seen.insert(n) {
+                        todo.push(n);
+                    }
+                }
+            }
+            seen
+        };
+    let after = reach((culprit.pid, culprit.local_seq), true);
+    let before = reach((detect.pid, detect.local_seq), false);
+    let lag = after.intersection(&before).count() - 1;
     assert_eq!(lag, 22, "events from the culprit to the detection");
 
     let report = fixd.diagnose(&mut world, fault).expect("diagnose");

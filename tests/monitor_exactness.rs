@@ -14,7 +14,7 @@ use fixd_examples::pipeline::{self, Cruncher};
 use fixd_examples::token_ring::{self, RingNode};
 use fixd_healer::Patch;
 use fixd_investigator::ModelD;
-use fixd_runtime::{Context, Message, Pid, Program, VectorClock, World, WorldConfig};
+use fixd_runtime::{Context, Message, Pid, Program, World, WorldConfig};
 use fixd_scroll::{EntryKind, RecordConfig, ScrollEntry, ScrollRecorder};
 
 const MAX_STEPS: u64 = 100_000;
@@ -649,13 +649,14 @@ fn pipeline_campaign_report_is_shard_count_invariant() {
 }
 
 /// What "the same entry" means when a re-run is compared with the run
-/// it repeats: pid, `local_seq`, kind, payload and clock.
+/// it repeats: pid, `local_seq`, kind, payload and the sends its
+/// handler made (what send references resolve against).
 type EntryKey = (
     Pid,
     u64,
     std::mem::Discriminant<EntryKind>,
     Option<Vec<u8>>,
-    VectorClock,
+    u64,
 );
 
 fn entry_key(e: &ScrollEntry) -> EntryKey {
@@ -664,7 +665,7 @@ fn entry_key(e: &ScrollEntry) -> EntryKey {
         e.local_seq,
         std::mem::discriminant(&e.kind),
         e.kind.payload().map(|p| p.to_vec()),
-        e.vc.clone(),
+        e.sends,
     )
 }
 
@@ -734,8 +735,8 @@ fn rollback_then_resume_re_records_the_undone_suffix() {
                     first.get_or_insert_with(|| {
                         format!(
                             "{what}: pid {i} entry {at}: recorded {:?}, re-recorded {:?}",
-                            original.get(at).map(|e| (&e.kind, &e.vc)),
-                            rerun.get(at).map(|e| (&e.kind, &e.vc))
+                            original.get(at).map(|e| (&e.kind, e.sends)),
+                            rerun.get(at).map(|e| (&e.kind, e.sends))
                         )
                     });
                     break;

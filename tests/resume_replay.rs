@@ -8,9 +8,8 @@
 //! suffix after the cut is replayed through it. Every handler's effects
 //! must fingerprint exactly as the world's did — timer ids included, so
 //! a harness that restarted its id counters at 1 diverges at the first
-//! timer it mints. And the replay must end on the world's clock: after
-//! the suffix, the harness's vector clock is the pid's clock at the last
-//! cut.
+//! timer it mints. And the replay must end on the world's state: after
+//! the suffix, the program's bytes are the pid's at the last cut.
 
 use fixd::examples::{kvstore, pipeline, token_ring, two_phase_commit};
 use fixd::prelude::*;
@@ -70,9 +69,9 @@ fn assert_resumes_exactly(app: &str, seed: u64, build: impl Fn() -> World) {
                 panic!("{app} seed {seed}, {pid} cut {k}: diverged at local_seq {at_local_seq}");
             }
             assert_eq!(
-                out.clock,
-                last[pid.idx()].ck.ctx.vc,
-                "{app} seed {seed}, {pid} cut {k}: the replay ends on another clock"
+                out.final_state,
+                last[pid.idx()].ck.state.to_bytes(),
+                "{app} seed {seed}, {pid} cut {k}: the replay ends in another state"
             );
         }
     }
