@@ -151,9 +151,9 @@ mod tests {
         let mut w = world();
         let mut fb = FlashbackCheckpointer::new(2);
         let mut store = fixd_timemachine::CheckpointStore::new(Pid(1), 256);
-        for i in 0..5 {
+        for _ in 0..5 {
             fb.take(&w, Pid(1));
-            store.take(&w, i);
+            store.take(&w);
             w.run_steps(2);
         }
         let eager = fb.bytes_held();

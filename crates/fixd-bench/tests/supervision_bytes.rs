@@ -9,7 +9,9 @@
 //! Machine's delivery log. At 16 B a component (`(u32, u64)` pairs) the
 //! `Fixd` held 16.43 MiB; at 8 B (`u32` counts) 11.49 MiB, and
 //! 11.03 MiB once messages and Scroll entries carried no Lamport
-//! timestamp or speculation id. Without clocks it holds 4.78 MiB.
+//! timestamp or speculation id; 4.78 MiB without clocks, while each of
+//! 7,328 checkpoints (216 B) held a context and 7,232 dependency edges
+//! were stored beside the delivery log. Now it holds 2.80 MiB.
 //!
 //! One `#[test]` on purpose: the live-byte counter is process-wide, and
 //! a second test running on another thread would count into this one.
@@ -24,7 +26,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const WIDTH: usize = 96;
 const SEED: u64 = 1;
 /// Heap bytes the supervised run's `Fixd` may hold alone.
-const MAX_HELD_BYTES: usize = (21 << 20) / 4;
+const MAX_HELD_BYTES: usize = 3 << 20;
 
 #[test]
 fn supervised_chord_world_holds_under_its_heap_budget() {

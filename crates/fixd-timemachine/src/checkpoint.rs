@@ -1,15 +1,16 @@
 //! Per-process checkpoint stores over the shared content-addressed
 //! page store.
 //!
-//! A store keeps one entry per checkpoint — its index, the process's
-//! whole runtime context, its handler-event count — but writes a
-//! *process image* (the state, paged copy-on-write, §4.2) only once
-//! eight handler events (`IMAGE_EVERY`) ran since the last one. The
-//! checkpoints between two images are restored from the older one by
-//! re-running the process's own handler events, which the store logs as
-//! they run: the liblog-style log of §4.1 paired with the lightweight
-//! checkpoints of §4.2, so a checkpoint before every receive (Fig. 6)
-//! does not cost a state copy per receive.
+//! A store keeps one entry per checkpoint — when it was taken and how
+//! many handler events the process had run — but writes a *process
+//! image* (the state, paged copy-on-write, §4.2, and the runtime
+//! context) only once eight handler events (`IMAGE_EVERY`) ran since the
+//! last one. The checkpoints between two images are restored from the
+//! older one by re-running the process's own handler events, which the
+//! store logs as they run: the liblog-style log of §4.1 paired with the
+//! lightweight checkpoints of §4.2, so a checkpoint before every receive
+//! (Fig. 6) does not cost a state copy per receive. The replay derives
+//! the context too, so an entry without an image holds none.
 //!
 //! Replay re-executes handlers on the code that first ran them: a
 //! program replaced, restored or written outside a handler
@@ -52,11 +53,16 @@ impl fmt::Debug for Code {
     }
 }
 
-/// A process image: the paged state, the code that ran on from it, and
-/// the world width its handlers saw.
+/// A process image: the paged state and the process's whole runtime
+/// context (RNG position, id counters) when it was taken, the code that
+/// ran on from it, the world width its handlers saw, and the page
+/// sharing of its state: pages found already interned (in its
+/// predecessor or anywhere else in the store) versus pages inserted.
 #[derive(Clone, Debug)]
 struct Image {
     state: SnapshotImage,
+    ctx: ProcContext,
+    stats: PageStats,
     code: Code,
     width: usize,
 }
@@ -67,33 +73,21 @@ impl Image {
     }
 }
 
-/// A Time-Machine checkpoint: the process's runtime context when it was
-/// taken and, every eighth handler event, an image of its state whose
-/// pages are interned in the Time Machine's shared [`PageStore`] — so
-/// equal pages dedup across images, across processes, and across
-/// speculation branches. The state of a checkpoint without an image is
-/// [`CheckpointStore::materialize`]d by replay.
+/// A Time-Machine checkpoint: when it was taken and, every eighth
+/// handler event, an image of the process whose pages are interned in
+/// the Time Machine's shared [`PageStore`] — so equal pages dedup across
+/// images, across processes, and across cloned Time Machines. The state
+/// and context of a checkpoint without an image are
+/// [`CheckpointStore::materialize_checkpoint`]d by replay. Its index is
+/// its position in the store.
 #[derive(Clone, Debug)]
 pub struct TmCheckpoint {
-    /// Checkpoint index = the interval this checkpoint *starts*.
-    pub index: u64,
-    /// The process's whole runtime context (RNG position, id
-    /// counters, checkpoint index) when the checkpoint was taken.
-    pub ctx: ProcContext,
     /// Virtual time at which the checkpoint was taken.
     pub taken_at: VTime,
     /// Handler events this process had executed when the checkpoint was
     /// taken (rollback-depth accounting for F6).
     pub events_at: u64,
-    /// Page-sharing stats of this checkpoint's image: pages found
-    /// already interned (in its predecessor or anywhere else in the
-    /// store) versus pages inserted. Zero without an image.
-    pub stats: PageStats,
-    /// False once garbage collection has dropped the checkpoint: the
-    /// entry keeps its index (message metadata refers to indices) but
-    /// can no longer be restored.
-    pub live: bool,
-    image: Option<Image>,
+    image: Option<Box<Image>>,
 }
 
 impl TmCheckpoint {
@@ -103,9 +97,16 @@ impl TmCheckpoint {
         self.image.is_some()
     }
 
+    /// Page-sharing stats of this checkpoint's image; zero without one.
+    pub fn stats(&self) -> PageStats {
+        self.image
+            .as_ref()
+            .map_or_else(PageStats::default, |i| i.stats)
+    }
+
     /// The paged state image, if this checkpoint holds one.
     fn pages(&self) -> Option<&PagedImage> {
-        self.image.as_ref().and_then(Image::pages)
+        self.image.as_deref().and_then(Image::pages)
     }
 }
 
@@ -133,6 +134,9 @@ struct LoggedEvent {
 pub struct CheckpointStore {
     pid: Pid,
     checkpoints: Vec<TmCheckpoint>,
+    /// Checkpoints below this index are collected: entries stay (message
+    /// metadata refers to indices) but can no longer be restored.
+    live_from: usize,
     page_size: usize,
     pages: PageStore,
     /// What the process snapshots into on every image: the bytes live
@@ -160,6 +164,7 @@ impl CheckpointStore {
         Self {
             pid,
             checkpoints: Vec::new(),
+            live_from: 0,
             page_size,
             pages,
             scratch: Vec::new(),
@@ -181,7 +186,7 @@ impl CheckpointStore {
     /// image are found by comparing against it; when there is none (all
     /// collected, or none yet) every page goes through the store's hash
     /// lookup, with the same result. Returns the new index.
-    pub fn take(&mut self, world: &World, events_at: u64) -> u64 {
+    pub fn take(&mut self, world: &World) -> u64 {
         let code = self.code(world);
         let prev = self.checkpoints.iter().rev().find_map(TmCheckpoint::pages);
         let ProcCheckpoint {
@@ -199,52 +204,41 @@ impl CheckpointStore {
         let stats = state
             .as_paged()
             .map_or_else(PageStats::default, PagedImage::build_stats);
-        self.push(TmCheckpoint {
-            index: 0,
-            ctx,
+        self.push(
             taken_at,
-            events_at,
-            stats,
-            live: true,
-            image: Some(Image {
+            Some(Image {
                 state,
+                ctx,
+                stats,
                 code,
                 width: world.num_procs(),
             }),
-        })
+        )
     }
 
-    /// Record a checkpoint of `pid`'s current state in `world`, `events_at`
-    /// handler events into its run: an entry with the process's context,
-    /// and an image ([`CheckpointStore::take`]) when one is due — at the
-    /// first checkpoint, at the first after the program changed outside
-    /// a handler, once eight handler events ran since the last image,
-    /// and whenever the log does not run up to this checkpoint.
+    /// Record a checkpoint of `pid`'s current state in `world`, after
+    /// the handler events logged so far: an entry, and an image
+    /// ([`CheckpointStore::take`]) when one is due — at the first
+    /// checkpoint, at the first after the program changed outside a
+    /// handler, and once eight handler events ran since the last image.
     /// This is the Time Machine's checkpoint. Returns the new index.
-    pub fn record(&mut self, world: &World, events_at: u64) -> u64 {
+    pub fn record(&mut self, world: &World) -> u64 {
         let generation = world.program_generation(self.pid);
+        let events_at = self.log_end();
         let due = self
             .checkpoints
             .iter()
             .rev()
-            .find_map(|c| c.image.as_ref().map(|img| (c.events_at, img)))
+            .find_map(|c| c.image.as_deref().map(|img| (c.events_at, img)))
             .is_none_or(|(at, img)| {
                 img.code.generation != generation
                     || img.width != world.num_procs()
                     || events_at >= at + IMAGE_EVERY
             });
-        if due || self.log_end() != events_at {
-            return self.take(world, events_at);
+        if due {
+            return self.take(world);
         }
-        self.push(TmCheckpoint {
-            index: 0,
-            ctx: world.proc_context(self.pid),
-            taken_at: world.now(),
-            events_at,
-            stats: PageStats::default(),
-            live: true,
-            image: None,
-        })
+        self.push(world.now(), None)
     }
 
     /// The replay template of the process's current program generation
@@ -265,10 +259,15 @@ impl CheckpointStore {
         }
     }
 
-    /// Append `ck` as the next checkpoint; returns its index.
-    fn push(&mut self, ck: TmCheckpoint) -> u64 {
+    /// Append a checkpoint taken at `taken_at` after every logged
+    /// handler event; returns its index.
+    fn push(&mut self, taken_at: VTime, image: Option<Image>) -> u64 {
         let index = self.checkpoints.len() as u64;
-        self.checkpoints.push(TmCheckpoint { index, ..ck });
+        self.checkpoints.push(TmCheckpoint {
+            taken_at,
+            events_at: self.log_end(),
+            image: image.map(Box::new),
+        });
         index
     }
 
@@ -285,8 +284,8 @@ impl CheckpointStore {
     }
 
     /// The count of handler events logged so far, collected ones
-    /// included.
-    fn log_end(&self) -> u64 {
+    /// included: the handler events the process ran, net of rollbacks.
+    pub(crate) fn log_end(&self) -> u64 {
         self.log_from + self.log.len() as u64
     }
 
@@ -302,7 +301,7 @@ impl CheckpointStore {
 
     /// Latest index, if any.
     pub fn latest_index(&self) -> Option<u64> {
-        self.checkpoints.last().map(|c| c.index)
+        self.checkpoints.len().checked_sub(1).map(|i| i as u64)
     }
 
     /// Number of checkpoints retained.
@@ -320,13 +319,29 @@ impl CheckpointStore {
     /// them re-run on that image's code. `None` for a collected or
     /// unknown checkpoint.
     pub fn materialize(&self, index: u64) -> Option<Vec<u8>> {
+        Some(self.materialize_checkpoint(index)?.state.into_bytes())
+    }
+
+    /// Live checkpoint `index` as the process checkpoint it restores:
+    /// the state bytes [`CheckpointStore::materialize`] gives, and the
+    /// context of its image or the one the replay ends in, its
+    /// `ckpt_index` set to `index`. `None` for a collected or unknown
+    /// checkpoint.
+    pub fn materialize_checkpoint(&self, index: u64) -> Option<ProcCheckpoint> {
         let i = usize::try_from(index).ok()?;
         let base = self.base_of(i)?;
-        let mut state = None;
-        self.replay(base, i..i + 1, |_, bytes| {
-            state = Some(std::mem::take(bytes))
+        let mut out = None;
+        self.replay(base, i..i + 1, |_, state, ctx| {
+            out = Some((std::mem::take(state), ctx.clone()))
         });
-        state
+        let (state, mut ctx) = out?;
+        ctx.ckpt_index = index;
+        Some(ProcCheckpoint {
+            pid: self.pid,
+            state: SnapshotImage::inline(state),
+            ctx,
+            taken_at: self.checkpoints[i].taken_at,
+        })
     }
 
     /// The newest live checkpoint whose state bytes `accept` takes,
@@ -336,18 +351,18 @@ impl CheckpointStore {
         let mut end = self.checkpoints.len();
         while let Some(base) = self.checkpoints[..end]
             .iter()
-            .rposition(|c| c.image.is_some())
+            .rposition(TmCheckpoint::has_image)
         {
             // The newest checkpoint is the usual pick: it is offered
             // straight off the replay, and the older ones, kept for
             // newest-first order, only if it is refused.
             let mut hit = None;
-            self.replay(base, end - 1..end, |i, state| {
+            self.replay(base, end - 1..end, |i, state, _| {
                 hit = accept(state).then_some(i);
             });
             if hit.is_none() {
                 let mut states = Vec::new();
-                self.replay(base, base..end - 1, |i, state| {
+                self.replay(base, base..end - 1, |i, state, _| {
                     states.push((i, state.clone()));
                 });
                 hit = states
@@ -365,34 +380,34 @@ impl CheckpointStore {
 
     /// The image live checkpoint `i` replays from.
     fn base_of(&self, i: usize) -> Option<usize> {
-        if !self.checkpoints.get(i)?.live {
+        if !self.is_live(i as u64) {
             return None;
         }
         self.checkpoints[..=i]
             .iter()
-            .rposition(|c| c.image.is_some())
+            .rposition(TmCheckpoint::has_image)
     }
 
     /// Replay forward from the image of checkpoint `base`, handing
-    /// `visit` the state bytes of every live checkpoint in `wanted`, in
-    /// order. Stops early where the log does not reach.
+    /// `visit` the state bytes and context of every live checkpoint in
+    /// `wanted`, in order. Stops early where the log does not reach.
     fn replay(
         &self,
         base: usize,
         wanted: Range<usize>,
-        mut visit: impl FnMut(usize, &mut Vec<u8>),
+        mut visit: impl FnMut(usize, &mut Vec<u8>, &ProcContext),
     ) {
         let Some((ck, image)) = self
             .checkpoints
             .get(base)
-            .and_then(|c| Some((c, c.image.as_ref()?)))
+            .and_then(|c| Some((c, c.image.as_deref()?)))
         else {
             return;
         };
         // One buffer holds the image's bytes, then each snapshot; a
         // visitor may take it.
         let mut buf = image.state.to_bytes();
-        let live = |i: usize| wanted.contains(&i) && self.checkpoints[i].live;
+        let live = |i: usize| wanted.contains(&i) && i >= self.live_from;
         let end = wanted.end.min(self.checkpoints.len());
         let mut program = (end > base + 1).then(|| {
             let mut program = image.code.program.clone_program();
@@ -400,7 +415,7 @@ impl CheckpointStore {
             program
         });
         if live(base) {
-            visit(base, &mut buf);
+            visit(base, &mut buf, &image.ctx);
         }
         let Some(program) = program.as_mut() else {
             return;
@@ -409,7 +424,7 @@ impl CheckpointStore {
             &ProcCheckpoint {
                 pid: self.pid,
                 state: SnapshotImage::inline(Vec::new()),
-                ctx: ck.ctx.clone(),
+                ctx: image.ctx.clone(),
                 taken_at: ck.taken_at,
             },
             image.width,
@@ -435,7 +450,7 @@ impl CheckpointStore {
             if live(i) {
                 buf.clear();
                 program.snapshot_to(&mut buf);
-                visit(i, &mut buf);
+                visit(i, &mut buf, harness.context());
             }
         }
     }
@@ -451,24 +466,21 @@ impl CheckpointStore {
     /// restored checkpoint's `events_at`.
     pub fn restore(&mut self, world: &mut World, index: u64) -> Option<u64> {
         let i = usize::try_from(index).ok()?;
-        let state = self.materialize(index)?;
-        let ck = self.checkpoints.get(i)?;
-        let restored = ProcCheckpoint {
-            pid: self.pid,
-            state: SnapshotImage::inline(state),
-            ctx: ck.ctx.clone(),
-            taken_at: ck.taken_at,
-        };
+        let restored = self.materialize_checkpoint(index)?;
         world.restore_checkpoint(&restored);
-        let events_at = ck.events_at;
         self.checkpoints.truncate(i + 1);
-        self.log
-            .truncate(events_at.saturating_sub(self.log_from) as usize);
         let code = self.code(world);
+        let width = world.num_procs();
         let (older, rest) = self.checkpoints.split_at_mut(i);
         let ck = rest.first_mut()?;
-        let state = match ck.image.take() {
-            Some(image) => image.state,
+        self.log
+            .truncate(ck.events_at.saturating_sub(self.log_from) as usize);
+        let image = match ck.image.take() {
+            Some(mut image) => {
+                image.code = code;
+                image.width = width;
+                image
+            }
             None => {
                 let prev = older.iter().rev().find_map(TmCheckpoint::pages);
                 let pages = PagedImage::from_bytes_after(
@@ -477,43 +489,41 @@ impl CheckpointStore {
                     self.page_size,
                     prev,
                 );
-                ck.stats = pages.build_stats();
-                SnapshotImage::Paged(pages)
+                Box::new(Image {
+                    stats: pages.build_stats(),
+                    state: SnapshotImage::Paged(pages),
+                    ctx: restored.ctx,
+                    code,
+                    width,
+                })
             }
         };
-        ck.image = Some(Image {
-            state,
-            code,
-            width: world.num_procs(),
-        });
-        Some(events_at)
+        ck.image = Some(image);
+        Some(ck.events_at)
     }
 
     /// Drop checkpoints with `index < keep_from` (garbage collection).
     /// Entries stay in place so the indices of retained checkpoints do
-    /// not move; a dropped entry is marked not `live`. The newest image
-    /// at or before `keep_from` stays, with the log from it on: the
-    /// checkpoints from `keep_from` on replay from it. Older images give
-    /// up their pages — releasing their refcounts, so pages referenced
-    /// nowhere else are freed by the store and counted in
+    /// not move; the store's watermark moves up to `keep_from`. The
+    /// newest image at or before the watermark stays, with the log from
+    /// it on: the checkpoints from the watermark on replay from it. Older
+    /// images give up their pages — releasing their refcounts, so pages
+    /// referenced nowhere else are freed by the store and counted in
     /// `StoreStats::freed_bytes`. Returns the number of checkpoints
     /// dropped.
     pub fn gc_before(&mut self, keep_from: u64) -> usize {
         let len = self.checkpoints.len();
-        let drop_n = (keep_from as usize).min(len);
-        let mut dropped = 0;
-        for ck in self.checkpoints[..drop_n].iter_mut().filter(|c| c.live) {
-            ck.live = false;
-            dropped += 1;
-        }
+        let keep = usize::try_from(keep_from).map_or(len, |k| k.min(len));
+        let dropped = keep.saturating_sub(self.live_from);
+        self.live_from = self.live_from.max(keep);
         // The first image any kept checkpoint replays from.
-        let base = if drop_n == len {
+        let base = if self.live_from == len {
             len
         } else {
-            self.checkpoints[..=drop_n]
+            self.checkpoints[..=self.live_from]
                 .iter()
-                .rposition(|c| c.image.is_some())
-                .or_else(|| self.checkpoints.iter().position(|c| c.image.is_some()))
+                .rposition(TmCheckpoint::has_image)
+                .or_else(|| self.checkpoints.iter().position(TmCheckpoint::has_image))
                 .unwrap_or(len)
         };
         for ck in &mut self.checkpoints[..base] {
@@ -531,7 +541,7 @@ impl CheckpointStore {
 
     /// Is checkpoint `index` still restorable (not GC'd)?
     pub fn is_live(&self, index: u64) -> bool {
-        self.get(index).is_some_and(|c| c.live)
+        (self.live_from as u64..self.checkpoints.len() as u64).contains(&index)
     }
 
     /// Distinct bytes held by the history's images (content-dedup-aware,
@@ -543,16 +553,6 @@ impl CheckpointStore {
     /// The images the history holds (for cross-store dedup accounting).
     pub fn images(&self) -> impl Iterator<Item = &PagedImage> {
         self.checkpoints.iter().filter_map(TmCheckpoint::pages)
-    }
-
-    /// Sum of page-sharing stats across the history.
-    pub fn total_stats(&self) -> PageStats {
-        let mut s = PageStats::default();
-        for c in &self.checkpoints {
-            s.reused += c.stats.reused;
-            s.fresh += c.stats.fresh;
-        }
-        s
     }
 }
 
@@ -605,17 +605,35 @@ mod tests {
         w
     }
 
+    /// Run up to `steps` events of `w`, logging the handler events of
+    /// `store`'s process as the Time Machine does.
+    fn run_logged(w: &mut World, store: &mut CheckpointStore, steps: usize) {
+        for _ in 0..steps {
+            let Some(rec) = w.step() else { return };
+            if rec.event.kind.pid() == Some(store.pid) {
+                store.log(&rec.event);
+            }
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_entry_holds_no_context() {
+        // Time, event count and the image pointer: the context lives in
+        // the image, and replay derives it for the entries without one.
+        assert_eq!(std::mem::size_of::<TmCheckpoint>(), 24);
+    }
+
     #[test]
     fn incremental_checkpoints_share_pages() {
         let mut w = world();
         let mut store = CheckpointStore::new(Pid(1), 256);
-        store.take(&w, 0);
+        store.take(&w);
         w.run_to_quiescence(1_000);
-        store.take(&w, 5);
+        store.take(&w);
         let last = store.latest().unwrap();
-        assert!(last.stats.reused > 0, "most pages unchanged");
-        assert!(last.stats.fresh >= 1, "mutated pages copied");
-        assert!(last.stats.reused > last.stats.fresh);
+        assert!(last.stats().reused > 0, "most pages unchanged");
+        assert!(last.stats().fresh >= 1, "mutated pages copied");
+        assert!(last.stats().reused > last.stats().fresh);
         // COW history is much smaller than eager copies.
         let eager = 2 * (4096 + 8);
         assert!(store.unique_bytes() < eager);
@@ -625,13 +643,15 @@ mod tests {
     fn restore_returns_exact_state() {
         let mut w = world();
         let mut store = CheckpointStore::new(Pid(1), 256);
-        w.run_steps(3);
+        run_logged(&mut w, &mut store, 3);
+        let logged = store.log_end();
+        assert!(logged > 0);
         let fp_then = w.checkpoint_process(Pid(1)).fingerprint();
-        let idx = store.take(&w, 3);
+        let idx = store.take(&w);
         w.run_to_quiescence(1_000);
         assert_ne!(w.checkpoint_process(Pid(1)).fingerprint(), fp_then);
         let events_at = store.restore(&mut w, idx).unwrap();
-        assert_eq!(events_at, 3);
+        assert_eq!(events_at, logged);
         assert_eq!(w.checkpoint_process(Pid(1)).fingerprint(), fp_then);
     }
 
@@ -639,11 +659,11 @@ mod tests {
     fn restore_truncates_future_checkpoints() {
         let mut w = world();
         let mut store = CheckpointStore::new(Pid(1), 256);
-        store.take(&w, 0);
+        store.take(&w);
         w.run_steps(4);
-        store.take(&w, 4);
+        store.take(&w);
         w.run_to_quiescence(1_000);
-        store.take(&w, 9);
+        store.take(&w);
         assert_eq!(store.len(), 3);
         store.restore(&mut w, 1);
         assert_eq!(store.len(), 2);
@@ -654,8 +674,8 @@ mod tests {
     fn gc_tombstones_old_checkpoints() {
         let mut w = world();
         let mut store = CheckpointStore::new(Pid(1), 256);
-        for i in 0..4 {
-            store.take(&w, i);
+        for _ in 0..4 {
+            store.take(&w);
             w.run_steps(2);
         }
         let dropped = store.gc_before(2);
@@ -665,7 +685,7 @@ mod tests {
         assert!(store.is_live(2));
         assert!(store.is_live(3));
         // Indices unchanged for live checkpoints.
-        assert_eq!(store.get(3).unwrap().index, 3);
+        assert_eq!(store.latest_index(), Some(3));
         // Second gc is a no-op.
         assert_eq!(store.gc_before(2), 0);
     }
@@ -697,7 +717,7 @@ mod tests {
             let mine = self.images.last().unwrap();
             assert!(ck.pages().unwrap().page_keys().eq(mine.page_keys()));
             assert_eq!(ck.pages(), Some(mine));
-            assert_eq!(ck.stats, mine.build_stats());
+            assert_eq!(ck.stats(), mine.build_stats());
             assert_eq!(store.page_store().stats(), self.pages.stats());
         }
     }
@@ -720,8 +740,8 @@ mod tests {
         let mut w = patterned_world();
         let mut store = CheckpointStore::new(Pid(1), 256);
         let mut scratch = FromScratch::new();
-        for i in 0..3 {
-            store.take(&w, i);
+        for _ in 0..3 {
+            store.take(&w);
             scratch.take(&w);
             scratch.assert_matches(&store);
             w.run_steps(2);
@@ -730,23 +750,27 @@ mod tests {
         // take has no live predecessor and must page from scratch.
         assert_eq!(store.gc_before(3), 3);
         scratch.images.clear();
-        assert!(!store.latest().unwrap().live);
+        assert!(!store.is_live(2));
         assert_eq!(store.page_store().stats(), scratch.pages.stats());
         assert_eq!(store.page_store().unique_bytes(), 0);
         w.run_steps(2);
-        let idx = store.take(&w, 8);
+        let idx = store.take(&w);
         scratch.take(&w);
         assert_eq!(idx, 3, "indices survive collection");
         scratch.assert_matches(&store);
         let ck = store.latest().unwrap();
-        assert_eq!(ck.stats.reused, 0, "nothing of the dropped history is left");
-        assert_eq!(ck.stats.fresh, ck.pages().unwrap().page_count());
+        assert_eq!(
+            ck.stats().reused,
+            0,
+            "nothing of the dropped history is left"
+        );
+        assert_eq!(ck.stats().fresh, ck.pages().unwrap().page_count());
         // And the one after that diffs against it again.
         w.run_steps(1);
-        store.take(&w, 9);
+        store.take(&w);
         scratch.take(&w);
         scratch.assert_matches(&store);
-        assert!(store.latest().unwrap().stats.reused > 0);
+        assert!(store.latest().unwrap().stats().reused > 0);
     }
 
     #[test]
@@ -754,8 +778,8 @@ mod tests {
         let mut w = patterned_world();
         let mut store = CheckpointStore::new(Pid(1), 256);
         let mut scratch = FromScratch::new();
-        for i in 0..4 {
-            store.take(&w, i);
+        for _ in 0..4 {
+            store.take(&w);
             scratch.take(&w);
             w.run_steps(2);
         }
@@ -764,12 +788,12 @@ mod tests {
         assert_eq!(store.page_store().stats(), scratch.pages.stats());
         // The state is checkpoint 1's again, and checkpoint 1 is the
         // latest: the new image is all of its pages, none hashed anew.
-        store.take(&w, 1);
+        store.take(&w);
         scratch.take(&w);
         scratch.assert_matches(&store);
         let ck = store.latest().unwrap();
-        assert_eq!(ck.index, 2);
-        assert_eq!(ck.stats.fresh, 0);
+        assert_eq!(store.latest_index(), Some(2));
+        assert_eq!(ck.stats().fresh, 0);
         assert_eq!(ck.pages(), store.get(1).unwrap().pages());
     }
 
@@ -794,7 +818,7 @@ mod tests {
         let mut store = CheckpointStore::new(Pid(1), 256);
         let mut scratch = FromScratch::new();
         w.run_steps(3);
-        store.take(&w, 3);
+        store.take(&w);
         scratch.take(&w);
         let old = w.program::<BigState>(Pid(1)).unwrap();
         let patched = PatchedBigState(BigState {
@@ -802,11 +826,11 @@ mod tests {
             writes: old.writes,
         });
         w.replace_program(Pid(1), Box::new(patched));
-        store.take(&w, 3);
+        store.take(&w);
         scratch.take(&w);
         scratch.assert_matches(&store);
         let ck = store.latest().unwrap();
-        assert_eq!(ck.stats.reused, 0, "every page moved");
+        assert_eq!(ck.stats().reused, 0, "every page moved");
         assert_eq!(
             ck.pages().unwrap().len(),
             store.get(0).unwrap().pages().unwrap().len() + 3
@@ -821,10 +845,10 @@ mod tests {
         // first checkpoint.
         let w = world();
         let mut store = CheckpointStore::new(Pid(0), 256);
-        store.take(&w, 0);
+        store.take(&w);
         let c = store.latest().unwrap();
-        assert!(c.stats.fresh >= 1, "first distinct page is fresh");
-        assert!(c.stats.reused >= 15, "constant region collapses");
+        assert!(c.stats().fresh >= 1, "first distinct page is fresh");
+        assert!(c.stats().reused >= 15, "constant region collapses");
         assert!(store.unique_bytes() < 4096 + 8);
     }
 
@@ -836,8 +860,8 @@ mod tests {
         let pages = PageStore::new();
         let mut s0 = CheckpointStore::with_store(Pid(0), 256, pages.clone());
         let mut s1 = CheckpointStore::with_store(Pid(1), 256, pages.clone());
-        s0.take(&w, 0);
-        s1.take(&w, 0);
+        s0.take(&w);
+        s1.take(&w);
         let per_process = s0.unique_bytes() + s1.unique_bytes();
         assert_eq!(pages.unique_bytes() * 2, per_process);
         assert!(pages.unique_bytes() < per_process);

@@ -8,10 +8,12 @@
 //! discipline as a driver around [`World::peek`]/[`World::step`]:
 //!
 //! * **before** a `Deliver` executes, the receiver takes a checkpoint and
-//!   the dependency edge is recorded; the checkpoint is an entry per
-//!   receive, with a lightweight (COW) image of the state every eighth
-//!   handler event and, between images, the handler log that restores
-//!   it by replay ([`crate::checkpoint`]);
+//!   the delivery is logged; the checkpoint is an entry per receive,
+//!   with a lightweight (COW) image of the state every eighth handler
+//!   event and, between images, the handler log that restores it by
+//!   replay ([`crate::checkpoint`]). The logged delivery is the one
+//!   record of the receive: the message kept for re-injection and the
+//!   rollback-dependency edge ([`crate::dependency`]);
 //! * **after** a handler runs, its event joins its process's log;
 //! * message metadata stamps every send with the sender's current
 //!   checkpoint interval;
@@ -24,7 +26,7 @@
 use fixd_runtime::{EventKind, Pid, SharedMessage, StepRecord, VTime, World};
 
 use crate::checkpoint::CheckpointStore;
-use crate::dependency::{DepEdge, DependencyGraph, NO_ROLLBACK};
+use crate::dependency::{recovery_line, DepEdge, NO_ROLLBACK};
 use crate::recovery::{RecoveryLine, RollbackError, RollbackReport};
 
 /// When checkpoints are taken.
@@ -55,14 +57,27 @@ impl Default for TimeMachineConfig {
     }
 }
 
-/// A delivered message retained for replay after rollback. The retained
-/// handle **is** the delivered message (shared `SharedMessage`): logging
-/// a delivery adds one reference count — no payload copy, no
-/// `Message` at all.
+/// A delivered message retained for replay after rollback, and the
+/// interval of the receiver it was delivered in. The retained handle
+/// **is** the delivered message (shared `SharedMessage`): logging a
+/// delivery adds one reference count — no payload copy, no `Message` at
+/// all.
 #[derive(Clone, Debug)]
 pub(crate) struct DeliveryRecord {
     pub msg: SharedMessage,
     pub dst_interval: u64,
+}
+
+impl DeliveryRecord {
+    /// The rollback dependency this delivery makes.
+    pub(crate) fn edge(&self) -> DepEdge {
+        DepEdge {
+            src: self.msg.src,
+            src_interval: self.msg.ckpt_index,
+            dst: self.msg.dst,
+            dst_interval: self.dst_interval,
+        }
+    }
 }
 
 /// The Time Machine. One per [`World`]; drive it with
@@ -77,9 +92,6 @@ pub struct TimeMachine {
     /// not page copies, until they diverge.
     pub(crate) page_store: crate::page::PageStore,
     pub(crate) stores: Vec<CheckpointStore>,
-    pub(crate) deps: DependencyGraph,
-    pub(crate) intervals: Vec<u64>,
-    pub(crate) events_handled: Vec<u64>,
     pub(crate) last_periodic: Vec<VTime>,
     pub(crate) delivery_log: Vec<DeliveryRecord>,
     initialized: bool,
@@ -102,9 +114,6 @@ impl TimeMachine {
                 .map(|i| CheckpointStore::with_store(Pid(i as u32), cfg.page_size, pages.clone()))
                 .collect(),
             page_store: pages,
-            deps: DependencyGraph::new(),
-            intervals: vec![0; n],
-            events_handled: vec![0; n],
             last_periodic: vec![0; n],
             delivery_log: Vec::new(),
             initialized: false,
@@ -134,25 +143,17 @@ impl TimeMachine {
             world.predict_receive_checkpoints();
         }
         for i in 0..self.stores.len() {
-            let pid = Pid(i as u32);
-            let idx = self.stores[i].record(world, self.events_handled[i]);
+            let idx = self.stores[i].record(world);
             debug_assert_eq!(idx, 0);
-            self.intervals[i] = 0;
-            self.stamp_ckpt_index(world, pid);
+            world.set_ckpt_index(Pid(i as u32), idx);
         }
-    }
-
-    fn stamp_ckpt_index(&self, world: &mut World, pid: Pid) {
-        world.set_ckpt_index(pid, self.intervals[pid.idx()]);
     }
 
     /// Take an on-demand checkpoint of `pid` now. Returns its index.
     pub fn checkpoint_now(&mut self, world: &mut World, pid: Pid) -> u64 {
         self.init(world);
-        let i = pid.idx();
-        let idx = self.stores[i].record(world, self.events_handled[i]);
-        self.intervals[i] = idx;
-        self.stamp_ckpt_index(world, pid);
+        let idx = self.stores[pid.idx()].record(world);
+        world.set_ckpt_index(pid, idx);
         idx
     }
 
@@ -162,9 +163,9 @@ impl TimeMachine {
         self.init(world);
         // The periodic policy checkpoints a process about to run a
         // handler once its period has passed. For a receive this comes
-        // before the dependency edge and the delivery log, so both place
-        // the receive in the new interval and a rollback to this
-        // checkpoint re-delivers it.
+        // before the delivery is logged, so the log places the receive in
+        // the new interval and a rollback to this checkpoint re-delivers
+        // it.
         if let CheckpointPolicy::Periodic { every } = self.cfg.policy {
             if let Some(pid) = ev.kind.pid().filter(|_| ev.kind.runs_handler()) {
                 let i = pid.idx();
@@ -179,15 +180,9 @@ impl TimeMachine {
             if self.cfg.policy == CheckpointPolicy::EveryReceive {
                 self.checkpoint_now(world, dst);
             }
-            self.deps.add(DepEdge {
-                src: msg.src,
-                src_interval: msg.ckpt_index,
-                dst,
-                dst_interval: self.intervals[dst.idx()],
-            });
             self.delivery_log.push(DeliveryRecord {
                 msg: msg.clone(),
-                dst_interval: self.intervals[dst.idx()],
+                dst_interval: self.interval(dst),
             });
         }
     }
@@ -195,11 +190,8 @@ impl TimeMachine {
     /// Hook to call with the record [`World::step`] returned: a handler
     /// event joins its process's log.
     pub fn after_step(&mut self, _world: &mut World, rec: &StepRecord) {
-        if rec.event.kind.runs_handler() {
-            if let Some(pid) = rec.event.kind.pid() {
-                self.events_handled[pid.idx()] += 1;
-                self.stores[pid.idx()].log(&rec.event);
-            }
+        if let Some(pid) = rec.event.kind.pid() {
+            self.stores[pid.idx()].log(&rec.event);
         }
     }
 
@@ -220,7 +212,8 @@ impl TimeMachine {
     /// Compute (without applying) the recovery line for a failure of
     /// `fail` rolling to checkpoint `target`.
     pub fn plan_rollback(&self, fail: Pid, target: u64) -> RecoveryLine {
-        RecoveryLine::new(self.deps.recovery_line(self.stores.len(), fail, target))
+        let n = self.stores.len();
+        RecoveryLine::new(recovery_line(self.dependencies(), n, fail, target))
     }
 
     /// Roll the world back: `fail` restores checkpoint `target`, every
@@ -241,7 +234,7 @@ impl TimeMachine {
                 index: target,
             });
         }
-        let line = self.deps.recovery_line(self.stores.len(), fail, target);
+        let line = recovery_line(self.dependencies(), self.stores.len(), fail, target);
         // Validate first: every required checkpoint must be live.
         for (i, &l) in line.iter().enumerate() {
             if l == NO_ROLLBACK {
@@ -261,45 +254,42 @@ impl TimeMachine {
                 continue;
             }
             let pid = Pid(i as u32);
+            let handled = self.stores[i].log_end();
             // Validated above, so this restores.
             let Some(events_at) = self.stores[i].restore(world, l) else {
                 return Err(RollbackError::NoSuchCheckpoint { pid, index: l });
             };
             report.procs_rolled += 1;
-            report.events_undone += self.events_handled[i] - events_at;
+            report.events_undone += handled - events_at;
             // Rolling back to the initial checkpoint undoes the process's
             // `on_start` itself — re-schedule it so the process reboots.
-            if events_at == 0 && self.events_handled[i] > 0 {
+            if events_at == 0 && handled > 0 {
                 world.schedule_start(pid);
             }
-            self.events_handled[i] = events_at;
-            self.intervals[i] = l;
-            self.stamp_ckpt_index(world, pid);
+            world.set_ckpt_index(pid, l);
         }
+        // An interval is undone when its process restores it or an
+        // earlier one.
+        let undone = |pid: Pid, interval: u64| line.get(pid.idx()).is_some_and(|&l| l <= interval);
         // Purge orphan in-flight messages: sent in an undone interval.
         report.msgs_purged = world.purge_events(|kind| match kind {
-            EventKind::Deliver { msg } => {
-                let sl = line.get(msg.src.idx()).copied().unwrap_or(NO_ROLLBACK);
-                sl != NO_ROLLBACK && msg.ckpt_index >= sl
-            }
+            EventKind::Deliver { msg } => undone(msg.src, msg.ckpt_index),
             _ => false,
         });
         // Re-inject logged messages whose receive was undone but whose
-        // send survives.
+        // send survives. A delivery whose send or receive was undone no
+        // longer describes the (new) history, so it leaves the log.
         let now = world.now();
         let mut kept = Vec::with_capacity(self.delivery_log.len());
         for rec in self.delivery_log.drain(..) {
-            let dl = line.get(rec.msg.dst.idx()).copied().unwrap_or(NO_ROLLBACK);
-            let sl = line.get(rec.msg.src.idx()).copied().unwrap_or(NO_ROLLBACK);
-            let send_undone = sl != NO_ROLLBACK && rec.msg.ckpt_index >= sl;
-            let recv_undone = dl != NO_ROLLBACK && rec.dst_interval >= dl;
-            if send_undone {
+            let e = rec.edge();
+            if undone(e.src, e.src_interval) {
                 // Orphan: forget it entirely. If this log entry held the
                 // last reference, the box returns to the world's arena.
                 world.reclaim_message(rec.msg);
                 continue;
             }
-            if recv_undone {
+            if undone(e.dst, e.dst_interval) {
                 world.inject_message(rec.msg.clone(), now);
                 report.msgs_replayed += 1;
                 continue; // will be re-logged on re-delivery
@@ -307,7 +297,6 @@ impl TimeMachine {
             kept.push(rec);
         }
         self.delivery_log = kept;
-        self.deps.retract(&line);
         report.line = line;
         Ok(report)
     }
@@ -330,19 +319,22 @@ impl TimeMachine {
         self.stores.len()
     }
 
-    /// The dependency graph accumulated so far.
-    pub fn dependencies(&self) -> &DependencyGraph {
-        &self.deps
+    /// The rollback dependencies of the run so far: one edge per logged
+    /// delivery, in delivery order.
+    pub fn dependencies(&self) -> impl Iterator<Item = DepEdge> + Clone + '_ {
+        self.delivery_log.iter().map(DeliveryRecord::edge)
     }
 
-    /// Current checkpoint interval of `pid`.
+    /// Current checkpoint interval of `pid`: its newest checkpoint's
+    /// index.
     pub fn interval(&self, pid: Pid) -> u64 {
-        self.intervals[pid.idx()]
+        self.stores[pid.idx()].latest_index().unwrap_or(0)
     }
 
-    /// Handler events executed by `pid` (net of rollbacks).
+    /// Handler events executed by `pid` (net of rollbacks): the length
+    /// of its handler log.
     pub fn events_handled(&self, pid: Pid) -> u64 {
-        self.events_handled[pid.idx()]
+        self.stores[pid.idx()].log_end()
     }
 
     /// Total distinct checkpoint bytes held across **all** processes of
@@ -437,7 +429,7 @@ mod tests {
                 "interval = receives for {pid}"
             );
         }
-        assert!(!tm.dependencies().is_empty());
+        assert!(tm.dependencies().next().is_some());
     }
 
     #[test]
@@ -524,6 +516,22 @@ mod tests {
                 assert_eq!(total, 17, "{policy:?}: rollback of P2 to {target}");
             }
         }
+    }
+
+    #[test]
+    fn rollback_forgets_undone_deliveries() {
+        // A delivery whose send or receive the line undid no longer
+        // describes the history, as a message or as a dependency.
+        let (mut w, mut tm) = setup(3, CheckpointPolicy::EveryReceive);
+        tm.run(&mut w, 12);
+        let logged = tm.dependencies().count();
+        let target = tm.interval(Pid(1)).saturating_sub(2);
+        let report = tm.rollback(&mut w, Pid(1), target).unwrap();
+        let undone = |p: Pid, interval: u64| report.line[p.idx()] <= interval;
+        assert!(tm
+            .dependencies()
+            .all(|e| !undone(e.src, e.src_interval) && !undone(e.dst, e.dst_interval)));
+        assert!(tm.dependencies().count() < logged);
     }
 
     #[test]

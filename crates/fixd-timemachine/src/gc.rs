@@ -1,15 +1,17 @@
 //! Garbage collection of Time-Machine history.
 //!
 //! Once a line of checkpoints is *stable* (no detector will roll past
-//! it), older checkpoints, delivery-log entries, and dependency edges can
-//! never be needed again and are reclaimed. Each process keeps the newest
-//! image at or before its stable point and its handler log from that
-//! image on: the checkpoints from the stable point on replay from it.
-//! Checkpoint indices are stable identifiers (messages in the log refer
-//! to them), so collected checkpoints are tombstoned rather than
-//! renumbered.
-
-use fixd_runtime::Pid;
+//! it), older checkpoints and logged deliveries can never be needed
+//! again and are reclaimed. Each process keeps the newest image at or
+//! before its stable point and its handler log from that image on: the
+//! checkpoints from the stable point on replay from it. A delivery stays
+//! logged while its receive is at or above the receiver's stable point —
+//! a rollback to the line may re-inject it — or its send is at or above
+//! the sender's: as a dependency edge it then makes a rollback past the
+//! line fail with `CheckpointCollected` instead of orphaning the
+//! receive. Checkpoint indices are stable identifiers (messages in the
+//! log refer to them), so collection moves a watermark rather than
+//! renumbering.
 
 use crate::cic::TimeMachine;
 use crate::dependency::NO_ROLLBACK;
@@ -19,7 +21,6 @@ use crate::dependency::NO_ROLLBACK;
 pub struct GcReport {
     pub checkpoints_dropped: usize,
     pub log_entries_dropped: usize,
-    pub dep_edges_dropped: usize,
     /// Checkpoint bytes held after the pass (content-dedup-aware).
     pub bytes_after: usize,
     /// Page bytes the shared store **actually freed** during this pass —
@@ -35,44 +36,25 @@ impl TimeMachine {
     /// restorable; [`NO_ROLLBACK`] = collect everything but the latest).
     pub fn gc(&mut self, stable: &[u64]) -> GcReport {
         let freed_before = self.page_store.stats().freed_bytes;
-        let mut report = GcReport::default();
-        for (i, store) in self.stores.iter_mut().enumerate() {
-            let keep_from = match stable.get(i).copied() {
+        let keep_from: Vec<u64> = (self.stores.iter().enumerate())
+            .map(|(i, store)| match stable.get(i).copied() {
                 Some(NO_ROLLBACK) | None => store.latest_index().unwrap_or(0),
                 Some(s) => s,
-            };
-            report.checkpoints_dropped += store.gc_before(keep_from);
+            })
+            .collect();
+        let mut report = GcReport::default();
+        for (store, &keep) in self.stores.iter_mut().zip(&keep_from) {
+            report.checkpoints_dropped += store.gc_before(keep);
         }
         let before_log = self.delivery_log.len();
-        let stores_ref = &self.stores;
         self.delivery_log.retain(|rec| {
-            // Keep entries that a rollback to the stable line could still
-            // need to replay: receive interval at/above the receiver's
-            // stable point.
-            let dl = threshold(stable, rec.msg.dst, stores_ref);
-            rec.dst_interval >= dl
+            let e = rec.edge();
+            e.dst_interval >= keep_from[e.dst.idx()] || e.src_interval >= keep_from[e.src.idx()]
         });
         report.log_entries_dropped = before_log - self.delivery_log.len();
-
-        let before_edges = self.deps.len();
-        let stores = &self.stores;
-        let stable_vec: Vec<u64> = (0..stores.len())
-            .map(|i| threshold(stable, Pid(i as u32), stores))
-            .collect();
-        self.deps.retain_edges(|e| {
-            e.dst_interval >= stable_vec[e.dst.idx()] || e.src_interval >= stable_vec[e.src.idx()]
-        });
-        report.dep_edges_dropped = before_edges - self.deps.len();
         report.bytes_after = self.total_checkpoint_bytes();
         report.page_bytes_freed = self.page_store.stats().freed_bytes - freed_before;
         report
-    }
-}
-
-fn threshold(stable: &[u64], pid: Pid, stores: &[crate::checkpoint::CheckpointStore]) -> u64 {
-    match stable.get(pid.idx()).copied() {
-        Some(NO_ROLLBACK) | None => stores[pid.idx()].latest_index().unwrap_or(0),
-        Some(s) => s,
     }
 }
 
@@ -80,7 +62,8 @@ fn threshold(stable: &[u64], pid: Pid, stores: &[crate::checkpoint::CheckpointSt
 mod tests {
     use super::*;
     use crate::cic::{CheckpointPolicy, TimeMachineConfig};
-    use fixd_runtime::{Context, Program, World, WorldConfig};
+    use crate::recovery::RollbackError;
+    use fixd_runtime::{Context, Pid, Program, World, WorldConfig};
 
     #[derive(Clone)]
     struct Pump;
@@ -122,12 +105,10 @@ mod tests {
         tm.run(&mut w, 10_000);
         let ckpts_before = tm.total_checkpoints();
         assert!(ckpts_before > 10);
-        let deps_before = tm.dependencies().len();
         // Everything is stable: keep only the latest per process.
         let stable = vec![NO_ROLLBACK, NO_ROLLBACK];
         let report = tm.gc(&stable);
         assert!(report.checkpoints_dropped > 0);
-        assert!(report.dep_edges_dropped > 0 || deps_before == 0);
         assert!(report.log_entries_dropped > 0);
     }
 
@@ -158,10 +139,24 @@ mod tests {
             let err = tm.rollback(&mut w, fail, 0).unwrap_err();
             assert!(matches!(
                 err,
-                crate::recovery::RollbackError::CheckpointCollected { .. }
-                    | crate::recovery::RollbackError::NoSuchCheckpoint { .. }
+                RollbackError::CheckpointCollected { .. } | RollbackError::NoSuchCheckpoint { .. }
             ));
         }
+    }
+
+    #[test]
+    fn gc_keeps_a_collected_receive_of_a_send_above_the_line() {
+        // P0 sends in its interval k what P1 receives in its interval
+        // k + 1. Rolling P0 back to 2 undoes its interval-2 send, so P1
+        // must go back to 3: below its stable point 5, collected.
+        let (mut w, mut tm) = setup();
+        tm.run(&mut w, 10_000);
+        tm.gc(&[2, 5]);
+        let err = RollbackError::CheckpointCollected {
+            pid: Pid(1),
+            index: 3,
+        };
+        assert_eq!(tm.rollback(&mut w, Pid(0), 2), Err(err));
     }
 
     /// Pump variant whose state actually mutates, so GC'd checkpoints

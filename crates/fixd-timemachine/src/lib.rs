@@ -22,16 +22,16 @@
 //!    Bringing it back means restoring `speculation.rs` from the history
 //!    together with a product caller, and giving each message the id of
 //!    the speculation its sender ran inside: a new field on
-//!    [`fixd_runtime::Message`] and a new Scroll format version (v5
+//!    [`fixd_runtime::Message`] and a new Scroll format version (v6
 //!    carries the checkpoint index alone).
 //!
 //! Checkpointing is *communication induced* ([`cic`], Fig. 6): a process
 //! saves a lightweight checkpoint before receiving a message, and message
-//! metadata carries the sender's checkpoint interval so the
-//! rollback-dependency graph ([`dependency`]) can compute a **safe
-//! recovery line** ([`recovery`]) — the "Safe recovery line" of Fig. 6 —
-//! instead of cascading unboundedly (the domino effect measured in
-//! experiment **F6**).
+//! metadata carries the sender's checkpoint interval, so each logged
+//! delivery is a rollback dependency ([`dependency`]) from which to
+//! compute a **safe recovery line** ([`recovery`]) — the "Safe recovery
+//! line" of Fig. 6 — instead of cascading unboundedly (the domino effect
+//! measured in experiment **F6**).
 //!
 //! The stop-the-world consistent cut of the fault-response protocol
 //! (Fig. 4: "piece together a consistent global checkpoint") is
@@ -58,7 +58,7 @@ pub mod recovery;
 
 pub use checkpoint::{CheckpointStore, TmCheckpoint};
 pub use cic::{CheckpointPolicy, TimeMachine, TimeMachineConfig};
-pub use dependency::{DepEdge, DependencyGraph};
+pub use dependency::{recovery_line, DepEdge};
 pub use gc::GcReport;
 pub use page::{PageStats, PageStore, PagedImage, StoreStats, DEFAULT_PAGE_SIZE};
 pub use recovery::{RecoveryLine, RollbackReport, NO_ROLLBACK};

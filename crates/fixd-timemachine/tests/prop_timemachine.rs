@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use fixd_runtime::{Context, EventKind, Message, Pid, Program, World, WorldConfig};
 use fixd_timemachine::{
-    CheckpointPolicy, DepEdge, DependencyGraph, PageStore, PagedImage, TimeMachine,
+    recovery_line, CheckpointPolicy, DepEdge, PageStore, PagedImage, TimeMachine,
     TimeMachineConfig, NO_ROLLBACK,
 };
 
@@ -69,16 +69,15 @@ proptest! {
         fail in 0u32..5,
         target in 0u64..8,
     ) {
-        let mut g = DependencyGraph::new();
-        for (s, si, d, di) in edges {
-            if s != d {
-                g.add(DepEdge { src: Pid(s), src_interval: si, dst: Pid(d), dst_interval: di });
-            }
-        }
-        let line = g.recovery_line(5, Pid(fail), target);
+        let g: Vec<DepEdge> = edges
+            .into_iter()
+            .filter(|&(s, _, d, _)| s != d)
+            .map(|(s, si, d, di)| DepEdge { src: Pid(s), src_interval: si, dst: Pid(d), dst_interval: di })
+            .collect();
+        let line = recovery_line(g.iter().copied(), 5, Pid(fail), target);
         // Consistency: no edge whose send was undone has a surviving
         // receive.
-        for e in g.edges() {
+        for e in &g {
             let sl = line[e.src.idx()];
             let dl = line[e.dst.idx()];
             if sl != NO_ROLLBACK && sl <= e.src_interval {

@@ -5,13 +5,15 @@
 //! had when the checkpoint was taken.
 //!
 //! The oracle is the test's own [`World::checkpoint_process`] of the
-//! receiver, taken right after the Time Machine checkpointed it ahead
-//! of each receive. Every app runs 16 seeds through supervision with a
-//! mid-run rollback — `Fixd::respond` at the detected fault, then
-//! `Fixd::heal_update`, which rolls back again and swaps the code; the
-//! write-ahead-logged counter has no bug and rolls back directly — then
-//! resumes. After the run every retained checkpoint is materialized
-//! and compared, and the newest-first walk must offer the same states.
+//! receiver, and its [`World::proc_context`], taken right after the
+//! Time Machine checkpointed it ahead of each receive: replay derives
+//! the context of a checkpoint without an image too. Every app runs 16
+//! seeds (Chord-KV 8) through supervision with a mid-run rollback —
+//! `Fixd::respond` at the detected fault, then `Fixd::heal_update`,
+//! which rolls back again and swaps the code; the write-ahead-logged
+//! counter has no bug and rolls back directly — then resumes. After the
+//! run every retained checkpoint is materialized and compared, state
+//! and context, and the newest-first walk must offer the same states.
 //! The counter's disk must not notice any of it.
 //!
 //! The Scroll's local playback is held to the world the same way: the
@@ -32,7 +34,7 @@ use fixd_examples::chord::chord_world;
 use fixd_examples::wal_counter::wal_world;
 use fixd_healer::Patch;
 use fixd_runtime::{
-    DiskReplayGuard, EventKind, Pid, SharedDisk, SharedMessage, SoloHarness, World,
+    DiskReplayGuard, EventKind, Pid, ProcContext, SharedDisk, SharedMessage, SoloHarness, World,
 };
 use fixd_scroll::codec::decode_segment;
 use fixd_scroll::merge::check_send_before_receive;
@@ -44,9 +46,22 @@ use fixd_scroll::{
 const SEEDS: u64 = 16;
 const MAX_STEPS: u64 = 20_000;
 
-/// Every pid's checkpoint states as the world had them: (pid, index) →
-/// state bytes.
-type Oracle = BTreeMap<(u32, u64), Vec<u8>>;
+/// Every pid's checkpoints as the world had them: (pid, index) → state
+/// bytes and [`context`].
+type Oracle = BTreeMap<(u32, u64), (Vec<u8>, String)>;
+
+/// A process context as compared here: its checkpoint index aside,
+/// which the Time Machine stamps anew on every restore.
+fn context(mut ctx: ProcContext) -> String {
+    ctx.ckpt_index = 0;
+    format!("{ctx:?}")
+}
+
+/// What the oracle records for `pid` in `w` now.
+fn taken(w: &World, pid: Pid) -> (Vec<u8>, String) {
+    let state = w.checkpoint_process(pid).state.to_bytes();
+    (state, context(w.proc_context(pid)))
+}
 
 /// Forget the checkpoints a rollback discarded.
 fn prune(oracle: &mut Oracle, fixd: &mut Fixd) {
@@ -70,7 +85,7 @@ fn run(label: &str, mut w: World, monitors: &[Monitor], midway: Midway) -> (Fixd
     let mut oracle = Oracle::new();
     fixd.time_machine().init(&mut w);
     for p in 0..n as u32 {
-        oracle.insert((p, 0), w.checkpoint_process(Pid(p)).state.to_bytes());
+        oracle.insert((p, 0), taken(&w, Pid(p)));
     }
     let mut done_midway = false;
     for step in 0..MAX_STEPS {
@@ -78,10 +93,7 @@ fn run(label: &str, mut w: World, monitors: &[Monitor], midway: Midway) -> (Fixd
         fixd.time_machine().before_step(&mut w, &ev);
         if let EventKind::Deliver { msg } = &ev.kind {
             let idx = fixd.time_machine().interval(msg.dst);
-            oracle.insert(
-                (msg.dst.0, idx),
-                w.checkpoint_process(msg.dst).state.to_bytes(),
-            );
+            oracle.insert((msg.dst.0, idx), taken(&w, msg.dst));
         }
         let Some(rec) = w.step() else { break };
         fixd.time_machine().after_step(&mut w, &rec);
@@ -128,19 +140,26 @@ fn run(label: &str, mut w: World, monitors: &[Monitor], midway: Midway) -> (Fixd
     (fixd, oracle)
 }
 
-/// Every retained checkpoint materializes to its oracle state, and the
-/// newest-first walk offers exactly those states. Returns the number of
-/// checkpoints checked.
+/// Every retained checkpoint materializes to its oracle state and
+/// context, and the newest-first walk offers exactly those states.
+/// Returns the number of checkpoints checked.
 fn verify(label: &str, fixd: &mut Fixd, oracle: &Oracle) -> usize {
     let tm = fixd.time_machine();
     let n = tm.width();
     let mut replayed = 0;
-    for (&(p, i), want) in oracle {
+    for (&(p, i), (want, want_ctx)) in oracle {
         let store = tm.store(Pid(p));
-        let got = store.materialize(i);
+        let got = store
+            .materialize_checkpoint(i)
+            .expect("a retained checkpoint");
         assert!(
-            got.as_deref() == Some(want.as_slice()),
+            got.state.as_bytes() == want.as_slice(),
             "{label}: P{p} checkpoint {i} materialized to another state"
+        );
+        assert_eq!(
+            &context(got.ctx),
+            want_ctx,
+            "{label}: P{p} checkpoint {i} materialized to another context"
         );
         replayed += usize::from(!store.get(i).is_some_and(|c| c.has_image()));
     }
@@ -158,7 +177,7 @@ fn verify(label: &str, fixd: &mut Fixd, oracle: &Oracle) -> usize {
         let want: Vec<&Vec<u8>> = oracle
             .range((p, 0)..(p + 1, 0))
             .rev()
-            .map(|(_, s)| s)
+            .map(|(_, (s, _))| s)
             .collect();
         assert!(
             walked.iter().eq(want.iter().copied()),
@@ -216,20 +235,25 @@ fn token_ring_checkpoints_replay_exactly() {
     }
 }
 
+/// Does `app` at `seed`, run unsupervised, break a monitor?
+fn faulty(app: &HealApp, seed: u64) -> bool {
+    let (mut w, monitors) = (app.build(seed), app.monitors());
+    while w.step().is_some() {
+        if monitors.iter().any(|m| m.violated_in(&w).is_some()) {
+            return true;
+        }
+    }
+    false
+}
+
 /// The buggy coordinator breaks atomicity only on some schedules: the
 /// first 16 seeds on which it does.
 #[test]
 fn two_phase_commit_checkpoints_replay_exactly() {
-    let faulty = |seed: &u64| {
-        let (mut w, monitors) = (tpc_app(*seed).build(*seed), tpc_app(*seed).monitors());
-        while w.step().is_some() {
-            if monitors.iter().any(|m| m.violated_in(&w).is_some()) {
-                return true;
-            }
-        }
-        false
-    };
-    for seed in (0..).filter(faulty).take(SEEDS as usize) {
+    for seed in (0..)
+        .filter(|&s| faulty(&tpc_app(s), s))
+        .take(SEEDS as usize)
+    {
         check("2pc", tpc_app(seed), seed);
     }
 }
@@ -309,6 +333,19 @@ fn catalogue(seed: u64) -> [(&'static str, HealApp); 5] {
             },
         ),
     ]
+}
+
+/// The late-symptom Chord-KV entry of the catalogue, on the first 8
+/// seeds whose run loses a write.
+#[test]
+fn chord_kv_checkpoints_replay_exactly() {
+    let chord_kv = |seed| {
+        let [.., (_, app)] = catalogue(seed);
+        app
+    };
+    for seed in (0..).filter(|&s| faulty(&chord_kv(s), s)).take(8) {
+        check("chord-kv", chord_kv(seed), seed);
+    }
 }
 
 #[test]
